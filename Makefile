@@ -9,6 +9,10 @@
 #                  smoke, then staticcheck & govulncheck (skipped offline)
 #   make bench   — regenerate every experiment table (E1..E10, E13..E17)
 #   make bench-smoke — compile-and-run every Go benchmark once (no timing)
+#   make benchmark   — the repo benchmark (BENCHMARK.json): five serving
+#                      workloads, end-to-end + per-layer metrics
+#   make benchmark-compare OLD=… NEW=… — judge two benchmark runs (files
+#                      or directories of run_*.json) against the bounds
 #   make load-smoke  — E14 sustained-load smoke through the serving layer
 #   make drift-smoke — E15 closed-loop adaptation under staged drift
 #   make shard-smoke — E16 sharded scatter-gather vs the unsharded reference
@@ -27,7 +31,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 
 FUZZTIME ?= 10s
 
-.PHONY: build test vet lint staticcheck govulncheck race fuzz verify bench bench-smoke load-smoke drift-smoke shard-smoke pool-smoke chaos
+.PHONY: build test vet lint staticcheck govulncheck race fuzz verify bench bench-smoke benchmark benchmark-compare load-smoke drift-smoke shard-smoke pool-smoke chaos
 
 build:
 	$(GO) build ./...
@@ -70,6 +74,7 @@ race:
 fuzz:
 	$(GO) test ./internal/sqlx/ -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqlx/ -run '^$$' -fuzz FuzzKeyUniqueness -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/query/ -run '^$$' -fuzz FuzzSubqueryKey -fuzztime $(FUZZTIME)
 
 verify: build vet lint test race fuzz staticcheck govulncheck
 
@@ -77,9 +82,21 @@ bench:
 	$(GO) run ./cmd/lqo-bench -exp all
 
 # One iteration of every benchmark — catches bit-rotted benchmark code
-# without paying for real measurements.
+# without paying for real measurements. Of the root package only the
+# planning scoreboard runs: its other benchmarks regenerate whole
+# experiment tables.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/exec/ ./internal/bench/
+	$(GO) test -run '^$$' -bench 'OptimizeDP|Harvest' -benchtime 1x .
+
+# The repo benchmark, as the driver runs it (see benchmark/README.md).
+# Arguments pass through: make benchmark ARGS="--workload cold_plan --seed 7".
+benchmark:
+	bash benchmark/run.sh $(ARGS)
+
+benchmark-compare:
+	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make benchmark-compare OLD=<run.json|dir> NEW=<run.json|dir>"; exit 2; }
+	$(GO) run ./benchmark -compare $(OLD) $(NEW)
 
 # A short E14 run: the serving layer under open-loop load. Fails loudly
 # if cached results diverge from uncached baselines or serving errors.

@@ -11,12 +11,14 @@ package lqo_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"lqo/internal/bench"
 	"lqo/internal/cardest"
 	"lqo/internal/exec"
+	"lqo/internal/opt"
 	"lqo/internal/plan"
 	"lqo/internal/query"
 	"lqo/internal/workload"
@@ -139,6 +141,58 @@ func BenchmarkOptimizeDP4Way(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkOptimizeDP is the planning-cost scoreboard: bushy DP through
+// the full pipeline under the histogram estimator, by query width.
+// plans/op is the enumeration effort, which must not move when only the
+// enumerator's speed is worked on.
+func BenchmarkOptimizeDP(b *testing.B) {
+	env := sharedEnv(b)
+	for _, tables := range []int{2, 4, 6, 8} {
+		b.Run(fmt.Sprintf("%dway", tables), func(b *testing.B) {
+			q := genQuery(b, env, tables)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := env.Base.Optimize(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(env.Base.PlansConsidered()), "plans/op")
+		})
+	}
+}
+
+// BenchmarkHarvest times the feedback harvest every served request pays:
+// one sub-query key per node of a 4-way plan. The plan is not executed;
+// the harvest does the same work whatever TrueCard holds.
+func BenchmarkHarvest(b *testing.B) {
+	env := sharedEnv(b)
+	q := genQuery(b, env, 4)
+	p, err := env.Base.Optimize(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		harvested = opt.HarvestCards(q, p)
+	}
+}
+
+var harvested []opt.CardLabel
+
+// genQuery returns a seeded FK-walk query over exactly the given number
+// of tables; fresh aliases per step make any width reachable on the
+// six-table schema.
+func genQuery(b *testing.B, env *bench.Env, tables int) *query.Query {
+	b.Helper()
+	q, err := workload.GenDeepJoinQuery(env.Cat, tables, rand.New(rand.NewSource(env.Seed)), 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return q
 }
 
 func BenchmarkExecuteHashJoinPlan(b *testing.B) {

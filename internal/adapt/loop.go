@@ -189,7 +189,7 @@ func (l *Loop) ObserveExec(q *query.Query, executed *plan.Node) {
 	l.col.ObserveExec(q, executed)
 	l.mu.Lock()
 	if l.probation {
-		executed.Walk(func(n *plan.Node) {
+		executed.WalkLogical(func(n *plan.Node) {
 			qe := metrics.QError(n.EstCard, n.TrueCard)
 			l.probLogSum += math.Log(qe)
 			l.probN++

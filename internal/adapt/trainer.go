@@ -38,12 +38,15 @@ func NewCollector(capacity int) *Collector {
 	return &Collector{cap: capacity, index: make(map[string]int)}
 }
 
-// ObserveExec harvests one label per node of an executed,
-// TrueCard-annotated plan — the same feed opt.CardsFromPlan taps, but
-// accumulated across queries into a training set.
+// ObserveExec harvests one label per logical node of an executed,
+// TrueCard-annotated plan — the same feed opt.HarvestCards taps, but
+// accumulated across queries into a training set. Shard internals are
+// skipped: their per-partition counts share the whole scan's sub-query
+// key and would overwrite its label.
 func (c *Collector) ObserveExec(q *query.Query, executed *plan.Node) {
-	executed.Walk(func(n *plan.Node) {
-		c.Add(n.Subquery(q), n.TrueCard)
+	g := query.NewJoinGraph(q)
+	executed.WalkLogicalMasks(g, func(n *plan.Node, mask uint64) {
+		c.Add(g.Sub(mask), n.TrueCard)
 	})
 }
 

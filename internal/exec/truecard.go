@@ -17,6 +17,9 @@ func CanonicalPlan(q *query.Query) (*plan.Node, error) {
 	if len(q.Refs) == 0 {
 		return nil, fmt.Errorf("exec: query has no tables")
 	}
+	if len(q.Refs) > query.MaxRefs {
+		return nil, fmt.Errorf("exec: query has %d tables, the join graph indexes at most %d", len(q.Refs), query.MaxRefs)
+	}
 	g := query.NewJoinGraph(q)
 	scan := func(alias string) *plan.Node {
 		return plan.NewScan(plan.SeqScan, alias, q.TableOf(alias), q.PredsOn(alias))
@@ -106,9 +109,10 @@ func (c *CardCache) TrueCardCtx(ctx context.Context, q *query.Query) (float64, e
 	c.mu.Lock()
 	c.m[key] = v
 	if c.Harvest {
-		p.Walk(func(n *plan.Node) {
+		g := query.NewJoinGraph(q)
+		p.WalkLogicalMasks(g, func(n *plan.Node, mask uint64) {
 			if n.TrueCard >= 0 {
-				c.m[n.Subquery(q).Key()] = n.TrueCard
+				c.m[g.Key(mask)] = n.TrueCard
 			}
 		})
 	}

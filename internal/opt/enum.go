@@ -13,7 +13,8 @@ import (
 	"lqo/internal/query"
 )
 
-// memoEntry is the best plan found for one alias subset.
+// memoEntry is the best plan found for one alias subset; node is nil
+// while (or when) the subset has none.
 type memoEntry struct {
 	node *plan.Node
 	cost float64
@@ -21,159 +22,131 @@ type memoEntry struct {
 }
 
 type dpState struct {
-	q       *query.Query
-	g       *query.JoinGraph
-	aliases []string
-	memo    []*memoEntry // indexed by bitmask
-	cards   []float64    // estimated cardinality per bitmask (-1 unset)
-	plans   int64        // plan alternatives costed by this call
+	g     *query.JoinGraph
+	memo  []memoEntry // indexed by alias mask
+	ops   []plan.Op   // join operators to cost when a pair has join conditions
+	plans int64       // plan alternatives costed by this call
 }
 
-func (o *Optimizer) optimizeDP(ctx context.Context, q *query.Query) (*plan.Node, error) {
-	n := len(q.Refs)
-	st := &dpState{
-		q:       q,
-		g:       query.NewJoinGraph(q),
-		aliases: q.Aliases(),
-		memo:    make([]*memoEntry, 1<<n),
-		cards:   make([]float64, 1<<n),
+// crossOps is what a pair without join conditions may use: a cross
+// product is a nested loop, whatever the hints say.
+var crossOps = []plan.Op{plan.NestedLoopJoin}
+
+// joinOps returns the join operators the hint set allows, in costing order.
+func (o *Optimizer) joinOps() []plan.Op {
+	var ops []plan.Op
+	for _, op := range [...]plan.Op{plan.HashJoin, plan.MergeJoin, plan.NestedLoopJoin} {
+		if o.Hints.AllowsJoin(op) {
+			ops = append(ops, op)
+		}
 	}
-	for i := range st.cards {
-		st.cards[i] = -1
+	return ops
+}
+
+func (o *Optimizer) optimizeDP(ctx context.Context, g *query.JoinGraph) (*plan.Node, error) {
+	n := len(g.Aliases)
+	st := &dpState{g: g, memo: make([]memoEntry, 1<<uint(n)), ops: o.joinOps()}
+	if len(st.ops) == 0 {
+		st.ops = []plan.Op{plan.HashJoin} // hints must not make queries unplannable
 	}
 	defer func() { atomic.StoreInt64(&o.plansConsidered, st.plans) }()
 
 	// Base: best scan per alias.
-	for i, a := range st.aliases {
-		e, err := o.bestScan(st, i, a)
+	for i := 0; i < n; i++ {
+		scan, considered, err := o.bestScan(g, i)
+		st.plans += considered
 		if err != nil {
 			return nil, err
 		}
-		st.memo[1<<i] = e
+		st.memo[1<<uint(i)] = memoEntry{node: scan, cost: scan.EstCost, card: scan.EstCard}
 	}
 
-	full := (1 << n) - 1
-	for mask := 1; mask <= full; mask++ {
+	full := uint64(1)<<uint(n) - 1
+	for mask := uint64(1); mask <= full; mask++ {
 		if mask%64 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		if st.memo[mask] != nil || bits.OnesCount(uint(mask)) < 2 {
+		if bits.OnesCount64(mask) < 2 {
 			continue
 		}
-		best := o.bestJoinForMask(st, mask)
-		st.memo[mask] = best
+		st.memo[mask] = o.bestJoinForMask(st, mask)
 	}
-	e := st.memo[full]
-	if e == nil || e.node == nil {
-		return nil, fmt.Errorf("opt: no plan found for %s", q.SQL())
+	if e := st.memo[full]; e.node != nil {
+		return e.node, nil
 	}
-	return e.node, nil
+	return nil, fmt.Errorf("opt: no plan found for %s", g.Query().SQL())
 }
 
 // bestJoinForMask enumerates ordered partitions (left, right) of mask and
-// keeps the cheapest feasible join.
-func (o *Optimizer) bestJoinForMask(st *dpState, mask int) *memoEntry {
-	bestCost := math.Inf(1)
-	var bestNode *plan.Node
-	card := o.maskCard(st, mask)
+// keeps the cheapest feasible join. Every mask is estimated, connected or
+// not: skipping the disconnected ones would change which plans exist.
+func (o *Optimizer) bestJoinForMask(st *dpState, mask uint64) memoEntry {
+	best := memoEntry{cost: math.Inf(1), card: o.estimate(st.g.Sub(mask))}
+	var bestOp plan.Op
+	var bestSub uint64
 	// Iterate all proper non-empty submasks.
 	for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
 		other := mask ^ sub
-		if o.LeftDeepOnly && bits.OnesCount(uint(other)) != 1 {
+		if o.LeftDeepOnly && bits.OnesCount64(other) != 1 {
 			continue // right operand must be a base relation
 		}
-		le, re := st.memo[sub], st.memo[other]
-		if le == nil || re == nil || le.node == nil || re.node == nil {
+		le, re := &st.memo[sub], &st.memo[other]
+		if le.node == nil || re.node == nil {
 			continue
 		}
-		conds := st.g.JoinsBetween(o.maskSet(st, sub), o.maskSet(st, other))
-		var ops []plan.Op
-		if len(conds) == 0 {
-			// Cross product: nested loop only, and only if unavoidable
-			// (the subset pair is disconnected in the join graph).
-			ops = []plan.Op{plan.NestedLoopJoin}
-		} else {
-			for _, op := range []plan.Op{plan.HashJoin, plan.MergeJoin, plan.NestedLoopJoin} {
-				if o.Hints.AllowsJoin(op) {
-					ops = append(ops, op)
-				}
-			}
-			if len(ops) == 0 {
-				ops = []plan.Op{plan.HashJoin} // hints must not make queries unplannable
-			}
+		// Cross product: nested loop only, and only if unavoidable
+		// (the subset pair is disconnected in the join graph).
+		ops := crossOps
+		if st.g.CountBetween(sub, other) > 0 {
+			ops = st.ops
 		}
 		for _, op := range ops {
-			if len(conds) == 0 && op != plan.NestedLoopJoin {
-				continue
-			}
 			st.plans++
-			jc := o.Cost.JoinCost(op, le.card, re.card, card)
-			total := le.cost + re.cost + jc
-			if total < bestCost {
-				node := plan.NewJoin(op, le.node, re.node, conds)
-				node.EstCard = card
-				node.EstCost = total
-				bestCost = total
-				bestNode = node
+			total := le.cost + re.cost + o.Cost.JoinCost(op, le.card, re.card, best.card)
+			if total < best.cost {
+				best.cost, bestOp, bestSub = total, op, sub
 			}
 		}
 	}
-	if bestNode == nil {
-		return &memoEntry{}
+	if bestSub == 0 {
+		return memoEntry{}
 	}
-	return &memoEntry{node: bestNode, cost: bestCost, card: card}
+	// Only the winner is materialised.
+	l, r := part{st.memo[bestSub].node, bestSub}, part{st.memo[mask^bestSub].node, mask ^ bestSub}
+	best.node = newJoin(st.g, bestOp, l, r, best.card, best.cost)
+	return best
 }
 
-func (o *Optimizer) maskSet(st *dpState, mask int) map[string]bool {
-	s := make(map[string]bool)
-	for i, a := range st.aliases {
-		if mask&(1<<i) != 0 {
-			s[a] = true
-		}
-	}
-	return s
-}
-
-func (o *Optimizer) maskCard(st *dpState, mask int) float64 {
-	if st.cards[mask] >= 0 {
-		return st.cards[mask]
-	}
-	c := o.estimate(st.q.Subquery(o.maskSet(st, mask)))
-	st.cards[mask] = c
-	return c
-}
-
-// bestScan returns the cheapest allowed scan for the alias at index i.
-func (o *Optimizer) bestScan(st *dpState, i int, alias string) (*memoEntry, error) {
-	preds := st.q.PredsOn(alias)
-	table := st.q.TableOf(alias)
-	card := o.maskCard(st, 1<<i)
+// bestScan returns the cheapest allowed scan of the graph's i-th alias,
+// annotated with its estimate and cost, and how many alternatives it
+// costed.
+func (o *Optimizer) bestScan(g *query.JoinGraph, i int) (best *plan.Node, considered int64, err error) {
+	q, alias := g.Query(), g.Aliases[i]
+	preds := q.PredsOn(alias)
+	table := q.TableOf(alias)
+	card := o.estimate(g.Sub(1 << uint(i)))
 
 	bestCost := math.Inf(1)
-	var bestNode *plan.Node
 	consider := func(op plan.Op, inRows float64, npreds int) {
-		st.plans++
-		c := o.Cost.ScanCost(op, inRows, card, npreds)
-		if c < bestCost {
-			node := plan.NewScan(op, alias, table, preds)
-			node.EstCard = card
-			node.EstCost = c
+		considered++
+		if c := o.Cost.ScanCost(op, inRows, card, npreds); c < bestCost {
+			best = plan.NewScan(op, alias, table, preds)
+			best.EstCard = card
+			best.EstCost = c
 			bestCost = c
-			bestNode = node
 		}
 	}
-	hasIndexEq := o.indexEqColumn(table, preds) != ""
-	if o.Hints.AllowsScan(plan.SeqScan) || !hasIndexEq {
+	col := o.indexEqColumn(table, preds)
+	if o.Hints.AllowsScan(plan.SeqScan) || col == "" {
 		consider(plan.SeqScan, o.Cost.TableRows(table), len(preds))
 	}
-	if hasIndexEq && o.Hints.AllowsScan(plan.IndexScan) {
-		col := o.indexEqColumn(table, preds)
+	if col != "" && o.Hints.AllowsScan(plan.IndexScan) {
 		consider(plan.IndexScan, o.Cost.IndexFetchRows(table, col), len(preds)-1)
 	}
-	if bestNode == nil {
-		return nil, fmt.Errorf("opt: no scan allowed for %s", alias)
+	if best == nil {
+		return nil, considered, fmt.Errorf("opt: no scan allowed for %s", alias)
 	}
-	return &memoEntry{node: bestNode, cost: bestCost, card: card}, nil
+	return best, considered, nil
 }

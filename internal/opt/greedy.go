@@ -7,6 +7,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 
@@ -26,67 +27,68 @@ func (o *Optimizer) OptimizeGreedy(q *query.Query) (*plan.Node, error) {
 // merge round. It returns raw enumeration output — no rewrite passes
 // (OptimizeCtx layers the pipeline on top).
 func (o *Optimizer) OptimizeGreedyCtx(ctx context.Context, q *query.Query) (*plan.Node, error) {
-	if len(q.Refs) == 0 {
-		return nil, fmt.Errorf("opt: query has no tables")
+	g, err := newGraph(q)
+	if err != nil {
+		return nil, err
 	}
+	return o.optimizeGreedy(ctx, g)
+}
+
+func (o *Optimizer) optimizeGreedy(ctx context.Context, g *query.JoinGraph) (*plan.Node, error) {
 	var plans int64
 	defer func() { atomic.StoreInt64(&o.plansConsidered, plans) }()
-	g := query.NewJoinGraph(q)
-	var parts []*part
-	for _, a := range q.Aliases() {
-		e, err := o.scanFor(q, a)
+	parts := make([]part, 0, len(g.Aliases))
+	for i := range g.Aliases {
+		scan, _, err := o.bestScan(g, i)
 		if err != nil {
 			return nil, err
 		}
-		parts = append(parts, &part{node: e, cost: e.EstCost, card: e.EstCard})
+		parts = append(parts, part{node: scan, mask: 1 << uint(i)})
 	}
+	ops := o.joinOps()
 	for len(parts) > 1 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		// Cross joins wait until no connected pair remains.
+		connectable := false
+		for i := range parts {
+			for j := i + 1; j < len(parts); j++ {
+				connectable = connectable || g.CountBetween(parts[i].mask, parts[j].mask) > 0
+			}
+		}
 		bestI, bestJ := -1, -1
-		bestCost := math.Inf(1)
-		var bestNode *plan.Node
-		var bestCard float64
-		for i := 0; i < len(parts); i++ {
-			for j := 0; j < len(parts); j++ {
+		var bestOp plan.Op
+		bestCost, bestCard := math.Inf(1), 0.0
+		for i := range parts {
+			for j := range parts {
 				if i == j {
 					continue
 				}
-				conds := g.JoinsBetween(parts[i].node.AliasSet(), parts[j].node.AliasSet())
-				if len(conds) == 0 && connectable(g, parts) {
-					continue // avoid cross joins while connected pairs remain
-				}
-				set := parts[i].node.AliasSet()
-				//lqolint:ignore determinism order-insensitive set union; every iteration order yields the same alias set
-				for a := range parts[j].node.AliasSet() {
-					set[a] = true
-				}
-				card := o.estimate(q.Subquery(set))
-				for _, op := range []plan.Op{plan.HashJoin, plan.MergeJoin, plan.NestedLoopJoin} {
-					if len(conds) == 0 && op != plan.NestedLoopJoin {
+				pairOps := ops
+				if g.CountBetween(parts[i].mask, parts[j].mask) == 0 {
+					if connectable {
 						continue
 					}
-					if len(conds) > 0 && !o.Hints.AllowsJoin(op) {
-						continue
-					}
+					pairOps = crossOps
+				}
+				l, r := parts[i].node, parts[j].node
+				card := o.estimate(g.Sub(parts[i].mask | parts[j].mask))
+				for _, op := range pairOps {
 					plans++
-					total := parts[i].cost + parts[j].cost + o.Cost.JoinCost(op, parts[i].card, parts[j].card, card)
+					total := l.EstCost + r.EstCost + o.Cost.JoinCost(op, l.EstCard, r.EstCard, card)
 					if total < bestCost {
-						bestCost = total
+						bestCost, bestCard, bestOp = total, card, op
 						bestI, bestJ = i, j
-						bestNode = plan.NewJoin(op, parts[i].node, parts[j].node, conds)
-						bestNode.EstCard = card
-						bestNode.EstCost = total
-						bestCard = card
 					}
 				}
 			}
 		}
-		if bestNode == nil {
+		if bestI < 0 {
 			return nil, fmt.Errorf("opt: greedy failed to combine partitions")
 		}
-		merged := &part{node: bestNode, cost: bestCost, card: bestCard}
+		l, r := parts[bestI], parts[bestJ]
+		merged := part{node: newJoin(g, bestOp, l, r, bestCard, bestCost), mask: l.mask | r.mask}
 		next := parts[:0]
 		for k, p := range parts {
 			if k != bestI && k != bestJ {
@@ -98,55 +100,19 @@ func (o *Optimizer) OptimizeGreedyCtx(ctx context.Context, q *query.Query) (*pla
 	return parts[0].node, nil
 }
 
-func connectable(g *query.JoinGraph, parts []*part) bool {
-	for i := 0; i < len(parts); i++ {
-		for j := i + 1; j < len(parts); j++ {
-			if len(g.JoinsBetween(parts[i].node.AliasSet(), parts[j].node.AliasSet())) > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// part is a greedy-optimizer work item: a sub-plan with its running cost
-// and estimated cardinality.
+// part is a sub-plan under construction outside DP, with its alias mask;
+// its running cost and estimate are the node's annotations.
 type part struct {
 	node *plan.Node
-	cost float64
-	card float64
+	mask uint64
 }
 
-// scanFor builds the cheapest allowed scan node for alias outside DP.
-func (o *Optimizer) scanFor(q *query.Query, alias string) (*plan.Node, error) {
-	preds := q.PredsOn(alias)
-	table := q.TableOf(alias)
-	card := o.estimate(q.Subquery(map[string]bool{alias: true}))
-
-	bestCost := math.Inf(1)
-	var best *plan.Node
-	consider := func(op plan.Op, inRows float64, npreds int) {
-		c := o.Cost.ScanCost(op, inRows, card, npreds)
-		if c < bestCost {
-			n := plan.NewScan(op, alias, table, preds)
-			n.EstCard = card
-			n.EstCost = c
-			bestCost = c
-			best = n
-		}
-	}
-	hasIndexEq := o.indexEqColumn(table, preds) != ""
-	if o.Hints.AllowsScan(plan.SeqScan) || !hasIndexEq {
-		consider(plan.SeqScan, o.Cost.TableRows(table), len(preds))
-	}
-	if hasIndexEq && o.Hints.AllowsScan(plan.IndexScan) {
-		col := o.indexEqColumn(table, preds)
-		consider(plan.IndexScan, o.Cost.IndexFetchRows(table, col), len(preds)-1)
-	}
-	if best == nil {
-		return nil, fmt.Errorf("opt: no scan allowed for %s", alias)
-	}
-	return best, nil
+// newJoin materialises the chosen join of two parts, annotated.
+func newJoin(g *query.JoinGraph, op plan.Op, l, r part, card, cost float64) *plan.Node {
+	n := plan.NewJoin(op, l.node, r.node, g.JoinsBetweenMasks(l.mask, r.mask))
+	n.EstCard = card
+	n.EstCost = cost
+	return n
 }
 
 // PlanFromOrder builds the best left-deep plan following the given alias
@@ -156,46 +122,45 @@ func (o *Optimizer) PlanFromOrder(q *query.Query, order []string) (*plan.Node, e
 	if len(order) != len(q.Refs) {
 		return nil, fmt.Errorf("opt: order covers %d of %d aliases", len(order), len(q.Refs))
 	}
-	g := query.NewJoinGraph(q)
-	root, err := o.scanFor(q, order[0])
+	g, err := newGraph(q)
 	if err != nil {
 		return nil, err
 	}
-	set := map[string]bool{order[0]: true}
-	cost0 := root.EstCost
-	for _, a := range order[1:] {
-		right, err := o.scanFor(q, a)
+	ops := o.joinOps()
+	var root part
+	for step, a := range order {
+		bit := g.Bit(a)
+		if bit == 0 {
+			return nil, fmt.Errorf("opt: order names unknown alias %q", a)
+		}
+		scan, _, err := o.bestScan(g, bits.TrailingZeros64(bit))
 		if err != nil {
 			return nil, err
 		}
-		set[a] = true
-		conds := g.JoinsBetween(root.AliasSet(), map[string]bool{a: true})
-		card := o.estimate(q.Subquery(set))
+		right := part{node: scan, mask: bit}
+		if step == 0 {
+			root = right
+			continue
+		}
+		pairOps := ops
+		if g.CountBetween(root.mask, bit) == 0 {
+			pairOps = crossOps
+		}
+		card := o.estimate(g.Sub(root.mask | bit))
 		bestCost := math.Inf(1)
-		var bestNode *plan.Node
-		for _, op := range []plan.Op{plan.HashJoin, plan.MergeJoin, plan.NestedLoopJoin} {
-			if len(conds) == 0 && op != plan.NestedLoopJoin {
-				continue
-			}
-			if len(conds) > 0 && !o.Hints.AllowsJoin(op) {
-				continue
-			}
-			total := cost0 + right.EstCost + o.Cost.JoinCost(op, root.EstCard, right.EstCard, card)
+		var bestOp plan.Op
+		for _, op := range pairOps {
+			total := root.node.EstCost + scan.EstCost + o.Cost.JoinCost(op, root.node.EstCard, scan.EstCard, card)
 			if total < bestCost {
-				n := plan.NewJoin(op, root, right, conds)
-				n.EstCard = card
-				n.EstCost = total
-				bestCost = total
-				bestNode = n
+				bestCost, bestOp = total, op
 			}
 		}
-		if bestNode == nil {
+		if math.IsInf(bestCost, 1) {
 			return nil, fmt.Errorf("opt: no join operator allowed for order step %s", a)
 		}
-		root = bestNode
-		cost0 = bestCost
+		root = part{node: newJoin(g, bestOp, root, right, card, bestCost), mask: root.mask | bit}
 	}
-	return root, nil
+	return root.node, nil
 }
 
 // CandidatePlans optimizes q once per hint set and returns the distinct

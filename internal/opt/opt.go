@@ -143,13 +143,26 @@ func (o *Optimizer) enumerate(ctx context.Context, q *query.Query) (*plan.Node, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if len(q.Refs) == 0 {
-		return nil, fmt.Errorf("opt: query has no tables")
+	g, err := newGraph(q)
+	if err != nil {
+		return nil, err
 	}
 	if len(q.Refs) <= o.maxDP() {
-		return o.optimizeDP(ctx, q)
+		return o.optimizeDP(ctx, g)
 	}
-	return o.OptimizeGreedyCtx(ctx, q)
+	return o.optimizeGreedy(ctx, g)
+}
+
+// newGraph indexes q for planning. Alias sets are 64-bit masks, so a
+// wider FROM list is an error here rather than a second code path.
+func newGraph(q *query.Query) (*query.JoinGraph, error) {
+	switch n := len(q.Refs); {
+	case n == 0:
+		return nil, fmt.Errorf("opt: query has no tables")
+	case n > query.MaxRefs:
+		return nil, fmt.Errorf("opt: query has %d tables, the planner handles at most %d", n, query.MaxRefs)
+	}
+	return query.NewJoinGraph(q), nil
 }
 
 // estimate queries the (possibly learned, possibly injected) estimator

@@ -244,12 +244,13 @@ func (ReannotatePass) Rewrite(ctx context.Context, n *Node, pc *PassContext) (*N
 	if ctx.Err() != nil || pc.Query == nil || pc.Estimate == nil {
 		return n, false
 	}
+	g := query.NewJoinGraph(pc.Query)
 	needs := false
-	n.WalkLogical(func(m *Node) {
+	n.WalkLogicalMasks(g, func(m *Node, mask uint64) {
 		if m.Op == Exchange {
 			return
 		}
-		if math.Float64bits(reannotateCard(m, pc)) != math.Float64bits(m.EstCard) {
+		if math.Float64bits(reannotateCard(g.Sub(mask), pc)) != math.Float64bits(m.EstCard) {
 			needs = true
 		}
 	})
@@ -257,18 +258,18 @@ func (ReannotatePass) Rewrite(ctx context.Context, n *Node, pc *PassContext) (*N
 		return n, false
 	}
 	c := n.Clone()
-	c.WalkLogical(func(m *Node) {
+	c.WalkLogicalMasks(g, func(m *Node, mask uint64) {
 		if m.Op == Exchange {
 			return
 		}
-		m.EstCard = reannotateCard(m, pc)
+		m.EstCard = reannotateCard(g.Sub(mask), pc)
 	})
 	return c, true
 }
 
-// reannotateCard computes the logical node's refreshed cardinality.
-func reannotateCard(m *Node, pc *PassContext) float64 {
-	sub := pc.Query.Subquery(m.AliasSet())
+// reannotateCard computes the refreshed cardinality of the logical node
+// computing sub.
+func reannotateCard(sub *query.Query, pc *PassContext) float64 {
 	if alwaysFalse(sub.Preds) {
 		return 0
 	}

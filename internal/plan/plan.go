@@ -158,6 +158,43 @@ func (n *Node) WalkLogical(fn func(*Node)) {
 	n.Right.WalkLogical(fn)
 }
 
+// WalkLogicalMasks is WalkLogical that also hands fn each node's alias
+// set as a mask of g, the join graph of the query the plan computes:
+// leaf and Merge bits are looked up once and folded bottom-up, in one
+// pass over the tree, instead of re-collecting and sorting the aliases
+// below every node. g.Sub(mask) and g.Key(mask) then give the node's
+// sub-query and its canonical key.
+func (n *Node) WalkLogicalMasks(g *query.JoinGraph, fn func(*Node, uint64)) {
+	pre := make([]maskedNode, 0, 2*len(g.Aliases))
+	n.foldMasks(g, &pre)
+	for _, v := range pre {
+		fn(v.n, v.mask)
+	}
+}
+
+type maskedNode struct {
+	n    *Node
+	mask uint64
+}
+
+// foldMasks appends the logical subtree to pre in pre-order and returns
+// its alias mask.
+func (n *Node) foldMasks(g *query.JoinGraph, pre *[]maskedNode) uint64 {
+	if n == nil {
+		return 0
+	}
+	at := len(*pre)
+	*pre = append(*pre, maskedNode{n: n})
+	var mask uint64
+	if n.IsLeaf() || n.Op == Merge {
+		mask = g.Bit(n.Alias)
+	} else {
+		mask = n.Left.foldMasks(g, pre) | n.Right.foldMasks(g, pre)
+	}
+	(*pre)[at].mask = mask
+	return mask
+}
+
 // Nodes returns all nodes of the subtree in pre-order.
 func (n *Node) Nodes() []*Node {
 	var out []*Node

@@ -58,6 +58,13 @@ func (k *KeyBuilder) Append(seg string) *KeyBuilder {
 	return k
 }
 
+// Grow reserves room for n more bytes, for callers that know the size of
+// the key they are about to assemble.
+func (k *KeyBuilder) Grow(n int) { k.b.Grow(n) }
+
+// Len returns the number of bytes written so far.
+func (k *KeyBuilder) Len() int { return k.b.Len() }
+
 // String returns the assembled key.
 func (k *KeyBuilder) String() string {
 	return k.b.String()

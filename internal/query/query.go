@@ -164,7 +164,7 @@ type Join struct {
 
 // String renders the join condition in SQL.
 func (j Join) String() string {
-	return fmt.Sprintf("%s.%s = %s.%s", j.LeftAlias, j.LeftCol, j.RightAlias, j.RightCol)
+	return j.LeftAlias + "." + j.LeftCol + " = " + j.RightAlias + "." + j.RightCol
 }
 
 // Touches reports whether the edge references the alias.
@@ -202,6 +202,12 @@ type Query struct {
 	// Agg is the aggregate computed over the join result; the zero value
 	// is COUNT(*), the cardinality the whole workbench revolves around.
 	Agg Agg
+
+	// key is the precomputed Key(), set only by JoinGraph.Sub on the
+	// sub-queries it builds. Caller-built queries are mutated in place by
+	// the parser, the workload generators and statement binding, so Key
+	// never memoises on them; Clone drops it.
+	key string
 }
 
 // Clone returns a deep copy.
@@ -287,40 +293,60 @@ func (q *Query) SQL() string {
 // placeholder predicates render as "?N" ordinals, so a prepared
 // statement template's Key is its binding-structure shape key.
 func (q *Query) Key() string {
-	refs := make([]string, len(q.Refs))
-	for i, r := range q.Refs {
-		var kb KeyBuilder
-		kb.Raw("r(").Atom(r.Alias).Raw(":").Atom(r.Table).Raw(")")
-		refs[i] = kb.String()
+	if q.key != "" {
+		return q.key
 	}
-	sort.Strings(refs)
-	joins := make([]string, len(q.Joins))
-	for i, j := range q.Joins {
-		n := j
-		if n.LeftAlias > n.RightAlias || (n.LeftAlias == n.RightAlias && n.LeftCol > n.RightCol) {
-			n.LeftAlias, n.LeftCol, n.RightAlias, n.RightCol = n.RightAlias, n.RightCol, n.LeftAlias, n.LeftCol
+	refs, joins, preds := q.keySegments()
+	size := 2
+	for _, segs := range [...][]string{refs, joins, preds} {
+		sort.Strings(segs)
+		for _, s := range segs {
+			size += len(s)
 		}
-		joins[i] = n.KeyString()
 	}
-	sort.Strings(joins)
-	preds := make([]string, len(q.Preds))
-	for i, p := range q.Preds {
-		preds[i] = p.KeyString()
-	}
-	sort.Strings(preds)
 	var k KeyBuilder
-	for _, s := range refs {
-		k.Append(s)
-	}
-	k.Raw("|")
-	for _, s := range joins {
-		k.Append(s)
-	}
-	k.Raw("|")
-	for _, s := range preds {
-		k.Append(s)
+	k.Grow(size)
+	for n, segs := range [...][]string{refs, joins, preds} {
+		if n > 0 {
+			k.Raw("|")
+		}
+		for _, s := range segs {
+			k.Append(s)
+		}
 	}
 	return k.String()
+}
+
+// keySegments encodes the Key segment of every ref, join (sides
+// normalized) and predicate, each list in clause order. The segments are
+// slices of one buffer.
+func (q *Query) keySegments() (refs, joins, preds []string) {
+	n := len(q.Refs) + len(q.Joins) + len(q.Preds)
+	var k KeyBuilder
+	k.Grow(40 * n) // a typical segment; longer ones just grow the buffer
+	ends := make([]int, 0, n)
+	for _, r := range q.Refs {
+		k.Raw("r(").Atom(r.Alias).Raw(":").Atom(r.Table).Raw(")")
+		ends = append(ends, k.Len())
+	}
+	for _, j := range q.Joins {
+		if j.LeftAlias > j.RightAlias || (j.LeftAlias == j.RightAlias && j.LeftCol > j.RightCol) {
+			j.LeftAlias, j.LeftCol, j.RightAlias, j.RightCol = j.RightAlias, j.RightCol, j.LeftAlias, j.LeftCol
+		}
+		j.appendKey(&k)
+		ends = append(ends, k.Len())
+	}
+	for _, p := range q.Preds {
+		p.appendKey(&k)
+		ends = append(ends, k.Len())
+	}
+	all, segs, start := k.String(), make([]string, len(ends)), 0
+	for i, end := range ends {
+		segs[i] = all[start:end]
+		start = end
+	}
+	nr, nj := len(q.Refs), len(q.Refs)+len(q.Joins)
+	return segs[:nr:nr], segs[nr:nj:nj], segs[nj:]
 }
 
 // NumParams returns the number of unbound placeholder slots in the
@@ -342,23 +368,8 @@ func (q *Query) NumParams() int {
 // Subquery projects the query onto a subset of aliases: only refs in the
 // subset, joins fully contained in it, and predicates on it are kept.
 func (q *Query) Subquery(aliases map[string]bool) *Query {
-	sub := &Query{}
-	for _, r := range q.Refs {
-		if aliases[r.Alias] {
-			sub.Refs = append(sub.Refs, r)
-		}
-	}
-	for _, j := range q.Joins {
-		if aliases[j.LeftAlias] && aliases[j.RightAlias] {
-			sub.Joins = append(sub.Joins, j)
-		}
-	}
-	for _, p := range q.Preds {
-		if aliases[p.Alias] {
-			sub.Preds = append(sub.Preds, p)
-		}
-	}
-	return sub
+	g := NewJoinGraph(q)
+	return g.project(g.Mask(aliases))
 }
 
 // Validate checks that every join and predicate references a declared

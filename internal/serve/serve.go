@@ -243,7 +243,7 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 	}
 	br.Success()
 
-	s.absorb(opt.CardsFromPlan(q, p))
+	s.absorb(opt.HarvestCards(q, p))
 	if cached {
 		s.cache.Observe(key, p, s.cfg.InvalidateQError)
 	}
@@ -259,14 +259,16 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 // absorb merges harvested cardinalities into the feedback store, bounded
 // by FeedbackCap (existing keys always update; new keys stop landing once
 // the store is full, keeping memory bounded without eviction churn).
-func (s *Server) absorb(cards map[string]float64) {
+// Labels land in harvest order — plan pre-order — so which keys a nearly
+// full store still admits is the same on every run.
+func (s *Server) absorb(labels []opt.CardLabel) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for k, v := range cards {
-		if _, ok := s.feedback[k]; !ok && len(s.feedback) >= s.cfg.FeedbackCap {
+	for _, l := range labels {
+		if _, ok := s.feedback[l.Key]; !ok && len(s.feedback) >= s.cfg.FeedbackCap {
 			continue
 		}
-		s.feedback[k] = v
+		s.feedback[l.Key] = l.Card
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"lqo/internal/opt"
 	"lqo/internal/plan"
 	"lqo/internal/query"
+	"lqo/internal/sqlx"
 	"lqo/internal/stats"
 )
 
@@ -404,5 +406,46 @@ func TestDriftedCatalogFeedbackDoesNotPoisonReplans(t *testing.T) {
 	}
 	if !last.Cached {
 		t.Fatal("entry never stabilized after drift: feedback-informed replan keeps invalidating")
+	}
+}
+
+// TestAbsorbAtFeedbackCapIsDeterministic pins which keys land once the
+// feedback store is full: with FeedbackCap below one plan's node count the
+// store must hold the first labels of the plan's pre-order, the same ones
+// on every server. Harvesting through a map made the survivors depend on
+// Go's randomized iteration order.
+func TestAbsorbAtFeedbackCapIsDeterministic(t *testing.T) {
+	const feedbackCap = 3
+	sql := "SELECT COUNT(*) FROM posts p, users u, comments c, votes v " +
+		"WHERE p.owner_user_id = u.id AND c.post_id = p.id AND v.post_id = p.id AND p.score > 1;"
+	var first map[string]float64
+	for run := 0; run < 8; run++ {
+		s, cat := newFixture(t, Config{FeedbackCap: feedbackCap})
+		if _, err := s.Query(context.Background(), "a", sql); err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		store := make(map[string]float64, len(s.feedback))
+		for k, v := range s.feedback {
+			store[k] = v
+		}
+		s.mu.Unlock()
+		if len(store) != feedbackCap {
+			t.Fatalf("run %d: store holds %d keys, want the cap %d (a 4-table plan has 7 nodes)", run, len(store), feedbackCap)
+		}
+		if first == nil {
+			first = store
+			q, err := sqlx.Parse(sql, cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := store[q.Key()]; !ok {
+				t.Fatal("the plan root, first in pre-order, did not land in the store")
+			}
+			continue
+		}
+		if !reflect.DeepEqual(store, first) {
+			t.Fatalf("run %d: store %v, first run %v", run, store, first)
+		}
 	}
 }
