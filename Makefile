@@ -4,7 +4,8 @@
 #   make test    — tier-1: the fast correctness suite
 #   make lint    — lqolint: the repo's invariant analyzers (cmd/lqo-lint)
 #   make race    — full suite under the race detector
-#   make fuzz    — short fuzz smoke over the SQL parser and key encoding
+#   make fuzz    — short fuzz smoke over the SQL parser, key encoding and
+#                  the hash-join table
 #   make verify  — what CI runs: build + vet + lint + tests + race + fuzz
 #                  smoke, then staticcheck & govulncheck (skipped offline)
 #   make bench   — regenerate every experiment table (E1..E10, E13..E17)
@@ -75,6 +76,7 @@ fuzz:
 	$(GO) test ./internal/sqlx/ -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqlx/ -run '^$$' -fuzz FuzzKeyUniqueness -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query/ -run '^$$' -fuzz FuzzSubqueryKey -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/exec/ -run '^$$' -fuzz FuzzJoinTable -fuzztime $(FUZZTIME)
 
 verify: build vet lint test race fuzz staticcheck govulncheck
 
@@ -84,7 +86,8 @@ bench:
 # One iteration of every benchmark — catches bit-rotted benchmark code
 # without paying for real measurements. Of the root package only the
 # planning scoreboard runs: its other benchmarks regenerate whole
-# experiment tables.
+# experiment tables. ./internal/exec/ includes the join kernel's
+# BenchmarkHashJoinProbe grid (build size × match rate).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/exec/ ./internal/bench/
 	$(GO) test -run '^$$' -bench 'OptimizeDP|Harvest' -benchtime 1x .

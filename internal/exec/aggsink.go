@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"lqo/internal/data"
@@ -51,8 +52,8 @@ func (s *aggSink) Open(ctx context.Context) error {
 	if s.q.Agg.Kind == query.AggCount {
 		return nil // COUNT(*) needs no column binding
 	}
-	pos, ok := schemaPos(s.child.Schema())[s.q.Agg.Alias]
-	if !ok {
+	pos := slices.Index(s.child.Schema(), s.q.Agg.Alias)
+	if pos < 0 {
 		s.bindErr = fmt.Errorf("exec: aggregate alias %q not in plan output", s.q.Agg.Alias)
 		return nil
 	}

@@ -17,6 +17,8 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -38,25 +40,24 @@ type keyCol struct {
 
 // keyColsFor resolves, for one side of a join, the (tuple position,
 // column) pairs supplying the composite key, given the side's alias
-// layout.
-func keyColsFor(cat *data.Catalog, q *query.Query, pos map[string]int, conds []query.Join, leftSide bool) ([]keyCol, error) {
+// layout (schemas hold at most query.MaxRefs aliases, so positions
+// resolve by linear scan).
+func keyColsFor(cat *data.Catalog, q *query.Query, schema []string, conds []query.Join, leftSide bool) ([]keyCol, error) {
 	out := make([]keyCol, len(conds))
 	for i, j := range conds {
 		alias, col := j.LeftAlias, j.LeftCol
+		other, otherCol := j.RightAlias, j.RightCol
 		if !leftSide {
-			alias, col = j.RightAlias, j.RightCol
+			alias, col, other, otherCol = other, otherCol, alias, col
 		}
 		// The condition may be written with sides swapped relative to the
 		// plan's children; normalize by membership.
-		if _, ok := pos[alias]; !ok {
-			alias, col = j.RightAlias, j.RightCol
-			if !leftSide {
-				alias, col = j.LeftAlias, j.LeftCol
+		p := slices.Index(schema, alias)
+		if p < 0 {
+			alias, col = other, otherCol
+			if p = slices.Index(schema, alias); p < 0 {
+				return nil, fmt.Errorf("exec: join condition %s references alias outside both inputs", j)
 			}
-		}
-		p, ok := pos[alias]
-		if !ok {
-			return nil, fmt.Errorf("exec: join condition %s references alias outside both inputs", j)
 		}
 		tbl := cat.Table(q.TableOf(alias))
 		if tbl == nil {
@@ -66,6 +67,9 @@ func keyColsFor(cat *data.Catalog, q *query.Query, pos map[string]int, conds []q
 		if c == nil {
 			return nil, fmt.Errorf("exec: unknown join column %s.%s", alias, col)
 		}
+		if c.Kind == data.Float {
+			return nil, fmt.Errorf("exec: equi-join on float column unsupported")
+		}
 		out[i] = keyCol{pos: p, col: c}
 	}
 	return out, nil
@@ -73,7 +77,7 @@ func keyColsFor(cat *data.Catalog, q *query.Query, pos map[string]int, conds []q
 
 func compositeKey(t []int32, kcs []keyCol) uint64 {
 	// FNV-1a over the key values; hash collisions are resolved by the
-	// keysEqual re-check at emit time.
+	// probe's keysEqual re-check.
 	var h uint64 = 1469598103934665603
 	for _, kc := range kcs {
 		v := uint64(kc.col.Ints[t[kc.pos]])
@@ -89,10 +93,10 @@ func compositeKey(t []int32, kcs []keyCol) uint64 {
 // join: the key column's []int64 storage and tuple position are resolved
 // once, so per-tuple extraction is a direct slice index instead of a
 // per-row column dispatch. Single-column keys (the overwhelmingly common
-// case) skip FNV mixing entirely — the raw int64 value is the map key,
-// which is injective, so the keysEqual re-check only ever confirms.
-// Output is independent of the keying scheme either way: matches emit in
-// build order filtered by keysEqual, whatever the bucketing.
+// case) skip FNV mixing entirely — the raw int64 value is the table key,
+// which is injective, so equal keys need no keysEqual re-check. Output is
+// independent of the keying scheme either way: matches emit in build
+// order, whatever the bucketing.
 type keyGather struct {
 	single bool
 	pos    int
@@ -116,18 +120,19 @@ func (g *keyGather) key(t []int32) uint64 {
 }
 
 // gather bulk-extracts the keys of tuples into dst (reused when its
-// capacity suffices) — the build side's one-pass typed key gather.
+// capacity suffices) — the one-pass typed key gather both the build and
+// every probe buffer go through.
 func (g *keyGather) gather(tuples [][]int32, dst []uint64) []uint64 {
-	dst = dst[:0]
+	dst = slices.Grow(dst[:0], len(tuples))[:len(tuples)]
 	if g.single {
 		ints, pos := g.ints, g.pos
-		for _, t := range tuples {
-			dst = append(dst, uint64(ints[t[pos]]))
+		for i, t := range tuples {
+			dst[i] = uint64(ints[t[pos]])
 		}
 		return dst
 	}
-	for _, t := range tuples {
-		dst = append(dst, compositeKey(t, g.kcs))
+	for i, t := range tuples {
+		dst[i] = compositeKey(t, g.kcs)
 	}
 	return dst
 }
@@ -154,23 +159,21 @@ type hashJoinOp struct {
 
 	ctx      context.Context
 	lks, rks []keyCol
-	bks, pks []keyCol
-	bg, pg   keyGather
+	pg       keyGather
 
-	started      bool
-	buildIsRight bool
-	build        [][]int32 // aliases bufLeft or bufRight
-	ht           map[uint64][]int32
+	started bool
+	tab     joinTable // tab.build aliases bufLeft or bufRight
 
 	probeBuf    [][]int32 // current probe tuples (buffered side or a streamed batch view)
 	probeIdx    int
 	probeStream bool // pull further probe batches from the left child
 
-	// Owned pooled buffers. build and probeBuf only ever alias these (or a
-	// borrowed streamed batch), so Close returns exactly these and never a
+	// Owned pooled buffers. tab.build and probeBuf only ever alias these (or
+	// a borrowed streamed batch), so Close returns exactly these and never a
 	// child's buffer.
 	bufLeft, bufRight [][]int32
 	seg               [][]int32 // pooled probe-segment gather buffer
+	pkeys             []uint64  // the serial probe's gathered keys of probeBuf (or of a short segment)
 
 	arena  tupleArena // slab storage behind emitted output tuples
 	chunk  arenaChunk // serial-path carving handle
@@ -202,18 +205,13 @@ func (j *hashJoinOp) Open(ctx context.Context) error {
 		return err
 	}
 	ls, rs := j.left.Schema(), j.right.Schema()
-	j.schema = append(append([]string{}, ls...), rs...)
+	j.schema = concatSchema(ls, rs)
 	var err error
-	if j.lks, err = keyColsFor(j.e.Cat, j.q, schemaPos(ls), j.node.Cond, true); err != nil {
+	if j.lks, err = keyColsFor(j.e.Cat, j.q, ls, j.node.Cond, true); err != nil {
 		return err
 	}
-	if j.rks, err = keyColsFor(j.e.Cat, j.q, schemaPos(rs), j.node.Cond, false); err != nil {
+	if j.rks, err = keyColsFor(j.e.Cat, j.q, rs, j.node.Cond, false); err != nil {
 		return err
-	}
-	for _, kc := range append(append([]keyCol{}, j.lks...), j.rks...) {
-		if kc.col.Kind == data.Float {
-			return fmt.Errorf("exec: equi-join on float column unsupported")
-		}
 	}
 	if j.pool != nil {
 		j.arena.pool = j.pool
@@ -223,6 +221,7 @@ func (j *hashJoinOp) Open(ctx context.Context) error {
 	j.seg = j.pool.GetTuples(0)
 	j.bufLeft = j.pool.GetTuples(0)
 	j.bufRight = j.pool.GetTuples(0)
+	j.pkeys = j.pool.GetKeys(0)
 	j.tel.charges = append(j.tel.charges, cStartup)
 	return nil
 }
@@ -273,85 +272,49 @@ func (j *hashJoinOp) start() error {
 	}
 	j.leftRows = int64(len(j.bufLeft))
 
+	t := &j.tab
 	if leftDone && j.leftRows < j.rightRows {
 		// Left is strictly smaller: build on left, probe the materialized
 		// right side.
-		j.buildIsRight = false
-		j.build = j.bufLeft
-		j.bks, j.pks = j.lks, j.rks
+		t.build, t.bks, t.pks = j.bufLeft, j.lks, j.rks
 		j.probeBuf = j.bufRight
 	} else {
 		// Left is at least as large: build on right, probe the buffered
 		// prefix and then stream the rest of the left side.
-		j.buildIsRight = true
-		j.build = j.bufRight
-		j.bks, j.pks = j.rks, j.lks
+		t.buildIsRight = true
+		t.build, t.bks, t.pks = j.bufRight, j.rks, j.lks
 		j.probeBuf = j.bufLeft
 		j.probeStream = !leftDone
 	}
-	j.bg, j.pg = newKeyGather(j.bks), newKeyGather(j.pks)
-	// Bulk-gather the build keys in one typed pass, then insert.
-	keys := j.bg.gather(j.build, j.pool.GetKeys(len(j.build)))
-	j.ht = make(map[uint64][]int32, len(j.build))
-	for ti := range j.build {
-		if ti%cancelCheckRows == 0 {
-			if err := j.ctx.Err(); err != nil {
-				j.pool.PutKeys(keys)
-				return err
-			}
-		}
-		j.ht[keys[ti]] = append(j.ht[keys[ti]], int32(ti))
-	}
-	j.pool.PutKeys(keys)
-	return nil
-}
-
-// emit appends the matches of one probe tuple to buf in build order,
-// oriented left-tuple-first. Output tuples carve from c's arena slab.
-func (j *hashJoinOp) emit(pt []int32, buf [][]int32, c *arenaChunk) [][]int32 {
-	h := j.pg.key(pt)
-	for _, bi := range j.ht[h] {
-		bt := j.build[bi]
-		if !keysEqual(pt, j.pks, bt, j.bks) {
-			continue
-		}
-		var lt, rt []int32
-		if j.buildIsRight {
-			lt, rt = pt, bt
-		} else {
-			lt, rt = bt, pt
-		}
-		buf = append(buf, c.concat(lt, rt))
-	}
-	return buf
+	bg := newKeyGather(t.bks)
+	j.pg = newKeyGather(t.pks)
+	// Bulk-gather the build keys in one typed pass, then thread the table.
+	t.keys = bg.gather(t.build, j.pool.GetKeys(len(t.build)))
+	return t.index(j.ctx, j.pool)
 }
 
 func (j *hashJoinOp) capErr() error {
 	return fmt.Errorf("exec: join output exceeds intermediate cap (%d)", j.e.maxRows())
 }
 
-// nextProbe returns the next probe tuple, pulling further left batches
-// when streaming.
-func (j *hashJoinOp) nextProbe() ([]int32, bool, error) {
-	for j.probeIdx >= len(j.probeBuf) {
-		if !j.probeStream {
-			return nil, false, nil
-		}
-		b, err := j.left.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if b == nil {
-			j.probeStream = false
-			return nil, false, nil
-		}
-		j.leftRows += int64(b.Len())
-		j.tel.RowsIn += int64(b.Len())
-		j.probeBuf, j.probeIdx = b.Tuples, 0
+// pullProbe replaces the exhausted probe buffer with the left child's
+// next batch; false once the probe side is exhausted.
+func (j *hashJoinOp) pullProbe() (bool, error) {
+	if !j.probeStream {
+		return false, nil
 	}
-	pt := j.probeBuf[j.probeIdx]
-	j.probeIdx++
-	return pt, true, nil
+	b, err := j.left.Next()
+	if err != nil {
+		return false, err
+	}
+	if b == nil {
+		j.probeStream = false
+		return false, nil
+	}
+	j.leftRows += int64(b.Len())
+	j.tel.RowsIn += int64(b.Len())
+	j.probeBuf, j.probeIdx = b.Tuples, 0
+	return true, nil
 }
 
 // gatherSegment collects up to n probe tuples for a partitioned probe
@@ -371,40 +334,41 @@ func (j *hashJoinOp) gatherSegment(n int) ([][]int32, error) {
 			j.probeIdx += take
 			continue
 		}
-		if !j.probeStream {
-			break
-		}
-		b, err := j.left.Next()
-		if err != nil {
+		if ok, err := j.pullProbe(); err != nil {
 			return nil, err
-		}
-		if b == nil {
-			j.probeStream = false
+		} else if !ok {
 			break
 		}
-		j.leftRows += int64(b.Len())
-		j.tel.RowsIn += int64(b.Len())
-		j.probeBuf, j.probeIdx = b.Tuples, 0
 	}
 	return seg, nil
 }
 
-func (j *hashJoinOp) probeSegmentSerial(seg [][]int32, limit int) error {
-	for _, pt := range seg {
-		if j.probeChecked%cancelCheckRows == 0 {
+// probeSerial probes pts (keys pkeys) on the calling goroutine until
+// pending holds stop tuples or pts is exhausted, one kernel call per
+// cancellation interval, and returns the number of probe tuples consumed.
+func (j *hashJoinOp) probeSerial(pts [][]int32, pkeys []uint64, stop, limit int) (int, error) {
+	i := 0
+	for i < len(pts) && len(j.pending) < stop {
+		sinceCheck := j.probeChecked % cancelCheckRows
+		if sinceCheck == 0 {
 			if err := j.ctx.Err(); err != nil {
-				return err
+				return i, err
 			}
 		}
-		j.probeChecked++
+		hi := min(i+cancelCheckRows-sinceCheck, len(pts))
 		before := len(j.pending)
-		j.pending = j.emit(pt, j.pending, &j.chunk)
+		var n int
+		// Stopping at the first tuple past the cap bounds what a runaway
+		// probe materializes.
+		j.pending, n = j.tab.probe(pts[i:hi], pkeys[i:hi], j.pending, &j.chunk, min(stop-1, limit-(j.emitted-before)))
+		i += n
+		j.probeChecked += n
 		j.emitted += len(j.pending) - before
 		if j.emitted > limit {
-			return j.capErr()
+			return i, j.capErr()
 		}
 	}
-	return nil
+	return i, nil
 }
 
 func (j *hashJoinOp) probeSegmentParallel(seg [][]int32, w, limit int) error {
@@ -414,19 +378,23 @@ func (j *hashJoinOp) probeSegmentParallel(seg [][]int32, w, limit int) error {
 	before := len(j.pending)
 	var ok bool
 	j.pending, ok = collectSpans(j.pool, spans, j.pending, func(si int, sp span, buf [][]int32) ([][]int32, bool) {
-		for i := sp.lo; i < sp.hi; i++ {
-			buf = j.emit(seg[i], buf, &j.chunks[si])
+		pts := seg[sp.lo:sp.hi]
+		pk := j.pg.gather(pts, j.pool.GetKeys(len(pts)))
+		live := true
+		for lo := 0; lo < len(pts) && live; lo += 1024 {
+			hi := min(lo+1024, len(pts))
+			buf, _ = j.tab.probe(pts[lo:hi], pk[lo:hi], buf, &j.chunks[si], limit)
 			// A single partition past the cap already implies the total is
 			// past it; bail early instead of materializing more.
 			if len(buf) > limit {
 				exceeded.Store(true)
-				return buf, false
-			}
-			if i%1024 == 0 && (exceeded.Load() || j.ctx.Err() != nil) {
-				return buf, false
+				live = false
+			} else if exceeded.Load() || j.ctx.Err() != nil {
+				live = false
 			}
 		}
-		return buf, true
+		j.pool.PutKeys(pk)
+		return buf, live
 	})
 	if err := j.ctx.Err(); err != nil {
 		return err
@@ -462,32 +430,30 @@ func (j *hashJoinOp) fill() error {
 				return nil
 			}
 			if len(seg) >= parallelMinRows {
-				if err := j.probeSegmentParallel(seg, w, limit); err != nil {
-					return err
-				}
-			} else if err := j.probeSegmentSerial(seg, limit); err != nil {
+				err = j.probeSegmentParallel(seg, w, limit)
+			} else {
+				j.pkeys = j.pg.gather(seg, j.pkeys)
+				_, err = j.probeSerial(seg, j.pkeys, math.MaxInt, limit)
+			}
+			if err != nil {
 				return err
 			}
 			continue
 		}
-		pt, ok, err := j.nextProbe()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if j.probeChecked%cancelCheckRows == 0 {
-			if err := j.ctx.Err(); err != nil {
+		if j.probeIdx == len(j.probeBuf) {
+			if ok, err := j.pullProbe(); err != nil || !ok {
 				return err
 			}
+			continue
 		}
-		j.probeChecked++
-		before := len(j.pending)
-		j.pending = j.emit(pt, j.pending, &j.chunk)
-		j.emitted += len(j.pending) - before
-		if j.emitted > limit {
-			return j.capErr()
+		if j.probeIdx == 0 {
+			// First touch of this probe buffer: gather its keys once.
+			j.pkeys = j.pg.gather(j.probeBuf, j.pkeys)
+		}
+		n, err := j.probeSerial(j.probeBuf[j.probeIdx:], j.pkeys[j.probeIdx:], bs, limit)
+		j.probeIdx += n
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -538,16 +504,19 @@ func (j *hashJoinOp) finish() {
 	j.node.TrueCard = float64(j.emitted)
 }
 
-// Close returns the owned pooled buffers (bufLeft/bufRight/seg/pending —
-// build and probeBuf are aliases of these or of a borrowed streamed batch,
-// never Put) and releases the output-tuple arena.
+// Close returns the owned pooled buffers (bufLeft/bufRight/seg/pending/
+// pkeys and the table's heads/next/keys — tab.build and probeBuf are
+// aliases of these or of a borrowed streamed batch, never Put) and
+// releases the output-tuple arena.
 func (j *hashJoinOp) Close() error {
 	j.pool.PutTuples(j.bufLeft)
 	j.pool.PutTuples(j.bufRight)
 	j.pool.PutTuples(j.seg)
 	j.pool.PutTuples(j.pending)
-	j.bufLeft, j.bufRight, j.seg = nil, nil, nil
-	j.build, j.ht, j.probeBuf, j.pending, j.out.Tuples = nil, nil, nil, nil, nil
+	j.pool.PutKeys(j.pkeys)
+	j.tab.release(j.pool)
+	j.bufLeft, j.bufRight, j.seg, j.pkeys = nil, nil, nil, nil
+	j.probeBuf, j.pending, j.out.Tuples = nil, nil, nil
 	j.chunk.reset()
 	for i := range j.chunks {
 		j.chunks[i].reset()
@@ -606,7 +575,7 @@ func (c *crossJoinOp) Open(ctx context.Context) error {
 	if err := c.right.Open(ctx); err != nil {
 		return err
 	}
-	c.schema = append(append([]string{}, c.left.Schema()...), c.right.Schema()...)
+	c.schema = concatSchema(c.left.Schema(), c.right.Schema())
 	if c.pool != nil {
 		c.arena.pool = c.pool
 		c.chunk.a = &c.arena

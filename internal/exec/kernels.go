@@ -28,6 +28,7 @@ package exec
 
 import (
 	"context"
+	"slices"
 
 	"lqo/internal/data"
 	"lqo/internal/query"
@@ -432,8 +433,10 @@ func appendTuples(dst [][]int32, sel []int32, c *arenaChunk) [][]int32 {
 	}
 	backing := c.alloc(len(sel))
 	copy(backing, sel)
+	n := len(dst)
+	dst = slices.Grow(dst, len(sel))[:n+len(sel)]
 	for i := range backing {
-		dst = append(dst, backing[i:i+1:i+1])
+		dst[n+i] = backing[i : i+1 : i+1]
 	}
 	return dst
 }

@@ -126,11 +126,7 @@ type Operator interface {
 	Children() []Operator
 }
 
-// schemaPos builds the alias → tuple-position map for a schema.
-func schemaPos(schema []string) map[string]int {
-	pos := make(map[string]int, len(schema))
-	for i, a := range schema {
-		pos[a] = i
-	}
-	return pos
+// concatSchema returns a join's output alias layout: left then right.
+func concatSchema(ls, rs []string) []string {
+	return append(append(make([]string, 0, len(ls)+len(rs)), ls...), rs...)
 }

@@ -5,12 +5,17 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"lqo/internal/data"
+	"lqo/internal/query"
 )
 
 // TestPooledPipelineIdentitySweep is the PR-9 identity contract: pooling
@@ -285,6 +290,42 @@ func TestPoolNoLeakOnCancellation(t *testing.T) {
 			}
 		}
 	}
+	// Cancellation landing at every cooperative check of a join whose build
+	// and probe both span several check intervals — so some land inside the
+	// table build and inside the probe, with heads/next/keys live. The serial
+	// run's check sequence is deterministic: sweep it end to end.
+	jq := &query.Query{
+		Refs: []query.TableRef{{Alias: "a", Table: "fact"}, {Alias: "b", Table: "fact"}},
+		Joins: []query.Join{
+			{LeftAlias: "a", LeftCol: "id", RightAlias: "b", RightCol: "id"},
+		},
+		Preds: []query.Pred{{Alias: "b", Column: "v", Op: query.Lt, Val: data.IntVal(90)}},
+	}
+	for _, workers := range []int{1, 4} {
+		for after, finished := int64(0), false; !finished; after++ {
+			ex := New(cat)
+			ex.Workers = workers
+			dbg := NewDebugBatchPool()
+			ex.SetPool(dbg)
+			p, err := CanonicalPlan(jq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, runErr := ex.RunCtx(newCancelAfter(after), jq, p)
+			if finished = runErr == nil; !finished && !errors.Is(runErr, context.Canceled) {
+				t.Fatalf("workers=%d after=%d: err = %v, want Canceled", workers, after, runErr)
+			}
+			if n := dbg.InUse(); n != 0 {
+				t.Fatalf("workers=%d after=%d err=%v: %d buffers outstanding", workers, after, runErr, n)
+			}
+			if mis := dbg.Misuse(); len(mis) != 0 {
+				t.Fatalf("workers=%d after=%d: misuse %v", workers, after, mis)
+			}
+			if finished && after < 12 {
+				t.Fatalf("workers=%d: run finished after only %d context checks; the sweep no longer reaches the build and probe loops", workers, after)
+			}
+		}
+	}
 	// Exchange producers must be joined, not leaked.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
@@ -295,4 +336,27 @@ func TestPoolNoLeakOnCancellation(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines grew from %d to %d after canceled runs", before, runtime.NumGoroutine())
+}
+
+// cancelAfter is a context that reports Canceled from its (n+1)-th Err
+// call on, so a test can land cancellation at one exact cooperative check.
+type cancelAfter struct {
+	context.Context
+	cancel context.CancelFunc
+	left   atomic.Int64
+}
+
+func newCancelAfter(n int64) *cancelAfter {
+	c := &cancelAfter{}
+	c.Context, c.cancel = context.WithCancel(context.Background())
+	c.left.Store(n)
+	return c
+}
+
+func (c *cancelAfter) Err() error {
+	if c.left.Add(-1) < 0 {
+		c.cancel() // Done() observers (the exchange goroutines) see it too
+		return context.Canceled
+	}
+	return c.Context.Err()
 }

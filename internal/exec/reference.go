@@ -199,7 +199,7 @@ func (e *Executor) evalScan(ctx context.Context, q *query.Query, n *plan.Node, s
 // keyCols resolves one side of a join over a materialized relation; the
 // pipeline's equivalent is keyColsFor over an operator schema.
 func (e *Executor) keyCols(q *query.Query, rel *Relation, conds []query.Join, leftSide bool) ([]keyCol, error) {
-	return keyColsFor(e.Cat, q, rel.pos, conds, leftSide)
+	return keyColsFor(e.Cat, q, rel.Aliases, conds, leftSide)
 }
 
 func (e *Executor) evalJoin(ctx context.Context, q *query.Query, n *plan.Node, left, right *Relation, st *CostStats) (*Relation, error) {
@@ -237,11 +237,6 @@ func (e *Executor) evalJoin(ctx context.Context, q *query.Query, n *plan.Node, l
 	rks, err := e.keyCols(q, right, n.Cond, false)
 	if err != nil {
 		return nil, err
-	}
-	for _, kc := range append(append([]keyCol{}, lks...), rks...) {
-		if kc.col.Kind == data.Float {
-			return nil, fmt.Errorf("exec: equi-join on float column unsupported")
-		}
 	}
 
 	// Charge operator-specific work.

@@ -1,13 +1,17 @@
 // Micro-benchmarks for the vectorized filter kernels vs. the scalar
-// matchesAll path, and the typed join-key gather vs. per-row FNV mixing.
+// matchesAll path, the typed join-key gather vs. per-row FNV mixing, and
+// the hash-join table's batch probe.
 //
-//	go test ./internal/exec/ -bench 'Filter|KeyGather' -benchmem -run xx
+//	go test ./internal/exec/ -bench 'Filter|KeyGather|HashJoinProbe' -benchmem -run xx
 //
 // Results are recorded in EXPERIMENTS.md (E13).
 package exec
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"lqo/internal/data"
@@ -138,4 +142,73 @@ func BenchmarkKeyGatherFNV(b *testing.B) {
 		}
 	}
 	_ = dst
+}
+
+// BenchmarkHashJoinProbe times the join kernel alone: key gather plus
+// joinTable.probe of 64k probe tuples per op against an indexed build side
+// of distinct keys, by build size (cache-resident to not) and by the share
+// of probe tuples that find their one match. Every batch's output is dead
+// before the next, so the arena chunk is rewound onto one slab and the
+// steady state allocates nothing.
+func BenchmarkHashJoinProbe(b *testing.B) {
+	const nProbe = 1 << 16
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"16", 16}, {"1k", 1 << 10}, {"64k", 1 << 16}} {
+		for _, match := range []int{1, 50, 100} {
+			b.Run(fmt.Sprintf("build=%s/match=%d%%", size.name, match), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(15))
+				// One key column serves both sides: rows [0, n) are the build
+				// side (a permutation of 0..n-1), the rest the probe side.
+				col := &data.Column{Name: "k", Kind: data.Int}
+				for _, k := range rng.Perm(size.n) {
+					col.Ints = append(col.Ints, int64(k))
+				}
+				for i := 0; i < nProbe; i++ {
+					k := int64(rng.Intn(size.n))
+					if rng.Intn(100) >= match {
+						k = -1 - k
+					}
+					col.Ints = append(col.Ints, k)
+				}
+				rows := make([][]int32, size.n+nProbe)
+				for i := range rows {
+					rows[i] = []int32{int32(i)}
+				}
+				kcs := []keyCol{{pos: 0, col: col}}
+				g := newKeyGather(kcs)
+				pool := NewBatchPool()
+				tab := joinTable{build: rows[:size.n], bks: kcs, pks: kcs, buildIsRight: true}
+				tab.keys = g.gather(tab.build, pool.GetKeys(size.n))
+				if err := tab.index(context.Background(), pool); err != nil {
+					b.Fatal(err)
+				}
+				arena := tupleArena{pool: pool}
+				chunk := arenaChunk{a: &arena}
+				slab := arena.grab()
+				pts, pkeys, out := rows[size.n:], pool.GetKeys(nProbe), pool.GetTuples(nProbe)
+				emitted := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pkeys = g.gather(pts, pkeys)
+					for lo := 0; lo < nProbe; lo += DefaultBatchSize {
+						chunk.free = slab
+						out, _ = tab.probe(pts[lo:lo+DefaultBatchSize], pkeys[lo:lo+DefaultBatchSize], out[:0], &chunk, math.MaxInt)
+						emitted += len(out)
+					}
+				}
+				b.StopTimer()
+				if want := b.N * nProbe * match / 100; emitted < want*9/10 || emitted > want*11/10+nProbe/50 {
+					b.Fatalf("emitted %d tuples, expected about %d", emitted, want)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nProbe), "ns/probe-row")
+				tab.release(pool)
+				arena.release()
+				pool.PutKeys(pkeys)
+				pool.PutTuples(out)
+			})
+		}
+	}
 }
