@@ -87,9 +87,10 @@ bench:
 # without paying for real measurements. Of the root package only the
 # planning scoreboard runs: its other benchmarks regenerate whole
 # experiment tables. ./internal/exec/ includes the join kernel's
-# BenchmarkHashJoinProbe grid (build size × match rate).
+# BenchmarkHashJoinProbe grid (build size × match rate); ./internal/serve/
+# is BenchmarkServeHit, the cached request end to end (ad-hoc, prepared).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/exec/ ./internal/bench/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/exec/ ./internal/serve/ ./internal/bench/
 	$(GO) test -run '^$$' -bench 'OptimizeDP|Harvest' -benchtime 1x .
 
 # The repo benchmark, as the driver runs it (see benchmark/README.md).

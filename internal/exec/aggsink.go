@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"lqo/internal/data"
 	"lqo/internal/query"
@@ -36,11 +35,12 @@ type aggSink struct {
 }
 
 func newAggSink(e *Executor, q *query.Query, child Operator) *aggSink {
-	return &aggSink{e: e, q: q, child: child, lo: math.Inf(1), hi: math.Inf(-1)}
+	s := drawOp[aggSink](e.batchPool(), opSink)
+	s.e, s.q, s.child, s.lo, s.hi = e, q, child, math.Inf(1), math.Inf(-1)
+	return s
 }
 
 func (s *aggSink) Open(ctx context.Context) error {
-	defer s.tel.timed(time.Now())
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -74,7 +74,6 @@ func (s *aggSink) Open(ctx context.Context) error {
 // drain pulls the child to exhaustion, counting rows and folding the
 // aggregate column in emission order.
 func (s *aggSink) drain() error {
-	defer s.tel.timed(time.Now())
 	for {
 		b, err := s.child.Next()
 		if err != nil {
@@ -144,4 +143,8 @@ func (s *aggSink) Next() (*Batch, error) {
 func (s *aggSink) Close() error            { return s.child.Close() }
 func (s *aggSink) Telemetry() *OpTelemetry { return &s.tel }
 func (s *aggSink) Schema() []string        { return nil }
-func (s *aggSink) Children() []Operator    { return []Operator{s.child} }
+
+func (s *aggSink) recycle(p *BatchPool) {
+	*s = aggSink{}
+	p.ops[opSink].Put(s)
+}

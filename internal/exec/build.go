@@ -11,8 +11,37 @@ import (
 	"lqo/internal/query"
 )
 
+// opKind indexes BatchPool.ops: one sync.Pool per recycled operator type.
+type opKind int
+
+const (
+	opSeqScan opKind = iota
+	opIndexScan
+	opHashJoin
+	opCrossJoin
+	opSink
+	numOpKinds
+)
+
+// drawOp returns an empty operator struct of kind k, recycled when p (which
+// may be nil) has one: operator structs are pooled like buffers, drawn at
+// build and returned by Executor.run after a clean run.
+func drawOp[T any](p *BatchPool, k opKind) *T {
+	if p != nil {
+		if op, _ := p.ops[k].Get().(*T); op != nil {
+			return op
+		}
+	}
+	return new(T)
+}
+
+// recycler is implemented by the operator types drawOp serves: recycle
+// empties the struct into p, dropping every reference and keeping only
+// slice capacity — Open resolves everything catalog-derived again.
+type recycler interface{ recycle(p *BatchPool) }
+
 // buildOperator constructs the operator tree for the plan rooted at n.
-func (e *Executor) buildOperator(q *query.Query, n *plan.Node) (Operator, error) {
+func (e *Executor) buildOperator(q *query.Query, n *plan.Node, analyze bool) (Operator, error) {
 	if n.Op == plan.Merge {
 		if len(n.Shards) == 0 {
 			return nil, fmt.Errorf("exec: Merge node for %s has no shards", n.Alias)
@@ -33,40 +62,48 @@ func (e *Executor) buildOperator(q *query.Query, n *plan.Node) (Operator, error)
 			}
 			exs[i] = &exchangeOp{backend: backend, q: q, node: s}
 		}
-		return &mergeOp{e: e, q: q, node: n, exs: exs, pool: e.batchPool()}, nil
+		return timed(&mergeOp{e: e, q: q, node: n, exs: exs, pool: e.batchPool(), analyze: analyze}, analyze), nil
 	}
 	if n.IsLeaf() {
 		switch n.Op {
 		case plan.SeqScan:
-			return &seqScanOp{e: e, q: q, node: n, pool: e.batchPool()}, nil
+			s := drawOp[seqScanOp](e.batchPool(), opSeqScan)
+			s.e, s.q, s.node, s.pool = e, q, n, e.batchPool()
+			return timed(s, analyze), nil
 		case plan.IndexScan:
-			return &indexScanOp{e: e, q: q, node: n, pool: e.batchPool()}, nil
+			s := drawOp[indexScanOp](e.batchPool(), opIndexScan)
+			s.e, s.q, s.node, s.pool = e, q, n, e.batchPool()
+			return timed(s, analyze), nil
 		default:
 			return nil, fmt.Errorf("exec: %s is not a scan operator", n.Op)
 		}
 	}
-	left, err := e.buildOperator(q, n.Left)
+	left, err := e.buildOperator(q, n.Left, analyze)
 	if err != nil {
 		return nil, err
 	}
-	right, err := e.buildOperator(q, n.Right)
+	right, err := e.buildOperator(q, n.Right, analyze)
 	if err != nil {
 		return nil, err
 	}
 	// Decouple each join from its children through a buffered exchange so
 	// adjacent pipeline stages overlap (a no-op unless Workers > 1; Merge
 	// children are its own scatter-gather exchanges and are never wrapped).
-	left, right = e.stage(left), e.stage(right)
+	left, right = e.stage(left, analyze), e.stage(right, analyze)
 	if len(n.Cond) == 0 {
 		// Cross product: only nested loop supports it.
 		if n.Op != plan.NestedLoopJoin {
 			return nil, fmt.Errorf("exec: %s requires at least one equi-join condition", n.Op)
 		}
-		return &crossJoinOp{e: e, q: q, node: n, left: left, right: right, pool: e.batchPool()}, nil
+		c := drawOp[crossJoinOp](e.batchPool(), opCrossJoin)
+		c.e, c.q, c.node, c.left, c.right, c.pool = e, q, n, left, right, e.batchPool()
+		return timed(c, analyze), nil
 	}
 	switch n.Op {
 	case plan.HashJoin, plan.MergeJoin, plan.NestedLoopJoin:
-		return &hashJoinOp{e: e, q: q, node: n, left: left, right: right, pool: e.batchPool()}, nil
+		j := drawOp[hashJoinOp](e.batchPool(), opHashJoin)
+		j.e, j.q, j.node, j.left, j.right, j.pool = e, q, n, left, right, e.batchPool()
+		return timed(j, analyze), nil
 	default:
 		return nil, fmt.Errorf("exec: %s is not a join operator", n.Op)
 	}

@@ -18,7 +18,6 @@ package exec
 import (
 	"context"
 	"sync"
-	"time"
 )
 
 // exchangeDepth is how many batches may be in flight between a producer
@@ -55,15 +54,14 @@ type concurrentOp struct {
 // stage wraps op behind a buffered exchange when pipelined stage overlap
 // is on (Workers > 1 and not NoExchange). With Workers <= 1 the executor
 // keeps its documented fully-serial schedule.
-func (e *Executor) stage(op Operator) Operator {
+func (e *Executor) stage(op Operator, analyze bool) Operator {
 	if e.NoExchange || e.workers() <= 1 {
 		return op
 	}
-	return &concurrentOp{e: e, pool: e.batchPool(), child: op}
+	return timed(&concurrentOp{e: e, pool: e.batchPool(), child: op}, analyze)
 }
 
 func (c *concurrentOp) Open(ctx context.Context) error {
-	defer c.tel.timed(time.Now())
 	c.ctx = ctx
 	c.tel.Op = "Exchange(pipe)"
 	if err := c.child.Open(ctx); err != nil {
@@ -113,7 +111,6 @@ func (c *concurrentOp) produce() {
 }
 
 func (c *concurrentOp) Next() (*Batch, error) {
-	defer c.tel.timed(time.Now())
 	if c.prev != nil {
 		c.pool.PutTuples(c.prev)
 		c.prev = nil
@@ -164,4 +161,3 @@ func (c *concurrentOp) Close() error {
 
 func (c *concurrentOp) Telemetry() *OpTelemetry { return &c.tel }
 func (c *concurrentOp) Schema() []string        { return c.child.Schema() }
-func (c *concurrentOp) Children() []Operator    { return []Operator{c.child} }

@@ -182,34 +182,47 @@ const cancelCheckRows = 4096
 // completion. All worker goroutines observe the same context and are
 // joined before RunCtx returns; cancellation never leaks goroutines.
 func (e *Executor) RunCtx(ctx context.Context, q *query.Query, p *plan.Node) (*Result, error) {
-	res, _, err := e.RunAnalyze(ctx, q, p)
+	res, _, err := e.run(ctx, q, p, false)
 	return res, err
 }
 
-// RunAnalyze executes like RunCtx and additionally returns the plan's
-// per-operator telemetry — estimated-vs-actual rows, charged work and
-// wall-clock per operator — for EXPLAIN ANALYZE rendering, sub-plan
-// training labels, and optimizer feedback.
-func (e *Executor) RunAnalyze(ctx context.Context, q *query.Query, p *plan.Node) (res *Result, pt *PlanTelemetry, err error) {
-	root, err := e.buildOperator(q, p)
+// RunAnalyze executes like RunCtx with every operator timed, and
+// additionally returns the plan's per-operator telemetry — estimated-vs-
+// actual rows, charged work and wall-clock per operator — for EXPLAIN
+// ANALYZE rendering, sub-plan training labels, and optimizer feedback.
+// The telemetry is a copy: its operators are recycled into later runs.
+func (e *Executor) RunAnalyze(ctx context.Context, q *query.Query, p *plan.Node) (*Result, *PlanTelemetry, error) {
+	return e.run(ctx, q, p, true)
+}
+
+func (e *Executor) run(ctx context.Context, q *query.Query, p *plan.Node, analyze bool) (res *Result, pt *PlanTelemetry, err error) {
+	root, err := e.buildOperator(q, p, analyze)
 	if err != nil {
 		return nil, nil, err
 	}
 	// Decouple the sink from the root producer so the final join overlaps
 	// the aggregate fold (a no-op wrapper unless Workers > 1).
-	sink := newAggSink(e, q, e.stage(root))
-	if oerr := sink.Open(ctx); oerr != nil {
+	sink := newAggSink(e, q, e.stage(root, analyze))
+	top := timed(sink, analyze)
+	if oerr := top.Open(ctx); oerr != nil {
 		// Close releases whatever Open managed to acquire; the Open
 		// error leads, teardown damage rides along.
-		return nil, nil, errors.Join(oerr, sink.Close())
+		return nil, nil, errors.Join(oerr, top.Close())
 	}
 	// A teardown failure surfaces unless an execution error already won.
+	// Only a tree that ran and closed cleanly is recycled.
 	defer func() {
-		if cerr := sink.Close(); cerr != nil && err == nil {
+		if cerr := top.Close(); err == nil && cerr != nil {
 			res, pt, err = nil, nil, cerr
+		} else if pool := e.batchPool(); err == nil && pool != nil {
+			walkOps(top, func(op Operator) {
+				if r, ok := op.(recycler); ok {
+					r.recycle(pool)
+				}
+			})
 		}
 	}()
-	if err := sink.drain(); err != nil {
+	if _, err := top.Next(); err != nil { // the sink's Next drains its input
 		return nil, nil, err
 	}
 	// Error precedence mirrors the reference evaluator: evaluation errors
@@ -220,21 +233,25 @@ func (e *Executor) RunAnalyze(ctx context.Context, q *query.Query, p *plan.Node)
 	if sink.bindErr != nil {
 		return nil, nil, sink.bindErr
 	}
-	pt = collectTelemetry(sink)
-	res = &Result{Count: sink.count, Value: sink.value(), Stats: pt.Stats()}
+	if analyze {
+		pt = snapshotTelemetry(top)
+	}
+	res = &Result{Count: sink.count, Value: sink.value()}
+	// Charges fold in the reference evaluator's order — post-order, sink
+	// last — because float64 addition is not associative.
+	walkOps(top, func(op Operator) { op.Telemetry().foldInto(&res.Stats) })
 	return res, pt, nil
 }
 
-func bindPredCols(tbl *data.Table, preds []query.Pred) ([]*data.Column, error) {
-	cols := make([]*data.Column, len(preds))
-	for i, p := range preds {
+func bindPredCols(dst []*data.Column, tbl *data.Table, preds []query.Pred) ([]*data.Column, error) {
+	for _, p := range preds {
 		c := tbl.Column(p.Column)
 		if c == nil {
 			return nil, fmt.Errorf("exec: unknown column %s.%s", tbl.Name, p.Column)
 		}
-		cols[i] = c
+		dst = append(dst, c)
 	}
-	return cols, nil
+	return dst, nil
 }
 
 // matchesAll is the scalar row-at-a-time filter: every predicate against

@@ -20,7 +20,6 @@ import (
 	"math"
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"lqo/internal/data"
 	"lqo/internal/plan"
@@ -38,13 +37,12 @@ type keyCol struct {
 	col *data.Column
 }
 
-// keyColsFor resolves, for one side of a join, the (tuple position,
+// keyColsFor appends to dst, for one side of a join, the (tuple position,
 // column) pairs supplying the composite key, given the side's alias
 // layout (schemas hold at most query.MaxRefs aliases, so positions
 // resolve by linear scan).
-func keyColsFor(cat *data.Catalog, q *query.Query, schema []string, conds []query.Join, leftSide bool) ([]keyCol, error) {
-	out := make([]keyCol, len(conds))
-	for i, j := range conds {
+func keyColsFor(dst []keyCol, cat *data.Catalog, q *query.Query, schema []string, conds []query.Join, leftSide bool) ([]keyCol, error) {
+	for _, j := range conds {
 		alias, col := j.LeftAlias, j.LeftCol
 		other, otherCol := j.RightAlias, j.RightCol
 		if !leftSide {
@@ -70,9 +68,9 @@ func keyColsFor(cat *data.Catalog, q *query.Query, schema []string, conds []quer
 		if c.Kind == data.Float {
 			return nil, fmt.Errorf("exec: equi-join on float column unsupported")
 		}
-		out[i] = keyCol{pos: p, col: c}
+		dst = append(dst, keyCol{pos: p, col: c})
 	}
-	return out, nil
+	return dst, nil
 }
 
 func compositeKey(t []int32, kcs []keyCol) uint64 {
@@ -191,7 +189,6 @@ type hashJoinOp struct {
 }
 
 func (j *hashJoinOp) Open(ctx context.Context) error {
-	defer j.tel.timed(time.Now())
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -205,12 +202,12 @@ func (j *hashJoinOp) Open(ctx context.Context) error {
 		return err
 	}
 	ls, rs := j.left.Schema(), j.right.Schema()
-	j.schema = concatSchema(ls, rs)
+	j.schema = concatSchema(j.schema[:0], ls, rs)
 	var err error
-	if j.lks, err = keyColsFor(j.e.Cat, j.q, ls, j.node.Cond, true); err != nil {
+	if j.lks, err = keyColsFor(j.lks[:0], j.e.Cat, j.q, ls, j.node.Cond, true); err != nil {
 		return err
 	}
-	if j.rks, err = keyColsFor(j.e.Cat, j.q, rs, j.node.Cond, false); err != nil {
+	if j.rks, err = keyColsFor(j.rks[:0], j.e.Cat, j.q, rs, j.node.Cond, false); err != nil {
 		return err
 	}
 	if j.pool != nil {
@@ -460,7 +457,6 @@ func (j *hashJoinOp) fill() error {
 }
 
 func (j *hashJoinOp) Next() (*Batch, error) {
-	defer j.tel.timed(time.Now())
 	if err := j.ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -532,7 +528,14 @@ func (j *hashJoinOp) Close() error {
 
 func (j *hashJoinOp) Telemetry() *OpTelemetry { return &j.tel }
 func (j *hashJoinOp) Schema() []string        { return j.schema }
-func (j *hashJoinOp) Children() []Operator    { return []Operator{j.left, j.right} }
+
+func (j *hashJoinOp) recycle(p *BatchPool) {
+	clear(j.schema)
+	clear(j.lks)
+	clear(j.rks)
+	*j = hashJoinOp{schema: j.schema[:0], lks: j.lks[:0], rks: j.rks[:0], arena: tupleArena{slabs: j.arena.slabs}, tel: OpTelemetry{charges: j.tel.charges[:0]}}
+	p.ops[opHashJoin].Put(j)
+}
 
 // crossJoinOp evaluates a condition-free nested-loop join. Both inputs
 // materialize (the product is guarded by the intermediate cap before any
@@ -562,7 +565,6 @@ type crossJoinOp struct {
 }
 
 func (c *crossJoinOp) Open(ctx context.Context) error {
-	defer c.tel.timed(time.Now())
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -575,7 +577,7 @@ func (c *crossJoinOp) Open(ctx context.Context) error {
 	if err := c.right.Open(ctx); err != nil {
 		return err
 	}
-	c.schema = concatSchema(c.left.Schema(), c.right.Schema())
+	c.schema = concatSchema(c.schema[:0], c.left.Schema(), c.right.Schema())
 	if c.pool != nil {
 		c.arena.pool = c.pool
 		c.chunk.a = &c.arena
@@ -634,7 +636,6 @@ func (c *crossJoinOp) fill() error {
 }
 
 func (c *crossJoinOp) Next() (*Batch, error) {
-	defer c.tel.timed(time.Now())
 	if err := c.ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -681,4 +682,9 @@ func (c *crossJoinOp) Close() error {
 
 func (c *crossJoinOp) Telemetry() *OpTelemetry { return &c.tel }
 func (c *crossJoinOp) Schema() []string        { return c.schema }
-func (c *crossJoinOp) Children() []Operator    { return []Operator{c.left, c.right} }
+
+func (c *crossJoinOp) recycle(p *BatchPool) {
+	clear(c.schema)
+	*c = crossJoinOp{schema: c.schema[:0], arena: tupleArena{slabs: c.arena.slabs}, tel: OpTelemetry{charges: c.tel.charges[:0]}}
+	p.ops[opCrossJoin].Put(c)
+}

@@ -3,7 +3,7 @@
 // The scalar filter path evaluates predicates row-at-a-time through
 // matchesAll: per row, per predicate, a Kind branch, a Value conversion
 // and a CmpOp switch. The vectorized path decides all of that once per
-// scan — compilePreds binds each predicate to its column's typed storage
+// scan — compilePred binds each predicate to its column's typed storage
 // and picks a (Kind × CmpOp) kernel family — and then runs tight
 // branch-free-per-row loops directly over []int64 / []float64 blocks,
 // appending matching row ids to a reusable selection vector. Int and
@@ -71,16 +71,6 @@ func compilePred(c *data.Column, p query.Pred) compiledPred {
 	}
 	cp.fv, cp.fv2 = p.Val.AsFloat(), p.Val2.AsFloat()
 	return cp
-}
-
-// compilePreds binds each predicate to its bound column (cols[i] is
-// preds[i]'s column, as produced by bindPredCols).
-func compilePreds(cols []*data.Column, preds []query.Pred) []compiledPred {
-	out := make([]compiledPred, len(preds))
-	for i, p := range preds {
-		out[i] = compilePred(cols[i], p)
-	}
-	return out
 }
 
 // filterRange appends to sel the row ids in [lo, hi) satisfying cp.
@@ -300,20 +290,32 @@ func pruneRange[T number](lo, hi T, op query.CmpOp, a, b T) bool {
 // identical at every worker count, batch size and span partitioning.
 type blockFilter struct {
 	preds  []compiledPred
-	nrows  int
-	pruned []bool // per zone-map block; nil when there is nothing to prune
+	pruned []bool // per zone-map block; empty when there is nothing to prune
 	nskip  int
 }
 
 // newBlockFilter compiles preds over their bound columns for a table of
 // nrows rows.
 func newBlockFilter(cols []*data.Column, preds []query.Pred, nrows int) *blockFilter {
-	bf := &blockFilter{preds: compilePreds(cols, preds), nrows: nrows}
+	bf := &blockFilter{}
+	bf.compile(cols, preds, nrows)
+	return bf
+}
+
+// compile rebuilds the filter in place over preds and their bound columns
+// (cols[i] is preds[i]'s, as produced by bindPredCols), reusing only slice
+// capacity: a recycled scan's storage and bitmap are the current catalog's.
+func (bf *blockFilter) compile(cols []*data.Column, preds []query.Pred, nrows int) {
+	bf.reset()
+	for i, p := range preds {
+		bf.preds = append(bf.preds, compilePred(cols[i], p))
+	}
 	if len(preds) == 0 || nrows == 0 {
-		return bf
+		return
 	}
 	nb := data.ZoneBlocks(nrows)
-	bf.pruned = make([]bool, nb)
+	bf.pruned = slices.Grow(bf.pruned, nb)[:nb]
+	clear(bf.pruned)
 	for pi := range bf.preds {
 		cp := &bf.preds[pi]
 		zm := cp.col.Zones()
@@ -324,15 +326,20 @@ func newBlockFilter(cols []*data.Column, preds []query.Pred, nrows int) *blockFi
 			}
 		}
 	}
-	return bf
 }
+
+// reset empties the filter, dropping every reference into column storage.
+func (bf *blockFilter) reset() {
+	clear(bf.preds)
+	*bf = blockFilter{preds: bf.preds[:0], pruned: bf.pruned[:0]}
+}
+
+// skips reports whether zone-map block b was proven non-matching.
+func (bf *blockFilter) skips(b int) bool { return b < len(bf.pruned) && bf.pruned[b] }
 
 // blocks returns the (total, skipped) zone-map block counts — the scan's
 // pruning telemetry. Zero blocks when the filter has no predicates.
 func (bf *blockFilter) blocks() (total, skipped int64) {
-	if bf.pruned == nil {
-		return 0, 0
-	}
 	return int64(len(bf.pruned)), int64(bf.nskip)
 }
 
@@ -370,7 +377,7 @@ func (bf *blockFilter) filterSpan(lo, hi int, sel []int32) []int32 {
 		if end > hi {
 			end = hi
 		}
-		if bf.pruned != nil && bf.pruned[b] {
+		if bf.skips(b) {
 			lo = end
 			continue
 		}
@@ -411,7 +418,7 @@ func filterSpanTuples(ctx context.Context, bf *blockFilter, lo, hi int, dst [][]
 		if n%4 == 0 && ctx.Err() != nil {
 			break
 		}
-		if bf.pruned == nil || !bf.pruned[b] {
+		if !bf.skips(b) {
 			sel = bf.filterRange(int32(lo), int32(end), sel[:0])
 			dst = appendTuples(dst, sel, c)
 		}

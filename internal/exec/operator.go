@@ -61,7 +61,7 @@ type OpTelemetry struct {
 	RowsIn  int64         // tuples pulled from inputs (scans: base tuples read)
 	RowsOut int64         // tuples emitted
 	Batches int64         // batches emitted
-	Wall    time.Duration // inclusive wall-clock across Open and Next
+	Wall    time.Duration // inclusive wall-clock across Open and Next; RunAnalyze only
 
 	// Zone-map pruning evidence for vectorized sequential scans: how many
 	// fixed-size blocks the table spans and how many were proven
@@ -99,8 +99,29 @@ func (t *OpTelemetry) Charges() []float64 {
 }
 
 // timed accumulates wall-clock into the telemetry; use as
-// `defer t.timed(time.Now())` at operator entry points.
+// `defer t.timed(time.Now())`.
 func (t *OpTelemetry) timed(t0 time.Time) { t.Wall += time.Since(t0) }
+
+// timedOp wraps every operator of a RunAnalyze run to fill in Wall; a
+// plain run builds none and never reads the clock.
+type timedOp struct{ Operator }
+
+func timed(op Operator, analyze bool) Operator {
+	if analyze {
+		return timedOp{op}
+	}
+	return op
+}
+
+func (t timedOp) Open(ctx context.Context) error {
+	defer t.Telemetry().timed(time.Now())
+	return t.Operator.Open(ctx)
+}
+
+func (t timedOp) Next() (*Batch, error) {
+	defer t.Telemetry().timed(time.Now())
+	return t.Operator.Next()
+}
 
 // Operator is the common interface of every physical operator in the
 // pipeline. The protocol is Open → Next until it returns a nil batch
@@ -122,11 +143,34 @@ type Operator interface {
 	Telemetry() *OpTelemetry
 	// Schema returns the alias layout of emitted tuples.
 	Schema() []string
-	// Children returns the input operators in plan order (left, right).
-	Children() []Operator
 }
 
-// concatSchema returns a join's output alias layout: left then right.
-func concatSchema(ls, rs []string) []string {
-	return append(append(make([]string, 0, len(ls)+len(rs)), ls...), rs...)
+// walkOps visits the operator tree post-order, inputs left to right (the
+// reference evaluator's charge order), seeing through timing wrappers.
+func walkOps(op Operator, fn func(Operator)) {
+	switch o := op.(type) {
+	case timedOp:
+		walkOps(o.Operator, fn)
+		return
+	case *hashJoinOp:
+		walkOps(o.left, fn)
+		walkOps(o.right, fn)
+	case *crossJoinOp:
+		walkOps(o.left, fn)
+		walkOps(o.right, fn)
+	case *aggSink:
+		walkOps(o.child, fn)
+	case *concurrentOp:
+		walkOps(o.child, fn)
+	case *mergeOp:
+		for _, x := range o.exs {
+			fn(x)
+		}
+	}
+	fn(op)
+}
+
+// concatSchema appends a join's output alias layout, left then right.
+func concatSchema(dst, ls, rs []string) []string {
+	return append(append(dst, ls...), rs...)
 }

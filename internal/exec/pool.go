@@ -50,17 +50,45 @@ const poolMinCap = 16
 // recycling) — the NoPool escape hatch is "hand every operator a nil
 // pool".
 type BatchPool struct {
-	tuples sync.Pool // *[][]int32: batch and span output buffers
-	sel    sync.Pool // *[]int32: selection vectors
-	spans  sync.Pool // *[][][]int32: per-span buffer arrays
-	keys   sync.Pool // *[]uint64: join key scratch
-	slabs  sync.Pool // *[]int32: tuple arena slabs (cap == tupleSlabInts)
+	tuples slicePool[[]int32]   // batch and span output buffers
+	sel    slicePool[int32]     // selection vectors
+	spans  slicePool[[][]int32] // per-span buffer arrays
+	keys   slicePool[uint64]    // join key scratch
+	slabs  slicePool[int32]     // tuple arena slabs (cap == tupleSlabInts)
+
+	ops [numOpKinds]sync.Pool // operator structs by type (build.go); not in InUse
 
 	// outstanding is gets minus puts across every kind — the leak
 	// accounting the pool-contract tests pin to zero after Close.
 	outstanding atomic.Int64
 
 	dbg *poolDebug
+}
+
+// slicePool parks []T buffers in a sync.Pool without allocating on
+// return: the heap box a parked slice header needs is emptied by get and
+// refilled by the next put.
+type slicePool[T any] struct {
+	full  sync.Pool // *[]T holding a parked buffer
+	boxes sync.Pool // *[]T emptied by get
+}
+
+// get returns a parked buffer at its parked length, or nil.
+func (p *slicePool[T]) get() (s []T) {
+	if v, _ := p.full.Get().(*[]T); v != nil {
+		s, *v = *v, nil
+		p.boxes.Put(v)
+	}
+	return s
+}
+
+func (p *slicePool[T]) put(s []T) {
+	v, _ := p.boxes.Get().(*[]T)
+	if v == nil {
+		v = new([]T)
+	}
+	*v = s
+	p.full.Put(v)
 }
 
 // NewBatchPool returns an empty pool.
@@ -139,8 +167,7 @@ func (p *BatchPool) GetTuples(hint int) [][]int32 {
 		return make([][]int32, 0, max(hint, poolMinCap))
 	}
 	p.outstanding.Add(1)
-	if v := p.tuples.Get(); v != nil {
-		b := *(v.(*[][]int32))
+	if b := p.tuples.get(); b != nil {
 		if p.dbg != nil {
 			p.checkTuplesPoison(b)
 		}
@@ -162,8 +189,7 @@ func (p *BatchPool) PutTuples(b [][]int32) {
 	if p.dbg != nil && !p.admitTuples(b) {
 		return
 	}
-	b = b[:0]
-	p.tuples.Put(&b)
+	p.tuples.put(b[:0])
 }
 
 // admitTuples marks b free and poisons it; false (with a recorded
@@ -208,8 +234,7 @@ func (p *BatchPool) GetSel(hint int) []int32 {
 		return make([]int32, 0, max(hint, poolMinCap))
 	}
 	p.outstanding.Add(1)
-	if v := p.sel.Get(); v != nil {
-		s := *(v.(*[]int32))
+	if s := p.sel.get(); s != nil {
 		if p.dbg != nil {
 			p.checkSelPoison(s)
 		}
@@ -230,8 +255,7 @@ func (p *BatchPool) PutSel(s []int32) {
 	if p.dbg != nil && !p.admitSel(s) {
 		return
 	}
-	s = s[:0]
-	p.sel.Put(&s)
+	p.sel.put(s[:0])
 }
 
 func (p *BatchPool) admitSel(s []int32) bool {
@@ -271,8 +295,7 @@ func (p *BatchPool) GetSpans(n int) [][][]int32 {
 		return make([][][]int32, n)
 	}
 	p.outstanding.Add(1)
-	if v := p.spans.Get(); v != nil {
-		s := *(v.(*[][][]int32))
+	if s := p.spans.get(); s != nil {
 		if cap(s) >= n {
 			s = s[:n]
 			for i := range s {
@@ -298,8 +321,7 @@ func (p *BatchPool) PutSpans(s [][][]int32) {
 	for i := range s {
 		s[i] = nil
 	}
-	s = s[:0]
-	p.spans.Put(&s)
+	p.spans.put(s[:0])
 }
 
 // GetKeys returns an empty key-scratch buffer owned by the caller until
@@ -309,9 +331,8 @@ func (p *BatchPool) GetKeys(hint int) []uint64 {
 		return make([]uint64, 0, max(hint, poolMinCap))
 	}
 	p.outstanding.Add(1)
-	if v := p.keys.Get(); v != nil {
-		k := *(v.(*[]uint64))
-		return k[:0]
+	if k := p.keys.get(); k != nil {
+		return k
 	}
 	return make([]uint64, 0, max(hint, poolMinCap))
 }
@@ -325,8 +346,7 @@ func (p *BatchPool) PutKeys(k []uint64) {
 	if cap(k) == 0 {
 		return
 	}
-	k = k[:0]
-	p.keys.Put(&k)
+	p.keys.put(k[:0])
 }
 
 // getSlab returns one full-length tuple slab.
@@ -335,8 +355,8 @@ func (p *BatchPool) getSlab() []int32 {
 		return make([]int32, tupleSlabInts)
 	}
 	p.outstanding.Add(1)
-	if v := p.slabs.Get(); v != nil {
-		return *(v.(*[]int32))
+	if s := p.slabs.get(); s != nil {
+		return s
 	}
 	return make([]int32, tupleSlabInts)
 }
@@ -351,8 +371,7 @@ func (p *BatchPool) putSlab(s []int32) {
 	if cap(s) != tupleSlabInts {
 		return
 	}
-	s = s[:tupleSlabInts]
-	p.slabs.Put(&s)
+	p.slabs.put(s[:tupleSlabInts])
 }
 
 // tupleArena owns the slab storage behind one operator's emitted tuples.
@@ -380,15 +399,15 @@ func (a *tupleArena) grab() []int32 {
 }
 
 // release returns every slab to the pool. Idempotent; the arena is
-// reusable afterwards (it will grab fresh slabs).
+// reusable afterwards (fresh slabs, the slab list's capacity kept).
 func (a *tupleArena) release() {
 	a.mu.Lock()
-	slabs := a.slabs
-	a.slabs = nil
-	a.mu.Unlock()
-	for _, s := range slabs {
+	defer a.mu.Unlock()
+	for i, s := range a.slabs {
 		a.pool.putSlab(s)
+		a.slabs[i] = nil
 	}
+	a.slabs = a.slabs[:0]
 }
 
 // arenaChunk is one goroutine's private carving handle over an arena:

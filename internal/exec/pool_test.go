@@ -258,7 +258,8 @@ func TestPoolSharedAcrossConcurrentRuns(t *testing.T) {
 
 // TestPoolNoLeakOnCancellation: canceled runs — immediately and mid-
 // flight — must still return every buffer and join every exchange
-// goroutine.
+// goroutine, and neither they nor a run that hits the intermediate cap may
+// leave anything in the pool that the next run can see.
 func TestPoolNoLeakOnCancellation(t *testing.T) {
 	cat := shardCatalog()
 	q := shardQueries()[3]
@@ -301,19 +302,50 @@ func TestPoolNoLeakOnCancellation(t *testing.T) {
 		},
 		Preds: []query.Pred{{Alias: "b", Column: "v", Op: query.Lt, Val: data.IntVal(90)}},
 	}
+	refPlan, err := CanonicalPlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(cat).ReferenceRun(context.Background(), q, refPlan)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 4} {
-		for after, finished := int64(0), false; !finished; after++ {
-			ex := New(cat)
-			ex.Workers = workers
-			dbg := NewDebugBatchPool()
-			ex.SetPool(dbg)
+		// One pool for the whole sweep: a run that fails is dropped, not
+		// recycled, so the clean run of a different plan that follows each
+		// abort — drawing operator structs and buffers from the same pool —
+		// must still be exact.
+		ex := New(cat)
+		ex.Workers = workers
+		capped := New(cat)
+		capped.Workers = workers
+		capped.MaxIntermediate = 100
+		dbg := NewDebugBatchPool()
+		ex.SetPool(dbg)
+		capped.SetPool(dbg)
+		for after, finished := int64(-1), false; !finished; after++ {
 			p, err := CanonicalPlan(jq)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, runErr := ex.RunCtx(newCancelAfter(after), jq, p)
-			if finished = runErr == nil; !finished && !errors.Is(runErr, context.Canceled) {
-				t.Fatalf("workers=%d after=%d: err = %v, want Canceled", workers, after, runErr)
+			var runErr error
+			if after < 0 {
+				// The join emits past the intermediate cap mid-probe.
+				if _, runErr = capped.RunCtx(context.Background(), jq, p); runErr == nil {
+					t.Fatalf("workers=%d: capped run succeeded", workers)
+				}
+			} else {
+				_, runErr = ex.RunCtx(newCancelAfter(after), jq, p)
+				if finished = runErr == nil; !finished && !errors.Is(runErr, context.Canceled) {
+					t.Fatalf("workers=%d after=%d: err = %v, want Canceled", workers, after, runErr)
+				}
+			}
+			res, err := ex.RunCtx(context.Background(), q, shardPlan(t, q, 1))
+			if err != nil {
+				t.Fatalf("workers=%d after=%d: clean run after %v: %v", workers, after, runErr, err)
+			}
+			if res.Count != ref.Count || math.Float64bits(res.Value) != math.Float64bits(ref.Value) || res.Stats != ref.Stats {
+				t.Fatalf("workers=%d after=%d: clean run after %v drifted: %+v vs reference %+v", workers, after, runErr, res, ref)
 			}
 			if n := dbg.InUse(); n != 0 {
 				t.Fatalf("workers=%d after=%d err=%v: %d buffers outstanding", workers, after, runErr, n)

@@ -141,7 +141,7 @@ func (e *Executor) evalScan(ctx context.Context, q *query.Query, n *plan.Node, s
 		nrows := tbl.NumRows()
 		st.TuplesRead += int64(nrows)
 		st.WorkUnits += float64(nrows) * (cRead + cPred*float64(len(preds)))
-		cols, err := bindPredCols(tbl, preds)
+		cols, err := bindPredCols(nil, tbl, preds)
 		if err != nil {
 			return nil, err
 		}
@@ -172,7 +172,7 @@ func (e *Executor) evalScan(ctx context.Context, q *query.Query, n *plan.Node, s
 				rest = append(rest, p)
 			}
 		}
-		cols, err := bindPredCols(tbl, rest)
+		cols, err := bindPredCols(nil, tbl, rest)
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +199,7 @@ func (e *Executor) evalScan(ctx context.Context, q *query.Query, n *plan.Node, s
 // keyCols resolves one side of a join over a materialized relation; the
 // pipeline's equivalent is keyColsFor over an operator schema.
 func (e *Executor) keyCols(q *query.Query, rel *Relation, conds []query.Join, leftSide bool) ([]keyCol, error) {
-	return keyColsFor(e.Cat, q, rel.Aliases, conds, leftSide)
+	return keyColsFor(nil, e.Cat, q, rel.Aliases, conds, leftSide)
 }
 
 func (e *Executor) evalJoin(ctx context.Context, q *query.Query, n *plan.Node, left, right *Relation, st *CostStats) (*Relation, error) {

@@ -6,7 +6,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"lqo/internal/data"
 	"lqo/internal/plan"
@@ -26,12 +25,14 @@ type seqScanOp struct {
 	node *plan.Node
 	pool *BatchPool
 
-	ctx   context.Context
-	cols  []*data.Column
-	preds []query.Pred
-	nrows int
-	bf    *blockFilter // compiled vectorized filter; nil under NoVec
-	sel   []int32      // pooled selection vector for the serial path
+	ctx    context.Context
+	schema [1]string
+	cols   []*data.Column
+	preds  []query.Pred
+	nrows  int
+	filter blockFilter  // bf's storage, recompiled by every Open
+	bf     *blockFilter // compiled vectorized filter; nil under NoVec
+	sel    []int32      // pooled selection vector for the serial path
 
 	arena  tupleArena   // slab storage behind every tuple this scan emits
 	chunk  arenaChunk   // serial-path carving handle
@@ -46,26 +47,26 @@ type seqScanOp struct {
 }
 
 func (s *seqScanOp) Open(ctx context.Context) error {
-	defer s.tel.timed(time.Now())
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	s.ctx = ctx
 	s.tel.Op = s.node.Op.String()
 	s.tel.Node = s.node
+	s.schema[0] = s.node.Alias
 	tbl := s.e.Cat.Table(s.node.Table)
 	if tbl == nil {
 		return fmt.Errorf("exec: unknown table %q", s.node.Table)
 	}
 	s.preds = s.node.Preds
-	cols, err := bindPredCols(tbl, s.preds)
-	if err != nil {
+	var err error
+	if s.cols, err = bindPredCols(s.cols[:0], tbl, s.preds); err != nil {
 		return err
 	}
-	s.cols = cols
 	s.nrows = tbl.NumRows()
 	if !s.e.NoVec {
-		s.bf = newBlockFilter(cols, s.preds, s.nrows)
+		s.bf = &s.filter
+		s.bf.compile(s.cols, s.preds, s.nrows)
 		s.tel.BlocksTotal, s.tel.BlocksSkipped = s.bf.blocks()
 	}
 	if s.pool != nil {
@@ -86,7 +87,6 @@ func (s *seqScanOp) Open(ctx context.Context) error {
 }
 
 func (s *seqScanOp) Next() (*Batch, error) {
-	defer s.tel.timed(time.Now())
 	if err := s.ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -146,7 +146,7 @@ func (s *seqScanOp) fillSerial() error {
 		if end > s.nrows {
 			end = s.nrows
 		}
-		if s.bf.pruned == nil || !s.bf.pruned[b] {
+		if !s.bf.skips(b) {
 			s.sel = s.bf.filterRange(int32(s.cursor), int32(end), s.sel[:0])
 			s.pending = appendTuples(s.pending, s.sel, &s.chunk)
 		}
@@ -224,8 +224,14 @@ func (s *seqScanOp) Close() error {
 	return nil
 }
 func (s *seqScanOp) Telemetry() *OpTelemetry { return &s.tel }
-func (s *seqScanOp) Schema() []string        { return []string{s.node.Alias} }
-func (s *seqScanOp) Children() []Operator    { return nil }
+func (s *seqScanOp) Schema() []string        { return s.schema[:] }
+
+func (s *seqScanOp) recycle(p *BatchPool) {
+	clear(s.cols)
+	s.filter.reset()
+	*s = seqScanOp{cols: s.cols[:0], filter: s.filter, arena: tupleArena{slabs: s.arena.slabs}, tel: OpTelemetry{charges: s.tel.charges[:0]}}
+	p.ops[opSeqScan].Put(s)
+}
 
 // indexScanOp probes an equality index and streams the rows surviving the
 // residual predicates.
@@ -235,12 +241,14 @@ type indexScanOp struct {
 	node *plan.Node
 	pool *BatchPool
 
-	ctx  context.Context
-	rows []int32
-	cols []*data.Column
-	rest []query.Pred
-	bf   *blockFilter // residual-filter kernels; nil under NoVec
-	sel  []int32      // pooled selection vector
+	ctx    context.Context
+	schema [1]string
+	rows   []int32
+	cols   []*data.Column
+	rest   []query.Pred
+	filter blockFilter  // bf's storage, recompiled by every Open
+	bf     *blockFilter // residual-filter kernels; nil under NoVec
+	sel    []int32      // pooled selection vector
 
 	arena tupleArena // slab storage behind emitted tuples
 	chunk arenaChunk
@@ -252,13 +260,13 @@ type indexScanOp struct {
 }
 
 func (s *indexScanOp) Open(ctx context.Context) error {
-	defer s.tel.timed(time.Now())
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	s.ctx = ctx
 	s.tel.Op = s.node.Op.String()
 	s.tel.Node = s.node
+	s.schema[0] = s.node.Alias
 	tbl := s.e.Cat.Table(s.node.Table)
 	if tbl == nil {
 		return fmt.Errorf("exec: unknown table %q", s.node.Table)
@@ -278,22 +286,22 @@ func (s *indexScanOp) Open(ctx context.Context) error {
 		return fmt.Errorf("exec: IndexScan on %s(%s) has no usable equality index", s.node.Table, s.node.Alias)
 	}
 	s.rows = ix.Rows(preds[eqIdx].Val.I)
-	s.rest = make([]query.Pred, 0, len(preds)-1)
+	s.rest = s.rest[:0]
 	for i, p := range preds {
 		if i != eqIdx {
 			s.rest = append(s.rest, p)
 		}
 	}
-	cols, err := bindPredCols(tbl, s.rest)
-	if err != nil {
+	var err error
+	if s.cols, err = bindPredCols(s.cols[:0], tbl, s.rest); err != nil {
 		return err
 	}
-	s.cols = cols
 	if !s.e.NoVec {
 		// An index scan's rows are a scattered posting list, so residual
 		// predicates run refine kernels over it; zone-map pruning does not
-		// apply (no prune bitmap is built).
-		s.bf = &blockFilter{preds: compilePreds(cols, s.rest)}
+		// apply (zero rows: no prune bitmap is built).
+		s.bf = &s.filter
+		s.bf.compile(s.cols, s.rest, 0)
 	}
 	if s.pool != nil {
 		s.arena.pool = s.pool
@@ -311,7 +319,6 @@ func (s *indexScanOp) Open(ctx context.Context) error {
 }
 
 func (s *indexScanOp) Next() (*Batch, error) {
-	defer s.tel.timed(time.Now())
 	if err := s.ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -372,8 +379,15 @@ func (s *indexScanOp) Close() error {
 	return nil
 }
 func (s *indexScanOp) Telemetry() *OpTelemetry { return &s.tel }
-func (s *indexScanOp) Schema() []string        { return []string{s.node.Alias} }
-func (s *indexScanOp) Children() []Operator    { return nil }
+func (s *indexScanOp) Schema() []string        { return s.schema[:] }
+
+func (s *indexScanOp) recycle(p *BatchPool) {
+	clear(s.cols)
+	clear(s.rest)
+	s.filter.reset()
+	*s = indexScanOp{cols: s.cols[:0], rest: s.rest[:0], filter: s.filter, arena: tupleArena{slabs: s.arena.slabs}, tel: OpTelemetry{charges: s.tel.charges[:0]}}
+	p.ops[opIndexScan].Put(s)
+}
 
 // emitPending slices the next batch-sized window out of a pending buffer
 // without copying tuples, updating output telemetry.

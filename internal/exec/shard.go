@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"lqo/internal/data"
 	"lqo/internal/plan"
@@ -106,7 +105,7 @@ func (e *Executor) ScanShard(ctx context.Context, scan *plan.Node, shard, of int
 		return nil, fmt.Errorf("exec: unknown table %q", scan.Table)
 	}
 	preds := scan.Preds
-	cols, err := bindPredCols(tbl, preds)
+	cols, err := bindPredCols(nil, tbl, preds)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +130,7 @@ func (e *Executor) ScanShard(ctx context.Context, scan *plan.Node, shard, of int
 		if hi > nrows {
 			hi = nrows
 		}
-		if bf != nil && bf.pruned != nil {
+		if bf != nil && len(bf.pruned) > 0 {
 			res.BlocksTotal++
 			if bf.pruned[b] {
 				res.BlocksSkipped++
@@ -173,7 +172,6 @@ type exchangeOp struct {
 }
 
 func (x *exchangeOp) Open(ctx context.Context) error {
-	defer x.tel.timed(time.Now())
 	x.tel.Op = x.node.Op.String()
 	x.tel.Node = x.node
 	if err := ctx.Err(); err != nil {
@@ -200,7 +198,6 @@ func (x *exchangeOp) Next() (*Batch, error)   { return nil, nil }
 func (x *exchangeOp) Close() error            { x.rows = nil; return nil }
 func (x *exchangeOp) Telemetry() *OpTelemetry { return &x.tel }
 func (x *exchangeOp) Schema() []string        { return []string{x.node.Left.Alias} }
-func (x *exchangeOp) Children() []Operator    { return nil }
 
 // mergeOp gathers a Merge node's shard streams back into the unsharded
 // scan's output: Open scatters every exchange child concurrently, Next
@@ -214,6 +211,9 @@ type mergeOp struct {
 	node *plan.Node
 	exs  []*exchangeOp
 	pool *BatchPool
+	// analyze times the exchanges, which Open drives directly, as
+	// buildOperator times every other operator of a RunAnalyze run.
+	analyze bool
 
 	ctx     context.Context
 	cursors []int
@@ -225,7 +225,6 @@ type mergeOp struct {
 }
 
 func (m *mergeOp) Open(ctx context.Context) error {
-	defer m.tel.timed(time.Now())
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -238,7 +237,7 @@ func (m *mergeOp) Open(ctx context.Context) error {
 	}
 	// Bind predicate columns up front so sharded plans fail on unknown
 	// columns exactly like unsharded ones, before any shard runs.
-	if _, err := bindPredCols(tbl, m.node.Preds); err != nil {
+	if _, err := bindPredCols(nil, tbl, m.node.Preds); err != nil {
 		return err
 	}
 	nrows := tbl.NumRows()
@@ -255,7 +254,7 @@ func (m *mergeOp) Open(ctx context.Context) error {
 		wg.Add(1)
 		go func(i int, x *exchangeOp) {
 			defer wg.Done()
-			errs[i] = x.Open(ctx)
+			errs[i] = timed(x, m.analyze).Open(ctx)
 		}(i, x)
 	}
 	wg.Wait()
@@ -274,7 +273,6 @@ func (m *mergeOp) Open(ctx context.Context) error {
 }
 
 func (m *mergeOp) Next() (*Batch, error) {
-	defer m.tel.timed(time.Now())
 	if err := m.ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -345,11 +343,3 @@ func (m *mergeOp) Close() error {
 
 func (m *mergeOp) Telemetry() *OpTelemetry { return &m.tel }
 func (m *mergeOp) Schema() []string        { return []string{m.node.Alias} }
-
-func (m *mergeOp) Children() []Operator {
-	ops := make([]Operator, len(m.exs))
-	for i, x := range m.exs {
-		ops[i] = x
-	}
-	return ops
-}

@@ -17,23 +17,30 @@ type PlanTelemetry struct {
 	byNode map[*plan.Node]*OpTelemetry
 }
 
-// collectTelemetry walks a finished operator tree rooted at the aggregate
-// sink and snapshots its telemetry.
-func collectTelemetry(root Operator) *PlanTelemetry {
+// snapshotTelemetry copies the telemetry of a finished operator tree
+// rooted at the aggregate sink; the operators themselves get recycled.
+func snapshotTelemetry(root Operator) *PlanTelemetry {
 	pt := &PlanTelemetry{byNode: make(map[*plan.Node]*OpTelemetry)}
-	var walk func(op Operator)
-	walk = func(op Operator) {
-		for _, c := range op.Children() {
-			walk(c)
-		}
-		t := op.Telemetry()
-		pt.Ops = append(pt.Ops, t)
+	walkOps(root, func(op Operator) {
+		t := *op.Telemetry()
+		t.charges = t.Charges()
+		pt.Ops = append(pt.Ops, &t)
 		if t.Node != nil {
-			pt.byNode[t.Node] = t
+			pt.byNode[t.Node] = &t
 		}
-	}
-	walk(root)
+	})
 	return pt
+}
+
+// foldInto adds the operator's counters and, in canonical order, its
+// charges to st.
+func (t *OpTelemetry) foldInto(st *CostStats) {
+	st.TuplesRead += t.tuplesRead
+	st.TuplesJoined += t.tuplesJoined
+	st.IndexLookups += t.indexLookups
+	for _, c := range t.charges {
+		st.WorkUnits += c
+	}
 }
 
 // Stats replays every operator's charges in canonical order into one
@@ -43,12 +50,7 @@ func collectTelemetry(root Operator) *PlanTelemetry {
 func (pt *PlanTelemetry) Stats() CostStats {
 	var st CostStats
 	for _, t := range pt.Ops {
-		st.TuplesRead += t.tuplesRead
-		st.TuplesJoined += t.tuplesJoined
-		st.IndexLookups += t.indexLookups
-		for _, c := range t.charges {
-			st.WorkUnits += c
-		}
+		t.foldInto(&st)
 	}
 	return st
 }

@@ -215,21 +215,38 @@ func (n *Node) NumJoins() int {
 
 // Clone deep-copies the subtree, preserving annotations.
 func (n *Node) Clone() *Node {
+	c := n.CloneNodes()
+	c.Walk(func(m *Node) {
+		m.Preds = append([]query.Pred(nil), m.Preds...)
+		m.Cond = append([]query.Join(nil), m.Cond...)
+	})
+	return c
+}
+
+// CloneNodes copies the subtree's nodes into one allocation (plus one per
+// Merge node's shard list), sharing the Preds and Cond slices with n: the
+// copy's may be replaced, as rebinding does, but never written through.
+func (n *Node) CloneNodes() *Node {
+	count := 0
+	n.Walk(func(*Node) { count++ })
+	slab := make([]Node, 0, count)
+	return n.cloneInto(&slab)
+}
+
+func (n *Node) cloneInto(slab *[]Node) *Node {
 	if n == nil {
 		return nil
 	}
-	c := *n
-	c.Preds = append([]query.Pred(nil), n.Preds...)
-	c.Cond = append([]query.Join(nil), n.Cond...)
-	c.Left = n.Left.Clone()
-	c.Right = n.Right.Clone()
+	*slab = append(*slab, *n)
+	c := &(*slab)[len(*slab)-1]
+	c.Left, c.Right = n.Left.cloneInto(slab), n.Right.cloneInto(slab)
 	if n.Shards != nil {
 		c.Shards = make([]*Node, len(n.Shards))
 		for i, s := range n.Shards {
-			c.Shards[i] = s.Clone()
+			c.Shards[i] = s.cloneInto(slab)
 		}
 	}
-	return &c
+	return c
 }
 
 // Fingerprint returns a canonical string for the physical plan: operator

@@ -94,6 +94,21 @@ func TestShardedWalkAndClone(t *testing.T) {
 	if c.Fingerprint() == out.Fingerprint() {
 		t.Fatal("modified shard clone should fingerprint differently")
 	}
+
+	// CloneNodes copies every node, shard lists included, and shares only
+	// the Preds/Cond slices: replacing one on the copy leaves out alone.
+	n := out.CloneNodes()
+	if n.Fingerprint() != out.Fingerprint() {
+		t.Fatal("CloneNodes changed the plan")
+	}
+	n.Left.Shards[0].Shard, n.Left.Shards[1] = 7, nil
+	n.Left.TrueCard, n.Left.Preds = 5, nil
+	if out.Left.Shards[0].Shard == 7 || out.Left.Shards[1] == nil || out.Left.TrueCard == 5 || len(out.Left.Preds) == 0 {
+		t.Fatal("CloneNodes shares nodes or shard lists")
+	}
+	if &n.Cond[0] != &out.Cond[0] {
+		t.Fatal("CloneNodes copied a condition slice it should share")
+	}
 }
 
 func TestShardScansDividesEstimates(t *testing.T) {

@@ -3,8 +3,10 @@ package serve
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"lqo/internal/metrics"
+	"lqo/internal/opt"
 	"lqo/internal/plan"
 )
 
@@ -18,9 +20,9 @@ import (
 // q-error threshold is evicted, forcing a replan with fresh feedback —
 // the Eraser-style "is the cached plan still behaving?" gate.
 //
-// Plans are cloned on every Put and Get: callers own their tree (the
-// executor annotates TrueCard in place) and can never corrupt the cached
-// copy. Safe for concurrent use.
+// Put keeps a deep clone and Get copies the nodes out: callers own their
+// tree (the executor annotates TrueCard in place, rebinding replaces leaf
+// Preds) and can never corrupt the cached copy. Safe for concurrent use.
 type PlanCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -37,6 +39,8 @@ type CacheStats struct {
 	Evictions     int64 // entries evicted by capacity
 }
 
+// A cacheEntry is immutable but for its memo — Put over a live key
+// installs a new entry — so the memo dies with the plan.
 type cacheEntry struct {
 	key string
 	p   *plan.Node
@@ -46,6 +50,9 @@ type cacheEntry struct {
 	// generic plans, where later bindings change every sub-query key but
 	// not the tree shape.
 	est []float64
+	// harvest memoizes an ad-hoc entry's feedback labels for their keys
+	// (Server.harvest); nil until the first hit.
+	harvest atomic.Pointer[[]opt.CardLabel]
 }
 
 // NewPlanCache returns a cache holding at most capacity plans
@@ -61,18 +68,26 @@ func NewPlanCache(capacity int) *PlanCache {
 	}
 }
 
-// Get returns a private clone of the cached plan for key, or nil on miss.
+// Get returns a private copy of the cached plan for key, or nil on miss.
+// The copy shares the cached Preds and Cond slices (plan.CloneNodes).
 func (c *PlanCache) Get(key string) *plan.Node {
+	p, _ := c.checkout(key)
+	return p
+}
+
+// checkout is Get that also returns the entry the plan was copied from.
+func (c *PlanCache) checkout(key string) (*plan.Node, *cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		c.stats.Misses++
-		return nil
+		return nil, nil
 	}
 	c.stats.Hits++
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).p.Clone()
+	ent := el.Value.(*cacheEntry)
+	return ent.p.CloneNodes(), ent
 }
 
 // Put stores an optimized plan under key, snapshotting its per-node
@@ -86,13 +101,13 @@ func (c *PlanCache) Put(key string, p *plan.Node) {
 	p.WalkLogical(func(n *plan.Node) { est = append(est, n.EstCard) })
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	ent := &cacheEntry{key: key, p: p.Clone(), est: est}
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).p = p.Clone()
-		el.Value.(*cacheEntry).est = est
+		el.Value = ent
 		c.order.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, p: p.Clone(), est: est})
+	c.entries[key] = c.order.PushFront(ent)
 	for c.order.Len() > c.cap {
 		back := c.order.Back()
 		c.order.Remove(back)
@@ -112,8 +127,6 @@ func (c *PlanCache) Observe(key string, executed *plan.Node, maxQErr float64) bo
 	if maxQErr <= 1 {
 		return false
 	}
-	truth := make([]float64, 0, 8)
-	executed.WalkLogical(func(n *plan.Node) { truth = append(truth, n.TrueCard) })
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -121,20 +134,22 @@ func (c *PlanCache) Observe(key string, executed *plan.Node, maxQErr float64) bo
 		return false
 	}
 	est := el.Value.(*cacheEntry).est
-	if len(est) != len(truth) {
-		// Shape mismatch: the executed tree is not this entry's plan
-		// (stale feedback after a replan); drop it rather than misjudge.
+	i, drifted := 0, false
+	executed.WalkLogical(func(n *plan.Node) {
+		if i < len(est) && metrics.QError(est[i], n.TrueCard) > maxQErr {
+			drifted = true
+		}
+		i++
+	})
+	// On a shape mismatch the executed tree is not this entry's plan (stale
+	// feedback after a replan); drop it rather than misjudge.
+	if i != len(est) || !drifted {
 		return false
 	}
-	for i := range est {
-		if metrics.QError(est[i], truth[i]) > maxQErr {
-			c.order.Remove(el)
-			delete(c.entries, key)
-			c.stats.Invalidations++
-			return true
-		}
-	}
-	return false
+	c.order.Remove(el)
+	delete(c.entries, key)
+	c.stats.Invalidations++
+	return true
 }
 
 // Clear drops every cached plan, returning how many were dropped. The

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"lqo/internal/data"
 	"lqo/internal/plan"
+	"lqo/internal/query"
 )
 
 func scanPlan(est, truth float64) *plan.Node {
@@ -39,6 +41,44 @@ func TestPlanCacheGetReturnsClone(t *testing.T) {
 	p.TrueCard = 99 // executor annotation on the caller's copy
 	if q := c.Get("k"); q.TrueCard == 99 {
 		t.Fatal("cache handed out a shared tree")
+	}
+}
+
+// TestPlanCacheCheckoutSurvivesRebind: a checkout copies the nodes and
+// shares the Preds/Cond slices, so what a prepared statement does to its
+// copy — replace every leaf's Preds, run it, annotate it — must not show
+// in the next checkout, and the checkout itself is a single allocation.
+func TestPlanCacheCheckoutSurvivesRebind(t *testing.T) {
+	pred := func(v int64) []query.Pred {
+		return []query.Pred{{Alias: "a", Column: "x", Op: query.Gt, Val: data.IntVal(v)}}
+	}
+	cond := []query.Join{{LeftAlias: "a", LeftCol: "id", RightAlias: "b", RightCol: "a_id"}}
+	orig := plan.NewJoin(plan.HashJoin,
+		plan.NewJoin(plan.HashJoin, plan.NewScan(plan.SeqScan, "a", "a", pred(1)), plan.NewScan(plan.SeqScan, "b", "b", nil), cond),
+		plan.NewScan(plan.IndexScan, "c", "c", pred(2)), cond)
+	c := NewPlanCache(0)
+	c.Put("k", orig)
+	want := orig.Fingerprint()
+	for i := int64(0); i < 3; i++ {
+		p := c.Get("k")
+		if p.Fingerprint() != want {
+			t.Fatalf("checkout %d differs from the plan put: %s", i, p.Fingerprint())
+		}
+		p.Walk(func(n *plan.Node) {
+			if n.IsLeaf() {
+				n.Preds = pred(100 + i) // the rebind replaces, never writes through
+			}
+			n.TrueCard = float64(i + 1)
+		})
+		p.Left, p.Right = p.Right, p.Left
+	}
+	// The producer's tree is not the cache's either.
+	orig.Left.Left.Preds[0].Val = data.IntVal(77)
+	if got := c.Get("k"); got.Fingerprint() != want || got.TrueCard != 0 {
+		t.Fatalf("cached plan changed under its checkouts: %s", got.Fingerprint())
+	}
+	if allocs := testing.AllocsPerRun(50, func() { c.Get("k") }); allocs > 1 {
+		t.Fatalf("checkout of an unsharded plan allocates %.0f objects, want 1", allocs)
 	}
 }
 

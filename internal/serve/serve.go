@@ -209,9 +209,10 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 
 	key = s.cacheKey(key)
 	planStart := time.Now()
-	p := s.cache.Get(key)
+	p, ent := s.cache.checkout(key)
 	cached := p != nil
 	if cached && rebind {
+		ent = nil // each binding has its own sub-query keys
 		// Generic-plan reuse: keep the cached join order and operators,
 		// swap in this binding's literal predicates at the leaves. Merge
 		// nodes rebind like the scans they stand in for; their shard scan
@@ -243,7 +244,7 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 	}
 	br.Success()
 
-	s.absorb(opt.HarvestCards(q, p))
+	s.harvest(q, p, ent)
 	if cached {
 		s.cache.Observe(key, p, s.cfg.InvalidateQError)
 	}
@@ -256,20 +257,41 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 	return &Result{Count: res.Count, Value: res.Value, Latency: res.Stats.WorkUnits, Cached: cached, Plan: planDur}, nil
 }
 
-// absorb merges harvested cardinalities into the feedback store, bounded
-// by FeedbackCap (existing keys always update; new keys stop landing once
-// the store is full, keeping memory bounded without eviction churn).
-// Labels land in harvest order — plan pre-order — so which keys a nearly
-// full store still admits is the same on every run.
-func (s *Server) absorb(labels []opt.CardLabel) {
+// harvest merges the executed plan's true cardinalities into the feedback
+// store, bounded by FeedbackCap (existing keys always update; new keys
+// stop landing once the store is full, keeping memory bounded without
+// eviction churn). Labels land in harvest order — plan pre-order — so which
+// keys a nearly full store still admits is the same on every run.
+//
+// ent is the entry p was checked out of on an ad-hoc hit, else nil. Its
+// key is a function of q.Key(), so every pre-order position's sub-query
+// key repeats on every hit: the first hit (not the miss, which none may
+// follow) memoizes the labels for their keys, later hits skip the join
+// graph. All keys are still written: ResetFeedback may have intervened.
+func (s *Server) harvest(q *query.Query, p *plan.Node, ent *cacheEntry) {
+	var labels []opt.CardLabel
+	if ent != nil {
+		if memo := ent.harvest.Load(); memo != nil {
+			labels = *memo
+		}
+	}
+	if labels == nil {
+		labels = opt.HarvestCards(q, p)
+		if ent != nil {
+			memo := labels
+			ent.harvest.Store(&memo)
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, l := range labels {
-		if _, ok := s.feedback[l.Key]; !ok && len(s.feedback) >= s.cfg.FeedbackCap {
-			continue
+	i := 0
+	p.WalkLogical(func(n *plan.Node) { // memoized cards are stale: read p's
+		key := labels[i].Key
+		if _, ok := s.feedback[key]; ok || len(s.feedback) < s.cfg.FeedbackCap {
+			s.feedback[key] = n.TrueCard
 		}
-		s.feedback[l.Key] = l.Card
-	}
+		i++
+	})
 }
 
 // SetObserver installs (or, with nil, removes) the execution observer.
