@@ -501,7 +501,7 @@ func (j *hashJoinOp) finish() {
 }
 
 // Close returns the owned pooled buffers (bufLeft/bufRight/seg/pending/
-// pkeys and the table's heads/next/keys — tab.build and probeBuf are
+// pkeys and the table's heads/next/keys/filter — tab.build and probeBuf are
 // aliases of these or of a borrowed streamed batch, never Put) and
 // releases the output-tuple arena.
 func (j *hashJoinOp) Close() error {

@@ -1,19 +1,26 @@
 // The hash join's build-side index and probe kernel.
 //
 // joinTable is a flat chained hash table over the build tuples: a
-// power-of-two array of bucket heads, one successor link per build tuple
-// and the build keys gathered by keyGather, all pooled buffers held from
-// the build to the operator's Close. Chains are threaded in ascending
-// build index — inserting in descending order makes every new head the
-// smallest index so far — because that is the order `map[key] →
-// []int32{indices appended in build order}` yields in the reference
-// evaluator: it fixes the output tuple order and with it the bit pattern
-// of float aggregates.
+// power-of-two array of bucket heads, one successor link per build tuple,
+// the build keys gathered by keyGather and an occupancy filter of 8 bits
+// per bucket, all pooled buffers held from the build to the operator's
+// Close. Chains are threaded in ascending build index — inserting in
+// descending order makes every new head the smallest index so far —
+// because that is the order `map[key] → []int32{indices appended in build
+// order}` yields in the reference evaluator: it fixes the output tuple
+// order and with it the bit pattern of float aggregates.
 //
 // Buckets come from a multiply-shift hash (the top bits of key × an odd
 // 64-bit constant): single-column keys are raw int64 ids, typically dense
 // and sequential, which the golden-ratio multiplier spreads evenly where a
 // low-bits mask would pile strided ids into few buckets.
+//
+// The probe is two-pass because most probe tuples miss: a branch-free pass
+// keeps those whose filter bit is set, and only they walk a chain. A
+// one-pass walk pays two data-dependent branches per tuple (empty bucket?
+// key equal?), close to coin flips at a load factor in (½, 1] even when
+// the table is L1-resident; a clear filter bit answers both for most
+// misses.
 package exec
 
 import (
@@ -32,16 +39,22 @@ type joinTable struct {
 	// in full.
 	heads, next []int32
 	keys        []uint64 // build keys by build index, pooled key scratch
-	shift       uint     // 64 - log2(len(heads))
+	// filter has bit h>>shift set for every build key's hash h, whose top
+	// bits are its bucket: a clear bit means an empty chain. Key scratch.
+	filter []uint64
+	shift  uint // 64 - log2(len(heads)) - 3: h>>shift is the filter bit, >>3 more the bucket
 
 	build        [][]int32 // build tuples, borrowed from the operator
 	bks, pks     []keyCol  // build- and probe-side key columns
 	buildIsRight bool      // output orientation: probe tuple first
 }
 
+// probeBlock is the probe kernel's candidate-pass width.
+const probeBlock = 256
+
 // index threads t.keys (already gathered, owned by t from here on) into
-// the bucket chains, checking ctx every cancelCheckRows inserts. On error
-// the buffers stay owned; release returns them.
+// the bucket chains and the filter, checking ctx every cancelCheckRows
+// inserts. On error the buffers stay owned; release returns them.
 func (t *joinTable) index(ctx context.Context, pool *BatchPool) error {
 	n := len(t.keys)
 	lg := 0
@@ -49,19 +62,23 @@ func (t *joinTable) index(ctx context.Context, pool *BatchPool) error {
 		lg = bits.Len(uint(n - 1))
 	}
 	nb := 1 << lg
-	t.shift = uint(64 - lg)
+	nw := max(nb/8, 1)
+	t.shift = uint(64 - lg - 3)
 	t.heads = slices.Grow(pool.GetSel(nb), nb)[:nb]
 	t.next = slices.Grow(pool.GetSel(n), n)[:n]
+	t.filter = slices.Grow(pool.GetKeys(nw), nw)[:nw]
 	clear(t.heads)
+	clear(t.filter)
 	for i := n - 1; i >= 0; i-- {
 		if i%cancelCheckRows == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		b := t.keys[i] * hashMul >> t.shift
-		t.next[i] = t.heads[b]
-		t.heads[b] = int32(i + 1)
+		f := t.keys[i] * hashMul >> t.shift
+		t.filter[f>>6] |= 1 << (f & 63)
+		t.next[i] = t.heads[f>>3]
+		t.heads[f>>3] = int32(i + 1)
 	}
 	return nil
 }
@@ -69,33 +86,62 @@ func (t *joinTable) index(ctx context.Context, pool *BatchPool) error {
 // probe appends to buf the join output of pts in probe order, each probe
 // tuple's matches in ascending build index, left tuple first; pkeys[i] is
 // pts[i]'s gathered key. It returns after the probe tuple that brings
-// len(buf) past most, with the number of probe tuples consumed.
+// len(buf) past most, with the number of probe tuples consumed; callers
+// pass len(buf) <= most. Per block of probeBlock tuples it lists the
+// candidates, loads all their bucket heads (independent loads that overlap
+// on a cache-missing table), then walks their chains in order. Its scratch
+// is on the stack, so concurrent probes of one table share none.
 func (t *joinTable) probe(pts [][]int32, pkeys []uint64, buf [][]int32, c *arenaChunk, most int) ([][]int32, int) {
 	heads, next, keys, build, shift := t.heads, t.next, t.keys, t.build, t.shift
 	// A single-column key is the raw value, so equal keys are equal tuples;
 	// composite keys are FNV hashes and still need the column-wise check.
 	composite := len(t.bks) > 1
-	for i, pt := range pts {
-		k := pkeys[i]
-		for e := heads[k*hashMul>>shift]; e != 0; e = next[e-1] {
-			if keys[e-1] != k {
-				continue
-			}
-			bt := build[e-1]
-			if composite && !keysEqual(pt, t.pks, bt, t.bks) {
-				continue
-			}
-			if t.buildIsRight {
-				buf = append(buf, c.concat(pt, bt))
-			} else {
-				buf = append(buf, c.concat(bt, pt))
-			}
+	var cand, head [probeBlock]int32
+	for lo := 0; lo < len(pts); lo += probeBlock {
+		cs := cand[:t.candidates(&cand, pkeys, lo, min(lo+probeBlock, len(pts)))]
+		for j, i := range cs {
+			head[j] = heads[pkeys[i]*hashMul>>shift>>3]
 		}
-		if len(buf) > most {
-			return buf, i + 1
+		for j, i := range cs {
+			k, pt := pkeys[i], pts[i]
+			for e := head[j]; e != 0; e = next[e-1] {
+				if keys[e-1] != k {
+					continue
+				}
+				bt := build[e-1]
+				if composite && !keysEqual(pt, t.pks, bt, t.bks) {
+					continue
+				}
+				if t.buildIsRight {
+					buf = append(buf, c.concat(pt, bt))
+				} else {
+					buf = append(buf, c.concat(bt, pt))
+				}
+			}
+			if len(buf) > most {
+				return buf, int(i) + 1
+			}
 		}
 	}
 	return buf, len(pts)
+}
+
+// candidates stores in cand, ascending, the indices in [lo, hi) (at most
+// probeBlock) of the pkeys whose filter bit is set, and returns their
+// count. Branch-free: every index is stored, the count advances by the
+// bit; n <= i-lo, so the mask and shift&63 only spare checks. Out of line
+// so n and i stay in registers: inlined into probe, both spilled.
+//
+//go:noinline
+func (t *joinTable) candidates(cand *[probeBlock]int32, pkeys []uint64, lo, hi int) int {
+	filter, shift := t.filter, t.shift&63
+	n := 0
+	for i := lo; i < hi; i++ {
+		f := pkeys[i] * hashMul >> shift
+		cand[n&(probeBlock-1)] = int32(i)
+		n += int(filter[f>>6] >> (f & 63) & 1)
+	}
+	return n
 }
 
 // release returns the table's buffers to pool and empties the table.
@@ -104,5 +150,6 @@ func (t *joinTable) release(pool *BatchPool) {
 	pool.PutSel(t.heads)
 	pool.PutSel(t.next)
 	pool.PutKeys(t.keys)
+	pool.PutKeys(t.filter)
 	*t = joinTable{}
 }

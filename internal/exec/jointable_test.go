@@ -77,7 +77,9 @@ func checkJoinCase(tb testing.TB, pool *BatchPool, c joinCase) {
 		if err := tab.index(context.Background(), pool); err != nil {
 			tb.Fatal(err)
 		}
-		for _, stop := range []int{1, 3, math.MaxInt} {
+		// The last two thresholds land past the kernel's first candidate
+		// block on long probe sides.
+		for _, stop := range []int{1, 3, max((len(want)+1)/2, 1), max(len(want), 1), math.MaxInt} {
 			var got [][]int32
 			for i := 0; i < len(pt); {
 				buf, n := tab.probe(pt[i:], pkeys[i:], nil, nil, stop-1)
@@ -190,6 +192,64 @@ func TestJoinTableMatchesMapOracle(t *testing.T) {
 		checkJoinCase(t, pool, joinCase{build: [][]int64{build}, probe: [][]int64{mk(300, 80)}})
 	})
 
+	t.Run("one-word filter", func(t *testing.T) {
+		// Builds of 0-9 keys: up to 8 the filter is a single word, partly
+		// unused. Probe sides span several candidate blocks.
+		for n := 0; n <= 9; n++ {
+			checkJoinCase(t, pool, joinCase{build: [][]int64{randCol(rng, n, n+1, 0)}, probe: [][]int64{randCol(rng, 600, n+3, -1)}})
+		}
+	})
+
+	t.Run("leading misses", func(t *testing.T) {
+		// 320 probe tuples miss before the first match: whole candidate
+		// blocks come out empty and the first emission is deep in block 2.
+		probe := append(randCol(rng, 320, 50, -100), randCol(rng, 200, 60, 0)...)
+		checkJoinCase(t, pool, joinCase{build: [][]int64{randCol(rng, 100, 50, 0)}, probe: [][]int64{probe}})
+	})
+
+	t.Run("filter false positives", func(t *testing.T) {
+		// Keys forged through hashMulInv have chosen hashes. A 64-key build
+		// has 64 buckets (the hash's top 6 bits) and 512 filter bits (its
+		// top 9). The build fills buckets 0-3 under filter sub-bits 0-1;
+		// each probe key matches, shares a bucket and filter bit with a build
+		// key without being one, or shares only the bucket.
+		inv := hashMulInv()
+		key := func(bucket, sub, low uint64) int64 { return int64((bucket<<58 | sub<<55 | low) * inv) }
+		var build, probe []int64
+		for j := uint64(0); j < 64; j++ {
+			build = append(build, key(j%4, j%2, j))
+		}
+		tab := joinTable{keys: make([]uint64, len(build))}
+		for i, v := range build {
+			tab.keys[i] = uint64(v)
+		}
+		if err := tab.index(context.Background(), nil); err != nil {
+			t.Fatal(err)
+		}
+		isSet := func(k int64) bool {
+			f := uint64(k) * hashMul >> tab.shift
+			return tab.filter[f>>6]>>(f&63)&1 != 0
+		}
+		for i := 0; i < 400; i++ {
+			j := uint64(rng.Intn(64))
+			var k int64
+			switch rng.Intn(3) {
+			case 0:
+				k = build[j]
+			case 1:
+				if k = key(j%4, j%2, 64+j); !isSet(k) {
+					t.Fatalf("probe key %x should pass the filter", k)
+				}
+			default:
+				if k = key(j%4, 2+j%6, j); isSet(k) {
+					t.Fatalf("probe key %x should fail the filter", k)
+				}
+			}
+			probe = append(probe, k)
+		}
+		checkJoinCase(t, pool, joinCase{build: [][]int64{build}, probe: [][]int64{probe}})
+	})
+
 	t.Run("composite", func(t *testing.T) {
 		checkJoinCase(t, pool, joinCase{
 			build: [][]int64{randCol(rng, 300, 6, -2), randCol(rng, 300, 5, 1<<53)},
@@ -216,7 +276,7 @@ func TestJoinTableMatchesMapOracle(t *testing.T) {
 }
 
 // TestJoinTableCancelMidBuild: a build canceled at any of its cooperative
-// checks returns the error with all three buffers still owned, and release
+// checks returns the error with all four buffers still owned, and release
 // hands them back.
 func TestJoinTableCancelMidBuild(t *testing.T) {
 	n := 3*cancelCheckRows + 17
@@ -228,8 +288,8 @@ func TestJoinTableCancelMidBuild(t *testing.T) {
 		if err := tab.index(ctx, pool); !errors.Is(err, context.Canceled) {
 			t.Fatalf("after=%d: index err = %v, want Canceled", after, err)
 		}
-		if pool.InUse() != 3 {
-			t.Fatalf("after=%d: %d buffers live at the canceled build, want heads+next+keys", after, pool.InUse())
+		if pool.InUse() != 4 {
+			t.Fatalf("after=%d: %d buffers live at the canceled build, want heads+next+keys+filter", after, pool.InUse())
 		}
 		tab.release(pool)
 		if pool.InUse() != 0 || len(pool.Misuse()) != 0 {
@@ -245,6 +305,12 @@ func FuzzJoinTable(f *testing.F) {
 	f.Add([]byte{1, 9, 9, 9, 9, 9, 9, 9, 9, 9})
 	f.Add([]byte{2, 0, 255, 0, 255, 7, 7})
 	f.Add([]byte{3})
+	long := make([]byte, 900)
+	for i := range long {
+		long[i] = byte(i * 7 % 13)
+	}
+	long[0] = 4
+	f.Add(long)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) == 0 || len(in) > 4096 {
 			return
@@ -270,6 +336,23 @@ func FuzzJoinTable(f *testing.F) {
 			}
 			for i := range c.pkeys {
 				c.pkeys[i] = uint64(body[nb+i] % 3)
+			}
+		}
+		if shape&4 != 0 {
+			// Keys through hashMulInv hash to small ints (or, negative, to
+			// near 2^64): a few buckets and filter bits hold long chains.
+			inv := hashMulInv()
+			for _, side := range [][][]int64{c.build, c.probe} {
+				for _, col := range side {
+					for i := range col {
+						col[i] *= int64(inv)
+					}
+				}
+			}
+			for _, ks := range [][]uint64{c.bkeys, c.pkeys} {
+				for i := range ks {
+					ks[i] *= inv
+				}
 			}
 		}
 		checkJoinCase(t, NewDebugBatchPool(), c)

@@ -293,7 +293,7 @@ func TestPoolNoLeakOnCancellation(t *testing.T) {
 	}
 	// Cancellation landing at every cooperative check of a join whose build
 	// and probe both span several check intervals — so some land inside the
-	// table build and inside the probe, with heads/next/keys live. The serial
+	// table build and inside the probe, with heads/next/keys/filter live. The serial
 	// run's check sequence is deterministic: sweep it end to end.
 	jq := &query.Query{
 		Refs: []query.TableRef{{Alias: "a", Table: "fact"}, {Alias: "b", Table: "fact"}},
