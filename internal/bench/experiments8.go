@@ -161,9 +161,9 @@ func E17Pooling(ctx context.Context, env *Env, workerCounts []int, repeat int) (
 	}
 	r.Notes = append(r.Notes,
 		"every run's Count, Value and full CostStats are byte-identical to the serial ReferenceRun — checked per run, pooled and unpooled",
-		"mode=pooled recycles row-id batches, selection vectors, span buffers, join-key scratch and tuple slabs through the executor's BatchPool; mode=nopool (the -nopool flag) plainly allocates on every call",
+		"mode=pooled recycles row-id vectors (batch columns, selection vectors, join match indices) and join-key scratch through the executor's BatchPool; mode=nopool (the -nopool flag) plainly allocates on every call",
 		"allocs/op and allocs/row are runtime.MemStats Mallocs deltas over the measured runs, after 2 warm-up runs populate the pool; rows = TuplesRead + TuplesJoined",
-		"workers > 1 additionally runs the buffered inter-operator exchange, whose channel buffers come from the same pool",
+		"workers > 1 additionally runs the buffered inter-operator exchange, whose in-flight column vectors come from the same pool",
 		fmt.Sprintf("GOMAXPROCS=%d; ms is the mean measured run (memory accounting forbids best-of: the delta spans all runs)", runtime.GOMAXPROCS(0)),
 	)
 	return r, nil

@@ -1,7 +1,8 @@
 // aggSink is the pipeline's root consumer: it drains the operator tree
 // and folds the query's aggregate incrementally, in emission order — the
-// same tuple order the reference evaluator folds over its materialized
-// final relation, so SUM/AVG bit patterns match exactly.
+// same row order the reference evaluator folds over its materialized
+// final relation, so SUM/AVG bit patterns match exactly. It reads one
+// column, the aggregate's alias, and for COUNT(*) none: only row counts.
 package exec
 
 import (
@@ -15,9 +16,11 @@ import (
 )
 
 type aggSink struct {
-	e     *Executor
-	q     *query.Query
-	child Operator
+	e      *Executor
+	q      *query.Query
+	child  Operator
+	reads  [1]string // backs needed
+	needed []string  // the aggregate's alias, or nothing for COUNT(*)
 
 	ctx context.Context
 	pos int
@@ -34,9 +37,13 @@ type aggSink struct {
 	tel         OpTelemetry
 }
 
-func newAggSink(e *Executor, q *query.Query, child Operator) *aggSink {
+func newAggSink(e *Executor, q *query.Query) *aggSink {
 	s := drawOp[aggSink](e.batchPool(), opSink)
-	s.e, s.q, s.child, s.lo, s.hi = e, q, child, math.Inf(1), math.Inf(-1)
+	s.e, s.q, s.lo, s.hi = e, q, math.Inf(1), math.Inf(-1)
+	if q.Agg.Kind != query.AggCount {
+		s.reads[0] = q.Agg.Alias
+		s.needed = s.reads[:]
+	}
 	return s
 }
 
@@ -82,10 +89,10 @@ func (s *aggSink) drain() error {
 		if b == nil {
 			break
 		}
-		s.count += int64(b.Len())
+		s.count += int64(b.N)
 		if s.col != nil {
-			for _, t := range b.Tuples {
-				v := s.col.Float(int(t[s.pos]))
+			for _, r := range b.Cols[s.pos][:b.N] {
+				v := s.col.Float(int(r))
 				s.sum += v
 				if v < s.lo {
 					s.lo = v

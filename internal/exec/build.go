@@ -40,8 +40,13 @@ func drawOp[T any](p *BatchPool, k opKind) *T {
 // slice capacity — Open resolves everything catalog-derived again.
 type recycler interface{ recycle(p *BatchPool) }
 
-// buildOperator constructs the operator tree for the plan rooted at n.
-func (e *Executor) buildOperator(q *query.Query, n *plan.Node, analyze bool) (Operator, error) {
+// buildOperator constructs the operator tree for the plan rooted at n,
+// whose consumer reads the aliases in need (nil: none). Each operator
+// emits only those of its subtree; a join asks its inputs for need plus
+// its conditions' aliases, so intermediate rows carry just the key
+// columns later joins probe with and the aggregate's column.
+func (e *Executor) buildOperator(q *query.Query, n *plan.Node, need []string, analyze bool) (Operator, error) {
+	pool := e.batchPool()
 	if n.Op == plan.Merge {
 		if len(n.Shards) == 0 {
 			return nil, fmt.Errorf("exec: Merge node for %s has no shards", n.Alias)
@@ -52,7 +57,7 @@ func (e *Executor) buildOperator(q *query.Query, n *plan.Node, analyze bool) (Op
 			// Shard engines draw from the owning executor's pool; their
 			// emitted rows are plainly allocated (retained by the exchange
 			// operators) but selection scaffolding is shared.
-			lb.pool, lb.noPool = e.batchPool(), e.NoPool
+			lb.pool, lb.noPool = pool, e.NoPool
 			backend = lb
 		}
 		exs := make([]*exchangeOp, len(n.Shards))
@@ -62,27 +67,36 @@ func (e *Executor) buildOperator(q *query.Query, n *plan.Node, analyze bool) (Op
 			}
 			exs[i] = &exchangeOp{backend: backend, q: q, node: s}
 		}
-		return timed(&mergeOp{e: e, q: q, node: n, exs: exs, pool: e.batchPool(), analyze: analyze}, analyze), nil
+		return timed(&mergeOp{e: e, q: q, node: n, exs: exs, pool: pool, need: need, analyze: analyze}, analyze), nil
 	}
 	if n.IsLeaf() {
 		switch n.Op {
 		case plan.SeqScan:
-			s := drawOp[seqScanOp](e.batchPool(), opSeqScan)
-			s.e, s.q, s.node, s.pool = e, q, n, e.batchPool()
+			s := drawOp[seqScanOp](pool, opSeqScan)
+			s.e, s.q, s.node, s.pool, s.need = e, q, n, pool, need
 			return timed(s, analyze), nil
 		case plan.IndexScan:
-			s := drawOp[indexScanOp](e.batchPool(), opIndexScan)
-			s.e, s.q, s.node, s.pool = e, q, n, e.batchPool()
+			s := drawOp[indexScanOp](pool, opIndexScan)
+			s.e, s.q, s.node, s.pool, s.need = e, q, n, pool, need
 			return timed(s, analyze), nil
 		default:
 			return nil, fmt.Errorf("exec: %s is not a scan operator", n.Op)
 		}
 	}
-	left, err := e.buildOperator(q, n.Left, analyze)
+	// An equi-join is drawn before its inputs are built: its struct holds
+	// the alias list they are asked for. A cross join asks for need alone.
+	var j *hashJoinOp
+	childNeed := need
+	if len(n.Cond) > 0 {
+		j = drawOp[hashJoinOp](pool, opHashJoin)
+		j.childNeed = joinNeed(j.childNeed[:0], need, n.Cond)
+		childNeed = j.childNeed
+	}
+	left, err := e.buildOperator(q, n.Left, childNeed, analyze)
 	if err != nil {
 		return nil, err
 	}
-	right, err := e.buildOperator(q, n.Right, analyze)
+	right, err := e.buildOperator(q, n.Right, childNeed, analyze)
 	if err != nil {
 		return nil, err
 	}
@@ -90,19 +104,18 @@ func (e *Executor) buildOperator(q *query.Query, n *plan.Node, analyze bool) (Op
 	// adjacent pipeline stages overlap (a no-op unless Workers > 1; Merge
 	// children are its own scatter-gather exchanges and are never wrapped).
 	left, right = e.stage(left, analyze), e.stage(right, analyze)
-	if len(n.Cond) == 0 {
+	if j == nil {
 		// Cross product: only nested loop supports it.
 		if n.Op != plan.NestedLoopJoin {
 			return nil, fmt.Errorf("exec: %s requires at least one equi-join condition", n.Op)
 		}
-		c := drawOp[crossJoinOp](e.batchPool(), opCrossJoin)
-		c.e, c.q, c.node, c.left, c.right, c.pool = e, q, n, left, right, e.batchPool()
+		c := drawOp[crossJoinOp](pool, opCrossJoin)
+		c.e, c.q, c.node, c.left, c.right, c.pool, c.need = e, q, n, left, right, pool, need
 		return timed(c, analyze), nil
 	}
 	switch n.Op {
 	case plan.HashJoin, plan.MergeJoin, plan.NestedLoopJoin:
-		j := drawOp[hashJoinOp](e.batchPool(), opHashJoin)
-		j.e, j.q, j.node, j.left, j.right, j.pool = e, q, n, left, right, e.batchPool()
+		j.e, j.q, j.node, j.left, j.right, j.pool, j.need = e, q, n, left, right, pool, need
 		return timed(j, analyze), nil
 	default:
 		return nil, fmt.Errorf("exec: %s is not a join operator", n.Op)

@@ -6,7 +6,7 @@
 //
 // Transparency contract. The exchange changes only scheduling, never
 // what is measured: batches cross the channel in emission order with
-// their tuples copied verbatim into pooled buffers, the operator carries
+// their columns copied verbatim into pooled vectors, the operator carries
 // no plan node and charges no work units, and its telemetry never
 // reaches CostStats or EXPLAIN ANALYZE (both are plan-node-driven). The
 // channel-close happens-before edge means the child's final charges are
@@ -25,11 +25,11 @@ import (
 // keep both stages busy, without ballooning in-flight memory.
 const exchangeDepth = 4
 
-// pipeItem is one message from producer to consumer: a pooled copy of a
-// batch's tuple pointers, or the child's terminal error.
+// pipeItem is one message from producer to consumer: a slot holding a
+// pooled copy of a batch, or the child's terminal error.
 type pipeItem struct {
-	tuples [][]int32
-	err    error
+	b   *Batch
+	err error
 }
 
 // concurrentOp decouples its child behind a bounded channel of pooled
@@ -45,9 +45,14 @@ type concurrentOp struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	prev [][]int32 // last buffer handed to the consumer; put on the next pull
+	// slots carry the in-flight batches: at most exchangeDepth in the
+	// channel, one being filled and one held by the consumer, so a free
+	// slot is always waiting.
+	slots [exchangeDepth + 2]Batch
+	free  chan *Batch
+
+	prev *Batch // slot handed to the consumer; its vectors go back on the next pull
 	done bool
-	out  Batch
 	tel  OpTelemetry
 }
 
@@ -69,15 +74,19 @@ func (c *concurrentOp) Open(ctx context.Context) error {
 	}
 	c.ch = make(chan pipeItem, exchangeDepth)
 	c.stop = make(chan struct{})
+	c.free = make(chan *Batch, len(c.slots))
+	for i := range c.slots {
+		c.free <- &c.slots[i]
+	}
 	c.wg.Add(1)
 	go c.produce()
 	return nil
 }
 
-// produce pulls the child to exhaustion, copying each batch's outer
-// slice into a pooled buffer (the child may reuse its own on the next
-// pull) and sending it downstream. Ownership of a sent buffer passes to
-// the consumer; a buffer that cannot be sent (stop raced the send) is
+// produce pulls the child to exhaustion, copying each batch into a free
+// slot's pooled vectors (the child may reuse its own on the next pull)
+// and sending it downstream. Ownership of a sent slot's vectors passes to
+// the consumer; a slot that cannot be sent (stop raced the send) has them
 // returned to the pool here.
 func (c *concurrentOp) produce() {
 	defer c.wg.Done()
@@ -99,23 +108,29 @@ func (c *concurrentOp) produce() {
 		if b == nil {
 			return
 		}
-		buf := c.pool.GetTuples(len(b.Tuples))
-		buf = append(buf, b.Tuples...)
+		slot := <-c.free
+		slot.alloc(c.pool, len(b.Cols))
+		slot.appendRows(b, 0, b.N)
 		select {
-		case c.ch <- pipeItem{tuples: buf}:
+		case c.ch <- pipeItem{b: slot}:
 		case <-c.stop:
-			c.pool.PutTuples(buf)
+			slot.free(c.pool)
 			return
 		}
 	}
 }
 
-func (c *concurrentOp) Next() (*Batch, error) {
+// release returns the consumer's previous slot and its vectors.
+func (c *concurrentOp) release() {
 	if c.prev != nil {
-		c.pool.PutTuples(c.prev)
+		c.prev.free(c.pool)
+		c.free <- c.prev
 		c.prev = nil
-		c.out.Tuples = nil
 	}
+}
+
+func (c *concurrentOp) Next() (*Batch, error) {
+	c.release()
 	if c.done {
 		return nil, nil
 	}
@@ -129,12 +144,11 @@ func (c *concurrentOp) Next() (*Batch, error) {
 			c.done = true
 			return nil, it.err
 		}
-		c.prev = it.tuples
-		c.out.Tuples = it.tuples
-		c.tel.RowsIn += int64(len(it.tuples))
-		c.tel.RowsOut += int64(len(it.tuples))
+		c.prev = it.b
+		c.tel.RowsIn += int64(it.b.N)
+		c.tel.RowsOut += int64(it.b.N)
 		c.tel.Batches++
-		return &c.out, nil
+		return it.b, nil
 	case <-c.ctx.Done():
 		return nil, c.ctx.Err()
 	}
@@ -147,15 +161,13 @@ func (c *concurrentOp) Close() error {
 		// The producer has exited and closed the channel; drain whatever
 		// it had in flight back into the pool.
 		for it := range c.ch {
-			c.pool.PutTuples(it.tuples)
+			if it.b != nil {
+				it.b.free(c.pool)
+			}
 		}
 		c.ch = nil
+		c.release()
 	}
-	if c.prev != nil {
-		c.pool.PutTuples(c.prev)
-		c.prev = nil
-	}
-	c.out.Tuples = nil
 	return c.child.Close()
 }
 

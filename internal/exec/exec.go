@@ -89,7 +89,7 @@ type Executor struct {
 	// execution; values above 1 partition scans and hash-join probes
 	// across that many goroutines.
 	Workers int
-	// BatchSize is the number of tuples per batch streamed between
+	// BatchSize is the number of rows per batch streamed between
 	// operators. 0 means DefaultBatchSize. It trades per-batch overhead
 	// against in-flight memory and never affects results.
 	BatchSize int
@@ -99,10 +99,10 @@ type Executor struct {
 	// either way; the flag exists for A/B benchmarking (lqo-bench -novec)
 	// and as an escape hatch.
 	NoVec bool
-	// NoPool disables the batch/selection-vector pool and the tuple
-	// arena (pool.go), restoring plain per-block allocation. Results are
-	// identical either way; together with NoVec and NoExchange a
-	// regression bisects to pooling vs kernels vs concurrency
+	// NoPool disables the row-id vector and key-scratch pool (pool.go)
+	// and operator-struct recycling, restoring plain per-use allocation.
+	// Results are identical either way; together with NoVec and
+	// NoExchange a regression bisects to pooling vs kernels vs concurrency
 	// (lqo-bench -nopool).
 	NoPool bool
 	// NoExchange disables the buffered inter-operator exchange
@@ -131,9 +131,8 @@ func (e *Executor) SetPool(p *BatchPool) {
 }
 
 // batchPool returns the executor's pool, creating it on first use. Nil
-// under NoPool: every pool and arena call site accepts a nil pool and
-// falls back to plain allocation, which is exactly the pre-pooling
-// behavior.
+// under NoPool: every pool call site accepts a nil pool and falls back
+// to plain allocation, which is exactly the pre-pooling behavior.
 func (e *Executor) batchPool() *BatchPool {
 	if e.NoPool {
 		return nil
@@ -196,13 +195,14 @@ func (e *Executor) RunAnalyze(ctx context.Context, q *query.Query, p *plan.Node)
 }
 
 func (e *Executor) run(ctx context.Context, q *query.Query, p *plan.Node, analyze bool) (res *Result, pt *PlanTelemetry, err error) {
-	root, err := e.buildOperator(q, p, analyze)
+	sink := newAggSink(e, q)
+	root, err := e.buildOperator(q, p, sink.needed, analyze)
 	if err != nil {
 		return nil, nil, err
 	}
 	// Decouple the sink from the root producer so the final join overlaps
 	// the aggregate fold (a no-op wrapper unless Workers > 1).
-	sink := newAggSink(e, q, e.stage(root, analyze))
+	sink.child = e.stage(root, analyze)
 	top := timed(sink, analyze)
 	if oerr := top.Open(ctx); oerr != nil {
 		// Close releases whatever Open managed to acquire; the Open
@@ -280,13 +280,6 @@ func matchesAll(cols []*data.Column, preds []query.Pred, row int) bool {
 // product is exact far beyond every reachable boundary.
 func productExceeds(a, b, limit int) bool {
 	return float64(a)*float64(b) > float64(limit)
-}
-
-func concatTuple(a, b []int32) []int32 {
-	//lqolint:ignore poolret result tuples are owned by the caller's materialized batch, not returned to the pool; the reference-evaluator join path runs with a nil pool by design
-	t := make([]int32, 0, len(a)+len(b))
-	t = append(t, a...)
-	return append(t, b...)
 }
 
 func nlogn(n float64) float64 {

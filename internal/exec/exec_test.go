@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lqo/internal/data"
@@ -359,6 +361,46 @@ func TestGeneratedCatalogsExecute(t *testing.T) {
 		}
 		if res.Count <= 0 {
 			t.Fatalf("FK join produced %d rows — generator referential integrity broken", res.Count)
+		}
+	}
+}
+
+// TestJoinSchemasArePruned: every operator emits only the columns its
+// consumer reads. Under COUNT(*) the root join of the chain a-b-c emits
+// none and the lower join only b, the alias its parent joins on; an
+// aggregate's alias rides up from its leaf through both joins.
+func TestJoinSchemasArePruned(t *testing.T) {
+	cat := smallCatalog(5)
+	for _, c := range []struct {
+		agg         query.Agg
+		root, lower []string
+	}{
+		{query.Agg{}, nil, []string{"b"}},
+		{query.Agg{Kind: query.AggSum, Alias: "a", Column: "v"}, []string{"a"}, []string{"a", "b"}},
+	} {
+		q := chainQuery()
+		q.Agg = c.agg
+		p, err := CanonicalPlan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New(cat)
+		root, err := e.buildOperator(q, p, newAggSink(e, q).needed, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := root.Open(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		lower := root.(*hashJoinOp).left
+		if got := root.Schema(); !slices.Equal(got, c.root) {
+			t.Errorf("%s: root join schema %v, want %v", c.agg, got, c.root)
+		}
+		if got := lower.Schema(); !slices.Equal(got, c.lower) {
+			t.Errorf("%s: lower join schema %v, want %v", c.agg, got, c.lower)
+		}
+		if err := root.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -6,7 +6,7 @@
 //
 // Build-side choice must match the reference evaluator exactly (build on
 // the strictly smaller input, ties to the right) because it determines
-// the output tuple order and therefore the bit pattern of float
+// the output row order and therefore the bit pattern of float
 // aggregates. The right child is drained first as the build candidate;
 // the left child is buffered only until it provably reaches the right
 // side's size — from then on it streams through the probe without
@@ -26,18 +26,19 @@ import (
 	"lqo/internal/query"
 )
 
-// probeSegmentRows is how many probe tuples per worker a partitioned
+// probeSegmentRows is how many probe rows per worker a partitioned
 // probe phase processes per fill step.
 const probeSegmentRows = 4096
 
-// keyCol resolves one side of a join condition: the tuple position of the
-// alias and the joined column.
+// keyCol resolves one side of a join condition: the position of the alias
+// in the side's schema (its batch column, or tuple position in the
+// reference evaluator) and the joined column.
 type keyCol struct {
 	pos int
 	col *data.Column
 }
 
-// keyColsFor appends to dst, for one side of a join, the (tuple position,
+// keyColsFor appends to dst, for one side of a join, the (schema position,
 // column) pairs supplying the composite key, given the side's alias
 // layout (schemas hold at most query.MaxRefs aliases, so positions
 // resolve by linear scan).
@@ -73,12 +74,12 @@ func keyColsFor(dst []keyCol, cat *data.Catalog, q *query.Query, schema []string
 	return dst, nil
 }
 
-func compositeKey(t []int32, kcs []keyCol) uint64 {
-	// FNV-1a over the key values; hash collisions are resolved by the
-	// probe's keysEqual re-check.
+// compositeKey hashes the key columns of row row: FNV-1a over the key
+// values, collisions resolved by the probe's keysEqual re-check.
+func compositeKey(cols [][]int32, row int, kcs []keyCol) uint64 {
 	var h uint64 = 1469598103934665603
 	for _, kc := range kcs {
-		v := uint64(kc.col.Ints[t[kc.pos]])
+		v := uint64(kc.col.Ints[cols[kc.pos][row]])
 		for i := 0; i < 8; i++ {
 			h ^= (v >> (8 * i)) & 0xff
 			h *= 1099511628211
@@ -88,13 +89,13 @@ func compositeKey(t []int32, kcs []keyCol) uint64 {
 }
 
 // keyGather is the typed key-extraction path for one side of a hash
-// join: the key column's []int64 storage and tuple position are resolved
-// once, so per-tuple extraction is a direct slice index instead of a
-// per-row column dispatch. Single-column keys (the overwhelmingly common
-// case) skip FNV mixing entirely — the raw int64 value is the table key,
-// which is injective, so equal keys need no keysEqual re-check. Output is
-// independent of the keying scheme either way: matches emit in build
-// order, whatever the bucketing.
+// join: the key column's []int64 storage and batch column are resolved
+// once, so extraction is a sequential pass over one row-id vector instead
+// of a per-row column dispatch. Single-column keys (the overwhelmingly
+// common case) skip FNV mixing entirely — the raw int64 value is the table
+// key, which is injective, so equal keys need no keysEqual re-check.
+// Output is independent of the keying scheme either way: matches emit in
+// build order, whatever the bucketing.
 type keyGather struct {
 	single bool
 	pos    int
@@ -109,35 +110,29 @@ func newKeyGather(kcs []keyCol) keyGather {
 	return keyGather{kcs: kcs}
 }
 
-// key extracts one tuple's join key.
-func (g *keyGather) key(t []int32) uint64 {
+// gather extracts the keys of rows [lo, hi) of cols into dst (reused
+// when its capacity suffices) — the one typed key gather both the build
+// and every probe buffer go through.
+func (g *keyGather) gather(cols [][]int32, lo, hi int, dst []uint64) []uint64 {
+	dst = slices.Grow(dst[:0], hi-lo)[:hi-lo]
 	if g.single {
-		return uint64(g.ints[t[g.pos]])
-	}
-	return compositeKey(t, g.kcs)
-}
-
-// gather bulk-extracts the keys of tuples into dst (reused when its
-// capacity suffices) — the one-pass typed key gather both the build and
-// every probe buffer go through.
-func (g *keyGather) gather(tuples [][]int32, dst []uint64) []uint64 {
-	dst = slices.Grow(dst[:0], len(tuples))[:len(tuples)]
-	if g.single {
-		ints, pos := g.ints, g.pos
-		for i, t := range tuples {
-			dst[i] = uint64(ints[t[pos]])
+		ints := g.ints
+		for i, r := range cols[g.pos][lo:hi] {
+			dst[i] = uint64(ints[r])
 		}
 		return dst
 	}
-	for i, t := range tuples {
-		dst[i] = compositeKey(t, g.kcs)
+	for i := range dst {
+		dst[i] = compositeKey(cols, lo+i, g.kcs)
 	}
 	return dst
 }
 
-func keysEqual(lt []int32, lks []keyCol, rt []int32, rks []keyCol) bool {
-	for i := range lks {
-		if lks[i].col.Ints[lt[lks[i].pos]] != rks[i].col.Ints[rt[rks[i].pos]] {
+// keysEqual reports whether probe row pi of pcols and build row bi of
+// bcols agree on every key column.
+func keysEqual(pcols [][]int32, pi int32, pks []keyCol, bcols [][]int32, bi int32, bks []keyCol) bool {
+	for k := range pks {
+		if pks[k].col.Ints[pcols[pks[k].pos][pi]] != bks[k].col.Ints[bcols[bks[k].pos][bi]] {
 			return false
 		}
 	}
@@ -152,35 +147,38 @@ type hashJoinOp struct {
 	q           *query.Query
 	node        *plan.Node
 	left, right Operator
-	schema      []string
 	pool        *BatchPool
+	need        []string // aliases the consumer reads
+	childNeed   []string // aliases both inputs are asked for: need plus the condition's
 
 	ctx      context.Context
+	schema   []string
+	srcs     []colSrc // where each output column comes from
 	lks, rks []keyCol
 	pg       keyGather
 
-	started bool
-	tab     joinTable // tab.build aliases bufLeft or bufRight
+	started      bool
+	buildIsRight bool
+	tab          joinTable // tab.build is bufLeft's or bufRight's columns
 
-	probeBuf    [][]int32 // current probe tuples (buffered side or a streamed batch view)
+	probe       Batch // current probe rows: a materialized side or a streamed batch view
 	probeIdx    int
 	probeStream bool // pull further probe batches from the left child
 
-	// Owned pooled buffers. tab.build and probeBuf only ever alias these (or
-	// a borrowed streamed batch), so Close returns exactly these and never a
-	// child's buffer.
-	bufLeft, bufRight [][]int32
-	seg               [][]int32 // pooled probe-segment gather buffer
-	pkeys             []uint64  // the serial probe's gathered keys of probeBuf (or of a short segment)
-
-	arena  tupleArena // slab storage behind emitted output tuples
-	chunk  arenaChunk // serial-path carving handle
-	chunks []arenaChunk
+	// Owned pooled buffers: the materialized inputs, the parallel probe's
+	// segment copy, the gathered probe keys and the match index vectors
+	// (probe row, build row). tab.build and probe only ever alias these or
+	// a borrowed streamed batch, so Close returns exactly these.
+	bufLeft, bufRight Batch
+	seg               Batch
+	pkeys             []uint64
+	match             [2][]int32
+	parts             [][]int32 // per-span match vectors of the parallel probe
 
 	leftRows, rightRows int64
 	probeChecked        int
 
-	pending [][]int32 // pooled buffer of output tuples awaiting emission
+	pending Batch // output columns awaiting emission; N counts them when there are none
 	pendIdx int
 	emitted int
 	done    bool
@@ -202,7 +200,7 @@ func (j *hashJoinOp) Open(ctx context.Context) error {
 		return err
 	}
 	ls, rs := j.left.Schema(), j.right.Schema()
-	j.schema = concatSchema(j.schema[:0], ls, rs)
+	j.schema, j.srcs = joinSchema(j.schema[:0], j.srcs[:0], ls, rs, j.need)
 	var err error
 	if j.lks, err = keyColsFor(j.lks[:0], j.e.Cat, j.q, ls, j.node.Cond, true); err != nil {
 		return err
@@ -210,31 +208,13 @@ func (j *hashJoinOp) Open(ctx context.Context) error {
 	if j.rks, err = keyColsFor(j.rks[:0], j.e.Cat, j.q, rs, j.node.Cond, false); err != nil {
 		return err
 	}
-	if j.pool != nil {
-		j.arena.pool = j.pool
-		j.chunk.a = &j.arena
-	}
-	j.pending = j.pool.GetTuples(0)
-	j.seg = j.pool.GetTuples(0)
-	j.bufLeft = j.pool.GetTuples(0)
-	j.bufRight = j.pool.GetTuples(0)
+	j.bufLeft.alloc(j.pool, len(ls))
+	j.bufRight.alloc(j.pool, len(rs))
+	j.pending.alloc(j.pool, len(j.schema))
 	j.pkeys = j.pool.GetKeys(0)
+	j.match[0], j.match[1] = j.pool.GetSel(0), j.pool.GetSel(0)
 	j.tel.charges = append(j.tel.charges, cStartup)
 	return nil
-}
-
-// ensureChunks sizes the per-span carving handles for the partitioned
-// probe; slab remainders persist across segments.
-func (j *hashJoinOp) ensureChunks(n int) {
-	if len(j.chunks) >= n {
-		return
-	}
-	j.chunks = make([]arenaChunk, n)
-	if j.pool != nil {
-		for i := range j.chunks {
-			j.chunks[i].a = &j.arena
-		}
-	}
 }
 
 // start runs the build phase: drain the right child (the build
@@ -249,13 +229,13 @@ func (j *hashJoinOp) start() error {
 		if b == nil {
 			break
 		}
-		j.tel.RowsIn += int64(b.Len())
-		j.bufRight = append(j.bufRight, b.Tuples...)
+		j.tel.RowsIn += int64(b.N)
+		j.bufRight.appendRows(b, 0, b.N)
 	}
-	j.rightRows = int64(len(j.bufRight))
+	j.rightRows = int64(j.bufRight.N)
 
 	leftDone := false
-	for int64(len(j.bufLeft)) < j.rightRows {
+	for int64(j.bufLeft.N) < j.rightRows {
 		b, err := j.left.Next()
 		if err != nil {
 			return err
@@ -264,29 +244,34 @@ func (j *hashJoinOp) start() error {
 			leftDone = true
 			break
 		}
-		j.tel.RowsIn += int64(b.Len())
-		j.bufLeft = append(j.bufLeft, b.Tuples...)
+		j.tel.RowsIn += int64(b.N)
+		j.bufLeft.appendRows(b, 0, b.N)
 	}
-	j.leftRows = int64(len(j.bufLeft))
+	j.leftRows = int64(j.bufLeft.N)
 
 	t := &j.tab
+	build := &j.bufRight
 	if leftDone && j.leftRows < j.rightRows {
 		// Left is strictly smaller: build on left, probe the materialized
 		// right side.
-		t.build, t.bks, t.pks = j.bufLeft, j.lks, j.rks
-		j.probeBuf = j.bufRight
+		build, j.probe = &j.bufLeft, j.bufRight
+		t.bks, t.pks = j.lks, j.rks
 	} else {
 		// Left is at least as large: build on right, probe the buffered
 		// prefix and then stream the rest of the left side.
-		t.buildIsRight = true
-		t.build, t.bks, t.pks = j.bufRight, j.rks, j.lks
-		j.probeBuf = j.bufLeft
+		j.buildIsRight = true
+		j.probe = j.bufLeft
+		t.bks, t.pks = j.rks, j.lks
 		j.probeStream = !leftDone
+	}
+	t.build = build.Cols
+	if j.e.workers() > 1 {
+		j.seg.alloc(j.pool, len(j.probe.Cols))
 	}
 	bg := newKeyGather(t.bks)
 	j.pg = newKeyGather(t.pks)
 	// Bulk-gather the build keys in one typed pass, then thread the table.
-	t.keys = bg.gather(t.build, j.pool.GetKeys(len(t.build)))
+	t.keys = bg.gather(build.Cols, 0, build.N, j.pool.GetKeys(build.N))
 	return t.index(j.ctx, j.pool)
 }
 
@@ -294,8 +279,8 @@ func (j *hashJoinOp) capErr() error {
 	return fmt.Errorf("exec: join output exceeds intermediate cap (%d)", j.e.maxRows())
 }
 
-// pullProbe replaces the exhausted probe buffer with the left child's
-// next batch; false once the probe side is exhausted.
+// pullProbe replaces the exhausted probe rows with the left child's next
+// batch; false once the probe side is exhausted.
 func (j *hashJoinOp) pullProbe() (bool, error) {
 	if !j.probeStream {
 		return false, nil
@@ -308,59 +293,67 @@ func (j *hashJoinOp) pullProbe() (bool, error) {
 		j.probeStream = false
 		return false, nil
 	}
-	j.leftRows += int64(b.Len())
-	j.tel.RowsIn += int64(b.Len())
-	j.probeBuf, j.probeIdx = b.Tuples, 0
+	j.leftRows += int64(b.N)
+	j.tel.RowsIn += int64(b.N)
+	j.probe, j.probeIdx = *b, 0
 	return true, nil
 }
 
-// gatherSegment collects up to n probe tuples for a partitioned probe
-// step into the reused pooled segment buffer, copying only tuple
-// pointers — the pointers stay valid after the source batch's outer
-// array is recycled by the producer's next pull.
-func (j *hashJoinOp) gatherSegment(n int) ([][]int32, error) {
-	seg := j.seg[:0]
-	defer func() { j.seg = seg }()
-	for len(seg) < n {
-		if j.probeIdx < len(j.probeBuf) {
-			take := len(j.probeBuf) - j.probeIdx
-			if take > n-len(seg) {
-				take = n - len(seg)
-			}
-			seg = append(seg, j.probeBuf[j.probeIdx:j.probeIdx+take]...)
+// gatherSegment copies up to n probe rows for a partitioned probe step
+// into the pooled segment buffer, so they outlive the pulls that produced
+// them.
+func (j *hashJoinOp) gatherSegment(n int) error {
+	j.seg.truncate()
+	for j.seg.N < n {
+		if j.probeIdx < j.probe.N {
+			take := min(j.probe.N-j.probeIdx, n-j.seg.N)
+			j.seg.appendRows(&j.probe, j.probeIdx, j.probeIdx+take)
 			j.probeIdx += take
 			continue
 		}
-		if ok, err := j.pullProbe(); err != nil {
-			return nil, err
-		} else if !ok {
-			break
+		if ok, err := j.pullProbe(); err != nil || !ok {
+			return err
 		}
 	}
-	return seg, nil
+	return nil
 }
 
-// probeSerial probes pts (keys pkeys) on the calling goroutine until
-// pending holds stop tuples or pts is exhausted, one kernel call per
-// cancellation interval, and returns the number of probe tuples consumed.
-func (j *hashJoinOp) probeSerial(pts [][]int32, pkeys []uint64, stop, limit int) (int, error) {
+// emitMatches gathers the output columns of the matched (probe, build)
+// row pairs in j.match, whose probe rows index p, onto pending.
+func (j *hashJoinOp) emitMatches(p *Batch) {
+	pidx, bidx := j.match[0], j.match[1]
+	for c, src := range j.srcs {
+		if src.left == j.buildIsRight {
+			j.pending.Cols[c] = gatherRows(j.pending.Cols[c], p.Cols[src.pos], pidx)
+		} else {
+			j.pending.Cols[c] = gatherRows(j.pending.Cols[c], j.tab.build[src.pos], bidx)
+		}
+	}
+	j.pending.N += len(bidx)
+	j.emitted += len(bidx)
+}
+
+// probeSerial probes rows lo, lo+1, … of p (keys pkeys) on the calling
+// goroutine until pending holds stop rows or pkeys is exhausted, one
+// kernel call per cancellation interval, and returns the number of probe
+// rows consumed.
+func (j *hashJoinOp) probeSerial(p *Batch, lo int, pkeys []uint64, stop, limit int) (int, error) {
 	i := 0
-	for i < len(pts) && len(j.pending) < stop {
+	for i < len(pkeys) && j.pending.N < stop {
 		sinceCheck := j.probeChecked % cancelCheckRows
 		if sinceCheck == 0 {
 			if err := j.ctx.Err(); err != nil {
 				return i, err
 			}
 		}
-		hi := min(i+cancelCheckRows-sinceCheck, len(pts))
-		before := len(j.pending)
+		hi := min(i+cancelCheckRows-sinceCheck, len(pkeys))
 		var n int
-		// Stopping at the first tuple past the cap bounds what a runaway
+		// Stopping at the first row past the cap bounds what a runaway
 		// probe materializes.
-		j.pending, n = j.tab.probe(pts[i:hi], pkeys[i:hi], j.pending, &j.chunk, min(stop-1, limit-(j.emitted-before)))
+		j.match[0], j.match[1], n = j.tab.probe(p.Cols, lo+i, pkeys[i:hi], j.match[0][:0], j.match[1][:0], min(stop-1-j.pending.N, limit-j.emitted))
 		i += n
 		j.probeChecked += n
-		j.emitted += len(j.pending) - before
+		j.emitMatches(p)
 		if j.emitted > limit {
 			return i, j.capErr()
 		}
@@ -368,22 +361,19 @@ func (j *hashJoinOp) probeSerial(pts [][]int32, pkeys []uint64, stop, limit int)
 	return i, nil
 }
 
-func (j *hashJoinOp) probeSegmentParallel(seg [][]int32, w, limit int) error {
-	spans := splitSpans(len(seg), w)
-	j.ensureChunks(len(spans))
+func (j *hashJoinOp) probeSegmentParallel(w, limit int) error {
+	seg := &j.seg
 	var exceeded atomic.Bool
-	before := len(j.pending)
-	var ok bool
-	j.pending, ok = collectSpans(j.pool, spans, j.pending, func(si int, sp span, buf [][]int32) ([][]int32, bool) {
-		pts := seg[sp.lo:sp.hi]
-		pk := j.pg.gather(pts, j.pool.GetKeys(len(pts)))
+	j.match[0], j.match[1] = j.match[0][:0], j.match[1][:0]
+	ok := collectSpans(j.pool, splitSpans(seg.N, w), j.match[:], &j.parts, func(_ int, sp span, out [][]int32) bool {
+		pk := j.pg.gather(seg.Cols, sp.lo, sp.hi, j.pool.GetKeys(sp.hi-sp.lo))
 		live := true
-		for lo := 0; lo < len(pts) && live; lo += 1024 {
-			hi := min(lo+1024, len(pts))
-			buf, _ = j.tab.probe(pts[lo:hi], pk[lo:hi], buf, &j.chunks[si], limit)
+		for lo := 0; lo < len(pk) && live; lo += 1024 {
+			hi := min(lo+1024, len(pk))
+			out[0], out[1], _ = j.tab.probe(seg.Cols, sp.lo+lo, pk[lo:hi], out[0], out[1], limit)
 			// A single partition past the cap already implies the total is
 			// past it; bail early instead of materializing more.
-			if len(buf) > limit {
+			if len(out[1]) > limit {
 				exceeded.Store(true)
 				live = false
 			} else if exceeded.Load() || j.ctx.Err() != nil {
@@ -391,21 +381,17 @@ func (j *hashJoinOp) probeSegmentParallel(seg [][]int32, w, limit int) error {
 			}
 		}
 		j.pool.PutKeys(pk)
-		return buf, live
+		return live
 	})
 	if err := j.ctx.Err(); err != nil {
 		return err
 	}
-	if exceeded.Load() {
+	if exceeded.Load() || !ok {
+		// !ok with neither cancellation nor the cap is impossible by
+		// construction, but fails closed rather than silently truncates.
 		return j.capErr()
 	}
-	if !ok {
-		// Neither canceled nor exceeded, yet a worker aborted: impossible
-		// by construction, but fail closed rather than silently truncate.
-		return j.capErr()
-	}
-	j.emitted += len(j.pending) - before
-	if j.emitted > limit {
+	if j.emitMatches(seg); j.emitted > limit {
 		return j.capErr()
 	}
 	return nil
@@ -417,37 +403,37 @@ func (j *hashJoinOp) fill() error {
 	bs := j.e.batchSize()
 	limit := j.e.maxRows()
 	w := j.e.workers()
-	for len(j.pending) < bs {
+	for j.pending.N < bs {
 		if w > 1 {
-			seg, err := j.gatherSegment(w * probeSegmentRows)
-			if err != nil {
+			if err := j.gatherSegment(w * probeSegmentRows); err != nil {
 				return err
 			}
-			if len(seg) == 0 {
+			var err error
+			switch {
+			case j.seg.N == 0:
 				return nil
-			}
-			if len(seg) >= parallelMinRows {
-				err = j.probeSegmentParallel(seg, w, limit)
-			} else {
-				j.pkeys = j.pg.gather(seg, j.pkeys)
-				_, err = j.probeSerial(seg, j.pkeys, math.MaxInt, limit)
+			case j.seg.N >= parallelMinRows:
+				err = j.probeSegmentParallel(w, limit)
+			default:
+				j.pkeys = j.pg.gather(j.seg.Cols, 0, j.seg.N, j.pkeys)
+				_, err = j.probeSerial(&j.seg, 0, j.pkeys, math.MaxInt, limit)
 			}
 			if err != nil {
 				return err
 			}
 			continue
 		}
-		if j.probeIdx == len(j.probeBuf) {
+		if j.probeIdx == j.probe.N {
 			if ok, err := j.pullProbe(); err != nil || !ok {
 				return err
 			}
 			continue
 		}
 		if j.probeIdx == 0 {
-			// First touch of this probe buffer: gather its keys once.
-			j.pkeys = j.pg.gather(j.probeBuf, j.pkeys)
+			// First touch of these probe rows: gather their keys once.
+			j.pkeys = j.pg.gather(j.probe.Cols, 0, j.probe.N, j.pkeys)
 		}
-		n, err := j.probeSerial(j.probeBuf[j.probeIdx:], j.pkeys[j.probeIdx:], bs, limit)
+		n, err := j.probeSerial(&j.probe, j.probeIdx, j.pkeys[j.probeIdx:j.probe.N], bs, limit)
 		j.probeIdx += n
 		if err != nil {
 			return err
@@ -469,18 +455,18 @@ func (j *hashJoinOp) Next() (*Batch, error) {
 			return nil, err
 		}
 	}
-	if j.pendIdx == len(j.pending) {
-		j.pending = j.pending[:0]
+	if j.pendIdx == j.pending.N {
+		j.pending.truncate()
 		j.pendIdx = 0
 		if err := j.fill(); err != nil {
 			return nil, err
 		}
 	}
-	if len(j.pending) == 0 {
+	if j.pending.N == 0 {
 		j.finish()
 		return nil, nil
 	}
-	return emitPending(&j.pending, &j.pendIdx, &j.out, &j.tel, j.e.batchSize()), nil
+	return emit(&j.pending, &j.pendIdx, &j.out, len(j.schema), &j.tel, j.e.batchSize()), nil
 }
 
 func (j *hashJoinOp) finish() {
@@ -501,24 +487,19 @@ func (j *hashJoinOp) finish() {
 }
 
 // Close returns the owned pooled buffers (bufLeft/bufRight/seg/pending/
-// pkeys and the table's heads/next/keys/filter — tab.build and probeBuf are
-// aliases of these or of a borrowed streamed batch, never Put) and
-// releases the output-tuple arena.
+// pkeys/match and the table's heads/next/keys/filter — tab.build and
+// probe are aliases of these or of a borrowed streamed batch, never Put).
 func (j *hashJoinOp) Close() error {
-	j.pool.PutTuples(j.bufLeft)
-	j.pool.PutTuples(j.bufRight)
-	j.pool.PutTuples(j.seg)
-	j.pool.PutTuples(j.pending)
+	j.bufLeft.free(j.pool)
+	j.bufRight.free(j.pool)
+	j.seg.free(j.pool)
+	j.pending.free(j.pool)
 	j.pool.PutKeys(j.pkeys)
+	j.pool.PutSel(j.match[0])
+	j.pool.PutSel(j.match[1])
 	j.tab.release(j.pool)
-	j.bufLeft, j.bufRight, j.seg, j.pkeys = nil, nil, nil, nil
-	j.probeBuf, j.pending, j.out.Tuples = nil, nil, nil
-	j.chunk.reset()
-	for i := range j.chunks {
-		j.chunks[i].reset()
-	}
-	j.chunks = nil
-	j.arena.release()
+	j.pkeys, j.match, j.probe = nil, [2][]int32{}, Batch{}
+	j.out.forget()
 	err := j.left.Close()
 	if err2 := j.right.Close(); err == nil {
 		err = err2
@@ -530,10 +511,15 @@ func (j *hashJoinOp) Telemetry() *OpTelemetry { return &j.tel }
 func (j *hashJoinOp) Schema() []string        { return j.schema }
 
 func (j *hashJoinOp) recycle(p *BatchPool) {
+	clear(j.childNeed)
 	clear(j.schema)
 	clear(j.lks)
 	clear(j.rks)
-	*j = hashJoinOp{schema: j.schema[:0], lks: j.lks[:0], rks: j.rks[:0], arena: tupleArena{slabs: j.arena.slabs}, tel: OpTelemetry{charges: j.tel.charges[:0]}}
+	*j = hashJoinOp{
+		childNeed: j.childNeed[:0], schema: j.schema[:0], srcs: j.srcs[:0], lks: j.lks[:0], rks: j.rks[:0],
+		bufLeft: j.bufLeft, bufRight: j.bufRight, seg: j.seg, pending: j.pending, out: j.out, parts: j.parts[:0],
+		tel: OpTelemetry{charges: j.tel.charges[:0]},
+	}
 	p.ops[opHashJoin].Put(j)
 }
 
@@ -545,18 +531,17 @@ type crossJoinOp struct {
 	q           *query.Query
 	node        *plan.Node
 	left, right Operator
-	schema      []string
 	pool        *BatchPool
+	need        []string // aliases the consumer reads, and all its inputs are asked for
 
 	ctx        context.Context
+	schema     []string
+	srcs       []colSrc
 	started    bool
-	lbuf, rbuf [][]int32 // pooled materialized inputs
+	lbuf, rbuf Batch // pooled materialized inputs
 	li, ri     int
 
-	arena tupleArena // slab storage behind emitted output tuples
-	chunk arenaChunk
-
-	pending [][]int32
+	pending Batch
 	pendIdx int
 	emitted int
 	done    bool
@@ -577,57 +562,66 @@ func (c *crossJoinOp) Open(ctx context.Context) error {
 	if err := c.right.Open(ctx); err != nil {
 		return err
 	}
-	c.schema = concatSchema(c.schema[:0], c.left.Schema(), c.right.Schema())
-	if c.pool != nil {
-		c.arena.pool = c.pool
-		c.chunk.a = &c.arena
-	}
-	c.lbuf = c.pool.GetTuples(0)
-	c.rbuf = c.pool.GetTuples(0)
-	c.pending = c.pool.GetTuples(0)
+	ls, rs := c.left.Schema(), c.right.Schema()
+	c.schema, c.srcs = joinSchema(c.schema[:0], c.srcs[:0], ls, rs, c.need)
+	c.lbuf.alloc(c.pool, len(ls))
+	c.rbuf.alloc(c.pool, len(rs))
+	c.pending.alloc(c.pool, len(c.schema))
 	c.tel.charges = append(c.tel.charges, cStartup)
 	return nil
 }
 
 func (c *crossJoinOp) start() error {
-	for _, pull := range []Operator{c.left, c.right} {
-		buf := &c.lbuf
-		if pull == c.right {
-			buf = &c.rbuf
-		}
+	for _, in := range [2]struct {
+		op  Operator
+		buf *Batch
+	}{{c.left, &c.lbuf}, {c.right, &c.rbuf}} {
 		for {
-			b, err := pull.Next()
+			b, err := in.op.Next()
 			if err != nil {
 				return err
 			}
 			if b == nil {
 				break
 			}
-			c.tel.RowsIn += int64(b.Len())
-			*buf = append(*buf, b.Tuples...)
+			c.tel.RowsIn += int64(b.N)
+			in.buf.appendRows(b, 0, b.N)
 		}
 	}
-	if productExceeds(len(c.lbuf), len(c.rbuf), c.e.maxRows()) {
-		return fmt.Errorf("exec: cross product of %d x %d exceeds intermediate cap", len(c.lbuf), len(c.rbuf))
+	if productExceeds(c.lbuf.N, c.rbuf.N, c.e.maxRows()) {
+		return fmt.Errorf("exec: cross product of %d x %d exceeds intermediate cap", c.lbuf.N, c.rbuf.N)
 	}
 	return nil
 }
 
+// fill appends pairs (li, ri), (li, ri+1), … in row-major order until
+// pending holds a batch: a left column repeats its row id, a right column
+// copies a run.
 func (c *crossJoinOp) fill() error {
 	bs := c.e.batchSize()
-	for len(c.pending) < bs && c.li < len(c.lbuf) {
+	for c.pending.N < bs && c.li < c.lbuf.N {
 		if c.ri == 0 && c.li%cancelCheckRows == 0 {
 			if err := c.ctx.Err(); err != nil {
 				return err
 			}
 		}
-		lt := c.lbuf[c.li]
-		for c.ri < len(c.rbuf) && len(c.pending) < bs {
-			c.pending = append(c.pending, c.chunk.concat(lt, c.rbuf[c.ri]))
-			c.ri++
-			c.emitted++
+		take := min(c.rbuf.N-c.ri, bs-c.pending.N)
+		for k, src := range c.srcs {
+			col := c.pending.Cols[k]
+			if src.left {
+				id := c.lbuf.Cols[src.pos][c.li]
+				for range take {
+					col = append(col, id)
+				}
+			} else {
+				col = append(col, c.rbuf.Cols[src.pos][c.ri:c.ri+take]...)
+			}
+			c.pending.Cols[k] = col
 		}
-		if c.ri == len(c.rbuf) {
+		c.pending.N += take
+		c.ri += take
+		c.emitted += take
+		if c.ri == c.rbuf.N {
 			c.ri = 0
 			c.li++
 		}
@@ -648,31 +642,29 @@ func (c *crossJoinOp) Next() (*Batch, error) {
 			return nil, err
 		}
 	}
-	if c.pendIdx == len(c.pending) {
-		c.pending = c.pending[:0]
+	if c.pendIdx == c.pending.N {
+		c.pending.truncate()
 		c.pendIdx = 0
 		if err := c.fill(); err != nil {
 			return nil, err
 		}
 	}
-	if len(c.pending) == 0 {
+	if c.pending.N == 0 {
 		c.done = true
-		nl, nr := float64(len(c.lbuf)), float64(len(c.rbuf))
+		nl, nr := float64(c.lbuf.N), float64(c.rbuf.N)
 		c.tel.charges = append(c.tel.charges, nl*nr*cNLCompare, float64(c.emitted)*cOutput)
 		c.tel.tuplesJoined = int64(c.emitted)
 		c.node.TrueCard = float64(c.emitted)
 		return nil, nil
 	}
-	return emitPending(&c.pending, &c.pendIdx, &c.out, &c.tel, c.e.batchSize()), nil
+	return emit(&c.pending, &c.pendIdx, &c.out, len(c.schema), &c.tel, c.e.batchSize()), nil
 }
 
 func (c *crossJoinOp) Close() error {
-	c.pool.PutTuples(c.lbuf)
-	c.pool.PutTuples(c.rbuf)
-	c.pool.PutTuples(c.pending)
-	c.lbuf, c.rbuf, c.pending, c.out.Tuples = nil, nil, nil, nil
-	c.chunk.reset()
-	c.arena.release()
+	c.lbuf.free(c.pool)
+	c.rbuf.free(c.pool)
+	c.pending.free(c.pool)
+	c.out.forget()
 	err := c.left.Close()
 	if err2 := c.right.Close(); err == nil {
 		err = err2
@@ -685,6 +677,10 @@ func (c *crossJoinOp) Schema() []string        { return c.schema }
 
 func (c *crossJoinOp) recycle(p *BatchPool) {
 	clear(c.schema)
-	*c = crossJoinOp{schema: c.schema[:0], arena: tupleArena{slabs: c.arena.slabs}, tel: OpTelemetry{charges: c.tel.charges[:0]}}
+	*c = crossJoinOp{
+		schema: c.schema[:0], srcs: c.srcs[:0],
+		lbuf: c.lbuf, rbuf: c.rbuf, pending: c.pending, out: c.out,
+		tel: OpTelemetry{charges: c.tel.charges[:0]},
+	}
 	p.ops[opCrossJoin].Put(c)
 }

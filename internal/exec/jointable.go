@@ -1,13 +1,13 @@
 // The hash join's build-side index and probe kernel.
 //
-// joinTable is a flat chained hash table over the build tuples: a
-// power-of-two array of bucket heads, one successor link per build tuple,
+// joinTable is a flat chained hash table over the build rows: a
+// power-of-two array of bucket heads, one successor link per build row,
 // the build keys gathered by keyGather and an occupancy filter of 8 bits
 // per bucket, all pooled buffers held from the build to the operator's
 // Close. Chains are threaded in ascending build index — inserting in
 // descending order makes every new head the smallest index so far —
 // because that is the order `map[key] → []int32{indices appended in build
-// order}` yields in the reference evaluator: it fixes the output tuple
+// order}` yields in the reference evaluator: it fixes the output row
 // order and with it the bit pattern of float aggregates.
 //
 // Buckets come from a multiply-shift hash (the top bits of key × an odd
@@ -15,12 +15,13 @@
 // and sequential, which the golden-ratio multiplier spreads evenly where a
 // low-bits mask would pile strided ids into few buckets.
 //
-// The probe is two-pass because most probe tuples miss: a branch-free pass
+// The probe is two-pass because most probe rows miss: a branch-free pass
 // keeps those whose filter bit is set, and only they walk a chain. A
-// one-pass walk pays two data-dependent branches per tuple (empty bucket?
+// one-pass walk pays two data-dependent branches per row (empty bucket?
 // key equal?), close to coin flips at a load factor in (½, 1] even when
 // the table is L1-resident; a clear filter bit answers both for most
-// misses.
+// misses. Matches come out as two index vectors — probe row, build row —
+// from which the operator gathers only the columns its consumer reads.
 package exec
 
 import (
@@ -34,7 +35,7 @@ const hashMul = 0x9E3779B97F4A7C15
 
 type joinTable struct {
 	// heads[b] and next[i] hold build indices plus one; zero ends a chain,
-	// so a cleared heads array is an empty table. Pooled as selection
+	// so a cleared heads array is an empty table. Pooled as row-id
 	// vectors, whose stale (or debug-poisoned) contents the build overwrites
 	// in full.
 	heads, next []int32
@@ -44,9 +45,8 @@ type joinTable struct {
 	filter []uint64
 	shift  uint // 64 - log2(len(heads)) - 3: h>>shift is the filter bit, >>3 more the bucket
 
-	build        [][]int32 // build tuples, borrowed from the operator
-	bks, pks     []keyCol  // build- and probe-side key columns
-	buildIsRight bool      // output orientation: probe tuple first
+	build    [][]int32 // build-side columns, borrowed from the operator
+	bks, pks []keyCol  // build- and probe-side key columns
 }
 
 // probeBlock is the probe kernel's candidate-pass width.
@@ -83,47 +83,43 @@ func (t *joinTable) index(ctx context.Context, pool *BatchPool) error {
 	return nil
 }
 
-// probe appends to buf the join output of pts in probe order, each probe
-// tuple's matches in ascending build index, left tuple first; pkeys[i] is
-// pts[i]'s gathered key. It returns after the probe tuple that brings
-// len(buf) past most, with the number of probe tuples consumed; callers
-// pass len(buf) <= most. Per block of probeBlock tuples it lists the
-// candidates, loads all their bucket heads (independent loads that overlap
-// on a cache-missing table), then walks their chains in order. Its scratch
-// is on the stack, so concurrent probes of one table share none.
-func (t *joinTable) probe(pts [][]int32, pkeys []uint64, buf [][]int32, c *arenaChunk, most int) ([][]int32, int) {
-	heads, next, keys, build, shift := t.heads, t.next, t.keys, t.build, t.shift
-	// A single-column key is the raw value, so equal keys are equal tuples;
+// probe appends to pidx and bidx the matches of probe rows base,
+// base+1, … of pcols, whose gathered keys are pkeys: per probe row in
+// order, its matching build rows in ascending index, as (probe row, build
+// row) pairs. It returns after the probe row that brings len(bidx) past
+// most, with the number of probe rows consumed; callers pass len(bidx) <=
+// most. Per block of probeBlock rows it lists the candidates, loads all
+// their bucket heads (independent loads that overlap on a cache-missing
+// table), then walks their chains in order. Its scratch is on the stack,
+// so concurrent probes of one table share none.
+func (t *joinTable) probe(pcols [][]int32, base int, pkeys []uint64, pidx, bidx []int32, most int) ([]int32, []int32, int) {
+	heads, next, keys, shift := t.heads, t.next, t.keys, t.shift
+	// A single-column key is the raw value, so equal keys are equal rows;
 	// composite keys are FNV hashes and still need the column-wise check.
 	composite := len(t.bks) > 1
 	var cand, head [probeBlock]int32
-	for lo := 0; lo < len(pts); lo += probeBlock {
-		cs := cand[:t.candidates(&cand, pkeys, lo, min(lo+probeBlock, len(pts)))]
+	for lo := 0; lo < len(pkeys); lo += probeBlock {
+		cs := cand[:t.candidates(&cand, pkeys, lo, min(lo+probeBlock, len(pkeys)))]
 		for j, i := range cs {
 			head[j] = heads[pkeys[i]*hashMul>>shift>>3]
 		}
 		for j, i := range cs {
-			k, pt := pkeys[i], pts[i]
+			k, p := pkeys[i], int32(base)+i
 			for e := head[j]; e != 0; e = next[e-1] {
 				if keys[e-1] != k {
 					continue
 				}
-				bt := build[e-1]
-				if composite && !keysEqual(pt, t.pks, bt, t.bks) {
+				if composite && !keysEqual(pcols, p, t.pks, t.build, e-1, t.bks) {
 					continue
 				}
-				if t.buildIsRight {
-					buf = append(buf, c.concat(pt, bt))
-				} else {
-					buf = append(buf, c.concat(bt, pt))
-				}
+				pidx, bidx = append(pidx, p), append(bidx, e-1)
 			}
-			if len(buf) > most {
-				return buf, int(i) + 1
+			if len(bidx) > most {
+				return pidx, bidx, int(i) + 1
 			}
 		}
 	}
-	return buf, len(pts)
+	return pidx, bidx, len(pkeys)
 }
 
 // candidates stores in cand, ascending, the indices in [lo, hi) (at most

@@ -1,8 +1,8 @@
 // Join-table equivalence tests: the flat chained table and its batch
-// probe kernel against a map[uint64][]int32 oracle — the structure the
-// reference evaluator still uses — asserting the *sequence* of
-// (probe, build) pairs, because output order is part of the executor's
-// byte-identity contract.
+// probe kernel against a map[uint64][]int32 oracle — the shape of the
+// reference evaluator's join — asserting the *sequence* of (probe, build)
+// pairs, because output order is part of the executor's byte-identity
+// contract.
 package exec
 
 import (
@@ -18,42 +18,43 @@ import (
 
 // joinCase is one build/probe input pair. Each side is a list of key
 // columns (one column exercises the single-key fast path); row i of a side
-// is the one-position tuple [i].
+// has row id i in its one batch column.
 type joinCase struct {
 	build, probe [][]int64
 	// bkeys/pkeys forge the hashed keys; nil gathers them like the operator.
-	// Forging lets a test put unequal tuples under one key (an FNV
+	// Forging lets a test put unequal rows under one key (an FNV
 	// collision) or aim every key at one bucket.
 	bkeys, pkeys []uint64
 }
 
-// sideOf wraps key columns as tuples and their keyCols.
+// sideOf wraps key columns as a one-column batch and its keyCols.
 func sideOf(cols [][]int64) ([][]int32, []keyCol) {
 	kcs := make([]keyCol, len(cols))
 	for i, c := range cols {
 		kcs[i] = keyCol{pos: 0, col: &data.Column{Name: fmt.Sprint("k", i), Kind: data.Int, Ints: c}}
 	}
-	tuples := make([][]int32, len(cols[0]))
-	for i := range tuples {
-		tuples[i] = []int32{int32(i)}
+	ids := make([]int32, len(cols[0]))
+	for i := range ids {
+		ids[i] = int32(i)
 	}
-	return tuples, kcs
+	return [][]int32{ids}, kcs
 }
 
-// checkJoinCase indexes c's build side from pool and probes it in both
-// orientations and at several stop thresholds, comparing the emitted pair
-// sequence and the consumed counts with the map oracle.
+// checkJoinCase indexes c's build side from pool and probes it at several
+// stop thresholds, comparing the emitted (probe, build) pair sequence and
+// the consumed counts with the map oracle.
 func checkJoinCase(tb testing.TB, pool *BatchPool, c joinCase) {
 	tb.Helper()
 	bt, bks := sideOf(c.build)
 	pt, pks := sideOf(c.probe)
+	np := len(c.probe[0])
 	bg, pg := newKeyGather(bks), newKeyGather(pks)
 	bkeys, pkeys := c.bkeys, c.pkeys
 	if bkeys == nil {
-		bkeys = bg.gather(bt, nil)
+		bkeys = bg.gather(bt, 0, len(c.build[0]), nil)
 	}
 	if pkeys == nil {
-		pkeys = pg.gather(pt, nil)
+		pkeys = pg.gather(pt, 0, np, nil)
 	}
 
 	ht := make(map[uint64][]int32)
@@ -61,57 +62,53 @@ func checkJoinCase(tb testing.TB, pool *BatchPool, c joinCase) {
 		ht[k] = append(ht[k], int32(i))
 	}
 	var want [][2]int32            // (probe row, build row) in emission order
-	fan := make([]int, len(pkeys)) // matches per probe tuple
+	fan := make([]int, len(pkeys)) // matches per probe row
 	for i, k := range pkeys {
 		for _, bi := range ht[k] {
-			if keysEqual(pt[i], pks, bt[bi], bks) {
+			if keysEqual(pt, int32(i), pks, bt, bi, bks) {
 				want = append(want, [2]int32{int32(i), bi})
 				fan[i]++
 			}
 		}
 	}
 
-	for _, buildIsRight := range []bool{true, false} {
-		tab := joinTable{build: bt, bks: bks, pks: pks, buildIsRight: buildIsRight}
-		tab.keys = append(pool.GetKeys(len(bkeys)), bkeys...)
-		if err := tab.index(context.Background(), pool); err != nil {
-			tb.Fatal(err)
-		}
-		// The last two thresholds land past the kernel's first candidate
-		// block on long probe sides.
-		for _, stop := range []int{1, 3, max((len(want)+1)/2, 1), max(len(want), 1), math.MaxInt} {
-			var got [][]int32
-			for i := 0; i < len(pt); {
-				buf, n := tab.probe(pt[i:], pkeys[i:], nil, nil, stop-1)
-				if n < 1 || i+n > len(pt) {
-					tb.Fatalf("stop=%d: probe consumed %d of %d tuples", stop, n, len(pt)-i)
-				}
-				before := 0
-				for _, f := range fan[i : i+n-1] {
-					before += f
-				}
-				if before >= stop || (i+n < len(pt) && len(buf) < stop) {
-					tb.Fatalf("stop=%d: probe returned after %d tuples with %d outputs (%d before the last)", stop, n, len(buf), before)
-				}
-				got = append(got, buf...)
-				i += n
-			}
-			if len(got) != len(want) {
-				tb.Fatalf("buildIsRight=%v stop=%d: %d output tuples, oracle %d", buildIsRight, stop, len(got), len(want))
-			}
-			for j, w := range want {
-				p, b := got[j][0], got[j][1]
-				if !buildIsRight {
-					p, b = b, p
-				}
-				if len(got[j]) != 2 || p != w[0] || b != w[1] {
-					tb.Fatalf("buildIsRight=%v stop=%d: output %d is %v, oracle (probe %d, build %d)", buildIsRight, stop, j, got[j], w[0], w[1])
-				}
-			}
-		}
-		tab.release(pool)
-		tab.release(pool) // idempotent
+	tab := joinTable{build: bt, bks: bks, pks: pks}
+	tab.keys = append(pool.GetKeys(len(bkeys)), bkeys...)
+	if err := tab.index(context.Background(), pool); err != nil {
+		tb.Fatal(err)
 	}
+	// The last two thresholds land past the kernel's first candidate
+	// block on long probe sides.
+	for _, stop := range []int{1, 3, max((len(want)+1)/2, 1), max(len(want), 1), math.MaxInt} {
+		var got [][2]int32
+		for i := 0; i < np; {
+			pidx, bidx, n := tab.probe(pt, i, pkeys[i:], nil, nil, stop-1)
+			if n < 1 || i+n > np {
+				tb.Fatalf("stop=%d: probe consumed %d of %d rows", stop, n, np-i)
+			}
+			before := 0
+			for _, f := range fan[i : i+n-1] {
+				before += f
+			}
+			if len(pidx) != len(bidx) || before >= stop || (i+n < np && len(bidx) < stop) {
+				tb.Fatalf("stop=%d: probe returned after %d rows with %d/%d matches (%d before the last)", stop, n, len(pidx), len(bidx), before)
+			}
+			for k := range bidx {
+				got = append(got, [2]int32{pidx[k], bidx[k]})
+			}
+			i += n
+		}
+		if len(got) != len(want) {
+			tb.Fatalf("stop=%d: %d matches, oracle %d", stop, len(got), len(want))
+		}
+		for j, w := range want {
+			if got[j] != w {
+				tb.Fatalf("stop=%d: match %d is %v, oracle (probe %d, build %d)", stop, j, got[j], w[0], w[1])
+			}
+		}
+	}
+	tab.release(pool)
+	tab.release(pool) // idempotent
 	if n := pool.InUse(); n != 0 {
 		tb.Fatalf("%d pooled buffers outstanding after release", n)
 	}

@@ -349,8 +349,11 @@ func (bf *blockFilter) blocks() (total, skipped int64) {
 // suffix of the selection vector in place.
 func (bf *blockFilter) filterRange(lo, hi int32, sel []int32) []int32 {
 	if len(bf.preds) == 0 {
-		for i := lo; i < hi; i++ {
-			sel = append(sel, i)
+		n := len(sel)
+		sel = slices.Grow(sel, int(hi-lo))[:n+int(hi-lo)]
+		ids := sel[n:]
+		for i := range ids {
+			ids[i] = lo + int32(i)
 		}
 		return sel
 	}
@@ -367,21 +370,21 @@ func (bf *blockFilter) filterRange(lo, hi int32, sel []int32) []int32 {
 }
 
 // filterSpan appends to sel the matching row ids in [lo, hi), walking the
-// overlapped zone-map blocks and skipping pruned ones. Spans need not be
+// overlapped zone-map blocks and skipping pruned ones, and stops early
+// once ctx is done (checked every 4 blocks, about cancelCheckRows rows;
+// callers re-check ctx and discard the partial result). Spans need not be
 // block-aligned: a pruned block has no matching rows anywhere, so any
 // sub-range of it is skippable.
-func (bf *blockFilter) filterSpan(lo, hi int, sel []int32) []int32 {
-	for lo < hi {
+func (bf *blockFilter) filterSpan(ctx context.Context, lo, hi int, sel []int32) []int32 {
+	for n := 0; lo < hi; n++ {
 		b := lo / data.ZoneBlockSize
-		end := (b + 1) * data.ZoneBlockSize
-		if end > hi {
-			end = hi
+		end := min((b+1)*data.ZoneBlockSize, hi)
+		if n%4 == 0 && ctx.Err() != nil {
+			break
 		}
-		if bf.skips(b) {
-			lo = end
-			continue
+		if !bf.skips(b) {
+			sel = bf.filterRange(int32(lo), int32(end), sel)
 		}
-		sel = bf.filterRange(int32(lo), int32(end), sel)
 		lo = end
 	}
 	return sel
@@ -397,53 +400,4 @@ func (bf *blockFilter) refineIDs(sel []int32) []int32 {
 		sel = bf.preds[pi].refine(sel)
 	}
 	return sel
-}
-
-// filterSpanTuples runs the vectorized filter over [lo, hi) on one
-// worker, checking ctx between block groups, and appends the matching
-// single-column tuples to dst in row order. The selection vector comes
-// from (and returns to) pool; tuple storage carves from c. Both may be
-// nil for plain allocation (the reference evaluator). On cancellation it
-// returns a partial (discardable) buffer; callers re-check ctx after the
-// join, as the scalar span workers do.
-func filterSpanTuples(ctx context.Context, bf *blockFilter, lo, hi int, dst [][]int32, pool *BatchPool, c *arenaChunk) [][]int32 {
-	sel := pool.GetSel(0)
-	for n := 0; lo < hi; n++ {
-		b := lo / data.ZoneBlockSize
-		end := (b + 1) * data.ZoneBlockSize
-		if end > hi {
-			end = hi
-		}
-		// Every 4 blocks ≈ cancelCheckRows rows between ctx checks.
-		if n%4 == 0 && ctx.Err() != nil {
-			break
-		}
-		if !bf.skips(b) {
-			sel = bf.filterRange(int32(lo), int32(end), sel[:0])
-			dst = appendTuples(dst, sel, c)
-		}
-		lo = end
-	}
-	pool.PutSel(sel)
-	return dst
-}
-
-// appendTuples converts a selection vector into single-column row-id
-// tuples appended to dst. All tuples of one call share a single backing
-// carve from c's arena slab (full-capacity sub-slices, so a retained
-// tuple can never be clobbered) — one slab allocation per ~8k matching
-// rows. A nil-arena chunk allocates one backing per call, the
-// pre-pooling behavior.
-func appendTuples(dst [][]int32, sel []int32, c *arenaChunk) [][]int32 {
-	if len(sel) == 0 {
-		return dst
-	}
-	backing := c.alloc(len(sel))
-	copy(backing, sel)
-	n := len(dst)
-	dst = slices.Grow(dst, len(sel))[:n+len(sel)]
-	for i := range backing {
-		dst[n+i] = backing[i : i+1 : i+1]
-	}
-	return dst
 }

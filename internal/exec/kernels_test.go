@@ -105,17 +105,6 @@ func scalarSelect(cols []*data.Column, preds []query.Pred, lo, hi int) []int32 {
 	return out
 }
 
-func idsOf(tuples [][]int32) []int32 {
-	var out []int32
-	for _, t := range tuples {
-		if len(t) != 1 {
-			panic("filter tuple must be single-column")
-		}
-		out = append(out, t[0])
-	}
-	return out
-}
-
 func sameIDs(t *testing.T, ctxMsg string, got, want []int32) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -135,14 +124,13 @@ func checkEquiv(t *testing.T, rng *rand.Rand, cols []*data.Column, preds []query
 	bf := newBlockFilter(cols, preds, nrows)
 	want := scalarSelect(cols, preds, 0, nrows)
 
-	sameIDs(t, msg+"/filterSpan", bf.filterSpan(0, nrows, nil), want)
-	sameIDs(t, msg+"/spanTuples", idsOf(filterSpanTuples(context.Background(), bf, 0, nrows, nil, nil, nil)), want)
+	sameIDs(t, msg+"/filterSpan", bf.filterSpan(context.Background(), 0, nrows, nil), want)
 
 	// Non-aligned sub-span: [lo, hi) cut at arbitrary offsets.
 	if nrows > 2 {
 		lo := rng.Intn(nrows)
 		hi := lo + rng.Intn(nrows-lo)
-		sameIDs(t, msg+"/subSpan", bf.filterSpan(lo, hi, nil),
+		sameIDs(t, msg+"/subSpan", bf.filterSpan(context.Background(), lo, hi, nil),
 			scalarSelect(cols, preds, lo, hi))
 	}
 
@@ -222,24 +210,9 @@ func TestBlockFilterNoPreds(t *testing.T) {
 	if total, skipped := bf.blocks(); total != 0 || skipped != 0 {
 		t.Fatalf("no-pred filter reports blocks total=%d skipped=%d", total, skipped)
 	}
-	got := bf.filterSpan(0, n, nil)
+	got := bf.filterSpan(context.Background(), 0, n, nil)
 	if len(got) != n {
 		t.Fatalf("no-pred filter selected %d of %d rows", len(got), n)
-	}
-}
-
-// TestAppendTuplesIsolation guards the shared-backing optimization:
-// tuples from one appendTuples call must be full-capacity sub-slices, so
-// appending to a retained tuple can never clobber its neighbor.
-func TestAppendTuplesIsolation(t *testing.T) {
-	out := appendTuples(nil, []int32{10, 20, 30}, nil)
-	if len(out) != 3 {
-		t.Fatalf("got %d tuples", len(out))
-	}
-	grown := append(out[0], 99)
-	_ = grown
-	if out[1][0] != 20 || out[2][0] != 30 {
-		t.Fatalf("appending to tuple 0 clobbered a neighbor: %v", out)
 	}
 }
 

@@ -71,7 +71,8 @@ func BenchmarkDeepJoinStreaming(b *testing.B) {
 
 // BenchmarkDeepJoinSteadyState measures the cached-plan serving shape:
 // one plan tree executed repeatedly on one executor, so the pool's
-// steady state (every buffer and slab recycled) is what's on the clock.
+// steady state (every vector and operator struct recycled) is what's on
+// the clock.
 // Warm-up runs populate the pool before measurement; allocs/op and
 // allocs/row come from runtime.MemStats deltas across the measured loop.
 func BenchmarkDeepJoinSteadyState(b *testing.B) {

@@ -1,10 +1,12 @@
 // Operator-pipeline layer: the executor is a tree of physical operators
-// behind a common Volcano/batch interface. Fixed-size batches of row-id
-// tuples stream between operators instead of monolithic materialized
-// relations; only the hash-join build side, the buffered probe prefix
-// (needed to pick the smaller build side exactly like the reference
-// evaluator), the cross-product inputs and the sort-free aggregates
-// materialize anything.
+// behind a common Volcano/batch interface. Fixed-size batches of row ids,
+// stored by column, stream between operators instead of monolithic
+// materialized relations; only the hash-join build side, the buffered
+// probe prefix (needed to pick the smaller build side exactly like the
+// reference evaluator), the cross-product inputs and the sort-free
+// aggregates materialize anything. Each operator emits only the columns
+// its consumer reads (see buildOperator), so a COUNT(*) root join counts
+// its matches and never writes an output row.
 //
 // Every operator reports per-operator telemetry — rows in/out, charged
 // work units, batches, wall-clock — the fine-grained execution evidence
@@ -22,33 +24,84 @@ package exec
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"lqo/internal/plan"
+	"lqo/internal/query"
 )
 
-// DefaultBatchSize is the number of row-id tuples per streamed batch when
+// DefaultBatchSize is the number of rows per streamed batch when
 // Executor.BatchSize is unset. Large enough to amortize per-batch
 // overhead, small enough that a deep join pipeline holds only a few
-// thousand in-flight tuples per operator.
+// thousand in-flight rows per operator.
 const DefaultBatchSize = 1024
 
-// Batch is one fixed-capacity unit of rows streaming between operators:
-// tuples of row ids, one per alias of the producing operator's schema.
-// The Tuples slice (the outer array) is owned by the producer and may be
-// reused — or returned to the producer's BatchPool and recycled by an
-// unrelated operator — after the consumer's next pull; a consumer that
-// needs tuples across pulls must copy the tuple pointers out first. The
-// per-tuple []int32 values are immutable and may be retained until the
-// producing operator's Close (they carve from the producer's tuple arena,
-// whose slabs are recycled only at Close — and operators close top-down,
-// parents before their children release).
+// Batch is one unit of rows streaming between operators, stored by
+// column: N rows and, per alias of the producer's Schema, a row-id vector
+// of length N (Cols[c][i] is row i's id in the table behind Schema()[c]).
+// A producer whose consumer reads no column emits N alone. The vectors are
+// owned by the producer and borrowed by the consumer until its next pull,
+// after which the producer may overwrite them or return them to its
+// BatchPool; a consumer that needs rows across pulls copies the ids out.
 type Batch struct {
-	Tuples [][]int32
+	N    int
+	Cols [][]int32
 }
 
-// Len returns the number of tuples in the batch.
-func (b *Batch) Len() int { return len(b.Tuples) }
+// alloc makes the empty b own k empty pooled vectors.
+func (b *Batch) alloc(p *BatchPool, k int) {
+	for range k {
+		b.Cols = append(b.Cols, p.GetSel(0))
+	}
+}
+
+// free returns b's vectors to p and empties b; a no-op on an empty batch.
+func (b *Batch) free(p *BatchPool) {
+	for _, c := range b.Cols {
+		p.PutSel(c)
+	}
+	b.forget()
+}
+
+// forget empties b without returning anything: for views and batches
+// whose vectors went back already. The outer slice keeps its capacity.
+func (b *Batch) forget() {
+	clear(b.Cols)
+	b.N, b.Cols = 0, b.Cols[:0]
+}
+
+// truncate drops b's rows, keeping its vectors.
+func (b *Batch) truncate() {
+	for c := range b.Cols {
+		b.Cols[c] = b.Cols[c][:0]
+	}
+	b.N = 0
+}
+
+// appendRows copies rows [lo, hi) of src, which has b's layout, onto b.
+func (b *Batch) appendRows(src *Batch, lo, hi int) {
+	for c := range b.Cols {
+		b.Cols[c] = append(b.Cols[c], src.Cols[c][lo:hi]...)
+	}
+	b.N += hi - lo
+}
+
+// emit points out at the next window of at most bs rows of pending,
+// starting at *idx and viewing pending's first ncols columns, and counts
+// it in tel.
+func emit(pending *Batch, idx *int, out *Batch, ncols int, tel *OpTelemetry, bs int) *Batch {
+	lo := *idx
+	n := min(pending.N-lo, bs)
+	out.N, out.Cols = n, out.Cols[:0]
+	for _, c := range pending.Cols[:ncols] {
+		out.Cols = append(out.Cols, c[lo:lo+n])
+	}
+	*idx += n
+	tel.RowsOut += int64(n)
+	tel.Batches++
+	return out
+}
 
 // OpTelemetry is one operator's execution evidence: cardinalities in and
 // out, the work units charged to the operator (the deterministic latency
@@ -58,8 +111,8 @@ type OpTelemetry struct {
 	Op   string     // operator display name
 	Node *plan.Node // plan node this operator executes (nil for the aggregate sink)
 
-	RowsIn  int64         // tuples pulled from inputs (scans: base tuples read)
-	RowsOut int64         // tuples emitted
+	RowsIn  int64         // rows pulled from inputs (scans: base rows read)
+	RowsOut int64         // rows emitted
 	Batches int64         // batches emitted
 	Wall    time.Duration // inclusive wall-clock across Open and Next; RunAnalyze only
 
@@ -134,14 +187,17 @@ type Operator interface {
 	// execution: every subsequent Next observes it.
 	Open(ctx context.Context) error
 	// Next returns the next batch, or (nil, nil) on exhaustion. The
-	// returned batch's outer slice is only valid until the following Next.
+	// returned batch and its vectors are only valid until the following
+	// Next.
 	Next() (*Batch, error)
 	// Close releases operator state. It is idempotent and closes children.
 	Close() error
 	// Telemetry returns the operator's execution evidence. Counters are
 	// final once Next has returned (nil, nil).
 	Telemetry() *OpTelemetry
-	// Schema returns the alias layout of emitted tuples.
+	// Schema returns the aliases of the emitted columns, in Cols order:
+	// those of the operator's subtree that its consumer reads. Valid after
+	// Open.
 	Schema() []string
 }
 
@@ -170,7 +226,49 @@ func walkOps(op Operator, fn func(Operator)) {
 	fn(op)
 }
 
-// concatSchema appends a join's output alias layout, left then right.
-func concatSchema(dst, ls, rs []string) []string {
-	return append(append(dst, ls...), rs...)
+// colSrc locates one join output column in the join's inputs: a position
+// in the left or the right child's schema.
+type colSrc struct {
+	left bool
+	pos  int
+}
+
+// joinSchema appends to schema the aliases of ls then rs that need lists —
+// a join's pruned output layout — and to srcs where each one comes from.
+func joinSchema(schema []string, srcs []colSrc, ls, rs, need []string) ([]string, []colSrc) {
+	for i, a := range ls {
+		if slices.Contains(need, a) {
+			schema, srcs = append(schema, a), append(srcs, colSrc{left: true, pos: i})
+		}
+	}
+	for i, a := range rs {
+		if slices.Contains(need, a) {
+			schema, srcs = append(schema, a), append(srcs, colSrc{pos: i})
+		}
+	}
+	return schema, srcs
+}
+
+// joinNeed appends to dst the aliases a join's inputs must emit: what the
+// join's consumer reads plus both sides of every join condition.
+func joinNeed(dst, need []string, conds []query.Join) []string {
+	dst = append(dst, need...)
+	for _, j := range conds {
+		for _, a := range [2]string{j.LeftAlias, j.RightAlias} {
+			if !slices.Contains(dst, a) {
+				dst = append(dst, a)
+			}
+		}
+	}
+	return dst
+}
+
+// gatherRows appends col[i] for every i in idx to dst.
+func gatherRows(dst, col, idx []int32) []int32 {
+	n := len(dst)
+	dst = slices.Grow(dst, len(idx))[:n+len(idx)]
+	for k, i := range idx {
+		dst[n+k] = col[i]
+	}
+	return dst
 }

@@ -4,9 +4,9 @@
 //
 // Determinism contract. Parallelism must never change what the workbench
 // measures. Both parallel operators partition their input into contiguous
-// spans, give every worker a private output buffer, and concatenate the
-// buffers in span order — so the produced tuples are byte-for-byte
-// identical to the serial path, in the same order. WorkUnits (the latency
+// spans, give every worker private output vectors, and concatenate them
+// in span order — so the produced row ids are byte-for-byte identical to
+// the serial path, in the same order. WorkUnits (the latency
 // proxy) are charged analytically from input/output cardinalities before
 // and after the partitioned phase, never from per-worker progress, so the
 // measured cost of a plan is the same at any worker count. Only
@@ -14,12 +14,9 @@
 package exec
 
 import (
-	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
-
-	"lqo/internal/data"
-	"lqo/internal/query"
 )
 
 // parallelMinRows is the smallest input that is worth fanning out; below
@@ -69,173 +66,34 @@ func runSpans(spans []span, fn func(i int, s span)) {
 	wg.Wait()
 }
 
-// collectSpans is the one span-buffer allocation path shared by every
-// fork-join fill — the parallel scan, the hash-join probe and the
-// reference evaluator's partitioned phases. It runs fill over each span
-// on the worker pool, handing every worker a private output buffer from
-// the pool, then concatenates the buffers into dst in span order (the
-// serial iteration order) and returns the scaffolding to the pool. A
-// fill that returns ok=false (cap exceeded, cancellation) aborts the
-// whole segment: dst comes back unchanged and the caller decides which
-// error wins. A nil pool allocates plainly — the reference evaluator and
-// the NoPool path.
-func collectSpans(pool *BatchPool, spans []span, dst [][]int32, fill func(si int, sp span, buf [][]int32) ([][]int32, bool)) ([][]int32, bool) {
-	bufs := pool.GetSpans(len(spans))
+// collectSpans is the one fork-join fill shared by the parallel scan and
+// the hash-join probe. It runs fill over each span on its own goroutine,
+// handing span si the private pooled vectors parts[si*k:(si+1)*k] (k =
+// len(dst)), then appends them in span order — the serial iteration order
+// — to dst[0:k] and returns them to the pool. A fill that returns false
+// (cap exceeded, cancellation) aborts the whole segment: dst is left
+// unchanged and the caller decides which error wins. *parts is the
+// caller's scaffolding, kept for reuse.
+func collectSpans(pool *BatchPool, spans []span, dst [][]int32, parts *[][]int32, fill func(si int, sp span, out [][]int32) bool) bool {
+	k := len(dst)
+	ps := slices.Grow((*parts)[:0], k*len(spans))[:k*len(spans)]
+	*parts = ps
+	for i := range ps {
+		ps[i] = pool.GetSel(0)
+	}
 	var aborted atomic.Bool
 	runSpans(spans, func(si int, sp span) {
-		buf, ok := fill(si, sp, pool.GetTuples(0))
-		bufs[si] = buf
-		if !ok {
+		if !fill(si, sp, ps[si*k:(si+1)*k]) {
 			aborted.Store(true)
 		}
 	})
 	ok := !aborted.Load()
-	if ok {
-		for _, b := range bufs {
-			dst = append(dst, b...)
+	for i, p := range ps {
+		if ok {
+			dst[i%k] = append(dst[i%k], p...)
 		}
+		pool.PutSel(p)
+		ps[i] = nil
 	}
-	for si := range bufs {
-		pool.PutTuples(bufs[si])
-		bufs[si] = nil
-	}
-	pool.PutSpans(bufs)
-	return dst, ok
-}
-
-// filterRows evaluates preds over rows [0, nrows) and returns the
-// matching row ids as single-column tuples, in row order. Filtering runs
-// the vectorized block kernels with zone-map pruning (kernels.go) unless
-// NoVec forces the scalar row loop; output is identical either way. With
-// Workers>1 and a large enough table the scan is partitioned; cols are
-// read-only and shared across workers. Every partition (and the serial
-// path) checks ctx cooperatively, so a canceled query stops scanning
-// within cancelCheckRows rows per worker.
-//
-// This is the reference evaluator's scan: its output relations are
-// retained for the whole run with no release hook, so it deliberately
-// passes a nil pool and nil arena chunks — plain allocation, the
-// executable specification the pooled pipeline is tested against.
-func (e *Executor) filterRows(ctx context.Context, nrows int, cols []*data.Column, preds []query.Pred) ([][]int32, error) {
-	var bf *blockFilter
-	if !e.NoVec {
-		bf = newBlockFilter(cols, preds, nrows)
-	}
-	w := e.workers()
-	if w == 1 || nrows < parallelMinRows {
-		if bf != nil {
-			out := filterSpanTuples(ctx, bf, 0, nrows, nil, nil, nil)
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
-		var out [][]int32
-		for i := 0; i < nrows; i++ {
-			if i%cancelCheckRows == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			if matchesAll(cols, preds, i) {
-				out = append(out, []int32{int32(i)})
-			}
-		}
-		return out, nil
-	}
-	out, _ := collectSpans(nil, splitSpans(nrows, w), nil, func(si int, sp span, buf [][]int32) ([][]int32, bool) {
-		if bf != nil {
-			return filterSpanTuples(ctx, bf, sp.lo, sp.hi, buf, nil, nil), true
-		}
-		for i := sp.lo; i < sp.hi; i++ {
-			if (i-sp.lo)%cancelCheckRows == 0 && ctx.Err() != nil {
-				return buf, true // partial buffer discarded by the ctx check below
-			}
-			if matchesAll(cols, preds, i) {
-				buf = append(buf, []int32{int32(i)})
-			}
-		}
-		return buf, true
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// probeHash runs the probe phase of a hash join over probe.Tuples against
-// the prebuilt table ht, returning output tuples in probe order. The hash
-// table and both relations are read-only during the probe, so partitions
-// share them safely. capExceeded is reported exactly when the serial
-// path would report it: the total output exceeds limit. Cancellation is
-// checked cooperatively on both the serial and partitioned paths.
-func (e *Executor) probeHash(ctx context.Context, probe, build *Relation, ht map[uint64][]int32, pks, bks []keyCol, buildIsRight bool, limit int) ([][]int32, bool, error) {
-	pg := newKeyGather(pks)
-	emit := func(pt []int32, buf [][]int32) [][]int32 {
-		h := pg.key(pt)
-		for _, bi := range ht[h] {
-			bt := build.Tuples[bi]
-			if !keysEqual(pt, pks, bt, bks) {
-				continue
-			}
-			var lt, rt []int32
-			if buildIsRight {
-				lt, rt = pt, bt
-			} else {
-				lt, rt = bt, pt
-			}
-			buf = append(buf, concatTuple(lt, rt))
-		}
-		return buf
-	}
-
-	w := e.workers()
-	if w == 1 || probe.Len() < parallelMinRows {
-		var out [][]int32
-		for i, pt := range probe.Tuples {
-			if i%cancelCheckRows == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, false, err
-				}
-			}
-			out = emit(pt, out)
-			if len(out) > limit {
-				return nil, true, nil
-			}
-		}
-		return out, false, nil
-	}
-
-	var exceeded atomic.Bool
-	out, ok := collectSpans(nil, splitSpans(probe.Len(), w), nil, func(si int, sp span, buf [][]int32) ([][]int32, bool) {
-		for i := sp.lo; i < sp.hi; i++ {
-			buf = emit(probe.Tuples[i], buf)
-			// A single partition past the cap already implies the total is
-			// past it; bail early instead of materializing more.
-			if len(buf) > limit {
-				exceeded.Store(true)
-				return buf, false
-			}
-			if i%1024 == 0 && (exceeded.Load() || ctx.Err() != nil) {
-				return buf, false
-			}
-		}
-		return buf, true
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	if exceeded.Load() {
-		return nil, true, nil
-	}
-	if len(out) > limit {
-		return nil, true, nil
-	}
-	if !ok {
-		// Neither canceled nor exceeded, yet a worker aborted: impossible
-		// by construction, but fail closed as a cap error rather than
-		// returning a silently truncated result.
-		return nil, true, nil
-	}
-	return out, false, nil
+	return ok
 }

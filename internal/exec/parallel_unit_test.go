@@ -28,27 +28,30 @@ func TestSplitSpansCoverAndOrder(t *testing.T) {
 	}
 }
 
-// TestCollectSpansPreservesOrder pins the span-buffer concatenation
+// TestCollectSpansPreservesOrder pins the span-vector concatenation
 // contract: per-span output lands in dst in span order (the serial
-// iteration order), with and without a pool.
+// iteration order), column by column, with and without a pool.
 func TestCollectSpansPreservesOrder(t *testing.T) {
 	for _, pool := range []*BatchPool{nil, NewBatchPool()} {
 		spans := []span{{0, 2}, {2, 2}, {2, 3}, {3, 6}}
-		out, ok := collectSpans(pool, spans, [][]int32{{0}}, func(si int, sp span, buf [][]int32) ([][]int32, bool) {
+		dst := [][]int32{{0}, {0}}
+		var parts [][]int32
+		ok := collectSpans(pool, spans, dst, &parts, func(si int, sp span, out [][]int32) bool {
 			for i := sp.lo; i < sp.hi; i++ {
-				buf = append(buf, []int32{int32(i + 1)})
+				out[0] = append(out[0], int32(i+1))
+				out[1] = append(out[1], -int32(i+1))
 			}
-			return buf, true
+			return true
 		})
 		if !ok {
 			t.Fatal("collectSpans aborted without an aborting fill")
 		}
-		if len(out) != 7 {
-			t.Fatalf("collected %d tuples, want 7", len(out))
+		if len(dst[0]) != 7 || len(dst[1]) != 7 {
+			t.Fatalf("collected %d/%d rows, want 7", len(dst[0]), len(dst[1]))
 		}
-		for i, tup := range out {
-			if tup[0] != int32(i) {
-				t.Fatalf("position %d holds %v, want [%d]", i, tup, i)
+		for i := range dst[0] {
+			if dst[0][i] != int32(i) || dst[1][i] != -int32(i) {
+				t.Fatalf("position %d holds %d/%d, want %d/%d", i, dst[0][i], dst[1][i], i, -i)
 			}
 		}
 		if pool != nil && pool.InUse() != 0 {
@@ -58,18 +61,20 @@ func TestCollectSpansPreservesOrder(t *testing.T) {
 }
 
 // TestCollectSpansAbortLeavesDstUnchanged pins the abort contract: any
-// fill returning ok=false discards every span's output.
+// fill returning false discards every span's output.
 func TestCollectSpansAbortLeavesDstUnchanged(t *testing.T) {
 	pool := NewBatchPool()
 	dst := [][]int32{{7}}
-	out, ok := collectSpans(pool, []span{{0, 1}, {1, 2}}, dst, func(si int, sp span, buf [][]int32) ([][]int32, bool) {
-		return append(buf, []int32{int32(sp.lo)}), si != 1
+	var parts [][]int32
+	ok := collectSpans(pool, []span{{0, 1}, {1, 2}}, dst, &parts, func(si int, sp span, out [][]int32) bool {
+		out[0] = append(out[0], int32(sp.lo))
+		return si != 1
 	})
 	if ok {
 		t.Fatal("collectSpans reported ok despite an aborting fill")
 	}
-	if len(out) != 1 || out[0][0] != 7 {
-		t.Fatalf("dst changed on abort: %v", out)
+	if len(dst[0]) != 1 || dst[0][0] != 7 {
+		t.Fatalf("dst changed on abort: %v", dst)
 	}
 	if pool.InUse() != 0 {
 		t.Fatalf("pool reports %d buffers in use after abort", pool.InUse())

@@ -9,32 +9,36 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"lqo/internal/data"
+	"lqo/internal/plan"
 	"lqo/internal/query"
 )
 
 // TestPooledPipelineIdentitySweep is the PR-9 identity contract: pooling
-// plus the buffered exchange must keep Count, Value (bit pattern) and the
-// full CostStats byte-identical to ReferenceRun at every worker count ×
-// batch size × shard fan-out, pooled and unpooled — including the second,
-// steady-state execution that actually recycles buffers. Every pooled run
-// uses a debug pool, so double puts and use-after-put surface here too.
+// plus the buffered exchange must keep Count, Value (bit pattern), the
+// logical plan's TrueCards and the full CostStats byte-identical to
+// ReferenceRun at every worker count × batch size × shard fan-out, pooled
+// and unpooled — including the second, steady-state execution that
+// actually recycles buffers. Every pooled run uses a debug pool, so double
+// puts and use-after-put surface here too. The column-pruning inputs ride
+// along: an aggregate column carried up from the deepest leaf of 3-5-way
+// joins, an index scan with residuals under a join, cross joins, all of
+// them over 4-shard Merge leaves too.
 func TestPooledPipelineIdentitySweep(t *testing.T) {
 	cat := shardCatalog()
-	for qi, q := range shardQueries() {
-		refPlan, err := CanonicalPlan(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for qi, q := range append(shardQueries(), pruningQueries()...) {
+		refPlan := sweepPlan(t, cat, q, 1)
 		ref, err := New(cat).ReferenceRun(context.Background(), q, refPlan)
 		if err != nil {
 			t.Fatal(err)
 		}
+		wantCards := logicalCards(refPlan)
 		for _, shards := range []int{1, 4} {
 			for _, workers := range []int{1, 2, 8} {
 				for _, batch := range []int{0, 1, 64} {
@@ -49,7 +53,8 @@ func TestPooledPipelineIdentitySweep(t *testing.T) {
 							ex.SetPool(dbg)
 						}
 						for run := 0; run < 2; run++ {
-							res, err := ex.RunCtx(context.Background(), q, shardPlan(t, q, shards))
+							p := sweepPlan(t, cat, q, shards)
+							res, err := ex.RunCtx(context.Background(), q, p)
 							if err != nil {
 								t.Fatalf("%s run %d: %v", name, run, err)
 							}
@@ -58,6 +63,9 @@ func TestPooledPipelineIdentitySweep(t *testing.T) {
 							}
 							if res.Stats != ref.Stats {
 								t.Fatalf("%s run %d: stats %+v, reference %+v", name, run, res.Stats, ref.Stats)
+							}
+							if got := logicalCards(p); !slices.Equal(got, wantCards) {
+								t.Fatalf("%s run %d: TrueCards %v, reference %v", name, run, got, wantCards)
 							}
 						}
 						if !noPool {
@@ -73,6 +81,95 @@ func TestPooledPipelineIdentitySweep(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pruningQueries are the sweep's column-pruning inputs over shardCatalog:
+// SUM/AVG/MIN/MAX of the canonical plan's deepest leaf (Refs[0]) through
+// 3-, 4- and 5-way joins, so that column rides through every join; a MAX
+// whose deepest leaf is an index scan (fact.dim_id is indexed) with a
+// residual predicate; and cross joins reading the left and the right side.
+func pruningQueries() []*query.Query {
+	ref := func(alias, table string) query.TableRef { return query.TableRef{Alias: alias, Table: table} }
+	join := func(la, lc, ra, rc string) query.Join {
+		return query.Join{LeftAlias: la, LeftCol: lc, RightAlias: ra, RightCol: rc}
+	}
+	pred := func(alias, col string, op query.CmpOp, v int64) query.Pred {
+		return query.Pred{Alias: alias, Column: col, Op: op, Val: data.IntVal(v)}
+	}
+	agg := func(k query.AggKind, alias, col string) query.Agg {
+		return query.Agg{Kind: k, Alias: alias, Column: col}
+	}
+	threeWay := []query.Join{join("fact", "dim_id", "dim", "id"), join("dim", "w", "d2", "w")}
+	fourWay := []query.Join{join("fact", "dim_id", "dim", "id"), join("f2", "id", "fact", "id"), join("d2", "id", "f2", "dim_id")}
+	return []*query.Query{
+		{
+			Refs:  []query.TableRef{ref("fact", "fact"), ref("dim", "dim"), ref("d2", "dim")},
+			Joins: threeWay,
+			Preds: []query.Pred{pred("fact", "v", query.Lt, 10), pred("d2", "id", query.Lt, 4)},
+			Agg:   agg(query.AggSum, "fact", "v"),
+		},
+		{
+			Refs:  []query.TableRef{ref("fact", "fact"), ref("dim", "dim"), ref("f2", "fact"), ref("d2", "dim")},
+			Joins: fourWay,
+			Preds: []query.Pred{pred("fact", "v", query.Lt, 20), pred("dim", "w", query.Ge, 3)},
+			Agg:   agg(query.AggAvg, "fact", "v"),
+		},
+		{
+			Refs:  []query.TableRef{ref("fact", "fact"), ref("dim", "dim"), ref("f2", "fact"), ref("d2", "dim"), ref("d3", "dim")},
+			Joins: append(fourWay[:3:3], join("d3", "w", "d2", "w")),
+			Preds: []query.Pred{pred("fact", "v", query.Lt, 20), pred("dim", "w", query.Ge, 3), pred("d3", "id", query.Lt, 7)},
+			Agg:   agg(query.AggMin, "fact", "id"),
+		},
+		{
+			Refs:  []query.TableRef{ref("fact", "fact"), ref("dim", "dim"), ref("d2", "dim")},
+			Joins: threeWay,
+			Preds: []query.Pred{pred("fact", "dim_id", query.Eq, 5), pred("fact", "v", query.Lt, 50), pred("d2", "id", query.Lt, 7)},
+			Agg:   agg(query.AggMax, "fact", "v"),
+		},
+		{
+			Refs:  []query.TableRef{ref("fact", "fact"), ref("dim", "dim")},
+			Preds: []query.Pred{pred("fact", "id", query.Lt, 100), pred("dim", "w", query.Eq, 2)},
+			Agg:   agg(query.AggSum, "dim", "w"),
+		},
+		{
+			Refs:  []query.TableRef{ref("fact", "fact"), ref("dim", "dim")},
+			Preds: []query.Pred{pred("fact", "id", query.Lt, 100), pred("dim", "w", query.Eq, 2)},
+			Agg:   agg(query.AggMin, "fact", "v"),
+		},
+	}
+}
+
+// sweepPlan is q's canonical plan with every leaf that has an equality on
+// an indexed column turned into an index scan, then sharded shards ways.
+func sweepPlan(t *testing.T, cat *data.Catalog, q *query.Query, shards int) *plan.Node {
+	t.Helper()
+	p, err := CanonicalPlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Walk(func(n *plan.Node) {
+		for _, pr := range n.Preds {
+			if n.IsLeaf() && pr.Op == query.Eq && cat.Table(n.Table).Index(pr.Column) != nil {
+				n.Op = plan.IndexScan
+			}
+		}
+	})
+	if shards < 2 {
+		return p
+	}
+	out, fired := plan.ShardScans(shards).Rewrite(context.Background(), p, &plan.PassContext{})
+	if !fired {
+		t.Fatalf("shard-scans did not fire at shards=%d", shards)
+	}
+	return out
+}
+
+// logicalCards lists the logical plan's TrueCards in pre-order: a Merge
+// counts as the scan it shards.
+func logicalCards(p *plan.Node) []float64 {
+	var out []float64
+	p.WalkLogical(func(n *plan.Node) { out = append(out, n.TrueCard) })
+	return out
 }
 
 // TestPooledExchangeIdentity pins the exchange bisection flags: with
@@ -106,55 +203,61 @@ func TestPooledExchangeIdentity(t *testing.T) {
 // recorded (not panicked) and the duplicate is refused.
 func TestDebugPoolDetectsDoublePut(t *testing.T) {
 	p := NewDebugBatchPool()
-	b := p.GetTuples(0)
-	b = append(b, []int32{1})
-	p.PutTuples(b)
-	p.PutTuples(b)
-	mis := p.Misuse()
-	if len(mis) != 1 {
-		t.Fatalf("misuse = %v, want exactly one double-put record", mis)
-	}
 	s := p.GetSel(0)
 	s = append(s, 7)
 	p.PutSel(s)
 	p.PutSel(s)
-	if mis := p.Misuse(); len(mis) != 2 {
-		t.Fatalf("misuse = %v, want a second record for the selection vector", mis)
+	if mis := p.Misuse(); len(mis) != 1 {
+		t.Fatalf("misuse = %v, want exactly one double-put record", mis)
 	}
 }
 
 // TestDebugPoolDetectsUseAfterPut: a stale write through a retained
 // reference while the buffer sits in the pool is caught by the poison
 // check on a later Get. Under -race, sync.Pool deliberately drops puts at
-// random, so each case retries the put/write/get cycle until the stale
-// buffer actually comes back.
+// random, so the put/write/get cycle retries until the stale buffer
+// actually comes back.
 func TestDebugPoolDetectsUseAfterPut(t *testing.T) {
 	p := NewDebugBatchPool()
 	detected := false
 	for i := 0; i < 200 && !detected; i++ {
-		b := p.GetTuples(0)
-		b = append(b, []int32{1}, []int32{2})
-		p.PutTuples(b)
-		b[0] = []int32{99} // stale write through the retained header
-		_ = p.GetTuples(0)
+		s := p.GetSel(0)
+		s = append(s, 1, 2, 3)
+		p.PutSel(s)
+		s[1] = 42
+		_ = p.GetSel(0)
 		detected = len(p.Misuse()) > 0
 	}
 	if !detected {
-		t.Fatal("stale tuple-buffer write never detected")
+		t.Fatal("stale selection-vector write never detected")
+	}
+}
+
+// TestDebugPoolChecksKeyBuffers: key scratch — the join table's keys and
+// filter, the probe's gathered keys — gets the same double-put and
+// use-after-put checks as row-id vectors.
+func TestDebugPoolChecksKeyBuffers(t *testing.T) {
+	p := NewDebugBatchPool()
+	k := p.GetKeys(0)
+	k = append(k, 7)
+	p.PutKeys(k)
+	p.PutKeys(k)
+	if mis := p.Misuse(); len(mis) != 1 {
+		t.Fatalf("misuse = %v, want exactly one double-put record for the key buffer", mis)
 	}
 
 	p2 := NewDebugBatchPool()
-	detected = false
+	detected := false
 	for i := 0; i < 200 && !detected; i++ {
-		s := p2.GetSel(0)
-		s = append(s, 1, 2, 3)
-		p2.PutSel(s)
-		s[1] = 42
-		_ = p2.GetSel(0)
+		k := p2.GetKeys(0)
+		k = append(k, 1, 2, 3)
+		p2.PutKeys(k)
+		k[2] = 99 // stale write through the retained header
+		_ = p2.GetKeys(0)
 		detected = len(p2.Misuse()) > 0
 	}
 	if !detected {
-		t.Fatal("stale selection-vector write never detected")
+		t.Fatal("stale key-buffer write never detected")
 	}
 }
 
@@ -162,18 +265,15 @@ func TestDebugPoolDetectsUseAfterPut(t *testing.T) {
 func TestDebugPoolCleanCycle(t *testing.T) {
 	p := NewDebugBatchPool()
 	for i := 0; i < 3; i++ {
-		b := p.GetTuples(0)
-		b = append(b, []int32{int32(i)})
 		s := p.GetSel(0)
 		s = append(s, int32(i))
 		k := p.GetKeys(0)
 		k = append(k, uint64(i))
-		sp := p.GetSpans(4)
-		sp[0] = b
-		p.PutSpans(sp)
+		var b Batch
+		b.alloc(p, 2)
+		b.free(p)
 		p.PutKeys(k)
 		p.PutSel(s)
-		p.PutTuples(b)
 	}
 	if n := p.InUse(); n != 0 {
 		t.Fatalf("InUse = %d after balanced cycles", n)
@@ -187,14 +287,14 @@ func TestDebugPoolCleanCycle(t *testing.T) {
 // call and report nothing outstanding.
 func TestPoolNilSafety(t *testing.T) {
 	var p *BatchPool
-	b := p.GetTuples(8)
-	b = append(b, []int32{1})
-	p.PutTuples(b)
-	p.PutTuples(nil)
-	p.PutSel(p.GetSel(8))
-	p.PutSpans(p.GetSpans(3))
+	s := p.GetSel(8)
+	s = append(s, 1)
+	p.PutSel(s)
+	p.PutSel(nil)
 	p.PutKeys(p.GetKeys(8))
-	p.putSlab(p.getSlab())
+	var b Batch
+	b.alloc(p, 3)
+	b.free(p)
 	if p.InUse() != 0 || p.Misuse() != nil {
 		t.Fatal("nil pool must account nothing")
 	}

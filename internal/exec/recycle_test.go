@@ -49,10 +49,21 @@ func variantPlan(t *testing.T, cat *data.Catalog, q *query.Query, v int) *plan.N
 // recycleQueries is a generated workload plus, so that every recycled
 // operator type is in the mix, copies of its first queries with an
 // equality on an indexed key (an index scan with residual predicates on
-// odd variants) and one join-less pair of filtered tables (a cross join).
+// odd variants), one join-less pair of filtered tables (a cross join), and
+// SUM/AVG/MIN/MAX of the deepest leaf's id through 3-5-way joins (a
+// column every join must carry up).
 func recycleQueries(t *testing.T, cat *data.Catalog) []*query.Query {
 	t.Helper()
 	queries := workload.GenWorkload(cat, workload.Options{Seed: 17, Count: 16, MaxJoins: 3, MaxPreds: 2})
+	aggs := []query.AggKind{query.AggSum, query.AggAvg, query.AggMin, query.AggMax}
+	for _, q := range queries {
+		if len(q.Refs) >= 3 {
+			c := *q
+			c.Agg = query.Agg{Kind: aggs[0], Alias: q.Refs[0].Alias, Column: "id"}
+			aggs = append(aggs[1:], aggs[0])
+			queries = append(queries, &c)
+		}
+	}
 	for _, q := range queries[:6] {
 		c := *q
 		ref := q.Refs[0]
@@ -80,7 +91,9 @@ func recycleQueries(t *testing.T, cat *data.Catalog) []*query.Query {
 // traffic — and runs them again: Count, Value bits, TrueCards and the
 // full CostStats must equal ReferenceRun's each time. A recycled struct
 // that kept anything derived from data (column storage, row count, prune
-// bitmap, posting list, key columns) fails here.
+// bitmap, posting list, key columns, output layout) fails here. Variant 3
+// also shards the remaining sequential scans 4 ways (Merge leaves, which
+// the reference runs unsharded).
 func TestRecycledOperatorsSeeCurrentCatalog(t *testing.T) {
 	cat := datagen.StatsCEB(datagen.Config{Seed: 7, Scale: 0.4})
 	queries := recycleQueries(t, cat)
@@ -93,11 +106,14 @@ func TestRecycledOperatorsSeeCurrentCatalog(t *testing.T) {
 	ref.MaxIntermediate = testCap
 	ref.NoPool = true
 
-	ran, kinds := 0, map[plan.Op]int{}
+	ran, aggs, kinds := 0, 0, map[plan.Op]int{}
 	check := func(stage string) {
 		for qi, q := range queries {
-			for v := 0; v < 3; v++ {
+			for v := 0; v < 4; v++ {
 				wantPlan, gotPlan := variantPlan(t, cat, q, v), variantPlan(t, cat, q, v)
+				if v == 3 {
+					gotPlan, _ = plan.ShardScans(4).Rewrite(ctx, gotPlan, &plan.PassContext{})
+				}
 				want, werr := ref.ReferenceRun(ctx, q, wantPlan)
 				got, gerr := ex.RunCtx(ctx, q, gotPlan)
 				if (werr == nil) != (gerr == nil) {
@@ -107,6 +123,9 @@ func TestRecycledOperatorsSeeCurrentCatalog(t *testing.T) {
 					continue // a failed run is dropped, not recycled; the next one must not notice
 				}
 				ran++
+				if q.Agg.Kind != query.AggCount {
+					aggs++
+				}
 				gotPlan.Walk(func(n *plan.Node) {
 					if n.Op == plan.NestedLoopJoin && len(n.Cond) == 0 {
 						kinds[-1]++ // cross join
@@ -120,7 +139,7 @@ func TestRecycledOperatorsSeeCurrentCatalog(t *testing.T) {
 				if got.Stats != want.Stats {
 					t.Fatalf("%s q%d v%d: stats %+v, reference %+v", stage, qi, v, got.Stats, want.Stats)
 				}
-				if g, w := trueCards(gotPlan), trueCards(wantPlan); !reflect.DeepEqual(g, w) {
+				if g, w := logicalCards(gotPlan), logicalCards(wantPlan); !reflect.DeepEqual(g, w) {
 					t.Fatalf("%s q%d v%d: TrueCards %v, reference %v", stage, qi, v, g, w)
 				}
 			}
@@ -129,7 +148,10 @@ func TestRecycledOperatorsSeeCurrentCatalog(t *testing.T) {
 	check("t0")
 	datagen.ApplyDrift(cat, datagen.DriftOptions{Seed: 3, Fraction: 0.6, Shift: 2, DomainShift: 0.2})
 	check("drifted")
-	for _, op := range []plan.Op{plan.SeqScan, plan.IndexScan, plan.HashJoin, plan.MergeJoin, plan.NestedLoopJoin, -1} {
+	if aggs < 16 {
+		t.Fatalf("only %d of %d runs computed SUM/AVG/MIN/MAX; the sweep no longer carries an aggregate column", aggs, ran)
+	}
+	for _, op := range []plan.Op{plan.SeqScan, plan.IndexScan, plan.HashJoin, plan.MergeJoin, plan.NestedLoopJoin, plan.Merge, -1} {
 		if kinds[op] < 4 {
 			t.Fatalf("operator kind %v ran %d times in %d runs; the sweep no longer recycles it", op, kinds[op], ran)
 		}
@@ -140,6 +162,14 @@ func TestRecycledOperatorsSeeCurrentCatalog(t *testing.T) {
 	if mis := pool.Misuse(); len(mis) != 0 {
 		t.Fatalf("pool contract violations: %v", mis)
 	}
+}
+
+// logicalCards lists the logical plan's TrueCards in pre-order: a Merge
+// counts as the scan it shards.
+func logicalCards(p *plan.Node) []float64 {
+	var out []float64
+	p.WalkLogical(func(n *plan.Node) { out = append(out, n.TrueCard) })
+	return out
 }
 
 // telemetryValue flattens a PlanTelemetry into comparable values.

@@ -1,8 +1,11 @@
 // Reference evaluator: the pre-pipeline recursive materialize-everything
-// executor, preserved verbatim as the executable specification of what
-// the operator pipeline must measure. Byte-identity tests (and the memory
-// benchmark) run both paths and compare Count, Value, TrueCard and
-// WorkUnits bit-for-bit; this file is the ground truth side.
+// executor, kept as the executable specification of what the operator
+// pipeline must measure. Byte-identity tests (and the memory benchmark)
+// run both paths and compare Count, Value, TrueCard and WorkUnits
+// bit-for-bit; this file is the ground truth side. It is deliberately
+// naive and serial and shares no machinery with the pipeline: scans are a
+// matchesAll row loop, joins a map from the first key column's value to
+// build indices in ascending order, relations whole tuples of row ids.
 package exec
 
 import (
@@ -17,7 +20,7 @@ import (
 
 // Relation is a materialized intermediate: tuples of row ids, one per
 // covered alias. Only the reference evaluator materializes whole
-// relations; the pipeline streams batches.
+// relations; the pipeline streams column batches.
 type Relation struct {
 	Aliases []string
 	pos     map[string]int
@@ -136,20 +139,11 @@ func (e *Executor) evalScan(ctx context.Context, q *query.Query, n *plan.Node, s
 	st.WorkUnits += cStartup
 
 	preds := n.Preds
+	rows, nrows := []int32(nil), tbl.NumRows() // candidate rows; nil means all nrows
 	switch n.Op {
 	case plan.SeqScan:
-		nrows := tbl.NumRows()
 		st.TuplesRead += int64(nrows)
 		st.WorkUnits += float64(nrows) * (cRead + cPred*float64(len(preds)))
-		cols, err := bindPredCols(nil, tbl, preds)
-		if err != nil {
-			return nil, err
-		}
-		tuples, err := e.filterRows(ctx, nrows, cols, preds)
-		if err != nil {
-			return nil, err
-		}
-		rel.Tuples = tuples
 	case plan.IndexScan:
 		eqIdx := -1
 		var ix *data.Index
@@ -165,41 +159,37 @@ func (e *Executor) evalScan(ctx context.Context, q *query.Query, n *plan.Node, s
 			return nil, fmt.Errorf("exec: IndexScan on %s(%s) has no usable equality index", n.Table, n.Alias)
 		}
 		st.IndexLookups++
-		rows := ix.Rows(preds[eqIdx].Val.I)
-		rest := make([]query.Pred, 0, len(preds)-1)
-		for i, p := range preds {
-			if i != eqIdx {
-				rest = append(rest, p)
-			}
-		}
-		cols, err := bindPredCols(nil, tbl, rest)
-		if err != nil {
-			return nil, err
-		}
-		st.TuplesRead += int64(len(rows))
-		st.WorkUnits += cIndexSeek + float64(len(rows))*(cRead+cPred*float64(len(rest)))
-		for i, r := range rows {
-			if i%cancelCheckRows == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			if matchesAll(cols, rest, int(r)) {
-				rel.Tuples = append(rel.Tuples, []int32{r})
-			}
-		}
+		rows = ix.Rows(preds[eqIdx].Val.I)
+		nrows = len(rows)
+		preds = append(append([]query.Pred(nil), preds[:eqIdx]...), preds[eqIdx+1:]...)
+		st.TuplesRead += int64(nrows)
+		st.WorkUnits += cIndexSeek + float64(nrows)*(cRead+cPred*float64(len(preds)))
 	default:
 		return nil, fmt.Errorf("exec: %s is not a scan operator", n.Op)
 	}
+	cols, err := bindPredCols(nil, tbl, preds)
+	if err != nil {
+		return nil, err
+	}
+	var ids []int32
+	for i := 0; i < nrows; i++ {
+		if i%cancelCheckRows == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		r := int32(i)
+		if rows != nil {
+			r = rows[i]
+		}
+		if matchesAll(cols, preds, int(r)) {
+			ids = append(ids, r)
+		}
+	}
+	rel.Tuples = carve(ids, 1)
 	st.WorkUnits += float64(rel.Len()) * cOutput
 	n.TrueCard = float64(rel.Len())
 	return rel, nil
-}
-
-// keyCols resolves one side of a join over a materialized relation; the
-// pipeline's equivalent is keyColsFor over an operator schema.
-func (e *Executor) keyCols(q *query.Query, rel *Relation, conds []query.Join, leftSide bool) ([]keyCol, error) {
-	return keyColsFor(nil, e.Cat, q, rel.Aliases, conds, leftSide)
 }
 
 func (e *Executor) evalJoin(ctx context.Context, q *query.Query, n *plan.Node, left, right *Relation, st *CostStats) (*Relation, error) {
@@ -215,6 +205,7 @@ func (e *Executor) evalJoin(ctx context.Context, q *query.Query, n *plan.Node, l
 			return nil, fmt.Errorf("exec: cross product of %d x %d exceeds intermediate cap", left.Len(), right.Len())
 		}
 		st.WorkUnits += float64(left.Len()) * float64(right.Len()) * cNLCompare
+		var flat []int32
 		for li, lt := range left.Tuples {
 			if li%cancelCheckRows == 0 {
 				if err := ctx.Err(); err != nil {
@@ -222,19 +213,20 @@ func (e *Executor) evalJoin(ctx context.Context, q *query.Query, n *plan.Node, l
 				}
 			}
 			for _, rt := range right.Tuples {
-				out.Tuples = append(out.Tuples, concatTuple(lt, rt))
+				flat = append(append(flat, lt...), rt...)
 			}
 		}
+		out.Tuples = carve(flat, len(out.Aliases))
 		st.TuplesJoined += int64(out.Len())
 		st.WorkUnits += float64(out.Len()) * cOutput
 		return out, nil
 	}
 
-	lks, err := e.keyCols(q, left, n.Cond, true)
+	lks, err := keyColsFor(nil, e.Cat, q, left.Aliases, n.Cond, true)
 	if err != nil {
 		return nil, err
 	}
-	rks, err := e.keyCols(q, right, n.Cond, false)
+	rks, err := keyColsFor(nil, e.Cat, q, right.Aliases, n.Cond, false)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +245,8 @@ func (e *Executor) evalJoin(ctx context.Context, q *query.Query, n *plan.Node, l
 	}
 
 	// Evaluate hash-based regardless of the charged algorithm: build on the
-	// smaller side for memory, probe with the larger.
+	// smaller side for memory, probe with the larger. Probe tuples come out
+	// in order, each one's matches in ascending build index.
 	build, probe := right, left
 	bks, pks := rks, lks
 	buildIsRight := true
@@ -262,27 +255,62 @@ func (e *Executor) evalJoin(ctx context.Context, q *query.Query, n *plan.Node, l
 		bks, pks = lks, rks
 		buildIsRight = false
 	}
-	bg := newKeyGather(bks)
-	keys := bg.gather(build.Tuples, nil)
-	ht := make(map[uint64][]int32, build.Len())
-	for ti := range build.Tuples {
-		if ti%cancelCheckRows == 0 {
+	ht := make(map[int64][]int32, build.Len())
+	for bi, bt := range build.Tuples {
+		if bi%cancelCheckRows == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		ht[keys[ti]] = append(ht[keys[ti]], int32(ti))
+		k := bks[0].col.Ints[bt[bks[0].pos]]
+		ht[k] = append(ht[k], int32(bi))
 	}
-	limit := e.maxRows()
-	tuples, capExceeded, err := e.probeHash(ctx, probe, build, ht, pks, bks, buildIsRight, limit)
-	if err != nil {
-		return nil, err
+	limit, width := e.maxRows(), len(out.Aliases)
+	var flat []int32
+	for i, pt := range probe.Tuples {
+		if i%cancelCheckRows == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		for _, bi := range ht[pks[0].col.Ints[pt[pks[0].pos]]] {
+			bt := build.Tuples[bi]
+			if !tupleKeysEqual(pt, pks, bt, bks) {
+				continue
+			}
+			if buildIsRight {
+				flat = append(append(flat, pt...), bt...)
+			} else {
+				flat = append(append(flat, bt...), pt...)
+			}
+		}
+		if len(flat)/width > limit {
+			return nil, fmt.Errorf("exec: join output exceeds intermediate cap (%d)", limit)
+		}
 	}
-	if capExceeded {
-		return nil, fmt.Errorf("exec: join output exceeds intermediate cap (%d)", limit)
-	}
-	out.Tuples = tuples
+	out.Tuples = carve(flat, width)
 	st.TuplesJoined += int64(out.Len())
 	st.WorkUnits += float64(out.Len()) * cOutput
 	return out, nil
+}
+
+// tupleKeysEqual reports whether tuples lt and rt agree on every key
+// column.
+func tupleKeysEqual(lt []int32, lks []keyCol, rt []int32, rks []keyCol) bool {
+	for i := range lks {
+		if lks[i].col.Ints[lt[lks[i].pos]] != rks[i].col.Ints[rt[rks[i].pos]] {
+			return false
+		}
+	}
+	return true
+}
+
+// carve cuts flat into its tuples of width row ids each, full-capacity
+// sub-slices of the one backing array.
+func carve(flat []int32, width int) [][]int32 {
+	out := make([][]int32, len(flat)/width)
+	for i := range out {
+		out[i] = flat[i*width : (i+1)*width : (i+1)*width]
+	}
+	return out
 }

@@ -1,11 +1,14 @@
 // Scan operators: streaming sequential scan with pushed-down predicate
 // filtering (serial or span-partitioned across the worker pool) and index
-// scan with residual predicate filtering.
+// scan with residual predicate filtering. Both emit their selection
+// vector itself as the batch's one column — or no column at all when the
+// consumer reads none of it.
 package exec
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"lqo/internal/data"
 	"lqo/internal/plan"
@@ -18,28 +21,36 @@ import (
 // span-order concatenation keeps output identical to the serial path.
 const scanSegmentRows = 8192
 
+// scanSchema is a scan's output layout: its alias when need lists it, else
+// nothing.
+func scanSchema(dst *[1]string, alias string, need []string) []string {
+	dst[0] = alias
+	if slices.Contains(need, alias) {
+		return dst[:]
+	}
+	return dst[:0]
+}
+
 // seqScanOp streams the matching row ids of a sequential scan in batches.
 type seqScanOp struct {
 	e    *Executor
 	q    *query.Query
 	node *plan.Node
 	pool *BatchPool
+	need []string // aliases the consumer reads
 
 	ctx    context.Context
-	schema [1]string
+	alias  [1]string
+	schema []string
 	cols   []*data.Column
 	preds  []query.Pred
 	nrows  int
 	filter blockFilter  // bf's storage, recompiled by every Open
 	bf     *blockFilter // compiled vectorized filter; nil under NoVec
-	sel    []int32      // pooled selection vector for the serial path
+	parts  [][]int32    // per-span vectors of the partitioned fill
 
-	arena  tupleArena   // slab storage behind every tuple this scan emits
-	chunk  arenaChunk   // serial-path carving handle
-	chunks []arenaChunk // one carving handle per span worker
-
-	cursor  int       // next unread input row
-	pending [][]int32 // pooled buffer of filtered tuples awaiting emission
+	cursor  int   // next unread input row
+	pending Batch // one pooled vector: matching row ids awaiting emission
 	pendIdx int
 	done    bool
 	out     Batch
@@ -53,7 +64,7 @@ func (s *seqScanOp) Open(ctx context.Context) error {
 	s.ctx = ctx
 	s.tel.Op = s.node.Op.String()
 	s.tel.Node = s.node
-	s.schema[0] = s.node.Alias
+	s.schema = scanSchema(&s.alias, s.node.Alias, s.need)
 	tbl := s.e.Cat.Table(s.node.Table)
 	if tbl == nil {
 		return fmt.Errorf("exec: unknown table %q", s.node.Table)
@@ -69,12 +80,7 @@ func (s *seqScanOp) Open(ctx context.Context) error {
 		s.bf.compile(s.cols, s.preds, s.nrows)
 		s.tel.BlocksTotal, s.tel.BlocksSkipped = s.bf.blocks()
 	}
-	if s.pool != nil {
-		s.arena.pool = s.pool
-		s.chunk.a = &s.arena
-	}
-	s.sel = s.pool.GetSel(0)
-	s.pending = s.pool.GetTuples(0)
+	s.pending.alloc(s.pool, 1)
 	s.tel.RowsIn = int64(s.nrows)
 	s.tel.tuplesRead = int64(s.nrows)
 	// Charges are analytic over the full table: pruned blocks still pay
@@ -93,90 +99,86 @@ func (s *seqScanOp) Next() (*Batch, error) {
 	if s.done {
 		return nil, nil
 	}
-	if s.pendIdx == len(s.pending) {
-		s.pending = s.pending[:0]
+	if s.pendIdx == s.pending.N {
+		s.pending.truncate()
 		s.pendIdx = 0
-		if err := s.fill(); err != nil {
+		err := s.fill()
+		s.pending.N = len(s.pending.Cols[0])
+		if err != nil {
 			return nil, err
 		}
 	}
-	if len(s.pending) == 0 {
+	if s.pending.N == 0 {
 		s.finish()
 		return nil, nil
 	}
-	return emitPending(&s.pending, &s.pendIdx, &s.out, &s.tel, s.e.batchSize()), nil
+	return emit(&s.pending, &s.pendIdx, &s.out, len(s.schema), &s.tel, s.e.batchSize()), nil
 }
 
-// fill refills pending from the next chunk of input rows: serially up to a
-// batch of matches, or one span-partitioned segment on the worker pool.
-// Both paths run the vectorized block kernels unless NoVec forced the
-// scalar row loop; output content and order are identical either way.
-func (s *seqScanOp) fill() error {
-	w := s.e.workers()
-	if w == 1 || s.nrows < parallelMinRows {
-		return s.fillSerial()
+// fill refills the pending vector from the next chunk of input rows:
+// serially up to a batch of matches, or one span-partitioned segment on
+// the worker pool. Both paths run the vectorized block kernels unless
+// NoVec forced the scalar row loop; output content and order are
+// identical either way.
+func (s *seqScanOp) fill() (err error) {
+	if w := s.e.workers(); w > 1 && s.nrows >= parallelMinRows {
+		return s.fillParallel(w)
 	}
-	return s.fillParallel(w)
+	s.pending.Cols[0], err = s.fillSerial(s.pending.Cols[0])
+	return err
 }
 
-func (s *seqScanOp) fillSerial() error {
+func (s *seqScanOp) fillSerial(rows []int32) ([]int32, error) {
 	bs := s.e.batchSize()
 	if s.bf == nil { // NoVec: scalar row-at-a-time filtering
-		for s.cursor < s.nrows && len(s.pending) < bs {
+		for s.cursor < s.nrows && len(rows) < bs {
 			if s.cursor%cancelCheckRows == 0 {
 				if err := s.ctx.Err(); err != nil {
-					return err
+					return rows, err
 				}
 			}
 			if matchesAll(s.cols, s.preds, s.cursor) {
-				s.pending = append(s.pending, s.chunk.one(int32(s.cursor)))
+				rows = append(rows, int32(s.cursor))
 			}
 			s.cursor++
 		}
-		return nil
+		return rows, nil
 	}
-	// Vectorized: one zone block per step, skipped entirely when pruned.
-	// The cursor only ever rests on block boundaries (or 0).
-	for s.cursor < s.nrows && len(s.pending) < bs {
+	// Vectorized: one zone block per step, skipped entirely when pruned,
+	// the kernels appending straight into the output vector. The cursor
+	// only ever rests on block boundaries (or 0).
+	for s.cursor < s.nrows && len(rows) < bs {
 		if err := s.ctx.Err(); err != nil {
-			return err
+			return rows, err
 		}
 		b := s.cursor / data.ZoneBlockSize
-		end := (b + 1) * data.ZoneBlockSize
-		if end > s.nrows {
-			end = s.nrows
-		}
+		end := min((b+1)*data.ZoneBlockSize, s.nrows)
 		if !s.bf.skips(b) {
-			s.sel = s.bf.filterRange(int32(s.cursor), int32(end), s.sel[:0])
-			s.pending = appendTuples(s.pending, s.sel, &s.chunk)
+			rows = s.bf.filterRange(int32(s.cursor), int32(end), rows)
 		}
 		s.cursor = end
 	}
-	return nil
+	return rows, nil
 }
 
 func (s *seqScanOp) fillParallel(w int) error {
-	for len(s.pending) == 0 && s.cursor < s.nrows {
-		hi := s.cursor + w*scanSegmentRows
-		if hi > s.nrows {
-			hi = s.nrows
-		}
-		spans := splitSpans(hi-s.cursor, w)
-		s.ensureChunks(len(spans))
+	for len(s.pending.Cols[0]) == 0 && s.cursor < s.nrows {
+		hi := min(s.cursor+w*scanSegmentRows, s.nrows)
 		lo := s.cursor
-		s.pending, _ = collectSpans(s.pool, spans, s.pending, func(si int, sp span, buf [][]int32) ([][]int32, bool) {
+		collectSpans(s.pool, splitSpans(hi-lo, w), s.pending.Cols, &s.parts, func(_ int, sp span, out [][]int32) bool {
 			if s.bf != nil {
-				return filterSpanTuples(s.ctx, s.bf, lo+sp.lo, lo+sp.hi, buf, s.pool, &s.chunks[si]), true
+				out[0] = s.bf.filterSpan(s.ctx, lo+sp.lo, lo+sp.hi, out[0])
+				return true
 			}
 			for i := lo + sp.lo; i < lo+sp.hi; i++ {
 				if (i-lo-sp.lo)%cancelCheckRows == 0 && s.ctx.Err() != nil {
-					return buf, true // partial buffer discarded by the ctx check below
+					return true // partial vector discarded by the ctx check below
 				}
 				if matchesAll(s.cols, s.preds, i) {
-					buf = append(buf, s.chunks[si].one(int32(i)))
+					out[0] = append(out[0], int32(i))
 				}
 			}
-			return buf, true
+			return true
 		})
 		if err := s.ctx.Err(); err != nil {
 			return err
@@ -186,50 +188,25 @@ func (s *seqScanOp) fillParallel(w int) error {
 	return nil
 }
 
-// ensureChunks sizes the per-span carving handles; chunk slab remainders
-// persist across fill segments, so each worker index keeps carving where
-// it left off.
-func (s *seqScanOp) ensureChunks(n int) {
-	if len(s.chunks) >= n {
-		return
-	}
-	s.chunks = make([]arenaChunk, n)
-	if s.pool != nil {
-		for i := range s.chunks {
-			s.chunks[i].a = &s.arena
-		}
-	}
-}
-
 func (s *seqScanOp) finish() {
 	s.done = true
 	s.tel.charges = append(s.tel.charges, float64(s.tel.RowsOut)*cOutput)
 	s.node.TrueCard = float64(s.tel.RowsOut)
 }
 
-// Close returns every pooled buffer and releases the tuple arena. Safe to
-// call twice: Put(nil) is a no-op and release is idempotent. The emitted
-// tuples themselves are arena-backed, so the arena is only released here —
-// after the consumer above has closed and dropped its references.
+// Close returns the pending vector; safe to call twice.
 func (s *seqScanOp) Close() error {
-	s.pool.PutTuples(s.pending)
-	s.pool.PutSel(s.sel)
-	s.pending, s.sel, s.out.Tuples = nil, nil, nil
-	s.chunk.reset()
-	for i := range s.chunks {
-		s.chunks[i].reset()
-	}
-	s.chunks = nil
-	s.arena.release()
+	s.pending.free(s.pool)
+	s.out.forget()
 	return nil
 }
 func (s *seqScanOp) Telemetry() *OpTelemetry { return &s.tel }
-func (s *seqScanOp) Schema() []string        { return s.schema[:] }
+func (s *seqScanOp) Schema() []string        { return s.schema }
 
 func (s *seqScanOp) recycle(p *BatchPool) {
 	clear(s.cols)
 	s.filter.reset()
-	*s = seqScanOp{cols: s.cols[:0], filter: s.filter, arena: tupleArena{slabs: s.arena.slabs}, tel: OpTelemetry{charges: s.tel.charges[:0]}}
+	*s = seqScanOp{cols: s.cols[:0], filter: s.filter, parts: s.parts[:0], pending: s.pending, out: s.out, tel: OpTelemetry{charges: s.tel.charges[:0]}}
 	p.ops[opSeqScan].Put(s)
 }
 
@@ -240,23 +217,22 @@ type indexScanOp struct {
 	q    *query.Query
 	node *plan.Node
 	pool *BatchPool
+	need []string // aliases the consumer reads
 
 	ctx    context.Context
-	schema [1]string
-	rows   []int32
+	alias  [1]string
+	schema []string
+	rows   []int32 // the index's posting list
 	cols   []*data.Column
 	rest   []query.Pred
 	filter blockFilter  // bf's storage, recompiled by every Open
 	bf     *blockFilter // residual-filter kernels; nil under NoVec
-	sel    []int32      // pooled selection vector
 
-	arena tupleArena // slab storage behind emitted tuples
-	chunk arenaChunk
-
-	cursor int
-	done   bool
-	out    Batch
-	tel    OpTelemetry
+	cursor  int
+	done    bool
+	pending Batch // one pooled vector: the next batch's row ids
+	out     Batch
+	tel     OpTelemetry
 }
 
 func (s *indexScanOp) Open(ctx context.Context) error {
@@ -266,7 +242,7 @@ func (s *indexScanOp) Open(ctx context.Context) error {
 	s.ctx = ctx
 	s.tel.Op = s.node.Op.String()
 	s.tel.Node = s.node
-	s.schema[0] = s.node.Alias
+	s.schema = scanSchema(&s.alias, s.node.Alias, s.need)
 	tbl := s.e.Cat.Table(s.node.Table)
 	if tbl == nil {
 		return fmt.Errorf("exec: unknown table %q", s.node.Table)
@@ -303,12 +279,7 @@ func (s *indexScanOp) Open(ctx context.Context) error {
 		s.bf = &s.filter
 		s.bf.compile(s.cols, s.rest, 0)
 	}
-	if s.pool != nil {
-		s.arena.pool = s.pool
-		s.chunk.a = &s.arena
-	}
-	s.sel = s.pool.GetSel(0)
-	s.out.Tuples = s.pool.GetTuples(0)
+	s.pending.alloc(s.pool, 1)
 	s.tel.RowsIn = int64(len(s.rows))
 	s.tel.tuplesRead = int64(len(s.rows))
 	s.tel.indexLookups = 1
@@ -326,79 +297,68 @@ func (s *indexScanOp) Next() (*Batch, error) {
 		return nil, nil
 	}
 	bs := s.e.batchSize()
-	s.out.Tuples = s.out.Tuples[:0]
-	if s.bf != nil {
-		// Vectorized residual filtering: copy a chunk of the posting list
-		// into the reusable selection vector, refine it through every
-		// conjunct, and materialize the survivors.
-		for s.cursor < len(s.rows) && len(s.out.Tuples) < bs {
-			if err := s.ctx.Err(); err != nil {
-				return nil, err
-			}
-			take := bs - len(s.out.Tuples)
-			if rem := len(s.rows) - s.cursor; take > rem {
-				take = rem
-			}
-			s.sel = append(s.sel[:0], s.rows[s.cursor:s.cursor+take]...)
-			s.out.Tuples = appendTuples(s.out.Tuples, s.bf.refineIDs(s.sel), &s.chunk)
-			s.cursor += take
-		}
-	} else {
-		for s.cursor < len(s.rows) && len(s.out.Tuples) < bs {
-			if s.cursor%cancelCheckRows == 0 {
-				if err := s.ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			r := s.rows[s.cursor]
-			s.cursor++
-			if matchesAll(s.cols, s.rest, int(r)) {
-				s.out.Tuples = append(s.out.Tuples, s.chunk.one(r))
-			}
-		}
+	ids, err := s.fill(s.pending.Cols[0][:0], bs)
+	s.pending.Cols[0], s.pending.N = ids, len(ids)
+	if err != nil {
+		return nil, err
 	}
-	if len(s.out.Tuples) == 0 {
+	if s.pending.N == 0 {
 		s.done = true
 		s.tel.charges = append(s.tel.charges, float64(s.tel.RowsOut)*cOutput)
 		s.node.TrueCard = float64(s.tel.RowsOut)
 		return nil, nil
 	}
-	s.tel.RowsOut += int64(len(s.out.Tuples))
-	s.tel.Batches++
-	return &s.out, nil
+	idx := 0
+	return emit(&s.pending, &idx, &s.out, len(s.schema), &s.tel, bs), nil
 }
 
-// Close returns the pooled selection vector and output buffer and releases
-// the arena. s.rows is the index's posting list, not ours to recycle.
+// fill appends up to bs surviving posting-list rows to ids.
+func (s *indexScanOp) fill(ids []int32, bs int) ([]int32, error) {
+	if s.bf == nil {
+		for s.cursor < len(s.rows) && len(ids) < bs {
+			if s.cursor%cancelCheckRows == 0 {
+				if err := s.ctx.Err(); err != nil {
+					return ids, err
+				}
+			}
+			r := s.rows[s.cursor]
+			s.cursor++
+			if matchesAll(s.cols, s.rest, int(r)) {
+				ids = append(ids, r)
+			}
+		}
+		return ids, nil
+	}
+	// Vectorized residual filtering: copy a chunk of the posting list onto
+	// the vector and refine the new suffix in place through every conjunct.
+	for s.cursor < len(s.rows) && len(ids) < bs {
+		if err := s.ctx.Err(); err != nil {
+			return ids, err
+		}
+		take := min(bs-len(ids), len(s.rows)-s.cursor)
+		mark := len(ids)
+		ids = append(ids, s.rows[s.cursor:s.cursor+take]...)
+		ids = ids[:mark+len(s.bf.refineIDs(ids[mark:]))]
+		s.cursor += take
+	}
+	return ids, nil
+}
+
+// Close returns the pending vector. s.rows is the index's posting list,
+// not ours to recycle.
 func (s *indexScanOp) Close() error {
-	s.pool.PutSel(s.sel)
-	s.pool.PutTuples(s.out.Tuples)
-	s.rows, s.sel, s.out.Tuples = nil, nil, nil
-	s.chunk.reset()
-	s.arena.release()
+	s.pending.free(s.pool)
+	s.out.forget()
+	s.rows = nil
 	return nil
 }
 func (s *indexScanOp) Telemetry() *OpTelemetry { return &s.tel }
-func (s *indexScanOp) Schema() []string        { return s.schema[:] }
+func (s *indexScanOp) Schema() []string        { return s.schema }
 
 func (s *indexScanOp) recycle(p *BatchPool) {
 	clear(s.cols)
 	clear(s.rest)
 	s.filter.reset()
-	*s = indexScanOp{cols: s.cols[:0], rest: s.rest[:0], filter: s.filter, arena: tupleArena{slabs: s.arena.slabs}, tel: OpTelemetry{charges: s.tel.charges[:0]}}
+	*s = indexScanOp{cols: s.cols[:0], rest: s.rest[:0], filter: s.filter, pending: s.pending, out: s.out, tel: OpTelemetry{charges: s.tel.charges[:0]}}
 	p.ops[opIndexScan].Put(s)
-}
-
-// emitPending slices the next batch-sized window out of a pending buffer
-// without copying tuples, updating output telemetry.
-func emitPending(pending *[][]int32, pendIdx *int, out *Batch, tel *OpTelemetry, batchSize int) *Batch {
-	n := len(*pending) - *pendIdx
-	if n > batchSize {
-		n = batchSize
-	}
-	out.Tuples = (*pending)[*pendIdx : *pendIdx+n]
-	*pendIdx += n
-	tel.RowsOut += int64(n)
-	tel.Batches++
-	return out
 }

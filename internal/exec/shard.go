@@ -215,10 +215,13 @@ type mergeOp struct {
 	// buildOperator times every other operator of a RunAnalyze run.
 	analyze bool
 
+	need []string // aliases the consumer reads
+
 	ctx     context.Context
+	alias   [1]string
+	schema  []string
 	cursors []int
-	arena   tupleArena // slab storage behind emitted tuples
-	chunk   arenaChunk
+	pending Batch // one pooled vector: the next batch's row ids
 	done    bool
 	out     Batch
 	tel     OpTelemetry
@@ -231,6 +234,7 @@ func (m *mergeOp) Open(ctx context.Context) error {
 	m.ctx = ctx
 	m.tel.Op = m.node.Op.String()
 	m.tel.Node = m.node
+	m.schema = scanSchema(&m.alias, m.node.Alias, m.need)
 	tbl := m.e.Cat.Table(m.node.Table)
 	if tbl == nil {
 		return fmt.Errorf("exec: unknown table %q", m.node.Table)
@@ -264,11 +268,7 @@ func (m *mergeOp) Open(ctx context.Context) error {
 		}
 	}
 	m.cursors = make([]int, len(m.exs))
-	if m.pool != nil {
-		m.arena.pool = m.pool
-		m.chunk.a = &m.arena
-	}
-	m.out.Tuples = m.pool.GetTuples(0)
+	m.pending.alloc(m.pool, 1)
 	return nil
 }
 
@@ -280,11 +280,12 @@ func (m *mergeOp) Next() (*Batch, error) {
 		return nil, nil
 	}
 	bs := m.e.batchSize()
-	m.out.Tuples = m.out.Tuples[:0]
-	for n := 0; len(m.out.Tuples) < bs; n++ {
+	ids := m.pending.Cols[0][:0]
+	for n := 0; len(ids) < bs; n++ {
 		// Every 4 runs ≈ a few thousand rows between ctx checks.
 		if n%4 == 0 && n > 0 {
 			if err := m.ctx.Err(); err != nil {
+				m.pending.Cols[0] = ids
 				return nil, err
 			}
 		}
@@ -308,21 +309,21 @@ func (m *mergeOp) Next() (*Batch, error) {
 		cur := m.cursors[best]
 		blockEnd := (rows[cur]/int32(data.ZoneBlockSize) + 1) * int32(data.ZoneBlockSize)
 		end := cur + 1
-		for end < len(rows) && rows[end] < blockEnd && len(m.out.Tuples)+(end-cur) < bs {
+		for end < len(rows) && rows[end] < blockEnd && len(ids)+(end-cur) < bs {
 			end++
 		}
-		m.out.Tuples = appendTuples(m.out.Tuples, rows[cur:end], &m.chunk)
+		ids = append(ids, rows[cur:end]...)
 		m.cursors[best] = end
 	}
-	if len(m.out.Tuples) == 0 {
+	m.pending.Cols[0], m.pending.N = ids, len(ids)
+	if len(ids) == 0 {
 		m.done = true
 		m.tel.charges = append(m.tel.charges, float64(m.tel.RowsOut)*cOutput)
 		m.node.TrueCard = float64(m.tel.RowsOut)
 		return nil, nil
 	}
-	m.tel.RowsOut += int64(len(m.out.Tuples))
-	m.tel.Batches++
-	return &m.out, nil
+	idx := 0
+	return emit(&m.pending, &idx, &m.out, len(m.schema), &m.tel, bs), nil
 }
 
 func (m *mergeOp) Close() error {
@@ -334,12 +335,11 @@ func (m *mergeOp) Close() error {
 			firstErr = err
 		}
 	}
-	m.pool.PutTuples(m.out.Tuples)
-	m.out.Tuples, m.cursors = nil, nil
-	m.chunk.reset()
-	m.arena.release()
+	m.pending.free(m.pool)
+	m.out.forget()
+	m.cursors = nil
 	return firstErr
 }
 
 func (m *mergeOp) Telemetry() *OpTelemetry { return &m.tel }
-func (m *mergeOp) Schema() []string        { return []string{m.node.Alias} }
+func (m *mergeOp) Schema() []string        { return m.schema }

@@ -13,7 +13,8 @@ import (
 
 // shardCatalog builds a catalog whose fact table spans many zone blocks,
 // so round-robin block partitioning and pruning have real structure to
-// divide, plus a small dimension table for join coverage.
+// divide, plus a small dimension table for join coverage. fact.dim_id is
+// indexed, for index scans.
 func shardCatalog() *data.Catalog {
 	cat := data.NewCatalog()
 	fact := data.NewTable("fact",
@@ -27,6 +28,9 @@ func shardCatalog() *data.Catalog {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		fact.Column("v").AppendInt((rng >> 33) % 100)
 		fact.Column("dim_id").AppendInt((rng >> 13) % 20)
+	}
+	if _, err := fact.BuildIndex("dim_id"); err != nil {
+		panic(err)
 	}
 	cat.Add(fact)
 	dim := data.NewTable("dim",

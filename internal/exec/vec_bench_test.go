@@ -81,9 +81,9 @@ func BenchmarkFilterKernelVec(b *testing.B) {
 	bf := newBlockFilter(cols, q.Preds, benchRows)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var sel []int32
 	for i := 0; i < b.N; i++ {
-		out := filterSpanTuples(context.Background(), bf, 0, benchRows, nil, nil, nil)
-		_ = out
+		sel = bf.filterSpan(context.Background(), 0, benchRows, sel[:0])
 	}
 }
 
@@ -93,10 +93,10 @@ func BenchmarkFilterKernelScalar(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var out [][]int32
+		var out []int32
 		for r := 0; r < benchRows; r++ {
 			if matchesAll(cols, q.Preds, r) {
-				out = append(out, []int32{int32(r)})
+				out = append(out, int32(r))
 			}
 		}
 		_ = out
@@ -104,113 +104,126 @@ func BenchmarkFilterKernelScalar(b *testing.B) {
 }
 
 // Key-extraction benchmarks: the typed single-column gather (raw int64
-// map keys) vs. the old always-FNV compositeKey path, over 1M one-column
-// build tuples.
-func benchKeyTuples() ([][]int32, []keyCol) {
+// map keys) vs. the old always-FNV compositeKey path, over a 1M-row
+// one-column build batch.
+func benchKeyBatch() ([][]int32, []keyCol) {
 	c := &data.Column{Name: "k", Kind: data.Int}
-	tuples := make([][]int32, benchRows)
-	backing := make([]int32, benchRows)
+	ids := make([]int32, benchRows)
 	for i := 0; i < benchRows; i++ {
 		c.Ints = append(c.Ints, int64(i%65536))
-		backing[i] = int32(i)
-		tuples[i] = backing[i : i+1 : i+1]
+		ids[i] = int32(i)
 	}
-	return tuples, []keyCol{{pos: 0, col: c}}
+	return [][]int32{ids}, []keyCol{{pos: 0, col: c}}
 }
 
 func BenchmarkKeyGatherTyped(b *testing.B) {
-	tuples, kcs := benchKeyTuples()
+	cols, kcs := benchKeyBatch()
 	g := newKeyGather(kcs)
 	var dst []uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = g.gather(tuples, dst)
+		dst = g.gather(cols, 0, benchRows, dst)
 	}
 	_ = dst
 }
 
 func BenchmarkKeyGatherFNV(b *testing.B) {
-	tuples, kcs := benchKeyTuples()
+	cols, kcs := benchKeyBatch()
 	dst := make([]uint64, 0, benchRows)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst = dst[:0]
-		for _, t := range tuples {
-			dst = append(dst, compositeKey(t, kcs))
+		for r := 0; r < benchRows; r++ {
+			dst = append(dst, compositeKey(cols, r, kcs))
 		}
 	}
 	_ = dst
 }
 
 // BenchmarkHashJoinProbe times the join kernel alone: key gather plus
-// joinTable.probe of 64k probe tuples per op against an indexed build side
+// joinTable.probe of 64k probe rows per op against an indexed build side
 // of distinct keys, by build size (cache-resident to not) and by the share
-// of probe tuples that find their one match (10 % is the regime the
-// exec_heavy workload runs in: 6.7 % of its probe tuples match). Every
-// batch's output is dead
-// before the next, so the arena chunk is rewound onto one slab and the
-// steady state allocates nothing.
+// of probe rows that find their one match (10 % is the regime the
+// exec_heavy workload runs in: 6.7 % of its probe rows match). Each grid
+// cell gathers both input columns of every match, as a join whose
+// consumer reads both sides does; the count-only cell gathers none, as
+// the root join of a COUNT(*) plan. Every batch's output is dead before
+// the next, so the vectors are reused and the steady state allocates
+// nothing.
 func BenchmarkHashJoinProbe(b *testing.B) {
 	const nProbe = 1 << 16
+	type cell struct {
+		name      string
+		n, match  int
+		countOnly bool
+	}
+	var cells []cell
 	for _, size := range []struct {
 		name string
 		n    int
 	}{{"16", 16}, {"1k", 1 << 10}, {"64k", 1 << 16}} {
 		for _, match := range []int{1, 10, 50, 100} {
-			b.Run(fmt.Sprintf("build=%s/match=%d%%", size.name, match), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(15))
-				// One key column serves both sides: rows [0, n) are the build
-				// side (a permutation of 0..n-1), the rest the probe side.
-				col := &data.Column{Name: "k", Kind: data.Int}
-				for _, k := range rng.Perm(size.n) {
-					col.Ints = append(col.Ints, int64(k))
-				}
-				for i := 0; i < nProbe; i++ {
-					k := int64(rng.Intn(size.n))
-					if rng.Intn(100) >= match {
-						k = -1 - k
-					}
-					col.Ints = append(col.Ints, k)
-				}
-				rows := make([][]int32, size.n+nProbe)
-				for i := range rows {
-					rows[i] = []int32{int32(i)}
-				}
-				kcs := []keyCol{{pos: 0, col: col}}
-				g := newKeyGather(kcs)
-				pool := NewBatchPool()
-				tab := joinTable{build: rows[:size.n], bks: kcs, pks: kcs, buildIsRight: true}
-				tab.keys = g.gather(tab.build, pool.GetKeys(size.n))
-				if err := tab.index(context.Background(), pool); err != nil {
-					b.Fatal(err)
-				}
-				arena := tupleArena{pool: pool}
-				chunk := arenaChunk{a: &arena}
-				slab := arena.grab()
-				pts, pkeys, out := rows[size.n:], pool.GetKeys(nProbe), pool.GetTuples(nProbe)
-				emitted := 0
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					pkeys = g.gather(pts, pkeys)
-					for lo := 0; lo < nProbe; lo += DefaultBatchSize {
-						chunk.free = slab
-						out, _ = tab.probe(pts[lo:lo+DefaultBatchSize], pkeys[lo:lo+DefaultBatchSize], out[:0], &chunk, math.MaxInt)
-						emitted += len(out)
-					}
-				}
-				b.StopTimer()
-				if want := b.N * nProbe * match / 100; emitted < want*9/10 || emitted > want*11/10+nProbe/50 {
-					b.Fatalf("emitted %d tuples, expected about %d", emitted, want)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nProbe), "ns/probe-row")
-				tab.release(pool)
-				arena.release()
-				pool.PutKeys(pkeys)
-				pool.PutTuples(out)
-			})
+			cells = append(cells, cell{fmt.Sprintf("build=%s/match=%d%%", size.name, match), size.n, match, false})
 		}
+	}
+	cells = append(cells, cell{"build=1k/match=10%/count-only", 1 << 10, 10, true})
+	for _, c := range cells {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(15))
+			// One key column serves both sides: rows [0, n) are the build
+			// side (a permutation of 0..n-1), the rest the probe side.
+			col := &data.Column{Name: "k", Kind: data.Int}
+			for _, k := range rng.Perm(c.n) {
+				col.Ints = append(col.Ints, int64(k))
+			}
+			for i := 0; i < nProbe; i++ {
+				k := int64(rng.Intn(c.n))
+				if rng.Intn(100) >= c.match {
+					k = -1 - k
+				}
+				col.Ints = append(col.Ints, k)
+			}
+			ids := make([]int32, c.n+nProbe)
+			for i := range ids {
+				ids[i] = int32(i)
+			}
+			build, probe := [][]int32{ids[:c.n]}, [][]int32{ids[c.n:]}
+			kcs := []keyCol{{pos: 0, col: col}}
+			g := newKeyGather(kcs)
+			pool := NewBatchPool()
+			tab := joinTable{build: build, bks: kcs, pks: kcs}
+			tab.keys = g.gather(build, 0, c.n, pool.GetKeys(c.n))
+			if err := tab.index(context.Background(), pool); err != nil {
+				b.Fatal(err)
+			}
+			pkeys := pool.GetKeys(nProbe)
+			pidx, bidx, outP, outB := pool.GetSel(0), pool.GetSel(0), pool.GetSel(0), pool.GetSel(0)
+			emitted := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pkeys = g.gather(probe, 0, nProbe, pkeys)
+				for lo := 0; lo < nProbe; lo += DefaultBatchSize {
+					pidx, bidx, _ = tab.probe(probe, lo, pkeys[lo:lo+DefaultBatchSize], pidx[:0], bidx[:0], math.MaxInt)
+					if !c.countOnly {
+						outP = gatherRows(outP[:0], probe[0], pidx)
+						outB = gatherRows(outB[:0], build[0], bidx)
+					}
+					emitted += len(bidx)
+				}
+			}
+			b.StopTimer()
+			if want := b.N * nProbe * c.match / 100; emitted < want*9/10 || emitted > want*11/10+nProbe/50 {
+				b.Fatalf("emitted %d matches, expected about %d", emitted, want)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nProbe), "ns/probe-row")
+			tab.release(pool)
+			pool.PutKeys(pkeys)
+			for _, v := range [][]int32{pidx, bidx, outP, outB} {
+				pool.PutSel(v)
+			}
+		})
 	}
 }

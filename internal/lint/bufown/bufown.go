@@ -57,10 +57,8 @@ func applies(pkgPath string) bool {
 
 // trackedTypes are the pooled buffer shapes worth tracking.
 var trackedTypes = map[string]bool{
-	"[]int32":     true,
-	"[][]int32":   true,
-	"[][][]int32": true,
-	"[]uint64":    true,
+	"[]int32":  true,
+	"[]uint64": true,
 }
 
 // Ownership state bits; a fact maps each tracked variable to a may-set.
@@ -121,9 +119,8 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// isPoolMethod reports whether fn is a method of BatchPool (or of the
-// arena types carved out of it) — the pool implementation itself is the
-// one place Get/Put asymmetry is the point.
+// isPoolMethod reports whether fn is a method of BatchPool — the pool
+// implementation itself is the one place Get/Put asymmetry is the point.
 func isPoolMethod(info *types.Info, fn *ast.FuncDecl) bool {
 	if fn.Recv == nil || len(fn.Recv.List) == 0 {
 		return false
@@ -133,14 +130,7 @@ func isPoolMethod(info *types.Info, fn *ast.FuncDecl) bool {
 		t = p.Elem()
 	}
 	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	switch n.Obj().Name() {
-	case "BatchPool", "tupleArena", "arenaChunk":
-		return true
-	}
-	return false
+	return ok && n.Obj().Name() == "BatchPool"
 }
 
 // checker carries one function's analysis state.
@@ -474,7 +464,7 @@ func objVar(info *types.Info, id *ast.Ident) *types.Var {
 }
 
 // getCall reports the method name when e is a direct pool Get call
-// (GetTuples/GetSel/GetSpans/GetKeys/getSlab on a BatchPool receiver).
+// (GetSel/GetKeys on a BatchPool receiver).
 func getCall(info *types.Info, e ast.Expr) string {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
@@ -485,7 +475,7 @@ func getCall(info *types.Info, e ast.Expr) string {
 		return ""
 	}
 	switch fn.Name() {
-	case "GetTuples", "GetSel", "GetSpans", "GetKeys", "getSlab":
+	case "GetSel", "GetKeys":
 		return fn.Name()
 	}
 	return ""
@@ -499,7 +489,7 @@ func putCall(info *types.Info, call *ast.CallExpr) (string, ast.Expr) {
 		return "", nil
 	}
 	switch fn.Name() {
-	case "PutTuples", "PutSel", "PutSpans", "PutKeys", "putSlab":
+	case "PutSel", "PutKeys":
 		return fn.Name(), call.Args[0]
 	}
 	return "", nil

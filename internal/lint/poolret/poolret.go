@@ -1,10 +1,10 @@
 // Package poolret enforces the PR-9 buffer-pool contract: an operator
 // that carries a *BatchPool must draw its hot-path buffers from the pool,
-// not allocate them with make. A make of a batch buffer ([][]int32),
-// selection vector ([]int32), span-buffer array ([][][]int32) or key
-// scratch ([]uint64) inside a pooled operator's streaming methods silently
-// reverts that path to per-call allocation — the pool keeps working, the
-// allocs/row regression just never shows up until a profile does.
+// not allocate them with make. A make of a row-id vector ([]int32: batch
+// columns, selection vectors, match indices) or key scratch ([]uint64)
+// inside a pooled operator's streaming methods silently reverts that path
+// to per-call allocation — the pool keeps working, the allocs/row
+// regression just never shows up until a profile does.
 //
 // The check fires on methods (and closures inside them) of any struct
 // type holding a BatchPool field, except the literal Open and Close
@@ -28,8 +28,8 @@ import (
 // Analyzer is the pool-contract checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "poolret",
-	Doc: "methods of pool-carrying operators must get batch/selection/span/key " +
-		"buffers from the BatchPool, not make them (Open/Close exempt)",
+	Doc: "methods of pool-carrying operators must get row-id vectors and key " +
+		"scratch from the BatchPool, not make them (Open/Close exempt)",
 	Run: run,
 }
 
@@ -53,10 +53,8 @@ func applies(pkgPath string) bool {
 // pooledTypes are the buffer shapes the BatchPool serves; a make of one
 // of these inside a pooled operator bypasses the pool.
 var pooledTypes = map[string]bool{
-	"[]int32":     true,
-	"[][]int32":   true,
-	"[][][]int32": true,
-	"[]uint64":    true,
+	"[]int32":  true,
+	"[]uint64": true,
 }
 
 // isBatchPool reports whether t (after unwrapping one pointer) is a named

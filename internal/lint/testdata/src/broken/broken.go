@@ -39,9 +39,9 @@ type scanOp struct {
 	pool *BatchPool
 }
 
-// Next allocates a batch buffer instead of drawing from the pool.
-func (s *scanOp) Next() [][]int32 {
-	return make([][]int32, 0, 1024) // poolret: pooled operator bypasses its BatchPool
+// Next allocates a row-id vector instead of drawing from the pool.
+func (s *scanOp) Next() []int32 {
+	return make([]int32, 0, 1024) // poolret: pooled operator bypasses its BatchPool
 }
 
 // newSel hides a selection-vector allocation one call away from the

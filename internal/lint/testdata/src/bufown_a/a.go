@@ -17,12 +17,6 @@ func (p *BatchPool) GetSel(n int) []int32 { return make([]int32, 0, n) }
 // PutSel takes one back.
 func (p *BatchPool) PutSel(s []int32) {}
 
-// GetTuples hands out a batch buffer.
-func (p *BatchPool) GetTuples(n int) [][]int32 { return make([][]int32, 0, n) }
-
-// PutTuples takes one back.
-func (p *BatchPool) PutTuples(t [][]int32) {}
-
 // GetKeys hands out key scratch.
 func (p *BatchPool) GetKeys(n int) []uint64 { return make([]uint64, 0, n) }
 
@@ -35,7 +29,7 @@ func use(s []int32) {}
 
 type op struct {
 	pool *BatchPool
-	out  [][]int32
+	out  []int32
 }
 
 // --- leaks -----------------------------------------------------------
@@ -152,7 +146,7 @@ func (o *op) escapeReturn(n int) []int32 {
 // escapeField parks the buffer in the operator for a later Close to
 // release.
 func (o *op) escapeField(n int) {
-	t := o.pool.GetTuples(n)
+	t := o.pool.GetSel(n)
 	o.out = t
 }
 
@@ -189,13 +183,13 @@ func (o *op) panicPath(n int) {
 // produceLoop mirrors the concurrent producer: each iteration's buffer
 // is either sent (ownership to the consumer) or put back on the stop
 // race.
-func (o *op) produceLoop(ch chan [][]int32, stop chan struct{}, n int) {
+func (o *op) produceLoop(ch chan []int32, stop chan struct{}, n int) {
 	for i := 0; i < n; i++ {
-		buf := o.pool.GetTuples(i)
+		buf := o.pool.GetSel(i)
 		select {
 		case ch <- buf:
 		case <-stop:
-			o.pool.PutTuples(buf)
+			o.pool.PutSel(buf)
 			return
 		}
 	}
