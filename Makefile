@@ -4,8 +4,9 @@
 #   make test    — tier-1: the fast correctness suite
 #   make lint    — lqolint: the repo's invariant analyzers (cmd/lqo-lint)
 #   make race    — full suite under the race detector
-#   make fuzz    — short fuzz smoke over the SQL parser, key encoding and
-#                  the hash-join table
+#   make fuzz    — short fuzz smoke over the SQL parser, key encoding,
+#                  the statement cache's staleness rule and the hash-join
+#                  table
 #   make verify  — what CI runs: build + vet + lint + tests + race + fuzz
 #                  smoke, then staticcheck & govulncheck (skipped offline)
 #   make bench   — regenerate every experiment table (E1..E10, E13..E17)
@@ -76,6 +77,7 @@ fuzz:
 	$(GO) test ./internal/sqlx/ -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqlx/ -run '^$$' -fuzz FuzzKeyUniqueness -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query/ -run '^$$' -fuzz FuzzSubqueryKey -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzStatementStaleness -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/exec/ -run '^$$' -fuzz FuzzJoinTable -fuzztime $(FUZZTIME)
 
 verify: build vet lint test race fuzz staticcheck govulncheck
@@ -88,7 +90,8 @@ bench:
 # planning scoreboard runs: its other benchmarks regenerate whole
 # experiment tables. ./internal/exec/ includes the join kernel's
 # BenchmarkHashJoinProbe grid (build size × match rate); ./internal/serve/
-# is BenchmarkServeHit, the cached request end to end (ad-hoc, prepared).
+# is BenchmarkServeHit, the cached request end to end (ad-hoc, a new
+# spelling of a cached query, prepared).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/exec/ ./internal/serve/ ./internal/bench/
 	$(GO) test -run '^$$' -bench 'OptimizeDP|Harvest' -benchtime 1x .

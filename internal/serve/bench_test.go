@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"lqo/internal/cardest"
@@ -12,10 +13,12 @@ import (
 	"lqo/internal/stats"
 )
 
-// BenchmarkServeHit is the cached request end to end — parse (ad-hoc) or
-// bind (prepared), key, plan checkout, execution, feedback harvest, drift
-// check — on one warmed server, so per-request set-up creeping back shows
-// in ns/op and allocs/op without the repo benchmark's ten-second run:
+// BenchmarkServeHit is the cached request end to end — statement lookup
+// (adhoc), parse, key and admission (new-text: every request a new
+// spelling of a cached query) or bind (prepared), then plan checkout,
+// execution, feedback harvest, drift check — on one warmed server, so
+// per-request set-up creeping back shows in ns/op and allocs/op without
+// the repo benchmark's ten-second run:
 //
 //	go test ./internal/serve -run '^$' -bench ServeHit -benchmem
 func BenchmarkServeHit(b *testing.B) {
@@ -40,17 +43,44 @@ func BenchmarkServeHit(b *testing.B) {
 		"SELECT COUNT(*) FROM votes WHERE votes.vote_type = 2;",
 	}
 	bindings := []int{5, 20, 1, 50}
+	// Whitespace variants: spelling k of text k%4 doubles its spaces at
+	// the set bits of j = k/4 and appends what bits its spaces cannot hold
+	// as trailing spaces; spelling 0 is the adhoc text. 4096 of them
+	// outlast the statement cache, which drops all its entries every
+	// CacheSize admissions, so none is ever a statement hit.
+	spellings := make([]string, 4096)
+	for k := range spellings {
+		var b strings.Builder
+		j := k / len(sqls)
+		for _, r := range sqls[k%len(sqls)] {
+			b.WriteRune(r)
+			if r == ' ' {
+				if j&1 == 1 {
+					b.WriteRune(' ')
+				}
+				j >>= 1
+			}
+		}
+		b.WriteString(strings.Repeat(" ", j))
+		spellings[k] = b.String()
+	}
+	spelled := 0 // across b.N rounds: a round must not repeat the last's texts
 	run := map[string]func(i int) (*Result, error){
-		"adhoc":    func(i int) (*Result, error) { return s.Query(ctx, "bench", sqls[i%len(sqls)]) },
+		"adhoc": func(i int) (*Result, error) { return s.Query(ctx, "bench", sqls[i%len(sqls)]) },
+		"new-text": func(int) (*Result, error) {
+			spelled++
+			return s.Query(ctx, "bench", spellings[spelled%len(spellings)])
+		},
 		"prepared": func(i int) (*Result, error) { return s.Exec(ctx, "bench", stmt, bindings[i%len(bindings)]) },
 	}
-	for _, name := range []string{"adhoc", "prepared"} {
+	for _, name := range []string{"adhoc", "new-text", "prepared"} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < 8; i++ { // plan, then memoize and fill the pool
 				if _, err := run[name](i); err != nil {
 					b.Fatal(err)
 				}
 			}
+			stmtHits := s.Stats().StmtHits
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -61,6 +91,10 @@ func BenchmarkServeHit(b *testing.B) {
 				if !res.Cached {
 					b.Fatal("timed request missed the plan cache")
 				}
+			}
+			b.StopTimer()
+			if name == "new-text" && s.Stats().StmtHits != stmtHits {
+				b.Fatal("a new spelling was a statement hit")
 			}
 		})
 	}

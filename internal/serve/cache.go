@@ -39,8 +39,9 @@ type CacheStats struct {
 	Evictions     int64 // entries evicted by capacity
 }
 
-// A cacheEntry is immutable but for its memo — Put over a live key
-// installs a new entry — so the memo dies with the plan.
+// A cacheEntry is immutable but for its memo and, under the cache's lock,
+// which copy of its key bytes it holds (adoptKey). Put over a live key
+// installs a new entry, so the memo dies with the plan.
 type cacheEntry struct {
 	key string
 	p   *plan.Node
@@ -180,6 +181,19 @@ func (c *PlanCache) Invalidate(key string) bool {
 	delete(c.entries, key)
 	c.stats.Invalidations++
 	return true
+}
+
+// adoptKey makes the entry stored under key, if there is one, hold key's
+// bytes instead of its own equal copy, so a caller that keeps key costs
+// no second copy.
+func (c *PlanCache) adoptKey(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		el.Value.(*cacheEntry).key = key
+		delete(c.entries, key)
+		c.entries[key] = el
+	}
 }
 
 // Len reports the number of cached plans.

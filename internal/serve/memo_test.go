@@ -308,7 +308,7 @@ func TestHarvestMemoPreparedBindingsBypass(t *testing.T) {
 			requireMirrored(t, s, m, fmt.Sprintf("round %d binding %d", round, i))
 		}
 	}
-	if memo, cached := memoOf(s, stmt.p.ShapeKey()); !cached || memo != nil {
+	if memo, cached := memoOf(s, stmt.p.Load().ShapeKey()); !cached || memo != nil {
 		t.Fatalf("prepared statement's entry: cached %v, memo %v; want a live entry without a memo", cached, memo)
 	}
 

@@ -14,6 +14,7 @@ import (
 	"context"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lqo/internal/data"
@@ -28,7 +29,8 @@ import (
 
 // Config tunes a Server. Zero values select the defaults.
 type Config struct {
-	// CacheSize caps the plan cache (default 512 plans).
+	// CacheSize caps the plan cache (default 512 plans) and, separately,
+	// the statement cache of parsed ad-hoc texts.
 	CacheSize int
 	// InvalidateQError is the per-sub-plan q-error beyond which a cached
 	// plan's estimates count as drifted and the entry is invalidated
@@ -84,25 +86,49 @@ type Stats struct {
 	ColdPlans int64 // optimizer invocations (cache misses + replans)
 	Rejected  int64 // admission rejections (queue full)
 	Shed      int64 // breaker-shed requests
+	// StmtHits and StmtMisses count ad-hoc requests whose text was, and
+	// was not, served parsed from the statement cache.
+	StmtHits, StmtMisses int64
 }
 
 // Stmt is a server-side prepared statement: parse once, Exec per binding.
-// Obtain one from Server.Prepare; safe for concurrent Exec calls.
+// Obtain one from Server.Prepare; safe for concurrent Exec calls. The
+// statement keeps its source text and is prepared again when a catalog
+// change makes its template stale (sqlx.Prepared.Current).
 type Stmt struct {
-	p *sqlx.Prepared
+	src string
+	p   atomic.Pointer[sqlx.Prepared]
 }
 
 // NumParams reports the statement's placeholder count.
-func (s *Stmt) NumParams() int { return s.p.NumParams() }
+func (s *Stmt) NumParams() int { return s.p.Load().NumParams() }
 
 // SQL returns the template rendered back to SQL with ? placeholders.
-func (s *Stmt) SQL() string { return s.p.SQL() }
+func (s *Stmt) SQL() string { return s.p.Load().SQL() }
+
+// current returns the statement's template, prepared again from the
+// source text if it is stale against cat. A new template may have a new
+// shape key, and so a plan-cache entry of its own.
+func (s *Stmt) current(cat *data.Catalog) (*sqlx.Prepared, error) {
+	p := s.p.Load()
+	if p.Current(cat) {
+		return p, nil
+	}
+	p, err := sqlx.Prepare(s.src, cat)
+	if err != nil {
+		return nil, err
+	}
+	s.p.Store(p)
+	return p, nil
+}
 
 // ExecObserver receives every successfully executed plan tree, TrueCard
 // annotations included, right after the server harvests feedback from it.
 // The adaptation loop (internal/adapt) implements this to feed its drift
 // detector and label collector without the server importing adapt.
-// ObserveExec must not retain executed — the caller owns the tree.
+// ObserveExec must not retain executed — the caller owns the tree — and
+// must not mutate q: the server shares one query across every request for
+// the same text, concurrent ones included.
 type ExecObserver interface {
 	ObserveExec(q *query.Query, executed *plan.Node)
 }
@@ -116,6 +142,7 @@ type Server struct {
 	ex    *exec.Executor
 	cfg   Config
 	cache *PlanCache
+	stmts *stmtCache
 	adm   *admission
 
 	mu        sync.Mutex
@@ -138,6 +165,7 @@ func New(cat *data.Catalog, o *opt.Optimizer, ex *exec.Executor, cfg Config) *Se
 		ex:       ex,
 		cfg:      cfg,
 		cache:    NewPlanCache(cfg.CacheSize),
+		stmts:    newStmtCache(cfg.CacheSize),
 		adm:      newAdmission(cfg.TenantSlots, cfg.TenantQueue, cfg.Breaker),
 		feedback: make(map[string]float64),
 	}
@@ -166,12 +194,27 @@ func (fe *feedbackEstimator) Estimate(q *query.Query) float64 {
 // behalf of tenant. The canonical query key — not the SQL text — is the
 // cache key, so formatting, alias order and literal spelling variants of
 // the same query share one plan.
+//
+// A text whose request hit the plan cache is kept parsed, with its key,
+// in the statement cache, and later requests for it skip the parse while
+// the catalog still resolves it the same way. The cached query is shared
+// by every such request, concurrent ones included: nothing on the
+// serving path may mutate it.
 func (s *Server) Query(ctx context.Context, tenant, sql string) (*Result, error) {
-	q, err := sqlx.Parse(sql, s.cat)
+	if e, ok := s.stmts.get(sql, s.cat); ok {
+		return s.run(ctx, tenant, e.st.Query(), e.key, false)
+	}
+	st, err := sqlx.ParseStatement(sql, s.cat)
 	if err != nil {
 		return nil, err
 	}
-	return s.run(ctx, tenant, q, q.Key(), false)
+	e := stmtEntry{st: st, key: s.cacheKey(st.ShapeKey())}
+	res, err := s.run(ctx, tenant, st.Query(), e.key, false)
+	if err == nil && res.Cached {
+		s.cache.adoptKey(e.key)
+		s.stmts.put(sql, e)
+	}
+	return res, err
 }
 
 // Prepare parses and validates a ?-parameterized statement template.
@@ -181,7 +224,9 @@ func (s *Server) Prepare(sql string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{p: p}, nil
+	st := &Stmt{src: sql}
+	st.p.Store(p)
+	return st, nil
 }
 
 // Exec binds args into stmt and executes it for tenant. Plans are cached
@@ -191,15 +236,20 @@ func (s *Server) Prepare(sql string) (*Stmt, error) {
 // invalidation replans when that generic plan stops fitting the observed
 // cardinalities.
 func (s *Server) Exec(ctx context.Context, tenant string, stmt *Stmt, args ...any) (*Result, error) {
-	q, err := stmt.p.Bind(args...)
+	p, err := stmt.current(s.cat)
 	if err != nil {
 		return nil, err
 	}
-	return s.run(ctx, tenant, q, stmt.p.ShapeKey(), true)
+	q, err := p.Bind(args...)
+	if err != nil {
+		return nil, err
+	}
+	return s.run(ctx, tenant, q, s.cacheKey(p.ShapeKey()), true)
 }
 
 // run is the shared serving path: admit, fetch-or-plan, execute, harvest
-// feedback, observe drift.
+// feedback, observe drift. key is the plan-cache key (cacheKey). q is
+// only read.
 func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key string, rebind bool) (*Result, error) {
 	release, br, err := s.adm.acquire(ctx, tenant)
 	if err != nil {
@@ -207,7 +257,6 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 	}
 	defer release()
 
-	key = s.cacheKey(key)
 	planStart := time.Now()
 	p, ent := s.cache.checkout(key)
 	cached := p != nil
@@ -358,7 +407,8 @@ func (s *Server) Stats() Stats {
 	cold := s.coldPlans
 	s.mu.Unlock()
 	rejected, shed := s.adm.stats()
-	return Stats{Cache: s.cache.Stats(), ColdPlans: cold, Rejected: rejected, Shed: shed}
+	hits, misses := s.stmts.stats()
+	return Stats{Cache: s.cache.Stats(), ColdPlans: cold, Rejected: rejected, Shed: shed, StmtHits: hits, StmtMisses: misses}
 }
 
 // CacheLen reports how many plans are currently cached.

@@ -15,22 +15,41 @@ import (
 // form alias.col = alias.col become equi-join edges; everything else must
 // be a single-column filter.
 func Parse(sql string, cat *data.Catalog) (*query.Query, error) {
-	toks, err := lex(sql)
+	p, err := parseBound(sql, cat)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, cat: cat}
-	q, err := p.parseSelect()
+	return p.q, nil
+}
+
+// parseBound is Parse returning the parser, which holds what the parse
+// resolved against cat.
+func parseBound(sql string, cat *data.Catalog) (parser, error) {
+	p, err := parse(sql, cat)
 	if err != nil {
-		return nil, err
+		return parser{}, err
 	}
 	if p.params > 0 {
-		return nil, fmt.Errorf("sqlx: statement has %d parameter placeholder(s); use Prepare", p.params)
+		return parser{}, fmt.Errorf("sqlx: statement has %d parameter placeholder(s); use Prepare", p.params)
 	}
-	if err := q.Validate(cat); err != nil {
-		return nil, err
+	if err := p.q.Validate(cat); err != nil {
+		return parser{}, err
 	}
-	return q, nil
+	return p, nil
+}
+
+// parse lexes and parses sql against cat, placeholders allowed, without
+// validating the result.
+func parse(sql string, cat *data.Catalog) (parser, error) {
+	toks, err := lex(sql)
+	if err != nil {
+		return parser{}, err
+	}
+	p := parser{toks: toks, cat: cat}
+	if _, err := p.parseSelect(); err != nil {
+		return parser{}, err
+	}
+	return p, nil
 }
 
 type parser struct {
@@ -39,6 +58,9 @@ type parser struct {
 	cat    *data.Catalog
 	q      *query.Query
 	params int // placeholder ordinals handed out so far
+	// absent records each dictionary a string literal was missing from,
+	// with its length then: the literal's code is that length plus one.
+	absent []dictLen
 }
 
 func (p *parser) cur() token  { return p.toks[p.i] }
@@ -329,6 +351,7 @@ func (p *parser) parseLiteral(ref colRef) (data.Value, int, error) {
 			// A value absent from the dictionary matches nothing; encode it
 			// as an out-of-domain code so execution yields zero rows.
 			code = int64(ref.col.Dict.Len()) + 1
+			p.absent = append(p.absent, dictLen{ref.col.Dict, ref.col.Dict.Len()})
 		}
 		return data.IntVal(code), 0, nil
 	default:

@@ -2,6 +2,7 @@ package sqlx
 
 import (
 	"fmt"
+	"slices"
 
 	"lqo/internal/data"
 	"lqo/internal/query"
@@ -13,13 +14,26 @@ import (
 // layer caches optimized plans keyed on ShapeKey so repeated executions
 // of the same template skip both parsing and planning.
 //
+// A parse depends on the catalog it resolved names and literals in, so a
+// Prepared records what it resolved and Current reports whether that
+// still holds.
+//
 // A Prepared is immutable after construction and safe for concurrent
 // Bind calls.
 type Prepared struct {
 	tmpl  *query.Query
 	slots []slot
 	shape string
-	sql   string
+	// tables are the distinct tables the statement names, as resolved.
+	tables []*data.Table
+	absent []dictLen
+}
+
+// dictLen is a dictionary and its length when a literal was looked up in
+// it and found absent.
+type dictLen struct {
+	d *data.Dict
+	n int
 }
 
 // slot records where one placeholder binds: the predicate index, which
@@ -39,15 +53,11 @@ type slot struct {
 // Statements without placeholders prepare fine (NumParams is 0), so
 // callers can route all traffic through Prepare/Bind uniformly.
 func Prepare(sql string, cat *data.Catalog) (*Prepared, error) {
-	toks, err := lex(sql)
+	p, err := parse(sql, cat)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, cat: cat}
-	q, err := p.parseSelect()
-	if err != nil {
-		return nil, err
-	}
+	q := p.q
 	if err := q.ValidateShape(cat); err != nil {
 		return nil, err
 	}
@@ -64,8 +74,61 @@ func Prepare(sql string, cat *data.Catalog) (*Prepared, error) {
 			slots[side.ord-1] = slot{pred: i, second: side.second, col: col, alias: pr.Alias, column: pr.Column}
 		}
 	}
-	return &Prepared{tmpl: q, slots: slots, shape: q.Key(), sql: q.SQL()}, nil
+	return p.prepared(slots), nil
 }
+
+// ParseStatement is Parse returning the query as a parameterless
+// Prepared, so that Current can tell whether the parse is still what a
+// fresh Parse would return. Its Query is the parsed query and its
+// ShapeKey that query's Key.
+func ParseStatement(sql string, cat *data.Catalog) (*Prepared, error) {
+	p, err := parseBound(sql, cat)
+	if err != nil {
+		return nil, err
+	}
+	return p.prepared(nil), nil
+}
+
+// prepared wraps the parser's validated query as a Prepared.
+func (p *parser) prepared(slots []slot) *Prepared {
+	pr := &Prepared{tmpl: p.q, slots: slots, shape: p.q.Key(), absent: p.absent}
+	pr.tables = make([]*data.Table, 0, len(p.q.Refs))
+	for _, r := range p.q.Refs {
+		if t := p.cat.Table(r.Table); !slices.Contains(pr.tables, t) {
+			pr.tables = append(pr.tables, t)
+		}
+	}
+	return pr
+}
+
+// Current reports whether the statement still means, against cat, what
+// it meant when it was parsed: a fresh parse of its text would produce
+// the same template. Two things must hold. Every table it names must
+// still be the one cat resolves the name to; then its columns, their
+// kinds (int literals on Float columns became floats) and the
+// dictionaries its string literals were coded in are the same objects.
+// And every dictionary a string literal was absent from must have its
+// parse-time length: such a literal was coded Len()+1. Dictionaries only
+// grow and never re-code, so a present literal's code is permanent, and
+// an unchanged length means no absent literal's code has changed.
+func (p *Prepared) Current(cat *data.Catalog) bool {
+	for _, t := range p.tables {
+		if cat.Table(t.Name) != t {
+			return false
+		}
+	}
+	for _, a := range p.absent {
+		if a.d.Len() != a.n {
+			return false
+		}
+	}
+	return true
+}
+
+// Query returns the template itself, not a copy: callers share it and
+// must not mutate it. For a statement without placeholders it is the
+// executable query; otherwise Bind materializes one.
+func (p *Prepared) Query() *query.Query { return p.tmpl }
 
 // NumParams reports how many placeholders the template has.
 func (p *Prepared) NumParams() int { return len(p.slots) }
@@ -78,7 +141,7 @@ func (p *Prepared) NumParams() int { return len(p.slots) }
 func (p *Prepared) ShapeKey() string { return p.shape }
 
 // SQL returns the template rendered back to SQL with ? placeholders.
-func (p *Prepared) SQL() string { return p.sql }
+func (p *Prepared) SQL() string { return p.tmpl.SQL() }
 
 // Bind materializes an executable query from the template: one argument
 // per placeholder, in statement order. Accepted argument types are

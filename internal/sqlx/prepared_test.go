@@ -186,3 +186,44 @@ func TestPrepareWithoutPlaceholders(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCurrentTracksWhatTheParseResolved: a statement stays current while
+// its tables are the catalog's and no dictionary a literal was absent from
+// has grown; growth elsewhere, or of a dictionary its literals were all
+// found in, leaves it current.
+func TestCurrentTracksWhatTheParseResolved(t *testing.T) {
+	cat := testCatalog()
+	present, err := ParseStatement("SELECT COUNT(*) FROM items i, orders o WHERE i.id = o.item_id AND i.name = 'bob';", cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	absent, err := ParseStatement("SELECT COUNT(*) FROM items WHERE items.name = 'eve';", cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if present.NumParams() != 0 || present.ShapeKey() != present.Query().Key() {
+		t.Fatal("a parsed statement is not a parameterless template keyed by its query")
+	}
+	if !present.Current(cat) || !absent.Current(cat) {
+		t.Fatal("fresh statements are not current")
+	}
+	items := cat.Table("items")
+	items.Column("name").AppendString("bob") // present: no growth
+	if !absent.Current(cat) {
+		t.Fatal("appending a present string made the statement stale")
+	}
+	items.Column("name").AppendString("fay")
+	if !present.Current(cat) {
+		t.Fatal("growth of a dictionary the literal was found in made the statement stale")
+	}
+	if absent.Current(cat) {
+		t.Fatal("growth of the dictionary the literal was absent from left the statement current")
+	}
+	cat.Add(data.NewTable("orders", items.Cols...))
+	if present.Current(cat) {
+		t.Fatal("replacing a referenced table left the statement current")
+	}
+	if _, err := ParseStatement("SELECT COUNT(*) FROM items WHERE items.score > ?;", cat); err == nil {
+		t.Fatal("ParseStatement accepted a placeholder")
+	}
+}
