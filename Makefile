@@ -9,7 +9,7 @@
 #                  table
 #   make verify  — what CI runs: build + vet + lint + tests + race + fuzz
 #                  smoke, then staticcheck & govulncheck (skipped offline)
-#   make bench   — regenerate every experiment table (E1..E10, E13..E17)
+#   make bench   — regenerate every experiment table (E1..E10, E14..E16)
 #   make bench-smoke — compile-and-run every Go benchmark once (no timing)
 #   make benchmark   — the repo benchmark (BENCHMARK.json): five serving
 #                      workloads, end-to-end + per-layer metrics
@@ -18,7 +18,6 @@
 #   make load-smoke  — E14 sustained-load smoke through the serving layer
 #   make drift-smoke — E15 closed-loop adaptation under staged drift
 #   make shard-smoke — E16 sharded scatter-gather vs the unsharded reference
-#   make pool-smoke  — E17 pooled vs per-run allocation, identity-checked
 #   make chaos   — E10 only: guardrail runtime under fault injection
 
 GO ?= go
@@ -33,7 +32,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 
 FUZZTIME ?= 10s
 
-.PHONY: build test vet lint staticcheck govulncheck race fuzz verify bench bench-smoke benchmark benchmark-compare load-smoke drift-smoke shard-smoke pool-smoke chaos
+.PHONY: build test vet lint staticcheck govulncheck race fuzz verify bench bench-smoke benchmark benchmark-compare load-smoke drift-smoke shard-smoke chaos
 
 build:
 	$(GO) build ./...
@@ -121,12 +120,6 @@ drift-smoke:
 # charged WorkUnits diverge from the serial ReferenceRun.
 shard-smoke:
 	$(GO) run ./cmd/lqo-bench -exp E16 -shards 1,2,4 -repeat 2
-
-# A short E17 run: the pooled hot path vs per-run allocation at worker
-# counts 1/8. Fails loudly if any run's Count, Value or CostStats
-# diverge from the serial ReferenceRun, pooled or not.
-pool-smoke:
-	$(GO) run ./cmd/lqo-bench -exp E17 -workers 1,8 -repeat 3
 
 chaos:
 	$(GO) run ./cmd/lqo-bench -chaos

@@ -125,7 +125,7 @@ func BenchmarkE8Ablations(b *testing.B) {
 func BenchmarkE9Throughput(b *testing.B) {
 	env := sharedEnv(b)
 	for i := 0; i < b.N; i++ {
-		rep, err := bench.E9Throughput(env, []int{1, 4, 8}, 0, 1, 0)
+		rep, err := bench.E9Throughput(context.Background(), env, []int{1, 4, 8}, 0, 1, 0)
 		report(b, rep, err)
 	}
 }
@@ -137,7 +137,7 @@ func BenchmarkOptimizeDP4Way(b *testing.B) {
 	var q4 = pickQuery(b, env, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.Base.Optimize(q4); err != nil {
+		if _, err := env.Base.OptimizeCtx(context.Background(), q4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -155,7 +155,7 @@ func BenchmarkOptimizeDP(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := env.Base.Optimize(q); err != nil {
+				if _, err := env.Base.OptimizeCtx(context.Background(), q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -170,7 +170,7 @@ func BenchmarkOptimizeDP(b *testing.B) {
 func BenchmarkHarvest(b *testing.B) {
 	env := sharedEnv(b)
 	q := genQuery(b, env, 4)
-	p, err := env.Base.Optimize(q)
+	p, err := env.Base.OptimizeCtx(context.Background(), q)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func BenchmarkExecuteHashJoinPlan(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.Ex.Run(q, p); err != nil {
+		if _, err := env.Ex.RunCtx(context.Background(), q, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -258,7 +258,7 @@ func BenchmarkCandidatePlans(b *testing.B) {
 	hints := plan.BaoHintSets()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.Base.CandidatePlans(q, hints); err != nil {
+		if _, err := env.Base.CandidatePlans(context.Background(), q, hints); err != nil {
 			b.Fatal(err)
 		}
 	}

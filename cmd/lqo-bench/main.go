@@ -1,6 +1,6 @@
 // Command lqo-bench regenerates the workbench's experiment tables E1–E10
-// and E13–E17 (see DESIGN.md for the experiment index and EXPERIMENTS.md
-// for recorded results).
+// and E14–E16 (see DESIGN.md for the experiment index and EXPERIMENTS.md
+// for recorded results). An unknown experiment id exits 2.
 //
 // Usage:
 //
@@ -8,13 +8,9 @@
 //	lqo-bench -exp E1,E3 -dataset job  # selected experiments
 //	lqo-bench -exp E5 -scale full      # DESIGN.md-scale run (slow)
 //	lqo-bench -exp E9 -parallel 8      # concurrent throughput, 1 vs 8 goroutines
-//	lqo-bench -exp E13                 # vectorized kernels vs scalar filter path
 //	lqo-bench -exp E14 -load-qps 500   # open-loop sustained load through the serving layer
 //	lqo-bench -exp E15 -adapt-stages 4 # closed-loop adaptation under staged drift
 //	lqo-bench -exp E16 -shards 1,2,4   # sharded scatter-gather vs unsharded reference
-//	lqo-bench -exp E17 -workers 1,8    # pooled vs per-run allocation, steady state
-//	lqo-bench -exp E5 -novec           # any experiment with vectorization disabled
-//	lqo-bench -exp E5 -nopool          # any experiment with buffer pooling disabled
 //	lqo-bench -chaos                   # E10 guardrails under fault injection
 //	lqo-bench -chaos -chaos-rates 0,0.25 -chaos-timeout 2ms
 package main
@@ -24,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -32,7 +29,7 @@ import (
 
 func main() {
 	var (
-		expFlag     = flag.String("exp", "all", "comma-separated experiment ids (E1..E9) or 'all'")
+		expFlag     = flag.String("exp", "all", "comma-separated experiment ids (E1..E10, E14..E16) or 'all'")
 		datasetFlag = flag.String("dataset", "stats", "dataset: stats | job | tpch")
 		scaleFlag   = flag.String("scale", "quick", "scale: quick | full")
 		seedFlag    = flag.Int64("seed", 42, "master random seed")
@@ -40,8 +37,6 @@ func main() {
 		execWorkers = flag.Int("exec-workers", 0, "E9 intra-query executor workers per goroutine (0 = serial operators)")
 		repeatFlag  = flag.Int("repeat", 3, "E9 passes over the workload per measurement")
 		batchFlag   = flag.Int("batch", 0, "E9 executor batch size in tuples (0 = exec default); results are identical at every setting")
-		novecFlag   = flag.Bool("novec", false, "disable vectorized kernels and zone-map pruning on the shared executor; results are identical, only wall clock changes (E13 always runs its own scalar-vs-vectorized A/B)")
-		nopoolFlag  = flag.Bool("nopool", false, "disable batch/selection-vector pooling on the shared executor; results are identical, only allocation behaviour changes (E17 always runs its own pooled-vs-nopool A/B)")
 
 		loadQPS      = flag.String("load-qps", "200,1000", "E14 comma-separated target arrival rates")
 		loadDur      = flag.Duration("load-dur", time.Second, "E14 measured duration per rate level")
@@ -56,8 +51,6 @@ func main() {
 
 		shardsFlag = flag.String("shards", "1,2,4", "E16 comma-separated shard fan-outs (1 = unsharded baseline)")
 
-		workersFlag = flag.String("workers", "1,8", "E17 comma-separated executor worker counts")
-
 		chaosFlag    = flag.Bool("chaos", false, "shorthand for -exp E10: guardrail runtime under fault injection")
 		chaosRates   = flag.String("chaos-rates", "0,0.01,0.10", "E10 comma-separated fault rates in [0,1]")
 		chaosTimeout = flag.Duration("chaos-timeout", 5*time.Millisecond, "E10 per-decision budget for the learned planner")
@@ -68,19 +61,6 @@ func main() {
 	sc := bench.QuickScale()
 	if *scaleFlag == "full" {
 		sc = bench.FullScale()
-	}
-	want := map[string]bool{}
-	switch {
-	case *chaosFlag:
-		want["E10"] = true
-	case *expFlag == "all":
-		for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E13", "E14", "E15", "E16", "E17"} {
-			want[id] = true
-		}
-	default:
-		for _, id := range strings.Split(*expFlag, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
 	}
 
 	var rates []float64
@@ -125,18 +105,15 @@ func main() {
 		}},
 		{"E7", bench.E7PilotScope},
 		{"E8", bench.E8Ablations},
-		{"E9", func(_ context.Context, env *bench.Env) (*bench.Report, error) {
+		{"E9", func(ctx context.Context, env *bench.Env) (*bench.Report, error) {
 			gs := []int{1}
 			if *parallel > 1 {
 				gs = append(gs, *parallel)
 			}
-			return bench.E9Throughput(env, gs, *execWorkers, *repeatFlag, *batchFlag)
+			return bench.E9Throughput(ctx, env, gs, *execWorkers, *repeatFlag, *batchFlag)
 		}},
 		{"E10", func(ctx context.Context, env *bench.Env) (*bench.Report, error) {
 			return bench.E10Chaos(ctx, env, bench.ChaosOptions{Rates: rates, Timeout: *chaosTimeout, Hang: *chaosHang})
-		}},
-		{"E13", func(ctx context.Context, env *bench.Env) (*bench.Report, error) {
-			return bench.E13Vectorized(ctx, env, *repeatFlag)
 		}},
 		{"E14", func(ctx context.Context, env *bench.Env) (*bench.Report, error) {
 			var levels []float64
@@ -182,21 +159,20 @@ func main() {
 			}
 			return bench.E16Sharding(ctx, env, counts, *repeatFlag)
 		}},
-		{"E17", func(ctx context.Context, env *bench.Env) (*bench.Report, error) {
-			var counts []int
-			for _, s := range strings.Split(*workersFlag, ",") {
-				s = strings.TrimSpace(s)
-				if s == "" {
-					continue
-				}
-				var v int
-				if _, err := fmt.Sscanf(s, "%d", &v); err != nil || v < 1 {
-					return nil, fmt.Errorf("bad -workers entry %q", s)
-				}
-				counts = append(counts, v)
-			}
-			return bench.E17Pooling(ctx, env, counts, *repeatFlag)
-		}},
+	}
+
+	spec := *expFlag
+	if *chaosFlag {
+		spec = "E10"
+	}
+	known := make([]string, len(runners))
+	for i, r := range runners {
+		known[i] = r.id
+	}
+	want, err := selectExperiments(spec, known)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lqo-bench:", err)
+		os.Exit(2)
 	}
 
 	for _, r := range runners {
@@ -209,8 +185,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		env.Ex.NoVec = *novecFlag
-		env.Ex.NoPool = *nopoolFlag
 		start := time.Now()
 		rep, err := r.run(ctx, env)
 		if err != nil {
@@ -219,6 +193,28 @@ func main() {
 		fmt.Println(rep.String())
 		fmt.Printf("(%s completed in %s)\n\n", r.id, time.Since(start).Round(time.Millisecond))
 	}
+}
+
+// selectExperiments resolves an -exp value against the known experiment
+// ids: "all" selects every one, otherwise a comma-separated list (case
+// and surrounding space ignored). An unknown id is an error naming the
+// known ones, so a typo never exits 0 having run nothing.
+func selectExperiments(spec string, known []string) (map[string]bool, error) {
+	want := map[string]bool{}
+	if spec == "all" {
+		for _, id := range known {
+			want[id] = true
+		}
+		return want, nil
+	}
+	for _, id := range strings.Split(spec, ",") {
+		id = strings.ToUpper(strings.TrimSpace(id))
+		if !slices.Contains(known, id) {
+			return nil, fmt.Errorf("unknown experiment %q (known: %s, or all)", id, strings.Join(known, ", "))
+		}
+		want[id] = true
+	}
+	return want, nil
 }
 
 func fatal(err error) {

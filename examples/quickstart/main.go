@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,12 +44,14 @@ func main() {
 	}
 	fmt.Println("\nquery:", q.SQL())
 
-	// 4. Optimize and execute.
-	p, err := optimizer.Optimize(q)
+	// 4. Optimize and execute. The context bounds both; a server would
+	//    pass each request's deadline here.
+	ctx := context.Background()
+	p, err := optimizer.OptimizeCtx(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := executor.Run(q, p)
+	res, err := executor.RunCtx(ctx, q, p)
 	if err != nil {
 		log.Fatal(err)
 	}

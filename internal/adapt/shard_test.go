@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"context"
 	"testing"
 
 	"lqo/internal/plan"
@@ -16,11 +17,11 @@ func TestObserversSeeShardedScansOnce(t *testing.T) {
 	f := newFixture(t)
 	f.opt.Shards = 2
 	q := mustParse(t, "SELECT COUNT(*) FROM posts, users WHERE posts.owner_user_id = users.id AND posts.score > 1;")
-	p, err := f.opt.Optimize(q)
+	p, err := f.opt.OptimizeCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ex.Run(q, p); err != nil {
+	if _, err := f.ex.RunCtx(context.Background(), q, p); err != nil {
 		t.Fatal(err)
 	}
 	logical, merges := 0, 0

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -53,7 +54,7 @@ type ConcurrentResult struct {
 // The environment's optimizer and catalog are shared (both are safe for
 // concurrent readers); each goroutine gets its own executor and each
 // query execution its own plan tree, so no per-query state is shared.
-func RunConcurrent(env *Env, opts ConcurrentOptions) (*ConcurrentResult, error) {
+func RunConcurrent(ctx context.Context, env *Env, opts ConcurrentOptions) (*ConcurrentResult, error) {
 	qs := opts.Queries
 	if qs == nil {
 		qs = env.Test
@@ -106,13 +107,13 @@ func RunConcurrent(env *Env, opts ConcurrentOptions) (*ConcurrentResult, error) 
 				i := schedule[si]
 				l := qs[i%len(qs)]
 				t0 := time.Now()
-				p, err := env.Base.Optimize(l.Q)
+				p, err := env.Base.OptimizeCtx(ctx, l.Q)
 				if err != nil {
 					latency[i] = float64(time.Since(t0).Microseconds()) / 1000.0
 					errs.Add(1)
 					continue
 				}
-				res, err := ex.Run(l.Q, p)
+				res, err := ex.RunCtx(ctx, l.Q, p)
 				latency[i] = float64(time.Since(t0).Microseconds()) / 1000.0
 				if err != nil {
 					errs.Add(1)
@@ -161,7 +162,7 @@ func WorkUnitsEqual(a, b *ConcurrentResult) bool {
 // WorkUnits stayed byte-identical (they must). batchSize sets the
 // executors' tuples-per-batch (<=0 = exec.DefaultBatchSize); it trades
 // memory against per-batch overhead and never changes results.
-func E9Throughput(env *Env, gs []int, execWorkers, repeat, batchSize int) (*Report, error) {
+func E9Throughput(ctx context.Context, env *Env, gs []int, execWorkers, repeat, batchSize int) (*Report, error) {
 	if repeat < 1 {
 		repeat = 1
 	}
@@ -172,7 +173,7 @@ func E9Throughput(env *Env, gs []int, execWorkers, repeat, batchSize int) (*Repo
 	}
 	var base *ConcurrentResult
 	for _, g := range gs {
-		res, err := RunConcurrent(env, ConcurrentOptions{Goroutines: g, ExecWorkers: execWorkers, Repeat: repeat, BatchSize: batchSize})
+		res, err := RunConcurrent(ctx, env, ConcurrentOptions{Goroutines: g, ExecWorkers: execWorkers, Repeat: repeat, BatchSize: batchSize})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 )
 
@@ -12,7 +13,7 @@ func TestRunConcurrentDeterministicWorkUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := RunConcurrent(env, ConcurrentOptions{Goroutines: 1})
+	serial, err := RunConcurrent(context.Background(), env, ConcurrentOptions{Goroutines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestRunConcurrentDeterministicWorkUnits(t *testing.T) {
 		{Goroutines: 4, BatchSize: 1},
 		{Goroutines: 4, ExecWorkers: 2, BatchSize: 64},
 	} {
-		res, err := RunConcurrent(env, opts)
+		res, err := RunConcurrent(context.Background(), env, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +48,7 @@ func TestRunConcurrentDeterministicWorkUnits(t *testing.T) {
 
 func TestRunConcurrentEmptyWorkload(t *testing.T) {
 	env := &Env{}
-	if _, err := RunConcurrent(env, ConcurrentOptions{Goroutines: 2}); err == nil {
+	if _, err := RunConcurrent(context.Background(), env, ConcurrentOptions{Goroutines: 2}); err == nil {
 		t.Fatal("empty workload accepted")
 	}
 }
@@ -57,7 +58,7 @@ func TestE9ThroughputReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := E9Throughput(env, []int{1, 4}, 0, 1, 0)
+	rep, err := E9Throughput(context.Background(), env, []int{1, 4}, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 func CollectPlans(ctx context.Context, env *Env, queries []workload.Labeled) ([]costmodel.TrainPlan, error) {
 	var out []costmodel.TrainPlan
 	for _, l := range queries {
-		plans, err := env.Base.CandidatePlans(l.Q, plan.BaoHintSets())
+		plans, err := env.Base.CandidatePlans(ctx, l.Q, plan.BaoHintSets())
 		if err != nil {
 			return nil, err
 		}

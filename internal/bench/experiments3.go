@@ -354,12 +354,12 @@ func E8Ablations(ctx context.Context, env *Env) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		bushy, err := env.Base.Optimize(q)
+		bushy, err := env.Base.OptimizeCtx(ctx, q)
 		if err != nil {
 			return nil, err
 		}
 		r.AddRow("enumeration", fmt.Sprintf("dp-bushy n=%d", n), "plans", fmt.Sprintf("%d", env.Base.PlansConsidered()))
-		ld, err := leftDeep.Optimize(q)
+		ld, err := leftDeep.OptimizeCtx(ctx, q)
 		if err != nil {
 			return nil, err
 		}
@@ -367,7 +367,7 @@ func E8Ablations(ctx context.Context, env *Env) (*Report, error) {
 		if bushy.EstCost > 0 {
 			r.AddRow("plan-space", fmt.Sprintf("leftdeep/bushy n=%d", n), "cost ratio", F(ld.EstCost/bushy.EstCost))
 		}
-		if _, err := env.Base.OptimizeGreedy(q); err != nil {
+		if _, err := env.Base.OptimizeGreedyCtx(ctx, q); err != nil {
 			return nil, err
 		}
 		r.AddRow("enumeration", fmt.Sprintf("greedy n=%d", n), "plans", fmt.Sprintf("%d", env.Base.PlansConsidered()))

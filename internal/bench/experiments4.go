@@ -63,11 +63,11 @@ func E10Chaos(ctx context.Context, env *Env, opts ChaosOptions) (*Report, error)
 	// the breaker's regression signal.
 	baseline := make([]float64, len(env.Test))
 	for i, l := range env.Test {
-		p, err := env.Base.Optimize(l.Q)
+		p, err := env.Base.OptimizeCtx(ctx, l.Q)
 		if err != nil {
 			return nil, err
 		}
-		res, err := env.Ex.Run(l.Q, p)
+		res, err := env.Ex.RunCtx(ctx, l.Q, p)
 		if err != nil {
 			return nil, err
 		}

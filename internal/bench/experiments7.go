@@ -14,9 +14,9 @@ import (
 )
 
 // e16Rows is the synthetic scan-table size for E16. Fixed rather than
-// scale-derived for the same reason as E13: the experiment measures the
-// execution layer, and the quick-scale catalogs are too small for a
-// shard fan-out to have anything to chew on.
+// scale-derived: the experiment measures the execution layer, and the
+// quick-scale catalogs are too small for a shard fan-out to have anything
+// to chew on.
 const e16Rows = 400_000
 
 // E16Sharding is the scatter-gather experiment: the same scan-heavy
@@ -98,7 +98,6 @@ func E16Sharding(ctx context.Context, env *Env, shardCounts []int, repeat int) (
 	}
 
 	ex := exec.New(env.Cat)
-	ex.NoVec = env.Ex.NoVec
 	run := func(q *query.Query, p *plan.Node) (*exec.Result, float64, error) {
 		var res *exec.Result
 		bestMS := 0.0
@@ -153,7 +152,7 @@ func E16Sharding(ctx context.Context, env *Env, shardCounts []int, repeat int) (
 	}
 	r.Notes = append(r.Notes,
 		"every row's Count, Value and full CostStats (WorkUnits included) are byte-identical to the serial ReferenceRun — checked, not assumed",
-		"shards >= 2: the shard-scans rewrite pass splits each SeqScan into a Merge over per-shard Exchange subplans run on separate engine instances (in-process LocalBackend)",
+		"shards >= 2: the shard-scans rewrite pass splits each SeqScan into a Merge over per-shard Exchange subplans, scattered concurrently through the executor's ShardBackend (the executor itself)",
 		"blocks partition round-robin (block b -> shard b mod N); the merge operator k-way-merges per-shard ascending row ids, restoring the unsharded row order",
 		"ms is best of repeat runs; speedup is vs this table's first shard count",
 		fmt.Sprintf("GOMAXPROCS=%d: the shard fan-out runs concurrently, so speedup is bounded by available cores (on one core the headline is parity at identical results)", runtime.GOMAXPROCS(0)),

@@ -1,6 +1,7 @@
 package cardest
 
 import (
+	"context"
 	"math"
 
 	"lqo/internal/data"
@@ -79,7 +80,7 @@ func (s *SamplingEstimator) Estimate(q *query.Query) float64 {
 	if err != nil {
 		return 0
 	}
-	res, err := s.ex.Run(q, p)
+	res, err := s.ex.RunCtx(context.Background(), q, p)
 	if err != nil {
 		return 0
 	}

@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -46,12 +47,12 @@ func buildWorld(t *testing.T) *world {
 	qs := workload.GenWorkload(cat, workload.Options{Seed: 9, Count: 40, MaxJoins: 3, MaxPreds: 3})
 	var all []TrainPlan
 	for _, q := range qs {
-		plans, err := base.CandidatePlans(q, plan.BaoHintSets())
+		plans, err := base.CandidatePlans(context.Background(), q, plan.BaoHintSets())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range plans {
-			res, err := ex.Run(q, p)
+			res, err := ex.RunCtx(context.Background(), q, p)
 			if err != nil {
 				continue
 			}
@@ -177,11 +178,11 @@ func TestZeroShotTransfers(t *testing.T) {
 	qs := workload.GenWorkload(cat2, workload.Options{Seed: 21, Count: 15, MaxJoins: 2, MaxPreds: 2})
 	var pred, truth []float64
 	for _, q := range qs {
-		p, err := base2.Optimize(q)
+		p, err := base2.OptimizeCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ex2.Run(q, p)
+		res, err := ex2.RunCtx(context.Background(), q, p)
 		if err != nil {
 			continue
 		}

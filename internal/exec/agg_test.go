@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestAggregates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := New(cat).Run(q, p)
+		res, err := New(cat).RunCtx(context.Background(), q, p)
 		if err != nil {
 			t.Fatalf("%s: %v", c.agg, err)
 		}
@@ -66,7 +67,7 @@ func TestAggregateOverJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := New(cat).Run(q, p)
+	res, err := New(cat).RunCtx(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestAggregateEmptyResult(t *testing.T) {
 		Agg:   query.Agg{Kind: query.AggMin, Alias: "a", Column: "v"},
 	}
 	p, _ := CanonicalPlan(q)
-	res, err := New(cat).Run(q, p)
+	res, err := New(cat).RunCtx(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestAggregateEmptyResult(t *testing.T) {
 		t.Fatalf("MIN over empty = %v, want NaN", res.Value)
 	}
 	q.Agg = query.Agg{Kind: query.AggSum, Alias: "a", Column: "v"}
-	res, err = New(cat).Run(q, p)
+	res, err = New(cat).RunCtx(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}

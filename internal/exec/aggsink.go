@@ -38,7 +38,7 @@ type aggSink struct {
 }
 
 func newAggSink(e *Executor, q *query.Query) *aggSink {
-	s := drawOp[aggSink](e.batchPool(), opSink)
+	s := drawOp[aggSink](e.pool, opSink)
 	s.e, s.q, s.lo, s.hi = e, q, math.Inf(1), math.Inf(-1)
 	if q.Agg.Kind != query.AggCount {
 		s.reads[0] = q.Agg.Alias

@@ -46,38 +46,33 @@ type recycler interface{ recycle(p *BatchPool) }
 // its conditions' aliases, so intermediate rows carry just the key
 // columns later joins probe with and the aggregate's column.
 func (e *Executor) buildOperator(q *query.Query, n *plan.Node, need []string, analyze bool) (Operator, error) {
-	pool := e.batchPool()
+	pool := e.pool
 	if n.Op == plan.Merge {
 		if len(n.Shards) == 0 {
 			return nil, fmt.Errorf("exec: Merge node for %s has no shards", n.Alias)
 		}
-		backend := e.Backend
-		if backend == nil {
-			lb := NewLocalBackend(e.Cat, e.NoVec)
-			// Shard engines draw from the owning executor's pool; their
-			// emitted rows are plainly allocated (retained by the exchange
-			// operators) but selection scaffolding is shared.
-			lb.pool, lb.noPool = pool, e.NoPool
-			backend = lb
+		var backend ShardBackend = e
+		if e.Backend != nil {
+			backend = e.Backend
 		}
 		exs := make([]*exchangeOp, len(n.Shards))
 		for i, s := range n.Shards {
 			if s.Op != plan.Exchange || s.Left == nil || s.Left.Op != plan.SeqScan || !s.Left.IsLeaf() {
 				return nil, fmt.Errorf("exec: Merge shard %d is not an Exchange over a SeqScan leaf", i)
 			}
-			exs[i] = &exchangeOp{backend: backend, q: q, node: s}
+			exs[i] = &exchangeOp{backend: backend, node: s}
 		}
-		return timed(&mergeOp{e: e, q: q, node: n, exs: exs, pool: pool, need: need, analyze: analyze}, analyze), nil
+		return timed(&mergeOp{e: e, node: n, exs: exs, pool: pool, need: need, analyze: analyze}, analyze), nil
 	}
 	if n.IsLeaf() {
 		switch n.Op {
 		case plan.SeqScan:
 			s := drawOp[seqScanOp](pool, opSeqScan)
-			s.e, s.q, s.node, s.pool, s.need = e, q, n, pool, need
+			s.e, s.node, s.pool, s.need = e, n, pool, need
 			return timed(s, analyze), nil
 		case plan.IndexScan:
 			s := drawOp[indexScanOp](pool, opIndexScan)
-			s.e, s.q, s.node, s.pool, s.need = e, q, n, pool, need
+			s.e, s.node, s.pool, s.need = e, n, pool, need
 			return timed(s, analyze), nil
 		default:
 			return nil, fmt.Errorf("exec: %s is not a scan operator", n.Op)
@@ -110,7 +105,7 @@ func (e *Executor) buildOperator(q *query.Query, n *plan.Node, need []string, an
 			return nil, fmt.Errorf("exec: %s requires at least one equi-join condition", n.Op)
 		}
 		c := drawOp[crossJoinOp](pool, opCrossJoin)
-		c.e, c.q, c.node, c.left, c.right, c.pool, c.need = e, q, n, left, right, pool, need
+		c.e, c.node, c.left, c.right, c.pool, c.need = e, n, left, right, pool, need
 		return timed(c, analyze), nil
 	}
 	switch n.Op {

@@ -11,8 +11,7 @@
 // reaches CostStats or EXPLAIN ANALYZE (both are plan-node-driven). The
 // channel-close happens-before edge means the child's final charges are
 // visible to the consumer before it observes exhaustion. Results,
-// TrueCards and WorkUnits are byte-identical with the exchange on or
-// off; Executor.NoExchange is the bisection escape hatch.
+// TrueCards and WorkUnits are byte-identical to the serial schedule's.
 package exec
 
 import (
@@ -35,7 +34,6 @@ type pipeItem struct {
 // concurrentOp decouples its child behind a bounded channel of pooled
 // in-flight batches.
 type concurrentOp struct {
-	e     *Executor
 	pool  *BatchPool
 	child Operator
 
@@ -56,14 +54,14 @@ type concurrentOp struct {
 	tel  OpTelemetry
 }
 
-// stage wraps op behind a buffered exchange when pipelined stage overlap
-// is on (Workers > 1 and not NoExchange). With Workers <= 1 the executor
-// keeps its documented fully-serial schedule.
+// stage wraps op behind a buffered exchange when Workers > 1, overlapping
+// adjacent pipeline stages. With Workers <= 1 the executor keeps its
+// documented fully-serial schedule.
 func (e *Executor) stage(op Operator, analyze bool) Operator {
-	if e.NoExchange || e.workers() <= 1 {
+	if e.workers() <= 1 {
 		return op
 	}
-	return timed(&concurrentOp{e: e, pool: e.batchPool(), child: op}, analyze)
+	return timed(&concurrentOp{pool: e.pool, child: op}, analyze)
 }
 
 func (c *concurrentOp) Open(ctx context.Context) error {

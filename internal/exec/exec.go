@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"lqo/internal/data"
 	"lqo/internal/plan"
@@ -78,7 +77,7 @@ type Result struct {
 // worker count and batch size; only wall-clock changes.
 //
 // An Executor is safe for concurrent use by multiple goroutines as long
-// as each concurrent Run gets its own plan tree (Run annotates plan
+// as each concurrent run gets its own plan tree (a run annotates plan
 // nodes' TrueCard in place).
 type Executor struct {
 	Cat *data.Catalog
@@ -93,57 +92,26 @@ type Executor struct {
 	// operators. 0 means DefaultBatchSize. It trades per-batch overhead
 	// against in-flight memory and never affects results.
 	BatchSize int
-	// NoVec disables the vectorized filter kernels and zone-map block
-	// skipping (kernels.go), forcing the scalar row-at-a-time filter
-	// path. Results, TrueCard labels and charged WorkUnits are identical
-	// either way; the flag exists for A/B benchmarking (lqo-bench -novec)
-	// and as an escape hatch.
-	NoVec bool
-	// NoPool disables the row-id vector and key-scratch pool (pool.go)
-	// and operator-struct recycling, restoring plain per-use allocation.
-	// Results are identical either way; together with NoVec and
-	// NoExchange a regression bisects to pooling vs kernels vs concurrency
-	// (lqo-bench -nopool).
-	NoPool bool
-	// NoExchange disables the buffered inter-operator exchange
-	// (concurrent.go) that overlaps pipeline stages when Workers > 1.
-	// Results are identical either way; only scheduling changes.
-	NoExchange bool
 	// Backend runs the shard subplans of Merge nodes (shard.go). Nil means
-	// an in-process LocalBackend over Cat, created per plan build.
+	// the executor itself (Executor.ScanShard).
 	Backend ShardBackend
 
-	// pool is the executor's shared buffer pool, created lazily on first
-	// use (or installed by SetPool) and reused across every run for the
-	// executor's lifetime — a cached plan's steady-state executions
-	// recycle the same buffers.
-	pool     *BatchPool
-	poolOnce sync.Once
+	// pool is the executor's shared buffer pool, reused across every run
+	// for the executor's lifetime — a cached plan's steady-state executions
+	// recycle the same buffers. Nil (an Executor built without New) means
+	// plain allocation.
+	pool *BatchPool
 }
 
-// SetPool installs a shared buffer pool, letting several executors — or
-// a serving layer that owns the executor — draw from one pool. It must
-// be called before the first execution; once the executor has lazily
-// created its own pool, SetPool is a no-op (whichever comes first wins,
-// exactly once).
-func (e *Executor) SetPool(p *BatchPool) {
-	e.poolOnce.Do(func() { e.pool = p })
-}
-
-// batchPool returns the executor's pool, creating it on first use. Nil
-// under NoPool: every pool call site accepts a nil pool and falls back
-// to plain allocation, which is exactly the pre-pooling behavior.
-func (e *Executor) batchPool() *BatchPool {
-	if e.NoPool {
-		return nil
-	}
-	e.poolOnce.Do(func() { e.pool = NewBatchPool() })
-	return e.pool
-}
+// SetPool installs the buffer pool the executor draws from, letting
+// several executors — or a serving layer that owns the executor — share
+// one. It is a construction-time setter: call it before the executor runs
+// anything. A nil pool degrades to plain per-use allocation.
+func (e *Executor) SetPool(p *BatchPool) { e.pool = p }
 
 // New returns an executor over cat.
 func New(cat *data.Catalog) *Executor {
-	return &Executor{Cat: cat}
+	return &Executor{Cat: cat, pool: NewBatchPool()}
 }
 
 func (e *Executor) maxRows() int {
@@ -160,25 +128,19 @@ func (e *Executor) batchSize() int {
 	return DefaultBatchSize
 }
 
-// Run executes the plan rooted at p for query q. It annotates every plan
-// node's TrueCard and returns the final cardinality, the query's
-// aggregate value, and the measured cost.
-func (e *Executor) Run(q *query.Query, p *plan.Node) (*Result, error) {
-	//lqolint:ignore ctxprop compatibility shim; RunCtx is the context-aware entry point and this wrapper exists for callers with no deadline
-	return e.RunCtx(context.Background(), q, p)
-}
-
 // cancelCheckRows is how many rows a tight operator loop processes between
 // cooperative cancellation checks. Small enough that a runaway scan or
 // probe notices a deadline within microseconds, large enough that the
 // per-row cost of ctx.Err() is amortized away.
 const cancelCheckRows = 4096
 
-// RunCtx is Run under a context: every operator's Next checks ctx at
-// batch boundaries and every cancelCheckRows rows inside tight loops
-// (serial and parallel), so a query past its deadline — or canceled by
-// its caller — aborts promptly with ctx.Err() instead of running to
-// completion. All worker goroutines observe the same context and are
+// RunCtx executes the plan rooted at p for query q. It annotates every
+// plan node's TrueCard and returns the final cardinality, the query's
+// aggregate value, and the measured cost. Every operator's Next checks
+// ctx at batch boundaries and every cancelCheckRows rows inside tight
+// loops (serial and parallel), so a query past its deadline — or
+// canceled by its caller — aborts promptly with ctx.Err() instead of
+// running to completion. All worker goroutines observe the same context and are
 // joined before RunCtx returns; cancellation never leaks goroutines.
 func (e *Executor) RunCtx(ctx context.Context, q *query.Query, p *plan.Node) (*Result, error) {
 	res, _, err := e.run(ctx, q, p, false)
@@ -214,10 +176,10 @@ func (e *Executor) run(ctx context.Context, q *query.Query, p *plan.Node, analyz
 	defer func() {
 		if cerr := top.Close(); err == nil && cerr != nil {
 			res, pt, err = nil, nil, cerr
-		} else if pool := e.batchPool(); err == nil && pool != nil {
+		} else if err == nil && e.pool != nil {
 			walkOps(top, func(op Operator) {
 				if r, ok := op.(recycler); ok {
-					r.recycle(pool)
+					r.recycle(e.pool)
 				}
 			})
 		}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"lqo/internal/data"
@@ -47,7 +48,7 @@ func TestMultiConditionJoin(t *testing.T) {
 		p := plan.NewJoin(op,
 			plan.NewScan(plan.SeqScan, "l", "l", nil),
 			plan.NewScan(plan.SeqScan, "r", "r", nil), q.Joins)
-		res, err := New(cat).Run(q, p)
+		res, err := New(cat).RunCtx(context.Background(), q, p)
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
@@ -70,7 +71,7 @@ func TestJoinWithDuplicateKeysAndSwappedCondition(t *testing.T) {
 	p := plan.NewJoin(plan.HashJoin,
 		plan.NewScan(plan.SeqScan, "l", "l", nil),
 		plan.NewScan(plan.SeqScan, "r", "r", nil), q.Joins)
-	res, err := New(cat).Run(q, p)
+	res, err := New(cat).RunCtx(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestScanPredicateOperators(t *testing.T) {
 			Preds: []query.Pred{c.p},
 		}
 		p := plan.NewScan(plan.SeqScan, "l", "l", q.Preds)
-		res, err := New(cat).Run(q, p)
+		res, err := New(cat).RunCtx(context.Background(), q, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +121,7 @@ func TestIndexScanAppliesResidualPredicates(t *testing.T) {
 		},
 	}
 	p := plan.NewScan(plan.IndexScan, "l", "l", q.Preds)
-	res, err := New(cat).Run(q, p)
+	res, err := New(cat).RunCtx(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestWorkChargesDifferByOperator(t *testing.T) {
 		p := plan.NewJoin(op,
 			plan.NewScan(plan.SeqScan, "l", "l", nil),
 			plan.NewScan(plan.SeqScan, "r", "r", nil), q.Joins)
-		res, err := New(cat).Run(q, p)
+		res, err := New(cat).RunCtx(context.Background(), q, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +159,7 @@ func TestRunUnknownTableErrors(t *testing.T) {
 	cat := twoKeyCatalog()
 	q := &query.Query{Refs: []query.TableRef{{Alias: "x", Table: "x"}}}
 	p := plan.NewScan(plan.SeqScan, "x", "x", nil)
-	if _, err := New(cat).Run(q, p); err == nil {
+	if _, err := New(cat).RunCtx(context.Background(), q, p); err == nil {
 		t.Fatal("unknown table accepted")
 	}
 }

@@ -112,7 +112,7 @@ func TestCanonicalPlanMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := New(cat).Run(q, p)
+	res, err := New(cat).RunCtx(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestAllJoinOperatorsAgree(t *testing.T) {
 			p := plan.NewJoin(op2,
 				plan.NewJoin(op1, scan("a"), scan("b"), []query.Join{j1}),
 				scan("c"), []query.Join{j2})
-			res, err := New(cat).Run(q, p)
+			res, err := New(cat).RunCtx(context.Background(), q, p)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", op1, op2, err)
 			}
@@ -164,7 +164,7 @@ func TestJoinOrderAndShapeInvariance(t *testing.T) {
 		scan("a"),
 		plan.NewJoin(plan.HashJoin, scan("b"), scan("c"), []query.Join{j2}),
 		[]query.Join{j1})
-	res, err := New(cat).Run(q, rightDeep)
+	res, err := New(cat).RunCtx(context.Background(), q, rightDeep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestJoinOrderAndShapeInvariance(t *testing.T) {
 	swapped := plan.NewJoin(plan.HashJoin,
 		plan.NewJoin(plan.HashJoin, scan("b"), scan("a"), []query.Join{j1}),
 		scan("c"), []query.Join{j2})
-	res2, err := New(cat).Run(q, swapped)
+	res2, err := New(cat).RunCtx(context.Background(), q, swapped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +193,11 @@ func TestIndexScanMatchesSeqScan(t *testing.T) {
 	seq := plan.NewScan(plan.SeqScan, "a", "a", q.Preds)
 	idx := plan.NewScan(plan.IndexScan, "a", "a", q.Preds)
 	ex := New(cat)
-	r1, err := ex.Run(q, seq)
+	r1, err := ex.RunCtx(context.Background(), q, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := ex.Run(q, idx)
+	r2, err := ex.RunCtx(context.Background(), q, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestIndexScanWithoutIndexFails(t *testing.T) {
 		Preds: []query.Pred{{Alias: "a", Column: "v", Op: query.Gt, Val: data.IntVal(2)}},
 	}
 	idx := plan.NewScan(plan.IndexScan, "a", "a", q.Preds)
-	if _, err := New(cat).Run(q, idx); err == nil {
+	if _, err := New(cat).RunCtx(context.Background(), q, idx); err == nil {
 		t.Fatal("IndexScan without equality predicate should fail")
 	}
 }
@@ -229,7 +229,7 @@ func TestCrossProduct(t *testing.T) {
 	p := plan.NewJoin(plan.NestedLoopJoin,
 		plan.NewScan(plan.SeqScan, "a", "a", nil),
 		plan.NewScan(plan.SeqScan, "c", "c", nil), nil)
-	res, err := New(cat).Run(q, p)
+	res, err := New(cat).RunCtx(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestCrossProduct(t *testing.T) {
 	bad := plan.NewJoin(plan.HashJoin,
 		plan.NewScan(plan.SeqScan, "a", "a", nil),
 		plan.NewScan(plan.SeqScan, "c", "c", nil), nil)
-	if _, err := New(cat).Run(q, bad); err == nil {
+	if _, err := New(cat).RunCtx(context.Background(), q, bad); err == nil {
 		t.Fatal("hash join cross product should fail")
 	}
 }
@@ -255,7 +255,7 @@ func TestIntermediateCap(t *testing.T) {
 		plan.NewScan(plan.SeqScan, "c", "c", nil), nil)
 	ex := New(cat)
 	ex.MaxIntermediate = 50
-	if _, err := ex.Run(q, p); err == nil {
+	if _, err := ex.RunCtx(context.Background(), q, p); err == nil {
 		t.Fatal("cap should trigger")
 	}
 }
@@ -264,7 +264,7 @@ func TestTrueCardAnnotations(t *testing.T) {
 	cat := smallCatalog(31)
 	q := chainQuery()
 	p, _ := CanonicalPlan(q)
-	if _, err := New(cat).Run(q, p); err != nil {
+	if _, err := New(cat).RunCtx(context.Background(), q, p); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range p.Nodes() {
@@ -273,7 +273,7 @@ func TestTrueCardAnnotations(t *testing.T) {
 		}
 	}
 	// Root TrueCard equals the result count.
-	res, _ := New(cat).Run(q, p.Clone())
+	res, _ := New(cat).RunCtx(context.Background(), q, p.Clone())
 	if p.TrueCard != float64(res.Count) {
 		t.Fatalf("root TrueCard %v != count %d", p.TrueCard, res.Count)
 	}
@@ -322,7 +322,7 @@ func TestRandomPlansAgreeOnGeneratedData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := New(cat).Run(q, p)
+		res, err := New(cat).RunCtx(context.Background(), q, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +355,7 @@ func TestGeneratedCatalogsExecute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := New(cat).Run(q, p)
+		res, err := New(cat).RunCtx(context.Background(), q, p)
 		if err != nil {
 			t.Fatal(err)
 		}

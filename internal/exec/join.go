@@ -528,7 +528,6 @@ func (j *hashJoinOp) recycle(p *BatchPool) {
 // output is produced); the quadratic output streams in batches.
 type crossJoinOp struct {
 	e           *Executor
-	q           *query.Query
 	node        *plan.Node
 	left, right Operator
 	pool        *BatchPool

@@ -6,8 +6,8 @@
 //
 //	go test ./internal/exec/ -bench DeepJoin -benchmem -run xx
 //
-// Results are recorded in EXPERIMENTS.md (E12; steady-state pooling in
-// E17).
+// Results are recorded in EXPERIMENTS.md (E12; steady-state pooling, once
+// E17, is BenchmarkDeepJoinSteadyState).
 package exec_test
 
 import (
@@ -37,7 +37,7 @@ func benchSetup(b *testing.B) (*exec.Executor, *query.Query) {
 		if err != nil {
 			continue
 		}
-		res, err := ex.Run(q, p)
+		res, err := ex.RunCtx(context.Background(), q, p)
 		if err != nil {
 			continue
 		}
@@ -63,7 +63,7 @@ func BenchmarkDeepJoinStreaming(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ex.Run(q, p); err != nil {
+		if _, err := ex.RunCtx(context.Background(), q, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -76,43 +76,36 @@ func BenchmarkDeepJoinStreaming(b *testing.B) {
 // Warm-up runs populate the pool before measurement; allocs/op and
 // allocs/row come from runtime.MemStats deltas across the measured loop.
 func BenchmarkDeepJoinSteadyState(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		noPool bool
-	}{{"pooled", false}, {"nopool", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			ex, q := benchSetup(b)
-			ex.NoPool = mode.noPool
-			p, err := exec.CanonicalPlan(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var rows int64
-			for i := 0; i < 3; i++ { // warm-up: fill the pool, settle sizes
-				res, err := ex.Run(q, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows = res.Stats.TuplesRead + res.Stats.TuplesJoined
-			}
-			runtime.GC()
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ex.Run(q, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&m1)
-			allocs := float64(m1.Mallocs - m0.Mallocs)
-			b.ReportMetric(allocs/float64(b.N), "allocs/op")
-			if rows > 0 {
-				b.ReportMetric(allocs/float64(b.N)/float64(rows), "allocs/row")
-			}
-		})
+	ex, q := benchSetup(b)
+	p, err := exec.CanonicalPlan(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	var rows int64
+	for i := 0; i < 3; i++ { // warm-up: fill the pool, settle sizes
+		res, err := ex.RunCtx(ctx, q, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows = res.Stats.TuplesRead + res.Stats.TuplesJoined
+	}
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ex.RunCtx(ctx, q, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	allocs := float64(m1.Mallocs - m0.Mallocs)
+	b.ReportMetric(allocs/float64(b.N), "allocs/op")
+	if rows > 0 {
+		b.ReportMetric(allocs/float64(b.N)/float64(rows), "allocs/row")
 	}
 }
 

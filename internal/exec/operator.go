@@ -118,8 +118,8 @@ type OpTelemetry struct {
 
 	// Zone-map pruning evidence for vectorized sequential scans: how many
 	// fixed-size blocks the table spans and how many were proven
-	// non-matching and never scanned. Both zero for non-scan operators,
-	// predicate-free scans, and NoVec runs. Skipped blocks still charge
+	// non-matching and never scanned. Both zero for non-scan operators
+	// and predicate-free scans. Skipped blocks still charge
 	// the canonical per-row work (pruning never changes WorkUnits); these
 	// counters are the only place pruning is visible.
 	BlocksTotal   int64

@@ -5,6 +5,7 @@
 package exec_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -43,7 +44,7 @@ type outcome struct {
 
 func runOne(t *testing.T, ex *exec.Executor, q *query.Query) outcome {
 	t.Helper()
-	res, err := ex.Run(q, planFor(t, q))
+	res, err := ex.RunCtx(context.Background(), q, planFor(t, q))
 	if err != nil {
 		return outcome{err: true}
 	}
@@ -108,16 +109,16 @@ func TestParallelExecutorDeterminismOptimizedPlans(t *testing.T) {
 	par.MaxIntermediate = testCap
 	par.Workers = 4
 	for qi, q := range queries {
-		p1, err := o.Optimize(q)
+		p1, err := o.OptimizeCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2, err := o.Optimize(q)
+		p2, err := o.OptimizeCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r1, err1 := serial.Run(q, p1)
-		r2, err2 := par.Run(q, p2)
+		r1, err1 := serial.RunCtx(context.Background(), q, p1)
+		r2, err2 := par.RunCtx(context.Background(), q, p2)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("query %d: error mismatch serial=%v parallel=%v", qi, err1, err2)
 		}
@@ -146,8 +147,8 @@ func TestParallelCapExceeded(t *testing.T) {
 	par.Workers = 8
 	failures := 0
 	for qi, q := range queries {
-		_, err1 := serial.Run(q, planFor(t, q))
-		_, err2 := par.Run(q, planFor(t, q))
+		_, err1 := serial.RunCtx(context.Background(), q, planFor(t, q))
+		_, err2 := par.RunCtx(context.Background(), q, planFor(t, q))
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("query %d: cap behavior differs: serial=%v parallel=%v", qi, err1, err2)
 		}

@@ -36,54 +36,48 @@ func trueCards(p *plan.Node) []float64 {
 
 // TestPipelineMatchesReference is the tentpole invariant: the streaming
 // pipeline measures exactly what the materialize-everything reference
-// evaluator measured, at workers 1/2/8, across batch sizes, and with the
-// vectorized kernels + zone-map pruning both enabled and disabled. The
-// reference executor runs with NoVec set so the ground-truth side stays
-// the scalar executable specification.
+// evaluator — the scalar executable specification — measured, at workers
+// 1/2/8 and across batch sizes.
 func TestPipelineMatchesReference(t *testing.T) {
 	cat := datagen.StatsCEB(datagen.Config{Seed: 7, Scale: 0.6})
 	queries := workload.GenWorkload(cat, workload.Options{Seed: 11, Count: 15, MaxJoins: 3, MaxPreds: 2})
 
 	ref := exec.New(cat)
 	ref.MaxIntermediate = testCap
-	ref.NoVec = true
 	for qi, q := range queries {
 		want, wantCards := refOutcome(t, ref, q)
 		for _, workers := range []int{1, 2, 8} {
 			for _, batch := range []int{0, 1, 7, 64} {
-				for _, novec := range []bool{false, true} {
-					ex := exec.New(cat)
-					ex.MaxIntermediate = testCap
-					ex.Workers = workers
-					ex.BatchSize = batch
-					ex.NoVec = novec
-					p := planFor(t, q)
-					res, err := ex.RunCtx(context.Background(), q, p)
-					if want.err {
-						if err == nil {
-							t.Fatalf("query %d workers=%d batch=%d novec=%v: reference errored, pipeline did not", qi, workers, batch, novec)
-						}
-						continue
+				ex := exec.New(cat)
+				ex.MaxIntermediate = testCap
+				ex.Workers = workers
+				ex.BatchSize = batch
+				p := planFor(t, q)
+				res, err := ex.RunCtx(context.Background(), q, p)
+				if want.err {
+					if err == nil {
+						t.Fatalf("query %d workers=%d batch=%d: reference errored, pipeline did not", qi, workers, batch)
 					}
-					if err != nil {
-						t.Fatalf("query %d workers=%d batch=%d novec=%v: %v", qi, workers, batch, novec, err)
-					}
-					if res.Count != want.count {
-						t.Fatalf("query %d workers=%d batch=%d novec=%v: count %d != %d", qi, workers, batch, novec, res.Count, want.count)
-					}
-					if !sameValue(res.Value, want.value) {
-						t.Fatalf("query %d workers=%d batch=%d novec=%v: value %v != %v", qi, workers, batch, novec, res.Value, want.value)
-					}
-					if res.Stats != want.stats {
-						t.Fatalf("query %d workers=%d batch=%d novec=%v: stats %+v != %+v", qi, workers, batch, novec, res.Stats, want.stats)
-					}
-					if got := trueCards(p); len(got) != len(wantCards) {
-						t.Fatalf("query %d: %d plan nodes != %d", qi, len(got), len(wantCards))
-					} else {
-						for i := range got {
-							if got[i] != wantCards[i] {
-								t.Fatalf("query %d workers=%d batch=%d novec=%v: TrueCard[%d] %v != %v", qi, workers, batch, novec, i, got[i], wantCards[i])
-							}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("query %d workers=%d batch=%d: %v", qi, workers, batch, err)
+				}
+				if res.Count != want.count {
+					t.Fatalf("query %d workers=%d batch=%d: count %d != %d", qi, workers, batch, res.Count, want.count)
+				}
+				if !sameValue(res.Value, want.value) {
+					t.Fatalf("query %d workers=%d batch=%d: value %v != %v", qi, workers, batch, res.Value, want.value)
+				}
+				if res.Stats != want.stats {
+					t.Fatalf("query %d workers=%d batch=%d: stats %+v != %+v", qi, workers, batch, res.Stats, want.stats)
+				}
+				if got := trueCards(p); len(got) != len(wantCards) {
+					t.Fatalf("query %d: %d plan nodes != %d", qi, len(got), len(wantCards))
+				} else {
+					for i := range got {
+						if got[i] != wantCards[i] {
+							t.Fatalf("query %d workers=%d batch=%d: TrueCard[%d] %v != %v", qi, workers, batch, i, got[i], wantCards[i])
 						}
 					}
 				}
@@ -158,7 +152,7 @@ func TestPipelineCapEquivalence(t *testing.T) {
 			ex := exec.New(cat)
 			ex.MaxIntermediate = 3000
 			ex.Workers = workers
-			_, err2 := ex.Run(q, planFor(t, q))
+			_, err2 := ex.RunCtx(context.Background(), q, planFor(t, q))
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("query %d workers=%d: cap behavior differs: reference=%v pipeline=%v", qi, workers, err1, err2)
 			}

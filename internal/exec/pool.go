@@ -21,8 +21,8 @@
 //     consumer that keeps rows copies their ids into its own buffers.
 //
 // A nil *BatchPool is valid everywhere and falls back to plain
-// allocation — Executor.NoPool routes every operator through that path,
-// restoring the pre-pooling behavior for bisection.
+// allocation: the one degrade path (SetPool(nil), or an Executor not
+// built by New).
 package exec
 
 import (
@@ -38,8 +38,7 @@ const poolMinCap = 16
 
 // BatchPool is the executor's shared buffer pool. All methods are safe
 // for concurrent use and safe on a nil receiver (plain allocation, no
-// recycling) — the NoPool escape hatch is "hand every operator a nil
-// pool".
+// recycling).
 type BatchPool struct {
 	sel  slicePool[int32]  // row-id vectors
 	keys slicePool[uint64] // join key scratch

@@ -23,13 +23,14 @@ import (
 // TestPooledPipelineIdentitySweep is the PR-9 identity contract: pooling
 // plus the buffered exchange must keep Count, Value (bit pattern), the
 // logical plan's TrueCards and the full CostStats byte-identical to
-// ReferenceRun at every worker count × batch size × shard fan-out, pooled
-// and unpooled — including the second, steady-state execution that
-// actually recycles buffers. Every pooled run uses a debug pool, so double
-// puts and use-after-put surface here too. The column-pruning inputs ride
-// along: an aggregate column carried up from the deepest leaf of 3-5-way
-// joins, an index scan with residuals under a join, cross joins, all of
-// them over 4-shard Merge leaves too.
+// ReferenceRun at every worker count × batch size × shard fan-out —
+// including the second, steady-state execution that actually recycles
+// buffers. Every run uses a debug pool, so double puts and use-after-put
+// surface here too, and every cell checks that its operator tree has a
+// buffered exchange exactly when Workers > 1. The column-pruning inputs
+// ride along: an aggregate column carried up from the deepest leaf of
+// 3-5-way joins, an index scan with residuals under a join, cross joins,
+// all of them over 4-shard Merge leaves too.
 func TestPooledPipelineIdentitySweep(t *testing.T) {
 	cat := shardCatalog()
 	for qi, q := range append(shardQueries(), pruningQueries()...) {
@@ -42,45 +43,59 @@ func TestPooledPipelineIdentitySweep(t *testing.T) {
 		for _, shards := range []int{1, 4} {
 			for _, workers := range []int{1, 2, 8} {
 				for _, batch := range []int{0, 1, 64} {
-					for _, noPool := range []bool{false, true} {
-						name := fmt.Sprintf("q%d/shards=%d/workers=%d/batch=%d/nopool=%v", qi, shards, workers, batch, noPool)
-						ex := New(cat)
-						ex.Workers = workers
-						ex.BatchSize = batch
-						ex.NoPool = noPool
-						dbg := NewDebugBatchPool()
-						if !noPool {
-							ex.SetPool(dbg)
+					name := fmt.Sprintf("q%d/shards=%d/workers=%d/batch=%d", qi, shards, workers, batch)
+					ex := New(cat)
+					ex.Workers = workers
+					ex.BatchSize = batch
+					dbg := NewDebugBatchPool()
+					ex.SetPool(dbg)
+					if got, want := exchangeStages(t, ex, q, sweepPlan(t, cat, q, shards)), workers > 1; got != want {
+						t.Fatalf("%s: operator tree has a buffered exchange = %v, want %v", name, got, want)
+					}
+					for run := 0; run < 2; run++ {
+						p := sweepPlan(t, cat, q, shards)
+						res, err := ex.RunCtx(context.Background(), q, p)
+						if err != nil {
+							t.Fatalf("%s run %d: %v", name, run, err)
 						}
-						for run := 0; run < 2; run++ {
-							p := sweepPlan(t, cat, q, shards)
-							res, err := ex.RunCtx(context.Background(), q, p)
-							if err != nil {
-								t.Fatalf("%s run %d: %v", name, run, err)
-							}
-							if res.Count != ref.Count || math.Float64bits(res.Value) != math.Float64bits(ref.Value) {
-								t.Fatalf("%s run %d: result %d/%v, reference %d/%v", name, run, res.Count, res.Value, ref.Count, ref.Value)
-							}
-							if res.Stats != ref.Stats {
-								t.Fatalf("%s run %d: stats %+v, reference %+v", name, run, res.Stats, ref.Stats)
-							}
-							if got := logicalCards(p); !slices.Equal(got, wantCards) {
-								t.Fatalf("%s run %d: TrueCards %v, reference %v", name, run, got, wantCards)
-							}
+						if res.Count != ref.Count || math.Float64bits(res.Value) != math.Float64bits(ref.Value) {
+							t.Fatalf("%s run %d: result %d/%v, reference %d/%v", name, run, res.Count, res.Value, ref.Count, ref.Value)
 						}
-						if !noPool {
-							if n := dbg.InUse(); n != 0 {
-								t.Fatalf("%s: %d pooled buffers still outstanding after Close", name, n)
-							}
-							if mis := dbg.Misuse(); len(mis) != 0 {
-								t.Fatalf("%s: pool contract violations: %v", name, mis)
-							}
+						if res.Stats != ref.Stats {
+							t.Fatalf("%s run %d: stats %+v, reference %+v", name, run, res.Stats, ref.Stats)
 						}
+						if got := logicalCards(p); !slices.Equal(got, wantCards) {
+							t.Fatalf("%s run %d: TrueCards %v, reference %v", name, run, got, wantCards)
+						}
+					}
+					if n := dbg.InUse(); n != 0 {
+						t.Fatalf("%s: %d pooled buffers still outstanding after Close", name, n)
+					}
+					if mis := dbg.Misuse(); len(mis) != 0 {
+						t.Fatalf("%s: pool contract violations: %v", name, mis)
 					}
 				}
 			}
 		}
 	}
+}
+
+// exchangeStages reports whether the operator tree a run of p builds —
+// the plan's operators under the sink's staged input — contains a
+// buffered exchange. Nothing is opened, so no buffer is drawn.
+func exchangeStages(t *testing.T, ex *Executor, q *query.Query, p *plan.Node) bool {
+	t.Helper()
+	root, err := ex.buildOperator(q, p, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	walkOps(ex.stage(root, false), func(op Operator) {
+		if _, ok := op.(*concurrentOp); ok {
+			found = true
+		}
+	})
+	return found
 }
 
 // pruningQueries are the sweep's column-pruning inputs over shardCatalog:
@@ -172,33 +187,6 @@ func logicalCards(p *plan.Node) []float64 {
 	return out
 }
 
-// TestPooledExchangeIdentity pins the exchange bisection flags: with
-// Workers > 1, NoExchange on/off must be invisible to results and stats.
-func TestPooledExchangeIdentity(t *testing.T) {
-	cat := shardCatalog()
-	q := shardQueries()[3]
-	refPlan, err := CanonicalPlan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := New(cat).ReferenceRun(context.Background(), q, refPlan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, noExchange := range []bool{false, true} {
-		ex := New(cat)
-		ex.Workers = 4
-		ex.NoExchange = noExchange
-		res, err := ex.RunCtx(context.Background(), q, shardPlan(t, q, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Count != ref.Count || math.Float64bits(res.Value) != math.Float64bits(ref.Value) || res.Stats != ref.Stats {
-			t.Fatalf("noexchange=%v drifted: %+v vs reference %+v", noExchange, res, ref)
-		}
-	}
-}
-
 // TestDebugPoolDetectsDoublePut: returning the same buffer twice is
 // recorded (not panicked) and the duplicate is refused.
 func TestDebugPoolDetectsDoublePut(t *testing.T) {
@@ -283,8 +271,8 @@ func TestDebugPoolCleanCycle(t *testing.T) {
 	}
 }
 
-// TestPoolNilSafety: the nil pool (the NoPool path) must accept every
-// call and report nothing outstanding.
+// TestPoolNilSafety: the nil pool (the one degrade path) must accept
+// every call and report nothing outstanding.
 func TestPoolNilSafety(t *testing.T) {
 	var p *BatchPool
 	s := p.GetSel(8)

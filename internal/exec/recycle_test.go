@@ -104,7 +104,6 @@ func TestRecycledOperatorsSeeCurrentCatalog(t *testing.T) {
 	ex.SetPool(pool)
 	ref := exec.New(cat)
 	ref.MaxIntermediate = testCap
-	ref.NoPool = true
 
 	ran, aggs, kinds := 0, 0, map[plan.Op]int{}
 	check := func(stage string) {
@@ -249,16 +248,31 @@ func TestPlainRunNeverTimed(t *testing.T) {
 // TestWarmRunAllocationCeiling pins the steady state of the serving hot
 // path: a warm RunCtx of a 2-join plan allocates its Result and next to
 // nothing else — no operator structs, pool boxes, schemas, key columns,
-// compiled predicates or telemetry.
+// compiled predicates or telemetry. A join over two 4-shard Merge leaves
+// additionally pays per run for what the scatter keeps — each shard's
+// result and row vector, the exchange and merge operators, their
+// goroutines — but not for an engine per shard.
 func TestWarmRunAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under the race detector")
 	}
+	ctx := context.Background()
+	warm := func(ex *exec.Executor, q *query.Query, p *plan.Node) float64 {
+		if _, err := ex.RunCtx(ctx, q, p); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(100, func() {
+			if _, err := ex.RunCtx(ctx, q, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+
 	cat := datagen.StatsCEB(datagen.Config{Seed: 7, Scale: 0.4})
 	queries := workload.GenWorkload(cat, workload.Options{Seed: 13, Count: 20, MaxJoins: 2, MaxPreds: 2})
-	ctx := context.Background()
 	ex := exec.New(cat)
 	ex.MaxIntermediate = testCap
+	found := false
 	for _, q := range queries {
 		p := planFor(t, q)
 		if p.NumJoins() != 2 {
@@ -267,15 +281,23 @@ func TestWarmRunAllocationCeiling(t *testing.T) {
 		if _, err := ex.RunCtx(ctx, q, p); err != nil {
 			continue
 		}
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := ex.RunCtx(ctx, q, p); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > 6 {
+		if allocs := warm(ex, q, p); allocs > 6 {
 			t.Fatalf("warm 2-join RunCtx allocates %.1f objects per run, ceiling 6", allocs)
 		}
-		return
+		found = true
+		break
 	}
-	t.Fatal("no executable 2-join query in workload")
+	if !found {
+		t.Fatal("no executable 2-join query in workload")
+	}
+
+	q := exec.ShardQueries()[3]
+	p, err := exec.CanonicalPlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ = plan.ShardScans(4).Rewrite(ctx, p, &plan.PassContext{})
+	if allocs := warm(exec.New(exec.ShardCatalog()), q, p); allocs > 88 {
+		t.Fatalf("warm RunCtx of a join over 4-shard Merge leaves allocates %.1f objects per run, ceiling 88", allocs)
+	}
 }

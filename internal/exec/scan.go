@@ -34,7 +34,6 @@ func scanSchema(dst *[1]string, alias string, need []string) []string {
 // seqScanOp streams the matching row ids of a sequential scan in batches.
 type seqScanOp struct {
 	e    *Executor
-	q    *query.Query
 	node *plan.Node
 	pool *BatchPool
 	need []string // aliases the consumer reads
@@ -43,11 +42,9 @@ type seqScanOp struct {
 	alias  [1]string
 	schema []string
 	cols   []*data.Column
-	preds  []query.Pred
 	nrows  int
-	filter blockFilter  // bf's storage, recompiled by every Open
-	bf     *blockFilter // compiled vectorized filter; nil under NoVec
-	parts  [][]int32    // per-span vectors of the partitioned fill
+	filter blockFilter // compiled vectorized filter, recompiled by every Open
+	parts  [][]int32   // per-span vectors of the partitioned fill
 
 	cursor  int   // next unread input row
 	pending Batch // one pooled vector: matching row ids awaiting emission
@@ -69,17 +66,14 @@ func (s *seqScanOp) Open(ctx context.Context) error {
 	if tbl == nil {
 		return fmt.Errorf("exec: unknown table %q", s.node.Table)
 	}
-	s.preds = s.node.Preds
+	preds := s.node.Preds
 	var err error
-	if s.cols, err = bindPredCols(s.cols[:0], tbl, s.preds); err != nil {
+	if s.cols, err = bindPredCols(s.cols[:0], tbl, preds); err != nil {
 		return err
 	}
 	s.nrows = tbl.NumRows()
-	if !s.e.NoVec {
-		s.bf = &s.filter
-		s.bf.compile(s.cols, s.preds, s.nrows)
-		s.tel.BlocksTotal, s.tel.BlocksSkipped = s.bf.blocks()
-	}
+	s.filter.compile(s.cols, preds, s.nrows)
+	s.tel.BlocksTotal, s.tel.BlocksSkipped = s.filter.blocks()
 	s.pending.alloc(s.pool, 1)
 	s.tel.RowsIn = int64(s.nrows)
 	s.tel.tuplesRead = int64(s.nrows)
@@ -88,7 +82,7 @@ func (s *seqScanOp) Open(ctx context.Context) error {
 	// every learned-cost training label) identical with pruning on or off.
 	s.tel.charges = append(s.tel.charges,
 		cStartup,
-		float64(s.nrows)*(cRead+cPred*float64(len(s.preds))))
+		float64(s.nrows)*(cRead+cPred*float64(len(preds))))
 	return nil
 }
 
@@ -117,9 +111,8 @@ func (s *seqScanOp) Next() (*Batch, error) {
 
 // fill refills the pending vector from the next chunk of input rows:
 // serially up to a batch of matches, or one span-partitioned segment on
-// the worker pool. Both paths run the vectorized block kernels unless
-// NoVec forced the scalar row loop; output content and order are
-// identical either way.
+// the worker pool. Both paths run the vectorized block kernels; output
+// content and order are identical either way.
 func (s *seqScanOp) fill() (err error) {
 	if w := s.e.workers(); w > 1 && s.nrows >= parallelMinRows {
 		return s.fillParallel(w)
@@ -130,31 +123,17 @@ func (s *seqScanOp) fill() (err error) {
 
 func (s *seqScanOp) fillSerial(rows []int32) ([]int32, error) {
 	bs := s.e.batchSize()
-	if s.bf == nil { // NoVec: scalar row-at-a-time filtering
-		for s.cursor < s.nrows && len(rows) < bs {
-			if s.cursor%cancelCheckRows == 0 {
-				if err := s.ctx.Err(); err != nil {
-					return rows, err
-				}
-			}
-			if matchesAll(s.cols, s.preds, s.cursor) {
-				rows = append(rows, int32(s.cursor))
-			}
-			s.cursor++
-		}
-		return rows, nil
-	}
-	// Vectorized: one zone block per step, skipped entirely when pruned,
-	// the kernels appending straight into the output vector. The cursor
-	// only ever rests on block boundaries (or 0).
+	// One zone block per step, skipped entirely when pruned, the kernels
+	// appending straight into the output vector. The cursor only ever
+	// rests on block boundaries (or 0).
 	for s.cursor < s.nrows && len(rows) < bs {
 		if err := s.ctx.Err(); err != nil {
 			return rows, err
 		}
 		b := s.cursor / data.ZoneBlockSize
 		end := min((b+1)*data.ZoneBlockSize, s.nrows)
-		if !s.bf.skips(b) {
-			rows = s.bf.filterRange(int32(s.cursor), int32(end), rows)
+		if !s.filter.skips(b) {
+			rows = s.filter.filterRange(int32(s.cursor), int32(end), rows)
 		}
 		s.cursor = end
 	}
@@ -166,19 +145,8 @@ func (s *seqScanOp) fillParallel(w int) error {
 		hi := min(s.cursor+w*scanSegmentRows, s.nrows)
 		lo := s.cursor
 		collectSpans(s.pool, splitSpans(hi-lo, w), s.pending.Cols, &s.parts, func(_ int, sp span, out [][]int32) bool {
-			if s.bf != nil {
-				out[0] = s.bf.filterSpan(s.ctx, lo+sp.lo, lo+sp.hi, out[0])
-				return true
-			}
-			for i := lo + sp.lo; i < lo+sp.hi; i++ {
-				if (i-lo-sp.lo)%cancelCheckRows == 0 && s.ctx.Err() != nil {
-					return true // partial vector discarded by the ctx check below
-				}
-				if matchesAll(s.cols, s.preds, i) {
-					out[0] = append(out[0], int32(i))
-				}
-			}
-			return true
+			out[0] = s.filter.filterSpan(s.ctx, lo+sp.lo, lo+sp.hi, out[0])
+			return true // a partial vector is discarded by the ctx check below
 		})
 		if err := s.ctx.Err(); err != nil {
 			return err
@@ -214,7 +182,6 @@ func (s *seqScanOp) recycle(p *BatchPool) {
 // residual predicates.
 type indexScanOp struct {
 	e    *Executor
-	q    *query.Query
 	node *plan.Node
 	pool *BatchPool
 	need []string // aliases the consumer reads
@@ -225,8 +192,7 @@ type indexScanOp struct {
 	rows   []int32 // the index's posting list
 	cols   []*data.Column
 	rest   []query.Pred
-	filter blockFilter  // bf's storage, recompiled by every Open
-	bf     *blockFilter // residual-filter kernels; nil under NoVec
+	filter blockFilter // residual-filter kernels, recompiled by every Open
 
 	cursor  int
 	done    bool
@@ -272,13 +238,10 @@ func (s *indexScanOp) Open(ctx context.Context) error {
 	if s.cols, err = bindPredCols(s.cols[:0], tbl, s.rest); err != nil {
 		return err
 	}
-	if !s.e.NoVec {
-		// An index scan's rows are a scattered posting list, so residual
-		// predicates run refine kernels over it; zone-map pruning does not
-		// apply (zero rows: no prune bitmap is built).
-		s.bf = &s.filter
-		s.bf.compile(s.cols, s.rest, 0)
-	}
+	// An index scan's rows are a scattered posting list, so residual
+	// predicates run refine kernels over it; zone-map pruning does not
+	// apply (zero rows: no prune bitmap is built).
+	s.filter.compile(s.cols, s.rest, 0)
 	s.pending.alloc(s.pool, 1)
 	s.tel.RowsIn = int64(len(s.rows))
 	s.tel.tuplesRead = int64(len(s.rows))
@@ -313,24 +276,9 @@ func (s *indexScanOp) Next() (*Batch, error) {
 }
 
 // fill appends up to bs surviving posting-list rows to ids.
+// Residual filtering copies a chunk of the posting list onto the vector
+// and refines the new suffix in place through every conjunct.
 func (s *indexScanOp) fill(ids []int32, bs int) ([]int32, error) {
-	if s.bf == nil {
-		for s.cursor < len(s.rows) && len(ids) < bs {
-			if s.cursor%cancelCheckRows == 0 {
-				if err := s.ctx.Err(); err != nil {
-					return ids, err
-				}
-			}
-			r := s.rows[s.cursor]
-			s.cursor++
-			if matchesAll(s.cols, s.rest, int(r)) {
-				ids = append(ids, r)
-			}
-		}
-		return ids, nil
-	}
-	// Vectorized residual filtering: copy a chunk of the posting list onto
-	// the vector and refine the new suffix in place through every conjunct.
 	for s.cursor < len(s.rows) && len(ids) < bs {
 		if err := s.ctx.Err(); err != nil {
 			return ids, err
@@ -338,7 +286,7 @@ func (s *indexScanOp) fill(ids []int32, bs int) ([]int32, error) {
 		take := min(bs-len(ids), len(s.rows)-s.cursor)
 		mark := len(ids)
 		ids = append(ids, s.rows[s.cursor:s.cursor+take]...)
-		ids = ids[:mark+len(s.bf.refineIDs(ids[mark:]))]
+		ids = ids[:mark+len(s.filter.refineIDs(ids[mark:]))]
 		s.cursor += take
 	}
 	return ids, nil

@@ -1,8 +1,8 @@
 // Scatter-gather execution of sharded scans: the merge/exchange operator
-// pair running a Merge node's shard subplans on N engine instances behind
-// the ShardBackend interface. The in-process LocalBackend is today's only
-// implementation; a wire protocol can implement the same interface later
-// without touching the operators.
+// pair running a Merge node's shard subplans behind the ShardBackend
+// interface. The executor itself is the in-process backend (ScanShard); a
+// wire protocol — or a test's fault injector — can implement the same
+// interface without touching the operators.
 //
 // Determinism contract (same discipline as the worker pool and the
 // vectorized kernels): shards partition the table's zone-map blocks
@@ -22,7 +22,6 @@ import (
 
 	"lqo/internal/data"
 	"lqo/internal/plan"
-	"lqo/internal/query"
 )
 
 // ShardResult is one shard's scan output: the matching row ids of the
@@ -36,51 +35,12 @@ type ShardResult struct {
 
 // ShardBackend runs one shard of a sharded scan. scan is the SeqScan leaf
 // an Exchange node wraps; the backend must return the matching row ids of
-// partition shard-of-of in ascending order (see ScanShard for the
+// partition shard-of-of in ascending order (see Executor.ScanShard for the
 // partitioning contract). Implementations must be safe for concurrent
-// RunShard calls — the merge operator scatters all shards at once.
+// ScanShard calls — the merge operator scatters all shards at once.
+// *Executor implements it.
 type ShardBackend interface {
-	RunShard(ctx context.Context, q *query.Query, scan *plan.Node, shard, of int) (*ShardResult, error)
-}
-
-// LocalBackend is the in-process ShardBackend: one lazily created engine
-// instance per shard index over a shared catalog, standing in for N
-// remote engines.
-type LocalBackend struct {
-	cat   *data.Catalog
-	noVec bool
-	// pool/noPool are set by the owning executor's plan build (same
-	// package) so shard engines draw from the parent's buffer pool instead
-	// of each creating their own.
-	pool   *BatchPool
-	noPool bool
-
-	mu      sync.Mutex
-	engines map[int]*Executor
-}
-
-// NewLocalBackend returns a LocalBackend over cat. noVec propagates the
-// owning executor's kernel escape hatch to every shard engine.
-func NewLocalBackend(cat *data.Catalog, noVec bool) *LocalBackend {
-	return &LocalBackend{cat: cat, noVec: noVec, engines: make(map[int]*Executor)}
-}
-
-// RunShard implements ShardBackend on the shard's own engine instance.
-func (b *LocalBackend) RunShard(ctx context.Context, q *query.Query, scan *plan.Node, shard, of int) (*ShardResult, error) {
-	b.mu.Lock()
-	eng, ok := b.engines[shard]
-	if !ok {
-		// Workers stays 1: parallelism comes from the shard fan-out, and a
-		// serial shard engine keeps per-shard output order trivially
-		// deterministic.
-		eng = &Executor{Cat: b.cat, NoVec: b.noVec, Workers: 1, NoPool: b.noPool}
-		if b.pool != nil {
-			eng.SetPool(b.pool)
-		}
-		b.engines[shard] = eng
-	}
-	b.mu.Unlock()
-	return eng.ScanShard(ctx, scan, shard, of)
+	ScanShard(ctx context.Context, scan *plan.Node, shard, of int) (*ShardResult, error)
 }
 
 // ScanShard evaluates one hash partition of a sequential scan: zone-map
@@ -110,16 +70,12 @@ func (e *Executor) ScanShard(ctx context.Context, scan *plan.Node, shard, of int
 		return nil, err
 	}
 	nrows := tbl.NumRows()
-	var bf *blockFilter
-	if !e.NoVec {
-		bf = newBlockFilter(cols, preds, nrows)
-	}
+	bf := newBlockFilter(cols, preds, nrows)
 	res := &ShardResult{}
 	// res.Rows stays plainly allocated — the exchange operator retains it
 	// for the whole run — but the per-block selection vector is pooled.
-	pool := e.batchPool()
-	sel := pool.GetSel(0)
-	defer func() { pool.PutSel(sel) }()
+	sel := e.pool.GetSel(0)
+	defer func() { e.pool.PutSel(sel) }()
 	nblocks := data.ZoneBlocks(nrows)
 	for b := shard; b < nblocks; b += of {
 		if err := ctx.Err(); err != nil {
@@ -130,28 +86,15 @@ func (e *Executor) ScanShard(ctx context.Context, scan *plan.Node, shard, of int
 		if hi > nrows {
 			hi = nrows
 		}
-		if bf != nil && len(bf.pruned) > 0 {
+		if len(bf.pruned) > 0 {
 			res.BlocksTotal++
 			if bf.pruned[b] {
 				res.BlocksSkipped++
 				continue
 			}
 		}
-		if bf != nil {
-			sel = bf.filterRange(int32(lo), int32(hi), sel[:0])
-			res.Rows = append(res.Rows, sel...)
-			continue
-		}
-		for i := lo; i < hi; i++ {
-			if (i-lo)%cancelCheckRows == 0 && i != lo {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			if matchesAll(cols, preds, i) {
-				res.Rows = append(res.Rows, int32(i))
-			}
-		}
+		sel = bf.filterRange(int32(lo), int32(hi), sel[:0])
+		res.Rows = append(res.Rows, sel...)
 	}
 	return res, nil
 }
@@ -164,7 +107,6 @@ func (e *Executor) ScanShard(ctx context.Context, scan *plan.Node, shard, of int
 // charges the whole scan analytically.
 type exchangeOp struct {
 	backend ShardBackend
-	q       *query.Query
 	node    *plan.Node // the Exchange node; node.Left is the shard's scan
 
 	rows []int32
@@ -177,7 +119,7 @@ func (x *exchangeOp) Open(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	res, err := x.backend.RunShard(ctx, x.q, x.node.Left, x.node.Shard, x.node.ShardOf)
+	res, err := x.backend.ScanShard(ctx, x.node.Left, x.node.Shard, x.node.ShardOf)
 	if err != nil {
 		return err
 	}
@@ -207,7 +149,6 @@ func (x *exchangeOp) Schema() []string        { return []string{x.node.Left.Alia
 // sharding never changes CostStats.
 type mergeOp struct {
 	e    *Executor
-	q    *query.Query
 	node *plan.Node
 	exs  []*exchangeOp
 	pool *BatchPool

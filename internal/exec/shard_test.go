@@ -2,9 +2,12 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"lqo/internal/data"
 	"lqo/internal/plan"
@@ -90,9 +93,9 @@ func shardPlan(t *testing.T, q *query.Query, shards int) *plan.Node {
 }
 
 // TestShardedIdentitySweep is the byte-identity contract for scatter-
-// gather: every shard count × worker count × batch size × kernel mode
-// must reproduce the serial ReferenceRun bit for bit — Count, Value and
-// the full CostStats including charged WorkUnits.
+// gather: every shard count × worker count × batch size must reproduce
+// the serial ReferenceRun bit for bit — Count, Value and the full
+// CostStats including charged WorkUnits.
 func TestShardedIdentitySweep(t *testing.T) {
 	cat := shardCatalog()
 	for qi, q := range shardQueries() {
@@ -107,22 +110,19 @@ func TestShardedIdentitySweep(t *testing.T) {
 		for _, shards := range []int{1, 2, 4} {
 			for _, workers := range []int{1, 8} {
 				for _, batch := range []int{0, 64} {
-					for _, noVec := range []bool{false, true} {
-						name := fmt.Sprintf("q%d/shards=%d/workers=%d/batch=%d/novec=%v", qi, shards, workers, batch, noVec)
-						ex := New(cat)
-						ex.Workers = workers
-						ex.BatchSize = batch
-						ex.NoVec = noVec
-						res, err := ex.RunCtx(context.Background(), q, shardPlan(t, q, shards))
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if res.Count != ref.Count || math.Float64bits(res.Value) != math.Float64bits(ref.Value) {
-							t.Fatalf("%s: result %d/%v, reference %d/%v", name, res.Count, res.Value, ref.Count, ref.Value)
-						}
-						if res.Stats != ref.Stats {
-							t.Fatalf("%s: stats %+v, reference %+v", name, res.Stats, ref.Stats)
-						}
+					name := fmt.Sprintf("q%d/shards=%d/workers=%d/batch=%d", qi, shards, workers, batch)
+					ex := New(cat)
+					ex.Workers = workers
+					ex.BatchSize = batch
+					res, err := ex.RunCtx(context.Background(), q, shardPlan(t, q, shards))
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if res.Count != ref.Count || math.Float64bits(res.Value) != math.Float64bits(ref.Value) {
+						t.Fatalf("%s: result %d/%v, reference %d/%v", name, res.Count, res.Value, ref.Count, ref.Value)
+					}
+					if res.Stats != ref.Stats {
+						t.Fatalf("%s: stats %+v, reference %+v", name, res.Stats, ref.Stats)
 					}
 				}
 			}
@@ -243,5 +243,82 @@ func TestShardedEmptyTable(t *testing.T) {
 	}
 	if res.Count != ref.Count || res.Stats != ref.Stats {
 		t.Fatalf("empty-table shard run diverged: %+v vs %+v", res, ref)
+	}
+}
+
+// faultBackend runs every shard on ex except shard bad, which fails with
+// err — or, with a nil err, blocks until its context is canceled: a shard
+// engine that is down, and one that hangs.
+type faultBackend struct {
+	ex  *Executor
+	bad int
+	err error
+}
+
+func (f *faultBackend) ScanShard(ctx context.Context, scan *plan.Node, shard, of int) (*ShardResult, error) {
+	if shard != f.bad {
+		return f.ex.ScanShard(ctx, scan, shard, of)
+	}
+	if f.err != nil {
+		return nil, f.err
+	}
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestShardBackendFaults plugs a failing and a hanging shard into
+// Executor.Backend. RunCtx must return the shard's error (or the
+// context's), join every scatter and exchange goroutine, return every
+// pooled buffer without misuse, and leave the executor exact for its next
+// clean run.
+func TestShardBackendFaults(t *testing.T) {
+	cat := shardCatalog()
+	q := shardQueries()[3]
+	ref, err := New(cat).ReferenceRun(context.Background(), q, shardPlan(t, q, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := errors.New("shard engine down")
+	before := runtime.NumGoroutine()
+	for _, fault := range []error{down, nil} { // nil: the shard hangs
+		for _, workers := range []int{1, 4} {
+			name := fmt.Sprintf("down=%v/workers=%d", fault != nil, workers)
+			ex := New(cat)
+			ex.Workers = workers
+			dbg := NewDebugBatchPool()
+			ex.SetPool(dbg)
+			ex.Backend = &faultBackend{ex: ex, bad: 2, err: fault}
+			ctx, cancel := context.WithCancel(context.Background())
+			want := fault
+			if fault == nil {
+				time.AfterFunc(20*time.Millisecond, cancel)
+				want = context.Canceled
+			}
+			_, err := ex.RunCtx(ctx, q, shardPlan(t, q, 4))
+			cancel()
+			if !errors.Is(err, want) {
+				t.Fatalf("%s: err = %v, want %v", name, err, want)
+			}
+			if n := dbg.InUse(); n != 0 {
+				t.Fatalf("%s: %d pooled buffers outstanding", name, n)
+			}
+			if mis := dbg.Misuse(); len(mis) != 0 {
+				t.Fatalf("%s: pool contract violations: %v", name, mis)
+			}
+			ex.Backend = nil
+			res, err := ex.RunCtx(context.Background(), q, shardPlan(t, q, 4))
+			if err != nil {
+				t.Fatalf("%s: clean run: %v", name, err)
+			}
+			if res.Count != ref.Count || math.Float64bits(res.Value) != math.Float64bits(ref.Value) || res.Stats != ref.Stats {
+				t.Fatalf("%s: clean run %+v, reference %+v", name, res, ref)
+			}
+		}
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before+2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines grew from %d to %d after faulted runs", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -57,7 +57,7 @@ func (pt *PlanTelemetry) Stats() CostStats {
 
 // Blocks sums the zone-map pruning evidence over every operator: how
 // many blocks the plan's vectorized scans covered and how many they
-// skipped. Both zero for NoVec runs and predicate-free plans.
+// skipped. Both zero for predicate-free plans.
 func (pt *PlanTelemetry) Blocks() (total, skipped int64) {
 	for _, t := range pt.Ops {
 		total += t.BlocksTotal

@@ -82,6 +82,10 @@ func NewCardCache(ex *Executor) *CardCache {
 }
 
 // TrueCard returns the exact cardinality of q, executing it on first use.
+// It is TrueCardCtx without a deadline. It stays because callers with no
+// context to pass use it: the workload labeler, truth estimators behind
+// Estimate(q), and the repo benchmark (benchmark/workloads.go), whose
+// sources are frozen between benchmark revisions.
 func (c *CardCache) TrueCard(q *query.Query) (float64, error) {
 	//lqolint:ignore ctxprop compatibility shim; TrueCardCtx is the context-aware entry point and this wrapper exists for callers with no deadline
 	return c.TrueCardCtx(context.Background(), q)

@@ -3,6 +3,7 @@
 package exec_test
 
 import (
+	"context"
 	"testing"
 
 	"lqo/internal/datagen"
@@ -41,7 +42,7 @@ func TestCardCacheHarvest(t *testing.T) {
 		// Each harvested sub-plan label must equal direct execution of the
 		// corresponding sub-query (checked via a fresh, harvest-free cache).
 		fresh := exec.NewCardCache(exec.New(cat))
-		res, err := exec.New(cat).Run(q, p)
+		res, err := exec.New(cat).RunCtx(context.Background(), q, p)
 		if err != nil {
 			t.Fatal(err)
 		}

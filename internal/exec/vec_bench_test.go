@@ -1,10 +1,8 @@
-// Micro-benchmarks for the vectorized filter kernels vs. the scalar
-// matchesAll path, the typed join-key gather vs. per-row FNV mixing, and
-// the hash-join table's batch probe.
+// Micro-benchmarks for the vectorized filter kernels (a full scan, and the
+// kernel alone vs. the scalar matchesAll loop), the typed join-key gather
+// vs. per-row FNV mixing, and the hash-join table's batch probe.
 //
 //	go test ./internal/exec/ -bench 'Filter|KeyGather|HashJoinProbe' -benchmem -run xx
-//
-// Results are recorded in EXPERIMENTS.md (E13).
 package exec
 
 import (
@@ -42,23 +40,22 @@ func benchCatalog() (*data.Catalog, *query.Query) {
 	return cat, q
 }
 
-func benchFilterScan(b *testing.B, novec bool, workers int) {
+func benchFilterScan(b *testing.B, workers int) {
 	cat, q := benchCatalog()
 	ex := New(cat)
-	ex.NoVec = novec
 	ex.Workers = workers
 	p, err := CanonicalPlan(q)
 	if err != nil {
 		b.Fatal(err)
 	}
-	want, err := ex.Run(q, p)
+	want, err := ex.RunCtx(context.Background(), q, p)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ex.Run(q, p)
+		res, err := ex.RunCtx(context.Background(), q, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,10 +65,8 @@ func benchFilterScan(b *testing.B, novec bool, workers int) {
 	}
 }
 
-func BenchmarkFilterScanVec(b *testing.B)      { benchFilterScan(b, false, 1) }
-func BenchmarkFilterScanScalar(b *testing.B)   { benchFilterScan(b, true, 1) }
-func BenchmarkFilterScanVecW4(b *testing.B)    { benchFilterScan(b, false, 4) }
-func BenchmarkFilterScanScalarW4(b *testing.B) { benchFilterScan(b, true, 4) }
+func BenchmarkFilterScanVec(b *testing.B)   { benchFilterScan(b, 1) }
+func BenchmarkFilterScanVecW4(b *testing.B) { benchFilterScan(b, 4) }
 
 // benchKernelOnly isolates the filter kernel from plan/operator overhead:
 // one blockFilter pass over the table vs. the scalar row loop.

@@ -60,7 +60,7 @@ func (f *fakeLearned) Plan(q *query.Query) (*plan.Node, error) {
 	case "hang":
 		time.Sleep(f.hang)
 	}
-	return f.native.Optimize(q)
+	return f.native.OptimizeCtx(context.Background(), q)
 }
 
 func TestPlannerLearnedPathServes(t *testing.T) {

@@ -9,6 +9,7 @@
 package joinorder
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -91,7 +92,9 @@ func (s *DP) Name() string { return "dp" }
 func (s *DP) Train(ctx *Context) error { s.base = ctx.Base; return nil }
 
 // Plan implements Searcher.
-func (s *DP) Plan(q *query.Query) (*plan.Node, error) { return s.base.Optimize(q) }
+func (s *DP) Plan(q *query.Query) (*plan.Node, error) {
+	return s.base.OptimizeCtx(context.Background(), q)
+}
 
 // Greedy is the classical greedy baseline.
 type Greedy struct{ base *opt.Optimizer }
@@ -106,7 +109,9 @@ func (s *Greedy) Name() string { return "greedy" }
 func (s *Greedy) Train(ctx *Context) error { s.base = ctx.Base; return nil }
 
 // Plan implements Searcher.
-func (s *Greedy) Plan(q *query.Query) (*plan.Node, error) { return s.base.OptimizeGreedy(q) }
+func (s *Greedy) Plan(q *query.Query) (*plan.Node, error) {
+	return s.base.OptimizeGreedyCtx(context.Background(), q)
+}
 
 // Random joins in a random connected order — the sanity-check floor.
 type Random struct {

@@ -1,6 +1,7 @@
 package joinorder
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -82,12 +83,12 @@ func TestAllSearchersProduceCorrectPlans(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", q.SQL(), err)
 				}
-				got, err := f.ex.Run(q, p)
+				got, err := f.ex.RunCtx(context.Background(), q, p)
 				if err != nil {
 					t.Fatalf("%s plan failed: %v", inf.Name, err)
 				}
 				canonical, _ := exec.CanonicalPlan(q)
-				want, err := f.ex.Run(q, canonical)
+				want, err := f.ex.RunCtx(context.Background(), q, canonical)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package learnedopt
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -66,7 +67,7 @@ func (b *Bao) Train(ctx *Context) error {
 	}
 	var exp []costmodel.TrainPlan
 	for _, q := range ctx.Workload {
-		plans, err := ctx.Base.CandidatePlans(q, b.Arms)
+		plans, err := ctx.Base.CandidatePlans(context.Background(), q, b.Arms)
 		if err != nil {
 			return err
 		}
@@ -90,7 +91,7 @@ func (b *Bao) trainExplore(ctx *Context) error {
 	trained := false
 	for round := 0; round < b.Rounds; round++ {
 		for _, q := range ctx.Workload {
-			plans, err := ctx.Base.CandidatePlans(q, b.Arms)
+			plans, err := ctx.Base.CandidatePlans(context.Background(), q, b.Arms)
 			if err != nil {
 				return err
 			}
@@ -121,7 +122,7 @@ func (b *Bao) trainExplore(ctx *Context) error {
 
 // Candidates implements CandidateProvider.
 func (b *Bao) Candidates(q *query.Query) ([]Candidate, error) {
-	plans, err := b.ctx.Base.CandidatePlans(q, b.Arms)
+	plans, err := b.ctx.Base.CandidatePlans(context.Background(), q, b.Arms)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +185,7 @@ func (a *AutoSteer) Train(ctx *Context) error {
 		bestLat := math.Inf(1)
 		bestArm := 0
 		for i, h := range a.Bao.Arms {
-			p, err := ctx.Base.WithHints(h).Optimize(q)
+			p, err := ctx.Base.WithHints(h).OptimizeCtx(context.Background(), q)
 			if err != nil {
 				continue
 			}

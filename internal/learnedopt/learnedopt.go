@@ -8,6 +8,7 @@
 package learnedopt
 
 import (
+	"context"
 	"fmt"
 
 	"lqo/internal/data"
@@ -96,12 +97,14 @@ func (n *Native) Name() string { return "native" }
 func (n *Native) Train(ctx *Context) error { n.base = ctx.Base; return nil }
 
 // Plan implements Optimizer.
-func (n *Native) Plan(q *query.Query) (*plan.Node, error) { return n.base.Optimize(q) }
+func (n *Native) Plan(q *query.Query) (*plan.Node, error) {
+	return n.base.OptimizeCtx(context.Background(), q)
+}
 
 // Measure executes p for q and returns the measured latency in work
 // units — the workbench's deterministic latency signal.
 func Measure(ex *exec.Executor, q *query.Query, p *plan.Node) (float64, error) {
-	res, err := ex.Run(q, p)
+	res, err := ex.RunCtx(context.Background(), q, p)
 	if err != nil {
 		return 0, err
 	}

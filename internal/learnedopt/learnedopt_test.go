@@ -1,6 +1,7 @@
 package learnedopt
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -74,12 +75,12 @@ func TestAllOptimizersCorrectResults(t *testing.T) {
 				if err != nil {
 					t.Fatalf("plan: %v", err)
 				}
-				got, err := f.ex.Run(q, p)
+				got, err := f.ex.RunCtx(context.Background(), q, p)
 				if err != nil {
 					t.Fatalf("execute: %v", err)
 				}
 				canonical, _ := exec.CanonicalPlan(q)
-				want, _ := f.ex.Run(q, canonical)
+				want, _ := f.ex.RunCtx(context.Background(), q, canonical)
 				if got.Count != want.Count {
 					t.Fatalf("wrong result %d vs %d", got.Count, want.Count)
 				}
@@ -171,11 +172,11 @@ func TestLeroScaledEstimatorChangesPlans(t *testing.T) {
 		if len(q.Refs) < 3 {
 			continue
 		}
-		p1, err := f.ctx.Base.WithEstimator(&ScaledEstimator{Base: f.ctx.Base.Est, Factor: 0.05}).Optimize(q)
+		p1, err := f.ctx.Base.WithEstimator(&ScaledEstimator{Base: f.ctx.Base.Est, Factor: 0.05}).OptimizeCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2, err := f.ctx.Base.WithEstimator(&ScaledEstimator{Base: f.ctx.Base.Est, Factor: 20}).Optimize(q)
+		p2, err := f.ctx.Base.WithEstimator(&ScaledEstimator{Base: f.ctx.Base.Est, Factor: 20}).OptimizeCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +289,7 @@ func TestEraserFallsBackToNativeWhenNothingTrusted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat, _ := f.ctx.Base.Optimize(f.test[0])
+	nat, _ := f.ctx.Base.OptimizeCtx(context.Background(), f.test[0])
 	if p.Fingerprint() != nat.Fingerprint() {
 		t.Fatal("eraser should fall back to the native plan")
 	}
@@ -305,7 +306,7 @@ func TestPerfGuardNeverPicksWildPlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.ex.Run(q, p); err != nil {
+		if _, err := f.ex.RunCtx(context.Background(), q, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -324,7 +325,7 @@ func TestHyperQOFiltersHighVariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat, _ := f.ctx.Base.Optimize(f.test[0])
+	nat, _ := f.ctx.Base.OptimizeCtx(context.Background(), f.test[0])
 	if p.Fingerprint() != nat.Fingerprint() {
 		t.Fatal("all-filtered HyperQO should return the native plan")
 	}
@@ -364,7 +365,7 @@ func TestPointwiseLero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ex.Run(f.test[0], p); err != nil {
+	if _, err := f.ex.RunCtx(context.Background(), f.test[0], p); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -389,7 +390,7 @@ func TestMeasureMatchesExecutor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _ := f.ex.Run(q, p.Clone())
+	res, _ := f.ex.RunCtx(context.Background(), q, p.Clone())
 	if lat != res.Stats.WorkUnits {
 		t.Fatalf("Measure %v != executor %v", lat, res.Stats.WorkUnits)
 	}

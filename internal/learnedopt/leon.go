@@ -1,6 +1,7 @@
 package learnedopt
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -28,11 +29,11 @@ func NewLEON() *LEON { return &LEON{Comparator: NewPairwiseComparator()} }
 func (l *LEON) Name() string { return "leon" }
 
 func (l *LEON) candidatePlans(q *query.Query) ([]*plan.Node, error) {
-	plans, err := l.ctx.Base.CandidatePlans(q, plan.BaoHintSets())
+	plans, err := l.ctx.Base.CandidatePlans(context.Background(), q, plan.BaoHintSets())
 	if err != nil {
 		return nil, err
 	}
-	if g, err := l.ctx.Base.OptimizeGreedy(q); err == nil {
+	if g, err := l.ctx.Base.OptimizeGreedyCtx(context.Background(), q); err == nil {
 		dup := false
 		for _, p := range plans {
 			if p.Fingerprint() == g.Fingerprint() {
@@ -96,7 +97,7 @@ func (l *LEON) Plan(q *query.Query) (*plan.Node, error) {
 	}
 	best := l.Comparator.SelectBest(plans)
 	if best == nil {
-		return l.ctx.Base.Optimize(q)
+		return l.ctx.Base.OptimizeCtx(context.Background(), q)
 	}
 	return best, nil
 }

@@ -1,6 +1,7 @@
 package learnedopt
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -60,7 +61,7 @@ func (l *Lero) candidatePlans(q *query.Query) ([]*plan.Node, error) {
 	var out []*plan.Node
 	for _, f := range l.Factors {
 		scaled := &ScaledEstimator{Base: l.ctx.Base.Est, Factor: f}
-		p, err := l.ctx.Base.WithEstimator(scaled).Optimize(q)
+		p, err := l.ctx.Base.WithEstimator(scaled).OptimizeCtx(context.Background(), q)
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +125,7 @@ func (l *Lero) Plan(q *query.Query) (*plan.Node, error) {
 	}
 	best := l.Comparator.SelectBest(plans)
 	if best == nil {
-		return l.ctx.Base.Optimize(q)
+		return l.ctx.Base.OptimizeCtx(context.Background(), q)
 	}
 	return best, nil
 }
@@ -183,7 +184,7 @@ func (l *PointwiseLero) Plan(q *query.Query) (*plan.Node, error) {
 		}
 	}
 	if pick == nil {
-		return l.ctx.Base.Optimize(q)
+		return l.ctx.Base.OptimizeCtx(context.Background(), q)
 	}
 	return pick, nil
 }

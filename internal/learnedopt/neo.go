@@ -1,6 +1,7 @@
 package learnedopt
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -64,7 +65,7 @@ func (n *Neo) Train(ctx *Context) error {
 	}
 	var exp []costmodel.TrainPlan
 	for _, q := range ctx.Workload {
-		p, err := ctx.Base.Optimize(q)
+		p, err := ctx.Base.OptimizeCtx(context.Background(), q)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package learnedopt
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -43,7 +44,7 @@ func (h *HyperQO) Train(ctx *Context) error {
 	}
 	var exp []costmodel.TrainPlan
 	for _, q := range ctx.Workload {
-		plans, err := ctx.Base.CandidatePlans(q, plan.BaoHintSets())
+		plans, err := ctx.Base.CandidatePlans(context.Background(), q, plan.BaoHintSets())
 		if err != nil {
 			return err
 		}
@@ -100,7 +101,7 @@ func (h *HyperQO) predict(q *query.Query, p *plan.Node) (mean, cv float64) {
 // Candidates implements CandidateProvider (mean predictions; unstable
 // candidates keep their mean but are dropped by Plan).
 func (h *HyperQO) Candidates(q *query.Query) ([]Candidate, error) {
-	plans, err := h.ctx.Base.CandidatePlans(q, plan.BaoHintSets())
+	plans, err := h.ctx.Base.CandidatePlans(context.Background(), q, plan.BaoHintSets())
 	if err != nil {
 		return nil, err
 	}
@@ -118,11 +119,11 @@ func (h *HyperQO) Candidates(q *query.Query) ([]Candidate, error) {
 // the cost-based plan runs. This is HyperQO's defining hybrid rule:
 // "cost-based or learning-based" is decided per query.
 func (h *HyperQO) Plan(q *query.Query) (*plan.Node, error) {
-	plans, err := h.ctx.Base.CandidatePlans(q, plan.BaoHintSets())
+	plans, err := h.ctx.Base.CandidatePlans(context.Background(), q, plan.BaoHintSets())
 	if err != nil {
 		return nil, err
 	}
-	native, err := h.ctx.Base.Optimize(q)
+	native, err := h.ctx.Base.OptimizeCtx(context.Background(), q)
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +249,7 @@ func geoMean(v []float64) float64 {
 func (e *Eraser) Plan(q *query.Query) (*plan.Node, error) {
 	cands, err := e.Inner.(CandidateProvider).Candidates(q)
 	if err != nil {
-		return e.ctx.Base.Optimize(q)
+		return e.ctx.Base.OptimizeCtx(context.Background(), q)
 	}
 	// Stage 1: coarse filter — drop plans with unseen structure.
 	var survivors []Candidate
@@ -257,7 +258,7 @@ func (e *Eraser) Plan(q *query.Query) (*plan.Node, error) {
 			survivors = append(survivors, c)
 		}
 	}
-	native, err := e.ctx.Base.Optimize(q)
+	native, err := e.ctx.Base.OptimizeCtx(context.Background(), q)
 	if err != nil {
 		return nil, err
 	}
@@ -334,7 +335,7 @@ func (g *PerfGuard) Train(ctx *Context) error {
 	var exp []costmodel.TrainPlan
 	for _, q := range ctx.Workload {
 		for _, mk := range []func() (*plan.Node, error){
-			func() (*plan.Node, error) { return ctx.Base.Optimize(q) },
+			func() (*plan.Node, error) { return ctx.Base.OptimizeCtx(context.Background(), q) },
 			func() (*plan.Node, error) { return g.Inner.Plan(q) },
 		} {
 			p, err := mk()
@@ -353,7 +354,7 @@ func (g *PerfGuard) Train(ctx *Context) error {
 
 // Plan implements Optimizer.
 func (g *PerfGuard) Plan(q *query.Query) (*plan.Node, error) {
-	native, err := g.ctx.Base.Optimize(q)
+	native, err := g.ctx.Base.OptimizeCtx(context.Background(), q)
 	if err != nil {
 		return nil, err
 	}

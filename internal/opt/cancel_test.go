@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"lqo/internal/query"
 )
@@ -18,14 +19,19 @@ func TestOptimizeCtxPreCanceled(t *testing.T) {
 	}
 }
 
+// TestOptimizeCtxBackgroundMatchesOptimize: a live context with a
+// deadline that never fires plans exactly what context.Background() plans
+// (the context-less Optimize this test once compared against is gone).
 func TestOptimizeCtxBackgroundMatchesOptimize(t *testing.T) {
 	f := newFixture(t)
 	q := chainQuery()
-	a, err := f.opt.Optimize(q)
+	a, err := f.opt.OptimizeCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := f.opt.OptimizeCtx(context.Background(), q)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	b, err := f.opt.OptimizeCtx(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +61,9 @@ func TestOptimizeSurvivesBrokenEstimator(t *testing.T) {
 	f := newFixture(t)
 	for mode := 0; mode < 4; mode++ {
 		o := f.opt.WithEstimator(&brokenEstimator{mode: mode})
-		p, err := o.Optimize(chainQuery())
+		p, err := o.OptimizeCtx(context.Background(), chainQuery())
 		if err != nil {
-			t.Fatalf("mode %d: Optimize failed: %v", mode, err)
+			t.Fatalf("mode %d: OptimizeCtx failed: %v", mode, err)
 		}
 		var walk func(n interface{ IsLeaf() bool })
 		_ = walk

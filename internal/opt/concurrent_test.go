@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -14,7 +15,7 @@ func TestOptimizerConcurrentUse(t *testing.T) {
 	q := chainQuery()
 
 	// Establish the serial reference plan and enumeration count.
-	ref, err := f.opt.Optimize(q)
+	ref, err := f.opt.OptimizeCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestOptimizerConcurrentUse(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for iter := 0; iter < 5; iter++ {
-				p, err := f.opt.Optimize(q)
+				p, err := f.opt.OptimizeCtx(context.Background(), q)
 				if err != nil {
 					errs[g] = err
 					return

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"testing"
 
 	"lqo/internal/datagen"
@@ -15,11 +16,11 @@ import (
 func TestCardsFromPlan(t *testing.T) {
 	f := newFixture(t)
 	q := chainQuery()
-	p, err := f.opt.Optimize(q)
+	p, err := f.opt.OptimizeCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.ex.Run(q, p)
+	res, err := f.ex.RunCtx(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,16 +55,16 @@ func TestCardsFromPlan(t *testing.T) {
 func TestCardsFromPlanCloseLoop(t *testing.T) {
 	f := newFixture(t)
 	q := chainQuery()
-	p, err := f.opt.Optimize(q)
+	p, err := f.opt.OptimizeCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ex.Run(q, p); err != nil {
+	if _, err := f.ex.RunCtx(context.Background(), q, p); err != nil {
 		t.Fatal(err)
 	}
 	cards := CardsFromPlan(q, p)
 	fed := f.opt.WithEstimator(mapEstimator(cards))
-	p2, err := fed.Optimize(q)
+	p2, err := fed.OptimizeCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +73,11 @@ func TestCardsFromPlanCloseLoop(t *testing.T) {
 	}
 	// The fed optimizer saw exact cardinalities for every sub-plan the
 	// executed tree contained; its plan must execute to the same count.
-	res2, err := f.ex.Run(q, p2)
+	res2, err := f.ex.RunCtx(context.Background(), q, p2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := f.ex.Run(q, p)
+	res1, err := f.ex.RunCtx(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +105,11 @@ func (m mapEstimator) Estimate(q *query.Query) float64 {
 func TestCardsFromPlanAfterDrift(t *testing.T) {
 	f := newFixture(t)
 	q := chainQuery()
-	p, err := f.opt.Optimize(q)
+	p, err := f.opt.OptimizeCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ex.Run(q, p); err != nil {
+	if _, err := f.ex.RunCtx(context.Background(), q, p); err != nil {
 		t.Fatal(err)
 	}
 	before := CardsFromPlan(q, p)
@@ -116,7 +117,7 @@ func TestCardsFromPlanAfterDrift(t *testing.T) {
 	datagen.ApplyDrift(f.cat, datagen.DriftOptions{Seed: 41, Fraction: 0.8, ValueSkew: 2, DomainShift: 0.4})
 
 	// Same (now stale) plan tree, re-executed against the drifted catalog.
-	res, err := f.ex.Run(q, p)
+	res, err := f.ex.RunCtx(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -30,7 +31,7 @@ type goldenCell struct {
 	opt  func(base *Optimizer) *Optimizer
 	take func(qs []*query.Query) []*query.Query // nil: the whole workload
 	// fromOrder plans through PlanFromOrder over the reversed FROM order
-	// (cross products included) instead of Optimize.
+	// (cross products included) instead of OptimizeCtx.
 	fromOrder bool
 }
 
@@ -95,7 +96,7 @@ func hashCell(t *testing.T, o *Optimizer, qs []*query.Query, fromOrder bool) str
 			}
 			p, err = o.PlanFromOrder(q, order)
 		} else {
-			p, err = o.Optimize(q)
+			p, err = o.OptimizeCtx(context.Background(), q)
 		}
 		if err != nil {
 			t.Fatalf("optimize %s: %v", q.SQL(), err)

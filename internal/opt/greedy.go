@@ -15,15 +15,9 @@ import (
 	"lqo/internal/query"
 )
 
-// OptimizeGreedy builds a plan by repeatedly joining the pair of
+// OptimizeGreedyCtx builds a plan by repeatedly joining the pair of
 // sub-plans with the lowest resulting cost (connected pairs only, unless
-// forced). It scales to arbitrary query sizes.
-func (o *Optimizer) OptimizeGreedy(q *query.Query) (*plan.Node, error) {
-	//lqolint:ignore ctxprop compatibility shim; OptimizeGreedyCtx is the context-aware entry point and this wrapper exists for callers with no deadline
-	return o.OptimizeGreedyCtx(context.Background(), q)
-}
-
-// OptimizeGreedyCtx is OptimizeGreedy under a context, checked once per
+// forced). It scales to arbitrary query sizes. ctx is checked once per
 // merge round. It returns raw enumeration output — no rewrite passes
 // (OptimizeCtx layers the pipeline on top).
 func (o *Optimizer) OptimizeGreedyCtx(ctx context.Context, q *query.Query) (*plan.Node, error) {
@@ -165,14 +159,14 @@ func (o *Optimizer) PlanFromOrder(q *query.Query, order []string) (*plan.Node, e
 
 // CandidatePlans optimizes q once per hint set and returns the distinct
 // resulting plans (by fingerprint) — the Bao-style candidate generator.
-func (o *Optimizer) CandidatePlans(q *query.Query, hints []plan.HintSet) ([]*plan.Node, error) {
+func (o *Optimizer) CandidatePlans(ctx context.Context, q *query.Query, hints []plan.HintSet) ([]*plan.Node, error) {
 	seen := map[string]bool{}
 	var out []*plan.Node
 	for _, h := range hints {
 		if !h.Valid() {
 			continue
 		}
-		p, err := o.WithHints(h).Optimize(q)
+		p, err := o.WithHints(h).OptimizeCtx(ctx, q)
 		if err != nil {
 			return nil, err
 		}

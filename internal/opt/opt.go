@@ -57,7 +57,7 @@ type Optimizer struct {
 	Passes *plan.PassPipeline
 
 	// plansConsidered holds the plan-alternative count of the most
-	// recently completed Optimize/OptimizeGreedy call. Each call counts
+	// recently completed OptimizeCtx/OptimizeGreedyCtx call. Each call counts
 	// locally and publishes its total with one atomic store, so an
 	// optimizer shared by concurrent goroutines never races (it used to
 	// be a plain exported field mutated during enumeration).
@@ -84,7 +84,7 @@ func (o *Optimizer) WithEstimator(est CardEstimator) *Optimizer {
 }
 
 // PlansConsidered reports how many plan alternatives the most recently
-// completed Optimize/OptimizeGreedy call costed (the enumeration-effort
+// completed OptimizeCtx/OptimizeGreedyCtx call costed (the enumeration-effort
 // metric for E8). Safe to call concurrently with planning.
 func (o *Optimizer) PlansConsidered() int {
 	return int(atomic.LoadInt64(&o.plansConsidered))
@@ -105,19 +105,12 @@ func (o *Optimizer) pipeline() *plan.PassPipeline {
 	return plan.DefaultPipeline(o.Shards)
 }
 
-// Optimize returns the minimum-estimated-cost plan for q: exhaustive
+// OptimizeCtx returns the minimum-estimated-cost plan for q: exhaustive
 // bushy DP when the query is small enough, greedy otherwise, followed by
 // the rewrite-pass pipeline. Plan nodes are annotated with EstCard and
-// EstCost.
-func (o *Optimizer) Optimize(q *query.Query) (*plan.Node, error) {
-	//lqolint:ignore ctxprop compatibility shim; OptimizeCtx is the context-aware entry point and this wrapper exists for callers with no deadline
-	return o.OptimizeCtx(context.Background(), q)
-}
-
-// OptimizeCtx is Optimize under a context: planning checks ctx between
-// DP subsets (and greedy merge rounds) so a deadline covering
-// optimize+execute also bounds enumeration time — a pathological
-// estimator cannot stall planning indefinitely.
+// EstCost. Planning checks ctx between DP subsets (and greedy merge
+// rounds) so a deadline covering optimize+execute also bounds enumeration
+// time — a pathological estimator cannot stall planning indefinitely.
 func (o *Optimizer) OptimizeCtx(ctx context.Context, q *query.Query) (*plan.Node, error) {
 	p, _, err := o.OptimizeTraceCtx(ctx, q)
 	return p, err
@@ -137,7 +130,7 @@ func (o *Optimizer) OptimizeTraceCtx(ctx context.Context, q *query.Query) (*plan
 }
 
 // enumerate runs join enumeration only — DP or greedy by query size — with
-// no rewrite passes. This is the pre-refactor Optimize body; tests pin
+// no rewrite passes. This is the pre-refactor planning body; tests pin
 // pipeline output fingerprint-equal to it when sharding is off.
 func (o *Optimizer) enumerate(ctx context.Context, q *query.Query) (*plan.Node, error) {
 	if err := ctx.Err(); err != nil {

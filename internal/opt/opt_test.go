@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -66,7 +67,7 @@ func chainQuery() *query.Query {
 func TestOptimizeProducesValidPlan(t *testing.T) {
 	f := newFixture(t)
 	q := chainQuery()
-	p, err := f.opt.Optimize(q)
+	p, err := f.opt.OptimizeCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +83,11 @@ func TestOptimizeProducesValidPlan(t *testing.T) {
 	}
 	// The optimized plan must execute and agree with the canonical plan.
 	canonical, _ := exec.CanonicalPlan(q)
-	want, err := f.ex.Run(q, canonical)
+	want, err := f.ex.RunCtx(context.Background(), q, canonical)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.ex.Run(q, p)
+	got, err := f.ex.RunCtx(context.Background(), q, p)
 	if err != nil {
 		t.Fatalf("optimized plan failed to execute: %v\n%s", err, p)
 	}
@@ -98,11 +99,11 @@ func TestOptimizeProducesValidPlan(t *testing.T) {
 func TestDPNotWorseThanGreedy(t *testing.T) {
 	f := newFixture(t)
 	q := chainQuery()
-	dp, err := f.opt.Optimize(q)
+	dp, err := f.opt.OptimizeCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, err := f.opt.OptimizeGreedy(q)
+	greedy, err := f.opt.OptimizeGreedyCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestHintsAreRespected(t *testing.T) {
 	f := newFixture(t)
 	q := chainQuery()
 	h := plan.HintSet{NoHashJoin: true, NoMergeJoin: true}
-	p, err := f.opt.WithHints(h).Optimize(q)
+	p, err := f.opt.WithHints(h).OptimizeCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +132,11 @@ func TestHintsChangeCostNotResult(t *testing.T) {
 	q := chainQuery()
 	var counts []int64
 	for _, h := range plan.BaoHintSets() {
-		p, err := f.opt.WithHints(h).Optimize(q)
+		p, err := f.opt.WithHints(h).OptimizeCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := f.ex.Run(q, p)
+		res, err := f.ex.RunCtx(context.Background(), q, p)
 		if err != nil {
 			t.Fatalf("hint %s: %v", h, err)
 		}
@@ -156,7 +157,7 @@ func TestSingleTableOptimization(t *testing.T) {
 			{Alias: "users", Column: "id", Op: query.Eq, Val: data.IntVal(5)},
 		},
 	}
-	p, err := f.opt.Optimize(q)
+	p, err := f.opt.OptimizeCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestSingleTableOptimization(t *testing.T) {
 		t.Fatalf("expected IndexScan, got %v", p.Op)
 	}
 	// With IndexScan disabled it must fall back.
-	p2, err := f.opt.WithHints(plan.HintSet{NoIndexScan: true}).Optimize(q)
+	p2, err := f.opt.WithHints(plan.HintSet{NoIndexScan: true}).OptimizeCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +189,12 @@ func TestPlanFromOrder(t *testing.T) {
 			t.Fatalf("order = %v", order)
 		}
 	}
-	res, err := f.ex.Run(q, p)
+	res, err := f.ex.RunCtx(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	canonical, _ := exec.CanonicalPlan(q)
-	wantRes, _ := f.ex.Run(q, canonical)
+	wantRes, _ := f.ex.RunCtx(context.Background(), q, canonical)
 	if res.Count != wantRes.Count {
 		t.Fatalf("ordered plan wrong: %d vs %d", res.Count, wantRes.Count)
 	}
@@ -205,7 +206,7 @@ func TestPlanFromOrder(t *testing.T) {
 func TestCandidatePlansDistinct(t *testing.T) {
 	f := newFixture(t)
 	q := chainQuery()
-	plans, err := f.opt.CandidatePlans(q, plan.BaoHintSets())
+	plans, err := f.opt.CandidatePlans(context.Background(), q, plan.BaoHintSets())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,19 +255,19 @@ func TestGreedyHandlesManyTables(t *testing.T) {
 		},
 	}
 	f.opt.MaxDPTables = 3 // force greedy
-	p, err := f.opt.Optimize(q)
+	p, err := f.opt.OptimizeCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(p.Aliases()) != 6 {
 		t.Fatalf("greedy covers %v", p.Aliases())
 	}
-	res, err := f.ex.Run(q, p)
+	res, err := f.ex.RunCtx(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	canonical, _ := exec.CanonicalPlan(q)
-	want, err := f.ex.Run(q, canonical)
+	want, err := f.ex.RunCtx(context.Background(), q, canonical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,14 +288,14 @@ func TestOptimizerWithDisconnectedQuery(t *testing.T) {
 			{Alias: "votes", Column: "vote_type", Op: query.Eq, Val: data.IntVal(3)},
 		},
 	}
-	p, err := f.opt.Optimize(q)
+	p, err := f.opt.OptimizeCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Op != plan.NestedLoopJoin {
 		t.Fatalf("cross product must be NL, got %v", p.Op)
 	}
-	if _, err := f.ex.Run(q, p); err != nil {
+	if _, err := f.ex.RunCtx(context.Background(), q, p); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -315,16 +316,16 @@ func TestRandomQueriesAllPlansAgree(t *testing.T) {
 		}
 		hints := plan.BaoHintSets()
 		h := hints[rng.Intn(len(hints))]
-		p, err := f.opt.WithHints(h).Optimize(q)
+		p, err := f.opt.WithHints(h).OptimizeCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		canonical, _ := exec.CanonicalPlan(q)
-		want, err := f.ex.Run(q, canonical)
+		want, err := f.ex.RunCtx(context.Background(), q, canonical)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := f.ex.Run(q, p)
+		got, err := f.ex.RunCtx(context.Background(), q, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +337,7 @@ func TestRandomQueriesAllPlansAgree(t *testing.T) {
 
 func TestEmptyQueryErrors(t *testing.T) {
 	f := newFixture(t)
-	if _, err := f.opt.Optimize(&query.Query{}); err == nil {
+	if _, err := f.opt.OptimizeCtx(context.Background(), &query.Query{}); err == nil {
 		t.Fatal("empty query should error")
 	}
 }
@@ -346,7 +347,7 @@ func TestLeftDeepOnlyRestrictsShape(t *testing.T) {
 	q := chainQuery()
 	ld := *f.opt
 	ld.LeftDeepOnly = true
-	p, err := ld.Optimize(q)
+	p, err := ld.OptimizeCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +358,7 @@ func TestLeftDeepOnlyRestrictsShape(t *testing.T) {
 		}
 	})
 	// Left-deep cost can never beat bushy-optimal.
-	bushy, err := f.opt.Optimize(q)
+	bushy, err := f.opt.OptimizeCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,12 +366,12 @@ func TestLeftDeepOnlyRestrictsShape(t *testing.T) {
 		t.Fatalf("left-deep %v cheaper than bushy %v", p.EstCost, bushy.EstCost)
 	}
 	// And it must still execute correctly.
-	res, err := f.ex.Run(q, p)
+	res, err := f.ex.RunCtx(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	canonical, _ := exec.CanonicalPlan(q)
-	want, _ := f.ex.Run(q, canonical)
+	want, _ := f.ex.RunCtx(context.Background(), q, canonical)
 	if res.Count != want.Count {
 		t.Fatalf("left-deep result %d != %d", res.Count, want.Count)
 	}

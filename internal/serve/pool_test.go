@@ -13,7 +13,7 @@ import (
 )
 
 // TestServerPoolLifetime pins the serving-layer pool contract: the server
-// installs one executor-lifetime BatchPool, cached-plan steady-state
+// keeps the executor's one lifetime BatchPool, cached-plan steady-state
 // traffic recycles its buffers without contract violations, and every
 // execution drains the pool back to zero outstanding buffers. Runs the
 // debug pool so double puts and use-after-put would surface as failures.
@@ -27,7 +27,7 @@ func TestServerPoolLifetime(t *testing.T) {
 	ex := exec.New(cat)
 	ex.Workers = 4
 	pool := exec.NewDebugBatchPool()
-	ex.SetPool(pool) // wins over the plain pool New would install
+	ex.SetPool(pool) // replaces the plain pool exec.New installed
 	s := New(cat, opt.New(cat, cost.New(cs), hist), ex, Config{})
 
 	sqls := []string{

@@ -137,7 +137,9 @@ type ExecObserver interface {
 // feedback-driven invalidation and per-tenant admission control. Safe for
 // concurrent use.
 type Server struct {
-	cat   *data.Catalog
+	cat *data.Catalog
+	// opt is the caller's optimizer with the feedback overlay as its
+	// estimator, built once by New.
 	opt   *opt.Optimizer
 	ex    *exec.Executor
 	cfg   Config
@@ -151,17 +153,15 @@ type Server struct {
 	obs       ExecObserver
 }
 
-// New assembles a server over cat using o to plan and ex to execute.
+// New assembles a server over cat using o to plan and ex to execute. The
+// server plans with a copy of o taken here, so later changes to o are not
+// seen. The executor keeps the buffer pool it was built with: the
+// steady-state executions of cached plans recycle that one warm set of
+// buffers across all tenants.
 func New(cat *data.Catalog, o *opt.Optimizer, ex *exec.Executor, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	// Pin the executor's buffer pool for the server's lifetime so the
-	// steady-state executions of cached plans recycle one warm set of
-	// buffers across all tenants. A no-op if the caller installed a pool
-	// (or ran the executor) already.
-	ex.SetPool(exec.NewBatchPool())
-	return &Server{
+	s := &Server{
 		cat:      cat,
-		opt:      o,
 		ex:       ex,
 		cfg:      cfg,
 		cache:    NewPlanCache(cfg.CacheSize),
@@ -169,6 +169,8 @@ func New(cat *data.Catalog, o *opt.Optimizer, ex *exec.Executor, cfg Config) *Se
 		adm:      newAdmission(cfg.TenantSlots, cfg.TenantQueue, cfg.Breaker),
 		feedback: make(map[string]float64),
 	}
+	s.opt = o.WithEstimator(&feedbackEstimator{s: s, base: o.Est})
+	return s
 }
 
 // feedbackEstimator overlays harvested true cardinalities on the server's
@@ -273,8 +275,7 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 		})
 	}
 	if p == nil {
-		o := s.opt.WithEstimator(&feedbackEstimator{s: s, base: s.opt.Est})
-		p, err = o.OptimizeCtx(ctx, q)
+		p, err = s.opt.OptimizeCtx(ctx, q)
 		if err != nil {
 			br.Failure()
 			return nil, err
