@@ -164,9 +164,12 @@ func BenchmarkOptimizeDP(b *testing.B) {
 	}
 }
 
-// BenchmarkHarvest times the feedback harvest every served request pays:
-// one sub-query key per node of a 4-way plan. The plan is not executed;
-// the harvest does the same work whatever TrueCard holds.
+// BenchmarkHarvest times the feedback harvest a served request pays: one
+// sub-query key per node of a 4-way plan, from a join graph built for the
+// query (cards: opt.HarvestCards, what a miss runs) or, as a prepared
+// binding derives them, from its template's graph rebound and written
+// into one reused key buffer (prepared). The plan is not executed; the
+// harvest does the same work whatever TrueCard holds.
 func BenchmarkHarvest(b *testing.B) {
 	env := sharedEnv(b)
 	q := genQuery(b, env, 4)
@@ -174,11 +177,22 @@ func BenchmarkHarvest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		harvested = opt.HarvestCards(q, p)
-	}
+	b.Run("cards", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			harvested = opt.HarvestCards(q, p)
+		}
+	})
+	b.Run("prepared", func(b *testing.B) {
+		tmpl := query.NewJoinGraph(q)
+		var buf []byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g := tmpl.Rebind(q)
+			p.WalkLogicalMasks(g, func(_ *plan.Node, mask uint64) { buf = g.AppendKey(buf[:0], mask) })
+		}
+	})
 }
 
 var harvested []opt.CardLabel

@@ -64,6 +64,7 @@ var keyFuncs = map[string]bool{
 	"StructureKey": true,
 	"CacheKey":     true,
 	"PlanKey":      true,
+	"AppendKey":    true,
 	"appendKey":    true,
 	"fingerprint":  true,
 	"structureKey": true,

@@ -90,6 +90,27 @@ func NewJoinGraph(q *Query) *JoinGraph {
 	return g
 }
 
+// Rebind returns the graph of q, which must be g's query with only
+// predicate values and Param/Param2 changed, such as a binding of the
+// template g indexes. It shares g's aliases, adjacency, join edges, ref
+// and join indexes and predicate alias bits, and encodes only the
+// predicate segments again. Their order is sorted again, not copied:
+// predicates on one column with one operator sort by value, and a "?"
+// marker sorts after a bound literal's digits. g is only read.
+func (g *JoinGraph) Rebind(q *Query) *JoinGraph {
+	r := *g
+	r.q = q
+	var k KeyBuilder
+	k.Grow(40 * len(q.Preds))
+	order := make([]int, len(q.Preds)) // segment ends until newClauseIndex
+	for i, p := range q.Preds {
+		p.appendKey(&k)
+		order[i] = k.Len()
+	}
+	r.preds = newClauseIndex(splitSegments(&k, order), g.preds.need, order)
+	return &r
+}
+
 func newClauseIndex(segs []string, need []uint64, order []int) clauseIndex {
 	c := clauseIndex{need: need, seg: segs, order: order}
 	for i := range c.order {
@@ -285,6 +306,23 @@ func (g *JoinGraph) Key(mask uint64) string {
 		}
 	}
 	return k.String()
+}
+
+// AppendKey appends Key(mask) to dst and returns the extended buffer, so
+// a caller that derives many keys can reuse one buffer and make a string
+// only of a key it keeps.
+func (g *JoinGraph) AppendKey(dst []byte, mask uint64) []byte {
+	for n, c := range [...]*clauseIndex{&g.refs, &g.joins, &g.preds} {
+		if n > 0 {
+			dst = append(dst, '|')
+		}
+		for _, i := range c.order {
+			if c.in(i, mask) {
+				dst = append(dst, c.seg[i]...)
+			}
+		}
+	}
+	return dst
 }
 
 // ConnectedSubsets enumerates all connected alias subsets of size 1..maxSize

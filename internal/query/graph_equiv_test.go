@@ -174,6 +174,9 @@ func genQuery(rng *rand.Rand, pool []string) *Query {
 	}
 	for i, m := 0, rng.Intn(6); i < m; i++ {
 		p := Pred{Alias: q.Refs[rng.Intn(n)].Alias, Column: col(), Op: CmpOp(rng.Intn(int(Between) + 1))}
+		if len(q.Preds) > 0 && rng.Intn(3) == 0 { // same alias.column op, another value
+			p = q.Preds[rng.Intn(len(q.Preds))]
+		}
 		p.Val = data.IntVal(int64(rng.Intn(2000) - 1000))
 		if rng.Intn(3) == 0 {
 			p.Val = data.FloatVal(float64(rng.Intn(40)) / 4)
@@ -186,9 +189,38 @@ func genQuery(rng *rand.Rand, pool []string) *Query {
 	return q
 }
 
+// redraw returns q with every predicate's values drawn again, the shape
+// kept: what binding a template changes. A value is a placeholder, an int,
+// a fractional float or an integral float that renders like an int (1e6
+// vs 1000000), from a small set so that predicates sharing an
+// alias.column op tie as often as they differ.
+func redraw(rng *rand.Rand, q *Query) *Query {
+	b := q.Clone()
+	draw := func() (data.Value, int) {
+		switch rng.Intn(4) {
+		case 0:
+			return data.Value{}, 1 + rng.Intn(3)
+		case 1:
+			return data.IntVal([]int64{-3, 7, 1000000}[rng.Intn(3)]), 0
+		case 2:
+			return data.FloatVal([]float64{2.5, 7, 1e6}[rng.Intn(3)]), 0
+		}
+		return data.IntVal(int64(rng.Intn(20))), 0
+	}
+	for i := range b.Preds {
+		p := &b.Preds[i]
+		p.Val, p.Param = draw()
+		if p.Op == Between {
+			p.Val2, p.Param2 = draw()
+		}
+	}
+	return b
+}
+
 // checkGraph compares the mask index of q against the oracles on every
-// mask and every ordered pair of masks.
-func checkGraph(t *testing.T, q *Query) {
+// mask and every ordered pair of masks, then rebinds it through a chain
+// of redrawn bindings against graphs built from scratch.
+func checkGraph(t *testing.T, rng *rand.Rand, q *Query) {
 	t.Helper()
 	g, adj := NewJoinGraph(q), oracleAdj(q)
 	n := len(q.Refs)
@@ -250,24 +282,40 @@ func checkGraph(t *testing.T, q *Query) {
 	if full := g.Key(uint64(len(sets) - 1)); full != q.Key() || full != oracleKey(q) {
 		t.Fatalf("full-mask key %q, Query.Key %q, oracle %q", full, q.Key(), oracleKey(q))
 	}
+	for round := 0; round < 3; round++ {
+		b := redraw(rng, q)
+		rebound, fresh := g.Rebind(b), NewJoinGraph(b)
+		for m := range sets {
+			mask := uint64(m)
+			if got, want := rebound.Key(mask), fresh.Key(mask); got != want {
+				t.Fatalf("round %d mask %b: rebound key %q, built %q\n%s\nrebound from\n%s", round, mask, got, want, b.SQL(), g.Query().SQL())
+			}
+			if got := string(rebound.AppendKey(nil, mask)); got != rebound.Key(mask) {
+				t.Fatalf("round %d mask %b: AppendKey %q, Key %q", round, mask, got, rebound.Key(mask))
+			}
+		}
+		g = rebound
+	}
 }
 
 func TestGraphMatchesMapOracles(t *testing.T) {
 	rng := rand.New(rand.NewSource(20240614))
 	for i := 0; i < 150; i++ {
-		checkGraph(t, genQuery(rng, names))
+		checkGraph(t, rng, genQuery(rng, names))
 	}
 }
 
 // FuzzSubqueryKey lets the fuzzer choose the identifiers as well as the
 // shape: whatever bytes aliases, tables and columns contain, every
-// sub-query's precomputed key must equal the from-scratch encoding.
+// sub-query's precomputed key, and every rebound graph's key, must equal
+// the from-scratch encoding.
 func FuzzSubqueryKey(f *testing.F) {
 	f.Add(int64(1), "a", "b|1", "c:2")
 	f.Add(int64(2), "r(1:a:1:a)", "3:a|b", ")")
 	f.Add(int64(3), "", "0", "j(")
 	f.Fuzz(func(t *testing.T, seed int64, a, b, c string) {
-		checkGraph(t, genQuery(rand.New(rand.NewSource(seed)), []string{a, b, c}))
+		rng := rand.New(rand.NewSource(seed))
+		checkGraph(t, rng, genQuery(rng, []string{a, b, c}))
 	})
 }
 

@@ -340,13 +340,20 @@ func (q *Query) keySegments() (refs, joins, preds []string) {
 		p.appendKey(&k)
 		ends = append(ends, k.Len())
 	}
+	segs := splitSegments(&k, ends)
+	nr, nj := len(q.Refs), len(q.Refs)+len(q.Joins)
+	return segs[:nr:nr], segs[nr:nj:nj], segs[nj:]
+}
+
+// splitSegments cuts k's bytes at ends into one string per segment, all
+// slices of one buffer.
+func splitSegments(k *KeyBuilder, ends []int) []string {
 	all, segs, start := k.String(), make([]string, len(ends)), 0
 	for i, end := range ends {
 		segs[i] = all[start:end]
 		start = end
 	}
-	nr, nj := len(q.Refs), len(q.Refs)+len(q.Joins)
-	return segs[:nr:nr], segs[nr:nj:nj], segs[nj:]
+	return segs
 }
 
 // NumParams returns the number of unbound placeholder slots in the

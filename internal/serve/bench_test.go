@@ -22,27 +22,14 @@ import (
 //
 //	go test ./internal/serve -run '^$' -bench ServeHit -benchmem
 func BenchmarkServeHit(b *testing.B) {
-	cat := datagen.StatsCEB(datagen.Config{Seed: 17, Scale: 0.05})
-	cs := stats.CollectCatalog(cat, stats.Options{Seed: 17})
-	hist := cardest.NewHistogramEstimator()
-	if err := hist.Train(&cardest.Context{Cat: cat, Stats: cs, Seed: 17}); err != nil {
-		b.Fatal(err)
-	}
-	// The q-error gate stays off: every timed request must be a hit.
-	s := New(cat, opt.New(cat, cost.New(cs), hist), exec.New(cat), Config{InvalidateQError: -1})
+	s, stmt := newHitFixture(b, 0)
 	ctx := context.Background()
-	const template = "SELECT COUNT(*) FROM posts, users, comments WHERE posts.owner_user_id = users.id AND comments.post_id = posts.id AND posts.score > ?;"
-	stmt, err := s.Prepare(template)
-	if err != nil {
-		b.Fatal(err)
-	}
 	sqls := []string{
 		"SELECT COUNT(*) FROM posts, users, comments WHERE posts.owner_user_id = users.id AND comments.post_id = posts.id AND posts.score > 5;",
 		"SELECT COUNT(*) FROM posts, users WHERE posts.owner_user_id = users.id AND posts.views > 100;",
 		"SELECT COUNT(*) FROM badges, users WHERE badges.user_id = users.id AND users.reputation > 10;",
 		"SELECT COUNT(*) FROM votes WHERE votes.vote_type = 2;",
 	}
-	bindings := []int{5, 20, 1, 50}
 	// Whitespace variants: spelling k of text k%4 doubles its spaces at
 	// the set bits of j = k/4 and appends what bits its spaces cannot hold
 	// as trailing spaces; spelling 0 is the adhoc text. 4096 of them
@@ -71,7 +58,7 @@ func BenchmarkServeHit(b *testing.B) {
 			spelled++
 			return s.Query(ctx, "bench", spellings[spelled%len(spellings)])
 		},
-		"prepared": func(i int) (*Result, error) { return s.Exec(ctx, "bench", stmt, bindings[i%len(bindings)]) },
+		"prepared": func(i int) (*Result, error) { return s.Exec(ctx, "bench", stmt, hitBindings[i%len(hitBindings)]) },
 	}
 	for _, name := range []string{"adhoc", "new-text", "prepared"} {
 		b.Run(name, func(b *testing.B) {
@@ -97,5 +84,67 @@ func BenchmarkServeHit(b *testing.B) {
 				b.Fatal("a new spelling was a statement hit")
 			}
 		})
+	}
+}
+
+// raceEnabled is set by race_test.go.
+var raceEnabled bool
+
+// hitBindings are the prepared fixture's rotating bindings.
+var hitBindings = []int{5, 20, 1, 50}
+
+// newHitFixture is BenchmarkServeHit's server, planning with the given
+// shard fan-out, and its prepared 3-way statement. The q-error gate is
+// off: every request after the first of a statement must be a hit.
+func newHitFixture(tb testing.TB, shards int) (*Server, *Stmt) {
+	tb.Helper()
+	cat := datagen.StatsCEB(datagen.Config{Seed: 17, Scale: 0.05})
+	cs := stats.CollectCatalog(cat, stats.Options{Seed: 17})
+	hist := cardest.NewHistogramEstimator()
+	if err := hist.Train(&cardest.Context{Cat: cat, Stats: cs, Seed: 17}); err != nil {
+		tb.Fatal(err)
+	}
+	o := opt.New(cat, cost.New(cs), hist)
+	o.Shards = shards
+	s := New(cat, o, exec.New(cat), Config{InvalidateQError: -1})
+	stmt, err := s.Prepare("SELECT COUNT(*) FROM posts, users, comments WHERE posts.owner_user_id = users.id AND comments.post_id = posts.id AND posts.score > ?;")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s, stmt
+}
+
+// TestPreparedHitAllocations pins what a warm prepared hit allocates on
+// BenchmarkServeHit's fixture: the binding's own Preds, its rebound join
+// graph, one predicate slab for the generic plan's leaves, the plan
+// checkout, the executor's run and the reply — no graph built, no
+// feedback key string, and under Shards=2 no cache key built either.
+func TestPreparedHitAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	for _, c := range []struct {
+		shards int
+		max    float64
+	}{{0, 12}, {2, 75}} {
+		s, stmt := newHitFixture(t, c.shards)
+		i := 0
+		hit := func() {
+			res, err := s.Exec(context.Background(), "a", stmt, hitBindings[i%len(hitBindings)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i++; i > 1 && !res.Cached {
+				t.Fatalf("shards=%d: request %d missed the plan cache", c.shards, i)
+			}
+		}
+		for i < 8 { // plan, then fill the pool and the feedback store
+			hit()
+		}
+		got := testing.AllocsPerRun(100, hit)
+		if got > c.max {
+			t.Errorf("shards=%d: a prepared hit allocates %.1f objects, ceiling %.0f", c.shards, got, c.max)
+		}
+		t.Logf("shards=%d: %.1f allocations per prepared hit", c.shards, got)
 	}
 }

@@ -15,10 +15,11 @@ import (
 // sqlx.Prepared.ShapeKey for prepared statements — the two key spaces
 // cannot collide because placeholder markers sit outside length-prefixed
 // atoms). Entries carry the estimated cardinality of every sub-plan at
-// optimization time; execution feedback (opt.CardsFromPlan) is replayed
-// against that snapshot and an entry whose estimates have drifted past a
-// q-error threshold is evicted, forcing a replan with fresh feedback —
-// the Eraser-style "is the cached plan still behaving?" gate.
+// optimization time; Observe replays an executed tree's TrueCards against
+// that snapshot, position by position, and an entry whose estimates have
+// drifted past a q-error threshold is evicted, forcing a replan with
+// fresh feedback — the Eraser-style "is the cached plan still behaving?"
+// gate.
 //
 // Put keeps a deep clone and Get copies the nodes out: callers own their
 // tree (the executor annotates TrueCard in place, rebinding replaces leaf

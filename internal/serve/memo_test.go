@@ -53,16 +53,22 @@ func (m *mirrorStore) reset() {
 	m.store = map[string]float64{}
 }
 
+// feedbackOf snapshots the server's feedback store as key -> card.
+func feedbackOf(s *Server) map[string]float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[string]float64, len(s.feedback))
+	for k, i := range s.feedback {
+		out[k] = s.cards[i]
+	}
+	return out
+}
+
 // requireMirrored fails unless the server's feedback store holds exactly
 // the mirror's keys and values.
 func requireMirrored(t *testing.T, s *Server, m *mirrorStore, at string) {
 	t.Helper()
-	s.mu.Lock()
-	got := make(map[string]float64, len(s.feedback))
-	for k, v := range s.feedback {
-		got[k] = v
-	}
-	s.mu.Unlock()
+	got := feedbackOf(s)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !reflect.DeepEqual(got, m.store) {
@@ -270,8 +276,8 @@ func TestHarvestMemoShardedPlansUseLogicalWalk(t *testing.T) {
 		t.Fatal("sharded ad-hoc entry never memoized")
 	}
 	// The logical walk is shard-blind: both servers learned the same truths.
-	if !reflect.DeepEqual(plain.feedback, sharded.feedback) {
-		t.Fatalf("sharded feedback differs from unsharded:\n plain   %v\n sharded %v", plain.feedback, sharded.feedback)
+	if pf, sf := feedbackOf(plain), feedbackOf(sharded); !reflect.DeepEqual(pf, sf) {
+		t.Fatalf("sharded feedback differs from unsharded:\n plain   %v\n sharded %v", pf, sf)
 	}
 }
 
@@ -279,53 +285,151 @@ func TestHarvestMemoShardedPlansUseLogicalWalk(t *testing.T) {
 // keyed on its shape, and each binding has its own sub-query keys — no
 // binding may write another's, so such entries never carry a memo. The
 // parameterless statement shares its entry with the ad-hoc spelling; its
-// Exec path must not read that entry's memo either.
+// Exec path must not read that entry's memo either. Prepared bindings
+// write through the rebound template graph and a reused key buffer, so
+// the store is checked with an ample and a nearly full cap, and across a
+// ResetFeedback mid-stream.
 func TestHarvestMemoPreparedBindingsBypass(t *testing.T) {
-	// No q-error gate: the generic plan's entry must live through every
-	// binding for a wrongly shared memo to show.
-	s, _ := newFixture(t, Config{InvalidateQError: -1})
-	m := newMirror(0)
-	s.SetObserver(m)
-	stmt, err := s.Prepare("SELECT COUNT(*) FROM posts, users WHERE posts.owner_user_id = users.id AND posts.score > ? AND users.reputation >= ?;")
-	if err != nil {
-		t.Fatal(err)
+	for _, cap := range []int{0, 7, 3} {
+		t.Run(fmt.Sprintf("cap=%d", cap), func(t *testing.T) {
+			// No q-error gate: the generic plan's entry must live through
+			// every binding for a wrongly shared memo to show.
+			s, _ := newFixture(t, Config{InvalidateQError: -1, FeedbackCap: cap})
+			m := newMirror(cap)
+			s.SetObserver(m)
+			stmt, err := s.Prepare("SELECT COUNT(*) FROM posts, users WHERE posts.owner_user_id = users.id AND posts.score > ? AND users.reputation >= ?;")
+			if err != nil {
+				t.Fatal(err)
+			}
+			bindings := [][]any{{5, 0}, {20, 10}, {1, 100}, {50, 1}}
+			for round := 0; round < 3; round++ {
+				for i, b := range bindings {
+					if round == 1 && i == 2 {
+						s.ResetFeedback()
+						m.reset()
+					}
+					res, err := s.Exec(context.Background(), "a", stmt, b...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					at := fmt.Sprintf("round %d binding %d", round, i)
+					requireMirrored(t, s, m, at+" (prepared)")
+					adhoc, err := s.Query(context.Background(), "a", fmt.Sprintf(
+						"SELECT COUNT(*) FROM posts, users WHERE posts.owner_user_id = users.id AND posts.score > %d AND users.reputation >= %d;", b[0], b[1]))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Count != adhoc.Count {
+						t.Fatalf("%s: prepared %d, ad-hoc %d", at, res.Count, adhoc.Count)
+					}
+					requireMirrored(t, s, m, at)
+				}
+			}
+			if memo, cached := memoOf(s, stmt.e.Load().st.ShapeKey()); !cached || memo != nil {
+				t.Fatalf("prepared statement's entry: cached %v, memo %v; want a live entry without a memo", cached, memo)
+			}
+			if cap > 0 && s.FeedbackLen() != cap {
+				t.Fatalf("FeedbackLen = %d, want the cap %d", s.FeedbackLen(), cap)
+			}
+
+			bare := memoSQL[0]
+			noParams, err := s.Prepare(bare)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if _, err := s.Query(context.Background(), "a", bare); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Exec(context.Background(), "a", noParams); err != nil {
+					t.Fatal(err)
+				}
+				requireMirrored(t, s, m, "parameterless statement")
+			}
+		})
 	}
-	bindings := [][]any{{5, 0}, {20, 10}, {1, 100}, {50, 1}}
-	for round := 0; round < 3; round++ {
-		for i, b := range bindings {
-			res, err := s.Exec(context.Background(), "a", stmt, b...)
+}
+
+// TestPreparedExecConcurrent: 16 goroutines Exec 4 templates with
+// rotating bindings on one executor pool (run with -race), rebinding the
+// shared template graphs and harvesting through the server's one key
+// buffer. Every reply must be the serial answer, the store what the
+// unmemoized harvest of the same executions holds, the pool drained.
+func TestPreparedExecConcurrent(t *testing.T) {
+	templates := []string{
+		"SELECT COUNT(*) FROM posts, users WHERE posts.owner_user_id = users.id AND posts.score > ?;",
+		"SELECT COUNT(*) FROM posts p, users u, comments c WHERE p.owner_user_id = u.id AND c.post_id = p.id AND p.views > ? AND c.score BETWEEN ? AND ?;",
+		"SELECT COUNT(*) FROM badges, users WHERE badges.user_id = users.id AND badges.class = ? AND users.reputation > ?;",
+		"SELECT COUNT(*) FROM votes WHERE votes.vote_type = ?;",
+	}
+	bindings := [][][]any{
+		{{5}, {20}, {1}, {50}},
+		{{100, 0, 5}, {10, 1, 3}, {0, 0, 0}, {500, 2, 9}},
+		{{1, 10}, {2, 0}, {3, 100}, {1, 1}},
+		{{2}, {1}, {3}, {5}},
+	}
+	prepare := func(s *Server) []*Stmt {
+		stmts := make([]*Stmt, len(templates))
+		for i, sql := range templates {
+			st, err := s.Prepare(sql)
 			if err != nil {
 				t.Fatal(err)
 			}
-			adhoc, err := s.Query(context.Background(), "a", fmt.Sprintf(
-				"SELECT COUNT(*) FROM posts, users WHERE posts.owner_user_id = users.id AND posts.score > %d AND users.reputation >= %d;", b[0], b[1]))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Count != adhoc.Count {
-				t.Fatalf("round %d binding %d: prepared %d, ad-hoc %d", round, i, res.Count, adhoc.Count)
-			}
-			requireMirrored(t, s, m, fmt.Sprintf("round %d binding %d", round, i))
+			stmts[i] = st
 		}
+		return stmts
 	}
-	if memo, cached := memoOf(s, stmt.p.Load().ShapeKey()); !cached || memo != nil {
-		t.Fatalf("prepared statement's entry: cached %v, memo %v; want a live entry without a memo", cached, memo)
+	serial, _ := newFixture(t, Config{})
+	want := make([][]int64, len(templates))
+	for i, st := range prepare(serial) {
+		for _, b := range bindings[i] {
+			res, err := serial.Exec(context.Background(), "a", st, b...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = append(want[i], res.Count)
+		}
 	}
 
-	bare := memoSQL[0]
-	noParams, err := s.Prepare(bare)
-	if err != nil {
+	s, cat := newFixture(t, Config{TenantSlots: 64})
+	pool := exec.NewDebugBatchPool()
+	s.ex = exec.New(cat)
+	s.ex.SetPool(pool)
+	m := newMirror(0)
+	s.SetObserver(m)
+	stmts := prepare(s)
+	var wg sync.WaitGroup
+	errc := make(chan error, 16)
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				tpl, b := (g+i)%len(templates), (g/4+i)%4
+				res, err := s.Exec(context.Background(), "a", stmts[tpl], bindings[tpl][b]...)
+				if err != nil {
+					errc <- err
+					return
+				}
+				if res.Count != want[tpl][b] {
+					errc <- fmt.Errorf("template %d binding %d: count %d, serial %d", tpl, b, res.Count, want[tpl][b])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if _, err := s.Query(context.Background(), "a", bare); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Exec(context.Background(), "a", noParams); err != nil {
-			t.Fatal(err)
-		}
-		requireMirrored(t, s, m, "parameterless statement")
+	if n := pool.InUse(); n != 0 {
+		t.Fatalf("%d pooled buffers outstanding", n)
 	}
+	if mis := pool.Misuse(); len(mis) != 0 {
+		t.Fatalf("pool contract violations: %v", mis)
+	}
+	requireMirrored(t, s, m, "after concurrent prepared execs")
 }
 
 // TestHarvestMemoConcurrentHits: 16 goroutines on one key race the first

@@ -92,34 +92,37 @@ type Stats struct {
 }
 
 // Stmt is a server-side prepared statement: parse once, Exec per binding.
-// Obtain one from Server.Prepare; safe for concurrent Exec calls. The
-// statement keeps its source text and is prepared again when a catalog
-// change makes its template stale (sqlx.Prepared.Current).
+// Obtain one from Server.Prepare and Exec it on that server; safe for
+// concurrent Exec calls. The statement keeps its source text and is
+// prepared again when a catalog change makes its template stale
+// (sqlx.Prepared.Current).
 type Stmt struct {
 	src string
-	p   atomic.Pointer[sqlx.Prepared]
+	// e is the template with its plan-cache key, replaced together.
+	e atomic.Pointer[stmtEntry]
 }
 
 // NumParams reports the statement's placeholder count.
-func (s *Stmt) NumParams() int { return s.p.Load().NumParams() }
+func (st *Stmt) NumParams() int { return st.e.Load().st.NumParams() }
 
 // SQL returns the template rendered back to SQL with ? placeholders.
-func (s *Stmt) SQL() string { return s.p.Load().SQL() }
+func (st *Stmt) SQL() string { return st.e.Load().st.SQL() }
 
-// current returns the statement's template, prepared again from the
-// source text if it is stale against cat. A new template may have a new
-// shape key, and so a plan-cache entry of its own.
-func (s *Stmt) current(cat *data.Catalog) (*sqlx.Prepared, error) {
-	p := s.p.Load()
-	if p.Current(cat) {
-		return p, nil
+// current returns the statement's template and plan-cache key, prepared
+// again from the source text if the template is stale against s's
+// catalog. A new template may have a new shape key, and so a plan-cache
+// entry of its own.
+func (st *Stmt) current(s *Server) (*stmtEntry, error) {
+	if e := st.e.Load(); e.st.Current(s.cat) {
+		return e, nil
 	}
-	p, err := sqlx.Prepare(s.src, cat)
+	p, err := sqlx.Prepare(st.src, s.cat)
 	if err != nil {
 		return nil, err
 	}
-	s.p.Store(p)
-	return p, nil
+	e := &stmtEntry{st: p, key: s.cacheKey(p.ShapeKey())}
+	st.e.Store(e)
+	return e, nil
 }
 
 // ExecObserver receives every successfully executed plan tree, TrueCard
@@ -148,7 +151,9 @@ type Server struct {
 	adm   *admission
 
 	mu        sync.Mutex
-	feedback  map[string]float64 // sub-query key -> harvested true card
+	feedback  map[string]int32 // sub-query key -> index of its harvested true card in cards
+	cards     []float64
+	keyBuf    []byte // the prepared harvest's key buffer
 	coldPlans int64
 	obs       ExecObserver
 }
@@ -167,7 +172,7 @@ func New(cat *data.Catalog, o *opt.Optimizer, ex *exec.Executor, cfg Config) *Se
 		cache:    NewPlanCache(cfg.CacheSize),
 		stmts:    newStmtCache(cfg.CacheSize),
 		adm:      newAdmission(cfg.TenantSlots, cfg.TenantQueue, cfg.Breaker),
-		feedback: make(map[string]float64),
+		feedback: make(map[string]int32),
 	}
 	s.opt = o.WithEstimator(&feedbackEstimator{s: s, base: o.Est})
 	return s
@@ -183,8 +188,12 @@ type feedbackEstimator struct {
 
 // Estimate implements opt.CardEstimator.
 func (fe *feedbackEstimator) Estimate(q *query.Query) float64 {
+	var c float64
 	fe.s.mu.Lock()
-	c, ok := fe.s.feedback[q.Key()]
+	i, ok := fe.s.feedback[q.Key()]
+	if ok {
+		c = fe.s.cards[i]
+	}
 	fe.s.mu.Unlock()
 	if ok {
 		return metrics.ClampCard(c)
@@ -204,14 +213,14 @@ func (fe *feedbackEstimator) Estimate(q *query.Query) float64 {
 // serving path may mutate it.
 func (s *Server) Query(ctx context.Context, tenant, sql string) (*Result, error) {
 	if e, ok := s.stmts.get(sql, s.cat); ok {
-		return s.run(ctx, tenant, e.st.Query(), e.key, false)
+		return s.run(ctx, tenant, e.st.Query(), e.key, nil)
 	}
 	st, err := sqlx.ParseStatement(sql, s.cat)
 	if err != nil {
 		return nil, err
 	}
 	e := stmtEntry{st: st, key: s.cacheKey(st.ShapeKey())}
-	res, err := s.run(ctx, tenant, st.Query(), e.key, false)
+	res, err := s.run(ctx, tenant, st.Query(), e.key, nil)
 	if err == nil && res.Cached {
 		s.cache.adoptKey(e.key)
 		s.stmts.put(sql, e)
@@ -227,7 +236,7 @@ func (s *Server) Prepare(sql string) (*Stmt, error) {
 		return nil, err
 	}
 	st := &Stmt{src: sql}
-	st.p.Store(p)
+	st.e.Store(&stmtEntry{st: p, key: s.cacheKey(p.ShapeKey())})
 	return st, nil
 }
 
@@ -236,23 +245,25 @@ func (s *Server) Prepare(sql string) (*Stmt, error) {
 // later executions reuse its join order and operators with the current
 // binding's predicates rebound onto the scan leaves. Feedback-driven
 // invalidation replans when that generic plan stops fitting the observed
-// cardinalities.
+// cardinalities. The binding's join graph is the template's, rebound, so
+// harvesting its feedback builds no graph.
 func (s *Server) Exec(ctx context.Context, tenant string, stmt *Stmt, args ...any) (*Result, error) {
-	p, err := stmt.current(s.cat)
+	e, err := stmt.current(s)
 	if err != nil {
 		return nil, err
 	}
-	q, err := p.Bind(args...)
+	q, g, err := e.st.BindGraph(args...)
 	if err != nil {
 		return nil, err
 	}
-	return s.run(ctx, tenant, q, s.cacheKey(p.ShapeKey()), true)
+	return s.run(ctx, tenant, q, e.key, g)
 }
 
 // run is the shared serving path: admit, fetch-or-plan, execute, harvest
 // feedback, observe drift. key is the plan-cache key (cacheKey). q is
-// only read.
-func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key string, rebind bool) (*Result, error) {
+// only read. g is the join graph of a prepared statement's binding q, and
+// nil for an ad-hoc query.
+func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key string, g *query.JoinGraph) (*Result, error) {
 	release, br, err := s.adm.acquire(ctx, tenant)
 	if err != nil {
 		return nil, err
@@ -262,17 +273,9 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 	planStart := time.Now()
 	p, ent := s.cache.checkout(key)
 	cached := p != nil
-	if cached && rebind {
+	if cached && g != nil {
 		ent = nil // each binding has its own sub-query keys
-		// Generic-plan reuse: keep the cached join order and operators,
-		// swap in this binding's literal predicates at the leaves. Merge
-		// nodes rebind like the scans they stand in for; their shard scan
-		// leaves are covered by the same walk.
-		p.Walk(func(n *plan.Node) {
-			if n.IsLeaf() || n.Op == plan.Merge {
-				n.Preds = q.PredsOn(n.Alias)
-			}
-		})
+		rebindLeaves(p, q)
 	}
 	if p == nil {
 		p, err = s.opt.OptimizeCtx(ctx, q)
@@ -294,7 +297,7 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 	}
 	br.Success()
 
-	s.harvest(q, p, ent)
+	s.harvest(q, g, p, ent)
 	if cached {
 		s.cache.Observe(key, p, s.cfg.InvalidateQError)
 	}
@@ -307,18 +310,50 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 	return &Result{Count: res.Count, Value: res.Value, Latency: res.Stats.WorkUnits, Cached: cached, Plan: planDur}, nil
 }
 
+// rebindLeaves is generic-plan reuse: it keeps a cached plan's join order
+// and operators and swaps in q.PredsOn(alias) at the scan leaves, carved
+// from one slab. A Merge node rebinds like the scan it stands in for, and
+// the shard scans walked right after it share its slice.
+func rebindLeaves(p *plan.Node, q *query.Query) {
+	slab := make([]query.Pred, 0, len(q.Preds))
+	var last *plan.Node
+	p.Walk(func(n *plan.Node) {
+		if !n.IsLeaf() && n.Op != plan.Merge {
+			return
+		}
+		if last != nil && last.Alias == n.Alias {
+			n.Preds = last.Preds
+			return
+		}
+		start := len(slab)
+		for _, pr := range q.Preds {
+			if pr.Alias == n.Alias {
+				slab = append(slab, pr)
+			}
+		}
+		n.Preds, last = slab[start:len(slab):len(slab)], n
+	})
+}
+
 // harvest merges the executed plan's true cardinalities into the feedback
-// store, bounded by FeedbackCap (existing keys always update; new keys
-// stop landing once the store is full, keeping memory bounded without
-// eviction churn). Labels land in harvest order — plan pre-order — so which
-// keys a nearly full store still admits is the same on every run.
-//
-// ent is the entry p was checked out of on an ad-hoc hit, else nil. Its
-// key is a function of q.Key(), so every pre-order position's sub-query
-// key repeats on every hit: the first hit (not the miss, which none may
-// follow) memoizes the labels for their keys, later hits skip the join
-// graph. All keys are still written: ResetFeedback may have intervened.
-func (s *Server) harvest(q *query.Query, p *plan.Node, ent *cacheEntry) {
+// store in plan pre-order, every key every time (ResetFeedback may have
+// intervened). A prepared binding's keys come from its graph g through
+// s.keyBuf, so only a key new to the store allocates a string. ent is the
+// entry p was checked out of on an ad-hoc hit, else nil. Its key is a
+// function of q.Key(), so every pre-order position's sub-query key repeats
+// on every hit: the first hit (not the miss, which none may follow)
+// memoizes opt.HarvestCards' labels for their keys, later hits skip the
+// join graph.
+func (s *Server) harvest(q *query.Query, g *query.JoinGraph, p *plan.Node, ent *cacheEntry) {
+	if g != nil {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		p.WalkLogicalMasks(g, func(n *plan.Node, mask uint64) {
+			s.keyBuf = g.AppendKey(s.keyBuf[:0], mask)
+			absorb(s, s.keyBuf, n.TrueCard)
+		})
+		return
+	}
 	var labels []opt.CardLabel
 	if ent != nil {
 		if memo := ent.harvest.Load(); memo != nil {
@@ -336,12 +371,22 @@ func (s *Server) harvest(q *query.Query, p *plan.Node, ent *cacheEntry) {
 	defer s.mu.Unlock()
 	i := 0
 	p.WalkLogical(func(n *plan.Node) { // memoized cards are stale: read p's
-		key := labels[i].Key
-		if _, ok := s.feedback[key]; ok || len(s.feedback) < s.cfg.FeedbackCap {
-			s.feedback[key] = n.TrueCard
-		}
+		absorb(s, labels[i].Key, n.TrueCard)
 		i++
 	})
+}
+
+// absorb writes one harvested truth into the feedback store under s.mu:
+// an existing key always updates, a new key lands only under FeedbackCap
+// (bounded memory, no eviction churn). Callers write in plan pre-order,
+// so which keys a nearly full store admits is the same on every run.
+func absorb[K string | []byte](s *Server, key K, card float64) {
+	if i, ok := s.feedback[string(key)]; ok {
+		s.cards[i] = card
+	} else if len(s.cards) < s.cfg.FeedbackCap {
+		s.feedback[string(key)] = int32(len(s.cards))
+		s.cards = append(s.cards, card)
+	}
 }
 
 // SetObserver installs (or, with nil, removes) the execution observer.
@@ -366,7 +411,8 @@ func (s *Server) ResetFeedback() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.feedback)
-	s.feedback = make(map[string]float64)
+	s.feedback = make(map[string]int32)
+	s.cards = s.cards[:0]
 	return n
 }
 

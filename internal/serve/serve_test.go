@@ -424,12 +424,7 @@ func TestAbsorbAtFeedbackCapIsDeterministic(t *testing.T) {
 		if _, err := s.Query(context.Background(), "a", sql); err != nil {
 			t.Fatal(err)
 		}
-		s.mu.Lock()
-		store := make(map[string]float64, len(s.feedback))
-		for k, v := range s.feedback {
-			store[k] = v
-		}
-		s.mu.Unlock()
+		store := feedbackOf(s)
 		if len(store) != feedbackCap {
 			t.Fatalf("run %d: store holds %d keys, want the cap %d (a 4-table plan has 7 nodes)", run, len(store), feedbackCap)
 		}

@@ -123,15 +123,8 @@ func TestShardedFeedbackUsesLogicalCards(t *testing.T) {
 	if plain.FeedbackLen() != sharded.FeedbackLen() {
 		t.Fatalf("feedback keys: plain %d, sharded %d — shard internals leaked", plain.FeedbackLen(), sharded.FeedbackLen())
 	}
-	plain.mu.Lock()
-	pf := make(map[string]float64, len(plain.feedback))
-	for k, v := range plain.feedback {
-		pf[k] = v
-	}
-	plain.mu.Unlock()
-	sharded.mu.Lock()
-	defer sharded.mu.Unlock()
-	for k, v := range sharded.feedback {
+	pf := feedbackOf(plain)
+	for k, v := range feedbackOf(sharded) {
 		if pv, ok := pf[k]; !ok || pv != v {
 			t.Fatalf("sharded feedback[%q] = %v, plain = %v (ok=%v)", k, v, pv, ok)
 		}

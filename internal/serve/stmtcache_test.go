@@ -147,7 +147,7 @@ func TestQueriesAreReadOnly(t *testing.T) {
 						t.Fatal(err)
 					}
 					before := q.Clone()
-					if _, err := s.run(ctx, "a", q, s.cacheKey(q.Key()), false); err != nil {
+					if _, err := s.run(ctx, "a", q, s.cacheKey(q.Key()), nil); err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(q, before) {
@@ -175,7 +175,7 @@ func TestQueriesAreReadOnly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tmpl := stmt.p.Load().Query()
+			tmpl := stmt.e.Load().st.Query()
 			before := tmpl.Clone()
 			for _, b := range [][]any{{5, 0}, {20, 10}, {1, 100}, {5, 0}} {
 				if _, err := s.Exec(ctx, "a", stmt, b...); err != nil {

@@ -24,6 +24,7 @@ type Prepared struct {
 	tmpl  *query.Query
 	slots []slot
 	shape string
+	graph *query.JoinGraph // the template's, for BindGraph; nil from ParseStatement
 	// tables are the distinct tables the statement names, as resolved.
 	tables []*data.Table
 	absent []dictLen
@@ -74,7 +75,9 @@ func Prepare(sql string, cat *data.Catalog) (*Prepared, error) {
 			slots[side.ord-1] = slot{pred: i, second: side.second, col: col, alias: pr.Alias, column: pr.Column}
 		}
 	}
-	return p.prepared(slots), nil
+	pr := p.prepared(slots)
+	pr.graph = query.NewJoinGraph(q)
+	return pr, nil
 }
 
 // ParseStatement is Parse returning the query as a parameterless
@@ -148,13 +151,16 @@ func (p *Prepared) SQL() string { return p.tmpl.SQL() }
 // int/int64 (integer literal), float64 (float literal), string (text
 // literal, resolved through the column dictionary exactly like a parsed
 // literal — unknown strings become an out-of-domain code matching zero
-// rows), and data.Value (passed through). The returned query is a fresh
-// clone; the template is never mutated.
+// rows), and data.Value (passed through). The template is never mutated:
+// the returned query has Preds of its own, and shares the template's Refs
+// and Joins, which — like every query on the serving path — nothing
+// writes to.
 func (p *Prepared) Bind(args ...any) (*query.Query, error) {
 	if len(args) != len(p.slots) {
 		return nil, fmt.Errorf("sqlx: bind got %d args, statement has %d placeholder(s)", len(args), len(p.slots))
 	}
-	q := p.tmpl.Clone()
+	t := p.tmpl
+	q := &query.Query{Refs: t.Refs, Joins: t.Joins, Preds: append([]query.Pred(nil), t.Preds...), Agg: t.Agg}
 	for i, s := range p.slots {
 		v, err := coerce(args[i], s)
 		if err != nil {
@@ -168,6 +174,18 @@ func (p *Prepared) Bind(args ...any) (*query.Query, error) {
 		}
 	}
 	return q, nil
+}
+
+// BindGraph is Bind that also returns the bound query's join graph: the
+// template's, built once by Prepare, rebound (query.JoinGraph.Rebind).
+// Returned together, no caller can pair a graph with the wrong binding.
+// Statements from ParseStatement have no template graph to rebind.
+func (p *Prepared) BindGraph(args ...any) (*query.Query, *query.JoinGraph, error) {
+	q, err := p.Bind(args...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return q, p.graph.Rebind(q), nil
 }
 
 // coerce converts one bind argument to the slot column's value domain.

@@ -1,6 +1,7 @@
 package sqlx
 
 import (
+	"math/rand"
 	"testing"
 
 	"lqo/internal/data"
@@ -65,6 +66,42 @@ func TestPrepareBetweenParams(t *testing.T) {
 	}
 	if q2.Preds[0].Val.I != 0 || q2.Preds[0].Val2.I != 30 {
 		t.Fatalf("pred = %+v", q2.Preds[0])
+	}
+}
+
+// TestBindGraphMatchesNewJoinGraph: the graph BindGraph returns, the
+// template's rebound, keys every sub-query of the binding exactly like a
+// graph built from the bound query — over 2 000 bindings of string,
+// float-on-int, int-on-float, repeated-column and BETWEEN slots.
+func TestBindGraphMatchesNewJoinGraph(t *testing.T) {
+	cat := testCatalog()
+	stmt, err := Prepare("SELECT COUNT(*) FROM items i, orders o WHERE i.id = o.item_id AND i.name = ? AND i.score > ? AND i.score > ? "+
+		"AND i.score BETWEEN ? AND ? AND o.id >= ? AND i.price < ?;", cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(26))
+	num := func() any {
+		if rng.Intn(2) == 0 {
+			return float64(rng.Intn(8)) / 2 // 1.0 renders like the int 1
+		}
+		return rng.Intn(4)
+	}
+	for n := 0; n < 2000; n++ {
+		args := []any{[]string{"ann", "bob", "zed"}[rng.Intn(3)], num(), num(), num(), num(), num(), num()}
+		q, g, err := stmt.BindGraph(args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Query() != q {
+			t.Fatal("BindGraph paired the graph with another query")
+		}
+		want := query.NewJoinGraph(q)
+		for mask := uint64(0); mask < 4; mask++ {
+			if got := g.Key(mask); got != want.Key(mask) {
+				t.Fatalf("binding %v mask %b: rebound key %q, built %q", args, mask, got, want.Key(mask))
+			}
+		}
 	}
 }
 
