@@ -43,9 +43,8 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The custom invariant suite: cardclamp, guardsafe, ctxprop, atomicpub,
-# determinism, floateq, keycanon, poolret, plus the CFG/dataflow quartet
-# bufown, gojoin, passpure, errflow, policed by lintignore. Exit 2
+# The custom invariant suite; `go run ./cmd/lqo-lint -list` names its
+# analyzers (see DESIGN.md "Static invariants"). Exit 2
 # (including "matched no packages") fails the build just like findings
 # do. CI wraps this in `timeout 60`: the whole-tree run is expected to
 # finish in seconds, and a hung dataflow solve must fail, not stall CI.

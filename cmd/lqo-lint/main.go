@@ -1,11 +1,8 @@
-// Command lqo-lint is the workbench's invariant multichecker: twelve
-// custom analyzers (cardclamp, guardsafe, ctxprop, atomicpub,
-// determinism, floateq, keycanon, poolret, bufown, gojoin, passpure,
-// errflow) plus the lintignore suppression policer, run over every
-// package of the module. The last four are path-sensitive: they build a
-// per-function CFG and run a dataflow solver (internal/lint/analysis)
-// instead of pattern-matching the AST. See DESIGN.md "Static invariants"
-// for the contract each analyzer encodes.
+// Command lqo-lint is the workbench's invariant multichecker: the
+// analyzers registered in internal/lint (lqo-lint -list names them),
+// plus the lintignore suppression policer, run over every package of
+// the module. See DESIGN.md "Static invariants" for the contract each
+// analyzer encodes.
 //
 // Usage:
 //

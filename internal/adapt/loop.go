@@ -46,9 +46,6 @@ type Config struct {
 	Train TrainFunc
 	// Detector tunes the drift monitor.
 	Detector DetectorConfig
-	// Gate tunes the regression gate (applied by the Gate passed to
-	// NewLoop; kept here only when the loop constructs its own).
-	Gate GateConfig
 	// Promote configures the promotion breaker: gate rejections and
 	// rollbacks count as failures, accepted probations as successes, so
 	// repeated bad candidates stop being attempted for a cooldown

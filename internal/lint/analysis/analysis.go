@@ -13,10 +13,11 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // Analyzer describes one invariant checker: a named rule with a Run
-// function applied independently to each package.
+// function applied independently to each package in its Scope.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //lqolint:ignore directives. It must be a valid identifier.
@@ -24,6 +25,10 @@ type Analyzer struct {
 
 	// Doc is the one-paragraph contract the analyzer enforces.
 	Doc string
+
+	// Scope is the set of module packages the contract covers;
+	// RunAnalyzer skips every other package.
+	Scope Scope
 
 	// Run applies the analyzer to one package, reporting findings
 	// through pass.Report/Reportf. A returned error aborts the whole
@@ -84,9 +89,46 @@ func (p *Pass) InspectWithStack(fn func(n ast.Node, stack []ast.Node) bool) {
 	}
 }
 
+// module is the import path of the module the scopes are written for.
+const module = "lqo"
+
+// Scope selects the module packages an analyzer checks. A package
+// outside the module (a golden fixture) is always in scope. A module
+// package is in scope when it lies under an Include path (no Include
+// means the whole module) and under no Exclude path. "Under" matches
+// whole path segments: lqo/internal/data covers itself and its
+// subpackages, not lqo/internal/datagen.
+type Scope struct {
+	Include, Exclude []string
+}
+
+// Contains reports whether the package at pkgPath is in scope.
+func (s Scope) Contains(pkgPath string) bool {
+	if !strings.HasPrefix(pkgPath, module+"/") {
+		return true
+	}
+	return (len(s.Include) == 0 || underAny(pkgPath, s.Include)) && !underAny(pkgPath, s.Exclude)
+}
+
+func under(pkgPath, dir string) bool {
+	return pkgPath == dir || strings.HasPrefix(pkgPath, dir+"/")
+}
+
+func underAny(pkgPath string, dirs []string) bool {
+	for _, d := range dirs {
+		if under(pkgPath, d) {
+			return true
+		}
+	}
+	return false
+}
+
 // RunAnalyzer applies a to one package and returns its raw (unsuppressed)
-// diagnostics.
+// diagnostics; a package outside a.Scope has none.
 func RunAnalyzer(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
+	if !a.Scope.Contains(pkg.Path()) {
+		return nil, nil
+	}
 	var diags []Diagnostic
 	pass := &Pass{
 		Analyzer:  a,

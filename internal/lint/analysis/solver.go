@@ -5,9 +5,19 @@
 // fixpoint. Facts must be treated as immutable: Transfer and Merge
 // return fresh values instead of mutating their inputs, which is what
 // makes the worklist restart-safe.
+//
+// VarFlow is the runner the path-sensitive analyzers share on top of
+// it: a fact mapping each tracked variable to a lattice value, solved
+// over one function body and then replayed once with reporting on.
 package analysis
 
-import "fmt"
+import (
+	"fmt"
+	"go/ast"
+	"go/token"
+	"go/types"
+	"maps"
+)
 
 // Dataflow is one forward dataflow problem over a CFG.
 type Dataflow[F any] struct {
@@ -92,4 +102,90 @@ func (d *Dataflow[F]) Solve() (map[*Block]F, error) {
 		}
 	}
 	return in, nil
+}
+
+// Facts maps each tracked variable to its abstract value; a variable
+// absent from the map is untracked.
+type Facts[V comparable] map[*types.Var]V
+
+// Clone returns a copy the caller may mutate.
+func (f Facts[V]) Clone() Facts[V] {
+	c := make(Facts[V], len(f))
+	maps.Copy(c, f)
+	return c
+}
+
+// VarFlow is a forward may-analysis over Facts[V]: an analyzer supplies
+// the join of two values and the effect of one CFG node; VarFlow builds
+// the CFG, solves, replays and de-duplicates reports.
+type VarFlow[V comparable] struct {
+	Pass *Pass
+
+	// Join combines the values of a variable tracked on both incoming
+	// edges; a variable tracked on one edge keeps its value.
+	Join func(a, b V) V
+
+	// Node applies one CFG node's effect to f in place. report is false
+	// while solving and true on the single replay, the only time Node
+	// may call Reportf.
+	Node func(n ast.Node, f Facts[V], report bool)
+
+	reported map[token.Pos]bool
+}
+
+// Run solves body from the entry fact, then interprets every reachable
+// block once more with reporting on. It returns the fact reaching the
+// normal exit. ok is false, and nothing is reported, when the problem
+// does not converge: that is an analyzer bug, and staying silent beats
+// reporting garbage.
+func (fl *VarFlow[V]) Run(body *ast.BlockStmt, entry Facts[V]) (exit Facts[V], ok bool) {
+	transfer := func(b *Block, in Facts[V], report bool) Facts[V] {
+		f := in.Clone()
+		for _, n := range b.Nodes {
+			fl.Node(n, f, report)
+		}
+		return f
+	}
+	g := BuildCFG(body)
+	df := &Dataflow[Facts[V]]{
+		CFG:      g,
+		Entry:    entry,
+		Bottom:   func() Facts[V] { return Facts[V]{} },
+		Transfer: func(b *Block, in Facts[V]) Facts[V] { return transfer(b, in, false) },
+		Merge:    fl.merge,
+		Equal:    maps.Equal[Facts[V], Facts[V]],
+	}
+	ins, err := df.Solve()
+	if err != nil {
+		return nil, false
+	}
+	for _, b := range g.Reachable() {
+		transfer(b, ins[b], true)
+	}
+	return ins[g.Exit], true
+}
+
+func (fl *VarFlow[V]) merge(a, b Facts[V]) Facts[V] {
+	m := a.Clone()
+	for k, v := range b {
+		if w, ok := m[k]; ok {
+			v = fl.Join(w, v)
+		}
+		m[k] = v
+	}
+	return m
+}
+
+// Reportf reports at pos unless this flow already has: the replay can
+// reach one position from several blocks, and nested runs on the same
+// VarFlow share the record.
+func (fl *VarFlow[V]) Reportf(pos token.Pos, format string, args ...any) {
+	if fl.reported[pos] {
+		return
+	}
+	if fl.reported == nil {
+		fl.reported = map[token.Pos]bool{}
+	}
+	fl.reported[pos] = true
+	fl.Pass.Reportf(pos, format, args...)
 }

@@ -94,6 +94,31 @@ func EnclosingFunc(stack []ast.Node) ast.Node {
 	return nil
 }
 
+// Parent returns the innermost ancestor of stack's last node that is not
+// a ParenExpr, with the child of it on the path: the node itself or its
+// outermost enclosing parenthesis. parent is nil at the root.
+func Parent(stack []ast.Node) (parent, child ast.Node) {
+	child = stack[len(stack)-1]
+	for i := len(stack) - 2; i >= 0; i-- {
+		if p, ok := stack[i].(*ast.ParenExpr); ok {
+			child = p
+			continue
+		}
+		return stack[i], child
+	}
+	return nil, child
+}
+
+// IsArg reports whether n is one of call's arguments.
+func IsArg(call *ast.CallExpr, n ast.Node) bool {
+	for _, a := range call.Args {
+		if a == n {
+			return true
+		}
+	}
+	return false
+}
+
 // RootIdent returns the identifier at the base of a chain of selector,
 // index, slice, star, paren and type-assertion expressions — the
 // variable a store through `v.f[i].g` ultimately reaches. Nil when the
@@ -165,4 +190,59 @@ func WalkShallow(root ast.Node, fn func(n ast.Node) bool) {
 		}
 		return fn(n)
 	})
+}
+
+// The executor's buffer pool, as poolret and bufown recognise it. The
+// type name alone identifies the pool, so fixtures declare a stand-in.
+const poolType = "BatchPool"
+
+// poolPairs maps each pool method handing out a buffer to the method
+// taking it back.
+var poolPairs = map[string]string{
+	"GetSel":  "PutSel",
+	"GetKeys": "PutKeys",
+}
+
+// IsBatchPool reports whether t, after unwrapping one pointer, is the
+// pool type.
+func IsBatchPool(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Name() == poolType
+}
+
+// OnBatchPool reports whether fn is a method of the pool type.
+func OnBatchPool(fn *types.Func) bool {
+	if fn == nil {
+		return false
+	}
+	n := MethodRecv(fn)
+	return n != nil && IsBatchPool(n)
+}
+
+// IsPooledBuffer reports whether t is a buffer shape the pool serves:
+// row-id vectors ([]int32) and key scratch ([]uint64).
+func IsPooledBuffer(t types.Type) bool {
+	s := t.String()
+	return s == "[]int32" || s == "[]uint64"
+}
+
+// IsPoolGet reports whether fn is a pool method handing out a buffer.
+func IsPoolGet(fn *types.Func) bool {
+	return OnBatchPool(fn) && poolPairs[fn.Name()] != ""
+}
+
+// IsPoolPut reports whether fn is a pool method taking a buffer back.
+func IsPoolPut(fn *types.Func) bool {
+	if !OnBatchPool(fn) {
+		return false
+	}
+	for _, put := range poolPairs {
+		if fn.Name() == put {
+			return true
+		}
+	}
+	return false
 }

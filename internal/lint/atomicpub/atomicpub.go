@@ -11,7 +11,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"lqo/internal/lint/analysis"
 )
@@ -22,21 +21,14 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "fields accessed via sync/atomic (atomic.* typed fields, or " +
 		"fields whose address feeds atomic ops) must never be read or " +
 		"written plainly",
+	Scope: analysis.Scope{
+		Include: []string{"lqo/internal"},
+		Exclude: []string{"lqo/internal/lint"},
+	},
 	Run: run,
 }
 
-func applies(pkgPath string) bool {
-	if !strings.HasPrefix(pkgPath, "lqo/") {
-		return true
-	}
-	return strings.Contains(pkgPath, "/internal/") &&
-		!strings.HasPrefix(pkgPath, "lqo/internal/lint")
-}
-
 func run(pass *analysis.Pass) error {
-	if !applies(pass.Pkg.Path()) {
-		return nil
-	}
 	info := pass.TypesInfo
 
 	// atomicTyped: fields whose declared type lives in sync/atomic
@@ -159,19 +151,9 @@ func isMethodReceiver(stack []ast.Node) bool {
 // (&x.f), which preserves atomicity when the pointer feeds atomic ops or
 // a helper taking *atomic.T.
 func isAddressed(stack []ast.Node) bool {
-	self := stack[len(stack)-1]
-	for i := len(stack) - 2; i >= 0; i-- {
-		switch p := stack[i].(type) {
-		case *ast.ParenExpr:
-			self = p
-			continue
-		case *ast.UnaryExpr:
-			return p.Op == token.AND && p.X == self
-		default:
-			return false
-		}
-	}
-	return false
+	parent, self := analysis.Parent(stack)
+	u, ok := parent.(*ast.UnaryExpr)
+	return ok && u.Op == token.AND && u.X == self
 }
 
 // isAtomicOpOperand reports whether the selector appears as &x.f inside

@@ -24,7 +24,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"lqo/internal/lint/analysis"
 )
@@ -35,30 +34,8 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "every pool.Get* buffer must reach exactly one Put* or an " +
 		"ownership transfer on all paths out of the function " +
 		"(leaks on unexecuted error paths, double puts, use after put)",
-	Run: run,
-}
-
-// poolPkgs are the packages whose code draws from a BatchPool.
-var poolPkgs = []string{
-	"lqo/internal/exec",
-}
-
-func applies(pkgPath string) bool {
-	if !strings.HasPrefix(pkgPath, "lqo/") {
-		return true
-	}
-	for _, p := range poolPkgs {
-		if pkgPath == p {
-			return true
-		}
-	}
-	return false
-}
-
-// trackedTypes are the pooled buffer shapes worth tracking.
-var trackedTypes = map[string]bool{
-	"[]int32":  true,
-	"[]uint64": true,
+	Scope: analysis.Scope{Include: []string{"lqo/internal/exec"}},
+	Run:   run,
 }
 
 // Ownership state bits; a fact maps each tracked variable to a may-set.
@@ -68,44 +45,16 @@ const (
 	escaped
 )
 
-type fact map[*types.Var]uint8
-
-func (f fact) clone() fact {
-	c := make(fact, len(f))
-	for k, v := range f {
-		c[k] = v
-	}
-	return c
-}
-
-func factEqual(a, b fact) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-func factMerge(a, b fact) fact {
-	m := a.clone()
-	for k, v := range b {
-		m[k] |= v
-	}
-	return m
-}
+type fact = analysis.Facts[uint8]
 
 func run(pass *analysis.Pass) error {
-	if !applies(pass.Pkg.Path()) {
-		return nil
-	}
-	pass.InspectWithStack(func(n ast.Node, stack []ast.Node) bool {
+	pass.Inspect(func(n ast.Node) bool {
 		switch fn := n.(type) {
 		case *ast.FuncDecl:
-			if fn.Body != nil && !isPoolMethod(pass.TypesInfo, fn) {
+			// The pool implementation itself is the one place Get/Put
+			// asymmetry is the point.
+			obj, _ := pass.TypesInfo.Defs[fn.Name].(*types.Func)
+			if fn.Body != nil && !analysis.OnBatchPool(obj) {
 				checkFunc(pass, fn.Body)
 			}
 		case *ast.FuncLit:
@@ -119,78 +68,43 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// isPoolMethod reports whether fn is a method of BatchPool — the pool
-// implementation itself is the one place Get/Put asymmetry is the point.
-func isPoolMethod(info *types.Info, fn *ast.FuncDecl) bool {
-	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return false
-	}
-	t := info.TypeOf(fn.Recv.List[0].Type)
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	return ok && n.Obj().Name() == "BatchPool"
-}
-
 // checker carries one function's analysis state.
 type checker struct {
-	pass *analysis.Pass
+	info *types.Info
+	flow *analysis.VarFlow[uint8]
 	// getPos records where each tracked variable last received a Get
 	// result — the anchor leak diagnostics point at.
 	getPos map[*types.Var]token.Pos
 	getFn  map[*types.Var]string
-	// reported dedups diagnostics across the reporting pass.
-	reported map[token.Pos]bool
 }
 
 func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
-	g := analysis.BuildCFG(body)
 	c := &checker{
-		pass:     pass,
-		getPos:   map[*types.Var]token.Pos{},
-		getFn:    map[*types.Var]string{},
-		reported: map[token.Pos]bool{},
+		info:   pass.TypesInfo,
+		getPos: map[*types.Var]token.Pos{},
+		getFn:  map[*types.Var]string{},
 	}
-	df := &analysis.Dataflow[fact]{
-		CFG:      g,
-		Entry:    fact{},
-		Bottom:   func() fact { return fact{} },
-		Transfer: func(b *analysis.Block, in fact) fact { return c.transfer(b, in, false) },
-		Merge:    factMerge,
-		Equal:    factEqual,
+	c.flow = &analysis.VarFlow[uint8]{
+		Pass: pass,
+		Join: func(a, b uint8) uint8 { return a | b },
+		Node: c.node,
 	}
-	ins, err := df.Solve()
-	if err != nil {
-		// A non-converging function is an analyzer bug; stay silent
-		// rather than report garbage.
+	exit, ok := c.flow.Run(body, fact{})
+	if !ok {
 		return
-	}
-	// Reporting pass: re-run the transfer once per reachable block with
-	// its fixpoint IN fact, emitting diagnostics this time.
-	for _, b := range g.Reachable() {
-		c.transfer(b, ins[b], true)
 	}
 	// Leak check at the normal exit: any variable that may still be
 	// owned leaks on at least one path.
-	for v, st := range ins[g.Exit] {
+	for v, st := range exit {
 		if st&owned != 0 {
-			c.pass.Reportf(c.getPos[v], "%s buffer %q may not be returned to the pool on every path out of the function (missing Put on an early return?)", c.getFn[v], v.Name())
+			pass.Reportf(c.getPos[v], "%s buffer %q may not be returned to the pool on every path out of the function (missing Put on an early return?)", c.getFn[v], v.Name())
 		}
 	}
 }
 
-// transfer interprets one block. With report=true it additionally emits
+// node interprets one CFG node. With report=true it additionally emits
 // double-put / use-after-put diagnostics (never during solving, which
 // visits blocks repeatedly).
-func (c *checker) transfer(b *analysis.Block, in fact, report bool) fact {
-	f := in.clone()
-	for _, n := range b.Nodes {
-		c.node(n, f, report)
-	}
-	return f
-}
-
 func (c *checker) node(n ast.Node, f fact, report bool) {
 	switch s := n.(type) {
 	case *ast.AssignStmt:
@@ -275,7 +189,7 @@ func (c *checker) declSpec(vs *ast.ValueSpec, f fact) {
 
 // bind updates the state of one LHS target from one RHS expression.
 func (c *checker) bind(lhs, rhs ast.Expr, f fact, report bool) {
-	info := c.pass.TypesInfo
+	info := c.info
 	id, isIdent := ast.Unparen(lhs).(*ast.Ident)
 	if !isIdent {
 		// Store through a field/index/deref: ownership of an owned RHS
@@ -286,8 +200,8 @@ func (c *checker) bind(lhs, rhs ast.Expr, f fact, report bool) {
 	if id.Name == "_" {
 		return
 	}
-	v := objVar(info, id)
-	if v == nil || !trackedTypes[v.Type().String()] {
+	v := analysis.RootVar(info, id)
+	if v == nil || !analysis.IsPooledBuffer(v.Type()) {
 		return
 	}
 	old, tracked := f[v]
@@ -295,7 +209,7 @@ func (c *checker) bind(lhs, rhs ast.Expr, f fact, report bool) {
 	if g := getCall(info, rhs); g != "" {
 		// v := pool.GetX(...)
 		if report && tracked && old == owned && !mentionsVar(info, rhs, v) {
-			c.reportOnce(lhs.Pos(), "buffer %q reassigned while still owned; the previous %s buffer leaks", v.Name(), c.getFn[v])
+			c.flow.Reportf(lhs.Pos(), "buffer %q reassigned while still owned; the previous %s buffer leaks", v.Name(), c.getFn[v])
 		}
 		f[v] = owned
 		c.getPos[v] = rhs.Pos()
@@ -347,7 +261,7 @@ func (c *checker) bind(lhs, rhs ast.Expr, f fact, report bool) {
 // applying Put calls, escapes via composite literals / address-of /
 // captures, and use-after-put reads.
 func (c *checker) exprEffects(exprs []ast.Expr, f fact, report bool) {
-	info := c.pass.TypesInfo
+	info := c.info
 	for _, e := range exprs {
 		analysis.WalkShallow(e, func(n ast.Node) bool {
 			switch x := n.(type) {
@@ -355,11 +269,11 @@ func (c *checker) exprEffects(exprs []ast.Expr, f fact, report bool) {
 				c.escapeCaptured(x, f)
 				return false
 			case *ast.CallExpr:
-				if name, arg := putCall(info, x); name != "" {
-					if v := putTarget(info, arg); v != nil {
+				if fn := analysis.CalleeFunc(info, x); analysis.IsPoolPut(fn) && len(x.Args) > 0 {
+					if v := putTarget(info, x.Args[0]); v != nil {
 						st, tracked := f[v]
 						if report && tracked && st == released {
-							c.reportOnce(x.Pos(), "double put: buffer %q was already returned to the pool on every path reaching this %s", v.Name(), name)
+							c.flow.Reportf(x.Pos(), "double put: buffer %q was already returned to the pool on every path reaching this %s", v.Name(), fn.Name())
 						}
 						if tracked {
 							f[v] = released
@@ -384,9 +298,9 @@ func (c *checker) exprEffects(exprs []ast.Expr, f fact, report bool) {
 				}
 			case *ast.Ident:
 				if report {
-					if v := objVar(info, x); v != nil {
+					if v := analysis.RootVar(info, x); v != nil {
 						if st, ok := f[v]; ok && st == released {
-							c.reportOnce(x.Pos(), "use after put: buffer %q was returned to the pool on every path reaching this use", v.Name())
+							c.flow.Reportf(x.Pos(), "use after put: buffer %q was returned to the pool on every path reaching this use", v.Name())
 							// Report once, then treat as escaped to
 							// silence the cascade.
 							f[v] = escaped
@@ -423,7 +337,7 @@ func subExprs(e ast.Expr) []ast.Expr {
 // escapeRoot transfers ownership of e's root variable out of the
 // function's hands.
 func (c *checker) escapeRoot(e ast.Expr, f fact) {
-	if v := analysis.RootVar(c.pass.TypesInfo, e); v != nil {
+	if v := analysis.RootVar(c.info, e); v != nil {
 		if st, ok := f[v]; ok && st&owned != 0 {
 			f[v] = (st &^ owned) | escaped
 		}
@@ -434,10 +348,9 @@ func (c *checker) escapeRoot(e ast.Expr, f fact) {
 // references: the literal may release or retain the buffer on its own
 // schedule.
 func (c *checker) escapeCaptured(lit *ast.FuncLit, f fact) {
-	info := c.pass.TypesInfo
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok {
-			if v := objVar(info, id); v != nil {
+			if v := analysis.RootVar(c.info, id); v != nil {
 				if st, ok := f[v]; ok && st&owned != 0 {
 					f[v] = (st &^ owned) | escaped
 				}
@@ -447,52 +360,16 @@ func (c *checker) escapeCaptured(lit *ast.FuncLit, f fact) {
 	})
 }
 
-func (c *checker) reportOnce(pos token.Pos, format string, args ...any) {
-	if c.reported[pos] {
-		return
-	}
-	c.reported[pos] = true
-	c.pass.Reportf(pos, format, args...)
-}
-
-func objVar(info *types.Info, id *ast.Ident) *types.Var {
-	v, _ := info.Uses[id].(*types.Var)
-	if v == nil {
-		v, _ = info.Defs[id].(*types.Var)
-	}
-	return v
-}
-
-// getCall reports the method name when e is a direct pool Get call
-// (GetSel/GetKeys on a BatchPool receiver).
+// getCall reports the method name when e is a direct pool Get call.
 func getCall(info *types.Info, e ast.Expr) string {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return ""
 	}
-	fn := analysis.CalleeFunc(info, call)
-	if fn == nil || !onBatchPool(fn) {
-		return ""
-	}
-	switch fn.Name() {
-	case "GetSel", "GetKeys":
+	if fn := analysis.CalleeFunc(info, call); analysis.IsPoolGet(fn) {
 		return fn.Name()
 	}
 	return ""
-}
-
-// putCall reports the method name and first argument when e is a pool
-// Put call.
-func putCall(info *types.Info, call *ast.CallExpr) (string, ast.Expr) {
-	fn := analysis.CalleeFunc(info, call)
-	if fn == nil || !onBatchPool(fn) || len(call.Args) == 0 {
-		return "", nil
-	}
-	switch fn.Name() {
-	case "PutSel", "PutKeys":
-		return fn.Name(), call.Args[0]
-	}
-	return "", nil
 }
 
 // putTarget resolves a Put argument to the tracked variable it names.
@@ -503,15 +380,7 @@ func putTarget(info *types.Info, arg ast.Expr) *types.Var {
 	if !ok {
 		return nil
 	}
-	return objVar(info, id)
-}
-
-// onBatchPool reports whether fn is a method of a type named BatchPool.
-// The name alone identifies it so fixtures can declare a stand-in, the
-// same convention poolret uses.
-func onBatchPool(fn *types.Func) bool {
-	n := analysis.MethodRecv(fn)
-	return n != nil && n.Obj().Name() == "BatchPool"
+	return analysis.RootVar(info, id)
 }
 
 // mentionsVar reports whether expr references v anywhere outside nested
@@ -519,7 +388,7 @@ func onBatchPool(fn *types.Func) bool {
 func mentionsVar(info *types.Info, expr ast.Expr, v *types.Var) bool {
 	found := false
 	analysis.WalkShallow(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && objVar(info, id) == v {
+		if id, ok := n.(*ast.Ident); ok && analysis.RootVar(info, id) == v {
 			found = true
 		}
 		return !found

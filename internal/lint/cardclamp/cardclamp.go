@@ -22,36 +22,21 @@ var Analyzer = &analysis.Analyzer{
 	Name: "cardclamp",
 	Doc: "estimator outputs must pass through metrics.ClampCard before " +
 		"arithmetic or comparison (NaN/Inf-capable card math)",
+	// Exempt: estimator implementations composing their own internal
+	// estimates, the sanitizer itself, and infrastructure with no card
+	// flow.
+	Scope: analysis.Scope{Exclude: []string{
+		"lqo/internal/lint",
+		"lqo/internal/cardest",
+		"lqo/internal/metrics",
+		"lqo/internal/guard",
+		"lqo/internal/ml",
+		"lqo/internal/stats",
+		"lqo/internal/sqlx",
+		"lqo/internal/data",
+		"lqo/internal/datagen",
+	}},
 	Run: run,
-}
-
-// producerExempt lists packages allowed to do raw card math: estimator
-// implementations composing their own internal estimates, the sanitizer
-// itself, and infrastructure with no card flow.
-var producerExempt = []string{
-	"lqo/internal/cardest",
-	"lqo/internal/metrics",
-	"lqo/internal/guard",
-	"lqo/internal/ml",
-	"lqo/internal/stats",
-	"lqo/internal/sqlx",
-	"lqo/internal/data",
-	"lqo/internal/datagen",
-}
-
-func applies(pkgPath string) bool {
-	if !strings.HasPrefix(pkgPath, "lqo/") {
-		return true // golden-file fixtures always apply
-	}
-	if strings.HasPrefix(pkgPath, "lqo/internal/lint") {
-		return false
-	}
-	for _, p := range producerExempt {
-		if pkgPath == p {
-			return false
-		}
-	}
-	return true
 }
 
 // isEstimateCall reports whether call invokes a cardinality producer: a
@@ -69,11 +54,13 @@ func isEstimateCall(info *types.Info, call *ast.CallExpr) bool {
 	return analysis.IsFloat(sig.Results().At(0).Type())
 }
 
-// isSanitizerCall reports whether call is metrics.ClampCard (or the
-// guard fallback wrapper, which clamps internally).
+// isSanitizerCall reports whether call is metrics.ClampCard or
+// metrics.SanitizeCard (or the guard fallback wrapper, which clamps
+// internally).
 func isSanitizerCall(info *types.Info, call *ast.CallExpr) bool {
 	fn := analysis.CalleeFunc(info, call)
 	return analysis.IsPkgFunc(fn, "internal/metrics", "ClampCard") ||
+		analysis.IsPkgFunc(fn, "internal/metrics", "SanitizeCard") ||
 		analysis.IsPkgFunc(fn, "internal/guard", "SafeEstimate")
 }
 
@@ -93,9 +80,6 @@ func isMathSink(info *types.Info, call *ast.CallExpr) bool {
 }
 
 func run(pass *analysis.Pass) error {
-	if !applies(pass.Pkg.Path()) {
-		return nil
-	}
 	info := pass.TypesInfo
 
 	// dirty maps a local variable bound to a raw estimate to the
@@ -178,56 +162,24 @@ func run(pass *analysis.Pass) error {
 // node as an operand of binary arithmetic/comparison or as an argument
 // to a NaN-propagating math function.
 func sinkParent(info *types.Info, stack []ast.Node) bool {
-	self := stack[len(stack)-1]
-	for i := len(stack) - 2; i >= 0; i-- {
-		switch p := stack[i].(type) {
-		case *ast.ParenExpr:
-			self = p
-			continue
-		case *ast.BinaryExpr:
-			switch p.Op {
-			case token.ADD, token.SUB, token.MUL, token.QUO, token.REM,
-				token.LSS, token.GTR, token.LEQ, token.GEQ, token.EQL, token.NEQ:
-				return p.X == self || p.Y == self
-			}
-			return false
-		case *ast.CallExpr:
-			if isMathSink(info, p) {
-				for _, a := range p.Args {
-					if a == self {
-						return true
-					}
-				}
-			}
-			return false
-		default:
-			return false
+	parent, self := analysis.Parent(stack)
+	switch p := parent.(type) {
+	case *ast.BinaryExpr:
+		switch p.Op {
+		case token.ADD, token.SUB, token.MUL, token.QUO, token.REM,
+			token.LSS, token.GTR, token.LEQ, token.GEQ, token.EQL, token.NEQ:
+			return p.X == self || p.Y == self
 		}
+	case *ast.CallExpr:
+		return isMathSink(info, p) && analysis.IsArg(p, self)
 	}
 	return false
 }
 
 // passedToSanitizer reports whether the identifier is an argument of a
-// ClampCard/SafeEstimate call (a sanitizing use, never a violation).
+// sanitizer call (a sanitizing use, never a violation).
 func passedToSanitizer(info *types.Info, stack []ast.Node) bool {
-	self := stack[len(stack)-1]
-	for i := len(stack) - 2; i >= 0; i-- {
-		switch p := stack[i].(type) {
-		case *ast.ParenExpr:
-			self = p
-			continue
-		case *ast.CallExpr:
-			if isSanitizerCall(info, p) {
-				for _, a := range p.Args {
-					if a == self {
-						return true
-					}
-				}
-			}
-			return false
-		default:
-			return false
-		}
-	}
-	return false
+	parent, self := analysis.Parent(stack)
+	call, ok := parent.(*ast.CallExpr)
+	return ok && isSanitizerCall(info, call) && analysis.IsArg(call, self)
 }

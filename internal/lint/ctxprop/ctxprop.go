@@ -15,7 +15,6 @@ package ctxprop
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"lqo/internal/lint/analysis"
 )
@@ -26,31 +25,18 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "library packages must propagate context.Context: no " +
 		"Background()/TODO(), ctx parameter first, accepted contexts " +
 		"forwarded or checked",
+	// The context-aware layers, plumbed end to end: everything
+	// reachable from a query deadline must stay reachable.
+	Scope: analysis.Scope{Include: []string{
+		"lqo/internal/plan",
+		"lqo/internal/exec",
+		"lqo/internal/opt",
+		"lqo/internal/pilotscope",
+		"lqo/internal/bench",
+		"lqo/internal/serve",
+		"lqo/internal/adapt",
+	}},
 	Run: run,
-}
-
-// libraryPkgs are the context-aware layers (PR 2 plumbed them end to
-// end); everything reachable from a query deadline must stay reachable.
-var libraryPkgs = []string{
-	"lqo/internal/plan",
-	"lqo/internal/exec",
-	"lqo/internal/opt",
-	"lqo/internal/pilotscope",
-	"lqo/internal/bench",
-	"lqo/internal/serve",
-	"lqo/internal/adapt",
-}
-
-func applies(pkgPath string) bool {
-	if !strings.HasPrefix(pkgPath, "lqo/") {
-		return true
-	}
-	for _, p := range libraryPkgs {
-		if pkgPath == p {
-			return true
-		}
-	}
-	return false
 }
 
 func isContextType(t types.Type) bool {
@@ -58,9 +44,6 @@ func isContextType(t types.Type) bool {
 }
 
 func run(pass *analysis.Pass) error {
-	if !applies(pass.Pkg.Path()) {
-		return nil
-	}
 	info := pass.TypesInfo
 
 	// Rule 1: no fresh root contexts in library code.

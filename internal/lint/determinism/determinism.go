@@ -17,7 +17,6 @@ package determinism
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"lqo/internal/lint/analysis"
 )
@@ -28,14 +27,20 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "no time.Now, map-order iteration, or unseeded math/rand in " +
 		"determinism-critical packages (byte-identical ReferenceRun " +
 		"contract)",
+	// The math/rand rule's scope; time.Now and map iteration are
+	// checked only within ReferenceScope.
+	Scope: analysis.Scope{
+		Include: []string{"lqo/internal"},
+		Exclude: []string{"lqo/internal/lint"},
+	},
 	Run: run,
 }
 
-// detPkgs produce reference output: plans, EXPLAIN text, telemetry
-// folds, cost labels, metric tables — and the adaptation loop's drift
-// verdicts and gate decisions, which must replay identically from the
-// same observation sequence.
-var detPkgs = []string{
+// ReferenceScope is the packages that produce reference output: plans,
+// EXPLAIN text, telemetry folds, cost labels, metric tables — and the
+// adaptation loop's drift verdicts and gate decisions, which must replay
+// identically from the same observation sequence.
+var ReferenceScope = analysis.Scope{Include: []string{
 	"lqo/internal/plan",
 	"lqo/internal/exec",
 	"lqo/internal/opt",
@@ -43,27 +48,7 @@ var detPkgs = []string{
 	"lqo/internal/costmodel",
 	"lqo/internal/metrics",
 	"lqo/internal/adapt",
-}
-
-func appliesDet(pkgPath string) bool {
-	if !strings.HasPrefix(pkgPath, "lqo/") {
-		return true
-	}
-	for _, p := range detPkgs {
-		if pkgPath == p {
-			return true
-		}
-	}
-	return false
-}
-
-func appliesRand(pkgPath string) bool {
-	if !strings.HasPrefix(pkgPath, "lqo/") {
-		return true
-	}
-	return strings.Contains(pkgPath, "/internal/") &&
-		!strings.HasPrefix(pkgPath, "lqo/internal/lint")
-}
+}}
 
 // randConstructors build seeded generators and are always allowed.
 var randConstructors = map[string]bool{
@@ -72,11 +57,7 @@ var randConstructors = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	path := pass.Pkg.Path()
-	det, rnd := appliesDet(path), appliesRand(path)
-	if !det && !rnd {
-		return nil
-	}
+	det := ReferenceScope.Contains(pass.Pkg.Path())
 	info := pass.TypesInfo
 
 	pass.InspectWithStack(func(n ast.Node, stack []ast.Node) bool {
@@ -89,7 +70,7 @@ func run(pass *analysis.Pass) error {
 			if det && analysis.IsPkgFunc(fn, "time", "Now") && !isTelemetrySink(stack) {
 				pass.Reportf(n.Pos(), "time.Now in a determinism-critical package; reference output must be byte-identical across runs")
 			}
-			if rnd && isGlobalRand(fn) {
+			if isGlobalRand(fn) {
 				pass.Reportf(n.Pos(), "package-level math/rand.%s is unseeded and nondeterministic; use rand.New(rand.NewSource(seed))", fn.Name())
 			}
 		case *ast.RangeStmt:
@@ -127,26 +108,11 @@ func isGlobalRand(fn *types.Func) bool {
 // idiom (`defer tel.timed(time.Now())`), whose measurements are kept out
 // of the reference fold by construction.
 func isTelemetrySink(stack []ast.Node) bool {
-	self := stack[len(stack)-1]
-	for i := len(stack) - 2; i >= 0; i-- {
-		switch p := stack[i].(type) {
-		case *ast.ParenExpr:
-			self = p
-			continue
-		case *ast.CallExpr:
-			sel, ok := ast.Unparen(p.Fun).(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "timed" {
-				return false
-			}
-			for _, a := range p.Args {
-				if a == self {
-					return true
-				}
-			}
-			return false
-		default:
-			return false
-		}
+	parent, self := analysis.Parent(stack)
+	call, ok := parent.(*ast.CallExpr)
+	if !ok {
+		return false
 	}
-	return false
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "timed" && analysis.IsArg(call, self)
 }

@@ -12,7 +12,6 @@ package errflow
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"lqo/internal/lint/analysis"
 )
@@ -22,33 +21,16 @@ var Analyzer = &analysis.Analyzer{
 	Name: "errflow",
 	Doc: "no error-valued result may be dropped via _ or an ignored " +
 		"call in exec/serve/opt/adapt; propagate it or suppress with a reason",
+	Scope: analysis.Scope{Include: []string{
+		"lqo/internal/exec",
+		"lqo/internal/serve",
+		"lqo/internal/opt",
+		"lqo/internal/adapt",
+	}},
 	Run: run,
 }
 
-// scopePkgs are the real-tree packages under the contract.
-var scopePkgs = []string{
-	"lqo/internal/exec",
-	"lqo/internal/serve",
-	"lqo/internal/opt",
-	"lqo/internal/adapt",
-}
-
-func applies(pkgPath string) bool {
-	if !strings.HasPrefix(pkgPath, "lqo/") {
-		return true
-	}
-	for _, p := range scopePkgs {
-		if pkgPath == p {
-			return true
-		}
-	}
-	return false
-}
-
 func run(pass *analysis.Pass) error {
-	if !applies(pass.Pkg.Path()) {
-		return nil
-	}
 	info := pass.TypesInfo
 	pass.Inspect(func(n ast.Node) bool {
 		switch s := n.(type) {

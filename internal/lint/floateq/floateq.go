@@ -12,7 +12,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"lqo/internal/lint/analysis"
 )
@@ -21,31 +20,15 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "floateq",
 	Doc:  "no ==/!= on floating-point values in metrics/cost/costmodel",
-	Run:  run,
-}
-
-var floatPkgs = []string{
-	"lqo/internal/metrics",
-	"lqo/internal/cost",
-	"lqo/internal/costmodel",
-}
-
-func applies(pkgPath string) bool {
-	if !strings.HasPrefix(pkgPath, "lqo/") {
-		return true
-	}
-	for _, p := range floatPkgs {
-		if pkgPath == p {
-			return true
-		}
-	}
-	return false
+	Scope: analysis.Scope{Include: []string{
+		"lqo/internal/metrics",
+		"lqo/internal/cost",
+		"lqo/internal/costmodel",
+	}},
+	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
-	if !applies(pass.Pkg.Path()) {
-		return nil
-	}
 	info := pass.TypesInfo
 	pass.Inspect(func(n ast.Node) bool {
 		be, ok := n.(*ast.BinaryExpr)

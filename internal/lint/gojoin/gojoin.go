@@ -20,7 +20,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"lqo/internal/lint/analysis"
 )
@@ -31,26 +30,12 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "every go statement must have a reachable join: a " +
 		"WaitGroup.Wait, a receive from the goroutine's signal channel, " +
 		"or a transferred join handle (channel returned or stored)",
+	Scope: analysis.Scope{Include: []string{
+		"lqo/internal/exec",
+		"lqo/internal/serve",
+		"lqo/internal/adapt",
+	}},
 	Run: run,
-}
-
-// scopePkgs are the real-tree packages under the contract.
-var scopePkgs = []string{
-	"lqo/internal/exec",
-	"lqo/internal/serve",
-	"lqo/internal/adapt",
-}
-
-func applies(pkgPath string) bool {
-	if !strings.HasPrefix(pkgPath, "lqo/") {
-		return true
-	}
-	for _, p := range scopePkgs {
-		if pkgPath == p {
-			return true
-		}
-	}
-	return false
 }
 
 // evidence is everything in the package that can join a goroutine,
@@ -78,9 +63,6 @@ type waitSite struct {
 }
 
 func run(pass *analysis.Pass) error {
-	if !applies(pass.Pkg.Path()) {
-		return nil
-	}
 	ev := collect(pass)
 	pass.InspectWithStack(func(n ast.Node, stack []ast.Node) bool {
 		g, ok := n.(*ast.GoStmt)
@@ -343,11 +325,7 @@ func enclosingBody(stack []ast.Node) *ast.BlockStmt {
 func handleVar(info *types.Info, e ast.Expr) *types.Var {
 	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		if v, ok := info.Uses[x].(*types.Var); ok {
-			return v
-		}
-		v, _ := info.Defs[x].(*types.Var)
-		return v
+		return analysis.RootVar(info, x)
 	case *ast.SelectorExpr:
 		v, _ := info.Uses[x.Sel].(*types.Var)
 		return v

@@ -3,77 +3,49 @@ package lint_test
 import (
 	"testing"
 
+	"lqo/internal/lint"
 	"lqo/internal/lint/analysistest"
-	"lqo/internal/lint/atomicpub"
-	"lqo/internal/lint/bufown"
-	"lqo/internal/lint/cardclamp"
-	"lqo/internal/lint/ctxprop"
-	"lqo/internal/lint/determinism"
-	"lqo/internal/lint/errflow"
 	"lqo/internal/lint/floateq"
-	"lqo/internal/lint/gojoin"
-	"lqo/internal/lint/guardsafe"
-	"lqo/internal/lint/keycanon"
-	"lqo/internal/lint/lintignore"
-	"lqo/internal/lint/passpure"
-	"lqo/internal/lint/poolret"
 )
 
-// Each analyzer has a golden fixture under testdata/src containing both
-// violations (// want lines) and true negatives (clean code the analyzer
-// must stay silent on).
+// Each analyzer has a golden fixture testdata/src/<name>_a containing
+// both violations (// want lines) and true negatives (clean code the
+// analyzer must stay silent on).
 
-func TestCardClamp(t *testing.T) {
-	analysistest.Run(t, "testdata/src", cardclamp.Analyzer, "cardclamp_a")
+// TestGolden runs every registered analyzer over its fixture, so an
+// analyzer cannot ship without its golden run.
+func TestGolden(t *testing.T) {
+	for _, a := range lint.Analyzers() {
+		analysistest.Run(t, "testdata/src", a, a.Name+"_a")
+	}
 }
 
-func TestGuardSafe(t *testing.T) {
-	analysistest.Run(t, "testdata/src", guardsafe.Analyzer, "guardsafe_a")
+// golden runs one registered analyzer's golden fixture on its own, so
+// one analyzer's run can be picked with -run (go test -run TestBufOwn).
+func golden(t *testing.T, name string) {
+	t.Helper()
+	for _, a := range lint.Analyzers() {
+		if a.Name == name {
+			analysistest.Run(t, "testdata/src", a, name+"_a")
+			return
+		}
+	}
+	t.Fatalf("no registered analyzer %q", name)
 }
 
-func TestCtxProp(t *testing.T) {
-	analysistest.Run(t, "testdata/src", ctxprop.Analyzer, "ctxprop_a")
-}
-
-func TestAtomicPub(t *testing.T) {
-	analysistest.Run(t, "testdata/src", atomicpub.Analyzer, "atomicpub_a")
-}
-
-func TestDeterminism(t *testing.T) {
-	analysistest.Run(t, "testdata/src", determinism.Analyzer, "determinism_a")
-}
-
-func TestFloatEq(t *testing.T) {
-	analysistest.Run(t, "testdata/src", floateq.Analyzer, "floateq_a")
-}
-
-func TestKeyCanon(t *testing.T) {
-	analysistest.Run(t, "testdata/src", keycanon.Analyzer, "keycanon_a")
-}
-
-func TestLintIgnore(t *testing.T) {
-	analysistest.Run(t, "testdata/src", lintignore.Analyzer, "lintignore_a")
-}
-
-func TestPoolRet(t *testing.T) {
-	analysistest.Run(t, "testdata/src", poolret.Analyzer, "poolret_a")
-}
-
-func TestBufOwn(t *testing.T) {
-	analysistest.Run(t, "testdata/src", bufown.Analyzer, "bufown_a")
-}
-
-func TestGoJoin(t *testing.T) {
-	analysistest.Run(t, "testdata/src", gojoin.Analyzer, "gojoin_a")
-}
-
-func TestPassPure(t *testing.T) {
-	analysistest.Run(t, "testdata/src", passpure.Analyzer, "passpure_a")
-}
-
-func TestErrFlow(t *testing.T) {
-	analysistest.Run(t, "testdata/src", errflow.Analyzer, "errflow_a")
-}
+func TestAtomicPub(t *testing.T)   { golden(t, "atomicpub") }
+func TestBufOwn(t *testing.T)      { golden(t, "bufown") }
+func TestCardClamp(t *testing.T)   { golden(t, "cardclamp") }
+func TestCtxProp(t *testing.T)     { golden(t, "ctxprop") }
+func TestDeterminism(t *testing.T) { golden(t, "determinism") }
+func TestErrFlow(t *testing.T)     { golden(t, "errflow") }
+func TestFloatEq(t *testing.T)     { golden(t, "floateq") }
+func TestGoJoin(t *testing.T)      { golden(t, "gojoin") }
+func TestGuardSafe(t *testing.T)   { golden(t, "guardsafe") }
+func TestKeyCanon(t *testing.T)    { golden(t, "keycanon") }
+func TestLintIgnore(t *testing.T)  { golden(t, "lintignore") }
+func TestPassPure(t *testing.T)    { golden(t, "passpure") }
+func TestPoolRet(t *testing.T)     { golden(t, "poolret") }
 
 // TestSuppression runs floateq over a fixture whose violations are
 // silenced by //lqolint:ignore directives in every supported placement;

@@ -9,7 +9,6 @@ package guardsafe
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"lqo/internal/lint/analysis"
 )
@@ -20,29 +19,20 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "no naked panic in internal/ library code; pilotscope driver " +
 		"callbacks (Init/Algo/Update on the Driver/Updater interfaces) " +
 		"must run inside guard.Safe",
+	// cmd/ and examples/ may panic at top level; guard owns panic
+	// isolation and the chaos injectors that panic on purpose; the lint
+	// framework reports through errors already.
+	Scope: analysis.Scope{
+		Include: []string{"lqo/internal"},
+		Exclude: []string{"lqo/internal/guard", "lqo/internal/lint"},
+	},
 	Run: run,
-}
-
-func applies(pkgPath string) bool {
-	if !strings.HasPrefix(pkgPath, "lqo/") {
-		return true
-	}
-	if !strings.Contains(pkgPath, "/internal/") {
-		return false // cmd/ and examples/ may panic at top level
-	}
-	// guard owns panic isolation and the chaos injectors that panic on
-	// purpose; the lint framework reports through errors already.
-	return !strings.HasPrefix(pkgPath, "lqo/internal/guard") &&
-		!strings.HasPrefix(pkgPath, "lqo/internal/lint")
 }
 
 // callbackNames are the driver life-cycle methods the console must wrap.
 var callbackNames = map[string]bool{"Init": true, "Algo": true, "Update": true}
 
 func run(pass *analysis.Pass) error {
-	if !applies(pass.Pkg.Path()) {
-		return nil
-	}
 	info := pass.TypesInfo
 	pass.InspectWithStack(func(n ast.Node, stack []ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -99,13 +89,9 @@ func insideGuardSafe(info *types.Info, stack []ast.Node) bool {
 			continue
 		}
 		fn := analysis.CalleeFunc(info, outer)
-		if analysis.IsPkgFunc(fn, "internal/guard", "Safe") ||
-			analysis.IsPkgFunc(fn, "internal/guard", "SafeEstimate") {
-			for _, a := range outer.Args {
-				if a == lit {
-					return true
-				}
-			}
+		if (analysis.IsPkgFunc(fn, "internal/guard", "Safe") ||
+			analysis.IsPkgFunc(fn, "internal/guard", "SafeEstimate")) && analysis.IsArg(outer, lit) {
+			return true
 		}
 	}
 	return false

@@ -18,7 +18,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"lqo/internal/lint/analysis"
 )
@@ -28,29 +27,16 @@ var Analyzer = &analysis.Analyzer{
 	Name: "keycanon",
 	Doc: "canonical cache keys must be assembled with query.KeyBuilder; " +
 		"no strings.Join/fmt.Sprintf/string concatenation inside key-producing functions",
+	// The packages that mint canonical keys: the query/plan key
+	// encoders and every layer that caches on them.
+	Scope: analysis.Scope{Include: []string{
+		"lqo/internal/query",
+		"lqo/internal/plan",
+		"lqo/internal/sqlx",
+		"lqo/internal/serve",
+		"lqo/internal/exec",
+	}},
 	Run: run,
-}
-
-// keyPkgs are the packages that mint canonical keys: the query/plan key
-// encoders and every layer that caches on them.
-var keyPkgs = []string{
-	"lqo/internal/query",
-	"lqo/internal/plan",
-	"lqo/internal/sqlx",
-	"lqo/internal/serve",
-	"lqo/internal/exec",
-}
-
-func applies(pkgPath string) bool {
-	if !strings.HasPrefix(pkgPath, "lqo/") {
-		return true
-	}
-	for _, p := range keyPkgs {
-		if pkgPath == p {
-			return true
-		}
-	}
-	return false
 }
 
 // keyFuncs are the function names that produce canonical keys. The
@@ -94,9 +80,6 @@ func isFormatter(fn *types.Func) bool {
 }
 
 func run(pass *analysis.Pass) error {
-	if !applies(pass.Pkg.Path()) {
-		return nil
-	}
 	info := pass.TypesInfo
 	pass.Inspect(func(n ast.Node) bool {
 		fd, ok := n.(*ast.FuncDecl)

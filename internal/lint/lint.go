@@ -33,9 +33,10 @@ import (
 	"lqo/internal/lint/poolret"
 )
 
-// Analyzers returns the registered suite in diagnostic-name order.
-func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
+// suite is the registry: every rule, plus the lintignore policer built
+// from their names, in diagnostic-name order.
+var suite = func() []*analysis.Analyzer {
+	rules := []*analysis.Analyzer{
 		atomicpub.Analyzer,
 		bufown.Analyzer,
 		cardclamp.Analyzer,
@@ -46,10 +47,17 @@ func Analyzers() []*analysis.Analyzer {
 		gojoin.Analyzer,
 		guardsafe.Analyzer,
 		keycanon.Analyzer,
-		lintignore.Analyzer,
 		passpure.Analyzer,
 		poolret.Analyzer,
 	}
+	all := append(rules, lintignore.New(rules))
+	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
+	return all
+}()
+
+// Analyzers returns the registered suite in diagnostic-name order.
+func Analyzers() []*analysis.Analyzer {
+	return append([]*analysis.Analyzer(nil), suite...)
 }
 
 // Finding is one diagnostic after the suppression pass. Suppressed

@@ -10,42 +10,31 @@ import (
 	"lqo/internal/lint/analysis"
 )
 
-// Analyzer is the suppression-directive checker.
-var Analyzer = &analysis.Analyzer{
-	Name: "lintignore",
-	Doc: "//lqolint:ignore directives must name a known analyzer and " +
-		"give a non-empty reason",
-	Run: run,
+// New returns the suppression-directive checker for a suite of rules:
+// a directive may name any of them, lintignore itself, or "all". The
+// registry constructs it, so the suite is the only list of names.
+func New(rules []*analysis.Analyzer) *analysis.Analyzer {
+	a := &analysis.Analyzer{
+		Name: "lintignore",
+		Doc: "//lqolint:ignore directives must name a known analyzer and " +
+			"give a non-empty reason",
+	}
+	known := map[string]bool{"all": true, a.Name: true}
+	for _, r := range rules {
+		known[r.Name] = true
+	}
+	a.Run = func(pass *analysis.Pass) error { return run(pass, known) }
+	return a
 }
 
-// Known lists the analyzer names a directive may suppress, plus "all".
-// internal/lint's registry test asserts this stays in sync with the
-// registered suite.
-var Known = map[string]bool{
-	"all":         true,
-	"cardclamp":   true,
-	"guardsafe":   true,
-	"ctxprop":     true,
-	"atomicpub":   true,
-	"determinism": true,
-	"floateq":     true,
-	"keycanon":    true,
-	"lintignore":  true,
-	"poolret":     true,
-	"bufown":      true,
-	"gojoin":      true,
-	"passpure":    true,
-	"errflow":     true,
-}
-
-func run(pass *analysis.Pass) error {
+func run(pass *analysis.Pass, known map[string]bool) error {
 	for _, d := range analysis.Directives(pass.Fset, pass.Files) {
 		if len(d.Analyzers) == 0 {
 			pass.Reportf(d.Pos, "lqolint:ignore directive names no analyzer; use //lqolint:ignore <analyzer> <reason>")
 			continue
 		}
 		for _, a := range d.Analyzers {
-			if !Known[a] {
+			if !known[a] {
 				pass.Reportf(d.Pos, "lqolint:ignore names unknown analyzer %q", a)
 			}
 		}

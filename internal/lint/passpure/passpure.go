@@ -18,9 +18,7 @@ package passpure
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 
 	"lqo/internal/lint/analysis"
 )
@@ -31,47 +29,14 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "a RewritePass Rewrite body must not store through pointers " +
 		"reachable from its plan or context parameters; clone first " +
 		"(values flowing from Clone are exempt)",
-	Run: run,
+	Scope: analysis.Scope{Include: []string{"lqo/internal/plan"}},
+	Run:   run,
 }
 
-func applies(pkgPath string) bool {
-	return !strings.HasPrefix(pkgPath, "lqo/") || pkgPath == "lqo/internal/plan"
-}
-
-type fact map[*types.Var]bool
-
-func (f fact) clone() fact {
-	c := make(fact, len(f))
-	for k := range f {
-		c[k] = true
-	}
-	return c
-}
-
-func factEqual(a, b fact) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-func factMerge(a, b fact) fact {
-	m := a.clone()
-	for k := range b {
-		m[k] = true
-	}
-	return m
-}
+// fact is the taint set: every variable in it may alias the input.
+type fact = analysis.Facts[bool]
 
 func run(pass *analysis.Pass) error {
-	if !applies(pass.Pkg.Path()) {
-		return nil
-	}
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -125,45 +90,29 @@ func isPlanInput(t types.Type) bool {
 	return false
 }
 
+// checker carries one Rewrite body's analysis; its callbacks run on the
+// same flow, so a store is reported once however it is reached.
 type checker struct {
-	pass     *analysis.Pass
-	reported map[token.Pos]bool
+	info *types.Info
+	flow *analysis.VarFlow[bool]
 }
 
 func checkRewrite(pass *analysis.Pass, body *ast.BlockStmt, seeds []*types.Var) {
-	c := &checker{pass: pass, reported: map[token.Pos]bool{}}
+	c := &checker{info: pass.TypesInfo}
+	c.flow = &analysis.VarFlow[bool]{
+		Pass: pass,
+		Join: func(a, b bool) bool { return true },
+		Node: c.node,
+	}
 	entry := fact{}
 	for _, v := range seeds {
 		entry[v] = true
 	}
-	g := analysis.BuildCFG(body)
-	df := &analysis.Dataflow[fact]{
-		CFG:      g,
-		Entry:    entry,
-		Bottom:   func() fact { return fact{} },
-		Transfer: func(b *analysis.Block, in fact) fact { return c.transfer(b, in, false) },
-		Merge:    factMerge,
-		Equal:    factEqual,
-	}
-	ins, err := df.Solve()
-	if err != nil {
-		return // non-convergence is an analyzer bug; stay silent
-	}
-	for _, b := range g.Reachable() {
-		c.transfer(b, ins[b], true)
-	}
-}
-
-func (c *checker) transfer(b *analysis.Block, in fact, report bool) fact {
-	f := in.clone()
-	for _, n := range b.Nodes {
-		c.node(n, f, report)
-	}
-	return f
+	c.flow.Run(body, entry)
 }
 
 func (c *checker) node(n ast.Node, f fact, report bool) {
-	info := c.pass.TypesInfo
+	info := c.info
 	switch s := n.(type) {
 	case *ast.AssignStmt:
 		// Violations first: a store whose target is reached through a
@@ -174,7 +123,7 @@ func (c *checker) node(n ast.Node, f fact, report bool) {
 			}
 			if report {
 				if v := analysis.RootVar(info, lhs); v != nil && f[v] {
-					c.reportOnce(lhs.Pos(), "store through %q mutates the pass input in place; Rewrite must clone before editing", v.Name())
+					c.flow.Reportf(lhs.Pos(), "store through %q mutates the pass input in place; Rewrite must clone before editing", v.Name())
 				}
 			}
 		}
@@ -184,7 +133,7 @@ func (c *checker) node(n ast.Node, f fact, report bool) {
 	case *ast.IncDecStmt:
 		if _, isIdent := ast.Unparen(s.X).(*ast.Ident); !isIdent && report {
 			if v := analysis.RootVar(info, s.X); v != nil && f[v] {
-				c.reportOnce(s.X.Pos(), "increment through %q mutates the pass input in place; Rewrite must clone before editing", v.Name())
+				c.flow.Reportf(s.X.Pos(), "increment through %q mutates the pass input in place; Rewrite must clone before editing", v.Name())
 			}
 		}
 	case *ast.DeclStmt:
@@ -223,15 +172,11 @@ func (c *checker) bindAssign(s *ast.AssignStmt, f fact) {
 
 // bind propagates taint from rhs into an identifier LHS.
 func (c *checker) bind(lhs, rhs ast.Expr, f fact) {
-	info := c.pass.TypesInfo
 	id, ok := ast.Unparen(lhs).(*ast.Ident)
 	if !ok || id.Name == "_" {
 		return
 	}
-	v, _ := info.Defs[id].(*types.Var)
-	if v == nil {
-		v, _ = info.Uses[id].(*types.Var)
-	}
+	v := analysis.RootVar(c.info, id)
 	if v == nil {
 		return
 	}
@@ -245,7 +190,7 @@ func (c *checker) bind(lhs, rhs ast.Expr, f fact) {
 // taints reports whether evaluating rhs yields a value that may alias
 // the tainted input graph.
 func (c *checker) taints(rhs ast.Expr, f fact) bool {
-	info := c.pass.TypesInfo
+	info := c.info
 	rhs = ast.Unparen(rhs)
 	if call, ok := rhs.(*ast.CallExpr); ok {
 		// Clone launders: its result is a fresh graph by contract.
@@ -280,7 +225,7 @@ func (c *checker) taints(rhs ast.Expr, f fact) bool {
 // parameters bound to the receiver's taint. It also propagates nothing
 // else: a call without a literal has no store to check here.
 func (c *checker) scanCalls(n ast.Node, f fact, report bool) {
-	info := c.pass.TypesInfo
+	info := c.info
 	analysis.WalkShallow(n, func(x ast.Node) bool {
 		call, ok := x.(*ast.CallExpr)
 		if !ok {
@@ -310,39 +255,15 @@ func (c *checker) checkCallback(lit *ast.FuncLit, outer fact, recvTainted, repor
 	if !report {
 		return
 	}
-	info := c.pass.TypesInfo
-	inner := outer.clone()
+	inner := outer.Clone()
 	if recvTainted && lit.Type.Params != nil {
 		for _, field := range lit.Type.Params.List {
 			for _, name := range field.Names {
-				if v, ok := info.Defs[name].(*types.Var); ok && isPlanInput(v.Type()) {
+				if v, ok := c.info.Defs[name].(*types.Var); ok && isPlanInput(v.Type()) {
 					inner[v] = true
 				}
 			}
 		}
 	}
-	g := analysis.BuildCFG(lit.Body)
-	df := &analysis.Dataflow[fact]{
-		CFG:      g,
-		Entry:    inner,
-		Bottom:   func() fact { return fact{} },
-		Transfer: func(b *analysis.Block, in fact) fact { return c.transfer(b, in, false) },
-		Merge:    factMerge,
-		Equal:    factEqual,
-	}
-	ins, err := df.Solve()
-	if err != nil {
-		return
-	}
-	for _, b := range g.Reachable() {
-		c.transfer(b, ins[b], true)
-	}
-}
-
-func (c *checker) reportOnce(pos token.Pos, format string, args ...any) {
-	if c.reported[pos] {
-		return
-	}
-	c.reported[pos] = true
-	c.pass.Reportf(pos, format, args...)
+	c.flow.Run(lit.Body, inner)
 }

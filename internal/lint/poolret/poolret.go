@@ -20,7 +20,6 @@ package poolret
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"lqo/internal/lint/analysis"
 )
@@ -30,42 +29,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "poolret",
 	Doc: "methods of pool-carrying operators must get row-id vectors and key " +
 		"scratch from the BatchPool, not make them (Open/Close exempt)",
-	Run: run,
-}
-
-// poolPkgs are the packages whose operators carry pools.
-var poolPkgs = []string{
-	"lqo/internal/exec",
-}
-
-func applies(pkgPath string) bool {
-	if !strings.HasPrefix(pkgPath, "lqo/") {
-		return true
-	}
-	for _, p := range poolPkgs {
-		if pkgPath == p {
-			return true
-		}
-	}
-	return false
-}
-
-// pooledTypes are the buffer shapes the BatchPool serves; a make of one
-// of these inside a pooled operator bypasses the pool.
-var pooledTypes = map[string]bool{
-	"[]int32":  true,
-	"[]uint64": true,
-}
-
-// isBatchPool reports whether t (after unwrapping one pointer) is a named
-// type called BatchPool. The name alone identifies it: fixtures declare
-// their own BatchPool stand-in.
-func isBatchPool(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	return ok && n.Obj().Name() == "BatchPool"
+	Scope: analysis.Scope{Include: []string{"lqo/internal/exec"}},
+	Run:   run,
 }
 
 // carriesPool reports whether t (the method receiver's type) is a struct
@@ -84,7 +49,7 @@ func carriesPool(t types.Type) bool {
 		return false
 	}
 	for i := 0; i < st.NumFields(); i++ {
-		if isBatchPool(st.Field(i).Type()) {
+		if analysis.IsBatchPool(st.Field(i).Type()) {
 			return true
 		}
 	}
@@ -92,9 +57,6 @@ func carriesPool(t types.Type) bool {
 }
 
 func run(pass *analysis.Pass) error {
-	if !applies(pass.Pkg.Path()) {
-		return nil
-	}
 	info := pass.TypesInfo
 
 	// Every function declared in this package, in file order (the order
@@ -152,7 +114,7 @@ func run(pass *analysis.Pass) error {
 			if _, seen := hot[callee]; seen {
 				return true
 			}
-			if recv := analysis.MethodRecv(callee); recv != nil && recv.Obj().Name() == "BatchPool" {
+			if analysis.OnBatchPool(callee) {
 				return true
 			}
 			hot[callee] = hot[fn]
@@ -173,13 +135,10 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			tv, ok := info.Types[ast.Expr(call)]
-			if !ok || tv.Type == nil {
+			if !ok || tv.Type == nil || !analysis.IsPooledBuffer(tv.Type) {
 				return true
 			}
 			ts := tv.Type.String()
-			if !pooledTypes[ts] {
-				return true
-			}
 			if fd.Name.Name == root {
 				pass.Reportf(call.Pos(), "make(%s) in pooled operator method %s bypasses the BatchPool; Get it from the pool (or //lqolint:ignore poolret <reason> for a documented cold path)", ts, root)
 			} else {

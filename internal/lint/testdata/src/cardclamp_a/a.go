@@ -43,6 +43,12 @@ func GoodRebound(e Est) float64 {
 	return c + 1
 }
 
+func GoodSanitized(e Est) float64 {
+	c := e.Estimate(1)
+	c = metrics.SanitizeCard(c) // true negative: the optimizer's sanitizer clears it too
+	return c + 1
+}
+
 func GoodPredicate(e Est) bool {
 	c := e.Estimate(1)
 	return math.IsNaN(c) // true negative: classification, not card math

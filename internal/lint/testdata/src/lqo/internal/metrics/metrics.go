@@ -18,3 +18,15 @@ func ClampCard(est float64) float64 {
 	}
 	return est
 }
+
+// SanitizeCard mirrors the real optimizer sanitizer's signature and
+// contract.
+func SanitizeCard(est float64) float64 {
+	if est != est || est < 0 { // NaN or negative estimates become 0
+		return 0
+	}
+	if est > MaxCard {
+		return MaxCard
+	}
+	return est
+}

@@ -59,6 +59,20 @@ func ClampCard(est float64) float64 {
 	return est
 }
 
+// SanitizeCard is the optimizer's estimate sanitizer: NaN and negative
+// estimates become 0, and +Inf and absurd magnitudes cap at MaxCard.
+// Unlike ClampCard it keeps estimates in [0, 1) as they are, which the
+// planner's plan choices are pinned to.
+func SanitizeCard(est float64) float64 {
+	if est < 0 || math.IsNaN(est) {
+		return 0
+	}
+	if est > MaxCard {
+		return MaxCard
+	}
+	return est
+}
+
 // Quantiles summarizes a sample at the 50th/90th/95th/99th percentiles
 // plus the maximum. The input is not modified.
 type Quantiles struct {

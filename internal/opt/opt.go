@@ -12,7 +12,6 @@ package opt
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"lqo/internal/cost"
@@ -165,16 +164,7 @@ func newGraph(q *query.Query) (*query.JoinGraph, error) {
 // poison cost arithmetic with non-finite values. The same method backs
 // plan.PassContext.Estimate, which is why passes must not re-clamp.
 func (o *Optimizer) estimate(q *query.Query) float64 {
-	c := o.Est.Estimate(q)
-	//lqolint:ignore cardclamp this IS the sanitizer the rule mandates; it must inspect the raw estimate to clamp it
-	if c < 0 || math.IsNaN(c) {
-		return 0
-	}
-	//lqolint:ignore cardclamp second half of the sanitizer itself; see above
-	if c > metrics.MaxCard {
-		return metrics.MaxCard
-	}
-	return c
+	return metrics.SanitizeCard(o.Est.Estimate(q))
 }
 
 // indexEqColumn returns the first equality-predicate column with an index

@@ -163,10 +163,12 @@ func (n *Node) WalkLogical(fn func(*Node)) {
 // leaf and Merge bits are looked up once and folded bottom-up, in one
 // pass over the tree, instead of re-collecting and sorting the aliases
 // below every node. g.Sub(mask) and g.Key(mask) then give the node's
-// sub-query and its canonical key.
+// sub-query and its canonical key. The pre-order lives on the stack for
+// plans of up to 16 tables (31 logical nodes); larger ones grow it on
+// the heap.
 func (n *Node) WalkLogicalMasks(g *query.JoinGraph, fn func(*Node, uint64)) {
-	pre := make([]maskedNode, 0, 2*len(g.Aliases))
-	n.foldMasks(g, &pre)
+	var buf [32]maskedNode
+	pre, _ := n.foldMasks(g, buf[:0])
 	for _, v := range pre {
 		fn(v.n, v.mask)
 	}
@@ -178,21 +180,24 @@ type maskedNode struct {
 }
 
 // foldMasks appends the logical subtree to pre in pre-order and returns
-// its alias mask.
-func (n *Node) foldMasks(g *query.JoinGraph, pre *[]maskedNode) uint64 {
+// the extended slice and the subtree's alias mask.
+func (n *Node) foldMasks(g *query.JoinGraph, pre []maskedNode) ([]maskedNode, uint64) {
 	if n == nil {
-		return 0
+		return pre, 0
 	}
-	at := len(*pre)
-	*pre = append(*pre, maskedNode{n: n})
+	at := len(pre)
+	pre = append(pre, maskedNode{n: n})
 	var mask uint64
 	if n.IsLeaf() || n.Op == Merge {
 		mask = g.Bit(n.Alias)
 	} else {
-		mask = n.Left.foldMasks(g, pre) | n.Right.foldMasks(g, pre)
+		var left, right uint64
+		pre, left = n.Left.foldMasks(g, pre)
+		pre, right = n.Right.foldMasks(g, pre)
+		mask = left | right
 	}
-	(*pre)[at].mask = mask
-	return mask
+	pre[at].mask = mask
+	return pre, mask
 }
 
 // Nodes returns all nodes of the subtree in pre-order.

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -233,5 +234,63 @@ func TestStructureKeyDelimiterInjection(t *testing.T) {
 		NewJoin(HashJoin, NewScan(SeqScan, "a", "t", nil), NewScan(SeqScan, "b", "t", nil), nil),
 		NewScan(SeqScan, "c", "u", nil), nil).StructureKey() {
 		t.Fatal("structure key delimiter injection collides")
+	}
+}
+
+// chainPlan is a left-deep hash-join chain over n tables t0..t(n-1) and
+// the join graph of the query it computes.
+func chainPlan(n int) (*Node, *query.JoinGraph) {
+	q := &query.Query{}
+	var p *Node
+	for i := 0; i < n; i++ {
+		a := fmt.Sprintf("t%d", i)
+		q.Refs = append(q.Refs, query.TableRef{Alias: a, Table: a})
+		scan := NewScan(SeqScan, a, a, nil)
+		if p == nil {
+			p = scan
+			continue
+		}
+		j := query.Join{LeftAlias: fmt.Sprintf("t%d", i-1), LeftCol: "id", RightAlias: a, RightCol: "id"}
+		q.Joins = append(q.Joins, j)
+		p = NewJoin(HashJoin, p, scan, []query.Join{j})
+	}
+	return p, query.NewJoinGraph(q)
+}
+
+// TestWalkLogicalMasks checks the pre-order and every node's mask against
+// WalkLogical and Aliases, on both sides of the 16-table stack buffer.
+func TestWalkLogicalMasks(t *testing.T) {
+	for _, n := range []int{1, 2, 16, 17, 40} {
+		p, g := chainPlan(n)
+		var want []*Node
+		p.WalkLogical(func(m *Node) { want = append(want, m) })
+		i := 0
+		p.WalkLogicalMasks(g, func(m *Node, mask uint64) {
+			if i >= len(want) || m != want[i] {
+				t.Fatalf("%d tables: node %d out of pre-order", n, i)
+			}
+			var bits uint64
+			for _, a := range m.Aliases() {
+				bits |= g.Bit(a)
+			}
+			if mask != bits {
+				t.Fatalf("%d tables: node %d mask %b, want %b", n, i, mask, bits)
+			}
+			i++
+		})
+		if i != len(want) {
+			t.Fatalf("%d tables: visited %d nodes, want %d", n, i, len(want))
+		}
+	}
+}
+
+// TestWalkLogicalMasksAllocations: a plan of up to 16 tables walks
+// without allocating.
+func TestWalkLogicalMasksAllocations(t *testing.T) {
+	p, g := chainPlan(16)
+	var sum uint64
+	fn := func(_ *Node, mask uint64) { sum += mask }
+	if a := testing.AllocsPerRun(100, func() { p.WalkLogicalMasks(g, fn) }); a != 0 {
+		t.Fatalf("WalkLogicalMasks over 16 tables: %.1f allocations, want 0", a)
 	}
 }
