@@ -14,6 +14,7 @@ import (
 
 	"lqo/internal/cardest"
 	"lqo/internal/cost"
+	"lqo/internal/data"
 	"lqo/internal/datagen"
 	"lqo/internal/plan"
 	"lqo/internal/query"
@@ -33,12 +34,15 @@ type goldenCell struct {
 	// fromOrder plans through PlanFromOrder over the reversed FROM order
 	// (cross products included) instead of OptimizeCtx.
 	fromOrder bool
+	// sharded plans every query a second time with Shards=2.
+	sharded bool
 }
 
 // goldenCells spans enumerator × tree shape × hint set. The greedy cells
 // force the fallback with MaxDPTables=3 on a slice of the workload, the
-// order cells cover PlanFromOrder, and the sharded cell runs the full
-// default pipeline over Merge nodes.
+// order cells cover PlanFromOrder, the sharded cell runs the full
+// default pipeline over Merge nodes, and the mutated cell feeds the
+// rewrite passes the duplicate and unsatisfiable conjuncts they fold.
 func goldenCells() []goldenCell {
 	hints := []struct {
 		name string
@@ -71,14 +75,47 @@ func goldenCells() []goldenCell {
 		o.Shards = 2
 		return o
 	}, take: func(qs []*query.Query) []*query.Query { return qs[:96] }})
+	cells = append(cells, goldenCell{name: "dp/bushy/default/mutated", opt: func(b *Optimizer) *Optimizer {
+		return b.WithHints(plan.HintSet{})
+	}, take: mutateQueries, sharded: true})
 	return cells
+}
+
+// mutateQueries returns three variants of every query, each adding one
+// conjunct on the column of one of its predicates: a duplicate of that
+// predicate, a range that contradicts it, and a reversed BETWEEN.
+func mutateQueries(qs []*query.Query) []*query.Query {
+	var out []*query.Query
+	for i, q := range qs {
+		p := q.Preds[i%len(q.Preds)]
+		contra := query.Pred{Alias: p.Alias, Column: p.Column, Op: query.Ge, Val: shiftVal(p.Val, 1)}
+		if p.Op != query.Le {
+			contra = query.Pred{Alias: p.Alias, Column: p.Column, Op: query.Le, Val: shiftVal(p.Val, -1)}
+		}
+		reversed := query.Pred{Alias: p.Alias, Column: p.Column, Op: query.Between, Val: shiftVal(p.Val, 1), Val2: p.Val}
+		for _, extra := range []query.Pred{p, contra, reversed} {
+			m := *q
+			m.Preds = append(append([]query.Pred(nil), q.Preds...), extra)
+			out = append(out, &m)
+		}
+	}
+	return out
+}
+
+// shiftVal returns v moved by d in its own kind.
+func shiftVal(v data.Value, d int64) data.Value {
+	if v.K == data.Float {
+		return data.FloatVal(v.F + float64(d))
+	}
+	v.I += d
+	return v
 }
 
 // hashCell plans every query of the cell and folds plan fingerprint, the
 // EstCost/EstCard bits of every node and the enumeration-effort counter
 // into one hash: any change to search space, iteration order, tie-breaking
 // or the sub-queries handed to the estimator moves it.
-func hashCell(t *testing.T, o *Optimizer, qs []*query.Query, fromOrder bool) string {
+func hashCell(t *testing.T, opts []*Optimizer, qs []*query.Query, fromOrder bool) string {
 	t.Helper()
 	h := sha256.New()
 	var buf [8]byte
@@ -87,28 +124,30 @@ func hashCell(t *testing.T, o *Optimizer, qs []*query.Query, fromOrder bool) str
 		h.Write(buf[:])
 	}
 	for _, q := range qs {
-		var p *plan.Node
-		var err error
-		if fromOrder {
-			order := q.Aliases()
-			for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-				order[i], order[j] = order[j], order[i]
+		for _, o := range opts {
+			var p *plan.Node
+			var err error
+			if fromOrder {
+				order := q.Aliases()
+				for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
+					order[i], order[j] = order[j], order[i]
+				}
+				p, err = o.PlanFromOrder(q, order)
+			} else {
+				p, err = o.OptimizeCtx(context.Background(), q)
 			}
-			p, err = o.PlanFromOrder(q, order)
-		} else {
-			p, err = o.OptimizeCtx(context.Background(), q)
+			if err != nil {
+				t.Fatalf("optimize %s: %v", q.SQL(), err)
+			}
+			fp := p.Fingerprint()
+			put(uint64(len(fp)))
+			h.Write([]byte(fp))
+			p.Walk(func(n *plan.Node) {
+				put(math.Float64bits(n.EstCost))
+				put(math.Float64bits(n.EstCard))
+			})
+			put(uint64(o.PlansConsidered()))
 		}
-		if err != nil {
-			t.Fatalf("optimize %s: %v", q.SQL(), err)
-		}
-		fp := p.Fingerprint()
-		put(uint64(len(fp)))
-		h.Write([]byte(fp))
-		p.Walk(func(n *plan.Node) {
-			put(math.Float64bits(n.EstCost))
-			put(math.Float64bits(n.EstCard))
-		})
-		put(uint64(o.PlansConsidered()))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -133,7 +172,13 @@ func TestGoldenPlanIdentity(t *testing.T) {
 		if c.take != nil {
 			cell = c.take(qs)
 		}
-		got[c.name] = hashCell(t, c.opt(base), cell, c.fromOrder)
+		opts := []*Optimizer{c.opt(base)}
+		if c.sharded {
+			s := opts[0].WithHints(opts[0].Hints)
+			s.Shards = 2
+			opts = append(opts, s)
+		}
+		got[c.name] = hashCell(t, opts, cell, c.fromOrder)
 	}
 
 	if *updateGolden {
