@@ -64,13 +64,6 @@ func CanonicalPlan(q *query.Query) (*plan.Node, error) {
 // canonical plan of each (sub-)query. It is safe for concurrent use.
 type CardCache struct {
 	Ex *Executor
-	// Harvest, when set, additionally caches the cardinality of every
-	// sub-plan of an executed canonical plan — each executed node's
-	// TrueCard keyed by its sub-query — so one execution labels the whole
-	// lattice of its sub-plans (the training signal Neo-style drivers
-	// consume). Off by default: callers that count executions rely on one
-	// entry per miss.
-	Harvest bool
 
 	mu sync.Mutex
 	m  map[string]float64
@@ -112,14 +105,6 @@ func (c *CardCache) TrueCardCtx(ctx context.Context, q *query.Query) (float64, e
 	v := float64(res.Count)
 	c.mu.Lock()
 	c.m[key] = v
-	if c.Harvest {
-		g := query.NewJoinGraph(q)
-		p.WalkLogicalMasks(g, func(n *plan.Node, mask uint64) {
-			if n.TrueCard >= 0 {
-				c.m[g.Key(mask)] = n.TrueCard
-			}
-		})
-	}
 	c.mu.Unlock()
 	return v, nil
 }

@@ -2,6 +2,11 @@ package lint_test
 
 import (
 	"encoding/json"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -144,9 +149,9 @@ func TestMainRejectsZeroPackages(t *testing.T) {
 const maxWaivers = 4
 
 // TestRealTreeClean lints the whole module: the tree must be clean, its
-// suppressed findings must fit the waiver budget, and the run must cover
-// a sane number of packages (another anti-vacuity guard — 37 at the time
-// of writing).
+// suppressed findings must fit the waiver budget, every ignore directive
+// must suppress one of them, and the run must cover a sane number of
+// packages (another anti-vacuity guard — 37 at the time of writing).
 func TestRealTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module lint run skipped in -short mode")
@@ -174,4 +179,46 @@ func TestRealTreeClean(t *testing.T) {
 			}
 		}
 	}
+	// A directive that suppresses nothing is a dead waiver the budget
+	// cannot see: it would silently cover the next finding on its lines.
+	waived := map[string]bool{}
+	for _, f := range res.Findings {
+		if f.Suppressed {
+			waived[fmt.Sprintf("%s:%d", f.Pos.Filename, f.Pos.Line)] = true
+		}
+	}
+	for _, d := range treeDirectives(t, root) {
+		if !waived[fmt.Sprintf("%s:%d", d.File, d.Line)] && !waived[fmt.Sprintf("%s:%d", d.File, d.Line+1)] {
+			t.Errorf("%s:%d: lqolint:ignore %s suppresses no finding; delete it", d.File, d.Line, strings.Join(d.Analyzers, ","))
+		}
+	}
+}
+
+// treeDirectives parses the ignore directives of every file RunTree
+// lints: the non-test Go files of each module package.
+func treeDirectives(t *testing.T, root string) []analysis.Directive {
+	t.Helper()
+	_, dirs, err := load.ModulePackages(root)
+	if err != nil {
+		t.Fatalf("ModulePackages: %v", err)
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, dir := range dirs {
+		names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+	}
+	return analysis.Directives(fset, files)
 }

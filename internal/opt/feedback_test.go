@@ -6,45 +6,75 @@ import (
 
 	"lqo/internal/datagen"
 	"lqo/internal/exec"
+	"lqo/internal/plan"
 	"lqo/internal/query"
+	"lqo/internal/workload"
 )
 
 // TestCardsFromPlan checks the execution-feedback loop: after running a
 // plan, every sub-plan's harvested cardinality must equal the true
 // cardinality of its sub-query, so the map can be pushed back into an
-// injected estimator without distorting anything.
+// injected estimator without distorting anything. The plans are the
+// chain query's optimized plan and, for generated queries of three or
+// more tables, both the optimized and the canonical left-deep plan.
 func TestCardsFromPlan(t *testing.T) {
 	f := newFixture(t)
-	q := chainQuery()
-	p, err := f.opt.OptimizeCtx(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := f.ex.RunCtx(context.Background(), q, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cards := CardsFromPlan(q, p)
-	nodes := p.Nodes()
-	if len(cards) != len(nodes) {
-		t.Fatalf("harvested %d cards from %d plan nodes", len(cards), len(nodes))
-	}
-	if got := cards[q.Key()]; got != float64(res.Count) {
-		t.Fatalf("root card = %v, result count = %d", got, res.Count)
-	}
-	for _, n := range nodes {
-		sub := n.Subquery(q)
-		got, ok := cards[sub.Key()]
-		if !ok {
-			t.Fatalf("no card for sub-plan %v", n.Aliases())
-		}
-		want, err := f.cache.TrueCard(sub)
+	ctx := context.Background()
+	checkPlan := func(q *query.Query, p *plan.Node) {
+		t.Helper()
+		res, err := f.ex.RunCtx(ctx, q, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Errorf("sub-plan %v: harvested %v, true %v", n.Aliases(), got, want)
+		cards := CardsFromPlan(q, p)
+		nodes := p.Nodes()
+		if len(cards) != len(nodes) {
+			t.Fatalf("%s: harvested %d cards from %d plan nodes", q.SQL(), len(cards), len(nodes))
 		}
+		if got := cards[q.Key()]; got != float64(res.Count) {
+			t.Fatalf("%s: root card = %v, result count = %d", q.SQL(), got, res.Count)
+		}
+		for _, n := range nodes {
+			sub := n.Subquery(q)
+			got, ok := cards[sub.Key()]
+			if !ok {
+				t.Fatalf("%s: no card for sub-plan %v", q.SQL(), n.Aliases())
+			}
+			want, err := f.cache.TrueCard(sub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s: sub-plan %v: harvested %v, true %v", q.SQL(), n.Aliases(), got, want)
+			}
+		}
+	}
+
+	p, err := f.opt.OptimizeCtx(ctx, chainQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPlan(chainQuery(), p)
+
+	checked := 0
+	for _, q := range workload.GenWorkload(f.cat, workload.Options{Seed: 17, Count: 8, MaxJoins: 3, MaxPreds: 2}) {
+		if len(q.Refs) < 3 {
+			continue
+		}
+		optimized, err := f.opt.OptimizeCtx(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canonical, err := exec.CanonicalPlan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPlan(q, optimized)
+		checkPlan(q, canonical)
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("workload generated no query of three or more tables")
 	}
 }
 

@@ -3,10 +3,9 @@
 // subsets with a greedy fallback for large queries (enum.go, greedy.go),
 // operator selection under Bao-style hint sets, and pluggable cardinality
 // estimation — the injection points every learned method in the survey
-// steers through. Since the pass-framework refactor, planning is two
-// stages: join enumeration produces the initial tree, then a
-// plan.PassPipeline of pure rewrite passes (pushdown, folding, join-key
-// dedup, re-annotation, optional scan sharding) runs it to fixpoint.
+// steers through. Planning is two stages: join enumeration produces the
+// initial tree, then a plan.PassPipeline of pure rewrite passes
+// (predicate folding, optional scan sharding) runs it to fixpoint.
 package opt
 
 import (
@@ -162,7 +161,7 @@ func newGraph(q *query.Query) (*query.JoinGraph, error) {
 // negative estimates become 0, +Inf and absurd magnitudes cap at
 // metrics.MaxCard. A broken estimator can mis-rank plans but can never
 // poison cost arithmetic with non-finite values. The same method backs
-// plan.PassContext.Estimate, which is why passes must not re-clamp.
+// plan.PassContext.Estimate.
 func (o *Optimizer) estimate(q *query.Query) float64 {
 	return metrics.SanitizeCard(o.Est.Estimate(q))
 }

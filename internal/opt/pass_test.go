@@ -12,9 +12,11 @@ import (
 // sharding off, the default rewrite pipeline must be a semantic no-op on
 // enumeration output — OptimizeCtx (enumerate + passes) returns a plan
 // fingerprint-identical to the raw enumerator's across a generated
-// workload. Enumeration already pushes predicates down and annotates
-// with the same estimator, so every default pass reaches fixpoint
-// without firing.
+// workload. Enumeration already pushes each alias's filters into its
+// scan, and a well-formed query has no duplicate or contradictory
+// conjunct to fold, so the pipeline reaches fixpoint without firing.
+// TestGoldenPlanIdentity's mutated cell pins the plans of queries that
+// do have them.
 func TestPipelineIdentityOnEnumerationOutput(t *testing.T) {
 	f := newFixture(t)
 	ctx := context.Background()
@@ -39,26 +41,30 @@ func TestPipelineIdentityOnEnumerationOutput(t *testing.T) {
 	}
 }
 
-// TestOptimizeTraceCoversDefaultPasses pins the acceptance criterion:
-// the default pipeline runs at least four distinct passes and the trace
-// records every one of them.
+// TestOptimizeTraceCoversDefaultPasses checks that every round of the
+// trace names exactly DefaultPasses(o.Shards), in order, and that an
+// unsharded plan of a well-formed query takes one round.
 func TestOptimizeTraceCoversDefaultPasses(t *testing.T) {
 	f := newFixture(t)
-	_, trace, err := f.opt.OptimizeTraceCtx(context.Background(), chainQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for _, tr := range trace {
-		seen[tr.Pass] = true
-	}
-	for _, name := range []string{"pushdown", "constfold", "joinkey-dedup", "reannotate"} {
-		if !seen[name] {
-			t.Fatalf("trace missing pass %q: %v", name, trace)
+	for _, shards := range []int{0, 2} {
+		o := f.opt.WithEstimator(f.opt.Est)
+		o.Shards = shards
+		_, trace, err := o.OptimizeTraceCtx(context.Background(), chainQuery())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(seen) < 4 {
-		t.Fatalf("default pipeline ran %d distinct passes, want >= 4", len(seen))
+		passes := plan.DefaultPasses(o.Shards)
+		if len(trace) == 0 || len(trace)%len(passes) != 0 {
+			t.Fatalf("shards=%d: trace %v is not whole rounds of %d passes", shards, trace, len(passes))
+		}
+		for i, tr := range trace {
+			if want := passes[i%len(passes)].Name(); tr.Pass != want || tr.Round != 1+i/len(passes) {
+				t.Fatalf("shards=%d: trace[%d] = %s in round %d, want %s in round %d", shards, i, tr.Pass, tr.Round, want, 1+i/len(passes))
+			}
+		}
+		if shards == 0 && len(trace) != len(passes) {
+			t.Fatalf("unsharded plan took %d rounds: %v", trace[len(trace)-1].Round, trace)
+		}
 	}
 }
 

@@ -2,9 +2,8 @@
 // pure rewrite passes over the physical plan, run to fixpoint with a
 // per-pass trace — the promql-engine DefaultOptimizers(numShards) idiom.
 // Join enumeration (internal/opt) produces the initial tree; every
-// subsequent transformation (predicate pushdown, folding, sharding, and
-// any future rewrite) is a ~100-line RewritePass instead of planner
-// surgery.
+// subsequent transformation (predicate folding, sharding, and any future
+// rewrite) is a ~100-line RewritePass instead of planner surgery.
 package plan
 
 import (
@@ -17,15 +16,15 @@ import (
 // PassContext carries the query-level state rewrite passes may consult.
 // Passes must treat every field as read-only.
 type PassContext struct {
-	// Query is the logical query the plan computes. Passes that need it
-	// (pushdown, re-annotation) are no-ops when it is nil.
+	// Query is the logical query the plan computes. No default pass
+	// reads it; it is there for custom passes, which must be no-ops when
+	// it is nil.
 	Query *query.Query
 
-	// Estimate supplies sanitized cardinality estimates for sub-queries.
-	// The contract mirrors the optimizer's own sanitizer: no NaN, no
-	// negatives, capped at metrics.MaxCard. Passes use the values as-is;
-	// re-clamping here would make re-annotation diverge from the
-	// enumeration-time annotations. Nil disables estimate-dependent passes.
+	// Estimate supplies sanitized cardinality estimates for sub-queries:
+	// no NaN, no negatives, capped at metrics.MaxCard, the optimizer's
+	// own sanitizer. No default pass reads it; a custom pass may, and
+	// must be a no-op when it is nil.
 	Estimate func(*query.Query) float64
 
 	// Shards is the scatter-gather fan-out the ShardScans pass targets;

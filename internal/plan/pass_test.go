@@ -73,9 +73,9 @@ func (s treeSnapshot) check(t *testing.T, n *Node) {
 
 func TestPipelinePurityAndFixpoint(t *testing.T) {
 	q := passQuery()
-	// Strip the pushed predicate so pushdown must fire.
+	// Duplicate the pushed conjunct so constfold must fire.
 	root := NewJoin(HashJoin,
-		NewScan(SeqScan, "a", "a", nil),
+		NewScan(SeqScan, "a", "a", []query.Pred{q.Preds[0], q.Preds[0]}),
 		NewScan(SeqScan, "b", "b", nil),
 		q.Joins)
 	before := snapshotTree(root)
@@ -98,8 +98,8 @@ func TestPipelinePurityAndFixpoint(t *testing.T) {
 		}
 		lastRound = tr.Round
 	}
-	if !fired["pushdown"] || !fired["shard-scans"] {
-		t.Fatalf("expected pushdown and shard-scans to fire, trace: %v", trace)
+	if !fired["constfold"] || !fired["shard-scans"] {
+		t.Fatalf("expected constfold and shard-scans to fire, trace: %v", trace)
 	}
 	if lastRound < 2 {
 		t.Fatalf("fixpoint needs a clean confirming round, trace ended at round %d", lastRound)
@@ -127,6 +127,18 @@ func TestPipelinePurityAndFixpoint(t *testing.T) {
 	}
 }
 
+func TestDefaultPasses(t *testing.T) {
+	for shards, want := range map[int]string{0: "constfold", 1: "constfold", 2: "constfold shard-scans"} {
+		var names []string
+		for _, p := range DefaultPasses(shards) {
+			names = append(names, p.Name())
+		}
+		if got := strings.Join(names, " "); got != want {
+			t.Errorf("DefaultPasses(%d) = %s, want %s", shards, got, want)
+		}
+	}
+}
+
 func TestPipelineEmptyAndNilContext(t *testing.T) {
 	root := samplePlan()
 	var pl PassPipeline // zero value: identity transform
@@ -145,27 +157,6 @@ func TestPipelineCancellation(t *testing.T) {
 	}
 }
 
-func TestPushdownPassSyncsScans(t *testing.T) {
-	q := passQuery()
-	bare := NewJoin(HashJoin,
-		NewScan(SeqScan, "a", "a", nil),
-		NewScan(SeqScan, "b", "b", nil),
-		q.Joins)
-	out, fired := PushdownPass{}.Rewrite(context.Background(), bare, &PassContext{Query: q})
-	if !fired {
-		t.Fatal("pushdown should fire on a plan missing its filters")
-	}
-	if len(out.Left.Preds) != 1 || out.Left.Preds[0].Column != "v" {
-		t.Fatalf("pushdown left scan preds = %v", out.Left.Preds)
-	}
-	if len(bare.Left.Preds) != 0 {
-		t.Fatal("pushdown mutated its input")
-	}
-	if _, again := (PushdownPass{}).Rewrite(context.Background(), out, &PassContext{Query: q}); again {
-		t.Fatal("pushdown not idempotent")
-	}
-}
-
 func TestConstFoldDedupAndContradiction(t *testing.T) {
 	p := query.Pred{Alias: "a", Column: "v", Op: query.Gt, Val: data.IntVal(3)}
 	dup := NewScan(SeqScan, "a", "a", []query.Pred{p, p})
@@ -175,6 +166,14 @@ func TestConstFoldDedupAndContradiction(t *testing.T) {
 	}
 	if len(dup.Preds) != 2 {
 		t.Fatal("constfold mutated its input")
+	}
+
+	// First occurrences win, in order, however the duplicates interleave.
+	q := query.Pred{Alias: "a", Column: "w", Op: query.Le, Val: data.IntVal(9)}
+	r := query.Pred{Alias: "a", Column: "v", Op: query.Lt, Val: data.IntVal(8)}
+	out, _ = ConstFoldPass{}.Rewrite(context.Background(), NewScan(SeqScan, "a", "a", []query.Pred{p, q, p, r, q}), &PassContext{})
+	if got := out.Fingerprint(); got != NewScan(SeqScan, "a", "a", []query.Pred{p, q, r}).Fingerprint() {
+		t.Fatalf("interleaved duplicates folded to %s", got)
 	}
 
 	contra := NewScan(SeqScan, "a", "a", []query.Pred{
@@ -217,44 +216,65 @@ func TestConstFoldDedupAndContradiction(t *testing.T) {
 	}
 }
 
-func TestJoinKeyDedupPass(t *testing.T) {
-	j := query.Join{LeftAlias: "a", LeftCol: "id", RightAlias: "b", RightCol: "a_id"}
-	p := NewJoin(HashJoin,
-		NewScan(SeqScan, "a", "a", nil),
-		NewScan(SeqScan, "b", "b", nil),
-		[]query.Join{j, j})
-	out, fired := JoinKeyDedupPass{}.Rewrite(context.Background(), p, &PassContext{})
-	if !fired || len(out.Cond) != 1 {
-		t.Fatalf("duplicate join key not deduped: fired=%v cond=%v", fired, out.Cond)
+// TestConstFoldZeroesEmptySubtree checks that an unsatisfiable scan
+// empties exactly its own path to the root: the scan, its shard clones
+// and every join above it annotate 0, while the sibling subtree and the
+// Exchange nodes keep their estimates.
+func TestConstFoldZeroesEmptySubtree(t *testing.T) {
+	contra := []query.Pred{
+		{Alias: "c", Column: "v", Op: query.Gt, Val: data.IntVal(10)},
+		{Alias: "c", Column: "v", Op: query.Lt, Val: data.IntVal(5)},
 	}
-	if len(p.Cond) != 2 {
-		t.Fatal("joinkey-dedup mutated its input")
+	scan := func(alias string, preds []query.Pred) *Node {
+		n := NewScan(SeqScan, alias, alias, preds)
+		n.EstCard = 100
+		return n
 	}
-	if _, again := (JoinKeyDedupPass{}).Rewrite(context.Background(), out, &PassContext{}); again {
-		t.Fatal("joinkey-dedup not idempotent")
-	}
-}
+	ab := NewJoin(HashJoin, scan("a", nil), scan("b", nil), []query.Join{
+		{LeftAlias: "a", LeftCol: "id", RightAlias: "b", RightCol: "a_id"}})
+	ab.EstCard = 50
+	root := NewJoin(HashJoin, ab, scan("c", contra), []query.Join{
+		{LeftAlias: "b", LeftCol: "id", RightAlias: "c", RightCol: "b_id"}})
+	root.EstCard = 20
 
-func TestReannotatePassRefreshesEstimates(t *testing.T) {
-	q := passQuery()
-	root := samplePlan()
-	est := func(sub *query.Query) float64 { return float64(10 * len(sub.Refs)) }
-	out, fired := ReannotatePass{}.Rewrite(context.Background(), root, &PassContext{Query: q, Estimate: est})
-	if !fired {
-		t.Fatal("reannotate should fire on unannotated plan")
-	}
-	if out.EstCard != 20 || out.Left.EstCard != 10 {
-		t.Fatalf("reannotated cards = %v / %v", out.EstCard, out.Left.EstCard)
-	}
-	if root.EstCard != 0 {
-		t.Fatal("reannotate mutated its input")
-	}
-	if _, again := (ReannotatePass{}).Rewrite(context.Background(), out, &PassContext{Query: q, Estimate: est}); again {
-		t.Fatal("reannotate not idempotent")
-	}
-	// Nil estimator: pass is a declared no-op.
-	if _, fired := (ReannotatePass{}).Rewrite(context.Background(), root, &PassContext{Query: q}); fired {
-		t.Fatal("reannotate fired without an estimator")
+	for _, shards := range []int{0, 2} {
+		in := root
+		if shards >= 2 {
+			in, _ = ShardScans(shards).Rewrite(context.Background(), root, &PassContext{})
+		}
+		before := snapshotTree(in)
+		out, fired := ConstFoldPass{}.Rewrite(context.Background(), in, &PassContext{})
+		if !fired {
+			t.Fatalf("shards=%d: contradictory scan not folded", shards)
+		}
+		before.check(t, in)
+		c := out.Right
+		if out.EstCard != 0 || c.EstCard != 0 {
+			t.Fatalf("shards=%d: root/scan cards = %v / %v, want 0", shards, out.EstCard, c.EstCard)
+		}
+		if shards >= 2 && len(c.Shards) != shards {
+			t.Fatalf("shards=%d: contradictory scan has %d shards", shards, len(c.Shards))
+		}
+		for _, x := range c.Shards {
+			if x.EstCard != 100/float64(shards) || x.Left.EstCard != 0 {
+				t.Fatalf("shards=%d: exchange/clone cards = %v / %v", shards, x.EstCard, x.Left.EstCard)
+			}
+		}
+		out.Left.Walk(func(m *Node) {
+			want := 100.0
+			switch {
+			case m == out.Left:
+				want = 50
+			case m.Op == Exchange:
+				want = 100 / float64(shards)
+			}
+			if m.EstCard != want {
+				t.Fatalf("shards=%d: sibling %s card %v, want %v", shards, m.Op, m.EstCard, want)
+			}
+		})
+		if _, again := (ConstFoldPass{}).Rewrite(context.Background(), out, &PassContext{}); again {
+			t.Fatalf("shards=%d: constfold not idempotent", shards)
+		}
 	}
 }
 
@@ -263,12 +283,12 @@ func TestRenderTrace(t *testing.T) {
 		t.Fatal("empty trace should render empty")
 	}
 	trace := []PassTrace{
-		{Pass: "pushdown", Round: 1, Fired: true, NodesBefore: 3, NodesAfter: 3},
+		{Pass: "constfold", Round: 1, Fired: true, NodesBefore: 3, NodesAfter: 3},
 		{Pass: "shard-scans", Round: 1, Fired: true, NodesBefore: 3, NodesAfter: 9},
-		{Pass: "pushdown", Round: 2},
+		{Pass: "constfold", Round: 2},
 	}
 	s := RenderTrace(trace)
-	for _, frag := range []string{"Rewrite passes:", "round 1:", "round 2:", "pushdown: fired (3 nodes)", "shard-scans: fired (3 -> 9 nodes)", "pushdown: -"} {
+	for _, frag := range []string{"Rewrite passes:", "round 1:", "round 2:", "constfold: fired (3 nodes)", "shard-scans: fired (3 -> 9 nodes)", "constfold: -"} {
 		if !strings.Contains(s, frag) {
 			t.Errorf("trace rendering missing %q:\n%s", frag, s)
 		}
