@@ -12,11 +12,13 @@ package exec_test
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
 	"lqo/internal/datagen"
 	"lqo/internal/exec"
+	"lqo/internal/plan"
 	"lqo/internal/query"
 	"lqo/internal/workload"
 )
@@ -72,7 +74,8 @@ func BenchmarkDeepJoinStreaming(b *testing.B) {
 // BenchmarkDeepJoinSteadyState measures the cached-plan serving shape:
 // one plan tree executed repeatedly on one executor, so the pool's
 // steady state (every vector and operator struct recycled) is what's on
-// the clock.
+// the clock. The w1/w2/w4 cells set Executor.Workers; at 1 the run is
+// fully serial, above it scans and hash-join probes fork-join.
 // Warm-up runs populate the pool before measurement; allocs/op and
 // allocs/row come from runtime.MemStats deltas across the measured loop.
 func BenchmarkDeepJoinSteadyState(b *testing.B) {
@@ -81,6 +84,15 @@ func BenchmarkDeepJoinSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			ex.Workers = workers
+			steadyState(b, ex, q, p)
+		})
+	}
+}
+
+func steadyState(b *testing.B, ex *exec.Executor, q *query.Query, p *plan.Node) {
 	ctx := context.Background()
 	var rows int64
 	for i := 0; i < 3; i++ { // warm-up: fill the pool, settle sizes
