@@ -7,7 +7,6 @@ import (
 	"lqo/internal/cardest"
 	"lqo/internal/guard"
 	"lqo/internal/opt"
-	"lqo/internal/pilotscope"
 	"lqo/internal/plan"
 	"lqo/internal/query"
 	"lqo/internal/stats"
@@ -93,21 +92,6 @@ func (c *Collector) Reset() {
 	c.samples = nil
 	c.index = make(map[string]int)
 	c.base = 0
-}
-
-// SamplesFromSubPlanLabels converts PilotScope sub-plan labels (the
-// PullSubPlanLabels anchor) into estimator training samples — the bridge
-// for deployments that harvest labels through the middleware rather than
-// the serving layer's observer hook.
-func SamplesFromSubPlanLabels(labels []pilotscope.SubPlanLabel) []cardest.Sample {
-	out := make([]cardest.Sample, 0, len(labels))
-	for _, l := range labels {
-		if l.Q == nil {
-			continue
-		}
-		out = append(out, cardest.Sample{Q: l.Q, Card: l.Card})
-	}
-	return out
 }
 
 // TrainFunc builds a candidate estimator from a training context. It runs

@@ -11,7 +11,6 @@ import (
 	"lqo/internal/exec"
 	"lqo/internal/guard"
 	"lqo/internal/opt"
-	"lqo/internal/pilotscope"
 	"lqo/internal/query"
 	"lqo/internal/sqlx"
 )
@@ -77,18 +76,6 @@ func TestCollectorBoundedFIFO(t *testing.T) {
 	c.Reset()
 	if c.Len() != 0 {
 		t.Fatal("Reset left labels behind")
-	}
-}
-
-func TestSamplesFromSubPlanLabels(t *testing.T) {
-	q := mustParse(t, "SELECT COUNT(*) FROM users WHERE users.age > 30;")
-	in := []pilotscope.SubPlanLabel{
-		{Q: q, Op: "SeqScan", Card: 42},
-		{Q: nil, Card: 7}, // skipped
-	}
-	out := SamplesFromSubPlanLabels(in)
-	if len(out) != 1 || out[0].Card != 42 || out[0].Q != q {
-		t.Fatalf("samples = %+v", out)
 	}
 }
 

@@ -156,12 +156,25 @@ func WorkUnitsEqual(a, b *ConcurrentResult) bool {
 	return true
 }
 
+// checkConcurrentRun is E9's per-row contract: res charged exactly the
+// per-query WorkUnits of base, the first run, and no query failed.
+func checkConcurrentRun(base, res *ConcurrentResult) error {
+	if !WorkUnitsEqual(base, res) {
+		return fmt.Errorf("goroutines=%d exec-workers=%d: per-query WorkUnits diverged from the first run", res.Goroutines, res.ExecWorkers)
+	}
+	if res.Errors > 0 {
+		return fmt.Errorf("goroutines=%d exec-workers=%d: %d of %d queries failed", res.Goroutines, res.ExecWorkers, res.Errors, res.N)
+	}
+	return nil
+}
+
 // E9Throughput measures concurrent throughput scaling: the test workload
 // driven at each goroutine count in gs, reporting QPS, wall-clock latency
-// quantiles, speedup over the serial run, and whether the per-query
-// WorkUnits stayed byte-identical (they must). batchSize sets the
-// executors' tuples-per-batch (<=0 = exec.DefaultBatchSize); it trades
-// memory against per-batch overhead and never changes results.
+// quantiles and speedup over the serial run. It fails if any run's
+// per-query WorkUnits differ from the first run's or any query errors
+// (checkConcurrentRun), so every reported row reads identical. batchSize
+// sets the executors' tuples-per-batch (<=0 = exec.DefaultBatchSize); it
+// trades memory against per-batch overhead and never changes results.
 func E9Throughput(ctx context.Context, env *Env, gs []int, execWorkers, repeat, batchSize int) (*Report, error) {
 	if repeat < 1 {
 		repeat = 1
@@ -180,13 +193,12 @@ func E9Throughput(ctx context.Context, env *Env, gs []int, execWorkers, repeat, 
 		if base == nil {
 			base = res
 		}
-		wuState := "identical"
-		if !WorkUnitsEqual(base, res) {
-			wuState = "DIVERGED"
+		if err := checkConcurrentRun(base, res); err != nil {
+			return nil, err
 		}
 		r.AddRow(fmt.Sprintf("%d", g), F(res.QPS), F(res.QPS/base.QPS),
 			F(res.LatencyMs.P50), F(res.LatencyMs.P95), F(res.LatencyMs.P99),
-			wuState, fmt.Sprintf("%d", res.Errors))
+			"identical", fmt.Sprintf("%d", res.Errors))
 	}
 	r.Notes = append(r.Notes,
 		"per-query WorkUnits are the deterministic latency proxy: they must not change with concurrency",

@@ -71,3 +71,28 @@ func TestE9ThroughputReport(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckConcurrentRun pins E9's row contract on hand-built runs: equal
+// per-query WorkUnits and no failed query pass; a changed label, a
+// different query count or any error fails.
+func TestCheckConcurrentRun(t *testing.T) {
+	base := &ConcurrentResult{Goroutines: 1, N: 3, WorkUnits: []float64{1.5, 2, 3}}
+	run := func(wu []float64, errs int) *ConcurrentResult {
+		return &ConcurrentResult{Goroutines: 4, ExecWorkers: 2, N: 3, WorkUnits: wu, Errors: errs}
+	}
+	for _, c := range []struct {
+		name string
+		res  *ConcurrentResult
+		ok   bool
+	}{
+		{"base itself", base, true},
+		{"identical", run([]float64{1.5, 2, 3}, 0), true},
+		{"diverged label", run([]float64{1.5, 2.0000001, 3}, 0), false},
+		{"fewer queries", run([]float64{1.5, 2}, 0), false},
+		{"failed query", run([]float64{1.5, 2, 3}, 1), false},
+	} {
+		if err := checkConcurrentRun(base, c.res); (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}

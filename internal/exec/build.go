@@ -95,10 +95,6 @@ func (e *Executor) buildOperator(q *query.Query, n *plan.Node, need []string, an
 	if err != nil {
 		return nil, err
 	}
-	// Decouple each join from its children through a buffered exchange so
-	// adjacent pipeline stages overlap (a no-op unless Workers > 1; Merge
-	// children are its own scatter-gather exchanges and are never wrapped).
-	left, right = e.stage(left, analyze), e.stage(right, analyze)
 	if j == nil {
 		// Cross product: only nested loop supports it.
 		if n.Op != plan.NestedLoopJoin {

@@ -158,13 +158,9 @@ func (e *Executor) RunAnalyze(ctx context.Context, q *query.Query, p *plan.Node)
 
 func (e *Executor) run(ctx context.Context, q *query.Query, p *plan.Node, analyze bool) (res *Result, pt *PlanTelemetry, err error) {
 	sink := newAggSink(e, q)
-	root, err := e.buildOperator(q, p, sink.needed, analyze)
-	if err != nil {
+	if sink.child, err = e.buildOperator(q, p, sink.needed, analyze); err != nil {
 		return nil, nil, err
 	}
-	// Decouple the sink from the root producer so the final join overlaps
-	// the aggregate fold (a no-op wrapper unless Workers > 1).
-	sink.child = e.stage(root, analyze)
 	top := timed(sink, analyze)
 	if oerr := top.Open(ctx); oerr != nil {
 		// Close releases whatever Open managed to acquire; the Open

@@ -300,6 +300,20 @@ func TestCardCache(t *testing.T) {
 	if c1 != float64(bruteForceCount(cat, q)) {
 		t.Fatalf("TrueCard = %v, brute force = %d", c1, bruteForceCount(cat, q))
 	}
+	// A different query is one more entry: a miss caches exactly its own
+	// cardinality, no sub-plan labels.
+	q2 := chainQuery()
+	q2.Preds[0].Val = data.IntVal(2)
+	c3, err := cache.TrueCard(q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c3 != float64(bruteForceCount(cat, q2)) {
+		t.Fatalf("second TrueCard = %v, brute force = %d", c3, bruteForceCount(cat, q2))
+	}
+	if cache.Len() != 2 {
+		t.Fatalf("cache size after a second query = %d, want 2", cache.Len())
+	}
 }
 
 func TestRandomPlansAgreeOnGeneratedData(t *testing.T) {

@@ -12,9 +12,8 @@
 //     them back in Close. Get and Put must pair exactly: InUse counts
 //     outstanding buffers, and the pool-contract tests assert it returns
 //     to zero once every operator has closed.
-//   - A buffer travels with its producer: the consuming operator that
-//     takes ownership of a buffer (the buffered exchange's in-flight
-//     batches) is the one that returns it.
+//   - A buffer travels with its producer: the operator that got it is
+//     the one that returns it.
 //   - Streamed batch columns (Batch.Cols handed out by Next) are
 //     borrowed until the consumer's next pull and never put by it: only
 //     the goroutine that got a buffer from the pool may return it. A

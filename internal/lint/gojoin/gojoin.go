@@ -8,12 +8,13 @@
 // run; gojoin proves it for every spawn site on every build.
 //
 // Evidence is keyed by types.Object identity, which is what makes the
-// split-lifecycle idiom work: concurrentOp.Open does `c.wg.Add(1); go
-// c.produce()` while the matching `c.wg.Wait()` lives in Close — the
-// `wg` field is one *types.Var shared by every method of the receiver,
-// so the Wait in Close joins the spawn in Open. For same-function
-// evidence the analyzer additionally checks CFG reachability: a Wait
-// that only executes on a path the spawn cannot reach is no join.
+// split-lifecycle idiom work: the gojoin_a fixture's concOp.Open does
+// `c.wg.Add(1); go c.produce()` while the matching `c.wg.Wait()` lives
+// in Close — the `wg` field is one *types.Var shared by every method of
+// the receiver, so the Wait in Close joins the spawn in Open. For
+// same-function evidence the analyzer additionally checks CFG
+// reachability: a Wait that only executes on a path the spawn cannot
+// reach is no join.
 package gojoin
 
 import (

@@ -182,7 +182,7 @@ func TestPlanFromOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := p.JoinOrder()
+	order := leafOrder(p)
 	want := []string{"comments", "posts", "users"}
 	for i := range want {
 		if order[i] != want[i] {

@@ -113,7 +113,7 @@ func TestOptimizerShardsProducesMergePlans(t *testing.T) {
 	}
 	// The logical tree (Merge standing in for its scan) keeps the join
 	// order: sharding must never change what the optimizer chose.
-	if got, want := join(sharded.JoinOrder()), join(unsharded.JoinOrder()); got != want {
+	if got, want := join(leafOrder(sharded)), join(leafOrder(unsharded)); got != want {
 		t.Fatalf("sharding changed the join order: %s vs %s", got, want)
 	}
 	// Disabling rewrites entirely must also be possible: an explicit empty
@@ -128,6 +128,18 @@ func TestOptimizerShardsProducesMergePlans(t *testing.T) {
 			t.Fatal("explicit empty pipeline still sharded the plan")
 		}
 	})
+}
+
+// leafOrder lists a plan's leaf aliases left to right — its linearized
+// join order — with a Merge node standing in for the scan it sharded.
+func leafOrder(p *plan.Node) []string {
+	var out []string
+	p.WalkLogical(func(n *plan.Node) {
+		if n.IsLeaf() || n.Op == plan.Merge {
+			out = append(out, n.Alias)
+		}
+	})
+	return out
 }
 
 func join(ss []string) string {

@@ -397,24 +397,3 @@ func (n *Node) render(b *strings.Builder, depth int) {
 func (n *Node) Subquery(q *query.Query) *query.Query {
 	return q.Subquery(n.AliasSet())
 }
-
-// JoinOrder returns the leaf aliases in left-to-right plan order — the
-// linearized join order, used as RL episode output.
-func (n *Node) JoinOrder() []string {
-	var out []string
-	var rec func(m *Node)
-	rec = func(m *Node) {
-		if m == nil {
-			return
-		}
-		if m.IsLeaf() || m.Op == Merge {
-			// A Merge node stands in for the scan it sharded: one leaf.
-			out = append(out, m.Alias)
-			return
-		}
-		rec(m.Left)
-		rec(m.Right)
-	}
-	rec(n)
-	return out
-}

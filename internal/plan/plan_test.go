@@ -86,14 +86,6 @@ func TestStructureKeyIgnoresLiterals(t *testing.T) {
 	}
 }
 
-func TestJoinOrder(t *testing.T) {
-	p := samplePlan()
-	order := p.JoinOrder()
-	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-		t.Fatalf("JoinOrder = %v", order)
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	p := samplePlan()
 	p.EstCard = 10
