@@ -1,6 +1,6 @@
 // Tests for true-cardinality labeling (truecard.go): canonical-plan shape
-// (the cache itself is TestCardCache). Sub-plan labels harvested from an
-// executed plan are opt.CardsFromPlan's, tested there.
+// and cache behavior. Sub-plan labels harvested from an executed plan are
+// opt.CardsFromPlan's, tested there.
 package exec_test
 
 import (
@@ -11,6 +11,25 @@ import (
 	"lqo/internal/plan"
 	"lqo/internal/workload"
 )
+
+// TestCardCacheHarvestOffByDefault pins that a miss caches exactly one
+// entry — no sub-plan labels — so callers that count executions stay
+// correct.
+func TestCardCacheHarvestOffByDefault(t *testing.T) {
+	cat := datagen.StatsCEB(datagen.Config{Seed: 7, Scale: 0.2})
+	queries := workload.GenWorkload(cat, workload.Options{Seed: 17, Count: 4, MaxJoins: 2, MaxPreds: 1})
+	cache := exec.NewCardCache(exec.New(cat))
+	seen := 0
+	for _, q := range queries {
+		if _, err := cache.TrueCard(q); err != nil {
+			t.Fatal(err)
+		}
+		seen++
+		if cache.Len() != seen {
+			t.Fatalf("after %d queries cache has %d entries", seen, cache.Len())
+		}
+	}
+}
 
 // TestCanonicalPlanShape checks the canonical plan covers every alias
 // exactly once and uses hash joins on connected graphs.
