@@ -116,7 +116,8 @@ drift-smoke:
 
 # A short E16 run: the shard-scans rewrite plus scatter-gather execution
 # at fan-outs 1/2/4. Fails loudly if any sharded run's Count, Value or
-# charged WorkUnits diverge from the serial ReferenceRun.
+# charged WorkUnits diverge from the serial ReferenceRun of the unsharded
+# plan or of the sharded plan itself (the oracle on Merge leaves).
 shard-smoke:
 	$(GO) run ./cmd/lqo-bench -exp E16 -shards 1,2,4 -repeat 2
 

@@ -105,13 +105,12 @@ func (d *Detector) Observe(qerr float64) {
 	d.idx = (d.idx + 1) % len(d.recent)
 }
 
-// ObservePlan records every logical node of an executed,
-// TrueCard-annotated plan: the q-error of the estimate the plan was built
-// with against what execution actually produced (a sharded scan counts
-// once, as its Merge node). This is the serving-layer feed — wire it
+// ObservePlan records every node of an executed, TrueCard-annotated
+// plan: the q-error of the estimate the plan was built with against what
+// execution actually produced (a sharded scan is one Merge leaf). This is the serving-layer feed — wire it
 // behind serve.Server's ExecObserver hook.
 func (d *Detector) ObservePlan(q *query.Query, executed *plan.Node) {
-	executed.WalkLogical(func(n *plan.Node) {
+	executed.Walk(func(n *plan.Node) {
 		d.Observe(metrics.QError(n.EstCard, n.TrueCard))
 	})
 }

@@ -186,7 +186,7 @@ func (l *Loop) ObserveExec(q *query.Query, executed *plan.Node) {
 	l.col.ObserveExec(q, executed)
 	l.mu.Lock()
 	if l.probation {
-		executed.WalkLogical(func(n *plan.Node) {
+		executed.Walk(func(n *plan.Node) {
 			qe := metrics.QError(n.EstCard, n.TrueCard)
 			l.probLogSum += math.Log(qe)
 			l.probN++

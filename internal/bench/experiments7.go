@@ -22,11 +22,12 @@ const e16Rows = 400_000
 // E16Sharding is the scatter-gather experiment: the same scan-heavy
 // queries executed unsharded and through the shard-scans rewrite pass at
 // increasing fan-outs. Every sharded run is checked byte-for-byte against
-// the serial ReferenceRun — Count, Value and the full CostStats (charged
-// WorkUnits included) must be identical, because the merge operator
-// charges the canonical analytic scan cost and the k-way merge restores
-// the unsharded row order. Only wall clock may change; the table reports
-// the speedup over the single-shard run.
+// the serial ReferenceRun of the unsharded plan and of the sharded plan
+// itself (which evaluates each Merge leaf as its SeqScan) — Count, Value
+// and the full CostStats (charged WorkUnits included) must be identical,
+// because the merge operator charges the canonical analytic scan cost and
+// the k-way merge restores the unsharded row order. Only wall clock may
+// change; the table reports the speedup over the single-shard run.
 func E16Sharding(ctx context.Context, env *Env, shardCounts []int, repeat int) (*Report, error) {
 	if repeat < 1 {
 		repeat = 1
@@ -134,15 +135,24 @@ func E16Sharding(ctx context.Context, env *Env, shardCounts []int, repeat int) (
 					return nil, fmt.Errorf("E16 %s (pipeline shards=%d): %w", c.label, shards, err)
 				}
 			}
+			shardRef, err := env.Ex.ReferenceRun(ctx, c.q, p.Clone())
+			if err != nil {
+				return nil, fmt.Errorf("E16 %s (reference shards=%d): %w", c.label, shards, err)
+			}
 			res, ms, err := run(c.q, p)
 			if err != nil {
 				return nil, fmt.Errorf("E16 %s (shards=%d): %w", c.label, shards, err)
 			}
-			if res.Count != ref.Count || math.Float64bits(res.Value) != math.Float64bits(ref.Value) {
-				return nil, fmt.Errorf("E16 %s: shards=%d result %d/%v != reference %d/%v", c.label, shards, res.Count, res.Value, ref.Count, ref.Value)
-			}
-			if res.Stats != ref.Stats {
-				return nil, fmt.Errorf("E16 %s: shards=%d stats %+v != reference %+v", c.label, shards, res.Stats, ref.Stats)
+			for _, want := range []struct {
+				name string
+				r    *exec.Result
+			}{{"reference", ref}, {"sharded-plan reference", shardRef}} {
+				if res.Count != want.r.Count || math.Float64bits(res.Value) != math.Float64bits(want.r.Value) {
+					return nil, fmt.Errorf("E16 %s: shards=%d result %d/%v != %s %d/%v", c.label, shards, res.Count, res.Value, want.name, want.r.Count, want.r.Value)
+				}
+				if res.Stats != want.r.Stats {
+					return nil, fmt.Errorf("E16 %s: shards=%d stats %+v != %s %+v", c.label, shards, res.Stats, want.name, want.r.Stats)
+				}
 			}
 			if baseMS == 0 {
 				baseMS = ms
@@ -151,8 +161,8 @@ func E16Sharding(ctx context.Context, env *Env, shardCounts []int, repeat int) (
 		}
 	}
 	r.Notes = append(r.Notes,
-		"every row's Count, Value and full CostStats (WorkUnits included) are byte-identical to the serial ReferenceRun — checked, not assumed",
-		"shards >= 2: the shard-scans rewrite pass splits each SeqScan into a Merge over per-shard Exchange subplans, scattered concurrently through the executor's ShardBackend (the executor itself)",
+		"every row's Count, Value and full CostStats (WorkUnits included) are byte-identical to the serial ReferenceRun of the unsharded plan and of the row's own plan (Merge leaves evaluated as SeqScans) — checked, not assumed",
+		"shards >= 2: the shard-scans rewrite pass turns each SeqScan into a Merge leaf whose partitions are scattered concurrently through the executor's ShardBackend (the executor itself)",
 		"blocks partition round-robin (block b -> shard b mod N); the merge operator k-way-merges per-shard ascending row ids, restoring the unsharded row order",
 		"ms is best of repeat runs; speedup is vs this table's first shard count",
 		fmt.Sprintf("GOMAXPROCS=%d: the shard fan-out runs concurrently, so speedup is bounded by available cores (on one core the headline is parity at identical results)", runtime.GOMAXPROCS(0)),

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -92,7 +93,7 @@ func RunLoad(ctx context.Context, env *Env, targetQPS float64, opts LoadOptions)
 	// Uncached baselines: plan and execute each distinct query outside
 	// the serving layer.
 	baseCount := make([]int64, len(mix))
-	baseValue := make([]float64, len(mix))
+	baseValue := make([]uint64, len(mix)) // Float64bits: NaN-safe, ±0 told apart
 	for i, l := range mix {
 		p, err := env.Base.OptimizeCtx(ctx, l.Q)
 		if err != nil {
@@ -102,7 +103,7 @@ func RunLoad(ctx context.Context, env *Env, targetQPS float64, opts LoadOptions)
 		if err != nil {
 			return nil, fmt.Errorf("E14 baseline run: %w", err)
 		}
-		baseCount[i], baseValue[i] = res.Count, res.Value
+		baseCount[i], baseValue[i] = res.Count, math.Float64bits(res.Value)
 	}
 
 	// Warmup: one cold pass over the mix, sampling cold planning time.
@@ -155,7 +156,7 @@ func RunLoad(ctx context.Context, env *Env, targetQPS float64, opts LoadOptions)
 					hit[i] = 1
 					hitPlan[i] = float64(res.Plan.Microseconds()) / 1000.0
 				}
-				if res.Count != baseCount[qi] || res.Value != baseValue[qi] {
+				if res.Count != baseCount[qi] || math.Float64bits(res.Value) != baseValue[qi] {
 					mismatches.Add(1)
 				}
 			}
@@ -189,10 +190,21 @@ func RunLoad(ctx context.Context, env *Env, targetQPS float64, opts LoadOptions)
 	}, nil
 }
 
+// checkLoadRun is E14's per-row contract: every served answer matched its
+// uncached baseline. Serving errors (admission rejections under overload)
+// are load, not divergence; they stay in the report's errors column.
+func checkLoadRun(res *LoadResult) error {
+	if !res.Identical {
+		return fmt.Errorf("E14 target qps %v: served results diverged from uncached baselines", res.TargetQPS)
+	}
+	return nil
+}
+
 // E14SustainedLoad measures the serving layer under open-loop sustained
 // load: a mixed repeated workload replayed at each target rate, reporting
 // achieved throughput, plan-cache hit rate, tail latency against the SLO,
 // and the cold-vs-hit planning-time split the plan cache exists to buy.
+// It fails if any served answer differs from its baseline (checkLoadRun).
 func E14SustainedLoad(ctx context.Context, env *Env, opts LoadOptions) (*Report, error) {
 	opts = opts.withDefaults(env)
 	r := &Report{
@@ -206,23 +218,22 @@ func E14SustainedLoad(ctx context.Context, env *Env, opts LoadOptions) (*Report,
 		if err != nil {
 			return nil, err
 		}
+		if err := checkLoadRun(res); err != nil {
+			return nil, err
+		}
 		speedup := 0.0
 		if res.HitPlanMs.P99 > 0 {
 			speedup = res.ColdPlanMs.P99 / res.HitPlanMs.P99
 		}
-		resState := "identical"
-		if !res.Identical {
-			resState = "DIVERGED"
-		}
 		r.AddRow(F(res.TargetQPS), F(res.AchievedQPS), F(res.HitRate),
 			F(res.LatencyMs.P50), F(res.LatencyMs.P95), F(res.LatencyMs.P99),
 			F(res.SLOAttained), F(res.ColdPlanMs.P99), F(res.HitPlanMs.P99),
-			F(speedup), resState, fmt.Sprintf("%d", res.Errors))
+			F(speedup), "identical", fmt.Sprintf("%d", res.Errors))
 	}
 	r.Notes = append(r.Notes,
 		"open loop: latency measured from each request's scheduled arrival, so queueing under overload counts",
 		"hit rate excludes the warmup pass that populates the cache; feedback-driven invalidation can replan mid-run",
-		"plan speedup = cold plan p99 / cache-hit plan p99; results column checks served answers against uncached baselines",
+		"plan speedup = cold plan p99 / cache-hit plan p99; every served answer is checked bit for bit against its uncached baseline, and any divergence fails the run",
 		"wall-clock throughput and latency are machine-dependent; work-unit determinism is E9's contract",
 	)
 	return r, nil

@@ -68,3 +68,19 @@ func TestE14SustainedLoadReport(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckLoadRun(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		res  *LoadResult
+		ok   bool
+	}{
+		{"identical", &LoadResult{TargetQPS: 200, N: 10, Identical: true}, true},
+		{"admission rejections", &LoadResult{TargetQPS: 200, N: 10, Errors: 3, Identical: true}, true},
+		{"diverged", &LoadResult{TargetQPS: 200, N: 10, Identical: false}, false},
+	} {
+		if err := checkLoadRun(c.res); (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}

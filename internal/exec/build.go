@@ -47,23 +47,6 @@ type recycler interface{ recycle(p *BatchPool) }
 // columns later joins probe with and the aggregate's column.
 func (e *Executor) buildOperator(q *query.Query, n *plan.Node, need []string, analyze bool) (Operator, error) {
 	pool := e.pool
-	if n.Op == plan.Merge {
-		if len(n.Shards) == 0 {
-			return nil, fmt.Errorf("exec: Merge node for %s has no shards", n.Alias)
-		}
-		var backend ShardBackend = e
-		if e.Backend != nil {
-			backend = e.Backend
-		}
-		exs := make([]*exchangeOp, len(n.Shards))
-		for i, s := range n.Shards {
-			if s.Op != plan.Exchange || s.Left == nil || s.Left.Op != plan.SeqScan || !s.Left.IsLeaf() {
-				return nil, fmt.Errorf("exec: Merge shard %d is not an Exchange over a SeqScan leaf", i)
-			}
-			exs[i] = &exchangeOp{backend: backend, node: s}
-		}
-		return timed(&mergeOp{e: e, node: n, exs: exs, pool: pool, need: need, analyze: analyze}, analyze), nil
-	}
 	if n.IsLeaf() {
 		switch n.Op {
 		case plan.SeqScan:
@@ -74,6 +57,15 @@ func (e *Executor) buildOperator(q *query.Query, n *plan.Node, need []string, an
 			s := drawOp[indexScanOp](pool, opIndexScan)
 			s.e, s.node, s.pool, s.need = e, n, pool, need
 			return timed(s, analyze), nil
+		case plan.Merge:
+			if n.Shards < 1 {
+				return nil, fmt.Errorf("exec: Merge node for %s has no shards", n.Alias)
+			}
+			var backend ShardBackend = e
+			if e.Backend != nil {
+				backend = e.Backend
+			}
+			return timed(&mergeOp{e: e, node: n, backend: backend, pool: pool, need: need}, analyze), nil
 		default:
 			return nil, fmt.Errorf("exec: %s is not a scan operator", n.Op)
 		}

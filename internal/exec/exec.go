@@ -92,7 +92,7 @@ type Executor struct {
 	// operators. 0 means DefaultBatchSize. It trades per-batch overhead
 	// against in-flight memory and never affects results.
 	BatchSize int
-	// Backend runs the shard subplans of Merge nodes (shard.go). Nil means
+	// Backend scans the partitions of Merge leaves (shard.go). Nil means
 	// the executor itself (Executor.ScanShard).
 	Backend ShardBackend
 

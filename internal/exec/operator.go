@@ -216,10 +216,6 @@ func walkOps(op Operator, fn func(Operator)) {
 		walkOps(o.right, fn)
 	case *aggSink:
 		walkOps(o.child, fn)
-	case *mergeOp:
-		for _, x := range o.exs {
-			fn(x)
-		}
 	}
 	fn(op)
 }

@@ -161,7 +161,7 @@ func sweepPlan(t *testing.T, cat *data.Catalog, q *query.Query, shards int) *pla
 // counts as the scan it shards.
 func logicalCards(p *plan.Node) []float64 {
 	var out []float64
-	p.WalkLogical(func(n *plan.Node) { out = append(out, n.TrueCard) })
+	p.Walk(func(n *plan.Node) { out = append(out, n.TrueCard) })
 	return out
 }
 

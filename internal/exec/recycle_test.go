@@ -167,7 +167,7 @@ func TestRecycledOperatorsSeeCurrentCatalog(t *testing.T) {
 // counts as the scan it shards.
 func logicalCards(p *plan.Node) []float64 {
 	var out []float64
-	p.WalkLogical(func(n *plan.Node) { out = append(out, n.TrueCard) })
+	p.Walk(func(n *plan.Node) { out = append(out, n.TrueCard) })
 	return out
 }
 
@@ -250,7 +250,7 @@ func TestPlainRunNeverTimed(t *testing.T) {
 // nothing else — no operator structs, pool boxes, schemas, key columns,
 // compiled predicates or telemetry. A join over two 4-shard Merge leaves
 // additionally pays per run for what the scatter keeps — each shard's
-// result and row vector, the exchange and merge operators, their
+// result and row vector, the merge operators, their
 // goroutines — but not for an engine per shard.
 func TestWarmRunAllocationCeiling(t *testing.T) {
 	if raceEnabled {
@@ -297,7 +297,7 @@ func TestWarmRunAllocationCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, _ = plan.ShardScans(4).Rewrite(ctx, p, &plan.PassContext{})
-	if allocs := warm(exec.New(exec.ShardCatalog()), q, p); allocs > 88 {
-		t.Fatalf("warm RunCtx of a join over 4-shard Merge leaves allocates %.1f objects per run, ceiling 88", allocs)
+	if allocs := warm(exec.New(exec.ShardCatalog()), q, p); allocs > 82 {
+		t.Fatalf("warm RunCtx of a join over 4-shard Merge leaves allocates %.1f objects per run, ceiling 82", allocs)
 	}
 }

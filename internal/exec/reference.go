@@ -141,7 +141,7 @@ func (e *Executor) evalScan(ctx context.Context, q *query.Query, n *plan.Node, s
 	preds := n.Preds
 	rows, nrows := []int32(nil), tbl.NumRows() // candidate rows; nil means all nrows
 	switch n.Op {
-	case plan.SeqScan:
+	case plan.SeqScan, plan.Merge: // a Merge leaf is its scan, sharded
 		st.TuplesRead += int64(nrows)
 		st.WorkUnits += float64(nrows) * (cRead + cPred*float64(len(preds)))
 	case plan.IndexScan:

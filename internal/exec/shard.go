@@ -1,8 +1,8 @@
-// Scatter-gather execution of sharded scans: the merge/exchange operator
-// pair running a Merge node's shard subplans behind the ShardBackend
-// interface. The executor itself is the in-process backend (ScanShard); a
-// wire protocol — or a test's fault injector — can implement the same
-// interface without touching the operators.
+// Scatter-gather execution of sharded scans: the merge operator running
+// a Merge leaf's partitions behind the ShardBackend interface. The
+// executor itself is the in-process backend (ScanShard); a wire protocol
+// — or a test's fault injector — can implement the same interface
+// without touching the operators.
 //
 // Determinism contract (same discipline as the worker pool and the
 // vectorized kernels): shards partition the table's zone-map blocks
@@ -10,8 +10,8 @@
 // row ids in ascending order, and the merge operator k-way-merges the
 // per-shard streams by head row id — reproducing the unsharded scan's
 // global row order exactly. Work units are charged analytically on the
-// Merge operator over the full table (exchange operators charge nothing),
-// so Count, Value, TrueCard and CostStats.WorkUnits stay byte-identical
+// Merge operator over the full table (ScanShard charges nothing), so
+// Count, Value, TrueCard and CostStats.WorkUnits stay byte-identical
 // to ReferenceRun at every shard count.
 package exec
 
@@ -33,17 +33,17 @@ type ShardResult struct {
 	BlocksSkipped int64
 }
 
-// ShardBackend runs one shard of a sharded scan. scan is the SeqScan leaf
-// an Exchange node wraps; the backend must return the matching row ids of
-// partition shard-of-of in ascending order (see Executor.ScanShard for the
-// partitioning contract). Implementations must be safe for concurrent
-// ScanShard calls — the merge operator scatters all shards at once.
-// *Executor implements it.
+// ShardBackend runs one shard of a sharded scan. scan is the Merge leaf
+// whose table and predicates to scan; the backend must return the matching row ids of partition shard-of-of in
+// ascending order (see Executor.ScanShard for the partitioning
+// contract). Implementations must be safe for concurrent ScanShard
+// calls — the merge operator scatters all shards at once. *Executor
+// implements it.
 type ShardBackend interface {
 	ScanShard(ctx context.Context, scan *plan.Node, shard, of int) (*ShardResult, error)
 }
 
-// ScanShard evaluates one hash partition of a sequential scan: zone-map
+// ScanShard evaluates one hash partition of a Merge leaf's scan: zone-map
 // blocks are assigned round-robin (block b belongs to shard b mod of),
 // and the shard's matching row ids are returned in ascending order. The
 // union of all shards is exactly the unsharded scan's output, and block
@@ -54,8 +54,8 @@ func (e *Executor) ScanShard(ctx context.Context, scan *plan.Node, shard, of int
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if scan == nil || scan.Op != plan.SeqScan || !scan.IsLeaf() {
-		return nil, fmt.Errorf("exec: ScanShard requires a SeqScan leaf")
+	if scan == nil || scan.Op != plan.Merge || !scan.IsLeaf() {
+		return nil, fmt.Errorf("exec: ScanShard requires a Merge leaf")
 	}
 	if of < 1 || shard < 0 || shard >= of {
 		return nil, fmt.Errorf("exec: shard %d of %d out of range", shard, of)
@@ -72,7 +72,7 @@ func (e *Executor) ScanShard(ctx context.Context, scan *plan.Node, shard, of int
 	nrows := tbl.NumRows()
 	bf := newBlockFilter(cols, preds, nrows)
 	res := &ShardResult{}
-	// res.Rows stays plainly allocated — the exchange operator retains it
+	// res.Rows stays plainly allocated — the merge operator retains it
 	// for the whole run — but the per-block selection vector is pooled.
 	sel := e.pool.GetSel(0)
 	defer func() { e.pool.PutSel(sel) }()
@@ -99,68 +99,25 @@ func (e *Executor) ScanShard(ctx context.Context, scan *plan.Node, shard, of int
 	return res, nil
 }
 
-// exchangeOp fetches one shard's rows from the backend. It is driven by
-// its parent mergeOp (which scatters all shards concurrently in Open and
-// consumes x.rows directly); Next never emits. The operator exists so the
-// telemetry tree shows per-shard evidence — rows, blocks, wall time —
-// in EXPLAIN ANALYZE. It charges no work units: the merge operator
-// charges the whole scan analytically.
-type exchangeOp struct {
-	backend ShardBackend
-	node    *plan.Node // the Exchange node; node.Left is the shard's scan
-
-	rows []int32
-	tel  OpTelemetry
-}
-
-func (x *exchangeOp) Open(ctx context.Context) error {
-	x.tel.Op = x.node.Op.String()
-	x.tel.Node = x.node
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	res, err := x.backend.ScanShard(ctx, x.node.Left, x.node.Shard, x.node.ShardOf)
-	if err != nil {
-		return err
-	}
-	x.rows = res.Rows
-	x.tel.RowsIn = int64(len(res.Rows))
-	x.tel.RowsOut = int64(len(res.Rows))
-	x.tel.Batches = 1
-	x.tel.BlocksTotal = res.BlocksTotal
-	x.tel.BlocksSkipped = res.BlocksSkipped
-	// Per-shard actuals: info for EXPLAIN ANALYZE and the pass debugger.
-	// Logical walks (feedback, cache snapshots) never see these nodes.
-	x.node.TrueCard = float64(len(res.Rows))
-	x.node.Left.TrueCard = float64(len(res.Rows))
-	return nil
-}
-
-func (x *exchangeOp) Next() (*Batch, error)   { return nil, nil }
-func (x *exchangeOp) Close() error            { x.rows = nil; return nil }
-func (x *exchangeOp) Telemetry() *OpTelemetry { return &x.tel }
-func (x *exchangeOp) Schema() []string        { return []string{x.node.Left.Alias} }
-
-// mergeOp gathers a Merge node's shard streams back into the unsharded
-// scan's output: Open scatters every exchange child concurrently, Next
-// k-way-merges the per-shard ascending row-id streams by head row id.
-// Work units are the unsharded scan's analytic charges (startup + full
-// per-row read/predicate work at Open, per-row output at exhaustion), so
+// mergeOp gathers a Merge leaf's shard streams back into the unsharded
+// scan's output: Open scatters every shard to the backend concurrently,
+// summing their block counts into its own telemetry; Next k-way-merges
+// the per-shard ascending row-id streams by head row id. Work units are
+// the unsharded scan's analytic charges (startup + full per-row
+// read/predicate work at Open, per-row output at exhaustion), so
 // sharding never changes CostStats.
 type mergeOp struct {
-	e    *Executor
-	node *plan.Node
-	exs  []*exchangeOp
-	pool *BatchPool
-	// analyze times the exchanges, which Open drives directly, as
-	// buildOperator times every other operator of a RunAnalyze run.
-	analyze bool
+	e       *Executor
+	node    *plan.Node
+	backend ShardBackend
+	pool    *BatchPool
 
 	need []string // aliases the consumer reads
 
 	ctx     context.Context
 	alias   [1]string
 	schema  []string
+	shards  []*ShardResult
 	cursors []int
 	pending Batch // one pooled vector: the next batch's row ids
 	done    bool
@@ -193,14 +150,16 @@ func (m *mergeOp) Open(ctx context.Context) error {
 		float64(nrows)*(cRead+cPred*float64(len(m.node.Preds))))
 	// Scatter: run every shard concurrently; join before returning so
 	// cancellation never leaks goroutines.
-	errs := make([]error, len(m.exs))
+	n := m.node.Shards
+	m.shards = make([]*ShardResult, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i, x := range m.exs {
+	for i := range m.shards {
 		wg.Add(1)
-		go func(i int, x *exchangeOp) {
+		go func(i int) {
 			defer wg.Done()
-			errs[i] = timed(x, m.analyze).Open(ctx)
-		}(i, x)
+			m.shards[i], errs[i] = m.backend.ScanShard(ctx, m.node, i, n)
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -208,7 +167,11 @@ func (m *mergeOp) Open(ctx context.Context) error {
 			return err
 		}
 	}
-	m.cursors = make([]int, len(m.exs))
+	for _, r := range m.shards {
+		m.tel.BlocksTotal += r.BlocksTotal
+		m.tel.BlocksSkipped += r.BlocksSkipped
+	}
+	m.cursors = make([]int, n)
 	m.pending.alloc(m.pool, 1)
 	return nil
 }
@@ -231,11 +194,11 @@ func (m *mergeOp) Next() (*Batch, error) {
 			}
 		}
 		best := -1
-		for i, x := range m.exs {
-			if m.cursors[i] >= len(x.rows) {
+		for i, r := range m.shards {
+			if m.cursors[i] >= len(r.Rows) {
 				continue
 			}
-			if best < 0 || x.rows[m.cursors[i]] < m.exs[best].rows[m.cursors[best]] {
+			if best < 0 || r.Rows[m.cursors[i]] < m.shards[best].Rows[m.cursors[best]] {
 				best = i
 			}
 		}
@@ -246,7 +209,7 @@ func (m *mergeOp) Next() (*Batch, error) {
 		// block is N blocks away — so its run of rows below the block
 		// boundary is exactly the globally-next slice of output. Copy the
 		// run in bulk instead of re-comparing shard heads per row.
-		rows := m.exs[best].rows
+		rows := m.shards[best].Rows
 		cur := m.cursors[best]
 		blockEnd := (rows[cur]/int32(data.ZoneBlockSize) + 1) * int32(data.ZoneBlockSize)
 		end := cur + 1
@@ -268,18 +231,10 @@ func (m *mergeOp) Next() (*Batch, error) {
 }
 
 func (m *mergeOp) Close() error {
-	// Every exchange is closed regardless of earlier failures; the first
-	// error wins (the rest are repeats of the same teardown).
-	var firstErr error
-	for _, x := range m.exs {
-		if err := x.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
 	m.pending.free(m.pool)
 	m.out.forget()
-	m.cursors = nil
-	return firstErr
+	m.shards, m.cursors = nil, nil
+	return nil
 }
 
 func (m *mergeOp) Telemetry() *OpTelemetry { return &m.tel }

@@ -95,7 +95,8 @@ func shardPlan(t *testing.T, q *query.Query, shards int) *plan.Node {
 // TestShardedIdentitySweep is the byte-identity contract for scatter-
 // gather: every shard count × worker count × batch size must reproduce
 // the serial ReferenceRun bit for bit — Count, Value and the full
-// CostStats including charged WorkUnits.
+// CostStats including charged WorkUnits. The reference also runs the
+// sharded plan itself, evaluating each Merge leaf as its SeqScan.
 func TestShardedIdentitySweep(t *testing.T) {
 	cat := shardCatalog()
 	for qi, q := range shardQueries() {
@@ -108,6 +109,13 @@ func TestShardedIdentitySweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, shards := range []int{1, 2, 4} {
+			shardRef, err := New(cat).ReferenceRun(context.Background(), q, shardPlan(t, q, shards))
+			if err != nil {
+				t.Fatalf("q%d/shards=%d: reference of the sharded plan: %v", qi, shards, err)
+			}
+			if shardRef.Count != ref.Count || math.Float64bits(shardRef.Value) != math.Float64bits(ref.Value) || shardRef.Stats != ref.Stats {
+				t.Fatalf("q%d/shards=%d: reference of the sharded plan %+v, of the unsharded %+v", qi, shards, shardRef, ref)
+			}
 			for _, workers := range []int{1, 8} {
 				for _, batch := range []int{0, 64} {
 					name := fmt.Sprintf("q%d/shards=%d/workers=%d/batch=%d", qi, shards, workers, batch)
@@ -131,9 +139,9 @@ func TestShardedIdentitySweep(t *testing.T) {
 }
 
 // TestShardedTrueCardAndBlocks checks the telemetry the sharded path
-// promises: the Merge node carries the whole scan's true cardinality
-// (per-shard actuals live only on the Exchange nodes) and per-shard
-// block-pruning telemetry sums to the unsharded scan's counts.
+// promises: the Merge leaf carries the whole scan's true cardinality and
+// its operator's block-pruning telemetry, summed over the shards, equals
+// the unsharded scan's counts.
 func TestShardedTrueCardAndBlocks(t *testing.T) {
 	cat := shardCatalog()
 	q := shardQueries()[1] // clustered range: pruning active
@@ -156,37 +164,36 @@ func TestShardedTrueCardAndBlocks(t *testing.T) {
 	if total != refTotal || skipped != refSkipped {
 		t.Fatalf("sharded blocks %d/%d, unsharded %d/%d", skipped, total, refSkipped, refTotal)
 	}
-	var shardSum float64
-	sharded.Walk(func(n *plan.Node) {
-		if n.Op == plan.Merge {
-			if n.TrueCard != float64(refRes.Count) {
-				t.Fatalf("Merge TrueCard = %v, scan emitted %d", n.TrueCard, refRes.Count)
-			}
-		}
-		if n.Op == plan.Exchange {
-			shardSum += n.TrueCard
-		}
-	})
-	if shardSum != float64(refRes.Count) {
-		t.Fatalf("per-shard TrueCards sum to %v, want %d", shardSum, refRes.Count)
+	if sharded.Op != plan.Merge || sharded.TrueCard != float64(refRes.Count) {
+		t.Fatalf("%s TrueCard = %v, scan emitted %d", sharded.Op, sharded.TrueCard, refRes.Count)
+	}
+	mt, ok := pt.ByNode(sharded)
+	if !ok || mt.BlocksTotal != refTotal || mt.BlocksSkipped != refSkipped {
+		t.Fatalf("Merge operator blocks %+v (found %v), unsharded %d/%d", mt, ok, refSkipped, refTotal)
+	}
+	if len(pt.Ops) != len(refPT.Ops) {
+		t.Fatalf("sharded run has %d operators, unsharded %d", len(pt.Ops), len(refPT.Ops))
 	}
 }
 
 func TestScanShardValidation(t *testing.T) {
 	cat := shardCatalog()
 	ex := New(cat)
-	scan := plan.NewScan(plan.SeqScan, "fact", "fact", nil)
+	scan := plan.NewScan(plan.Merge, "fact", "fact", nil)
 	if _, err := ex.ScanShard(context.Background(), scan, 2, 2); err == nil {
 		t.Fatal("shard index out of range should error")
 	}
 	if _, err := ex.ScanShard(context.Background(), scan, 0, 0); err == nil {
 		t.Fatal("zero fan-out should error")
 	}
-	join := plan.NewJoin(plan.HashJoin, scan.Clone(), scan.Clone(), nil)
-	if _, err := ex.ScanShard(context.Background(), join, 0, 2); err == nil {
+	if _, err := ex.ScanShard(context.Background(), plan.NewScan(plan.SeqScan, "fact", "fact", nil), 0, 2); err == nil {
+		t.Fatal("a scan that is not a Merge leaf should error")
+	}
+	nonLeaf := plan.NewJoin(plan.Merge, scan.Clone(), scan.Clone(), nil)
+	if _, err := ex.ScanShard(context.Background(), nonLeaf, 0, 2); err == nil {
 		t.Fatal("non-leaf should error")
 	}
-	bad := plan.NewScan(plan.SeqScan, "nope", "nope", nil)
+	bad := plan.NewScan(plan.Merge, "nope", "nope", nil)
 	if _, err := ex.ScanShard(context.Background(), bad, 0, 2); err == nil {
 		t.Fatal("unknown table should error")
 	}
@@ -198,15 +205,15 @@ func TestMergeBuildValidation(t *testing.T) {
 	ex := New(cat)
 
 	empty := shardPlan(t, q, 2)
-	empty.Shards = nil
+	empty.Shards = 0
 	if _, err := ex.RunCtx(context.Background(), q, empty); err == nil {
 		t.Fatal("Merge without shards should fail to build")
 	}
 
 	wrong := shardPlan(t, q, 2)
-	wrong.Shards[1] = plan.NewScan(plan.SeqScan, "fact", "fact", nil)
+	wrong.Left, wrong.Right = plan.NewScan(plan.SeqScan, "fact", "fact", nil), plan.NewScan(plan.SeqScan, "dim", "dim", nil)
 	if _, err := ex.RunCtx(context.Background(), q, wrong); err == nil {
-		t.Fatal("Merge over a non-Exchange shard should fail to build")
+		t.Fatal("Merge with children should fail to build")
 	}
 
 	badCol := shardPlan(t, q, 2)
@@ -268,7 +275,7 @@ func (f *faultBackend) ScanShard(ctx context.Context, scan *plan.Node, shard, of
 
 // TestShardBackendFaults plugs a failing and a hanging shard into
 // Executor.Backend. RunCtx must return the shard's error (or the
-// context's), join every scatter and exchange goroutine, return every
+// context's), join every scatter goroutine, return every
 // pooled buffer without misuse, and leave the executor exact for its next
 // clean run.
 func TestShardBackendFaults(t *testing.T) {

@@ -23,9 +23,6 @@ type CardLabel struct {
 func HarvestCards(q *query.Query, p *plan.Node) []CardLabel {
 	g := query.NewJoinGraph(q)
 	labels := make([]CardLabel, 0, 2*len(q.Refs))
-	// Logical walk: a Merge node stands in for the scan it sharded, and
-	// its shard internals carry per-partition counts that must never
-	// masquerade as the whole scan's truth under the same sub-query key.
 	p.WalkLogicalMasks(g, func(n *plan.Node, mask uint64) {
 		labels = append(labels, CardLabel{Key: g.Key(mask), Card: n.TrueCard})
 	})

@@ -114,7 +114,12 @@ func shiftVal(v data.Value, d int64) data.Value {
 // hashCell plans every query of the cell and folds plan fingerprint, the
 // EstCost/EstCard bits of every node and the enumeration-effort counter
 // into one hash: any change to search space, iteration order, tie-breaking
-// or the sub-queries handed to the estimator moves it.
+// or the sub-queries handed to the estimator moves it. The hashes were
+// recorded when a Merge node held one Exchange child per shard over a
+// clone of its scan; each such pair is folded as the words it hashed to,
+// a function of the Merge node: Exchange EstCost 0 and EstCard
+// Merge.EstCard/Shards, then the clone's EstCost and EstCard, the Merge
+// node's own.
 func hashCell(t *testing.T, opts []*Optimizer, qs []*query.Query, fromOrder bool) string {
 	t.Helper()
 	h := sha256.New()
@@ -145,6 +150,12 @@ func hashCell(t *testing.T, opts []*Optimizer, qs []*query.Query, fromOrder bool
 			p.Walk(func(n *plan.Node) {
 				put(math.Float64bits(n.EstCost))
 				put(math.Float64bits(n.EstCard))
+				for i := 0; i < n.Shards; i++ {
+					put(0)
+					put(math.Float64bits(n.EstCard / float64(n.Shards)))
+					put(math.Float64bits(n.EstCost))
+					put(math.Float64bits(n.EstCard))
+				}
 			})
 			put(uint64(o.PlansConsidered()))
 		}

@@ -44,9 +44,9 @@ type Optimizer struct {
 	LeftDeepOnly bool
 
 	// Shards is the scatter-gather fan-out handed to the default pass
-	// pipeline: at 2 or more, the ShardScans pass splits SeqScan leaves
-	// into that many Exchange subplans under a Merge node. 0 or 1 plans
-	// single-node trees (the default).
+	// pipeline: at 2 or more, the ShardScans pass turns SeqScan leaves
+	// into Merge leaves that scan that many hash partitions. 0 or 1 plans
+	// unsharded trees (the default).
 	Shards int
 
 	// Passes overrides the rewrite pipeline run after join enumeration.

@@ -97,8 +97,8 @@ func TestOptimizerShardsProducesMergePlans(t *testing.T) {
 	sharded.Walk(func(n *plan.Node) {
 		if n.Op == plan.Merge {
 			merges++
-			if len(n.Shards) != 3 {
-				t.Fatalf("Merge has %d shards, want 3", len(n.Shards))
+			if n.Shards != 3 {
+				t.Fatalf("Merge has %d shards, want 3", n.Shards)
 			}
 		}
 	})
@@ -134,8 +134,8 @@ func TestOptimizerShardsProducesMergePlans(t *testing.T) {
 // join order — with a Merge node standing in for the scan it sharded.
 func leafOrder(p *plan.Node) []string {
 	var out []string
-	p.WalkLogical(func(n *plan.Node) {
-		if n.IsLeaf() || n.Op == plan.Merge {
+	p.Walk(func(n *plan.Node) {
+		if n.IsLeaf() {
 			out = append(out, n.Alias)
 		}
 	})

@@ -26,54 +26,19 @@ type Actuals struct {
 // actuals; nodes without telemetry (never reached) render estimates only.
 func RenderAnalyze(root *Node, lookup func(*Node) (Actuals, bool)) string {
 	var b strings.Builder
-	var rec func(n *Node, depth int)
-	rec = func(n *Node, depth int) {
-		if n == nil {
+	renderTree(&b, root, 0, func(b *strings.Builder, n *Node) {
+		a, ok := lookup(n)
+		if !ok {
+			fmt.Fprintf(b, "  (est=%.0f actual=-)", n.EstCard)
 			return
 		}
-		b.WriteString(strings.Repeat("  ", depth))
-		if n.IsLeaf() || n.Op == Merge {
-			fmt.Fprintf(&b, "%s %s", n.Op, n.Alias)
-			if n.Table != n.Alias && n.Table != "" {
-				fmt.Fprintf(&b, " (%s)", n.Table)
-			}
-			if n.Op == Merge {
-				fmt.Fprintf(&b, " [%d shards]", len(n.Shards))
-			}
-			if len(n.Preds) > 0 {
-				strs := make([]string, len(n.Preds))
-				for i, p := range n.Preds {
-					strs[i] = p.String()
-				}
-				fmt.Fprintf(&b, " filter: %s", strings.Join(strs, " AND "))
-			}
-		} else if n.Op == Exchange {
-			fmt.Fprintf(&b, "%s [shard %d/%d]", n.Op, n.Shard, n.ShardOf)
-		} else {
-			strs := make([]string, len(n.Cond))
-			for i, j := range n.Cond {
-				strs[i] = j.String()
-			}
-			fmt.Fprintf(&b, "%s on %s", n.Op, strings.Join(strs, " AND "))
+		fmt.Fprintf(b, "  (est=%.0f actual=%.0f work=%.1f time=%s batches=%d",
+			n.EstCard, a.Rows, a.Work, a.Wall.Round(time.Microsecond), a.Batches)
+		if a.BlocksTotal > 0 {
+			fmt.Fprintf(b, " blocks=%d skipped=%d", a.BlocksTotal, a.BlocksSkipped)
 		}
-		if a, ok := lookup(n); ok {
-			fmt.Fprintf(&b, "  (est=%.0f actual=%.0f work=%.1f time=%s batches=%d",
-				n.EstCard, a.Rows, a.Work, a.Wall.Round(time.Microsecond), a.Batches)
-			if a.BlocksTotal > 0 {
-				fmt.Fprintf(&b, " blocks=%d skipped=%d", a.BlocksTotal, a.BlocksSkipped)
-			}
-			b.WriteString(")")
-		} else {
-			fmt.Fprintf(&b, "  (est=%.0f actual=-)", n.EstCard)
-		}
-		b.WriteString("\n")
-		rec(n.Left, depth+1)
-		rec(n.Right, depth+1)
-		for _, s := range n.Shards {
-			rec(s, depth+1)
-		}
-	}
-	rec(root, 0)
+		b.WriteString(")")
+	})
 	return b.String()
 }
 

@@ -55,7 +55,7 @@ type PassTrace struct {
 	NodesAfter  int
 }
 
-// String renders one trace line, e.g. "shard-scans: fired (3 -> 9 nodes)".
+// String renders one trace line, e.g. "constfold: fired (3 nodes)".
 func (t PassTrace) String() string {
 	if !t.Fired {
 		return fmt.Sprintf("%s: -", t.Pass)

@@ -217,9 +217,9 @@ func TestConstFoldDedupAndContradiction(t *testing.T) {
 }
 
 // TestConstFoldZeroesEmptySubtree checks that an unsatisfiable scan
-// empties exactly its own path to the root: the scan, its shard clones
-// and every join above it annotate 0, while the sibling subtree and the
-// Exchange nodes keep their estimates.
+// empties exactly its own path to the root: the scan (a Merge leaf when
+// sharded) and every join above it annotate 0, while the sibling subtree
+// keeps its estimates.
 func TestConstFoldZeroesEmptySubtree(t *testing.T) {
 	contra := []query.Pred{
 		{Alias: "c", Column: "v", Op: query.Gt, Val: data.IntVal(10)},
@@ -252,21 +252,13 @@ func TestConstFoldZeroesEmptySubtree(t *testing.T) {
 		if out.EstCard != 0 || c.EstCard != 0 {
 			t.Fatalf("shards=%d: root/scan cards = %v / %v, want 0", shards, out.EstCard, c.EstCard)
 		}
-		if shards >= 2 && len(c.Shards) != shards {
-			t.Fatalf("shards=%d: contradictory scan has %d shards", shards, len(c.Shards))
-		}
-		for _, x := range c.Shards {
-			if x.EstCard != 100/float64(shards) || x.Left.EstCard != 0 {
-				t.Fatalf("shards=%d: exchange/clone cards = %v / %v", shards, x.EstCard, x.Left.EstCard)
-			}
+		if shards >= 2 && (c.Op != Merge || c.Shards != shards) {
+			t.Fatalf("shards=%d: contradictory scan is %s over %d shards", shards, c.Op, c.Shards)
 		}
 		out.Left.Walk(func(m *Node) {
 			want := 100.0
-			switch {
-			case m == out.Left:
+			if m == out.Left {
 				want = 50
-			case m.Op == Exchange:
-				want = 100 / float64(shards)
 			}
 			if m.EstCard != want {
 				t.Fatalf("shards=%d: sibling %s card %v, want %v", shards, m.Op, m.EstCard, want)

@@ -31,18 +31,10 @@ func DefaultPipeline(numShards int) *PassPipeline {
 	return &PassPipeline{Passes: DefaultPasses(numShards)}
 }
 
-// scanLike reports whether the node carries a pushed-down predicate list:
-// scan leaves (shard subplan leaves included) and Merge nodes standing in
-// for a scan.
-func scanLike(n *Node) bool {
-	return n.IsLeaf() || n.Op == Merge
-}
-
 // ConstFoldPass folds constant predicate structure: exact duplicate
 // conjuncts on a scan are dropped (first occurrence wins), and a scan
 // whose predicate set is provably unsatisfiable computes the empty
-// result, so it, its clones under a Merge's Exchange nodes and every join
-// above it are annotated with EstCard 0. Costs keep their enumeration
+// result, so it and every join above it are annotated with EstCard 0. Costs keep their enumeration
 // values. Detection is conservative — only definite contradictions under
 // the executor's matching semantics fold (see alwaysFalse).
 type ConstFoldPass struct{}
@@ -66,8 +58,7 @@ func (ConstFoldPass) Rewrite(ctx context.Context, n *Node, pc *PassContext) (*No
 // fold walks the subtree bottom-up and reports whether it computes the
 // empty result and whether folding changes it: a duplicate conjunct to
 // drop or an EstCard to zero. With apply set it makes those changes in
-// place, so it is only ever applied to a clone. Exchange nodes are
-// neither scans nor joins and keep their annotation.
+// place, so it is only ever applied to a clone.
 func fold(n *Node, apply bool) (empty, changes bool) {
 	if n == nil {
 		return false, false
@@ -75,12 +66,8 @@ func fold(n *Node, apply bool) (empty, changes bool) {
 	left, lc := fold(n.Left, apply)
 	right, rc := fold(n.Right, apply)
 	changes = lc || rc
-	for _, s := range n.Shards {
-		_, sc := fold(s, apply)
-		changes = changes || sc
-	}
 	switch {
-	case scanLike(n):
+	case n.IsLeaf():
 		preds := dedupPreds(n.Preds)
 		if len(preds) != len(n.Preds) {
 			changes = true

@@ -16,10 +16,9 @@ import (
 type Op int
 
 // Physical operators. Scans sit at leaves; joins are binary inner nodes.
-// Merge/Exchange are the scatter-gather pair introduced by the ShardScans
-// rewrite pass: a Merge node gathers N Exchange children (held in
-// Node.Shards), each of which ships a shard-local subplan to a
-// ShardBackend engine instance.
+// Merge is the sharded sequential scan the ShardScans rewrite pass
+// introduces: a leaf that scatters its scan over Node.Shards hash
+// partitions through a ShardBackend and gathers them back in row order.
 const (
 	SeqScan Op = iota
 	IndexScan
@@ -27,7 +26,6 @@ const (
 	HashJoin
 	MergeJoin
 	Merge
-	Exchange
 )
 
 // String returns the display name of the operator.
@@ -45,8 +43,6 @@ func (op Op) String() string {
 		return "MergeJoin"
 	case Merge:
 		return "Merge"
-	case Exchange:
-		return "Exchange"
 	default:
 		return fmt.Sprintf("Op(%d)", int(op))
 	}
@@ -72,13 +68,9 @@ type Node struct {
 	Left  *Node
 	Right *Node
 
-	// Shards holds a Merge node's n-ary children: one Exchange per hash
-	// partition of the underlying table. Empty on every other operator.
-	Shards []*Node
-	// Shard/ShardOf identify an Exchange node's partition: the node's
-	// subplan (Left) covers partition Shard of ShardOf. Zero elsewhere.
-	Shard   int
-	ShardOf int
+	// Shards is a Merge node's fan-out: the number of hash partitions of
+	// the table its scan is scattered over. Zero on every other operator.
+	Shards int
 
 	EstCard  float64
 	EstCost  float64
@@ -96,14 +88,12 @@ func NewJoin(op Op, left, right *Node, cond []query.Join) *Node {
 	return &Node{Op: op, Left: left, Right: right, Cond: cond}
 }
 
-// IsLeaf reports whether the node is a scan.
+// IsLeaf reports whether the node is a scan (a Merge node included).
 func (n *Node) IsLeaf() bool {
-	return n.Left == nil && n.Right == nil && len(n.Shards) == 0
+	return n.Left == nil && n.Right == nil
 }
 
-// Aliases returns the sorted distinct aliases covered by the subtree.
-// Shard subplans replicate their Merge node's alias, so duplicates are
-// collapsed.
+// Aliases returns the sorted aliases covered by the subtree.
 func (n *Node) Aliases() []string {
 	var out []string
 	n.Walk(func(m *Node) {
@@ -112,13 +102,7 @@ func (n *Node) Aliases() []string {
 		}
 	})
 	sort.Strings(out)
-	dedup := out[:0]
-	for i, a := range out {
-		if i == 0 || a != out[i-1] {
-			dedup = append(dedup, a)
-		}
-	}
-	return dedup
+	return out
 }
 
 // AliasSet returns the subtree's aliases as a set.
@@ -126,9 +110,8 @@ func (n *Node) AliasSet() map[string]bool {
 	return query.SetOf(n.Aliases())
 }
 
-// Walk visits the subtree pre-order, descending into a Merge node's
-// shard children after Left/Right. Use WalkLogical to visit the logical
-// tree only (one node per Merge, shard internals skipped).
+// Walk visits the subtree pre-order. A sharded scan is one Merge leaf, so
+// every node is one logical operator.
 func (n *Node) Walk(fn func(*Node)) {
 	if n == nil {
 		return
@@ -136,36 +119,18 @@ func (n *Node) Walk(fn func(*Node)) {
 	fn(n)
 	n.Left.Walk(fn)
 	n.Right.Walk(fn)
-	for _, s := range n.Shards {
-		s.Walk(fn)
-	}
 }
 
-// WalkLogical visits the logical plan pre-order: like Walk, but a Merge
-// node is visited as a single (scan-like) node and its Exchange/shard
-// internals are skipped. Feedback harvesting and estimate snapshots use
-// this view so per-shard cardinalities never masquerade as whole-scan
-// truths.
-func (n *Node) WalkLogical(fn func(*Node)) {
-	if n == nil {
-		return
-	}
-	fn(n)
-	if n.Op == Merge {
-		return
-	}
-	n.Left.WalkLogical(fn)
-	n.Right.WalkLogical(fn)
-}
+// WalkLogical is Walk, kept for benchmark/trace.go.
+func (n *Node) WalkLogical(fn func(*Node)) { n.Walk(fn) }
 
-// WalkLogicalMasks is WalkLogical that also hands fn each node's alias
-// set as a mask of g, the join graph of the query the plan computes:
-// leaf and Merge bits are looked up once and folded bottom-up, in one
-// pass over the tree, instead of re-collecting and sorting the aliases
-// below every node. g.Sub(mask) and g.Key(mask) then give the node's
-// sub-query and its canonical key. The pre-order lives on the stack for
-// plans of up to 16 tables (31 logical nodes); larger ones grow it on
-// the heap.
+// WalkLogicalMasks is Walk that also hands fn each node's alias set as a
+// mask of g, the join graph of the query the plan computes: leaf bits
+// are looked up once and folded bottom-up, in one pass over the tree,
+// instead of re-collecting and sorting the aliases below every node.
+// g.Sub(mask) and g.Key(mask) then give the node's sub-query and its
+// canonical key. The pre-order lives on the stack for plans of up to 16
+// tables (31 nodes); larger ones grow it on the heap.
 func (n *Node) WalkLogicalMasks(g *query.JoinGraph, fn func(*Node, uint64)) {
 	var buf [32]maskedNode
 	pre, _ := n.foldMasks(g, buf[:0])
@@ -179,8 +144,8 @@ type maskedNode struct {
 	mask uint64
 }
 
-// foldMasks appends the logical subtree to pre in pre-order and returns
-// the extended slice and the subtree's alias mask.
+// foldMasks appends the subtree to pre in pre-order and returns the
+// extended slice and the subtree's alias mask.
 func (n *Node) foldMasks(g *query.JoinGraph, pre []maskedNode) ([]maskedNode, uint64) {
 	if n == nil {
 		return pre, 0
@@ -188,7 +153,7 @@ func (n *Node) foldMasks(g *query.JoinGraph, pre []maskedNode) ([]maskedNode, ui
 	at := len(pre)
 	pre = append(pre, maskedNode{n: n})
 	var mask uint64
-	if n.IsLeaf() || n.Op == Merge {
+	if n.IsLeaf() {
 		mask = g.Bit(n.Alias)
 	} else {
 		var left, right uint64
@@ -228,9 +193,9 @@ func (n *Node) Clone() *Node {
 	return c
 }
 
-// CloneNodes copies the subtree's nodes into one allocation (plus one per
-// Merge node's shard list), sharing the Preds and Cond slices with n: the
-// copy's may be replaced, as rebinding does, but never written through.
+// CloneNodes copies the subtree's nodes into one allocation, sharing the
+// Preds and Cond slices with n: the copy's may be replaced, as rebinding
+// does, but never written through.
 func (n *Node) CloneNodes() *Node {
 	count := 0
 	n.Walk(func(*Node) { count++ })
@@ -245,12 +210,6 @@ func (n *Node) cloneInto(slab *[]Node) *Node {
 	*slab = append(*slab, *n)
 	c := &(*slab)[len(*slab)-1]
 	c.Left, c.Right = n.Left.cloneInto(slab), n.Right.cloneInto(slab)
-	if n.Shards != nil {
-		c.Shards = make([]*Node, len(n.Shards))
-		for i, s := range n.Shards {
-			c.Shards[i] = s.cloneInto(slab)
-		}
-	}
 	return c
 }
 
@@ -274,29 +233,18 @@ func (n *Node) fingerprint(k *query.KeyBuilder) {
 		return
 	}
 	if n.IsLeaf() {
-		k.Raw(n.Op.String()).Raw("(").Atom(n.Alias).Raw(":").Atom(n.Table)
-		for _, p := range n.Preds {
-			k.Append(p.KeyString())
+		n.fingerprintScan(k, n.Op)
+		if n.Op == Merge {
+			// One entry per partition, spelled as the per-shard subplan
+			// the Merge node once held, so fingerprints keep their bytes.
+			k.Raw("[")
+			for i := 0; i < n.Shards; i++ {
+				k.Raw("Exchange@").Atom(strconv.Itoa(i)).Raw("/").Atom(strconv.Itoa(n.Shards)).Raw("(")
+				n.fingerprintScan(k, SeqScan)
+				k.Raw(")")
+			}
+			k.Raw("]")
 		}
-		k.Raw(")")
-		return
-	}
-	switch n.Op {
-	case Merge:
-		k.Raw(n.Op.String()).Raw("(").Atom(n.Alias).Raw(":").Atom(n.Table)
-		for _, p := range n.Preds {
-			k.Append(p.KeyString())
-		}
-		k.Raw(")[")
-		for _, s := range n.Shards {
-			s.fingerprint(k)
-		}
-		k.Raw("]")
-		return
-	case Exchange:
-		k.Raw(n.Op.String()).Raw("@").Atom(strconv.Itoa(n.Shard)).Raw("/").Atom(strconv.Itoa(n.ShardOf)).Raw("(")
-		n.Left.fingerprint(k)
-		k.Raw(")")
 		return
 	}
 	k.Raw(n.Op.String()).Raw("[")
@@ -307,6 +255,14 @@ func (n *Node) fingerprint(k *query.KeyBuilder) {
 	n.Left.fingerprint(k)
 	k.Raw(",")
 	n.Right.fingerprint(k)
+	k.Raw(")")
+}
+
+func (n *Node) fingerprintScan(k *query.KeyBuilder, op Op) {
+	k.Raw(op.String()).Raw("(").Atom(n.Alias).Raw(":").Atom(n.Table)
+	for _, p := range n.Preds {
+		k.Append(p.KeyString())
+	}
 	k.Raw(")")
 }
 
@@ -323,19 +279,13 @@ func (n *Node) structureKey(k *query.KeyBuilder) {
 		return
 	}
 	if n.IsLeaf() {
-		k.Raw(n.Op.String()).Raw("(").Atom(n.Alias).Raw(")")
-		return
-	}
-	switch n.Op {
-	case Merge:
-		// Shard count (not per-shard subtrees) is the structural signal: a
-		// 2-way and a 4-way merge of the same scan are different shapes.
-		k.Raw(n.Op.String()).Raw("@").Atom(strconv.Itoa(len(n.Shards))).Raw("(").Atom(n.Alias).Raw(")")
-		return
-	case Exchange:
-		k.Raw(n.Op.String()).Raw("(")
-		n.Left.structureKey(k)
-		k.Raw(")")
+		k.Raw(n.Op.String())
+		if n.Op == Merge {
+			// The fan-out is structural: a 2-way and a 4-way merge of the
+			// same scan are different shapes.
+			k.Raw("@").Atom(strconv.Itoa(n.Shards))
+		}
+		k.Raw("(").Atom(n.Alias).Raw(")")
 		return
 	}
 	k.Raw(n.Op.String()).Raw("(")
@@ -348,23 +298,28 @@ func (n *Node) structureKey(k *query.KeyBuilder) {
 // String renders an indented plan tree with annotations.
 func (n *Node) String() string {
 	var b strings.Builder
-	n.render(&b, 0)
+	renderTree(&b, n, 0, func(b *strings.Builder, n *Node) {
+		if n.EstCard > 0 || n.TrueCard > 0 {
+			fmt.Fprintf(b, "  [est=%.0f true=%.0f cost=%.1f]", n.EstCard, n.TrueCard, n.EstCost)
+		}
+	})
 	return b.String()
 }
 
-func (n *Node) render(b *strings.Builder, depth int) {
+// renderTree writes the subtree as an indented operator tree, one line
+// per node: the node's label, then whatever annotate appends.
+func renderTree(b *strings.Builder, n *Node, depth int, annotate func(*strings.Builder, *Node)) {
 	if n == nil {
 		return
 	}
 	b.WriteString(strings.Repeat("  ", depth))
-	switch {
-	case n.IsLeaf(), n.Op == Merge:
+	if n.IsLeaf() {
 		fmt.Fprintf(b, "%s %s", n.Op, n.Alias)
 		if n.Table != n.Alias && n.Table != "" {
 			fmt.Fprintf(b, " (%s)", n.Table)
 		}
 		if n.Op == Merge {
-			fmt.Fprintf(b, " [%d shards]", len(n.Shards))
+			fmt.Fprintf(b, " [%d shards]", n.Shards)
 		}
 		if len(n.Preds) > 0 {
 			strs := make([]string, len(n.Preds))
@@ -373,24 +328,17 @@ func (n *Node) render(b *strings.Builder, depth int) {
 			}
 			fmt.Fprintf(b, " filter: %s", strings.Join(strs, " AND "))
 		}
-	case n.Op == Exchange:
-		fmt.Fprintf(b, "%s [shard %d/%d]", n.Op, n.Shard, n.ShardOf)
-	default:
+	} else {
 		strs := make([]string, len(n.Cond))
 		for i, j := range n.Cond {
 			strs[i] = j.String()
 		}
 		fmt.Fprintf(b, "%s on %s", n.Op, strings.Join(strs, " AND "))
 	}
-	if n.EstCard > 0 || n.TrueCard > 0 {
-		fmt.Fprintf(b, "  [est=%.0f true=%.0f cost=%.1f]", n.EstCard, n.TrueCard, n.EstCost)
-	}
+	annotate(b, n)
 	b.WriteString("\n")
-	n.Left.render(b, depth+1)
-	n.Right.render(b, depth+1)
-	for _, s := range n.Shards {
-		s.render(b, depth+1)
-	}
+	renderTree(b, n.Left, depth+1, annotate)
+	renderTree(b, n.Right, depth+1, annotate)
 }
 
 // Subquery reconstructs the logical sub-query computed by the subtree of q.

@@ -146,21 +146,6 @@ func TestSubqueryProjection(t *testing.T) {
 	}
 }
 
-func TestToDOT(t *testing.T) {
-	p := samplePlan()
-	p.EstCard = 42
-	dot := ToDOT(p)
-	for _, frag := range []string{"digraph plan", "HashJoin", "SeqScan", "IndexScan", "est=42", "->"} {
-		if !strings.Contains(dot, frag) {
-			t.Errorf("DOT missing %q:\n%s", frag, dot)
-		}
-	}
-	// Two edges for one join of two scans.
-	if strings.Count(dot, "->") != 2 {
-		t.Fatalf("edge count = %d", strings.Count(dot, "->"))
-	}
-}
-
 // The pairs below collide under the pre-canonical fingerprint format
 // (";"-joined predicate strings, ","-joined join conditions, raw alias
 // bytes) and must stay distinct under the KeyBuilder encoding — the
@@ -250,12 +235,12 @@ func chainPlan(n int) (*Node, *query.JoinGraph) {
 }
 
 // TestWalkLogicalMasks checks the pre-order and every node's mask against
-// WalkLogical and Aliases, on both sides of the 16-table stack buffer.
+// Walk and Aliases, on both sides of the 16-table stack buffer.
 func TestWalkLogicalMasks(t *testing.T) {
 	for _, n := range []int{1, 2, 16, 17, 40} {
 		p, g := chainPlan(n)
 		var want []*Node
-		p.WalkLogical(func(m *Node) { want = append(want, m) })
+		p.Walk(func(m *Node) { want = append(want, m) })
 		i := 0
 		p.WalkLogicalMasks(g, func(m *Node, mask uint64) {
 			if i >= len(want) || m != want[i] {

@@ -1,17 +1,13 @@
-// ShardScans: the headline distribution pass. It splits eligible SeqScan
-// leaves over hash partitions of the table into N shard subplans under a
-// Merge/Exchange pair — the scatter half of scatter-gather. The gather
-// half (internal/exec's merge operator) runs each Exchange subplan on an
-// engine instance behind the ShardBackend interface and k-way-merges the
+// ShardScans: the headline distribution pass. It turns eligible SeqScan
+// leaves into Merge leaves that scatter the scan over N hash partitions
+// of the table — the scatter half of scatter-gather. The gather half
+// (internal/exec's merge operator) runs each partition on an engine
+// instance behind the ShardBackend interface and k-way-merges the
 // per-shard streams back into global row order, keeping results and
 // charged WorkUnits byte-identical to the unsharded reference.
 package plan
 
-import (
-	"context"
-
-	"lqo/internal/query"
-)
+import "context"
 
 // ShardScans returns the rewrite pass that scatters SeqScan leaves over
 // numShards hash partitions. Counts below 2 yield a pass that never
@@ -20,17 +16,12 @@ func ShardScans(numShards int) ShardScansPass {
 	return ShardScansPass{NumShards: numShards}
 }
 
-// ShardScansPass rewrites every eligible SeqScan leaf into
-//
-//	Merge (alias, table, preds, annotations of the scan)
-//	 ├─ Exchange [shard 0/N] → SeqScan clone
-//	 ├─ ...
-//	 └─ Exchange [shard N-1/N] → SeqScan clone
-//
-// IndexScan leaves are left alone: point lookups don't amortize the
-// scatter, and the index side of the partition story belongs to a later
-// pass. Already-sharded subtrees (Merge nodes) are skipped, which makes
-// the pass idempotent.
+// ShardScansPass rewrites every SeqScan leaf into a Merge leaf with
+// Shards = NumShards, keeping the scan's alias, table, predicates and
+// annotations. IndexScan leaves are left alone: point lookups don't
+// amortize the scatter, and the index side of the partition story
+// belongs to a later pass. A plan without SeqScan leaves is left as is,
+// which makes the pass idempotent.
 type ShardScansPass struct {
 	NumShards int
 }
@@ -44,48 +35,15 @@ func (s ShardScansPass) Rewrite(ctx context.Context, n *Node, pc *PassContext) (
 		return n, false
 	}
 	needs := false
-	n.WalkLogical(func(m *Node) {
-		if m.Op == SeqScan && m.IsLeaf() {
-			needs = true
-		}
-	})
+	n.Walk(func(m *Node) { needs = needs || m.Op == SeqScan })
 	if !needs {
 		return n, false
 	}
 	c := n.Clone()
-	root := s.shard(c)
-	return root, true
-}
-
-// shard rewrites the (already cloned, caller-owned) subtree in place,
-// returning the possibly-replaced root.
-func (s ShardScansPass) shard(n *Node) *Node {
-	if n == nil || n.Op == Merge {
-		return n
-	}
-	if n.Op == SeqScan && n.IsLeaf() {
-		m := &Node{
-			Op:       Merge,
-			Alias:    n.Alias,
-			Table:    n.Table,
-			Preds:    append([]query.Pred(nil), n.Preds...),
-			EstCard:  n.EstCard,
-			EstCost:  n.EstCost,
-			TrueCard: n.TrueCard,
-			Shards:   make([]*Node, s.NumShards),
+	c.Walk(func(m *Node) {
+		if m.Op == SeqScan {
+			m.Op, m.Shards = Merge, s.NumShards
 		}
-		for i := 0; i < s.NumShards; i++ {
-			m.Shards[i] = &Node{
-				Op:      Exchange,
-				Shard:   i,
-				ShardOf: s.NumShards,
-				Left:    n.Clone(),
-				EstCard: n.EstCard / float64(s.NumShards),
-			}
-		}
-		return m
-	}
-	n.Left = s.shard(n.Left)
-	n.Right = s.shard(n.Right)
-	return n
+	})
+	return c, true
 }

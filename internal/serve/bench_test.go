@@ -126,7 +126,7 @@ func TestPreparedHitAllocations(t *testing.T) {
 	for _, c := range []struct {
 		shards int
 		max    float64
-	}{{0, 11}, {2, 74}} {
+	}{{0, 11}, {2, 68}} {
 		s, stmt := newHitFixture(t, c.shards)
 		i := 0
 		hit := func() {

@@ -96,11 +96,8 @@ func (c *PlanCache) checkout(key string) (*plan.Node, *cacheEntry) {
 // estimated cardinalities for later drift checks. The cache keeps its
 // own clone.
 func (c *PlanCache) Put(key string, p *plan.Node) {
-	// Logical walk: shard internals of a Merge node carry per-partition
-	// cardinalities that would skew the drift check (and their count
-	// depends on the shard config, breaking positional alignment).
 	est := make([]float64, 0, 8)
-	p.WalkLogical(func(n *plan.Node) { est = append(est, n.EstCard) })
+	p.Walk(func(n *plan.Node) { est = append(est, n.EstCard) })
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ent := &cacheEntry{key: key, p: p.Clone(), est: est}
@@ -137,7 +134,7 @@ func (c *PlanCache) Observe(key string, executed *plan.Node, maxQErr float64) bo
 	}
 	est := el.Value.(*cacheEntry).est
 	i, drifted := 0, false
-	executed.WalkLogical(func(n *plan.Node) {
+	executed.Walk(func(n *plan.Node) {
 		if i < len(est) && metrics.QError(est[i], n.TrueCard) > maxQErr {
 			drifted = true
 		}

@@ -251,9 +251,9 @@ func TestHarvestMemoDroppedOnDriftInvalidation(t *testing.T) {
 	}
 }
 
-// TestHarvestMemoShardedPlansUseLogicalWalk: a sharded plan's Merge node is
-// one logical position; per-shard Exchange/scan cardinalities must never
-// reach the store, memoized or not.
+// TestHarvestMemoShardedPlansUseLogicalWalk: a sharded plan's Merge leaf
+// is one pre-order position carrying the whole scan's cardinality; the
+// store must learn the unsharded plan's truths, memoized or not.
 func TestHarvestMemoShardedPlansUseLogicalWalk(t *testing.T) {
 	plain, sharded := newShardFixture(t, 2)
 	mp, ms := newMirror(0), newMirror(0)

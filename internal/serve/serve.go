@@ -312,17 +312,11 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 
 // rebindLeaves is generic-plan reuse: it keeps a cached plan's join order
 // and operators and swaps in q.PredsOn(alias) at the scan leaves, carved
-// from one slab. A Merge node rebinds like the scan it stands in for, and
-// the shard scans walked right after it share its slice.
+// from one slab.
 func rebindLeaves(p *plan.Node, q *query.Query) {
 	slab := make([]query.Pred, 0, len(q.Preds))
-	var last *plan.Node
 	p.Walk(func(n *plan.Node) {
-		if !n.IsLeaf() && n.Op != plan.Merge {
-			return
-		}
-		if last != nil && last.Alias == n.Alias {
-			n.Preds = last.Preds
+		if !n.IsLeaf() {
 			return
 		}
 		start := len(slab)
@@ -331,7 +325,7 @@ func rebindLeaves(p *plan.Node, q *query.Query) {
 				slab = append(slab, pr)
 			}
 		}
-		n.Preds, last = slab[start:len(slab):len(slab)], n
+		n.Preds = slab[start:len(slab):len(slab)]
 	})
 }
 
@@ -370,7 +364,7 @@ func (s *Server) harvest(q *query.Query, g *query.JoinGraph, p *plan.Node, ent *
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	i := 0
-	p.WalkLogical(func(n *plan.Node) { // memoized cards are stale: read p's
+	p.Walk(func(n *plan.Node) { // memoized cards are stale: read p's
 		absorb(s, labels[i].Key, n.TrueCard)
 		i++
 	})

@@ -108,9 +108,9 @@ func TestShardedPreparedRebindAndInvalidate(t *testing.T) {
 	}
 }
 
-// TestShardedFeedbackUsesLogicalCards guards the WalkLogical contract:
-// feedback harvested from a sharded plan must describe whole scans, so
-// replans and drift checks never see per-shard partial counts.
+// TestShardedFeedbackUsesLogicalCards: feedback harvested from a sharded
+// plan must describe whole scans, so replans and drift checks never see
+// per-shard partial counts.
 func TestShardedFeedbackUsesLogicalCards(t *testing.T) {
 	plain, sharded := newShardFixture(t, 2)
 	sql := "SELECT COUNT(*) FROM posts WHERE posts.score > 5;"
