@@ -169,7 +169,7 @@ func BenchmarkOptimizeDP(b *testing.B) {
 // query (cards: opt.HarvestCards, what a miss runs) or, as a prepared
 // binding derives them, from its template's graph rebound and written
 // into one reused key buffer (prepared). The plan is not executed; the
-// harvest does the same work whatever TrueCard holds.
+// harvest does the same work whatever the run record holds.
 func BenchmarkHarvest(b *testing.B) {
 	env := sharedEnv(b)
 	q := genQuery(b, env, 4)
@@ -178,9 +178,11 @@ func BenchmarkHarvest(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("cards", func(b *testing.B) {
+		cards := make([]float64, len(p.Nodes()))
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			harvested = opt.HarvestCards(q, p)
+			harvested = opt.HarvestCards(q, p, cards)
 		}
 	})
 	b.Run("prepared", func(b *testing.B) {

@@ -51,7 +51,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := executor.RunCtx(ctx, q, p)
+	// RunAnalyze annotates the plan's TrueCard for the printout below.
+	res, _, err := executor.RunAnalyze(ctx, q, p)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -50,8 +50,9 @@ func (c DetectorConfig) withDefaults() DetectorConfig {
 }
 
 // Detector is a windowed drift monitor over serving-layer execution
-// feedback. It accumulates per-sub-plan q-errors (estimate vs. execution
-// truth): the first Baseline observations after a rebase freeze the
+// feedback. It accumulates per-sub-plan q-errors (a plan's estimates vs.
+// a run's record of the truth, never the plan's own TrueCard, so the plan
+// may be shared): the first Baseline observations after a rebase freeze the
 // healthy reference, and a sliding Window of recent observations is
 // compared against it with a deterministic threshold test — everything is
 // observation-counted, no wall clock and no randomness, so the same
@@ -105,13 +106,16 @@ func (d *Detector) Observe(qerr float64) {
 	d.idx = (d.idx + 1) % len(d.recent)
 }
 
-// ObservePlan records every node of an executed, TrueCard-annotated
-// plan: the q-error of the estimate the plan was built with against what
-// execution actually produced (a sharded scan is one Merge leaf). This is the serving-layer feed — wire it
-// behind serve.Server's ExecObserver hook.
-func (d *Detector) ObservePlan(q *query.Query, executed *plan.Node) {
-	executed.Walk(func(n *plan.Node) {
-		d.Observe(metrics.QError(n.EstCard, n.TrueCard))
+// ObservePlan records every node of a run of plan p: the q-error of the
+// estimate the plan was built with against what execution actually
+// produced, cards[i] for p's i-th node in pre-order (exec.Result.Cards;
+// a sharded scan is one Merge leaf). p is only read. This is the
+// serving-layer feed — wire it behind serve.Server's ExecObserver hook.
+func (d *Detector) ObservePlan(q *query.Query, p *plan.Node, cards []float64) {
+	i := 0
+	p.Walk(func(n *plan.Node) {
+		d.Observe(metrics.QError(n.EstCard, cards[i]))
+		i++
 	})
 }
 

@@ -109,12 +109,12 @@ func TestDetectorDeterministic(t *testing.T) {
 func TestDetectorObservePlanWalksTree(t *testing.T) {
 	d := NewDetector(DetectorConfig{Baseline: 3, Window: 3})
 	l := plan.NewScan(plan.SeqScan, "a", "a", nil)
-	l.EstCard, l.TrueCard = 10, 10
+	l.EstCard = 10
 	r := plan.NewScan(plan.SeqScan, "b", "b", nil)
-	r.EstCard, r.TrueCard = 5, 50
+	r.EstCard = 5
 	j := plan.NewJoin(plan.HashJoin, l, r, nil)
-	j.EstCard, j.TrueCard = 100, 1
-	d.ObservePlan(nil, j)
+	j.EstCard = 100
+	d.ObservePlan(nil, j, []float64{1, 10, 50}) // the record, in pre-order: j, l, r
 	if snap := d.Snapshot(); snap.Observations != 3 {
 		t.Fatalf("observations = %d, want one per plan node (3)", snap.Observations)
 	}

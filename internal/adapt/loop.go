@@ -177,19 +177,28 @@ func (l *Loop) SetHoldout(h []workload.Labeled) {
 // NoteTrip forwards a serving-side breaker trip into the drift detector.
 func (l *Loop) NoteTrip() { l.det.NoteTrip() }
 
-// ObserveExec implements serve.ExecObserver: per-node q-errors feed the
-// drift detector (and the probation audit when one is running), per-node
-// true cards feed the label pool, and a non-blocking notify wakes a
-// Start-ed background loop.
+// ObserveExec is ObserveRun fed from a TrueCard-annotated plan (exec's
+// RunAnalyze). It stays for benchmark/trace.go.
 func (l *Loop) ObserveExec(q *query.Query, executed *plan.Node) {
-	l.det.ObservePlan(q, executed)
-	l.col.ObserveExec(q, executed)
+	l.ObserveRun(q, executed, executed.TrueCards())
+}
+
+// ObserveRun implements serve.ExecObserver: per-node q-errors of the
+// run's record cards against p's estimates feed the drift detector (and
+// the probation audit when one is running), per-node true cards feed the
+// label pool, and a non-blocking notify wakes a Start-ed background loop.
+// p is only read.
+func (l *Loop) ObserveRun(q *query.Query, p *plan.Node, cards []float64) {
+	l.det.ObservePlan(q, p, cards)
+	l.col.ObserveRun(q, p, cards)
 	l.mu.Lock()
 	if l.probation {
-		executed.Walk(func(n *plan.Node) {
-			qe := metrics.QError(n.EstCard, n.TrueCard)
+		i := 0
+		p.Walk(func(n *plan.Node) {
+			qe := metrics.QError(n.EstCard, cards[i])
 			l.probLogSum += math.Log(qe)
 			l.probN++
+			i++
 		})
 		l.probLeft--
 	}
@@ -332,7 +341,7 @@ func (l *Loop) Stats() LoopStats {
 }
 
 // Start runs the loop on a background goroutine woken by observations
-// (ObserveExec's notify) until ctx is cancelled. The returned channel
+// (ObserveRun's notify) until ctx is cancelled. The returned channel
 // closes when the goroutine exits. Serving deployments use Start;
 // experiments call Tick synchronously for determinism.
 func (l *Loop) Start(ctx context.Context) <-chan struct{} {

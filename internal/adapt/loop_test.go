@@ -49,10 +49,11 @@ func drive(t *testing.T, f *fixture, l *Loop, w workload.Labeled) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ex.RunCtx(context.Background(), w.Q, p); err != nil {
+	res, err := f.ex.RunCtx(context.Background(), w.Q, p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	l.ObserveExec(w.Q, p)
+	l.ObserveRun(w.Q, p, res.Cards)
 }
 
 func smallLoopConfig(f *fixture) Config {

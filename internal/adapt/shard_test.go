@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"lqo/internal/plan"
@@ -10,7 +11,7 @@ import (
 
 // TestObserversSeeShardedScansOnce runs a plan sharded two ways through
 // the three observers. Each must see one node per logical operator: a
-// sharded scan is one Merge leaf, labelled with the whole scan's TrueCard.
+// sharded scan is one Merge leaf, labelled with the whole scan's card.
 func TestObserversSeeShardedScansOnce(t *testing.T) {
 	f := newFixture(t)
 	f.opt.Shards = 2
@@ -19,14 +20,15 @@ func TestObserversSeeShardedScansOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ex.RunCtx(context.Background(), q, p); err != nil {
+	res, err := f.ex.RunCtx(context.Background(), q, p)
+	if err != nil {
 		t.Fatal(err)
 	}
 	logical, merges := len(p.Nodes()), 0
 
 	l := NewLoop(f.sw, &fakeHost{}, NewGate(f.opt, f.ex, GateConfig{}), smallLoopConfig(f))
 	l.probation = true
-	l.ObserveExec(q, p)
+	l.ObserveRun(q, p, res.Cards)
 
 	labels := map[string]float64{}
 	for _, s := range l.Collector().Samples() {
@@ -36,15 +38,15 @@ func TestObserversSeeShardedScansOnce(t *testing.T) {
 		t.Errorf("collector holds %d labels, want one per logical node (%d)", len(labels), logical)
 	}
 	g := query.NewJoinGraph(q)
-	p.Walk(func(n *plan.Node) {
+	for i, n := range p.Nodes() {
 		if n.Op != plan.Merge {
-			return
+			continue
 		}
 		merges++
-		if got := labels[g.Key(g.Bit(n.Alias))]; got != n.TrueCard {
-			t.Errorf("label of sharded scan %s = %v, want the Merge node's TrueCard %v", n.Alias, got, n.TrueCard)
+		if got := labels[g.Key(g.Bit(n.Alias))]; got != res.Cards[i] {
+			t.Errorf("label of sharded scan %s = %v, want the Merge node's card %v", n.Alias, got, res.Cards[i])
 		}
-	})
+	}
 	if merges == 0 {
 		t.Fatal("no Merge node in the sharded plan")
 	}
@@ -53,5 +55,16 @@ func TestObserversSeeShardedScansOnce(t *testing.T) {
 	}
 	if l.probN != logical {
 		t.Errorf("probation audit counted %d nodes, want %d", l.probN, logical)
+	}
+
+	// ObserveExec, kept for benchmark/trace.go, reads the same record off
+	// a RunAnalyze-annotated tree.
+	if _, _, err := f.ex.RunAnalyze(context.Background(), q, p); err != nil {
+		t.Fatal(err)
+	}
+	traced := NewLoop(f.sw, &fakeHost{}, NewGate(f.opt, f.ex, GateConfig{}), smallLoopConfig(f))
+	traced.ObserveExec(q, p)
+	if got, want := traced.Collector().Samples(), l.Collector().Samples(); !reflect.DeepEqual(got, want) {
+		t.Errorf("ObserveExec labels %v, ObserveRun's %v", got, want)
 	}
 }

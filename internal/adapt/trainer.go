@@ -13,7 +13,8 @@ import (
 )
 
 // Collector accumulates true-cardinality training labels harvested from
-// executed plans: one cardest.Sample per distinct sub-query, bounded FIFO.
+// runs' records (exec.Result.Cards; it never reads a plan's TrueCard): one
+// cardest.Sample per distinct sub-query, bounded FIFO.
 // Re-observing a known sub-query refreshes its label in place (execution
 // truth is a property of the current data, so the newest observation
 // wins); once full, new keys evict the oldest — stale pre-drift labels age
@@ -37,13 +38,17 @@ func NewCollector(capacity int) *Collector {
 	return &Collector{cap: capacity, index: make(map[string]int)}
 }
 
-// ObserveExec harvests one label per node of an executed,
-// TrueCard-annotated plan — the same feed opt.HarvestCards taps, but
-// accumulated across queries into a training set.
-func (c *Collector) ObserveExec(q *query.Query, executed *plan.Node) {
+// ObserveRun harvests one label per node from a run of plan p for q:
+// cards is the run's record, cards[i] the true cardinality of p's i-th
+// node in pre-order (exec.Result.Cards) — the same feed opt.HarvestCards
+// taps, but accumulated across queries into a training set. p is only
+// read.
+func (c *Collector) ObserveRun(q *query.Query, p *plan.Node, cards []float64) {
 	g := query.NewJoinGraph(q)
-	executed.WalkLogicalMasks(g, func(n *plan.Node, mask uint64) {
-		c.Add(g.Sub(mask), n.TrueCard)
+	i := 0
+	p.WalkLogicalMasks(g, func(_ *plan.Node, mask uint64) {
+		c.Add(g.Sub(mask), cards[i])
+		i++
 	})
 }
 

@@ -52,7 +52,7 @@ func buildWorld(t *testing.T) *world {
 			t.Fatal(err)
 		}
 		for _, p := range plans {
-			res, err := ex.RunCtx(context.Background(), q, p)
+			res, _, err := ex.RunAnalyze(context.Background(), q, p) // multitask trains on TrueCard
 			if err != nil {
 				continue
 			}

@@ -51,11 +51,11 @@ func (e *Executor) buildOperator(q *query.Query, n *plan.Node, need []string, an
 		switch n.Op {
 		case plan.SeqScan:
 			s := drawOp[seqScanOp](pool, opSeqScan)
-			s.e, s.node, s.pool, s.need = e, n, pool, need
+			s.e, s.q, s.node, s.pool, s.need = e, q, n, pool, need
 			return timed(s, analyze), nil
 		case plan.IndexScan:
 			s := drawOp[indexScanOp](pool, opIndexScan)
-			s.e, s.node, s.pool, s.need = e, n, pool, need
+			s.e, s.q, s.node, s.pool, s.need = e, q, n, pool, need
 			return timed(s, analyze), nil
 		case plan.Merge:
 			if n.Shards < 1 {
@@ -65,7 +65,7 @@ func (e *Executor) buildOperator(q *query.Query, n *plan.Node, need []string, an
 			if e.Backend != nil {
 				backend = e.Backend
 			}
-			return timed(&mergeOp{e: e, node: n, backend: backend, pool: pool, need: need}, analyze), nil
+			return timed(&mergeOp{scanBase: scanBase{e: e, q: q, node: n, pool: pool, need: need}, backend: backend}, analyze), nil
 		default:
 			return nil, fmt.Errorf("exec: %s is not a scan operator", n.Op)
 		}

@@ -14,7 +14,7 @@
 //
 // The pre-pipeline recursive evaluator survives as ReferenceRun
 // (reference.go) — the executable specification the pipeline is tested
-// against for byte-identical Count, Value, TrueCard and WorkUnits.
+// against for byte-identical Count, Value, Cards and WorkUnits.
 package exec
 
 import (
@@ -67,18 +67,22 @@ type Result struct {
 	// result, except MIN/MAX which are NaN).
 	Value float64
 	Stats CostStats
+	// Cards is the run's record of true cardinalities: the rows each plan
+	// node produced, indexed by the node's plan pre-order (plan.Node.Walk).
+	Cards []float64
+	cards [11]float64 // Cards' room, up to 6 tables: no allocation of its own
 }
 
 // Executor runs physical plans against a catalog. Plans execute as a
 // pipeline of streaming batch operators (see operator.go); with
 // Workers > 1 the large-fanout phases (sequential-scan filtering, the
 // hash-join probe) fork each segment across a worker pool. Results,
-// TrueCard annotations and charged WorkUnits are identical at every
-// worker count and batch size; only wall-clock changes.
+// the Cards record and charged WorkUnits are identical at every worker
+// count and batch size; only wall-clock changes.
 //
-// An Executor is safe for concurrent use by multiple goroutines as long
-// as each concurrent run gets its own plan tree (a run annotates plan
-// nodes' TrueCard in place).
+// An Executor is safe for concurrent use by multiple goroutines. RunCtx
+// only reads the plan — per-run state lives in the operators and the
+// Result — so concurrent runs may share one plan tree.
 type Executor struct {
 	Cat *data.Catalog
 	// MaxIntermediate caps materialized intermediate sizes; exceeded plans
@@ -134,9 +138,10 @@ func (e *Executor) batchSize() int {
 // per-row cost of ctx.Err() is amortized away.
 const cancelCheckRows = 4096
 
-// RunCtx executes the plan rooted at p for query q. It annotates every
-// plan node's TrueCard and returns the final cardinality, the query's
-// aggregate value, and the measured cost. Every operator's Next checks
+// RunCtx executes the plan rooted at p for query q and returns the final
+// cardinality, the query's aggregate value, the measured cost and every
+// plan node's true cardinality (Result.Cards). A generic plan's scan
+// leaves bind q's predicates when they open. Every operator's Next checks
 // ctx at batch boundaries and every cancelCheckRows rows inside tight
 // loops (serial and parallel), so a query past its deadline — or
 // canceled by its caller — aborts promptly with ctx.Err() instead of
@@ -152,8 +157,19 @@ func (e *Executor) RunCtx(ctx context.Context, q *query.Query, p *plan.Node) (*R
 // actual rows, charged work and wall-clock per operator — for EXPLAIN
 // ANALYZE rendering, sub-plan training labels, and optimizer feedback.
 // The telemetry is a copy: its operators are recycled into later runs.
+//
+// It then annotates p's TrueCard from Result.Cards, so p must not be
+// shared; the annotation stays because benchmark/trace.go reads it.
 func (e *Executor) RunAnalyze(ctx context.Context, q *query.Query, p *plan.Node) (*Result, *PlanTelemetry, error) {
-	return e.run(ctx, q, p, true)
+	res, pt, err := e.run(ctx, q, p, true)
+	if err == nil {
+		i := 0
+		p.Walk(func(n *plan.Node) {
+			n.TrueCard = res.Cards[i]
+			i++
+		})
+	}
+	return res, pt, err
 }
 
 func (e *Executor) run(ctx context.Context, q *query.Query, p *plan.Node, analyze bool) (res *Result, pt *PlanTelemetry, err error) {
@@ -173,7 +189,7 @@ func (e *Executor) run(ctx context.Context, q *query.Query, p *plan.Node, analyz
 		if cerr := top.Close(); err == nil && cerr != nil {
 			res, pt, err = nil, nil, cerr
 		} else if err == nil && e.pool != nil {
-			walkOps(top, func(op Operator) {
+			walkOps(top, false, func(op Operator) {
 				if r, ok := op.(recycler); ok {
 					r.recycle(e.pool)
 				}
@@ -195,9 +211,11 @@ func (e *Executor) run(ctx context.Context, q *query.Query, p *plan.Node, analyz
 		pt = snapshotTelemetry(top)
 	}
 	res = &Result{Count: sink.count, Value: sink.value()}
+	res.Cards = res.cards[:0] // an operator's output rows: its node's true card
+	walkOps(sink.child, true, func(op Operator) { res.Cards = append(res.Cards, float64(op.Telemetry().RowsOut)) })
 	// Charges fold in the reference evaluator's order — post-order, sink
 	// last — because float64 addition is not associative.
-	walkOps(top, func(op Operator) { op.Telemetry().foldInto(&res.Stats) })
+	walkOps(top, false, func(op Operator) { op.Telemetry().foldInto(&res.Stats) })
 	return res, pt, nil
 }
 

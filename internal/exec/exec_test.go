@@ -260,22 +260,32 @@ func TestIntermediateCap(t *testing.T) {
 	}
 }
 
+// TestTrueCardAnnotations: RunCtx leaves the plan unwritten and returns
+// the run's record, one card per node in pre-order with the root's the
+// result count; RunAnalyze annotates the tree it is given from the same
+// record.
 func TestTrueCardAnnotations(t *testing.T) {
 	cat := smallCatalog(31)
 	q := chainQuery()
 	p, _ := CanonicalPlan(q)
-	if _, err := New(cat).RunCtx(context.Background(), q, p); err != nil {
+	res, err := New(cat).RunCtx(context.Background(), q, p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range p.Nodes() {
-		if n.TrueCard < 0 {
-			t.Fatalf("node %v missing TrueCard", n.Op)
+	if len(res.Cards) != len(p.Nodes()) || res.Cards[0] != float64(res.Count) {
+		t.Fatalf("Cards %v for %d nodes, count %d", res.Cards, len(p.Nodes()), res.Count)
+	}
+	for _, c := range p.TrueCards() {
+		if c != 0 {
+			t.Fatalf("RunCtx annotated the plan: %v", p.TrueCards())
 		}
 	}
-	// Root TrueCard equals the result count.
-	res, _ := New(cat).RunCtx(context.Background(), q, p.Clone())
-	if p.TrueCard != float64(res.Count) {
-		t.Fatalf("root TrueCard %v != count %d", p.TrueCard, res.Count)
+	ares, _, err := New(cat).RunAnalyze(context.Background(), q, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ares.Cards, res.Cards) || !slices.Equal(p.TrueCards(), res.Cards) {
+		t.Fatalf("RunAnalyze annotated %v, record %v, RunCtx's %v", p.TrueCards(), ares.Cards, res.Cards)
 	}
 }
 

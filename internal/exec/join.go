@@ -139,25 +139,116 @@ func keysEqual(pcols [][]int32, pi int32, pks []keyCol, bcols [][]int32, bi int3
 	return true
 }
 
-// hashJoinOp evaluates an equi-join hash-based (whatever the plan
-// operator, which determines only the charged work), materializing the
-// build side and streaming the probe side.
-type hashJoinOp struct {
+// joinBase is what both join operators share: the plan node and its
+// inputs, the output layout, the pending output and the telemetry.
+type joinBase struct {
 	e           *Executor
-	q           *query.Query
 	node        *plan.Node
 	left, right Operator
 	pool        *BatchPool
 	need        []string // aliases the consumer reads
-	childNeed   []string // aliases both inputs are asked for: need plus the condition's
 
-	ctx      context.Context
-	schema   []string
-	srcs     []colSrc // where each output column comes from
-	lks, rks []keyCol
-	pg       keyGather
+	ctx     context.Context
+	schema  []string
+	srcs    []colSrc // where each output column comes from
+	started bool
+	pending Batch // output columns awaiting emission; N counts them when there are none
+	pendIdx int
+	emitted int
+	done    bool
+	out     Batch
+	tel     OpTelemetry
+}
 
-	started      bool
+// joinPhases are a join's own steps, which joinBase.next drives.
+type joinPhases interface {
+	start() error // consume the inputs up to the first output
+	fill() error  // refill pending, leaving it empty once exhausted
+	finish()      // charge the algorithm's work
+}
+
+// open is both joins' Open prologue: it opens the inputs and lays out the
+// output, returning the inputs' schemas.
+func (b *joinBase) open(ctx context.Context) (ls, rs []string, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	b.ctx = ctx
+	b.tel.Op = b.node.Op.String()
+	b.tel.Node = b.node
+	if err := b.left.Open(ctx); err != nil {
+		return nil, nil, err
+	}
+	if err := b.right.Open(ctx); err != nil {
+		return nil, nil, err
+	}
+	ls, rs = b.left.Schema(), b.right.Schema()
+	b.schema, b.srcs = joinSchema(b.schema[:0], b.srcs[:0], ls, rs, b.need)
+	b.pending.alloc(b.pool, len(b.schema))
+	b.tel.charges = append(b.tel.charges, cStartup)
+	return ls, rs, nil
+}
+
+// next is both joins' Next, running their phases ph.
+func (b *joinBase) next(ph joinPhases) (*Batch, error) {
+	if err := b.ctx.Err(); err != nil {
+		return nil, err
+	}
+	if b.done {
+		return nil, nil
+	}
+	if !b.started {
+		b.started = true
+		if err := ph.start(); err != nil {
+			return nil, err
+		}
+	}
+	if b.pendIdx == b.pending.N {
+		b.pending.truncate()
+		b.pendIdx = 0
+		if err := ph.fill(); err != nil {
+			return nil, err
+		}
+	}
+	if b.pending.N == 0 {
+		b.done = true
+		ph.finish()
+		return nil, nil
+	}
+	return emit(&b.pending, &b.pendIdx, &b.out, len(b.schema), &b.tel, b.e.batchSize()), nil
+}
+
+// close is both joins' Close epilogue: it returns pending and closes the
+// inputs.
+func (b *joinBase) close() error {
+	b.pending.free(b.pool)
+	b.out.forget()
+	err := b.left.Close()
+	if err2 := b.right.Close(); err == nil {
+		err = err2
+	}
+	return err
+}
+
+func (b *joinBase) Telemetry() *OpTelemetry { return &b.tel }
+func (b *joinBase) Schema() []string        { return b.schema }
+
+// recycled is the base emptied for the pool, keeping buffer capacity.
+func (b *joinBase) recycled() joinBase {
+	clear(b.schema)
+	return joinBase{schema: b.schema[:0], srcs: b.srcs[:0], pending: b.pending, out: b.out, tel: OpTelemetry{charges: b.tel.charges[:0]}}
+}
+
+// hashJoinOp evaluates an equi-join hash-based (whatever the plan
+// operator, which determines only the charged work), materializing the
+// build side and streaming the probe side.
+type hashJoinOp struct {
+	joinBase
+	q         *query.Query
+	childNeed []string // aliases both inputs are asked for: need plus the condition's
+	lks, rks  []keyCol
+	pg        keyGather
+
 	buildIsRight bool
 	tab          joinTable // tab.build is bufLeft's or bufRight's columns
 
@@ -177,31 +268,13 @@ type hashJoinOp struct {
 
 	leftRows, rightRows int64
 	probeChecked        int
-
-	pending Batch // output columns awaiting emission; N counts them when there are none
-	pendIdx int
-	emitted int
-	done    bool
-	out     Batch
-	tel     OpTelemetry
 }
 
 func (j *hashJoinOp) Open(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
+	ls, rs, err := j.open(ctx)
+	if err != nil {
 		return err
 	}
-	j.ctx = ctx
-	j.tel.Op = j.node.Op.String()
-	j.tel.Node = j.node
-	if err := j.left.Open(ctx); err != nil {
-		return err
-	}
-	if err := j.right.Open(ctx); err != nil {
-		return err
-	}
-	ls, rs := j.left.Schema(), j.right.Schema()
-	j.schema, j.srcs = joinSchema(j.schema[:0], j.srcs[:0], ls, rs, j.need)
-	var err error
 	if j.lks, err = keyColsFor(j.lks[:0], j.e.Cat, j.q, ls, j.node.Cond, true); err != nil {
 		return err
 	}
@@ -210,10 +283,8 @@ func (j *hashJoinOp) Open(ctx context.Context) error {
 	}
 	j.bufLeft.alloc(j.pool, len(ls))
 	j.bufRight.alloc(j.pool, len(rs))
-	j.pending.alloc(j.pool, len(j.schema))
 	j.pkeys = j.pool.GetKeys(0)
 	j.match[0], j.match[1] = j.pool.GetSel(0), j.pool.GetSel(0)
-	j.tel.charges = append(j.tel.charges, cStartup)
 	return nil
 }
 
@@ -442,35 +513,9 @@ func (j *hashJoinOp) fill() error {
 	return nil
 }
 
-func (j *hashJoinOp) Next() (*Batch, error) {
-	if err := j.ctx.Err(); err != nil {
-		return nil, err
-	}
-	if j.done {
-		return nil, nil
-	}
-	if !j.started {
-		j.started = true
-		if err := j.start(); err != nil {
-			return nil, err
-		}
-	}
-	if j.pendIdx == j.pending.N {
-		j.pending.truncate()
-		j.pendIdx = 0
-		if err := j.fill(); err != nil {
-			return nil, err
-		}
-	}
-	if j.pending.N == 0 {
-		j.finish()
-		return nil, nil
-	}
-	return emit(&j.pending, &j.pendIdx, &j.out, len(j.schema), &j.tel, j.e.batchSize()), nil
-}
+func (j *hashJoinOp) Next() (*Batch, error) { return j.next(j) }
 
 func (j *hashJoinOp) finish() {
-	j.done = true
 	nl, nr := float64(j.leftRows), float64(j.rightRows)
 	var op float64
 	switch j.node.Op {
@@ -483,7 +528,6 @@ func (j *hashJoinOp) finish() {
 	}
 	j.tel.charges = append(j.tel.charges, op, float64(j.emitted)*cOutput)
 	j.tel.tuplesJoined = int64(j.emitted)
-	j.node.TrueCard = float64(j.emitted)
 }
 
 // Close returns the owned pooled buffers (bufLeft/bufRight/seg/pending/
@@ -493,80 +537,42 @@ func (j *hashJoinOp) Close() error {
 	j.bufLeft.free(j.pool)
 	j.bufRight.free(j.pool)
 	j.seg.free(j.pool)
-	j.pending.free(j.pool)
 	j.pool.PutKeys(j.pkeys)
 	j.pool.PutSel(j.match[0])
 	j.pool.PutSel(j.match[1])
 	j.tab.release(j.pool)
 	j.pkeys, j.match, j.probe = nil, [2][]int32{}, Batch{}
-	j.out.forget()
-	err := j.left.Close()
-	if err2 := j.right.Close(); err == nil {
-		err = err2
-	}
-	return err
+	return j.close()
 }
-
-func (j *hashJoinOp) Telemetry() *OpTelemetry { return &j.tel }
-func (j *hashJoinOp) Schema() []string        { return j.schema }
 
 func (j *hashJoinOp) recycle(p *BatchPool) {
 	clear(j.childNeed)
-	clear(j.schema)
 	clear(j.lks)
 	clear(j.rks)
 	*j = hashJoinOp{
-		childNeed: j.childNeed[:0], schema: j.schema[:0], srcs: j.srcs[:0], lks: j.lks[:0], rks: j.rks[:0],
-		bufLeft: j.bufLeft, bufRight: j.bufRight, seg: j.seg, pending: j.pending, out: j.out, parts: j.parts[:0],
-		tel: OpTelemetry{charges: j.tel.charges[:0]},
+		joinBase: j.recycled(), childNeed: j.childNeed[:0], lks: j.lks[:0], rks: j.rks[:0],
+		bufLeft: j.bufLeft, bufRight: j.bufRight, seg: j.seg, parts: j.parts[:0],
 	}
 	p.ops[opHashJoin].Put(j)
 }
 
 // crossJoinOp evaluates a condition-free nested-loop join. Both inputs
 // materialize (the product is guarded by the intermediate cap before any
-// output is produced); the quadratic output streams in batches.
+// output is produced); the quadratic output streams in batches. Its
+// inputs are asked for need alone.
 type crossJoinOp struct {
-	e           *Executor
-	node        *plan.Node
-	left, right Operator
-	pool        *BatchPool
-	need        []string // aliases the consumer reads, and all its inputs are asked for
-
-	ctx        context.Context
-	schema     []string
-	srcs       []colSrc
-	started    bool
+	joinBase
 	lbuf, rbuf Batch // pooled materialized inputs
 	li, ri     int
-
-	pending Batch
-	pendIdx int
-	emitted int
-	done    bool
-	out     Batch
-	tel     OpTelemetry
 }
 
 func (c *crossJoinOp) Open(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
+	ls, rs, err := c.open(ctx)
+	if err != nil {
 		return err
 	}
-	c.ctx = ctx
-	c.tel.Op = c.node.Op.String()
-	c.tel.Node = c.node
-	if err := c.left.Open(ctx); err != nil {
-		return err
-	}
-	if err := c.right.Open(ctx); err != nil {
-		return err
-	}
-	ls, rs := c.left.Schema(), c.right.Schema()
-	c.schema, c.srcs = joinSchema(c.schema[:0], c.srcs[:0], ls, rs, c.need)
 	c.lbuf.alloc(c.pool, len(ls))
 	c.rbuf.alloc(c.pool, len(rs))
-	c.pending.alloc(c.pool, len(c.schema))
-	c.tel.charges = append(c.tel.charges, cStartup)
 	return nil
 }
 
@@ -628,58 +634,21 @@ func (c *crossJoinOp) fill() error {
 	return nil
 }
 
-func (c *crossJoinOp) Next() (*Batch, error) {
-	if err := c.ctx.Err(); err != nil {
-		return nil, err
-	}
-	if c.done {
-		return nil, nil
-	}
-	if !c.started {
-		c.started = true
-		if err := c.start(); err != nil {
-			return nil, err
-		}
-	}
-	if c.pendIdx == c.pending.N {
-		c.pending.truncate()
-		c.pendIdx = 0
-		if err := c.fill(); err != nil {
-			return nil, err
-		}
-	}
-	if c.pending.N == 0 {
-		c.done = true
-		nl, nr := float64(c.lbuf.N), float64(c.rbuf.N)
-		c.tel.charges = append(c.tel.charges, nl*nr*cNLCompare, float64(c.emitted)*cOutput)
-		c.tel.tuplesJoined = int64(c.emitted)
-		c.node.TrueCard = float64(c.emitted)
-		return nil, nil
-	}
-	return emit(&c.pending, &c.pendIdx, &c.out, len(c.schema), &c.tel, c.e.batchSize()), nil
+func (c *crossJoinOp) Next() (*Batch, error) { return c.next(c) }
+
+func (c *crossJoinOp) finish() {
+	nl, nr := float64(c.lbuf.N), float64(c.rbuf.N)
+	c.tel.charges = append(c.tel.charges, nl*nr*cNLCompare, float64(c.emitted)*cOutput)
+	c.tel.tuplesJoined = int64(c.emitted)
 }
 
 func (c *crossJoinOp) Close() error {
 	c.lbuf.free(c.pool)
 	c.rbuf.free(c.pool)
-	c.pending.free(c.pool)
-	c.out.forget()
-	err := c.left.Close()
-	if err2 := c.right.Close(); err == nil {
-		err = err2
-	}
-	return err
+	return c.close()
 }
 
-func (c *crossJoinOp) Telemetry() *OpTelemetry { return &c.tel }
-func (c *crossJoinOp) Schema() []string        { return c.schema }
-
 func (c *crossJoinOp) recycle(p *BatchPool) {
-	clear(c.schema)
-	*c = crossJoinOp{
-		schema: c.schema[:0], srcs: c.srcs[:0],
-		lbuf: c.lbuf, rbuf: c.rbuf, pending: c.pending, out: c.out,
-		tel: OpTelemetry{charges: c.tel.charges[:0]},
-	}
+	*c = crossJoinOp{joinBase: c.recycled(), lbuf: c.lbuf, rbuf: c.rbuf}
 	p.ops[opCrossJoin].Put(c)
 }

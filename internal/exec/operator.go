@@ -14,7 +14,7 @@
 // diagnosis need and that the old recursive evaluator could not produce.
 //
 // Determinism contract. The pipeline must measure exactly what the
-// reference evaluator measured: result Count/Value, per-node TrueCard and
+// reference evaluator measured: result Count/Value, the Cards record and
 // charged WorkUnits are byte-identical at every worker count. Work-unit
 // charges are recorded per operator in the reference evaluator's
 // canonical intra-node order and folded into CostStats.WorkUnits by
@@ -201,23 +201,29 @@ type Operator interface {
 	Schema() []string
 }
 
-// walkOps visits the operator tree post-order, inputs left to right (the
-// reference evaluator's charge order), seeing through timing wrappers.
-func walkOps(op Operator, fn func(Operator)) {
-	switch o := op.(type) {
-	case timedOp:
-		walkOps(o.Operator, fn)
-		return
-	case *hashJoinOp:
-		walkOps(o.left, fn)
-		walkOps(o.right, fn)
-	case *crossJoinOp:
-		walkOps(o.left, fn)
-		walkOps(o.right, fn)
-	case *aggSink:
-		walkOps(o.child, fn)
+// walkOps visits the operator tree, inputs left to right, seeing through
+// timing wrappers: post-order (the reference evaluator's charge order),
+// or with pre set in plan pre-order (the order of the run's Cards).
+func walkOps(op Operator, pre bool, fn func(Operator)) {
+	if t, ok := op.(timedOp); ok {
+		op = t.Operator
 	}
-	fn(op)
+	if pre {
+		fn(op)
+	}
+	switch o := op.(type) {
+	case *hashJoinOp:
+		walkOps(o.left, pre, fn)
+		walkOps(o.right, pre, fn)
+	case *crossJoinOp:
+		walkOps(o.left, pre, fn)
+		walkOps(o.right, pre, fn)
+	case *aggSink:
+		walkOps(o.child, pre, fn)
+	}
+	if !pre {
+		fn(op)
+	}
 }
 
 // colSrc locates one join output column in the join's inputs: a position

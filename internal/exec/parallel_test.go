@@ -24,8 +24,8 @@ import (
 // fail fast (identically on both paths) instead of dominating test time.
 const testCap = 300_000
 
-// planFor rebuilds a fresh canonical plan tree (Run mutates TrueCard in
-// place, so every execution gets its own tree).
+// planFor rebuilds a fresh canonical plan tree (RunAnalyze annotates
+// TrueCard in place, so every execution gets its own tree).
 func planFor(t *testing.T, q *query.Query) *plan.Node {
 	t.Helper()
 	p, err := exec.CanonicalPlan(q)

@@ -1,12 +1,13 @@
 // Byte-identity tests for the operator pipeline against the reference
-// evaluator (reference.go): Count, Value, CostStats, and per-node
-// TrueCard must match bit-for-bit at every worker count and batch size,
+// evaluator (reference.go): Count, Value, CostStats, and the per-node
+// Cards record must match bit-for-bit at every worker count and batch size,
 // and per-operator telemetry must replay exactly to CostStats.
 package exec_test
 
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"lqo/internal/datagen"
@@ -17,7 +18,8 @@ import (
 )
 
 // refOutcome runs the reference evaluator and snapshots everything the
-// pipeline must reproduce, including per-node TrueCard in plan order.
+// pipeline must reproduce, including the per-node Cards record in plan
+// order.
 func refOutcome(t *testing.T, ex *exec.Executor, q *query.Query) (outcome, []float64) {
 	t.Helper()
 	p := planFor(t, q)
@@ -25,13 +27,12 @@ func refOutcome(t *testing.T, ex *exec.Executor, q *query.Query) (outcome, []flo
 	if err != nil {
 		return outcome{err: true}, nil
 	}
-	return outcome{count: res.Count, value: res.Value, stats: res.Stats}, trueCards(p)
+	return outcome{count: res.Count, value: res.Value, stats: res.Stats}, res.Cards
 }
 
-func trueCards(p *plan.Node) []float64 {
-	var out []float64
-	p.Walk(func(n *plan.Node) { out = append(out, n.TrueCard) })
-	return out
+// sameCards reports whether two Cards records are identical bit for bit.
+func sameCards(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // TestPipelineMatchesReference is the tentpole invariant: the streaming
@@ -72,15 +73,14 @@ func TestPipelineMatchesReference(t *testing.T) {
 				if res.Stats != want.stats {
 					t.Fatalf("query %d workers=%d batch=%d: stats %+v != %+v", qi, workers, batch, res.Stats, want.stats)
 				}
-				if got := trueCards(p); len(got) != len(wantCards) {
-					t.Fatalf("query %d: %d plan nodes != %d", qi, len(got), len(wantCards))
-				} else {
-					for i := range got {
-						if got[i] != wantCards[i] {
-							t.Fatalf("query %d workers=%d batch=%d: TrueCard[%d] %v != %v", qi, workers, batch, i, got[i], wantCards[i])
-						}
-					}
+				if !sameCards(res.Cards, wantCards) {
+					t.Fatalf("query %d workers=%d batch=%d: Cards %v != %v", qi, workers, batch, res.Cards, wantCards)
 				}
+				p.Walk(func(n *plan.Node) {
+					if n.TrueCard != 0 {
+						t.Fatalf("query %d: RunCtx wrote TrueCard %v into the plan", qi, n.TrueCard)
+					}
+				})
 			}
 		}
 	}

@@ -22,7 +22,7 @@ import (
 
 // TestPooledPipelineIdentitySweep is the pool's identity contract:
 // pooling plus fork-join scans and probes must keep Count, Value (bit
-// pattern), the logical plan's TrueCards and the full CostStats
+// pattern), the Cards record and the full CostStats
 // byte-identical to ReferenceRun at every worker count × batch size ×
 // shard fan-out — including the second, steady-state execution that
 // actually recycles buffers. Every run uses a debug pool, so double puts
@@ -38,7 +38,6 @@ func TestPooledPipelineIdentitySweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantCards := logicalCards(refPlan)
 		for _, shards := range []int{1, 4} {
 			for _, workers := range []int{1, 2, 8} {
 				for _, batch := range []int{0, 1, 64} {
@@ -60,8 +59,8 @@ func TestPooledPipelineIdentitySweep(t *testing.T) {
 						if res.Stats != ref.Stats {
 							t.Fatalf("%s run %d: stats %+v, reference %+v", name, run, res.Stats, ref.Stats)
 						}
-						if got := logicalCards(p); !slices.Equal(got, wantCards) {
-							t.Fatalf("%s run %d: TrueCards %v, reference %v", name, run, got, wantCards)
+						if !slices.Equal(res.Cards, ref.Cards) {
+							t.Fatalf("%s run %d: Cards %v, reference %v", name, run, res.Cards, ref.Cards)
 						}
 					}
 					if n := dbg.InUse(); n != 0 {
@@ -154,14 +153,6 @@ func sweepPlan(t *testing.T, cat *data.Catalog, q *query.Query, shards int) *pla
 	if !fired {
 		t.Fatalf("shard-scans did not fire at shards=%d", shards)
 	}
-	return out
-}
-
-// logicalCards lists the logical plan's TrueCards in pre-order: a Merge
-// counts as the scan it shards.
-func logicalCards(p *plan.Node) []float64 {
-	var out []float64
-	p.Walk(func(n *plan.Node) { out = append(out, n.TrueCard) })
 	return out
 }
 

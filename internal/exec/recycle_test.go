@@ -88,7 +88,7 @@ func recycleQueries(t *testing.T, cat *data.Catalog) []*query.Query {
 // TestRecycledOperatorsSeeCurrentCatalog runs many differently-shaped
 // plans through one pool, appends to every column under it with
 // ApplyDrift — what an adaptive server's catalog does under live
-// traffic — and runs them again: Count, Value bits, TrueCards and the
+// traffic — and runs them again: Count, Value bits, Cards and the
 // full CostStats must equal ReferenceRun's each time. A recycled struct
 // that kept anything derived from data (column storage, row count, prune
 // bitmap, posting list, key columns, output layout) fails here. Variant 3
@@ -138,8 +138,8 @@ func TestRecycledOperatorsSeeCurrentCatalog(t *testing.T) {
 				if got.Stats != want.Stats {
 					t.Fatalf("%s q%d v%d: stats %+v, reference %+v", stage, qi, v, got.Stats, want.Stats)
 				}
-				if g, w := logicalCards(gotPlan), logicalCards(wantPlan); !reflect.DeepEqual(g, w) {
-					t.Fatalf("%s q%d v%d: TrueCards %v, reference %v", stage, qi, v, g, w)
+				if !reflect.DeepEqual(got.Cards, want.Cards) {
+					t.Fatalf("%s q%d v%d: Cards %v, reference %v", stage, qi, v, got.Cards, want.Cards)
 				}
 			}
 		}
@@ -161,14 +161,6 @@ func TestRecycledOperatorsSeeCurrentCatalog(t *testing.T) {
 	if mis := pool.Misuse(); len(mis) != 0 {
 		t.Fatalf("pool contract violations: %v", mis)
 	}
-}
-
-// logicalCards lists the logical plan's TrueCards in pre-order: a Merge
-// counts as the scan it shards.
-func logicalCards(p *plan.Node) []float64 {
-	var out []float64
-	p.Walk(func(n *plan.Node) { out = append(out, n.TrueCard) })
-	return out
 }
 
 // telemetryValue flattens a PlanTelemetry into comparable values.

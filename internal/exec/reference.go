@@ -1,7 +1,7 @@
 // Reference evaluator: the pre-pipeline recursive materialize-everything
 // executor, kept as the executable specification of what the operator
 // pipeline must measure. Byte-identity tests (and the memory benchmark)
-// run both paths and compare Count, Value, TrueCard and WorkUnits
+// run both paths and compare Count, Value, Cards and WorkUnits
 // bit-for-bit; this file is the ground truth side. It is deliberately
 // naive and serial and shares no machinery with the pipeline: scans are a
 // matchesAll row loop, joins a map from the first key column's value to
@@ -39,18 +39,20 @@ func newRelation(aliases []string) *Relation {
 func (r *Relation) Len() int { return len(r.Tuples) }
 
 // ReferenceRun executes the plan with the reference evaluator, fully
-// materializing every intermediate. Semantics match RunCtx exactly; only
-// memory behavior differs.
+// materializing every intermediate. Semantics match RunCtx exactly, the
+// Cards record and the plan left unwritten included; only memory
+// behavior differs.
 func (e *Executor) ReferenceRun(ctx context.Context, q *query.Query, p *plan.Node) (*Result, error) {
 	st := &CostStats{}
-	rel, err := e.eval(ctx, q, p, st)
+	var cards []float64
+	rel, err := e.eval(ctx, q, p, st, &cards)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res := &Result{Count: int64(rel.Len()), Stats: *st}
+	res := &Result{Count: int64(rel.Len()), Stats: *st, Cards: cards}
 	v, err := e.aggregate(q, rel, st)
 	if err != nil {
 		return nil, err
@@ -107,27 +109,31 @@ func (e *Executor) aggregate(q *query.Query, rel *Relation, st *CostStats) (floa
 	}
 }
 
-func (e *Executor) eval(ctx context.Context, q *query.Query, n *plan.Node, st *CostStats) (*Relation, error) {
+// eval evaluates the subtree rooted at n, recording every node's true
+// cardinality at its pre-order position in *cards.
+func (e *Executor) eval(ctx context.Context, q *query.Query, n *plan.Node, st *CostStats, cards *[]float64) (out *Relation, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	at := len(*cards)
+	*cards = append(*cards, 0)
+	defer func() {
+		if err == nil {
+			(*cards)[at] = float64(out.Len())
+		}
+	}()
 	if n.IsLeaf() {
 		return e.evalScan(ctx, q, n, st)
 	}
-	left, err := e.eval(ctx, q, n.Left, st)
+	left, err := e.eval(ctx, q, n.Left, st, cards)
 	if err != nil {
 		return nil, err
 	}
-	right, err := e.eval(ctx, q, n.Right, st)
+	right, err := e.eval(ctx, q, n.Right, st, cards)
 	if err != nil {
 		return nil, err
 	}
-	out, err := e.evalJoin(ctx, q, n, left, right, st)
-	if err != nil {
-		return nil, err
-	}
-	n.TrueCard = float64(out.Len())
-	return out, nil
+	return e.evalJoin(ctx, q, n, left, right, st)
 }
 
 func (e *Executor) evalScan(ctx context.Context, q *query.Query, n *plan.Node, st *CostStats) (*Relation, error) {
@@ -138,7 +144,7 @@ func (e *Executor) evalScan(ctx context.Context, q *query.Query, n *plan.Node, s
 	rel := newRelation([]string{n.Alias})
 	st.WorkUnits += cStartup
 
-	preds := n.Preds
+	preds := n.BindPreds(nil, q)
 	rows, nrows := []int32(nil), tbl.NumRows() // candidate rows; nil means all nrows
 	switch n.Op {
 	case plan.SeqScan, plan.Merge: // a Merge leaf is its scan, sharded
@@ -188,7 +194,6 @@ func (e *Executor) evalScan(ctx context.Context, q *query.Query, n *plan.Node, s
 	}
 	rel.Tuples = carve(ids, 1)
 	st.WorkUnits += float64(rel.Len()) * cOutput
-	n.TrueCard = float64(rel.Len())
 	return rel, nil
 }
 

@@ -31,48 +31,84 @@ func scanSchema(dst *[1]string, alias string, need []string) []string {
 	return dst[:0]
 }
 
-// seqScanOp streams the matching row ids of a sequential scan in batches.
-type seqScanOp struct {
+// scanBase is what every scan operator shares: the leaf it scans for the
+// run's query, its output layout, its pending vector and its telemetry.
+type scanBase struct {
 	e    *Executor
+	q    *query.Query
 	node *plan.Node
 	pool *BatchPool
 	need []string // aliases the consumer reads
 
-	ctx    context.Context
-	alias  [1]string
-	schema []string
-	cols   []*data.Column
-	nrows  int
-	filter blockFilter // compiled vectorized filter, recompiled by every Open
-	parts  [][]int32   // per-span vectors of the partitioned fill
-
-	cursor  int   // next unread input row
-	pending Batch // one pooled vector: matching row ids awaiting emission
-	pendIdx int
+	ctx     context.Context
+	alias   [1]string
+	schema  []string
+	pending Batch // one pooled vector: row ids awaiting emission
 	done    bool
 	out     Batch
 	tel     OpTelemetry
 }
 
-func (s *seqScanOp) Open(ctx context.Context) error {
+// open is every scan's Open prologue; it returns the leaf's table.
+func (b *scanBase) open(ctx context.Context) (*data.Table, error) {
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	b.ctx = ctx
+	b.tel.Op = b.node.Op.String()
+	b.tel.Node = b.node
+	b.schema = scanSchema(&b.alias, b.node.Alias, b.need)
+	tbl := b.e.Cat.Table(b.node.Table)
+	if tbl == nil {
+		return nil, fmt.Errorf("exec: unknown table %q", b.node.Table)
+	}
+	return tbl, nil
+}
+
+// finish marks the scan exhausted and charges its output.
+func (b *scanBase) finish() {
+	b.done = true
+	b.tel.charges = append(b.tel.charges, float64(b.tel.RowsOut)*cOutput)
+}
+
+// Close returns the pending vector; safe to call twice.
+func (b *scanBase) Close() error {
+	b.pending.free(b.pool)
+	b.out.forget()
+	return nil
+}
+func (b *scanBase) Telemetry() *OpTelemetry { return &b.tel }
+func (b *scanBase) Schema() []string        { return b.schema }
+
+// recycled is the base emptied for the pool, keeping buffer capacity.
+func (b *scanBase) recycled() scanBase {
+	return scanBase{pending: b.pending, out: b.out, tel: OpTelemetry{charges: b.tel.charges[:0]}}
+}
+
+// seqScanOp streams the matching row ids of a sequential scan in batches.
+type seqScanOp struct {
+	scanBase
+	preds  []query.Pred // bound by Open (plan.Node.BindPreds)
+	cols   []*data.Column
+	nrows  int
+	filter blockFilter // compiled vectorized filter, recompiled by every Open
+	parts  [][]int32   // per-span vectors of the partitioned fill
+
+	cursor  int // next unread input row
+	pendIdx int
+}
+
+func (s *seqScanOp) Open(ctx context.Context) error {
+	tbl, err := s.open(ctx)
+	if err != nil {
 		return err
 	}
-	s.ctx = ctx
-	s.tel.Op = s.node.Op.String()
-	s.tel.Node = s.node
-	s.schema = scanSchema(&s.alias, s.node.Alias, s.need)
-	tbl := s.e.Cat.Table(s.node.Table)
-	if tbl == nil {
-		return fmt.Errorf("exec: unknown table %q", s.node.Table)
-	}
-	preds := s.node.Preds
-	var err error
-	if s.cols, err = bindPredCols(s.cols[:0], tbl, preds); err != nil {
+	s.preds = s.node.BindPreds(s.preds[:0], s.q)
+	if s.cols, err = bindPredCols(s.cols[:0], tbl, s.preds); err != nil {
 		return err
 	}
 	s.nrows = tbl.NumRows()
-	s.filter.compile(s.cols, preds, s.nrows)
+	s.filter.compile(s.cols, s.preds, s.nrows)
 	s.tel.BlocksTotal, s.tel.BlocksSkipped = s.filter.blocks()
 	s.pending.alloc(s.pool, 1)
 	s.tel.RowsIn = int64(s.nrows)
@@ -82,7 +118,7 @@ func (s *seqScanOp) Open(ctx context.Context) error {
 	// every learned-cost training label) identical with pruning on or off.
 	s.tel.charges = append(s.tel.charges,
 		cStartup,
-		float64(s.nrows)*(cRead+cPred*float64(len(preds))))
+		float64(s.nrows)*(cRead+cPred*float64(len(s.preds))))
 	return nil
 }
 
@@ -156,67 +192,34 @@ func (s *seqScanOp) fillParallel(w int) error {
 	return nil
 }
 
-func (s *seqScanOp) finish() {
-	s.done = true
-	s.tel.charges = append(s.tel.charges, float64(s.tel.RowsOut)*cOutput)
-	s.node.TrueCard = float64(s.tel.RowsOut)
-}
-
-// Close returns the pending vector; safe to call twice.
-func (s *seqScanOp) Close() error {
-	s.pending.free(s.pool)
-	s.out.forget()
-	return nil
-}
-func (s *seqScanOp) Telemetry() *OpTelemetry { return &s.tel }
-func (s *seqScanOp) Schema() []string        { return s.schema }
-
 func (s *seqScanOp) recycle(p *BatchPool) {
+	clear(s.preds)
 	clear(s.cols)
 	s.filter.reset()
-	*s = seqScanOp{cols: s.cols[:0], filter: s.filter, parts: s.parts[:0], pending: s.pending, out: s.out, tel: OpTelemetry{charges: s.tel.charges[:0]}}
+	*s = seqScanOp{scanBase: s.recycled(), preds: s.preds[:0], cols: s.cols[:0], filter: s.filter, parts: s.parts[:0]}
 	p.ops[opSeqScan].Put(s)
 }
 
 // indexScanOp probes an equality index and streams the rows surviving the
 // residual predicates.
 type indexScanOp struct {
-	e    *Executor
-	node *plan.Node
-	pool *BatchPool
-	need []string // aliases the consumer reads
-
-	ctx    context.Context
-	alias  [1]string
-	schema []string
+	scanBase
 	rows   []int32 // the index's posting list
 	cols   []*data.Column
-	rest   []query.Pred
-	filter blockFilter // residual-filter kernels, recompiled by every Open
-
-	cursor  int
-	done    bool
-	pending Batch // one pooled vector: the next batch's row ids
-	out     Batch
-	tel     OpTelemetry
+	rest   []query.Pred // the residual predicates, bound by Open
+	filter blockFilter  // residual-filter kernels, recompiled by every Open
+	cursor int
 }
 
 func (s *indexScanOp) Open(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
+	tbl, err := s.open(ctx)
+	if err != nil {
 		return err
 	}
-	s.ctx = ctx
-	s.tel.Op = s.node.Op.String()
-	s.tel.Node = s.node
-	s.schema = scanSchema(&s.alias, s.node.Alias, s.need)
-	tbl := s.e.Cat.Table(s.node.Table)
-	if tbl == nil {
-		return fmt.Errorf("exec: unknown table %q", s.node.Table)
-	}
-	preds := s.node.Preds
+	s.rest = s.node.BindPreds(s.rest[:0], s.q)
 	eqIdx := -1
 	var ix *data.Index
-	for i, p := range preds {
+	for i, p := range s.rest {
 		if p.Op == query.Eq {
 			if cand := tbl.Index(p.Column); cand != nil {
 				eqIdx, ix = i, cand
@@ -227,14 +230,8 @@ func (s *indexScanOp) Open(ctx context.Context) error {
 	if ix == nil {
 		return fmt.Errorf("exec: IndexScan on %s(%s) has no usable equality index", s.node.Table, s.node.Alias)
 	}
-	s.rows = ix.Rows(preds[eqIdx].Val.I)
-	s.rest = s.rest[:0]
-	for i, p := range preds {
-		if i != eqIdx {
-			s.rest = append(s.rest, p)
-		}
-	}
-	var err error
+	s.rows = ix.Rows(s.rest[eqIdx].Val.I)
+	s.rest = slices.Delete(s.rest, eqIdx, eqIdx+1)
 	if s.cols, err = bindPredCols(s.cols[:0], tbl, s.rest); err != nil {
 		return err
 	}
@@ -266,9 +263,7 @@ func (s *indexScanOp) Next() (*Batch, error) {
 		return nil, err
 	}
 	if s.pending.N == 0 {
-		s.done = true
-		s.tel.charges = append(s.tel.charges, float64(s.tel.RowsOut)*cOutput)
-		s.node.TrueCard = float64(s.tel.RowsOut)
+		s.finish()
 		return nil, nil
 	}
 	idx := 0
@@ -295,18 +290,14 @@ func (s *indexScanOp) fill(ids []int32, bs int) ([]int32, error) {
 // Close returns the pending vector. s.rows is the index's posting list,
 // not ours to recycle.
 func (s *indexScanOp) Close() error {
-	s.pending.free(s.pool)
-	s.out.forget()
 	s.rows = nil
-	return nil
+	return s.scanBase.Close()
 }
-func (s *indexScanOp) Telemetry() *OpTelemetry { return &s.tel }
-func (s *indexScanOp) Schema() []string        { return s.schema }
 
 func (s *indexScanOp) recycle(p *BatchPool) {
 	clear(s.cols)
 	clear(s.rest)
 	s.filter.reset()
-	*s = indexScanOp{cols: s.cols[:0], rest: s.rest[:0], filter: s.filter, pending: s.pending, out: s.out, tel: OpTelemetry{charges: s.tel.charges[:0]}}
+	*s = indexScanOp{scanBase: s.recycled(), cols: s.cols[:0], rest: s.rest[:0], filter: s.filter}
 	p.ops[opIndexScan].Put(s)
 }

@@ -11,7 +11,7 @@
 // per-shard streams by head row id — reproducing the unsharded scan's
 // global row order exactly. Work units are charged analytically on the
 // Merge operator over the full table (ScanShard charges nothing), so
-// Count, Value, TrueCard and CostStats.WorkUnits stay byte-identical
+// Count, Value, Cards and CostStats.WorkUnits stay byte-identical
 // to ReferenceRun at every shard count.
 package exec
 
@@ -34,7 +34,8 @@ type ShardResult struct {
 }
 
 // ShardBackend runs one shard of a sharded scan. scan is the Merge leaf
-// whose table and predicates to scan; the backend must return the matching row ids of partition shard-of-of in
+// whose table and predicates to scan, its predicates already bound for
+// the run; the backend must return the matching row ids of partition shard-of-of in
 // ascending order (see Executor.ScanShard for the partitioning
 // contract). Implementations must be safe for concurrent ScanShard
 // calls — the merge operator scatters all shards at once. *Executor
@@ -107,39 +108,28 @@ func (e *Executor) ScanShard(ctx context.Context, scan *plan.Node, shard, of int
 // read/predicate work at Open, per-row output at exhaustion), so
 // sharding never changes CostStats.
 type mergeOp struct {
-	e       *Executor
-	node    *plan.Node
+	scanBase
 	backend ShardBackend
-	pool    *BatchPool
-
-	need []string // aliases the consumer reads
-
-	ctx     context.Context
-	alias   [1]string
-	schema  []string
+	bound   plan.Node // a generic leaf with its predicates bound for the run
 	shards  []*ShardResult
 	cursors []int
-	pending Batch // one pooled vector: the next batch's row ids
-	done    bool
-	out     Batch
-	tel     OpTelemetry
 }
 
 func (m *mergeOp) Open(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
+	tbl, err := m.open(ctx)
+	if err != nil {
 		return err
 	}
-	m.ctx = ctx
-	m.tel.Op = m.node.Op.String()
-	m.tel.Node = m.node
-	m.schema = scanSchema(&m.alias, m.node.Alias, m.need)
-	tbl := m.e.Cat.Table(m.node.Table)
-	if tbl == nil {
-		return fmt.Errorf("exec: unknown table %q", m.node.Table)
+	// A generic leaf reaches the backend as a copy carrying its binding.
+	scan := m.node
+	if scan.Generic() {
+		m.bound = *scan
+		m.bound.Preds = scan.BindPreds(nil, m.q)
+		scan = &m.bound
 	}
 	// Bind predicate columns up front so sharded plans fail on unknown
 	// columns exactly like unsharded ones, before any shard runs.
-	if _, err := bindPredCols(nil, tbl, m.node.Preds); err != nil {
+	if _, err = bindPredCols(nil, tbl, scan.Preds); err != nil {
 		return err
 	}
 	nrows := tbl.NumRows()
@@ -147,7 +137,7 @@ func (m *mergeOp) Open(ctx context.Context) error {
 	m.tel.tuplesRead = int64(nrows)
 	m.tel.charges = append(m.tel.charges,
 		cStartup,
-		float64(nrows)*(cRead+cPred*float64(len(m.node.Preds))))
+		float64(nrows)*(cRead+cPred*float64(len(scan.Preds))))
 	// Scatter: run every shard concurrently; join before returning so
 	// cancellation never leaks goroutines.
 	n := m.node.Shards
@@ -158,7 +148,7 @@ func (m *mergeOp) Open(ctx context.Context) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			m.shards[i], errs[i] = m.backend.ScanShard(ctx, m.node, i, n)
+			m.shards[i], errs[i] = m.backend.ScanShard(ctx, scan, i, n)
 		}(i)
 	}
 	wg.Wait()
@@ -221,9 +211,7 @@ func (m *mergeOp) Next() (*Batch, error) {
 	}
 	m.pending.Cols[0], m.pending.N = ids, len(ids)
 	if len(ids) == 0 {
-		m.done = true
-		m.tel.charges = append(m.tel.charges, float64(m.tel.RowsOut)*cOutput)
-		m.node.TrueCard = float64(m.tel.RowsOut)
+		m.finish()
 		return nil, nil
 	}
 	idx := 0
@@ -231,11 +219,6 @@ func (m *mergeOp) Next() (*Batch, error) {
 }
 
 func (m *mergeOp) Close() error {
-	m.pending.free(m.pool)
-	m.out.forget()
 	m.shards, m.cursors = nil, nil
-	return nil
+	return m.scanBase.Close()
 }
-
-func (m *mergeOp) Telemetry() *OpTelemetry { return &m.tel }
-func (m *mergeOp) Schema() []string        { return m.schema }

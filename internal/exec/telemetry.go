@@ -21,7 +21,7 @@ type PlanTelemetry struct {
 // rooted at the aggregate sink; the operators themselves get recycled.
 func snapshotTelemetry(root Operator) *PlanTelemetry {
 	pt := &PlanTelemetry{byNode: make(map[*plan.Node]*OpTelemetry)}
-	walkOps(root, func(op Operator) {
+	walkOps(root, false, func(op Operator) {
 		t := *op.Telemetry()
 		t.charges = t.Charges()
 		pt.Ops = append(pt.Ops, &t)

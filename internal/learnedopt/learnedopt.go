@@ -102,9 +102,11 @@ func (n *Native) Plan(q *query.Query) (*plan.Node, error) {
 }
 
 // Measure executes p for q and returns the measured latency in work
-// units — the workbench's deterministic latency signal.
+// units — the workbench's deterministic latency signal. It annotates p's
+// TrueCard (exec's RunAnalyze): the measured plan becomes a training
+// example, and multi-task cost models learn the root's cardinality.
 func Measure(ex *exec.Executor, q *query.Query, p *plan.Node) (float64, error) {
-	res, err := ex.RunCtx(context.Background(), q, p)
+	res, _, err := ex.RunAnalyze(context.Background(), q, p)
 	if err != nil {
 		return 0, err
 	}

@@ -22,11 +22,16 @@ func TestCardsFromPlan(t *testing.T) {
 	ctx := context.Background()
 	checkPlan := func(q *query.Query, p *plan.Node) {
 		t.Helper()
-		res, err := f.ex.RunCtx(ctx, q, p)
+		res, _, err := f.ex.RunAnalyze(ctx, q, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cards := CardsFromPlan(q, p)
+		for i, l := range HarvestCards(q, p, res.Cards) {
+			if cards[l.Key] != l.Card || l.Card != res.Cards[i] {
+				t.Fatalf("%s: record harvest %v disagrees with the annotated tree's %v", q.SQL(), l, cards[l.Key])
+			}
+		}
 		nodes := p.Nodes()
 		if len(cards) != len(nodes) {
 			t.Fatalf("%s: harvested %d cards from %d plan nodes", q.SQL(), len(cards), len(nodes))
@@ -89,7 +94,7 @@ func TestCardsFromPlanCloseLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ex.RunCtx(context.Background(), q, p); err != nil {
+	if _, _, err := f.ex.RunAnalyze(context.Background(), q, p); err != nil {
 		t.Fatal(err)
 	}
 	cards := CardsFromPlan(q, p)
@@ -139,7 +144,7 @@ func TestCardsFromPlanAfterDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ex.RunCtx(context.Background(), q, p); err != nil {
+	if _, _, err := f.ex.RunAnalyze(context.Background(), q, p); err != nil {
 		t.Fatal(err)
 	}
 	before := CardsFromPlan(q, p)
@@ -147,7 +152,7 @@ func TestCardsFromPlanAfterDrift(t *testing.T) {
 	datagen.ApplyDrift(f.cat, datagen.DriftOptions{Seed: 41, Fraction: 0.8, ValueSkew: 2, DomainShift: 0.4})
 
 	// Same (now stale) plan tree, re-executed against the drifted catalog.
-	res, err := f.ex.RunCtx(context.Background(), q, p)
+	res, _, err := f.ex.RunAnalyze(context.Background(), q, p)
 	if err != nil {
 		t.Fatal(err)
 	}

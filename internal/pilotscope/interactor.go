@@ -83,10 +83,10 @@ type SubPlanLabel struct {
 
 // Result is what a database user gets back from ExecuteSQL.
 type Result struct {
-	Count   int64   // result cardinality
-	Value   float64 // the query's aggregate (equals Count for COUNT(*))
-	Latency float64 // deterministic work units
-	Plan    *plan.Node
+	Count   int64      // result cardinality
+	Value   float64    // the query's aggregate (equals Count for COUNT(*))
+	Latency float64    // deterministic work units
+	Plan    *plan.Node // the executed plan, TrueCard-annotated
 }
 
 // Session is one interaction between an AI4DB algorithm and the database:
@@ -399,13 +399,14 @@ func (e *Engine) ExecuteSQL(ctx context.Context, sess *Session, sql string) (*Re
 
 // ExecuteQuery implements DB. Planning and execution both run under ctx:
 // a deadline bounds the whole query, and cancellation mid-scan or
-// mid-probe aborts with ctx.Err().
+// mid-probe aborts with ctx.Err(). The Result's Plan is annotated with
+// its true cardinalities (exec's RunAnalyze).
 func (e *Engine) ExecuteQuery(ctx context.Context, sess *Session, q *query.Query) (*Result, error) {
 	p, err := e.optimize(ctx, sess, q)
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.Ex.RunCtx(ctx, q, p)
+	res, _, err := e.Ex.RunAnalyze(ctx, q, p)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ package plan
 import (
 	"context"
 	"math"
+	"slices"
 
 	"lqo/internal/data"
 	"lqo/internal/query"
@@ -94,13 +95,7 @@ func fold(n *Node, apply bool) (empty, changes bool) {
 func dedupPreds(preds []query.Pred) []query.Pred {
 	var out []query.Pred // nil until the first duplicate
 	for i, p := range preds {
-		dup := false
-		for _, kept := range preds[:i] {
-			if p.KeyString() == kept.KeyString() {
-				dup = true
-				break
-			}
-		}
+		dup := hasDup(preds[:i], p)
 		switch {
 		case dup && out == nil:
 			out = append(make([]query.Pred, 0, len(preds)), preds[:i]...)
@@ -112,6 +107,52 @@ func dedupPreds(preds []query.Pred) []query.Pred {
 		return preds
 	}
 	return out
+}
+
+// hasDup reports whether a conjunct in kept has p's canonical key,
+// building keys only for conjuncts on p's column with p's operator.
+func hasDup(kept []query.Pred, p query.Pred) bool {
+	for _, k := range kept {
+		if k.Column == p.Column && k.Op == p.Op && k.Alias == p.Alias && k.KeyString() == p.KeyString() {
+			return true
+		}
+	}
+	return false
+}
+
+// Generalize copies a plan made for a binding of statement template tmpl
+// into the generic plan every binding runs: each scan leaf holds tmpl's
+// predicates on its alias, deduplicated as constfold does.
+func (n *Node) Generalize(tmpl *query.Query) *Node {
+	c := n.CloneNodes()
+	c.Walk(func(m *Node) {
+		if m.IsLeaf() {
+			m.Preds = dedupPreds(tmpl.PredsOn(m.Alias))
+		}
+	})
+	return c
+}
+
+// Generic reports whether scan leaf n holds a placeholder.
+func (n *Node) Generic() bool {
+	return slices.ContainsFunc(n.Preds, func(p query.Pred) bool { return !predBound(p) })
+}
+
+// BindPreds appends to dst the conjuncts scan leaf n filters on in a run
+// for q: its own, or a generic leaf's binding — q's on its alias,
+// duplicates dropped as constfold drops them from a plan made for q, so
+// every run of a binding is charged what its plan-cache miss was.
+func (n *Node) BindPreds(dst []query.Pred, q *query.Query) []query.Pred {
+	if !n.Generic() {
+		return append(dst, n.Preds...)
+	}
+	start := len(dst)
+	for _, p := range q.Preds {
+		if p.Alias == n.Alias && !hasDup(dst[start:], p) {
+			dst = append(dst, p)
+		}
+	}
+	return dst
 }
 
 // alwaysFalse reports whether the predicate conjunction is provably

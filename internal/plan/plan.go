@@ -58,7 +58,9 @@ func (op Op) IsJoin() bool {
 // at that level and two children.
 //
 // EstCard/EstCost are annotations filled by whichever cardinality estimator
-// and cost model optimized the plan; TrueCard is filled by execution.
+// and cost model optimized the plan. A plan is read-only to execution: a
+// run's true cardinalities are its record (exec.Result.Cards), and only
+// exec's RunAnalyze copies them into TrueCard, on the tree it is given.
 type Node struct {
 	Op    Op
 	Alias string       // scans and Merge nodes
@@ -165,6 +167,14 @@ func (n *Node) foldMasks(g *query.JoinGraph, pre []maskedNode) ([]maskedNode, ui
 	return pre, mask
 }
 
+// TrueCards returns the subtree's TrueCard annotations in pre-order: the
+// run record RunAnalyze annotated the tree from.
+func (n *Node) TrueCards() []float64 {
+	var out []float64
+	n.Walk(func(m *Node) { out = append(out, m.TrueCard) })
+	return out
+}
+
 // Nodes returns all nodes of the subtree in pre-order.
 func (n *Node) Nodes() []*Node {
 	var out []*Node
@@ -194,8 +204,8 @@ func (n *Node) Clone() *Node {
 }
 
 // CloneNodes copies the subtree's nodes into one allocation, sharing the
-// Preds and Cond slices with n: the copy's may be replaced, as rebinding
-// does, but never written through.
+// Preds and Cond slices with n: the copy's may be replaced, as
+// Generalize does, but never written through.
 func (n *Node) CloneNodes() *Node {
 	count := 0
 	n.Walk(func(*Node) { count++ })

@@ -116,9 +116,9 @@ func newHitFixture(tb testing.TB, shards int) (*Server, *Stmt) {
 
 // TestPreparedHitAllocations pins what a warm prepared hit allocates on
 // BenchmarkServeHit's fixture: the binding's own Preds, its rebound join
-// graph, one predicate slab for the generic plan's leaves, the plan
-// checkout, the executor's run and the reply — no graph built, no
-// feedback key string, and under Shards=2 no cache key built either.
+// graph, the executor's run (its record rides in the Result) and the
+// reply — no plan copy, no predicate slab, no graph built, no feedback
+// key string, and under Shards=2 no cache key built either.
 func TestPreparedHitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under the race detector")
@@ -126,7 +126,7 @@ func TestPreparedHitAllocations(t *testing.T) {
 	for _, c := range []struct {
 		shards int
 		max    float64
-	}{{0, 11}, {2, 68}} {
+	}{{0, 9}, {2, 67}} {
 		s, stmt := newHitFixture(t, c.shards)
 		i := 0
 		hit := func() {
@@ -147,4 +147,34 @@ func TestPreparedHitAllocations(t *testing.T) {
 		}
 		t.Logf("shards=%d: %.1f allocations per prepared hit", c.shards, got)
 	}
+}
+
+// TestAdhocHitAllocations pins what a warm ad-hoc hit allocates on
+// BenchmarkServeHit's fixture, statement-cache hit included: the cached
+// plan runs as it is stored, so only the executor's Result (the record
+// in it), the reply and what admission holds per request remain.
+func TestAdhocHitAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	s, _ := newHitFixture(t, 0)
+	sql := "SELECT COUNT(*) FROM posts, users, comments WHERE posts.owner_user_id = users.id AND comments.post_id = posts.id AND posts.score > 5;"
+	i := 0
+	hit := func() {
+		res, err := s.Query(context.Background(), "a", sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i++; i > 1 && !res.Cached {
+			t.Fatalf("request %d missed the plan cache", i)
+		}
+	}
+	for i < 8 { // plan, memoize the harvest, fill the pool
+		hit()
+	}
+	got := testing.AllocsPerRun(100, hit)
+	if got > 3 {
+		t.Errorf("an ad-hoc hit allocates %.1f objects, ceiling 3", got)
+	}
+	t.Logf("%.1f allocations per ad-hoc hit", got)
 }

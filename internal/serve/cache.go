@@ -15,15 +15,16 @@ import (
 // sqlx.Prepared.ShapeKey for prepared statements — the two key spaces
 // cannot collide because placeholder markers sit outside length-prefixed
 // atoms). Entries carry the estimated cardinality of every sub-plan at
-// optimization time; Observe replays an executed tree's TrueCards against
-// that snapshot, position by position, and an entry whose estimates have
+// optimization time; a run's record of true cardinalities is replayed
+// against them, position by position, and an entry whose estimates have
 // drifted past a q-error threshold is evicted, forcing a replan with
 // fresh feedback — the Eraser-style "is the cached plan still behaving?"
 // gate.
 //
-// Put keeps a deep clone and Get copies the nodes out: callers own their
-// tree (the executor annotates TrueCard in place, rebinding replaces leaf
-// Preds) and can never corrupt the cached copy. Safe for concurrent use.
+// A stored plan is immutable: the server runs the cached node itself
+// (checkout copies nothing), from any number of goroutines at once.
+// Get, Put and Observe copy and read annotated trees for
+// benchmark/trace.go. Safe for concurrent use.
 type PlanCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -45,13 +46,7 @@ type CacheStats struct {
 // installs a new entry, so the memo dies with the plan.
 type cacheEntry struct {
 	key string
-	p   *plan.Node
-	// est maps sub-plan ordinal (pre-order position) to the estimated
-	// cardinality the optimizer planned with. Position-keyed rather than
-	// sub-query-keyed so the same snapshot works for prepared-statement
-	// generic plans, where later bindings change every sub-query key but
-	// not the tree shape.
-	est []float64
+	p   *plan.Node // shared by every run; never written
 	// harvest memoizes an ad-hoc entry's feedback labels for their keys
 	// (Server.harvest); nil until the first hit.
 	harvest atomic.Pointer[[]opt.CardLabel]
@@ -71,13 +66,15 @@ func NewPlanCache(capacity int) *PlanCache {
 }
 
 // Get returns a private copy of the cached plan for key, or nil on miss.
-// The copy shares the cached Preds and Cond slices (plan.CloneNodes).
+// The copy shares the cached Preds and Cond slices (plan.CloneNodes). It
+// stays for benchmark/trace.go, which rebinds and annotates the copy.
 func (c *PlanCache) Get(key string) *plan.Node {
 	p, _ := c.checkout(key)
-	return p
+	return p.CloneNodes()
 }
 
-// checkout is Get that also returns the entry the plan was copied from.
+// checkout returns the cached plan for key itself, which the caller must
+// not write to, and its entry; nil on miss.
 func (c *PlanCache) checkout(key string) (*plan.Node, *cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -89,18 +86,19 @@ func (c *PlanCache) checkout(key string) (*plan.Node, *cacheEntry) {
 	c.stats.Hits++
 	c.order.MoveToFront(el)
 	ent := el.Value.(*cacheEntry)
-	return ent.p.CloneNodes(), ent
+	return ent.p, ent
 }
 
-// Put stores an optimized plan under key, snapshotting its per-node
-// estimated cardinalities for later drift checks. The cache keeps its
+// Put stores an optimized plan under key; its per-node estimated
+// cardinalities are what later drift checks judge. The cache keeps its
 // own clone.
-func (c *PlanCache) Put(key string, p *plan.Node) {
-	est := make([]float64, 0, 8)
-	p.Walk(func(n *plan.Node) { est = append(est, n.EstCard) })
+func (c *PlanCache) Put(key string, p *plan.Node) { c.put(key, p.Clone()) }
+
+// put is Put storing p itself, which the caller never writes to again.
+func (c *PlanCache) put(key string, p *plan.Node) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ent := &cacheEntry{key: key, p: p.Clone(), est: est}
+	ent := &cacheEntry{key: key, p: p}
 	if el, ok := c.entries[key]; ok {
 		el.Value = ent
 		c.order.MoveToFront(el)
@@ -115,14 +113,19 @@ func (c *PlanCache) Put(key string, p *plan.Node) {
 	}
 }
 
-// Observe replays execution feedback against the cached entry for key:
-// executed is the TrueCard-annotated plan tree that just ran (a clone of
-// the cached plan, so pre-order positions line up). When any sub-plan's
-// estimate drifts beyond maxQErr (q-error of estimated vs true
-// cardinality), the entry is invalidated and Observe reports true — the
-// signal that the next request should replan with feedback. maxQErr <= 1
-// disables invalidation.
+// Observe is observe fed from a TrueCard-annotated copy of the cached
+// plan (Get, then RunAnalyze). It stays for benchmark/trace.go.
 func (c *PlanCache) Observe(key string, executed *plan.Node, maxQErr float64) bool {
+	return c.observe(key, executed.TrueCards(), maxQErr)
+}
+
+// observe replays the record of a run of key's cached plan against it:
+// cards[i] is the true cardinality of the plan's i-th node in pre-order
+// (exec.Result.Cards). When any sub-plan's estimate drifts beyond maxQErr
+// (q-error of estimated vs true cardinality), the entry is invalidated
+// and observe reports true — the signal that the next request should
+// replan with feedback. maxQErr <= 1 disables invalidation.
+func (c *PlanCache) observe(key string, cards []float64, maxQErr float64) bool {
 	if maxQErr <= 1 {
 		return false
 	}
@@ -132,17 +135,16 @@ func (c *PlanCache) Observe(key string, executed *plan.Node, maxQErr float64) bo
 	if !ok {
 		return false
 	}
-	est := el.Value.(*cacheEntry).est
 	i, drifted := 0, false
-	executed.Walk(func(n *plan.Node) {
-		if i < len(est) && metrics.QError(est[i], n.TrueCard) > maxQErr {
+	el.Value.(*cacheEntry).p.Walk(func(n *plan.Node) {
+		if i < len(cards) && metrics.QError(n.EstCard, cards[i]) > maxQErr {
 			drifted = true
 		}
 		i++
 	})
-	// On a shape mismatch the executed tree is not this entry's plan (stale
+	// On a shape mismatch the record is not of this entry's plan (stale
 	// feedback after a replan); drop it rather than misjudge.
-	if i != len(est) || !drifted {
+	if i != len(cards) || !drifted {
 		return false
 	}
 	c.order.Remove(el)

@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"context"
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
 	"testing"
 
-	"lqo/internal/data"
 	"lqo/internal/plan"
-	"lqo/internal/query"
+	"lqo/internal/sqlx"
 )
 
 func scanPlan(est, truth float64) *plan.Node {
@@ -44,41 +47,68 @@ func TestPlanCacheGetReturnsClone(t *testing.T) {
 	}
 }
 
-// TestPlanCacheCheckoutSurvivesRebind: a checkout copies the nodes and
-// shares the Preds/Cond slices, so what a prepared statement does to its
-// copy — replace every leaf's Preds, run it, annotate it — must not show
-// in the next checkout, and the checkout itself is a single allocation.
+// TestPlanCacheCheckoutSurvivesRebind: a checkout hands out the stored
+// plan itself and allocates nothing, and serving never writes to it:
+// after ad-hoc hits and prepared hits under different bindings, each
+// stored tree keeps its fingerprint, EstCard bits and TrueCards.
 func TestPlanCacheCheckoutSurvivesRebind(t *testing.T) {
-	pred := func(v int64) []query.Pred {
-		return []query.Pred{{Alias: "a", Column: "x", Op: query.Gt, Val: data.IntVal(v)}}
+	s, stmt := newHitFixture(t, 0)
+	ctx := context.Background()
+	sql := "SELECT COUNT(*) FROM posts, users WHERE posts.owner_user_id = users.id AND posts.views > 100;"
+	q, err := sqlx.Parse(sql, s.cat)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cond := []query.Join{{LeftAlias: "a", LeftCol: "id", RightAlias: "b", RightCol: "a_id"}}
-	orig := plan.NewJoin(plan.HashJoin,
-		plan.NewJoin(plan.HashJoin, plan.NewScan(plan.SeqScan, "a", "a", pred(1)), plan.NewScan(plan.SeqScan, "b", "b", nil), cond),
-		plan.NewScan(plan.IndexScan, "c", "c", pred(2)), cond)
-	c := NewPlanCache(0)
-	c.Put("k", orig)
-	want := orig.Fingerprint()
-	for i := int64(0); i < 3; i++ {
-		p := c.Get("k")
-		if p.Fingerprint() != want {
-			t.Fatalf("checkout %d differs from the plan put: %s", i, p.Fingerprint())
-		}
-		p.Walk(func(n *plan.Node) {
-			if n.IsLeaf() {
-				n.Preds = pred(100 + i) // the rebind replaces, never writes through
+	keys := []string{s.cacheKey(q.Key()), stmt.e.Load().key}
+	serve := func(i int) {
+		t.Helper()
+		for _, run := range []func() (*Result, error){
+			func() (*Result, error) { return s.Query(ctx, "a", sql) },
+			func() (*Result, error) { return s.Exec(ctx, "a", stmt, hitBindings[i%len(hitBindings)]) },
+		} {
+			if res, err := run(); err != nil || (i > 0 && !res.Cached) {
+				t.Fatalf("request %d: %+v, %v", i, res, err)
 			}
-			n.TrueCard = float64(i + 1)
+		}
+	}
+	type snapshot struct {
+		fp         string
+		est, truth []uint64
+	}
+	snap := func(p *plan.Node) snapshot {
+		sn := snapshot{fp: p.Fingerprint()}
+		p.Walk(func(n *plan.Node) {
+			sn.est = append(sn.est, math.Float64bits(n.EstCard))
+			sn.truth = append(sn.truth, math.Float64bits(n.TrueCard))
 		})
-		p.Left, p.Right = p.Right, p.Left
+		return sn
 	}
-	// The producer's tree is not the cache's either.
-	orig.Left.Left.Preds[0].Val = data.IntVal(77)
-	if got := c.Get("k"); got.Fingerprint() != want || got.TrueCard != 0 {
-		t.Fatalf("cached plan changed under its checkouts: %s", got.Fingerprint())
+	serve(0)
+	stored := make([]*plan.Node, len(keys))
+	before := make([]snapshot, len(keys))
+	for i, k := range keys {
+		if stored[i], _ = s.cache.checkout(k); stored[i] == nil {
+			t.Fatalf("key %d not cached", i)
+		}
+		before[i] = snap(stored[i])
 	}
-	if allocs := testing.AllocsPerRun(50, func() { c.Get("k") }); allocs > 1 {
-		t.Fatalf("checkout of an unsharded plan allocates %.0f objects, want 1", allocs)
+	if !slices.ContainsFunc(stored[1].Nodes(), (*plan.Node).Generic) {
+		t.Fatal("the prepared statement's cached plan has no generic leaf")
+	}
+	for i := 1; i <= 8; i++ {
+		serve(i)
+	}
+	for i, k := range keys {
+		p, _ := s.cache.checkout(k)
+		if p != stored[i] {
+			t.Fatalf("key %d: checkout returned a different tree", i)
+		}
+		if got := snap(p); !reflect.DeepEqual(got, before[i]) {
+			t.Fatalf("key %d: stored plan changed under its hits:\n before %+v\n after  %+v", i, before[i], got)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { s.cache.checkout(keys[0]) }); allocs != 0 {
+		t.Fatalf("checkout allocates %.0f objects, want 0", allocs)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Tests for the hit path's harvest memo: whatever a hit writes into the
 // feedback store through memoized keys must be what the unmemoized harvest
-// — absorb(opt.HarvestCards(q, executed)) per request — would have written.
+// — absorb(opt.HarvestCards(q, p, cards)) per request — would have written.
 package serve
 
 import (
@@ -21,7 +21,7 @@ import (
 )
 
 // mirrorStore is the reference feedback store: an ExecObserver (so it sees
-// exactly the executed tree the server harvested) that absorbs
+// exactly the run record the server harvested) that absorbs
 // opt.HarvestCards under the server's admission rule.
 type mirrorStore struct {
 	mu    sync.Mutex
@@ -36,10 +36,10 @@ func newMirror(cap int) *mirrorStore {
 	return &mirrorStore{cap: cap, store: map[string]float64{}}
 }
 
-func (m *mirrorStore) ObserveExec(q *query.Query, executed *plan.Node) {
+func (m *mirrorStore) ObserveRun(q *query.Query, p *plan.Node, cards []float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, l := range opt.HarvestCards(q, executed) {
+	for _, l := range opt.HarvestCards(q, p, cards) {
 		if _, ok := m.store[l.Key]; !ok && len(m.store) >= m.cap {
 			continue
 		}
@@ -239,7 +239,7 @@ func TestHarvestMemoDroppedOnDriftInvalidation(t *testing.T) {
 			t.Fatalf("request %d: Cached = %v, want %v", i, res.Cached, wantCached)
 		}
 		requireMirrored(t, s, m, fmt.Sprintf("request %d", i))
-		if i == 1 && (s.CacheLen() != 0 || hasMemo(s, key)) {
+		if i == 1 && (s.cache.Len() != 0 || hasMemo(s, key)) {
 			t.Fatal("drifted entry (and its memo) not evicted")
 		}
 		if i == 2 && hasMemo(s, key) {

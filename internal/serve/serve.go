@@ -125,15 +125,14 @@ func (st *Stmt) current(s *Server) (*stmtEntry, error) {
 	return e, nil
 }
 
-// ExecObserver receives every successfully executed plan tree, TrueCard
-// annotations included, right after the server harvests feedback from it.
-// The adaptation loop (internal/adapt) implements this to feed its drift
-// detector and label collector without the server importing adapt.
-// ObserveExec must not retain executed — the caller owns the tree — and
-// must not mutate q: the server shares one query across every request for
-// the same text, concurrent ones included.
+// ExecObserver receives every successful run right after the server
+// harvests feedback from it: the plan and the run's record, cards[i] for
+// p's i-th node in pre-order (exec.Result.Cards). The adaptation loop
+// (internal/adapt) implements this to feed its drift detector and label
+// collector without the server importing adapt. p and q are shared with
+// concurrent requests, so ObserveRun must only read them.
 type ExecObserver interface {
-	ObserveExec(q *query.Query, executed *plan.Node)
+	ObserveRun(q *query.Query, p *plan.Node, cards []float64)
 }
 
 // Server serves queries over one catalog with plan caching,
@@ -150,12 +149,13 @@ type Server struct {
 	stmts *stmtCache
 	adm   *admission
 
-	mu        sync.Mutex
-	feedback  map[string]int32 // sub-query key -> index of its harvested true card in cards
-	cards     []float64
-	keyBuf    []byte // the prepared harvest's key buffer
-	coldPlans int64
-	obs       ExecObserver
+	mu       sync.Mutex
+	feedback map[string]int32 // sub-query key -> index of its harvested true card in cards
+	cards    []float64
+	keyBuf   []byte // the prepared harvest's key buffer
+
+	coldPlans atomic.Int64
+	obs       atomic.Pointer[ExecObserver] // nil or pointing at nil: none
 }
 
 // New assembles a server over cat using o to plan and ex to execute. The
@@ -213,14 +213,14 @@ func (fe *feedbackEstimator) Estimate(q *query.Query) float64 {
 // serving path may mutate it.
 func (s *Server) Query(ctx context.Context, tenant, sql string) (*Result, error) {
 	if e, ok := s.stmts.get(sql, s.cat); ok {
-		return s.run(ctx, tenant, e.st.Query(), e.key, nil)
+		return s.run(ctx, tenant, e.st.Query(), e.key, nil, nil)
 	}
 	st, err := sqlx.ParseStatement(sql, s.cat)
 	if err != nil {
 		return nil, err
 	}
 	e := stmtEntry{st: st, key: s.cacheKey(st.ShapeKey())}
-	res, err := s.run(ctx, tenant, st.Query(), e.key, nil)
+	res, err := s.run(ctx, tenant, st.Query(), e.key, nil, nil)
 	if err == nil && res.Cached {
 		s.cache.adoptKey(e.key)
 		s.stmts.put(sql, e)
@@ -241,9 +241,9 @@ func (s *Server) Prepare(sql string) (*Stmt, error) {
 }
 
 // Exec binds args into stmt and executes it for tenant. Plans are cached
-// on the statement's shape key: the first execution plans a generic plan,
-// later executions reuse its join order and operators with the current
-// binding's predicates rebound onto the scan leaves. Feedback-driven
+// on the statement's shape key: the first execution plans for its binding
+// and caches that plan generalized to the template, whose scan leaves
+// bind each execution's predicates when they open. Feedback-driven
 // invalidation replans when that generic plan stops fitting the observed
 // cardinalities. The binding's join graph is the template's, rebound, so
 // harvesting its feedback builds no graph.
@@ -256,14 +256,16 @@ func (s *Server) Exec(ctx context.Context, tenant string, stmt *Stmt, args ...an
 	if err != nil {
 		return nil, err
 	}
-	return s.run(ctx, tenant, q, e.key, g)
+	return s.run(ctx, tenant, q, e.key, g, e.st.Query())
 }
 
 // run is the shared serving path: admit, fetch-or-plan, execute, harvest
 // feedback, observe drift. key is the plan-cache key (cacheKey). q is
-// only read. g is the join graph of a prepared statement's binding q, and
-// nil for an ad-hoc query.
-func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key string, g *query.JoinGraph) (*Result, error) {
+// only read. A prepared statement passes g, its binding's join graph, and
+// tmpl, its template; an ad-hoc query neither. A hit runs the cached plan
+// itself, shared with concurrent requests: nothing here writes to a plan,
+// and harvest, drift check and observer read the run's record instead.
+func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key string, g *query.JoinGraph, tmpl *query.Query) (*Result, error) {
 	release, br, err := s.adm.acquire(ctx, tenant)
 	if err != nil {
 		return nil, err
@@ -273,9 +275,8 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 	planStart := time.Now()
 	p, ent := s.cache.checkout(key)
 	cached := p != nil
-	if cached && g != nil {
+	if g != nil {
 		ent = nil // each binding has its own sub-query keys
-		rebindLeaves(p, q)
 	}
 	if p == nil {
 		p, err = s.opt.OptimizeCtx(ctx, q)
@@ -283,10 +284,11 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 			br.Failure()
 			return nil, err
 		}
-		s.mu.Lock()
-		s.coldPlans++
-		s.mu.Unlock()
-		s.cache.Put(key, p)
+		if tmpl != nil {
+			p = p.Generalize(tmpl)
+		}
+		s.coldPlans.Add(1)
+		s.cache.put(key, p)
 	}
 	planDur := time.Since(planStart)
 
@@ -297,40 +299,18 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 	}
 	br.Success()
 
-	s.harvest(q, g, p, ent)
+	s.harvest(q, g, p, res.Cards, ent)
 	if cached {
-		s.cache.Observe(key, p, s.cfg.InvalidateQError)
+		s.cache.observe(key, res.Cards, s.cfg.InvalidateQError)
 	}
-	s.mu.Lock()
-	obs := s.obs
-	s.mu.Unlock()
-	if obs != nil {
-		obs.ObserveExec(q, p)
+	if obs := s.obs.Load(); obs != nil && *obs != nil {
+		(*obs).ObserveRun(q, p, res.Cards)
 	}
 	return &Result{Count: res.Count, Value: res.Value, Latency: res.Stats.WorkUnits, Cached: cached, Plan: planDur}, nil
 }
 
-// rebindLeaves is generic-plan reuse: it keeps a cached plan's join order
-// and operators and swaps in q.PredsOn(alias) at the scan leaves, carved
-// from one slab.
-func rebindLeaves(p *plan.Node, q *query.Query) {
-	slab := make([]query.Pred, 0, len(q.Preds))
-	p.Walk(func(n *plan.Node) {
-		if !n.IsLeaf() {
-			return
-		}
-		start := len(slab)
-		for _, pr := range q.Preds {
-			if pr.Alias == n.Alias {
-				slab = append(slab, pr)
-			}
-		}
-		n.Preds = slab[start:len(slab):len(slab)]
-	})
-}
-
-// harvest merges the executed plan's true cardinalities into the feedback
-// store in plan pre-order, every key every time (ResetFeedback may have
+// harvest merges the record cards of a run of p into the feedback store
+// in plan pre-order, every key every time (ResetFeedback may have
 // intervened). A prepared binding's keys come from its graph g through
 // s.keyBuf, so only a key new to the store allocates a string. ent is the
 // entry p was checked out of on an ad-hoc hit, else nil. Its key is a
@@ -338,13 +318,15 @@ func rebindLeaves(p *plan.Node, q *query.Query) {
 // on every hit: the first hit (not the miss, which none may follow)
 // memoizes opt.HarvestCards' labels for their keys, later hits skip the
 // join graph.
-func (s *Server) harvest(q *query.Query, g *query.JoinGraph, p *plan.Node, ent *cacheEntry) {
+func (s *Server) harvest(q *query.Query, g *query.JoinGraph, p *plan.Node, cards []float64, ent *cacheEntry) {
 	if g != nil {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		p.WalkLogicalMasks(g, func(n *plan.Node, mask uint64) {
+		i := 0
+		p.WalkLogicalMasks(g, func(_ *plan.Node, mask uint64) {
 			s.keyBuf = g.AppendKey(s.keyBuf[:0], mask)
-			absorb(s, s.keyBuf, n.TrueCard)
+			absorb(s, s.keyBuf, cards[i])
+			i++
 		})
 		return
 	}
@@ -355,7 +337,7 @@ func (s *Server) harvest(q *query.Query, g *query.JoinGraph, p *plan.Node, ent *
 		}
 	}
 	if labels == nil {
-		labels = opt.HarvestCards(q, p)
+		labels = opt.HarvestCards(q, p, cards)
 		if ent != nil {
 			memo := labels
 			ent.harvest.Store(&memo)
@@ -363,11 +345,9 @@ func (s *Server) harvest(q *query.Query, g *query.JoinGraph, p *plan.Node, ent *
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i := 0
-	p.Walk(func(n *plan.Node) { // memoized cards are stale: read p's
-		absorb(s, labels[i].Key, n.TrueCard)
-		i++
-	})
+	for i, l := range labels { // memoized cards are stale: read the record's
+		absorb(s, l.Key, cards[i])
+	}
 }
 
 // absorb writes one harvested truth into the feedback store under s.mu:
@@ -385,11 +365,7 @@ func absorb[K string | []byte](s *Server, key K, card float64) {
 
 // SetObserver installs (or, with nil, removes) the execution observer.
 // The observer sees every successful execution after feedback harvest.
-func (s *Server) SetObserver(o ExecObserver) {
-	s.mu.Lock()
-	s.obs = o
-	s.mu.Unlock()
-}
+func (s *Server) SetObserver(o ExecObserver) { s.obs.Store(&o) }
 
 // FlushPlans drops every cached plan, returning how many were dropped.
 // Called on estimator hot-swap: cached plans embody the replaced model's
@@ -444,13 +420,7 @@ func (s *Server) cacheKey(key string) string {
 
 // Stats returns a snapshot of the server's counters.
 func (s *Server) Stats() Stats {
-	s.mu.Lock()
-	cold := s.coldPlans
-	s.mu.Unlock()
 	rejected, shed := s.adm.stats()
 	hits, misses := s.stmts.stats()
-	return Stats{Cache: s.cache.Stats(), ColdPlans: cold, Rejected: rejected, Shed: shed, StmtHits: hits, StmtMisses: misses}
+	return Stats{Cache: s.cache.Stats(), ColdPlans: s.coldPlans.Load(), Rejected: rejected, Shed: shed, StmtHits: hits, StmtMisses: misses}
 }
-
-// CacheLen reports how many plans are currently cached.
-func (s *Server) CacheLen() int { return s.cache.Len() }

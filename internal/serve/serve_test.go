@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -271,8 +272,8 @@ func TestInvalidateDropsEntry(t *testing.T) {
 	}
 }
 
-// recordingObserver counts ObserveExec calls and remembers the last tree's
-// per-node TrueCard annotations.
+// recordingObserver counts ObserveRun calls and remembers the last run's
+// record.
 type recordingObserver struct {
 	mu    sync.Mutex
 	calls int
@@ -280,13 +281,12 @@ type recordingObserver struct {
 	cards []float64
 }
 
-func (o *recordingObserver) ObserveExec(q *query.Query, executed *plan.Node) {
+func (o *recordingObserver) ObserveRun(q *query.Query, _ *plan.Node, cards []float64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.calls++
 	o.keys = append(o.keys, q.Key())
-	o.cards = o.cards[:0]
-	executed.Walk(func(n *plan.Node) { o.cards = append(o.cards, n.TrueCard) })
+	o.cards = cards
 }
 
 func TestObserverSeesEveryExecution(t *testing.T) {
@@ -307,10 +307,10 @@ func TestObserverSeesEveryExecution(t *testing.T) {
 	if obs.keys[0] != obs.keys[1] {
 		t.Fatal("observer saw different query keys for the same SQL")
 	}
-	// The observed tree carries execution truth: the root's TrueCard is the
-	// result cardinality (pre-order walk visits the root first).
+	// The observed record carries execution truth: the root's card is the
+	// result cardinality (pre-order puts the root first).
 	if obs.cards[0] != float64(r1.Count) {
-		t.Fatalf("observed root TrueCard %g, want result count %d", obs.cards[0], r1.Count)
+		t.Fatalf("observed root card %g, want result count %d", obs.cards[0], r1.Count)
 	}
 	// Removing the observer stops deliveries.
 	s.SetObserver(nil)
@@ -332,8 +332,8 @@ func TestFlushPlansAndResetFeedback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.CacheLen() != 2 {
-		t.Fatalf("CacheLen = %d, want 2", s.CacheLen())
+	if s.cache.Len() != 2 {
+		t.Fatalf("CacheLen = %d, want 2", s.cache.Len())
 	}
 	if s.FeedbackLen() == 0 {
 		t.Fatal("no feedback harvested")
@@ -341,8 +341,8 @@ func TestFlushPlansAndResetFeedback(t *testing.T) {
 	if n := s.FlushPlans(); n != 2 {
 		t.Fatalf("FlushPlans dropped %d plans, want 2", n)
 	}
-	if s.CacheLen() != 0 {
-		t.Fatalf("CacheLen = %d after flush", s.CacheLen())
+	if s.cache.Len() != 0 {
+		t.Fatalf("CacheLen = %d after flush", s.cache.Len())
 	}
 	if n := s.ResetFeedback(); n == 0 {
 		t.Fatal("ResetFeedback dropped nothing")
@@ -441,6 +441,32 @@ func TestAbsorbAtFeedbackCapIsDeterministic(t *testing.T) {
 		}
 		if !reflect.DeepEqual(store, first) {
 			t.Fatalf("run %d: store %v, first run %v", run, store, first)
+		}
+	}
+}
+
+// TestPreparedHitChargesLikeMiss: a prepared hit runs what the miss for
+// the same binding ran. The template's duplicate literal conjunct is
+// folded away when the statement is planned; a hit must not evaluate it
+// again, so Count, Value bits and Latency (the charged WorkUnits) agree
+// between the miss and every later hit.
+func TestPreparedHitChargesLikeMiss(t *testing.T) {
+	s, _ := newHitFixture(t, 0)
+	stmt, err := s.Prepare("SELECT COUNT(*) FROM posts, users WHERE posts.owner_user_id = users.id AND users.reputation > 10 AND users.reputation > 10 AND posts.score > ?;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	miss, err := s.Exec(context.Background(), "a", stmt, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		hit, err := s.Exec(context.Background(), "a", stmt, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit.Cached || hit.Count != miss.Count || math.Float64bits(hit.Value) != math.Float64bits(miss.Value) || hit.Latency != miss.Latency {
+			t.Fatalf("hit %d: %+v, miss %+v", i, hit, miss)
 		}
 	}
 }

@@ -68,8 +68,8 @@ func TestShardedServingMatchesUnsharded(t *testing.T) {
 		}
 	}
 	// The cached plan really is a sharded tree.
-	if sharded.CacheLen() != 1 {
-		t.Fatalf("sharded cache holds %d plans", sharded.CacheLen())
+	if sharded.cache.Len() != 1 {
+		t.Fatalf("sharded cache holds %d plans", sharded.cache.Len())
 	}
 }
 

@@ -147,7 +147,7 @@ func TestQueriesAreReadOnly(t *testing.T) {
 						t.Fatal(err)
 					}
 					before := q.Clone()
-					if _, err := s.run(ctx, "a", q, s.cacheKey(q.Key()), nil); err != nil {
+					if _, err := s.run(ctx, "a", q, s.cacheKey(q.Key()), nil, nil); err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(q, before) {
