@@ -2,6 +2,7 @@ package cardest
 
 import (
 	"math/rand"
+	"sort"
 
 	"lqo/internal/data"
 	"lqo/internal/ml"
@@ -85,7 +86,14 @@ func (e *QuickSel) Train(ctx *Context) error {
 		}
 	}
 
-	for tn, observations := range perTable {
+	// The tables share rng, so they train in a fixed order.
+	tables := make([]string, 0, len(perTable))
+	for tn := range perTable {
+		tables = append(tables, tn)
+	}
+	sort.Strings(tables)
+	for _, tn := range tables {
+		observations := perTable[tn]
 		cols := e.tableCols(tn)
 		if len(observations) < 3 {
 			continue

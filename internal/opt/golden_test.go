@@ -16,6 +16,7 @@ import (
 	"lqo/internal/cost"
 	"lqo/internal/data"
 	"lqo/internal/datagen"
+	"lqo/internal/exec"
 	"lqo/internal/plan"
 	"lqo/internal/query"
 	"lqo/internal/stats"
@@ -36,6 +37,9 @@ type goldenCell struct {
 	fromOrder bool
 	// sharded plans every query a second time with Shards=2.
 	sharded bool
+	// est names the cardest estimator the cell plans with; "" is the
+	// histogram estimator every other cell uses.
+	est string
 }
 
 // goldenCells spans enumerator × tree shape × hint set. The greedy cells
@@ -78,6 +82,14 @@ func goldenCells() []goldenCell {
 	cells = append(cells, goldenCell{name: "dp/bushy/default/mutated", opt: func(b *Optimizer) *Optimizer {
 		return b.WithHints(plan.HintSet{})
 	}, take: mutateQueries, sharded: true})
+	// The per-table estimators that compose through the System-R join
+	// formula, each on a slice small enough to stay cheap: their
+	// per-alias selectivity path must keep every estimate's bits.
+	for _, est := range []string{"spn", "kde", "naru", "iris", "quicksel", "bayesnet", "glue"} {
+		cells = append(cells, goldenCell{name: "dp/bushy/default/" + est, opt: func(b *Optimizer) *Optimizer {
+			return b.WithHints(plan.HintSet{})
+		}, take: func(qs []*query.Query) []*query.Query { return qs[:40] }, est: est})
+	}
 	return cells
 }
 
@@ -176,6 +188,14 @@ func TestGoldenPlanIdentity(t *testing.T) {
 	}
 	base := New(cat, cost.New(cs), est)
 	qs := workload.GenWorkload(cat, workload.Options{Seed: 11, Count: 320, MinJoins: 1, MaxJoins: 6})
+	labeled, err := workload.GenLabeled(cat, exec.NewCardCache(exec.New(cat)), workload.Options{Seed: 13, Count: 40, MaxJoins: 2, MaxPreds: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	train := make([]cardest.Sample, len(labeled))
+	for i, l := range labeled {
+		train[i] = cardest.Sample{Q: l.Q, Card: l.Card}
+	}
 
 	got := map[string]string{}
 	for _, c := range goldenCells() {
@@ -183,7 +203,18 @@ func TestGoldenPlanIdentity(t *testing.T) {
 		if c.take != nil {
 			cell = c.take(qs)
 		}
-		opts := []*Optimizer{c.opt(base)}
+		b := base
+		if c.est != "" {
+			e, err := cardest.ByName(c.est)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Train(&cardest.Context{Cat: cat, Stats: cs, Train: train, Seed: 7}); err != nil {
+				t.Fatal(err)
+			}
+			b = base.WithEstimator(e)
+		}
+		opts := []*Optimizer{c.opt(b)}
 		if c.sharded {
 			s := opts[0].WithHints(opts[0].Hints)
 			s.Shards = 2
