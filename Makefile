@@ -85,11 +85,12 @@ bench:
 
 # One iteration of every benchmark — catches bit-rotted benchmark code
 # without paying for real measurements. Of the root package only the
-# planning scoreboard runs: its other benchmarks regenerate whole
-# experiment tables. ./internal/exec/ includes the join kernel's
-# BenchmarkHashJoinProbe grid (build size × match rate); ./internal/serve/
-# is BenchmarkServeHit, the cached request end to end (ad-hoc, a new
-# spelling of a cached query, prepared).
+# planning scoreboard runs (BenchmarkOptimizeDP at 2-8 tables under the
+# histogram and spn estimators, and BenchmarkHarvest): its other
+# benchmarks regenerate whole experiment tables. ./internal/exec/
+# includes the join kernel's BenchmarkHashJoinProbe grid (build size ×
+# match rate); ./internal/serve/ is BenchmarkServeHit, the cached
+# request end to end (ad-hoc, a new spelling of a cached query, prepared).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/exec/ ./internal/serve/ ./internal/bench/
 	$(GO) test -run '^$$' -bench 'OptimizeDP|Harvest' -benchtime 1x .

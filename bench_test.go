@@ -144,23 +144,33 @@ func BenchmarkOptimizeDP4Way(b *testing.B) {
 }
 
 // BenchmarkOptimizeDP is the planning-cost scoreboard: bushy DP through
-// the full pipeline under the histogram estimator, by query width.
-// plans/op is the enumeration effort, which must not move when only the
-// enumerator's speed is worked on.
+// the full pipeline by query width, under the histogram estimator (the
+// unprefixed cells) and under spn, the estimator the repo benchmark's
+// cold_plan workload plans with. plans/op is the enumeration effort,
+// which must not move when only the enumerator's speed is worked on.
 func BenchmarkOptimizeDP(b *testing.B) {
 	env := sharedEnv(b)
-	for _, tables := range []int{2, 4, 6, 8} {
-		b.Run(fmt.Sprintf("%dway", tables), func(b *testing.B) {
-			q := genQuery(b, env, tables)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := env.Base.OptimizeCtx(context.Background(), q); err != nil {
-					b.Fatal(err)
+	spn := cardest.NewSPNEstimator()
+	if err := spn.Train(env.CardestContext()); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		prefix string
+		o      *opt.Optimizer
+	}{{"", env.Base}, {"spn/", env.Base.WithEstimator(spn)}} {
+		for _, tables := range []int{2, 4, 6, 8} {
+			b.Run(fmt.Sprintf("%s%dway", c.prefix, tables), func(b *testing.B) {
+				q := genQuery(b, env, tables)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := c.o.OptimizeCtx(context.Background(), q); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(float64(env.Base.PlansConsidered()), "plans/op")
-		})
+				b.ReportMetric(float64(c.o.PlansConsidered()), "plans/op")
+			})
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package cardest
 
 import (
 	"math"
+	"slices"
 
 	"lqo/internal/data"
 	"lqo/internal/query"
@@ -23,12 +24,10 @@ type BayesNet struct {
 }
 
 type bnTable struct {
-	cols   []string
-	bounds [][]float64
+	binnedCols
 	parent []int       // parent column index, -1 for root
 	order  []int       // topological order (root first)
 	cpt    [][]float64 // cpt[ci]: root → marginal (len bins); else P(child|parent) row-major [parentBin*bins+childBin]
-	bins   int
 }
 
 // NewBayesNet returns an untrained Chow-Liu estimator.
@@ -54,11 +53,7 @@ func (e *BayesNet) Train(ctx *Context) error {
 
 func (e *BayesNet) trainTable(t *data.Table) *bnTable {
 	nc := len(t.Cols)
-	bt := &bnTable{bins: e.Bins, parent: make([]int, nc)}
-	for _, c := range t.Cols {
-		bt.cols = append(bt.cols, c.Name)
-		bt.bounds = append(bt.bounds, quantileBounds(c, e.Bins))
-	}
+	bt := &bnTable{binnedCols: newBinnedCols(t, e.Bins), parent: make([]int, nc)}
 	// Bin a row sample.
 	n := t.NumRows()
 	step := 1
@@ -168,35 +163,48 @@ func (e *BayesNet) trainTable(t *data.Table) *bnTable {
 	return bt
 }
 
-// allowedMask computes per-column bin masks from predicates (nil = free).
-func (bt *bnTable) allowedMask(ts *stats.TableStats, preds []query.Pred) [][]bool {
-	allowed := make([][]bool, len(bt.cols))
+// binnedCols is a table's columns cut into equi-depth bins: the domain
+// the Bayesian network and Naru's auto-regressive model learn over.
+type binnedCols struct {
+	cols   []string
+	bounds [][]float64 // per column: bin upper bounds (len bins)
+	bins   int
+}
+
+func newBinnedCols(t *data.Table, bins int) binnedCols {
+	b := binnedCols{bins: bins}
+	for _, c := range t.Cols {
+		b.cols = append(b.cols, c.Name)
+		b.bounds = append(b.bounds, quantileBounds(c, bins))
+	}
+	return b
+}
+
+// allowedBins returns per column nil (free) or the mask of the bins that
+// overlap the ranges of the predicates on alias at all (coarse: bin
+// granularity bounds the error).
+func (bc *binnedCols) allowedBins(ts *stats.TableStats, preds []query.Pred, alias string) [][]bool {
+	allowed := make([][]bool, len(bc.cols))
 	for _, p := range preds {
-		ci := -1
-		for i, c := range bt.cols {
-			if c == p.Column {
-				ci = i
-				break
-			}
-		}
-		if ci < 0 {
+		ci := slices.Index(bc.cols, p.Column)
+		if p.Alias != alias || ci < 0 {
 			continue
 		}
 		csCol := ts.Cols[p.Column]
 		mask := allowed[ci]
 		if mask == nil {
-			mask = make([]bool, bt.bins)
+			mask = make([]bool, bc.bins)
 			for b := range mask {
 				mask[b] = true
 			}
 		}
 		lo, hi := p.Bounds(csCol.Min, csCol.Max)
-		for b := 0; b < bt.bins; b++ {
+		for b := 0; b < bc.bins; b++ {
 			blo := csCol.Min
 			if b > 0 {
-				blo = bt.bounds[ci][b-1]
+				blo = bc.bounds[ci][b-1]
 			}
-			bhi := bt.bounds[ci][b]
+			bhi := bc.bounds[ci][b]
 			if bhi < lo || blo > hi {
 				mask[b] = false
 			}
@@ -259,18 +267,16 @@ func (bt *bnTable) inferSel(allowed [][]bool) float64 {
 
 // Estimate implements Estimator.
 func (e *BayesNet) Estimate(q *query.Query) float64 {
-	est := joinFormula(e.cs, q, func(alias string) float64 {
-		tn := q.TableOf(alias)
-		preds := q.PredsOn(alias)
-		if len(preds) == 0 {
+	est := joinFormula(e.cs, q, func(tn string, preds []query.Pred, alias string) float64 {
+		if !hasPreds(preds, alias) {
 			return 1
 		}
 		bt := e.tables[tn]
 		ts := e.cs.Tables[tn]
 		if bt == nil || ts == nil {
-			return tableSelFromPreds(ts, preds)
+			return tableSelFromPreds(ts, preds, alias)
 		}
-		return bt.inferSel(bt.allowedMask(ts, preds))
+		return bt.inferSel(bt.allowedBins(ts, preds, alias))
 	})
 	return clampCard(est, e.cat, q)
 }

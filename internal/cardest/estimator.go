@@ -122,15 +122,18 @@ func clampCard(est float64, cat *data.Catalog, q *query.Query) float64 {
 
 // joinFormula is the classical System-R composition shared by the
 // per-table data-driven estimators: multiply filtered table cardinalities
-// by 1/max(ndv_left, ndv_right) per equi-join edge.
-func joinFormula(cs *stats.CatalogStats, q *query.Query, perTableSel func(alias string) float64) float64 {
+// by 1/max(ndv_left, ndv_right) per equi-join edge. tableSel gets each
+// ref's table and the query's predicates with the ref's alias; it reads
+// only the predicates on that alias, in query order, so no per-alias
+// slice is built and a product over them keeps its bits.
+func joinFormula(cs *stats.CatalogStats, q *query.Query, tableSel func(table string, preds []query.Pred, alias string) float64) float64 {
 	card := 1.0
 	for _, r := range q.Refs {
 		ts := cs.Tables[r.Table]
 		if ts == nil {
 			return 0
 		}
-		card *= ts.Rows * perTableSel(r.Alias)
+		card *= ts.Rows * tableSel(r.Table, q.Preds, r.Alias)
 	}
 	for _, j := range q.Joins {
 		lt, rt := q.TableOf(j.LeftAlias), q.TableOf(j.RightAlias)
@@ -157,14 +160,26 @@ func columnDistinct(cs *stats.CatalogStats, table, col string) float64 {
 }
 
 // tableSelFromPreds computes the independence-assumption selectivity of
-// the conjunction of preds using per-column statistics — the shared
-// traditional fallback.
-func tableSelFromPreds(ts *stats.TableStats, preds []query.Pred) float64 {
+// the conjunction of the preds on alias using per-column statistics — the
+// shared traditional fallback.
+func tableSelFromPreds(ts *stats.TableStats, preds []query.Pred, alias string) float64 {
 	sel := 1.0
 	for _, p := range preds {
-		sel *= predSelectivity(ts, p)
+		if p.Alias == alias {
+			sel *= predSelectivity(ts, p)
+		}
 	}
 	return sel
+}
+
+// hasPreds reports whether any of preds is on alias.
+func hasPreds(preds []query.Pred, alias string) bool {
+	for i := range preds {
+		if preds[i].Alias == alias {
+			return true
+		}
+	}
+	return false
 }
 
 func predSelectivity(ts *stats.TableStats, p query.Pred) float64 {

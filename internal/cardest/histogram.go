@@ -30,12 +30,8 @@ func (h *HistogramEstimator) Train(ctx *Context) error {
 
 // Estimate implements Estimator.
 func (h *HistogramEstimator) Estimate(q *query.Query) float64 {
-	est := joinFormula(h.cs, q, func(alias string) float64 {
-		ts := h.cs.Tables[q.TableOf(alias)]
-		if ts == nil {
-			return 1
-		}
-		return tableSelFromPreds(ts, q.PredsOn(alias))
+	est := joinFormula(h.cs, q, func(table string, preds []query.Pred, alias string) float64 {
+		return tableSelFromPreds(h.cs.Tables[table], preds, alias)
 	})
 	return clampCard(est, h.cat, q)
 }

@@ -132,9 +132,7 @@ func (e *GLUE) Train(ctx *Context) error {
 }
 
 func (e *GLUE) formulaEstimate(q *query.Query) float64 {
-	return joinFormula(e.cs, q, func(alias string) float64 {
-		return e.single.TableSelectivity(q.TableOf(alias), q.PredsOn(alias))
-	})
+	return joinFormula(e.cs, q, e.single.tableSel)
 }
 
 // Estimate implements Estimator.

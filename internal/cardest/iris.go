@@ -168,21 +168,21 @@ func overlapFrac(lo, hi, qlo, qhi float64) float64 {
 
 // tableSel covers predicate columns greedily with 2-D summaries, falling
 // back to per-column histograms for leftovers.
-func (e *Iris) tableSel(tn string, preds []query.Pred) float64 {
+func (e *Iris) tableSel(tn string, preds []query.Pred, alias string) float64 {
 	ts := e.cs.Tables[tn]
-	if len(preds) == 0 {
+	if !hasPreds(preds, alias) {
 		return 1
 	}
 	it := e.tables[tn]
 	if it == nil || ts == nil {
-		return tableSelFromPreds(ts, preds)
+		return tableSelFromPreds(ts, preds, alias)
 	}
 	// Column → combined range.
 	type rng struct{ lo, hi float64 }
 	ranges := map[string]rng{}
 	for _, p := range preds {
 		csCol := ts.Cols[p.Column]
-		if csCol == nil {
+		if p.Alias != alias || csCol == nil {
 			continue
 		}
 		lo, hi := p.Bounds(csCol.Min, csCol.Max)
@@ -203,7 +203,7 @@ func (e *Iris) tableSel(tn string, preds []query.Pred) float64 {
 		covered[pair.colA], covered[pair.colB] = true, true
 	}
 	for _, p := range preds {
-		if covered[p.Column] {
+		if p.Alias != alias || covered[p.Column] {
 			continue
 		}
 		covered[p.Column] = true
@@ -220,8 +220,5 @@ func (e *Iris) tableSel(tn string, preds []query.Pred) float64 {
 
 // Estimate implements Estimator.
 func (e *Iris) Estimate(q *query.Query) float64 {
-	est := joinFormula(e.cs, q, func(alias string) float64 {
-		return e.tableSel(q.TableOf(alias), q.PredsOn(alias))
-	})
-	return clampCard(est, e.cat, q)
+	return clampCard(joinFormula(e.cs, q, e.tableSel), e.cat, q)
 }

@@ -2,6 +2,7 @@ package cardest
 
 import (
 	"math"
+	"slices"
 
 	"lqo/internal/data"
 	"lqo/internal/query"
@@ -96,28 +97,25 @@ func normCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
-// tableSel estimates the selectivity of preds over table tn by averaging
-// per-kernel range probabilities.
-func (e *KDEEstimator) tableSel(tn string, preds []query.Pred) float64 {
+// tableSel estimates the selectivity of the preds on alias over table tn
+// by averaging per-kernel range probabilities.
+func (e *KDEEstimator) tableSel(tn string, preds []query.Pred, alias string) float64 {
 	kt := e.tables[tn]
-	if kt == nil || len(preds) == 0 {
-		if len(preds) == 0 {
-			return 1
-		}
-		return tableSelFromPreds(e.cs.Tables[tn], preds)
+	if !hasPreds(preds, alias) {
+		return 1
 	}
-	colIdx := make(map[string]int, len(kt.cols))
-	for i, c := range kt.cols {
-		colIdx[c] = i
+	if kt == nil {
+		return tableSelFromPreds(e.cs.Tables[tn], preds, alias)
 	}
 	type rng struct {
 		lo, hi float64
 		ci     int
 	}
-	var ranges []rng
+	var buf [8]rng
+	ranges := buf[:0]
 	for _, p := range preds {
-		ci, ok := colIdx[p.Column]
-		if !ok {
+		ci := slices.Index(kt.cols, p.Column)
+		if p.Alias != alias || ci < 0 {
 			continue
 		}
 		csCol := e.cs.Tables[tn].Cols[p.Column]
@@ -148,8 +146,5 @@ func (e *KDEEstimator) tableSel(tn string, preds []query.Pred) float64 {
 
 // Estimate implements Estimator.
 func (e *KDEEstimator) Estimate(q *query.Query) float64 {
-	est := joinFormula(e.cs, q, func(alias string) float64 {
-		return e.tableSel(q.TableOf(alias), q.PredsOn(alias))
-	})
-	return clampCard(est, e.cat, q)
+	return clampCard(joinFormula(e.cs, q, e.tableSel), e.cat, q)
 }

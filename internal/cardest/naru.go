@@ -38,10 +38,8 @@ type Naru struct {
 }
 
 type naruTable struct {
-	cols   []string
-	bounds [][]float64 // per column: bin upper bounds (len Bins)
-	nets   []*ml.Net   // nets[i] predicts logits of col i given cols <i
-	bins   int
+	binnedCols
+	nets []*ml.Net // nets[i] predicts logits of col i given cols <i
 }
 
 // NewNaru returns an untrained auto-regressive estimator.
@@ -74,11 +72,7 @@ func (e *Naru) Train(ctx *Context) error {
 }
 
 func (e *Naru) trainTable(t *data.Table) (*naruTable, error) {
-	nt := &naruTable{bins: e.Bins}
-	for _, c := range t.Cols {
-		nt.cols = append(nt.cols, c.Name)
-		nt.bounds = append(nt.bounds, quantileBounds(c, e.Bins))
-	}
+	nt := &naruTable{binnedCols: newBinnedCols(t, e.Bins)}
 	nc := len(t.Cols)
 	nets := make([]*ml.Net, nc)
 	for i := 0; i < nc; i++ {
@@ -187,52 +181,18 @@ func binOf(bounds []float64, v float64) int {
 	return lo
 }
 
-// tableSel runs progressive sampling over the AR model, restricting each
-// column's bin distribution to the query range.
-func (e *Naru) tableSel(tn string, preds []query.Pred) float64 {
+// tableSel runs progressive sampling over the AR model of table tn,
+// restricting each column's bin distribution to the range of the preds
+// on alias.
+func (e *Naru) tableSel(tn string, preds []query.Pred, alias string) float64 {
 	nt := e.tables[tn]
 	if nt == nil {
-		return tableSelFromPreds(e.cs.Tables[tn], preds)
+		return tableSelFromPreds(e.cs.Tables[tn], preds, alias)
 	}
-	if len(preds) == 0 {
+	if !hasPreds(preds, alias) {
 		return 1
 	}
-	// allowed[ci] is nil (no constraint) or per-bin allow mask.
-	allowed := make([][]bool, len(nt.cols))
-	for _, p := range preds {
-		ci := -1
-		for i, c := range nt.cols {
-			if c == p.Column {
-				ci = i
-				break
-			}
-		}
-		if ci < 0 {
-			continue
-		}
-		csCol := e.cs.Tables[tn].Cols[p.Column]
-		mask := allowed[ci]
-		if mask == nil {
-			mask = make([]bool, nt.bins)
-			for b := range mask {
-				mask[b] = true
-			}
-		}
-		lo, hi := p.Bounds(csCol.Min, csCol.Max)
-		for b := 0; b < nt.bins; b++ {
-			blo := csCol.Min
-			if b > 0 {
-				blo = nt.bounds[ci][b-1]
-			}
-			bhi := nt.bounds[ci][b]
-			// Keep the bin if it overlaps [lo, hi] at all (coarse; bin
-			// granularity bounds the error).
-			if bhi < lo || blo > hi {
-				mask[b] = false
-			}
-		}
-		allowed[ci] = mask
-	}
+	allowed := nt.allowedBins(e.cs.Tables[tn], preds, alias)
 
 	probs := make([]float64, nt.bins)
 	total := 0.0
@@ -291,8 +251,5 @@ func sampleBin(probs []float64, rng *rand.Rand) int {
 
 // Estimate implements Estimator.
 func (e *Naru) Estimate(q *query.Query) float64 {
-	est := joinFormula(e.cs, q, func(alias string) float64 {
-		return e.tableSel(q.TableOf(alias), q.PredsOn(alias))
-	})
-	return clampCard(est, e.cat, q)
+	return clampCard(joinFormula(e.cs, q, e.tableSel), e.cat, q)
 }

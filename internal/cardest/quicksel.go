@@ -70,19 +70,18 @@ func (e *QuickSel) Train(ctx *Context) error {
 			if rows == 0 {
 				continue
 			}
-			box := e.queryBox(tn, s.Q.Preds)
+			box := e.queryBox(tn, s.Q.Preds, s.Q.Refs[0].Alias)
 			perTable[tn] = append(perTable[tn], obs{box, s.Card / rows})
 			continue
 		}
 		// Weak supervision from multi-table samples: label each table's box
 		// with the histogram selectivity (keeps boxes covering the space).
 		for _, r := range s.Q.Refs {
-			preds := s.Q.PredsOn(r.Alias)
-			if len(preds) == 0 {
+			if !hasPreds(s.Q.Preds, r.Alias) {
 				continue
 			}
 			ts := e.cs.Tables[r.Table]
-			perTable[r.Table] = append(perTable[r.Table], obs{e.queryBox(r.Table, preds), tableSelFromPreds(ts, preds)})
+			perTable[r.Table] = append(perTable[r.Table], obs{e.queryBox(r.Table, s.Q.Preds, r.Alias), tableSelFromPreds(ts, s.Q.Preds, r.Alias)})
 		}
 	}
 
@@ -173,9 +172,9 @@ func (e *QuickSel) tableCols(tn string) []ColKey {
 	return out
 }
 
-// queryBox converts a predicate conjunction into a normalized box over the
-// table's columns ([0,1] per unconstrained column).
-func (e *QuickSel) queryBox(tn string, preds []query.Pred) [2][]float64 {
+// queryBox converts the conjunction of the preds on alias into a
+// normalized box over table tn's columns ([0,1] per unconstrained column).
+func (e *QuickSel) queryBox(tn string, preds []query.Pred, alias string) [2][]float64 {
 	cols := e.tableCols(tn)
 	lo := make([]float64, len(cols))
 	hi := make([]float64, len(cols))
@@ -184,10 +183,10 @@ func (e *QuickSel) queryBox(tn string, preds []query.Pred) [2][]float64 {
 	}
 	for _, p := range preds {
 		for i, k := range cols {
-			if k.Column != p.Column {
+			if p.Alias != alias || k.Column != p.Column {
 				continue
 			}
-			plo, phi := p.Bounds(e.colMin(k), e.colMax(k))
+			plo, phi := p.Bounds(e.colRange(k))
 			nlo, nhi := e.f.Normalize(k, plo), e.f.Normalize(k, phi)
 			if nlo > lo[i] {
 				lo[i] = nlo
@@ -200,18 +199,12 @@ func (e *QuickSel) queryBox(tn string, preds []query.Pred) [2][]float64 {
 	return [2][]float64{lo, hi}
 }
 
-func (e *QuickSel) colMin(k ColKey) float64 {
+// colRange returns the column's statistics range, [0, 1] without any.
+func (e *QuickSel) colRange(k ColKey) (lo, hi float64) {
 	if ts := e.cs.Tables[k.Table]; ts != nil && ts.Cols[k.Column] != nil {
-		return ts.Cols[k.Column].Min
+		return ts.Cols[k.Column].Min, ts.Cols[k.Column].Max
 	}
-	return 0
-}
-
-func (e *QuickSel) colMax(k ColKey) float64 {
-	if ts := e.cs.Tables[k.Table]; ts != nil && ts.Cols[k.Column] != nil {
-		return ts.Cols[k.Column].Max
-	}
-	return 1
+	return 0, 1
 }
 
 // boxOverlapDensity returns vol(q ∩ b)/vol(b): the probability mass a
@@ -254,23 +247,21 @@ func minf(a, b float64) float64 {
 
 // Estimate implements Estimator.
 func (e *QuickSel) Estimate(q *query.Query) float64 {
-	est := joinFormula(e.cs, q, func(alias string) float64 {
-		tn := q.TableOf(alias)
-		preds := q.PredsOn(alias)
-		if len(preds) == 0 {
+	est := joinFormula(e.cs, q, func(tn string, preds []query.Pred, alias string) float64 {
+		if !hasPreds(preds, alias) {
 			return 1
 		}
 		mt := e.models[tn]
 		if mt == nil {
-			return tableSelFromPreds(e.cs.Tables[tn], preds)
+			return tableSelFromPreds(e.cs.Tables[tn], preds, alias)
 		}
-		box := e.queryBox(tn, preds)
+		box := e.queryBox(tn, preds, alias)
 		sel := 0.0
 		for j, b := range mt.boxes {
 			sel += mt.weights[j] * boxOverlapDensity(box, b)
 		}
 		if sel <= 0 {
-			return tableSelFromPreds(e.cs.Tables[tn], preds)
+			return tableSelFromPreds(e.cs.Tables[tn], preds, alias)
 		}
 		return sel
 	})

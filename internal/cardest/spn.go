@@ -270,23 +270,35 @@ func (n *spnNode) prob(box [][2]float64, constrained []bool) float64 {
 	}
 }
 
-// tableSel evaluates the SPN on the predicate box of one table.
-func (e *SPNEstimator) tableSel(tn string, preds []query.Pred) float64 {
+// spnStackCols is the widest table whose predicate box tableSel keeps on
+// the stack; a wider one allocates its box.
+const spnStackCols = 16
+
+// tableSel evaluates table tn's SPN on the box of the predicates on alias.
+func (e *SPNEstimator) tableSel(tn string, preds []query.Pred, alias string) float64 {
 	root := e.tables[tn]
 	ts := e.cs.Tables[tn]
 	if root == nil || ts == nil {
-		return tableSelFromPreds(ts, preds)
+		return tableSelFromPreds(ts, preds, alias)
 	}
-	if len(preds) == 0 {
+	if !hasPreds(preds, alias) {
 		return 1
 	}
 	names := e.cols[tn]
-	box := make([][2]float64, len(names))
-	constrained := make([]bool, len(names))
+	var boxBuf [spnStackCols][2]float64
+	var constrainedBuf [spnStackCols]bool
+	box, constrained := boxBuf[:], constrainedBuf[:]
+	if len(names) > spnStackCols {
+		box, constrained = make([][2]float64, len(names)), make([]bool, len(names))
+	}
+	box, constrained = box[:len(names)], constrained[:len(names)]
 	for i := range box {
 		box[i] = [2]float64{math.Inf(-1), math.Inf(1)}
 	}
 	for _, p := range preds {
+		if p.Alias != alias {
+			continue
+		}
 		for i, name := range names {
 			if name != p.Column {
 				continue
@@ -310,14 +322,5 @@ func (e *SPNEstimator) tableSel(tn string, preds []query.Pred) float64 {
 
 // Estimate implements Estimator.
 func (e *SPNEstimator) Estimate(q *query.Query) float64 {
-	est := joinFormula(e.cs, q, func(alias string) float64 {
-		return e.tableSel(q.TableOf(alias), q.PredsOn(alias))
-	})
-	return clampCard(est, e.cat, q)
-}
-
-// TableSelectivity exposes per-table SPN selectivity for reuse by the
-// hybrid estimators (GLUE merges single-table results).
-func (e *SPNEstimator) TableSelectivity(tn string, preds []query.Pred) float64 {
-	return e.tableSel(tn, preds)
+	return clampCard(joinFormula(e.cs, q, e.tableSel), e.cat, q)
 }

@@ -13,19 +13,23 @@ import (
 	"lqo/internal/query"
 )
 
-// memoEntry is the best plan found for one alias subset; node is nil
-// while (or when) the subset has none.
+// memoEntry is the best join found for one alias subset, kept as the
+// split that makes it: the plan tree is built once, for the full set,
+// after enumeration. left is the mask of the left operand — the subset
+// itself for a base relation, 0 while (or when) the subset has no plan.
 type memoEntry struct {
-	node *plan.Node
-	cost float64
-	card float64
+	card, cost float64
+	op         plan.Op
+	left       uint64
 }
 
 type dpState struct {
 	g     *query.JoinGraph
-	memo  []memoEntry // indexed by alias mask
-	ops   []plan.Op   // join operators to cost when a pair has join conditions
-	plans int64       // plan alternatives costed by this call
+	subs  []query.Query // the sub-query of every mask, one slab (JoinGraph.Subs)
+	memo  []memoEntry   // indexed by alias mask
+	scans []*plan.Node  // the best scan of each alias
+	ops   []plan.Op     // join operators to cost when a pair has join conditions
+	plans int64         // plan alternatives costed by this call
 }
 
 // crossOps is what a pair without join conditions may use: a cross
@@ -34,8 +38,9 @@ var crossOps = []plan.Op{plan.NestedLoopJoin}
 
 // joinOps returns the join operators the hint set allows, in costing order.
 func (o *Optimizer) joinOps() []plan.Op {
-	var ops []plan.Op
-	for _, op := range [...]plan.Op{plan.HashJoin, plan.MergeJoin, plan.NestedLoopJoin} {
+	all := [...]plan.Op{plan.HashJoin, plan.MergeJoin, plan.NestedLoopJoin}
+	ops := make([]plan.Op, 0, len(all))
+	for _, op := range all {
 		if o.Hints.AllowsJoin(op) {
 			ops = append(ops, op)
 		}
@@ -45,7 +50,7 @@ func (o *Optimizer) joinOps() []plan.Op {
 
 func (o *Optimizer) optimizeDP(ctx context.Context, g *query.JoinGraph) (*plan.Node, error) {
 	n := len(g.Aliases)
-	st := &dpState{g: g, memo: make([]memoEntry, 1<<uint(n)), ops: o.joinOps()}
+	st := &dpState{g: g, subs: g.Subs(), memo: make([]memoEntry, 1<<uint(n)), scans: make([]*plan.Node, n), ops: o.joinOps()}
 	if len(st.ops) == 0 {
 		st.ops = []plan.Op{plan.HashJoin} // hints must not make queries unplannable
 	}
@@ -53,12 +58,14 @@ func (o *Optimizer) optimizeDP(ctx context.Context, g *query.JoinGraph) (*plan.N
 
 	// Base: best scan per alias.
 	for i := 0; i < n; i++ {
-		scan, considered, err := o.bestScan(g, i)
+		bit := uint64(1) << uint(i)
+		scan, considered, err := o.bestScan(g, i, &st.subs[bit])
 		st.plans += considered
 		if err != nil {
 			return nil, err
 		}
-		st.memo[1<<uint(i)] = memoEntry{node: scan, cost: scan.EstCost, card: scan.EstCard}
+		st.scans[i] = scan
+		st.memo[bit] = memoEntry{card: scan.EstCard, cost: scan.EstCost, left: bit}
 	}
 
 	full := uint64(1)<<uint(n) - 1
@@ -73,8 +80,8 @@ func (o *Optimizer) optimizeDP(ctx context.Context, g *query.JoinGraph) (*plan.N
 		}
 		st.memo[mask] = o.bestJoinForMask(st, mask)
 	}
-	if e := st.memo[full]; e.node != nil {
-		return e.node, nil
+	if st.memo[full].left != 0 {
+		return st.build(full), nil
 	}
 	return nil, fmt.Errorf("opt: no plan found for %s", g.Query().SQL())
 }
@@ -83,9 +90,7 @@ func (o *Optimizer) optimizeDP(ctx context.Context, g *query.JoinGraph) (*plan.N
 // keeps the cheapest feasible join. Every mask is estimated, connected or
 // not: skipping the disconnected ones would change which plans exist.
 func (o *Optimizer) bestJoinForMask(st *dpState, mask uint64) memoEntry {
-	best := memoEntry{cost: math.Inf(1), card: o.estimate(st.g.Sub(mask))}
-	var bestOp plan.Op
-	var bestSub uint64
+	best := memoEntry{cost: math.Inf(1), card: o.estimate(&st.subs[mask])}
 	// Iterate all proper non-empty submasks.
 	for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
 		other := mask ^ sub
@@ -93,7 +98,7 @@ func (o *Optimizer) bestJoinForMask(st *dpState, mask uint64) memoEntry {
 			continue // right operand must be a base relation
 		}
 		le, re := &st.memo[sub], &st.memo[other]
-		if le.node == nil || re.node == nil {
+		if le.left == 0 || re.left == 0 {
 			continue
 		}
 		// Cross product: nested loop only, and only if unavoidable
@@ -106,36 +111,42 @@ func (o *Optimizer) bestJoinForMask(st *dpState, mask uint64) memoEntry {
 			st.plans++
 			total := le.cost + re.cost + o.Cost.JoinCost(op, le.card, re.card, best.card)
 			if total < best.cost {
-				best.cost, bestOp, bestSub = total, op, sub
+				best.cost, best.op, best.left = total, op, sub
 			}
 		}
 	}
-	if bestSub == 0 {
+	if best.left == 0 {
 		return memoEntry{}
 	}
-	// Only the winner is materialised.
-	l, r := part{st.memo[bestSub].node, bestSub}, part{st.memo[mask^bestSub].node, mask ^ bestSub}
-	best.node = newJoin(st.g, bestOp, l, r, best.card, best.cost)
 	return best
 }
 
+// build materialises the memo's plan for mask: its scan, or the join of
+// the plans of its recorded split.
+func (st *dpState) build(mask uint64) *plan.Node {
+	e := &st.memo[mask]
+	if e.left == mask {
+		return st.scans[bits.TrailingZeros64(mask)]
+	}
+	l, r := part{st.build(e.left), e.left}, part{st.build(mask ^ e.left), mask ^ e.left}
+	return newJoin(st.g, e.op, l, r, e.card, e.cost)
+}
+
 // bestScan returns the cheapest allowed scan of the graph's i-th alias,
-// annotated with its estimate and cost, and how many alternatives it
-// costed.
-func (o *Optimizer) bestScan(g *query.JoinGraph, i int) (best *plan.Node, considered int64, err error) {
+// whose sub-query is sub, annotated with its estimate and cost, and how
+// many alternatives it costed. Only the winner is built.
+func (o *Optimizer) bestScan(g *query.JoinGraph, i int, sub *query.Query) (best *plan.Node, considered int64, err error) {
 	q, alias := g.Query(), g.Aliases[i]
 	preds := q.PredsOn(alias)
 	table := q.TableOf(alias)
-	card := o.estimate(g.Sub(1 << uint(i)))
+	card := o.estimate(sub)
 
 	bestCost := math.Inf(1)
+	var bestOp plan.Op
 	consider := func(op plan.Op, inRows float64, npreds int) {
 		considered++
 		if c := o.Cost.ScanCost(op, inRows, card, npreds); c < bestCost {
-			best = plan.NewScan(op, alias, table, preds)
-			best.EstCard = card
-			best.EstCost = c
-			bestCost = c
+			bestCost, bestOp = c, op
 		}
 	}
 	col := o.indexEqColumn(table, preds)
@@ -145,8 +156,10 @@ func (o *Optimizer) bestScan(g *query.JoinGraph, i int) (best *plan.Node, consid
 	if col != "" && o.Hints.AllowsScan(plan.IndexScan) {
 		consider(plan.IndexScan, o.Cost.IndexFetchRows(table, col), len(preds)-1)
 	}
-	if best == nil {
+	if math.IsInf(bestCost, 1) {
 		return nil, considered, fmt.Errorf("opt: no scan allowed for %s", alias)
 	}
+	best = plan.NewScan(bestOp, alias, table, preds)
+	best.EstCard, best.EstCost = card, bestCost
 	return best, considered, nil
 }

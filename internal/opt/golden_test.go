@@ -19,6 +19,7 @@ import (
 	"lqo/internal/exec"
 	"lqo/internal/plan"
 	"lqo/internal/query"
+	"lqo/internal/sqlx"
 	"lqo/internal/stats"
 	"lqo/internal/workload"
 )
@@ -180,14 +181,7 @@ func hashCell(t *testing.T, opts []*Optimizer, qs []*query.Query, fromOrder bool
 // StatsCEB queries of 1–6 joins under every cell of goldenCells. The old
 // enumerator is gone; these hashes are what is left of it.
 func TestGoldenPlanIdentity(t *testing.T) {
-	cat := datagen.StatsCEB(datagen.Config{Seed: 7, Scale: 0.05})
-	cs := stats.CollectCatalog(cat, stats.Options{Seed: 7})
-	est := cardest.NewHistogramEstimator()
-	if err := est.Train(&cardest.Context{Cat: cat, Stats: cs, Seed: 7}); err != nil {
-		t.Fatal(err)
-	}
-	base := New(cat, cost.New(cs), est)
-	qs := workload.GenWorkload(cat, workload.Options{Seed: 11, Count: 320, MinJoins: 1, MaxJoins: 6})
+	cat, cs, base, qs := goldenWorld(t)
 	labeled, err := workload.GenLabeled(cat, exec.NewCardCache(exec.New(cat)), workload.Options{Seed: 13, Count: 40, MaxJoins: 2, MaxPreds: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -250,6 +244,73 @@ func TestGoldenPlanIdentity(t *testing.T) {
 	for name, w := range want {
 		if got[name] != w {
 			t.Errorf("cell %s: plan hash %s, golden %s", name, got[name], w)
+		}
+	}
+}
+
+// goldenWorld is the golden matrix's catalog, its statistics, the
+// histogram-estimated base optimizer and the 320-query workload.
+func goldenWorld(t *testing.T) (*data.Catalog, *stats.CatalogStats, *Optimizer, []*query.Query) {
+	t.Helper()
+	cat := datagen.StatsCEB(datagen.Config{Seed: 7, Scale: 0.05})
+	cs := stats.CollectCatalog(cat, stats.Options{Seed: 7})
+	est := cardest.NewHistogramEstimator()
+	if err := est.Train(&cardest.Context{Cat: cat, Stats: cs, Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	qs := workload.GenWorkload(cat, workload.Options{Seed: 11, Count: 320, MinJoins: 1, MaxJoins: 6})
+	return cat, cs, New(cat, cost.New(cs), est), qs
+}
+
+// TestPreparedMissPlansFromBoundGraph: a prepared miss plans from its
+// binding's join graph (the template's, rebound) through
+// OptimizeGraphCtx, where an ad-hoc query builds its own. Every golden
+// query, made a template with a ? per literal and bound to its own
+// values, must plan exactly as OptimizeCtx plans the query itself: the
+// same fingerprint, the same EstCard/EstCost bits on every node and the
+// same enumeration effort.
+func TestPreparedMissPlansFromBoundGraph(t *testing.T) {
+	cat, _, o, qs := goldenWorld(t)
+	ctx := context.Background()
+	for _, q := range qs {
+		tmpl := q.Clone()
+		var args []any
+		for i := range tmpl.Preds {
+			p := &tmpl.Preds[i]
+			args = append(args, p.Val)
+			p.Param = len(args)
+			if p.Op == query.Between {
+				args = append(args, p.Val2)
+				p.Param2 = len(args)
+			}
+		}
+		stmt, err := sqlx.Prepare(tmpl.SQL(), cat)
+		if err != nil {
+			t.Fatalf("prepare %s: %v", tmpl.SQL(), err)
+		}
+		_, g, err := stmt.BindGraph(args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := o.OptimizeCtx(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPlans := o.PlansConsidered()
+		got, err := o.OptimizeGraphCtx(ctx, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Fingerprint() != want.Fingerprint() || o.PlansConsidered() != wantPlans {
+			t.Fatalf("%s\nbound graph plans %s (%d alternatives), the query %s (%d)",
+				q.SQL(), got.Fingerprint(), o.PlansConsidered(), want.Fingerprint(), wantPlans)
+		}
+		gn, wn := got.Nodes(), want.Nodes()
+		for i := range wn {
+			if math.Float64bits(gn[i].EstCard) != math.Float64bits(wn[i].EstCard) || math.Float64bits(gn[i].EstCost) != math.Float64bits(wn[i].EstCost) {
+				t.Fatalf("%s\nnode %d: bound graph estimates card %v cost %v, the query %v %v",
+					q.SQL(), i, gn[i].EstCard, gn[i].EstCost, wn[i].EstCard, wn[i].EstCost)
+			}
 		}
 	}
 }

@@ -21,11 +21,10 @@ import (
 // merge round. It returns raw enumeration output — no rewrite passes
 // (OptimizeCtx layers the pipeline on top).
 func (o *Optimizer) OptimizeGreedyCtx(ctx context.Context, q *query.Query) (*plan.Node, error) {
-	g, err := newGraph(q)
-	if err != nil {
+	if err := plannable(q); err != nil {
 		return nil, err
 	}
-	return o.optimizeGreedy(ctx, g)
+	return o.optimizeGreedy(ctx, query.NewJoinGraph(q))
 }
 
 func (o *Optimizer) optimizeGreedy(ctx context.Context, g *query.JoinGraph) (*plan.Node, error) {
@@ -33,7 +32,7 @@ func (o *Optimizer) optimizeGreedy(ctx context.Context, g *query.JoinGraph) (*pl
 	defer func() { atomic.StoreInt64(&o.plansConsidered, plans) }()
 	parts := make([]part, 0, len(g.Aliases))
 	for i := range g.Aliases {
-		scan, _, err := o.bestScan(g, i)
+		scan, _, err := o.bestScan(g, i, g.Sub(1<<uint(i)))
 		if err != nil {
 			return nil, err
 		}
@@ -116,18 +115,17 @@ func (o *Optimizer) PlanFromOrder(q *query.Query, order []string) (*plan.Node, e
 	if len(order) != len(q.Refs) {
 		return nil, fmt.Errorf("opt: order covers %d of %d aliases", len(order), len(q.Refs))
 	}
-	g, err := newGraph(q)
-	if err != nil {
+	if err := plannable(q); err != nil {
 		return nil, err
 	}
-	ops := o.joinOps()
+	g, ops := query.NewJoinGraph(q), o.joinOps()
 	var root part
 	for step, a := range order {
 		bit := g.Bit(a)
 		if bit == 0 {
 			return nil, fmt.Errorf("opt: order names unknown alias %q", a)
 		}
-		scan, _, err := o.bestScan(g, bits.TrailingZeros64(bit))
+		scan, _, err := o.bestScan(g, bits.TrailingZeros64(bit), g.Sub(bit))
 		if err != nil {
 			return nil, err
 		}

@@ -110,50 +110,57 @@ func (o *Optimizer) pipeline() *plan.PassPipeline {
 // rounds) so a deadline covering optimize+execute also bounds enumeration
 // time — a pathological estimator cannot stall planning indefinitely.
 func (o *Optimizer) OptimizeCtx(ctx context.Context, q *query.Query) (*plan.Node, error) {
-	p, _, err := o.OptimizeTraceCtx(ctx, q)
+	return o.OptimizeGraphCtx(ctx, query.NewJoinGraph(q))
+}
+
+// OptimizeGraphCtx is OptimizeCtx over g, the join graph of the query to
+// plan (g.Query()), for a caller that holds one already: a server plans a
+// request and harvests its feedback from one graph.
+func (o *Optimizer) OptimizeGraphCtx(ctx context.Context, g *query.JoinGraph) (*plan.Node, error) {
+	p, _, err := o.OptimizeTraceCtx(ctx, g)
 	return p, err
 }
 
-// OptimizeTraceCtx is OptimizeCtx that also returns the rewrite-pass
+// OptimizeTraceCtx is OptimizeGraphCtx that also returns the rewrite-pass
 // trace — the provenance EXPLAIN renders. The trace is per-call state
 // (never stored on the Optimizer), so concurrent planning through a
 // shared optimizer stays race-free.
-func (o *Optimizer) OptimizeTraceCtx(ctx context.Context, q *query.Query) (*plan.Node, []plan.PassTrace, error) {
-	root, err := o.enumerate(ctx, q)
+func (o *Optimizer) OptimizeTraceCtx(ctx context.Context, g *query.JoinGraph) (*plan.Node, []plan.PassTrace, error) {
+	root, err := o.enumerate(ctx, g)
 	if err != nil {
 		return nil, nil, err
 	}
-	pc := &plan.PassContext{Query: q, Estimate: o.estimate, Shards: o.Shards}
+	pc := &plan.PassContext{Query: g.Query(), Estimate: o.estimate, Shards: o.Shards}
 	return o.pipeline().Run(ctx, root, pc)
 }
 
 // enumerate runs join enumeration only — DP or greedy by query size — with
 // no rewrite passes. This is the pre-refactor planning body; tests pin
 // pipeline output fingerprint-equal to it when sharding is off.
-func (o *Optimizer) enumerate(ctx context.Context, q *query.Query) (*plan.Node, error) {
+func (o *Optimizer) enumerate(ctx context.Context, g *query.JoinGraph) (*plan.Node, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	g, err := newGraph(q)
-	if err != nil {
+	if err := plannable(g.Query()); err != nil {
 		return nil, err
 	}
-	if len(q.Refs) <= o.maxDP() {
+	if len(g.Aliases) <= o.maxDP() {
 		return o.optimizeDP(ctx, g)
 	}
 	return o.optimizeGreedy(ctx, g)
 }
 
-// newGraph indexes q for planning. Alias sets are 64-bit masks, so a
-// wider FROM list is an error here rather than a second code path.
-func newGraph(q *query.Query) (*query.JoinGraph, error) {
+// plannable rejects a query with no tables, or with more than a JoinGraph
+// indexes: alias sets are 64-bit masks, so a wider FROM list is an error
+// here rather than a second code path.
+func plannable(q *query.Query) error {
 	switch n := len(q.Refs); {
 	case n == 0:
-		return nil, fmt.Errorf("opt: query has no tables")
+		return fmt.Errorf("opt: query has no tables")
 	case n > query.MaxRefs:
-		return nil, fmt.Errorf("opt: query has %d tables, the planner handles at most %d", n, query.MaxRefs)
+		return fmt.Errorf("opt: query has %d tables, the planner handles at most %d", n, query.MaxRefs)
 	}
-	return query.NewJoinGraph(q), nil
+	return nil
 }
 
 // estimate queries the (possibly learned, possibly injected) estimator

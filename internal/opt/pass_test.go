@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lqo/internal/plan"
+	"lqo/internal/query"
 	"lqo/internal/workload"
 )
 
@@ -22,11 +23,11 @@ func TestPipelineIdentityOnEnumerationOutput(t *testing.T) {
 	ctx := context.Background()
 	qs := workload.GenWorkload(f.cat, workload.Options{Seed: 11, Count: 30, MaxJoins: 4, MaxPreds: 3})
 	for i, q := range qs {
-		raw, err := f.opt.enumerate(ctx, q)
+		raw, err := f.opt.enumerate(ctx, query.NewJoinGraph(q))
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		full, trace, err := f.opt.OptimizeTraceCtx(ctx, q)
+		full, trace, err := f.opt.OptimizeTraceCtx(ctx, query.NewJoinGraph(q))
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -49,7 +50,7 @@ func TestOptimizeTraceCoversDefaultPasses(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		o := f.opt.WithEstimator(f.opt.Est)
 		o.Shards = shards
-		_, trace, err := o.OptimizeTraceCtx(context.Background(), chainQuery())
+		_, trace, err := o.OptimizeTraceCtx(context.Background(), query.NewJoinGraph(chainQuery()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +84,7 @@ func TestOptimizerShardsProducesMergePlans(t *testing.T) {
 
 	so := f.opt.WithEstimator(f.opt.Est) // shallow copy, same estimator
 	so.Shards = 3
-	sharded, trace, err := so.OptimizeTraceCtx(ctx, q)
+	sharded, trace, err := so.OptimizeTraceCtx(ctx, query.NewJoinGraph(q))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -308,7 +308,7 @@ func (e *Engine) optimizeTrace(ctx context.Context, sess *Session, q *query.Quer
 			o = o.WithHints(*sess.hints)
 		}
 	}
-	return o.OptimizeTraceCtx(ctx, q)
+	return o.OptimizeTraceCtx(ctx, query.NewJoinGraph(q))
 }
 
 // subPlanLabels optimizes q under the session, executes the plan with

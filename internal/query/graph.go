@@ -241,60 +241,79 @@ func (g *JoinGraph) JoinsBetween(left, right map[string]bool) []Join {
 	return g.JoinsBetweenMasks(g.Mask(left), g.Mask(right))
 }
 
-// project builds the sub-query over mask without a key: refs in the mask,
-// joins fully contained in it and predicates on it, each in query order.
-func (g *JoinGraph) project(mask uint64) *Query {
-	return &Query{
-		Refs:  keep(&g.refs, g.q.Refs, mask),
-		Joins: keep(&g.joins, g.q.Joins, mask),
-		Preds: keep(&g.preds, g.q.Preds, mask),
-	}
-}
-
-// keep returns the clauses of all that belong to the sub-query over mask,
-// nil when none do.
-func keep[T any](c *clauseIndex, all []T, mask uint64) []T {
-	n := 0
-	for i := range all {
-		if c.in(i, mask) {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]T, 0, n)
-	for i, x := range all {
-		if c.in(i, mask) {
-			out = append(out, x)
-		}
-	}
-	return out
-}
+// Subs returns the sub-query over every mask of the graph's aliases,
+// indexed by mask (Subs()[0] is the empty query): Sub for all 2^n masks
+// at once. They share one backing array each for refs, joins and preds
+// and one key string that every key slices, so the whole set costs five
+// allocations whatever n is. Every clause slice is capped (len == cap),
+// so an append to one cannot write into its neighbour. The queries must
+// be treated as read-only, like Sub's; a key kept past the slab's life
+// pins the whole key string. Only for graphs small enough to enumerate.
+func (g *JoinGraph) Subs() []Query { return g.subs(0, 1<<uint(len(g.Aliases))) }
 
 // Sub returns the sub-query over mask (see Query.Subquery) carrying its
 // precomputed canonical key, so Key() on it costs nothing. The result
 // must be treated as read-only: mutating it would leave the key stale.
-func (g *JoinGraph) Sub(mask uint64) *Query {
-	sub := g.project(mask)
-	sub.key = g.Key(mask)
-	return sub
+func (g *JoinGraph) Sub(mask uint64) *Query { return &g.subs(mask, mask+1)[0] }
+
+// subs builds the sub-queries over masks lo..hi-1, out[i] over lo+i:
+// refs in the mask, joins fully contained in it and predicates on it,
+// each in query order, and the key. Every slab is sized exactly first.
+func (g *JoinGraph) subs(lo, hi uint64) []Query {
+	var nr, nj, np, nk int
+	for m := lo; m < hi; m++ {
+		nr += g.refs.count(m)
+		nj += g.joins.count(m)
+		np += g.preds.count(m)
+		nk += g.keyLen(m)
+	}
+	out := make([]Query, hi-lo)
+	refs, joins, preds := make([]TableRef, 0, nr), make([]Join, 0, nj), make([]Pred, 0, np)
+	var k KeyBuilder
+	k.Grow(nk)
+	for i := range out {
+		m, q := lo+uint64(i), &out[i]
+		q.Refs, refs = cut(&g.refs, g.q.Refs, m, refs)
+		q.Joins, joins = cut(&g.joins, g.q.Joins, m, joins)
+		q.Preds, preds = cut(&g.preds, g.q.Preds, m, preds)
+		start := k.Len()
+		g.writeKey(&k, m)
+		q.key = k.String()[start:] // k never outgrows nk: earlier keys stay valid
+	}
+	return out
 }
 
-// Key returns Sub(mask).Key() without building the sub-query. The
-// segments were encoded and sorted once at construction, and a subset of
-// a sorted list is sorted, so this is one pre-sized concatenation.
-func (g *JoinGraph) Key(mask uint64) string {
-	size := 2
-	for _, c := range [...]*clauseIndex{&g.refs, &g.joins, &g.preds} {
-		for i, s := range c.seg {
-			if c.in(i, mask) {
-				size += len(s)
-			}
+// count returns how many clauses belong to the sub-query over mask.
+func (c *clauseIndex) count(mask uint64) int {
+	n := 0
+	for i := range c.need {
+		if c.in(i, mask) {
+			n++
 		}
 	}
-	var k KeyBuilder
-	k.Grow(size)
+	return n
+}
+
+// cut appends to slab the clauses of all that belong to the sub-query
+// over mask and returns them, capped (nil when none), and the grown slab.
+func cut[T any](c *clauseIndex, all []T, mask uint64, slab []T) (sub, grown []T) {
+	start := len(slab)
+	for i, x := range all {
+		if c.in(i, mask) {
+			slab = append(slab, x)
+		}
+	}
+	if len(slab) == start {
+		return nil, slab
+	}
+	return slab[start:len(slab):len(slab)], slab
+}
+
+// writeKey writes Key(mask) to k: the segments of the refs, joins and
+// predicates over mask, each list in its sorted order, with a "|" between
+// the lists. The segments were encoded and sorted once at construction,
+// and a subset of a sorted list is sorted.
+func (g *JoinGraph) writeKey(k *KeyBuilder, mask uint64) {
 	for n, c := range [...]*clauseIndex{&g.refs, &g.joins, &g.preds} {
 		if n > 0 {
 			k.Raw("|")
@@ -305,12 +324,34 @@ func (g *JoinGraph) Key(mask uint64) string {
 			}
 		}
 	}
+}
+
+// keyLen returns len(Key(mask)).
+func (g *JoinGraph) keyLen(mask uint64) int {
+	n := 2
+	for _, c := range [...]*clauseIndex{&g.refs, &g.joins, &g.preds} {
+		for i, s := range c.seg {
+			if c.in(i, mask) {
+				n += len(s)
+			}
+		}
+	}
+	return n
+}
+
+// Key returns Sub(mask).Key() without building the sub-query: one
+// pre-sized concatenation.
+func (g *JoinGraph) Key(mask uint64) string {
+	var k KeyBuilder
+	k.Grow(g.keyLen(mask))
+	g.writeKey(&k, mask)
 	return k.String()
 }
 
 // AppendKey appends Key(mask) to dst and returns the extended buffer, so
 // a caller that derives many keys can reuse one buffer and make a string
-// only of a key it keeps.
+// only of a key it keeps. It is writeKey over bytes, kept separate so
+// the hit path's harvest calls no function per segment.
 func (g *JoinGraph) AppendKey(dst []byte, mask uint64) []byte {
 	for n, c := range [...]*clauseIndex{&g.refs, &g.joins, &g.preds} {
 		if n > 0 {
@@ -326,102 +367,52 @@ func (g *JoinGraph) AppendKey(dst []byte, mask uint64) []byte {
 }
 
 // ConnectedSubsets enumerates all connected alias subsets of size 1..maxSize
-// (0 means no limit). Each subset is returned as a sorted slice. The
-// enumeration order is deterministic.
+// (0 means no limit). Each subset is returned as a sorted slice, ordered
+// by size and then by comma-joined names. Sets grow from single aliases
+// one join neighbour at a time, so the work follows the number of
+// connected subsets, not 2^n. Aliases past MaxRefs have no bit and are
+// left out.
 func (g *JoinGraph) ConnectedSubsets(maxSize int) [][]string {
-	n := len(g.Aliases)
+	n := min(len(g.Aliases), MaxRefs)
 	if maxSize <= 0 || maxSize > n {
 		maxSize = n
 	}
-	var out [][]string
-	if n > 20 {
-		// Bitmask enumeration is infeasible; grow subsets by BFS expansion.
-		return g.connectedSubsetsLarge(maxSize)
+	var all, level []uint64
+	for i := 0; i < n; i++ {
+		level = append(level, 1<<uint(i))
 	}
-	for mask := uint64(1); mask < 1<<uint(n); mask++ {
-		size := bits.OnesCount64(mask)
-		if size > maxSize || !g.ConnectedMask(mask) {
-			continue
-		}
-		sub := make([]string, 0, size)
-		for m := mask; m != 0; m &= m - 1 {
-			sub = append(sub, g.Aliases[bits.TrailingZeros64(m)])
-		}
-		sort.Strings(sub)
-		out = append(out, sub)
-	}
-	sortSubsets(out)
-	return out
-}
-
-func (g *JoinGraph) connectedSubsetsLarge(maxSize int) [][]string {
-	seen := map[string]bool{}
-	var out [][]string
-	frontier := make([]map[string]bool, 0, len(g.Aliases))
-	for _, a := range g.Aliases {
-		s := map[string]bool{a: true}
-		frontier = append(frontier, s)
-		out = append(out, []string{a})
-		seen[a] = true
-	}
-	for size := 2; size <= maxSize; size++ {
-		var next []map[string]bool
-		for _, s := range frontier {
-			for a := range s {
-				for _, nb := range g.Neighbors(a) {
-					if s[nb] {
-						continue
-					}
-					grown := make(map[string]bool, len(s)+1)
-					for k := range s {
-						grown[k] = true
-					}
-					grown[nb] = true
-					lst := setToSorted(grown)
-					k := joinKey(lst)
-					if seen[k] {
-						continue
-					}
-					seen[k] = true
+	seen := map[uint64]bool{}
+	for size := 1; size <= maxSize && len(level) > 0; size++ {
+		all = append(all, level...)
+		var next []uint64
+		for _, set := range level {
+			var nb uint64
+			for m := set; m != 0; m &= m - 1 {
+				nb |= g.adj[bits.TrailingZeros64(m)]
+			}
+			for nb &^= set; nb != 0; nb &= nb - 1 {
+				if grown := set | nb&-nb; !seen[grown] {
+					seen[grown] = true
 					next = append(next, grown)
-					out = append(out, lst)
 				}
 			}
 		}
-		frontier = next
+		level = next
 	}
-	sortSubsets(out)
-	return out
-}
-
-// sortSubsets orders subsets by size, then by their comma-joined names.
-func sortSubsets(out [][]string) {
+	out := make([][]string, len(all))
+	for i, m := range all {
+		for ; m != 0; m &= m - 1 {
+			out[i] = append(out[i], g.Aliases[bits.TrailingZeros64(m)])
+		}
+		sort.Strings(out[i])
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if len(out[i]) != len(out[j]) {
 			return len(out[i]) < len(out[j])
 		}
-		return joinKey(out[i]) < joinKey(out[j])
+		return strings.Join(out[i], ",") < strings.Join(out[j], ",")
 	})
-}
-
-func setToSorted(s map[string]bool) []string {
-	out := make([]string, 0, len(s))
-	for a := range s {
-		out = append(out, a)
-	}
-	sort.Strings(out)
 	return out
-}
-
-func joinKey(sorted []string) string {
-	k := ""
-	for i, s := range sorted {
-		if i > 0 {
-			k += ","
-		}
-		k += s
-	}
-	return k
 }
 
 // SetOf converts an alias slice into a set.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -69,6 +70,52 @@ func oracleKey(q *Query) string {
 		k.Append(s)
 	}
 	return k.String()
+}
+
+// oracleConnectedSubsets grows alias sets breadth-first by name, one
+// neighbour at a time, deduplicating by the joined names; maxSize 0 is
+// no limit.
+func oracleConnectedSubsets(q *Query, maxSize int) [][]string {
+	if maxSize == 0 {
+		maxSize = len(q.Refs)
+	}
+	adj, declared := oracleAdj(q), q.Aliases()
+	var out [][]string
+	var frontier [][]string
+	seen := map[string]bool{}
+	for _, r := range q.Refs {
+		out = append(out, []string{r.Alias})
+		frontier = append(frontier, []string{r.Alias})
+		seen[r.Alias] = true
+	}
+	for size := 2; size <= maxSize; size++ {
+		var next [][]string
+		for _, set := range frontier {
+			for _, a := range set {
+				for _, j := range adj[a] {
+					nb := j.Other(a)
+					if slices.Contains(set, nb) || !slices.Contains(declared, nb) {
+						continue
+					}
+					grown := append(append([]string(nil), set...), nb)
+					sort.Strings(grown)
+					if k := strings.Join(grown, ","); !seen[k] {
+						seen[k] = true
+						next = append(next, grown)
+						out = append(out, grown)
+					}
+				}
+			}
+		}
+		frontier = next
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if len(out[i]) != len(out[j]) {
+			return len(out[i]) < len(out[j])
+		}
+		return strings.Join(out[i], ",") < strings.Join(out[j], ",")
+	})
+	return out
 }
 
 func oracleAdj(q *Query) map[string][]Join {
@@ -218,8 +265,10 @@ func redraw(rng *rand.Rand, q *Query) *Query {
 }
 
 // checkGraph compares the mask index of q against the oracles on every
-// mask and every ordered pair of masks, then rebinds it through a chain
-// of redrawn bindings against graphs built from scratch.
+// mask and every ordered pair of masks — Sub(mask) and the slab's
+// Subs()[mask] alike, nil slices and capacities included — then rebinds
+// it through a chain of redrawn bindings against graphs built from
+// scratch.
 func checkGraph(t *testing.T, rng *rand.Rand, q *Query) {
 	t.Helper()
 	g, adj := NewJoinGraph(q), oracleAdj(q)
@@ -232,6 +281,10 @@ func checkGraph(t *testing.T, rng *rand.Rand, q *Query) {
 				sets[mask][a] = true
 			}
 		}
+	}
+	subs := g.Subs()
+	if len(subs) != len(sets) {
+		t.Fatalf("Subs() has %d queries, want one per mask (%d)", len(subs), len(sets))
 	}
 	for m, set := range sets {
 		mask := uint64(m)
@@ -246,6 +299,15 @@ func checkGraph(t *testing.T, rng *rand.Rand, q *Query) {
 		key := oracleKey(want)
 		if sub.Key() != key || g.Key(mask) != key {
 			t.Fatalf("mask %b: cached key %q, graph key %q, from scratch %q\n%s", mask, sub.Key(), g.Key(mask), key, q.SQL())
+		}
+		if slab := &subs[mask]; !reflect.DeepEqual(slab, sub) || slab.Key() != key {
+			t.Fatalf("Subs()[%b] = %+v key %q, Sub = %+v key %q\n%s", mask, slab, slab.Key(), sub, key, q.SQL())
+		}
+		for _, s := range []*Query{sub, &subs[mask]} {
+			if cap(s.Refs) != len(s.Refs) || cap(s.Joins) != len(s.Joins) || cap(s.Preds) != len(s.Preds) {
+				t.Fatalf("mask %b: a clause slice has spare capacity: refs %d/%d joins %d/%d preds %d/%d", mask,
+					len(s.Refs), cap(s.Refs), len(s.Joins), cap(s.Joins), len(s.Preds), cap(s.Preds))
+			}
 		}
 		adapted := q.Subquery(set)
 		if !reflect.DeepEqual(adapted, want) {
@@ -279,14 +341,23 @@ func checkGraph(t *testing.T, rng *rand.Rand, q *Query) {
 			}
 		}
 	}
+	for _, size := range []int{0, 2} {
+		if got, want := g.ConnectedSubsets(size), oracleConnectedSubsets(q, size); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ConnectedSubsets(%d) = %v, oracle %v\n%s", size, got, want, q.SQL())
+		}
+	}
 	if full := g.Key(uint64(len(sets) - 1)); full != q.Key() || full != oracleKey(q) {
 		t.Fatalf("full-mask key %q, Query.Key %q, oracle %q", full, q.Key(), oracleKey(q))
 	}
 	for round := 0; round < 3; round++ {
 		b := redraw(rng, q)
 		rebound, fresh := g.Rebind(b), NewJoinGraph(b)
+		rsubs := rebound.Subs()
 		for m := range sets {
 			mask := uint64(m)
+			if !reflect.DeepEqual(&rsubs[mask], fresh.Sub(mask)) {
+				t.Fatalf("round %d: rebound Subs()[%b] = %+v, built %+v", round, mask, &rsubs[mask], fresh.Sub(mask))
+			}
 			if got, want := rebound.Key(mask), fresh.Key(mask); got != want {
 				t.Fatalf("round %d mask %b: rebound key %q, built %q\n%s\nrebound from\n%s", round, mask, got, want, b.SQL(), g.Query().SQL())
 			}
@@ -305,10 +376,32 @@ func TestGraphMatchesMapOracles(t *testing.T) {
 	}
 }
 
+// TestConnectedSubsetsWide checks the enumeration on graphs too wide to
+// walk every mask of: random trees of 24 aliases plus a few extra edges.
+func TestConnectedSubsetsWide(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for round := 0; round < 4; round++ {
+		q := &Query{}
+		for i := 0; i < 24; i++ {
+			a := fmt.Sprintf("t%d", i)
+			q.Refs = append(q.Refs, TableRef{Alias: a, Table: a})
+			if i > 0 {
+				q.Joins = append(q.Joins, Join{LeftAlias: fmt.Sprintf("t%d", rng.Intn(i)), LeftCol: "id", RightAlias: a, RightCol: "fk"})
+			}
+		}
+		for e := 0; e < 3; e++ {
+			q.Joins = append(q.Joins, Join{LeftAlias: fmt.Sprintf("t%d", rng.Intn(24)), LeftCol: "x", RightAlias: fmt.Sprintf("t%d", rng.Intn(24)), RightCol: "x"})
+		}
+		if got, want := NewJoinGraph(q).ConnectedSubsets(4), oracleConnectedSubsets(q, 4); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: %d subsets, oracle %d\n%s", round, len(got), len(want), q.SQL())
+		}
+	}
+}
+
 // FuzzSubqueryKey lets the fuzzer choose the identifiers as well as the
 // shape: whatever bytes aliases, tables and columns contain, every
-// sub-query's precomputed key, and every rebound graph's key, must equal
-// the from-scratch encoding.
+// sub-query's precomputed key — Sub's and the Subs slab's — and every
+// rebound graph's key, must equal the from-scratch encoding.
 func FuzzSubqueryKey(f *testing.F) {
 	f.Add(int64(1), "a", "b|1", "c:2")
 	f.Add(int64(2), "r(1:a:1:a)", "3:a|b", ")")

@@ -167,11 +167,6 @@ func (j Join) String() string {
 	return j.LeftAlias + "." + j.LeftCol + " = " + j.RightAlias + "." + j.RightCol
 }
 
-// Touches reports whether the edge references the alias.
-func (j Join) Touches(alias string) bool {
-	return j.LeftAlias == alias || j.RightAlias == alias
-}
-
 // Other returns the alias on the opposite side of the edge, or "" if the
 // edge does not touch alias.
 func (j Join) Other(alias string) string {
@@ -203,8 +198,8 @@ type Query struct {
 	// is COUNT(*), the cardinality the whole workbench revolves around.
 	Agg Agg
 
-	// key is the precomputed Key(), set only by JoinGraph.Sub on the
-	// sub-queries it builds. Caller-built queries are mutated in place by
+	// key is the precomputed Key(), set only by JoinGraph.Sub and Subs on
+	// the sub-queries they build. Caller-built queries are mutated in place by
 	// the parser, the workload generators and statement binding, so Key
 	// never memoises on them; Clone drops it.
 	key string
@@ -374,9 +369,12 @@ func (q *Query) NumParams() int {
 
 // Subquery projects the query onto a subset of aliases: only refs in the
 // subset, joins fully contained in it, and predicates on it are kept.
+// Unlike JoinGraph.Sub, the result carries no precomputed key.
 func (q *Query) Subquery(aliases map[string]bool) *Query {
 	g := NewJoinGraph(q)
-	return g.project(g.Mask(aliases))
+	sub := g.Sub(g.Mask(aliases))
+	sub.key = ""
+	return sub
 }
 
 // Validate checks that every join and predicate references a declared

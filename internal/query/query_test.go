@@ -1,6 +1,7 @@
 package query
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -192,15 +193,9 @@ func TestConnectedSubsets(t *testing.T) {
 	if len(subs) != 6 {
 		t.Fatalf("got %d subsets: %v", len(subs), subs)
 	}
-	// Large-path and bitmask enumerations must agree.
-	large := g.connectedSubsetsLarge(3)
-	if len(large) != len(subs) {
-		t.Fatalf("large enumeration disagrees: %d vs %d", len(large), len(subs))
-	}
-	for i := range subs {
-		if joinKey(subs[i]) != joinKey(large[i]) {
-			t.Fatalf("subset %d differs: %v vs %v", i, subs[i], large[i])
-		}
+	// The mask enumeration and the map oracle must agree.
+	if want := oracleConnectedSubsets(q, 3); !reflect.DeepEqual(subs, want) {
+		t.Fatalf("ConnectedSubsets = %v, oracle %v", subs, want)
 	}
 }
 

@@ -262,7 +262,8 @@ func (s *Server) Exec(ctx context.Context, tenant string, stmt *Stmt, args ...an
 // run is the shared serving path: admit, fetch-or-plan, execute, harvest
 // feedback, observe drift. key is the plan-cache key (cacheKey). q is
 // only read. A prepared statement passes g, its binding's join graph, and
-// tmpl, its template; an ad-hoc query neither. A hit runs the cached plan
+// tmpl, its template; an ad-hoc query neither, and its miss builds the
+// one graph it is planned and harvested from. A hit runs the cached plan
 // itself, shared with concurrent requests: nothing here writes to a plan,
 // and harvest, drift check and observer read the run's record instead.
 func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key string, g *query.JoinGraph, tmpl *query.Query) (*Result, error) {
@@ -279,7 +280,10 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 		ent = nil // each binding has its own sub-query keys
 	}
 	if p == nil {
-		p, err = s.opt.OptimizeCtx(ctx, q)
+		if g == nil {
+			g = query.NewJoinGraph(q) // planned and harvested: one graph per miss
+		}
+		p, err = s.opt.OptimizeGraphCtx(ctx, g)
 		if err != nil {
 			br.Failure()
 			return nil, err
@@ -311,13 +315,12 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 
 // harvest merges the record cards of a run of p into the feedback store
 // in plan pre-order, every key every time (ResetFeedback may have
-// intervened). A prepared binding's keys come from its graph g through
-// s.keyBuf, so only a key new to the store allocates a string. ent is the
-// entry p was checked out of on an ad-hoc hit, else nil. Its key is a
-// function of q.Key(), so every pre-order position's sub-query key repeats
-// on every hit: the first hit (not the miss, which none may follow)
-// memoizes opt.HarvestCards' labels for their keys, later hits skip the
-// join graph.
+// intervened). A miss's or a prepared binding's keys come from its graph
+// g through s.keyBuf, so only a key new to the store allocates a string.
+// ent is the entry p was checked out of on an ad-hoc hit, else nil. Its
+// key is a function of q.Key(), so every pre-order position's sub-query
+// key repeats on every hit: the first hit memoizes opt.HarvestCards'
+// labels for their keys, later hits skip the join graph.
 func (s *Server) harvest(q *query.Query, g *query.JoinGraph, p *plan.Node, cards []float64, ent *cacheEntry) {
 	if g != nil {
 		s.mu.Lock()
