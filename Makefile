@@ -86,8 +86,9 @@ bench:
 # One iteration of every benchmark — catches bit-rotted benchmark code
 # without paying for real measurements. Of the root package only the
 # planning scoreboard runs (BenchmarkOptimizeDP at 2-8 tables under the
-# histogram and spn estimators, and BenchmarkHarvest): its other
-# benchmarks regenerate whole experiment tables. ./internal/exec/
+# histogram and spn estimators, each answering a join graph at once, and
+# its fallback/ cells, spn asked once per mask; and BenchmarkHarvest):
+# its other benchmarks regenerate whole experiment tables. ./internal/exec/
 # includes the join kernel's BenchmarkHashJoinProbe grid (build size ×
 # match rate); ./internal/serve/ is BenchmarkServeHit, the cached
 # request end to end (ad-hoc, a new spelling of a cached query, prepared).

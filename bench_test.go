@@ -143,11 +143,17 @@ func BenchmarkOptimizeDP4Way(b *testing.B) {
 	}
 }
 
+// perMask hides an estimator's graph method (opt.GraphEstimator): the
+// planner asks it once per mask.
+type perMask struct{ opt.CardEstimator }
+
 // BenchmarkOptimizeDP is the planning-cost scoreboard: bushy DP through
 // the full pipeline by query width, under the histogram estimator (the
-// unprefixed cells) and under spn, the estimator the repo benchmark's
-// cold_plan workload plans with. plans/op is the enumeration effort,
-// which must not move when only the enumerator's speed is worked on.
+// unprefixed cells), under spn, the estimator the repo benchmark's
+// cold_plan workload plans with, and under spn behind perMask, the path
+// of every estimator that cannot answer a join graph at once (fallback/).
+// plans/op is the enumeration effort, which must not move when only the
+// enumerator's speed is worked on.
 func BenchmarkOptimizeDP(b *testing.B) {
 	env := sharedEnv(b)
 	spn := cardest.NewSPNEstimator()
@@ -157,7 +163,7 @@ func BenchmarkOptimizeDP(b *testing.B) {
 	for _, c := range []struct {
 		prefix string
 		o      *opt.Optimizer
-	}{{"", env.Base}, {"spn/", env.Base.WithEstimator(spn)}} {
+	}{{"", env.Base}, {"spn/", env.Base.WithEstimator(spn)}, {"fallback/", env.Base.WithEstimator(perMask{spn})}} {
 		for _, tables := range []int{2, 4, 6, 8} {
 			b.Run(fmt.Sprintf("%s%dway", c.prefix, tables), func(b *testing.B) {
 				q := genQuery(b, env, tables)

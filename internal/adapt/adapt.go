@@ -69,6 +69,21 @@ func (s *Swappable) Estimate(q *query.Query) float64 {
 	return metrics.ClampCard(s.ptr.Load().est.Estimate(q))
 }
 
+// EstimateGraph implements opt.GraphEstimator by forwarding to the
+// currently published estimator, loaded once so that every mask of the
+// graph comes from one model, clamping like Estimate. It reports false
+// when that estimator cannot answer a graph.
+func (s *Swappable) EstimateGraph(g *query.JoinGraph, cards []float64) bool {
+	ge, ok := s.ptr.Load().est.(opt.GraphEstimator)
+	if !ok || !ge.EstimateGraph(g, cards) {
+		return false
+	}
+	for m, c := range cards {
+		cards[m] = metrics.ClampCard(c)
+	}
+	return true
+}
+
 // Current returns the currently published estimator.
 func (s *Swappable) Current() opt.CardEstimator {
 	return s.ptr.Load().est

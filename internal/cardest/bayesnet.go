@@ -18,9 +18,8 @@ type BayesNet struct {
 	Bins      int // per-column bins (default 16)
 	TrainRows int // row sample per table (default 4000)
 
-	cat    *data.Catalog
-	cs     *stats.CatalogStats
-	tables map[string]*bnTable
+	formula // Estimate and EstimateGraph over tableSel
+	tables  map[string]*bnTable
 }
 
 type bnTable struct {
@@ -38,8 +37,7 @@ func (e *BayesNet) Name() string { return "bayesnet" }
 
 // Train learns one tree-structured network per table.
 func (e *BayesNet) Train(ctx *Context) error {
-	e.cat = ctx.Cat
-	e.cs = ctx.Stats
+	e.formula = formula{cat: ctx.Cat, cs: ctx.Stats, sel: e.tableSel}
 	e.tables = make(map[string]*bnTable)
 	for _, tn := range ctx.Cat.TableNames() {
 		t := ctx.Cat.Table(tn)
@@ -265,18 +263,16 @@ func (bt *bnTable) inferSel(allowed [][]bool) float64 {
 	return total
 }
 
-// Estimate implements Estimator.
-func (e *BayesNet) Estimate(q *query.Query) float64 {
-	est := joinFormula(e.cs, q, func(tn string, preds []query.Pred, alias string) float64 {
-		if !hasPreds(preds, alias) {
-			return 1
-		}
-		bt := e.tables[tn]
-		ts := e.cs.Tables[tn]
-		if bt == nil || ts == nil {
-			return tableSelFromPreds(ts, preds, alias)
-		}
-		return bt.inferSel(bt.allowedBins(ts, preds, alias))
-	})
-	return clampCard(est, e.cat, q)
+// tableSel infers the selectivity of the preds on alias from table tn's
+// Chow-Liu tree.
+func (e *BayesNet) tableSel(tn string, preds []query.Pred, alias string) float64 {
+	if !hasPreds(preds, alias) {
+		return 1
+	}
+	bt := e.tables[tn]
+	ts := e.cs.Tables[tn]
+	if bt == nil || ts == nil {
+		return tableSelFromPreds(ts, preds, alias)
+	}
+	return bt.inferSel(bt.allowedBins(ts, preds, alias))
 }

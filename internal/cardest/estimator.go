@@ -105,14 +105,19 @@ func ByName(name string) (Estimator, error) {
 // clampCard bounds an estimate to [0, Π table rows] — no query can return
 // more tuples than the cross product.
 func clampCard(est float64, cat *data.Catalog, q *query.Query) float64 {
-	if math.IsNaN(est) || est < 0 {
-		return 0
-	}
 	max := 1.0
 	for _, r := range q.Refs {
 		if t := cat.Table(r.Table); t != nil {
 			max *= float64(t.NumRows())
 		}
+	}
+	return clampTo(est, max)
+}
+
+// clampTo is clampCard with the cross-product bound max computed.
+func clampTo(est, max float64) float64 {
+	if math.IsNaN(est) || est < 0 {
+		return 0
 	}
 	if est > max {
 		return max
@@ -136,15 +141,82 @@ func joinFormula(cs *stats.CatalogStats, q *query.Query, tableSel func(table str
 		card *= ts.Rows * tableSel(r.Table, q.Preds, r.Alias)
 	}
 	for _, j := range q.Joins {
-		lt, rt := q.TableOf(j.LeftAlias), q.TableOf(j.RightAlias)
-		nl, nr := columnDistinct(cs, lt, j.LeftCol), columnDistinct(cs, rt, j.RightCol)
-		d := math.Max(nl, nr)
-		if d < 1 {
-			d = 1
-		}
-		card /= d
+		card /= joinDivisor(cs, q, j)
 	}
 	return card
+}
+
+// joinDivisor is j's 1/selectivity in joinFormula: the larger distinct
+// count of its two columns, at least 1.
+func joinDivisor(cs *stats.CatalogStats, q *query.Query, j query.Join) float64 {
+	d := math.Max(columnDistinct(cs, q.TableOf(j.LeftAlias), j.LeftCol), columnDistinct(cs, q.TableOf(j.RightAlias), j.RightCol))
+	if d < 1 {
+		d = 1
+	}
+	return d
+}
+
+// formula is an estimator that composes per-table selectivities through
+// joinFormula, clamped: its Estimate, and the same answer for every alias
+// subset of a join graph at once. sel must be a pure function of the
+// predicates on its alias, which every embedder's tableSel is.
+type formula struct {
+	cat *data.Catalog
+	cs  *stats.CatalogStats
+	sel func(table string, preds []query.Pred, alias string) float64
+}
+
+// Estimate implements Estimator.
+func (f *formula) Estimate(q *query.Query) float64 {
+	return clampCard(joinFormula(f.cs, q, f.sel), f.cat, q)
+}
+
+// EstimateGraph sets cards[m] to Estimate(g.Sub(m)) for every mask m, bit
+// for bit, calling sel once per ref, not once per ref of every mask: a
+// sub-query that keeps a ref keeps every predicate on its alias. A ref's
+// rows·selectivity (NaN without statistics, which clampTo turns into
+// joinFormula's 0), a join's divisor and a table's row count are
+// computed once, and each mask multiplies and divides them in its
+// sub-query's clause order, as joinFormula and clampCard do. It reports
+// false before training.
+func (f *formula) EstimateGraph(g *query.JoinGraph, cards []float64) bool {
+	if f.cs == nil {
+		return false
+	}
+	q := g.Query()
+	refBits, joinBits := g.ClauseBits()
+	nr := len(q.Refs)
+	buf := make([]float64, 2*nr+len(q.Joins))
+	scaled, rows, div := buf[:nr], buf[nr:2*nr], buf[2*nr:]
+	for i, r := range q.Refs {
+		scaled[i], rows[i] = math.NaN(), 1
+		if ts := f.cs.Tables[r.Table]; ts != nil {
+			scaled[i] = ts.Rows * f.sel(r.Table, q.Preds, r.Alias)
+		}
+		if t := f.cat.Table(r.Table); t != nil {
+			rows[i] = float64(t.NumRows())
+		}
+	}
+	for i, j := range q.Joins {
+		div[i] = joinDivisor(f.cs, q, j)
+	}
+	for m := range cards {
+		mask := uint64(m)
+		card, max := 1.0, 1.0
+		for i, need := range refBits {
+			if need != 0 && need&^mask == 0 {
+				card *= scaled[i]
+				max *= rows[i]
+			}
+		}
+		for i, need := range joinBits {
+			if need != 0 && need&^mask == 0 {
+				card /= div[i]
+			}
+		}
+		cards[m] = clampTo(card, max)
+	}
+	return true
 }
 
 func columnDistinct(cs *stats.CatalogStats, table, col string) float64 {

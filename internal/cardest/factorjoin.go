@@ -318,12 +318,7 @@ func (e *FactorJoin) edgeSelectivity(q *query.Query, j query.Join) float64 {
 	kbL, okL := e.buckets[ColKey{la, lc}]
 	kbR, okR := e.buckets[ColKey{ra, rc}]
 	if !okL || !okR {
-		// Unbucketed column: fall back to 1/max(ndv).
-		d := maxf(columnDistinct(e.cs, la, lc), columnDistinct(e.cs, ra, rc))
-		if d < 1 {
-			d = 1
-		}
-		return 1 / d
+		return 1 / joinDivisor(e.cs, q, j) // unbucketed column: 1/max(ndv)
 	}
 	maskL := e.keyMask(q, j.LeftAlias, lc, kbL)
 	maskR := e.keyMask(q, j.RightAlias, rc, kbR)

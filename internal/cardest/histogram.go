@@ -1,9 +1,7 @@
 package cardest
 
 import (
-	"lqo/internal/data"
 	"lqo/internal/query"
-	"lqo/internal/stats"
 )
 
 // HistogramEstimator is the traditional baseline: per-column equi-depth
@@ -11,8 +9,7 @@ import (
 // assumption, with the System-R 1/max(ndv) formula for equi-joins. It is
 // what PostgreSQL does, and what every learned method is measured against.
 type HistogramEstimator struct {
-	cat *data.Catalog
-	cs  *stats.CatalogStats
+	formula // Estimate and EstimateGraph over tableSel
 }
 
 // NewHistogramEstimator returns an untrained histogram estimator.
@@ -23,15 +20,12 @@ func (h *HistogramEstimator) Name() string { return "histogram" }
 
 // Train records the statistics; no learning happens.
 func (h *HistogramEstimator) Train(ctx *Context) error {
-	h.cat = ctx.Cat
-	h.cs = ctx.Stats
+	h.formula = formula{cat: ctx.Cat, cs: ctx.Stats, sel: h.tableSel}
 	return nil
 }
 
-// Estimate implements Estimator.
-func (h *HistogramEstimator) Estimate(q *query.Query) float64 {
-	est := joinFormula(h.cs, q, func(table string, preds []query.Pred, alias string) float64 {
-		return tableSelFromPreds(h.cs.Tables[table], preds, alias)
-	})
-	return clampCard(est, h.cat, q)
+// tableSel is the independence-assumption selectivity of the preds on
+// alias from table's per-column statistics.
+func (h *HistogramEstimator) tableSel(table string, preds []query.Pred, alias string) float64 {
+	return tableSelFromPreds(h.cs.Tables[table], preds, alias)
 }

@@ -9,7 +9,6 @@ import (
 	"lqo/internal/data"
 	"lqo/internal/ml"
 	"lqo/internal/query"
-	"lqo/internal/stats"
 )
 
 // UAE [63] unifies data- and query-driven learning: an unsupervised
@@ -68,9 +67,7 @@ func (e *UAE) Estimate(q *query.Query) float64 {
 // correction factors from the workload: the geometric mean of
 // true/formula ratios for each canonical join-edge set.
 type GLUE struct {
-	single *SPNEstimator
-	cs     *stats.CatalogStats
-	cat    *data.Catalog
+	single *SPNEstimator // also holds the catalog and statistics
 	// template key → mean log correction
 	corrections map[string]float64
 	globalCorr  float64
@@ -101,8 +98,6 @@ func joinTemplate(q *query.Query) string {
 
 // Train fits the single-table model and the per-template corrections.
 func (e *GLUE) Train(ctx *Context) error {
-	e.cat = ctx.Cat
-	e.cs = ctx.Stats
 	if err := e.single.Train(ctx); err != nil {
 		return err
 	}
@@ -132,7 +127,7 @@ func (e *GLUE) Train(ctx *Context) error {
 }
 
 func (e *GLUE) formulaEstimate(q *query.Query) float64 {
-	return joinFormula(e.cs, q, e.single.tableSel)
+	return joinFormula(e.single.cs, q, e.single.sel)
 }
 
 // Estimate implements Estimator.
@@ -145,7 +140,7 @@ func (e *GLUE) Estimate(q *query.Query) float64 {
 		}
 		est = unlogCard(logCard(est) + corr)
 	}
-	return clampCard(est, e.cat, q)
+	return clampCard(est, e.single.cat, q)
 }
 
 // ALECE [30] connects query features to learned *data aggregations* via

@@ -6,7 +6,6 @@ import (
 
 	"lqo/internal/data"
 	"lqo/internal/query"
-	"lqo/internal/stats"
 )
 
 // Iris [35] keeps compact summaries of column *sets* rather than single
@@ -18,9 +17,8 @@ type Iris struct {
 	PairBins int // grid resolution per 2-D summary (default 24)
 	MaxPairs int // summaries kept per table (default 4)
 
-	cat    *data.Catalog
-	cs     *stats.CatalogStats
-	tables map[string]*irisTable
+	formula // Estimate and EstimateGraph over tableSel
+	tables  map[string]*irisTable
 }
 
 type irisTable struct {
@@ -44,8 +42,7 @@ func (e *Iris) Name() string { return "iris" }
 // Train selects the most correlated column pairs per table and builds
 // their joint histograms.
 func (e *Iris) Train(ctx *Context) error {
-	e.cat = ctx.Cat
-	e.cs = ctx.Stats
+	e.formula = formula{cat: ctx.Cat, cs: ctx.Stats, sel: e.tableSel}
 	e.tables = make(map[string]*irisTable)
 	for _, tn := range ctx.Cat.TableNames() {
 		t := ctx.Cat.Table(tn)
@@ -216,9 +213,4 @@ func (e *Iris) tableSel(tn string, preds []query.Pred, alias string) float64 {
 		sel *= csCol.Hist.SelectivityRange(r.lo, r.hi)
 	}
 	return sel
-}
-
-// Estimate implements Estimator.
-func (e *Iris) Estimate(q *query.Query) float64 {
-	return clampCard(joinFormula(e.cs, q, e.tableSel), e.cat, q)
 }

@@ -4,9 +4,7 @@ import (
 	"math"
 	"slices"
 
-	"lqo/internal/data"
 	"lqo/internal/query"
-	"lqo/internal/stats"
 )
 
 // KDEEstimator is the kernel-density line of work [14, 21]: per-table
@@ -18,9 +16,8 @@ type KDEEstimator struct {
 	// SampleRows caps kernel centers per table (default 300).
 	SampleRows int
 
-	cat    *data.Catalog
-	cs     *stats.CatalogStats
-	tables map[string]*kdeTable
+	formula // Estimate and EstimateGraph over tableSel
+	tables  map[string]*kdeTable
 }
 
 type kdeTable struct {
@@ -42,8 +39,7 @@ func (e *KDEEstimator) Name() string { return "kde" }
 
 // Train builds per-table kernel models from the statistics samples.
 func (e *KDEEstimator) Train(ctx *Context) error {
-	e.cat = ctx.Cat
-	e.cs = ctx.Stats
+	e.formula = formula{cat: ctx.Cat, cs: ctx.Stats, sel: e.tableSel}
 	e.tables = make(map[string]*kdeTable)
 	for _, tn := range ctx.Cat.TableNames() {
 		t := ctx.Cat.Table(tn)
@@ -142,9 +138,4 @@ func (e *KDEEstimator) tableSel(tn string, preds []query.Pred, alias string) flo
 		sel = 0
 	}
 	return sel
-}
-
-// Estimate implements Estimator.
-func (e *KDEEstimator) Estimate(q *query.Query) float64 {
-	return clampCard(joinFormula(e.cs, q, e.tableSel), e.cat, q)
 }

@@ -4,10 +4,8 @@ import (
 	"math/rand"
 	"sort"
 
-	"lqo/internal/data"
 	"lqo/internal/ml"
 	"lqo/internal/query"
-	"lqo/internal/stats"
 )
 
 // QuickSel [47] models each table's selectivity function as a mixture of
@@ -23,10 +21,9 @@ type QuickSel struct {
 	// Components is the mixture size per table (default 30).
 	Components int
 
-	cat    *data.Catalog
-	cs     *stats.CatalogStats
-	f      *Featurizer
-	models map[string]*quickselTable
+	formula // Estimate and EstimateGraph over tableSel
+	f       *Featurizer
+	models  map[string]*quickselTable
 }
 
 type quickselTable struct {
@@ -52,8 +49,7 @@ func (e *QuickSel) Name() string { return "quicksel" }
 // samples contribute their per-table boxes with histogram-labeled
 // selectivities as weak supervision).
 func (e *QuickSel) Train(ctx *Context) error {
-	e.cat = ctx.Cat
-	e.cs = ctx.Stats
+	e.formula = formula{cat: ctx.Cat, cs: ctx.Stats, sel: e.tableSel}
 	e.f = NewFeaturizer(ctx.Cat, ctx.Stats, ctx.Train)
 	e.models = make(map[string]*quickselTable)
 	rng := rand.New(rand.NewSource(ctx.Seed + 303))
@@ -245,25 +241,23 @@ func minf(a, b float64) float64 {
 	return b
 }
 
-// Estimate implements Estimator.
-func (e *QuickSel) Estimate(q *query.Query) float64 {
-	est := joinFormula(e.cs, q, func(tn string, preds []query.Pred, alias string) float64 {
-		if !hasPreds(preds, alias) {
-			return 1
-		}
-		mt := e.models[tn]
-		if mt == nil {
-			return tableSelFromPreds(e.cs.Tables[tn], preds, alias)
-		}
-		box := e.queryBox(tn, preds, alias)
-		sel := 0.0
-		for j, b := range mt.boxes {
-			sel += mt.weights[j] * boxOverlapDensity(box, b)
-		}
-		if sel <= 0 {
-			return tableSelFromPreds(e.cs.Tables[tn], preds, alias)
-		}
-		return sel
-	})
-	return clampCard(est, e.cat, q)
+// tableSel is the mixture density of table tn's model over the box of
+// the preds on alias.
+func (e *QuickSel) tableSel(tn string, preds []query.Pred, alias string) float64 {
+	if !hasPreds(preds, alias) {
+		return 1
+	}
+	mt := e.models[tn]
+	if mt == nil {
+		return tableSelFromPreds(e.cs.Tables[tn], preds, alias)
+	}
+	box := e.queryBox(tn, preds, alias)
+	sel := 0.0
+	for j, b := range mt.boxes {
+		sel += mt.weights[j] * boxOverlapDensity(box, b)
+	}
+	if sel <= 0 {
+		return tableSelFromPreds(e.cs.Tables[tn], preds, alias)
+	}
+	return sel
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 
-	"lqo/internal/data"
 	"lqo/internal/ml"
 	"lqo/internal/query"
 	"lqo/internal/stats"
@@ -24,10 +23,9 @@ type SPNEstimator struct {
 	LeafBins  int     // histogram bins at leaves (default 32)
 	TrainRows int     // row sample per table (default 4000)
 
-	cat    *data.Catalog
-	cs     *stats.CatalogStats
-	tables map[string]*spnNode
-	cols   map[string][]string
+	formula // Estimate and EstimateGraph over tableSel
+	tables  map[string]*spnNode
+	cols    map[string][]string
 }
 
 // spnNode is one SPN node: exactly one of leaf / product / sum is active.
@@ -64,8 +62,7 @@ func (e *SPNEstimator) Name() string { return "spn" }
 
 // Train builds one SPN per table.
 func (e *SPNEstimator) Train(ctx *Context) error {
-	e.cat = ctx.Cat
-	e.cs = ctx.Stats
+	e.formula = formula{cat: ctx.Cat, cs: ctx.Stats, sel: e.tableSel}
 	e.tables = make(map[string]*spnNode)
 	e.cols = make(map[string][]string)
 	rng := rand.New(rand.NewSource(ctx.Seed + 505))
@@ -318,9 +315,4 @@ func (e *SPNEstimator) tableSel(tn string, preds []query.Pred, alias string) flo
 		}
 	}
 	return root.prob(box, constrained)
-}
-
-// Estimate implements Estimator.
-func (e *SPNEstimator) Estimate(q *query.Query) float64 {
-	return clampCard(joinFormula(e.cs, q, e.tableSel), e.cat, q)
 }

@@ -59,16 +59,26 @@ func (m *Model) ScanCost(op plan.Op, inRows, outRows float64, npreds int) float6
 	}
 }
 
+// Input is one join input as JoinCost reads it: its estimated rows and
+// the merge join's sort term for them, n·log2(n). A planner that costs
+// one input against many partners computes the term once (In).
+type Input struct {
+	Rows, NLogN float64
+}
+
+// In returns the join input of rows rows.
+func In(rows float64) Input { return Input{Rows: rows, NLogN: nlogn(rows)} }
+
 // JoinCost estimates the cost of joining left (outer) and right (inner)
 // inputs producing outRows, excluding the children's own costs.
-func (m *Model) JoinCost(op plan.Op, leftRows, rightRows, outRows float64) float64 {
+func (m *Model) JoinCost(op plan.Op, left, right Input, outRows float64) float64 {
 	switch op {
 	case plan.HashJoin:
-		return Startup + rightRows*HashBuild + leftRows*HashProbe + outRows*OutputTuple
+		return Startup + right.Rows*HashBuild + left.Rows*HashProbe + outRows*OutputTuple
 	case plan.MergeJoin:
-		return Startup + SortUnit*(nlogn(leftRows)+nlogn(rightRows)) + outRows*OutputTuple
+		return Startup + SortUnit*(left.NLogN+right.NLogN) + outRows*OutputTuple
 	case plan.NestedLoopJoin:
-		return Startup + leftRows*rightRows*NLPair + outRows*OutputTuple
+		return Startup + left.Rows*right.Rows*NLPair + outRows*OutputTuple
 	default:
 		return math.Inf(1)
 	}
@@ -99,11 +109,7 @@ func (m *Model) IndexFetchRows(table, col string) float64 {
 // PlanCost computes the total cost of an annotated plan tree whose EstCard
 // fields are already filled, writing per-node EstCost and returning the
 // root total. Scan input rows are derived from statistics.
-func (m *Model) PlanCost(root *plan.Node) float64 {
-	return m.planCost(root)
-}
-
-func (m *Model) planCost(n *plan.Node) float64 {
+func (m *Model) PlanCost(n *plan.Node) float64 {
 	if n == nil {
 		return 0
 	}
@@ -123,9 +129,9 @@ func (m *Model) planCost(n *plan.Node) float64 {
 		n.EstCost = m.ScanCost(n.Op, inRows, n.EstCard, npreds)
 		return n.EstCost
 	}
-	lc := m.planCost(n.Left)
-	rc := m.planCost(n.Right)
-	own := m.JoinCost(n.Op, n.Left.EstCard, n.Right.EstCard, n.EstCard)
+	lc := m.PlanCost(n.Left)
+	rc := m.PlanCost(n.Right)
+	own := m.JoinCost(n.Op, In(n.Left.EstCard), In(n.Right.EstCard), n.EstCard)
 	n.EstCost = lc + rc + own
 	return n.EstCost
 }

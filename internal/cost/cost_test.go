@@ -50,26 +50,26 @@ func TestIndexBeatsSeqForSelectiveLookup(t *testing.T) {
 func TestJoinCostShapes(t *testing.T) {
 	m := testModel()
 	// NL grows quadratically: doubling both inputs ~4x the cost.
-	nl1 := m.JoinCost(plan.NestedLoopJoin, 100, 100, 10)
-	nl2 := m.JoinCost(plan.NestedLoopJoin, 200, 200, 10)
+	nl1 := m.JoinCost(plan.NestedLoopJoin, In(100), In(100), 10)
+	nl2 := m.JoinCost(plan.NestedLoopJoin, In(200), In(200), 10)
 	if nl2 < nl1*3 {
 		t.Fatalf("NL cost not quadratic-ish: %v → %v", nl1, nl2)
 	}
 	// Hash join is linear-ish.
-	h1 := m.JoinCost(plan.HashJoin, 100, 100, 10)
-	h2 := m.JoinCost(plan.HashJoin, 200, 200, 10)
+	h1 := m.JoinCost(plan.HashJoin, In(100), In(100), 10)
+	h2 := m.JoinCost(plan.HashJoin, In(200), In(200), 10)
 	if h2 > h1*3 {
 		t.Fatalf("hash cost superlinear: %v → %v", h1, h2)
 	}
 	// For large equal inputs hash beats NL.
-	if m.JoinCost(plan.HashJoin, 10000, 10000, 100) >= m.JoinCost(plan.NestedLoopJoin, 10000, 10000, 100) {
+	if m.JoinCost(plan.HashJoin, In(10000), In(10000), 100) >= m.JoinCost(plan.NestedLoopJoin, In(10000), In(10000), 100) {
 		t.Fatal("hash should beat NL at scale")
 	}
 	// For tiny inputs NL's lack of build cost can win.
-	if m.JoinCost(plan.NestedLoopJoin, 2, 2, 1) >= m.JoinCost(plan.HashJoin, 2, 2, 1) {
+	if m.JoinCost(plan.NestedLoopJoin, In(2), In(2), 1) >= m.JoinCost(plan.HashJoin, In(2), In(2), 1) {
 		t.Fatal("NL should win on tiny inputs")
 	}
-	if !math.IsInf(m.JoinCost(plan.SeqScan, 1, 1, 1), 1) {
+	if !math.IsInf(m.JoinCost(plan.SeqScan, In(1), In(1), 1), 1) {
 		t.Fatal("non-join op should cost +inf")
 	}
 }

@@ -16,10 +16,10 @@ import (
 var raceEnabled bool
 
 // TestOptimizeAllocations pins what a cold OptimizeCtx allocates: the
-// join graph, one sub-query slab and one memo for the whole DP, the
-// chosen plan's n scans and n-1 joins, and the rewrite passes — nothing
-// per alias subset. A 6-way join has 63 subsets, so an allocation per
-// subset breaks its ceiling.
+// join graph, one estimate per mask answered in one call (no sub-query
+// slab) and one memo for the whole DP, the chosen plan's n scans and n-1
+// joins, and the rewrite passes — nothing per alias subset. A 6-way join
+// has 63 subsets, so an allocation per subset breaks its ceiling.
 func TestOptimizeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not pinned under the race detector")
@@ -30,7 +30,7 @@ func TestOptimizeAllocations(t *testing.T) {
 		est    string
 		tables int
 		max    float64
-	}{{"histogram", 4, 35}, {"histogram", 6, 44}, {"spn", 4, 35}, {"spn", 6, 44}} {
+	}{{"histogram", 4, 31}, {"histogram", 6, 40}, {"spn", 4, 31}, {"spn", 6, 40}} {
 		est, err := cardest.ByName(c.est)
 		if err != nil {
 			t.Fatal(err)

@@ -9,6 +9,8 @@ import (
 	"math/bits"
 	"sync/atomic"
 
+	"lqo/internal/cost"
+	"lqo/internal/metrics"
 	"lqo/internal/plan"
 	"lqo/internal/query"
 )
@@ -17,19 +19,24 @@ import (
 // split that makes it: the plan tree is built once, for the full set,
 // after enumeration. left is the mask of the left operand — the subset
 // itself for a base relation, 0 while (or when) the subset has no plan.
+// in is the subset as a join input (its estimate and sort term) and nbr
+// the aliases joined to it (JoinGraph.Nbr), both set for every subset so
+// that no split recomputes them.
 type memoEntry struct {
-	card, cost float64
-	op         plan.Op
-	left       uint64
+	in   cost.Input
+	cost float64
+	nbr  uint64
+	op   plan.Op
+	left uint64
 }
 
 type dpState struct {
 	g     *query.JoinGraph
-	subs  []query.Query // the sub-query of every mask, one slab (JoinGraph.Subs)
-	memo  []memoEntry   // indexed by alias mask
-	scans []*plan.Node  // the best scan of each alias
-	ops   []plan.Op     // join operators to cost when a pair has join conditions
-	plans int64         // plan alternatives costed by this call
+	cards []float64    // the estimate of every mask (estimateAll)
+	memo  []memoEntry  // indexed by alias mask
+	scans []*plan.Node // the best scan of each alias
+	ops   []plan.Op    // join operators to cost when a pair has join conditions
+	plans int64        // plan alternatives costed by this call
 }
 
 // crossOps is what a pair without join conditions may use: a cross
@@ -50,7 +57,11 @@ func (o *Optimizer) joinOps() []plan.Op {
 
 func (o *Optimizer) optimizeDP(ctx context.Context, g *query.JoinGraph) (*plan.Node, error) {
 	n := len(g.Aliases)
-	st := &dpState{g: g, subs: g.Subs(), memo: make([]memoEntry, 1<<uint(n)), scans: make([]*plan.Node, n), ops: o.joinOps()}
+	cards, err := o.estimateAll(ctx, g)
+	if err != nil {
+		return nil, err
+	}
+	st := &dpState{g: g, cards: cards, memo: make([]memoEntry, len(cards)), scans: make([]*plan.Node, n), ops: o.joinOps()}
 	if len(st.ops) == 0 {
 		st.ops = []plan.Op{plan.HashJoin} // hints must not make queries unplannable
 	}
@@ -59,21 +70,19 @@ func (o *Optimizer) optimizeDP(ctx context.Context, g *query.JoinGraph) (*plan.N
 	// Base: best scan per alias.
 	for i := 0; i < n; i++ {
 		bit := uint64(1) << uint(i)
-		scan, considered, err := o.bestScan(g, i, &st.subs[bit])
+		scan, considered, err := o.bestScan(g, i, cards[bit])
 		st.plans += considered
 		if err != nil {
 			return nil, err
 		}
 		st.scans[i] = scan
-		st.memo[bit] = memoEntry{card: scan.EstCard, cost: scan.EstCost, left: bit}
+		st.memo[bit] = memoEntry{in: cost.In(scan.EstCard), cost: scan.EstCost, nbr: g.Nbr(bit), left: bit}
 	}
 
 	full := uint64(1)<<uint(n) - 1
 	for mask := uint64(1); mask <= full; mask++ {
-		if mask%64 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		if mask%64 == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
 		if bits.OnesCount64(mask) < 2 {
 			continue
@@ -86,11 +95,42 @@ func (o *Optimizer) optimizeDP(ctx context.Context, g *query.JoinGraph) (*plan.N
 	return nil, fmt.Errorf("opt: no plan found for %s", g.Query().SQL())
 }
 
+// estimateAll returns the sanitized estimate of every alias subset of g,
+// indexed by mask, before any subset is enumerated. Every mask is
+// estimated, connected or not: skipping the disconnected ones would
+// change which plans exist. A GraphEstimator answers in one call; any
+// other estimator is asked once per mask on the Subs() slab, singletons
+// in alias order first, then the larger masks in ascending order, with
+// the context checked every 64 masks.
+func (o *Optimizer) estimateAll(ctx context.Context, g *query.JoinGraph) ([]float64, error) {
+	cards := make([]float64, 1<<uint(len(g.Aliases)))
+	if ge, ok := o.Est.(GraphEstimator); ok && ge.EstimateGraph(g, cards) {
+		for m, c := range cards {
+			cards[m] = metrics.SanitizeCard(c)
+		}
+		return cards, nil
+	}
+	subs := g.Subs()
+	for i := range g.Aliases {
+		cards[1<<uint(i)] = o.estimate(&subs[1<<uint(i)])
+	}
+	for mask := 1; mask < len(subs); mask++ {
+		if mask%64 == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		if bits.OnesCount(uint(mask)) >= 2 {
+			cards[mask] = o.estimate(&subs[mask])
+		}
+	}
+	return cards, nil
+}
+
 // bestJoinForMask enumerates ordered partitions (left, right) of mask and
-// keeps the cheapest feasible join. Every mask is estimated, connected or
-// not: skipping the disconnected ones would change which plans exist.
+// keeps the cheapest feasible join. It only reads what estimateAll and
+// the smaller masks' entries hold.
 func (o *Optimizer) bestJoinForMask(st *dpState, mask uint64) memoEntry {
-	best := memoEntry{cost: math.Inf(1), card: o.estimate(&st.subs[mask])}
+	card := st.cards[mask]
+	best := memoEntry{in: cost.In(card), cost: math.Inf(1), nbr: st.memo[mask&(mask-1)].nbr | st.memo[mask&-mask].nbr}
 	// Iterate all proper non-empty submasks.
 	for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
 		other := mask ^ sub
@@ -104,19 +144,16 @@ func (o *Optimizer) bestJoinForMask(st *dpState, mask uint64) memoEntry {
 		// Cross product: nested loop only, and only if unavoidable
 		// (the subset pair is disconnected in the join graph).
 		ops := crossOps
-		if st.g.CountBetween(sub, other) > 0 {
+		if le.nbr&other != 0 {
 			ops = st.ops
 		}
 		for _, op := range ops {
 			st.plans++
-			total := le.cost + re.cost + o.Cost.JoinCost(op, le.card, re.card, best.card)
+			total := le.cost + re.cost + o.Cost.JoinCost(op, le.in, re.in, card)
 			if total < best.cost {
 				best.cost, best.op, best.left = total, op, sub
 			}
 		}
-	}
-	if best.left == 0 {
-		return memoEntry{}
 	}
 	return best
 }
@@ -129,17 +166,16 @@ func (st *dpState) build(mask uint64) *plan.Node {
 		return st.scans[bits.TrailingZeros64(mask)]
 	}
 	l, r := part{st.build(e.left), e.left}, part{st.build(mask ^ e.left), mask ^ e.left}
-	return newJoin(st.g, e.op, l, r, e.card, e.cost)
+	return newJoin(st.g, e.op, l, r, e.in.Rows, e.cost)
 }
 
 // bestScan returns the cheapest allowed scan of the graph's i-th alias,
-// whose sub-query is sub, annotated with its estimate and cost, and how
+// whose estimate is card, annotated with its estimate and cost, and how
 // many alternatives it costed. Only the winner is built.
-func (o *Optimizer) bestScan(g *query.JoinGraph, i int, sub *query.Query) (best *plan.Node, considered int64, err error) {
+func (o *Optimizer) bestScan(g *query.JoinGraph, i int, card float64) (best *plan.Node, considered int64, err error) {
 	q, alias := g.Query(), g.Aliases[i]
 	preds := q.PredsOn(alias)
 	table := q.TableOf(alias)
-	card := o.estimate(sub)
 
 	bestCost := math.Inf(1)
 	var bestOp plan.Op

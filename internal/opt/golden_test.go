@@ -176,10 +176,18 @@ func hashCell(t *testing.T, opts []*Optimizer, qs []*query.Query, fromOrder bool
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// perMaskEstimator hides its estimator's EstimateGraph: the planner asks
+// it once per mask.
+type perMaskEstimator struct{ est CardEstimator }
+
+func (p perMaskEstimator) Estimate(q *query.Query) float64 { return p.est.Estimate(q) }
+
 // TestGoldenPlanIdentity pins the planner's output to hashes recorded
 // before the bitmask rewrite of the enumerator (PR 14): 320 seeded
 // StatsCEB queries of 1–6 joins under every cell of goldenCells. The old
-// enumerator is gone; these hashes are what is left of it.
+// enumerator is gone; these hashes are what is left of it. The histogram
+// cells run twice, with the estimator answering each join graph at once
+// and behind perMaskEstimator, and both runs must match one hash.
 func TestGoldenPlanIdentity(t *testing.T) {
 	cat, cs, base, qs := goldenWorld(t)
 	labeled, err := workload.GenLabeled(cat, exec.NewCardCache(exec.New(cat)), workload.Options{Seed: 13, Count: 40, MaxJoins: 2, MaxPreds: 2})
@@ -191,7 +199,7 @@ func TestGoldenPlanIdentity(t *testing.T) {
 		train[i] = cardest.Sample{Q: l.Q, Card: l.Card}
 	}
 
-	got := map[string]string{}
+	got, perMask := map[string]string{}, map[string]string{}
 	for _, c := range goldenCells() {
 		cell := qs
 		if c.take != nil {
@@ -215,6 +223,17 @@ func TestGoldenPlanIdentity(t *testing.T) {
 			opts = append(opts, s)
 		}
 		got[c.name] = hashCell(t, opts, cell, c.fromOrder)
+		if c.est == "" {
+			for i, o := range opts {
+				opts[i] = o.WithEstimator(perMaskEstimator{o.Est})
+			}
+			perMask[c.name] = hashCell(t, opts, cell, c.fromOrder)
+		}
+	}
+	for name, h := range perMask {
+		if h != got[name] {
+			t.Errorf("cell %s: the per-mask path hashes %s, the graph path %s", name, h, got[name])
+		}
 	}
 
 	if *updateGolden {

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"lqo/internal/cost"
 	"lqo/internal/plan"
 	"lqo/internal/query"
 )
@@ -32,7 +33,7 @@ func (o *Optimizer) optimizeGreedy(ctx context.Context, g *query.JoinGraph) (*pl
 	defer func() { atomic.StoreInt64(&o.plansConsidered, plans) }()
 	parts := make([]part, 0, len(g.Aliases))
 	for i := range g.Aliases {
-		scan, _, err := o.bestScan(g, i, g.Sub(1<<uint(i)))
+		scan, _, err := o.bestScan(g, i, o.estimate(g.Sub(1<<uint(i))))
 		if err != nil {
 			return nil, err
 		}
@@ -43,12 +44,12 @@ func (o *Optimizer) optimizeGreedy(ctx context.Context, g *query.JoinGraph) (*pl
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Cross joins wait until no connected pair remains.
+		// Cross joins wait until no connected pair remains: the parts
+		// cover every alias, so a part joined to an alias outside itself
+		// is joined to another part.
 		connectable := false
-		for i := range parts {
-			for j := i + 1; j < len(parts); j++ {
-				connectable = connectable || g.CountBetween(parts[i].mask, parts[j].mask) > 0
-			}
+		for _, p := range parts {
+			connectable = connectable || g.Nbr(p.mask)&^p.mask != 0
 		}
 		bestI, bestJ := -1, -1
 		var bestOp plan.Op
@@ -59,7 +60,7 @@ func (o *Optimizer) optimizeGreedy(ctx context.Context, g *query.JoinGraph) (*pl
 					continue
 				}
 				pairOps := ops
-				if g.CountBetween(parts[i].mask, parts[j].mask) == 0 {
+				if g.Nbr(parts[i].mask)&parts[j].mask == 0 {
 					if connectable {
 						continue
 					}
@@ -69,7 +70,7 @@ func (o *Optimizer) optimizeGreedy(ctx context.Context, g *query.JoinGraph) (*pl
 				card := o.estimate(g.Sub(parts[i].mask | parts[j].mask))
 				for _, op := range pairOps {
 					plans++
-					total := l.EstCost + r.EstCost + o.Cost.JoinCost(op, l.EstCard, r.EstCard, card)
+					total := l.EstCost + r.EstCost + o.Cost.JoinCost(op, cost.In(l.EstCard), cost.In(r.EstCard), card)
 					if total < bestCost {
 						bestCost, bestCard, bestOp = total, card, op
 						bestI, bestJ = i, j
@@ -125,7 +126,7 @@ func (o *Optimizer) PlanFromOrder(q *query.Query, order []string) (*plan.Node, e
 		if bit == 0 {
 			return nil, fmt.Errorf("opt: order names unknown alias %q", a)
 		}
-		scan, _, err := o.bestScan(g, bits.TrailingZeros64(bit), g.Sub(bit))
+		scan, _, err := o.bestScan(g, bits.TrailingZeros64(bit), o.estimate(g.Sub(bit)))
 		if err != nil {
 			return nil, err
 		}
@@ -135,14 +136,14 @@ func (o *Optimizer) PlanFromOrder(q *query.Query, order []string) (*plan.Node, e
 			continue
 		}
 		pairOps := ops
-		if g.CountBetween(root.mask, bit) == 0 {
+		if g.Nbr(root.mask)&bit == 0 {
 			pairOps = crossOps
 		}
 		card := o.estimate(g.Sub(root.mask | bit))
 		bestCost := math.Inf(1)
 		var bestOp plan.Op
 		for _, op := range pairOps {
-			total := root.node.EstCost + scan.EstCost + o.Cost.JoinCost(op, root.node.EstCard, scan.EstCard, card)
+			total := root.node.EstCost + scan.EstCost + o.Cost.JoinCost(op, cost.In(root.node.EstCard), cost.In(scan.EstCard), card)
 			if total < bestCost {
 				bestCost, bestOp = total, op
 			}

@@ -27,6 +27,18 @@ type CardEstimator interface {
 	Estimate(q *query.Query) float64
 }
 
+// GraphEstimator is a CardEstimator that can answer a whole join graph in
+// one call: EstimateGraph sets cards[m] to exactly what Estimate(g.Sub(m))
+// returns, bit for bit, for every mask m < len(cards) == 1<<len(g.Aliases),
+// and reports true — or reports false when it cannot answer, and the
+// planner asks Estimate once per mask instead. Only an estimator whose
+// Estimate is a pure function of the sub-query may implement it: the
+// per-mask path's calls are then not observable.
+type GraphEstimator interface {
+	CardEstimator
+	EstimateGraph(g *query.JoinGraph, cards []float64) bool
+}
+
 // Optimizer plans SPJ queries over a catalog.
 type Optimizer struct {
 	Cat   *data.Catalog

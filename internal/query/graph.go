@@ -123,6 +123,12 @@ func newClauseIndex(segs []string, need []uint64, order []int) clauseIndex {
 // Query returns the query the graph indexes.
 func (g *JoinGraph) Query() *Query { return g.q }
 
+// ClauseBits returns, for each of Query().Refs and of Query().Joins in
+// order, the alias bits a sub-query's mask must hold to keep the clause;
+// 0 for a clause no mask keeps (past MaxRefs, or naming an undeclared
+// alias). The slices are the graph's own and must not be written.
+func (g *JoinGraph) ClauseBits() (refs, joins []uint64) { return g.refs.need, g.joins.need }
+
 // Bit returns the mask bit of alias, or 0 when the query does not declare
 // it (or declares it past MaxRefs).
 func (g *JoinGraph) Bit(alias string) uint64 {
@@ -182,11 +188,7 @@ func (g *JoinGraph) ConnectedMask(mask uint64) bool {
 	}
 	seen := mask & -mask
 	for frontier := seen; frontier != 0; {
-		var next uint64
-		for f := frontier; f != 0; f &= f - 1 {
-			next |= g.adj[bits.TrailingZeros64(f)]
-		}
-		frontier = next & mask &^ seen
+		frontier = g.Nbr(frontier) & mask &^ seen
 		seen |= frontier
 	}
 	return seen == mask
@@ -208,26 +210,21 @@ func (e *graphEdge) between(left, right uint64) bool {
 	return (e.l&left != 0 && e.r&right != 0) || (e.r&left != 0 && e.l&right != 0)
 }
 
-// CountBetween returns how many distinct join edges have one side in left
-// and the other in right — len(JoinsBetweenMasks) without building it.
-func (g *JoinGraph) CountBetween(left, right uint64) int {
-	n := 0
-	for i := range g.edges {
-		if g.edges[i].between(left, right) {
-			n++
-		}
+// Nbr returns the aliases that share a join edge with some alias of
+// mask, members of mask included when they join each other: two disjoint
+// alias sets are joined by an edge iff Nbr(left)&right != 0.
+func (g *JoinGraph) Nbr(mask uint64) uint64 {
+	var nb uint64
+	for ; mask != 0; mask &= mask - 1 {
+		nb |= g.adj[bits.TrailingZeros64(mask)]
 	}
-	return n
+	return nb
 }
 
 // JoinsBetweenMasks returns the distinct join edges with one side in left
 // and the other in right, ordered by Join.String().
 func (g *JoinGraph) JoinsBetweenMasks(left, right uint64) []Join {
-	n := g.CountBetween(left, right)
-	if n == 0 {
-		return nil
-	}
-	out := make([]Join, 0, n)
+	var out []Join
 	for i := range g.edges {
 		if g.edges[i].between(left, right) {
 			out = append(out, g.edges[i].j)
@@ -386,11 +383,7 @@ func (g *JoinGraph) ConnectedSubsets(maxSize int) [][]string {
 		all = append(all, level...)
 		var next []uint64
 		for _, set := range level {
-			var nb uint64
-			for m := set; m != 0; m &= m - 1 {
-				nb |= g.adj[bits.TrailingZeros64(m)]
-			}
-			for nb &^= set; nb != 0; nb &= nb - 1 {
+			for nb := g.Nbr(set) &^ set; nb != 0; nb &= nb - 1 {
 				if grown := set | nb&-nb; !seen[grown] {
 					seen[grown] = true
 					next = append(next, grown)

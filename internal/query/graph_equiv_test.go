@@ -265,10 +265,10 @@ func redraw(rng *rand.Rand, q *Query) *Query {
 }
 
 // checkGraph compares the mask index of q against the oracles on every
-// mask and every ordered pair of masks — Sub(mask) and the slab's
-// Subs()[mask] alike, nil slices and capacities included — then rebinds
-// it through a chain of redrawn bindings against graphs built from
-// scratch.
+// mask and every ordered pair of masks (the join edges between them, and
+// whether Nbr sees one) — Sub(mask) and the slab's Subs()[mask] alike,
+// nil slices and capacities included — then rebinds it through a chain
+// of redrawn bindings against graphs built from scratch.
 func checkGraph(t *testing.T, rng *rand.Rand, q *Query) {
 	t.Helper()
 	g, adj := NewJoinGraph(q), oracleAdj(q)
@@ -325,8 +325,8 @@ func checkGraph(t *testing.T, rng *rand.Rand, q *Query) {
 			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(g.JoinsBetween(set, other), want) {
 				t.Fatalf("JoinsBetween(%v, %v) = %v, want %v\n%s", set, other, got, want, q.SQL())
 			}
-			if c := g.CountBetween(mask, uint64(o)); c != len(want) {
-				t.Fatalf("CountBetween(%v, %v) = %d, want %d", set, other, c, len(want))
+			if joined := g.Nbr(mask)&uint64(o) != 0; joined != (len(want) > 0) {
+				t.Fatalf("Nbr(%v) meets %v: %v, but %d join edges between them", set, other, joined, len(want))
 			}
 		}
 		for i, a := range g.Aliases {

@@ -31,6 +31,7 @@ type PlanCache struct {
 	entries map[string]*list.Element
 	order   *list.List // front = most recently used
 	stats   CacheStats
+	gen     atomic.Uint64 // bumped by Clear, under mu: a plan made across it is not stored
 }
 
 // CacheStats is a snapshot of cache effectiveness counters.
@@ -69,35 +70,41 @@ func NewPlanCache(capacity int) *PlanCache {
 // The copy shares the cached Preds and Cond slices (plan.CloneNodes). It
 // stays for benchmark/trace.go, which rebinds and annotates the copy.
 func (c *PlanCache) Get(key string) *plan.Node {
-	p, _ := c.checkout(key)
+	p, _, _ := c.checkout(key)
 	return p.CloneNodes()
 }
 
 // checkout returns the cached plan for key itself, which the caller must
-// not write to, and its entry; nil on miss.
-func (c *PlanCache) checkout(key string) (*plan.Node, *cacheEntry) {
+// not write to, and its entry, nil on miss, and the cache's generation:
+// the plan a miss makes is put under it.
+func (c *PlanCache) checkout(key string) (*plan.Node, *cacheEntry, uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		c.stats.Misses++
-		return nil, nil
+		return nil, nil, c.gen.Load()
 	}
 	c.stats.Hits++
 	c.order.MoveToFront(el)
 	ent := el.Value.(*cacheEntry)
-	return ent.p, ent
+	return ent.p, ent, c.gen.Load()
 }
 
 // Put stores an optimized plan under key; its per-node estimated
 // cardinalities are what later drift checks judge. The cache keeps its
 // own clone.
-func (c *PlanCache) Put(key string, p *plan.Node) { c.put(key, p.Clone()) }
+func (c *PlanCache) Put(key string, p *plan.Node) { c.put(key, p.Clone(), c.gen.Load()) }
 
-// put is Put storing p itself, which the caller never writes to again.
-func (c *PlanCache) put(key string, p *plan.Node) {
+// put is Put storing p itself, which the caller never writes to again,
+// planned after a checkout of generation gen. If Clear ran since, p may
+// embody the estimator the Clear retired, and it is dropped.
+func (c *PlanCache) put(key string, p *plan.Node, gen uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if gen != c.gen.Load() {
+		return
+	}
 	ent := &cacheEntry{key: key, p: p}
 	if el, ok := c.entries[key]; ok {
 		el.Value = ent
@@ -158,10 +165,12 @@ func (c *PlanCache) observe(key string, cards []float64, maxQErr float64) bool {
 // estimator is published: every cached plan embodies the old model's
 // estimates, so keeping them would serve stale join orders indefinitely.
 // Counted as invalidations (the plans were dropped for model reasons,
-// not capacity).
+// not capacity). A plan made by a miss checked out before the Clear is
+// not stored when it arrives.
 func (c *PlanCache) Clear() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.gen.Add(1)
 	n := len(c.entries)
 	c.entries = make(map[string]*list.Element)
 	c.order.Init()

@@ -87,7 +87,7 @@ func TestPlanCacheCheckoutSurvivesRebind(t *testing.T) {
 	stored := make([]*plan.Node, len(keys))
 	before := make([]snapshot, len(keys))
 	for i, k := range keys {
-		if stored[i], _ = s.cache.checkout(k); stored[i] == nil {
+		if stored[i], _, _ = s.cache.checkout(k); stored[i] == nil {
 			t.Fatalf("key %d not cached", i)
 		}
 		before[i] = snap(stored[i])
@@ -99,7 +99,7 @@ func TestPlanCacheCheckoutSurvivesRebind(t *testing.T) {
 		serve(i)
 	}
 	for i, k := range keys {
-		p, _ := s.cache.checkout(k)
+		p, _, _ := s.cache.checkout(k)
 		if p != stored[i] {
 			t.Fatalf("key %d: checkout returned a different tree", i)
 		}

@@ -1,0 +1,106 @@
+package serve
+
+import (
+	"context"
+	"math"
+	"testing"
+
+	"lqo/internal/cardest"
+	"lqo/internal/cost"
+	"lqo/internal/datagen"
+	"lqo/internal/exec"
+	"lqo/internal/opt"
+	"lqo/internal/query"
+	"lqo/internal/sqlx"
+	"lqo/internal/stats"
+)
+
+// TestFeedbackOverlayGraphMatchesPerMask: with some masks' truths in the
+// store — a singleton, a joined pair, a pair no join edge connects and
+// the whole query — the overlay's answer for the join graph equals its
+// per-mask Estimate on every mask, truths included. Over a base without
+// the graph method it declines.
+func TestFeedbackOverlayGraphMatchesPerMask(t *testing.T) {
+	s, cat := newFixture(t, Config{})
+	q, err := sqlx.Parse("SELECT COUNT(*) FROM posts, users, comments, badges WHERE posts.owner_user_id = users.id"+
+		" AND comments.post_id = posts.id AND badges.user_id = users.id AND posts.score > 5;", cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := query.NewJoinGraph(q)
+	comments, badges := g.Bit("comments"), g.Bit("badges")
+	if g.Nbr(comments)&badges != 0 {
+		t.Fatal("comments and badges should not share a join edge")
+	}
+	truths := map[uint64]float64{g.Bit("posts"): 11, g.Bit("posts") | g.Bit("users"): 22, comments | badges: 33, 1<<len(g.Aliases) - 1: 44}
+	s.mu.Lock()
+	for m, c := range truths {
+		absorb(s, g.Key(m), c)
+	}
+	s.mu.Unlock()
+
+	fe := s.opt.Est.(*feedbackEstimator)
+	cards := make([]float64, 1<<len(g.Aliases))
+	if !fe.EstimateGraph(g, cards) {
+		t.Fatal("the overlay declined a graph its base answers")
+	}
+	for m, got := range cards {
+		if want := fe.Estimate(g.Sub(uint64(m))); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("mask %b: graph %v, Estimate %v", m, got, want)
+		}
+		if truth, ok := truths[uint64(m)]; ok && got != truth {
+			t.Errorf("mask %b: graph %v, stored truth %v", m, got, truth)
+		}
+	}
+	if (&feedbackEstimator{s: s, base: constEstimator{}}).EstimateGraph(g, cards) {
+		t.Error("the overlay answered a graph for a base without the graph method")
+	}
+}
+
+// flushingEstimator flushes its server's plan cache from inside its
+// first Estimate, as a hot swap may while a request plans, and otherwise
+// answers like base.
+type flushingEstimator struct {
+	s       *Server
+	base    opt.CardEstimator
+	flushed bool
+}
+
+func (f *flushingEstimator) Estimate(q *query.Query) float64 {
+	if !f.flushed {
+		f.flushed = true
+		f.s.FlushPlans()
+	}
+	return f.base.Estimate(q)
+}
+
+// TestPlanMadeAcrossFlushIsNotCached: a plan whose planning saw
+// FlushPlans may embody the retired estimator, so the miss that made it
+// serves it without caching it, and the next request plans cold.
+func TestPlanMadeAcrossFlushIsNotCached(t *testing.T) {
+	cat := datagen.StatsCEB(datagen.Config{Seed: 17, Scale: 0.05})
+	cs := stats.CollectCatalog(cat, stats.Options{Seed: 17})
+	hist := cardest.NewHistogramEstimator()
+	if err := hist.Train(&cardest.Context{Cat: cat, Stats: cs, Seed: 17}); err != nil {
+		t.Fatal(err)
+	}
+	fl := &flushingEstimator{base: hist}
+	s := New(cat, opt.New(cat, cost.New(cs), fl), exec.New(cat), Config{})
+	fl.s = s
+	sql := "SELECT COUNT(*) FROM posts, users WHERE posts.owner_user_id = users.id AND posts.score > 5;"
+	for i, wantCached := range []bool{false, false, true} {
+		r, err := s.Query(context.Background(), "a", sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Cached != wantCached {
+			t.Fatalf("request %d: cached %v, want %v", i, r.Cached, wantCached)
+		}
+		if i == 0 && s.cache.Len() != 0 {
+			t.Fatal("the plan made across FlushPlans was cached")
+		}
+	}
+	if st := s.Stats(); st.ColdPlans != 2 {
+		t.Fatalf("ColdPlans = %d, want 2", st.ColdPlans)
+	}
+}

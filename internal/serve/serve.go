@@ -152,7 +152,7 @@ type Server struct {
 	mu       sync.Mutex
 	feedback map[string]int32 // sub-query key -> index of its harvested true card in cards
 	cards    []float64
-	keyBuf   []byte // the prepared harvest's key buffer
+	keyBuf   []byte // the key buffer of a graph's harvest and overlay
 
 	coldPlans atomic.Int64
 	obs       atomic.Pointer[ExecObserver] // nil or pointing at nil: none
@@ -199,6 +199,29 @@ func (fe *feedbackEstimator) Estimate(q *query.Query) float64 {
 		return metrics.ClampCard(c)
 	}
 	return metrics.ClampCard(fe.base.Estimate(q))
+}
+
+// EstimateGraph implements opt.GraphEstimator when the base estimator
+// answers the graph, and otherwise reports false: the base fills cards,
+// then every mask whose key the store holds takes its truth, all under
+// one hold of s.mu with the keys written into s.keyBuf.
+func (fe *feedbackEstimator) EstimateGraph(g *query.JoinGraph, cards []float64) bool {
+	if ge, ok := fe.base.(opt.GraphEstimator); !ok || !ge.EstimateGraph(g, cards) {
+		return false
+	}
+	s := fe.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for m, c := range cards {
+		if len(s.feedback) > 0 {
+			s.keyBuf = g.AppendKey(s.keyBuf[:0], uint64(m))
+			if i, ok := s.feedback[string(s.keyBuf)]; ok {
+				c = s.cards[i]
+			}
+		}
+		cards[m] = metrics.ClampCard(c)
+	}
+	return true
 }
 
 // Query parses, plans (or reuses a cached plan) and executes sql on
@@ -274,7 +297,7 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 	defer release()
 
 	planStart := time.Now()
-	p, ent := s.cache.checkout(key)
+	p, ent, gen := s.cache.checkout(key)
 	cached := p != nil
 	if g != nil {
 		ent = nil // each binding has its own sub-query keys
@@ -292,7 +315,7 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 			p = p.Generalize(tmpl)
 		}
 		s.coldPlans.Add(1)
-		s.cache.put(key, p)
+		s.cache.put(key, p, gen)
 	}
 	planDur := time.Since(planStart)
 

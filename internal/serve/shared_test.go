@@ -63,7 +63,7 @@ func TestSharedPlanConcurrentBindings(t *testing.T) {
 		if _, err := s.Exec(ctx, "a", stmt, args(1)...); err != nil {
 			t.Fatal(err)
 		}
-		shared, _ := s.cache.checkout(stmt.e.Load().key)
+		shared, _, _ := s.cache.checkout(stmt.e.Load().key)
 
 		const goroutines, runs = 8, 4
 		got := make([][]*Result, goroutines)
@@ -86,7 +86,7 @@ func TestSharedPlanConcurrentBindings(t *testing.T) {
 		if t.Failed() {
 			t.FailNow()
 		}
-		if p, _ := s.cache.checkout(stmt.e.Load().key); p != shared {
+		if p, _, _ := s.cache.checkout(stmt.e.Load().key); p != shared {
 			t.Fatalf("shards=%d: the statement was planned again", shards)
 		}
 
