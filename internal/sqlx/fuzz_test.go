@@ -8,35 +8,38 @@ import (
 	"lqo/internal/query"
 )
 
+// parseSeeds are FuzzParse's seed texts; the parser identity golden
+// (golden_test.go) records them too.
+var parseSeeds = []string{
+	"SELECT COUNT(*) FROM items;",
+	"SELECT COUNT(*) FROM items WHERE items.score > 10;",
+	"SELECT COUNT(*) FROM items, orders WHERE items.id = orders.item_id AND items.price >= 1.5;",
+	"SELECT COUNT(*) FROM items i, orders o WHERE i.id = o.item_id AND i.name = 'ann';",
+	"SELECT COUNT(*) FROM items WHERE items.score BETWEEN 0 AND 30;",
+	// Malformed shapes that must error, not crash.
+	"",
+	";",
+	"SELECT",
+	"SELECT COUNT(*) FROM",
+	"SELECT COUNT(*) FROM items WHERE",
+	"SELECT COUNT(*) FROM items WHERE items.score >",
+	"SELECT COUNT(*) FROM nosuch;",
+	"SELECT COUNT(*) FROM items WHERE items.nosuch = 1;",
+	"SELECT COUNT(*) FROM items WHERE items.name = 'unterminated",
+	"SELECT COUNT(*) FROM items WHERE items.score = 99999999999999999999999999;",
+	"select count(*) from items where items.score != 10;",
+	"SELECT * FROM items",
+	"\x00\xff\xfe",
+	"SELECT COUNT(*) FROM items -- comment",
+}
+
 // FuzzParse pins the parser's robustness contract: arbitrary input —
 // malformed SQL, truncated tokens, garbage bytes — either parses into a
 // query that satisfies basic invariants or returns an error. It must
 // never panic; the parser sits on the middleware's user-facing boundary
 // where a crash would take the whole database down.
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		"SELECT COUNT(*) FROM items;",
-		"SELECT COUNT(*) FROM items WHERE items.score > 10;",
-		"SELECT COUNT(*) FROM items, orders WHERE items.id = orders.item_id AND items.price >= 1.5;",
-		"SELECT COUNT(*) FROM items i, orders o WHERE i.id = o.item_id AND i.name = 'ann';",
-		"SELECT COUNT(*) FROM items WHERE items.score BETWEEN 0 AND 30;",
-		// Malformed shapes that must error, not crash.
-		"",
-		";",
-		"SELECT",
-		"SELECT COUNT(*) FROM",
-		"SELECT COUNT(*) FROM items WHERE",
-		"SELECT COUNT(*) FROM items WHERE items.score >",
-		"SELECT COUNT(*) FROM nosuch;",
-		"SELECT COUNT(*) FROM items WHERE items.nosuch = 1;",
-		"SELECT COUNT(*) FROM items WHERE items.name = 'unterminated",
-		"SELECT COUNT(*) FROM items WHERE items.score = 99999999999999999999999999;",
-		"select count(*) from items where items.score != 10;",
-		"SELECT * FROM items",
-		"\x00\xff\xfe",
-		"SELECT COUNT(*) FROM items -- comment",
-	}
-	for _, s := range seeds {
+	for _, s := range parseSeeds {
 		f.Add(s)
 	}
 	cat := testCatalog()
