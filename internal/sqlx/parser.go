@@ -179,11 +179,14 @@ func (p *parser) parseFromList() error {
 			return err
 		}
 		ref := query.TableRef{Alias: t.text, Table: t.text}
-		if p.cur().kind == tokIdent && strings.EqualFold(p.cur().text, "AS") {
+		as := p.isKeyword("AS")
+		if as {
 			p.next()
 		}
-		if p.cur().kind == tokIdent && !reserved[strings.ToLower(p.cur().text)] {
+		if t := p.cur(); t.kind == tokIdent && !reserved[strings.ToLower(t.text)] {
 			ref.Alias = p.next().text
+		} else if as {
+			return fmt.Errorf("sqlx: expected alias after AS, got %s at %d", t, t.pos)
 		}
 		p.q.Refs = append(p.q.Refs, ref)
 		if p.cur().kind != tokComma {

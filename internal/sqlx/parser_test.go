@@ -75,6 +75,21 @@ func TestParseAsAlias(t *testing.T) {
 	}
 }
 
+// TestParseAsWithoutAlias pins that AS must name an alias: a bare AS
+// used to be dropped, so "FROM items AS;" parsed as "FROM items".
+func TestParseAsWithoutAlias(t *testing.T) {
+	cat := testCatalog()
+	for sql, want := range map[string]string{
+		"SELECT COUNT(*) FROM items AS;":                       `sqlx: expected alias after AS, got ";" at 29`,
+		"SELECT COUNT(*) FROM items AS WHERE items.score > 1;": `sqlx: expected alias after AS, got "WHERE" at 30`,
+		"SELECT COUNT(*) FROM items AS":                        `sqlx: expected alias after AS, got <eof> at 29`,
+	} {
+		if _, err := Parse(sql, cat); err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %s", sql, err, want)
+		}
+	}
+}
+
 func TestParseBetween(t *testing.T) {
 	cat := testCatalog()
 	q, err := Parse("SELECT COUNT(*) FROM items WHERE items.score BETWEEN 10 AND 30", cat)
