@@ -91,9 +91,11 @@ bench:
 # its other benchmarks regenerate whole experiment tables. ./internal/exec/
 # includes the join kernel's BenchmarkHashJoinProbe grid (build size ×
 # match rate); ./internal/serve/ is BenchmarkServeHit, the cached
-# request end to end (ad-hoc, a new spelling of a cached query, prepared).
+# request end to end (ad-hoc, a new spelling of a cached query, prepared)
+# and the cold one (miss: parse, plan, execute, harvest); ./internal/sqlx/
+# is BenchmarkParseStatement, the parse a never-seen text pays.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/exec/ ./internal/serve/ ./internal/bench/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/exec/ ./internal/serve/ ./internal/sqlx/ ./internal/bench/
 	$(GO) test -run '^$$' -bench 'OptimizeDP|Harvest' -benchtime 1x .
 
 # The repo benchmark, as the driver runs it (see benchmark/README.md).

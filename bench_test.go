@@ -198,7 +198,7 @@ func BenchmarkHarvest(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			harvested = opt.HarvestCards(q, p, cards)
+			harvested = opt.HarvestCards(query.NewJoinGraph(q), p, cards)
 		}
 	})
 	b.Run("prepared", func(b *testing.B) {

@@ -74,16 +74,14 @@ func keyColsFor(dst []keyCol, cat *data.Catalog, q *query.Query, schema []string
 	return dst, nil
 }
 
-// compositeKey hashes the key columns of row row: FNV-1a over the key
-// values, collisions resolved by the probe's keysEqual re-check.
+// compositeKey hashes the key columns of row row, mixing in each
+// column's value a word at a time (one multiply and one xor-shift), with
+// collisions resolved by the probe's keysEqual re-check.
 func compositeKey(cols [][]int32, row int, kcs []keyCol) uint64 {
-	var h uint64 = 1469598103934665603
+	var h uint64
 	for _, kc := range kcs {
-		v := uint64(kc.col.Ints[cols[kc.pos][row]])
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= 1099511628211
-		}
+		h = (h ^ uint64(kc.col.Ints[cols[kc.pos][row]])) * 0x9E3779B97F4A7C15
+		h ^= h >> 29
 	}
 	return h
 }
@@ -92,7 +90,7 @@ func compositeKey(cols [][]int32, row int, kcs []keyCol) uint64 {
 // join: the key column's []int64 storage and batch column are resolved
 // once, so extraction is a sequential pass over one row-id vector instead
 // of a per-row column dispatch. Single-column keys (the overwhelmingly
-// common case) skip FNV mixing entirely — the raw int64 value is the table
+// common case) skip the mixing entirely — the raw int64 value is the table
 // key, which is injective, so equal keys need no keysEqual re-check.
 // Output is independent of the keying scheme either way: matches emit in
 // build order, whatever the bucketing.

@@ -99,20 +99,28 @@ func BenchmarkFilterKernelScalar(b *testing.B) {
 }
 
 // Key-extraction benchmarks: the typed single-column gather (raw int64
-// map keys) vs. the old always-FNV compositeKey path, over a 1M-row
-// one-column build batch.
-func benchKeyBatch() ([][]int32, []keyCol) {
-	c := &data.Column{Name: "k", Kind: data.Int}
+// map keys) vs. the compositeKey path multi-column join keys take, over a
+// 1M-row build batch of one or two key columns.
+func benchKeyBatch(ncols int) ([][]int32, []keyCol) {
 	ids := make([]int32, benchRows)
-	for i := 0; i < benchRows; i++ {
-		c.Ints = append(c.Ints, int64(i%65536))
+	for i := range ids {
 		ids[i] = int32(i)
 	}
-	return [][]int32{ids}, []keyCol{{pos: 0, col: c}}
+	var cols [][]int32
+	var kcs []keyCol
+	for k := 0; k < ncols; k++ {
+		c := &data.Column{Name: fmt.Sprintf("k%d", k), Kind: data.Int}
+		for i := 0; i < benchRows; i++ {
+			c.Ints = append(c.Ints, int64(i%(65536>>k)))
+		}
+		cols = append(cols, ids)
+		kcs = append(kcs, keyCol{pos: k, col: c})
+	}
+	return cols, kcs
 }
 
 func BenchmarkKeyGatherTyped(b *testing.B) {
-	cols, kcs := benchKeyBatch()
+	cols, kcs := benchKeyBatch(1)
 	g := newKeyGather(kcs)
 	var dst []uint64
 	b.ReportAllocs()
@@ -123,18 +131,24 @@ func BenchmarkKeyGatherTyped(b *testing.B) {
 	_ = dst
 }
 
-func BenchmarkKeyGatherFNV(b *testing.B) {
-	cols, kcs := benchKeyBatch()
-	dst := make([]uint64, 0, benchRows)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = dst[:0]
-		for r := 0; r < benchRows; r++ {
-			dst = append(dst, compositeKey(cols, r, kcs))
-		}
+// BenchmarkKeyGatherComposite is compositeKey per row over one key
+// column and over two, the shape of a composite join key.
+func BenchmarkKeyGatherComposite(b *testing.B) {
+	for _, n := range []int{1, 2} {
+		b.Run(fmt.Sprintf("cols=%d", n), func(b *testing.B) {
+			cols, kcs := benchKeyBatch(n)
+			dst := make([]uint64, 0, benchRows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = dst[:0]
+				for r := 0; r < benchRows; r++ {
+					dst = append(dst, compositeKey(cols, r, kcs))
+				}
+			}
+			_ = dst
+		})
 	}
-	_ = dst
 }
 
 // BenchmarkHashJoinProbe times the join kernel alone: key gather plus

@@ -5,14 +5,16 @@ import (
 	"lqo/internal/query"
 )
 
-// CardLabel is one harvested truth: a sub-query's canonical key and the
-// cardinality execution measured for it.
+// CardLabel is one harvested truth: a sub-query's canonical key, its
+// query.JoinGraph.KeyHash, and the cardinality execution measured for it.
 type CardLabel struct {
 	Key  string
+	Hash uint64
 	Card float64
 }
 
-// HarvestCards harvests execution feedback from one run of plan p for q:
+// HarvestCards harvests execution feedback from one run of plan p for
+// g's query:
 // one exact cardinality per sub-plan, keyed by the sub-query's canonical
 // key, in plan pre-order — a fixed order, so a bounded store fed from it
 // fills the same way every run. cards is the run's record, cards[i] the
@@ -21,11 +23,10 @@ type CardLabel struct {
 //
 // A successful run records every node, so a zero card means a genuinely
 // empty intermediate, which is itself valuable feedback.
-func HarvestCards(q *query.Query, p *plan.Node, cards []float64) []CardLabel {
-	g := query.NewJoinGraph(q)
+func HarvestCards(g *query.JoinGraph, p *plan.Node, cards []float64) []CardLabel {
 	labels := make([]CardLabel, 0, len(cards))
 	p.WalkLogicalMasks(g, func(_ *plan.Node, mask uint64) {
-		labels = append(labels, CardLabel{Key: g.Key(mask), Card: cards[len(labels)]})
+		labels = append(labels, CardLabel{Key: g.Key(mask), Hash: g.KeyHash(mask), Card: cards[len(labels)]})
 	})
 	return labels
 }
@@ -36,7 +37,7 @@ func HarvestCards(q *query.Query, p *plan.Node, cards []float64) []CardLabel {
 // same query — or any query sharing sub-plans — plans with true
 // cardinalities where they are known.
 func CardsFromPlan(q *query.Query, p *plan.Node) map[string]float64 {
-	labels := HarvestCards(q, p, p.TrueCards())
+	labels := HarvestCards(query.NewJoinGraph(q), p, p.TrueCards())
 	cards := make(map[string]float64, len(labels))
 	for _, l := range labels {
 		cards[l.Key] = l.Card

@@ -27,7 +27,7 @@ func TestCardsFromPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 		cards := CardsFromPlan(q, p)
-		for i, l := range HarvestCards(q, p, res.Cards) {
+		for i, l := range HarvestCards(query.NewJoinGraph(q), p, res.Cards) {
 			if cards[l.Key] != l.Card || l.Card != res.Cards[i] {
 				t.Fatalf("%s: record harvest %v disagrees with the annotated tree's %v", q.SQL(), l, cards[l.Key])
 			}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"hash/maphash"
 	"math/bits"
 	"slices"
 	"sort"
@@ -361,6 +362,54 @@ func (g *JoinGraph) AppendKey(dst []byte, mask uint64) []byte {
 		}
 	}
 	return dst
+}
+
+// QueryKey returns Query().Key(), read off the graph's segments unless
+// some clause has no bit (a ref past MaxRefs, an undeclared alias).
+func (g *JoinGraph) QueryKey() string {
+	if slices.Contains(g.refs.need, 0) || slices.Contains(g.joins.need, 0) || slices.Contains(g.preds.need, 0) {
+		return g.q.Key()
+	}
+	return g.Key(uint64(1)<<uint(len(g.Aliases)) - 1)
+}
+
+// segSeed seeds the segment hashes: a key hash never leaves the process,
+// and it only tells which keys are worth comparing.
+var segSeed = maphash.MakeSeed()
+
+// KeyHash returns a hash of Key(mask) that depends on that key alone: the
+// sum of its segments' hashes. A segment's first byte names its section,
+// so the key fixes the multiset of segments and the multiset fixes the
+// key, and a sum needs no order.
+func (g *JoinGraph) KeyHash(mask uint64) uint64 {
+	var h uint64
+	for _, c := range [...]*clauseIndex{&g.refs, &g.joins, &g.preds} {
+		for i, s := range c.seg {
+			if c.in(i, mask) {
+				h += maphash.String(segSeed, s)
+			}
+		}
+	}
+	return h
+}
+
+// KeyHashes sets hs[m] to KeyHash(m) for every mask; len(hs) must be
+// 1<<len(Aliases). Each segment's hash lands on the mask its clause
+// needs, and a pass per alias bit sums every mask's subsets into it.
+func (g *JoinGraph) KeyHashes(hs []uint64) {
+	clear(hs)
+	for _, c := range [...]*clauseIndex{&g.refs, &g.joins, &g.preds} {
+		for i, s := range c.seg {
+			if c.need[i] != 0 {
+				hs[c.need[i]] += maphash.String(segSeed, s)
+			}
+		}
+	}
+	for b := 1; b < len(hs); b <<= 1 {
+		for m := b; m < len(hs); m = (m + 1) | b {
+			hs[m] += hs[m^b]
+		}
+	}
 }
 
 // ConnectedSubsets enumerates all connected alias subsets of size 1..maxSize

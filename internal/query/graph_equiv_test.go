@@ -349,9 +349,13 @@ func checkGraph(t *testing.T, rng *rand.Rand, q *Query) {
 	if full := g.Key(uint64(len(sets) - 1)); full != q.Key() || full != oracleKey(q) {
 		t.Fatalf("full-mask key %q, Query.Key %q, oracle %q", full, q.Key(), oracleKey(q))
 	}
+	hashes := map[string]uint64{}
+	checkKeyHashes(t, g, hashes)
+	checkKeyHashes(t, NewJoinGraph(shuffled(rng, q)), hashes)
 	for round := 0; round < 3; round++ {
 		b := redraw(rng, q)
 		rebound, fresh := g.Rebind(b), NewJoinGraph(b)
+		checkKeyHashes(t, rebound, hashes)
 		rsubs := rebound.Subs()
 		for m := range sets {
 			mask := uint64(m)
@@ -367,6 +371,47 @@ func checkGraph(t *testing.T, rng *rand.Rand, q *Query) {
 		}
 		g = rebound
 	}
+}
+
+// checkKeyHashes checks g's key hashes: the all-masks pass equals
+// KeyHash on every mask, which equals the full-mask hash of the
+// sub-query's own graph, and a key seen before, in hashes, has the hash
+// it had then.
+func checkKeyHashes(t *testing.T, g *JoinGraph, hashes map[string]uint64) {
+	t.Helper()
+	all := make([]uint64, 1<<uint(len(g.Aliases)))
+	g.KeyHashes(all)
+	for m, h := range all {
+		mask := uint64(m)
+		key := g.Key(mask)
+		if one := g.KeyHash(mask); one != h {
+			t.Fatalf("mask %b: KeyHashes %x, KeyHash %x\n%s", mask, h, one, g.Query().SQL())
+		}
+		sub := NewJoinGraph(g.Sub(mask))
+		if own := sub.KeyHash(uint64(1)<<uint(len(sub.Aliases)) - 1); own != h {
+			t.Fatalf("mask %b: hash %x, the sub-query's own graph %x\n%s", mask, h, own, g.Query().SQL())
+		}
+		if seen, ok := hashes[key]; ok && seen != h {
+			t.Fatalf("key %q hashes %x and %x", key, seen, h)
+		}
+		hashes[key] = h
+	}
+}
+
+// shuffled returns q with its refs, joins and predicates in another
+// order and some join sides swapped: the same query, under the same keys,
+// with other alias bits.
+func shuffled(rng *rand.Rand, q *Query) *Query {
+	s := q.Clone()
+	rng.Shuffle(len(s.Refs), func(i, j int) { s.Refs[i], s.Refs[j] = s.Refs[j], s.Refs[i] })
+	rng.Shuffle(len(s.Joins), func(i, j int) { s.Joins[i], s.Joins[j] = s.Joins[j], s.Joins[i] })
+	rng.Shuffle(len(s.Preds), func(i, j int) { s.Preds[i], s.Preds[j] = s.Preds[j], s.Preds[i] })
+	for i, j := range s.Joins {
+		if rng.Intn(2) == 0 {
+			s.Joins[i] = Join{LeftAlias: j.RightAlias, LeftCol: j.RightCol, RightAlias: j.LeftAlias, RightCol: j.LeftCol}
+		}
+	}
+	return s
 }
 
 func TestGraphMatchesMapOracles(t *testing.T) {
@@ -401,7 +446,9 @@ func TestConnectedSubsetsWide(t *testing.T) {
 // FuzzSubqueryKey lets the fuzzer choose the identifiers as well as the
 // shape: whatever bytes aliases, tables and columns contain, every
 // sub-query's precomputed key — Sub's and the Subs slab's — and every
-// rebound graph's key, must equal the from-scratch encoding.
+// rebound graph's key, must equal the from-scratch encoding, and equal
+// keys — of the query, its clauses reordered and its rebindings — must
+// have equal key hashes.
 func FuzzSubqueryKey(f *testing.F) {
 	f.Add(int64(1), "a", "b|1", "c:2")
 	f.Add(int64(2), "r(1:a:1:a)", "3:a|b", ")")

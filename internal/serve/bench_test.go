@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -18,7 +19,9 @@ import (
 // spelling of a cached query) or bind (prepared), then plan checkout,
 // execution, feedback harvest, drift check — on one warmed server, so
 // per-request set-up creeping back shows in ns/op and allocs/op without
-// the repo benchmark's ten-second run:
+// the repo benchmark's ten-second run. Its miss cell is the cold request
+// beside them: a literal never seen before every request, so parse,
+// planning through the feedback overlay, execution and harvest all run:
 //
 //	go test ./internal/serve -run '^$' -bench ServeHit -benchmem
 func BenchmarkServeHit(b *testing.B) {
@@ -51,8 +54,12 @@ func BenchmarkServeHit(b *testing.B) {
 		b.WriteString(strings.Repeat(" ", j))
 		spellings[k] = b.String()
 	}
-	spelled := 0 // across b.N rounds: a round must not repeat the last's texts
+	spelled, fresh := 0, 0 // across b.N rounds: a round must not repeat the last's texts
 	run := map[string]func(i int) (*Result, error){
+		"miss": func(int) (*Result, error) {
+			fresh++
+			return s.Query(ctx, "bench", missSQL(fresh))
+		},
 		"adhoc": func(i int) (*Result, error) { return s.Query(ctx, "bench", sqls[i%len(sqls)]) },
 		"new-text": func(int) (*Result, error) {
 			spelled++
@@ -60,7 +67,7 @@ func BenchmarkServeHit(b *testing.B) {
 		},
 		"prepared": func(i int) (*Result, error) { return s.Exec(ctx, "bench", stmt, hitBindings[i%len(hitBindings)]) },
 	}
-	for _, name := range []string{"adhoc", "new-text", "prepared"} {
+	for _, name := range []string{"adhoc", "new-text", "prepared", "miss"} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < 8; i++ { // plan, then memoize and fill the pool
 				if _, err := run[name](i); err != nil {
@@ -75,8 +82,8 @@ func BenchmarkServeHit(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if !res.Cached {
-					b.Fatal("timed request missed the plan cache")
+				if res.Cached != (name != "miss") {
+					b.Fatalf("timed request: cached %v", res.Cached)
 				}
 			}
 			b.StopTimer()
@@ -85,6 +92,12 @@ func BenchmarkServeHit(b *testing.B) {
 			}
 		})
 	}
+}
+
+// missSQL is the k-th never-seen text of the miss cell: a 3-way join
+// whose literal no other k shares.
+func missSQL(k int) string {
+	return fmt.Sprintf("SELECT COUNT(*) FROM posts, users, comments WHERE posts.owner_user_id = users.id AND comments.post_id = posts.id AND posts.score > %d;", -k)
 }
 
 // raceEnabled is set by race_test.go.
@@ -177,4 +190,34 @@ func TestAdhocHitAllocations(t *testing.T) {
 		t.Errorf("an ad-hoc hit allocates %.1f objects, ceiling 3", got)
 	}
 	t.Logf("%.1f allocations per ad-hoc hit", got)
+}
+
+// TestColdMissAllocations pins what a never-seen ad-hoc text allocates
+// on BenchmarkServeHit's fixture, its miss cell's request: the parse and
+// its one join graph, planning, execution, the plan-cache entry and the
+// feedback keys new to the store.
+func TestColdMissAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	s, _ := newHitFixture(t, 0)
+	k := 0
+	miss := func() {
+		k++
+		res, err := s.Query(context.Background(), "a", missSQL(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cached {
+			t.Fatalf("request %d hit the plan cache", k)
+		}
+	}
+	for k < 8 { // fill the pool and the feedback store
+		miss()
+	}
+	got := testing.AllocsPerRun(100, miss)
+	if got > 60 {
+		t.Errorf("a cold miss allocates %.1f objects, ceiling 60", got)
+	}
+	t.Logf("%.1f allocations per cold miss", got)
 }

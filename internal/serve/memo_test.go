@@ -1,11 +1,12 @@
 // Tests for the hit path's harvest memo: whatever a hit writes into the
 // feedback store through memoized keys must be what the unmemoized harvest
-// — absorb(opt.HarvestCards(q, p, cards)) per request — would have written.
+// — absorb(opt.HarvestCards(query.NewJoinGraph(q), p, cards)) per request — would have written.
 package serve
 
 import (
 	"context"
 	"fmt"
+	"maps"
 	"reflect"
 	"sync"
 	"testing"
@@ -24,26 +25,30 @@ import (
 // exactly the run record the server harvested) that absorbs
 // opt.HarvestCards under the server's admission rule.
 type mirrorStore struct {
-	mu    sync.Mutex
-	cap   int
-	store map[string]float64
+	mu     sync.Mutex
+	cap    int
+	store  map[string]float64
+	hashes map[uint64]struct{}
 }
 
 func newMirror(cap int) *mirrorStore {
 	if cap <= 0 {
 		cap = 8192 // Config.withDefaults
 	}
-	return &mirrorStore{cap: cap, store: map[string]float64{}}
+	m := &mirrorStore{cap: cap}
+	m.reset()
+	return m
 }
 
 func (m *mirrorStore) ObserveRun(q *query.Query, p *plan.Node, cards []float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, l := range opt.HarvestCards(q, p, cards) {
+	for _, l := range opt.HarvestCards(query.NewJoinGraph(q), p, cards) {
 		if _, ok := m.store[l.Key]; !ok && len(m.store) >= m.cap {
 			continue
 		}
 		m.store[l.Key] = l.Card
+		m.hashes[l.Hash] = struct{}{}
 	}
 }
 
@@ -51,6 +56,7 @@ func (m *mirrorStore) reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.store = map[string]float64{}
+	m.hashes = map[uint64]struct{}{}
 }
 
 // feedbackOf snapshots the server's feedback store as key -> card.
@@ -65,14 +71,20 @@ func feedbackOf(s *Server) map[string]float64 {
 }
 
 // requireMirrored fails unless the server's feedback store holds exactly
-// the mirror's keys and values.
+// the mirror's keys and values, and its hash set exactly their hashes.
 func requireMirrored(t *testing.T, s *Server, m *mirrorStore, at string) {
 	t.Helper()
 	got := feedbackOf(s)
+	s.mu.Lock()
+	hashes := maps.Clone(s.hashes)
+	s.mu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !reflect.DeepEqual(got, m.store) {
 		t.Fatalf("%s: feedback store diverged from absorb(HarvestCards):\n server %v\n mirror %v", at, got, m.store)
+	}
+	if !maps.Equal(hashes, m.hashes) {
+		t.Fatalf("%s: the server holds %d key hashes, the mirror's keys have %d", at, len(hashes), len(m.hashes))
 	}
 }
 

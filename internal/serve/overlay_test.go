@@ -9,6 +9,7 @@ import (
 	"lqo/internal/cost"
 	"lqo/internal/datagen"
 	"lqo/internal/exec"
+	"lqo/internal/metrics"
 	"lqo/internal/opt"
 	"lqo/internal/query"
 	"lqo/internal/sqlx"
@@ -16,14 +17,19 @@ import (
 )
 
 // TestFeedbackOverlayGraphMatchesPerMask: with some masks' truths in the
-// store — a singleton, a joined pair, a pair no join edge connects and
-// the whole query — the overlay's answer for the join graph equals its
-// per-mask Estimate on every mask, truths included. Over a base without
-// the graph method it declines.
+// store — harvested from a plan of the query through its graph, and from
+// a plan of a cross product of two of its tables through memoized labels,
+// which gives a pair no join edge connects — the overlay's answer for the
+// join graph equals its per-mask Estimate on every mask, truths included.
+// Over a base without the graph method it declines.
 func TestFeedbackOverlayGraphMatchesPerMask(t *testing.T) {
 	s, cat := newFixture(t, Config{})
 	q, err := sqlx.Parse("SELECT COUNT(*) FROM posts, users, comments, badges WHERE posts.owner_user_id = users.id"+
 		" AND comments.post_id = posts.id AND badges.user_id = users.id AND posts.score > 5;", cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cross, err := sqlx.Parse("SELECT COUNT(*) FROM comments, badges;", cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,12 +38,25 @@ func TestFeedbackOverlayGraphMatchesPerMask(t *testing.T) {
 	if g.Nbr(comments)&badges != 0 {
 		t.Fatal("comments and badges should not share a join edge")
 	}
-	truths := map[uint64]float64{g.Bit("posts"): 11, g.Bit("posts") | g.Bit("users"): 22, comments | badges: 33, 1<<len(g.Aliases) - 1: 44}
-	s.mu.Lock()
-	for m, c := range truths {
-		absorb(s, g.Key(m), c)
+	for i, sub := range []*query.Query{q, cross} {
+		p, err := exec.CanonicalPlan(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cards := make([]float64, len(p.Nodes()))
+		for j := range cards {
+			cards[j] = float64(100*i + 11*(j+1))
+		}
+		var ent *cacheEntry // q through its graph, cross through labels
+		if i == 1 {
+			ent = &cacheEntry{}
+		}
+		s.harvest(sub, query.NewJoinGraph(sub), p, cards, ent)
 	}
-	s.mu.Unlock()
+	store := feedbackOf(s)
+	if _, ok := store[g.Key(comments|badges)]; !ok {
+		t.Fatal("the cross product's pair is not in the store")
+	}
 
 	fe := s.opt.Est.(*feedbackEstimator)
 	cards := make([]float64, 1<<len(g.Aliases))
@@ -48,12 +67,42 @@ func TestFeedbackOverlayGraphMatchesPerMask(t *testing.T) {
 		if want := fe.Estimate(g.Sub(uint64(m))); math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("mask %b: graph %v, Estimate %v", m, got, want)
 		}
-		if truth, ok := truths[uint64(m)]; ok && got != truth {
+		if truth, ok := store[g.Key(uint64(m))]; ok && got != truth {
 			t.Errorf("mask %b: graph %v, stored truth %v", m, got, truth)
 		}
 	}
 	if (&feedbackEstimator{s: s, base: constEstimator{}}).EstimateGraph(g, cards) {
 		t.Error("the overlay answered a graph for a base without the graph method")
+	}
+}
+
+// TestFeedbackOverlayHashHitNeedsTheKey: a hash in the set whose key the
+// store does not hold decides nothing. With every mask's hash forced into
+// the set and only other keys stored, the overlay answers the base's
+// estimate on every mask.
+func TestFeedbackOverlayHashHitNeedsTheKey(t *testing.T) {
+	s, cat := newFixture(t, Config{})
+	q, err := sqlx.Parse("SELECT COUNT(*) FROM posts, users WHERE posts.owner_user_id = users.id AND posts.score > 5;", cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := query.NewJoinGraph(q)
+	s.mu.Lock()
+	absorb(s, "not a key", 7)
+	for m := uint64(0); m < 1<<len(g.Aliases); m++ {
+		s.hashes[g.KeyHash(m)] = struct{}{}
+	}
+	s.mu.Unlock()
+
+	fe := s.opt.Est.(*feedbackEstimator)
+	got, want := make([]float64, 1<<len(g.Aliases)), make([]float64, 1<<len(g.Aliases))
+	if !fe.EstimateGraph(g, got) || !fe.base.(opt.GraphEstimator).EstimateGraph(g, want) {
+		t.Fatal("the overlay or its base declined the graph")
+	}
+	for m := range got {
+		if w := metrics.ClampCard(want[m]); math.Float64bits(got[m]) != math.Float64bits(w) {
+			t.Errorf("mask %b: overlay %v, base %v", m, got[m], w)
+		}
 	}
 }
 

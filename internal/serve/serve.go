@@ -12,6 +12,7 @@ package serve
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -152,7 +153,11 @@ type Server struct {
 	mu       sync.Mutex
 	feedback map[string]int32 // sub-query key -> index of its harvested true card in cards
 	cards    []float64
-	keyBuf   []byte // the key buffer of a graph's harvest and overlay
+	// hashes holds the query.JoinGraph.KeyHash of every key in feedback:
+	// the overlay builds a mask's key only when its hash is here.
+	hashes  map[uint64]struct{}
+	keyBuf  []byte   // the key buffer of a graph's harvest and overlay
+	hashBuf []uint64 // the overlay's key hashes, one per mask
 
 	coldPlans atomic.Int64
 	obs       atomic.Pointer[ExecObserver] // nil or pointing at nil: none
@@ -173,6 +178,7 @@ func New(cat *data.Catalog, o *opt.Optimizer, ex *exec.Executor, cfg Config) *Se
 		stmts:    newStmtCache(cfg.CacheSize),
 		adm:      newAdmission(cfg.TenantSlots, cfg.TenantQueue, cfg.Breaker),
 		feedback: make(map[string]int32),
+		hashes:   make(map[uint64]struct{}),
 	}
 	s.opt = o.WithEstimator(&feedbackEstimator{s: s, base: o.Est})
 	return s
@@ -204,7 +210,8 @@ func (fe *feedbackEstimator) Estimate(q *query.Query) float64 {
 // EstimateGraph implements opt.GraphEstimator when the base estimator
 // answers the graph, and otherwise reports false: the base fills cards,
 // then every mask whose key the store holds takes its truth, all under
-// one hold of s.mu with the keys written into s.keyBuf.
+// one hold of s.mu. Only a mask whose key hash is in s.hashes has its key
+// written into s.keyBuf and looked up.
 func (fe *feedbackEstimator) EstimateGraph(g *query.JoinGraph, cards []float64) bool {
 	if ge, ok := fe.base.(opt.GraphEstimator); !ok || !ge.EstimateGraph(g, cards) {
 		return false
@@ -212,8 +219,10 @@ func (fe *feedbackEstimator) EstimateGraph(g *query.JoinGraph, cards []float64) 
 	s := fe.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.hashBuf = slices.Grow(s.hashBuf[:0], len(cards))[:len(cards)]
+	g.KeyHashes(s.hashBuf)
 	for m, c := range cards {
-		if len(s.feedback) > 0 {
+		if _, ok := s.hashes[s.hashBuf[m]]; ok {
 			s.keyBuf = g.AppendKey(s.keyBuf[:0], uint64(m))
 			if i, ok := s.feedback[string(s.keyBuf)]; ok {
 				c = s.cards[i]
@@ -233,17 +242,18 @@ func (fe *feedbackEstimator) EstimateGraph(g *query.JoinGraph, cards []float64) 
 // in the statement cache, and later requests for it skip the parse while
 // the catalog still resolves it the same way. The cached query is shared
 // by every such request, concurrent ones included: nothing on the
-// serving path may mutate it.
+// serving path may mutate it. A parsed text is planned and harvested from
+// the join graph its parse built; the statement cache keeps no graph.
 func (s *Server) Query(ctx context.Context, tenant, sql string) (*Result, error) {
 	if e, ok := s.stmts.get(sql, s.cat); ok {
 		return s.run(ctx, tenant, e.st.Query(), e.key, nil, nil)
 	}
-	st, err := sqlx.ParseStatement(sql, s.cat)
+	st, g, err := sqlx.ParseStatement(sql, s.cat)
 	if err != nil {
 		return nil, err
 	}
 	e := stmtEntry{st: st, key: s.cacheKey(st.ShapeKey())}
-	res, err := s.run(ctx, tenant, st.Query(), e.key, nil, nil)
+	res, err := s.run(ctx, tenant, st.Query(), e.key, g, nil)
 	if err == nil && res.Cached {
 		s.cache.adoptKey(e.key)
 		s.stmts.put(sql, e)
@@ -285,8 +295,9 @@ func (s *Server) Exec(ctx context.Context, tenant string, stmt *Stmt, args ...an
 // run is the shared serving path: admit, fetch-or-plan, execute, harvest
 // feedback, observe drift. key is the plan-cache key (cacheKey). q is
 // only read. A prepared statement passes g, its binding's join graph, and
-// tmpl, its template; an ad-hoc query neither, and its miss builds the
-// one graph it is planned and harvested from. A hit runs the cached plan
+// tmpl, its template; a parsed text its parse's graph; a statement-cache
+// hit neither, and its miss builds the one graph it is planned and
+// harvested from. A hit runs the cached plan
 // itself, shared with concurrent requests: nothing here writes to a plan,
 // and harvest, drift check and observer read the run's record instead.
 func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key string, g *query.JoinGraph, tmpl *query.Query) (*Result, error) {
@@ -299,7 +310,7 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 	planStart := time.Now()
 	p, ent, gen := s.cache.checkout(key)
 	cached := p != nil
-	if g != nil {
+	if tmpl != nil {
 		ent = nil // each binding has its own sub-query keys
 	}
 	if p == nil {
@@ -338,55 +349,61 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 
 // harvest merges the record cards of a run of p into the feedback store
 // in plan pre-order, every key every time (ResetFeedback may have
-// intervened). A miss's or a prepared binding's keys come from its graph
-// g through s.keyBuf, so only a key new to the store allocates a string.
-// ent is the entry p was checked out of on an ad-hoc hit, else nil. Its
-// key is a function of q.Key(), so every pre-order position's sub-query
-// key repeats on every hit: the first hit memoizes opt.HarvestCards'
-// labels for their keys, later hits skip the join graph.
+// intervened). ent is the entry p was checked out of on an ad-hoc hit,
+// else nil. Its key is a function of q.Key(), so every pre-order
+// position's sub-query key repeats on every hit: the first hit memoizes
+// opt.HarvestCards' labels (from g, or a graph built for a statement-cache
+// hit), later hits skip the graph. A miss's or a prepared binding's keys
+// come from g through s.keyBuf: only a key new to the store allocates a
+// string or is hashed.
 func (s *Server) harvest(q *query.Query, g *query.JoinGraph, p *plan.Node, cards []float64, ent *cacheEntry) {
-	if g != nil {
+	if ent == nil {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		i := 0
 		p.WalkLogicalMasks(g, func(_ *plan.Node, mask uint64) {
 			s.keyBuf = g.AppendKey(s.keyBuf[:0], mask)
-			absorb(s, s.keyBuf, cards[i])
+			if absorb(s, s.keyBuf, cards[i]) {
+				s.hashes[g.KeyHash(mask)] = struct{}{}
+			}
 			i++
 		})
 		return
 	}
 	var labels []opt.CardLabel
-	if ent != nil {
-		if memo := ent.harvest.Load(); memo != nil {
-			labels = *memo
+	if memo := ent.harvest.Load(); memo != nil {
+		labels = *memo
+	} else {
+		if g == nil {
+			g = query.NewJoinGraph(q)
 		}
-	}
-	if labels == nil {
-		labels = opt.HarvestCards(q, p, cards)
-		if ent != nil {
-			memo := labels
-			ent.harvest.Store(&memo)
-		}
+		memo := opt.HarvestCards(g, p, cards)
+		ent.harvest.Store(&memo)
+		labels = memo
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, l := range labels { // memoized cards are stale: read the record's
-		absorb(s, l.Key, cards[i])
+		if absorb(s, l.Key, cards[i]) {
+			s.hashes[l.Hash] = struct{}{}
+		}
 	}
 }
 
 // absorb writes one harvested truth into the feedback store under s.mu:
 // an existing key always updates, a new key lands only under FeedbackCap
 // (bounded memory, no eviction churn). Callers write in plan pre-order,
-// so which keys a nearly full store admits is the same on every run.
-func absorb[K string | []byte](s *Server, key K, card float64) {
+// so which keys a nearly full store admits is the same on every run. It
+// reports whether key is new, for the caller to add its hash to s.hashes.
+func absorb[K string | []byte](s *Server, key K, card float64) (added bool) {
 	if i, ok := s.feedback[string(key)]; ok {
 		s.cards[i] = card
 	} else if len(s.cards) < s.cfg.FeedbackCap {
 		s.feedback[string(key)] = int32(len(s.cards))
 		s.cards = append(s.cards, card)
+		return true
 	}
+	return false
 }
 
 // SetObserver installs (or, with nil, removes) the execution observer.
@@ -408,6 +425,7 @@ func (s *Server) ResetFeedback() int {
 	defer s.mu.Unlock()
 	n := len(s.feedback)
 	s.feedback = make(map[string]int32)
+	s.hashes = make(map[uint64]struct{})
 	s.cards = s.cards[:0]
 	return n
 }

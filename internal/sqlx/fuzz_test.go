@@ -65,9 +65,18 @@ func FuzzParse(f *testing.F) {
 		if q.Key() != q.Clone().Key() {
 			t.Fatalf("Key not deterministic for %q", sql)
 		}
-		// Prepare must never panic on parser-accepted input either.
-		if _, err := Prepare(sql, cat); err != nil {
+		// Prepare must never panic on parser-accepted input either, and
+		// both statement forms are keyed by the query's Key.
+		pr, err := Prepare(sql, cat)
+		if err != nil {
 			t.Fatalf("Parse accepted but Prepare rejected %q: %v", sql, err)
+		}
+		st, _, err := ParseStatement(sql, cat)
+		if err != nil {
+			t.Fatalf("Parse accepted but ParseStatement rejected %q: %v", sql, err)
+		}
+		if pr.ShapeKey() != q.Key() || st.ShapeKey() != q.Key() {
+			t.Fatalf("%q: shape keys %q and %q, Key %q", sql, pr.ShapeKey(), st.ShapeKey(), q.Key())
 		}
 	})
 }

@@ -137,7 +137,7 @@ func renderGolden(t *testing.T, sections []goldenSection) []byte {
 				key = q.Key()
 				parsed = "key " + strconv.Quote(key)
 			}
-			st, err := ParseStatement(sql, sec.cat)
+			st, _, err := ParseStatement(sql, sec.cat)
 			switch {
 			case err != nil && key != "":
 				t.Errorf("%q: Parse accepted, ParseStatement: %v", sql, err)

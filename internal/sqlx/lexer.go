@@ -44,71 +44,65 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
+// lexer yields the tokens of src one at a time. The first lex error
+// stops it: err records it and every later token is EOF.
 type lexer struct {
-	src  string
-	pos  int
-	toks []token
+	src string
+	pos int
+	err error
 }
 
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
-	for l.pos < len(l.src) {
+// next returns the token at or after pos.
+func (l *lexer) next() token {
+	for l.err == nil && l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			l.pos++
 		case c == ',':
-			l.emit(tokComma, ",")
+			return l.emit(tokComma, ",")
 		case c == '.':
-			l.emit(tokDot, ".")
+			return l.emit(tokDot, ".")
 		case c == '(':
-			l.emit(tokLParen, "(")
+			return l.emit(tokLParen, "(")
 		case c == ')':
-			l.emit(tokRParen, ")")
+			return l.emit(tokRParen, ")")
 		case c == '*':
-			l.emit(tokStar, "*")
+			return l.emit(tokStar, "*")
 		case c == ';':
-			l.emit(tokSemi, ";")
+			return l.emit(tokSemi, ";")
 		case c == '?':
-			l.emit(tokParam, "?")
+			return l.emit(tokParam, "?")
 		case c == '=':
-			l.emit(tokOp, "=")
+			return l.emit(tokOp, "=")
 		case c == '<':
 			if l.peek(1) == '=' {
-				l.emit2(tokOp, "<=")
+				return l.emit(tokOp, "<=")
 			} else if l.peek(1) == '>' {
-				l.emit2(tokOp, "<>")
-			} else {
-				l.emit(tokOp, "<")
+				return l.emit(tokOp, "<>")
 			}
+			return l.emit(tokOp, "<")
 		case c == '>':
 			if l.peek(1) == '=' {
-				l.emit2(tokOp, ">=")
-			} else {
-				l.emit(tokOp, ">")
+				return l.emit(tokOp, ">=")
 			}
+			return l.emit(tokOp, ">")
 		case c == '!':
 			if l.peek(1) == '=' {
-				l.emit2(tokOp, "<>")
-			} else {
-				return nil, fmt.Errorf("sqlx: unexpected '!' at %d", l.pos)
+				return l.emit(tokOp, "<>")
 			}
+			l.err = fmt.Errorf("sqlx: unexpected '!' at %d", l.pos)
 		case c == '\'':
-			if err := l.lexString(); err != nil {
-				return nil, err
-			}
+			return l.lexString()
 		case c == '-' || (c >= '0' && c <= '9'):
-			if err := l.lexNumber(); err != nil {
-				return nil, err
-			}
+			return l.lexNumber()
 		case unicode.IsLetter(rune(c)) || c == '_':
-			l.lexIdent()
+			return l.lexIdent()
 		default:
-			return nil, fmt.Errorf("sqlx: unexpected character %q at %d", c, l.pos)
+			l.err = fmt.Errorf("sqlx: unexpected character %q at %d", c, l.pos)
 		}
 	}
-	l.toks = append(l.toks, token{kind: tokEOF, pos: l.pos})
-	return l.toks, nil
+	return token{kind: tokEOF, pos: l.pos}
 }
 
 func (l *lexer) peek(ahead int) byte {
@@ -118,39 +112,33 @@ func (l *lexer) peek(ahead int) byte {
 	return 0
 }
 
-func (l *lexer) emit(k tokenKind, s string) {
-	l.toks = append(l.toks, token{kind: k, text: s, pos: l.pos})
-	l.pos++
+// emit returns a token of len(s) bytes at pos, spelled s ("!=" is
+// spelled "<>"), and moves past it.
+func (l *lexer) emit(k tokenKind, s string) token {
+	t := token{kind: k, text: s, pos: l.pos}
+	l.pos += len(s)
+	return t
 }
 
-func (l *lexer) emit2(k tokenKind, s string) {
-	l.toks = append(l.toks, token{kind: k, text: s, pos: l.pos})
-	l.pos += 2
-}
-
-func (l *lexer) lexString() error {
+// lexString returns a quoted literal. Its text is a slice of src unless
+// a doubled quote in it must be unescaped.
+func (l *lexer) lexString() token {
 	start := l.pos
-	l.pos++ // opening quote
-	var b strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.peek(1) == '\'' { // escaped quote
-				b.WriteByte('\'')
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			l.toks = append(l.toks, token{kind: tokString, text: b.String(), pos: start})
-			return nil
+	for l.pos++; l.pos < len(l.src); l.pos++ {
+		if l.src[l.pos] != '\'' {
+			continue
 		}
-		b.WriteByte(c)
-		l.pos++
+		if l.peek(1) != '\'' {
+			l.pos++
+			return token{kind: tokString, text: strings.ReplaceAll(l.src[start+1:l.pos-1], "''", "'"), pos: start}
+		}
+		l.pos++ // an escaped quote
 	}
-	return fmt.Errorf("sqlx: unterminated string starting at %d", start)
+	l.err = fmt.Errorf("sqlx: unterminated string starting at %d", start)
+	return token{kind: tokEOF, pos: l.pos}
 }
 
-func (l *lexer) lexNumber() error {
+func (l *lexer) lexNumber() token {
 	start := l.pos
 	if l.src[l.pos] == '-' {
 		l.pos++
@@ -183,13 +171,13 @@ func (l *lexer) lexNumber() error {
 		}
 	}
 	if digits == 0 {
-		return fmt.Errorf("sqlx: malformed number at %d", start)
+		l.err = fmt.Errorf("sqlx: malformed number at %d", start)
+		return token{kind: tokEOF, pos: l.pos}
 	}
-	l.toks = append(l.toks, token{kind: tokNumber, text: l.src[start:l.pos], pos: start})
-	return nil
+	return token{kind: tokNumber, text: l.src[start:l.pos], pos: start}
 }
 
-func (l *lexer) lexIdent() {
+func (l *lexer) lexIdent() token {
 	start := l.pos
 	for l.pos < len(l.src) {
 		c := rune(l.src[l.pos])
@@ -199,5 +187,5 @@ func (l *lexer) lexIdent() {
 		}
 		break
 	}
-	l.toks = append(l.toks, token{kind: tokIdent, text: l.src[start:l.pos], pos: start})
+	return token{kind: tokIdent, text: l.src[start:l.pos], pos: start}
 }

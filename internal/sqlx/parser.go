@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"lqo/internal/data"
 	"lqo/internal/query"
@@ -39,32 +40,77 @@ func parseBound(sql string, cat *data.Catalog) (parser, error) {
 }
 
 // parse lexes and parses sql against cat, placeholders allowed, without
-// validating the result.
+// validating the result. Tokens come from the lexer as the parser needs
+// them, so a parse that fails lexes the rest of the text: a lex error
+// anywhere in it is the error reported.
 func parse(sql string, cat *data.Catalog) (parser, error) {
-	toks, err := lex(sql)
-	if err != nil {
-		return parser{}, err
-	}
-	p := parser{toks: toks, cat: cat}
-	if _, err := p.parseSelect(); err != nil {
+	p := parser{lex: lexer{src: sql}, cat: cat}
+	p.tok, p.ahead = p.lex.next(), p.lex.next()
+	if err := p.parseSelect(); err != nil || p.lex.err != nil {
+		for p.lex.next().kind != tokEOF {
+		}
+		if p.lex.err != nil {
+			return parser{}, p.lex.err
+		}
 		return parser{}, err
 	}
 	return p, nil
 }
 
 type parser struct {
-	toks   []token
-	i      int
-	cat    *data.Catalog
-	q      *query.Query
-	params int // placeholder ordinals handed out so far
+	lex        lexer
+	tok, ahead token // the current token and the one after it
+	cat        *data.Catalog
+	q          *query.Query
+	caps       clauseCaps
+	params     int // placeholder ordinals handed out so far
 	// absent records each dictionary a string literal was missing from,
 	// with its length then: the literal's code is that length plus one.
 	absent []dictLen
 }
 
-func (p *parser) cur() token  { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
+func (p *parser) next() token {
+	t := p.tok
+	p.tok, p.ahead = p.ahead, p.lex.next()
+	return t
+}
+
+// clauseCaps are the clause counts of a text, read off its bytes by
+// capsOf to size the query's clause slices: refs are separated by commas,
+// a column reference is an identifier after a dot, and a join is the
+// condition with an identifier after its "="; it has two column
+// references and a predicate has one. String literals can skew a count,
+// which costs at most a slice grow.
+type clauseCaps struct{ refs, joins, preds int }
+
+func capsOf(src string) clauseCaps {
+	c, cols := clauseCaps{refs: 1 + strings.Count(src, ",")}, 0
+	for i := 1; i < len(src); i++ {
+		if !unicode.IsLetter(rune(src[i])) && src[i] != '_' {
+			continue
+		}
+		j := i - 1
+		for j > 0 && src[j] == ' ' {
+			j--
+		}
+		switch src[j] {
+		case '.':
+			cols++
+		case '=':
+			c.joins++
+		}
+	}
+	c.preds = max(cols-2*c.joins, 0)
+	return c
+}
+
+// push appends x to s, which it first makes with capacity hint.
+func push[T any](s []T, x T, hint int) []T {
+	if s == nil {
+		s = make([]T, 0, max(hint, 1))
+	}
+	return append(s, x)
+}
 
 func (p *parser) expectKeyword(kw string) error {
 	t := p.next()
@@ -75,8 +121,7 @@ func (p *parser) expectKeyword(kw string) error {
 }
 
 func (p *parser) isKeyword(kw string) bool {
-	t := p.cur()
-	return t.kind == tokIdent && strings.EqualFold(t.text, kw)
+	return p.tok.kind == tokIdent && strings.EqualFold(p.tok.text, kw)
 }
 
 func (p *parser) expect(k tokenKind, what string) (token, error) {
@@ -92,34 +137,35 @@ var reserved = map[string]bool{
 	"between": true, "count": true, "as": true,
 }
 
-func (p *parser) parseSelect() (*query.Query, error) {
+func (p *parser) parseSelect() error {
 	if err := p.expectKeyword("SELECT"); err != nil {
-		return nil, err
+		return err
 	}
 	agg, err := p.parseAggregate()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := p.expectKeyword("FROM"); err != nil {
-		return nil, err
+		return err
 	}
 	p.q = &query.Query{Agg: agg}
+	p.caps = capsOf(p.lex.src)
 	if err := p.parseFromList(); err != nil {
-		return nil, err
+		return err
 	}
 	if p.isKeyword("WHERE") {
 		p.next()
 		if err := p.parseConditions(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if p.cur().kind == tokSemi {
+	if p.tok.kind == tokSemi {
 		p.next()
 	}
-	if t := p.cur(); t.kind != tokEOF {
-		return nil, fmt.Errorf("sqlx: trailing input %s at %d", t, t.pos)
+	if t := p.tok; t.kind != tokEOF {
+		return fmt.Errorf("sqlx: trailing input %s at %d", t, t.pos)
 	}
-	return p.q, nil
+	return nil
 }
 
 // parseAggregate parses COUNT(*) or SUM/AVG/MIN/MAX(alias.column).
@@ -183,13 +229,13 @@ func (p *parser) parseFromList() error {
 		if as {
 			p.next()
 		}
-		if t := p.cur(); t.kind == tokIdent && !reserved[strings.ToLower(t.text)] {
+		if t := p.tok; t.kind == tokIdent && !reserved[strings.ToLower(t.text)] {
 			ref.Alias = p.next().text
 		} else if as {
 			return fmt.Errorf("sqlx: expected alias after AS, got %s at %d", t, t.pos)
 		}
-		p.q.Refs = append(p.q.Refs, ref)
-		if p.cur().kind != tokComma {
+		p.q.Refs = push(p.q.Refs, ref, p.caps.refs)
+		if p.tok.kind != tokComma {
 			return nil
 		}
 		p.next()
@@ -262,60 +308,41 @@ func (p *parser) parseCondition() error {
 		if err != nil {
 			return err
 		}
-		p.q.Preds = append(p.q.Preds, query.Pred{
+		p.q.Preds = push(p.q.Preds, query.Pred{
 			Alias: lhs.alias, Column: lhs.column, Op: query.Between,
 			Val: lo, Val2: hi, Param: loParam, Param2: hiParam,
-		})
+		}, p.caps.preds)
 		return nil
 	}
 	opTok, err := p.expect(tokOp, "comparison operator")
 	if err != nil {
 		return err
 	}
-	op, err := parseOp(opTok.text)
-	if err != nil {
-		return err
-	}
+	op := ops[opTok.text]
 	// alias.col = alias.col → join edge.
-	if op == query.Eq && p.cur().kind == tokIdent && p.toks[p.i+1].kind == tokDot {
+	if op == query.Eq && p.tok.kind == tokIdent && p.ahead.kind == tokDot {
 		rhs, err := p.parseColRef()
 		if err != nil {
 			return err
 		}
-		p.q.Joins = append(p.q.Joins, query.Join{
+		p.q.Joins = push(p.q.Joins, query.Join{
 			LeftAlias: lhs.alias, LeftCol: lhs.column,
 			RightAlias: rhs.alias, RightCol: rhs.column,
-		})
+		}, p.caps.joins)
 		return nil
 	}
 	val, param, err := p.parseLiteral(lhs)
 	if err != nil {
 		return err
 	}
-	p.q.Preds = append(p.q.Preds, query.Pred{
+	p.q.Preds = push(p.q.Preds, query.Pred{
 		Alias: lhs.alias, Column: lhs.column, Op: op, Val: val, Param: param,
-	})
+	}, p.caps.preds)
 	return nil
 }
 
-func parseOp(s string) (query.CmpOp, error) {
-	switch s {
-	case "=":
-		return query.Eq, nil
-	case "<>":
-		return query.Ne, nil
-	case "<":
-		return query.Lt, nil
-	case "<=":
-		return query.Le, nil
-	case ">":
-		return query.Gt, nil
-	case ">=":
-		return query.Ge, nil
-	default:
-		return 0, fmt.Errorf("sqlx: unsupported operator %q", s)
-	}
-}
+// ops maps each operator token the lexer emits to its comparison.
+var ops = map[string]query.CmpOp{"=": query.Eq, "<>": query.Ne, "<": query.Lt, "<=": query.Le, ">": query.Gt, ">=": query.Ge}
 
 // parseLiteral parses a literal value or a ? placeholder. For a literal
 // the returned ordinal is 0; for a placeholder the value is zero and the

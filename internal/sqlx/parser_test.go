@@ -220,13 +220,32 @@ func TestParseRoundTripThroughSQL(t *testing.T) {
 	}
 }
 
-func TestLexerEscapedQuote(t *testing.T) {
-	toks, err := lex("'it''s'")
-	if err != nil {
-		t.Fatal(err)
+// lexAll returns every token of src up to EOF, or the first lex error.
+func lexAll(src string) ([]token, error) {
+	l := lexer{src: src}
+	var toks []token
+	for {
+		t := l.next()
+		if l.err != nil {
+			return nil, l.err
+		}
+		if toks = append(toks, t); t.kind == tokEOF {
+			return toks, nil
+		}
 	}
-	if toks[0].kind != tokString || toks[0].text != "it's" {
-		t.Fatalf("tok = %+v", toks[0])
+}
+
+func TestLexerEscapedQuote(t *testing.T) {
+	for src, want := range map[string]string{
+		"'it''s'": "it's", "'a''b''c' x": "a'b'c", "''''": "'", "'plain'": "plain", "''": "", "'x'''": "x'",
+	} {
+		toks, err := lexAll(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if toks[0].kind != tokString || toks[0].text != want {
+			t.Fatalf("%s: tok = %+v, want %q", src, toks[0], want)
+		}
 	}
 }
 

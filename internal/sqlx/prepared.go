@@ -75,26 +75,31 @@ func Prepare(sql string, cat *data.Catalog) (*Prepared, error) {
 			slots[side.ord-1] = slot{pred: i, second: side.second, col: col, alias: pr.Alias, column: pr.Column}
 		}
 	}
-	pr := p.prepared(slots)
-	pr.graph = query.NewJoinGraph(q)
+	g := query.NewJoinGraph(q)
+	pr := p.prepared(slots, g)
+	pr.graph = g
 	return pr, nil
 }
 
 // ParseStatement is Parse returning the query as a parameterless
 // Prepared, so that Current can tell whether the parse is still what a
-// fresh Parse would return. Its Query is the parsed query and its
-// ShapeKey that query's Key.
-func ParseStatement(sql string, cat *data.Catalog) (*Prepared, error) {
+// fresh Parse would return, and the query's join graph. Its Query is the
+// parsed query and its ShapeKey that query's Key, read off the graph.
+// The Prepared does not keep the graph: a caller that plans the query
+// takes it from here.
+func ParseStatement(sql string, cat *data.Catalog) (*Prepared, *query.JoinGraph, error) {
 	p, err := parseBound(sql, cat)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return p.prepared(nil), nil
+	g := query.NewJoinGraph(p.q)
+	return p.prepared(nil, g), g, nil
 }
 
-// prepared wraps the parser's validated query as a Prepared.
-func (p *parser) prepared(slots []slot) *Prepared {
-	pr := &Prepared{tmpl: p.q, slots: slots, shape: p.q.Key(), absent: p.absent}
+// prepared wraps the parser's validated query, indexed by g, as a
+// Prepared.
+func (p *parser) prepared(slots []slot, g *query.JoinGraph) *Prepared {
+	pr := &Prepared{tmpl: p.q, slots: slots, shape: g.QueryKey(), absent: p.absent}
 	pr.tables = make([]*data.Table, 0, len(p.q.Refs))
 	for _, r := range p.q.Refs {
 		if t := p.cat.Table(r.Table); !slices.Contains(pr.tables, t) {

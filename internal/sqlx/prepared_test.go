@@ -1,7 +1,9 @@
 package sqlx
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"lqo/internal/data"
@@ -230,16 +232,16 @@ func TestPrepareWithoutPlaceholders(t *testing.T) {
 // found in, leaves it current.
 func TestCurrentTracksWhatTheParseResolved(t *testing.T) {
 	cat := testCatalog()
-	present, err := ParseStatement("SELECT COUNT(*) FROM items i, orders o WHERE i.id = o.item_id AND i.name = 'bob';", cat)
+	present, g, err := ParseStatement("SELECT COUNT(*) FROM items i, orders o WHERE i.id = o.item_id AND i.name = 'bob';", cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	absent, err := ParseStatement("SELECT COUNT(*) FROM items WHERE items.name = 'eve';", cat)
+	absent, _, err := ParseStatement("SELECT COUNT(*) FROM items WHERE items.name = 'eve';", cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if present.NumParams() != 0 || present.ShapeKey() != present.Query().Key() {
-		t.Fatal("a parsed statement is not a parameterless template keyed by its query")
+	if present.NumParams() != 0 || present.ShapeKey() != present.Query().Key() || g.Query() != present.Query() {
+		t.Fatal("a parsed statement is not a parameterless template keyed by its query and graphed")
 	}
 	if !present.Current(cat) || !absent.Current(cat) {
 		t.Fatal("fresh statements are not current")
@@ -260,7 +262,38 @@ func TestCurrentTracksWhatTheParseResolved(t *testing.T) {
 	if present.Current(cat) {
 		t.Fatal("replacing a referenced table left the statement current")
 	}
-	if _, err := ParseStatement("SELECT COUNT(*) FROM items WHERE items.score > ?;", cat); err == nil {
+	if _, _, err := ParseStatement("SELECT COUNT(*) FROM items WHERE items.score > ?;", cat); err == nil {
 		t.Fatal("ParseStatement accepted a placeholder")
+	}
+}
+
+// TestShapeKeyPastMaxRefs: a statement with more refs than a join graph
+// indexes is keyed by the query's Key, which encodes the clauses the
+// graph leaves out.
+func TestShapeKeyPastMaxRefs(t *testing.T) {
+	cat := testCatalog()
+	var b strings.Builder
+	b.WriteString("SELECT COUNT(*) FROM items a0")
+	for i := 1; i <= query.MaxRefs; i++ {
+		fmt.Fprintf(&b, ", items a%d", i)
+	}
+	fmt.Fprintf(&b, " WHERE a0.id = a%d.id AND a%d.score > 1;", query.MaxRefs, query.MaxRefs)
+	q, err := Parse(b.String(), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, g, err := ParseStatement(b.String(), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := Prepare(b.String(), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Key(^uint64(0)) == q.Key() {
+		t.Fatal("the graph's full-mask key kept the clauses past MaxRefs")
+	}
+	if st.ShapeKey() != q.Key() || pr.ShapeKey() != q.Key() {
+		t.Fatalf("shape keys %q and %q, Key %q", st.ShapeKey(), pr.ShapeKey(), q.Key())
 	}
 }
