@@ -15,10 +15,8 @@
 #                      workloads, end-to-end + per-layer metrics
 #   make benchmark-compare OLD=… NEW=… — judge two benchmark runs (files
 #                      or directories of run_*.json) against the bounds
-#   make load-smoke  — E14 sustained-load smoke through the serving layer
-#   make drift-smoke — E15 closed-loop adaptation under staged drift
-#   make shard-smoke — E16 sharded scatter-gather vs the unsharded reference
-#   make chaos   — E10 only: guardrail runtime under fault injection
+#   make exp-smoke — the runtime experiments E10, E14, E15 and E16 with
+#                    their fixed parameters; fails if any of them fails
 
 GO ?= go
 
@@ -32,7 +30,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 
 FUZZTIME ?= 10s
 
-.PHONY: build test vet lint staticcheck govulncheck race fuzz verify bench bench-smoke benchmark benchmark-compare load-smoke drift-smoke shard-smoke chaos
+.PHONY: build test vet lint staticcheck govulncheck race fuzz verify bench bench-smoke benchmark benchmark-compare exp-smoke
 
 build:
 	$(GO) build ./...
@@ -107,23 +105,11 @@ benchmark-compare:
 	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make benchmark-compare OLD=<run.json|dir> NEW=<run.json|dir>"; exit 2; }
 	$(GO) run ./benchmark -compare $(OLD) $(NEW)
 
-# A short E14 run: the serving layer under open-loop load. Fails loudly
-# if cached results diverge from uncached baselines or serving errors.
-load-smoke:
-	$(GO) run ./cmd/lqo-bench -exp E14 -load-qps 100 -load-dur 3s
-
-# A short E15 run: the closed adaptation loop over a drifting catalog.
-# Fails loudly if the loop errors; the printed table shows whether the
-# adaptive arm held its GMRL while the frozen baseline degraded.
-drift-smoke:
-	$(GO) run ./cmd/lqo-bench -exp E15 -adapt-stages 2
-
-# A short E16 run: the shard-scans rewrite plus scatter-gather execution
-# at fan-outs 1/2/4. Fails loudly if any sharded run's Count, Value or
-# charged WorkUnits diverge from the serial ReferenceRun of the unsharded
-# plan or of the sharded plan itself (the oracle on Merge leaves).
-shard-smoke:
-	$(GO) run ./cmd/lqo-bench -exp E16 -shards 1,2,4 -repeat 2
-
-chaos:
-	$(GO) run ./cmd/lqo-bench -chaos
+# The runtime experiments at quick scale, seed 42, with the fixed
+# parameters every lqo-bench run uses (about 5 s together). lqo-bench
+# exits 1 when any of them fails: E14 when a served answer diverges from
+# its uncached baseline, E16 when a sharded run's Count, Value or charged
+# WorkUnits diverge from the serial reference, any of them when a run it
+# builds on (baseline, oracle, training, the adaptation loop) errors.
+exp-smoke:
+	$(GO) run ./cmd/lqo-bench -exp E10,E14,E15,E16

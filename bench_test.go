@@ -1,6 +1,7 @@
-// Package lqo's root benchmarks regenerate every experiment table (E1–E8,
-// one benchmark per table — see DESIGN.md's experiment index) plus
-// micro-benchmarks for the hot paths. Run:
+// Package lqo's root benchmarks regenerate experiment tables E1–E9 (one
+// benchmark per table, each run from bench.Experiments with its fixed
+// parameters — see DESIGN.md's experiment index) plus micro-benchmarks
+// for the hot paths. Run:
 //
 //	go test -bench=. -benchmem
 //
@@ -12,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -43,6 +45,17 @@ func sharedEnv(b *testing.B) *bench.Env {
 	return envVal
 }
 
+// freshEnv builds a private quick-scale environment, for E2, which
+// mutates its catalog.
+func freshEnv(b *testing.B) *bench.Env {
+	b.Helper()
+	env, err := bench.NewEnv("stats", bench.QuickScale(), 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return env
+}
+
 var printed sync.Map
 
 func report(b *testing.B, rep *bench.Report, err error) {
@@ -55,80 +68,29 @@ func report(b *testing.B, rep *bench.Report, err error) {
 	}
 }
 
-func BenchmarkE1CardinalityQError(b *testing.B) {
-	env := sharedEnv(b)
-	for i := 0; i < b.N; i++ {
-		rep, err := bench.E1Cardinality(env)
+// benchExperiment regenerates experiment id from bench.Experiments b.N
+// times, each on the environment newEnv returns.
+func benchExperiment(b *testing.B, id string, newEnv func(*testing.B) *bench.Env) {
+	b.Helper()
+	i := slices.IndexFunc(bench.Experiments, func(e bench.Experiment) bool { return e.ID == id })
+	if i < 0 {
+		b.Fatalf("no experiment %s", id)
+	}
+	for n := 0; n < b.N; n++ {
+		rep, err := bench.Experiments[i].Run(context.Background(), newEnv(b))
 		report(b, rep, err)
 	}
 }
 
-func BenchmarkE2Drift(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		env, err := bench.NewEnv("stats", bench.QuickScale(), 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := bench.E2Drift(env, []string{"histogram", "gbdt", "naru", "spn", "factorjoin", "uae"})
-		report(b, rep, err)
-	}
-}
-
-func BenchmarkE3CostModel(b *testing.B) {
-	env := sharedEnv(b)
-	for i := 0; i < b.N; i++ {
-		rep, err := bench.E3CostModel(context.Background(), env)
-		report(b, rep, err)
-	}
-}
-
-func BenchmarkE4JoinOrder(b *testing.B) {
-	env := sharedEnv(b)
-	for i := 0; i < b.N; i++ {
-		rep, err := bench.E4JoinOrder(env, []int{3, 4, 5, 6, 8, 10}, 8)
-		report(b, rep, err)
-	}
-}
-
-func BenchmarkE5EndToEnd(b *testing.B) {
-	env := sharedEnv(b)
-	for i := 0; i < b.N; i++ {
-		rep, err := bench.E5EndToEnd(env)
-		report(b, rep, err)
-	}
-}
-
-func BenchmarkE6Eraser(b *testing.B) {
-	env := sharedEnv(b)
-	for i := 0; i < b.N; i++ {
-		rep, err := bench.E6Eraser(env)
-		report(b, rep, err)
-	}
-}
-
-func BenchmarkE7PilotScope(b *testing.B) {
-	env := sharedEnv(b)
-	for i := 0; i < b.N; i++ {
-		rep, err := bench.E7PilotScope(context.Background(), env)
-		report(b, rep, err)
-	}
-}
-
-func BenchmarkE8Ablations(b *testing.B) {
-	env := sharedEnv(b)
-	for i := 0; i < b.N; i++ {
-		rep, err := bench.E8Ablations(context.Background(), env)
-		report(b, rep, err)
-	}
-}
-
-func BenchmarkE9Throughput(b *testing.B) {
-	env := sharedEnv(b)
-	for i := 0; i < b.N; i++ {
-		rep, err := bench.E9Throughput(context.Background(), env, []int{1, 4, 8}, 0, 1, 0)
-		report(b, rep, err)
-	}
-}
+func BenchmarkE1CardinalityQError(b *testing.B) { benchExperiment(b, "E1", sharedEnv) }
+func BenchmarkE2Drift(b *testing.B)             { benchExperiment(b, "E2", freshEnv) }
+func BenchmarkE3CostModel(b *testing.B)         { benchExperiment(b, "E3", sharedEnv) }
+func BenchmarkE4JoinOrder(b *testing.B)         { benchExperiment(b, "E4", sharedEnv) }
+func BenchmarkE5EndToEnd(b *testing.B)          { benchExperiment(b, "E5", sharedEnv) }
+func BenchmarkE6Eraser(b *testing.B)            { benchExperiment(b, "E6", sharedEnv) }
+func BenchmarkE7PilotScope(b *testing.B)        { benchExperiment(b, "E7", sharedEnv) }
+func BenchmarkE8Ablations(b *testing.B)         { benchExperiment(b, "E8", sharedEnv) }
+func BenchmarkE9Throughput(b *testing.B)        { benchExperiment(b, "E9", sharedEnv) }
 
 // --- Micro-benchmarks for the hot paths the experiments exercise ---
 

@@ -17,45 +17,6 @@ import (
 	"lqo/internal/workload"
 )
 
-// AdaptOptions configures the E15 closed-loop adaptation benchmark.
-type AdaptOptions struct {
-	// Stages is the number of drift stages after the initial clean stage
-	// (default 3).
-	Stages int
-	// Traffic is the number of served queries per stage (default 40).
-	Traffic int
-	// Holdout is the per-stage gate holdout size (default 12).
-	Holdout int
-	// Fraction is the per-stage appended-row fraction (default 0.6).
-	Fraction float64
-	// DomainShift / ValueSkew select the drift modes applied each stage
-	// (defaults 0.6 and 2.5).
-	DomainShift float64
-	ValueSkew   float64
-}
-
-func (o AdaptOptions) withDefaults() AdaptOptions {
-	if o.Stages <= 0 {
-		o.Stages = 3
-	}
-	if o.Traffic <= 0 {
-		o.Traffic = 40
-	}
-	if o.Holdout <= 0 {
-		o.Holdout = 12
-	}
-	if o.Fraction <= 0 {
-		o.Fraction = 0.6
-	}
-	if o.DomainShift <= 0 {
-		o.DomainShift = 0.6
-	}
-	if o.ValueSkew <= 0 {
-		o.ValueSkew = 2.5
-	}
-	return o
-}
-
 // truthEstimator answers execution truth from a cardinality cache — the
 // oracle arm E15 scores both servers against. Sub-queries it cannot
 // execute score 1 (never happens on generator workloads).
@@ -80,8 +41,15 @@ func (t truthEstimator) Estimate(q *query.Query) float64 {
 // stage as its estimates go stale, while the adaptive arm retrains
 // through the regression gate and stays near its clean-stage GMRL at
 // 100% availability (the swap is atomic; no request is dropped).
-func E15Adaptation(ctx context.Context, env *Env, o AdaptOptions) (*Report, error) {
-	o = o.withDefaults()
+//
+// A clean stage is followed by 3 drift stages, each appending 60 % more
+// rows under value skew 2.5 and domain shift 0.6; every stage serves 40
+// queries and holds 12 out for the gate.
+func E15Adaptation(ctx context.Context, env *Env) (*Report, error) {
+	const (
+		stages, perStage, holdOut = 3, 40, 12
+		fraction, skew, shift     = 0.6, 2.5, 0.6
+	)
 	r := &Report{
 		ID:    "E15",
 		Title: fmt.Sprintf("Closed-loop adaptation under staged drift, dataset=%s", env.Name),
@@ -116,16 +84,16 @@ func E15Adaptation(ctx context.Context, env *Env, o AdaptOptions) (*Report, erro
 	})
 	adaptSrv.SetObserver(loop)
 
-	for stage := 0; stage <= o.Stages; stage++ {
+	for stage := 0; stage <= stages; stage++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if stage > 0 {
 			datagen.ApplyDrift(env.Cat, datagen.DriftOptions{
 				Seed:        env.Seed + 1000*int64(stage),
-				Fraction:    o.Fraction,
-				ValueSkew:   o.ValueSkew,
-				DomainShift: o.DomainShift,
+				Fraction:    fraction,
+				ValueSkew:   skew,
+				DomainShift: shift,
 			})
 		}
 		// Fresh truth for this stage's regime: labels the traffic, backs
@@ -133,13 +101,13 @@ func E15Adaptation(ctx context.Context, env *Env, o AdaptOptions) (*Report, erro
 		// would serve.
 		cache := exec.NewCardCache(env.Ex)
 		ls, err := workload.GenLabeled(env.Cat, cache, workload.Options{
-			Seed: env.Seed + 500*int64(stage), Count: o.Traffic + o.Holdout,
+			Seed: env.Seed + 500*int64(stage), Count: perStage + holdOut,
 			MaxJoins: 3, MaxPreds: 2,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("E15 stage %d workload: %w", stage, err)
 		}
-		holdout, traffic := ls[:o.Holdout], ls[o.Holdout:]
+		holdout, traffic := ls[:holdOut], ls[holdOut:]
 		loop.SetHoldout(holdout)
 		oracleOpt := opt.New(env.Cat, cost.New(env.Stats), truthEstimator{cache: cache})
 
@@ -196,7 +164,7 @@ func E15Adaptation(ctx context.Context, env *Env, o AdaptOptions) (*Report, erro
 		"GMRL = geo-mean(served work units / truth-oracle work units); 1.0 = oracle-quality plans",
 		"both servers run with feedback invalidation disabled so the measured delta is the adaptation loop alone",
 		fmt.Sprintf("drift per stage: fraction=%.2f value-skew=%.1f domain-shift=%.1f; loop: swaps=%d accepted=%d rollbacks=%d gate-rejects=%d",
-			o.Fraction, o.ValueSkew, o.DomainShift, st.Swaps, st.Accepted, st.Rollbacks, st.GateRejects),
+			fraction, skew, shift, st.Swaps, st.Accepted, st.Rollbacks, st.GateRejects),
 		"deterministic given -seed: drift, workloads, plans, and work units contain no wall-clock input",
 	)
 	return r, nil

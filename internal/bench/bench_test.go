@@ -111,7 +111,7 @@ func TestE1OnTinyEnv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := E1Cardinality(env)
+	rep, err := E1Cardinality(context.Background(), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestE4OnTinyEnv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := E4JoinOrder(env, []int{3, 4}, 3)
+	rep, err := E4JoinOrder(context.Background(), env)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -18,7 +19,7 @@ import (
 // methods dominate the traditional baseline on skewed correlated data;
 // query-driven methods sit between, strong where the test distribution
 // matches training.
-func E1Cardinality(env *Env) (*Report, error) {
+func E1Cardinality(_ context.Context, env *Env) (*Report, error) {
 	r := &Report{
 		ID:     "E1",
 		Title:  fmt.Sprintf("Cardinality estimation q-error, dataset=%s (train=%d test=%d)", env.Name, len(env.Train), len(env.Test)),
@@ -51,7 +52,8 @@ func E1Cardinality(env *Env) (*Report, error) {
 // then retrained. Expected shape: data-driven models degrade most when
 // stale (they memorized the old joint distribution) and recover fully on
 // retraining; the traditional baseline degrades least.
-func E2Drift(env *Env, estimators []string) (*Report, error) {
+func E2Drift(_ context.Context, env *Env) (*Report, error) {
+	estimators := []string{"histogram", "gbdt", "mscn", "naru", "spn", "factorjoin", "uae"}
 	r := &Report{
 		ID:     "E2",
 		Title:  fmt.Sprintf("Staleness under data drift, dataset=%s", env.Name),

@@ -10,37 +10,16 @@ import (
 	"lqo/internal/metrics"
 )
 
-// ChaosOptions tunes E10.
-type ChaosOptions struct {
-	// Rates are the per-call fault probabilities to sweep (default
-	// 0, 1%, 10%).
+// chaosOptions are E10's parameters; tests drive e10Chaos with their own.
+type chaosOptions struct {
+	// Rates are the per-call fault probabilities to sweep.
 	Rates []float64
 	// Timeout is the guarded planner's per-decision budget for the
-	// learned component (default 5ms).
+	// learned component.
 	Timeout time.Duration
-	// Hang is how long an injected hang stalls — longer than Timeout so
-	// hangs exercise the watchdog, finite so goroutines always join
-	// (default 20ms).
+	// Hang is how long an injected hang stalls: longer than Timeout so
+	// hangs exercise the watchdog, finite so goroutines always join.
 	Hang time.Duration
-	// QueryBudget is the per-query wall deadline (default 2s; generous —
-	// a tripped budget means the guardrails failed to contain a fault).
-	QueryBudget time.Duration
-}
-
-func (o ChaosOptions) withDefaults() ChaosOptions {
-	if len(o.Rates) == 0 {
-		o.Rates = []float64{0, 0.01, 0.10}
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 5 * time.Millisecond
-	}
-	if o.Hang <= 0 {
-		o.Hang = 20 * time.Millisecond
-	}
-	if o.QueryBudget <= 0 {
-		o.QueryBudget = 2 * time.Second
-	}
-	return o
 }
 
 // E10Chaos is the guardrail-runtime experiment: the learned planning path
@@ -49,9 +28,21 @@ func (o ChaosOptions) withDefaults() ChaosOptions {
 // isolation, per-decision timeout, circuit breaker, native fallback. The
 // claim under test is the tutorial's deployment bar: availability stays
 // at 100% and plan quality degrades gracefully no matter how often the
-// learned component misbehaves.
-func E10Chaos(ctx context.Context, env *Env, opts ChaosOptions) (*Report, error) {
-	opts = opts.withDefaults()
+// learned component misbehaves. It sweeps fault rates 0, 1 % and 10 %
+// with a 5 ms decision budget and 20 ms hangs.
+func E10Chaos(ctx context.Context, env *Env) (*Report, error) {
+	return e10Chaos(ctx, env, chaosOptions{
+		Rates:   []float64{0, 0.01, 0.10},
+		Timeout: 5 * time.Millisecond,
+		Hang:    20 * time.Millisecond,
+	})
+}
+
+// e10QueryBudget is E10's per-query wall deadline: generous, because a
+// tripped budget means the guardrails failed to contain a fault.
+const e10QueryBudget = 2 * time.Second
+
+func e10Chaos(ctx context.Context, env *Env, opts chaosOptions) (*Report, error) {
 	r := &Report{
 		ID: "E10",
 		Title: fmt.Sprintf("Chaos guardrails, dataset=%s (N=%d, decision budget %s, hang %s)",
@@ -99,7 +90,7 @@ func E10Chaos(ctx context.Context, env *Env, opts ChaosOptions) (*Report, error)
 			unavailed int
 		)
 		for i, l := range env.Test {
-			qctx, cancel := context.WithTimeout(ctx, opts.QueryBudget)
+			qctx, cancel := context.WithTimeout(ctx, e10QueryBudget)
 			start := time.Now()
 			p, learnedServed, err := g.Plan(qctx, l.Q)
 			planWall = append(planWall, float64(time.Since(start).Microseconds()))

@@ -16,7 +16,7 @@ func TestE10ChaosFullAvailability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := E10Chaos(context.Background(), env, ChaosOptions{
+	rep, err := e10Chaos(context.Background(), env, chaosOptions{
 		Rates:   []float64{0, 0.10, 0.40},
 		Timeout: 2 * time.Millisecond,
 		Hang:    10 * time.Millisecond,
@@ -68,7 +68,7 @@ func TestE10ChaosZeroRateUsesLearnedPath(t *testing.T) {
 	}
 	// A generous decision budget so cold-start planning never times out:
 	// at rate 0 every query must be served by the learned path.
-	rep, err := E10Chaos(context.Background(), env, ChaosOptions{Rates: []float64{0}, Timeout: time.Second})
+	rep, err := e10Chaos(context.Background(), env, chaosOptions{Rates: []float64{0}, Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 
 	"lqo/internal/exec"
 	"lqo/internal/metrics"
-	"lqo/internal/workload"
 )
 
 // ConcurrentOptions configures the concurrent workload runner.
@@ -29,8 +28,6 @@ type ConcurrentOptions struct {
 	// (Executor.BatchSize). <=0 means exec.DefaultBatchSize. Results are
 	// identical at every setting; only memory/wall-clock trade off.
 	BatchSize int
-	// Queries overrides the driven workload; nil means env.Test.
-	Queries []workload.Labeled
 }
 
 // ConcurrentResult is one concurrent run's measurement: throughput and
@@ -55,10 +52,7 @@ type ConcurrentResult struct {
 // concurrent readers); each goroutine gets its own executor and each
 // query execution its own plan tree, so no per-query state is shared.
 func RunConcurrent(ctx context.Context, env *Env, opts ConcurrentOptions) (*ConcurrentResult, error) {
-	qs := opts.Queries
-	if qs == nil {
-		qs = env.Test
-	}
+	qs := env.Test
 	if len(qs) == 0 {
 		return nil, fmt.Errorf("bench: concurrent run has no queries")
 	}
@@ -169,24 +163,21 @@ func checkConcurrentRun(base, res *ConcurrentResult) error {
 }
 
 // E9Throughput measures concurrent throughput scaling: the test workload
-// driven at each goroutine count in gs, reporting QPS, wall-clock latency
+// driven serially and at 8 goroutines, 3 passes each, with serial
+// operators and the default batch size, reporting QPS, wall-clock latency
 // quantiles and speedup over the serial run. It fails if any run's
 // per-query WorkUnits differ from the first run's or any query errors
-// (checkConcurrentRun), so every reported row reads identical. batchSize
-// sets the executors' tuples-per-batch (<=0 = exec.DefaultBatchSize); it
-// trades memory against per-batch overhead and never changes results.
-func E9Throughput(ctx context.Context, env *Env, gs []int, execWorkers, repeat, batchSize int) (*Report, error) {
-	if repeat < 1 {
-		repeat = 1
-	}
+// (checkConcurrentRun), so every reported row reads identical.
+func E9Throughput(ctx context.Context, env *Env) (*Report, error) {
+	const repeat = 3
 	r := &Report{
 		ID:     "E9",
-		Title:  fmt.Sprintf("Concurrent throughput, dataset=%s (N=%d×%d, exec workers=%d, batch=%d)", env.Name, len(env.Test), repeat, execWorkers, batchSize),
+		Title:  fmt.Sprintf("Concurrent throughput, dataset=%s (N=%d×%d, serial operators, default batch)", env.Name, len(env.Test), repeat),
 		Header: []string{"goroutines", "qps", "speedup", "lat p50 ms", "lat p95 ms", "lat p99 ms", "workunits", "errors"},
 	}
 	var base *ConcurrentResult
-	for _, g := range gs {
-		res, err := RunConcurrent(ctx, env, ConcurrentOptions{Goroutines: g, ExecWorkers: execWorkers, Repeat: repeat, BatchSize: batchSize})
+	for _, g := range []int{1, 8} {
+		res, err := RunConcurrent(ctx, env, ConcurrentOptions{Goroutines: g, Repeat: repeat})
 		if err != nil {
 			return nil, err
 		}

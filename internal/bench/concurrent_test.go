@@ -58,7 +58,7 @@ func TestE9ThroughputReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := E9Throughput(context.Background(), env, []int{1, 4}, 0, 1, 0)
+	rep, err := E9Throughput(context.Background(), env)
 	if err != nil {
 		t.Fatal(err)
 	}

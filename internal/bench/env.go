@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"lqo/internal/cardest"
@@ -85,4 +86,30 @@ func (e *Env) CardestContext() *cardest.Context {
 		train[i] = cardest.Sample{Q: l.Q, Card: l.Card}
 	}
 	return &cardest.Context{Cat: e.Cat, Stats: e.Stats, Train: train, Seed: e.Seed}
+}
+
+// Experiment is one regenerated table. Run builds it on env with the
+// experiment's fixed parameters, so a table depends only on the
+// environment's dataset, scale and seed.
+type Experiment struct {
+	ID  string
+	Run func(ctx context.Context, env *Env) (*Report, error)
+}
+
+// Experiments is the only list of experiments, in table order: lqo-bench
+// and the root package's benchmarks run these and nothing else.
+var Experiments = []Experiment{
+	{"E1", E1Cardinality},
+	{"E2", E2Drift},
+	{"E3", E3CostModel},
+	{"E4", E4JoinOrder},
+	{"E5", E5EndToEnd},
+	{"E6", E6Eraser},
+	{"E7", E7PilotScope},
+	{"E8", E8Ablations},
+	{"E9", E9Throughput},
+	{"E10", E10Chaos},
+	{"E14", E14SustainedLoad},
+	{"E15", E15Adaptation},
+	{"E16", E16Sharding},
 }

@@ -13,52 +13,22 @@ import (
 	"lqo/internal/serve"
 )
 
-// LoadOptions configures the E14 open-loop sustained-load benchmark.
+// LoadOptions are E14's parameters; tests drive RunLoad and
+// e14SustainedLoad with their own.
 type LoadOptions struct {
-	// QPSLevels are the target arrival rates to sweep (default {200, 1000}).
+	// QPSLevels are the target arrival rates to sweep.
 	QPSLevels []float64
-	// Duration is the measured open-loop phase length per level
-	// (default 1s).
+	// Duration is the measured open-loop phase length per level.
 	Duration time.Duration
 	// Distinct is how many distinct queries make up the repeated mix
-	// (default 8, capped at the test workload size).
+	// (capped at the test workload size).
 	Distinct int
-	// Goroutines is the serving worker count (default GOMAXPROCS).
-	Goroutines int
-	// Tenants spreads requests round-robin over this many tenants
-	// (default 4).
+	// Tenants spreads requests round-robin over this many tenants.
 	Tenants int
-	// SLOms is the end-to-end latency objective used for attainment
-	// reporting (default 50ms).
-	SLOms float64
-	// Serve overrides the server configuration (zero = serve defaults).
-	Serve serve.Config
 }
 
-func (o LoadOptions) withDefaults(env *Env) LoadOptions {
-	if len(o.QPSLevels) == 0 {
-		o.QPSLevels = []float64{200, 1000}
-	}
-	if o.Duration <= 0 {
-		o.Duration = time.Second
-	}
-	if o.Distinct <= 0 {
-		o.Distinct = 8
-	}
-	if o.Distinct > len(env.Test) {
-		o.Distinct = len(env.Test)
-	}
-	if o.Goroutines <= 0 {
-		o.Goroutines = runtime.GOMAXPROCS(0)
-	}
-	if o.Tenants <= 0 {
-		o.Tenants = 4
-	}
-	if o.SLOms <= 0 {
-		o.SLOms = 50
-	}
-	return o
-}
+// loadSLOms is E14's end-to-end latency objective, in milliseconds.
+const loadSLOms = 50
 
 // LoadResult is one sustained-load measurement at a single target rate.
 type LoadResult struct {
@@ -67,7 +37,7 @@ type LoadResult struct {
 	N           int // requests driven in the measured phase
 	HitRate     float64
 	LatencyMs   metrics.Quantiles // from scheduled arrival to completion
-	SLOAttained float64           // fraction of requests within SLOms
+	SLOAttained float64           // fraction of requests within loadSLOms
 	ColdPlanMs  metrics.Quantiles // planning time on cache misses (warmup)
 	HitPlanMs   metrics.Quantiles // planning time on cache hits
 	Errors      int
@@ -86,9 +56,8 @@ type LoadResult struct {
 // healthy cache serves nearly every request with a hit. Served results
 // are checked against uncached baseline executions of the same queries.
 func RunLoad(ctx context.Context, env *Env, targetQPS float64, opts LoadOptions) (*LoadResult, error) {
-	opts = opts.withDefaults(env)
-	mix := env.Test[:opts.Distinct]
-	srv := serve.New(env.Cat, env.Base, env.Ex, opts.Serve)
+	mix := env.Test[:min(opts.Distinct, len(env.Test))]
+	srv := serve.New(env.Cat, env.Base, env.Ex, serve.Config{})
 
 	// Uncached baselines: plan and execute each distinct query outside
 	// the serving layer.
@@ -128,10 +97,11 @@ func RunLoad(ctx context.Context, env *Env, targetQPS float64, opts LoadOptions)
 	var errs, mismatches atomic.Int64
 	var next atomic.Int64
 
+	workers := runtime.GOMAXPROCS(0)
 	start := time.Now()
 	var wg sync.WaitGroup
-	wg.Add(opts.Goroutines)
-	for w := 0; w < opts.Goroutines; w++ {
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
@@ -172,7 +142,7 @@ func RunLoad(ctx context.Context, env *Env, targetQPS float64, opts LoadOptions)
 			hits++
 			hitPlanMs = append(hitPlanMs, hitPlan[i])
 		}
-		if latency[i] <= opts.SLOms {
+		if latency[i] <= loadSLOms {
 			within++
 		}
 	}
@@ -201,16 +171,25 @@ func checkLoadRun(res *LoadResult) error {
 }
 
 // E14SustainedLoad measures the serving layer under open-loop sustained
-// load: a mixed repeated workload replayed at each target rate, reporting
-// achieved throughput, plan-cache hit rate, tail latency against the SLO,
-// and the cold-vs-hit planning-time split the plan cache exists to buy.
-// It fails if any served answer differs from its baseline (checkLoadRun).
-func E14SustainedLoad(ctx context.Context, env *Env, opts LoadOptions) (*Report, error) {
-	opts = opts.withDefaults(env)
+// load: a mix of 8 test queries replayed for 1 s at 200 and at 1000
+// qps over 4 tenants, reporting achieved throughput, plan-cache hit rate,
+// tail latency against a 50 ms SLO, and the cold-vs-hit planning-time
+// split the plan cache exists to buy. It fails if any served answer
+// differs from its baseline (checkLoadRun).
+func E14SustainedLoad(ctx context.Context, env *Env) (*Report, error) {
+	return e14SustainedLoad(ctx, env, LoadOptions{
+		QPSLevels: []float64{200, 1000},
+		Duration:  time.Second,
+		Distinct:  8,
+		Tenants:   4,
+	})
+}
+
+func e14SustainedLoad(ctx context.Context, env *Env, opts LoadOptions) (*Report, error) {
 	r := &Report{
 		ID: "E14",
-		Title: fmt.Sprintf("Open-loop sustained load, dataset=%s (mix=%d queries, %s/level, workers=%d, SLO=%.0fms)",
-			env.Name, opts.Distinct, opts.Duration, opts.Goroutines, opts.SLOms),
+		Title: fmt.Sprintf("Open-loop sustained load, dataset=%s (mix=%d queries, %s/level, workers=%d, SLO=%dms)",
+			env.Name, min(opts.Distinct, len(env.Test)), opts.Duration, runtime.GOMAXPROCS(0), loadSLOms),
 		Header: []string{"target qps", "achieved", "hit rate", "lat p50 ms", "lat p95 ms", "lat p99 ms", "SLO ok", "cold plan p99 ms", "hit plan p99 ms", "plan speedup", "results", "errors"},
 	}
 	for _, qps := range opts.QPSLevels {

@@ -48,10 +48,11 @@ func TestE14SustainedLoadReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := E14SustainedLoad(context.Background(), env, LoadOptions{
+	rep, err := e14SustainedLoad(context.Background(), env, LoadOptions{
 		QPSLevels: []float64{200, 600},
 		Duration:  200 * time.Millisecond,
 		Distinct:  4,
+		Tenants:   4,
 	})
 	if err != nil {
 		t.Fatal(err)

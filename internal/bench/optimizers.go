@@ -95,7 +95,8 @@ func E3CostModel(ctx context.Context, env *Env) (*Report, error) {
 // count. Expected shape: RL methods close most of the random-to-DP gap
 // after training; MCTS tracks DP using only per-query search; greedy sits
 // near DP on easy graphs and drifts on deep ones.
-func E4JoinOrder(env *Env, joinCounts []int, queriesPer int) (*Report, error) {
+func E4JoinOrder(_ context.Context, env *Env) (*Report, error) {
+	joinCounts, queriesPer := []int{3, 4, 5, 6, 8, 10}, 8
 	r := &Report{
 		ID:    "E4",
 		Title: fmt.Sprintf("Join order search: geo cost ratio vs DP, dataset=%s", env.Name),
@@ -170,7 +171,7 @@ func E4JoinOrder(env *Env, joinCounts []int, queriesPer int) (*Report, error) {
 // native optimizer, plus per-query regression counts. Expected shape:
 // steering methods (Bao/Lero) improve totals with a few regressions;
 // regressions motivate E6.
-func E5EndToEnd(env *Env) (*Report, error) {
+func E5EndToEnd(_ context.Context, env *Env) (*Report, error) {
 	r := &Report{
 		ID:     "E5",
 		Title:  fmt.Sprintf("End-to-end learned optimizers, dataset=%s (%d test queries)", env.Name, len(env.Test)),
@@ -263,7 +264,7 @@ func sum(v []float64) float64 {
 // and falling back to the native optimizer elsewhere — removes (nearly)
 // all regressions while keeping most of the improvement. The stage-1-only
 // row shows both of Eraser's stages matter.
-func E6Eraser(env *Env) (*Report, error) {
+func E6Eraser(_ context.Context, env *Env) (*Report, error) {
 	r := &Report{
 		ID:     "E6",
 		Title:  fmt.Sprintf("Eraser regression elimination, dataset=%s", env.Name),

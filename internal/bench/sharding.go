@@ -27,14 +27,11 @@ const e16Rows = 400_000
 // and the full CostStats (charged WorkUnits included) must be identical,
 // because the merge operator charges the canonical analytic scan cost and
 // the k-way merge restores the unsharded row order. Only wall clock may
-// change; the table reports the speedup over the single-shard run.
-func E16Sharding(ctx context.Context, env *Env, shardCounts []int, repeat int) (*Report, error) {
-	if repeat < 1 {
-		repeat = 1
-	}
-	if len(shardCounts) == 0 {
-		shardCounts = []int{1, 2, 4}
-	}
+// change; the table reports the speedup over the single-shard run. It
+// runs fan-outs 1, 2 and 4 and times each plan as the best of 3 runs.
+func E16Sharding(ctx context.Context, env *Env) (*Report, error) {
+	const repeat = 3
+	shardCounts := []int{1, 2, 4}
 	// Join partner: the catalog's largest declared FK parent table.
 	var parent *data.Table
 	for _, fk := range env.Cat.FKs() {

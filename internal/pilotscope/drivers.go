@@ -206,8 +206,10 @@ type LeroDriver struct {
 	db DB
 }
 
-// leroComparator is a thin indirection so the driver depends only on what
-// it needs; backed by the learnedopt pairwise model's twin implementation.
+// leroComparator ranks two plans by a costmodel.GBDTCost latency
+// regressor trained on the executed plans: the plan with the lower
+// predicted latency wins. It is pointwise, not the learnedopt Lero's
+// pairwise model.
 type leroComparator struct {
 	f   *costmodel.PlanFeaturizer
 	gb  *costmodel.GBDTCost
