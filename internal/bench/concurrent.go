@@ -18,9 +18,6 @@ type ConcurrentOptions struct {
 	// Goroutines is the inter-query parallelism degree G: how many
 	// worker goroutines pull queries from the shared stream. <=0 means 1.
 	Goroutines int
-	// ExecWorkers is the intra-query parallelism handed to each
-	// executor (Executor.Workers). <=0 means serial operators.
-	ExecWorkers int
 	// Repeat runs the whole workload this many times (more samples for
 	// stable QPS numbers). <=0 means 1.
 	Repeat int
@@ -34,15 +31,14 @@ type ConcurrentOptions struct {
 // wall-clock latency quantiles alongside the deterministic work-unit
 // metrics the workbench is judged by.
 type ConcurrentResult struct {
-	Goroutines  int
-	ExecWorkers int
-	N           int           // queries driven (workload × repeats)
-	Wall        time.Duration // total wall-clock for the run
-	QPS         float64       // N / Wall
-	LatencyMs   metrics.Quantiles
+	Goroutines int
+	N          int           // queries driven (workload × repeats)
+	Wall       time.Duration // total wall-clock for the run
+	QPS        float64       // N / Wall
+	LatencyMs  metrics.Quantiles
 	// WorkUnits holds per-query charged work in workload order (first
 	// pass only): the deterministic latency proxy, identical at every
-	// Goroutines/ExecWorkers setting by construction.
+	// Goroutines setting by construction.
 	WorkUnits []float64
 	Errors    int
 }
@@ -91,7 +87,6 @@ func RunConcurrent(ctx context.Context, env *Env, opts ConcurrentOptions) (*Conc
 		go func() {
 			defer wg.Done()
 			ex := exec.New(env.Cat)
-			ex.Workers = opts.ExecWorkers
 			ex.BatchSize = opts.BatchSize
 			for {
 				si := int(next.Add(1)) - 1
@@ -123,14 +118,13 @@ func RunConcurrent(ctx context.Context, env *Env, opts ConcurrentOptions) (*Conc
 	wall := time.Since(start)
 
 	r := &ConcurrentResult{
-		Goroutines:  g,
-		ExecWorkers: opts.ExecWorkers,
-		N:           total,
-		Wall:        wall,
-		QPS:         float64(total) / wall.Seconds(),
-		LatencyMs:   metrics.Summarize(latency),
-		WorkUnits:   work,
-		Errors:      int(errs.Load()),
+		Goroutines: g,
+		N:          total,
+		Wall:       wall,
+		QPS:        float64(total) / wall.Seconds(),
+		LatencyMs:  metrics.Summarize(latency),
+		WorkUnits:  work,
+		Errors:     int(errs.Load()),
 	}
 	return r, nil
 }
@@ -154,10 +148,10 @@ func WorkUnitsEqual(a, b *ConcurrentResult) bool {
 // per-query WorkUnits of base, the first run, and no query failed.
 func checkConcurrentRun(base, res *ConcurrentResult) error {
 	if !WorkUnitsEqual(base, res) {
-		return fmt.Errorf("goroutines=%d exec-workers=%d: per-query WorkUnits diverged from the first run", res.Goroutines, res.ExecWorkers)
+		return fmt.Errorf("goroutines=%d: per-query WorkUnits diverged from the first run", res.Goroutines)
 	}
 	if res.Errors > 0 {
-		return fmt.Errorf("goroutines=%d exec-workers=%d: %d of %d queries failed", res.Goroutines, res.ExecWorkers, res.Errors, res.N)
+		return fmt.Errorf("goroutines=%d: %d of %d queries failed", res.Goroutines, res.Errors, res.N)
 	}
 	return nil
 }

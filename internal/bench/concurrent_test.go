@@ -6,8 +6,8 @@ import (
 )
 
 // TestRunConcurrentDeterministicWorkUnits is the harness-level contract:
-// driving the workload at different inter- and intra-query parallelism
-// degrees must leave every per-query WorkUnits label unchanged.
+// driving the workload at different goroutine counts, repeats and batch
+// sizes must leave every per-query WorkUnits label unchanged.
 func TestRunConcurrentDeterministicWorkUnits(t *testing.T) {
 	env, err := NewEnv("stats", tinyScale(), 17)
 	if err != nil {
@@ -25,17 +25,17 @@ func TestRunConcurrentDeterministicWorkUnits(t *testing.T) {
 	}
 	for _, opts := range []ConcurrentOptions{
 		{Goroutines: 4},
-		{Goroutines: 8, ExecWorkers: 2},
+		{Goroutines: 8},
 		{Goroutines: 2, Repeat: 2},
 		{Goroutines: 4, BatchSize: 1},
-		{Goroutines: 4, ExecWorkers: 2, BatchSize: 64},
+		{Goroutines: 4, BatchSize: 64},
 	} {
 		res, err := RunConcurrent(context.Background(), env, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !WorkUnitsEqual(serial, res) {
-			t.Errorf("G=%d W=%d: per-query WorkUnits diverged from serial run", opts.Goroutines, opts.ExecWorkers)
+			t.Errorf("G=%d batch=%d: per-query WorkUnits diverged from serial run", opts.Goroutines, opts.BatchSize)
 		}
 		if res.Errors != serial.Errors {
 			t.Errorf("G=%d: errors=%d, serial %d", opts.Goroutines, res.Errors, serial.Errors)
@@ -78,7 +78,7 @@ func TestE9ThroughputReport(t *testing.T) {
 func TestCheckConcurrentRun(t *testing.T) {
 	base := &ConcurrentResult{Goroutines: 1, N: 3, WorkUnits: []float64{1.5, 2, 3}}
 	run := func(wu []float64, errs int) *ConcurrentResult {
-		return &ConcurrentResult{Goroutines: 4, ExecWorkers: 2, N: 3, WorkUnits: wu, Errors: errs}
+		return &ConcurrentResult{Goroutines: 4, N: 3, WorkUnits: wu, Errors: errs}
 	}
 	for _, c := range []struct {
 		name string

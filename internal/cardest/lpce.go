@@ -2,6 +2,7 @@ package cardest
 
 import (
 	"math"
+	"slices"
 
 	"lqo/internal/query"
 )
@@ -22,7 +23,14 @@ type LPCE struct {
 	// Damping in (0, 1] tempers the propagated correction (default 0.8).
 	Damping float64
 
-	observed map[string]float64 // sub-query key → true/est ratio
+	observed map[string]lpceObs // sub-query key → its correction
+}
+
+// lpceObs is one executed sub-query's correction: its true/est ratio and
+// its aliases, the set a containing query must cover.
+type lpceObs struct {
+	ratio   float64
+	aliases []string
 }
 
 // NewLPCE returns an LPCE wrapper around the default initial model.
@@ -35,7 +43,7 @@ func (e *LPCE) Name() string { return "lpce" }
 
 // Train trains the initial model and clears feedback.
 func (e *LPCE) Train(ctx *Context) error {
-	e.observed = make(map[string]float64)
+	e.observed = make(map[string]lpceObs)
 	return e.Initial.Train(ctx)
 }
 
@@ -49,41 +57,37 @@ func (e *LPCE) Observe(sub *query.Query, trueCard float64) {
 	if trueCard <= 0 {
 		trueCard = 0.5 // avoid zero ratios; "almost empty" is still a signal
 	}
-	e.observed[sub.Key()] = trueCard / est
+	e.observed[sub.Key()] = lpceObs{ratio: trueCard / est, aliases: sub.Aliases()}
 }
 
 // Reset clears execution feedback (call between queries).
 func (e *LPCE) Reset() {
-	e.observed = make(map[string]float64)
+	e.observed = make(map[string]lpceObs)
 }
 
 // Estimate refines the initial estimate with the strongest applicable
-// observed correction: the ratio of the largest observed sub-query whose
-// aliases are all contained in q.
+// observed correction: the ratio of the largest observed proper
+// sub-query whose aliases are all contained in q (ties broken by the
+// smaller key, so the choice does not depend on map order).
 func (e *LPCE) Estimate(q *query.Query) float64 {
 	base := e.Initial.Estimate(q)
 	if len(e.observed) == 0 {
 		return base
 	}
 	// Exact match: the true cardinality is known.
-	if r, ok := e.observed[q.Key()]; ok {
-		return base * r
+	if o, ok := e.observed[q.Key()]; ok {
+		return base * o.ratio
 	}
-	qAliases := map[string]bool{}
-	for _, a := range q.Aliases() {
-		qAliases[a] = true
-	}
-	bestSize := 0
-	bestRatio := 1.0
-	for key, r := range e.observed {
-		sz := subKeySize(key)
-		if sz <= bestSize || sz >= len(qAliases) {
+	bestKey, bestSize, bestRatio := "", 0, 1.0
+	for key, o := range e.observed {
+		sz := len(o.aliases)
+		if sz < bestSize || (sz == bestSize && key > bestKey) || sz >= len(q.Refs) {
 			continue
 		}
-		if keyContained(key, qAliases) {
-			bestSize = sz
-			bestRatio = r
+		if slices.ContainsFunc(o.aliases, func(a string) bool { return q.TableOf(a) == "" }) {
+			continue // the sub-query reads an alias q does not have
 		}
+		bestKey, bestSize, bestRatio = key, sz, o.ratio
 	}
 	if bestSize == 0 {
 		return base
@@ -96,47 +100,4 @@ func powDamped(r, d float64) float64 {
 		return 1
 	}
 	return math.Pow(r, d)
-}
-
-// subKeySize counts the aliases in a query Key (refs section).
-func subKeySize(key string) int {
-	n, i := 1, 0
-	for ; i < len(key) && key[i] != '|'; i++ {
-		if key[i] == ',' {
-			n++
-		}
-	}
-	if i == 0 {
-		return 0
-	}
-	return n
-}
-
-// keyContained reports whether every alias of the keyed sub-query appears
-// in the alias set.
-func keyContained(key string, aliases map[string]bool) bool {
-	refs := key
-	for i := 0; i < len(key); i++ {
-		if key[i] == '|' {
-			refs = key[:i]
-			break
-		}
-	}
-	start := 0
-	for i := 0; i <= len(refs); i++ {
-		if i == len(refs) || refs[i] == ',' {
-			entry := refs[start:i]
-			// entry is "alias:table".
-			for k := 0; k < len(entry); k++ {
-				if entry[k] == ':' {
-					if !aliases[entry[:k]] {
-						return false
-					}
-					break
-				}
-			}
-			start = i + 1
-		}
-	}
-	return true
 }

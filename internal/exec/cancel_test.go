@@ -1,6 +1,5 @@
 // Cancellation-path tests: a context canceled before or during execution
-// must abort the run with ctx.Err(), on the serial and the parallel path
-// alike, and must never leak worker goroutines.
+// must abort the run with ctx.Err(), and must never leak goroutines.
 package exec_test
 
 import (
@@ -33,41 +32,35 @@ func TestRunCtxDeadlineExceeded(t *testing.T) {
 	cat := datagen.StatsCEB(datagen.Config{Seed: 7, Scale: 0.6})
 	queries := workload.GenWorkload(cat, workload.Options{Seed: 11, Count: 10, MaxJoins: 3, MaxPreds: 2})
 
-	for _, workers := range []int{1, 8} {
-		ex := exec.New(cat)
-		ex.Workers = workers
-		// An already-expired deadline: every query must abort with
-		// DeadlineExceeded before any (serial or partitioned) loop runs to
-		// completion.
-		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-		for _, q := range queries {
-			_, err := ex.RunCtx(ctx, q, planFor(t, q))
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("workers=%d: err = %v, want context.DeadlineExceeded", workers, err)
-			}
+	ex := exec.New(cat)
+	// An already-expired deadline: every query must abort with
+	// DeadlineExceeded before any loop runs to completion.
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for _, q := range queries {
+		_, err := ex.RunCtx(ctx, q, planFor(t, q))
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 		}
-		cancel()
 	}
 }
 
 // TestRunCtxCancelLeaksNoGoroutines pins the acceptance criterion that a
-// timed-out query cleans up after itself: the fork-join pools are joined
-// before RunCtx returns, so the goroutine count settles back to the
-// baseline.
+// timed-out query cleans up after itself: nothing it started outlives
+// RunCtx, so the goroutine count settles back to the baseline.
 func TestRunCtxCancelLeaksNoGoroutines(t *testing.T) {
 	cat := datagen.StatsCEB(datagen.Config{Seed: 7, Scale: 0.6})
 	queries := workload.GenWorkload(cat, workload.Options{Seed: 13, Count: 8, MaxJoins: 3, MaxPreds: 2})
 
 	before := runtime.NumGoroutine()
 	ex := exec.New(cat)
-	ex.Workers = 8
 	for i, q := range queries {
 		// Alternate between an expired deadline and a mid-flight cancel.
 		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%3)*50*time.Microsecond)
 		_, _ = ex.RunCtx(ctx, q, planFor(t, q))
 		cancel()
 	}
-	// Give any (hypothetically) stray workers a moment to show up.
+	// Give any (hypothetically) stray goroutines a moment to show up.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= before {

@@ -74,11 +74,10 @@ type Result struct {
 }
 
 // Executor runs physical plans against a catalog. Plans execute as a
-// pipeline of streaming batch operators (see operator.go); with
-// Workers > 1 the large-fanout phases (sequential-scan filtering, the
-// hash-join probe) fork each segment across a worker pool. Results,
-// the Cards record and charged WorkUnits are identical at every worker
-// count and batch size; only wall-clock changes.
+// pipeline of streaming batch operators (see operator.go), every one on
+// the caller's goroutine; the only fan-out is a Merge leaf's shard scans
+// (shard.go). Results, the Cards record and charged WorkUnits are
+// identical at every batch size and shard count; only wall-clock changes.
 //
 // An Executor is safe for concurrent use by multiple goroutines. RunCtx
 // only reads the plan — per-run state lives in the operators and the
@@ -88,9 +87,9 @@ type Executor struct {
 	// MaxIntermediate caps materialized intermediate sizes; exceeded plans
 	// fail rather than exhaust memory. 0 means the default (5M tuples).
 	MaxIntermediate int
-	// Workers is the intra-query parallelism degree. 0 or 1 means serial
-	// execution; values above 1 partition scans and hash-join probes
-	// across that many goroutines.
+	// Workers is ignored: every operator runs on the caller's goroutine.
+	// It is kept only until the benchmark harness, which assigns it, drops
+	// that assignment; nothing in the executor reads it.
 	Workers int
 	// BatchSize is the number of rows per batch streamed between
 	// operators. 0 means DefaultBatchSize. It trades per-batch overhead
@@ -143,10 +142,10 @@ const cancelCheckRows = 4096
 // plan node's true cardinality (Result.Cards). A generic plan's scan
 // leaves bind q's predicates when they open. Every operator's Next checks
 // ctx at batch boundaries and every cancelCheckRows rows inside tight
-// loops (serial and parallel), so a query past its deadline — or
-// canceled by its caller — aborts promptly with ctx.Err() instead of
-// running to completion. All worker goroutines observe the same context and are
-// joined before RunCtx returns; cancellation never leaks goroutines.
+// loops, so a query past its deadline — or canceled by its caller —
+// aborts promptly with ctx.Err() instead of running to completion. Shard
+// scans observe the same context and are joined before RunCtx returns;
+// cancellation never leaks goroutines.
 func (e *Executor) RunCtx(ctx context.Context, q *query.Query, p *plan.Node) (*Result, error) {
 	res, _, err := e.run(ctx, q, p, false)
 	return res, err

@@ -163,3 +163,31 @@ func TestRunUnknownTableErrors(t *testing.T) {
 		t.Fatal("unknown table accepted")
 	}
 }
+
+// TestProductExceedsOverflow is the regression test for the cross-product
+// cap guard: the old code computed left.Len()*right.Len() in int, which
+// wraps negative on overflow and sails past the `> maxRows` comparison.
+func TestProductExceedsOverflow(t *testing.T) {
+	const cap32 = 5_000_000
+	cases := []struct {
+		a, b, limit int
+		want        bool
+	}{
+		{10, 10, cap32, false},
+		{cap32, 1, cap32, false},
+		{cap32, 2, cap32, true},
+		{cap32 + 1, 1, cap32, true},
+		// Pre-fix: 1<<31 * 1<<33 = 1<<64 wraps to 0 in int/int64 and the
+		// guard judged the cross product "small enough".
+		{1 << 31, 1 << 33, cap32, true},
+		// Pre-fix: this product is ~2^62.4; in 32-bit int it wraps, and
+		// even int64 arithmetic overflows for slightly larger inputs.
+		{3_037_000_500, 3_037_000_500, cap32, true},
+		{0, 1 << 62, cap32, false},
+	}
+	for _, c := range cases {
+		if got := productExceeds(c.a, c.b, c.limit); got != c.want {
+			t.Errorf("productExceeds(%d, %d, %d) = %v, want %v", c.a, c.b, c.limit, got, c.want)
+		}
+	}
+}

@@ -17,18 +17,12 @@ package exec
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
-	"sync/atomic"
 
 	"lqo/internal/data"
 	"lqo/internal/plan"
 	"lqo/internal/query"
 )
-
-// probeSegmentRows is how many probe rows per worker a partitioned
-// probe phase processes per fill step.
-const probeSegmentRows = 4096
 
 // keyCol resolves one side of a join condition: the position of the alias
 // in the side's schema (its batch column, or tuple position in the
@@ -254,15 +248,13 @@ type hashJoinOp struct {
 	probeIdx    int
 	probeStream bool // pull further probe batches from the left child
 
-	// Owned pooled buffers: the materialized inputs, the parallel probe's
-	// segment copy, the gathered probe keys and the match index vectors
-	// (probe row, build row). tab.build and probe only ever alias these or
-	// a borrowed streamed batch, so Close returns exactly these.
+	// Owned pooled buffers: the materialized inputs, the gathered probe
+	// keys and the match index vectors (probe row, build row). tab.build
+	// and probe only ever alias these or a borrowed streamed batch, so
+	// Close returns exactly these.
 	bufLeft, bufRight Batch
-	seg               Batch
 	pkeys             []uint64
 	match             [2][]int32
-	parts             [][]int32 // per-span match vectors of the parallel probe
 
 	leftRows, rightRows int64
 	probeChecked        int
@@ -334,9 +326,6 @@ func (j *hashJoinOp) start() error {
 		j.probeStream = !leftDone
 	}
 	t.build = build.Cols
-	if j.e.workers() > 1 {
-		j.seg.alloc(j.pool, len(j.probe.Cols))
-	}
 	bg := newKeyGather(t.bks)
 	j.pg = newKeyGather(t.pks)
 	// Bulk-gather the build keys in one typed pass, then thread the table.
@@ -368,32 +357,13 @@ func (j *hashJoinOp) pullProbe() (bool, error) {
 	return true, nil
 }
 
-// gatherSegment copies up to n probe rows for a partitioned probe step
-// into the pooled segment buffer, so they outlive the pulls that produced
-// them.
-func (j *hashJoinOp) gatherSegment(n int) error {
-	j.seg.truncate()
-	for j.seg.N < n {
-		if j.probeIdx < j.probe.N {
-			take := min(j.probe.N-j.probeIdx, n-j.seg.N)
-			j.seg.appendRows(&j.probe, j.probeIdx, j.probeIdx+take)
-			j.probeIdx += take
-			continue
-		}
-		if ok, err := j.pullProbe(); err != nil || !ok {
-			return err
-		}
-	}
-	return nil
-}
-
 // emitMatches gathers the output columns of the matched (probe, build)
-// row pairs in j.match, whose probe rows index p, onto pending.
-func (j *hashJoinOp) emitMatches(p *Batch) {
+// row pairs in j.match onto pending.
+func (j *hashJoinOp) emitMatches() {
 	pidx, bidx := j.match[0], j.match[1]
 	for c, src := range j.srcs {
 		if src.left == j.buildIsRight {
-			j.pending.Cols[c] = gatherRows(j.pending.Cols[c], p.Cols[src.pos], pidx)
+			j.pending.Cols[c] = gatherRows(j.pending.Cols[c], j.probe.Cols[src.pos], pidx)
 		} else {
 			j.pending.Cols[c] = gatherRows(j.pending.Cols[c], j.tab.build[src.pos], bidx)
 		}
@@ -402,96 +372,13 @@ func (j *hashJoinOp) emitMatches(p *Batch) {
 	j.emitted += len(bidx)
 }
 
-// probeSerial probes rows lo, lo+1, … of p (keys pkeys) on the calling
-// goroutine until pending holds stop rows or pkeys is exhausted, one
-// kernel call per cancellation interval, and returns the number of probe
-// rows consumed.
-func (j *hashJoinOp) probeSerial(p *Batch, lo int, pkeys []uint64, stop, limit int) (int, error) {
-	i := 0
-	for i < len(pkeys) && j.pending.N < stop {
-		sinceCheck := j.probeChecked % cancelCheckRows
-		if sinceCheck == 0 {
-			if err := j.ctx.Err(); err != nil {
-				return i, err
-			}
-		}
-		hi := min(i+cancelCheckRows-sinceCheck, len(pkeys))
-		var n int
-		// Stopping at the first row past the cap bounds what a runaway
-		// probe materializes.
-		j.match[0], j.match[1], n = j.tab.probe(p.Cols, lo+i, pkeys[i:hi], j.match[0][:0], j.match[1][:0], min(stop-1-j.pending.N, limit-j.emitted))
-		i += n
-		j.probeChecked += n
-		j.emitMatches(p)
-		if j.emitted > limit {
-			return i, j.capErr()
-		}
-	}
-	return i, nil
-}
-
-func (j *hashJoinOp) probeSegmentParallel(w, limit int) error {
-	seg := &j.seg
-	var exceeded atomic.Bool
-	j.match[0], j.match[1] = j.match[0][:0], j.match[1][:0]
-	ok := collectSpans(j.pool, splitSpans(seg.N, w), j.match[:], &j.parts, func(_ int, sp span, out [][]int32) bool {
-		pk := j.pg.gather(seg.Cols, sp.lo, sp.hi, j.pool.GetKeys(sp.hi-sp.lo))
-		live := true
-		for lo := 0; lo < len(pk) && live; lo += 1024 {
-			hi := min(lo+1024, len(pk))
-			out[0], out[1], _ = j.tab.probe(seg.Cols, sp.lo+lo, pk[lo:hi], out[0], out[1], limit)
-			// A single partition past the cap already implies the total is
-			// past it; bail early instead of materializing more.
-			if len(out[1]) > limit {
-				exceeded.Store(true)
-				live = false
-			} else if exceeded.Load() || j.ctx.Err() != nil {
-				live = false
-			}
-		}
-		j.pool.PutKeys(pk)
-		return live
-	})
-	if err := j.ctx.Err(); err != nil {
-		return err
-	}
-	if exceeded.Load() || !ok {
-		// !ok with neither cancellation nor the cap is impossible by
-		// construction, but fails closed rather than silently truncates.
-		return j.capErr()
-	}
-	if j.emitMatches(seg); j.emitted > limit {
-		return j.capErr()
-	}
-	return nil
-}
-
 // fill refills pending with at least one batch of output, or leaves it
-// empty when the probe side is exhausted.
+// empty when the probe side is exhausted. It probes one kernel call per
+// cancellation interval.
 func (j *hashJoinOp) fill() error {
 	bs := j.e.batchSize()
 	limit := j.e.maxRows()
-	w := j.e.workers()
 	for j.pending.N < bs {
-		if w > 1 {
-			if err := j.gatherSegment(w * probeSegmentRows); err != nil {
-				return err
-			}
-			var err error
-			switch {
-			case j.seg.N == 0:
-				return nil
-			case j.seg.N >= parallelMinRows:
-				err = j.probeSegmentParallel(w, limit)
-			default:
-				j.pkeys = j.pg.gather(j.seg.Cols, 0, j.seg.N, j.pkeys)
-				_, err = j.probeSerial(&j.seg, 0, j.pkeys, math.MaxInt, limit)
-			}
-			if err != nil {
-				return err
-			}
-			continue
-		}
 		if j.probeIdx == j.probe.N {
 			if ok, err := j.pullProbe(); err != nil || !ok {
 				return err
@@ -502,10 +389,22 @@ func (j *hashJoinOp) fill() error {
 			// First touch of these probe rows: gather their keys once.
 			j.pkeys = j.pg.gather(j.probe.Cols, 0, j.probe.N, j.pkeys)
 		}
-		n, err := j.probeSerial(&j.probe, j.probeIdx, j.pkeys[j.probeIdx:j.probe.N], bs, limit)
+		sinceCheck := j.probeChecked % cancelCheckRows
+		if sinceCheck == 0 {
+			if err := j.ctx.Err(); err != nil {
+				return err
+			}
+		}
+		hi := min(j.probeIdx+cancelCheckRows-sinceCheck, j.probe.N)
+		var n int
+		// Stopping at the first row past the cap bounds what a runaway
+		// probe materializes.
+		j.match[0], j.match[1], n = j.tab.probe(j.probe.Cols, j.probeIdx, j.pkeys[j.probeIdx:hi], j.match[0][:0], j.match[1][:0], min(bs-1-j.pending.N, limit-j.emitted))
 		j.probeIdx += n
-		if err != nil {
-			return err
+		j.probeChecked += n
+		j.emitMatches()
+		if j.emitted > limit {
+			return j.capErr()
 		}
 	}
 	return nil
@@ -528,13 +427,12 @@ func (j *hashJoinOp) finish() {
 	j.tel.tuplesJoined = int64(j.emitted)
 }
 
-// Close returns the owned pooled buffers (bufLeft/bufRight/seg/pending/
+// Close returns the owned pooled buffers (bufLeft/bufRight/pending/
 // pkeys/match and the table's heads/next/keys/filter — tab.build and
 // probe are aliases of these or of a borrowed streamed batch, never Put).
 func (j *hashJoinOp) Close() error {
 	j.bufLeft.free(j.pool)
 	j.bufRight.free(j.pool)
-	j.seg.free(j.pool)
 	j.pool.PutKeys(j.pkeys)
 	j.pool.PutSel(j.match[0])
 	j.pool.PutSel(j.match[1])
@@ -549,7 +447,7 @@ func (j *hashJoinOp) recycle(p *BatchPool) {
 	clear(j.rks)
 	*j = hashJoinOp{
 		joinBase: j.recycled(), childNeed: j.childNeed[:0], lks: j.lks[:0], rks: j.rks[:0],
-		bufLeft: j.bufLeft, bufRight: j.bufRight, seg: j.seg, parts: j.parts[:0],
+		bufLeft: j.bufLeft, bufRight: j.bufRight,
 	}
 	p.ops[opHashJoin].Put(j)
 }

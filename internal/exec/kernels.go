@@ -287,7 +287,7 @@ func pruneRange[T number](lo, hi T, op query.CmpOp, a, b T) bool {
 // sequential scans. Construction compiles every predicate and computes
 // the per-block prune bitmap once, so the skip decision (and the
 // BlocksSkipped telemetry) is a pure function of table and predicates:
-// identical at every worker count, batch size and span partitioning.
+// identical at every batch size and shard count.
 type blockFilter struct {
 	preds  []compiledPred
 	pruned []bool // per zone-map block; empty when there is nothing to prune
@@ -379,25 +379,26 @@ func fillIDs(ids []int32, lo int32) {
 	}
 }
 
-// filterSpan appends to sel the matching row ids in [lo, hi), walking the
-// overlapped zone-map blocks and skipping pruned ones, and stops early
-// once ctx is done (checked every 4 blocks, about cancelCheckRows rows;
-// callers re-check ctx and discard the partial result). Spans need not be
-// block-aligned: a pruned block has no matching rows anywhere, so any
-// sub-range of it is skippable.
-func (bf *blockFilter) filterSpan(ctx context.Context, lo, hi int, sel []int32) []int32 {
-	for n := 0; lo < hi; n++ {
+// filterBlocks is the one zone-block walk: it appends to sel the matching
+// row ids of [lo, hi) one zone block at a time, skipping pruned blocks,
+// until sel holds at least stop ids, and returns sel and the row the walk
+// stopped at (hi once the range is exhausted). ctx is checked before every
+// block; on cancellation the walk stops with ctx.Err() at the block it did
+// not scan. lo and hi need not be block-aligned: a pruned block has no
+// matching rows anywhere, so any sub-range of it is skippable.
+func (bf *blockFilter) filterBlocks(ctx context.Context, lo, hi, stop int, sel []int32) ([]int32, int, error) {
+	for lo < hi && len(sel) < stop {
+		if err := ctx.Err(); err != nil {
+			return sel, lo, err
+		}
 		b := lo / data.ZoneBlockSize
 		end := min((b+1)*data.ZoneBlockSize, hi)
-		if n%4 == 0 && ctx.Err() != nil {
-			break
-		}
 		if !bf.skips(b) {
 			sel = bf.filterRange(int32(lo), int32(end), sel)
 		}
 		lo = end
 	}
-	return sel
+	return sel, lo, nil
 }
 
 // refineIDs filters an arbitrary row-id list (an index scan's posting

@@ -117,6 +117,12 @@ func sameIDs(t *testing.T, ctxMsg string, got, want []int32) {
 	}
 }
 
+// filterAll is the scan's block walk over [lo, hi) with no batch limit.
+func filterAll(bf *blockFilter, lo, hi int) []int32 {
+	sel, _, _ := bf.filterBlocks(context.Background(), lo, hi, math.MaxInt, nil)
+	return sel
+}
+
 // checkEquiv asserts every vectorized entry point agrees with the scalar
 // path on (cols, preds), and that pruned blocks truly contain no matches.
 func checkEquiv(t *testing.T, rng *rand.Rand, cols []*data.Column, preds []query.Pred, nrows int, msg string) {
@@ -124,13 +130,13 @@ func checkEquiv(t *testing.T, rng *rand.Rand, cols []*data.Column, preds []query
 	bf := newBlockFilter(cols, preds, nrows)
 	want := scalarSelect(cols, preds, 0, nrows)
 
-	sameIDs(t, msg+"/filterSpan", bf.filterSpan(context.Background(), 0, nrows, nil), want)
+	sameIDs(t, msg+"/filterBlocks", filterAll(bf, 0, nrows), want)
 
 	// Non-aligned sub-span: [lo, hi) cut at arbitrary offsets.
 	if nrows > 2 {
 		lo := rng.Intn(nrows)
 		hi := lo + rng.Intn(nrows-lo)
-		sameIDs(t, msg+"/subSpan", bf.filterSpan(context.Background(), lo, hi, nil),
+		sameIDs(t, msg+"/subSpan", filterAll(bf, lo, hi),
 			scalarSelect(cols, preds, lo, hi))
 	}
 
@@ -210,7 +216,7 @@ func TestBlockFilterNoPreds(t *testing.T) {
 	if total, skipped := bf.blocks(); total != 0 || skipped != 0 {
 		t.Fatalf("no-pred filter reports blocks total=%d skipped=%d", total, skipped)
 	}
-	got := bf.filterSpan(context.Background(), 0, n, nil)
+	got := filterAll(bf, 0, n)
 	if len(got) != n {
 		t.Fatalf("no-pred filter selected %d of %d rows", len(got), n)
 	}

@@ -15,7 +15,7 @@
 //
 // Determinism contract. The pipeline must measure exactly what the
 // reference evaluator measured: result Count/Value, the Cards record and
-// charged WorkUnits are byte-identical at every worker count. Work-unit
+// charged WorkUnits are byte-identical at every batch size. Work-unit
 // charges are recorded per operator in the reference evaluator's
 // canonical intra-node order and folded into CostStats.WorkUnits by
 // replaying them in the reference's global (post-order left-to-right)

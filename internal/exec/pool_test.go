@@ -21,9 +21,8 @@ import (
 )
 
 // TestPooledPipelineIdentitySweep is the pool's identity contract:
-// pooling plus fork-join scans and probes must keep Count, Value (bit
-// pattern), the Cards record and the full CostStats
-// byte-identical to ReferenceRun at every worker count × batch size ×
+// pooling must keep Count, Value (bit pattern), the Cards record and the
+// full CostStats byte-identical to ReferenceRun at every batch size ×
 // shard fan-out — including the second, steady-state execution that
 // actually recycles buffers. Every run uses a debug pool, so double puts
 // and use-after-put surface here too. The column-pruning inputs
@@ -39,36 +38,33 @@ func TestPooledPipelineIdentitySweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, shards := range []int{1, 4} {
-			for _, workers := range []int{1, 2, 8} {
-				for _, batch := range []int{0, 1, 64} {
-					name := fmt.Sprintf("q%d/shards=%d/workers=%d/batch=%d", qi, shards, workers, batch)
-					ex := New(cat)
-					ex.Workers = workers
-					ex.BatchSize = batch
-					dbg := NewDebugBatchPool()
-					ex.SetPool(dbg)
-					for run := 0; run < 2; run++ {
-						p := sweepPlan(t, cat, q, shards)
-						res, err := ex.RunCtx(context.Background(), q, p)
-						if err != nil {
-							t.Fatalf("%s run %d: %v", name, run, err)
-						}
-						if res.Count != ref.Count || math.Float64bits(res.Value) != math.Float64bits(ref.Value) {
-							t.Fatalf("%s run %d: result %d/%v, reference %d/%v", name, run, res.Count, res.Value, ref.Count, ref.Value)
-						}
-						if res.Stats != ref.Stats {
-							t.Fatalf("%s run %d: stats %+v, reference %+v", name, run, res.Stats, ref.Stats)
-						}
-						if !slices.Equal(res.Cards, ref.Cards) {
-							t.Fatalf("%s run %d: Cards %v, reference %v", name, run, res.Cards, ref.Cards)
-						}
+			for _, batch := range []int{0, 1, 64} {
+				name := fmt.Sprintf("q%d/shards=%d/batch=%d", qi, shards, batch)
+				ex := New(cat)
+				ex.BatchSize = batch
+				dbg := NewDebugBatchPool()
+				ex.SetPool(dbg)
+				for run := 0; run < 2; run++ {
+					p := sweepPlan(t, cat, q, shards)
+					res, err := ex.RunCtx(context.Background(), q, p)
+					if err != nil {
+						t.Fatalf("%s run %d: %v", name, run, err)
 					}
-					if n := dbg.InUse(); n != 0 {
-						t.Fatalf("%s: %d pooled buffers still outstanding after Close", name, n)
+					if res.Count != ref.Count || math.Float64bits(res.Value) != math.Float64bits(ref.Value) {
+						t.Fatalf("%s run %d: result %d/%v, reference %d/%v", name, run, res.Count, res.Value, ref.Count, ref.Value)
 					}
-					if mis := dbg.Misuse(); len(mis) != 0 {
-						t.Fatalf("%s: pool contract violations: %v", name, mis)
+					if res.Stats != ref.Stats {
+						t.Fatalf("%s run %d: stats %+v, reference %+v", name, run, res.Stats, ref.Stats)
 					}
+					if !slices.Equal(res.Cards, ref.Cards) {
+						t.Fatalf("%s run %d: Cards %v, reference %v", name, run, res.Cards, ref.Cards)
+					}
+				}
+				if n := dbg.InUse(); n != 0 {
+					t.Fatalf("%s: %d pooled buffers still outstanding after Close", name, n)
+				}
+				if mis := dbg.Misuse(); len(mis) != 0 {
+					t.Fatalf("%s: pool contract violations: %v", name, mis)
 				}
 			}
 		}
@@ -284,7 +280,6 @@ func TestPoolSharedAcrossConcurrentRuns(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				qi := (g + i) % len(qs)
 				ex := New(cat)
-				ex.Workers = 1 + g%4
 				ex.SetPool(pool)
 				p, err := CanonicalPlan(qs[qi])
 				if err != nil {
@@ -314,8 +309,8 @@ func TestPoolSharedAcrossConcurrentRuns(t *testing.T) {
 }
 
 // TestPoolNoLeakOnCancellation: canceled runs — immediately and mid-
-// flight — must still return every buffer and join every worker
-// goroutine, and neither they nor a run that hits the intermediate cap may
+// flight — must still return every buffer and leak no goroutine, and
+// neither they nor a run that hits the intermediate cap may
 // leave anything in the pool that the next run can see.
 func TestPoolNoLeakOnCancellation(t *testing.T) {
 	cat := shardCatalog()
@@ -324,7 +319,6 @@ func TestPoolNoLeakOnCancellation(t *testing.T) {
 	for _, delay := range []time.Duration{0, 200 * time.Microsecond} {
 		for i := 0; i < 5; i++ {
 			ex := New(cat)
-			ex.Workers = 4
 			dbg := NewDebugBatchPool()
 			ex.SetPool(dbg)
 			p, err := CanonicalPlan(q)
@@ -350,7 +344,7 @@ func TestPoolNoLeakOnCancellation(t *testing.T) {
 	}
 	// Cancellation landing at every cooperative check of a join whose build
 	// and probe both span several check intervals — so some land inside the
-	// table build and inside the probe, with heads/next/keys/filter live. The serial
+	// table build and inside the probe, with heads/next/keys/filter live. The
 	// run's check sequence is deterministic: sweep it end to end.
 	jq := &query.Query{
 		Refs: []query.TableRef{{Alias: "a", Table: "fact"}, {Alias: "b", Table: "fact"}},
@@ -367,55 +361,51 @@ func TestPoolNoLeakOnCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		// One pool for the whole sweep: a run that fails is dropped, not
-		// recycled, so the clean run of a different plan that follows each
-		// abort — drawing operator structs and buffers from the same pool —
-		// must still be exact.
-		ex := New(cat)
-		ex.Workers = workers
-		capped := New(cat)
-		capped.Workers = workers
-		capped.MaxIntermediate = 100
-		dbg := NewDebugBatchPool()
-		ex.SetPool(dbg)
-		capped.SetPool(dbg)
-		for after, finished := int64(-1), false; !finished; after++ {
-			p, err := CanonicalPlan(jq)
-			if err != nil {
-				t.Fatal(err)
+	// One pool for the whole sweep: a run that fails is dropped, not
+	// recycled, so the clean run of a different plan that follows each
+	// abort — drawing operator structs and buffers from the same pool —
+	// must still be exact.
+	ex := New(cat)
+	capped := New(cat)
+	capped.MaxIntermediate = 100
+	dbg := NewDebugBatchPool()
+	ex.SetPool(dbg)
+	capped.SetPool(dbg)
+	for after, finished := int64(-1), false; !finished; after++ {
+		p, err := CanonicalPlan(jq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var runErr error
+		if after < 0 {
+			// The join emits past the intermediate cap mid-probe.
+			if _, runErr = capped.RunCtx(context.Background(), jq, p); runErr == nil {
+				t.Fatal("capped run succeeded")
 			}
-			var runErr error
-			if after < 0 {
-				// The join emits past the intermediate cap mid-probe.
-				if _, runErr = capped.RunCtx(context.Background(), jq, p); runErr == nil {
-					t.Fatalf("workers=%d: capped run succeeded", workers)
-				}
-			} else {
-				_, runErr = ex.RunCtx(newCancelAfter(after), jq, p)
-				if finished = runErr == nil; !finished && !errors.Is(runErr, context.Canceled) {
-					t.Fatalf("workers=%d after=%d: err = %v, want Canceled", workers, after, runErr)
-				}
-			}
-			res, err := ex.RunCtx(context.Background(), q, shardPlan(t, q, 1))
-			if err != nil {
-				t.Fatalf("workers=%d after=%d: clean run after %v: %v", workers, after, runErr, err)
-			}
-			if res.Count != ref.Count || math.Float64bits(res.Value) != math.Float64bits(ref.Value) || res.Stats != ref.Stats {
-				t.Fatalf("workers=%d after=%d: clean run after %v drifted: %+v vs reference %+v", workers, after, runErr, res, ref)
-			}
-			if n := dbg.InUse(); n != 0 {
-				t.Fatalf("workers=%d after=%d err=%v: %d buffers outstanding", workers, after, runErr, n)
-			}
-			if mis := dbg.Misuse(); len(mis) != 0 {
-				t.Fatalf("workers=%d after=%d: misuse %v", workers, after, mis)
-			}
-			if finished && after < 12 {
-				t.Fatalf("workers=%d: run finished after only %d context checks; the sweep no longer reaches the build and probe loops", workers, after)
+		} else {
+			_, runErr = ex.RunCtx(newCancelAfter(after), jq, p)
+			if finished = runErr == nil; !finished && !errors.Is(runErr, context.Canceled) {
+				t.Fatalf("after=%d: err = %v, want Canceled", after, runErr)
 			}
 		}
+		res, err := ex.RunCtx(context.Background(), q, shardPlan(t, q, 1))
+		if err != nil {
+			t.Fatalf("after=%d: clean run after %v: %v", after, runErr, err)
+		}
+		if res.Count != ref.Count || math.Float64bits(res.Value) != math.Float64bits(ref.Value) || res.Stats != ref.Stats {
+			t.Fatalf("after=%d: clean run after %v drifted: %+v vs reference %+v", after, runErr, res, ref)
+		}
+		if n := dbg.InUse(); n != 0 {
+			t.Fatalf("after=%d err=%v: %d buffers outstanding", after, runErr, n)
+		}
+		if mis := dbg.Misuse(); len(mis) != 0 {
+			t.Fatalf("after=%d: misuse %v", after, mis)
+		}
+		if finished && after < 12 {
+			t.Fatalf("run finished after only %d context checks; the sweep no longer reaches the build and probe loops", after)
+		}
 	}
-	// Fork-join workers must be joined, not leaked.
+	// Nothing the runs started may outlive them.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= before+2 {

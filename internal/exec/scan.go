@@ -1,8 +1,7 @@
 // Scan operators: streaming sequential scan with pushed-down predicate
-// filtering (serial or span-partitioned across the worker pool) and index
-// scan with residual predicate filtering. Both emit their selection
-// vector itself as the batch's one column — or no column at all when the
-// consumer reads none of it.
+// filtering and index scan with residual predicate filtering. Both emit
+// their selection vector itself as the batch's one column — or no column
+// at all when the consumer reads none of it.
 package exec
 
 import (
@@ -14,12 +13,6 @@ import (
 	"lqo/internal/plan"
 	"lqo/internal/query"
 )
-
-// scanSegmentRows is how many input rows per worker a partitioned scan
-// filters per fill step. Each segment is forked across the pool and joined
-// before the next, so in-flight intermediate state stays bounded while
-// span-order concatenation keeps output identical to the serial path.
-const scanSegmentRows = 8192
 
 // scanSchema is a scan's output layout: its alias when need lists it, else
 // nothing.
@@ -92,7 +85,6 @@ type seqScanOp struct {
 	cols   []*data.Column
 	nrows  int
 	filter blockFilter // compiled vectorized filter, recompiled by every Open
-	parts  [][]int32   // per-span vectors of the partitioned fill
 
 	cursor  int // next unread input row
 	pendIdx int
@@ -145,58 +137,19 @@ func (s *seqScanOp) Next() (*Batch, error) {
 	return emit(&s.pending, &s.pendIdx, &s.out, len(s.schema), &s.tel, s.e.batchSize()), nil
 }
 
-// fill refills the pending vector from the next chunk of input rows:
-// serially up to a batch of matches, or one span-partitioned segment on
-// the worker pool. Both paths run the vectorized block kernels; output
-// content and order are identical either way.
+// fill refills the pending vector with up to a batch of matches from the
+// next zone blocks, the kernels appending straight into it. The cursor
+// only ever rests on block boundaries (or 0).
 func (s *seqScanOp) fill() (err error) {
-	if w := s.e.workers(); w > 1 && s.nrows >= parallelMinRows {
-		return s.fillParallel(w)
-	}
-	s.pending.Cols[0], err = s.fillSerial(s.pending.Cols[0])
+	s.pending.Cols[0], s.cursor, err = s.filter.filterBlocks(s.ctx, s.cursor, s.nrows, s.e.batchSize(), s.pending.Cols[0])
 	return err
-}
-
-func (s *seqScanOp) fillSerial(rows []int32) ([]int32, error) {
-	bs := s.e.batchSize()
-	// One zone block per step, skipped entirely when pruned, the kernels
-	// appending straight into the output vector. The cursor only ever
-	// rests on block boundaries (or 0).
-	for s.cursor < s.nrows && len(rows) < bs {
-		if err := s.ctx.Err(); err != nil {
-			return rows, err
-		}
-		b := s.cursor / data.ZoneBlockSize
-		end := min((b+1)*data.ZoneBlockSize, s.nrows)
-		if !s.filter.skips(b) {
-			rows = s.filter.filterRange(int32(s.cursor), int32(end), rows)
-		}
-		s.cursor = end
-	}
-	return rows, nil
-}
-
-func (s *seqScanOp) fillParallel(w int) error {
-	for len(s.pending.Cols[0]) == 0 && s.cursor < s.nrows {
-		hi := min(s.cursor+w*scanSegmentRows, s.nrows)
-		lo := s.cursor
-		collectSpans(s.pool, splitSpans(hi-lo, w), s.pending.Cols, &s.parts, func(_ int, sp span, out [][]int32) bool {
-			out[0] = s.filter.filterSpan(s.ctx, lo+sp.lo, lo+sp.hi, out[0])
-			return true // a partial vector is discarded by the ctx check below
-		})
-		if err := s.ctx.Err(); err != nil {
-			return err
-		}
-		s.cursor = hi
-	}
-	return nil
 }
 
 func (s *seqScanOp) recycle(p *BatchPool) {
 	clear(s.preds)
 	clear(s.cols)
 	s.filter.reset()
-	*s = seqScanOp{scanBase: s.recycled(), preds: s.preds[:0], cols: s.cols[:0], filter: s.filter, parts: s.parts[:0]}
+	*s = seqScanOp{scanBase: s.recycled(), preds: s.preds[:0], cols: s.cols[:0], filter: s.filter}
 	p.ops[opSeqScan].Put(s)
 }
 

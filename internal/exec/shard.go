@@ -4,8 +4,8 @@
 // — or a test's fault injector — can implement the same interface
 // without touching the operators.
 //
-// Determinism contract (same discipline as the worker pool and the
-// vectorized kernels): shards partition the table's zone-map blocks
+// Determinism contract (same discipline as the vectorized kernels):
+// shards partition the table's zone-map blocks
 // round-robin (block b → shard b mod N), each shard emits its matching
 // row ids in ascending order, and the merge operator k-way-merges the
 // per-shard streams by head row id — reproducing the unsharded scan's

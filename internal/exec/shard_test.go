@@ -116,22 +116,19 @@ func TestShardedIdentitySweep(t *testing.T) {
 			if shardRef.Count != ref.Count || math.Float64bits(shardRef.Value) != math.Float64bits(ref.Value) || shardRef.Stats != ref.Stats {
 				t.Fatalf("q%d/shards=%d: reference of the sharded plan %+v, of the unsharded %+v", qi, shards, shardRef, ref)
 			}
-			for _, workers := range []int{1, 8} {
-				for _, batch := range []int{0, 64} {
-					name := fmt.Sprintf("q%d/shards=%d/workers=%d/batch=%d", qi, shards, workers, batch)
-					ex := New(cat)
-					ex.Workers = workers
-					ex.BatchSize = batch
-					res, err := ex.RunCtx(context.Background(), q, shardPlan(t, q, shards))
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if res.Count != ref.Count || math.Float64bits(res.Value) != math.Float64bits(ref.Value) {
-						t.Fatalf("%s: result %d/%v, reference %d/%v", name, res.Count, res.Value, ref.Count, ref.Value)
-					}
-					if res.Stats != ref.Stats {
-						t.Fatalf("%s: stats %+v, reference %+v", name, res.Stats, ref.Stats)
-					}
+			for _, batch := range []int{0, 64} {
+				name := fmt.Sprintf("q%d/shards=%d/batch=%d", qi, shards, batch)
+				ex := New(cat)
+				ex.BatchSize = batch
+				res, err := ex.RunCtx(context.Background(), q, shardPlan(t, q, shards))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if res.Count != ref.Count || math.Float64bits(res.Value) != math.Float64bits(ref.Value) {
+					t.Fatalf("%s: result %d/%v, reference %d/%v", name, res.Count, res.Value, ref.Count, ref.Value)
+				}
+				if res.Stats != ref.Stats {
+					t.Fatalf("%s: stats %+v, reference %+v", name, res.Stats, ref.Stats)
 				}
 			}
 		}
@@ -288,38 +285,35 @@ func TestShardBackendFaults(t *testing.T) {
 	down := errors.New("shard engine down")
 	before := runtime.NumGoroutine()
 	for _, fault := range []error{down, nil} { // nil: the shard hangs
-		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("down=%v/workers=%d", fault != nil, workers)
-			ex := New(cat)
-			ex.Workers = workers
-			dbg := NewDebugBatchPool()
-			ex.SetPool(dbg)
-			ex.Backend = &faultBackend{ex: ex, bad: 2, err: fault}
-			ctx, cancel := context.WithCancel(context.Background())
-			want := fault
-			if fault == nil {
-				time.AfterFunc(20*time.Millisecond, cancel)
-				want = context.Canceled
-			}
-			_, err := ex.RunCtx(ctx, q, shardPlan(t, q, 4))
-			cancel()
-			if !errors.Is(err, want) {
-				t.Fatalf("%s: err = %v, want %v", name, err, want)
-			}
-			if n := dbg.InUse(); n != 0 {
-				t.Fatalf("%s: %d pooled buffers outstanding", name, n)
-			}
-			if mis := dbg.Misuse(); len(mis) != 0 {
-				t.Fatalf("%s: pool contract violations: %v", name, mis)
-			}
-			ex.Backend = nil
-			res, err := ex.RunCtx(context.Background(), q, shardPlan(t, q, 4))
-			if err != nil {
-				t.Fatalf("%s: clean run: %v", name, err)
-			}
-			if res.Count != ref.Count || math.Float64bits(res.Value) != math.Float64bits(ref.Value) || res.Stats != ref.Stats {
-				t.Fatalf("%s: clean run %+v, reference %+v", name, res, ref)
-			}
+		name := fmt.Sprintf("down=%v", fault != nil)
+		ex := New(cat)
+		dbg := NewDebugBatchPool()
+		ex.SetPool(dbg)
+		ex.Backend = &faultBackend{ex: ex, bad: 2, err: fault}
+		ctx, cancel := context.WithCancel(context.Background())
+		want := fault
+		if fault == nil {
+			time.AfterFunc(20*time.Millisecond, cancel)
+			want = context.Canceled
+		}
+		_, err := ex.RunCtx(ctx, q, shardPlan(t, q, 4))
+		cancel()
+		if !errors.Is(err, want) {
+			t.Fatalf("%s: err = %v, want %v", name, err, want)
+		}
+		if n := dbg.InUse(); n != 0 {
+			t.Fatalf("%s: %d pooled buffers outstanding", name, n)
+		}
+		if mis := dbg.Misuse(); len(mis) != 0 {
+			t.Fatalf("%s: pool contract violations: %v", name, mis)
+		}
+		ex.Backend = nil
+		res, err := ex.RunCtx(context.Background(), q, shardPlan(t, q, 4))
+		if err != nil {
+			t.Fatalf("%s: clean run: %v", name, err)
+		}
+		if res.Count != ref.Count || math.Float64bits(res.Value) != math.Float64bits(ref.Value) || res.Stats != ref.Stats {
+			t.Fatalf("%s: clean run %+v, reference %+v", name, res, ref)
 		}
 	}
 	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before+2; {

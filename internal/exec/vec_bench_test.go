@@ -40,10 +40,9 @@ func benchCatalog() (*data.Catalog, *query.Query) {
 	return cat, q
 }
 
-func benchFilterScan(b *testing.B, workers int) {
+func BenchmarkFilterScanVec(b *testing.B) {
 	cat, q := benchCatalog()
 	ex := New(cat)
-	ex.Workers = workers
 	p, err := CanonicalPlan(q)
 	if err != nil {
 		b.Fatal(err)
@@ -65,9 +64,6 @@ func benchFilterScan(b *testing.B, workers int) {
 	}
 }
 
-func BenchmarkFilterScanVec(b *testing.B)   { benchFilterScan(b, 1) }
-func BenchmarkFilterScanVecW4(b *testing.B) { benchFilterScan(b, 4) }
-
 // benchKernelOnly isolates the filter kernel from plan/operator overhead:
 // one blockFilter pass over the table vs. the scalar row loop.
 func BenchmarkFilterKernelVec(b *testing.B) {
@@ -78,7 +74,7 @@ func BenchmarkFilterKernelVec(b *testing.B) {
 	b.ResetTimer()
 	var sel []int32
 	for i := 0; i < b.N; i++ {
-		sel = bf.filterSpan(context.Background(), 0, benchRows, sel[:0])
+		sel, _, _ = bf.filterBlocks(context.Background(), 0, benchRows, benchRows, sel[:0])
 	}
 }
 

@@ -211,14 +211,10 @@ type LeroDriver struct {
 // predicted latency wins. It is pointwise, not the learnedopt Lero's
 // pairwise model.
 type leroComparator struct {
-	f   *costmodel.PlanFeaturizer
-	gb  *costmodel.GBDTCost
-	cat *data.Catalog
-	cs  *stats.CatalogStats
+	gb *costmodel.GBDTCost
 }
 
 func (c *leroComparator) train(cat *data.Catalog, cs *stats.CatalogStats, exp []costmodel.TrainPlan, seed int64) error {
-	c.cat, c.cs = cat, cs
 	c.gb = costmodel.NewGBDTCost(false)
 	return c.gb.Train(&costmodel.Context{Cat: cat, Stats: cs, Plans: exp, Seed: seed})
 }

@@ -25,7 +25,6 @@ func TestServerPoolLifetime(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := exec.New(cat)
-	ex.Workers = 4
 	pool := exec.NewDebugBatchPool()
 	ex.SetPool(pool) // replaces the plain pool exec.New installed
 	s := New(cat, opt.New(cat, cost.New(cs), hist), ex, Config{})

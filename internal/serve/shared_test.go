@@ -31,8 +31,8 @@ func (l *runLog) ObserveRun(q *query.Query, _ *plan.Node, cards []float64) {
 }
 
 // TestSharedPlanConcurrentBindings runs one cached generic plan from many
-// goroutines at once, each with its own binding, through an executor that
-// forks scans and probes and an installed observer; under -race it is the
+// goroutines at once, each with its own binding, through one executor and
+// an installed observer; under -race it is the
 // check that no run writes to the shared plan. Every answer must equal
 // ReferenceRun's on a private copy of the plan bound to the same values:
 // Count, Value bits, WorkUnits and the Cards record. The debug pool must
@@ -47,7 +47,6 @@ func TestSharedPlanConcurrentBindings(t *testing.T) {
 	ctx := context.Background()
 	for _, shards := range []int{0, 2} {
 		ex := exec.New(cat)
-		ex.Workers = 2
 		pool := exec.NewDebugBatchPool()
 		ex.SetPool(pool)
 		o := opt.New(cat, cost.New(cs), hist)
