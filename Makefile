@@ -90,7 +90,8 @@ bench:
 # includes the join kernel's BenchmarkHashJoinProbe grid (build size ×
 # match rate); ./internal/serve/ is BenchmarkServeHit, the cached
 # request end to end (ad-hoc, a new spelling of a cached query, prepared)
-# and the cold one (miss: parse, plan, execute, harvest); ./internal/sqlx/
+# and the cold one (miss: parse, plan, execute, harvest; miss-observed: the
+# same with the adaptation loop observing); ./internal/sqlx/
 # is BenchmarkParseStatement, the parse a never-seen text pays.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/exec/ ./internal/serve/ ./internal/sqlx/ ./internal/bench/

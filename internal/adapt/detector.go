@@ -6,7 +6,6 @@ import (
 
 	"lqo/internal/metrics"
 	"lqo/internal/plan"
-	"lqo/internal/query"
 )
 
 // DetectorConfig tunes the drift detector. Zero values select defaults.
@@ -111,7 +110,7 @@ func (d *Detector) Observe(qerr float64) {
 // produced, cards[i] for p's i-th node in pre-order (exec.Result.Cards;
 // a sharded scan is one Merge leaf). p is only read. This is the
 // serving-layer feed — wire it behind serve.Server's ExecObserver hook.
-func (d *Detector) ObservePlan(q *query.Query, p *plan.Node, cards []float64) {
+func (d *Detector) ObservePlan(p *plan.Node, cards []float64) {
 	i := 0
 	p.Walk(func(n *plan.Node) {
 		d.Observe(metrics.QError(n.EstCard, cards[i]))

@@ -114,7 +114,7 @@ func TestDetectorObservePlanWalksTree(t *testing.T) {
 	r.EstCard = 5
 	j := plan.NewJoin(plan.HashJoin, l, r, nil)
 	j.EstCard = 100
-	d.ObservePlan(nil, j, []float64{1, 10, 50}) // the record, in pre-order: j, l, r
+	d.ObservePlan(j, []float64{1, 10, 50}) // the record, in pre-order: j, l, r
 	if snap := d.Snapshot(); snap.Observations != 3 {
 		t.Fatalf("observations = %d, want one per plan node (3)", snap.Observations)
 	}

@@ -178,19 +178,19 @@ func (l *Loop) SetHoldout(h []workload.Labeled) {
 func (l *Loop) NoteTrip() { l.det.NoteTrip() }
 
 // ObserveExec is ObserveRun fed from a TrueCard-annotated plan (exec's
-// RunAnalyze). It stays for benchmark/trace.go.
+// RunAnalyze) and a graph built for q. It stays for benchmark/trace.go.
 func (l *Loop) ObserveExec(q *query.Query, executed *plan.Node) {
-	l.ObserveRun(q, executed, executed.TrueCards())
+	l.ObserveRun(query.NewJoinGraph(q), executed, executed.TrueCards())
 }
 
 // ObserveRun implements serve.ExecObserver: per-node q-errors of the
 // run's record cards against p's estimates feed the drift detector (and
 // the probation audit when one is running), per-node true cards feed the
 // label pool, and a non-blocking notify wakes a Start-ed background loop.
-// p is only read.
-func (l *Loop) ObserveRun(q *query.Query, p *plan.Node, cards []float64) {
-	l.det.ObservePlan(q, p, cards)
-	l.col.ObserveRun(q, p, cards)
+// g (the request's join graph, over the run's query) and p are only read.
+func (l *Loop) ObserveRun(g *query.JoinGraph, p *plan.Node, cards []float64) {
+	l.det.ObservePlan(p, cards)
+	l.col.ObserveRun(g, p, cards)
 	l.mu.Lock()
 	if l.probation {
 		i := 0

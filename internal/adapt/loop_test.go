@@ -9,6 +9,7 @@ import (
 	"lqo/internal/datagen"
 	"lqo/internal/guard"
 	"lqo/internal/opt"
+	"lqo/internal/query"
 	"lqo/internal/workload"
 )
 
@@ -53,7 +54,7 @@ func drive(t *testing.T, f *fixture, l *Loop, w workload.Labeled) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.ObserveRun(w.Q, p, res.Cards)
+	l.ObserveRun(query.NewJoinGraph(w.Q), p, res.Cards)
 }
 
 func smallLoopConfig(f *fixture) Config {

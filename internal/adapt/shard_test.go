@@ -28,7 +28,7 @@ func TestObserversSeeShardedScansOnce(t *testing.T) {
 
 	l := NewLoop(f.sw, &fakeHost{}, NewGate(f.opt, f.ex, GateConfig{}), smallLoopConfig(f))
 	l.probation = true
-	l.ObserveRun(q, p, res.Cards)
+	l.ObserveRun(query.NewJoinGraph(q), p, res.Cards)
 
 	labels := map[string]float64{}
 	for _, s := range l.Collector().Samples() {

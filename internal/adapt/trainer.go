@@ -27,6 +27,7 @@ type Collector struct {
 	samples []cardest.Sample
 	index   map[string]int // sub-query key -> sequence number
 	base    int            // sequence number of samples[0]
+	keyBuf  []byte         // ObserveRun's key buffer
 }
 
 // NewCollector returns a collector bounded to capacity labels
@@ -38,31 +39,47 @@ func NewCollector(capacity int) *Collector {
 	return &Collector{cap: capacity, index: make(map[string]int)}
 }
 
-// ObserveRun harvests one label per node from a run of plan p for q:
-// cards is the run's record, cards[i] the true cardinality of p's i-th
-// node in pre-order (exec.Result.Cards) — the same feed opt.HarvestCards
-// taps, but accumulated across queries into a training set. p is only
-// read.
-func (c *Collector) ObserveRun(q *query.Query, p *plan.Node, cards []float64) {
-	g := query.NewJoinGraph(q)
-	i := 0
+// ObserveRun is Add(g.Sub(mask), cards[i]) for p's i-th node in
+// pre-order, cards being the run's record (exec.Result.Cards) over g's
+// query — opt.HarvestCards' feed, kept across queries. Known labels are
+// looked up through one key buffer, and from the first new one on the
+// sub-queries come from one g.SubsOf slab. p and g are only read.
+func (c *Collector) ObserveRun(g *query.JoinGraph, p *plan.Node, cards []float64) {
+	masks, known := make([]uint64, 0, 32), 0 // known: the leading nodes whose labels are held
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	p.WalkLogicalMasks(g, func(_ *plan.Node, mask uint64) {
-		c.Add(g.Sub(mask), cards[i])
-		i++
+		if len(masks) == known { // nothing added yet, so nothing evicted
+			c.keyBuf = g.AppendKey(c.keyBuf[:0], mask)
+			if seq, ok := c.index[string(c.keyBuf)]; ok {
+				c.samples[seq-c.base].Card = cards[known]
+				known++
+			}
+		}
+		masks = append(masks, mask)
 	})
+	subs := g.SubsOf(masks[known:]) // empty, and allocation-free, when every label is held
+	for i := range subs {
+		c.add(&subs[i], cards[known+i])
+	}
 }
 
 // Add records (or refreshes) the true cardinality of one sub-query.
 func (c *Collector) Add(q *query.Query, card float64) {
-	k := q.Key()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.add(q, card)
+}
+
+func (c *Collector) add(q *query.Query, card float64) {
+	k := q.Key()
 	if seq, ok := c.index[k]; ok {
 		c.samples[seq-c.base].Card = card
 		return
 	}
 	if len(c.samples) >= c.cap {
 		delete(c.index, c.samples[0].Q.Key())
+		c.samples[0] = cardest.Sample{} // the evicted label must not pin its slab
 		c.samples = c.samples[1:]
 		c.base++
 	}

@@ -94,6 +94,7 @@ func e10Chaos(ctx context.Context, env *Env, opts chaosOptions) (*Report, error)
 			start := time.Now()
 			p, learnedServed, err := g.Plan(qctx, l.Q)
 			planWall = append(planWall, float64(time.Since(start).Microseconds()))
+			g.Wait() // an abandoned attempt must not draw the next query's faults
 			if err != nil || p == nil {
 				unavailed++
 				lastErr = err

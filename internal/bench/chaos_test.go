@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -81,5 +82,36 @@ func TestE10ChaosZeroRateUsesLearnedPath(t *testing.T) {
 	}
 	if row[3] != "0" {
 		t.Fatalf("fallbacks = %s, want 0", row[3])
+	}
+}
+
+// TestE10ChaosDeterministic runs E10 twice at one seed: every column but
+// the wall-clock planning tail must repeat. The injector's fault sequence
+// is seeded, and the planner joins an abandoned learned attempt before
+// the next query plans, so no attempt draws another query's faults.
+func TestE10ChaosDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration")
+	}
+	env, err := NewEnv("stats", Scale{Data: 0.04, Train: 12, Test: 30, Episodes: 20}, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only hangs overrun the budget, even under the race detector. A hang
+	// just past it resumes while the next query plans: an unjoined
+	// attempt would then draw that query's faults.
+	opts := chaosOptions{Rates: []float64{0.10, 0.40}, Timeout: 100 * time.Millisecond, Hang: 101 * time.Millisecond}
+	var runs [2][][]string
+	for i := range runs {
+		rep, err := e10Chaos(context.Background(), env, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rep.Rows {
+			runs[i] = append(runs[i], row[:len(row)-1]) // all but plan p99 us
+		}
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Fatalf("same seed, different rows:\n%v\n%v", runs[0], runs[1])
 	}
 }

@@ -41,12 +41,17 @@ type Planner struct {
 	// call runs on a watchdog goroutine; on overrun the query proceeds
 	// natively and the goroutine is abandoned to finish on its own — it
 	// holds no locks and its result channel is buffered, so it exits
-	// cleanly whenever the stalled call returns.
+	// cleanly whenever the stalled call returns. Wait joins it.
 	Timeout time.Duration
 
-	mu    sync.Mutex
-	stats PlannerStats
+	mu       sync.Mutex
+	stats    PlannerStats
+	inflight sync.WaitGroup // learned calls not yet returned
 }
+
+// Wait blocks until every learned call Plan started has returned,
+// abandoned ones included, so none outlives the query it served.
+func (g *Planner) Wait() { g.inflight.Wait() }
 
 // NewPlanner assembles a guarded planner with a default breaker.
 func NewPlanner(learned learnedopt.Optimizer, native *opt.Optimizer, timeout time.Duration) *Planner {
@@ -90,7 +95,9 @@ func (g *Planner) Plan(ctx context.Context, q *query.Query) (*plan.Node, bool, e
 		err error
 	}
 	ch := make(chan planResult, 1) // buffered: the watchdog never blocks on send
+	g.inflight.Add(1)
 	go func() {
+		defer g.inflight.Done()
 		var p *plan.Node
 		err := Safe(g.Learned.Name(), func() error {
 			var e error

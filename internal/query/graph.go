@@ -53,21 +53,28 @@ func (c *clauseIndex) in(i int, mask uint64) bool {
 }
 
 // NewJoinGraph indexes q. Refs past MaxRefs get no bit: no mask can name
-// them, so callers that plan must check len(q.Refs) first.
+// them, so callers that plan must check len(q.Refs) first. Its allocations
+// do not grow with the query: bits share one slab, renderings one buffer.
 func NewJoinGraph(q *Query) *JoinGraph {
-	g := &JoinGraph{Aliases: q.Aliases(), q: q, adj: make([]uint64, len(q.Refs)), edges: make([]graphEdge, 0, len(q.Joins))}
-	refSegs, joinSegs, predSegs := q.keySegments()
-	nr, nj, np := len(refSegs), len(joinSegs), len(predSegs)
-	need, order := make([]uint64, nr+nj+np), make([]int, nr+nj+np)
+	nr, nj, np := len(q.Refs), len(q.Joins), len(q.Preds)
+	need, order := make([]uint64, nr+nj+np+nr), make([]int, nr+nj+np) // need's tail is adj
+	g := &JoinGraph{Aliases: q.Aliases(), q: q, adj: need[nr+nj+np:], edges: make([]graphEdge, 0, nj)}
+	refSegs, joinSegs, predSegs := q.keySegments(order) // order holds the segment ends until newClauseIndex
 	g.refs = newClauseIndex(refSegs, need[:nr], order[:nr])
 	g.joins = newClauseIndex(joinSegs, need[nr:nr+nj], order[nr:nr+nj])
-	g.preds = newClauseIndex(predSegs, need[nr+nj:], order[nr+nj:])
+	g.preds = newClauseIndex(predSegs, need[nr+nj:nr+nj+np], order[nr+nj:])
 	for i, r := range q.Refs {
 		g.refs.need[i] = g.Bit(r.Alias) // the first ref's bit when an alias repeats
 	}
 	for i, p := range q.Preds {
 		g.preds.need[i] = g.Bit(p.Alias)
 	}
+	var names strings.Builder // every edge's Join.String(), byte for byte
+	size := 0
+	for _, j := range q.Joins {
+		size += len(j.LeftAlias) + len(j.LeftCol) + len(j.RightAlias) + len(j.RightCol) + len(". = .")
+	}
+	names.Grow(size)
 	for i, j := range q.Joins {
 		l, r := g.Bit(j.LeftAlias), g.Bit(j.RightAlias)
 		if l == 0 || r == 0 {
@@ -76,7 +83,11 @@ func NewJoinGraph(q *Query) *JoinGraph {
 		g.joins.need[i] = l | r
 		g.adj[bits.TrailingZeros64(l)] |= r
 		g.adj[bits.TrailingZeros64(r)] |= l
-		g.edges = append(g.edges, graphEdge{j: j, name: j.String(), l: l, r: r})
+		start := names.Len()
+		for _, s := range [...]string{j.LeftAlias, ".", j.LeftCol, " = ", j.RightAlias, ".", j.RightCol} {
+			names.WriteString(s)
+		}
+		g.edges = append(g.edges, graphEdge{j: j, name: names.String()[start:], l: l, r: r})
 	}
 	// Sorted and deduplicated by rendering here, once, so that no
 	// JoinsBetween call has to.
@@ -247,30 +258,39 @@ func (g *JoinGraph) JoinsBetween(left, right map[string]bool) []Join {
 // so an append to one cannot write into its neighbour. The queries must
 // be treated as read-only, like Sub's; a key kept past the slab's life
 // pins the whole key string. Only for graphs small enough to enumerate.
-func (g *JoinGraph) Subs() []Query { return g.subs(0, 1<<uint(len(g.Aliases))) }
+func (g *JoinGraph) Subs() []Query {
+	return g.subs(1<<uint(len(g.Aliases)), func(i int) uint64 { return uint64(i) })
+}
+
+// SubsOf returns the sub-query over each of masks, out[i] over masks[i],
+// sharing slabs like Subs: five allocations for the whole list.
+func (g *JoinGraph) SubsOf(masks []uint64) []Query {
+	return g.subs(len(masks), func(i int) uint64 { return masks[i] })
+}
 
 // Sub returns the sub-query over mask (see Query.Subquery) carrying its
 // precomputed canonical key, so Key() on it costs nothing. The result
 // must be treated as read-only: mutating it would leave the key stale.
-func (g *JoinGraph) Sub(mask uint64) *Query { return &g.subs(mask, mask+1)[0] }
+func (g *JoinGraph) Sub(mask uint64) *Query { return &g.subs(1, func(int) uint64 { return mask })[0] }
 
-// subs builds the sub-queries over masks lo..hi-1, out[i] over lo+i:
-// refs in the mask, joins fully contained in it and predicates on it,
-// each in query order, and the key. Every slab is sized exactly first.
-func (g *JoinGraph) subs(lo, hi uint64) []Query {
+// subs builds the n sub-queries over mask(0)..mask(n-1): refs in the
+// mask, joins fully contained in it and predicates on it, each in query
+// order, and the key. Every slab is sized exactly first.
+func (g *JoinGraph) subs(n int, mask func(int) uint64) []Query {
 	var nr, nj, np, nk int
-	for m := lo; m < hi; m++ {
+	for i := 0; i < n; i++ {
+		m := mask(i)
 		nr += g.refs.count(m)
 		nj += g.joins.count(m)
 		np += g.preds.count(m)
 		nk += g.keyLen(m)
 	}
-	out := make([]Query, hi-lo)
+	out := make([]Query, n)
 	refs, joins, preds := make([]TableRef, 0, nr), make([]Join, 0, nj), make([]Pred, 0, np)
 	var k KeyBuilder
 	k.Grow(nk)
 	for i := range out {
-		m, q := lo+uint64(i), &out[i]
+		m, q := mask(i), &out[i]
 		q.Refs, refs = cut(&g.refs, g.q.Refs, m, refs)
 		q.Joins, joins = cut(&g.joins, g.q.Joins, m, joins)
 		q.Preds, preds = cut(&g.preds, g.q.Preds, m, preds)

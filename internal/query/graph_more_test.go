@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -106,5 +107,32 @@ func TestKeyDistinguishesDifferentQueries(t *testing.T) {
 	q3 := starQuery(3)
 	if q1.Key() == q3.Key() {
 		t.Fatal("different table sets share a Key")
+	}
+}
+
+// TestNewJoinGraphAllocations pins NewJoinGraph's allocations: constant
+// in the join count, because adjacency and clause bits share one slab
+// and every edge's rendering shares one buffer.
+func TestNewJoinGraphAllocations(t *testing.T) {
+	for joins := 1; joins <= 5; joins++ {
+		q := starQuery(joins)
+		q.Preds = []Pred{{Alias: "hub", Column: "score", Op: Gt, Val: data.IntVal(5)}, {Alias: "a", Column: "n", Op: Eq, Val: data.IntVal(2)}}
+		got := testing.AllocsPerRun(100, func() { NewJoinGraph(q) })
+		if got > 8 {
+			t.Errorf("%d joins: NewJoinGraph allocates %.0f objects, ceiling 8", joins, got)
+		}
+		t.Logf("%d joins: %.0f allocations", joins, got)
+	}
+}
+
+// TestJoinsBetweenOrderDigitsUnderscores checks the graph's edge order,
+// rendered into one buffer, against the oracle's Join.String() sort on
+// names whose digits and "_" sort among the rendering's ".", " " and "="
+// bytes.
+func TestJoinsBetweenOrderDigitsUnderscores(t *testing.T) {
+	pool := []string{"t", "t_1", "t1", "t_10", "t10", "t1_0", "_", "a_", "a_b", "ab_1", "1", "10_", "_0"}
+	rng := rand.New(rand.NewSource(38))
+	for i := 0; i < 150; i++ {
+		checkGraph(t, rng, genQuery(rng, pool))
 	}
 }

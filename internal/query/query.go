@@ -6,6 +6,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -291,7 +292,7 @@ func (q *Query) Key() string {
 	if q.key != "" {
 		return q.key
 	}
-	refs, joins, preds := q.keySegments()
+	refs, joins, preds := q.keySegments(nil)
 	size := 2
 	for _, segs := range [...][]string{refs, joins, preds} {
 		sort.Strings(segs)
@@ -314,12 +315,12 @@ func (q *Query) Key() string {
 
 // keySegments encodes the Key segment of every ref, join (sides
 // normalized) and predicate, each list in clause order. The segments are
-// slices of one buffer.
-func (q *Query) keySegments() (refs, joins, preds []string) {
+// slices of one buffer; ends is reused for their ends if it can hold them.
+func (q *Query) keySegments(ends []int) (refs, joins, preds []string) {
 	n := len(q.Refs) + len(q.Joins) + len(q.Preds)
 	var k KeyBuilder
 	k.Grow(40 * n) // a typical segment; longer ones just grow the buffer
-	ends := make([]int, 0, n)
+	ends = slices.Grow(ends[:0], n)
 	for _, r := range q.Refs {
 		k.Raw("r(").Atom(r.Alias).Raw(":").Atom(r.Table).Raw(")")
 		ends = append(ends, k.Len())

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"lqo/internal/adapt"
 	"lqo/internal/cardest"
 	"lqo/internal/cost"
 	"lqo/internal/datagen"
@@ -21,7 +22,9 @@ import (
 // per-request set-up creeping back shows in ns/op and allocs/op without
 // the repo benchmark's ten-second run. Its miss cell is the cold request
 // beside them: a literal never seen before every request, so parse,
-// planning through the feedback overlay, execution and harvest all run:
+// planning through the feedback overlay, execution and harvest all run;
+// miss-observed adds the adaptation loop's observer, the last cell because
+// it stays installed:
 //
 //	go test ./internal/serve -run '^$' -bench ServeHit -benchmem
 func BenchmarkServeHit(b *testing.B) {
@@ -67,8 +70,12 @@ func BenchmarkServeHit(b *testing.B) {
 		},
 		"prepared": func(i int) (*Result, error) { return s.Exec(ctx, "bench", stmt, hitBindings[i%len(hitBindings)]) },
 	}
-	for _, name := range []string{"adhoc", "new-text", "prepared", "miss"} {
+	run["miss-observed"] = run["miss"]
+	for _, name := range []string{"adhoc", "new-text", "prepared", "miss", "miss-observed"} {
 		b.Run(name, func(b *testing.B) {
+			if name == "miss-observed" {
+				observeWithLoop(s)
+			}
 			for i := 0; i < 8; i++ { // plan, then memoize and fill the pool
 				if _, err := run[name](i); err != nil {
 					b.Fatal(err)
@@ -82,7 +89,7 @@ func BenchmarkServeHit(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if res.Cached != (name != "miss") {
+				if res.Cached == strings.HasPrefix(name, "miss") {
 					b.Fatalf("timed request: cached %v", res.Cached)
 				}
 			}
@@ -201,6 +208,33 @@ func TestColdMissAllocations(t *testing.T) {
 		t.Skip("sync.Pool drops puts at random under the race detector")
 	}
 	s, _ := newHitFixture(t, 0)
+	got := coldMissAllocs(t, s)
+	if got > 60 {
+		t.Errorf("a cold miss allocates %.1f objects, ceiling 60", got)
+	}
+	t.Logf("%.1f allocations per cold miss", got)
+}
+
+// TestObservedMissAllocations is TestColdMissAllocations with the
+// adaptation loop observing, the miss-observed cell's request: the loop
+// reads the request's join graph, and its collector builds the run's new
+// labels in one slab.
+func TestObservedMissAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	s, _ := newHitFixture(t, 0)
+	observeWithLoop(s)
+	got := coldMissAllocs(t, s)
+	if got > 50 {
+		t.Errorf("an observed cold miss allocates %.1f objects, ceiling 50", got)
+	}
+	t.Logf("%.1f allocations per observed cold miss", got)
+}
+
+// coldMissAllocs returns the mean allocations of s's never-seen texts
+// once eight of them have filled the pool and the feedback store.
+func coldMissAllocs(t *testing.T, s *Server) float64 {
 	k := 0
 	miss := func() {
 		k++
@@ -212,12 +246,14 @@ func TestColdMissAllocations(t *testing.T) {
 			t.Fatalf("request %d hit the plan cache", k)
 		}
 	}
-	for k < 8 { // fill the pool and the feedback store
+	for k < 8 {
 		miss()
 	}
-	got := testing.AllocsPerRun(100, miss)
-	if got > 60 {
-		t.Errorf("a cold miss allocates %.1f objects, ceiling 60", got)
-	}
-	t.Logf("%.1f allocations per cold miss", got)
+	return testing.AllocsPerRun(100, miss)
+}
+
+// observeWithLoop installs an adaptation loop as s's observer; nothing
+// ticks it, so only its observer path runs.
+func observeWithLoop(s *Server) {
+	s.SetObserver(adapt.NewLoop(adapt.NewSwappable(s.opt.Est), s, nil, adapt.Config{}))
 }

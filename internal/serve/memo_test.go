@@ -1,6 +1,6 @@
 // Tests for the hit path's harvest memo: whatever a hit writes into the
 // feedback store through memoized keys must be what the unmemoized harvest
-// — absorb(opt.HarvestCards(query.NewJoinGraph(q), p, cards)) per request — would have written.
+// — absorb(opt.HarvestCards(g, p, cards)) per request — would have written.
 package serve
 
 import (
@@ -40,10 +40,10 @@ func newMirror(cap int) *mirrorStore {
 	return m
 }
 
-func (m *mirrorStore) ObserveRun(q *query.Query, p *plan.Node, cards []float64) {
+func (m *mirrorStore) ObserveRun(g *query.JoinGraph, p *plan.Node, cards []float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, l := range opt.HarvestCards(query.NewJoinGraph(q), p, cards) {
+	for _, l := range opt.HarvestCards(g, p, cards) {
 		if _, ok := m.store[l.Key]; !ok && len(m.store) >= m.cap {
 			continue
 		}

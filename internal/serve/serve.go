@@ -127,13 +127,13 @@ func (st *Stmt) current(s *Server) (*stmtEntry, error) {
 }
 
 // ExecObserver receives every successful run right after the server
-// harvests feedback from it: the plan and the run's record, cards[i] for
-// p's i-th node in pre-order (exec.Result.Cards). The adaptation loop
-// (internal/adapt) implements this to feed its drift detector and label
-// collector without the server importing adapt. p and q are shared with
-// concurrent requests, so ObserveRun must only read them.
+// harvests feedback from it: the request's join graph g, the plan and
+// the run's record, cards[i] for p's i-th node in pre-order
+// (exec.Result.Cards). The adaptation loop (internal/adapt) implements
+// this to feed its drift detector and label collector without the server
+// importing adapt. g and p are shared, so ObserveRun must only read them.
 type ExecObserver interface {
-	ObserveRun(q *query.Query, p *plan.Node, cards []float64)
+	ObserveRun(g *query.JoinGraph, p *plan.Node, cards []float64)
 }
 
 // Server serves queries over one catalog with plan caching,
@@ -297,9 +297,11 @@ func (s *Server) Exec(ctx context.Context, tenant string, stmt *Stmt, args ...an
 // only read. A prepared statement passes g, its binding's join graph, and
 // tmpl, its template; a parsed text its parse's graph; a statement-cache
 // hit neither, and its miss builds the one graph it is planned and
-// harvested from. A hit runs the cached plan
-// itself, shared with concurrent requests: nothing here writes to a plan,
-// and harvest, drift check and observer read the run's record instead.
+// harvested from. The observer gets the same graph; a statement-cache
+// hit builds one only when an observer is installed. A hit runs the
+// cached plan itself, shared with concurrent requests: nothing here
+// writes to a plan, and harvest, drift check and observer read the run's
+// record instead.
 func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key string, g *query.JoinGraph, tmpl *query.Query) (*Result, error) {
 	release, br, err := s.adm.acquire(ctx, tenant)
 	if err != nil {
@@ -342,7 +344,10 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 		s.cache.observe(key, res.Cards, s.cfg.InvalidateQError)
 	}
 	if obs := s.obs.Load(); obs != nil && *obs != nil {
-		(*obs).ObserveRun(q, p, res.Cards)
+		if g == nil { // a statement-cache hit: no graph was needed so far
+			g = query.NewJoinGraph(q)
+		}
+		(*obs).ObserveRun(g, p, res.Cards)
 	}
 	return &Result{Count: res.Count, Value: res.Value, Latency: res.Stats.WorkUnits, Cached: cached, Plan: planDur}, nil
 }

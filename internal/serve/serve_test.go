@@ -281,11 +281,11 @@ type recordingObserver struct {
 	cards []float64
 }
 
-func (o *recordingObserver) ObserveRun(q *query.Query, _ *plan.Node, cards []float64) {
+func (o *recordingObserver) ObserveRun(g *query.JoinGraph, _ *plan.Node, cards []float64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.calls++
-	o.keys = append(o.keys, q.Key())
+	o.keys = append(o.keys, g.Query().Key())
 	o.cards = cards
 }
 

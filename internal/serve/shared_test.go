@@ -24,10 +24,11 @@ type runLog struct {
 	cards map[string][][]float64 // q.Key() -> one record per run
 }
 
-func (l *runLog) ObserveRun(q *query.Query, _ *plan.Node, cards []float64) {
+func (l *runLog) ObserveRun(g *query.JoinGraph, _ *plan.Node, cards []float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.cards[q.Key()] = append(l.cards[q.Key()], cards)
+	k := g.Query().Key()
+	l.cards[k] = append(l.cards[k], cards)
 }
 
 // TestSharedPlanConcurrentBindings runs one cached generic plan from many

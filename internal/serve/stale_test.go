@@ -184,7 +184,7 @@ func referenceCount(t testing.TB, cat *data.Catalog, sql string) *exec.Result {
 // lastQuery records the query of the latest execution.
 type lastQuery struct{ q *query.Query }
 
-func (l *lastQuery) ObserveRun(q *query.Query, _ *plan.Node, _ []float64) { l.q = q }
+func (l *lastQuery) ObserveRun(g *query.JoinGraph, _ *plan.Node, _ []float64) { l.q = g.Query() }
 
 // staleText is a generated statement and what a catalog change can make
 // stale: the tables it names and the literals it compares t.s with.
