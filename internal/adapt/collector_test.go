@@ -72,35 +72,10 @@ func TestCollectorObserveRunMatchesAdd(t *testing.T) {
 	}
 }
 
-// TestCollectorRefreshAllocatesNothing: a run whose labels are all known
-// only refreshes their cards, keyed through the collector's buffer.
-func TestCollectorRefreshAllocatesNothing(t *testing.T) {
-	f := newFixture(t)
-	q := mustParse(t, "SELECT COUNT(*) FROM posts, users, comments WHERE posts.owner_user_id = users.id AND comments.post_id = posts.id AND posts.score > 5;")
-	p, err := f.opt.OptimizeCtx(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, c := query.NewJoinGraph(q), NewCollector(0)
-	cards := make([]float64, len(p.Nodes()))
-	c.ObserveRun(g, p, cards)
-	for i := range cards {
-		cards[i] = float64(i + 1)
-	}
-	if got := testing.AllocsPerRun(100, func() { c.ObserveRun(g, p, cards) }); got != 0 {
-		t.Errorf("a refresh-only run allocates %.1f objects, want 0", got)
-	}
-	for i, s := range c.Samples() {
-		if s.Card != cards[i] {
-			t.Errorf("label %d card %v, want the refreshed %v", i, s.Card, cards[i])
-		}
-	}
-}
-
 // TestCollectorConcurrentRuns observes runs from several goroutines into
 // one small collector, as concurrent requests do through a server's
-// observer: under -race it checks the shared key buffer and the evicting
-// FIFO, and after it every held label must sit where its index says.
+// observer: under -race it checks the evicting FIFO, and after it every
+// held label must sit where its index says.
 func TestCollectorConcurrentRuns(t *testing.T) {
 	f := newFixture(t)
 	qs := workload.GenWorkload(f.cat, workload.Options{Seed: 39, Count: 8, MinJoins: 1, MaxJoins: 4, MaxPreds: 2})

@@ -27,7 +27,6 @@ type Collector struct {
 	samples []cardest.Sample
 	index   map[string]int // sub-query key -> sequence number
 	base    int            // sequence number of samples[0]
-	keyBuf  []byte         // ObserveRun's key buffer
 }
 
 // NewCollector returns a collector bounded to capacity labels
@@ -41,26 +40,35 @@ func NewCollector(capacity int) *Collector {
 
 // ObserveRun is Add(g.Sub(mask), cards[i]) for p's i-th node in
 // pre-order, cards being the run's record (exec.Result.Cards) over g's
-// query — opt.HarvestCards' feed, kept across queries. Known labels are
-// looked up through one key buffer, and from the first new one on the
-// sub-queries come from one g.SubsOf slab. p and g are only read.
+// query — opt.HarvestCards' feed, kept across queries. The labels not yet
+// held share one g.SubsOf slab, built outside the lock; a held label is
+// only refreshed, so it pins no slab. p and g are only read.
 func (c *Collector) ObserveRun(g *query.JoinGraph, p *plan.Node, cards []float64) {
-	masks, known := make([]uint64, 0, 32), 0 // known: the leading nodes whose labels are held
+	masks, fresh, key := make([]uint64, 0, 32), make([]uint64, 0, 32), make([]byte, 0, 256)
+	p.WalkLogicalMasks(g, func(_ *plan.Node, mask uint64) { masks = append(masks, mask) })
+	c.mu.Lock()
+	for _, m := range masks {
+		key = g.AppendKey(key[:0], m)
+		if _, ok := c.index[string(key)]; !ok {
+			fresh = append(fresh, m)
+		}
+	}
+	c.mu.Unlock()
+	subs := g.SubsOf(fresh)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p.WalkLogicalMasks(g, func(_ *plan.Node, mask uint64) {
-		if len(masks) == known { // nothing added yet, so nothing evicted
-			c.keyBuf = g.AppendKey(c.keyBuf[:0], mask)
-			if seq, ok := c.index[string(c.keyBuf)]; ok {
-				c.samples[seq-c.base].Card = cards[known]
-				known++
-			}
+	for i, m := range masks {
+		if len(fresh) > 0 && fresh[0] == m {
+			c.add(&subs[0], cards[i])
+			fresh, subs = fresh[1:], subs[1:]
+			continue
 		}
-		masks = append(masks, mask)
-	})
-	subs := g.SubsOf(masks[known:]) // empty, and allocation-free, when every label is held
-	for i := range subs {
-		c.add(&subs[i], cards[known+i])
+		key = g.AppendKey(key[:0], m)
+		if seq, ok := c.index[string(key)]; ok {
+			c.samples[seq-c.base].Card = cards[i]
+		} else {
+			c.add(g.Sub(m), cards[i]) // held at the lookup, evicted since
+		}
 	}
 }
 

@@ -97,10 +97,11 @@ func TestE10ChaosDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Only hangs overrun the budget, even under the race detector. A hang
-	// just past it resumes while the next query plans: an unjoined
-	// attempt would then draw that query's faults.
-	opts := chaosOptions{Rates: []float64{0.10, 0.40}, Timeout: 100 * time.Millisecond, Hang: 101 * time.Millisecond}
+	// Only hangs overrun the budget, even under the race detector, and a
+	// hang loses to the watchdog by 5 ms. A hang just past the budget
+	// resumes while the next query plans: an unjoined attempt would then
+	// draw that query's faults.
+	opts := chaosOptions{Rates: []float64{0.10, 0.40}, Timeout: 100 * time.Millisecond, Hang: 105 * time.Millisecond}
 	var runs [2][][]string
 	for i := range runs {
 		rep, err := e10Chaos(context.Background(), env, opts)

@@ -90,6 +90,15 @@ func (g *Planner) Plan(ctx context.Context, q *query.Query) (*plan.Node, bool, e
 		return g.fallback(ctx, q)
 	}
 
+	// The budget starts before the call does, so the time it takes to
+	// start the call counts against it.
+	var timeout <-chan time.Time
+	if g.Timeout > 0 {
+		t := time.NewTimer(g.Timeout)
+		defer t.Stop()
+		timeout = t.C
+	}
+
 	type planResult struct {
 		p   *plan.Node
 		err error
@@ -106,13 +115,6 @@ func (g *Planner) Plan(ctx context.Context, q *query.Query) (*plan.Node, bool, e
 		})
 		ch <- planResult{p, err}
 	}()
-
-	var timeout <-chan time.Time
-	if g.Timeout > 0 {
-		t := time.NewTimer(g.Timeout)
-		defer t.Stop()
-		timeout = t.C
-	}
 
 	select {
 	case r := <-ch:
