@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"lqo/internal/cardest"
@@ -14,7 +15,8 @@ import (
 // sample drivers (learned cardinality estimator, Bao, Lero) deployed
 // through push/pull, with workload latency vs native and per-query
 // middleware overhead. Expected shape: drivers match or improve native
-// latency; console overhead is microseconds per query.
+// latency; console overhead is microseconds per query. It fails if any
+// steered query's answer differs from the native run (checkSteered).
 func E7PilotScope(ctx context.Context, env *Env) (*Report, error) {
 	r := &Report{
 		ID:     "E7",
@@ -36,13 +38,14 @@ func E7PilotScope(ctx context.Context, env *Env) (*Report, error) {
 	if err := console.StopTask(); err != nil {
 		return nil, err
 	}
+	natives := make([]*pilotscope.Result, len(env.Test))
 	natLats := make([]float64, len(env.Test))
 	for i, l := range env.Test {
 		res, err := console.ExecuteQuery(ctx, l.Q)
 		if err != nil {
 			return nil, err
 		}
-		natLats[i] = res.Latency
+		natives[i], natLats[i] = res, res.Latency
 	}
 	r.AddRow("(none)", F(sum(natLats)), "1.00", "-", "0")
 
@@ -64,6 +67,9 @@ func E7PilotScope(ctx context.Context, env *Env) (*Report, error) {
 			res, err := console.ExecuteQuery(ctx, l.Q)
 			if err != nil {
 				return nil, fmt.Errorf("E7 %s: %w", d.Name(), err)
+			}
+			if err := checkSteered(d.Name(), i, natives[i], res); err != nil {
+				return nil, err
 			}
 			lats[i] = res.Latency
 			execWork += res.Latency
@@ -107,13 +113,13 @@ func e7IndexAdvisor(ctx context.Context, env *Env, r *Report) error {
 		trainSQL = append(trainSQL, l.Q.SQL())
 	}
 	console.SetWorkload(trainSQL)
-	before := make([]float64, len(priv.Test))
+	natives := make([]*pilotscope.Result, len(priv.Test))
 	for i, l := range priv.Test {
 		res, err := console.ExecuteQuery(ctx, l.Q)
 		if err != nil {
 			return err
 		}
-		before[i] = res.Latency
+		natives[i] = res
 	}
 	adv := pilotscope.NewIndexAdvisorDriver()
 	console.RegisterDriver(adv)
@@ -127,14 +133,27 @@ func e7IndexAdvisor(ctx context.Context, env *Env, r *Report) error {
 		if err != nil {
 			return err
 		}
+		if err := checkSteered(adv.Name(), i, natives[i], res); err != nil {
+			return err
+		}
 		after[i] = res.Latency
 	}
 	elapsed := float64(time.Since(start).Microseconds()) / float64(len(priv.Test))
 	var rel []float64
 	for i := range after {
-		rel = append(rel, after[i]/before[i])
+		rel = append(rel, after[i]/natives[i].Latency)
 	}
 	r.AddRow("index-advisor", F(sum(after)), F(metrics.GeoMean(rel)), F(elapsed),
 		fmt.Sprintf("%d idx", len(adv.Recommended())))
+	return nil
+}
+
+// checkSteered is E7's per-query contract: a driver may change the plan,
+// never the answer. Count and Value must match the native run bit for bit.
+func checkSteered(driver string, i int, native, steered *pilotscope.Result) error {
+	if steered.Count != native.Count || math.Float64bits(steered.Value) != math.Float64bits(native.Value) {
+		return fmt.Errorf("E7 %s: test query %d answered count=%d value=%v, native count=%d value=%v",
+			driver, i, steered.Count, steered.Value, native.Count, native.Value)
+	}
 	return nil
 }

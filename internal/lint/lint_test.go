@@ -146,7 +146,7 @@ func TestMainRejectsZeroPackages(t *testing.T) {
 
 // maxWaivers is the waiver budget: the most suppressed findings the real
 // tree may carry. Lower it when a waiver goes; raising it needs a reason.
-const maxWaivers = 4
+const maxWaivers = 2
 
 // TestRealTreeClean lints the whole module: the tree must be clean, its
 // suppressed findings must fit the waiver budget, every ignore directive

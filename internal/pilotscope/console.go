@@ -38,20 +38,11 @@ func (t InjectionType) String() string {
 // InitContext is handed to Driver.Init: the interactor plus the training
 // workload the database user registered for the task.
 type InitContext struct {
-	// Ctx bounds the whole Init (training) phase; nil means Background.
+	// Ctx bounds the whole Init (training) phase: the caller's context.
 	Ctx      context.Context
 	DB       DB
 	Workload []string // SQL statements
 	Seed     int64
-}
-
-// Context returns the init deadline context, defaulting to Background.
-func (c *InitContext) Context() context.Context {
-	if c.Ctx == nil {
-		//lqolint:ignore ctxprop documented InitContext default: a driver that sets no deadline gets an unbounded init, by contract
-		return context.Background()
-	}
-	return c.Ctx
 }
 
 // Driver packages one AI4DB task, mirroring the paper's programming model:
@@ -71,7 +62,7 @@ type Driver interface {
 }
 
 // Updater is optionally implemented by drivers whose models track
-// database changes; the console's background updater calls it.
+// database changes; Console.UpdateModels calls it.
 type Updater interface {
 	Update(ctx *InitContext) error
 }
@@ -222,38 +213,39 @@ func (c *Console) consult(ctx context.Context, d Driver, sess *Session) {
 	}
 }
 
-// ExecuteSQL is the database user's entry point: the active driver (if
-// any) is consulted transparently; on driver failure — error or panic —
-// the query still runs natively. The middleware never breaks the
+// ExecuteSQL is the database user's entry point: it parses sql against
+// the pulled catalog and serves it like ExecuteQuery. The active driver
+// (if any) is consulted transparently; on driver failure — error or
+// panic — the query still runs natively. The middleware never breaks the
 // database.
 func (c *Console) ExecuteSQL(ctx context.Context, sql string) (*Result, error) {
-	c.mu.Lock()
-	d := c.active
-	c.QueriesServed++
-	c.mu.Unlock()
-
-	sess := &Session{}
-	if d != nil {
-		if eng, ok := c.db.(*Engine); ok {
-			q, err := sqlx.Parse(sql, eng.Cat)
-			if err != nil {
-				return nil, err
-			}
-			sess.Query = q
-			c.consult(ctx, d, sess)
-			return c.db.ExecuteQuery(ctx, sess, q)
-		}
+	d := c.admit()
+	cat, err := pullCatalog(ctx, c.db)
+	if err != nil {
+		return nil, err
 	}
-	return c.db.ExecuteSQL(ctx, sess, sql)
+	q, err := sqlx.Parse(sql, cat)
+	if err != nil {
+		return nil, err
+	}
+	return c.execute(ctx, d, q)
 }
 
 // ExecuteQuery is ExecuteSQL for pre-parsed queries.
 func (c *Console) ExecuteQuery(ctx context.Context, q *query.Query) (*Result, error) {
-	c.mu.Lock()
-	d := c.active
-	c.QueriesServed++
-	c.mu.Unlock()
+	return c.execute(ctx, c.admit(), q)
+}
 
+// admit counts one served query and returns the active driver.
+func (c *Console) admit() Driver {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.QueriesServed++
+	return c.active
+}
+
+// execute consults d (if any) for q, then executes q under the session.
+func (c *Console) execute(ctx context.Context, d Driver, q *query.Query) (*Result, error) {
 	sess := &Session{Query: q}
 	if d != nil {
 		c.consult(ctx, d, sess)
@@ -263,8 +255,8 @@ func (c *Console) ExecuteQuery(ctx context.Context, q *query.Query) (*Result, er
 
 // UpdateModels synchronously triggers the active driver's model update if
 // it implements Updater (the paper runs this in the background; the
-// workbench exposes a deterministic trigger plus StartBackgroundUpdater).
-// A panic inside Update is recovered into the returned error.
+// workbench exposes it as a deterministic trigger). A panic inside Update
+// is recovered into the returned error.
 func (c *Console) UpdateModels(ctx context.Context) error {
 	c.mu.Lock()
 	d := c.active
@@ -281,21 +273,4 @@ func (c *Console) UpdateModels(ctx context.Context) error {
 	return guard.Safe(d.Name()+".Update", func() error {
 		return u.Update(&InitContext{Ctx: ctx, DB: c.db, Workload: workload, Seed: seed})
 	})
-}
-
-// StartBackgroundUpdater launches a goroutine that calls UpdateModels
-// every time a value arrives on trigger, stopping when it closes. It
-// returns a done channel.
-func (c *Console) StartBackgroundUpdater(trigger <-chan struct{}) <-chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range trigger {
-			// Errors are swallowed by design: background staleness must
-			// never take the database down.
-			//lqolint:ignore ctxprop the staleness updater is deliberately detached from any request lifetime; it stops via channel close, not cancellation
-			_ = c.UpdateModels(context.Background())
-		}
-	}()
-	return done
 }

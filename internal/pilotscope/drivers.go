@@ -15,6 +15,30 @@ import (
 	"lqo/internal/stats"
 )
 
+// pullCatalog pulls the database's catalog: every driver's Init and the
+// console's SQL entry point parse against it.
+func pullCatalog(ctx context.Context, db DB) (*data.Catalog, error) {
+	catAny, err := db.Pull(ctx, &Session{}, PullCatalog, nil)
+	if err != nil {
+		return nil, err
+	}
+	return catAny.(*data.Catalog), nil
+}
+
+// pullCatalogStats is the learning drivers' Init prologue: the catalog
+// and the statistics their models are trained against.
+func pullCatalogStats(ctx *InitContext) (*data.Catalog, *stats.CatalogStats, error) {
+	cat, err := pullCatalog(ctx.Ctx, ctx.DB)
+	if err != nil {
+		return nil, nil, err
+	}
+	statsAny, err := ctx.DB.Pull(ctx.Ctx, &Session{}, PullStats, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return cat, statsAny.(*stats.CatalogStats), nil
+}
+
 // CardEstDriver is the tutorial's first sample application: it deploys
 // any learned cardinality estimator behind the cardinality injection
 // interface. Per query, it enumerates the optimizer-relevant sub-queries
@@ -42,29 +66,20 @@ func (d *CardEstDriver) Injection() InjectionType { return InjectCardinalities }
 // workload's sub-queries through PullTrueCard, and train the estimator.
 func (d *CardEstDriver) Init(ctx *InitContext) error {
 	d.db = ctx.DB
-	ic := ctx.Context()
-	sess := &Session{}
-	catAny, err := ctx.DB.Pull(ic, sess, PullCatalog, nil)
+	cat, cs, err := pullCatalogStats(ctx)
 	if err != nil {
 		return err
 	}
-	cat := catAny.(*data.Catalog)
-	statsAny, err := ctx.DB.Pull(ic, sess, PullStats, nil)
-	if err != nil {
-		return err
-	}
-	cs := statsAny.(*stats.CatalogStats)
-
 	var train []cardest.Sample
 	for _, sql := range ctx.Workload {
-		if err := ic.Err(); err != nil {
+		if err := ctx.Ctx.Err(); err != nil {
 			return err
 		}
 		q, err := sqlx.Parse(sql, cat)
 		if err != nil {
 			continue
 		}
-		cardAny, err := ctx.DB.Pull(ic, sess, PullTrueCard, q)
+		cardAny, err := ctx.DB.Pull(ctx.Ctx, &Session{}, PullTrueCard, q)
 		if err != nil {
 			continue
 		}
@@ -96,233 +111,136 @@ func (d *CardEstDriver) Algo(ctx context.Context, sess *Session) error {
 // Update implements Updater: retrain on the (possibly changed) database.
 func (d *CardEstDriver) Update(ctx *InitContext) error { return d.Init(ctx) }
 
-// BaoDriver is the tutorial's Bao sample application [37]: Init executes
-// the workload under every hint-set arm through the middleware (push
-// hints → execute → observe latency), trains a value model, and Algo
-// pushes the predicted-best arm's hints for each incoming query.
-type BaoDriver struct {
-	// Arms are the steerable hint sets.
-	Arms []plan.HintSet
-	// Value predicts plan latency.
-	Value costmodel.Model
+// SteeringDriver is the tutorial's Bao [37] and Lero [79] sample
+// applications, one algorithm over two knob lists: Bao's hint-set arms
+// pushed through PushHints, or Lero's cardinality scaling factors pushed
+// through PushCardScale. Init executes each workload query's distinct
+// plans under every knob through push/pull (push knob → pull plan →
+// execute → observe latency) and trains a value model on them; Algo
+// pushes the knob whose plan the model predicts fastest.
+//
+// Lero proper ranks plans with a pairwise comparator; this driver's model
+// is a pointwise latency regressor, and a win-count tournament over a
+// pointwise model picks exactly the lowest prediction, so both drivers
+// share one selection rule.
+type SteeringDriver struct {
+	name  string
+	push  PushKind // PushHints or PushCardScale
+	knobs []any    // the push's payloads, in selection-priority order
+	seed  int64    // added to the console seed when training the model
+	value costmodel.Model
 
 	db DB
 }
 
-// NewBaoDriver returns a Bao driver with default arms and value model.
-func NewBaoDriver() *BaoDriver {
-	return &BaoDriver{Arms: plan.BaoHintSets(), Value: costmodel.NewGBDTCost(false)}
+// NewBaoDriver returns the Bao driver: plan.BaoHintSets arms.
+func NewBaoDriver() *SteeringDriver {
+	d := &SteeringDriver{name: "bao", push: PushHints, seed: 7}
+	for _, h := range plan.BaoHintSets() {
+		d.knobs = append(d.knobs, h)
+	}
+	return d
+}
+
+// NewLeroDriver returns the Lero driver: cardinality scaling factors.
+func NewLeroDriver() *SteeringDriver {
+	return &SteeringDriver{name: "lero", push: PushCardScale, knobs: []any{0.01, 0.1, 1.0, 10.0, 100.0}, seed: 13}
 }
 
 // Name implements Driver.
-func (d *BaoDriver) Name() string { return "bao" }
+func (d *SteeringDriver) Name() string { return d.name }
 
 // Injection implements Driver.
-func (d *BaoDriver) Injection() InjectionType { return InjectPlan }
+func (d *SteeringDriver) Injection() InjectionType { return InjectPlan }
 
-// Init implements Driver.
-func (d *BaoDriver) Init(ctx *InitContext) error {
+// Init implements Driver: execute every workload query's candidate plans
+// and train a fresh value model on their latencies.
+func (d *SteeringDriver) Init(ctx *InitContext) error {
 	d.db = ctx.DB
-	ic := ctx.Context()
-	catAny, err := ctx.DB.Pull(ic, &Session{}, PullCatalog, nil)
+	cat, cs, err := pullCatalogStats(ctx)
 	if err != nil {
 		return err
 	}
-	cat := catAny.(*data.Catalog)
-	statsAny, err := ctx.DB.Pull(ic, &Session{}, PullStats, nil)
-	if err != nil {
-		return err
-	}
-	cs := statsAny.(*stats.CatalogStats)
-
 	var exp []costmodel.TrainPlan
 	for _, sql := range ctx.Workload {
-		if err := ic.Err(); err != nil {
+		if err := ctx.Ctx.Err(); err != nil {
 			return err
 		}
 		q, err := sqlx.Parse(sql, cat)
 		if err != nil {
 			continue
 		}
-		seen := map[string]bool{}
-		for _, h := range d.Arms {
-			sess := &Session{Query: q}
-			if err := ctx.DB.Push(ic, sess, PushHints, h); err != nil {
-				return err
-			}
-			planAny, err := ctx.DB.Pull(ic, sess, PullPlan, q)
-			if err != nil {
-				continue
-			}
-			p := planAny.(*plan.Node)
-			if seen[p.Fingerprint()] {
-				continue
-			}
-			seen[p.Fingerprint()] = true
-			res, err := ctx.DB.ExecuteQuery(ic, sess, q)
-			if err != nil {
-				continue
-			}
-			exp = append(exp, costmodel.TrainPlan{Q: q, Plan: p, Latency: res.Latency})
-		}
-	}
-	return d.Value.Train(&costmodel.Context{Cat: cat, Stats: cs, Plans: exp, Seed: ctx.Seed + 7})
-}
-
-// Algo implements Driver: pull each arm's plan, predict, push the winner's
-// hints.
-func (d *BaoDriver) Algo(ctx context.Context, sess *Session) error {
-	if sess.Query == nil {
-		return fmt.Errorf("pilotscope: bao driver needs sess.Query")
-	}
-	best := math.Inf(1)
-	var bestHints plan.HintSet
-	for _, h := range d.Arms {
-		probe := &Session{Query: sess.Query}
-		if err := d.db.Push(ctx, probe, PushHints, h); err != nil {
+		cands, err := d.candidates(ctx.Ctx, q)
+		if err != nil {
 			return err
 		}
-		planAny, err := d.db.Pull(ctx, probe, PullPlan, sess.Query)
-		if err != nil {
-			continue
-		}
-		if v := d.Value.Predict(sess.Query, planAny.(*plan.Node)); v < best {
-			best, bestHints = v, h
+		for _, c := range cands {
+			res, err := ctx.DB.ExecuteQuery(ctx.Ctx, c.sess, q)
+			if err != nil {
+				continue
+			}
+			exp = append(exp, costmodel.TrainPlan{Q: q, Plan: c.plan, Latency: res.Latency})
 		}
 	}
-	return d.db.Push(ctx, sess, PushHints, bestHints)
+	value := costmodel.NewGBDTCost(false)
+	if err := value.Train(&costmodel.Context{Cat: cat, Stats: cs, Plans: exp, Seed: ctx.Seed + d.seed}); err != nil {
+		return err
+	}
+	d.value = value
+	return nil
 }
 
-// LeroDriver is the tutorial's Lero sample application [79]: Init executes
-// the workload under each cardinality scaling factor, trains the pairwise
-// comparator on the resulting plan pairs, and Algo pushes the factor whose
-// plan wins the comparison tournament.
-type LeroDriver struct {
-	// Factors are the cardinality scaling knobs.
-	Factors []float64
-	// Comparator ranks candidate plans.
-	Comparator *leroComparator
-
-	db DB
-}
-
-// leroComparator ranks two plans by a costmodel.GBDTCost latency
-// regressor trained on the executed plans: the plan with the lower
-// predicted latency wins. It is pointwise, not the learnedopt Lero's
-// pairwise model.
-type leroComparator struct {
-	gb *costmodel.GBDTCost
-}
-
-func (c *leroComparator) train(cat *data.Catalog, cs *stats.CatalogStats, exp []costmodel.TrainPlan, seed int64) error {
-	c.gb = costmodel.NewGBDTCost(false)
-	return c.gb.Train(&costmodel.Context{Cat: cat, Stats: cs, Plans: exp, Seed: seed})
-}
-
-func (c *leroComparator) better(q *query.Query, a, b *plan.Node) bool {
-	return c.gb.Predict(q, a) < c.gb.Predict(q, b)
-}
-
-// NewLeroDriver returns a Lero driver with the default factor knobs.
-func NewLeroDriver() *LeroDriver {
-	return &LeroDriver{Factors: []float64{0.01, 0.1, 1, 10, 100}, Comparator: &leroComparator{}}
-}
-
-// Name implements Driver.
-func (d *LeroDriver) Name() string { return "lero" }
-
-// Injection implements Driver.
-func (d *LeroDriver) Injection() InjectionType { return InjectPlan }
-
-// Init implements Driver.
-func (d *LeroDriver) Init(ctx *InitContext) error {
-	d.db = ctx.DB
-	ic := ctx.Context()
-	catAny, err := ctx.DB.Pull(ic, &Session{}, PullCatalog, nil)
+// Algo implements Driver: push the first knob whose plan has the lowest
+// predicted latency. A NaN prediction never wins; if every prediction is
+// NaN the first candidate does.
+func (d *SteeringDriver) Algo(ctx context.Context, sess *Session) error {
+	if sess.Query == nil {
+		return fmt.Errorf("pilotscope: %s driver needs sess.Query", d.name)
+	}
+	cands, err := d.candidates(ctx, sess.Query)
 	if err != nil {
 		return err
 	}
-	cat := catAny.(*data.Catalog)
-	statsAny, err := ctx.DB.Pull(ic, &Session{}, PullStats, nil)
-	if err != nil {
-		return err
+	if len(cands) == 0 {
+		return fmt.Errorf("pilotscope: %s produced no candidates", d.name)
 	}
-	cs := statsAny.(*stats.CatalogStats)
-
-	var exp []costmodel.TrainPlan
-	for _, sql := range ctx.Workload {
-		if err := ic.Err(); err != nil {
-			return err
-		}
-		q, err := sqlx.Parse(sql, cat)
-		if err != nil {
-			continue
-		}
-		seen := map[string]bool{}
-		for _, f := range d.Factors {
-			sess := &Session{Query: q}
-			if err := ctx.DB.Push(ic, sess, PushCardScale, f); err != nil {
-				return err
-			}
-			planAny, err := ctx.DB.Pull(ic, sess, PullPlan, q)
-			if err != nil {
-				continue
-			}
-			p := planAny.(*plan.Node)
-			if seen[p.Fingerprint()] {
-				continue
-			}
-			seen[p.Fingerprint()] = true
-			res, err := ctx.DB.ExecuteQuery(ic, sess, q)
-			if err != nil {
-				continue
-			}
-			exp = append(exp, costmodel.TrainPlan{Q: q, Plan: p, Latency: res.Latency})
+	best, bestV := cands[0], math.Inf(1)
+	for _, c := range cands {
+		if v := d.value.Predict(sess.Query, c.plan); v < bestV {
+			best, bestV = c, v
 		}
 	}
-	return d.Comparator.train(cat, cs, exp, ctx.Seed+13)
+	return d.db.Push(ctx, sess, d.push, best.knob)
 }
 
-// Algo implements Driver.
-func (d *LeroDriver) Algo(ctx context.Context, sess *Session) error {
-	if sess.Query == nil {
-		return fmt.Errorf("pilotscope: lero driver needs sess.Query")
-	}
-	type cand struct {
-		factor float64
-		p      *plan.Node
-	}
-	var cands []cand
+// candidate is one knob's plan for a query, with the probe session the
+// knob was pushed into.
+type candidate struct {
+	knob any
+	sess *Session
+	plan *plan.Node
+}
+
+// candidates pushes each knob into a fresh probe session for q and pulls
+// its plan, keeping the first knob of each distinct plan. A knob whose
+// plan cannot be pulled is skipped; a failed push aborts.
+func (d *SteeringDriver) candidates(ctx context.Context, q *query.Query) ([]candidate, error) {
+	var out []candidate
 	seen := map[string]bool{}
-	for _, f := range d.Factors {
-		probe := &Session{Query: sess.Query}
-		if err := d.db.Push(ctx, probe, PushCardScale, f); err != nil {
-			return err
+	for _, k := range d.knobs {
+		sess := &Session{Query: q}
+		if err := d.db.Push(ctx, sess, d.push, k); err != nil {
+			return nil, err
 		}
-		planAny, err := d.db.Pull(ctx, probe, PullPlan, sess.Query)
+		planAny, err := d.db.Pull(ctx, sess, PullPlan, q)
 		if err != nil {
 			continue
 		}
 		p := planAny.(*plan.Node)
-		if !seen[p.Fingerprint()] {
-			seen[p.Fingerprint()] = true
-			cands = append(cands, cand{f, p})
+		if fp := p.Fingerprint(); !seen[fp] {
+			seen[fp] = true
+			out = append(out, candidate{knob: k, sess: sess, plan: p})
 		}
 	}
-	if len(cands) == 0 {
-		return fmt.Errorf("pilotscope: lero produced no candidates")
-	}
-	bestWins, best := -1, cands[0]
-	for _, c := range cands {
-		wins := 0
-		for _, o := range cands {
-			if c.p != o.p && d.Comparator.better(sess.Query, c.p, o.p) {
-				wins++
-			}
-		}
-		if wins > bestWins {
-			bestWins, best = wins, c
-		}
-	}
-	return d.db.Push(ctx, sess, PushCardScale, best.factor)
+	return out, nil
 }

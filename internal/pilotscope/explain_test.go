@@ -2,7 +2,6 @@ package pilotscope
 
 import (
 	"context"
-	"math"
 	"strings"
 	"testing"
 
@@ -10,7 +9,7 @@ import (
 )
 
 // multiJoinSQL returns a test statement whose plan has at least one join,
-// so sub-plan labels cover more than a single scan.
+// so the rendered plan covers more than a single scan.
 func multiJoinSQL(t *testing.T, w *world) string {
 	t.Helper()
 	for _, sql := range w.test {
@@ -21,59 +20,6 @@ func multiJoinSQL(t *testing.T, w *world) string {
 	}
 	t.Fatal("no multi-join statement in test workload")
 	return ""
-}
-
-func TestPullSubPlanLabels(t *testing.T) {
-	w := getWorld(t)
-	sql := multiJoinSQL(t, w)
-	q := mustParse(t, w, sql)
-	sess := &Session{}
-	res, err := w.eng.ExecuteQuery(context.Background(), sess, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := w.eng.Pull(context.Background(), sess, PullSubPlanLabels, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels := got.([]SubPlanLabel)
-	if len(labels) != len(res.Plan.Nodes()) {
-		t.Fatalf("%d labels for %d plan nodes", len(labels), len(res.Plan.Nodes()))
-	}
-	// Walk is pre-order: the first label is the root.
-	root := labels[0]
-	if root.Card != float64(res.Count) {
-		t.Fatalf("root card %v, executed count %d", root.Card, res.Count)
-	}
-	// Subtree work sums per-operator subtotals — a different float
-	// association than the executor's flat charge fold, so compare with a
-	// small relative tolerance.
-	if d := math.Abs(root.WorkUnits - res.Latency); d > 1e-6*math.Max(1, res.Latency) {
-		t.Fatalf("root subtree work %v, executed latency %v", root.WorkUnits, res.Latency)
-	}
-	for _, l := range labels {
-		if l.Q == nil || len(l.Q.Refs) == 0 {
-			t.Fatalf("label %q without sub-query", l.Op)
-		}
-		if l.Op == "" || l.Card < 0 || l.WorkUnits <= 0 {
-			t.Fatalf("degenerate label %+v", l)
-		}
-		// Each label's cardinality must be the sub-query's true cardinality.
-		tc, err := w.eng.Pull(context.Background(), sess, PullTrueCard, l.Q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tc.(float64) != l.Card {
-			t.Errorf("%s on %v: label card %v, true card %v", l.Op, l.Q.Key(), l.Card, tc)
-		}
-	}
-}
-
-func TestPullSubPlanLabelsBadPayload(t *testing.T) {
-	w := getWorld(t)
-	if _, err := w.eng.Pull(context.Background(), &Session{}, PullSubPlanLabels, 42); err == nil {
-		t.Fatal("bad payload accepted")
-	}
 }
 
 func TestExplainAnalyze(t *testing.T) {

@@ -45,12 +45,10 @@ func (d *IndexAdvisorDriver) Injection() InjectionType { return InjectPlan }
 
 // Init implements Driver: mine the workload, recommend, and push builds.
 func (d *IndexAdvisorDriver) Init(ctx *InitContext) error {
-	ic := ctx.Context()
-	catAny, err := ctx.DB.Pull(ic, &Session{}, PullCatalog, nil)
+	cat, err := pullCatalog(ctx.Ctx, ctx.DB)
 	if err != nil {
 		return err
 	}
-	cat := catAny.(*data.Catalog)
 
 	uses := map[IndexSpec]int{}
 	for _, sql := range ctx.Workload {
@@ -92,7 +90,7 @@ func (d *IndexAdvisorDriver) Init(ctx *InitContext) error {
 	}
 	d.recommended = d.recommended[:0]
 	for _, c := range cands {
-		if err := ctx.DB.Push(ic, &Session{}, PushIndex, c.spec); err != nil {
+		if err := ctx.DB.Push(ctx.Ctx, &Session{}, PushIndex, c.spec); err != nil {
 			return fmt.Errorf("pilotscope: building index %s.%s: %w", c.spec.Table, c.spec.Column, err)
 		}
 		d.recommended = append(d.recommended, c.spec)

@@ -9,7 +9,6 @@ package pilotscope
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"lqo/internal/cardest"
 	"lqo/internal/cost"
@@ -61,25 +60,7 @@ const (
 	// PullSubqueries returns the payload *query.Query's connected
 	// sub-queries as []*query.Query.
 	PullSubqueries
-	// PullSubPlanLabels executes the payload *query.Query under the
-	// session's pushed state and returns []SubPlanLabel: one per plan
-	// node, with the sub-plan's actual cardinality, the work units of the
-	// whole subtree and per-operator wall time. These are the sub-plan
-	// training labels Neo/LEON-style drivers learn from (one execution
-	// labels every sub-plan, not just the root).
-	PullSubPlanLabels
 )
-
-// SubPlanLabel is one executed plan node's training label: the sub-query
-// the subtree computes, its exact cardinality, and the measured cost of
-// the subtree.
-type SubPlanLabel struct {
-	Q         *query.Query  // logical sub-query of the subtree
-	Op        string        // operator at the subtree root
-	Card      float64       // actual output cardinality (TrueCard)
-	WorkUnits float64       // work charged to the whole subtree
-	Wall      time.Duration // wall-clock inside the subtree's root operator
-}
 
 // Result is what a database user gets back from ExecuteSQL.
 type Result struct {
@@ -121,10 +102,8 @@ type DB interface {
 	Push(ctx context.Context, sess *Session, kind PushKind, payload any) error
 	// Pull acquires data from the database.
 	Pull(ctx context.Context, sess *Session, kind PullKind, payload any) (any, error)
-	// ExecuteSQL parses, optimizes (honoring the session's pushed state)
-	// and executes a SQL statement.
-	ExecuteSQL(ctx context.Context, sess *Session, sql string) (*Result, error)
-	// ExecuteQuery is ExecuteSQL for an already-parsed query.
+	// ExecuteQuery optimizes (honoring the session's pushed state) and
+	// executes an already-parsed query.
 	ExecuteQuery(ctx context.Context, sess *Session, q *query.Query) (*Result, error)
 }
 
@@ -231,12 +210,6 @@ func (e *Engine) Pull(ctx context.Context, sess *Session, kind PullKind, payload
 			return nil, fmt.Errorf("pilotscope: PullSubqueries wants *query.Query, got %T", payload)
 		}
 		return Subqueries(q), nil
-	case PullSubPlanLabels:
-		q, ok := payload.(*query.Query)
-		if !ok {
-			return nil, fmt.Errorf("pilotscope: PullSubPlanLabels wants *query.Query, got %T", payload)
-		}
-		return e.subPlanLabels(ctx, sess, q)
 	default:
 		return nil, fmt.Errorf("pilotscope: unknown pull kind %d", kind)
 	}
@@ -311,35 +284,6 @@ func (e *Engine) optimizeTrace(ctx context.Context, sess *Session, q *query.Quer
 	return o.OptimizeTraceCtx(ctx, query.NewJoinGraph(q))
 }
 
-// subPlanLabels optimizes q under the session, executes the plan with
-// per-operator telemetry, and returns one label per plan node in
-// pre-order.
-func (e *Engine) subPlanLabels(ctx context.Context, sess *Session, q *query.Query) ([]SubPlanLabel, error) {
-	p, err := e.optimize(ctx, sess, q)
-	if err != nil {
-		return nil, err
-	}
-	_, pt, err := e.Ex.RunAnalyze(ctx, q, p)
-	if err != nil {
-		return nil, err
-	}
-	var labels []SubPlanLabel
-	p.Walk(func(n *plan.Node) {
-		t, ok := pt.ByNode(n)
-		if !ok {
-			return
-		}
-		labels = append(labels, SubPlanLabel{
-			Q:         n.Subquery(q),
-			Op:        n.Op.String(),
-			Card:      n.TrueCard,
-			WorkUnits: pt.SubtreeWork(n),
-			Wall:      t.Wall,
-		})
-	})
-	return labels, nil
-}
-
 // Explain parses and optimizes (honoring the session) sql without
 // executing it, returning the rendered plan followed by the rewrite-pass
 // trace — which passes fired and how the node count changed.
@@ -388,7 +332,8 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, sess *Session, sql string) 
 	return out + plan.RenderTrace(trace), &Result{Count: res.Count, Value: res.Value, Latency: res.Stats.WorkUnits, Plan: p}, nil
 }
 
-// ExecuteSQL implements DB.
+// ExecuteSQL parses sql against the engine's catalog and executes it like
+// ExecuteQuery.
 func (e *Engine) ExecuteSQL(ctx context.Context, sess *Session, sql string) (*Result, error) {
 	q, err := sqlx.Parse(sql, e.Cat)
 	if err != nil {

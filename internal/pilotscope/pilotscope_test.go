@@ -271,13 +271,6 @@ func TestBackgroundUpdater(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = w.console.StopTask() }()
-	trigger := make(chan struct{})
-	done := w.console.StartBackgroundUpdater(trigger)
-	trigger <- struct{}{}
-	trigger <- struct{}{}
-	close(trigger)
-	<-done
-	// Synchronous update also works.
 	if err := w.console.UpdateModels(context.Background()); err != nil {
 		t.Fatal(err)
 	}
