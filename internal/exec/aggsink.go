@@ -37,8 +37,8 @@ type aggSink struct {
 	tel         OpTelemetry
 }
 
-func newAggSink(e *Executor, q *query.Query) *aggSink {
-	s := drawOp[aggSink](e.pool, opSink)
+func newAggSink(e *Executor, pool *runSet, q *query.Query) *aggSink {
+	s := drawOp[aggSink](pool, opSink)
 	s.e, s.q, s.lo, s.hi = e, q, math.Inf(1), math.Inf(-1)
 	if q.Agg.Kind != query.AggCount {
 		s.reads[0] = q.Agg.Alias
@@ -151,7 +151,7 @@ func (s *aggSink) Close() error            { return s.child.Close() }
 func (s *aggSink) Telemetry() *OpTelemetry { return &s.tel }
 func (s *aggSink) Schema() []string        { return nil }
 
-func (s *aggSink) recycle(p *BatchPool) {
+func (s *aggSink) recycle(p *runSet) {
 	*s = aggSink{}
-	p.ops[opSink].Put(s)
+	p.ops[opSink] = append(p.ops[opSink], s)
 }

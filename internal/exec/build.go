@@ -11,7 +11,7 @@ import (
 	"lqo/internal/query"
 )
 
-// opKind indexes BatchPool.ops: one sync.Pool per recycled operator type.
+// opKind indexes runSet.ops: one free stack per recycled operator type.
 type opKind int
 
 const (
@@ -23,30 +23,31 @@ const (
 	numOpKinds
 )
 
-// drawOp returns an empty operator struct of kind k, recycled when p (which
-// may be nil) has one: operator structs are pooled like buffers, drawn at
+// drawOp returns an empty operator struct of kind k, recycled when the
+// run's set s has one: operator structs are pooled like buffers, drawn at
 // build and returned by Executor.run after a clean run.
-func drawOp[T any](p *BatchPool, k opKind) *T {
-	if p != nil {
-		if op, _ := p.ops[k].Get().(*T); op != nil {
-			return op
-		}
+func drawOp[T any](s *runSet, k opKind) *T {
+	n := len(s.ops[k]) - 1
+	if n < 0 {
+		return new(T)
 	}
-	return new(T)
+	op := s.ops[k][n].(*T)
+	s.ops[k][n] = nil
+	s.ops[k] = s.ops[k][:n]
+	return op
 }
 
 // recycler is implemented by the operator types drawOp serves: recycle
-// empties the struct into p, dropping every reference and keeping only
+// empties the struct into s, dropping every reference and keeping only
 // slice capacity — Open resolves everything catalog-derived again.
-type recycler interface{ recycle(p *BatchPool) }
+type recycler interface{ recycle(s *runSet) }
 
 // buildOperator constructs the operator tree for the plan rooted at n,
 // whose consumer reads the aliases in need (nil: none). Each operator
 // emits only those of its subtree; a join asks its inputs for need plus
 // its conditions' aliases, so intermediate rows carry just the key
 // columns later joins probe with and the aggregate's column.
-func (e *Executor) buildOperator(q *query.Query, n *plan.Node, need []string, analyze bool) (Operator, error) {
-	pool := e.pool
+func (e *Executor) buildOperator(pool *runSet, q *query.Query, n *plan.Node, need []string, analyze bool) (Operator, error) {
 	if n.IsLeaf() {
 		switch n.Op {
 		case plan.SeqScan:
@@ -79,11 +80,11 @@ func (e *Executor) buildOperator(q *query.Query, n *plan.Node, need []string, an
 		j.childNeed = joinNeed(j.childNeed[:0], need, n.Cond)
 		childNeed = j.childNeed
 	}
-	left, err := e.buildOperator(q, n.Left, childNeed, analyze)
+	left, err := e.buildOperator(pool, q, n.Left, childNeed, analyze)
 	if err != nil {
 		return nil, err
 	}
-	right, err := e.buildOperator(q, n.Right, childNeed, analyze)
+	right, err := e.buildOperator(pool, q, n.Right, childNeed, analyze)
 	if err != nil {
 		return nil, err
 	}

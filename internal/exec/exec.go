@@ -172,8 +172,10 @@ func (e *Executor) RunAnalyze(ctx context.Context, q *query.Query, p *plan.Node)
 }
 
 func (e *Executor) run(ctx context.Context, q *query.Query, p *plan.Node, analyze bool) (res *Result, pt *PlanTelemetry, err error) {
-	sink := newAggSink(e, q)
-	if sink.child, err = e.buildOperator(q, p, sink.needed, analyze); err != nil {
+	set := e.pool.checkout() // back after Close and recycle
+	defer e.pool.checkin(set)
+	sink := newAggSink(e, set, q)
+	if sink.child, err = e.buildOperator(set, q, p, sink.needed, analyze); err != nil {
 		return nil, nil, err
 	}
 	top := timed(sink, analyze)
@@ -190,7 +192,7 @@ func (e *Executor) run(ctx context.Context, q *query.Query, p *plan.Node, analyz
 		} else if err == nil && e.pool != nil {
 			walkOps(top, false, func(op Operator) {
 				if r, ok := op.(recycler); ok {
-					r.recycle(e.pool)
+					r.recycle(set)
 				}
 			})
 		}

@@ -409,7 +409,8 @@ func TestJoinSchemasArePruned(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := New(cat)
-		root, err := e.buildOperator(q, p, newAggSink(e, q).needed, false)
+		set := e.pool.checkout()
+		root, err := e.buildOperator(set, q, p, newAggSink(e, set, q).needed, false)
 		if err != nil {
 			t.Fatal(err)
 		}

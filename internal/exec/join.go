@@ -137,7 +137,7 @@ type joinBase struct {
 	e           *Executor
 	node        *plan.Node
 	left, right Operator
-	pool        *BatchPool
+	pool        *runSet
 	need        []string // aliases the consumer reads
 
 	ctx     context.Context
@@ -441,7 +441,7 @@ func (j *hashJoinOp) Close() error {
 	return j.close()
 }
 
-func (j *hashJoinOp) recycle(p *BatchPool) {
+func (j *hashJoinOp) recycle(p *runSet) {
 	clear(j.childNeed)
 	clear(j.lks)
 	clear(j.rks)
@@ -449,7 +449,7 @@ func (j *hashJoinOp) recycle(p *BatchPool) {
 		joinBase: j.recycled(), childNeed: j.childNeed[:0], lks: j.lks[:0], rks: j.rks[:0],
 		bufLeft: j.bufLeft, bufRight: j.bufRight,
 	}
-	p.ops[opHashJoin].Put(j)
+	p.ops[opHashJoin] = append(p.ops[opHashJoin], j)
 }
 
 // crossJoinOp evaluates a condition-free nested-loop join. Both inputs
@@ -544,7 +544,7 @@ func (c *crossJoinOp) Close() error {
 	return c.close()
 }
 
-func (c *crossJoinOp) recycle(p *BatchPool) {
+func (c *crossJoinOp) recycle(p *runSet) {
 	*c = crossJoinOp{joinBase: c.recycled(), lbuf: c.lbuf, rbuf: c.rbuf}
-	p.ops[opCrossJoin].Put(c)
+	p.ops[opCrossJoin] = append(p.ops[opCrossJoin], c)
 }

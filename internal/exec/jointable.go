@@ -55,7 +55,7 @@ const probeBlock = 256
 // index threads t.keys (already gathered, owned by t from here on) into
 // the bucket chains and the filter, checking ctx every cancelCheckRows
 // inserts. On error the buffers stay owned; release returns them.
-func (t *joinTable) index(ctx context.Context, pool *BatchPool) error {
+func (t *joinTable) index(ctx context.Context, pool bufs) error {
 	n := len(t.keys)
 	lg := 0
 	if n > 1 {
@@ -142,7 +142,7 @@ func (t *joinTable) candidates(cand *[probeBlock]int32, pkeys []uint64, lo, hi i
 
 // release returns the table's buffers to pool and empties the table.
 // Idempotent, and a no-op on a table that was never indexed.
-func (t *joinTable) release(pool *BatchPool) {
+func (t *joinTable) release(pool bufs) {
 	pool.PutSel(t.heads)
 	pool.PutSel(t.next)
 	pool.PutKeys(t.keys)

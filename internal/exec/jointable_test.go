@@ -178,7 +178,7 @@ func TestJoinTableMatchesMapOracle(t *testing.T) {
 		for i, v := range build {
 			tab.keys[i] = uint64(v)
 		}
-		if err := tab.index(context.Background(), nil); err != nil {
+		if err := tab.index(context.Background(), (*BatchPool)(nil)); err != nil {
 			t.Fatal(err)
 		}
 		for b, h := range tab.heads[1:] {
@@ -220,7 +220,7 @@ func TestJoinTableMatchesMapOracle(t *testing.T) {
 		for i, v := range build {
 			tab.keys[i] = uint64(v)
 		}
-		if err := tab.index(context.Background(), nil); err != nil {
+		if err := tab.index(context.Background(), (*BatchPool)(nil)); err != nil {
 			t.Fatal(err)
 		}
 		isSet := func(k int64) bool {

@@ -50,14 +50,14 @@ type Batch struct {
 }
 
 // alloc makes the empty b own k empty pooled vectors.
-func (b *Batch) alloc(p *BatchPool, k int) {
+func (b *Batch) alloc(p bufs, k int) {
 	for range k {
 		b.Cols = append(b.Cols, p.GetSel(0))
 	}
 }
 
 // free returns b's vectors to p and empties b; a no-op on an empty batch.
-func (b *Batch) free(p *BatchPool) {
+func (b *Batch) free(p bufs) {
 	for _, c := range b.Cols {
 		p.PutSel(c)
 	}

@@ -1,15 +1,19 @@
 // Buffer pooling for the operator pipeline: a per-executor BatchPool of
-// typed sync.Pools for the hot-path buffer shapes — row-id vectors
-// ([]int32: batch columns, selection vectors, join match indices and
-// chains) and join key scratch ([]uint64) — handed down the operator tree
-// at build time so steady-state execution of a cached plan allocates
-// ~nothing per row.
+// run-local buffer sets. A run checks one runSet out at its start and in
+// at its end; in between every hot-path buffer — row-id vectors ([]int32:
+// batch columns, selection vectors, join match indices and chains) and
+// join key scratch ([]uint64) — and every recycled operator struct is a
+// push or pop on that set's free stacks, so steady-state execution of a
+// cached plan allocates ~nothing and makes two sync.Pool calls per run.
+//
+// Idle sets are cache, not state: parked in one sync.Pool, they vanish
+// after two collections without a run (checkout explains the weak hint).
 //
 // Ownership contract (the promql-engine VectorPool discipline):
 //
 //   - An operator that materializes output gets its buffers from the
-//     pool (at Open, or at first use for lazily-sized scratch) and puts
-//     them back in Close. Get and Put must pair exactly: InUse counts
+//     run's set (at Open, or at first use for lazily-sized scratch) and
+//     puts them back in Close. Get and Put must pair exactly: InUse counts
 //     outstanding buffers, and the pool-contract tests assert it returns
 //     to zero once every operator has closed.
 //   - A buffer travels with its producer: the operator that got it is
@@ -19,15 +23,15 @@
 //     the goroutine that got a buffer from the pool may return it. A
 //     consumer that keeps rows copies their ids into its own buffers.
 //
-// A nil *BatchPool is valid everywhere and falls back to plain
-// allocation: the one degrade path (SetPool(nil), or an Executor not
-// built by New).
+// A nil *BatchPool is valid everywhere and recycles nothing across runs:
+// the one degrade path (SetPool(nil), or an Executor not built by New).
 package exec
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"weak"
 )
 
 // poolMinCap is the minimum capacity of freshly allocated buffers, so
@@ -36,45 +40,59 @@ import (
 const poolMinCap = 16
 
 // BatchPool is the executor's shared buffer pool. All methods are safe
-// for concurrent use and safe on a nil receiver (plain allocation, no
-// recycling).
+// for concurrent use and safe on a nil receiver (no recycling).
 type BatchPool struct {
-	sel  slicePool[int32]  // row-id vectors
-	keys slicePool[uint64] // join key scratch
-
-	ops [numOpKinds]sync.Pool // operator structs by type (build.go); not in InUse
-
-	// outstanding is gets minus puts across every kind — the leak
-	// accounting the pool-contract tests pin to zero after Close.
-	outstanding atomic.Int64
-
-	dbg *poolDebug
+	idle        sync.Pool                            // parked *runSet
+	last        atomic.Pointer[weak.Pointer[runSet]] // the set checked in last
+	outstanding atomic.Int64                         // gets minus puts, added by each set at check-in
+	dbg         *poolDebug
 }
 
-// slicePool parks []T buffers in a sync.Pool without allocating on
-// return: the heap box a parked slice header needs is emptied by get and
-// refilled by the next put.
-type slicePool[T any] struct {
-	full  sync.Pool // *[]T holding a parked buffer
-	boxes sync.Pool // *[]T emptied by get
+// runSet is one run's buffers and operator structs: free stacks that only
+// the goroutine holding the set touches.
+type runSet struct {
+	busy atomic.Bool           // held by a run; claimed by CompareAndSwap
+	self *weak.Pointer[runSet] // what BatchPool.last points to
+	out  int64                 // gets minus puts since check-out
+	sels [][]int32
+	keys [][]uint64
+	ops  [numOpKinds][]any // operator structs by type (build.go); not in InUse
+	dbg  *poolDebug
 }
 
-// get returns a parked buffer at its parked length, or nil.
-func (p *slicePool[T]) get() (s []T) {
-	if v, _ := p.full.Get().(*[]T); v != nil {
-		s, *v = *v, nil
-		p.boxes.Put(v)
+// checkout claims an idle set: the one this P parked, else the one checked
+// in last (a sync.Pool's per-P private slot cannot be stolen, so a client
+// goroutine that moved to another P would build a new set), else a new
+// one. The hint is weak so that it keeps no idle set alive; the busy flag
+// decides who holds a set reachable both ways. A nil pool parks nothing.
+func (p *BatchPool) checkout() *runSet {
+	if p == nil {
+		return &runSet{}
 	}
+	if s, _ := p.idle.Get().(*runSet); s != nil && s.busy.CompareAndSwap(false, true) {
+		return s
+	}
+	if w := p.last.Load(); w != nil {
+		if s := w.Value(); s != nil && s.busy.CompareAndSwap(false, true) {
+			return s
+		}
+	}
+	s := &runSet{self: new(weak.Pointer[runSet]), dbg: p.dbg}
+	*s.self = weak.Make(s)
+	s.busy.Store(true)
 	return s
 }
 
-func (p *slicePool[T]) put(s []T) {
-	v, _ := p.boxes.Get().(*[]T)
-	if v == nil {
-		v = new([]T)
+// checkin parks a set once every operator drawing from it has closed.
+func (p *BatchPool) checkin(s *runSet) {
+	if p == nil {
+		return
 	}
-	*v = s
-	p.full.Put(v)
+	p.outstanding.Add(s.out)
+	s.out = 0
+	s.busy.Store(false)
+	p.last.Store(s.self)
+	p.idle.Put(s)
 }
 
 // NewBatchPool returns an empty pool.
@@ -108,9 +126,8 @@ func (d *poolDebug) record(format string, args ...any) {
 	d.misuse = append(d.misuse, fmt.Sprintf(format, args...))
 }
 
-// InUse returns the number of outstanding buffers: every Get not yet
-// matched by a Put. Zero once all operators drawing from the pool have
-// closed.
+// InUse returns the number of Gets not yet matched by a Put, counted when
+// their set is checked in (a run's, after Close): zero once all closed.
 func (p *BatchPool) InUse() int64 {
 	if p == nil {
 		return 0
@@ -129,86 +146,104 @@ func (p *BatchPool) Misuse() []string {
 	return append([]string(nil), p.dbg.misuse...)
 }
 
+// bufs is a run's set, or the pool checking a set out for each call.
+type bufs interface {
+	GetSel(hint int) []int32
+	PutSel(s []int32)
+	GetKeys(hint int) []uint64
+	PutKeys(k []uint64)
+}
+
 // GetSel returns an empty row-id vector owned by the caller until PutSel.
 func (p *BatchPool) GetSel(hint int) []int32 {
-	if p == nil {
-		return make([]int32, 0, max(hint, poolMinCap))
-	}
-	return getBuf(p, &p.sel, hint, poisonRowID, "row-id vector")
+	s := p.checkout()
+	defer p.checkin(s)
+	return s.GetSel(hint)
 }
 
 // PutSel returns a row-id vector to the pool; nil is ignored (so a Close
 // that already ran is a no-op). The vector must not be used after.
-func (p *BatchPool) PutSel(s []int32) {
-	if p != nil && s != nil {
-		putBuf(p, &p.sel, s, poisonRowID, "row-id vector")
-	}
+func (p *BatchPool) PutSel(b []int32) {
+	s := p.checkout()
+	defer p.checkin(s)
+	s.PutSel(b)
 }
 
 // GetKeys returns an empty key-scratch buffer owned by the caller until
 // PutKeys.
 func (p *BatchPool) GetKeys(hint int) []uint64 {
-	if p == nil {
-		return make([]uint64, 0, max(hint, poolMinCap))
-	}
-	return getBuf(p, &p.keys, hint, poisonKey, "key buffer")
+	s := p.checkout()
+	defer p.checkin(s)
+	return s.GetKeys(hint)
 }
 
 // PutKeys returns a key-scratch buffer to the pool; nil is ignored.
 func (p *BatchPool) PutKeys(k []uint64) {
-	if p != nil && k != nil {
-		putBuf(p, &p.keys, k, poisonKey, "key buffer")
-	}
+	s := p.checkout()
+	defer p.checkin(s)
+	s.PutKeys(k)
 }
 
-// getBuf is Get for one buffer kind of a non-nil pool, checking on a
-// debug pool that the parked buffer still holds only poison.
-func getBuf[T comparable](p *BatchPool, sp *slicePool[T], hint int, poison T, kind string) []T {
-	p.outstanding.Add(1)
-	s := sp.get()
-	if s == nil {
+// The run set's Get and Put are the pool's, served from its stacks.
+func (s *runSet) GetSel(hint int) []int32   { return pop(s, &s.sels, hint, poisonRowID, "row-id vector") }
+func (s *runSet) PutSel(b []int32)          { push(s, &s.sels, b, poisonRowID, "row-id vector") }
+func (s *runSet) GetKeys(hint int) []uint64 { return pop(s, &s.keys, hint, poisonKey, "key buffer") }
+func (s *runSet) PutKeys(k []uint64)        { push(s, &s.keys, k, poisonKey, "key buffer") }
+
+// pop is Get for one buffer kind, checking on a debug pool that the
+// parked buffer still holds only poison.
+func pop[T comparable](s *runSet, free *[][]T, hint int, poison T, kind string) []T {
+	s.out++
+	n := len(*free) - 1
+	if n < 0 {
 		return make([]T, 0, max(hint, poolMinCap))
 	}
-	if p.dbg != nil {
-		id := &s[:cap(s)][0]
-		p.dbg.mu.Lock()
-		defer p.dbg.mu.Unlock()
-		delete(p.dbg.free, id)
-		for _, v := range s[:cap(s)] {
+	b := (*free)[n]
+	(*free)[n] = nil
+	*free = (*free)[:n]
+	if s.dbg != nil {
+		id := &b[:cap(b)][0]
+		s.dbg.mu.Lock()
+		defer s.dbg.mu.Unlock()
+		delete(s.dbg.free, id)
+		for _, v := range b[:cap(b)] {
 			if v != poison {
-				p.dbg.record("use after put: %s %p was written while pooled", kind, id)
+				s.dbg.record("use after put: %s %p was written while pooled", kind, id)
 				break
 			}
 		}
 	}
-	return s[:0]
+	return b[:0]
 }
 
-// putBuf is Put for one buffer kind of a non-nil pool. A debug pool
-// refuses (and records) a buffer already in the pool, and poisons the
-// rest. Zero-capacity buffers have no identity and are not recycled.
-func putBuf[T comparable](p *BatchPool, sp *slicePool[T], s []T, poison T, kind string) {
-	p.outstanding.Add(-1)
-	if cap(s) == 0 {
+// push is Put for one buffer kind; nil is ignored. A debug pool refuses
+// (and records) a buffer already in the pool, and poisons the rest.
+// Zero-capacity buffers have no identity and are not recycled.
+func push[T comparable](s *runSet, free *[][]T, b []T, poison T, kind string) {
+	if b == nil {
 		return
 	}
-	if p.dbg != nil {
-		id := &s[:cap(s)][0]
-		p.dbg.mu.Lock()
-		_, dup := p.dbg.free[id]
+	s.out--
+	if cap(b) == 0 {
+		return
+	}
+	if s.dbg != nil {
+		id := &b[:cap(b)][0]
+		s.dbg.mu.Lock()
+		_, dup := s.dbg.free[id]
 		if dup {
-			p.dbg.record("double put of %s %p", kind, id)
+			s.dbg.record("double put of %s %p", kind, id)
 		} else {
-			p.dbg.free[id] = kind
-			full := s[:cap(s)]
+			s.dbg.free[id] = kind
+			full := b[:cap(b)]
 			for i := range full {
 				full[i] = poison
 			}
 		}
-		p.dbg.mu.Unlock()
+		s.dbg.mu.Unlock()
 		if dup {
 			return
 		}
 	}
-	sp.put(s[:0])
+	*free = append(*free, b[:0])
 }

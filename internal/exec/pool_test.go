@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"lqo/internal/data"
 	"lqo/internal/plan"
@@ -306,6 +307,98 @@ func TestPoolSharedAcrossConcurrentRuns(t *testing.T) {
 	if n := pool.InUse(); n != 0 {
 		t.Fatalf("%d buffers outstanding after all runs closed", n)
 	}
+}
+
+// TestRunSetsSharedUnderGC: 8 goroutines share one debug pool across
+// canonical and 4-shard Merge plans, with collections in between — run
+// with -race, which flags two runs touching one set's stacks. Every answer
+// matches the reference, the pool drains without misuse, and between runs
+// each goroutine checks a set out directly and marks it: a set claimed
+// while marked was handed to two holders.
+func TestRunSetsSharedUnderGC(t *testing.T) {
+	cat := shardCatalog()
+	qs := shardQueries()
+	refs := make([]*Result, len(qs))
+	plans := make([][2]*plan.Node, len(qs)) // canonical, 4-shard
+	for i, q := range qs {
+		plans[i] = [2]*plan.Node{shardPlan(t, q, 1), shardPlan(t, q, 4)}
+		var err error
+		if refs[i], err = New(cat).ReferenceRun(context.Background(), q, shardPlan(t, q, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pool := NewDebugBatchPool()
+	var held sync.Map
+	var wg sync.WaitGroup
+	errc := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ex := New(cat)
+			ex.SetPool(pool)
+			for i := 0; i < 12; i++ {
+				qi := (g + i) % len(qs)
+				res, err := ex.RunCtx(context.Background(), qs[qi], plans[qi][i%2])
+				if err == nil && (res.Count != refs[qi].Count || res.Stats != refs[qi].Stats) {
+					err = fmt.Errorf("goroutine %d q%d drifted: %+v vs %+v", g, qi, res, refs[qi])
+				}
+				if err != nil {
+					errc <- err
+					return
+				}
+				s := pool.checkout()
+				if _, dup := held.LoadOrStore(s, g); dup {
+					errc <- fmt.Errorf("goroutine %d claimed a set another holder has", g)
+					return
+				}
+				runtime.Gosched()
+				held.Delete(s)
+				pool.checkin(s)
+				if i%4 == g%4 {
+					runtime.GC()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	if n := pool.InUse(); n != 0 {
+		t.Fatalf("%d buffers outstanding after all runs closed", n)
+	}
+	if mis := pool.Misuse(); len(mis) != 0 {
+		t.Fatalf("pool contract violations: %v", mis)
+	}
+}
+
+// TestIdleSetsVanishAfterTwoCollections: parked sets are cache, not state.
+// None survives two collections with no run in between, which is what the
+// benchmark's heap_live_mb reading relies on. (That a set survives one is
+// TestWarmRunAfterGCAllocationCeiling's part.)
+func TestIdleSetsVanishAfterTwoCollections(t *testing.T) {
+	cat := shardCatalog()
+	q := shardQueries()[3]
+	pool := NewBatchPool()
+	ex := New(cat)
+	ex.SetPool(pool)
+	var sets []weak.Pointer[runSet]
+	for _, shards := range []int{1, 4, 1} {
+		if _, err := ex.RunCtx(context.Background(), q, shardPlan(t, q, shards)); err != nil {
+			t.Fatal(err)
+		}
+		sets = append(sets, *pool.last.Load())
+	}
+	runtime.GC()
+	runtime.GC()
+	for i, w := range sets {
+		if w.Value() != nil {
+			t.Fatalf("set %d is still reachable after two collections without a run", i)
+		}
+	}
+	runtime.KeepAlive(ex) // the executor and its pool outlive the collections
 }
 
 // TestPoolNoLeakOnCancellation: canceled runs — immediately and mid-

@@ -30,7 +30,7 @@ type scanBase struct {
 	e    *Executor
 	q    *query.Query
 	node *plan.Node
-	pool *BatchPool
+	pool *runSet
 	need []string // aliases the consumer reads
 
 	ctx     context.Context
@@ -145,12 +145,12 @@ func (s *seqScanOp) fill() (err error) {
 	return err
 }
 
-func (s *seqScanOp) recycle(p *BatchPool) {
+func (s *seqScanOp) recycle(p *runSet) {
 	clear(s.preds)
 	clear(s.cols)
 	s.filter.reset()
 	*s = seqScanOp{scanBase: s.recycled(), preds: s.preds[:0], cols: s.cols[:0], filter: s.filter}
-	p.ops[opSeqScan].Put(s)
+	p.ops[opSeqScan] = append(p.ops[opSeqScan], s)
 }
 
 // indexScanOp probes an equality index and streams the rows surviving the
@@ -247,10 +247,10 @@ func (s *indexScanOp) Close() error {
 	return s.scanBase.Close()
 }
 
-func (s *indexScanOp) recycle(p *BatchPool) {
+func (s *indexScanOp) recycle(p *runSet) {
 	clear(s.cols)
 	clear(s.rest)
 	s.filter.reset()
 	*s = indexScanOp{scanBase: s.recycled(), cols: s.cols[:0], rest: s.rest[:0], filter: s.filter}
-	p.ops[opIndexScan].Put(s)
+	p.ops[opIndexScan] = append(p.ops[opIndexScan], s)
 }

@@ -73,10 +73,11 @@ func (e *Executor) ScanShard(ctx context.Context, scan *plan.Node, shard, of int
 	nrows := tbl.NumRows()
 	bf := newBlockFilter(cols, preds, nrows)
 	res := &ShardResult{}
-	// res.Rows stays plainly allocated — the merge operator retains it
-	// for the whole run — but the per-block selection vector is pooled.
-	sel := e.pool.GetSel(0)
-	defer func() { e.pool.PutSel(sel) }()
+	// res.Rows stays plainly allocated — the merge operator retains it for
+	// the whole run — but the block selection vector is the shard set's.
+	set := e.pool.checkout()
+	sel := set.GetSel(0)
+	defer func() { set.PutSel(sel); e.pool.checkin(set) }()
 	nblocks := data.ZoneBlocks(nrows)
 	for b := shard; b < nblocks; b += of {
 		if err := ctx.Err(); err != nil {

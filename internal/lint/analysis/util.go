@@ -192,9 +192,9 @@ func WalkShallow(root ast.Node, fn func(n ast.Node) bool) {
 	})
 }
 
-// The executor's buffer pool, as poolret and bufown recognise it. The
-// type name alone identifies the pool, so fixtures declare a stand-in.
-const poolType = "BatchPool"
+// The executor's buffer pool and the set a run checks out of it, as poolret
+// and bufown recognise them: by type name alone, so fixtures declare stand-ins.
+var poolTypes = map[string]bool{"BatchPool": true, "runSet": true}
 
 // poolPairs maps each pool method handing out a buffer to the method
 // taking it back.
@@ -203,23 +203,23 @@ var poolPairs = map[string]string{
 	"GetKeys": "PutKeys",
 }
 
-// IsBatchPool reports whether t, after unwrapping one pointer, is the
-// pool type.
-func IsBatchPool(t types.Type) bool {
+// IsPoolType reports whether t, after unwrapping one pointer, is the
+// pool or its run set.
+func IsPoolType(t types.Type) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
 	n, ok := t.(*types.Named)
-	return ok && n.Obj().Name() == poolType
+	return ok && poolTypes[n.Obj().Name()]
 }
 
-// OnBatchPool reports whether fn is a method of the pool type.
-func OnBatchPool(fn *types.Func) bool {
+// OnPoolType reports whether fn is a method of the pool or its run set.
+func OnPoolType(fn *types.Func) bool {
 	if fn == nil {
 		return false
 	}
 	n := MethodRecv(fn)
-	return n != nil && IsBatchPool(n)
+	return n != nil && IsPoolType(n)
 }
 
 // IsPooledBuffer reports whether t is a buffer shape the pool serves:
@@ -231,12 +231,12 @@ func IsPooledBuffer(t types.Type) bool {
 
 // IsPoolGet reports whether fn is a pool method handing out a buffer.
 func IsPoolGet(fn *types.Func) bool {
-	return OnBatchPool(fn) && poolPairs[fn.Name()] != ""
+	return OnPoolType(fn) && poolPairs[fn.Name()] != ""
 }
 
 // IsPoolPut reports whether fn is a pool method taking a buffer back.
 func IsPoolPut(fn *types.Func) bool {
-	if !OnBatchPool(fn) {
+	if !OnPoolType(fn) {
 		return false
 	}
 	for _, put := range poolPairs {

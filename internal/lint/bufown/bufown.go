@@ -51,10 +51,10 @@ func run(pass *analysis.Pass) error {
 	pass.Inspect(func(n ast.Node) bool {
 		switch fn := n.(type) {
 		case *ast.FuncDecl:
-			// The pool implementation itself is the one place Get/Put
-			// asymmetry is the point.
+			// The pool and run-set implementation is the one place
+			// Get/Put asymmetry is the point.
 			obj, _ := pass.TypesInfo.Defs[fn.Name].(*types.Func)
-			if fn.Body != nil && !analysis.OnBatchPool(obj) {
+			if fn.Body != nil && !analysis.OnPoolType(obj) {
 				checkFunc(pass, fn.Body)
 			}
 		case *ast.FuncLit:

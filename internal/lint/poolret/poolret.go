@@ -1,18 +1,18 @@
 // Package poolret enforces the PR-9 buffer-pool contract: an operator
-// that carries a *BatchPool must draw its hot-path buffers from the pool,
-// not allocate them with make. A make of a row-id vector ([]int32: batch
-// columns, selection vectors, match indices) or key scratch ([]uint64)
-// inside a pooled operator's streaming methods silently reverts that path
-// to per-call allocation — the pool keeps working, the allocs/row
-// regression just never shows up until a profile does.
+// that carries a *BatchPool, or the *runSet a run checks out of it, must
+// draw its hot-path buffers from it, not make them. A make of a row-id
+// vector ([]int32: batch columns, selection vectors, match indices) or key
+// scratch ([]uint64) in a pooled operator's streaming methods silently
+// reverts that path to per-call allocation — the pool keeps working, the
+// allocs/row regression just never shows up until a profile does.
 //
 // The check fires on methods (and closures inside them) of any struct
-// type holding a BatchPool field, except the literal Open and Close
-// methods — the sanctioned places for cold-path setup and teardown
+// type holding a BatchPool or runSet field, except the literal Open and
+// Close methods — the sanctioned places for cold-path setup and teardown
 // allocation — and propagates through the same-package call graph: a
 // helper function or method reachable from a streaming method is on the
 // hot path too, so hiding the make one call deep changes nothing.
-// Methods of BatchPool itself are the allocator and terminate the
+// Methods of BatchPool and runSet are the allocator and terminate the
 // propagation. Documented cold paths opt out with
 // //lqolint:ignore poolret <reason>.
 package poolret
@@ -34,11 +34,11 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // carriesPool reports whether t (the method receiver's type) is a struct
-// holding a BatchPool field — the mark of a pooled operator. BatchPool
-// itself is not its own carrier, so the pool's cold-path allocations stay
-// legal.
+// holding a BatchPool or runSet field — the mark of a pooled operator.
+// The pool types are never carriers, even of each other, so the pool's
+// cold-path allocations stay legal.
 func carriesPool(t types.Type) bool {
-	if t == nil {
+	if t == nil || analysis.IsPoolType(t) {
 		return false
 	}
 	if p, ok := t.(*types.Pointer); ok {
@@ -49,7 +49,7 @@ func carriesPool(t types.Type) bool {
 		return false
 	}
 	for i := 0; i < st.NumFields(); i++ {
-		if analysis.IsBatchPool(st.Field(i).Type()) {
+		if analysis.IsPoolType(st.Field(i).Type()) {
 			return true
 		}
 	}
@@ -97,8 +97,8 @@ func run(pass *analysis.Pass) error {
 	}
 
 	// Propagate through same-package calls. A helper reachable only from
-	// Open/Close never enters the set; BatchPool's own methods are the
-	// allocator and stop the walk.
+	// Open/Close never enters the set; the pool types' own methods are
+	// the allocator and stop the walk.
 	for len(queue) > 0 {
 		fn := queue[0]
 		queue = queue[1:]
@@ -114,7 +114,7 @@ func run(pass *analysis.Pass) error {
 			if _, seen := hot[callee]; seen {
 				return true
 			}
-			if analysis.OnBatchPool(callee) {
+			if analysis.OnPoolType(callee) {
 				return true
 			}
 			hot[callee] = hot[fn]

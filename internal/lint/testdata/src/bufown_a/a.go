@@ -209,3 +209,56 @@ func (o *op) suppressed(n int) {
 	sel := o.pool.GetSel(n)
 	use(sel)
 }
+
+// --- run sets ----------------------------------------------------------
+
+// runSet stands in for the run-local set a run checks out of the pool:
+// its Get and Put pair like the pool's, and its own methods are exempt.
+type runSet struct {
+	free [][]int32
+}
+
+// GetSel pops a parked vector.
+func (s *runSet) GetSel(n int) []int32 {
+	if k := len(s.free) - 1; k >= 0 {
+		b := s.free[k]
+		s.free = s.free[:k]
+		return b
+	}
+	return make([]int32, 0, n)
+}
+
+// PutSel pushes one back.
+func (s *runSet) PutSel(b []int32) { s.free = append(s.free, b) }
+
+type setOp struct {
+	set *runSet
+}
+
+// setLeak loses a run-set buffer on the early return.
+func (o *setOp) setLeak(n int) error {
+	sel := o.set.GetSel(n) // want `GetSel buffer "sel" may not be returned to the pool on every path`
+	if n > 10 {
+		return errBad
+	}
+	o.set.PutSel(sel)
+	return nil
+}
+
+// setDoublePut returns the same run-set buffer twice.
+func (o *setOp) setDoublePut(n int) {
+	sel := o.set.GetSel(n)
+	o.set.PutSel(sel)
+	o.set.PutSel(sel) // want `double put: buffer "sel" was already returned to the pool`
+}
+
+// setClean pairs Get and Put on every path.
+func (o *setOp) setClean(n int) error {
+	sel := o.set.GetSel(n)
+	if n > 10 {
+		o.set.PutSel(sel)
+		return errBad
+	}
+	o.set.PutSel(sel)
+	return nil
+}

@@ -103,3 +103,33 @@ type valueCarrier struct {
 func (v valueCarrier) refill() []int32 {
 	return make([]int32, 0, 4) // want `make\(\[\]int32\) in pooled operator method refill bypasses the BatchPool`
 }
+
+// runSet stands in for the run-local buffer set a run checks out of the
+// pool. It holds its pool, yet it is no carrier: the pool types are the
+// allocator, so its cold path stays legal.
+type runSet struct {
+	pool *BatchPool
+	free [][]int32
+}
+
+// GetSel pops a parked vector or makes one.
+func (s *runSet) GetSel() []int32 {
+	if n := len(s.free) - 1; n >= 0 {
+		b := s.free[n]
+		s.free = s.free[:n]
+		return b
+	}
+	return make([]int32, 0, 16)
+}
+
+// joinOp carries a run set, not the pool: it is still a pooled operator,
+// and the set's GetSel ends propagation.
+type joinOp struct {
+	set *runSet
+}
+
+func (j *joinOp) Next() []int32 {
+	match := j.set.GetSel()
+	_ = match
+	return make([]int32, 0, 64) // want `make\(\[\]int32\) in pooled operator method Next bypasses the BatchPool`
+}
