@@ -58,10 +58,10 @@ func E8Ablations(ctx context.Context, env *Env) (*Report, error) {
 	// Bao: exhaustive vs ε-greedy experience; GBDT vs TreeConv value model.
 	for _, v := range []struct {
 		label string
-		mk    func() *learnedopt.Bao
+		mk    func() *learnedopt.Steering
 	}{
 		{"exhaustive+gbdt", learnedopt.NewBao},
-		{"explore+gbdt", func() *learnedopt.Bao { b := learnedopt.NewBao(); b.Explore = true; return b }},
+		{"explore+gbdt", func() *learnedopt.Steering { b := learnedopt.NewBao(); b.Explore = true; return b }},
 		{"exhaustive+treeconv", learnedopt.NewBaoTreeConv},
 	} {
 		b := v.mk()

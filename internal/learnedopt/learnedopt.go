@@ -44,6 +44,8 @@ type Optimizer interface {
 type Candidate struct {
 	Plan      *plan.Node
 	Predicted float64
+	// Knob is the steering knob that produced Plan (nil outside Steering).
+	Knob any
 }
 
 // CandidateProvider is implemented by optimizers that expose their

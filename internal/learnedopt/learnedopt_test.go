@@ -11,6 +11,7 @@ import (
 	"lqo/internal/datagen"
 	"lqo/internal/exec"
 	"lqo/internal/opt"
+	"lqo/internal/plan"
 	"lqo/internal/query"
 	"lqo/internal/stats"
 	"lqo/internal/workload"
@@ -200,9 +201,13 @@ func TestLeroPairwiseAgreesWithLatencyOrder(t *testing.T) {
 	// often than chance.
 	correct, total := 0, 0
 	for _, q := range f.ctx.Workload[:10] {
-		plans, err := lero.candidatePlans(q)
-		if err != nil || len(plans) < 2 {
+		cands, err := lero.explore(context.Background(), q)
+		if err != nil || len(cands) < 2 {
 			continue
+		}
+		var plans []*plan.Node
+		for _, c := range cands {
+			plans = append(plans, c.Plan)
 		}
 		var lats []float64
 		for _, p := range plans {
@@ -331,26 +336,6 @@ func TestHyperQOFiltersHighVariance(t *testing.T) {
 	}
 	h.VarThreshold = math.Inf(1)
 	if _, err := h.Plan(f.test[0]); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAutoSteerDiscoversArms(t *testing.T) {
-	f := getFixture(t)
-	a := NewAutoSteer()
-	before := len(a.Bao.Arms)
-	if err := a.Train(f.ctx); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Bao.Arms) <= before {
-		t.Fatalf("no arms discovered: %d → %d", before, len(a.Bao.Arms))
-	}
-	for _, h := range a.Bao.Arms {
-		if !h.Valid() {
-			t.Fatalf("invalid discovered arm %s", h)
-		}
-	}
-	if _, err := a.Plan(f.test[0]); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -99,39 +99,38 @@ func (c *PairwiseComparator) Better(p1, p2 *plan.Node) bool {
 	return c.Score(p1) < c.Score(p2)
 }
 
-// SelectBest returns the plan winning the most pairwise comparisons —
-// Lero's selection rule. Ties break toward lower score.
-func (c *PairwiseComparator) SelectBest(plans []*plan.Node) *plan.Node {
-	if len(plans) == 0 {
-		return nil
+// SelectBest returns the index of the candidate winning the most pairwise
+// comparisons — Lero's selection rule; ties break toward lower score,
+// then the earlier candidate. It returns -1 for no candidates.
+func (c *PairwiseComparator) SelectBest(cands []Candidate) int {
+	scores := make([]float64, len(cands))
+	for i, x := range cands {
+		scores[i] = c.Score(x.Plan)
 	}
-	bestWins, bestIdx := -1, 0
-	bestScore := math.Inf(1)
-	for i, p := range plans {
+	bestWins, bestIdx := -1, -1
+	for i, s := range scores {
 		wins := 0
-		for j, o := range plans {
-			if i != j && c.Better(p, o) {
+		for _, o := range scores {
+			if s < o {
 				wins++
 			}
 		}
-		s := c.Score(p)
-		if wins > bestWins || (wins == bestWins && s < bestScore) {
-			bestWins, bestIdx, bestScore = wins, i, s
+		if wins > bestWins || (wins == bestWins && s < scores[bestIdx]) {
+			bestWins, bestIdx = wins, i
 		}
 	}
-	return plans[bestIdx]
+	return bestIdx
 }
 
 // PairsFromRuns builds all O(k²) training pairs from one query's executed
 // candidate set.
-func PairsFromRuns(plans []*plan.Node, lats []float64) []PlanPair {
+func PairsFromRuns(runs []costmodel.TrainPlan) []PlanPair {
 	var out []PlanPair
-	for i := range plans {
-		for j := i + 1; j < len(plans); j++ {
-			if lats[i] == lats[j] {
-				continue
+	for i, a := range runs {
+		for _, b := range runs[i+1:] {
+			if a.Latency != b.Latency {
+				out = append(out, PlanPair{P1: a.Plan, P2: b.Plan, Lat1: a.Latency, Lat2: b.Latency})
 			}
-			out = append(out, PlanPair{P1: plans[i], P2: plans[j], Lat1: lats[i], Lat2: lats[j]})
 		}
 	}
 	return out

@@ -3,11 +3,11 @@ package pilotscope
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"lqo/internal/cardest"
 	"lqo/internal/costmodel"
 	"lqo/internal/data"
+	"lqo/internal/learnedopt"
 	"lqo/internal/metrics"
 	"lqo/internal/plan"
 	"lqo/internal/query"
@@ -111,18 +111,13 @@ func (d *CardEstDriver) Algo(ctx context.Context, sess *Session) error {
 // Update implements Updater: retrain on the (possibly changed) database.
 func (d *CardEstDriver) Update(ctx *InitContext) error { return d.Init(ctx) }
 
-// SteeringDriver is the tutorial's Bao [37] and Lero [79] sample
-// applications, one algorithm over two knob lists: Bao's hint-set arms
-// pushed through PushHints, or Lero's cardinality scaling factors pushed
-// through PushCardScale. Init executes each workload query's distinct
-// plans under every knob through push/pull (push knob → pull plan →
-// execute → observe latency) and trains a value model on them; Algo
-// pushes the knob whose plan the model predicts fastest.
-//
-// Lero proper ranks plans with a pairwise comparator; this driver's model
-// is a pointwise latency regressor, and a win-count tournament over a
-// pointwise model picks exactly the lowest prediction, so both drivers
-// share one selection rule.
+// SteeringDriver deploys the tutorial's Bao [37] and Lero [79] sample
+// applications through push/pull: it is learnedopt's steering core with
+// "push the knob into a probe session, then pull its plan" as the plan
+// step and ExecuteQuery as the run step. Bao's knobs are hint sets pushed
+// through PushHints, Lero's cardinality scaling factors pushed through
+// PushCardScale; both rank with a pointwise latency regressor. Algo
+// pushes the knob of the candidate the core selects.
 type SteeringDriver struct {
 	name  string
 	push  PushKind // PushHints or PushCardScale
@@ -133,18 +128,14 @@ type SteeringDriver struct {
 	db DB
 }
 
-// NewBaoDriver returns the Bao driver: plan.BaoHintSets arms.
+// NewBaoDriver returns the Bao driver: learnedopt.HintKnobs arms.
 func NewBaoDriver() *SteeringDriver {
-	d := &SteeringDriver{name: "bao", push: PushHints, seed: 7}
-	for _, h := range plan.BaoHintSets() {
-		d.knobs = append(d.knobs, h)
-	}
-	return d
+	return &SteeringDriver{name: "bao", push: PushHints, knobs: learnedopt.HintKnobs(), seed: 7}
 }
 
-// NewLeroDriver returns the Lero driver: cardinality scaling factors.
+// NewLeroDriver returns the Lero driver: learnedopt.ScaleKnobs factors.
 func NewLeroDriver() *SteeringDriver {
-	return &SteeringDriver{name: "lero", push: PushCardScale, knobs: []any{0.01, 0.1, 1.0, 10.0, 100.0}, seed: 13}
+	return &SteeringDriver{name: "lero", push: PushCardScale, knobs: learnedopt.ScaleKnobs(), seed: 13}
 }
 
 // Name implements Driver.
@@ -153,94 +144,73 @@ func (d *SteeringDriver) Name() string { return d.name }
 // Injection implements Driver.
 func (d *SteeringDriver) Injection() InjectionType { return InjectPlan }
 
-// Init implements Driver: execute every workload query's candidate plans
-// and train a fresh value model on their latencies.
+// steering is the core over this driver's knobs and model.
+func (d *SteeringDriver) steering(value costmodel.Model) *learnedopt.Steering {
+	return learnedopt.NewSteering(d.name, d.knobs, value, d.seed, d.pullPlan, d.execute)
+}
+
+// Init implements Driver: train a fresh value model on the executed
+// candidates of every workload query.
 func (d *SteeringDriver) Init(ctx *InitContext) error {
 	d.db = ctx.DB
 	cat, cs, err := pullCatalogStats(ctx)
 	if err != nil {
 		return err
 	}
-	var exp []costmodel.TrainPlan
+	var qs []*query.Query
 	for _, sql := range ctx.Workload {
-		if err := ctx.Ctx.Err(); err != nil {
-			return err
-		}
-		q, err := sqlx.Parse(sql, cat)
-		if err != nil {
-			continue
-		}
-		cands, err := d.candidates(ctx.Ctx, q)
-		if err != nil {
-			return err
-		}
-		for _, c := range cands {
-			res, err := ctx.DB.ExecuteQuery(ctx.Ctx, c.sess, q)
-			if err != nil {
-				continue
-			}
-			exp = append(exp, costmodel.TrainPlan{Q: q, Plan: c.plan, Latency: res.Latency})
+		if q, err := sqlx.Parse(sql, cat); err == nil {
+			qs = append(qs, q)
 		}
 	}
 	value := costmodel.NewGBDTCost(false)
-	if err := value.Train(&costmodel.Context{Cat: cat, Stats: cs, Plans: exp, Seed: ctx.Seed + d.seed}); err != nil {
+	if err := d.steering(value).Fit(ctx.Ctx, &learnedopt.Context{Cat: cat, Stats: cs, Workload: qs, Seed: ctx.Seed}); err != nil {
 		return err
 	}
 	d.value = value
 	return nil
 }
 
-// Algo implements Driver: push the first knob whose plan has the lowest
-// predicted latency. A NaN prediction never wins; if every prediction is
-// NaN the first candidate does.
+// Algo implements Driver: push the knob of the candidate the core picks.
 func (d *SteeringDriver) Algo(ctx context.Context, sess *Session) error {
 	if sess.Query == nil {
 		return fmt.Errorf("pilotscope: %s driver needs sess.Query", d.name)
 	}
-	cands, err := d.candidates(ctx, sess.Query)
+	c, err := d.steering(d.value).Choose(ctx, sess.Query)
 	if err != nil {
 		return err
 	}
-	if len(cands) == 0 {
-		return fmt.Errorf("pilotscope: %s produced no candidates", d.name)
-	}
-	best, bestV := cands[0], math.Inf(1)
-	for _, c := range cands {
-		if v := d.value.Predict(sess.Query, c.plan); v < bestV {
-			best, bestV = c, v
-		}
-	}
-	return d.db.Push(ctx, sess, d.push, best.knob)
+	return d.db.Push(ctx, sess, d.push, c.Knob)
 }
 
-// candidate is one knob's plan for a query, with the probe session the
-// knob was pushed into.
-type candidate struct {
-	knob any
-	sess *Session
-	plan *plan.Node
+// probe pushes knob into a fresh session for q.
+func (d *SteeringDriver) probe(ctx context.Context, q *query.Query, knob any) (*Session, error) {
+	sess := &Session{Query: q}
+	return sess, d.db.Push(ctx, sess, d.push, knob)
 }
 
-// candidates pushes each knob into a fresh probe session for q and pulls
-// its plan, keeping the first knob of each distinct plan. A knob whose
-// plan cannot be pulled is skipped; a failed push aborts.
-func (d *SteeringDriver) candidates(ctx context.Context, q *query.Query) ([]candidate, error) {
-	var out []candidate
-	seen := map[string]bool{}
-	for _, k := range d.knobs {
-		sess := &Session{Query: q}
-		if err := d.db.Push(ctx, sess, d.push, k); err != nil {
-			return nil, err
-		}
-		planAny, err := d.db.Pull(ctx, sess, PullPlan, q)
-		if err != nil {
-			continue
-		}
-		p := planAny.(*plan.Node)
-		if fp := p.Fingerprint(); !seen[fp] {
-			seen[fp] = true
-			out = append(out, candidate{knob: k, sess: sess, plan: p})
-		}
+// pullPlan is the core's plan step: q's plan under knob.
+func (d *SteeringDriver) pullPlan(ctx context.Context, q *query.Query, knob any) (*plan.Node, error) {
+	sess, err := d.probe(ctx, q, knob)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	p, err := d.db.Pull(ctx, sess, PullPlan, q)
+	if err != nil {
+		return nil, err
+	}
+	return p.(*plan.Node), nil
+}
+
+// execute is the core's run step: q's latency under knob.
+func (d *SteeringDriver) execute(ctx context.Context, q *query.Query, knob any, _ *plan.Node) (float64, error) {
+	sess, err := d.probe(ctx, q, knob)
+	if err != nil {
+		return 0, err
+	}
+	res, err := d.db.ExecuteQuery(ctx, sess, q)
+	if err != nil {
+		return 0, err
+	}
+	return res.Latency, nil
 }

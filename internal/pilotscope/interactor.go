@@ -14,6 +14,7 @@ import (
 	"lqo/internal/cost"
 	"lqo/internal/data"
 	"lqo/internal/exec"
+	"lqo/internal/learnedopt"
 	"lqo/internal/metrics"
 	"lqo/internal/opt"
 	"lqo/internal/plan"
@@ -226,11 +227,10 @@ func Subqueries(q *query.Query) []*query.Query {
 }
 
 // injectedEstimator serves pushed cardinalities, falling back to the base
-// estimator (optionally scaled — the Lero knob).
+// estimator scaled by the session's factor (the Lero knob).
 type injectedEstimator struct {
-	base  opt.CardEstimator
-	cards map[string]float64
-	scale float64
+	scaled learnedopt.ScaledEstimator
+	cards  map[string]float64
 }
 
 // Estimate implements opt.CardEstimator. Every value leaving here — an
@@ -239,24 +239,10 @@ type injectedEstimator struct {
 // degrades plan quality, never cost-model arithmetic (mirrors the
 // metrics.QError clamp).
 func (ie *injectedEstimator) Estimate(q *query.Query) float64 {
-	if ie.cards != nil {
-		if c, ok := ie.cards[q.Key()]; ok {
-			return metrics.ClampCard(c)
-		}
+	if c, ok := ie.cards[q.Key()]; ok {
+		return metrics.ClampCard(c)
 	}
-	c := ie.base.Estimate(q)
-	if ie.scale > 0 && ie.scale != 1 && len(q.Refs) > 1 {
-		c *= pow(ie.scale, len(q.Refs)-1)
-	}
-	return metrics.ClampCard(c)
-}
-
-func pow(f float64, k int) float64 {
-	out := 1.0
-	for i := 0; i < k; i++ {
-		out *= f
-	}
-	return out
+	return ie.scaled.Estimate(q)
 }
 
 // optimize plans q under the session's pushed state.
@@ -274,8 +260,12 @@ func (e *Engine) optimizeTrace(ctx context.Context, sess *Session, q *query.Quer
 	}
 	o := e.Opt
 	if sess != nil {
-		if sess.cards != nil || (sess.cardScale > 0 && sess.cardScale != 1) {
-			o = o.WithEstimator(&injectedEstimator{base: e.Opt.Est, cards: sess.cards, scale: sess.cardScale})
+		scale := sess.cardScale
+		if scale <= 0 {
+			scale = 1
+		}
+		if sess.cards != nil || scale != 1 {
+			o = o.WithEstimator(&injectedEstimator{scaled: learnedopt.ScaledEstimator{Base: e.Opt.Est, Factor: scale}, cards: sess.cards})
 		}
 		if sess.hints != nil {
 			o = o.WithHints(*sess.hints)
