@@ -147,10 +147,12 @@ func (s *Steering) Fit(ctx context.Context, lc *Context) error {
 			if err != nil {
 				return err
 			}
-			if s.Explore && (round == 0 || rng.Float64() < s.Epsilon) {
-				cands = []Candidate{cands[rng.Intn(len(cands))]}
-			} else if s.Explore {
-				cands = []Candidate{s.pick(q, cands)}
+			if s.Explore {
+				if round == 0 || rng.Float64() < s.Epsilon {
+					cands = []Candidate{cands[rng.Intn(len(cands))]}
+				} else {
+					cands = []Candidate{s.pick(q, cands)}
+				}
 			}
 			var g []costmodel.TrainPlan
 			for _, c := range cands {
@@ -283,9 +285,13 @@ func (s *Steering) planKnob(ctx context.Context, q *query.Query, knob any) (*pla
 	return nil, fmt.Errorf("learnedopt: unknown knob %T", knob)
 }
 
-// measure executes p on the Context's executor.
+// measure executes p on the Context's executor, as Measure does.
 func (s *Steering) measure(ctx context.Context, q *query.Query, _ any, p *plan.Node) (float64, error) {
-	return Measure(s.ex, q, p)
+	res, _, err := s.ex.RunAnalyze(ctx, q, p)
+	if err != nil {
+		return 0, err
+	}
+	return res.Stats.WorkUnits, nil
 }
 
 // ScaledEstimator is Lero's candidate-generation knob [79]: it multiplies

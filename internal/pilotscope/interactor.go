@@ -261,7 +261,7 @@ func (e *Engine) optimizeTrace(ctx context.Context, sess *Session, q *query.Quer
 	o := e.Opt
 	if sess != nil {
 		scale := sess.cardScale
-		if scale <= 0 {
+		if !(scale > 0) { // unset, negative or NaN: no scaling
 			scale = 1
 		}
 		if sess.cards != nil || scale != 1 {
