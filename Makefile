@@ -5,8 +5,8 @@
 #   make lint    — lqolint: the repo's invariant analyzers (cmd/lqo-lint)
 #   make race    — full suite under the race detector
 #   make fuzz    — short fuzz smoke over the SQL parser, key encoding,
-#                  the statement cache's staleness rule and the hash-join
-#                  table
+#                  the statement cache's and the plan binding's staleness
+#                  rules and the hash-join table
 #   make verify  — what CI runs: build + vet + lint + tests + race + fuzz
 #                  smoke, then staticcheck & govulncheck (skipped offline)
 #   make bench   — regenerate every experiment table (E1..E10, E14..E16)
@@ -74,6 +74,7 @@ fuzz:
 	$(GO) test ./internal/sqlx/ -run '^$$' -fuzz FuzzKeyUniqueness -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query/ -run '^$$' -fuzz FuzzSubqueryKey -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzStatementStaleness -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzBindingStaleness -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/exec/ -run '^$$' -fuzz FuzzJoinTable -fuzztime $(FUZZTIME)
 
 verify: build vet lint test race fuzz staticcheck govulncheck

@@ -2,7 +2,10 @@ package data
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -227,15 +230,30 @@ type FK struct {
 }
 
 // Catalog is a named set of tables; the unit a query executes against.
+// Lookups are safe while another goroutine Adds: Add publishes a new
+// snapshot of the name map rather than writing the one readers hold.
 type Catalog struct {
+	mu   sync.Mutex // serializes Add
+	snap atomic.Pointer[catalogSnap]
+	fks  []FK
+}
+
+// catalogSnap is one published state of a catalog's tables.
+type catalogSnap struct {
 	tables map[string]*Table
 	order  []string
-	fks    []FK
+	gen    uint64
 }
+
+// generations numbers catalog states: no two states, of one catalog or of
+// two, share a Generation.
+var generations atomic.Uint64
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{tables: make(map[string]*Table)}
+	cat := &Catalog{}
+	cat.snap.Store(&catalogSnap{tables: make(map[string]*Table), gen: generations.Add(1)})
+	return cat
 }
 
 // DeclareFK records a foreign-key relationship. Schema-aware components
@@ -252,29 +270,40 @@ func (cat *Catalog) FKs() []FK {
 	return out
 }
 
-// Add registers a table, replacing any previous table of the same name.
+// Add registers a table, replacing any previous table of the same name,
+// and moves the catalog to its next Generation.
 func (cat *Catalog) Add(t *Table) {
-	if _, ok := cat.tables[t.Name]; !ok {
-		cat.order = append(cat.order, t.Name)
+	cat.mu.Lock()
+	defer cat.mu.Unlock()
+	old := cat.snap.Load()
+	next := &catalogSnap{tables: maps.Clone(old.tables), order: old.order, gen: generations.Add(1)}
+	if _, ok := old.tables[t.Name]; !ok {
+		next.order = append(slices.Clip(old.order), t.Name)
 	}
-	cat.tables[t.Name] = t
+	next.tables[t.Name] = t
+	cat.snap.Store(next)
 }
 
+// Generation identifies the catalog's present state; every Add moves it
+// to a number no catalog has had. Add is the only way a name comes to
+// resolve to another table (appended rows keep every table, column and
+// dictionary the same object), so whatever was resolved by name in a
+// catalog of some generation holds while that is the generation.
+func (cat *Catalog) Generation() uint64 { return cat.snap.Load().gen }
+
 // Table returns the named table, or nil.
-func (cat *Catalog) Table(name string) *Table { return cat.tables[name] }
+func (cat *Catalog) Table(name string) *Table { return cat.snap.Load().tables[name] }
 
 // TableNames returns registered table names in insertion order.
 func (cat *Catalog) TableNames() []string {
-	out := make([]string, len(cat.order))
-	copy(out, cat.order)
-	return out
+	return slices.Clone(cat.snap.Load().order)
 }
 
 // TotalRows returns the sum of row counts over all tables.
 func (cat *Catalog) TotalRows() int {
-	n := 0
-	for _, name := range cat.order {
-		n += cat.tables[name].NumRows()
+	snap, n := cat.snap.Load(), 0
+	for _, name := range snap.order {
+		n += snap.tables[name].NumRows()
 	}
 	return n
 }

@@ -7,43 +7,26 @@ package exec
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"slices"
 
-	"lqo/internal/data"
 	"lqo/internal/query"
 )
 
 type aggSink struct {
-	e      *Executor
-	q      *query.Query
-	child  Operator
-	reads  [1]string // backs needed
-	needed []string  // the aggregate's alias, or nothing for COUNT(*)
+	q     *query.Query
+	child Operator
+	b     *Binding // the run's: the aggregate's column and position
 
-	ctx context.Context
-	pos int
-	col *data.Column
-	// bindErr is an aggregate binding failure (unknown alias/table/column).
-	// The reference evaluator surfaces it only after a successful plan
-	// evaluation and a clean context, so it is recorded at Open and checked
-	// by the run loop after the drain.
-	bindErr error
-
+	ctx         context.Context
 	drained     bool
 	count       int64
 	sum, lo, hi float64
 	tel         OpTelemetry
 }
 
-func newAggSink(e *Executor, pool *runSet, q *query.Query) *aggSink {
+func newAggSink(pool *runSet, q *query.Query, b *Binding) *aggSink {
 	s := drawOp[aggSink](pool, opSink)
-	s.e, s.q, s.lo, s.hi = e, q, math.Inf(1), math.Inf(-1)
-	if q.Agg.Kind != query.AggCount {
-		s.reads[0] = q.Agg.Alias
-		s.needed = s.reads[:]
-	}
+	s.q, s.b, s.lo, s.hi = q, b, math.Inf(1), math.Inf(-1)
 	return s
 }
 
@@ -53,29 +36,7 @@ func (s *aggSink) Open(ctx context.Context) error {
 	}
 	s.ctx = ctx
 	s.tel.Op = "Aggregate"
-	if err := s.child.Open(ctx); err != nil {
-		return err
-	}
-	if s.q.Agg.Kind == query.AggCount {
-		return nil // COUNT(*) needs no column binding
-	}
-	pos := slices.Index(s.child.Schema(), s.q.Agg.Alias)
-	if pos < 0 {
-		s.bindErr = fmt.Errorf("exec: aggregate alias %q not in plan output", s.q.Agg.Alias)
-		return nil
-	}
-	tbl := s.e.Cat.Table(s.q.TableOf(s.q.Agg.Alias))
-	if tbl == nil {
-		s.bindErr = fmt.Errorf("exec: unknown table for aggregate alias %q", s.q.Agg.Alias)
-		return nil
-	}
-	col := tbl.Column(s.q.Agg.Column)
-	if col == nil {
-		s.bindErr = fmt.Errorf("exec: unknown aggregate column %s.%s", s.q.Agg.Alias, s.q.Agg.Column)
-		return nil
-	}
-	s.pos, s.col = pos, col
-	return nil
+	return s.child.Open(ctx)
 }
 
 // drain pulls the child to exhaustion, counting rows and folding the
@@ -90,9 +51,9 @@ func (s *aggSink) drain() error {
 			break
 		}
 		s.count += int64(b.N)
-		if s.col != nil {
-			for _, r := range b.Cols[s.pos][:b.N] {
-				v := s.col.Float(int(r))
+		if col := s.b.agg.col; col != nil {
+			for _, r := range b.Cols[s.b.agg.pos][:b.N] {
+				v := col.Float(int(r))
 				s.sum += v
 				if v < s.lo {
 					s.lo = v

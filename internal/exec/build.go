@@ -1,7 +1,8 @@
 // Plan → operator-tree builder: maps every physical plan node to its
 // streaming operator. Structural validation (scan/join operator kinds)
-// happens here, before anything executes; catalog binding happens in each
-// operator's Open, in the reference evaluator's left-to-right order.
+// happens here, before anything executes; catalog resolution happened
+// before, in the run's Binding (bind.go), whose entries the operators
+// read.
 package exec
 
 import (
@@ -39,24 +40,26 @@ func drawOp[T any](s *runSet, k opKind) *T {
 
 // recycler is implemented by the operator types drawOp serves: recycle
 // empties the struct into s, dropping every reference and keeping only
-// slice capacity — Open resolves everything catalog-derived again.
+// slice capacity. What a struct resolved against the catalog lives in
+// the run's Binding, not in the struct, so nothing catalog-derived can
+// outlive its run.
 type recycler interface{ recycle(s *runSet) }
 
 // buildOperator constructs the operator tree for the plan rooted at n,
-// whose consumer reads the aliases in need (nil: none). Each operator
-// emits only those of its subtree; a join asks its inputs for need plus
-// its conditions' aliases, so intermediate rows carry just the key
-// columns later joins probe with and the aggregate's column.
-func (e *Executor) buildOperator(pool *runSet, q *query.Query, n *plan.Node, need []string, analyze bool) (Operator, error) {
+// the pre-order node *i of binding b, and advances *i past the subtree.
+// Each operator emits the columns its node's entry lists.
+func (e *Executor) buildOperator(pool *runSet, q *query.Query, n *plan.Node, b *Binding, i *int, analyze bool) (Operator, error) {
+	nb := &b.nodes[*i]
+	*i++
 	if n.IsLeaf() {
 		switch n.Op {
 		case plan.SeqScan:
 			s := drawOp[seqScanOp](pool, opSeqScan)
-			s.e, s.q, s.node, s.pool, s.need = e, q, n, pool, need
+			s.init(e, q, n, pool, b, nb)
 			return timed(s, analyze), nil
 		case plan.IndexScan:
 			s := drawOp[indexScanOp](pool, opIndexScan)
-			s.e, s.q, s.node, s.pool, s.need = e, q, n, pool, need
+			s.init(e, q, n, pool, b, nb)
 			return timed(s, analyze), nil
 		case plan.Merge:
 			if n.Shards < 1 {
@@ -66,40 +69,39 @@ func (e *Executor) buildOperator(pool *runSet, q *query.Query, n *plan.Node, nee
 			if e.Backend != nil {
 				backend = e.Backend
 			}
-			return timed(&mergeOp{scanBase: scanBase{e: e, q: q, node: n, pool: pool, need: need}, backend: backend}, analyze), nil
+			m := &mergeOp{backend: backend}
+			m.init(e, q, n, pool, b, nb)
+			return timed(m, analyze), nil
 		default:
 			return nil, fmt.Errorf("exec: %s is not a scan operator", n.Op)
 		}
 	}
-	// An equi-join is drawn before its inputs are built: its struct holds
-	// the alias list they are asked for. A cross join asks for need alone.
-	var j *hashJoinOp
-	childNeed := need
-	if len(n.Cond) > 0 {
-		j = drawOp[hashJoinOp](pool, opHashJoin)
-		j.childNeed = joinNeed(j.childNeed[:0], need, n.Cond)
-		childNeed = j.childNeed
-	}
-	left, err := e.buildOperator(pool, q, n.Left, childNeed, analyze)
+	widths := [2]int{b.nodes[*i].width()}
+	left, err := e.buildOperator(pool, q, n.Left, b, i, analyze)
 	if err != nil {
 		return nil, err
 	}
-	right, err := e.buildOperator(pool, q, n.Right, childNeed, analyze)
+	widths[1] = b.nodes[*i].width()
+	right, err := e.buildOperator(pool, q, n.Right, b, i, analyze)
 	if err != nil {
 		return nil, err
 	}
-	if j == nil {
+	srcs := view(b.srcs, nb.srcs)
+	if len(n.Cond) == 0 {
 		// Cross product: only nested loop supports it.
 		if n.Op != plan.NestedLoopJoin {
 			return nil, fmt.Errorf("exec: %s requires at least one equi-join condition", n.Op)
 		}
 		c := drawOp[crossJoinOp](pool, opCrossJoin)
-		c.e, c.node, c.left, c.right, c.pool, c.need = e, n, left, right, pool, need
+		c.e, c.node, c.left, c.right, c.pool, c.srcs, c.widths = e, n, left, right, pool, srcs, widths
 		return timed(c, analyze), nil
 	}
 	switch n.Op {
 	case plan.HashJoin, plan.MergeJoin, plan.NestedLoopJoin:
-		j.e, j.q, j.node, j.left, j.right, j.pool, j.need = e, q, n, left, right, pool, need
+		j := drawOp[hashJoinOp](pool, opHashJoin)
+		j.e, j.node, j.left, j.right, j.pool, j.srcs, j.widths = e, n, left, right, pool, srcs, widths
+		keys := view(b.keys, nb.keys) // the left side's, then the right side's
+		j.lks, j.rks = keys[:len(n.Cond)], keys[len(n.Cond):]
 		return timed(j, analyze), nil
 	default:
 		return nil, fmt.Errorf("exec: %s is not a join operator", n.Op)

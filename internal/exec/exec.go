@@ -147,7 +147,15 @@ const cancelCheckRows = 4096
 // scans observe the same context and are joined before RunCtx returns;
 // cancellation never leaks goroutines.
 func (e *Executor) RunCtx(ctx context.Context, q *query.Query, p *plan.Node) (*Result, error) {
-	res, _, err := e.run(ctx, q, p, false)
+	return e.RunBound(ctx, q, p, nil)
+}
+
+// RunBound is RunCtx reading the plan's catalog resolution from b, which
+// Executor.Bind made for p and queries of q's shape. A b that is nil or
+// not Current against the executor's catalog is resolved again, into the
+// run's own storage, as RunCtx does on every run.
+func (e *Executor) RunBound(ctx context.Context, q *query.Query, p *plan.Node, b *Binding) (*Result, error) {
+	res, _, err := e.run(ctx, q, p, b, false)
 	return res, err
 }
 
@@ -160,7 +168,7 @@ func (e *Executor) RunCtx(ctx context.Context, q *query.Query, p *plan.Node) (*R
 // It then annotates p's TrueCard from Result.Cards, so p must not be
 // shared; the annotation stays because benchmark/trace.go reads it.
 func (e *Executor) RunAnalyze(ctx context.Context, q *query.Query, p *plan.Node) (*Result, *PlanTelemetry, error) {
-	res, pt, err := e.run(ctx, q, p, true)
+	res, pt, err := e.run(ctx, q, p, nil, true)
 	if err == nil {
 		i := 0
 		p.Walk(func(n *plan.Node) {
@@ -171,11 +179,20 @@ func (e *Executor) RunAnalyze(ctx context.Context, q *query.Query, p *plan.Node)
 	return res, pt, err
 }
 
-func (e *Executor) run(ctx context.Context, q *query.Query, p *plan.Node, analyze bool) (res *Result, pt *PlanTelemetry, err error) {
+func (e *Executor) run(ctx context.Context, q *query.Query, p *plan.Node, b *Binding, analyze bool) (res *Result, pt *PlanTelemetry, err error) {
 	set := e.pool.checkout() // back after Close and recycle
 	defer e.pool.checkin(set)
-	sink := newAggSink(e, set, q)
-	if sink.child, err = e.buildOperator(set, q, p, sink.needed, analyze); err != nil {
+	if !b.Current(e.Cat) {
+		bd := &set.bind
+		defer bd.release()
+		if err := bd.fill(e.Cat, q, p); err != nil {
+			return nil, nil, err
+		}
+		b = &bd.Binding
+	}
+	sink := newAggSink(set, q, b)
+	i := 0
+	if sink.child, err = e.buildOperator(set, q, p, b, &i, analyze); err != nil {
 		return nil, nil, err
 	}
 	top := timed(sink, analyze)
@@ -201,12 +218,13 @@ func (e *Executor) run(ctx context.Context, q *query.Query, p *plan.Node, analyz
 		return nil, nil, err
 	}
 	// Error precedence mirrors the reference evaluator: evaluation errors
-	// first (returned by drain), then the context, then aggregate binding.
+	// first (returned by drain), then the context, then an aggregate the
+	// binding could not resolve.
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	if sink.bindErr != nil {
-		return nil, nil, sink.bindErr
+	if b.aggErr != nil {
+		return nil, nil, b.aggErr
 	}
 	if analyze {
 		pt = snapshotTelemetry(top)

@@ -409,8 +409,12 @@ func TestJoinSchemasArePruned(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := New(cat)
-		set := e.pool.checkout()
-		root, err := e.buildOperator(set, q, p, newAggSink(e, set, q).needed, false)
+		b, err := e.Bind(q, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		root, err := e.buildOperator(e.pool.checkout(), q, p, b, &i, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -132,17 +132,17 @@ func keysEqual(pcols [][]int32, pi int32, pks []keyCol, bcols [][]int32, bi int3
 }
 
 // joinBase is what both join operators share: the plan node and its
-// inputs, the output layout, the pending output and the telemetry.
+// inputs, its output layout as the run's Binding resolved it, the pending
+// output and the telemetry.
 type joinBase struct {
 	e           *Executor
 	node        *plan.Node
 	left, right Operator
 	pool        *runSet
-	need        []string // aliases the consumer reads
+	srcs        []colSrc // where each output column comes from
+	widths      [2]int   // how many columns the inputs emit
 
 	ctx     context.Context
-	schema  []string
-	srcs    []colSrc // where each output column comes from
 	started bool
 	pending Batch // output columns awaiting emission; N counts them when there are none
 	pendIdx int
@@ -159,26 +159,24 @@ type joinPhases interface {
 	finish()      // charge the algorithm's work
 }
 
-// open is both joins' Open prologue: it opens the inputs and lays out the
-// output, returning the inputs' schemas.
-func (b *joinBase) open(ctx context.Context) (ls, rs []string, err error) {
+// open is both joins' Open prologue: it opens the inputs and the pending
+// output.
+func (b *joinBase) open(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return err
 	}
 	b.ctx = ctx
 	b.tel.Op = b.node.Op.String()
 	b.tel.Node = b.node
 	if err := b.left.Open(ctx); err != nil {
-		return nil, nil, err
+		return err
 	}
 	if err := b.right.Open(ctx); err != nil {
-		return nil, nil, err
+		return err
 	}
-	ls, rs = b.left.Schema(), b.right.Schema()
-	b.schema, b.srcs = joinSchema(b.schema[:0], b.srcs[:0], ls, rs, b.need)
-	b.pending.alloc(b.pool, len(b.schema))
+	b.pending.alloc(b.pool, len(b.srcs))
 	b.tel.charges = append(b.tel.charges, cStartup)
-	return ls, rs, nil
+	return nil
 }
 
 // next is both joins' Next, running their phases ph.
@@ -207,7 +205,7 @@ func (b *joinBase) next(ph joinPhases) (*Batch, error) {
 		ph.finish()
 		return nil, nil
 	}
-	return emit(&b.pending, &b.pendIdx, &b.out, len(b.schema), &b.tel, b.e.batchSize()), nil
+	return emit(&b.pending, &b.pendIdx, &b.out, len(b.srcs), &b.tel, b.e.batchSize()), nil
 }
 
 // close is both joins' Close epilogue: it returns pending and closes the
@@ -223,12 +221,25 @@ func (b *joinBase) close() error {
 }
 
 func (b *joinBase) Telemetry() *OpTelemetry { return &b.tel }
-func (b *joinBase) Schema() []string        { return b.schema }
+
+// Schema assembles the output aliases from the inputs'. No run reads it:
+// a run reads srcs.
+func (b *joinBase) Schema() []string {
+	ls, rs := b.left.Schema(), b.right.Schema()
+	out := make([]string, len(b.srcs))
+	for k, src := range b.srcs {
+		if src.left {
+			out[k] = ls[src.pos]
+		} else {
+			out[k] = rs[src.pos]
+		}
+	}
+	return out
+}
 
 // recycled is the base emptied for the pool, keeping buffer capacity.
 func (b *joinBase) recycled() joinBase {
-	clear(b.schema)
-	return joinBase{schema: b.schema[:0], srcs: b.srcs[:0], pending: b.pending, out: b.out, tel: OpTelemetry{charges: b.tel.charges[:0]}}
+	return joinBase{pending: b.pending, out: b.out, tel: OpTelemetry{charges: b.tel.charges[:0]}}
 }
 
 // hashJoinOp evaluates an equi-join hash-based (whatever the plan
@@ -236,10 +247,8 @@ func (b *joinBase) recycled() joinBase {
 // build side and streaming the probe side.
 type hashJoinOp struct {
 	joinBase
-	q         *query.Query
-	childNeed []string // aliases both inputs are asked for: need plus the condition's
-	lks, rks  []keyCol
-	pg        keyGather
+	lks, rks []keyCol // the binding's
+	pg       keyGather
 
 	buildIsRight bool
 	tab          joinTable // tab.build is bufLeft's or bufRight's columns
@@ -261,18 +270,11 @@ type hashJoinOp struct {
 }
 
 func (j *hashJoinOp) Open(ctx context.Context) error {
-	ls, rs, err := j.open(ctx)
-	if err != nil {
+	if err := j.open(ctx); err != nil {
 		return err
 	}
-	if j.lks, err = keyColsFor(j.lks[:0], j.e.Cat, j.q, ls, j.node.Cond, true); err != nil {
-		return err
-	}
-	if j.rks, err = keyColsFor(j.rks[:0], j.e.Cat, j.q, rs, j.node.Cond, false); err != nil {
-		return err
-	}
-	j.bufLeft.alloc(j.pool, len(ls))
-	j.bufRight.alloc(j.pool, len(rs))
+	j.bufLeft.alloc(j.pool, j.widths[0])
+	j.bufRight.alloc(j.pool, j.widths[1])
 	j.pkeys = j.pool.GetKeys(0)
 	j.match[0], j.match[1] = j.pool.GetSel(0), j.pool.GetSel(0)
 	return nil
@@ -442,13 +444,7 @@ func (j *hashJoinOp) Close() error {
 }
 
 func (j *hashJoinOp) recycle(p *runSet) {
-	clear(j.childNeed)
-	clear(j.lks)
-	clear(j.rks)
-	*j = hashJoinOp{
-		joinBase: j.recycled(), childNeed: j.childNeed[:0], lks: j.lks[:0], rks: j.rks[:0],
-		bufLeft: j.bufLeft, bufRight: j.bufRight,
-	}
+	*j = hashJoinOp{joinBase: j.recycled(), bufLeft: j.bufLeft, bufRight: j.bufRight}
 	p.ops[opHashJoin] = append(p.ops[opHashJoin], j)
 }
 
@@ -463,12 +459,11 @@ type crossJoinOp struct {
 }
 
 func (c *crossJoinOp) Open(ctx context.Context) error {
-	ls, rs, err := c.open(ctx)
-	if err != nil {
+	if err := c.open(ctx); err != nil {
 		return err
 	}
-	c.lbuf.alloc(c.pool, len(ls))
-	c.rbuf.alloc(c.pool, len(rs))
+	c.lbuf.alloc(c.pool, c.widths[0])
+	c.rbuf.alloc(c.pool, c.widths[1])
 	return nil
 }
 

@@ -57,6 +57,7 @@ type runSet struct {
 	sels [][]int32
 	keys [][]uint64
 	ops  [numOpKinds][]any // operator structs by type (build.go); not in InUse
+	bind binder            // an unbound run's resolution (bind.go)
 	dbg  *poolDebug
 }
 

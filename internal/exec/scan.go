@@ -7,55 +7,59 @@ package exec
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"lqo/internal/data"
 	"lqo/internal/plan"
 	"lqo/internal/query"
 )
 
-// scanSchema is a scan's output layout: its alias when need lists it, else
-// nothing.
-func scanSchema(dst *[1]string, alias string, need []string) []string {
-	dst[0] = alias
-	if slices.Contains(need, alias) {
-		return dst[:]
-	}
-	return dst[:0]
-}
-
 // scanBase is what every scan operator shares: the leaf it scans for the
-// run's query, its output layout, its pending vector and its telemetry.
+// run's query and what the run's Binding resolved for it, its pending
+// vector and its telemetry.
 type scanBase struct {
-	e    *Executor
-	q    *query.Query
-	node *plan.Node
-	pool *runSet
-	need []string // aliases the consumer reads
+	e       *Executor
+	q       *query.Query
+	node    *plan.Node
+	pool    *runSet
+	tbl     *data.Table
+	generic bool           // the leaf binds q's predicates
+	bcols   []*data.Column // a non-generic leaf's predicates' columns (the binding's)
+	alias   [1]string
+	schema  []string // alias, or nothing when the consumer reads none
 
 	ctx     context.Context
-	alias   [1]string
-	schema  []string
-	pending Batch // one pooled vector: row ids awaiting emission
+	preds   []query.Pred   // a generic leaf's predicates, bound for the run
+	cols    []*data.Column // their columns
+	pending Batch          // one pooled vector: row ids awaiting emission
 	done    bool
 	out     Batch
 	tel     OpTelemetry
 }
 
-// open is every scan's Open prologue; it returns the leaf's table.
-func (b *scanBase) open(ctx context.Context) (*data.Table, error) {
+// init points a drawn scan at leaf n, the entry nb of binding b.
+func (s *scanBase) init(e *Executor, q *query.Query, n *plan.Node, pool *runSet, b *Binding, nb *nodeBinding) {
+	s.e, s.q, s.node, s.pool = e, q, n, pool
+	s.tbl, s.generic, s.bcols = nb.tbl, nb.generic, view(b.cols, nb.cols)
+	s.alias[0] = n.Alias
+	s.schema = s.alias[:nb.width()]
+}
+
+// open is every scan's Open prologue; it returns the leaf's predicates
+// for the run and their columns: the plan's and the binding's, or a
+// generic leaf's bound from the run's query.
+func (b *scanBase) open(ctx context.Context) (preds []query.Pred, cols []*data.Column, err error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	b.ctx = ctx
 	b.tel.Op = b.node.Op.String()
 	b.tel.Node = b.node
-	b.schema = scanSchema(&b.alias, b.node.Alias, b.need)
-	tbl := b.e.Cat.Table(b.node.Table)
-	if tbl == nil {
-		return nil, fmt.Errorf("exec: unknown table %q", b.node.Table)
+	if !b.generic {
+		return b.node.Preds, b.bcols, nil
 	}
-	return tbl, nil
+	b.preds = b.node.BindPreds(b.preds[:0], b.q)
+	b.cols, err = bindPredCols(b.cols[:0], b.tbl, b.preds)
+	return b.preds, b.cols, err
 }
 
 // finish marks the scan exhausted and charges its output.
@@ -75,14 +79,14 @@ func (b *scanBase) Schema() []string        { return b.schema }
 
 // recycled is the base emptied for the pool, keeping buffer capacity.
 func (b *scanBase) recycled() scanBase {
-	return scanBase{pending: b.pending, out: b.out, tel: OpTelemetry{charges: b.tel.charges[:0]}}
+	clear(b.preds)
+	clear(b.cols)
+	return scanBase{preds: b.preds[:0], cols: b.cols[:0], pending: b.pending, out: b.out, tel: OpTelemetry{charges: b.tel.charges[:0]}}
 }
 
 // seqScanOp streams the matching row ids of a sequential scan in batches.
 type seqScanOp struct {
 	scanBase
-	preds  []query.Pred // bound by Open (plan.Node.BindPreds)
-	cols   []*data.Column
 	nrows  int
 	filter blockFilter // compiled vectorized filter, recompiled by every Open
 
@@ -91,16 +95,12 @@ type seqScanOp struct {
 }
 
 func (s *seqScanOp) Open(ctx context.Context) error {
-	tbl, err := s.open(ctx)
+	preds, cols, err := s.open(ctx)
 	if err != nil {
 		return err
 	}
-	s.preds = s.node.BindPreds(s.preds[:0], s.q)
-	if s.cols, err = bindPredCols(s.cols[:0], tbl, s.preds); err != nil {
-		return err
-	}
-	s.nrows = tbl.NumRows()
-	s.filter.compile(s.cols, s.preds, s.nrows)
+	s.nrows = s.tbl.NumRows()
+	s.filter.compile(cols, preds, s.nrows)
 	s.tel.BlocksTotal, s.tel.BlocksSkipped = s.filter.blocks()
 	s.pending.alloc(s.pool, 1)
 	s.tel.RowsIn = int64(s.nrows)
@@ -110,7 +110,7 @@ func (s *seqScanOp) Open(ctx context.Context) error {
 	// every learned-cost training label) identical with pruning on or off.
 	s.tel.charges = append(s.tel.charges,
 		cStartup,
-		float64(s.nrows)*(cRead+cPred*float64(len(s.preds))))
+		float64(s.nrows)*(cRead+cPred*float64(len(preds))))
 	return nil
 }
 
@@ -146,10 +146,8 @@ func (s *seqScanOp) fill() (err error) {
 }
 
 func (s *seqScanOp) recycle(p *runSet) {
-	clear(s.preds)
-	clear(s.cols)
 	s.filter.reset()
-	*s = seqScanOp{scanBase: s.recycled(), preds: s.preds[:0], cols: s.cols[:0], filter: s.filter}
+	*s = seqScanOp{scanBase: s.recycled(), filter: s.filter}
 	p.ops[opSeqScan] = append(p.ops[opSeqScan], s)
 }
 
@@ -157,24 +155,23 @@ func (s *seqScanOp) recycle(p *runSet) {
 // residual predicates.
 type indexScanOp struct {
 	scanBase
-	rows   []int32 // the index's posting list
-	cols   []*data.Column
-	rest   []query.Pred // the residual predicates, bound by Open
-	filter blockFilter  // residual-filter kernels, recompiled by every Open
+	rows   []int32        // the index's posting list
+	rest   []query.Pred   // the residual predicates
+	rcols  []*data.Column // their columns
+	filter blockFilter    // residual-filter kernels, recompiled by every Open
 	cursor int
 }
 
 func (s *indexScanOp) Open(ctx context.Context) error {
-	tbl, err := s.open(ctx)
+	preds, cols, err := s.open(ctx)
 	if err != nil {
 		return err
 	}
-	s.rest = s.node.BindPreds(s.rest[:0], s.q)
 	eqIdx := -1
 	var ix *data.Index
-	for i, p := range s.rest {
+	for i, p := range preds {
 		if p.Op == query.Eq {
-			if cand := tbl.Index(p.Column); cand != nil {
+			if cand := s.tbl.Index(p.Column); cand != nil {
 				eqIdx, ix = i, cand
 				break
 			}
@@ -183,15 +180,13 @@ func (s *indexScanOp) Open(ctx context.Context) error {
 	if ix == nil {
 		return fmt.Errorf("exec: IndexScan on %s(%s) has no usable equality index", s.node.Table, s.node.Alias)
 	}
-	s.rows = ix.Rows(s.rest[eqIdx].Val.I)
-	s.rest = slices.Delete(s.rest, eqIdx, eqIdx+1)
-	if s.cols, err = bindPredCols(s.cols[:0], tbl, s.rest); err != nil {
-		return err
-	}
+	s.rows = ix.Rows(preds[eqIdx].Val.I)
+	s.rest = append(append(s.rest[:0], preds[:eqIdx]...), preds[eqIdx+1:]...)
+	s.rcols = append(append(s.rcols[:0], cols[:eqIdx]...), cols[eqIdx+1:]...)
 	// An index scan's rows are a scattered posting list, so residual
 	// predicates run refine kernels over it; zone-map pruning does not
 	// apply (zero rows: no prune bitmap is built).
-	s.filter.compile(s.cols, s.rest, 0)
+	s.filter.compile(s.rcols, s.rest, 0)
 	s.pending.alloc(s.pool, 1)
 	s.tel.RowsIn = int64(len(s.rows))
 	s.tel.tuplesRead = int64(len(s.rows))
@@ -248,9 +243,9 @@ func (s *indexScanOp) Close() error {
 }
 
 func (s *indexScanOp) recycle(p *runSet) {
-	clear(s.cols)
+	clear(s.rcols)
 	clear(s.rest)
 	s.filter.reset()
-	*s = indexScanOp{scanBase: s.recycled(), cols: s.cols[:0], rest: s.rest[:0], filter: s.filter}
+	*s = indexScanOp{scanBase: s.recycled(), rcols: s.rcols[:0], rest: s.rest[:0], filter: s.filter}
 	p.ops[opIndexScan] = append(p.ops[opIndexScan], s)
 }

@@ -18,6 +18,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"lqo/internal/data"
@@ -72,12 +73,11 @@ func (e *Executor) ScanShard(ctx context.Context, scan *plan.Node, shard, of int
 	}
 	nrows := tbl.NumRows()
 	bf := newBlockFilter(cols, preds, nrows)
+	// res.Rows is plainly allocated, and the kernels append to it: the
+	// merge operator retains it for the whole run. A shard draws nothing
+	// from the pool, so a shard goroutine preempted mid-scan cannot make
+	// its sibling build a run set of its own.
 	res := &ShardResult{}
-	// res.Rows stays plainly allocated — the merge operator retains it for
-	// the whole run — but the block selection vector is the shard set's.
-	set := e.pool.checkout()
-	sel := set.GetSel(0)
-	defer func() { set.PutSel(sel); e.pool.checkin(set) }()
 	nblocks := data.ZoneBlocks(nrows)
 	for b := shard; b < nblocks; b += of {
 		if err := ctx.Err(); err != nil {
@@ -95,8 +95,7 @@ func (e *Executor) ScanShard(ctx context.Context, scan *plan.Node, shard, of int
 				continue
 			}
 		}
-		sel = bf.filterRange(int32(lo), int32(hi), sel[:0])
-		res.Rows = append(res.Rows, sel...)
+		res.Rows = bf.filterRange(int32(lo), int32(hi), slices.Grow(res.Rows, hi-lo))
 	}
 	return res, nil
 }
@@ -117,7 +116,7 @@ type mergeOp struct {
 }
 
 func (m *mergeOp) Open(ctx context.Context) error {
-	tbl, err := m.open(ctx)
+	preds, _, err := m.open(ctx)
 	if err != nil {
 		return err
 	}
@@ -125,20 +124,15 @@ func (m *mergeOp) Open(ctx context.Context) error {
 	scan := m.node
 	if scan.Generic() {
 		m.bound = *scan
-		m.bound.Preds = scan.BindPreds(nil, m.q)
+		m.bound.Preds = preds
 		scan = &m.bound
 	}
-	// Bind predicate columns up front so sharded plans fail on unknown
-	// columns exactly like unsharded ones, before any shard runs.
-	if _, err = bindPredCols(nil, tbl, scan.Preds); err != nil {
-		return err
-	}
-	nrows := tbl.NumRows()
+	nrows := m.tbl.NumRows()
 	m.tel.RowsIn = int64(nrows)
 	m.tel.tuplesRead = int64(nrows)
 	m.tel.charges = append(m.tel.charges,
 		cStartup,
-		float64(nrows)*(cRead+cPred*float64(len(scan.Preds))))
+		float64(nrows)*(cRead+cPred*float64(len(preds))))
 	// Scatter: run every shard concurrently; join before returning so
 	// cancellation never leaks goroutines.
 	n := m.node.Shards

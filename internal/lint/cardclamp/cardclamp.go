@@ -159,8 +159,9 @@ func run(pass *analysis.Pass) error {
 }
 
 // sinkParent reports whether the innermost non-paren ancestor uses the
-// node as an operand of binary arithmetic/comparison or as an argument
-// to a NaN-propagating math function.
+// node as an operand of binary arithmetic/comparison, as either side of
+// an arithmetic op-assignment (c *= f is c = c * f), or as an argument to
+// a NaN-propagating math function.
 func sinkParent(info *types.Info, stack []ast.Node) bool {
 	parent, self := analysis.Parent(stack)
 	switch p := parent.(type) {
@@ -169,6 +170,11 @@ func sinkParent(info *types.Info, stack []ast.Node) bool {
 		case token.ADD, token.SUB, token.MUL, token.QUO, token.REM,
 			token.LSS, token.GTR, token.LEQ, token.GEQ, token.EQL, token.NEQ:
 			return p.X == self || p.Y == self
+		}
+	case *ast.AssignStmt:
+		switch p.Tok {
+		case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN, token.REM_ASSIGN:
+			return true
 		}
 	case *ast.CallExpr:
 		return isMathSink(info, p) && analysis.IsArg(p, self)

@@ -32,6 +32,23 @@ func BadCompare(e Est) bool {
 	return c > 100 // want `holds an unclamped estimate`
 }
 
+func BadOpAssign(e Est, f float64) float64 {
+	c := e.Estimate(5)
+	c *= f // want `holds an unclamped estimate`
+	return c
+}
+
+func BadOpAssignRaw(e Est, c float64) float64 {
+	c /= e.Estimate(6) // want `raw estimator output used in card math`
+	return c
+}
+
+func GoodOpAssign(e Est, f float64) float64 {
+	c := metrics.ClampCard(e.Estimate(7)) // true negative: sanitized at birth
+	c *= f
+	return c
+}
+
 func GoodWrapped(e Est) float64 {
 	c := metrics.ClampCard(e.Estimate(1)) // true negative: sanitized at birth
 	return c * 2

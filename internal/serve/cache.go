@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"lqo/internal/exec"
 	"lqo/internal/metrics"
 	"lqo/internal/opt"
 	"lqo/internal/plan"
@@ -46,11 +47,33 @@ type CacheStats struct {
 // which copy of its key bytes it holds (adoptKey). Put over a live key
 // installs a new entry, so the memo dies with the plan.
 type cacheEntry struct {
-	key string
-	p   *plan.Node // shared by every run; never written
-	// harvest memoizes an ad-hoc entry's feedback labels for their keys
-	// (Server.harvest); nil until the first hit.
-	harvest atomic.Pointer[[]opt.CardLabel]
+	key  string
+	p    *plan.Node              // shared by every run; never written
+	memo atomic.Pointer[hitMemo] // nil until the first hit
+}
+
+// hitMemo is what the hits of an entry resolve once rather than per
+// request. A miss makes none: most cold plans are never hit.
+type hitMemo struct {
+	// bind is the plan's catalog resolution, built again by a hit at a
+	// later catalog generation (Server.binding).
+	bind atomic.Pointer[exec.Binding]
+	// The rest is an ad-hoc entry's harvest (Server.harvest), under the
+	// server's feedback lock: its feedback labels, nil until its first
+	// hit, and their store slots (-1: not admitted), valid while slotGen
+	// is the store's generation.
+	labels  []opt.CardLabel
+	slots   []int32
+	slotGen uint64
+}
+
+// hits returns the entry's memo, making it on the first hit.
+func (e *cacheEntry) hits() *hitMemo {
+	if m := e.memo.Load(); m != nil {
+		return m
+	}
+	e.memo.CompareAndSwap(nil, &hitMemo{})
+	return e.memo.Load()
 }
 
 // NewPlanCache returns a cache holding at most capacity plans
@@ -120,30 +143,33 @@ func (c *PlanCache) put(key string, p *plan.Node, gen uint64) {
 	}
 }
 
-// Observe is observe fed from a TrueCard-annotated copy of the cached
+// Observe is observe fed from a TrueCard-annotated copy of key's cached
 // plan (Get, then RunAnalyze). It stays for benchmark/trace.go.
 func (c *PlanCache) Observe(key string, executed *plan.Node, maxQErr float64) bool {
-	return c.observe(key, executed.TrueCards(), maxQErr)
+	c.mu.Lock()
+	el, ok := c.entries[key]
+	var ent *cacheEntry
+	if ok {
+		ent = el.Value.(*cacheEntry)
+	}
+	c.mu.Unlock()
+	return ok && c.observe(ent, executed.TrueCards(), maxQErr)
 }
 
-// observe replays the record of a run of key's cached plan against it:
-// cards[i] is the true cardinality of the plan's i-th node in pre-order
+// observe replays the record of a run of ent's plan against it: cards[i]
+// is the true cardinality of the plan's i-th node in pre-order
 // (exec.Result.Cards). When any sub-plan's estimate drifts beyond maxQErr
 // (q-error of estimated vs true cardinality), the entry is invalidated
-// and observe reports true — the signal that the next request should
-// replan with feedback. maxQErr <= 1 disables invalidation.
-func (c *PlanCache) observe(key string, cards []float64, maxQErr float64) bool {
+// if the cache still holds it, and observe reports that — the signal
+// that the next request should replan with feedback. maxQErr <= 1
+// disables invalidation. The plan is immutable, so only the eviction
+// takes the lock.
+func (c *PlanCache) observe(ent *cacheEntry, cards []float64, maxQErr float64) bool {
 	if maxQErr <= 1 {
 		return false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return false
-	}
 	i, drifted := 0, false
-	el.Value.(*cacheEntry).p.Walk(func(n *plan.Node) {
+	ent.p.Walk(func(n *plan.Node) {
 		if i < len(cards) && metrics.QError(n.EstCard, cards[i]) > maxQErr {
 			drifted = true
 		}
@@ -154,8 +180,14 @@ func (c *PlanCache) observe(key string, cards []float64, maxQErr float64) bool {
 	if i != len(cards) || !drifted {
 		return false
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[ent.key]
+	if !ok || el.Value != ent {
+		return false
+	}
 	c.order.Remove(el)
-	delete(c.entries, key)
+	delete(c.entries, ent.key)
 	c.stats.Invalidations++
 	return true
 }

@@ -97,8 +97,10 @@ func memoOf(s *Server, key string) (memo []opt.CardLabel, cached bool) {
 	if !ok {
 		return nil, false
 	}
-	if m := el.Value.(*cacheEntry).harvest.Load(); m != nil {
-		memo = *m
+	if m := el.Value.(*cacheEntry).memo.Load(); m != nil {
+		s.mu.Lock()
+		memo = m.labels
+		s.mu.Unlock()
 	}
 	return memo, true
 }

@@ -158,6 +158,7 @@ type Server struct {
 	hashes  map[uint64]struct{}
 	keyBuf  []byte   // the key buffer of a graph's harvest and overlay
 	hashBuf []uint64 // the overlay's key hashes, one per mask
+	fbGen   uint64   // bumped by ResetFeedback: hitMemo.slots of an older one are stale
 
 	coldPlans atomic.Int64
 	obs       atomic.Pointer[ExecObserver] // nil or pointing at nil: none
@@ -179,6 +180,7 @@ func New(cat *data.Catalog, o *opt.Optimizer, ex *exec.Executor, cfg Config) *Se
 		adm:      newAdmission(cfg.TenantSlots, cfg.TenantQueue, cfg.Breaker),
 		feedback: make(map[string]int32),
 		hashes:   make(map[uint64]struct{}),
+		fbGen:    1,
 	}
 	s.opt = o.WithEstimator(&feedbackEstimator{s: s, base: o.Est})
 	return s
@@ -299,9 +301,9 @@ func (s *Server) Exec(ctx context.Context, tenant string, stmt *Stmt, args ...an
 // hit neither, and its miss builds the one graph it is planned and
 // harvested from. The observer gets the same graph; a statement-cache
 // hit builds one only when an observer is installed. A hit runs the
-// cached plan itself, shared with concurrent requests: nothing here
-// writes to a plan, and harvest, drift check and observer read the run's
-// record instead.
+// cached plan itself, shared with concurrent requests, under the
+// entry's binding: nothing here writes to a plan, and harvest, drift
+// check and observer read the run's record instead.
 func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key string, g *query.JoinGraph, tmpl *query.Query) (*Result, error) {
 	release, br, err := s.adm.acquire(ctx, tenant)
 	if err != nil {
@@ -312,9 +314,6 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 	planStart := time.Now()
 	p, ent, gen := s.cache.checkout(key)
 	cached := p != nil
-	if tmpl != nil {
-		ent = nil // each binding has its own sub-query keys
-	}
 	if p == nil {
 		if g == nil {
 			g = query.NewJoinGraph(q) // planned and harvested: one graph per miss
@@ -332,17 +331,20 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 	}
 	planDur := time.Since(planStart)
 
-	res, err := s.ex.RunCtx(ctx, q, p)
+	res, err := s.ex.RunBound(ctx, q, p, s.binding(ent, q))
 	if err != nil {
 		br.Failure()
 		return nil, err
 	}
 	br.Success()
 
-	s.harvest(q, g, p, res.Cards, ent)
 	if cached {
-		s.cache.observe(key, res.Cards, s.cfg.InvalidateQError)
+		s.cache.observe(ent, res.Cards, s.cfg.InvalidateQError)
 	}
+	if tmpl != nil {
+		ent = nil // each binding has its own sub-query keys
+	}
+	s.harvest(q, g, p, res.Cards, ent)
 	if obs := s.obs.Load(); obs != nil && *obs != nil {
 		if g == nil { // a statement-cache hit: no graph was needed so far
 			g = query.NewJoinGraph(q)
@@ -352,15 +354,35 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 	return &Result{Count: res.Count, Value: res.Value, Latency: res.Stats.WorkUnits, Cached: cached, Plan: planDur}, nil
 }
 
+// binding returns the catalog resolution of ent's plan for q's shape:
+// the entry's memo, built on its first hit and again on a hit after the
+// catalog's generation moved. Nil on a miss or when the plan does not
+// bind, and the run resolves (and reports) it itself.
+func (s *Server) binding(ent *cacheEntry, q *query.Query) *exec.Binding {
+	if ent == nil {
+		return nil
+	}
+	m := ent.hits()
+	b := m.bind.Load()
+	if !b.Current(s.ex.Cat) {
+		var err error
+		if b, err = s.ex.Bind(q, ent.p); err != nil {
+			return nil
+		}
+		m.bind.Store(b)
+	}
+	return b
+}
+
 // harvest merges the record cards of a run of p into the feedback store
-// in plan pre-order, every key every time (ResetFeedback may have
-// intervened). ent is the entry p was checked out of on an ad-hoc hit,
-// else nil. Its key is a function of q.Key(), so every pre-order
-// position's sub-query key repeats on every hit: the first hit memoizes
-// opt.HarvestCards' labels (from g, or a graph built for a statement-cache
-// hit), later hits skip the graph. A miss's or a prepared binding's keys
-// come from g through s.keyBuf: only a key new to the store allocates a
-// string or is hashed.
+// in plan pre-order, every key every time. ent is the entry p was checked
+// out of on an ad-hoc hit, else nil. Its key is a function of q.Key(), so
+// every pre-order position's sub-query key repeats on every hit: the
+// first hit memoizes opt.HarvestCards' labels (from g, or a graph built
+// for a statement-cache hit), later hits skip the graph, and each label's
+// store slot is memoized until ResetFeedback intervenes, so a hit writes
+// by index. A miss's or a prepared binding's keys come from g through
+// s.keyBuf: only a key new to the store allocates a string or is hashed.
 func (s *Server) harvest(q *query.Query, g *query.JoinGraph, p *plan.Node, cards []float64, ent *cacheEntry) {
 	if ent == nil {
 		s.mu.Lock()
@@ -368,30 +390,43 @@ func (s *Server) harvest(q *query.Query, g *query.JoinGraph, p *plan.Node, cards
 		i := 0
 		p.WalkLogicalMasks(g, func(_ *plan.Node, mask uint64) {
 			s.keyBuf = g.AppendKey(s.keyBuf[:0], mask)
-			if absorb(s, s.keyBuf, cards[i]) {
+			if _, added := absorb(s, s.keyBuf, cards[i]); added {
 				s.hashes[g.KeyHash(mask)] = struct{}{}
 			}
 			i++
 		})
 		return
 	}
-	var labels []opt.CardLabel
-	if memo := ent.harvest.Load(); memo != nil {
-		labels = *memo
-	} else {
+	m := ent.hits()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if m.labels != nil && m.slotGen == s.fbGen { // memoized cards are stale: read the record's
+		for i, slot := range m.slots {
+			if slot >= 0 {
+				s.cards[slot] = cards[i]
+			}
+		}
+		return
+	}
+	first := m.labels == nil
+	if first {
 		if g == nil {
 			g = query.NewJoinGraph(q)
 		}
-		memo := opt.HarvestCards(g, p, cards)
-		ent.harvest.Store(&memo)
-		labels = memo
+		m.labels = opt.HarvestCards(g, p, cards)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, l := range labels { // memoized cards are stale: read the record's
-		if absorb(s, l.Key, cards[i]) {
+	m.slots, m.slotGen = m.slots[:0], s.fbGen
+	for i, l := range m.labels {
+		slot, added := absorb(s, l.Key, cards[i])
+		if added {
 			s.hashes[l.Hash] = struct{}{}
+		} else if slot >= 0 && first {
+			// The store's key is a copy a miss made: keep the label's
+			// instead, so the memo costs no second copy.
+			delete(s.feedback, l.Key)
+			s.feedback[l.Key] = slot
 		}
+		m.slots = append(m.slots, slot)
 	}
 }
 
@@ -399,16 +434,22 @@ func (s *Server) harvest(q *query.Query, g *query.JoinGraph, p *plan.Node, cards
 // an existing key always updates, a new key lands only under FeedbackCap
 // (bounded memory, no eviction churn). Callers write in plan pre-order,
 // so which keys a nearly full store admits is the same on every run. It
-// reports whether key is new, for the caller to add its hash to s.hashes.
-func absorb[K string | []byte](s *Server, key K, card float64) (added bool) {
+// returns key's slot in s.cards, -1 if it was not admitted, and whether
+// key is new, for the caller to add its hash to s.hashes. Only
+// ResetFeedback moves or frees a slot, and a full store stays full until
+// then.
+func absorb[K string | []byte](s *Server, key K, card float64) (slot int32, added bool) {
 	if i, ok := s.feedback[string(key)]; ok {
 		s.cards[i] = card
-	} else if len(s.cards) < s.cfg.FeedbackCap {
-		s.feedback[string(key)] = int32(len(s.cards))
-		s.cards = append(s.cards, card)
-		return true
+		return i, false
 	}
-	return false
+	if len(s.cards) >= s.cfg.FeedbackCap {
+		return -1, false
+	}
+	slot = int32(len(s.cards))
+	s.feedback[string(key)] = slot
+	s.cards = append(s.cards, card)
+	return slot, true
 }
 
 // SetObserver installs (or, with nil, removes) the execution observer.
@@ -432,6 +473,7 @@ func (s *Server) ResetFeedback() int {
 	s.feedback = make(map[string]int32)
 	s.hashes = make(map[uint64]struct{})
 	s.cards = s.cards[:0]
+	s.fbGen++
 	return n
 }
 

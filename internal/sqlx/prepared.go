@@ -25,8 +25,10 @@ type Prepared struct {
 	slots []slot
 	shape string
 	graph *query.JoinGraph // the template's, for BindGraph; nil from ParseStatement
-	// tables are the distinct tables the statement names, as resolved.
+	// tables are the distinct tables the statement names, as resolved
+	// from a catalog at generation gen.
 	tables []*data.Table
+	gen    uint64
 	absent []dictLen
 }
 
@@ -99,7 +101,7 @@ func ParseStatement(sql string, cat *data.Catalog) (*Prepared, *query.JoinGraph,
 // prepared wraps the parser's validated query, indexed by g, as a
 // Prepared.
 func (p *parser) prepared(slots []slot, g *query.JoinGraph) *Prepared {
-	pr := &Prepared{tmpl: p.q, slots: slots, shape: g.QueryKey(), absent: p.absent}
+	pr := &Prepared{tmpl: p.q, slots: slots, shape: g.QueryKey(), absent: p.absent, gen: p.cat.Generation()}
 	pr.tables = make([]*data.Table, 0, len(p.q.Refs))
 	for _, r := range p.q.Refs {
 		if t := p.cat.Table(r.Table); !slices.Contains(pr.tables, t) {
@@ -118,11 +120,14 @@ func (p *parser) prepared(slots []slot, g *query.JoinGraph) *Prepared {
 // And every dictionary a string literal was absent from must have its
 // parse-time length: such a literal was coded Len()+1. Dictionaries only
 // grow and never re-code, so a present literal's code is permanent, and
-// an unchanged length means no absent literal's code has changed.
+// an unchanged length means no absent literal's code has changed. The
+// tables are looked up only once the catalog's generation has moved.
 func (p *Prepared) Current(cat *data.Catalog) bool {
-	for _, t := range p.tables {
-		if cat.Table(t.Name) != t {
-			return false
+	if cat.Generation() != p.gen {
+		for _, t := range p.tables {
+			if cat.Table(t.Name) != t {
+				return false
+			}
 		}
 	}
 	for _, a := range p.absent {
