@@ -235,3 +235,29 @@ func TestAddColumnDuplicateErrors(t *testing.T) {
 		t.Fatal("column b should exist after AddColumn")
 	}
 }
+
+// TestCatalogPin: a Pin keeps the state it was taken in while the live
+// catalog moves on, shares its foreign keys, and an Add to a Pin moves
+// that catalog alone.
+func TestCatalogPin(t *testing.T) {
+	cat := NewCatalog()
+	t1 := NewTable("t", &Column{Name: "a", Kind: Int})
+	cat.Add(t1)
+	pin := cat.Pin()
+	if pin.Generation() != cat.Generation() || pin.Table("t") != t1 || pin.Pin() != pin {
+		t.Fatal("a fresh pin is not the catalog's present state")
+	}
+	t2 := NewTable("t", &Column{Name: "a", Kind: Int})
+	cat.Add(t2)
+	if pin.Table("t") != t1 || cat.Table("t") != t2 || pin.Generation() == cat.Generation() {
+		t.Fatal("an Add to the live catalog moved its pin")
+	}
+	cat.DeclareFK("t", "a", "u", "id")
+	if len(pin.FKs()) != 1 {
+		t.Fatalf("pin FKs %v, want the live catalog's", pin.FKs())
+	}
+	pin.Add(NewTable("u", &Column{Name: "id", Kind: Int}))
+	if cat.Table("u") != nil || pin.Table("u") == nil || pin.Table("t") != t1 {
+		t.Fatal("an Add to a pin did not move the pin alone")
+	}
+}

@@ -230,12 +230,15 @@ type FK struct {
 }
 
 // Catalog is a named set of tables; the unit a query executes against.
-// Lookups are safe while another goroutine Adds: Add publishes a new
-// snapshot of the name map rather than writing the one readers hold.
+// Lookups do not race with another goroutine's Add, which publishes a new
+// snapshot of the name map rather than writing the one readers hold; but
+// two lookups may read two snapshots. A reader whose lookups must agree
+// (a parse and the binding of its plan) makes them in one Pin.
 type Catalog struct {
 	mu   sync.Mutex // serializes Add
 	snap atomic.Pointer[catalogSnap]
 	fks  []FK
+	live *Catalog // a pinned state's catalog (Pin); nil for a live one
 }
 
 // catalogSnap is one published state of a catalog's tables.
@@ -243,6 +246,7 @@ type catalogSnap struct {
 	tables map[string]*Table
 	order  []string
 	gen    uint64
+	pinned *Catalog // this state as a catalog of its own
 }
 
 // generations numbers catalog states: no two states, of one catalog or of
@@ -252,7 +256,23 @@ var generations atomic.Uint64
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
 	cat := &Catalog{}
-	cat.snap.Store(&catalogSnap{tables: make(map[string]*Table), gen: generations.Add(1)})
+	cat.publish(&catalogSnap{tables: make(map[string]*Table)})
+	return cat
+}
+
+// publish makes s the catalog's present state, at a new Generation.
+func (cat *Catalog) publish(s *catalogSnap) {
+	s.gen = generations.Add(1)
+	s.pinned = &Catalog{live: cat.root()}
+	s.pinned.snap.Store(s)
+	cat.snap.Store(s)
+}
+
+// root is the live catalog: cat itself, or the one cat is a state of.
+func (cat *Catalog) root() *Catalog {
+	if cat.live != nil {
+		return cat.live
+	}
 	return cat
 }
 
@@ -260,28 +280,31 @@ func NewCatalog() *Catalog {
 // (join-edge derivation, workload generation) consult declared FKs before
 // falling back to naming heuristics.
 func (cat *Catalog) DeclareFK(table, column, refTable, refColumn string) {
+	cat = cat.root()
 	cat.fks = append(cat.fks, FK{table, column, refTable, refColumn})
 }
 
 // FKs returns the declared foreign keys in declaration order.
 func (cat *Catalog) FKs() []FK {
-	out := make([]FK, len(cat.fks))
-	copy(out, cat.fks)
+	fks := cat.root().fks
+	out := make([]FK, len(fks))
+	copy(out, fks)
 	return out
 }
 
 // Add registers a table, replacing any previous table of the same name,
-// and moves the catalog to its next Generation.
+// and moves the catalog to its next Generation. An Add to a Pin moves that
+// catalog alone.
 func (cat *Catalog) Add(t *Table) {
 	cat.mu.Lock()
 	defer cat.mu.Unlock()
 	old := cat.snap.Load()
-	next := &catalogSnap{tables: maps.Clone(old.tables), order: old.order, gen: generations.Add(1)}
+	next := &catalogSnap{tables: maps.Clone(old.tables), order: old.order}
 	if _, ok := old.tables[t.Name]; !ok {
 		next.order = append(slices.Clip(old.order), t.Name)
 	}
 	next.tables[t.Name] = t
-	cat.snap.Store(next)
+	cat.publish(next)
 }
 
 // Generation identifies the catalog's present state; every Add moves it
@@ -290,6 +313,12 @@ func (cat *Catalog) Add(t *Table) {
 // dictionary the same object), so whatever was resolved by name in a
 // catalog of some generation holds while that is the generation.
 func (cat *Catalog) Generation() uint64 { return cat.snap.Load().gen }
+
+// Pin returns the catalog's present state as a catalog that no Add to cat
+// moves: its Generation and every lookup stay what they are now, and its
+// foreign keys are the live catalog's. A request that parses against a Pin and
+// binds its plan against the same Pin reads one state of the tables.
+func (cat *Catalog) Pin() *Catalog { return cat.snap.Load().pinned }
 
 // Table returns the named table, or nil.
 func (cat *Catalog) Table(name string) *Table { return cat.snap.Load().tables[name] }

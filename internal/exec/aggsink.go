@@ -110,7 +110,6 @@ func (s *aggSink) Next() (*Batch, error) {
 
 func (s *aggSink) Close() error            { return s.child.Close() }
 func (s *aggSink) Telemetry() *OpTelemetry { return &s.tel }
-func (s *aggSink) Schema() []string        { return nil }
 
 func (s *aggSink) recycle(p *runSet) {
 	*s = aggSink{}

@@ -13,16 +13,18 @@ import (
 	"lqo/internal/query"
 )
 
-// A Binding is a plan resolved against a catalog for queries of one shape
-// (the same aliases, tables and aggregate): one entry per plan node in
-// pre-order, and the aggregate's column. It depends only on the plan, the
-// shape and the catalog's Generation, and is immutable once built, so
-// concurrent runs of a cached plan share one. Row counts, column storage,
-// zone maps and indexes are read per run: appended rows keep every object
-// it holds. A generic leaf's predicates are bound per run too.
+// A Binding is a plan resolved against one state of a catalog for queries
+// of one shape (the same aliases and tables) and one aggregate: one entry
+// per plan node in pre-order, and the aggregate's column. It depends only
+// on the plan, the shape, the aggregate and the catalog's Generation, and
+// is immutable once built, so concurrent runs of a cached plan share one.
+// Row counts, column storage, zone maps and indexes are read per run:
+// appended rows keep every object it holds. A generic leaf's predicates
+// are bound per run too.
 type Binding struct {
-	gen   uint64
-	nodes []nodeBinding
+	gen    uint64
+	aggFor query.Agg // the aggregate bound: the layout and agg follow it
+	nodes  []nodeBinding
 	// The arenas the nodes' spans index: the scans' predicate columns,
 	// the equi-joins' key columns (left side's, then right side's) and
 	// the joins' output sources.
@@ -65,29 +67,33 @@ type binder struct {
 	names, needs []string
 }
 
-// Bind resolves p, planned for queries of q's shape, against the
-// executor's catalog, for RunBound: a run set's binder fills, and an
-// exact-size copy of its binding is kept.
-func (e *Executor) Bind(q *query.Query, p *plan.Node) (*Binding, error) {
+// Bind resolves p, planned for queries of q's shape, against cat (a Pin
+// of the executor's catalog, or the catalog itself) for RunBound and
+// queries with q's aggregate: a run set's binder fills, and an exact-size
+// copy of its binding is kept.
+func (e *Executor) Bind(cat *data.Catalog, q *query.Query, p *plan.Node) (*Binding, error) {
 	set := e.pool.checkout()
 	defer e.pool.checkin(set)
 	bd := &set.bind
 	defer bd.release()
-	if err := bd.fill(e.Cat, q, p); err != nil {
+	if err := bd.fill(cat, q, p); err != nil {
 		return nil, err
 	}
-	return &Binding{gen: bd.gen, nodes: slices.Clone(bd.nodes), cols: slices.Clone(bd.cols),
+	return &Binding{gen: bd.gen, aggFor: bd.aggFor, nodes: slices.Clone(bd.nodes), cols: slices.Clone(bd.cols),
 		keys: slices.Clone(bd.keys), srcs: slices.Clone(bd.srcs), agg: bd.agg, aggErr: bd.aggErr}, nil
 }
 
-// Current reports whether b was resolved against cat at its present
-// generation; false for a nil b.
-func (b *Binding) Current(cat *data.Catalog) bool { return b != nil && b.gen == cat.Generation() }
+// Current reports whether b holds for q against cat: it was resolved at
+// cat's present generation for q's aggregate. False for a nil b.
+func (b *Binding) Current(cat *data.Catalog, q *query.Query) bool {
+	return b != nil && b.gen == cat.Generation() && b.aggFor == q.Agg
+}
 
-// fill resolves p into bd, reusing its storage: a warm run set's binder
-// fills without allocating.
+// fill resolves p into bd against one state of cat, reusing its storage:
+// a warm run set's binder fills without allocating.
 func (bd *binder) fill(cat *data.Catalog, q *query.Query, p *plan.Node) error {
-	bd.gen, bd.agg, bd.aggErr = cat.Generation(), keyCol{}, nil
+	cat = cat.Pin()
+	bd.gen, bd.aggFor, bd.agg, bd.aggErr = cat.Generation(), q.Agg, keyCol{}, nil
 	bd.nodes, bd.cols, bd.keys, bd.srcs = bd.nodes[:0], bd.cols[:0], bd.keys[:0], bd.srcs[:0]
 	bd.names, bd.needs = bd.names[:0], bd.needs[:0]
 	var reads [1]string
@@ -174,5 +180,5 @@ func (bd *binder) release() {
 	clear(bd.keys)
 	clear(bd.names)
 	clear(bd.needs)
-	bd.agg, bd.aggErr = keyCol{}, nil
+	bd.aggFor, bd.agg, bd.aggErr = query.Agg{}, keyCol{}, nil
 }

@@ -65,11 +65,7 @@ func (e *Executor) buildOperator(pool *runSet, q *query.Query, n *plan.Node, b *
 			if n.Shards < 1 {
 				return nil, fmt.Errorf("exec: Merge node for %s has no shards", n.Alias)
 			}
-			var backend ShardBackend = e
-			if e.Backend != nil {
-				backend = e.Backend
-			}
-			m := &mergeOp{backend: backend}
+			m := &mergeOp{backend: e.Backend}
 			m.init(e, q, n, pool, b, nb)
 			return timed(m, analyze), nil
 		default:

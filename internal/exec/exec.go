@@ -96,7 +96,7 @@ type Executor struct {
 	// against in-flight memory and never affects results.
 	BatchSize int
 	// Backend scans the partitions of Merge leaves (shard.go). Nil means
-	// the executor itself (Executor.ScanShard).
+	// in process: the shards scan the table the run bound.
 	Backend ShardBackend
 
 	// pool is the executor's shared buffer pool, reused across every run
@@ -147,15 +147,18 @@ const cancelCheckRows = 4096
 // scans observe the same context and are joined before RunCtx returns;
 // cancellation never leaks goroutines.
 func (e *Executor) RunCtx(ctx context.Context, q *query.Query, p *plan.Node) (*Result, error) {
-	return e.RunBound(ctx, q, p, nil)
+	return e.RunBound(ctx, e.Cat, q, p, nil)
 }
 
-// RunBound is RunCtx reading the plan's catalog resolution from b, which
+// RunBound is RunCtx against cat, a Pin of the executor's catalog (or the
+// catalog itself), reading the plan's catalog resolution from b, which
 // Executor.Bind made for p and queries of q's shape. A b that is nil or
-// not Current against the executor's catalog is resolved again, into the
-// run's own storage, as RunCtx does on every run.
-func (e *Executor) RunBound(ctx context.Context, q *query.Query, p *plan.Node, b *Binding) (*Result, error) {
-	res, _, err := e.run(ctx, q, p, b, false)
+// not Current for q against cat is resolved again, into the run's own
+// storage, as RunCtx does on every run. A caller that parsed q against a
+// Pin passes that Pin, so that the run reads the tables the parse coded
+// q's literals for.
+func (e *Executor) RunBound(ctx context.Context, cat *data.Catalog, q *query.Query, p *plan.Node, b *Binding) (*Result, error) {
+	res, _, err := e.run(ctx, cat, q, p, b, false)
 	return res, err
 }
 
@@ -168,7 +171,7 @@ func (e *Executor) RunBound(ctx context.Context, q *query.Query, p *plan.Node, b
 // It then annotates p's TrueCard from Result.Cards, so p must not be
 // shared; the annotation stays because benchmark/trace.go reads it.
 func (e *Executor) RunAnalyze(ctx context.Context, q *query.Query, p *plan.Node) (*Result, *PlanTelemetry, error) {
-	res, pt, err := e.run(ctx, q, p, nil, true)
+	res, pt, err := e.run(ctx, e.Cat, q, p, nil, true)
 	if err == nil {
 		i := 0
 		p.Walk(func(n *plan.Node) {
@@ -179,13 +182,13 @@ func (e *Executor) RunAnalyze(ctx context.Context, q *query.Query, p *plan.Node)
 	return res, pt, err
 }
 
-func (e *Executor) run(ctx context.Context, q *query.Query, p *plan.Node, b *Binding, analyze bool) (res *Result, pt *PlanTelemetry, err error) {
+func (e *Executor) run(ctx context.Context, cat *data.Catalog, q *query.Query, p *plan.Node, b *Binding, analyze bool) (res *Result, pt *PlanTelemetry, err error) {
 	set := e.pool.checkout() // back after Close and recycle
 	defer e.pool.checkin(set)
-	if !b.Current(e.Cat) {
+	if !b.Current(cat, q) {
 		bd := &set.bind
 		defer bd.release()
-		if err := bd.fill(e.Cat, q, p); err != nil {
+		if err := bd.fill(cat, q, p); err != nil {
 			return nil, nil, err
 		}
 		b = &bd.Binding

@@ -392,7 +392,8 @@ func TestGeneratedCatalogsExecute(t *testing.T) {
 // TestJoinSchemasArePruned: every operator emits only the columns its
 // consumer reads. Under COUNT(*) the root join of the chain a-b-c emits
 // none and the lower join only b, the alias its parent joins on; an
-// aggregate's alias rides up from its leaf through both joins.
+// aggregate's alias rides up from its leaf through both joins. The
+// layouts are read off the plan's Binding, which the operators follow.
 func TestJoinSchemasArePruned(t *testing.T) {
 	cat := smallCatalog(5)
 	for _, c := range []struct {
@@ -408,28 +409,45 @@ func TestJoinSchemasArePruned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := New(cat)
-		b, err := e.Bind(q, p)
+		b, err := New(cat).Bind(cat, q, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		i := 0
-		root, err := e.buildOperator(e.pool.checkout(), q, p, b, &i, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := root.Open(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		lower := root.(*hashJoinOp).left
-		if got := root.Schema(); !slices.Equal(got, c.root) {
+		layouts := boundLayouts(b, p) // pre-order: the root, then its left input
+		if got := layouts[0]; !slices.Equal(got, c.root) {
 			t.Errorf("%s: root join schema %v, want %v", c.agg, got, c.root)
 		}
-		if got := lower.Schema(); !slices.Equal(got, c.lower) {
+		if got := layouts[1]; !slices.Equal(got, c.lower) {
 			t.Errorf("%s: lower join schema %v, want %v", c.agg, got, c.lower)
 		}
-		if err := root.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
+}
+
+// boundLayouts returns the aliases each node of p emits under b, in
+// pre-order: a scan its own when it emits, a join its sources'.
+func boundLayouts(b *Binding, p *plan.Node) [][]string {
+	var out [][]string
+	var walk func(n *plan.Node) []string
+	walk = func(n *plan.Node) []string {
+		i := len(out)
+		out = append(out, nil)
+		nb := b.nodes[i]
+		if n.IsLeaf() {
+			if nb.emits {
+				out[i] = []string{n.Alias}
+			}
+			return out[i]
+		}
+		ls, rs := walk(n.Left), walk(n.Right)
+		for _, src := range view(b.srcs, nb.srcs) {
+			if src.left {
+				out[i] = append(out[i], ls[src.pos])
+			} else {
+				out[i] = append(out[i], rs[src.pos])
+			}
+		}
+		return out[i]
+	}
+	walk(p)
+	return out
 }

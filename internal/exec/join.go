@@ -222,21 +222,6 @@ func (b *joinBase) close() error {
 
 func (b *joinBase) Telemetry() *OpTelemetry { return &b.tel }
 
-// Schema assembles the output aliases from the inputs'. No run reads it:
-// a run reads srcs.
-func (b *joinBase) Schema() []string {
-	ls, rs := b.left.Schema(), b.right.Schema()
-	out := make([]string, len(b.srcs))
-	for k, src := range b.srcs {
-		if src.left {
-			out[k] = ls[src.pos]
-		} else {
-			out[k] = rs[src.pos]
-		}
-	}
-	return out
-}
-
 // recycled is the base emptied for the pool, keeping buffer capacity.
 func (b *joinBase) recycled() joinBase {
 	return joinBase{pending: b.pending, out: b.out, tel: OpTelemetry{charges: b.tel.charges[:0]}}

@@ -38,8 +38,9 @@ import (
 const DefaultBatchSize = 1024
 
 // Batch is one unit of rows streaming between operators, stored by
-// column: N rows and, per alias of the producer's Schema, a row-id vector
-// of length N (Cols[c][i] is row i's id in the table behind Schema()[c]).
+// column: N rows and, per alias the producer emits (its node's output
+// layout in the run's Binding), a row-id vector of length N (Cols[c][i] is
+// row i's id in the table behind the c-th alias).
 // A producer whose consumer reads no column emits N alone. The vectors are
 // owned by the producer and borrowed by the consumer until its next pull,
 // after which the producer may overwrite them or return them to its
@@ -195,10 +196,6 @@ type Operator interface {
 	// Telemetry returns the operator's execution evidence. Counters are
 	// final once Next has returned (nil, nil).
 	Telemetry() *OpTelemetry
-	// Schema returns the aliases of the emitted columns, in Cols order:
-	// those of the operator's subtree that its consumer reads. Valid after
-	// Open.
-	Schema() []string
 }
 
 // walkOps visits the operator tree, inputs left to right, seeing through

@@ -24,8 +24,7 @@ type scanBase struct {
 	tbl     *data.Table
 	generic bool           // the leaf binds q's predicates
 	bcols   []*data.Column // a non-generic leaf's predicates' columns (the binding's)
-	alias   [1]string
-	schema  []string // alias, or nothing when the consumer reads none
+	width   int            // 1 when the consumer reads the leaf's alias, else 0
 
 	ctx     context.Context
 	preds   []query.Pred   // a generic leaf's predicates, bound for the run
@@ -40,8 +39,7 @@ type scanBase struct {
 func (s *scanBase) init(e *Executor, q *query.Query, n *plan.Node, pool *runSet, b *Binding, nb *nodeBinding) {
 	s.e, s.q, s.node, s.pool = e, q, n, pool
 	s.tbl, s.generic, s.bcols = nb.tbl, nb.generic, view(b.cols, nb.cols)
-	s.alias[0] = n.Alias
-	s.schema = s.alias[:nb.width()]
+	s.width = nb.width()
 }
 
 // open is every scan's Open prologue; it returns the leaf's predicates
@@ -75,7 +73,6 @@ func (b *scanBase) Close() error {
 	return nil
 }
 func (b *scanBase) Telemetry() *OpTelemetry { return &b.tel }
-func (b *scanBase) Schema() []string        { return b.schema }
 
 // recycled is the base emptied for the pool, keeping buffer capacity.
 func (b *scanBase) recycled() scanBase {
@@ -134,7 +131,7 @@ func (s *seqScanOp) Next() (*Batch, error) {
 		s.finish()
 		return nil, nil
 	}
-	return emit(&s.pending, &s.pendIdx, &s.out, len(s.schema), &s.tel, s.e.batchSize()), nil
+	return emit(&s.pending, &s.pendIdx, &s.out, s.width, &s.tel, s.e.batchSize()), nil
 }
 
 // fill refills the pending vector with up to a batch of matches from the
@@ -215,7 +212,7 @@ func (s *indexScanOp) Next() (*Batch, error) {
 		return nil, nil
 	}
 	idx := 0
-	return emit(&s.pending, &idx, &s.out, len(s.schema), &s.tel, bs), nil
+	return emit(&s.pending, &idx, &s.out, s.width, &s.tel, bs), nil
 }
 
 // fill appends up to bs surviving posting-list rows to ids.

@@ -23,6 +23,7 @@ import (
 
 	"lqo/internal/data"
 	"lqo/internal/plan"
+	"lqo/internal/query"
 )
 
 // ShardResult is one shard's scan output: the matching row ids of the
@@ -66,11 +67,16 @@ func (e *Executor) ScanShard(ctx context.Context, scan *plan.Node, shard, of int
 	if tbl == nil {
 		return nil, fmt.Errorf("exec: unknown table %q", scan.Table)
 	}
-	preds := scan.Preds
-	cols, err := bindPredCols(nil, tbl, preds)
+	cols, err := bindPredCols(nil, tbl, scan.Preds)
 	if err != nil {
 		return nil, err
 	}
+	return scanShard(ctx, tbl, scan.Preds, cols, shard, of)
+}
+
+// scanShard is ScanShard over a resolved table and predicate columns: a
+// merge leaf's in-process shards scan the table its run bound.
+func scanShard(ctx context.Context, tbl *data.Table, preds []query.Pred, cols []*data.Column, shard, of int) (*ShardResult, error) {
 	nrows := tbl.NumRows()
 	bf := newBlockFilter(cols, preds, nrows)
 	// res.Rows is plainly allocated, and the kernels append to it: the
@@ -109,14 +115,14 @@ func (e *Executor) ScanShard(ctx context.Context, scan *plan.Node, shard, of int
 // sharding never changes CostStats.
 type mergeOp struct {
 	scanBase
-	backend ShardBackend
-	bound   plan.Node // a generic leaf with its predicates bound for the run
+	backend ShardBackend // nil: the run's bound table, in process
+	bound   plan.Node    // a generic leaf with its predicates bound for the run
 	shards  []*ShardResult
 	cursors []int
 }
 
 func (m *mergeOp) Open(ctx context.Context) error {
-	preds, _, err := m.open(ctx)
+	preds, cols, err := m.open(ctx)
 	if err != nil {
 		return err
 	}
@@ -143,7 +149,11 @@ func (m *mergeOp) Open(ctx context.Context) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			m.shards[i], errs[i] = m.backend.ScanShard(ctx, scan, i, n)
+			if m.backend == nil {
+				m.shards[i], errs[i] = scanShard(ctx, m.tbl, preds, cols, i, n)
+			} else {
+				m.shards[i], errs[i] = m.backend.ScanShard(ctx, scan, i, n)
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -210,7 +220,7 @@ func (m *mergeOp) Next() (*Batch, error) {
 		return nil, nil
 	}
 	idx := 0
-	return emit(&m.pending, &idx, &m.out, len(m.schema), &m.tel, bs), nil
+	return emit(&m.pending, &idx, &m.out, m.width, &m.tel, bs), nil
 }
 
 func (m *mergeOp) Close() error {

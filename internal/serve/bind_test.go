@@ -1,7 +1,7 @@
 // Tests for the binding memo: a hit runs its entry's exec.Binding, which
-// must be rebuilt exactly when the catalog's generation has moved, and
-// every reply must be what the reference evaluator computes against the
-// catalog as it is now.
+// must be rebuilt exactly when the catalog's generation has moved or the
+// hit's aggregate is another, and every reply must be what the reference
+// evaluator computes against the catalog as it is now.
 package serve
 
 import (
@@ -86,8 +86,12 @@ func (c *bindCheck) serve(stage, sql string, stmt *Stmt, args ...any) {
 		fresh = tmpl
 	}
 	key := s.cacheKey(fresh.ShapeKey())
+	q, err := sqlx.Parse(sql, c.cat)
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := bindingOf(s, key)
-	wasCurrent := before.Current(c.cat)
+	wasCurrent := before.Current(c.cat, q)
 	var res *Result
 	if stmt != nil {
 		res, err = s.Exec(context.Background(), "a", stmt, args...)
@@ -101,16 +105,12 @@ func (c *bindCheck) serve(stage, sql string, stmt *Stmt, args ...any) {
 	switch {
 	case !res.Cached && after != nil:
 		t.Fatalf("%s: %s: a miss memoized a binding", stage, sql)
-	case res.Cached && !after.Current(c.cat):
+	case res.Cached && !after.Current(c.cat, q):
 		t.Fatalf("%s: %s: a hit left no current binding", stage, sql)
 	case res.Cached && wasCurrent && after != before:
 		t.Fatalf("%s: %s: a hit rebuilt a current binding", stage, sql)
 	case res.Cached && before != nil && !wasCurrent:
 		c.rebuilt++
-	}
-	q, err := sqlx.Parse(sql, c.cat)
-	if err != nil {
-		t.Fatal(err)
 	}
 	want, err := exec.New(c.cat).ReferenceRun(context.Background(), q, c.obs.p)
 	if err != nil {
@@ -130,6 +130,15 @@ var bindSQL = []string{
 	"SELECT COUNT(*) FROM t, u WHERE t.id = u.t_id AND t.s = 'x';",
 	"SELECT SUM(t.v) FROM t, u WHERE t.id = u.t_id AND t.v >= 2;",
 	"SELECT MAX(t.f) FROM t WHERE t.v < 5;",
+}
+
+// aggSQL share one FROM/WHERE, and so one plan-cache entry (whose key
+// leaves the aggregate out), under four aggregates.
+var aggSQL = []string{
+	"SELECT SUM(t.v) FROM t, u WHERE t.id = u.t_id AND t.v >= 2;",
+	"SELECT COUNT(*) FROM t, u WHERE t.id = u.t_id AND t.v >= 2;",
+	"SELECT MAX(t.f) FROM t, u WHERE t.id = u.t_id AND t.v >= 2;",
+	"SELECT AVG(u.id) FROM t, u WHERE t.id = u.t_id AND t.v >= 2;",
 }
 
 // bindTemplate is a prepared join over stringCatalog, spelled for a
@@ -204,49 +213,99 @@ func shared(t *data.Table) *data.Table {
 	return data.NewTable(t.Name, cols...)
 }
 
-// TestBindingRaceWithTableReplacement has 8 goroutines hit one cached
-// entry while another replaces both of its tables, again and again, with
-// copies that answer the same: every reply must be the reference's, and
-// under -race no lookup, rebuild or memo swap may race.
+// TestBindingRaceWithTableReplacement has 8 goroutines hit cached
+// entries, ad hoc and prepared, while another replaces both of their
+// tables again and again with copies that answer the same: copies over
+// the same columns, and re-coded copies (rebuilt), under which the texts'
+// string literal changes its code. Every reply must be the reference's:
+// a request that parsed against one table and ran its plan bound to the
+// re-coded replacement would filter on the wrong code. Under -race no
+// lookup, rebuild or memo swap may race.
 func TestBindingRaceWithTableReplacement(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		copyOf func(*data.Table) *data.Table
+	}{{"shared", shared}, {"rebuilt", rebuilt}} {
+		t.Run(c.name, func(t *testing.T) { raceReplacement(t, c.copyOf) })
+	}
+}
+
+// raceSQL filters t on a string literal whose code a rebuilt t swaps
+// with that of 'z', which answers otherwise (8 rows summing to 13, not 10
+// to 16); raceTemplate is its prepared form, run with 5.
+const (
+	raceSQL      = "SELECT SUM(t.v) FROM t, u WHERE t.id = u.t_id AND t.s = 'x' AND t.v < 5;"
+	raceTemplate = "SELECT SUM(t.v) FROM t, u WHERE t.id = u.t_id AND t.s = 'x' AND t.v < ?;"
+)
+
+func raceReplacement(t *testing.T, copyOf func(*data.Table) *data.Table) {
+	ctx := context.Background()
 	cat := stringCatalog()
 	s := newCatalogServer(cat)
-	sql := bindSQL[1]
-	for range 2 { // plan, then memoize
-		if _, err := s.Query(context.Background(), "a", sql); err != nil {
-			t.Fatal(err)
+	stmt, err := s.Prepare(raceTemplate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := &lastRun{}
+	s.SetObserver(obs)
+	// Plan, then memoize; the reference runs each served plan.
+	var want [2]*exec.Result
+	for range 2 {
+		for k := range want {
+			var err error
+			if k == 0 {
+				_, err = s.Query(ctx, "a", raceSQL)
+			} else {
+				_, err = s.Exec(ctx, "a", stmt, 5)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := sqlx.Parse(raceSQL, cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want[k], err = exec.New(cat).ReferenceRun(ctx, q, obs.p); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	q, err := sqlx.Parse(sql, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := s.cacheKey(q.Key())
-	p, _, _ := s.cache.checkout(key)
-	want, err := exec.New(cat).ReferenceRun(context.Background(), q, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s.SetObserver(nil)
 	var wg sync.WaitGroup
-	errs := make(chan error, 9)
-	wg.Add(1)
+	errs := make(chan error, 8)
+	stop := make(chan struct{})
+	replaced := make(chan int)
 	go func() {
-		defer wg.Done()
-		for range 50 {
-			cat.Add(shared(cat.Table("t")))
-			cat.Add(shared(cat.Table("u")))
+		n := 0
+		for ; ; n++ {
+			select {
+			case <-stop:
+				replaced <- n
+				return
+			default:
+			}
+			cat.Add(copyOf(cat.Table("t")))
+			cat.Add(copyOf(cat.Table("u")))
 		}
 	}()
 	for g := range 8 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for range 50 {
-				res, err := s.Query(context.Background(), fmt.Sprint("tenant", g), sql)
-				if err == nil && (!res.Cached || res.Count != want.Count ||
-					math.Float64bits(res.Value) != math.Float64bits(want.Value) ||
-					math.Float64bits(res.Latency) != math.Float64bits(want.Stats.WorkUnits)) {
-					err = fmt.Errorf("served %d/%v/%v cached %v, reference %d/%v/%v", res.Count, res.Value, res.Latency, res.Cached, want.Count, want.Value, want.Stats.WorkUnits)
+			tenant := fmt.Sprint("tenant", g)
+			for i := range 1000 {
+				k := i % 2
+				var res *Result
+				var err error
+				if k == 0 {
+					res, err = s.Query(ctx, tenant, raceSQL)
+				} else {
+					res, err = s.Exec(ctx, tenant, stmt, 5)
+				}
+				w := want[k]
+				if err == nil && (res.Count != w.Count || math.Float64bits(res.Value) != math.Float64bits(w.Value) ||
+					math.Float64bits(res.Latency) != math.Float64bits(w.Stats.WorkUnits)) {
+					err = fmt.Errorf("request %d: served %d/%v/%v, reference %d/%v/%v", i, res.Count, res.Value, res.Latency, w.Count, w.Value, w.Stats.WorkUnits)
 				}
 				if err != nil {
 					errs <- err
@@ -256,15 +315,53 @@ func TestBindingRaceWithTableReplacement(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	if n := <-replaced; n == 0 {
+		t.Log("no table was replaced while the requests ran")
+	}
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if _, err := s.Query(context.Background(), "a", sql); err != nil {
+	q, err := sqlx.Parse(raceSQL, cat)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bindingOf(s, key).Current(cat) {
+	key := s.cacheKey(q.Key())
+	for range 2 {
+		if _, err := s.Query(ctx, "a", raceSQL); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bindingOf(s, key).Current(cat, q) {
 		t.Fatal("the entry's binding is not current after the last replacement")
+	}
+}
+
+// TestBindingFollowsAggregate hits one plan-cache entry with texts that
+// differ only in their aggregate: every hit must run a binding made for
+// its own aggregate, so a hit rebuilds the memo exactly when the hit
+// before it on the entry had another aggregate. A binding of one
+// aggregate run for another computes the wrong column or none.
+func TestBindingFollowsAggregate(t *testing.T) {
+	cat := stringCatalog()
+	c := newBindCheck(t, cat)
+	for round := range 3 {
+		for _, sql := range aggSQL {
+			for range 2 {
+				c.serve(fmt.Sprint("round ", round), sql, nil)
+			}
+		}
+	}
+	// The first request plans and the second memoizes; every later
+	// change of aggregate rebuilds: 3 in the first round, 4 in each other.
+	if want := 3 + 4 + 4; c.rebuilt != want {
+		t.Errorf("%d hits rebuilt a binding, want %d", c.rebuilt, want)
+	}
+	datagen.ApplyDrift(cat, datagen.DriftOptions{Seed: 6, Fraction: 0.3})
+	cat.Add(rebuilt(cat.Table("u")))
+	for _, sql := range aggSQL {
+		c.serve("after replacing u", sql, nil)
 	}
 }
 
@@ -292,7 +389,7 @@ func FuzzBindingStaleness(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		texts := []string{bindSQL[1]}
+		texts := slices.Clone(aggSQL)
 		for range 3 {
 			texts = append(texts, genStaleText(rng).sql)
 		}

@@ -55,8 +55,9 @@ type cacheEntry struct {
 // hitMemo is what the hits of an entry resolve once rather than per
 // request. A miss makes none: most cold plans are never hit.
 type hitMemo struct {
-	// bind is the plan's catalog resolution, built again by a hit at a
-	// later catalog generation (Server.binding).
+	// bind is the plan's catalog resolution, built again by a hit at
+	// another catalog generation or with another aggregate
+	// (Server.binding).
 	bind atomic.Pointer[exec.Binding]
 	// The rest is an ad-hoc entry's harvest (Server.harvest), under the
 	// server's feedback lock: its feedback labels, nil until its first

@@ -110,14 +110,14 @@ func (st *Stmt) NumParams() int { return st.e.Load().st.NumParams() }
 func (st *Stmt) SQL() string { return st.e.Load().st.SQL() }
 
 // current returns the statement's template and plan-cache key, prepared
-// again from the source text if the template is stale against s's
-// catalog. A new template may have a new shape key, and so a plan-cache
-// entry of its own.
-func (st *Stmt) current(s *Server) (*stmtEntry, error) {
-	if e := st.e.Load(); e.st.Current(s.cat) {
+// again from the source text if the template is stale against cat, the
+// request's Pin of s's catalog. A new template may have a new shape key,
+// and so a plan-cache entry of its own.
+func (st *Stmt) current(s *Server, cat *data.Catalog) (*stmtEntry, error) {
+	if e := st.e.Load(); e.st.Current(cat) {
 		return e, nil
 	}
-	p, err := sqlx.Prepare(st.src, s.cat)
+	p, err := sqlx.Prepare(st.src, cat)
 	if err != nil {
 		return nil, err
 	}
@@ -246,16 +246,22 @@ func (fe *feedbackEstimator) EstimateGraph(g *query.JoinGraph, cards []float64) 
 // by every such request, concurrent ones included: nothing on the
 // serving path may mutate it. A parsed text is planned and harvested from
 // the join graph its parse built; the statement cache keeps no graph.
+//
+// A request reads one state of the catalog, its Pin: the parse (or the
+// statement cache's check) and the plan's binding agree on every table,
+// so a concurrent Catalog.Add cannot run literals coded for one table
+// against another.
 func (s *Server) Query(ctx context.Context, tenant, sql string) (*Result, error) {
-	if e, ok := s.stmts.get(sql, s.cat); ok {
-		return s.run(ctx, tenant, e.st.Query(), e.key, nil, nil)
+	cat := s.cat.Pin()
+	if e, ok := s.stmts.get(sql, cat); ok {
+		return s.run(ctx, cat, tenant, e.st.Query(), e.key, nil, nil)
 	}
-	st, g, err := sqlx.ParseStatement(sql, s.cat)
+	st, g, err := sqlx.ParseStatement(sql, cat)
 	if err != nil {
 		return nil, err
 	}
 	e := stmtEntry{st: st, key: s.cacheKey(st.ShapeKey())}
-	res, err := s.run(ctx, tenant, st.Query(), e.key, g, nil)
+	res, err := s.run(ctx, cat, tenant, st.Query(), e.key, g, nil)
 	if err == nil && res.Cached {
 		s.cache.adoptKey(e.key)
 		s.stmts.put(sql, e)
@@ -283,7 +289,8 @@ func (s *Server) Prepare(sql string) (*Stmt, error) {
 // cardinalities. The binding's join graph is the template's, rebound, so
 // harvesting its feedback builds no graph.
 func (s *Server) Exec(ctx context.Context, tenant string, stmt *Stmt, args ...any) (*Result, error) {
-	e, err := stmt.current(s)
+	cat := s.cat.Pin()
+	e, err := stmt.current(s, cat)
 	if err != nil {
 		return nil, err
 	}
@@ -291,12 +298,13 @@ func (s *Server) Exec(ctx context.Context, tenant string, stmt *Stmt, args ...an
 	if err != nil {
 		return nil, err
 	}
-	return s.run(ctx, tenant, q, e.key, g, e.st.Query())
+	return s.run(ctx, cat, tenant, q, e.key, g, e.st.Query())
 }
 
 // run is the shared serving path: admit, fetch-or-plan, execute, harvest
-// feedback, observe drift. key is the plan-cache key (cacheKey). q is
-// only read. A prepared statement passes g, its binding's join graph, and
+// feedback, observe drift. cat is the Pin q was parsed against, and the
+// run binds in it. key is the plan-cache key (cacheKey). q is only read.
+// A prepared statement passes g, its binding's join graph, and
 // tmpl, its template; a parsed text its parse's graph; a statement-cache
 // hit neither, and its miss builds the one graph it is planned and
 // harvested from. The observer gets the same graph; a statement-cache
@@ -304,7 +312,7 @@ func (s *Server) Exec(ctx context.Context, tenant string, stmt *Stmt, args ...an
 // cached plan itself, shared with concurrent requests, under the
 // entry's binding: nothing here writes to a plan, and harvest, drift
 // check and observer read the run's record instead.
-func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key string, g *query.JoinGraph, tmpl *query.Query) (*Result, error) {
+func (s *Server) run(ctx context.Context, cat *data.Catalog, tenant string, q *query.Query, key string, g *query.JoinGraph, tmpl *query.Query) (*Result, error) {
 	release, br, err := s.adm.acquire(ctx, tenant)
 	if err != nil {
 		return nil, err
@@ -331,7 +339,7 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 	}
 	planDur := time.Since(planStart)
 
-	res, err := s.ex.RunBound(ctx, q, p, s.binding(ent, q))
+	res, err := s.ex.RunBound(ctx, cat, q, p, s.binding(cat, ent, q))
 	if err != nil {
 		br.Failure()
 		return nil, err
@@ -354,19 +362,20 @@ func (s *Server) run(ctx context.Context, tenant string, q *query.Query, key str
 	return &Result{Count: res.Count, Value: res.Value, Latency: res.Stats.WorkUnits, Cached: cached, Plan: planDur}, nil
 }
 
-// binding returns the catalog resolution of ent's plan for q's shape:
-// the entry's memo, built on its first hit and again on a hit after the
-// catalog's generation moved. Nil on a miss or when the plan does not
+// binding returns the resolution of ent's plan for q in cat: the entry's
+// memo, built on its first hit and again on a hit that finds it of
+// another catalog generation or another aggregate (the plan-cache key
+// leaves the aggregate out). Nil on a miss or when the plan does not
 // bind, and the run resolves (and reports) it itself.
-func (s *Server) binding(ent *cacheEntry, q *query.Query) *exec.Binding {
+func (s *Server) binding(cat *data.Catalog, ent *cacheEntry, q *query.Query) *exec.Binding {
 	if ent == nil {
 		return nil
 	}
 	m := ent.hits()
 	b := m.bind.Load()
-	if !b.Current(s.ex.Cat) {
+	if !b.Current(cat, q) {
 		var err error
-		if b, err = s.ex.Bind(q, ent.p); err != nil {
+		if b, err = s.ex.Bind(cat, q, ent.p); err != nil {
 			return nil
 		}
 		m.bind.Store(b)

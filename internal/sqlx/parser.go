@@ -33,18 +33,19 @@ func parseBound(sql string, cat *data.Catalog) (parser, error) {
 	if p.params > 0 {
 		return parser{}, fmt.Errorf("sqlx: statement has %d parameter placeholder(s); use Prepare", p.params)
 	}
-	if err := p.q.Validate(cat); err != nil {
+	if err := p.q.Validate(p.cat); err != nil {
 		return parser{}, err
 	}
 	return p, nil
 }
 
-// parse lexes and parses sql against cat, placeholders allowed, without
-// validating the result. Tokens come from the lexer as the parser needs
-// them, so a parse that fails lexes the rest of the text: a lex error
-// anywhere in it is the error reported.
+// parse lexes and parses sql against one state of cat (its Pin, which the
+// parser keeps), placeholders allowed, without validating the result.
+// Tokens come from the lexer as the parser needs them, so a parse that
+// fails lexes the rest of the text: a lex error anywhere in it is the
+// error reported.
 func parse(sql string, cat *data.Catalog) (parser, error) {
-	p := parser{lex: lexer{src: sql}, cat: cat}
+	p := parser{lex: lexer{src: sql}, cat: cat.Pin()}
 	p.tok, p.ahead = p.lex.next(), p.lex.next()
 	if err := p.parseSelect(); err != nil || p.lex.err != nil {
 		for p.lex.next().kind != tokEOF {

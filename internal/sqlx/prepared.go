@@ -60,7 +60,7 @@ func Prepare(sql string, cat *data.Catalog) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := p.q
+	q, cat := p.q, p.cat
 	if err := q.ValidateShape(cat); err != nil {
 		return nil, err
 	}
@@ -121,9 +121,10 @@ func (p *parser) prepared(slots []slot, g *query.JoinGraph) *Prepared {
 // parse-time length: such a literal was coded Len()+1. Dictionaries only
 // grow and never re-code, so a present literal's code is permanent, and
 // an unchanged length means no absent literal's code has changed. The
-// tables are looked up only once the catalog's generation has moved.
+// tables are looked up, in one state of cat, only once the catalog's
+// generation has moved.
 func (p *Prepared) Current(cat *data.Catalog) bool {
-	if cat.Generation() != p.gen {
+	if cat = cat.Pin(); cat.Generation() != p.gen {
 		for _, t := range p.tables {
 			if cat.Table(t.Name) != t {
 				return false
