@@ -90,10 +90,11 @@ bench:
 # its other benchmarks regenerate whole experiment tables. ./internal/exec/
 # includes the join kernel's BenchmarkHashJoinProbe grid (build size ×
 # match rate); ./internal/serve/ is BenchmarkServeHit, the cached
-# request end to end (ad-hoc, a new spelling of a cached query, prepared)
-# and the cold one (miss: parse, plan, execute, harvest; miss-observed: the
-# same with the adaptation loop observing); ./internal/sqlx/
-# is BenchmarkParseStatement, the parse a never-seen text pays.
+# request end to end (ad-hoc, a new spelling of a cached query, prepared,
+# prepared-wide: a binding the entry keeps no harvest record of) and the
+# cold one (miss: parse, plan, execute, harvest; miss-observed: the same
+# with the adaptation loop observing); ./internal/sqlx/ is
+# BenchmarkParseStatement, the parse a never-seen text pays.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/exec/ ./internal/serve/ ./internal/sqlx/ ./internal/bench/
 	$(GO) test -run '^$$' -bench 'OptimizeDP|Harvest' -benchtime 1x .

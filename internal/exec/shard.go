@@ -28,20 +28,25 @@ import (
 
 // ShardResult is one shard's scan output: the matching row ids of the
 // shard's blocks in ascending order, plus zone-map pruning evidence
-// restricted to the blocks the shard owns.
+// restricted to the blocks the shard owns, and the table it scanned.
 type ShardResult struct {
 	Rows          []int32
 	BlocksTotal   int64
 	BlocksSkipped int64
+	// Table is the table the rows are of. The merge operator fails a run
+	// whose shard scanned another table than the one the run bound: a
+	// backend resolving the leaf by name may see a Catalog.Add the run's
+	// Pin does not.
+	Table *data.Table
 }
 
 // ShardBackend runs one shard of a sharded scan. scan is the Merge leaf
 // whose table and predicates to scan, its predicates already bound for
 // the run; the backend must return the matching row ids of partition shard-of-of in
 // ascending order (see Executor.ScanShard for the partitioning
-// contract). Implementations must be safe for concurrent ScanShard
-// calls — the merge operator scatters all shards at once. *Executor
-// implements it.
+// contract), naming the table it scanned in ShardResult.Table.
+// Implementations must be safe for concurrent ScanShard calls — the
+// merge operator scatters all shards at once. *Executor implements it.
 type ShardBackend interface {
 	ScanShard(ctx context.Context, scan *plan.Node, shard, of int) (*ShardResult, error)
 }
@@ -83,7 +88,7 @@ func scanShard(ctx context.Context, tbl *data.Table, preds []query.Pred, cols []
 	// merge operator retains it for the whole run. A shard draws nothing
 	// from the pool, so a shard goroutine preempted mid-scan cannot make
 	// its sibling build a run set of its own.
-	res := &ShardResult{}
+	res := &ShardResult{Table: tbl}
 	nblocks := data.ZoneBlocks(nrows)
 	for b := shard; b < nblocks; b += of {
 		if err := ctx.Err(); err != nil {
@@ -162,7 +167,10 @@ func (m *mergeOp) Open(ctx context.Context) error {
 			return err
 		}
 	}
-	for _, r := range m.shards {
+	for i, r := range m.shards {
+		if r.Table != m.tbl {
+			return fmt.Errorf("exec: shard %d of %s scanned another table than the run bound", i, m.node.Table)
+		}
 		m.tel.BlocksTotal += r.BlocksTotal
 		m.tel.BlocksSkipped += r.BlocksSkipped
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -322,4 +323,82 @@ func TestShardBackendFaults(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// recoded returns a copy of t whose string dictionaries intern their
+// strings in reverse order: the same rows, every string under a new code.
+func recoded(t *data.Table) *data.Table {
+	cols := make([]*data.Column, len(t.Cols))
+	for i, c := range t.Cols {
+		nc := &data.Column{Name: c.Name, Kind: c.Kind, Ints: slices.Clone(c.Ints), Flts: slices.Clone(c.Flts)}
+		if c.Dict != nil {
+			nc.Dict = data.NewDict()
+			for code := c.Dict.Len() - 1; code >= 0; code-- {
+				nc.Dict.Code(c.Dict.Str(int64(code)))
+			}
+			for r, code := range c.Ints {
+				nc.Ints[r], _ = nc.Dict.Lookup(c.Dict.Str(code))
+			}
+		}
+		cols[i] = nc
+	}
+	return data.NewTable(t.Name, cols...)
+}
+
+// TestShardBackendFollowsPin runs sharded scans through an explicit
+// backend — the executor itself, whose ScanShard resolves a Merge leaf's
+// table by name in the live catalog — while another goroutine replaces
+// the table with re-coded copies, under which the literal 'x' filters
+// on the code of 'z' (twice as many rows). A run must scan the table its
+// Pin bound or fail: every reply that succeeds must equal ReferenceRun
+// over that Pin.
+func TestShardBackendFollowsPin(t *testing.T) {
+	cat := data.NewCatalog()
+	tag, v := &data.Column{Name: "tag", Kind: data.String}, &data.Column{Name: "v", Kind: data.Int}
+	for i := 0; i < 4*data.ZoneBlockSize; i++ {
+		tag.AppendString([]string{"x", "y", "y", "z", "z"}[i%5])
+		v.AppendInt(int64(i % 7))
+	}
+	cat.Add(data.NewTable("s", tag, v))
+	ex := New(cat)
+	ex.Backend = ex
+	stop, done := make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		for ; ; n++ {
+			select {
+			case <-stop:
+				done <- n
+				return
+			default:
+			}
+			cat.Add(recoded(cat.Table("s")))
+		}
+	}()
+	ctx := context.Background()
+	failed := 0
+	for i := 0; i < 300; i++ {
+		pin := cat.Pin()
+		x, _ := pin.Table("s").Column("tag").Dict.Lookup("x")
+		q := &query.Query{
+			Refs:  []query.TableRef{{Alias: "s", Table: "s"}},
+			Preds: []query.Pred{{Alias: "s", Column: "tag", Op: query.Eq, Val: data.IntVal(x)}},
+			Agg:   query.Agg{Kind: query.AggSum, Alias: "s", Column: "v"},
+		}
+		p := shardPlan(t, q, 3)
+		res, err := ex.RunBound(ctx, pin, q, p, nil)
+		if err != nil {
+			failed++
+			continue
+		}
+		want, err := New(pin).ReferenceRun(ctx, q, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Count != want.Count || math.Float64bits(res.Value) != math.Float64bits(want.Value) || res.Stats != want.Stats {
+			t.Fatalf("run %d: served %d/%v, the pinned reference %d/%v", i, res.Count, res.Value, want.Count, want.Value)
+		}
+	}
+	close(stop)
+	t.Logf("%d replacements; %d of 300 runs failed on a replaced table", <-done, failed)
 }

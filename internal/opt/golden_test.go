@@ -307,10 +307,11 @@ func TestPreparedMissPlansFromBoundGraph(t *testing.T) {
 		if err != nil {
 			t.Fatalf("prepare %s: %v", tmpl.SQL(), err)
 		}
-		_, g, err := stmt.BindGraph(args...)
+		bound, err := stmt.Bind(args...)
 		if err != nil {
 			t.Fatal(err)
 		}
+		g := stmt.Graph(bound)
 		want, err := o.OptimizeCtx(ctx, q)
 		if err != nil {
 			t.Fatal(err)

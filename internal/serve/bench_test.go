@@ -17,10 +17,12 @@ import (
 
 // BenchmarkServeHit is the cached request end to end — statement lookup
 // (adhoc), parse, key and admission (new-text: every request a new
-// spelling of a cached query) or bind (prepared), then plan checkout,
-// execution, feedback harvest, drift check — on one warmed server, so
-// per-request set-up creeping back shows in ns/op and allocs/op without
-// the repo benchmark's ten-second run. Its miss cell is the cold request
+// spelling of a cached query) or bind (prepared; prepared-wide rotates
+// more bindings than the entry keeps harvest records of, so each request
+// rebinds the template's join graph and harvests through its keys), then
+// plan checkout, execution, feedback harvest, drift check — on one
+// warmed server, so per-request set-up creeping back shows in ns/op and
+// allocs/op without the repo benchmark's ten-second run. Its miss cell is the cold request
 // beside them: a literal never seen before every request, so parse,
 // planning through the feedback overlay, execution and harvest all run;
 // miss-observed adds the adaptation loop's observer, the last cell because
@@ -69,14 +71,17 @@ func BenchmarkServeHit(b *testing.B) {
 			return s.Query(ctx, "bench", spellings[spelled%len(spellings)])
 		},
 		"prepared": func(i int) (*Result, error) { return s.Exec(ctx, "bench", stmt, hitBindings[i%len(hitBindings)]) },
+		"prepared-wide": func(i int) (*Result, error) {
+			return s.Exec(ctx, "bench", stmt, wideBindings[i%len(wideBindings)])
+		},
 	}
 	run["miss-observed"] = run["miss"]
-	for _, name := range []string{"adhoc", "new-text", "prepared", "miss", "miss-observed"} {
+	for _, name := range []string{"adhoc", "new-text", "prepared", "prepared-wide", "miss", "miss-observed"} {
 		b.Run(name, func(b *testing.B) {
 			if name == "miss-observed" {
 				observeWithLoop(s)
 			}
-			for i := 0; i < 8; i++ { // plan, then memoize and fill the pool
+			for i := 0; i < len(wideBindings); i++ { // plan, then memoize and fill the pool
 				if _, err := run[name](i); err != nil {
 					b.Fatal(err)
 				}
@@ -113,6 +118,16 @@ var raceEnabled bool
 // hitBindings are the prepared fixture's rotating bindings.
 var hitBindings = []int{5, 20, 1, 50}
 
+// wideBindings rotate one binding more than an entry holds records, so
+// no request finds its binding's record.
+var wideBindings = func() []int {
+	b := make([]int, maxRecords+1)
+	for i := range b {
+		b[i] = 3 * i
+	}
+	return b
+}()
+
 // newHitFixture is BenchmarkServeHit's server, planning with the given
 // shard fan-out, and its prepared 3-way statement. The q-error gate is
 // off: every request after the first of a statement must be a hit.
@@ -135,37 +150,55 @@ func newHitFixture(tb testing.TB, shards int) (*Server, *Stmt) {
 }
 
 // TestPreparedHitAllocations pins what a warm prepared hit allocates on
-// BenchmarkServeHit's fixture: the binding's own Preds, its rebound join
-// graph, the executor's run (its record rides in the Result) and the
-// reply — no plan copy, no predicate slab, no graph built, no feedback
-// key string, and under Shards=2 no cache key built either.
+// BenchmarkServeHit's fixture: the binding's query and its own Preds, the
+// executor's run (its record rides in the Result), the reply and
+// admission's release — no plan copy, no predicate slab, no join graph,
+// no feedback key, and under Shards=2 no cache key built either. Its
+// binding's harvest record is found without allocating at any number
+// of placeholders: the wide statement binds seven.
 func TestPreparedHitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under the race detector")
 	}
+	const wideSQL = "SELECT COUNT(*) FROM posts, users, comments WHERE posts.owner_user_id = users.id AND comments.post_id = posts.id " +
+		"AND posts.score > ? AND posts.views >= ? AND posts.id > ? AND users.reputation >= ? AND comments.score BETWEEN ? AND ? AND comments.id >= ?;"
 	for _, c := range []struct {
 		shards int
+		wide   bool
 		max    float64
-	}{{0, 9}, {2, 67}} {
+	}{{0, false, 5}, {0, true, 5}, {2, false, 61}} {
 		s, stmt := newHitFixture(t, c.shards)
+		var bindings [][]any
+		for _, b := range hitBindings {
+			bindings = append(bindings, []any{b})
+		}
+		if c.wide {
+			var err error
+			if stmt, err = s.Prepare(wideSQL); err != nil {
+				t.Fatal(err)
+			}
+			for k := range bindings {
+				bindings[k] = []any{hitBindings[k], 0, k, 0, 0, 10, 0}
+			}
+		}
 		i := 0
 		hit := func() {
-			res, err := s.Exec(context.Background(), "a", stmt, hitBindings[i%len(hitBindings)])
+			res, err := s.Exec(context.Background(), "a", stmt, bindings[i%len(bindings)]...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if i++; i > 1 && !res.Cached {
-				t.Fatalf("shards=%d: request %d missed the plan cache", c.shards, i)
+				t.Fatalf("shards=%d wide=%v: request %d missed the plan cache", c.shards, c.wide, i)
 			}
 		}
-		for i < 8 { // plan, then fill the pool and the feedback store
+		for i < 8 { // plan, then fill the pool, the feedback store and the records
 			hit()
 		}
 		got := testing.AllocsPerRun(100, hit)
 		if got > c.max {
-			t.Errorf("shards=%d: a prepared hit allocates %.1f objects, ceiling %.0f", c.shards, got, c.max)
+			t.Errorf("shards=%d wide=%v: a prepared hit allocates %.1f objects, ceiling %.0f", c.shards, c.wide, got, c.max)
 		}
-		t.Logf("shards=%d: %.1f allocations per prepared hit", c.shards, got)
+		t.Logf("shards=%d wide=%v: %.1f allocations per prepared hit", c.shards, c.wide, got)
 	}
 }
 

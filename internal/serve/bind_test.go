@@ -32,6 +32,15 @@ func (l *lastRun) ObserveRun(_ *query.JoinGraph, p *plan.Node, cards []float64) 
 	l.p, l.cards = p, slices.Clone(cards)
 }
 
+// tee passes every run to each of its observers.
+type tee []ExecObserver
+
+func (t tee) ObserveRun(g *query.JoinGraph, p *plan.Node, cards []float64) {
+	for _, o := range t {
+		o.ObserveRun(g, p, cards)
+	}
+}
+
 // bindingOf returns the binding memoized on the entry under key, nil if
 // there is no entry or no memo yet.
 func bindingOf(s *Server, key string) *exec.Binding {
@@ -365,13 +374,16 @@ func TestBindingFollowsAggregate(t *testing.T) {
 	}
 }
 
-// FuzzBindingStaleness is the binding memo's differential test: seeded
+// FuzzBindingStaleness is the hit memo's differential test: seeded
 // interleavings of ad-hoc and prepared requests with appended rows
 // (datagen.ApplyDrift), table replacements by re-coded copies, and
 // feedback resets and plan flushes. Every reply must equal the reference
 // evaluator's over the plan the server ran, and a hit must rebuild its
 // binding exactly when the catalog generation moved (bindCheck.serve).
-// Each op byte picks its step by op % 6: 0 and 1 an ad-hoc text, 2 the
+// The feedback store must equal the mirror's after every step, and each
+// harvest record of the statement's entry hold its own binding's keys;
+// the statement rotates more bindings than an entry holds records. Each
+// op byte picks its step by op % 6: 0 and 1 an ad-hoc text, 2 the
 // prepared statement, 3 drift, 4 a replacement of t or u, 5 a reset of
 // the feedback store, with a flush of the plan cache on odd op / 6.
 func FuzzBindingStaleness(f *testing.F) {
@@ -385,6 +397,8 @@ func FuzzBindingStaleness(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		cat := stringCatalog()
 		c := newBindCheck(t, cat)
+		m := newMirror(0)
+		c.s.SetObserver(tee{c.obs, m})
 		stmt, err := c.s.Prepare(bindTemplate)
 		if err != nil {
 			t.Fatal(err)
@@ -400,7 +414,9 @@ func FuzzBindingStaleness(f *testing.F) {
 			case 0, 1:
 				c.serve(stage, texts[arg%len(texts)], nil)
 			case 2:
-				c.serve(stage, bindText(arg%7), stmt, arg%7)
+				v := arg % (maxRecords + 2)
+				c.serve(stage, bindText(v), stmt, v)
+				requireOwnKeys(t, c.s, stmt.e.Load().st.ShapeKey(), stage)
 			case 3:
 				datagen.ApplyDrift(cat, datagen.DriftOptions{Seed: seed + int64(i), Fraction: 0.3})
 			case 4:
@@ -408,10 +424,12 @@ func FuzzBindingStaleness(f *testing.F) {
 				cat.Add(rebuilt(cat.Table(name)))
 			case 5:
 				c.s.ResetFeedback()
+				m.reset()
 				if arg%2 == 1 {
 					c.s.FlushPlans()
 				}
 			}
+			requireMirrored(t, c.s, m, stage)
 		}
 	})
 }

@@ -5,10 +5,11 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"lqo/internal/data"
 	"lqo/internal/exec"
 	"lqo/internal/metrics"
-	"lqo/internal/opt"
 	"lqo/internal/plan"
+	"lqo/internal/sqlx"
 )
 
 // PlanCache is an LRU cache of optimized physical plans keyed by the
@@ -59,13 +60,29 @@ type hitMemo struct {
 	// another catalog generation or with another aggregate
 	// (Server.binding).
 	bind atomic.Pointer[exec.Binding]
-	// The rest is an ad-hoc entry's harvest (Server.harvest), under the
-	// server's feedback lock: its feedback labels, nil until its first
-	// hit, and their store slots (-1: not admitted), valid while slotGen
-	// is the store's generation.
-	labels  []opt.CardLabel
-	slots   []int32
-	slotGen uint64
+	// recs are the harvests of the bindings hits ran, at most
+	// maxRecords, the oldest replaced first (next); under the server's
+	// feedback lock (Server.record).
+	recs []harvestRecord
+	next int
+}
+
+// maxRecords bounds an entry's harvest records. An ad-hoc entry needs
+// one; a prepared entry keeps the last bindings it ran, of every
+// statement of its shape: statements that differ only in literals share
+// it (hit_prepared seed 702 puts 3 statements of 4 bindings on one).
+const maxRecords = 16
+
+// A harvestRecord is where one binding's run of an entry's plan writes
+// its truths: the feedback-store slot of every plan node in pre-order
+// (-1: not admitted), valid while gen is the store's generation. A
+// binding is its prepared statement and the values its placeholders
+// bound; ad hoc (st nil) the entry's key alone fixes every sub-query key.
+type harvestRecord struct {
+	st    *sqlx.Prepared
+	args  []data.Value
+	slots []int32
+	gen   uint64
 }
 
 // hits returns the entry's memo, making it on the first hit.

@@ -1,6 +1,7 @@
-// Tests for the hit path's harvest memo: whatever a hit writes into the
-// feedback store through memoized keys must be what the unmemoized harvest
-// — absorb(opt.HarvestCards(g, p, cards)) per request — would have written.
+// Tests for the hit path's harvest records: whatever a hit writes into the
+// feedback store through its binding's recorded slots must be what the
+// unmemoized harvest — absorb(opt.HarvestCards(g, p, cards)) per request —
+// would have written.
 package serve
 
 import (
@@ -8,6 +9,7 @@ import (
 	"fmt"
 	"maps"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -88,9 +90,10 @@ func requireMirrored(t *testing.T, s *Server, m *mirrorStore, at string) {
 	}
 }
 
-// memoOf returns the labels memoized on the cache entry of a canonical
-// key (nil when there are none) and whether the entry exists at all.
-func memoOf(s *Server, key string) (memo []opt.CardLabel, cached bool) {
+// recordsOf returns copies of the harvest records on the cache entry of
+// a canonical key (none before its first hit) and whether the entry
+// exists at all.
+func recordsOf(s *Server, key string) (recs []harvestRecord, cached bool) {
 	s.cache.mu.Lock()
 	defer s.cache.mu.Unlock()
 	el, ok := s.cache.entries[s.cacheKey(key)]
@@ -99,16 +102,68 @@ func memoOf(s *Server, key string) (memo []opt.CardLabel, cached bool) {
 	}
 	if m := el.Value.(*cacheEntry).memo.Load(); m != nil {
 		s.mu.Lock()
-		memo = m.labels
+		for _, r := range m.recs {
+			r.slots = slices.Clone(r.slots)
+			recs = append(recs, r)
+		}
 		s.mu.Unlock()
 	}
-	return memo, true
+	return recs, true
 }
 
-// hasMemo reports whether key's entry exists and carries a memo.
+// hasMemo reports whether key's entry exists and holds a harvest record.
 func hasMemo(s *Server, key string) bool {
-	memo, _ := memoOf(s, key)
-	return memo != nil
+	recs, _ := recordsOf(s, key)
+	return len(recs) > 0
+}
+
+// requireOwnKeys fails unless every current record of a statement's
+// binding on key's entry writes exactly that binding's keys: slot i
+// holds the sub-query key of the plan's i-th logical pre-order position
+// for the bound query, and an unadmitted position's key is not in the
+// store. It returns how many records it checked.
+func requireOwnKeys(t *testing.T, s *Server, key, at string) int {
+	t.Helper()
+	s.cache.mu.Lock()
+	el, ok := s.cache.entries[s.cacheKey(key)]
+	s.cache.mu.Unlock()
+	if !ok {
+		return 0
+	}
+	ent := el.Value.(*cacheEntry)
+	recs, _ := recordsOf(s, key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	keyAt := make(map[int32]string, len(s.feedback))
+	for k, i := range s.feedback {
+		keyAt[i] = k
+	}
+	checked := 0
+	for _, r := range recs {
+		if r.st == nil || r.gen != s.fbGen {
+			continue
+		}
+		args := make([]any, len(r.args))
+		for i, v := range r.args {
+			args[i] = v
+		}
+		q, err := r.st.Bind(args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels := opt.HarvestCards(query.NewJoinGraph(q), ent.p, make([]float64, len(r.slots)))
+		if len(labels) != len(r.slots) {
+			t.Fatalf("%s: a record of %d slots for a plan of %d positions", at, len(r.slots), len(labels))
+		}
+		for i, slot := range r.slots {
+			want := labels[i].Key
+			if _, stored := s.feedback[want]; slot < 0 && stored || slot >= 0 && keyAt[slot] != want {
+				t.Fatalf("%s: binding %v position %d writes slot %d (%q), its key is %q", at, q.SQL(), i, slot, keyAt[slot], want)
+			}
+		}
+		checked++
+	}
+	return checked
 }
 
 func adhocKey(t *testing.T, s *Server, sql string) string {
@@ -148,14 +203,14 @@ func TestHarvestMemoMatchesHarvestCards(t *testing.T) {
 					at := fmt.Sprintf("round %d sql %d", round, i)
 					requireMirrored(t, s, m, at)
 					// (The q-error gate may have evicted the entry just now.)
-					memo, cached := memoOf(s, adhocKey(t, s, sql))
+					recs, cached := recordsOf(s, adhocKey(t, s, sql))
 					switch {
-					case !res.Cached && memo != nil:
+					case !res.Cached && len(recs) > 0:
 						t.Fatalf("%s: the miss memoized; only a hit may pay for the memo", at)
-					case res.Cached && cached && memo == nil:
-						t.Fatalf("%s: a hit left no memo", at)
+					case res.Cached && cached && len(recs) != 1:
+						t.Fatalf("%s: a hit left %d records, want the ad-hoc one", at, len(recs))
 					}
-					memoized = memoized || memo != nil
+					memoized = memoized || len(recs) > 0
 				}
 			}
 			if !memoized {
@@ -297,12 +352,13 @@ func TestHarvestMemoShardedPlansUseLogicalWalk(t *testing.T) {
 
 // TestHarvestMemoPreparedBindingsBypass: a prepared statement's entry is
 // keyed on its shape, and each binding has its own sub-query keys — no
-// binding may write another's, so such entries never carry a memo. The
-// parameterless statement shares its entry with the ad-hoc spelling; its
-// Exec path must not read that entry's memo either. Prepared bindings
-// write through the rebound template graph and a reused key buffer, so
-// the store is checked with an ample and a nearly full cap, and across a
-// ResetFeedback mid-stream.
+// binding may write another's, so each binding bypasses the others'
+// harvest records and writes through its own: a binding's record holds
+// only that binding's keys (requireOwnKeys). The parameterless
+// statement shares its entry with the ad-hoc spelling, each with a
+// record of its own. A record's first hit writes through the rebound
+// template graph and a reused key buffer, so the store is checked with
+// an ample and a nearly full cap, and across a ResetFeedback mid-stream.
 func TestHarvestMemoPreparedBindingsBypass(t *testing.T) {
 	for _, cap := range []int{0, 7, 3} {
 		t.Run(fmt.Sprintf("cap=%d", cap), func(t *testing.T) {
@@ -339,8 +395,12 @@ func TestHarvestMemoPreparedBindingsBypass(t *testing.T) {
 					requireMirrored(t, s, m, at)
 				}
 			}
-			if memo, cached := memoOf(s, stmt.e.Load().st.ShapeKey()); !cached || memo != nil {
-				t.Fatalf("prepared statement's entry: cached %v, memo %v; want a live entry without a memo", cached, memo)
+			key := stmt.e.Load().st.ShapeKey()
+			if recs, cached := recordsOf(s, key); !cached || len(recs) != len(bindings) {
+				t.Fatalf("prepared statement's entry: cached %v, %d records; want a live entry with one per binding", cached, len(recs))
+			}
+			if n := requireOwnKeys(t, s, key, "after 3 rounds"); n != len(bindings) {
+				t.Fatalf("%d of %d bindings' records are current", n, len(bindings))
 			}
 			if cap > 0 && s.FeedbackLen() != cap {
 				t.Fatalf("FeedbackLen = %d, want the cap %d", s.FeedbackLen(), cap)
@@ -360,27 +420,37 @@ func TestHarvestMemoPreparedBindingsBypass(t *testing.T) {
 				}
 				requireMirrored(t, s, m, "parameterless statement")
 			}
+			if recs, _ := recordsOf(s, adhocKey(t, s, bare)); len(recs) != 2 {
+				t.Fatalf("the parameterless statement's entry holds %d records, want the ad-hoc and the statement's", len(recs))
+			}
 		})
 	}
 }
 
-// TestPreparedExecConcurrent: 16 goroutines Exec 4 templates with
+// TestPreparedExecConcurrent: 16 goroutines Exec 5 templates with
 // rotating bindings on one executor pool (run with -race), rebinding the
 // shared template graphs and harvesting through the server's one key
-// buffer. Every reply must be the serial answer, the store what the
-// unmemoized harvest of the same executions holds, the pool drained.
+// buffer and the entries' harvest records; the last template rotates
+// more bindings than an entry holds records, so they are replaced under
+// concurrent hits. Every reply must be the serial answer, the store what
+// the unmemoized harvest of the same executions holds, the pool drained.
 func TestPreparedExecConcurrent(t *testing.T) {
 	templates := []string{
 		"SELECT COUNT(*) FROM posts, users WHERE posts.owner_user_id = users.id AND posts.score > ?;",
 		"SELECT COUNT(*) FROM posts p, users u, comments c WHERE p.owner_user_id = u.id AND c.post_id = p.id AND p.views > ? AND c.score BETWEEN ? AND ?;",
 		"SELECT COUNT(*) FROM badges, users WHERE badges.user_id = users.id AND badges.class = ? AND users.reputation > ?;",
 		"SELECT COUNT(*) FROM votes WHERE votes.vote_type = ?;",
+		"SELECT COUNT(*) FROM posts, users WHERE posts.owner_user_id = users.id AND posts.views > ?;",
 	}
 	bindings := [][][]any{
 		{{5}, {20}, {1}, {50}},
 		{{100, 0, 5}, {10, 1, 3}, {0, 0, 0}, {500, 2, 9}},
 		{{1, 10}, {2, 0}, {3, 100}, {1, 1}},
 		{{2}, {1}, {3}, {5}},
+		nil,
+	}
+	for v := range 3 * maxRecords / 2 {
+		bindings[4] = append(bindings[4], []any{10 * v})
 	}
 	prepare := func(s *Server) []*Stmt {
 		stmts := make([]*Stmt, len(templates))
@@ -419,7 +489,8 @@ func TestPreparedExecConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				tpl, b := (g+i)%len(templates), (g/4+i)%4
+				tpl := (g + i) % len(templates)
+				b := (g/4 + i) % len(bindings[tpl])
 				res, err := s.Exec(context.Background(), "a", stmts[tpl], bindings[tpl][b]...)
 				if err != nil {
 					errc <- err
@@ -509,4 +580,112 @@ func TestHarvestMemoConcurrentHits(t *testing.T) {
 	}
 	// A sub-query's truth does not depend on which request wrote it last.
 	requireMirrored(t, s, m, "after concurrent hits")
+}
+
+// TestHarvestRecordsMatchTheirStatement: two statements of one shape key
+// spell their conjuncts in different orders, a literal predicate before
+// the ?s in one and after them in the other, so they share one plan-cache
+// entry but not their predicate positions: the first bound to (7, 3) and
+// the second to (3, 7) have the same values position by position, yet
+// filter score and reputation differently. A record matches a binding of
+// its own statement only: every reply must be the ad-hoc text's, and the
+// store the mirror's.
+func TestHarvestRecordsMatchTheirStatement(t *testing.T) {
+	s, _ := newFixture(t, Config{InvalidateQError: -1})
+	ref, _ := newFixture(t, Config{InvalidateQError: -1})
+	m := newMirror(0)
+	s.SetObserver(m)
+	const text = "SELECT COUNT(*) FROM posts, users WHERE posts.owner_user_id = users.id AND %s;"
+	var stmts []*Stmt
+	for _, where := range []string{
+		"posts.views > 3 AND posts.score > ? AND users.reputation >= ?",
+		"posts.score > ? AND users.reputation >= ? AND posts.views > 3",
+	} {
+		st, err := s.Prepare(fmt.Sprintf(text, where))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmts = append(stmts, st)
+	}
+	key := stmts[0].e.Load().st.ShapeKey()
+	if stmts[1].e.Load().st.ShapeKey() != key {
+		t.Fatal("the two spellings do not share a shape key")
+	}
+	bindings := [][2]int{{7, 3}, {3, 7}, {0, 0}, {20, 100}}
+	for round := 0; round < 3; round++ {
+		for _, b := range bindings {
+			for i, st := range stmts {
+				at := fmt.Sprintf("round %d statement %d binding %v", round, i, b)
+				res, err := s.Exec(context.Background(), "a", st, b[0], b[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ref.Query(context.Background(), "a", fmt.Sprintf(text,
+					fmt.Sprintf("posts.views > 3 AND posts.score > %d AND users.reputation >= %d", b[0], b[1])))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Count != want.Count {
+					t.Fatalf("%s: served %d, the ad-hoc text %d", at, res.Count, want.Count)
+				}
+				requireMirrored(t, s, m, at)
+			}
+		}
+	}
+	want := min(len(stmts)*len(bindings), maxRecords)
+	if recs, _ := recordsOf(s, key); len(recs) != want {
+		t.Fatalf("the shared entry holds %d records, want %d", len(recs), want)
+	}
+	if n := requireOwnKeys(t, s, key, "after 3 rounds"); n != want {
+		t.Fatalf("%d of %d records are current", n, want)
+	}
+}
+
+// TestHarvestRecordsThrash rotates more bindings than an entry holds
+// records, so every hit finds its binding's record replaced and harvests
+// through the rebound graph: replies and store must stay right, the
+// records bounded, and such a hit must allocate no more than a prepared
+// hit did before records (9).
+func TestHarvestRecordsThrash(t *testing.T) {
+	s, stmt := newHitFixture(t, 0)
+	ref, _ := newHitFixture(t, 0)
+	m := newMirror(0)
+	s.SetObserver(m)
+	key := stmt.e.Load().st.ShapeKey()
+	for i := 0; i < 3*len(wideBindings); i++ {
+		v := wideBindings[i%len(wideBindings)]
+		res, err := s.Exec(context.Background(), "a", stmt, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Query(context.Background(), "a", fmt.Sprintf(
+			"SELECT COUNT(*) FROM posts, users, comments WHERE posts.owner_user_id = users.id AND comments.post_id = posts.id AND posts.score > %d;", v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Count != want.Count {
+			t.Fatalf("request %d: served %d, the ad-hoc text %d", i, res.Count, want.Count)
+		}
+		at := fmt.Sprintf("request %d", i)
+		requireMirrored(t, s, m, at)
+		if recs, _ := recordsOf(s, key); len(recs) > maxRecords {
+			t.Fatalf("%s: %d records, bound %d", at, len(recs), maxRecords)
+		}
+		requireOwnKeys(t, s, key, at)
+	}
+	if raceEnabled {
+		return // sync.Pool drops puts at random under the race detector
+	}
+	s.SetObserver(nil)
+	i := 0
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := s.Exec(context.Background(), "a", stmt, wideBindings[i%len(wideBindings)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if got > 9 {
+		t.Errorf("a hit whose record was replaced allocates %.1f objects, ceiling 9", got)
+	}
+	t.Logf("%.1f allocations per hit without a record", got)
 }

@@ -47,11 +47,11 @@ func TestFeedbackOverlayGraphMatchesPerMask(t *testing.T) {
 		for j := range cards {
 			cards[j] = float64(100*i + 11*(j+1))
 		}
-		var ent *cacheEntry // q through its graph, cross through labels
+		var ent *cacheEntry // q as a miss, cross as its entry's first hit
 		if i == 1 {
 			ent = &cacheEntry{}
 		}
-		s.harvest(sub, query.NewJoinGraph(sub), p, cards, ent)
+		s.harvest(sub, query.NewJoinGraph(sub), nil, p, cards, ent)
 	}
 	store := feedbackOf(s)
 	if _, ok := store[g.Key(comments|badges)]; !ok {

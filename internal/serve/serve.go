@@ -12,6 +12,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -156,9 +157,10 @@ type Server struct {
 	// hashes holds the query.JoinGraph.KeyHash of every key in feedback:
 	// the overlay builds a mask's key only when its hash is here.
 	hashes  map[uint64]struct{}
-	keyBuf  []byte   // the key buffer of a graph's harvest and overlay
-	hashBuf []uint64 // the overlay's key hashes, one per mask
-	fbGen   uint64   // bumped by ResetFeedback: hitMemo.slots of an older one are stale
+	keyBuf  []byte       // the key buffer of a graph's harvest and overlay
+	hashBuf []uint64     // the overlay's key hashes, one per mask
+	argBuf  []data.Value // the placeholder values of the binding a harvest looks up
+	fbGen   uint64       // bumped by ResetFeedback: harvest records of an older one are stale
 
 	coldPlans atomic.Int64
 	obs       atomic.Pointer[ExecObserver] // nil or pointing at nil: none
@@ -286,33 +288,33 @@ func (s *Server) Prepare(sql string) (*Stmt, error) {
 // and caches that plan generalized to the template, whose scan leaves
 // bind each execution's predicates when they open. Feedback-driven
 // invalidation replans when that generic plan stops fitting the observed
-// cardinalities. The binding's join graph is the template's, rebound, so
-// harvesting its feedback builds no graph.
+// cardinalities. A binding's join graph is the template's, rebound, and
+// only a request that needs it builds it (run).
 func (s *Server) Exec(ctx context.Context, tenant string, stmt *Stmt, args ...any) (*Result, error) {
 	cat := s.cat.Pin()
 	e, err := stmt.current(s, cat)
 	if err != nil {
 		return nil, err
 	}
-	q, g, err := e.st.BindGraph(args...)
+	q, err := e.st.Bind(args...)
 	if err != nil {
 		return nil, err
 	}
-	return s.run(ctx, cat, tenant, q, e.key, g, e.st.Query())
+	return s.run(ctx, cat, tenant, q, e.key, nil, e.st)
 }
 
 // run is the shared serving path: admit, fetch-or-plan, execute, harvest
 // feedback, observe drift. cat is the Pin q was parsed against, and the
 // run binds in it. key is the plan-cache key (cacheKey). q is only read.
-// A prepared statement passes g, its binding's join graph, and
-// tmpl, its template; a parsed text its parse's graph; a statement-cache
-// hit neither, and its miss builds the one graph it is planned and
-// harvested from. The observer gets the same graph; a statement-cache
-// hit builds one only when an observer is installed. A hit runs the
-// cached plan itself, shared with concurrent requests, under the
+// A prepared request passes st, its statement, q being a Bind of it; a
+// parsed text passes its parse's graph g; a statement-cache hit neither.
+// The join graph is built only when a request needs it: to plan a miss,
+// to harvest a binding the entry holds no current record of (harvest),
+// or for an installed observer, which gets the same graph. A hit runs
+// the cached plan itself, shared with concurrent requests, under the
 // entry's binding: nothing here writes to a plan, and harvest, drift
 // check and observer read the run's record instead.
-func (s *Server) run(ctx context.Context, cat *data.Catalog, tenant string, q *query.Query, key string, g *query.JoinGraph, tmpl *query.Query) (*Result, error) {
+func (s *Server) run(ctx context.Context, cat *data.Catalog, tenant string, q *query.Query, key string, g *query.JoinGraph, st *sqlx.Prepared) (*Result, error) {
 	release, br, err := s.adm.acquire(ctx, tenant)
 	if err != nil {
 		return nil, err
@@ -324,15 +326,15 @@ func (s *Server) run(ctx context.Context, cat *data.Catalog, tenant string, q *q
 	cached := p != nil
 	if p == nil {
 		if g == nil {
-			g = query.NewJoinGraph(q) // planned and harvested: one graph per miss
+			g = graphOf(q, st) // planned and harvested: one graph per miss
 		}
 		p, err = s.opt.OptimizeGraphCtx(ctx, g)
 		if err != nil {
 			br.Failure()
 			return nil, err
 		}
-		if tmpl != nil {
-			p = p.Generalize(tmpl)
+		if st != nil {
+			p = p.Generalize(st.Query())
 		}
 		s.coldPlans.Add(1)
 		s.cache.put(key, p, gen)
@@ -349,17 +351,23 @@ func (s *Server) run(ctx context.Context, cat *data.Catalog, tenant string, q *q
 	if cached {
 		s.cache.observe(ent, res.Cards, s.cfg.InvalidateQError)
 	}
-	if tmpl != nil {
-		ent = nil // each binding has its own sub-query keys
-	}
-	s.harvest(q, g, p, res.Cards, ent)
+	g = s.harvest(q, g, st, p, res.Cards, ent)
 	if obs := s.obs.Load(); obs != nil && *obs != nil {
-		if g == nil { // a statement-cache hit: no graph was needed so far
-			g = query.NewJoinGraph(q)
+		if g == nil {
+			g = graphOf(q, st)
 		}
 		(*obs).ObserveRun(g, p, res.Cards)
 	}
 	return &Result{Count: res.Count, Value: res.Value, Latency: res.Stats.WorkUnits, Cached: cached, Plan: planDur}, nil
+}
+
+// graphOf builds the join graph of q: for a binding of st the template's
+// graph rebound, else from scratch.
+func graphOf(q *query.Query, st *sqlx.Prepared) *query.JoinGraph {
+	if st != nil {
+		return st.Graph(q)
+	}
+	return query.NewJoinGraph(q)
 }
 
 // binding returns the resolution of ent's plan for q in cat: the entry's
@@ -384,59 +392,94 @@ func (s *Server) binding(cat *data.Catalog, ent *cacheEntry, q *query.Query) *ex
 }
 
 // harvest merges the record cards of a run of p into the feedback store
-// in plan pre-order, every key every time. ent is the entry p was checked
-// out of on an ad-hoc hit, else nil. Its key is a function of q.Key(), so
-// every pre-order position's sub-query key repeats on every hit: the
-// first hit memoizes opt.HarvestCards' labels (from g, or a graph built
-// for a statement-cache hit), later hits skip the graph, and each label's
-// store slot is memoized until ResetFeedback intervenes, so a hit writes
-// by index. A miss's or a prepared binding's keys come from g through
-// s.keyBuf: only a key new to the store allocates a string or is hashed.
-func (s *Server) harvest(q *query.Query, g *query.JoinGraph, p *plan.Node, cards []float64, ent *cacheEntry) {
-	if ent == nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		i := 0
-		p.WalkLogicalMasks(g, func(_ *plan.Node, mask uint64) {
-			s.keyBuf = g.AppendKey(s.keyBuf[:0], mask)
-			if _, added := absorb(s, s.keyBuf, cards[i]); added {
-				s.hashes[g.KeyHash(mask)] = struct{}{}
-			}
-			i++
-		})
-		return
-	}
-	m := ent.hits()
+// in plan pre-order, every key every time, and returns q's join graph: g,
+// or the one it built, or nil when it needed none. ent is the entry p
+// was checked out of on a hit, else nil. A binding — q, of statement st
+// or ad hoc — fixes the sub-query key of every pre-order position of its
+// entry's plan, so the entry keeps a record of each binding's store
+// slots (Server.record). A hit whose record is current writes by index,
+// building no graph and rendering no key: slots never move and a full
+// store stays full until ResetFeedback, which bumps fbGen, so that is
+// what absorb would do. A miss, and a binding's first hit or its first
+// after ResetFeedback, write each node's key from g through s.keyBuf, a
+// hit recording the slots: only a key new to the store allocates a
+// string or is hashed.
+func (s *Server) harvest(q *query.Query, g *query.JoinGraph, st *sqlx.Prepared, p *plan.Node, cards []float64, ent *cacheEntry) *query.JoinGraph {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if m.labels != nil && m.slotGen == s.fbGen { // memoized cards are stale: read the record's
-		for i, slot := range m.slots {
-			if slot >= 0 {
-				s.cards[slot] = cards[i]
+	var rec *harvestRecord
+	if ent != nil {
+		if rec = s.record(ent.hits(), st, q); rec.gen == s.fbGen {
+			for i, slot := range rec.slots {
+				if slot >= 0 {
+					s.cards[slot] = cards[i]
+				}
 			}
+			return g
 		}
-		return
+		rec.slots, rec.gen = rec.slots[:0], s.fbGen
 	}
-	first := m.labels == nil
-	if first {
-		if g == nil {
-			g = query.NewJoinGraph(q)
-		}
-		m.labels = opt.HarvestCards(g, p, cards)
+	if g == nil {
+		g = graphOf(q, st)
 	}
-	m.slots, m.slotGen = m.slots[:0], s.fbGen
-	for i, l := range m.labels {
-		slot, added := absorb(s, l.Key, cards[i])
+	i := 0
+	p.WalkLogicalMasks(g, func(_ *plan.Node, mask uint64) {
+		s.keyBuf = g.AppendKey(s.keyBuf[:0], mask)
+		slot, added := absorb(s, s.keyBuf, cards[i])
 		if added {
-			s.hashes[l.Hash] = struct{}{}
-		} else if slot >= 0 && first {
-			// The store's key is a copy a miss made: keep the label's
-			// instead, so the memo costs no second copy.
-			delete(s.feedback, l.Key)
-			s.feedback[l.Key] = slot
+			s.hashes[g.KeyHash(mask)] = struct{}{}
 		}
-		m.slots = append(m.slots, slot)
+		if rec != nil {
+			rec.slots = append(rec.slots, slot)
+		}
+		i++
+	})
+	return g
+}
+
+// record returns m's record of q, a binding of st (nil: ad hoc), under
+// s.mu, claiming one if there is none: a new one while fewer than
+// maxRecords exist, else the oldest, its storage reused. A claimed
+// record's gen is 0, no store's generation.
+func (s *Server) record(m *hitMemo, st *sqlx.Prepared, q *query.Query) *harvestRecord {
+	s.argBuf = boundArgs(s.argBuf[:0], st, q)
+	for i := range m.recs {
+		if r := &m.recs[i]; r.st == st && slices.EqualFunc(r.args, s.argBuf, sameValue) {
+			return r
+		}
 	}
+	var r *harvestRecord
+	if len(m.recs) < maxRecords {
+		m.recs = append(m.recs, harvestRecord{})
+		r = &m.recs[len(m.recs)-1]
+	} else {
+		r = &m.recs[m.next]
+		m.next = (m.next + 1) % maxRecords
+	}
+	r.st, r.args, r.gen = st, append(r.args[:0], s.argBuf...), 0
+	return r
+}
+
+// boundArgs appends to dst the values q, a Bind of st, bound to st's
+// placeholders, in predicate order.
+func boundArgs(dst []data.Value, st *sqlx.Prepared, q *query.Query) []data.Value {
+	if st == nil {
+		return dst
+	}
+	for i, p := range st.Query().Preds {
+		if p.Param != 0 {
+			dst = append(dst, q.Preds[i].Val)
+		}
+		if p.Param2 != 0 {
+			dst = append(dst, q.Preds[i].Val2)
+		}
+	}
+	return dst
+}
+
+// sameValue compares floats by their bits: equal bits render one key.
+func sameValue(x, y data.Value) bool {
+	return x.K == y.K && x.I == y.I && math.Float64bits(x.F) == math.Float64bits(y.F)
 }
 
 // absorb writes one harvested truth into the feedback store under s.mu:

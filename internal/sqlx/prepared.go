@@ -24,7 +24,7 @@ type Prepared struct {
 	tmpl  *query.Query
 	slots []slot
 	shape string
-	graph *query.JoinGraph // the template's, for BindGraph; nil from ParseStatement
+	graph *query.JoinGraph // the template's, for Graph; nil from ParseStatement
 	// tables are the distinct tables the statement names, as resolved
 	// from a catalog at generation gen.
 	tables []*data.Table
@@ -187,17 +187,10 @@ func (p *Prepared) Bind(args ...any) (*query.Query, error) {
 	return q, nil
 }
 
-// BindGraph is Bind that also returns the bound query's join graph: the
-// template's, built once by Prepare, rebound (query.JoinGraph.Rebind).
-// Returned together, no caller can pair a graph with the wrong binding.
-// Statements from ParseStatement have no template graph to rebind.
-func (p *Prepared) BindGraph(args ...any) (*query.Query, *query.JoinGraph, error) {
-	q, err := p.Bind(args...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return q, p.graph.Rebind(q), nil
-}
+// Graph returns the join graph of q, a Bind of p: the template's, built
+// once by Prepare, rebound (query.JoinGraph.Rebind). Statements from
+// ParseStatement have no template graph to rebind.
+func (p *Prepared) Graph(q *query.Query) *query.JoinGraph { return p.graph.Rebind(q) }
 
 // coerce converts one bind argument to the slot column's value domain.
 func coerce(arg any, s slot) (data.Value, error) {

@@ -71,11 +71,11 @@ func TestPrepareBetweenParams(t *testing.T) {
 	}
 }
 
-// TestBindGraphMatchesNewJoinGraph: the graph BindGraph returns, the
-// template's rebound, keys every sub-query of the binding exactly like a
+// TestGraphMatchesNewJoinGraph: the graph Graph returns for a binding,
+// the template's rebound, keys every sub-query of the binding exactly like a
 // graph built from the bound query — over 2 000 bindings of string,
 // float-on-int, int-on-float, repeated-column and BETWEEN slots.
-func TestBindGraphMatchesNewJoinGraph(t *testing.T) {
+func TestGraphMatchesNewJoinGraph(t *testing.T) {
 	cat := testCatalog()
 	stmt, err := Prepare("SELECT COUNT(*) FROM items i, orders o WHERE i.id = o.item_id AND i.name = ? AND i.score > ? AND i.score > ? "+
 		"AND i.score BETWEEN ? AND ? AND o.id >= ? AND i.price < ?;", cat)
@@ -91,12 +91,13 @@ func TestBindGraphMatchesNewJoinGraph(t *testing.T) {
 	}
 	for n := 0; n < 2000; n++ {
 		args := []any{[]string{"ann", "bob", "zed"}[rng.Intn(3)], num(), num(), num(), num(), num(), num()}
-		q, g, err := stmt.BindGraph(args...)
+		q, err := stmt.Bind(args...)
 		if err != nil {
 			t.Fatal(err)
 		}
+		g := stmt.Graph(q)
 		if g.Query() != q {
-			t.Fatal("BindGraph paired the graph with another query")
+			t.Fatal("Graph paired the graph with another query")
 		}
 		want := query.NewJoinGraph(q)
 		for mask := uint64(0); mask < 4; mask++ {
