@@ -6,7 +6,7 @@
 #   make race    — full suite under the race detector
 #   make fuzz    — short fuzz smoke over the SQL parser, key encoding,
 #                  the statement cache's and the plan binding's staleness
-#                  rules and the hash-join table
+#                  rules, the hash-join table and the join's index probe
 #   make verify  — what CI runs: build + vet + lint + tests + race + fuzz
 #                  smoke, then staticcheck & govulncheck (skipped offline)
 #   make bench   — regenerate every experiment table (E1..E10, E14..E16)
@@ -76,6 +76,7 @@ fuzz:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzStatementStaleness -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzBindingStaleness -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/exec/ -run '^$$' -fuzz FuzzJoinTable -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/exec/ -run '^$$' -fuzz FuzzIndexProbeJoin -fuzztime $(FUZZTIME)
 
 verify: build vet lint test race fuzz staticcheck govulncheck
 

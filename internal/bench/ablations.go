@@ -22,7 +22,7 @@ func E8Ablations(ctx context.Context, env *Env) (*Report, error) {
 	r := &Report{
 		ID:     "E8",
 		Title:  fmt.Sprintf("Ablations, dataset=%s", env.Name),
-		Header: []string{"ablation", "variant", "metric", "value"},
+		Header: []string{"ablation", "variant", "metric", "value", "failed"},
 	}
 	lctx := &learnedopt.Context{
 		Cat: env.Cat, Stats: env.Stats, Ex: env.Ex, Base: env.Base,
@@ -32,27 +32,29 @@ func E8Ablations(ctx context.Context, env *Env) (*Report, error) {
 	if err := native.Train(lctx); err != nil {
 		return nil, err
 	}
-	natLats, err := optimizerLatencies(env, native)
+	natLats, _, err := optimizerLatencies(env, native, nil)
 	if err != nil {
 		return nil, err
 	}
-	gmrl := func(o learnedopt.Optimizer) (string, error) {
+	// gmrl returns o's GMRL and how many of its plans the executor refused
+	// (see optimizerLatencies).
+	gmrl := func(o learnedopt.Optimizer) (string, string, error) {
 		// Ablations run many full train+measure cycles; honor the
 		// caller's deadline between groups (Plan/Measure go through the
 		// ctx-free learnedopt.Optimizer interface, so this boundary is
 		// where cancellation is observed).
 		if err := ctx.Err(); err != nil {
-			return "", err
+			return "", "", err
 		}
-		lats, err := optimizerLatencies(env, o)
+		lats, failed, err := optimizerLatencies(env, o, natLats)
 		if err != nil {
-			return "", err
+			return "", "", err
 		}
 		var rel []float64
 		for i := range lats {
 			rel = append(rel, lats[i]/natLats[i])
 		}
-		return F(metrics.GeoMean(rel)), nil
+		return F(metrics.GeoMean(rel)), fmt.Sprintf("%d", failed), nil
 	}
 
 	// Bao: exhaustive vs ε-greedy experience; GBDT vs TreeConv value model.
@@ -68,11 +70,11 @@ func E8Ablations(ctx context.Context, env *Env) (*Report, error) {
 		if err := b.Train(lctx); err != nil {
 			return nil, fmt.Errorf("E8 bao %s: %w", v.label, err)
 		}
-		g, err := gmrl(b)
+		g, failed, err := gmrl(b)
 		if err != nil {
 			return nil, err
 		}
-		r.AddRow("bao", v.label, "GMRL", g)
+		r.AddRow("bao", v.label, "GMRL", g, failed)
 	}
 
 	// Lero: pairwise vs pointwise selection.
@@ -80,20 +82,20 @@ func E8Ablations(ctx context.Context, env *Env) (*Report, error) {
 	if err := lero.Train(lctx); err != nil {
 		return nil, err
 	}
-	g, err := gmrl(lero)
+	g, failed, err := gmrl(lero)
 	if err != nil {
 		return nil, err
 	}
-	r.AddRow("lero", "pairwise", "GMRL", g)
+	r.AddRow("lero", "pairwise", "GMRL", g, failed)
 	pw := learnedopt.NewPointwiseLero()
 	if err := pw.Train(lctx); err != nil {
 		return nil, err
 	}
-	g, err = gmrl(pw)
+	g, failed, err = gmrl(pw)
 	if err != nil {
 		return nil, err
 	}
-	r.AddRow("lero", "pointwise", "GMRL", g)
+	r.AddRow("lero", "pointwise", "GMRL", g, failed)
 
 	// MSCN: with vs without the join module.
 	cctx := env.CardestContext()
@@ -142,11 +144,11 @@ func E8Ablations(ctx context.Context, env *Env) (*Report, error) {
 		if err := neo.Train(lctx); err != nil {
 			return nil, err
 		}
-		g, err := gmrl(neo)
+		g, failed, err := gmrl(neo)
 		if err != nil {
 			return nil, err
 		}
-		r.AddRow("neo", fmt.Sprintf("beam=%d", beam), "GMRL", g)
+		r.AddRow("neo", fmt.Sprintf("beam=%d", beam), "GMRL", g, failed)
 	}
 
 	// Enumeration effort and plan space: bushy DP vs left-deep DP vs

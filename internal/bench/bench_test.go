@@ -2,8 +2,13 @@ package bench
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
+
+	"lqo/internal/learnedopt"
+	"lqo/internal/plan"
+	"lqo/internal/query"
 )
 
 func TestReportRendering(t *testing.T) {
@@ -144,5 +149,40 @@ func TestE4OnTinyEnv(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// refusingOptimizer plans every query as a scan of a table the catalog
+// lacks: a plan the executor refuses.
+type refusingOptimizer struct{}
+
+func (refusingOptimizer) Name() string                    { return "refusing" }
+func (refusingOptimizer) Train(*learnedopt.Context) error { return nil }
+func (refusingOptimizer) Plan(*query.Query) (*plan.Node, error) {
+	return plan.NewScan(plan.SeqScan, "x", "no_such_table", nil), nil
+}
+
+// TestRefusedPlansChargeNative: a learned plan the executor refuses costs
+// the native plan's latency and counts as failed; the native optimizer's
+// own refusal is an error.
+func TestRefusedPlansChargeNative(t *testing.T) {
+	env, err := NewEnv("stats", tinyScale(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	native := learnedopt.NewNative()
+	if err := native.Train(&learnedopt.Context{Cat: env.Cat, Stats: env.Stats, Ex: env.Ex, Base: env.Base}); err != nil {
+		t.Fatal(err)
+	}
+	natLats, failed, err := optimizerLatencies(env, native, nil)
+	if err != nil || failed != 0 {
+		t.Fatalf("native: %d failed, %v", failed, err)
+	}
+	lats, failed, err := optimizerLatencies(env, refusingOptimizer{}, natLats)
+	if err != nil || failed != len(env.Test) || !slices.Equal(lats, natLats) {
+		t.Fatalf("refused plans: latencies %v (native %v), %d failed, %v", lats, natLats, failed, err)
+	}
+	if _, _, err := optimizerLatencies(env, refusingOptimizer{}, nil); err == nil {
+		t.Fatal("a refused plan without a native fallback did not fail")
 	}
 }

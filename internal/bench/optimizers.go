@@ -175,7 +175,7 @@ func E5EndToEnd(_ context.Context, env *Env) (*Report, error) {
 	r := &Report{
 		ID:     "E5",
 		Title:  fmt.Sprintf("End-to-end learned optimizers, dataset=%s (%d test queries)", env.Name, len(env.Test)),
-		Header: []string{"optimizer", "total work", "GMRL", "p99 rel", "regress>20%", "wins>20%"},
+		Header: []string{"optimizer", "total work", "GMRL", "p99 rel", "regress>20%", "wins>20%", "failed"},
 	}
 	ctx := &learnedopt.Context{
 		Cat: env.Cat, Stats: env.Stats, Ex: env.Ex, Base: env.Base,
@@ -185,7 +185,7 @@ func E5EndToEnd(_ context.Context, env *Env) (*Report, error) {
 	if err := native.Train(ctx); err != nil {
 		return nil, err
 	}
-	natLats, err := optimizerLatencies(env, native)
+	natLats, _, err := optimizerLatencies(env, native, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -195,14 +195,15 @@ func E5EndToEnd(_ context.Context, env *Env) (*Report, error) {
 		if err := o.Train(ctx); err != nil {
 			return nil, fmt.Errorf("E5 %s: %w", inf.Name, err)
 		}
-		lats, err := optimizerLatencies(env, o)
+		lats, failed, err := optimizerLatencies(env, o, natLats)
 		if err != nil {
 			return nil, fmt.Errorf("E5 %s: %w", inf.Name, err)
 		}
-		r.AddRow(rowForOptimizer(inf.Name, lats, natLats, natTotal)...)
+		r.AddRow(append(rowForOptimizer(inf.Name, lats, natLats, natTotal), fmt.Sprintf("%d", failed))...)
 	}
 	r.Notes = append(r.Notes,
 		"GMRL: geometric mean of per-query latency relative to native (lower is better)",
+		"failed: plans the executor refused, each charged the native plan's latency",
 	)
 	return r, nil
 }
@@ -215,20 +216,27 @@ func labeledQueries(ls []workload.Labeled) []*query.Query {
 	return out
 }
 
-func optimizerLatencies(env *Env, o learnedopt.Optimizer) ([]float64, error) {
-	var lats []float64
-	for _, l := range env.Test {
+// optimizerLatencies measures o's plan for every test query. A plan the
+// executor refuses (an intermediate past its cap) is charged natLats' entry
+// for the query, the native plan's latency — the fallback a learned
+// optimizer runs on — and counted in failed; with natLats nil it is an
+// error.
+func optimizerLatencies(env *Env, o learnedopt.Optimizer, natLats []float64) (lats []float64, failed int, err error) {
+	for i, l := range env.Test {
 		p, err := o.Plan(l.Q)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		lat, err := learnedopt.Measure(env.Ex, l.Q, p)
 		if err != nil {
-			return nil, err
+			if natLats == nil {
+				return nil, 0, err
+			}
+			lat, failed = natLats[i], failed+1
 		}
 		lats = append(lats, lat)
 	}
-	return lats, nil
+	return lats, failed, nil
 }
 
 func rowForOptimizer(name string, lats, natLats []float64, natTotal float64) []string {
@@ -268,7 +276,7 @@ func E6Eraser(_ context.Context, env *Env) (*Report, error) {
 	r := &Report{
 		ID:     "E6",
 		Title:  fmt.Sprintf("Eraser regression elimination, dataset=%s", env.Name),
-		Header: []string{"configuration", "total work", "GMRL", "regress>20%", "worst rel"},
+		Header: []string{"configuration", "total work", "GMRL", "regress>20%", "worst rel", "failed"},
 	}
 	fullCtx := &learnedopt.Context{
 		Cat: env.Cat, Stats: env.Stats, Ex: env.Ex, Base: env.Base,
@@ -278,12 +286,12 @@ func E6Eraser(_ context.Context, env *Env) (*Report, error) {
 	if err := native.Train(fullCtx); err != nil {
 		return nil, err
 	}
-	natLats, err := optimizerLatencies(env, native)
+	natLats, _, err := optimizerLatencies(env, native, nil)
 	if err != nil {
 		return nil, err
 	}
 
-	addRow := func(name string, lats []float64) {
+	addRow := func(name string, lats []float64, failed int) {
 		var rel []float64
 		regress := 0
 		worst := 0.0
@@ -297,20 +305,20 @@ func E6Eraser(_ context.Context, env *Env) (*Report, error) {
 				worst = rr
 			}
 		}
-		r.AddRow(name, F(sum(lats)), F(metrics.GeoMean(rel)), fmt.Sprintf("%d", regress), F(worst))
+		r.AddRow(name, F(sum(lats)), F(metrics.GeoMean(rel)), fmt.Sprintf("%d", regress), F(worst), fmt.Sprintf("%d", failed))
 	}
-	addRow("native", natLats)
+	addRow("native", natLats, 0)
 
 	// The learned optimizer being protected: Bao, trained exactly as in E5.
 	bao := learnedopt.NewBao()
 	if err := bao.Train(fullCtx); err != nil {
 		return nil, err
 	}
-	baoLats, err := optimizerLatencies(env, bao)
+	baoLats, failed, err := optimizerLatencies(env, bao, natLats)
 	if err != nil {
 		return nil, err
 	}
-	addRow("bao (unprotected)", baoLats)
+	addRow("bao (unprotected)", baoLats, failed)
 
 	wrap := func(name string, disableClustering bool) error {
 		er := learnedopt.NewEraser(bao)
@@ -319,11 +327,11 @@ func E6Eraser(_ context.Context, env *Env) (*Report, error) {
 		if err := er.Train(fullCtx); err != nil {
 			return err
 		}
-		lats, err := optimizerLatencies(env, er)
+		lats, failed, err := optimizerLatencies(env, er, natLats)
 		if err != nil {
 			return err
 		}
-		addRow(name, lats)
+		addRow(name, lats, failed)
 		return nil
 	}
 	if err := wrap("eraser(stage1 only)", true); err != nil {
@@ -332,6 +340,7 @@ func E6Eraser(_ context.Context, env *Env) (*Report, error) {
 	if err := wrap("eraser(full)", false); err != nil {
 		return nil, err
 	}
-	r.Notes = append(r.Notes, "eraser wraps the SAME trained Bao; plugin only filters its candidate choices")
+	r.Notes = append(r.Notes, "eraser wraps the SAME trained Bao; plugin only filters its candidate choices",
+		"failed: plans the executor refused, each charged the native plan's latency")
 	return r, nil
 }

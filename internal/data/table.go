@@ -192,6 +192,7 @@ func (t *Table) Validate() error {
 type Index struct {
 	Col  string
 	rows map[int64][]int32
+	n    int // the column's length when indexed
 }
 
 // BuildIndex constructs (or rebuilds) an equality index over the named
@@ -204,7 +205,7 @@ func (t *Table) BuildIndex(col string) (*Index, error) {
 	if c.Kind == Float {
 		return nil, fmt.Errorf("data: cannot index float column %s.%s", t.Name, col)
 	}
-	ix := &Index{Col: col, rows: make(map[int64][]int32)}
+	ix := &Index{Col: col, rows: make(map[int64][]int32), n: len(c.Ints)}
 	for i, v := range c.Ints {
 		ix.rows[v] = append(ix.rows[v], int32(i))
 	}
@@ -219,6 +220,10 @@ func (t *Table) Index(col string) *Index {
 
 // Rows returns the row ids holding value v (sorted ascending).
 func (ix *Index) Rows(v int64) []int32 { return ix.rows[v] }
+
+// NumRows returns how many rows of the column the index covers: rows
+// appended since BuildIndex are not in it.
+func (ix *Index) NumRows() int { return ix.n }
 
 // NumKeys returns the number of distinct indexed keys.
 func (ix *Index) NumKeys() int { return len(ix.rows) }

@@ -5,12 +5,15 @@
 // component), per-operator execution telemetry, and a deterministic cost
 // measurement.
 //
-// Latency model. Join results are always computed hash-based internally for
-// tractability, but each operator is *charged* work units according to its
-// own algorithm (nested-loop pays |L|·|R|, merge pays sort+merge, hash pays
-// build+probe). Work units are the workbench's deterministic stand-in for
-// wall-clock latency: plan comparisons and regression factors are exactly
-// reproducible across runs and machines.
+// Latency model. Equi-join results are always computed through a hash
+// table internally for tractability — probing, when the probe side is a
+// predicate-free scan with an index on the key, only the rows the index
+// lists for the build keys (join.go) — but each operator is *charged* work
+// units according to its own algorithm (nested-loop pays |L|·|R|, merge
+// pays sort+merge, hash pays build+probe), over the rows its inputs hold
+// whichever way they were read. Work units are the workbench's
+// deterministic stand-in for wall-clock latency: plan comparisons and
+// regression factors are exactly reproducible across runs and machines.
 //
 // The pre-pipeline recursive evaluator survives as ReferenceRun
 // (reference.go) — the executable specification the pipeline is tested

@@ -22,6 +22,8 @@
 // the table is L1-resident; a clear filter bit answers both for most
 // misses. Matches come out as two index vectors — probe row, build row —
 // from which the operator gathers only the columns its consumer reads.
+// Probe rows are whatever the operator hands in, ascending: a streamed
+// batch, a buffered side, or the rows an index named (join.go).
 package exec
 
 import (

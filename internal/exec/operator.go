@@ -3,8 +3,8 @@
 // stored by column, stream between operators instead of monolithic
 // materialized relations; only the hash-join build side, the buffered
 // probe prefix (needed to pick the smaller build side exactly like the
-// reference evaluator), the cross-product inputs and the sort-free
-// aggregates materialize anything. Each operator emits only the columns
+// reference evaluator) or the probe rows an index named, the
+// cross-product inputs and the sort-free aggregates materialize anything. Each operator emits only the columns
 // its consumer reads (see buildOperator), so a COUNT(*) root join counts
 // its matches and never writes an output row.
 //
@@ -125,6 +125,11 @@ type OpTelemetry struct {
 	// counters are the only place pruning is visible.
 	BlocksTotal   int64
 	BlocksSkipped int64
+
+	// Probed counts the probe rows a hash join read through an index
+	// instead of pulling its probe input (the scan it skipped emits no
+	// batch); zero when the probe streamed.
+	Probed int64
 
 	tuplesRead   int64
 	tuplesJoined int64

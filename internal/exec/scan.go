@@ -142,6 +142,26 @@ func (s *seqScanOp) fill() (err error) {
 	return err
 }
 
+// indexOn returns the index on the scan's column c when the scan has no
+// predicates and the index covers every row it reads; else nil.
+func (s *seqScanOp) indexOn(c *data.Column) *data.Index {
+	if len(s.filter.preds) > 0 || s.tbl.Column(c.Name) != c {
+		return nil
+	}
+	if ix := s.tbl.Index(c.Name); ix != nil && ix.NumRows() == s.nrows {
+		return ix
+	}
+	return nil
+}
+
+// skip finishes the scan unread, for a consumer that probed its rows
+// through an index: it reports and charges every row emitted, as a
+// predicate-free drain does, in no batch.
+func (s *seqScanOp) skip() {
+	s.tel.RowsOut = int64(s.nrows)
+	s.finish()
+}
+
 func (s *seqScanOp) recycle(p *runSet) {
 	s.filter.reset()
 	*s = seqScanOp{scanBase: s.recycled(), filter: s.filter}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"lqo/internal/data"
+	"lqo/internal/plan"
 	"lqo/internal/query"
 )
 
@@ -147,7 +148,10 @@ func BenchmarkKeyGatherComposite(b *testing.B) {
 	}
 }
 
-// BenchmarkHashJoinProbe times the join kernel alone: key gather plus
+// BenchmarkHashJoinProbe times the join kernel, and a whole join run
+// over a predicate-free scan streamed and probed through its index.
+//
+// The kernel cells (build=…/match=…) time key gather plus
 // joinTable.probe of 64k probe rows per op against an indexed build side
 // of distinct keys, by build size (cache-resident to not) and by the share
 // of probe rows that find their one match (10 % is the regime the
@@ -157,7 +161,20 @@ func BenchmarkKeyGatherComposite(b *testing.B) {
 // the root join of a COUNT(*) plan. Every batch's output is dead before
 // the next, so the vectors are reused and the steady state allocates
 // nothing.
+//
+// The scan cells (scan=N/build=b/…) run a COUNT(*) hash join of an N-row
+// predicate-free scan, indexed on its key, with a b-row build (see
+// scanJoinCells): `index` probes only the scan rows the build keys name,
+// `streamed` is the same table without the index. The grid at b = N/k
+// for k in 2…32 is where indexProbeRatio comes from; scan=6000/build=90
+// is the exec_heavy workload's typical join.
 func BenchmarkHashJoinProbe(b *testing.B) {
+	for _, n := range []int{100, 1000, 10000} {
+		for _, k := range []int{2, 4, 8, 16, 32} {
+			scanJoinCells(b, n, n/k)
+		}
+	}
+	scanJoinCells(b, 6000, 90)
 	const nProbe = 1 << 16
 	type cell struct {
 		name      string
@@ -229,6 +246,57 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 			for _, v := range [][]int32{pidx, bidx, outP, outB} {
 				pool.PutSel(v)
 			}
+		})
+	}
+}
+
+// scanJoinCells times COUNT(*) over a hash join of an n-row scan with a
+// build of nb rows, on keys drawn from [0, n/4) — about four scan rows per
+// build key — once through the scan's index and once streamed.
+func scanJoinCells(b *testing.B, n, nb int) {
+	rng := rand.New(rand.NewSource(int64(n + nb)))
+	keys := func(rows int) *data.Column {
+		c := &data.Column{Name: "k", Kind: data.Int}
+		for range rows {
+			c.AppendInt(int64(rng.Intn(max(n/4, 1))))
+		}
+		return c
+	}
+	pk, bk := keys(n), keys(nb)
+	q := &query.Query{
+		Refs:  []query.TableRef{{Alias: "p", Table: "p"}, {Alias: "b", Table: "b"}},
+		Joins: []query.Join{{LeftAlias: "p", LeftCol: "k", RightAlias: "b", RightCol: "k"}},
+	}
+	p := plan.NewJoin(plan.HashJoin, plan.NewScan(plan.SeqScan, "p", "p", nil), plan.NewScan(plan.SeqScan, "b", "b", nil), q.Joins)
+	for _, path := range []string{"streamed", "index"} {
+		b.Run(fmt.Sprintf("scan=%d/build=%d/%s", n, nb, path), func(b *testing.B) {
+			cat, probe := data.NewCatalog(), data.NewTable("p", pk)
+			cat.Add(probe)
+			cat.Add(data.NewTable("b", bk))
+			if path == "index" {
+				if _, err := probe.BuildIndex("k"); err != nil {
+					b.Fatal(err)
+				}
+				defer func(k int) { indexProbeRatio = k }(indexProbeRatio)
+				indexProbeRatio = 1 // measure the index path below the size rule too
+			}
+			ex := New(cat)
+			ctx := context.Background()
+			_, pt, err := ex.RunAnalyze(ctx, q, p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if probed := pt.Ops[2].Probed > 0; probed != (path == "index") {
+				b.Fatalf("%s cell: join probed %d rows through the index", path, pt.Ops[2].Probed)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if _, err := ex.RunCtx(ctx, q, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/scan-row")
 		})
 	}
 }

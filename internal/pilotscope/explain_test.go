@@ -78,3 +78,22 @@ func TestExplainAnalyzeHonorsSession(t *testing.T) {
 		}
 	})
 }
+
+// TestExplainAnalyzeShowsIndexProbe: a join that probed a scan through its
+// index says so (probed=), and the scan it skipped emitted no batch.
+func TestExplainAnalyzeShowsIndexProbe(t *testing.T) {
+	w := getWorld(t)
+	for _, sql := range w.test {
+		rendered, _, err := w.eng.ExplainAnalyze(context.Background(), &Session{}, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(rendered, "probed=") {
+			if !strings.Contains(rendered, "batches=0") {
+				t.Fatalf("a join probed through an index, but every scan emitted batches:\n%s", rendered)
+			}
+			return
+		}
+	}
+	t.Fatal("no test statement's plan probed a scan through its index")
+}

@@ -317,6 +317,7 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, sess *Session, sql string) 
 			Batches:       t.Batches,
 			BlocksTotal:   t.BlocksTotal,
 			BlocksSkipped: t.BlocksSkipped,
+			Probed:        t.Probed,
 		}, true
 	})
 	return out + plan.RenderTrace(trace), &Result{Count: res.Count, Value: res.Value, Latency: res.Stats.WorkUnits, Plan: p}, nil

@@ -18,6 +18,9 @@ type Actuals struct {
 	// blocks skipped without scanning. Rendered only when BlocksTotal > 0.
 	BlocksTotal   int64
 	BlocksSkipped int64
+	// Probed counts the probe rows a hash join read through an index
+	// rather than from its probe input. Rendered only when positive.
+	Probed int64
 }
 
 // RenderAnalyze renders the EXPLAIN ANALYZE view of an executed plan:
@@ -36,6 +39,9 @@ func RenderAnalyze(root *Node, lookup func(*Node) (Actuals, bool)) string {
 			n.EstCard, a.Rows, a.Work, a.Wall.Round(time.Microsecond), a.Batches)
 		if a.BlocksTotal > 0 {
 			fmt.Fprintf(b, " blocks=%d skipped=%d", a.BlocksTotal, a.BlocksSkipped)
+		}
+		if a.Probed > 0 {
+			fmt.Fprintf(b, " probed=%d", a.Probed)
 		}
 		b.WriteString(")")
 	})

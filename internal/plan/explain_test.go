@@ -12,7 +12,7 @@ func TestRenderAnalyze(t *testing.T) {
 	p.Left.EstCard = 50
 
 	actuals := map[*Node]Actuals{
-		p:      {Rows: 90, Work: 123.4, Wall: 1500 * time.Microsecond, Batches: 2},
+		p:      {Rows: 90, Work: 123.4, Wall: 1500 * time.Microsecond, Batches: 2, Probed: 7},
 		p.Left: {Rows: 45, Work: 10, Wall: 20 * time.Microsecond, Batches: 1},
 		// p.Right intentionally missing: renders "actual=-".
 	}
@@ -22,7 +22,7 @@ func TestRenderAnalyze(t *testing.T) {
 	})
 
 	for _, want := range []string{
-		"HashJoin on a.id = b.a_id  (est=100 actual=90 work=123.4 time=1.5ms batches=2)",
+		"HashJoin on a.id = b.a_id  (est=100 actual=90 work=123.4 time=1.5ms batches=2 probed=7)",
 		"SeqScan a filter: a.v > 3  (est=50 actual=45 work=10.0 time=20µs batches=1)",
 		"IndexScan b  (est=0 actual=-)",
 	} {
