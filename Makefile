@@ -6,7 +6,8 @@
 #   make race    — full suite under the race detector
 #   make fuzz    — short fuzz smoke over the SQL parser, key encoding,
 #                  the statement cache's and the plan binding's staleness
-#                  rules, the hash-join table and the join's index probe
+#                  rules, the hash-join table, the join's index probe and
+#                  the scan filter kernels
 #   make verify  — what CI runs: build + vet + lint + tests + race + fuzz
 #                  smoke, then staticcheck & govulncheck (skipped offline)
 #   make bench   — regenerate every experiment table (E1..E10, E14..E16)
@@ -77,6 +78,7 @@ fuzz:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzBindingStaleness -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/exec/ -run '^$$' -fuzz FuzzJoinTable -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/exec/ -run '^$$' -fuzz FuzzIndexProbeJoin -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/exec/ -run '^$$' -fuzz FuzzKernelsMatchScalar -fuzztime $(FUZZTIME)
 
 verify: build vet lint test race fuzz staticcheck govulncheck
 
@@ -90,7 +92,10 @@ bench:
 # its fallback/ cells, spn asked once per mask; and BenchmarkHarvest):
 # its other benchmarks regenerate whole experiment tables. ./internal/exec/
 # includes the join kernel's BenchmarkHashJoinProbe grid (build size ×
-# match rate); ./internal/serve/ is BenchmarkServeHit, the cached
+# match rate, each point listing its matches and, /count, counting them
+# as a COUNT(*) root does) and BenchmarkFilterKernelVec (the filter
+# kernels over the unclustered column at 10/50/90 % selectivity, Lt and
+# Between, and a refining second conjunct); ./internal/serve/ is BenchmarkServeHit, the cached
 # request end to end (ad-hoc, a new spelling of a cached query, prepared,
 # prepared-wide: a binding the entry keeps no harvest record of) and the
 # cold one (miss: parse, plan, execute, harvest; miss-observed: the same

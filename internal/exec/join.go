@@ -20,6 +20,10 @@
 // probe could match, in the order it would reach them — and the scan
 // reports the drain it was spared. A right-hand scan asks for the left
 // side first, while the left may still be small enough to build on.
+//
+// A hash join that emits no columns — the root of a COUNT(*) plan, whose
+// sink reads only batch lengths — counts its matches (joinTable.count)
+// instead of listing (probe row, build row) pairs no one gathers.
 package exec
 
 import (
@@ -466,7 +470,10 @@ func (j *hashJoinOp) emitMatches() {
 
 // fill refills pending with at least one batch of output, or leaves it
 // empty when the probe side is exhausted. It probes one kernel call per
-// cancellation interval.
+// cancellation interval. A join that emits no columns (the root under
+// COUNT(*)) counts its matches instead of listing them: the same bound
+// stops both kernels at the same probe row, so pending, batches and the
+// cap error are those of a join that gathers columns.
 func (j *hashJoinOp) fill() error {
 	bs := j.e.batchSize()
 	limit := j.e.maxRows()
@@ -488,13 +495,21 @@ func (j *hashJoinOp) fill() error {
 			}
 		}
 		hi := min(j.probeIdx+cancelCheckRows-sinceCheck, j.probe.N)
-		var n int
 		// Stopping at the first row past the cap bounds what a runaway
 		// probe materializes.
-		j.match[0], j.match[1], n = j.tab.probe(j.probe.Cols, j.probeIdx, j.pkeys[j.probeIdx:hi], j.match[0][:0], j.match[1][:0], min(bs-1-j.pending.N, limit-j.emitted))
+		var n int
+		most, pkeys := min(bs-1-j.pending.N, limit-j.emitted), j.pkeys[j.probeIdx:hi]
+		if len(j.srcs) == 0 {
+			var m int
+			m, n = j.tab.count(j.probe.Cols, j.probeIdx, pkeys, most)
+			j.pending.N += m
+			j.emitted += m
+		} else {
+			j.match[0], j.match[1], n = j.tab.probe(j.probe.Cols, j.probeIdx, pkeys, j.match[0][:0], j.match[1][:0], most)
+			j.emitMatches()
+		}
 		j.probeIdx += n
 		j.probeChecked += n
-		j.emitMatches()
 		if j.emitted > limit {
 			return j.capErr()
 		}

@@ -21,7 +21,8 @@
 // key equal?), close to coin flips at a load factor in (½, 1] even when
 // the table is L1-resident; a clear filter bit answers both for most
 // misses. Matches come out as two index vectors — probe row, build row —
-// from which the operator gathers only the columns its consumer reads.
+// from which the operator gathers only the columns its consumer reads;
+// when it reads none, count tallies them instead.
 // Probe rows are whatever the operator hands in, ascending: a streamed
 // batch, a buffered side, or the rows an index named (join.go).
 package exec
@@ -122,6 +123,35 @@ func (t *joinTable) probe(pcols [][]int32, base int, pkeys []uint64, pidx, bidx 
 		}
 	}
 	return pidx, bidx, len(pkeys)
+}
+
+// count is probe for a join whose output has no columns: it walks the
+// same candidates and chains and stops after the same probe row, but
+// only counts the matches. It returns the count and the probe rows
+// consumed.
+func (t *joinTable) count(pcols [][]int32, base int, pkeys []uint64, most int) (int, int) {
+	heads, next, keys, shift := t.heads, t.next, t.keys, t.shift
+	composite := len(t.bks) > 1
+	var cand, head [probeBlock]int32
+	n := 0
+	for lo := 0; lo < len(pkeys); lo += probeBlock {
+		cs := cand[:t.candidates(&cand, pkeys, lo, min(lo+probeBlock, len(pkeys)))]
+		for j, i := range cs {
+			head[j] = heads[pkeys[i]*hashMul>>shift>>3]
+		}
+		for j, i := range cs {
+			k, p := pkeys[i], int32(base)+i
+			for e := head[j]; e != 0; e = next[e-1] {
+				if keys[e-1] == k && (!composite || keysEqual(pcols, p, t.pks, t.build, e-1, t.bks)) {
+					n++
+				}
+			}
+			if n > most {
+				return n, int(i) + 1
+			}
+		}
+	}
+	return n, len(pkeys)
 }
 
 // candidates stores in cand, ascending, the indices in [lo, hi) (at most

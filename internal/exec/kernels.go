@@ -4,12 +4,16 @@
 // row-at-a-time: per row, per predicate, a Kind branch, a Value conversion
 // and a CmpOp switch. The kernels decide all of that once per scan —
 // compilePred binds each predicate to its column's typed storage
-// and picks a (Kind × CmpOp) kernel family — and then runs tight
-// branch-free-per-row loops directly over []int64 / []float64 blocks,
-// appending matching row ids to a reusable selection vector. Int and
-// dictionary-encoded String columns with integral predicate values
-// compare exactly in int64 (no float round-trip); Between is a single
-// fused range kernel; float kernels preserve NaN semantics bit-for-bit.
+// and picks a (Kind × CmpOp) kernel family — and then runs tight loops
+// directly over []int64 / []float64 blocks into a reusable selection
+// vector. The typed loops are branch-free per row: each stores the row id
+// and advances the vector by the comparison's 0 or 1 (b2i), so a
+// selectivity near one half costs no mispredicted jumps; only the
+// mixed-kind fallback branches. Int and dictionary-encoded String columns
+// with integral predicate values compare exactly in int64 (no float
+// round-trip); Between is a single fused range kernel, both bounds
+// compared and ANDed; float kernels keep Go's comparison semantics, so
+// NaN matches exactly as in the scalar path.
 //
 // Before a block's kernel runs, its zone map (per-block min/max, see
 // data/zonemap.go) is consulted: a block whose range provably cannot
@@ -110,105 +114,106 @@ func (cp *compiledPred) refine(sel []int32) []int32 {
 
 // rangeKernel is the (Kind × CmpOp) dispatch table's hot half: one tight
 // loop per operator over the typed value slice, with the comparison
-// constants hoisted out of the loop. The default arm mirrors
-// Pred.Matches: an unknown operator matches nothing.
+// constants hoisted out of the loop. Each loop is branch-free per row: it
+// stores every row id and advances the output by the comparison's 0 or 1,
+// so no row's value decides a jump. The default arm mirrors Pred.Matches:
+// an unknown operator matches nothing.
 func rangeKernel[T number](v []T, lo, hi int32, op query.CmpOp, a, b T, sel []int32) []int32 {
+	n := len(sel)
+	sel = slices.Grow(sel, int(hi-lo))[:n+int(hi-lo)]
+	out, k := sel[n:], 0
 	switch op {
 	case query.Eq:
-		for i := lo; i < hi; i++ {
-			if v[i] == a {
-				sel = append(sel, i)
-			}
+		for i, x := range v[lo:hi] {
+			out[k] = lo + int32(i)
+			k += b2i(x == a)
 		}
 	case query.Ne:
-		for i := lo; i < hi; i++ {
-			if v[i] != a {
-				sel = append(sel, i)
-			}
+		for i, x := range v[lo:hi] {
+			out[k] = lo + int32(i)
+			k += b2i(x != a)
 		}
 	case query.Lt:
-		for i := lo; i < hi; i++ {
-			if v[i] < a {
-				sel = append(sel, i)
-			}
+		for i, x := range v[lo:hi] {
+			out[k] = lo + int32(i)
+			k += b2i(x < a)
 		}
 	case query.Le:
-		for i := lo; i < hi; i++ {
-			if v[i] <= a {
-				sel = append(sel, i)
-			}
+		for i, x := range v[lo:hi] {
+			out[k] = lo + int32(i)
+			k += b2i(x <= a)
 		}
 	case query.Gt:
-		for i := lo; i < hi; i++ {
-			if v[i] > a {
-				sel = append(sel, i)
-			}
+		for i, x := range v[lo:hi] {
+			out[k] = lo + int32(i)
+			k += b2i(x > a)
 		}
 	case query.Ge:
-		for i := lo; i < hi; i++ {
-			if v[i] >= a {
-				sel = append(sel, i)
-			}
+		for i, x := range v[lo:hi] {
+			out[k] = lo + int32(i)
+			k += b2i(x >= a)
 		}
 	case query.Between:
-		for i := lo; i < hi; i++ {
-			if x := v[i]; x >= a && x <= b {
-				sel = append(sel, i)
-			}
+		for i, x := range v[lo:hi] {
+			out[k] = lo + int32(i)
+			k += b2i(x >= a) & b2i(x <= b)
 		}
 	}
-	return sel
+	return sel[:n+k]
 }
 
 // refineKernel is rangeKernel over an existing selection vector,
-// compacting it in place.
+// compacting it in place: an entry is stored at the output position
+// before its comparison decides whether the position advances.
 func refineKernel[T number](v []T, op query.CmpOp, a, b T, sel []int32) []int32 {
-	out := sel[:0]
+	k := 0
 	switch op {
 	case query.Eq:
 		for _, i := range sel {
-			if v[i] == a {
-				out = append(out, i)
-			}
+			sel[k] = i
+			k += b2i(v[i] == a)
 		}
 	case query.Ne:
 		for _, i := range sel {
-			if v[i] != a {
-				out = append(out, i)
-			}
+			sel[k] = i
+			k += b2i(v[i] != a)
 		}
 	case query.Lt:
 		for _, i := range sel {
-			if v[i] < a {
-				out = append(out, i)
-			}
+			sel[k] = i
+			k += b2i(v[i] < a)
 		}
 	case query.Le:
 		for _, i := range sel {
-			if v[i] <= a {
-				out = append(out, i)
-			}
+			sel[k] = i
+			k += b2i(v[i] <= a)
 		}
 	case query.Gt:
 		for _, i := range sel {
-			if v[i] > a {
-				out = append(out, i)
-			}
+			sel[k] = i
+			k += b2i(v[i] > a)
 		}
 	case query.Ge:
 		for _, i := range sel {
-			if v[i] >= a {
-				out = append(out, i)
-			}
+			sel[k] = i
+			k += b2i(v[i] >= a)
 		}
 	case query.Between:
 		for _, i := range sel {
-			if x := v[i]; x >= a && x <= b {
-				out = append(out, i)
-			}
+			sel[k] = i
+			k += b2i(v[i] >= a) & b2i(v[i] <= b)
 		}
 	}
-	return out
+	return sel[:k]
+}
+
+// b2i is 1 for true and 0 for false: a SETcc, not a jump.
+func b2i(c bool) int {
+	var i int
+	if c {
+		i = 1
+	}
+	return i
 }
 
 // cmpFloat is the scalar fallback comparison for the mixed-kind family,

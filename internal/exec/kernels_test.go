@@ -222,29 +222,80 @@ func TestBlockFilterNoPreds(t *testing.T) {
 	}
 }
 
+// withExtremes moves p's literals, and about a quarter of the rows of an
+// Int column c, onto int64's edges, where a compare that subtracts or
+// converts would wrap. A Between gets two distinct edges, in order, or
+// with empty reversed: a > b, an empty range whose bounds may straddle
+// the whole domain.
+func withExtremes(rng *rand.Rand, c *data.Column, p query.Pred, empty bool) query.Pred {
+	if c.Kind == data.Float {
+		return p
+	}
+	edges := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	if c.Kind == data.Int {
+		for i := range c.Ints {
+			if rng.Intn(4) == 0 {
+				c.Ints[i] = edges[rng.Intn(len(edges))]
+			}
+		}
+	}
+	p.Val = data.IntVal(edges[rng.Intn(len(edges))])
+	if p.Op == query.Between {
+		i, j := rng.Intn(len(edges)), rng.Intn(len(edges)-1)
+		if j >= i {
+			j++
+		}
+		a, b := edges[min(i, j)], edges[max(i, j)]
+		if empty {
+			a, b = b, a
+		}
+		p.Val, p.Val2 = data.IntVal(a), data.IntVal(b)
+	}
+	return p
+}
+
 // FuzzKernelsMatchScalar fuzzes the kernel ≡ matchesAll equivalence from
 // a random seed: the seed derives a column (kind, length, values) and a
-// predicate, and the vectorized and scalar paths must agree.
+// predicate, and the vectorized and scalar paths must agree. op2 below
+// len(allOps) adds a second conjunct over a second column, which refines
+// the first's selection in place (refineKernel); a nonzero edges puts
+// int64's extremes into the int literals and rows (withExtremes), bit 1
+// asking for an empty Between.
 func FuzzKernelsMatchScalar(f *testing.F) {
-	f.Add(int64(1), uint16(0), uint8(0), uint8(0))
-	f.Add(int64(2), uint16(1), uint8(1), uint8(6))
-	f.Add(int64(3), uint16(data.ZoneBlockSize), uint8(2), uint8(3))
-	f.Add(int64(4), uint16(data.ZoneBlockSize+1), uint8(0), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, n16 uint16, kindByte, opByte uint8) {
+	f.Add(int64(1), uint16(0), uint8(0), uint8(0), uint8(7), uint8(0))
+	f.Add(int64(2), uint16(1), uint8(1), uint8(6), uint8(7), uint8(0))
+	f.Add(int64(3), uint16(data.ZoneBlockSize), uint8(2), uint8(3), uint8(7), uint8(0))
+	f.Add(int64(4), uint16(data.ZoneBlockSize+1), uint8(0), uint8(2), uint8(7), uint8(0))
+	f.Add(int64(5), uint16(2*data.ZoneBlockSize+1), uint8(0), uint8(6), uint8(6), uint8(0))
+	f.Add(int64(6), uint16(data.ZoneBlockSize+9), uint8(2), uint8(2), uint8(1<<3|4), uint8(0))
+	f.Add(int64(7), uint16(2*data.ZoneBlockSize+1), uint8(0), uint8(6), uint8(7), uint8(3))
+	f.Add(int64(8), uint16(data.ZoneBlockSize+3), uint8(0), uint8(6), uint8(6), uint8(1))
+	f.Add(int64(9), uint16(700), uint8(2), uint8(2), uint8(3), uint8(1))
+	f.Add(int64(10), uint16(data.ZoneBlockSize+5), uint8(0), uint8(0), uint8(6), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, n16 uint16, kindByte, opByte, op2, edges uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(n16) % (2*data.ZoneBlockSize + 3)
-		op := allOps[int(opByte)%len(allOps)]
-		var c *data.Column
-		switch kindByte % 3 {
-		case 0:
-			c = randIntCol(rng, n)
-		case 1:
-			c = randFloatCol(rng, n, n > data.ZoneBlockSize && seed%2 == 0)
-		default:
-			c = randStringCol(rng, n)
+		col := func(kind uint8) *data.Column {
+			switch kind % 3 {
+			case 0:
+				return randIntCol(rng, n)
+			case 1:
+				return randFloatCol(rng, n, n > data.ZoneBlockSize && seed%2 == 0)
+			default:
+				return randStringCol(rng, n)
+			}
 		}
-		p := randPred(rng, c, op)
-		checkEquiv(t, rng, []*data.Column{c}, []query.Pred{p}, n,
-			fmt.Sprintf("seed=%d n=%d kind=%d op=%s", seed, n, kindByte%3, op))
+		cols := []*data.Column{col(kindByte)}
+		preds := []query.Pred{randPred(rng, cols[0], allOps[int(opByte)%len(allOps)])}
+		if op := int(op2) % 8; op < len(allOps) {
+			cols = append(cols, col(op2>>3))
+			preds = append(preds, randPred(rng, cols[1], allOps[op]))
+		}
+		if edges != 0 {
+			for i := range preds {
+				preds[i] = withExtremes(rng, cols[i], preds[i], edges&2 != 0)
+			}
+		}
+		checkEquiv(t, rng, cols, preds, n, fmt.Sprintf("seed=%d n=%d preds=%v", seed, n, preds))
 	})
 }

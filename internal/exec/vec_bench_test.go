@@ -21,13 +21,17 @@ const benchRows = 1 << 20 // 1M rows, 1024 zone blocks
 
 // benchCatalog builds a single 1M-row table with a clustered sequential
 // id column (zone maps prune almost everything for selective ranges) and
-// an unclustered val column (zone maps prune nothing).
+// an unclustered val column of uniform draws from [0, 1000) (zone maps
+// prune nothing). The draws are pseudo-random: an arithmetic sequence
+// such as i·c mod 1000 is periodic enough for a branch predictor to
+// learn, which would hide the mispredicts a real column costs.
 func benchCatalog() (*data.Catalog, *query.Query) {
 	id := &data.Column{Name: "id", Kind: data.Int}
 	val := &data.Column{Name: "val", Kind: data.Int}
+	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < benchRows; i++ {
 		id.Ints = append(id.Ints, int64(i))
-		val.Ints = append(val.Ints, int64(i*2654435761%1000))
+		val.Ints = append(val.Ints, int64(rng.Intn(1000)))
 	}
 	cat := data.NewCatalog()
 	cat.Add(data.NewTable("t", id, val))
@@ -65,17 +69,49 @@ func BenchmarkFilterScanVec(b *testing.B) {
 	}
 }
 
-// benchKernelOnly isolates the filter kernel from plan/operator overhead:
-// one blockFilter pass over the table vs. the scalar row loop.
+// BenchmarkFilterKernelVec isolates the filter kernels from plan and
+// operator overhead: one blockFilter pass over the 1M-row table, a batch
+// of selected row ids at a time, as a scan takes them. The id cell is a
+// 1 % range over the clustered column, where zone maps prune all but a
+// few blocks, so it mostly times pruning. The val cells run the kernels
+// over every block of the unclustered column at about 10, 50 and 90 %
+// selectivity, where a loop that branched on each comparison would
+// mispredict most at 50 %; the refine cell keeps 90 % with its first
+// conjunct and refines that to 50 %.
 func BenchmarkFilterKernelVec(b *testing.B) {
 	cat, q := benchCatalog()
-	cols := []*data.Column{cat.Table("t").Column("id")}
-	bf := newBlockFilter(cols, q.Preds, benchRows)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sel []int32
-	for i := 0; i < b.N; i++ {
-		sel, _, _ = bf.filterBlocks(context.Background(), 0, benchRows, benchRows, sel[:0])
+	t := cat.Table("t")
+	onVal := func(op query.CmpOp, a, z int64) query.Pred {
+		return query.Pred{Alias: "t", Column: "val", Op: op, Val: data.IntVal(a), Val2: data.IntVal(z)}
+	}
+	type cell struct {
+		name  string
+		preds []query.Pred
+	}
+	cells := []cell{{"id/between/1%", q.Preds}}
+	for _, pct := range []int64{10, 50, 90} {
+		cells = append(cells,
+			cell{fmt.Sprintf("val/lt/%d%%", pct), []query.Pred{onVal(query.Lt, pct*10, 0)}},
+			cell{fmt.Sprintf("val/between/%d%%", pct), []query.Pred{onVal(query.Between, 500-pct*5, 500+pct*5-1)}})
+	}
+	cells = append(cells, cell{"val/refine/90%-then-50%", []query.Pred{onVal(query.Lt, 900, 0), onVal(query.Ge, 400, 0)}})
+	for _, c := range cells {
+		b.Run(c.name, func(b *testing.B) {
+			cols, err := bindPredCols(nil, t, c.preds)
+			if err != nil {
+				b.Fatal(err)
+			}
+			bf := newBlockFilter(cols, c.preds, benchRows)
+			var sel []int32
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for lo := 0; lo < benchRows; {
+					sel, lo, _ = bf.filterBlocks(context.Background(), lo, benchRows, DefaultBatchSize, sel[:0])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchRows), "ns/row")
+		})
 	}
 }
 
@@ -156,11 +192,11 @@ func BenchmarkKeyGatherComposite(b *testing.B) {
 // of distinct keys, by build size (cache-resident to not) and by the share
 // of probe rows that find their one match (10 % is the regime the
 // exec_heavy workload runs in: 6.7 % of its probe rows match). Each grid
-// cell gathers both input columns of every match, as a join whose
-// consumer reads both sides does; the count-only cell gathers none, as
-// the root join of a COUNT(*) plan. Every batch's output is dead before
-// the next, so the vectors are reused and the steady state allocates
-// nothing.
+// point has two cells. The plain one lists every match and gathers both
+// input columns, as a join whose consumer reads both sides does; the
+// /count one runs joinTable.count, as the root join of a COUNT(*) plan,
+// which lists nothing. Every batch's output is dead before the next, so
+// the vectors are reused and the steady state allocates nothing.
 //
 // The scan cells (scan=N/build=b/…) run a COUNT(*) hash join of an N-row
 // predicate-free scan, indexed on its key, with a b-row build (see
@@ -177,9 +213,9 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 	scanJoinCells(b, 6000, 90)
 	const nProbe = 1 << 16
 	type cell struct {
-		name      string
-		n, match  int
-		countOnly bool
+		name     string
+		n, match int
+		count    bool
 	}
 	var cells []cell
 	for _, size := range []struct {
@@ -187,10 +223,10 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 		n    int
 	}{{"16", 16}, {"1k", 1 << 10}, {"64k", 1 << 16}} {
 		for _, match := range []int{1, 10, 50, 100} {
-			cells = append(cells, cell{fmt.Sprintf("build=%s/match=%d%%", size.name, match), size.n, match, false})
+			name := fmt.Sprintf("build=%s/match=%d%%", size.name, match)
+			cells = append(cells, cell{name, size.n, match, false}, cell{name + "/count", size.n, match, true})
 		}
 	}
-	cells = append(cells, cell{"build=1k/match=10%/count-only", 1 << 10, 10, true})
 	for _, c := range cells {
 		b.Run(c.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(15))
@@ -228,11 +264,14 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pkeys = g.gather(probe, 0, nProbe, pkeys)
 				for lo := 0; lo < nProbe; lo += DefaultBatchSize {
-					pidx, bidx, _ = tab.probe(probe, lo, pkeys[lo:lo+DefaultBatchSize], pidx[:0], bidx[:0], math.MaxInt)
-					if !c.countOnly {
-						outP = gatherRows(outP[:0], probe[0], pidx)
-						outB = gatherRows(outB[:0], build[0], bidx)
+					if c.count {
+						m, _ := tab.count(probe, lo, pkeys[lo:lo+DefaultBatchSize], math.MaxInt)
+						emitted += m
+						continue
 					}
+					pidx, bidx, _ = tab.probe(probe, lo, pkeys[lo:lo+DefaultBatchSize], pidx[:0], bidx[:0], math.MaxInt)
+					outP = gatherRows(outP[:0], probe[0], pidx)
+					outB = gatherRows(outB[:0], build[0], bidx)
 					emitted += len(bidx)
 				}
 			}
