@@ -6,8 +6,9 @@
 #   make race    — full suite under the race detector
 #   make fuzz    — short fuzz smoke over the SQL parser, key encoding,
 #                  the statement cache's and the plan binding's staleness
-#                  rules, the hash-join table, the join's index probe and
-#                  the scan filter kernels
+#                  rules, the hash-join table, the join's index probe,
+#                  the scan filter kernels and the planner's estimation
+#                  question (graph answer vs per-mask answer)
 #   make verify  — what CI runs: build + vet + lint + tests + race + fuzz
 #                  smoke, then staticcheck & govulncheck (skipped offline)
 #   make bench   — regenerate every experiment table (E1..E10, E14..E16)
@@ -79,6 +80,7 @@ fuzz:
 	$(GO) test ./internal/exec/ -run '^$$' -fuzz FuzzJoinTable -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/exec/ -run '^$$' -fuzz FuzzIndexProbeJoin -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/exec/ -run '^$$' -fuzz FuzzKernelsMatchScalar -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/opt/ -run '^$$' -fuzz FuzzEstimateGraph -fuzztime $(FUZZTIME)
 
 verify: build vet lint test race fuzz staticcheck govulncheck
 

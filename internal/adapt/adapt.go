@@ -25,6 +25,7 @@
 package adapt
 
 import (
+	"context"
 	"sync/atomic"
 
 	"lqo/internal/metrics"
@@ -69,19 +70,17 @@ func (s *Swappable) Estimate(q *query.Query) float64 {
 	return metrics.ClampCard(s.ptr.Load().est.Estimate(q))
 }
 
-// EstimateGraph implements opt.GraphEstimator by forwarding to the
-// currently published estimator, loaded once so that every mask of the
-// graph comes from one model, clamping like Estimate. It reports false
-// when that estimator cannot answer a graph.
-func (s *Swappable) EstimateGraph(g *query.JoinGraph, cards []float64) bool {
-	ge, ok := s.ptr.Load().est.(opt.GraphEstimator)
-	if !ok || !ge.EstimateGraph(g, cards) {
-		return false
+// EstimateGraph implements opt.GraphEstimator by asking the currently
+// published estimator (opt.EstimateGraph), loaded once so that every mask
+// of the graph comes from one model, clamping like Estimate.
+func (s *Swappable) EstimateGraph(ctx context.Context, g *query.JoinGraph, cards []float64) error {
+	if err := opt.EstimateGraph(ctx, s.ptr.Load().est, g, cards); err != nil {
+		return err
 	}
 	for m, c := range cards {
 		cards[m] = metrics.ClampCard(c)
 	}
-	return true
+	return nil
 }
 
 // Current returns the currently published estimator.

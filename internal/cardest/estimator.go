@@ -7,6 +7,7 @@
 package cardest
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -177,11 +178,11 @@ func (f *formula) Estimate(q *query.Query) float64 {
 // rows·selectivity (NaN without statistics, which clampTo turns into
 // joinFormula's 0), a join's divisor and a table's row count are
 // computed once, and each mask multiplies and divides them in its
-// sub-query's clause order, as joinFormula and clampCard do. It reports
-// false before training.
-func (f *formula) EstimateGraph(g *query.JoinGraph, cards []float64) bool {
+// sub-query's clause order, as joinFormula and clampCard do. It fails
+// before training.
+func (f *formula) EstimateGraph(_ context.Context, g *query.JoinGraph, cards []float64) error {
 	if f.cs == nil {
-		return false
+		return fmt.Errorf("cardest: a join graph estimated before training")
 	}
 	q := g.Query()
 	refBits, joinBits := g.ClauseBits()
@@ -216,7 +217,7 @@ func (f *formula) EstimateGraph(g *query.JoinGraph, cards []float64) bool {
 		}
 		cards[m] = clampTo(card, max)
 	}
-	return true
+	return nil
 }
 
 func columnDistinct(cs *stats.CatalogStats, table, col string) float64 {

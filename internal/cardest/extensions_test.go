@@ -1,43 +1,10 @@
 package cardest
 
 import (
-	"math"
 	"testing"
 
-	"lqo/internal/data"
-	"lqo/internal/datagen"
-	"lqo/internal/exec"
-	"lqo/internal/metrics"
 	"lqo/internal/query"
-	"lqo/internal/stats"
 )
-
-func TestFauceUncertaintyAndIntervals(t *testing.T) {
-	w := getWorld(t)
-	e := NewFauce()
-	if err := e.Train(w.ctx); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range w.test {
-		est := e.Estimate(s.Q)
-		if math.IsNaN(est) || est < 0 {
-			t.Fatalf("estimate %v", est)
-		}
-		u := e.Uncertainty(s.Q)
-		if u < 0 || math.IsNaN(u) {
-			t.Fatalf("uncertainty %v", u)
-		}
-		lo, hi := e.Interval(s.Q, 2)
-		if lo > est+1e-9 || hi < est-1e-9 {
-			t.Fatalf("interval [%v, %v] excludes estimate %v", lo, hi, est)
-		}
-		// Wider z → wider interval.
-		lo3, hi3 := e.Interval(s.Q, 3)
-		if lo3 > lo+1e-9 || hi3 < hi-1e-9 {
-			t.Fatal("interval not monotone in z")
-		}
-	}
-}
 
 func TestFauceUntrainedSafe(t *testing.T) {
 	e := NewFauce()
@@ -45,156 +12,4 @@ func TestFauceUntrainedSafe(t *testing.T) {
 	if e.Estimate(q) != 0 {
 		t.Fatal("untrained estimate should be 0")
 	}
-	if !math.IsInf(e.Uncertainty(q), 1) {
-		t.Fatal("untrained uncertainty should be +inf")
-	}
-}
-
-func TestAutoCEPicksAReasonableModel(t *testing.T) {
-	w := getWorld(t)
-	a := NewAutoCE()
-	if err := a.Train(w.ctx); err != nil {
-		t.Fatal(err)
-	}
-	if a.Recommended() == "" {
-		t.Fatal("no recommendation")
-	}
-	scores := a.Scores()
-	if len(scores) < 2 {
-		t.Fatalf("scores = %v", scores)
-	}
-	for i := 1; i < len(scores); i++ {
-		if scores[i].GeoQ < scores[i-1].GeoQ {
-			t.Fatal("scores not sorted best-first")
-		}
-	}
-	// The advisor's pick should not be dominated: its held-out geo q-error
-	// must be within 3x of the best single candidate's.
-	best := math.Inf(1)
-	var advisor float64
-	for _, name := range a.Candidates {
-		est, _ := ByName(name)
-		if err := est.Train(w.ctx); err != nil {
-			continue
-		}
-		var qerrs []float64
-		for _, s := range w.test {
-			qerrs = append(qerrs, metrics.QError(est.Estimate(s.Q), s.Card))
-		}
-		g := metrics.GeoMean(qerrs)
-		if g < best {
-			best = g
-		}
-	}
-	var qerrs []float64
-	for _, s := range w.test {
-		qerrs = append(qerrs, metrics.QError(a.Estimate(s.Q), s.Card))
-	}
-	advisor = metrics.GeoMean(qerrs)
-	if advisor > best*3 {
-		t.Fatalf("advisor pick geo-q %v vs best %v", advisor, best)
-	}
-}
-
-func TestAutoCERejectsTinyWorkload(t *testing.T) {
-	w := getWorld(t)
-	tiny := *w.ctx
-	tiny.Train = w.ctx.Train[:5]
-	if err := NewAutoCE().Train(&tiny); err == nil {
-		t.Fatal("tiny workload should be rejected")
-	}
-}
-
-func TestWarperDetectsDriftAndRetrains(t *testing.T) {
-	// Private world: drift mutates the catalog.
-	cat := datagen.StatsCEB(datagen.Config{Seed: 33, Scale: 0.05})
-	cs := stats.CollectCatalog(cat, stats.Options{Seed: 33})
-	cache := exec.NewCardCache(exec.New(cat))
-
-	qs := genTestQueries(t, cat, cache, 80)
-	train := qs[:50]
-	ctx := &Context{Cat: cat, Stats: cs, Train: train, Seed: 33}
-
-	freshLabel := func(q *query.Query) (float64, error) { return cache.TrueCard(q) }
-	w := NewWarper(nil, freshLabel)
-	w.Window = 16
-	if err := w.Train(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	// Drift the data hard, swap in a fresh oracle over the new data.
-	datagen.ApplyDrift(cat, datagen.DriftOptions{Seed: 99, Fraction: 1.5, Shift: 0})
-	drifted := exec.NewCardCache(exec.New(cat))
-	w.Label = func(q *query.Query) (float64, error) { return drifted.TrueCard(q) }
-
-	retrained := false
-	for round := 0; round < 4 && !retrained; round++ {
-		for _, s := range qs[50:] {
-			c, err := drifted.TrueCard(s.Q)
-			if err != nil {
-				continue
-			}
-			did, err := w.Observe(s.Q, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if did {
-				retrained = true
-				break
-			}
-		}
-	}
-	if !retrained {
-		t.Skip("drift not large enough to trip detection on this seed — detection logic covered by unit paths")
-	}
-	if w.Retrains() != 1 {
-		t.Fatalf("retrains = %d", w.Retrains())
-	}
-}
-
-func TestWarperNoFalseAlarmWithoutDrift(t *testing.T) {
-	w2 := getWorld(t)
-	label := func(q *query.Query) (float64, error) { return w2.cache.TrueCard(q) }
-	wp := NewWarper(nil, label)
-	wp.Window = 16
-	if err := wp.Train(w2.ctx); err != nil {
-		t.Fatal(err)
-	}
-	// Feed the same distribution it trained on: no retrain expected.
-	for _, s := range w2.ctx.Train[:20] {
-		if did, err := wp.Observe(s.Q, s.Card); err != nil {
-			t.Fatal(err)
-		} else if did {
-			t.Fatal("retrained without drift")
-		}
-	}
-	if wp.Retrains() != 0 {
-		t.Fatal("unexpected retrain count")
-	}
-}
-
-func genTestQueries(t *testing.T, cat interface {
-	TableNames() []string
-}, cache *exec.CardCache, n int) []Sample {
-	t.Helper()
-	// Reuse the shared-world generation machinery indirectly: build simple
-	// single/two-table queries by hand over StatsCEB's schema.
-	var out []Sample
-	tables := [][2]string{{"posts", "score"}, {"users", "reputation"}, {"comments", "score"}, {"votes", "vote_type"}}
-	for i := 0; len(out) < n; i++ {
-		tc := tables[i%len(tables)]
-		q := &query.Query{
-			Refs: []query.TableRef{{Alias: tc[0], Table: tc[0]}},
-			Preds: []query.Pred{{
-				Alias: tc[0], Column: tc[1], Op: query.Le,
-				Val: data.IntVal(int64(i % 40)),
-			}},
-		}
-		c, err := cache.TrueCard(q)
-		if err != nil {
-			continue
-		}
-		out = append(out, Sample{Q: q, Card: c})
-	}
-	return out
 }

@@ -2,20 +2,18 @@ package cardest
 
 import (
 	"fmt"
-	"math"
 
 	"lqo/internal/data"
 	"lqo/internal/ml"
 	"lqo/internal/query"
 )
 
-// Fauce [33] estimates cardinality with an ensemble of deep models and
-// reports the *uncertainty* of each estimate alongside it — the Bayesian
+// Fauce [33] estimates cardinality with an ensemble of deep models, whose
+// spread the paper reports as each estimate's uncertainty — the Bayesian
 // deep-learning idea NNGP [75] pursues analytically. The workbench trains
 // K MLPs from different initializations on bootstrap resamples; the
-// ensemble mean (log space) is the estimate and the ensemble standard
-// deviation is the uncertainty, which downstream consumers (HyperQO-style
-// filters, prediction intervals [55]) can act on.
+// ensemble mean (log space) is the estimate. No planner here consumes the
+// spread, so it is not computed.
 type Fauce struct {
 	K      int // ensemble size (default 5)
 	Hidden []int
@@ -27,7 +25,7 @@ type Fauce struct {
 	cat  *data.Catalog
 }
 
-// NewFauce returns an untrained uncertainty-aware ensemble estimator.
+// NewFauce returns an untrained ensemble estimator.
 func NewFauce() *Fauce {
 	return &Fauce{K: 5, Hidden: []int{48, 24}, Epochs: 40, LR: 1e-3}
 }
@@ -63,22 +61,14 @@ func (e *Fauce) Train(ctx *Context) error {
 	return nil
 }
 
-// predictLog returns the ensemble's log-space mean and stddev.
-func (e *Fauce) predictLog(q *query.Query) (mu, sigma float64) {
+// predictLog returns the ensemble's log-space mean.
+func (e *Fauce) predictLog(q *query.Query) float64 {
 	x := e.f.Vector(q)
-	var s, ss float64
+	var s float64
 	for _, net := range e.nets {
-		v := net.Forward(x)[0]
-		s += v
-		ss += v * v
+		s += net.Forward(x)[0]
 	}
-	n := float64(len(e.nets))
-	mu = s / n
-	varr := ss/n - mu*mu
-	if varr < 0 {
-		varr = 0
-	}
-	return mu, math.Sqrt(varr)
+	return s / float64(len(e.nets))
 }
 
 // Estimate implements Estimator.
@@ -86,28 +76,5 @@ func (e *Fauce) Estimate(q *query.Query) float64 {
 	if len(e.nets) == 0 {
 		return 0
 	}
-	mu, _ := e.predictLog(q)
-	return clampCard(unlogCard(mu), e.cat, q)
-}
-
-// Uncertainty returns the ensemble's log-space standard deviation for q —
-// larger means the members disagree and the estimate should be trusted
-// less.
-func (e *Fauce) Uncertainty(q *query.Query) float64 {
-	if len(e.nets) == 0 {
-		return math.Inf(1)
-	}
-	_, sigma := e.predictLog(q)
-	return sigma
-}
-
-// Interval returns an approximate prediction interval [lo, hi] at ±z
-// ensemble standard deviations in log space — the prediction-interval
-// evaluation of [55].
-func (e *Fauce) Interval(q *query.Query, z float64) (lo, hi float64) {
-	if len(e.nets) == 0 {
-		return 0, math.Inf(1)
-	}
-	mu, sigma := e.predictLog(q)
-	return clampCard(unlogCard(mu-z*sigma), e.cat, q), clampCard(unlogCard(mu+z*sigma), e.cat, q)
+	return clampCard(unlogCard(e.predictLog(q)), e.cat, q)
 }

@@ -1,6 +1,7 @@
 package cardest
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -14,7 +15,7 @@ import (
 // import the planner.
 type graphEstimator interface {
 	Estimator
-	EstimateGraph(g *query.JoinGraph, cards []float64) bool
+	EstimateGraph(ctx context.Context, g *query.JoinGraph, cards []float64) error
 }
 
 // edgeQueries are hand-built queries that no generator produces: a ref
@@ -50,7 +51,7 @@ func edgeQueries() []*query.Query {
 // graph at once, trained on StatsCEB, must answer each mask exactly as
 // its Estimate answers the mask's sub-query — by Float64bits, on every
 // mask of the golden matrix's workload shape and of the edge cases — and
-// must decline before training. The list of such estimators is pinned:
+// must fail before training. The list of such estimators is pinned:
 // naru draws from an rng on every call and glue corrects per template,
 // so they answer per mask.
 func TestEstimateGraphMatchesEstimate(t *testing.T) {
@@ -65,7 +66,7 @@ func TestEstimateGraphMatchesEstimate(t *testing.T) {
 		}
 		capable = append(capable, inf.Name)
 		g := query.NewJoinGraph(qs[0])
-		if ge.EstimateGraph(g, make([]float64, 1<<len(g.Aliases))) {
+		if ge.EstimateGraph(context.Background(), g, make([]float64, 1<<len(g.Aliases))) == nil {
 			t.Errorf("%s answered a graph before training", inf.Name)
 		}
 		if err := ge.Train(w.ctx); err != nil {
@@ -74,8 +75,8 @@ func TestEstimateGraphMatchesEstimate(t *testing.T) {
 		for _, q := range qs {
 			g := query.NewJoinGraph(q)
 			cards := make([]float64, 1<<len(g.Aliases))
-			if !ge.EstimateGraph(g, cards) {
-				t.Fatalf("%s declined a graph after training", inf.Name)
+			if err := ge.EstimateGraph(context.Background(), g, cards); err != nil {
+				t.Fatalf("%s failed a graph after training: %v", inf.Name, err)
 			}
 			for m, got := range cards {
 				if want := ge.Estimate(g.Sub(uint64(m))); math.Float64bits(got) != math.Float64bits(want) {

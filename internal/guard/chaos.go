@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lqo/internal/learnedopt"
+	"lqo/internal/opt"
 	"lqo/internal/plan"
 	"lqo/internal/query"
 )
@@ -111,15 +112,9 @@ func (in *Injector) Injected() (calls, faults int64) {
 // its vocabulary — a panic is).
 var estimatorFaults = []Fault{FaultNaN, FaultInf, FaultZero, FaultHuge, FaultPanic, FaultHang}
 
-// CardEstimator matches opt.CardEstimator without importing it (avoids
-// coupling; opt's interface is structural).
-type CardEstimator interface {
-	Estimate(q *query.Query) float64
-}
-
 // ChaosEstimator wraps a cardinality estimator with fault injection.
 type ChaosEstimator struct {
-	Base CardEstimator
+	Base opt.CardEstimator
 	In   *Injector
 }
 

@@ -96,31 +96,16 @@ func (o *Optimizer) optimizeDP(ctx context.Context, g *query.JoinGraph) (*plan.N
 }
 
 // estimateAll returns the sanitized estimate of every alias subset of g,
-// indexed by mask, before any subset is enumerated. Every mask is
-// estimated, connected or not: skipping the disconnected ones would
-// change which plans exist. A GraphEstimator answers in one call; any
-// other estimator is asked once per mask on the Subs() slab, singletons
-// in alias order first, then the larger masks in ascending order, with
-// the context checked every 64 masks.
+// indexed by mask, before any subset is enumerated (EstimateGraph).
+// Every mask is estimated, connected or not: skipping the disconnected
+// ones would change which plans exist.
 func (o *Optimizer) estimateAll(ctx context.Context, g *query.JoinGraph) ([]float64, error) {
 	cards := make([]float64, 1<<uint(len(g.Aliases)))
-	if ge, ok := o.Est.(GraphEstimator); ok && ge.EstimateGraph(g, cards) {
-		for m, c := range cards {
-			cards[m] = metrics.SanitizeCard(c)
-		}
-		return cards, nil
+	if err := EstimateGraph(ctx, o.Est, g, cards); err != nil {
+		return nil, err
 	}
-	subs := g.Subs()
-	for i := range g.Aliases {
-		cards[1<<uint(i)] = o.estimate(&subs[1<<uint(i)])
-	}
-	for mask := 1; mask < len(subs); mask++ {
-		if mask%64 == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if bits.OnesCount(uint(mask)) >= 2 {
-			cards[mask] = o.estimate(&subs[mask])
-		}
+	for m, c := range cards {
+		cards[m] = metrics.SanitizeCard(c)
 	}
 	return cards, nil
 }

@@ -27,21 +27,18 @@ func (r *keyRecorder) Estimate(q *query.Query) float64 {
 }
 
 // graphRecorder is a keyRecorder that also has the graph method, which
-// answers 1 for every mask or declines, and counts its calls.
+// answers 1 for every mask, and counts its calls.
 type graphRecorder struct {
 	keyRecorder
-	answer bool
 	graphs int
 }
 
-func (r *graphRecorder) EstimateGraph(g *query.JoinGraph, cards []float64) bool {
+func (r *graphRecorder) EstimateGraph(_ context.Context, g *query.JoinGraph, cards []float64) error {
 	r.graphs++
-	if r.answer {
-		for m := range cards {
-			cards[m] = 1
-		}
+	for m := range cards {
+		cards[m] = 1
 	}
-	return r.answer
+	return nil
 }
 
 // sevenWay joins seven aliases in a tree (users twice), so the DP walks
@@ -59,10 +56,10 @@ func sevenWay() *query.Query {
 	return q
 }
 
-// TestEstimateAllOrder: an estimator without the graph method, or whose
-// graph method declines, is asked about every mask once — the
-// singletons in alias order, then the larger masks in ascending order —
-// and one that answers the graph is asked nothing else. A context
+// TestEstimateAllOrder: an estimator without the graph method is asked
+// about every non-empty mask once — the singletons in alias order, then
+// the larger masks in ascending order — and one that answers the graph is
+// asked nothing else. A context
 // canceled by the first estimate stops the DP at its check on mask 64,
 // after the seven singletons and the 57 larger masks below 64.
 func TestEstimateAllOrder(t *testing.T) {
@@ -77,12 +74,12 @@ func TestEstimateAllOrder(t *testing.T) {
 			want = append(want, g.Key(m))
 		}
 	}
-	plain, declines, answers := &keyRecorder{}, &graphRecorder{}, &graphRecorder{answer: true}
+	plain, answers := &keyRecorder{}, &graphRecorder{}
 	for _, c := range []struct {
 		est  CardEstimator
 		rec  *keyRecorder
 		want []string
-	}{{plain, plain, want}, {declines, &declines.keyRecorder, want}, {answers, &answers.keyRecorder, nil}} {
+	}{{plain, plain, want}, {answers, &answers.keyRecorder, nil}} {
 		if _, err := f.opt.WithEstimator(c.est).enumerate(context.Background(), g); err != nil {
 			t.Fatal(err)
 		}
@@ -90,8 +87,8 @@ func TestEstimateAllOrder(t *testing.T) {
 			t.Errorf("%T asked about\n%q\nwant\n%q", c.est, c.rec.keys, c.want)
 		}
 	}
-	if declines.graphs != 1 || answers.graphs != 1 {
-		t.Errorf("graph method called %d and %d times, want once each", declines.graphs, answers.graphs)
+	if answers.graphs != 1 {
+		t.Errorf("graph method called %d times, want once", answers.graphs)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -269,7 +269,7 @@ func TestGoldenPlanIdentity(t *testing.T) {
 
 // goldenWorld is the golden matrix's catalog, its statistics, the
 // histogram-estimated base optimizer and the 320-query workload.
-func goldenWorld(t *testing.T) (*data.Catalog, *stats.CatalogStats, *Optimizer, []*query.Query) {
+func goldenWorld(t testing.TB) (*data.Catalog, *stats.CatalogStats, *Optimizer, []*query.Query) {
 	t.Helper()
 	cat := datagen.StatsCEB(datagen.Config{Seed: 7, Scale: 0.05})
 	cs := stats.CollectCatalog(cat, stats.Options{Seed: 7})

@@ -11,6 +11,7 @@ package opt
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"lqo/internal/cost"
@@ -27,16 +28,40 @@ type CardEstimator interface {
 	Estimate(q *query.Query) float64
 }
 
-// GraphEstimator is a CardEstimator that can answer a whole join graph in
+// GraphEstimator is a CardEstimator that answers a whole join graph in
 // one call: EstimateGraph sets cards[m] to exactly what Estimate(g.Sub(m))
-// returns, bit for bit, for every mask m < len(cards) == 1<<len(g.Aliases),
-// and reports true — or reports false when it cannot answer, and the
-// planner asks Estimate once per mask instead. Only an estimator whose
-// Estimate is a pure function of the sub-query may implement it: the
-// per-mask path's calls are then not observable.
+// returns, bit for bit, for every mask 0 < m < len(cards) ==
+// 1<<len(g.Aliases); cards[0], the empty set, is not part of the answer.
+// An error means no answer (before training, or ctx done). Only an
+// estimator whose Estimate is a pure function of the sub-query may
+// implement it, so which form is asked cannot be observed.
 type GraphEstimator interface {
 	CardEstimator
-	EstimateGraph(g *query.JoinGraph, cards []float64) bool
+	EstimateGraph(ctx context.Context, g *query.JoinGraph, cards []float64) error
+}
+
+// EstimateGraph answers g for est, as GraphEstimator specifies: through
+// est's graph method if it has one, else by asking est about every
+// non-empty mask on the Subs() slab, singletons in alias order first,
+// then larger masks in ascending order, checking ctx every 64 masks. It
+// is the one per-mask loop: a wrapper answers a graph by calling it.
+func EstimateGraph(ctx context.Context, est CardEstimator, g *query.JoinGraph, cards []float64) error {
+	if ge, ok := est.(GraphEstimator); ok {
+		return ge.EstimateGraph(ctx, g, cards)
+	}
+	subs := g.Subs()
+	for i := range g.Aliases {
+		cards[1<<uint(i)] = est.Estimate(&subs[1<<uint(i)])
+	}
+	for mask := 1; mask < len(subs); mask++ {
+		if mask%64 == 0 && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		if bits.OnesCount(uint(mask)) >= 2 {
+			cards[mask] = est.Estimate(&subs[mask])
+		}
+	}
+	return nil
 }
 
 // Optimizer plans SPJ queries over a catalog.

@@ -20,8 +20,9 @@ import (
 // store — harvested from a plan of the query through its graph, and from
 // a plan of a cross product of two of its tables through memoized labels,
 // which gives a pair no join edge connects — the overlay's answer for the
-// join graph equals its per-mask Estimate on every mask, truths included.
-// Over a base without the graph method it declines.
+// join graph equals its per-mask Estimate on every non-empty mask, truths
+// included, over a base that answers the graph and over one without the
+// graph method alike.
 func TestFeedbackOverlayGraphMatchesPerMask(t *testing.T) {
 	s, cat := newFixture(t, Config{})
 	q, err := sqlx.Parse("SELECT COUNT(*) FROM posts, users, comments, badges WHERE posts.owner_user_id = users.id"+
@@ -58,21 +59,20 @@ func TestFeedbackOverlayGraphMatchesPerMask(t *testing.T) {
 		t.Fatal("the cross product's pair is not in the store")
 	}
 
-	fe := s.opt.Est.(*feedbackEstimator)
 	cards := make([]float64, 1<<len(g.Aliases))
-	if !fe.EstimateGraph(g, cards) {
-		t.Fatal("the overlay declined a graph its base answers")
-	}
-	for m, got := range cards {
-		if want := fe.Estimate(g.Sub(uint64(m))); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("mask %b: graph %v, Estimate %v", m, got, want)
+	for _, fe := range []*feedbackEstimator{s.opt.Est.(*feedbackEstimator), {s: s, base: constEstimator{}}} {
+		if err := fe.EstimateGraph(context.Background(), g, cards); err != nil {
+			t.Fatalf("over %T: %v", fe.base, err)
 		}
-		if truth, ok := store[g.Key(uint64(m))]; ok && got != truth {
-			t.Errorf("mask %b: graph %v, stored truth %v", m, got, truth)
+		for m := 1; m < len(cards); m++ {
+			got := cards[m]
+			if want := fe.Estimate(g.Sub(uint64(m))); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("over %T, mask %b: graph %v, Estimate %v", fe.base, m, got, want)
+			}
+			if truth, ok := store[g.Key(uint64(m))]; ok && got != truth {
+				t.Errorf("over %T, mask %b: graph %v, stored truth %v", fe.base, m, got, truth)
+			}
 		}
-	}
-	if (&feedbackEstimator{s: s, base: constEstimator{}}).EstimateGraph(g, cards) {
-		t.Error("the overlay answered a graph for a base without the graph method")
 	}
 }
 
@@ -96,8 +96,11 @@ func TestFeedbackOverlayHashHitNeedsTheKey(t *testing.T) {
 
 	fe := s.opt.Est.(*feedbackEstimator)
 	got, want := make([]float64, 1<<len(g.Aliases)), make([]float64, 1<<len(g.Aliases))
-	if !fe.EstimateGraph(g, got) || !fe.base.(opt.GraphEstimator).EstimateGraph(g, want) {
-		t.Fatal("the overlay or its base declined the graph")
+	if err := fe.EstimateGraph(context.Background(), g, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := opt.EstimateGraph(context.Background(), fe.base, g, want); err != nil {
+		t.Fatal(err)
 	}
 	for m := range got {
 		if w := metrics.ClampCard(want[m]); math.Float64bits(got[m]) != math.Float64bits(w) {

@@ -211,14 +211,13 @@ func (fe *feedbackEstimator) Estimate(q *query.Query) float64 {
 	return metrics.ClampCard(fe.base.Estimate(q))
 }
 
-// EstimateGraph implements opt.GraphEstimator when the base estimator
-// answers the graph, and otherwise reports false: the base fills cards,
-// then every mask whose key the store holds takes its truth, all under
-// one hold of s.mu. Only a mask whose key hash is in s.hashes has its key
-// written into s.keyBuf and looked up.
-func (fe *feedbackEstimator) EstimateGraph(g *query.JoinGraph, cards []float64) bool {
-	if ge, ok := fe.base.(opt.GraphEstimator); !ok || !ge.EstimateGraph(g, cards) {
-		return false
+// EstimateGraph implements opt.GraphEstimator: the base answers the
+// graph (opt.EstimateGraph), then every mask whose key the store holds
+// takes its truth, all under one hold of s.mu. Only a mask whose key hash
+// is in s.hashes has its key written into s.keyBuf and looked up.
+func (fe *feedbackEstimator) EstimateGraph(ctx context.Context, g *query.JoinGraph, cards []float64) error {
+	if err := opt.EstimateGraph(ctx, fe.base, g, cards); err != nil {
+		return err
 	}
 	s := fe.s
 	s.mu.Lock()
@@ -234,7 +233,7 @@ func (fe *feedbackEstimator) EstimateGraph(g *query.JoinGraph, cards []float64) 
 		}
 		cards[m] = metrics.ClampCard(c)
 	}
-	return true
+	return nil
 }
 
 // Query parses, plans (or reuses a cached plan) and executes sql on
