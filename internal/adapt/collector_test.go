@@ -14,7 +14,7 @@ import (
 
 // TestCollectorObserveRunMatchesAdd is a differential test of the
 // collector's run path: over generated StatsCEB queries of 1–5 joins,
-// ObserveRun must leave the same labels, in the same order, as Add of
+// ObserveRun must leave the same labels, in the same order, as add of
 // every node's g.Sub(mask) in pre-order. Runs repeat, often back to back,
 // so that at small caps a label a run starts with is evicted by the
 // run's own new labels before its node is reached.
@@ -58,11 +58,11 @@ func TestCollectorObserveRunMatchesAdd(t *testing.T) {
 				if _, ok := want.index[sub.Key()]; known[sub.Key()] && !ok {
 					evictedFirst++
 				}
-				want.Add(sub, cards[i])
+				want.add(sub, cards[i])
 				i++
 			})
 			if g, w := got.Samples(), want.Samples(); !reflect.DeepEqual(g, w) {
-				t.Fatalf("cap %d, step %d: ObserveRun left %d labels, per-node Add %d, or they differ", capacity, step, len(g), len(w))
+				t.Fatalf("cap %d, step %d: ObserveRun left %d labels, per-node add %d, or they differ", capacity, step, len(g), len(w))
 			}
 		}
 		if capacity == 3 && evictedFirst == 0 {

@@ -23,10 +23,6 @@ type DetectorConfig struct {
 	// q-error exceeds this bound, however bad the baseline already was
 	// (default 32).
 	AbsQ float64
-	// TripLimit flags staleness when this many breaker trips are noted
-	// since the last rebase — the "guardrails keep firing" signal that
-	// complements the q-error channel (default 4; <= 0 disables).
-	TripLimit int
 }
 
 func (c DetectorConfig) withDefaults() DetectorConfig {
@@ -41,9 +37,6 @@ func (c DetectorConfig) withDefaults() DetectorConfig {
 	}
 	if c.AbsQ <= 1 {
 		c.AbsQ = 32
-	}
-	if c.TripLimit == 0 {
-		c.TripLimit = 4
 	}
 	return c
 }
@@ -68,7 +61,6 @@ type Detector struct {
 	n       int       // filled ring slots
 	sum     float64   // sum of filled ring slots
 	obs     int64     // observations since rebase
-	trips   int64     // breaker trips noted since rebase
 }
 
 // NewDetector returns a detector with cfg (zero fields take defaults).
@@ -118,21 +110,8 @@ func (d *Detector) ObservePlan(p *plan.Node, cards []float64) {
 	})
 }
 
-// NoteTrip records a guard breaker trip (the second drift channel).
-func (d *Detector) NoteTrip() {
-	d.mu.Lock()
-	d.trips++
-	d.mu.Unlock()
-}
-
-// BaselineGeoQ returns the baseline's geometric-mean q-error (1 while the
-// baseline is still filling).
-func (d *Detector) BaselineGeoQ() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.baselineGeoLocked()
-}
-
+// baselineGeoLocked returns the baseline's geometric-mean q-error (1
+// while the baseline is still filling).
 func (d *Detector) baselineGeoLocked() float64 {
 	if len(d.base) == 0 {
 		return 1
@@ -157,14 +136,11 @@ func (d *Detector) recentGeoLocked() float64 {
 
 // Stale reports whether the estimator behind the observed plans looks
 // drifted: both windows are full AND (recent geo q-error exceeds Ratio ×
-// baseline, OR exceeds AbsQ outright), or the breaker-trip channel fired.
-// Deterministic in the observation sequence.
+// baseline, OR exceeds AbsQ outright). Deterministic in the observation
+// sequence.
 func (d *Detector) Stale() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.cfg.TripLimit > 0 && d.trips >= int64(d.cfg.TripLimit) {
-		return true
-	}
 	if len(d.base) < d.cfg.Baseline || d.n < len(d.recent) {
 		return false
 	}
@@ -172,9 +148,9 @@ func (d *Detector) Stale() bool {
 	return rg > d.cfg.Ratio*d.baselineGeoLocked() || rg > d.cfg.AbsQ
 }
 
-// Rebase discards both windows and the trip count: the next Baseline
-// observations define the new healthy regime. Called after an accepted
-// hot-swap — the new model's behavior is the new normal.
+// Rebase discards both windows: the next Baseline observations define
+// the new healthy regime. Called after an accepted hot-swap — the new
+// model's behavior is the new normal.
 func (d *Detector) Rebase() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -182,13 +158,11 @@ func (d *Detector) Rebase() {
 	d.baseSum = 0
 	d.n, d.idx, d.sum = 0, 0, 0
 	d.obs = 0
-	d.trips = 0
 }
 
 // DetectorSnapshot is a point-in-time view of the detector.
 type DetectorSnapshot struct {
 	Observations int64   // observations since the last rebase
-	Trips        int64   // breaker trips noted since the last rebase
 	BaselineGeoQ float64 // geometric-mean q-error of the baseline window
 	RecentGeoQ   float64 // geometric-mean q-error of the sliding window
 	BaselineFull bool
@@ -203,7 +177,6 @@ func (d *Detector) Snapshot() DetectorSnapshot {
 	recentFull := d.n >= len(d.recent)
 	snap := DetectorSnapshot{
 		Observations: d.obs,
-		Trips:        d.trips,
 		BaselineGeoQ: d.baselineGeoLocked(),
 		RecentGeoQ:   d.recentGeoLocked(),
 		BaselineFull: baseFull,

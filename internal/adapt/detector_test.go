@@ -14,20 +14,20 @@ func feed(d *Detector, qerr float64, n int) {
 }
 
 func TestDetectorFlagsDegradation(t *testing.T) {
-	d := NewDetector(DetectorConfig{Baseline: 10, Window: 10, Ratio: 2, AbsQ: 1e6, TripLimit: -1})
+	d := NewDetector(DetectorConfig{Baseline: 10, Window: 10, Ratio: 2, AbsQ: 1e6})
 	feed(d, 2, 10) // healthy baseline: geo-q 2
 	if d.Stale() {
 		t.Fatal("stale before the recent window filled")
 	}
 	feed(d, 2.5, 10) // mild: below 2× baseline
 	if d.Stale() {
-		t.Fatalf("stale at recent geo-q %.2f vs baseline %.2f", d.RecentGeoQ(), d.BaselineGeoQ())
+		t.Fatalf("stale at recent geo-q %.2f vs baseline %.2f", d.RecentGeoQ(), d.Snapshot().BaselineGeoQ)
 	}
 	feed(d, 50, 10) // window now all-degraded
 	if !d.Stale() {
-		t.Fatalf("not stale at recent geo-q %.2f vs baseline %.2f", d.RecentGeoQ(), d.BaselineGeoQ())
+		t.Fatalf("not stale at recent geo-q %.2f vs baseline %.2f", d.RecentGeoQ(), d.Snapshot().BaselineGeoQ)
 	}
-	if g := d.BaselineGeoQ(); math.Abs(g-2) > 1e-9 {
+	if g := d.Snapshot().BaselineGeoQ; math.Abs(g-2) > 1e-9 {
 		t.Fatalf("baseline geo-q = %v, want 2", g)
 	}
 	if g := d.RecentGeoQ(); math.Abs(g-50) > 1e-9 {
@@ -38,7 +38,7 @@ func TestDetectorFlagsDegradation(t *testing.T) {
 func TestDetectorAbsoluteBound(t *testing.T) {
 	// Baseline itself is terrible; the ratio test alone would never fire,
 	// the absolute bound must.
-	d := NewDetector(DetectorConfig{Baseline: 4, Window: 4, Ratio: 1e6, AbsQ: 32, TripLimit: -1})
+	d := NewDetector(DetectorConfig{Baseline: 4, Window: 4, Ratio: 1e6, AbsQ: 32})
 	feed(d, 100, 4)
 	feed(d, 100, 4)
 	if !d.Stale() {
@@ -46,28 +46,8 @@ func TestDetectorAbsoluteBound(t *testing.T) {
 	}
 }
 
-func TestDetectorTripChannel(t *testing.T) {
-	d := NewDetector(DetectorConfig{Baseline: 100, Window: 100, TripLimit: 3})
-	if d.Stale() {
-		t.Fatal("stale with no signal")
-	}
-	d.NoteTrip()
-	d.NoteTrip()
-	if d.Stale() {
-		t.Fatal("stale below the trip limit")
-	}
-	d.NoteTrip()
-	if !d.Stale() {
-		t.Fatal("trip channel did not flag staleness")
-	}
-	d.Rebase()
-	if d.Stale() {
-		t.Fatal("rebase did not clear the trip count")
-	}
-}
-
 func TestDetectorRebaseStartsFresh(t *testing.T) {
-	d := NewDetector(DetectorConfig{Baseline: 5, Window: 5, Ratio: 2, AbsQ: 1e9, TripLimit: -1})
+	d := NewDetector(DetectorConfig{Baseline: 5, Window: 5, Ratio: 2, AbsQ: 1e9})
 	feed(d, 2, 5)
 	feed(d, 100, 5)
 	if !d.Stale() {
@@ -119,7 +99,7 @@ func TestDetectorObservePlanWalksTree(t *testing.T) {
 		t.Fatalf("observations = %d, want one per plan node (3)", snap.Observations)
 	}
 	// geo-q of {100, 1, 10} = 10
-	if g := d.BaselineGeoQ(); math.Abs(g-10) > 1e-9 {
+	if g := d.Snapshot().BaselineGeoQ; math.Abs(g-10) > 1e-9 {
 		t.Fatalf("baseline geo-q = %v, want 10", g)
 	}
 }
@@ -130,7 +110,7 @@ func TestDetectorClampsPathological(t *testing.T) {
 	d.Observe(math.Inf(1))
 	d.Observe(0.5) // below 1 clamps to 1
 	d.Observe(-3)
-	g := d.BaselineGeoQ()
+	g := d.Snapshot().BaselineGeoQ
 	if math.IsNaN(g) || math.IsInf(g, 0) {
 		t.Fatalf("pathological observations leaked: geo-q = %v", g)
 	}

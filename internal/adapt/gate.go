@@ -33,16 +33,17 @@ type GateConfig struct {
 	QErrBound float64
 	// QErrRatio: see QErrBound (default 2).
 	QErrRatio float64
-	// MinQErrCard is the smallest true cardinality the q-error rule
-	// applies to: on empty or near-empty results the clamped ratio is
-	// dominated by noise (estimating 40 rows instead of 0 scores q-error
-	// 40 while the plans are identical), so such queries are judged by
-	// the latency rule alone (default 8).
-	MinQErrCard float64
 	// MinHoldout is the minimum holdout size the gate will judge on;
 	// fewer queries is an automatic reject (default 8).
 	MinHoldout int
 }
+
+// minQErrCard is the smallest true cardinality the q-error rule applies
+// to: on empty or near-empty results the clamped ratio is dominated by
+// noise (estimating 40 rows instead of 0 scores q-error 40 while the
+// plans are identical), so such queries are judged by the latency rule
+// alone.
+const minQErrCard = 8
 
 func (c GateConfig) withDefaults() GateConfig {
 	if c.MaxGMRL <= 0 {
@@ -56,9 +57,6 @@ func (c GateConfig) withDefaults() GateConfig {
 	}
 	if c.QErrRatio <= 1 {
 		c.QErrRatio = 2
-	}
-	if c.MinQErrCard <= 0 {
-		c.MinQErrCard = 8
 	}
 	if c.MinHoldout <= 0 {
 		c.MinHoldout = 8
@@ -147,7 +145,7 @@ func (g *Gate) Validate(ctx context.Context, holdout []workload.Labeled, incumbe
 			v.WorstQErr = qc
 		}
 		if rel > g.Cfg.RelBound ||
-			(l.Card >= g.Cfg.MinQErrCard && qc > g.Cfg.QErrBound && qc > g.Cfg.QErrRatio*qi) {
+			(l.Card >= minQErrCard && qc > g.Cfg.QErrBound && qc > g.Cfg.QErrRatio*qi) {
 			v.Regressed++
 		}
 	}

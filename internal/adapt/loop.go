@@ -37,9 +37,6 @@ type Config struct {
 	// Seed derives per-round training seeds (retraining stays
 	// deterministic across identical traffic).
 	Seed int64
-	// Component names the loop for guard.Safe panic reports
-	// (default "adapt").
-	Component string
 	// Cat is the live catalog candidates retrain against.
 	Cat *data.Catalog
 	// Train builds candidates (default Retrain("histogram")).
@@ -54,25 +51,21 @@ type Config struct {
 	// MinSamples is the label-pool size required before retraining
 	// (default 32).
 	MinSamples int
-	// SampleCap bounds the label pool (default 8192).
-	SampleCap int
 	// Probation is how many observed queries after a swap the live
 	// q-error is audited before the swap is accepted (default 16).
 	Probation int
-	// RollbackRatio rolls the swap back when the probation-window
-	// geometric-mean q-error exceeds RollbackRatio × the pre-swap level:
-	// the candidate had to beat the degraded incumbent it replaced
-	// (default 1.0).
-	RollbackRatio float64
 	// AbsRollbackQ rolls back outright when the probation geo q-error
 	// exceeds this bound regardless of the pre-swap level (default 32).
+	// Below it, a swap rolls back when the probation-window geometric-mean
+	// q-error exceeds the pre-swap level: the candidate had to beat the
+	// degraded incumbent it replaced.
 	AbsRollbackQ float64
 }
 
+// component names the loop in guard.Safe panic reports.
+const component = "adapt"
+
 func (c Config) withDefaults() Config {
-	if c.Component == "" {
-		c.Component = "adapt"
-	}
 	if c.Train == nil {
 		c.Train = Retrain("histogram")
 	}
@@ -82,14 +75,8 @@ func (c Config) withDefaults() Config {
 	if c.MinSamples <= 0 {
 		c.MinSamples = 32
 	}
-	if c.SampleCap <= 0 {
-		c.SampleCap = 8192
-	}
 	if c.Probation <= 0 {
 		c.Probation = 16
-	}
-	if c.RollbackRatio <= 0 {
-		c.RollbackRatio = 1.0
 	}
 	if c.AbsRollbackQ <= 1 {
 		c.AbsRollbackQ = 32
@@ -116,8 +103,7 @@ type LoopStats struct {
 // ingest live execution feedback, and Tick advances the state machine —
 // detect drift, retrain off the hot path, gate, hot-swap, audit probation,
 // roll back. Deterministic for a given traffic sequence: no wall clock,
-// no unseeded randomness; call Tick after each observation (as E15 does)
-// or run Start for a background goroutine woken by observations.
+// no unseeded randomness; call Tick after each observation (as E15 does).
 type Loop struct {
 	cfg  Config
 	sw   *Swappable
@@ -137,8 +123,6 @@ type Loop struct {
 	prev       opt.CardEstimator
 	round      int64
 	stats      LoopStats
-
-	notify chan struct{}
 }
 
 // NewLoop wires the loop around a swappable estimator, its serving host,
@@ -146,22 +130,15 @@ type Loop struct {
 func NewLoop(sw *Swappable, host Host, gate *Gate, cfg Config) *Loop {
 	c := cfg.withDefaults()
 	return &Loop{
-		cfg:    c,
-		sw:     sw,
-		host:   host,
-		gate:   gate,
-		det:    NewDetector(c.Detector),
-		col:    NewCollector(c.SampleCap),
-		brk:    guard.NewBreaker(c.Promote),
-		notify: make(chan struct{}, 1),
+		cfg:  c,
+		sw:   sw,
+		host: host,
+		gate: gate,
+		det:  NewDetector(c.Detector),
+		col:  NewCollector(0), // the default bound, 8192 labels
+		brk:  guard.NewBreaker(c.Promote),
 	}
 }
-
-// Detector exposes the drift monitor (read-only use expected).
-func (l *Loop) Detector() *Detector { return l.det }
-
-// Collector exposes the label pool (read-only use expected).
-func (l *Loop) Collector() *Collector { return l.col }
 
 // SetHoldout installs the held-out labeled query log the gate judges
 // candidates on. Call whenever a fresh labeled log is available; the gate
@@ -174,9 +151,6 @@ func (l *Loop) SetHoldout(h []workload.Labeled) {
 	l.mu.Unlock()
 }
 
-// NoteTrip forwards a serving-side breaker trip into the drift detector.
-func (l *Loop) NoteTrip() { l.det.NoteTrip() }
-
 // ObserveExec is ObserveRun fed from a TrueCard-annotated plan (exec's
 // RunAnalyze) and a graph built for q. It stays for benchmark/trace.go.
 func (l *Loop) ObserveExec(q *query.Query, executed *plan.Node) {
@@ -185,9 +159,9 @@ func (l *Loop) ObserveExec(q *query.Query, executed *plan.Node) {
 
 // ObserveRun implements serve.ExecObserver: per-node q-errors of the
 // run's record cards against p's estimates feed the drift detector (and
-// the probation audit when one is running), per-node true cards feed the
-// label pool, and a non-blocking notify wakes a Start-ed background loop.
-// g (the request's join graph, over the run's query) and p are only read.
+// the probation audit when one is running), and per-node true cards feed
+// the label pool. g (the request's join graph, over the run's query) and
+// p are only read.
 func (l *Loop) ObserveRun(g *query.JoinGraph, p *plan.Node, cards []float64) {
 	l.det.ObservePlan(p, cards)
 	l.col.ObserveRun(g, p, cards)
@@ -203,10 +177,6 @@ func (l *Loop) ObserveRun(g *query.JoinGraph, p *plan.Node, cards []float64) {
 		l.probLeft--
 	}
 	l.mu.Unlock()
-	select {
-	case l.notify <- struct{}{}:
-	default:
-	}
 }
 
 // Tick advances the loop one step. The sequence of Actions is a pure
@@ -233,7 +203,7 @@ func (l *Loop) Tick(ctx context.Context) (Action, error) {
 		prev := l.prev
 		l.probation = false
 		l.prev = nil
-		if liveGeo > l.cfg.RollbackRatio*l.preSwapGeo || liveGeo > l.cfg.AbsRollbackQ {
+		if liveGeo > l.preSwapGeo || liveGeo > l.cfg.AbsRollbackQ {
 			l.stats.Rollbacks++
 			l.mu.Unlock()
 			l.sw.Publish(prev)
@@ -275,7 +245,7 @@ func (l *Loop) Tick(ctx context.Context) (Action, error) {
 	l.mu.Unlock()
 
 	tc := &cardest.Context{Cat: l.cfg.Cat, Train: l.col.Samples(), Seed: l.cfg.Seed + round}
-	cand, err := Train(ctx, l.cfg.Component, l.cfg.Train, tc)
+	cand, err := Train(ctx, component, l.cfg.Train, tc)
 	if err != nil {
 		l.mu.Lock()
 		l.stats.TrainFailures++
@@ -338,26 +308,4 @@ func (l *Loop) Stats() LoopStats {
 	s.Detector = l.det.Snapshot()
 	s.Breaker = l.brk.Snapshot()
 	return s
-}
-
-// Start runs the loop on a background goroutine woken by observations
-// (ObserveRun's notify) until ctx is cancelled. The returned channel
-// closes when the goroutine exits. Serving deployments use Start;
-// experiments call Tick synchronously for determinism.
-func (l *Loop) Start(ctx context.Context) <-chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-l.notify:
-				if _, err := l.Tick(ctx); err != nil {
-					return
-				}
-			}
-		}
-	}()
-	return done
 }

@@ -8,6 +8,7 @@ import (
 	"lqo/internal/cardest"
 	"lqo/internal/datagen"
 	"lqo/internal/guard"
+	"lqo/internal/metrics"
 	"lqo/internal/opt"
 	"lqo/internal/query"
 	"lqo/internal/workload"
@@ -61,7 +62,7 @@ func smallLoopConfig(f *fixture) Config {
 	return Config{
 		Seed:     7,
 		Cat:      f.cat,
-		Detector: DetectorConfig{Baseline: 12, Window: 12, Ratio: 2, AbsQ: 16, TripLimit: -1},
+		Detector: DetectorConfig{Baseline: 12, Window: 12, Ratio: 2, AbsQ: 16},
 		Promote:  guard.BreakerConfig{FailureThreshold: 2, Cooldown: 4},
 		// RegressionRatio must stay off: the promotion breaker only hears
 		// explicit Success/Failure from the loop.
@@ -80,7 +81,6 @@ func TestLoopNeverPromotesUngatedCandidate(t *testing.T) {
 	incumbent := f.sw.Current()
 	host := &fakeHost{}
 	cfg := smallLoopConfig(f)
-	cfg.Detector.TripLimit = 1
 	cfg.Train = func(ctx context.Context, tc *cardest.Context) (opt.CardEstimator, error) {
 		return garbageEstimator{card: 1e9}, nil
 	}
@@ -92,10 +92,13 @@ func TestLoopNeverPromotesUngatedCandidate(t *testing.T) {
 		drive(t, f, loop, w)
 	}
 	datagen.ApplyDrift(f.cat, datagen.DriftOptions{Seed: 5, Fraction: 1.0, ValueSkew: 2.5, DomainShift: 0.6})
-	// Force the drift flag through the breaker-trip channel so the test
-	// exercises the promotion invariant regardless of how hard this
-	// particular drift moves this particular traffic's q-errors.
-	loop.NoteTrip()
+	// Force the drift flag by filling both detector windows with the worst
+	// q-error, so the test exercises the promotion invariant regardless of
+	// how hard this particular drift moves this particular traffic's
+	// q-errors.
+	for i := 0; i < cfg.Detector.Baseline+cfg.Detector.Window; i++ {
+		loop.det.Observe(metrics.MaxQError)
+	}
 
 	sawReject, sawBreakerOpen := false, false
 	for round := 0; round < 6; round++ {
@@ -287,16 +290,4 @@ func TestLoopAdaptsToDrift(t *testing.T) {
 	if fl != 1 || rs != 1 {
 		t.Fatalf("host invalidations: flushes %d resets %d, want 1 each", fl, rs)
 	}
-}
-
-func TestLoopStartStops(t *testing.T) {
-	f := newFixture(t)
-	loop := NewLoop(f.sw, &fakeHost{}, NewGate(f.opt, f.ex, GateConfig{}), smallLoopConfig(f))
-	ctx, cancel := context.WithCancel(context.Background())
-	done := loop.Start(ctx)
-	for _, w := range f.labeled(t, 601, 3) {
-		drive(t, f, loop, w)
-	}
-	cancel()
-	<-done
 }

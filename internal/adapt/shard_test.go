@@ -31,7 +31,7 @@ func TestObserversSeeShardedScansOnce(t *testing.T) {
 	l.ObserveRun(query.NewJoinGraph(q), p, res.Cards)
 
 	labels := map[string]float64{}
-	for _, s := range l.Collector().Samples() {
+	for _, s := range l.col.Samples() {
 		labels[s.Q.Key()] = s.Card
 	}
 	if len(labels) != logical {
@@ -50,7 +50,7 @@ func TestObserversSeeShardedScansOnce(t *testing.T) {
 	if merges == 0 {
 		t.Fatal("no Merge node in the sharded plan")
 	}
-	if got := l.Detector().Snapshot().Observations; got != int64(logical) {
+	if got := l.det.Snapshot().Observations; got != int64(logical) {
 		t.Errorf("detector saw %d observations, want %d", got, logical)
 	}
 	if l.probN != logical {
@@ -64,7 +64,7 @@ func TestObserversSeeShardedScansOnce(t *testing.T) {
 	}
 	traced := NewLoop(f.sw, &fakeHost{}, NewGate(f.opt, f.ex, GateConfig{}), smallLoopConfig(f))
 	traced.ObserveExec(q, p)
-	if got, want := traced.Collector().Samples(), l.Collector().Samples(); !reflect.DeepEqual(got, want) {
+	if got, want := traced.col.Samples(), l.col.Samples(); !reflect.DeepEqual(got, want) {
 		t.Errorf("ObserveExec labels %v, ObserveRun's %v", got, want)
 	}
 }

@@ -38,7 +38,7 @@ func NewCollector(capacity int) *Collector {
 	return &Collector{cap: capacity, index: make(map[string]int)}
 }
 
-// ObserveRun is Add(g.Sub(mask), cards[i]) for p's i-th node in
+// ObserveRun is add(g.Sub(mask), cards[i]) for p's i-th node in
 // pre-order, cards being the run's record (exec.Result.Cards) over g's
 // query — opt.HarvestCards' feed, kept across queries. The labels not yet
 // held share one g.SubsOf slab, built outside the lock; a held label is
@@ -72,13 +72,8 @@ func (c *Collector) ObserveRun(g *query.JoinGraph, p *plan.Node, cards []float64
 	}
 }
 
-// Add records (or refreshes) the true cardinality of one sub-query.
-func (c *Collector) Add(q *query.Query, card float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.add(q, card)
-}
-
+// add records (or refreshes) the true cardinality of one sub-query. The
+// caller holds c.mu.
 func (c *Collector) add(q *query.Query, card float64) {
 	k := q.Key()
 	if seq, ok := c.index[k]; ok {

@@ -29,9 +29,9 @@ func TestCollectorDedupAndOrder(t *testing.T) {
 	c := NewCollector(10)
 	qa := mustParse(t, "SELECT COUNT(*) FROM users WHERE users.age > 30;")
 	qb := mustParse(t, "SELECT COUNT(*) FROM posts WHERE posts.score > 5;")
-	c.Add(qa, 100)
-	c.Add(qb, 200)
-	c.Add(qa, 150) // refresh in place, keeps position
+	c.add(qa, 100)
+	c.add(qb, 200)
+	c.add(qa, 150) // refresh in place, keeps position
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
 	}
@@ -55,7 +55,7 @@ func TestCollectorBoundedFIFO(t *testing.T) {
 			t.Fatal(err)
 		}
 		qs[i] = q
-		c.Add(q, float64(i))
+		c.add(q, float64(i))
 	}
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d, want cap 3", c.Len())
@@ -68,7 +68,7 @@ func TestCollectorBoundedFIFO(t *testing.T) {
 		}
 	}
 	// Refreshing an evicted key re-inserts it (evicting the now-oldest).
-	c.Add(qs[0], 99)
+	c.add(qs[0], 99)
 	s = c.Samples()
 	if s[2].Card != 99 || s[0].Card != 3 {
 		t.Fatalf("after re-insert: %+v", s)

@@ -76,7 +76,7 @@ func E15Adaptation(ctx context.Context, env *Env) (*Report, error) {
 		Seed: env.Seed,
 		Cat:  env.Cat,
 		Detector: adapt.DetectorConfig{
-			Baseline: 48, Window: 48, Ratio: 1.3, AbsQ: 24, TripLimit: -1,
+			Baseline: 48, Window: 48, Ratio: 1.3, AbsQ: 24,
 		},
 		Promote:    guard.BreakerConfig{FailureThreshold: 2, Cooldown: 8},
 		MinSamples: 24,

@@ -31,8 +31,7 @@ func getWorld(t *testing.T) *world {
 	cat := datagen.StatsCEB(datagen.Config{Seed: 5, Scale: 0.05})
 	cs := stats.CollectCatalog(cat, stats.Options{Seed: 5})
 	cache := exec.NewCardCache(exec.New(cat))
-	qs := workload.GenWorkload(cat, workload.Options{Seed: 5, Count: 90, MaxJoins: 3, MaxPreds: 3})
-	labeled, err := workload.LabelWorkload(cache, qs)
+	labeled, err := workload.GenLabeled(cat, cache, workload.Options{Seed: 5, Count: 90, MaxJoins: 3, MaxPreds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

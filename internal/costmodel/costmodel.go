@@ -119,16 +119,6 @@ func Registry() []Info {
 	}
 }
 
-// ByName constructs a registered model, or errors.
-func ByName(name string) (Model, error) {
-	for _, inf := range Registry() {
-		if inf.Name == name {
-			return inf.Make(), nil
-		}
-	}
-	return nil, fmt.Errorf("costmodel: unknown model %q", name)
-}
-
 // Traditional wraps the rule-based cost model as a latency predictor —
 // the baseline every learned model is compared against in E3.
 type Traditional struct {

@@ -82,12 +82,6 @@ func TestRegistryAndByName(t *testing.T) {
 			t.Fatalf("%s name mismatch", inf.Name)
 		}
 	}
-	if _, err := ByName("treeconv"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Fatal("unknown model accepted")
-	}
 }
 
 func TestAllModelsTrainAndPredict(t *testing.T) {
@@ -194,6 +188,8 @@ func TestZeroShotTransfers(t *testing.T) {
 	}
 }
 
+// TestTreeConvEmbedding checks the root embedding Predict's head reads:
+// EmbDim wide and free of NaN after training.
 func TestTreeConvEmbedding(t *testing.T) {
 	w := buildWorld(t)
 	tc := NewTreeConv()
@@ -201,7 +197,7 @@ func TestTreeConvEmbedding(t *testing.T) {
 	if err := tc.Train(w.ctx); err != nil {
 		t.Fatal(err)
 	}
-	emb := tc.Embed(w.test[0].Plan)
+	emb, _ := tc.forwardNode(w.test[0].Plan)
 	if len(emb) != tc.EmbDim {
 		t.Fatalf("embedding dim = %d", len(emb))
 	}
@@ -215,47 +211,10 @@ func TestTreeConvEmbedding(t *testing.T) {
 func TestModelsRequirePlans(t *testing.T) {
 	w := buildWorld(t)
 	empty := &Context{Cat: w.cat, Stats: w.cs, Seed: 1}
-	for _, name := range []string{"calibrated", "gbdt-cost", "mlp-cost", "treeconv"} {
-		m, _ := ByName(name)
+	for _, m := range []Model{NewCalibrated(), NewGBDTCost(false), NewMLPCost(), NewTreeConv()} {
 		if err := m.Train(empty); err == nil {
-			t.Errorf("%s should require executed plans", name)
+			t.Errorf("%s should require executed plans", m.Name())
 		}
-	}
-}
-
-func TestConcurrentModelLearnsInterference(t *testing.T) {
-	w := buildWorld(t)
-	// Build interference samples from the world's plans.
-	var samples []ConcurrentSample
-	rng := newRNG(31)
-	for i, tp := range w.ctx.Plans {
-		var conc []float64
-		for k := 0; k < rng.Intn(4); k++ {
-			conc = append(conc, w.ctx.Plans[rng.Intn(len(w.ctx.Plans))].Latency)
-		}
-		total := 0.0
-		for _, c := range conc {
-			total += c
-		}
-		samples = append(samples, ConcurrentSample{
-			Plan:       tp.Plan,
-			OwnLatency: tp.Latency,
-			Concurrent: conc,
-			Observed:   SimulateConcurrentLatency(tp.Latency, total),
-		})
-		_ = i
-	}
-	m := NewConcurrentModel()
-	if err := m.TrainConcurrent(w.ctx, samples); err != nil {
-		t.Fatal(err)
-	}
-	// Prediction under heavy load should exceed prediction when idle for
-	// the same plan.
-	p := samples[0].Plan
-	idle := m.PredictConcurrent(p, nil)
-	busy := m.PredictConcurrent(p, []float64{SimCapacity, SimCapacity})
-	if busy <= idle {
-		t.Fatalf("interference not learned: idle %v, busy %v", idle, busy)
 	}
 }
 
@@ -287,7 +246,8 @@ func TestMultiTaskBothHeads(t *testing.T) {
 	for _, tp := range w.test {
 		latPred = append(latPred, m.Predict(tp.Q, tp.Plan))
 		latTruth = append(latTruth, tp.Latency)
-		cardPred = append(cardPred, m.PredictCard(tp.Plan))
+		emb, _ := m.forwardNode(tp.Plan)
+		cardPred = append(cardPred, m.cardHead.Forward(emb)[0]) // log1p(card): same ranks
 		cardTruth = append(cardTruth, tp.Plan.TrueCard)
 	}
 	if rho := metrics.SpearmanRho(latPred, latTruth); rho < 0.4 {

@@ -3,11 +3,15 @@ package costmodel
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"lqo/internal/ml"
 	"lqo/internal/plan"
 	"lqo/internal/query"
 )
+
+// newRNG returns a deterministic RNG for the given seed.
+func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // GBDTCost regresses log-latency on flat plan features with boosted trees.
 // With zeroShot=true it restricts itself to transferable features, giving
@@ -220,14 +224,4 @@ func (m *TreeConv) Predict(q *query.Query, p *plan.Node) float64 {
 		return 0
 	}
 	return v
-}
-
-// Embed returns the root embedding of a plan — Saturn/QueryFormer-style
-// plan representations reusable for downstream tasks [34, 76].
-func (m *TreeConv) Embed(p *plan.Node) []float64 {
-	if m.combine == nil {
-		return nil
-	}
-	emb, _ := m.forwardNode(p)
-	return emb
 }

@@ -136,17 +136,3 @@ func (m *MultiTask) Predict(q *query.Query, p *plan.Node) float64 {
 	}
 	return v
 }
-
-// PredictCard returns the cardinality head's prediction for the plan's
-// result size — the second task of the shared model.
-func (m *MultiTask) PredictCard(p *plan.Node) float64 {
-	if m.cardHead == nil {
-		return 0
-	}
-	emb, _ := m.forwardNode(p)
-	v := math.Expm1(m.cardHead.Forward(emb)[0])
-	if v < 0 || math.IsNaN(v) {
-		return 0
-	}
-	return v
-}

@@ -90,11 +90,10 @@ func TestTableBasics(t *testing.T) {
 	if tbl.Column("a") == nil || tbl.Column("missing") != nil {
 		t.Fatal("Column lookup broken")
 	}
-	got := tbl.ColumnNames()
 	want := []string{"a", "b", "s"}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ColumnNames = %v", got)
+		if got := tbl.Cols[i].Name; got != want[i] {
+			t.Fatalf("column %d is %q, want %q", i, got, want[i])
 		}
 	}
 }
@@ -125,8 +124,8 @@ func TestIndexRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.NumKeys() != 3 {
-		t.Fatalf("NumKeys = %d", ix.NumKeys())
+	if len(ix.rows) != 3 {
+		t.Fatalf("%d distinct keys, want 3", len(ix.rows))
 	}
 	rows := ix.Rows(1)
 	// Values 1 occur at rows 1, 4, 7.
@@ -193,23 +192,6 @@ func TestCatalog(t *testing.T) {
 	cat.Add(NewTable("t"))
 	if len(cat.TableNames()) != 1 {
 		t.Fatal("duplicate name added twice")
-	}
-}
-
-func TestSortedDistinct(t *testing.T) {
-	c := &Column{Name: "v", Kind: Int}
-	for _, v := range []int64{5, 3, 5, 1, 3} {
-		c.AppendInt(v)
-	}
-	got := SortedDistinct(c)
-	want := []float64{1, 3, 5}
-	if len(got) != len(want) {
-		t.Fatalf("SortedDistinct = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedDistinct = %v, want %v", got, want)
-		}
 	}
 }
 

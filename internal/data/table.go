@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -159,15 +158,6 @@ func (t *Table) Column(name string) *Column {
 	return t.Cols[i]
 }
 
-// ColumnNames returns the column names in declaration order.
-func (t *Table) ColumnNames() []string {
-	names := make([]string, len(t.Cols))
-	for i, c := range t.Cols {
-		names[i] = c.Name
-	}
-	return names
-}
-
 // NumRows returns the row count (0 for a table with no columns).
 func (t *Table) NumRows() int {
 	if len(t.Cols) == 0 {
@@ -224,9 +214,6 @@ func (ix *Index) Rows(v int64) []int32 { return ix.rows[v] }
 // NumRows returns how many rows of the column the index covers: rows
 // appended since BuildIndex are not in it.
 func (ix *Index) NumRows() int { return ix.n }
-
-// NumKeys returns the number of distinct indexed keys.
-func (ix *Index) NumKeys() int { return len(ix.rows) }
 
 // FK is a declared foreign-key relationship between two table columns.
 type FK struct {
@@ -340,21 +327,4 @@ func (cat *Catalog) TotalRows() int {
 		n += snap.tables[name].NumRows()
 	}
 	return n
-}
-
-// SortedDistinct returns the sorted distinct values of an Int/String column
-// in the numeric domain. It is used by histogram builders and the
-// auto-regressive estimators' domain binning.
-func SortedDistinct(c *Column) []float64 {
-	seen := make(map[float64]struct{})
-	n := c.Len()
-	for i := 0; i < n; i++ {
-		seen[c.Float(i)] = struct{}{}
-	}
-	out := make([]float64, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Float64s(out)
-	return out
 }

@@ -39,14 +39,6 @@ type CostStats struct {
 	WorkUnits    float64 // total charged work (the latency proxy)
 }
 
-// Add accumulates other into s.
-func (s *CostStats) Add(other CostStats) {
-	s.TuplesRead += other.TuplesRead
-	s.TuplesJoined += other.TuplesJoined
-	s.IndexLookups += other.IndexLookups
-	s.WorkUnits += other.WorkUnits
-}
-
 // Per-tuple work constants. The ratios mirror PostgreSQL's defaults in
 // spirit: sequential reads are cheap, random index access costs more per
 // lookup but touches fewer tuples, hashing costs a little over reading.

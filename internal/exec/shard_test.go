@@ -148,7 +148,11 @@ func TestShardedTrueCardAndBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refTotal, refSkipped := refPT.Blocks()
+	refOp, ok := refPT.ByNode(unsharded)
+	if !ok {
+		t.Fatalf("unsharded %s has no telemetry", unsharded.Op)
+	}
+	refTotal, refSkipped := refOp.BlocksTotal, refOp.BlocksSkipped
 	if refTotal == 0 || refSkipped == 0 {
 		t.Fatalf("expected active pruning, got %d/%d", refSkipped, refTotal)
 	}
@@ -157,10 +161,6 @@ func TestShardedTrueCardAndBlocks(t *testing.T) {
 	_, pt, err := New(cat).RunAnalyze(context.Background(), q, sharded)
 	if err != nil {
 		t.Fatal(err)
-	}
-	total, skipped := pt.Blocks()
-	if total != refTotal || skipped != refSkipped {
-		t.Fatalf("sharded blocks %d/%d, unsharded %d/%d", skipped, total, refSkipped, refTotal)
 	}
 	if sharded.Op != plan.Merge || sharded.TrueCard != float64(refRes.Count) {
 		t.Fatalf("%s TrueCard = %v, scan emitted %d", sharded.Op, sharded.TrueCard, refRes.Count)
@@ -171,6 +171,13 @@ func TestShardedTrueCardAndBlocks(t *testing.T) {
 	}
 	if len(pt.Ops) != len(refPT.Ops) {
 		t.Fatalf("sharded run has %d operators, unsharded %d", len(pt.Ops), len(refPT.Ops))
+	}
+	// The Merge leaf is the only operator reporting blocks, so a sum over
+	// the plan's operators counts each block once.
+	for _, op := range pt.Ops {
+		if op != mt && (op.BlocksTotal != 0 || op.BlocksSkipped != 0) {
+			t.Fatalf("operator of %v reports blocks %d/%d beside the Merge leaf's", op.Node, op.BlocksSkipped, op.BlocksTotal)
+		}
 	}
 }
 

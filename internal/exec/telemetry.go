@@ -43,29 +43,6 @@ func (t *OpTelemetry) foldInto(st *CostStats) {
 	}
 }
 
-// Stats replays every operator's charges in canonical order into one
-// CostStats. Because float64 addition is non-associative, the replay
-// order — not just the charge values — is what makes WorkUnits
-// byte-identical to the pre-pipeline executor.
-func (pt *PlanTelemetry) Stats() CostStats {
-	var st CostStats
-	for _, t := range pt.Ops {
-		t.foldInto(&st)
-	}
-	return st
-}
-
-// Blocks sums the zone-map pruning evidence over every operator: how
-// many blocks the plan's vectorized scans covered and how many they
-// skipped. Both zero for predicate-free plans.
-func (pt *PlanTelemetry) Blocks() (total, skipped int64) {
-	for _, t := range pt.Ops {
-		total += t.BlocksTotal
-		skipped += t.BlocksSkipped
-	}
-	return total, skipped
-}
-
 // ByNode returns the telemetry of the operator that executed plan node n.
 func (pt *PlanTelemetry) ByNode(n *plan.Node) (*OpTelemetry, bool) {
 	t, ok := pt.byNode[n]

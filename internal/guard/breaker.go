@@ -191,13 +191,6 @@ func (b *Breaker) trip() {
 	b.trips++
 }
 
-// State returns the current state.
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
 // Trips returns how many times the breaker has opened.
 func (b *Breaker) Trips() int64 {
 	b.mu.Lock()

@@ -10,13 +10,13 @@ func TestBreakerTripsAfterKConsecutiveFailures(t *testing.T) {
 		}
 		b.Failure()
 	}
-	if b.State() != Closed {
-		t.Fatalf("state after 2 failures = %v, want closed", b.State())
+	if b.Snapshot().State != Closed {
+		t.Fatalf("state after 2 failures = %v, want closed", b.Snapshot().State)
 	}
 	b.Allow()
 	b.Failure() // third consecutive → trip
-	if b.State() != Open {
-		t.Fatalf("state after 3 failures = %v, want open", b.State())
+	if b.Snapshot().State != Open {
+		t.Fatalf("state after 3 failures = %v, want open", b.Snapshot().State)
 	}
 	if b.Trips() != 1 {
 		t.Fatalf("trips = %d, want 1", b.Trips())
@@ -30,8 +30,8 @@ func TestBreakerSuccessResetsStreak(t *testing.T) {
 	b.Success() // streak broken
 	b.Failure()
 	b.Failure()
-	if b.State() != Closed {
-		t.Fatalf("state = %v, want closed (streak was reset)", b.State())
+	if b.Snapshot().State != Closed {
+		t.Fatalf("state = %v, want closed (streak was reset)", b.Snapshot().State)
 	}
 }
 
@@ -48,16 +48,16 @@ func TestBreakerCooldownThenHalfOpenProbe(t *testing.T) {
 	if !b.Allow() {
 		t.Fatal("cooldown elapsed: probe must be admitted")
 	}
-	if b.State() != HalfOpen {
-		t.Fatalf("state = %v, want half-open", b.State())
+	if b.Snapshot().State != HalfOpen {
+		t.Fatalf("state = %v, want half-open", b.Snapshot().State)
 	}
 	// Only one probe at a time.
 	if b.Allow() {
 		t.Fatal("second concurrent probe must be rejected")
 	}
 	b.Success()
-	if b.State() != Closed {
-		t.Fatalf("state after probe success = %v, want closed", b.State())
+	if b.Snapshot().State != Closed {
+		t.Fatalf("state after probe success = %v, want closed", b.Snapshot().State)
 	}
 }
 
@@ -107,8 +107,8 @@ func TestBreakerExponentialBackoff(t *testing.T) {
 	}
 	// A successful probe closes and resets the backoff to the base.
 	b.Success()
-	if b.State() != Closed {
-		t.Fatalf("state = %v, want closed", b.State())
+	if b.Snapshot().State != Closed {
+		t.Fatalf("state = %v, want closed", b.Snapshot().State)
 	}
 	b.Allow()
 	b.Failure() // trip again: cooldown must be back to base 2
@@ -121,25 +121,25 @@ func TestBreakerExponentialBackoff(t *testing.T) {
 func TestBreakerObserveLatencyRegression(t *testing.T) {
 	b := NewBreaker(BreakerConfig{FailureThreshold: 2, RegressionRatio: 10})
 	b.ObserveLatency(50, 10) // 5x: fine
-	if b.State() != Closed {
-		t.Fatalf("state = %v after healthy ratio", b.State())
+	if b.Snapshot().State != Closed {
+		t.Fatalf("state = %v after healthy ratio", b.Snapshot().State)
 	}
 	b.ObserveLatency(200, 10) // 20x: regression
 	b.ObserveLatency(500, 10) // 50x: regression → trip at K=2
-	if b.State() != Open {
-		t.Fatalf("state = %v, want open after 2 regressions", b.State())
+	if b.Snapshot().State != Open {
+		t.Fatalf("state = %v, want open after 2 regressions", b.Snapshot().State)
 	}
 	// Ratio accounting disabled → everything is a success.
 	b2 := NewBreaker(BreakerConfig{FailureThreshold: 1, RegressionRatio: 1})
 	b2.ObserveLatency(1e9, 1)
-	if b2.State() != Closed {
-		t.Fatalf("disabled regression ratio still tripped: %v", b2.State())
+	if b2.Snapshot().State != Closed {
+		t.Fatalf("disabled regression ratio still tripped: %v", b2.Snapshot().State)
 	}
 	// Zero baseline cannot be judged → success.
 	b3 := NewBreaker(BreakerConfig{FailureThreshold: 1})
 	b3.ObserveLatency(100, 0)
-	if b3.State() != Closed {
-		t.Fatalf("zero baseline tripped breaker: %v", b3.State())
+	if b3.Snapshot().State != Closed {
+		t.Fatalf("zero baseline tripped breaker: %v", b3.Snapshot().State)
 	}
 }
 

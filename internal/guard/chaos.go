@@ -73,11 +73,9 @@ type ChaosConfig struct {
 // It is safe for concurrent use; the decision stream is deterministic
 // for a fixed seed and call order.
 type Injector struct {
-	cfg   ChaosConfig
-	mu    sync.Mutex
-	rng   *rand.Rand
-	calls int64
-	hits  int64
+	cfg ChaosConfig
+	mu  sync.Mutex
+	rng *rand.Rand
 }
 
 // NewInjector returns an injector for cfg.
@@ -92,19 +90,10 @@ func NewInjector(cfg ChaosConfig) *Injector {
 func (in *Injector) next(menu []Fault) Fault {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.calls++
 	if in.cfg.Rate <= 0 || in.rng.Float64() >= in.cfg.Rate {
 		return FaultNone
 	}
-	in.hits++
 	return menu[in.rng.Intn(len(menu))]
-}
-
-// Injected reports (calls seen, faults injected).
-func (in *Injector) Injected() (calls, faults int64) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.calls, in.hits
 }
 
 // estimatorFaults is the menu for cardinality estimators: garbage values

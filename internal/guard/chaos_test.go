@@ -50,10 +50,6 @@ func TestInjectorRateZeroNeverFaults(t *testing.T) {
 			t.Fatalf("rate 0 injected %v at call %d", f, i)
 		}
 	}
-	calls, hits := in.Injected()
-	if calls != 500 || hits != 0 {
-		t.Fatalf("Injected() = (%d, %d), want (500, 0)", calls, hits)
-	}
 }
 
 func TestInjectorRateOneAlwaysFaults(t *testing.T) {
@@ -62,10 +58,6 @@ func TestInjectorRateOneAlwaysFaults(t *testing.T) {
 		if f := in.next(estimatorFaults); f == FaultNone {
 			t.Fatalf("rate 1 skipped a fault at call %d", i)
 		}
-	}
-	calls, hits := in.Injected()
-	if calls != 100 || hits != 100 {
-		t.Fatalf("Injected() = (%d, %d), want (100, 100)", calls, hits)
 	}
 }
 

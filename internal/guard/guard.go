@@ -37,24 +37,13 @@ func (p *PanicError) Error() string {
 
 // Safe invokes fn, converting a panic into a *PanicError. It is the
 // isolation boundary around every learned-component call (driver
-// Init/Algo/Update, learned Plan, estimator Estimate): a crash in model
+// Init/Algo, learned Plan, estimator Estimate): a crash in model
 // code must surface as an error the host can fall back from, never as a
 // process abort.
 func Safe(component string, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Component: component, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return fn()
-}
-
-// SafeEstimate invokes a cardinality estimate under panic isolation,
-// returning fallback when the estimator panics.
-func SafeEstimate(component string, fallback float64, fn func() float64) (card float64) {
-	defer func() {
-		if r := recover(); r != nil {
-			card = fallback
 		}
 	}()
 	return fn()

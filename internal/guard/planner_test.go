@@ -207,16 +207,6 @@ func TestPlannerTimeoutsLeakNoGoroutines(t *testing.T) {
 	t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
 }
 
-func TestSafeEstimateFallsBack(t *testing.T) {
-	v := SafeEstimate("est", 7, func() float64 { panic("boom") })
-	if v != 7 {
-		t.Fatalf("SafeEstimate = %v, want fallback 7", v)
-	}
-	if v := SafeEstimate("est", 7, func() float64 { return 3 }); v != 3 {
-		t.Fatalf("SafeEstimate = %v, want 3", v)
-	}
-}
-
 func TestSafeConvertsPanic(t *testing.T) {
 	err := Safe("comp", func() error { panic("boom") })
 	var pe *PanicError

@@ -10,7 +10,6 @@ package joinorder
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 
 	"lqo/internal/data"
@@ -66,16 +65,6 @@ func Registry() []Info {
 		{"skinner-mcts", func() Searcher { return NewMCTS(0) }},
 		{"eddy", func() Searcher { return NewEddy() }},
 	}
-}
-
-// ByName constructs a registered searcher, or errors.
-func ByName(name string) (Searcher, error) {
-	for _, inf := range Registry() {
-		if inf.Name == name {
-			return inf.Make(), nil
-		}
-	}
-	return nil, fmt.Errorf("joinorder: unknown searcher %q", name)
 }
 
 // DP is the exhaustive dynamic-programming baseline (optimal under the

@@ -59,12 +59,6 @@ func TestRegistry(t *testing.T) {
 			t.Fatalf("%s name mismatch", inf.Name)
 		}
 	}
-	if _, err := ByName("dq"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Fatal("unknown accepted")
-	}
 }
 
 // TestAllSearchersProduceCorrectPlans: every method's plan must execute
@@ -135,8 +129,8 @@ func TestLearnedSearchersBeatRandom(t *testing.T) {
 		t.Fatal(err)
 	}
 	randRatio := costRatio(t, f, random)
-	for _, name := range []string{"dq", "skinner-mcts", "eddy"} {
-		s, _ := ByName(name)
+	for _, s := range []Searcher{NewDQ(), NewMCTS(0), NewEddy()} {
+		name := s.Name()
 		if err := s.Train(f.ctx); err != nil {
 			t.Fatal(err)
 		}

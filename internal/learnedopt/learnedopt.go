@@ -3,13 +3,11 @@
 // exploration + a learned risk model for selection — exactly the framing
 // the tutorial uses to subsume Bao [37], Lero [79], Neo [38], LEON [4] and
 // friends. It also ships the Section 2.2.2 regression-elimination layer:
-// Eraser [62], HyperQO's ensemble-variance filter [72], and a
-// PerfGuard-style validator [18].
+// Eraser [62] and HyperQO's ensemble-variance filter [72].
 package learnedopt
 
 import (
 	"context"
-	"fmt"
 
 	"lqo/internal/data"
 	"lqo/internal/exec"
@@ -50,7 +48,7 @@ type Candidate struct {
 
 // CandidateProvider is implemented by optimizers that expose their
 // explored candidate set — the hook regression-elimination plugins
-// (Eraser, HyperQO, PerfGuard) attach to.
+// (Eraser, HyperQO) attach to.
 type CandidateProvider interface {
 	Candidates(q *query.Query) ([]Candidate, error)
 }
@@ -72,16 +70,6 @@ func Registry() []Info {
 		{"leon", func() Optimizer { return NewLEON() }},
 		{"hyperqo", func() Optimizer { return NewHyperQO() }},
 	}
-}
-
-// ByName constructs a registered optimizer, or errors.
-func ByName(name string) (Optimizer, error) {
-	for _, inf := range Registry() {
-		if inf.Name == name {
-			return inf.Make(), nil
-		}
-	}
-	return nil, fmt.Errorf("learnedopt: unknown optimizer %q", name)
 }
 
 // Native wraps the traditional optimizer as the baseline arm.

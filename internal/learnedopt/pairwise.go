@@ -94,11 +94,6 @@ func (c *PairwiseComparator) Score(p *plan.Node) float64 {
 	return c.net.Forward(c.f.Vector(p))[0]
 }
 
-// Better reports whether p1 is predicted faster than p2.
-func (c *PairwiseComparator) Better(p1, p2 *plan.Node) bool {
-	return c.Score(p1) < c.Score(p2)
-}
-
 // SelectBest returns the index of the candidate winning the most pairwise
 // comparisons — Lero's selection rule; ties break toward lower score,
 // then the earlier candidate. It returns -1 for no candidates.

@@ -156,14 +156,6 @@ type Eraser struct {
 	// Inner is the learned optimizer being protected. It must implement
 	// CandidateProvider.
 	Inner Optimizer
-	// MaxClusterError is the geometric-mean validation error (predicted
-	// vs. true latency ratio) above which a cluster is distrusted
-	// (default 2.0).
-	MaxClusterError float64
-	// Margin is the fraction of the native plan's pessimistic score a
-	// learned plan must stay below to be chosen (default 0.92 = predicted
-	// at least 8% better).
-	Margin float64
 	// DisableClustering keeps only stage 1 (the E8 ablation knob).
 	DisableClustering bool
 	// InnerTrained skips training the inner optimizer — set it when
@@ -176,10 +168,19 @@ type Eraser struct {
 	clusterErr    map[string][]float64 // structure key → validation error ratios
 }
 
+const (
+	// eraserMaxClusterError is the geometric-mean validation error
+	// (predicted vs. true latency ratio) above which a cluster is
+	// distrusted.
+	eraserMaxClusterError = 2.0
+	// eraserMargin is the fraction of the native plan's pessimistic score
+	// a learned plan must stay below to be chosen: predicted at least 8%
+	// better.
+	eraserMargin = 0.92
+)
+
 // NewEraser wraps inner with regression elimination.
-func NewEraser(inner Optimizer) *Eraser {
-	return &Eraser{Inner: inner, MaxClusterError: 2.0, Margin: 0.92}
-}
+func NewEraser(inner Optimizer) *Eraser { return &Eraser{Inner: inner} }
 
 // Name implements Optimizer.
 func (e *Eraser) Name() string { return "eraser+" + e.Inner.Name() }
@@ -269,9 +270,10 @@ func (e *Eraser) Plan(q *query.Query) (*plan.Node, error) {
 	// predicted latency is inflated by its structure-cluster's observed
 	// validation error (pessimistic scoring), so plans the model predicts
 	// poorly only win when predicted better by a wide margin; clusters
-	// beyond MaxClusterError are dropped outright. The native plan anchors
-	// the comparison: a learned plan must beat the native candidate's
-	// pessimistic score by 20% or the native plan runs.
+	// beyond eraserMaxClusterError (2) are dropped outright. The native
+	// plan anchors the comparison: a learned plan must score below
+	// eraserMargin (0.92) × the native candidate's pessimistic score, 8%
+	// better, or the native plan runs.
 	nativeFP := native.Fingerprint()
 	bestScore := math.Inf(1)
 	nativeScore := math.Inf(1)
@@ -280,7 +282,7 @@ func (e *Eraser) Plan(q *query.Query) (*plan.Node, error) {
 		score := c.Predicted
 		if !e.DisableClustering {
 			g := geoMean(e.clusterErr[c.Plan.StructureKey()])
-			if g > e.MaxClusterError {
+			if g > eraserMaxClusterError {
 				continue
 			}
 			score *= g
@@ -295,77 +297,8 @@ func (e *Eraser) Plan(q *query.Query) (*plan.Node, error) {
 	// No validated opinion on the native plan means the model cannot be
 	// compared against it — run native. Otherwise the learned plan must
 	// beat the native candidate's pessimistic score by a clear margin.
-	if best == nil || math.IsInf(nativeScore, 1) || bestScore > nativeScore*e.Margin {
+	if best == nil || math.IsInf(nativeScore, 1) || bestScore > nativeScore*eraserMargin {
 		return native, nil
 	}
 	return best, nil
-}
-
-// PerfGuard validates learned plans before deployment [18]: the inner
-// optimizer's plan is accepted only when the risk model predicts a
-// meaningful improvement over the native plan; otherwise the native plan
-// runs ("deploying ML-for-systems without performance regressions,
-// almost").
-type PerfGuard struct {
-	// Inner is the learned optimizer being validated.
-	Inner Optimizer
-	// Margin is the minimum predicted relative improvement required to
-	// accept the learned plan (default 0.05 = 5%).
-	Margin float64
-	// Value predicts plan latency for the comparison.
-	Value costmodel.Model
-
-	ctx *Context
-}
-
-// NewPerfGuard wraps inner with improvement validation.
-func NewPerfGuard(inner Optimizer) *PerfGuard {
-	return &PerfGuard{Inner: inner, Margin: 0.05, Value: costmodel.NewGBDTCost(false)}
-}
-
-// Name implements Optimizer.
-func (g *PerfGuard) Name() string { return "perfguard+" + g.Inner.Name() }
-
-// Train implements Optimizer.
-func (g *PerfGuard) Train(ctx *Context) error {
-	g.ctx = ctx
-	if err := g.Inner.Train(ctx); err != nil {
-		return err
-	}
-	var exp []costmodel.TrainPlan
-	for _, q := range ctx.Workload {
-		for _, mk := range []func() (*plan.Node, error){
-			func() (*plan.Node, error) { return ctx.Base.OptimizeCtx(context.Background(), q) },
-			func() (*plan.Node, error) { return g.Inner.Plan(q) },
-		} {
-			p, err := mk()
-			if err != nil {
-				continue
-			}
-			lat, err := Measure(ctx.Ex, q, p)
-			if err != nil {
-				continue
-			}
-			exp = append(exp, costmodel.TrainPlan{Q: q, Plan: p, Latency: lat})
-		}
-	}
-	return g.Value.Train(&costmodel.Context{Cat: ctx.Cat, Stats: ctx.Stats, Plans: exp, Seed: ctx.Seed + 83})
-}
-
-// Plan implements Optimizer.
-func (g *PerfGuard) Plan(q *query.Query) (*plan.Node, error) {
-	native, err := g.ctx.Base.OptimizeCtx(context.Background(), q)
-	if err != nil {
-		return nil, err
-	}
-	learned, err := g.Inner.Plan(q)
-	if err != nil {
-		return native, nil
-	}
-	pn := g.Value.Predict(q, native)
-	pl := g.Value.Predict(q, learned)
-	if pl < pn*(1-g.Margin) {
-		return learned, nil
-	}
-	return native, nil
 }

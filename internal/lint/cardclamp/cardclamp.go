@@ -55,13 +55,11 @@ func isEstimateCall(info *types.Info, call *ast.CallExpr) bool {
 }
 
 // isSanitizerCall reports whether call is metrics.ClampCard or
-// metrics.SanitizeCard (or the guard fallback wrapper, which clamps
-// internally).
+// metrics.SanitizeCard.
 func isSanitizerCall(info *types.Info, call *ast.CallExpr) bool {
 	fn := analysis.CalleeFunc(info, call)
 	return analysis.IsPkgFunc(fn, "internal/metrics", "ClampCard") ||
-		analysis.IsPkgFunc(fn, "internal/metrics", "SanitizeCard") ||
-		analysis.IsPkgFunc(fn, "internal/guard", "SafeEstimate")
+		analysis.IsPkgFunc(fn, "internal/metrics", "SanitizeCard")
 }
 
 // mathPredicates are math functions that classify rather than compute;

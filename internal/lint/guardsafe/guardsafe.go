@@ -1,9 +1,9 @@
 // Package guardsafe enforces the PR-2 failure-isolation contract:
 // library code in internal/ must not panic (errors are returned, panics
 // are reserved for guard's chaos injectors), and learned-component
-// callbacks — the pilotscope Driver/Updater interface methods Init,
-// Algo and Update — must be invoked inside a guard.Safe closure so a
-// misbehaving driver can never take the engine down.
+// callbacks — the pilotscope Driver interface methods Init and Algo —
+// must be invoked inside a guard.Safe closure so a misbehaving driver
+// can never take the engine down.
 package guardsafe
 
 import (
@@ -17,7 +17,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "guardsafe",
 	Doc: "no naked panic in internal/ library code; pilotscope driver " +
-		"callbacks (Init/Algo/Update on the Driver/Updater interfaces) " +
+		"callbacks (Init/Algo on the Driver interface) " +
 		"must run inside guard.Safe",
 	// cmd/ and examples/ may panic at top level; guard owns panic
 	// isolation and the chaos injectors that panic on purpose; the lint
@@ -30,7 +30,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // callbackNames are the driver life-cycle methods the console must wrap.
-var callbackNames = map[string]bool{"Init": true, "Algo": true, "Update": true}
+var callbackNames = map[string]bool{"Init": true, "Algo": true}
 
 func run(pass *analysis.Pass) error {
 	info := pass.TypesInfo
@@ -52,9 +52,9 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// isDriverCallback reports whether call invokes Init/Algo/Update through
-// a Driver or Updater interface value (concrete-receiver calls, e.g. a
-// driver delegating to its own Init, are not the guarded boundary).
+// isDriverCallback reports whether call invokes Init/Algo through a
+// Driver interface value (concrete-receiver calls, e.g. a driver
+// delegating to its own Init, are not the guarded boundary).
 func isDriverCallback(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || !callbackNames[sel.Sel.Name] {
@@ -72,12 +72,11 @@ func isDriverCallback(info *types.Info, call *ast.CallExpr) bool {
 	if !ok {
 		return false
 	}
-	name := named.Obj().Name()
-	return name == "Driver" || name == "Updater"
+	return named.Obj().Name() == "Driver"
 }
 
 // insideGuardSafe reports whether the call site is lexically inside a
-// function literal passed to guard.Safe or guard.SafeEstimate.
+// function literal passed to guard.Safe.
 func insideGuardSafe(info *types.Info, stack []ast.Node) bool {
 	for i := len(stack) - 2; i >= 1; i-- {
 		lit, ok := stack[i].(*ast.FuncLit)
@@ -89,8 +88,7 @@ func insideGuardSafe(info *types.Info, stack []ast.Node) bool {
 			continue
 		}
 		fn := analysis.CalleeFunc(info, outer)
-		if (analysis.IsPkgFunc(fn, "internal/guard", "Safe") ||
-			analysis.IsPkgFunc(fn, "internal/guard", "SafeEstimate")) && analysis.IsArg(outer, lit) {
+		if analysis.IsPkgFunc(fn, "internal/guard", "Safe") && analysis.IsArg(outer, lit) {
 			return true
 		}
 	}

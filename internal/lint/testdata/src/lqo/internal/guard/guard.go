@@ -1,10 +1,7 @@
 // Package guard is a golden-file stand-in for lqo/internal/guard: the
-// two wrapper signatures the guardsafe and cardclamp analyzers
-// recognize, resolved through the testdata source root.
+// wrapper signature the guardsafe analyzer recognizes, resolved through
+// the testdata source root.
 package guard
 
 // Safe mirrors the real panic-isolating wrapper's signature.
 func Safe(component string, fn func() error) error { return fn() }
-
-// SafeEstimate mirrors the real clamping fallback wrapper's signature.
-func SafeEstimate(component string, fallback float64, fn func() float64) float64 { return fn() }

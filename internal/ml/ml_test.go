@@ -130,7 +130,7 @@ func TestTreePredictsPiecewiseConstant(t *testing.T) {
 	if p := tree.Predict([]float64{0.9}); math.Abs(p-5) > 0.1 {
 		t.Fatalf("right side = %v", p)
 	}
-	if tree.Depth() < 2 {
+	if tree.IsLeaf() {
 		t.Fatal("tree did not split")
 	}
 }
@@ -140,8 +140,8 @@ func TestTreeRespectsMinLeaf(t *testing.T) {
 	ys := []float64{1, 2, 3}
 	tree := BuildTree(xs, ys, TreeOptions{MaxDepth: 10, MinLeafSize: 2})
 	// 3 points with min leaf 2: at most one split.
-	if tree.Depth() > 2 {
-		t.Fatalf("depth = %d", tree.Depth())
+	if !tree.IsLeaf() && !(tree.Left.IsLeaf() && tree.Right.IsLeaf()) {
+		t.Fatal("split below the root's children")
 	}
 }
 
@@ -276,12 +276,14 @@ func TestNetDeterminism(t *testing.T) {
 
 func TestNumParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	net := mustNet(t, []int{3, 4, 2}, ReLU, rng)
-	want := 3*4 + 4 + 4*2 + 2
-	if got := net.NumParams(); got != want {
-		t.Fatalf("NumParams = %d, want %d", got, want)
+	sizes := []int{3, 4, 2}
+	net := mustNet(t, sizes, ReLU, rng)
+	if len(net.Layers) != len(sizes)-1 {
+		t.Fatalf("%d layers, want %d", len(net.Layers), len(sizes)-1)
 	}
-	if net.InDim() != 3 || net.OutDim() != 2 {
-		t.Fatal("dims wrong")
+	for i, l := range net.Layers {
+		if l.In != sizes[i] || l.Out != sizes[i+1] || len(l.W) != l.In*l.Out || len(l.B) != l.Out {
+			t.Fatalf("layer %d: %d→%d with %d weights and %d biases, want %d→%d", i, l.In, l.Out, len(l.W), len(l.B), sizes[i], sizes[i+1])
+		}
 	}
 }

@@ -120,9 +120,6 @@ func (l *Layer) backward(x, y, gradOut []float64) []float64 {
 // state.
 func (l *Layer) GradW() []float64 { return l.dW }
 
-// GradB returns the layer's accumulated bias gradient.
-func (l *Layer) GradB() []float64 { return l.dB }
-
 // Net is a feed-forward stack of dense layers.
 type Net struct {
 	Layers []*Layer
@@ -153,12 +150,6 @@ func NewNet(sizes []int, hidden Activation, rng *rand.Rand) (*Net, error) {
 	}
 	return n, nil
 }
-
-// InDim returns the input width.
-func (n *Net) InDim() int { return n.Layers[0].In }
-
-// OutDim returns the output width.
-func (n *Net) OutDim() int { return n.Layers[len(n.Layers)-1].Out }
 
 // Forward runs the net, returning the final output.
 func (n *Net) Forward(x []float64) []float64 {
@@ -206,15 +197,6 @@ func (n *Net) ZeroGrad() {
 			l.dB[i] = 0
 		}
 	}
-}
-
-// NumParams returns the total parameter count.
-func (n *Net) NumParams() int {
-	k := 0
-	for _, l := range n.Layers {
-		k += len(l.W) + len(l.B)
-	}
-	return k
 }
 
 // Adam is the Adam optimizer state for one or more nets sharing a step

@@ -29,18 +29,6 @@ func (n *TreeNode) Predict(x []float64) float64 {
 	return n.Value
 }
 
-// Depth returns the tree height (leaf = 1).
-func (n *TreeNode) Depth() int {
-	if n.IsLeaf() {
-		return 1
-	}
-	l, r := n.Left.Depth(), n.Right.Depth()
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
 // TreeOptions configures regression-tree induction.
 type TreeOptions struct {
 	MaxDepth    int // default 6

@@ -61,18 +61,12 @@ type Driver interface {
 	Algo(ctx context.Context, sess *Session) error
 }
 
-// Updater is optionally implemented by drivers whose models track
-// database changes; Console.UpdateModels calls it.
-type Updater interface {
-	Update(ctx *InitContext) error
-}
-
 // Console operates the whole middleware: it manages drivers, creates a
 // session per interaction, and makes driver execution transparent to the
 // database user — ExecuteSQL looks exactly like talking to the database.
 //
 // The console is the middleware's guardrail boundary: every driver call
-// (Init, Algo, Update) runs under panic isolation, and a per-driver
+// (Init, Algo) runs under panic isolation, and a per-driver
 // circuit breaker stops consulting a driver that keeps failing, re-probing
 // with exponential backoff. A misbehaving driver can therefore never take
 // the database down — queries always execute, natively if need be.
@@ -119,13 +113,6 @@ func (c *Console) Drivers() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Breaker returns the named driver's circuit breaker, or nil.
-func (c *Console) Breaker(name string) *guard.Breaker {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.breakers[name]
 }
 
 // SetWorkload registers the training workload drivers may learn from.
@@ -251,26 +238,4 @@ func (c *Console) execute(ctx context.Context, d Driver, q *query.Query) (*Resul
 		c.consult(ctx, d, sess)
 	}
 	return c.db.ExecuteQuery(ctx, sess, q)
-}
-
-// UpdateModels synchronously triggers the active driver's model update if
-// it implements Updater (the paper runs this in the background; the
-// workbench exposes it as a deterministic trigger). A panic inside Update
-// is recovered into the returned error.
-func (c *Console) UpdateModels(ctx context.Context) error {
-	c.mu.Lock()
-	d := c.active
-	workload := append([]string(nil), c.workload...)
-	seed := c.seed
-	c.mu.Unlock()
-	if d == nil {
-		return nil
-	}
-	u, ok := d.(Updater)
-	if !ok {
-		return nil
-	}
-	return guard.Safe(d.Name()+".Update", func() error {
-		return u.Update(&InitContext{Ctx: ctx, DB: c.db, Workload: workload, Seed: seed})
-	})
 }

@@ -108,9 +108,6 @@ func (d *CardEstDriver) Algo(ctx context.Context, sess *Session) error {
 	return d.db.Push(ctx, sess, PushCards, cards)
 }
 
-// Update implements Updater: retrain on the (possibly changed) database.
-func (d *CardEstDriver) Update(ctx *InitContext) error { return d.Init(ctx) }
-
 // SteeringDriver deploys the tutorial's Bao [37] and Lero [79] sample
 // applications through push/pull: it is learnedopt's steering core with
 // "push the knob into a probe session, then pull its plan" as the plan

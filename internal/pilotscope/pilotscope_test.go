@@ -263,19 +263,6 @@ func TestDriversListedSorted(t *testing.T) {
 	}
 }
 
-func TestBackgroundUpdater(t *testing.T) {
-	w := getWorld(t)
-	d := NewCardEstDriver(cardest.NewHistogramEstimator())
-	w.console.RegisterDriver(d)
-	if err := w.console.StartTask(context.Background(), d.Name()); err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = w.console.StopTask() }()
-	if err := w.console.UpdateModels(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestIndexAdvisorDriver(t *testing.T) {
 	// Private engine: the advisor mutates the catalog's physical design.
 	cat := datagen.StatsCEB(datagen.Config{Seed: 29, Scale: 0.04})

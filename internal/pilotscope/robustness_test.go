@@ -96,12 +96,11 @@ func TestEnginePushPullHonorContext(t *testing.T) {
 
 // panicDriver misbehaves on demand to exercise the console's guardrails.
 type panicDriver struct {
-	name        string
-	initPanics  bool
-	algoPanics  bool
-	algoCalled  int
-	initCalled  int
-	updateCalls int
+	name       string
+	initPanics bool
+	algoPanics bool
+	algoCalled int
+	initCalled int
 }
 
 func (d *panicDriver) Name() string             { return d.name }
@@ -119,10 +118,6 @@ func (d *panicDriver) Algo(ctx context.Context, sess *Session) error {
 		panic("panicDriver: algo blew up")
 	}
 	return nil
-}
-func (d *panicDriver) Update(ctx *InitContext) error {
-	d.updateCalls++
-	panic("panicDriver: update blew up")
 }
 
 func TestConsoleRecoverInitPanic(t *testing.T) {
@@ -171,7 +166,7 @@ func TestConsoleRecoverAlgoPanicAndBreakerTrips(t *testing.T) {
 	if w.console.DriverFailures <= failsBefore {
 		t.Fatal("algo failures were not counted")
 	}
-	br := w.console.Breaker("algo-bomb")
+	br := w.console.breakers["algo-bomb"]
 	if br == nil || br.Trips() == 0 {
 		t.Fatalf("breaker never tripped (breaker=%v)", br)
 	}
@@ -182,24 +177,5 @@ func TestConsoleRecoverAlgoPanicAndBreakerTrips(t *testing.T) {
 	// than queries.
 	if d.algoCalled >= n {
 		t.Fatalf("algoCalled = %d, want < %d (breaker should gate)", d.algoCalled, n)
-	}
-}
-
-func TestConsoleRecoverUpdatePanic(t *testing.T) {
-	w := getWorld(t)
-	ctx := context.Background()
-	d := &panicDriver{name: "update-bomb"}
-	w.console.RegisterDriver(d)
-	if err := w.console.StartTask(ctx, "update-bomb"); err != nil {
-		t.Fatal(err)
-	}
-	defer w.console.StopTask()
-	err := w.console.UpdateModels(ctx)
-	var pe *guard.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("UpdateModels err = %v, want *guard.PanicError", err)
-	}
-	if d.updateCalls != 1 {
-		t.Fatalf("updateCalls = %d", d.updateCalls)
 	}
 }

@@ -352,22 +352,6 @@ func splitSegments(k *KeyBuilder, ends []int) []string {
 	return segs
 }
 
-// NumParams returns the number of unbound placeholder slots in the
-// query's predicates (the highest Param ordinal; 0 for a fully bound
-// query).
-func (q *Query) NumParams() int {
-	n := 0
-	for _, p := range q.Preds {
-		if p.Param > n {
-			n = p.Param
-		}
-		if p.Param2 > n {
-			n = p.Param2
-		}
-	}
-	return n
-}
-
 // Subquery projects the query onto a subset of aliases: only refs in the
 // subset, joins fully contained in it, and predicates on it are kept.
 // Unlike JoinGraph.Sub, the result carries no precomputed key.

@@ -228,20 +228,6 @@ func (c *PlanCache) Clear() int {
 	return n
 }
 
-// Invalidate drops the entry for key, reporting whether it was present.
-func (c *PlanCache) Invalidate(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return false
-	}
-	c.order.Remove(el)
-	delete(c.entries, key)
-	c.stats.Invalidations++
-	return true
-}
-
 // adoptKey makes the entry stored under key, if there is one, hold key's
 // bytes instead of its own equal copy, so a caller that keeps key costs
 // no second copy.
@@ -253,13 +239,6 @@ func (c *PlanCache) adoptKey(key string) {
 		delete(c.entries, key)
 		c.entries[key] = el
 	}
-}
-
-// Len reports the number of cached plans.
-func (c *PlanCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // Stats returns a snapshot of the counters.

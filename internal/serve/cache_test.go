@@ -128,7 +128,7 @@ func TestPlanCacheObserveDrift(t *testing.T) {
 	if !c.Observe("k", bad, 4) {
 		t.Fatal("drifted feedback not invalidated")
 	}
-	if c.Len() != 0 {
+	if len(c.entries) != 0 {
 		t.Fatal("invalidated entry still cached")
 	}
 	if st := c.Stats(); st.Invalidations != 1 {
@@ -160,7 +160,7 @@ func TestPlanCacheCapacityDefault(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		c.Put(fmt.Sprintf("k%d", i), scanPlan(1, 1))
 	}
-	if c.Len() != 512 {
-		t.Fatalf("Len = %d, want 512", c.Len())
+	if len(c.entries) != 512 {
+		t.Fatalf("Len = %d, want 512", len(c.entries))
 	}
 }

@@ -283,10 +283,6 @@ func TestHarvestMemoDiesWithItsPlan(t *testing.T) {
 		t.Fatal("memo survived FlushPlans")
 	}
 	hit(3)
-	if ok, err := s.Invalidate(sql); err != nil || !ok || hasMemo(s, key) {
-		t.Fatalf("memo survived Invalidate (%v, %v)", ok, err)
-	}
-	hit(2)
 }
 
 // TestHarvestMemoDroppedOnDriftInvalidation: the q-error gate evicts the
@@ -308,7 +304,7 @@ func TestHarvestMemoDroppedOnDriftInvalidation(t *testing.T) {
 			t.Fatalf("request %d: Cached = %v, want %v", i, res.Cached, wantCached)
 		}
 		requireMirrored(t, s, m, fmt.Sprintf("request %d", i))
-		if i == 1 && (s.cache.Len() != 0 || hasMemo(s, key)) {
+		if i == 1 && (len(s.cache.entries) != 0 || hasMemo(s, key)) {
 			t.Fatal("drifted entry (and its memo) not evicted")
 		}
 		if i == 2 && hasMemo(s, key) {

@@ -148,7 +148,7 @@ func TestPlanMadeAcrossFlushIsNotCached(t *testing.T) {
 		if r.Cached != wantCached {
 			t.Fatalf("request %d: cached %v, want %v", i, r.Cached, wantCached)
 		}
-		if i == 0 && s.cache.Len() != 0 {
+		if i == 0 && len(s.cache.entries) != 0 {
 			t.Fatal("the plan made across FlushPlans was cached")
 		}
 	}

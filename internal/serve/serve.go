@@ -104,12 +104,6 @@ type Stmt struct {
 	e atomic.Pointer[stmtEntry]
 }
 
-// NumParams reports the statement's placeholder count.
-func (st *Stmt) NumParams() int { return st.e.Load().st.NumParams() }
-
-// SQL returns the template rendered back to SQL with ? placeholders.
-func (st *Stmt) SQL() string { return st.e.Load().st.SQL() }
-
 // current returns the statement's template and plan-cache key, prepared
 // again from the source text if the template is stale against cat, the
 // request's Pin of s's catalog. A new template may have a new shape key,
@@ -533,17 +527,6 @@ func (s *Server) FeedbackLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.feedback)
-}
-
-// Invalidate drops the cached plan for the canonical key of sql,
-// reporting whether one was cached. Prepared-statement entries can be
-// dropped by passing the template (placeholders included).
-func (s *Server) Invalidate(sql string) (bool, error) {
-	p, err := sqlx.Prepare(sql, s.cat)
-	if err != nil {
-		return false, err
-	}
-	return s.cache.Invalidate(s.cacheKey(p.ShapeKey())), nil
 }
 
 // cacheKey derives the plan-cache key from the canonical query key (or

@@ -86,9 +86,6 @@ func TestPreparedExecCachesOnShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stmt.NumParams() != 1 {
-		t.Fatalf("NumParams = %d", stmt.NumParams())
-	}
 	r1, err := s.Exec(context.Background(), "a", stmt, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -253,25 +250,6 @@ func TestAcquireHonorsContextWhileQueued(t *testing.T) {
 	}
 }
 
-func TestInvalidateDropsEntry(t *testing.T) {
-	s, _ := newFixture(t, Config{})
-	sql := "SELECT COUNT(*) FROM badges WHERE badges.class = 1;"
-	if _, err := s.Query(context.Background(), "a", sql); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := s.Invalidate(sql)
-	if err != nil || !ok {
-		t.Fatalf("Invalidate = %v, %v", ok, err)
-	}
-	r, err := s.Query(context.Background(), "a", sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Cached {
-		t.Fatal("invalidated entry served a hit")
-	}
-}
-
 // recordingObserver counts ObserveRun calls and remembers the last run's
 // record.
 type recordingObserver struct {
@@ -332,8 +310,8 @@ func TestFlushPlansAndResetFeedback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.cache.Len() != 2 {
-		t.Fatalf("CacheLen = %d, want 2", s.cache.Len())
+	if len(s.cache.entries) != 2 {
+		t.Fatalf("CacheLen = %d, want 2", len(s.cache.entries))
 	}
 	if s.FeedbackLen() == 0 {
 		t.Fatal("no feedback harvested")
@@ -341,8 +319,8 @@ func TestFlushPlansAndResetFeedback(t *testing.T) {
 	if n := s.FlushPlans(); n != 2 {
 		t.Fatalf("FlushPlans dropped %d plans, want 2", n)
 	}
-	if s.cache.Len() != 0 {
-		t.Fatalf("CacheLen = %d after flush", s.cache.Len())
+	if len(s.cache.entries) != 0 {
+		t.Fatalf("CacheLen = %d after flush", len(s.cache.entries))
 	}
 	if n := s.ResetFeedback(); n == 0 {
 		t.Fatal("ResetFeedback dropped nothing")

@@ -148,9 +148,9 @@ func renderGolden(t *testing.T, sections []goldenSection) []byte {
 			if p, err := Prepare(sql, sec.cat); err != nil {
 				prepared = "err " + strconv.Quote(err.Error())
 			} else if p.ShapeKey() == key {
-				prepared = fmt.Sprintf("shape = params %d", p.NumParams())
+				prepared = fmt.Sprintf("shape = params %d", len(p.slots))
 			} else {
-				prepared = fmt.Sprintf("shape %s params %d", strconv.Quote(p.ShapeKey()), p.NumParams())
+				prepared = fmt.Sprintf("shape %s params %d", strconv.Quote(p.ShapeKey()), len(p.slots))
 			}
 			fmt.Fprintf(&b, "%s\t%s\t%s\n", strconv.Quote(sql), parsed, prepared)
 		}

@@ -53,7 +53,7 @@ type slot struct {
 // Prepare parses a statement template containing ? placeholders and
 // binds its table/column references against cat. The template's
 // structure is validated eagerly; literal values arrive later via Bind.
-// Statements without placeholders prepare fine (NumParams is 0), so
+// Statements without placeholders prepare fine (no placeholder slots), so
 // callers can route all traffic through Prepare/Bind uniformly.
 func Prepare(sql string, cat *data.Catalog) (*Prepared, error) {
 	p, err := parse(sql, cat)
@@ -144,18 +144,12 @@ func (p *Prepared) Current(cat *data.Catalog) bool {
 // executable query; otherwise Bind materializes one.
 func (p *Prepared) Query() *query.Query { return p.tmpl }
 
-// NumParams reports how many placeholders the template has.
-func (p *Prepared) NumParams() int { return len(p.slots) }
-
 // ShapeKey returns the canonical key of the parameterized shape:
 // placeholders render as "?N" ordinals inside the collision-safe
 // query.Key encoding, so two templates share a ShapeKey exactly when
 // they are the same query modulo bound values. This is the plan-cache
 // key for prepared statements.
 func (p *Prepared) ShapeKey() string { return p.shape }
-
-// SQL returns the template rendered back to SQL with ? placeholders.
-func (p *Prepared) SQL() string { return p.tmpl.SQL() }
 
 // Bind materializes an executable query from the template: one argument
 // per placeholder, in statement order. Accepted argument types are

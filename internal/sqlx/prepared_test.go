@@ -16,15 +16,15 @@ func TestPrepareBindRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stmt.NumParams() != 2 {
-		t.Fatalf("NumParams = %d", stmt.NumParams())
+	if len(stmt.slots) != 2 {
+		t.Fatalf("%d placeholder slots", len(stmt.slots))
 	}
 	q, err := stmt.Bind(int64(10), "bob")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.NumParams() != 0 {
-		t.Fatalf("bound query still has %d params", q.NumParams())
+	if err := q.Validate(cat); err != nil {
+		t.Fatalf("bound query does not validate (an unbound parameter?): %v", err)
 	}
 	// The bound query must equal a direct parse of the same statement
 	// with literals inlined — key-identical, hence plan-identical.
@@ -59,8 +59,8 @@ func TestPrepareBetweenParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stmt2.NumParams() != 1 {
-		t.Fatalf("NumParams = %d", stmt2.NumParams())
+	if len(stmt2.slots) != 1 {
+		t.Fatalf("%d placeholder slots", len(stmt2.slots))
 	}
 	q2, err := stmt2.Bind(30)
 	if err != nil {
@@ -147,9 +147,9 @@ func TestPrepareTemplateSQLReprepares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Prepare(a.SQL(), cat)
+	b, err := Prepare(a.Query().SQL(), cat)
 	if err != nil {
-		t.Fatalf("template SQL %q does not re-prepare: %v", a.SQL(), err)
+		t.Fatalf("template SQL %q does not re-prepare: %v", a.Query().SQL(), err)
 	}
 	if a.ShapeKey() != b.ShapeKey() {
 		t.Fatalf("re-prepared template changed shape:\n%s\n%s", a.ShapeKey(), b.ShapeKey())
@@ -215,8 +215,8 @@ func TestPrepareWithoutPlaceholders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stmt.NumParams() != 0 {
-		t.Fatalf("NumParams = %d", stmt.NumParams())
+	if len(stmt.slots) != 0 {
+		t.Fatalf("%d placeholder slots", len(stmt.slots))
 	}
 	q, err := stmt.Bind()
 	if err != nil {
@@ -241,7 +241,7 @@ func TestCurrentTracksWhatTheParseResolved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if present.NumParams() != 0 || present.ShapeKey() != present.Query().Key() || g.Query() != present.Query() {
+	if len(present.slots) != 0 || present.ShapeKey() != present.Query().Key() || g.Query() != present.Query() {
 		t.Fatal("a parsed statement is not a parameterless template keyed by its query and graphed")
 	}
 	if !present.Current(cat) || !absent.Current(cat) {

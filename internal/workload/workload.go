@@ -165,19 +165,6 @@ type Labeled struct {
 	Card float64
 }
 
-// LabelWorkload executes every query to obtain exact cardinalities.
-func LabelWorkload(cache *exec.CardCache, qs []*query.Query) ([]Labeled, error) {
-	out := make([]Labeled, 0, len(qs))
-	for _, q := range qs {
-		c, err := cache.TrueCard(q)
-		if err != nil {
-			return nil, fmt.Errorf("workload: labeling %s: %w", q.SQL(), err)
-		}
-		out = append(out, Labeled{Q: q, Card: c})
-	}
-	return out, nil
-}
-
 // GenLabeled generates exactly opts.Count labeled queries, skipping any
 // whose execution exceeds the executor's intermediate cap (star joins on
 // heavy-hitter keys can produce results orders of magnitude larger than
