@@ -54,16 +54,17 @@ type Config struct {
 	// Probation is how many observed queries after a swap the live
 	// q-error is audited before the swap is accepted (default 16).
 	Probation int
-	// AbsRollbackQ rolls back outright when the probation geo q-error
-	// exceeds this bound regardless of the pre-swap level (default 32).
-	// Below it, a swap rolls back when the probation-window geometric-mean
-	// q-error exceeds the pre-swap level: the candidate had to beat the
-	// degraded incumbent it replaced.
-	AbsRollbackQ float64
 }
 
-// component names the loop in guard.Safe panic reports.
-const component = "adapt"
+const (
+	// component names the loop in guard.Safe panic reports.
+	component = "adapt"
+	// absRollbackQ rolls a swap back outright when the probation-window
+	// geometric-mean q-error exceeds it, whatever the pre-swap level.
+	// Below it, a swap rolls back when that q-error exceeds the pre-swap
+	// level: the candidate had to beat the degraded incumbent it replaced.
+	absRollbackQ = 32
+)
 
 func (c Config) withDefaults() Config {
 	if c.Train == nil {
@@ -77,9 +78,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Probation <= 0 {
 		c.Probation = 16
-	}
-	if c.AbsRollbackQ <= 1 {
-		c.AbsRollbackQ = 32
 	}
 	return c
 }
@@ -203,7 +201,7 @@ func (l *Loop) Tick(ctx context.Context) (Action, error) {
 		prev := l.prev
 		l.probation = false
 		l.prev = nil
-		if liveGeo > l.preSwapGeo || liveGeo > l.cfg.AbsRollbackQ {
+		if liveGeo > l.preSwapGeo || liveGeo > absRollbackQ {
 			l.stats.Rollbacks++
 			l.mu.Unlock()
 			l.sw.Publish(prev)

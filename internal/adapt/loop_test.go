@@ -64,8 +64,8 @@ func smallLoopConfig(f *fixture) Config {
 		Cat:      f.cat,
 		Detector: DetectorConfig{Baseline: 12, Window: 12, Ratio: 2, AbsQ: 16},
 		Promote:  guard.BreakerConfig{FailureThreshold: 2, Cooldown: 4},
-		// RegressionRatio must stay off: the promotion breaker only hears
-		// explicit Success/Failure from the loop.
+		// The promotion breaker only hears explicit Success/Failure from
+		// the loop, never latencies.
 		MinSamples: 8,
 		Probation:  4,
 	}
@@ -146,7 +146,6 @@ func TestLoopRollsBackDegradingCandidate(t *testing.T) {
 	incumbent := f.sw.Current()
 	host := &fakeHost{}
 	cfg := smallLoopConfig(f)
-	cfg.AbsRollbackQ = 8
 	cfg.Train = func(ctx context.Context, tc *cardest.Context) (opt.CardEstimator, error) {
 		return garbageEstimator{card: 1e9}, nil
 	}

@@ -14,7 +14,7 @@ import (
 // sharded scan is one Merge leaf, labelled with the whole scan's card.
 func TestObserversSeeShardedScansOnce(t *testing.T) {
 	f := newFixture(t)
-	f.opt.Shards = 2
+	f.opt.Passes = plan.DefaultPipeline(2)
 	q := mustParse(t, "SELECT COUNT(*) FROM posts, users WHERE posts.owner_user_id = users.id AND posts.score > 1;")
 	p, err := f.opt.OptimizeCtx(context.Background(), q)
 	if err != nil {

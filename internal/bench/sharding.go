@@ -127,7 +127,7 @@ func E16Sharding(ctx context.Context, env *Env) (*Report, error) {
 			p := base.Clone()
 			if shards >= 2 {
 				var err error
-				p, _, err = plan.DefaultPipeline(shards).Run(ctx, p, &plan.PassContext{Query: c.q, Shards: shards})
+				p, _, err = plan.DefaultPipeline(shards).Run(ctx, p, nil)
 				if err != nil {
 					return nil, fmt.Errorf("E16 %s (pipeline shards=%d): %w", c.label, shards, err)
 				}

@@ -198,65 +198,6 @@ func TestFactorJoinHandlesSkewBetterThanFormulaOnJoins(t *testing.T) {
 	}
 }
 
-func TestLPCEFeedbackImprovesContainingQueries(t *testing.T) {
-	w := getWorld(t)
-	e := NewLPCE()
-	if err := e.Train(w.ctx); err != nil {
-		t.Fatal(err)
-	}
-	// Find a join query in the test set.
-	var target *query.Query
-	var truth float64
-	for _, s := range w.test {
-		if len(s.Q.Refs) >= 2 {
-			target, truth = s.Q, s.Card
-			break
-		}
-	}
-	if target == nil {
-		t.Skip("no join query")
-	}
-	e.Reset()
-	// Feed back the exact cardinality of the full query.
-	e.Observe(target, truth)
-	refined := e.Estimate(target)
-	if metrics.QError(refined, truth) > 1.01 {
-		t.Fatalf("exact feedback not applied: est %v, truth %v", refined, truth)
-	}
-
-	// A containing query: feedback on a 2-table sub-query of a 3-table
-	// query scales the latter's estimate by the damped ratio.
-	e.Reset()
-	var big *query.Query
-	var base float64
-	for _, s := range w.test {
-		if len(s.Q.Refs) == 3 && len(s.Q.Joins) > 0 {
-			if base = e.Estimate(s.Q); base > 0 {
-				big = s.Q
-				break
-			}
-		}
-	}
-	if big == nil {
-		t.Fatal("no 3-table query with a positive estimate in the test set")
-	}
-	j := big.Joins[0]
-	sub := big.Subquery(map[string]bool{j.LeftAlias: true, j.RightAlias: true})
-	if len(sub.Refs) != 2 {
-		t.Fatalf("sub-query has %d tables, want 2", len(sub.Refs))
-	}
-	subEst := e.Initial.Estimate(sub)
-	if subEst <= 0 {
-		subEst = 1
-	}
-	const r = 4.0
-	e.Observe(sub, r*subEst)
-	want := base * math.Pow(r, e.Damping)
-	if got := e.Estimate(big); math.Abs(got-want) > 1e-9*want {
-		t.Fatalf("containing query: est %v, want base %v × %v^%v = %v", got, base, r, e.Damping, want)
-	}
-}
-
 func TestEstimatorDeterminism(t *testing.T) {
 	w := getWorld(t)
 	for _, name := range []string{"gbdt", "spn", "bayesnet", "factorjoin"} {

@@ -1,7 +1,7 @@
 // Package cardest implements the cardinality-estimator taxonomy of the
 // tutorial's Table 1: traditional baselines (histogram independence,
 // sampling), query-driven learned models (linear, GBDT, QuickSel, MLP,
-// MSCN, Robust-MSCN, LPCE), data-driven models (KDE, auto-regressive,
+// MSCN, Robust-MSCN, Fauce), data-driven models (KDE, auto-regressive,
 // Bayesian network, SPN, FactorJoin, Iris) and hybrids (UAE, GLUE, ALECE),
 // all behind one Estimator interface so optimizers can swap them freely.
 package cardest
@@ -79,7 +79,6 @@ func Registry() []Info {
 		{"mlp", QueryDriven, func() Estimator { return NewMLPEstimator() }},
 		{"mscn", QueryDriven, func() Estimator { return NewMSCN() }},
 		{"robust-mscn", QueryDriven, func() Estimator { return NewRobustMSCN() }},
-		{"lpce", QueryDriven, func() Estimator { return NewLPCE() }},
 		{"fauce", QueryDriven, func() Estimator { return NewFauce() }},
 		{"kde", DataDriven, func() Estimator { return NewKDEEstimator(0) }},
 		{"naru", DataDriven, func() Estimator { return NewNaru() }},

@@ -39,31 +39,28 @@ type BreakerConfig struct {
 	// FailureThreshold is K: consecutive failures before tripping
 	// (default 3).
 	FailureThreshold int
-	// RegressionRatio is the observed/baseline latency ratio beyond
-	// which a successfully-executed plan still counts as a failure — the
-	// Bao/Eraser regression signal (default 10; <=1 disables).
-	RegressionRatio float64
 	// Cooldown is the number of queries served while Open before the
 	// first half-open probe (default 8). Counting queries instead of
 	// wall-clock keeps the state machine deterministic for tests and
 	// benchmarks.
 	Cooldown int
-	// MaxCooldown caps the exponential backoff (default 512).
-	MaxCooldown int
 }
+
+const (
+	// regressionRatio is the observed/baseline latency ratio beyond which
+	// a successfully-executed plan still counts as a failure — the
+	// Bao/Eraser regression signal.
+	regressionRatio = 10
+	// maxCooldown caps the exponential backoff.
+	maxCooldown = 512
+)
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.FailureThreshold <= 0 {
 		c.FailureThreshold = 3
 	}
-	if c.RegressionRatio == 0 {
-		c.RegressionRatio = 10
-	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 8
-	}
-	if c.MaxCooldown <= 0 {
-		c.MaxCooldown = 512
 	}
 	return c
 }
@@ -155,9 +152,7 @@ func (b *Breaker) Failure() {
 	switch b.state {
 	case HalfOpen:
 		b.backoff *= 2
-		if b.backoff > b.cfg.MaxCooldown {
-			b.backoff = b.cfg.MaxCooldown
-		}
+		b.backoff = min(b.backoff, maxCooldown)
 		b.trip()
 	case Closed:
 		b.consecFails++
@@ -170,13 +165,10 @@ func (b *Breaker) Failure() {
 // ObserveLatency records a successfully executed plan's latency against
 // the native baseline for the same query. Ratios beyond the regression
 // threshold count as failures (the component is hurting, not helping);
-// healthy ratios count as successes.
+// healthy ratios, and any latency against a zero baseline, count as
+// successes.
 func (b *Breaker) ObserveLatency(observed, baseline float64) {
-	if baseline <= 0 || b.cfg.RegressionRatio <= 1 {
-		b.Success()
-		return
-	}
-	if observed/baseline > b.cfg.RegressionRatio {
+	if baseline > 0 && observed/baseline > regressionRatio {
 		b.Failure()
 		return
 	}

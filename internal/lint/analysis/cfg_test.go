@@ -313,7 +313,7 @@ func TestReachableSkipsDeadBlocks(t *testing.T) {
 
 // TestSolverFixpointOnLoop runs a live-variable-ish counting analysis
 // over a loop with a back-edge and checks the solver reaches a fixpoint
-// (rather than erroring on the MaxSteps guard) and produces the expected
+// (rather than erroring on the step bound) and produces the expected
 // join at the loop head.
 func TestSolverFixpointOnLoop(t *testing.T) {
 	g := buildFromSrc(t, `func f(n int) int {
@@ -391,7 +391,7 @@ func TestSolverFixpointOnLoop(t *testing.T) {
 	}
 }
 
-// TestSolverNonConvergenceGuard checks the MaxSteps defense: a transfer
+// TestSolverNonConvergenceGuard checks the step bound: a transfer
 // that never stabilizes must produce an error, not an infinite loop.
 func TestSolverNonConvergenceGuard(t *testing.T) {
 	g := buildFromSrc(t, `func f(n int) {
@@ -407,7 +407,6 @@ func TestSolverNonConvergenceGuard(t *testing.T) {
 		Transfer: func(b *Block, in int) int { return in + 1 },
 		Merge:    func(a, b int) int { return a + b },
 		Equal:    func(a, b int) bool { return a == b },
-		MaxSteps: 100,
 	}
 	if _, err := df.Solve(); err == nil {
 		t.Fatal("expected non-convergence error, got nil")

@@ -42,18 +42,18 @@ type Dataflow[F any] struct {
 
 	// Equal reports fact equality — the fixpoint test.
 	Equal func(a, b F) bool
-
-	// MaxSteps bounds worklist iterations as a defense against a
-	// non-monotone Transfer oscillating forever. 0 means 64 visits per
-	// reachable block, far beyond what a monotone finite-height lattice
-	// needs.
-	MaxSteps int
 }
+
+// visitsPerBlock bounds worklist iterations, per reachable block, as a
+// defense against a non-monotone Transfer oscillating forever: far
+// beyond what a monotone finite-height lattice needs.
+const visitsPerBlock = 64
 
 // Solve runs the worklist to fixpoint and returns the IN fact of every
 // reachable block. It errors out (rather than spinning) if the problem
-// does not converge within MaxSteps — a non-monotone transfer or an
-// infinite-height lattice, either of which is an analyzer bug.
+// does not converge within visitsPerBlock visits per reachable block — a
+// non-monotone transfer or an infinite-height lattice, either of which is
+// an analyzer bug.
 func (d *Dataflow[F]) Solve() (map[*Block]F, error) {
 	reach := d.CFG.Reachable()
 	in := make(map[*Block]F, len(reach))
@@ -64,10 +64,7 @@ func (d *Dataflow[F]) Solve() (map[*Block]F, error) {
 	}
 	in[d.CFG.Entry] = d.Entry
 
-	maxSteps := d.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 64 * len(reach)
-	}
+	maxSteps := visitsPerBlock * len(reach)
 
 	// Seed in reverse post-order so most facts stabilize in one pass.
 	work := append([]*Block(nil), reach...)

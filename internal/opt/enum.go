@@ -171,9 +171,7 @@ func (o *Optimizer) bestScan(g *query.JoinGraph, i int, card float64) (best *pla
 		}
 	}
 	col := o.indexEqColumn(table, preds)
-	if o.Hints.AllowsScan(plan.SeqScan) || col == "" {
-		consider(plan.SeqScan, o.Cost.TableRows(table), len(preds))
-	}
+	consider(plan.SeqScan, o.Cost.TableRows(table), len(preds))
 	if col != "" && o.Hints.AllowsScan(plan.IndexScan) {
 		consider(plan.IndexScan, o.Cost.IndexFetchRows(table, col), len(preds)-1)
 	}

@@ -36,18 +36,27 @@ type goldenCell struct {
 	// fromOrder plans through PlanFromOrder over the reversed FROM order
 	// (cross products included) instead of OptimizeCtx.
 	fromOrder bool
-	// sharded plans every query a second time with Shards=2.
+	// greedy plans every query of more than greedyAbove aliases through
+	// OptimizeGreedyCtx and the default pipeline instead of OptimizeCtx.
+	greedy bool
+	// sharded plans every query a second time through
+	// plan.DefaultPipeline(2).
 	sharded bool
 	// est names the cardest estimator the cell plans with; "" is the
 	// histogram estimator every other cell uses.
 	est string
 }
 
+// greedyAbove is the alias count beyond which a greedy cell plans
+// greedily: the cells' hashes were recorded with DP bounded at 3 tables.
+const greedyAbove = 3
+
 // goldenCells spans enumerator × tree shape × hint set. The greedy cells
-// force the fallback with MaxDPTables=3 on a slice of the workload, the
-// order cells cover PlanFromOrder, the sharded cell runs the full
-// default pipeline over Merge nodes, and the mutated cell feeds the
-// rewrite passes the duplicate and unsatisfiable conjuncts they fold.
+// plan the queries of more than greedyAbove aliases of a slice of the
+// workload greedily, the order cells cover PlanFromOrder, the sharded
+// cell runs the full default pipeline over Merge nodes, and the mutated
+// cell feeds the rewrite passes the duplicate and unsatisfiable
+// conjuncts they fold.
 func goldenCells() []goldenCell {
 	hints := []struct {
 		name string
@@ -66,18 +75,15 @@ func goldenCells() []goldenCell {
 				o.LeftDeepOnly = true
 				return o
 			}},
-			goldenCell{name: "greedy/" + h.name, opt: func(b *Optimizer) *Optimizer {
-				o := b.WithHints(h.h)
-				o.MaxDPTables = 3
-				return o
-			}, take: func(qs []*query.Query) []*query.Query { return qs[:48] }},
+			goldenCell{name: "greedy/" + h.name, opt: func(b *Optimizer) *Optimizer { return b.WithHints(h.h) },
+				take: func(qs []*query.Query) []*query.Query { return qs[:48] }, greedy: true},
 			goldenCell{name: "order/" + h.name, opt: func(b *Optimizer) *Optimizer { return b.WithHints(h.h) },
 				take: func(qs []*query.Query) []*query.Query { return qs[:96] }, fromOrder: true},
 		)
 	}
 	cells = append(cells, goldenCell{name: "dp/bushy/default/shards2", opt: func(b *Optimizer) *Optimizer {
 		o := b.WithHints(plan.HintSet{})
-		o.Shards = 2
+		o.Passes = plan.DefaultPipeline(2)
 		return o
 	}, take: func(qs []*query.Query) []*query.Query { return qs[:96] }})
 	cells = append(cells, goldenCell{name: "dp/bushy/default/mutated", opt: func(b *Optimizer) *Optimizer {
@@ -133,7 +139,7 @@ func shiftVal(v data.Value, d int64) data.Value {
 // a function of the Merge node: Exchange EstCost 0 and EstCard
 // Merge.EstCard/Shards, then the clone's EstCost and EstCard, the Merge
 // node's own.
-func hashCell(t *testing.T, opts []*Optimizer, qs []*query.Query, fromOrder bool) string {
+func hashCell(t *testing.T, c goldenCell, opts []*Optimizer, qs []*query.Query) string {
 	t.Helper()
 	h := sha256.New()
 	var buf [8]byte
@@ -143,17 +149,7 @@ func hashCell(t *testing.T, opts []*Optimizer, qs []*query.Query, fromOrder bool
 	}
 	for _, q := range qs {
 		for _, o := range opts {
-			var p *plan.Node
-			var err error
-			if fromOrder {
-				order := q.Aliases()
-				for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-					order[i], order[j] = order[j], order[i]
-				}
-				p, err = o.PlanFromOrder(q, order)
-			} else {
-				p, err = o.OptimizeCtx(context.Background(), q)
-			}
+			p, err := c.plan(o, q)
 			if err != nil {
 				t.Fatalf("optimize %s: %v", q.SQL(), err)
 			}
@@ -174,6 +170,27 @@ func hashCell(t *testing.T, opts []*Optimizer, qs []*query.Query, fromOrder bool
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// plan plans q with o as the cell says.
+func (c goldenCell) plan(o *Optimizer, q *query.Query) (*plan.Node, error) {
+	ctx := context.Background()
+	switch {
+	case c.fromOrder:
+		order := q.Aliases()
+		for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
+			order[i], order[j] = order[j], order[i]
+		}
+		return o.PlanFromOrder(q, order)
+	case c.greedy && len(q.Refs) > greedyAbove:
+		p, err := o.OptimizeGreedyCtx(ctx, q)
+		if err != nil {
+			return nil, err
+		}
+		p, _, err = plan.DefaultPipeline(0).Run(ctx, p, nil)
+		return p, err
+	}
+	return o.OptimizeCtx(ctx, q)
 }
 
 // perMaskEstimator hides its estimator's EstimateGraph: the planner asks
@@ -219,15 +236,15 @@ func TestGoldenPlanIdentity(t *testing.T) {
 		opts := []*Optimizer{c.opt(b)}
 		if c.sharded {
 			s := opts[0].WithHints(opts[0].Hints)
-			s.Shards = 2
+			s.Passes = plan.DefaultPipeline(2)
 			opts = append(opts, s)
 		}
-		got[c.name] = hashCell(t, opts, cell, c.fromOrder)
+		got[c.name] = hashCell(t, c, opts, cell)
 		if c.est == "" {
 			for i, o := range opts {
 				opts[i] = o.WithEstimator(perMaskEstimator{o.Est})
 			}
-			perMask[c.name] = hashCell(t, opts, cell, c.fromOrder)
+			perMask[c.name] = hashCell(t, c, opts, cell)
 		}
 	}
 	for name, h := range perMask {

@@ -71,24 +71,16 @@ type Optimizer struct {
 	Est   CardEstimator
 	Hints plan.HintSet
 
-	// MaxDPTables bounds exhaustive DP; larger queries use greedy join
-	// ordering. 0 means the default of 12.
-	MaxDPTables int
-
 	// LeftDeepOnly restricts DP to left-deep trees (System R's original
 	// space); the default explores bushy plans. E8 quantifies the
 	// difference in plan quality and enumeration effort.
 	LeftDeepOnly bool
 
-	// Shards is the scatter-gather fan-out handed to the default pass
-	// pipeline: at 2 or more, the ShardScans pass turns SeqScan leaves
-	// into Merge leaves that scan that many hash partitions. 0 or 1 plans
-	// unsharded trees (the default).
-	Shards int
-
 	// Passes overrides the rewrite pipeline run after join enumeration.
-	// Nil means plan.DefaultPipeline(Shards). An explicit empty pipeline
-	// (&plan.PassPipeline{}) disables rewrites entirely.
+	// Nil means plan.DefaultPipeline(0), which plans unsharded trees;
+	// plan.DefaultPipeline(n) for n ≥ 2 shards every SeqScan leaf over n
+	// hash partitions. An explicit empty pipeline (&plan.PassPipeline{})
+	// disables rewrites entirely.
 	Passes *plan.PassPipeline
 
 	// plansConsidered holds the plan-alternative count of the most
@@ -125,19 +117,20 @@ func (o *Optimizer) PlansConsidered() int {
 	return int(atomic.LoadInt64(&o.plansConsidered))
 }
 
-func (o *Optimizer) maxDP() int {
-	if o.MaxDPTables > 0 {
-		return o.MaxDPTables
-	}
-	return 12
-}
+// maxDPTables bounds exhaustive DP; larger queries use greedy join
+// ordering.
+const maxDPTables = 12
+
+// defaultPipeline is the rewrite pipeline of an optimizer with no
+// Passes. Pipelines are read-only once built, so every plan shares it.
+var defaultPipeline = plan.DefaultPipeline(0)
 
 // pipeline returns the rewrite pipeline to run after enumeration.
 func (o *Optimizer) pipeline() *plan.PassPipeline {
 	if o.Passes != nil {
 		return o.Passes
 	}
-	return plan.DefaultPipeline(o.Shards)
+	return defaultPipeline
 }
 
 // OptimizeCtx returns the minimum-estimated-cost plan for q: exhaustive
@@ -167,8 +160,7 @@ func (o *Optimizer) OptimizeTraceCtx(ctx context.Context, g *query.JoinGraph) (*
 	if err != nil {
 		return nil, nil, err
 	}
-	pc := &plan.PassContext{Query: g.Query(), Estimate: o.estimate, Shards: o.Shards}
-	return o.pipeline().Run(ctx, root, pc)
+	return o.pipeline().Run(ctx, root, nil)
 }
 
 // enumerate runs join enumeration only — DP or greedy by query size — with
@@ -181,7 +173,7 @@ func (o *Optimizer) enumerate(ctx context.Context, g *query.JoinGraph) (*plan.No
 	if err := plannable(g.Query()); err != nil {
 		return nil, err
 	}
-	if len(g.Aliases) <= o.maxDP() {
+	if len(g.Aliases) <= maxDPTables {
 		return o.optimizeDP(ctx, g)
 	}
 	return o.optimizeGreedy(ctx, g)
@@ -204,8 +196,7 @@ func plannable(q *query.Query) error {
 // and sanitizes the answer before it can reach the cost model: NaN and
 // negative estimates become 0, +Inf and absurd magnitudes cap at
 // metrics.MaxCard. A broken estimator can mis-rank plans but can never
-// poison cost arithmetic with non-finite values. The same method backs
-// plan.PassContext.Estimate.
+// poison cost arithmetic with non-finite values.
 func (o *Optimizer) estimate(q *query.Query) float64 {
 	return metrics.SanitizeCard(o.Est.Estimate(q))
 }

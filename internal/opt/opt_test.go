@@ -254,8 +254,7 @@ func TestGreedyHandlesManyTables(t *testing.T) {
 			{Alias: "votes", Column: "vote_type", Op: query.Eq, Val: data.IntVal(1)},
 		},
 	}
-	f.opt.MaxDPTables = 3 // force greedy
-	p, err := f.opt.OptimizeCtx(context.Background(), q)
+	p, err := f.opt.OptimizeGreedyCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,18 +43,21 @@ func TestPipelineIdentityOnEnumerationOutput(t *testing.T) {
 }
 
 // TestOptimizeTraceCoversDefaultPasses checks that every round of the
-// trace names exactly DefaultPasses(o.Shards), in order, and that an
-// unsharded plan of a well-formed query takes one round.
+// trace names exactly the default passes, DefaultPasses(0) when Passes
+// is nil and DefaultPasses(n) under DefaultPipeline(n), in order, and
+// that an unsharded plan of a well-formed query takes one round.
 func TestOptimizeTraceCoversDefaultPasses(t *testing.T) {
 	f := newFixture(t)
 	for _, shards := range []int{0, 2} {
 		o := f.opt.WithEstimator(f.opt.Est)
-		o.Shards = shards
+		if shards > 0 {
+			o.Passes = plan.DefaultPipeline(shards)
+		}
 		_, trace, err := o.OptimizeTraceCtx(context.Background(), query.NewJoinGraph(chainQuery()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		passes := plan.DefaultPasses(o.Shards)
+		passes := plan.DefaultPasses(shards)
 		if len(trace) == 0 || len(trace)%len(passes) != 0 {
 			t.Fatalf("shards=%d: trace %v is not whole rounds of %d passes", shards, trace, len(passes))
 		}
@@ -70,7 +73,8 @@ func TestOptimizeTraceCoversDefaultPasses(t *testing.T) {
 }
 
 // TestOptimizerShardsProducesMergePlans checks the optimizer-level
-// sharding switch: Shards >= 2 appends the shard-scans pass, and the
+// sharding switch: Passes = DefaultPipeline(n ≥ 2) appends the
+// shard-scans pass, and the
 // resulting plan fans every SeqScan leaf out into a Merge node whose
 // logical projection still matches the unsharded plan.
 func TestOptimizerShardsProducesMergePlans(t *testing.T) {
@@ -83,7 +87,7 @@ func TestOptimizerShardsProducesMergePlans(t *testing.T) {
 	}
 
 	so := f.opt.WithEstimator(f.opt.Est) // shallow copy, same estimator
-	so.Shards = 3
+	so.Passes = plan.DefaultPipeline(3)
 	sharded, trace, err := so.OptimizeTraceCtx(ctx, query.NewJoinGraph(q))
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +122,7 @@ func TestOptimizerShardsProducesMergePlans(t *testing.T) {
 		t.Fatalf("sharding changed the join order: %s vs %s", got, want)
 	}
 	// Disabling rewrites entirely must also be possible: an explicit empty
-	// pipeline returns raw enumeration even with Shards set.
+	// pipeline returns raw enumeration.
 	so.Passes = &plan.PassPipeline{}
 	rawOnly, err := so.OptimizeCtx(ctx, q)
 	if err != nil {

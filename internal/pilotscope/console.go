@@ -66,10 +66,11 @@ type Driver interface {
 // database user — ExecuteSQL looks exactly like talking to the database.
 //
 // The console is the middleware's guardrail boundary: every driver call
-// (Init, Algo) runs under panic isolation, and a per-driver
-// circuit breaker stops consulting a driver that keeps failing, re-probing
-// with exponential backoff. A misbehaving driver can therefore never take
-// the database down — queries always execute, natively if need be.
+// (Init, Algo) runs under panic isolation, and a per-driver circuit
+// breaker (guard's defaults) stops consulting a driver that keeps
+// failing, re-probing with exponential backoff. A misbehaving driver can
+// therefore never take the database down — queries always execute,
+// natively if need be.
 type Console struct {
 	db       DB
 	mu       sync.Mutex
@@ -78,9 +79,6 @@ type Console struct {
 	active   Driver
 	workload []string
 	seed     int64
-	// BreakerCfg tunes the per-driver circuit breakers; the zero value
-	// selects guard's defaults. Set before RegisterDriver.
-	BreakerCfg guard.BreakerConfig
 	// Overhead counters for E7/E10.
 	QueriesServed  int
 	DriverFailures int // driver errors (including recovered panics)
@@ -99,7 +97,7 @@ func (c *Console) RegisterDriver(d Driver) {
 	defer c.mu.Unlock()
 	c.drivers[d.Name()] = d
 	if _, ok := c.breakers[d.Name()]; !ok {
-		c.breakers[d.Name()] = guard.NewBreaker(c.BreakerCfg)
+		c.breakers[d.Name()] = guard.NewBreaker(guard.BreakerConfig{})
 	}
 }
 

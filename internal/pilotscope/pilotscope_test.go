@@ -314,7 +314,7 @@ func TestIndexAdvisorDriver(t *testing.T) {
 }
 
 func bench29Workload(cat *data.Catalog) []string {
-	qs := workload.GenWorkload(cat, workload.Options{Seed: 29, Count: 30, MaxJoins: 2, MaxPreds: 2, EqProb: 0.7})
+	qs := workload.GenWorkload(cat, workload.Options{Seed: 29, Count: 30, MaxJoins: 2, MaxPreds: 2})
 	var out []string
 	for _, q := range qs {
 		out = append(out, q.SQL())

@@ -7,13 +7,12 @@ import (
 
 // HintSet is a Bao-style steering knob set: it enables or disables physical
 // operator classes for an entire optimization run. The zero value allows
-// everything.
+// everything. A sequential scan is always allowed.
 type HintSet struct {
 	NoHashJoin   bool
 	NoMergeJoin  bool
 	NoNestedLoop bool
 	NoIndexScan  bool
-	NoSeqScan    bool // only honored when an index alternative exists
 }
 
 // AllowsJoin reports whether the hint set permits the join operator.
@@ -34,7 +33,7 @@ func (h HintSet) AllowsJoin(op Op) bool {
 func (h HintSet) AllowsScan(op Op) bool {
 	switch op {
 	case SeqScan:
-		return !h.NoSeqScan
+		return true
 	case IndexScan:
 		return !h.NoIndexScan
 	default:
@@ -42,11 +41,10 @@ func (h HintSet) AllowsScan(op Op) bool {
 	}
 }
 
-// Valid reports whether at least one join operator and one scan operator
-// remain enabled.
+// Valid reports whether at least one join operator remains enabled (a
+// sequential scan always does).
 func (h HintSet) Valid() bool {
-	return (!h.NoHashJoin || !h.NoMergeJoin || !h.NoNestedLoop) &&
-		(!h.NoSeqScan || !h.NoIndexScan)
+	return !h.NoHashJoin || !h.NoMergeJoin || !h.NoNestedLoop
 }
 
 // String lists the disabled operator classes, or "default".
@@ -63,9 +61,6 @@ func (h HintSet) String() string {
 	}
 	if h.NoIndexScan {
 		off = append(off, "indexscan")
-	}
-	if h.NoSeqScan {
-		off = append(off, "seqscan")
 	}
 	if len(off) == 0 {
 		return "default"

@@ -14,22 +14,16 @@ import (
 )
 
 // PassContext carries the query-level state rewrite passes may consult.
-// Passes must treat every field as read-only.
+// Passes must treat every field as read-only. No default pass reads a
+// field, and the optimizer leaves both nil; a custom pass that reads one
+// must be a no-op when it is nil.
 type PassContext struct {
-	// Query is the logical query the plan computes. No default pass
-	// reads it; it is there for custom passes, which must be no-ops when
-	// it is nil.
+	// Query is the logical query the plan computes.
 	Query *query.Query
 
 	// Estimate supplies sanitized cardinality estimates for sub-queries:
-	// no NaN, no negatives, capped at metrics.MaxCard, the optimizer's
-	// own sanitizer. No default pass reads it; a custom pass may, and
-	// must be a no-op when it is nil.
+	// no NaN, no negatives, capped at metrics.MaxCard.
 	Estimate func(*query.Query) float64
-
-	// Shards is the scatter-gather fan-out the ShardScans pass targets;
-	// values below 2 leave plans unsharded.
-	Shards int
 }
 
 // RewritePass is one pure plan-to-plan transformation. Rewrite returns
@@ -70,21 +64,15 @@ func (t PassTrace) String() string {
 // zero value is a valid empty pipeline (identity transform).
 type PassPipeline struct {
 	Passes []RewritePass
-	// MaxRounds bounds the fixpoint iteration as a defense against a
-	// non-idempotent pass pair oscillating forever. 0 means the default
-	// of 8 rounds; the defaults converge in 2.
-	MaxRounds int
 }
 
-func (pl *PassPipeline) maxRounds() int {
-	if pl.MaxRounds > 0 {
-		return pl.MaxRounds
-	}
-	return 8
-}
+// maxRounds bounds the fixpoint iteration as a defense against a
+// non-idempotent pass pair oscillating forever; the defaults converge
+// in 2.
+const maxRounds = 8
 
 // Run applies the pipeline's passes in order, repeating rounds until a
-// full round fires no pass (fixpoint) or MaxRounds is hit. It returns
+// full round fires no pass (fixpoint) or maxRounds is hit. It returns
 // the rewritten plan and the per-pass trace. The input tree is never
 // mutated (every pass is clone-on-write); when nothing fires the input
 // root is returned unchanged.
@@ -93,7 +81,7 @@ func (pl *PassPipeline) Run(ctx context.Context, root *Node, pc *PassContext) (*
 		pc = &PassContext{}
 	}
 	var trace []PassTrace
-	for round := 1; round <= pl.maxRounds(); round++ {
+	for round := 1; round <= maxRounds; round++ {
 		fired := false
 		for _, p := range pl.Passes {
 			if err := ctx.Err(); err != nil {

@@ -81,7 +81,7 @@ func TestPipelinePurityAndFixpoint(t *testing.T) {
 	before := snapshotTree(root)
 
 	pl := DefaultPipeline(2)
-	out, trace, err := pl.Run(context.Background(), root, &PassContext{Query: q, Shards: 2})
+	out, trace, err := pl.Run(context.Background(), root, &PassContext{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestPipelinePurityAndFixpoint(t *testing.T) {
 
 	// Idempotency: re-running the pipeline on its own output is a no-op
 	// and returns the same root.
-	out2, trace2, err := pl.Run(context.Background(), out, &PassContext{Query: q, Shards: 2})
+	out2, trace2, err := pl.Run(context.Background(), out, &PassContext{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}

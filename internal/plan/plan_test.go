@@ -113,9 +113,9 @@ func TestHintSets(t *testing.T) {
 	if all.Valid() {
 		t.Fatal("no joins left should be invalid")
 	}
-	scans := HintSet{NoSeqScan: true, NoIndexScan: true}
-	if scans.Valid() {
-		t.Fatal("no scans left should be invalid")
+	scans := HintSet{NoIndexScan: true}
+	if !scans.Valid() || !scans.AllowsScan(SeqScan) || scans.AllowsScan(IndexScan) {
+		t.Fatal("no-indexscan must stay valid: a sequential scan is always allowed")
 	}
 	for _, hs := range BaoHintSets() {
 		if !hs.Valid() {

@@ -16,15 +16,18 @@ var ErrOverloaded = errors.New("serve: tenant overloaded (queue full)")
 // recent requests kept failing and the tenant is cooling down.
 var ErrShed = errors.New("serve: tenant shed (circuit breaker open)")
 
-// admission is per-tenant flow control: a slot pool bounds concurrent
-// executions, a bounded queue absorbs bursts, and a guard.Breaker sheds
-// tenants whose requests keep failing. Tenants are isolated — one
-// tenant's burst or failure streak never consumes another's slots.
-type admission struct {
-	slots   int
-	queue   int
-	breaker guard.BreakerConfig
+// Per-tenant admission limits.
+const (
+	tenantSlots = 16 // concurrent executions
+	tenantQueue = 64 // requests waiting once the slots are full
+)
 
+// admission is per-tenant flow control: tenantSlots bounds concurrent
+// executions, a queue of tenantQueue absorbs bursts, and a guard.Breaker
+// with guard's defaults sheds tenants whose requests keep failing.
+// Tenants are isolated — one tenant's burst or failure streak never
+// consumes another's slots.
+type admission struct {
 	mu       sync.Mutex
 	tenants  map[string]*tenantState
 	rejected int64
@@ -39,13 +42,8 @@ type tenantState struct {
 	waiting int // arrivals blocked on sem
 }
 
-func newAdmission(slots, queue int, bc guard.BreakerConfig) *admission {
-	return &admission{
-		slots:   slots,
-		queue:   queue,
-		breaker: bc,
-		tenants: make(map[string]*tenantState),
-	}
+func newAdmission() *admission {
+	return &admission{tenants: make(map[string]*tenantState)}
 }
 
 func (a *admission) tenant(name string) *tenantState {
@@ -54,8 +52,8 @@ func (a *admission) tenant(name string) *tenantState {
 	ts, ok := a.tenants[name]
 	if !ok {
 		ts = &tenantState{
-			sem:     make(chan struct{}, a.slots),
-			breaker: guard.NewBreaker(a.breaker),
+			sem:     make(chan struct{}, tenantSlots),
+			breaker: guard.NewBreaker(guard.BreakerConfig{}),
 		}
 		a.tenants[name] = ts
 	}
@@ -83,7 +81,7 @@ func (a *admission) acquire(ctx context.Context, tenant string) (func(), *guard.
 	}
 	// Slow path: join the bounded queue or get rejected.
 	ts.mu.Lock()
-	if ts.waiting >= a.queue {
+	if ts.waiting >= tenantQueue {
 		ts.mu.Unlock()
 		a.mu.Lock()
 		a.rejected++

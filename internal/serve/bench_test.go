@@ -12,6 +12,7 @@ import (
 	"lqo/internal/datagen"
 	"lqo/internal/exec"
 	"lqo/internal/opt"
+	"lqo/internal/plan"
 	"lqo/internal/stats"
 )
 
@@ -42,7 +43,7 @@ func BenchmarkServeHit(b *testing.B) {
 	// the set bits of j = k/4 and appends what bits its spaces cannot hold
 	// as trailing spaces; spelling 0 is the adhoc text. 4096 of them
 	// outlast the statement cache, which drops all its entries every
-	// CacheSize admissions, so none is ever a statement hit.
+	// cacheSize admissions, so none is ever a statement hit.
 	spellings := make([]string, 4096)
 	for k := range spellings {
 		var b strings.Builder
@@ -128,9 +129,10 @@ var wideBindings = func() []int {
 	return b
 }()
 
-// newHitFixture is BenchmarkServeHit's server, planning with the given
-// shard fan-out, and its prepared 3-way statement. The q-error gate is
-// off: every request after the first of a statement must be a hit.
+// newHitFixture is BenchmarkServeHit's server, planning through
+// plan.DefaultPipeline(shards), and its prepared 3-way statement. The
+// q-error gate is off: every request after the first of a statement must
+// be a hit.
 func newHitFixture(tb testing.TB, shards int) (*Server, *Stmt) {
 	tb.Helper()
 	cat := datagen.StatsCEB(datagen.Config{Seed: 17, Scale: 0.05})
@@ -140,7 +142,7 @@ func newHitFixture(tb testing.TB, shards int) (*Server, *Stmt) {
 		tb.Fatal(err)
 	}
 	o := opt.New(cat, cost.New(cs), hist)
-	o.Shards = shards
+	o.Passes = plan.DefaultPipeline(shards)
 	s := New(cat, o, exec.New(cat), Config{InvalidateQError: -1})
 	stmt, err := s.Prepare("SELECT COUNT(*) FROM posts, users, comments WHERE posts.owner_user_id = users.id AND comments.post_id = posts.id AND posts.score > ?;")
 	if err != nil {
@@ -153,7 +155,7 @@ func newHitFixture(tb testing.TB, shards int) (*Server, *Stmt) {
 // BenchmarkServeHit's fixture: the binding's query and its own Preds, the
 // executor's run (its record rides in the Result), the reply and
 // admission's release — no plan copy, no predicate slab, no join graph,
-// no feedback key, and under Shards=2 no cache key built either. Its
+// no feedback key, sharded or not. Its
 // binding's harvest record is found without allocating at any number
 // of placeholders: the wide statement binds seven.
 func TestPreparedHitAllocations(t *testing.T) {

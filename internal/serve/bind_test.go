@@ -94,7 +94,7 @@ func (c *bindCheck) serve(stage, sql string, stmt *Stmt, args ...any) {
 		}
 		fresh = tmpl
 	}
-	key := s.cacheKey(fresh.ShapeKey())
+	key := fresh.ShapeKey()
 	q, err := sqlx.Parse(sql, c.cat)
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +336,7 @@ func raceReplacement(t *testing.T, copyOf func(*data.Table) *data.Table) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := s.cacheKey(q.Key())
+	key := q.Key()
 	for range 2 {
 		if _, err := s.Query(ctx, "a", raceSQL); err != nil {
 			t.Fatal(err)
@@ -397,7 +397,7 @@ func FuzzBindingStaleness(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		cat := stringCatalog()
 		c := newBindCheck(t, cat)
-		m := newMirror(0)
+		m := newMirror()
 		c.s.SetObserver(tee{c.obs, m})
 		stmt, err := c.s.Prepare(bindTemplate)
 		if err != nil {

@@ -94,11 +94,15 @@ func (e *cacheEntry) hits() *hitMemo {
 	return e.memo.Load()
 }
 
+// cacheSize caps a server's plan cache and, separately, its statement
+// cache of parsed ad-hoc texts.
+const cacheSize = 512
+
 // NewPlanCache returns a cache holding at most capacity plans
-// (capacity <= 0 selects the default of 512).
+// (capacity <= 0 selects cacheSize).
 func NewPlanCache(capacity int) *PlanCache {
 	if capacity <= 0 {
-		capacity = 512
+		capacity = cacheSize
 	}
 	return &PlanCache{
 		cap:     capacity,

@@ -59,7 +59,7 @@ func TestPlanCacheCheckoutSurvivesRebind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := []string{s.cacheKey(q.Key()), stmt.e.Load().key}
+	keys := []string{q.Key(), stmt.e.Load().key}
 	serve := func(i int) {
 		t.Helper()
 		for _, run := range []func() (*Result, error){

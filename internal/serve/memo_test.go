@@ -28,16 +28,12 @@ import (
 // opt.HarvestCards under the server's admission rule.
 type mirrorStore struct {
 	mu     sync.Mutex
-	cap    int
 	store  map[string]float64
 	hashes map[uint64]struct{}
 }
 
-func newMirror(cap int) *mirrorStore {
-	if cap <= 0 {
-		cap = 8192 // Config.withDefaults
-	}
-	m := &mirrorStore{cap: cap}
+func newMirror() *mirrorStore {
+	m := &mirrorStore{}
 	m.reset()
 	return m
 }
@@ -46,7 +42,7 @@ func (m *mirrorStore) ObserveRun(g *query.JoinGraph, p *plan.Node, cards []float
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, l := range opt.HarvestCards(g, p, cards) {
-		if _, ok := m.store[l.Key]; !ok && len(m.store) >= m.cap {
+		if _, ok := m.store[l.Key]; !ok && len(m.store) >= feedbackCap {
 			continue
 		}
 		m.store[l.Key] = l.Card
@@ -59,6 +55,34 @@ func (m *mirrorStore) reset() {
 	defer m.mu.Unlock()
 	m.store = map[string]float64{}
 	m.hashes = map[uint64]struct{}{}
+}
+
+// fillFeedback absorbs filler keys, which no sub-query renders, into s's
+// feedback store until free slots remain, so the keys a test harvests
+// next see a store of capacity free, and returns them. free ≤ 0 adds
+// none.
+func fillFeedback(s *Server, free int) []string {
+	if free <= 0 {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var keys []string
+	for i := 0; len(s.cards) < feedbackCap-free; i++ {
+		keys = append(keys, fmt.Sprintf("filler/%d", i))
+		absorb(s, keys[i], 1)
+	}
+	return keys
+}
+
+// fill is fillFeedback that also mirrors the filler keys.
+func (m *mirrorStore) fill(s *Server, free int) {
+	keys := fillFeedback(s, free)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, k := range keys {
+		m.store[k] = 1
+	}
 }
 
 // feedbackOf snapshots the server's feedback store as key -> card.
@@ -96,7 +120,7 @@ func requireMirrored(t *testing.T, s *Server, m *mirrorStore, at string) {
 func recordsOf(s *Server, key string) (recs []harvestRecord, cached bool) {
 	s.cache.mu.Lock()
 	defer s.cache.mu.Unlock()
-	el, ok := s.cache.entries[s.cacheKey(key)]
+	el, ok := s.cache.entries[key]
 	if !ok {
 		return nil, false
 	}
@@ -125,7 +149,7 @@ func hasMemo(s *Server, key string) bool {
 func requireOwnKeys(t *testing.T, s *Server, key, at string) int {
 	t.Helper()
 	s.cache.mu.Lock()
-	el, ok := s.cache.entries[s.cacheKey(key)]
+	el, ok := s.cache.entries[key]
 	s.cache.mu.Unlock()
 	if !ok {
 		return 0
@@ -186,12 +210,14 @@ var memoSQL = []string{
 
 // TestHarvestMemoMatchesHarvestCards drives misses, first hits and memoized
 // hits, with an ample and with a nearly full feedback store, and checks the
-// store against the mirror after every request.
+// store against the mirror after every request. cap=n with n > 0 leaves n
+// free slots (mirrorStore.fill).
 func TestHarvestMemoMatchesHarvestCards(t *testing.T) {
 	for _, cap := range []int{0, 7, 3} {
 		t.Run(fmt.Sprintf("cap=%d", cap), func(t *testing.T) {
-			s, _ := newFixture(t, Config{FeedbackCap: cap})
-			m := newMirror(cap)
+			s, _ := newFixture(t, Config{})
+			m := newMirror()
+			m.fill(s, cap)
 			s.SetObserver(m)
 			memoized := false
 			for round := 0; round < 4; round++ {
@@ -216,20 +242,22 @@ func TestHarvestMemoMatchesHarvestCards(t *testing.T) {
 			if !memoized {
 				t.Fatal("no request ever went through a memo")
 			}
-			if cap > 0 && s.FeedbackLen() != cap {
-				t.Fatalf("FeedbackLen = %d, want the cap %d", s.FeedbackLen(), cap)
+			if cap > 0 && s.FeedbackLen() != feedbackCap {
+				t.Fatalf("FeedbackLen = %d, want the cap %d", s.FeedbackLen(), feedbackCap)
 			}
 			// ResetFeedback empties the store under live memos: the next
 			// hits must write every key again, not only changed ones.
 			s.ResetFeedback()
 			m.reset()
+			m.fill(s, cap)
+			filled := s.FeedbackLen()
 			for i, sql := range memoSQL {
 				if _, err := s.Query(context.Background(), "a", sql); err != nil {
 					t.Fatal(err)
 				}
 				requireMirrored(t, s, m, fmt.Sprintf("after reset sql %d", i))
 			}
-			if s.FeedbackLen() == 0 {
+			if s.FeedbackLen() == filled {
 				t.Fatal("memoized hits did not rebuild the store after ResetFeedback")
 			}
 		})
@@ -242,7 +270,7 @@ func TestHarvestMemoDiesWithItsPlan(t *testing.T) {
 	// The q-error gate is off here (it has its own test below): only the
 	// step under test may drop the entry.
 	s, _ := newFixture(t, Config{InvalidateQError: -1})
-	m := newMirror(0)
+	m := newMirror()
 	s.SetObserver(m)
 	sql := memoSQL[1]
 	key := adhocKey(t, s, sql)
@@ -270,7 +298,7 @@ func TestHarvestMemoDiesWithItsPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.cache.Put(s.cacheKey(key), other)
+	s.cache.Put(key, other)
 	if hasMemo(s, key) {
 		t.Fatal("memo survived Put over its key")
 	}
@@ -291,7 +319,7 @@ func TestHarvestMemoDroppedOnDriftInvalidation(t *testing.T) {
 	cat := datagen.StatsCEB(datagen.Config{Seed: 17, Scale: 0.05})
 	cs := stats.CollectCatalog(cat, stats.Options{Seed: 17})
 	s := New(cat, opt.New(cat, cost.New(cs), constEstimator{}), exec.New(cat), Config{InvalidateQError: 2})
-	m := newMirror(0)
+	m := newMirror()
 	s.SetObserver(m)
 	sql := "SELECT COUNT(*) FROM posts, users WHERE posts.owner_user_id = users.id AND posts.views >= 0;"
 	key := adhocKey(t, s, sql)
@@ -321,7 +349,7 @@ func TestHarvestMemoDroppedOnDriftInvalidation(t *testing.T) {
 // store must learn the unsharded plan's truths, memoized or not.
 func TestHarvestMemoShardedPlansUseLogicalWalk(t *testing.T) {
 	plain, sharded := newShardFixture(t, 2)
-	mp, ms := newMirror(0), newMirror(0)
+	mp, ms := newMirror(), newMirror()
 	plain.SetObserver(mp)
 	sharded.SetObserver(ms)
 	for round := 0; round < 3; round++ {
@@ -340,6 +368,7 @@ func TestHarvestMemoShardedPlansUseLogicalWalk(t *testing.T) {
 	if !hasMemo(sharded, adhocKey(t, sharded, memoSQL[0])) {
 		t.Fatal("sharded ad-hoc entry never memoized")
 	}
+	requireShardedCache(t, sharded)
 	// The logical walk is shard-blind: both servers learned the same truths.
 	if pf, sf := feedbackOf(plain), feedbackOf(sharded); !reflect.DeepEqual(pf, sf) {
 		t.Fatalf("sharded feedback differs from unsharded:\n plain   %v\n sharded %v", pf, sf)
@@ -354,14 +383,16 @@ func TestHarvestMemoShardedPlansUseLogicalWalk(t *testing.T) {
 // statement shares its entry with the ad-hoc spelling, each with a
 // record of its own. A record's first hit writes through the rebound
 // template graph and a reused key buffer, so the store is checked with
-// an ample and a nearly full cap, and across a ResetFeedback mid-stream.
+// an ample and a nearly full store (cap=n with n > 0 leaves n free slots,
+// mirrorStore.fill), and across a ResetFeedback mid-stream.
 func TestHarvestMemoPreparedBindingsBypass(t *testing.T) {
 	for _, cap := range []int{0, 7, 3} {
 		t.Run(fmt.Sprintf("cap=%d", cap), func(t *testing.T) {
 			// No q-error gate: the generic plan's entry must live through
 			// every binding for a wrongly shared memo to show.
-			s, _ := newFixture(t, Config{InvalidateQError: -1, FeedbackCap: cap})
-			m := newMirror(cap)
+			s, _ := newFixture(t, Config{InvalidateQError: -1})
+			m := newMirror()
+			m.fill(s, cap)
 			s.SetObserver(m)
 			stmt, err := s.Prepare("SELECT COUNT(*) FROM posts, users WHERE posts.owner_user_id = users.id AND posts.score > ? AND users.reputation >= ?;")
 			if err != nil {
@@ -373,6 +404,7 @@ func TestHarvestMemoPreparedBindingsBypass(t *testing.T) {
 					if round == 1 && i == 2 {
 						s.ResetFeedback()
 						m.reset()
+						m.fill(s, cap)
 					}
 					res, err := s.Exec(context.Background(), "a", stmt, b...)
 					if err != nil {
@@ -398,8 +430,8 @@ func TestHarvestMemoPreparedBindingsBypass(t *testing.T) {
 			if n := requireOwnKeys(t, s, key, "after 3 rounds"); n != len(bindings) {
 				t.Fatalf("%d of %d bindings' records are current", n, len(bindings))
 			}
-			if cap > 0 && s.FeedbackLen() != cap {
-				t.Fatalf("FeedbackLen = %d, want the cap %d", s.FeedbackLen(), cap)
+			if cap > 0 && s.FeedbackLen() != feedbackCap {
+				t.Fatalf("FeedbackLen = %d, want the cap %d", s.FeedbackLen(), feedbackCap)
 			}
 
 			bare := memoSQL[0]
@@ -471,11 +503,11 @@ func TestPreparedExecConcurrent(t *testing.T) {
 		}
 	}
 
-	s, cat := newFixture(t, Config{TenantSlots: 64})
+	s, cat := newFixture(t, Config{})
 	pool := exec.NewDebugBatchPool()
 	s.ex = exec.New(cat)
 	s.ex.SetPool(pool)
-	m := newMirror(0)
+	m := newMirror()
 	s.SetObserver(m)
 	stmts := prepare(s)
 	var wg sync.WaitGroup
@@ -534,11 +566,11 @@ func TestHarvestMemoConcurrentHits(t *testing.T) {
 		want[sql] = res.Count
 	}
 
-	s, cat := newFixture(t, Config{TenantSlots: 64})
+	s, cat := newFixture(t, Config{})
 	pool := exec.NewDebugBatchPool()
 	s.ex = exec.New(cat)
 	s.ex.SetPool(pool)
-	m := newMirror(0)
+	m := newMirror()
 	s.SetObserver(m)
 	var wg sync.WaitGroup
 	errc := make(chan error, 32)
@@ -547,11 +579,13 @@ func TestHarvestMemoConcurrentHits(t *testing.T) {
 		if g >= 16 {
 			sql = sqls[1+g-16]
 		}
+		// Two tenants' slots let all 32 goroutines run at once.
+		tenant := fmt.Sprint("t", g%2)
 		wg.Add(1)
 		go func(sql string) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				res, err := s.Query(context.Background(), "a", sql)
+				res, err := s.Query(context.Background(), tenant, sql)
 				if err != nil {
 					errc <- err
 					return
@@ -589,7 +623,7 @@ func TestHarvestMemoConcurrentHits(t *testing.T) {
 func TestHarvestRecordsMatchTheirStatement(t *testing.T) {
 	s, _ := newFixture(t, Config{InvalidateQError: -1})
 	ref, _ := newFixture(t, Config{InvalidateQError: -1})
-	m := newMirror(0)
+	m := newMirror()
 	s.SetObserver(m)
 	const text = "SELECT COUNT(*) FROM posts, users WHERE posts.owner_user_id = users.id AND %s;"
 	var stmts []*Stmt
@@ -645,7 +679,7 @@ func TestHarvestRecordsMatchTheirStatement(t *testing.T) {
 func TestHarvestRecordsThrash(t *testing.T) {
 	s, stmt := newHitFixture(t, 0)
 	ref, _ := newHitFixture(t, 0)
-	m := newMirror(0)
+	m := newMirror()
 	s.SetObserver(m)
 	key := stmt.e.Load().st.ShapeKey()
 	for i := 0; i < 3*len(wideBindings); i++ {

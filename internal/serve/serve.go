@@ -14,14 +14,12 @@ import (
 	"context"
 	"math"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"lqo/internal/data"
 	"lqo/internal/exec"
-	"lqo/internal/guard"
 	"lqo/internal/metrics"
 	"lqo/internal/opt"
 	"lqo/internal/plan"
@@ -31,47 +29,23 @@ import (
 
 // Config tunes a Server. Zero values select the defaults.
 type Config struct {
-	// CacheSize caps the plan cache (default 512 plans) and, separately,
-	// the statement cache of parsed ad-hoc texts.
-	CacheSize int
 	// InvalidateQError is the per-sub-plan q-error beyond which a cached
 	// plan's estimates count as drifted and the entry is invalidated
-	// (default 4; set negative to disable invalidation).
+	// (0 selects the default of 4; any other value ≤ 1 disables
+	// invalidation).
 	InvalidateQError float64
-	// TenantSlots is the per-tenant concurrent-execution limit
-	// (default 16).
-	TenantSlots int
-	// TenantQueue bounds how many requests may wait per tenant once the
-	// slots are full; arrivals beyond it are rejected with ErrOverloaded
-	// (default 64).
-	TenantQueue int
-	// Breaker configures the per-tenant circuit breaker. A tenant whose
-	// requests keep failing trips its breaker and is shed with ErrShed
-	// until the cooldown elapses.
-	Breaker guard.BreakerConfig
-	// FeedbackCap bounds the harvested-cardinality store used to replan
-	// invalidated entries (default 8192 sub-query keys).
-	FeedbackCap int
 }
 
 func (c Config) withDefaults() Config {
-	if c.CacheSize <= 0 {
-		c.CacheSize = 512
-	}
 	if c.InvalidateQError == 0 {
 		c.InvalidateQError = 4
 	}
-	if c.TenantSlots <= 0 {
-		c.TenantSlots = 16
-	}
-	if c.TenantQueue <= 0 {
-		c.TenantQueue = 64
-	}
-	if c.FeedbackCap <= 0 {
-		c.FeedbackCap = 8192
-	}
 	return c
 }
+
+// feedbackCap bounds the harvested-cardinality store used to replan
+// invalidated entries, in sub-query keys.
+const feedbackCap = 8192
 
 // Result is what a serving-layer client gets back.
 type Result struct {
@@ -116,7 +90,7 @@ func (st *Stmt) current(s *Server, cat *data.Catalog) (*stmtEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &stmtEntry{st: p, key: s.cacheKey(p.ShapeKey())}
+	e := &stmtEntry{st: p, key: p.ShapeKey()}
 	st.e.Store(e)
 	return e, nil
 }
@@ -171,9 +145,9 @@ func New(cat *data.Catalog, o *opt.Optimizer, ex *exec.Executor, cfg Config) *Se
 		cat:      cat,
 		ex:       ex,
 		cfg:      cfg,
-		cache:    NewPlanCache(cfg.CacheSize),
-		stmts:    newStmtCache(cfg.CacheSize),
-		adm:      newAdmission(cfg.TenantSlots, cfg.TenantQueue, cfg.Breaker),
+		cache:    NewPlanCache(cacheSize),
+		stmts:    newStmtCache(),
+		adm:      newAdmission(),
 		feedback: make(map[string]int32),
 		hashes:   make(map[uint64]struct{}),
 		fbGen:    1,
@@ -255,7 +229,7 @@ func (s *Server) Query(ctx context.Context, tenant, sql string) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	e := stmtEntry{st: st, key: s.cacheKey(st.ShapeKey())}
+	e := stmtEntry{st: st, key: st.ShapeKey()}
 	res, err := s.run(ctx, cat, tenant, st.Query(), e.key, g, nil)
 	if err == nil && res.Cached {
 		s.cache.adoptKey(e.key)
@@ -272,7 +246,7 @@ func (s *Server) Prepare(sql string) (*Stmt, error) {
 		return nil, err
 	}
 	st := &Stmt{src: sql}
-	st.e.Store(&stmtEntry{st: p, key: s.cacheKey(p.ShapeKey())})
+	st.e.Store(&stmtEntry{st: p, key: p.ShapeKey()})
 	return st, nil
 }
 
@@ -298,14 +272,14 @@ func (s *Server) Exec(ctx context.Context, tenant string, stmt *Stmt, args ...an
 
 // run is the shared serving path: admit, fetch-or-plan, execute, harvest
 // feedback, observe drift. cat is the Pin q was parsed against, and the
-// run binds in it. key is the plan-cache key (cacheKey). q is only read.
-// A prepared request passes st, its statement, q being a Bind of it; a
-// parsed text passes its parse's graph g; a statement-cache hit neither.
-// The join graph is built only when a request needs it: to plan a miss,
-// to harvest a binding the entry holds no current record of (harvest),
-// or for an installed observer, which gets the same graph. A hit runs
-// the cached plan itself, shared with concurrent requests, under the
-// entry's binding: nothing here writes to a plan, and harvest, drift
+// run binds in it. key is the plan-cache key, the statement's shape key.
+// q is only read. A prepared request passes st, its statement, q being a
+// Bind of it; a parsed text passes its parse's graph g; a statement-cache
+// hit neither. The join graph is built only when a request needs it: to
+// plan a miss, to harvest a binding the entry holds no current record of
+// (harvest), or for an installed observer, which gets the same graph. A
+// hit runs the cached plan itself, shared with concurrent requests, under
+// the entry's binding: nothing here writes to a plan, and harvest, drift
 // check and observer read the run's record instead.
 func (s *Server) run(ctx context.Context, cat *data.Catalog, tenant string, q *query.Query, key string, g *query.JoinGraph, st *sqlx.Prepared) (*Result, error) {
 	release, br, err := s.adm.acquire(ctx, tenant)
@@ -476,7 +450,7 @@ func sameValue(x, y data.Value) bool {
 }
 
 // absorb writes one harvested truth into the feedback store under s.mu:
-// an existing key always updates, a new key lands only under FeedbackCap
+// an existing key always updates, a new key lands only under feedbackCap
 // (bounded memory, no eviction churn). Callers write in plan pre-order,
 // so which keys a nearly full store admits is the same on every run. It
 // returns key's slot in s.cards, -1 if it was not admitted, and whether
@@ -488,7 +462,7 @@ func absorb[K string | []byte](s *Server, key K, card float64) (slot int32, adde
 		s.cards[i] = card
 		return i, false
 	}
-	if len(s.cards) >= s.cfg.FeedbackCap {
+	if len(s.cards) >= feedbackCap {
 		return -1, false
 	}
 	slot = int32(len(s.cards))
@@ -527,20 +501,6 @@ func (s *Server) FeedbackLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.feedback)
-}
-
-// cacheKey derives the plan-cache key from the canonical query key (or
-// statement shape key): the key itself when the optimizer plans
-// single-node trees, the key with the shard fan-out folded in otherwise —
-// sharded and unsharded plans for the same SQL must never collide in the
-// cache.
-func (s *Server) cacheKey(key string) string {
-	if s.opt.Shards < 2 {
-		return key
-	}
-	var k query.KeyBuilder
-	k.Raw("shards").Atom(strconv.Itoa(s.opt.Shards)).Raw("|").Append(key)
-	return k.String()
 }
 
 // Stats returns a snapshot of the server's counters.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -13,7 +14,6 @@ import (
 	"lqo/internal/data"
 	"lqo/internal/datagen"
 	"lqo/internal/exec"
-	"lqo/internal/guard"
 	"lqo/internal/opt"
 	"lqo/internal/plan"
 	"lqo/internal/query"
@@ -164,11 +164,12 @@ func TestFeedbackInvalidationReplans(t *testing.T) {
 }
 
 func TestBreakerShedsFailingTenant(t *testing.T) {
-	s, _ := newFixture(t, Config{Breaker: guard.BreakerConfig{FailureThreshold: 2}})
+	s, _ := newFixture(t, Config{})
 	sql := "SELECT COUNT(*) FROM users WHERE users.age > 30;"
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	for i := 0; i < 2; i++ {
+	// guard's default breaker trips on the third consecutive failure.
+	for i := 0; i < 3; i++ {
 		if _, err := s.Query(canceled, "bad", sql); err == nil {
 			t.Fatal("canceled query succeeded")
 		}
@@ -185,35 +186,47 @@ func TestBreakerShedsFailingTenant(t *testing.T) {
 	}
 }
 
-func TestAdmissionQueueBounds(t *testing.T) {
-	a := newAdmission(1, 1, guard.BreakerConfig{})
-	rel1, _, err := a.acquire(context.Background(), "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One waiter fits in the queue.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	waiterIn := make(chan struct{})
-	go func() {
-		defer wg.Done()
-		close(waiterIn)
-		rel2, _, err := a.acquire(context.Background(), "t")
+// holdSlots takes every execution slot of tenant and returns their
+// releases.
+func holdSlots(t *testing.T, a *admission, tenant string) []func() {
+	t.Helper()
+	var rels []func()
+	for range tenantSlots {
+		rel, _, err := a.acquire(context.Background(), tenant)
 		if err != nil {
-			t.Errorf("queued acquire failed: %v", err)
-			return
+			t.Fatal(err)
 		}
-		rel2()
-	}()
-	<-waiterIn
-	// Spin until the waiter is actually counted, then overflow the queue.
+		rels = append(rels, rel)
+	}
+	return rels
+}
+
+func TestAdmissionQueueBounds(t *testing.T) {
+	a := newAdmission()
+	rels := holdSlots(t, a, "t")
+	// A full queue of waiters fits.
+	var wg sync.WaitGroup
+	for range tenantQueue {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rel2, _, err := a.acquire(context.Background(), "t")
+			if err != nil {
+				t.Errorf("queued acquire failed: %v", err)
+				return
+			}
+			rel2()
+		}()
+	}
+	// Spin until every waiter is counted, then overflow the queue.
 	for {
 		a.tenant("t").mu.Lock()
 		w := a.tenant("t").waiting
 		a.tenant("t").mu.Unlock()
-		if w == 1 {
+		if w == tenantQueue {
 			break
 		}
+		runtime.Gosched()
 	}
 	if _, _, err := a.acquire(context.Background(), "t"); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("queue overflow not rejected: %v", err)
@@ -224,7 +237,9 @@ func TestAdmissionQueueBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	relB()
-	rel1()
+	for _, rel := range rels {
+		rel()
+	}
 	wg.Wait()
 	if rejected, _ := a.stats(); rejected != 1 {
 		t.Fatalf("rejected = %d", rejected)
@@ -232,12 +247,10 @@ func TestAdmissionQueueBounds(t *testing.T) {
 }
 
 func TestAcquireHonorsContextWhileQueued(t *testing.T) {
-	a := newAdmission(1, 4, guard.BreakerConfig{})
-	rel, _, err := a.acquire(context.Background(), "t")
-	if err != nil {
-		t.Fatal(err)
+	a := newAdmission()
+	for _, rel := range holdSlots(t, a, "t") {
+		defer rel()
 	}
-	defer rel()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -388,23 +401,30 @@ func TestDriftedCatalogFeedbackDoesNotPoisonReplans(t *testing.T) {
 }
 
 // TestAbsorbAtFeedbackCapIsDeterministic pins which keys land once the
-// feedback store is full: with FeedbackCap below one plan's node count the
-// store must hold the first labels of the plan's pre-order, the same ones
-// on every server. Harvesting through a map made the survivors depend on
-// Go's randomized iteration order.
+// feedback store is full: with fewer free slots than one plan's node count
+// the store must take the first labels of the plan's pre-order, the same
+// ones on every server. Harvesting through a map made the survivors
+// depend on Go's randomized iteration order.
 func TestAbsorbAtFeedbackCapIsDeterministic(t *testing.T) {
-	const feedbackCap = 3
+	const free = 3
 	sql := "SELECT COUNT(*) FROM posts p, users u, comments c, votes v " +
 		"WHERE p.owner_user_id = u.id AND c.post_id = p.id AND v.post_id = p.id AND p.score > 1;"
 	var first map[string]float64
 	for run := 0; run < 8; run++ {
-		s, cat := newFixture(t, Config{FeedbackCap: feedbackCap})
+		s, cat := newFixture(t, Config{})
+		fillers := fillFeedback(s, free)
 		if _, err := s.Query(context.Background(), "a", sql); err != nil {
 			t.Fatal(err)
 		}
+		if n := s.FeedbackLen(); n != feedbackCap {
+			t.Fatalf("run %d: store holds %d keys, want the cap %d", run, n, feedbackCap)
+		}
 		store := feedbackOf(s)
-		if len(store) != feedbackCap {
-			t.Fatalf("run %d: store holds %d keys, want the cap %d (a 4-table plan has 7 nodes)", run, len(store), feedbackCap)
+		for _, k := range fillers {
+			delete(store, k)
+		}
+		if len(store) != free {
+			t.Fatalf("run %d: the plan landed %d keys, want the %d free slots (a 4-table plan has 7 nodes)", run, len(store), free)
 		}
 		if first == nil {
 			first = store

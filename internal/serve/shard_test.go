@@ -9,12 +9,13 @@ import (
 	"lqo/internal/datagen"
 	"lqo/internal/exec"
 	"lqo/internal/opt"
+	"lqo/internal/plan"
 	"lqo/internal/stats"
 )
 
 // newShardFixture builds two servers over the same catalog: one planning
-// unsharded trees and one with a shard fan-out configured, so cache-key
-// separation and result identity can be checked side by side.
+// unsharded trees and one whose pass pipeline shards scans over shards
+// partitions, so results can be checked side by side.
 func newShardFixture(t *testing.T, shards int) (*Server, *Server) {
 	t.Helper()
 	cat := datagen.StatsCEB(datagen.Config{Seed: 23, Scale: 0.05})
@@ -25,24 +26,32 @@ func newShardFixture(t *testing.T, shards int) (*Server, *Server) {
 	}
 	plain := New(cat, opt.New(cat, cost.New(cs), hist), exec.New(cat), Config{})
 	so := opt.New(cat, cost.New(cs), hist)
-	so.Shards = shards
+	so.Passes = plan.DefaultPipeline(shards)
 	sharded := New(cat, so, exec.New(cat), Config{})
 	return plain, sharded
 }
 
-func TestShardConfigSeparatesCacheKeys(t *testing.T) {
-	plain, sharded := newShardFixture(t, 2)
-	key := "some-canonical-key"
-	if plain.cacheKey(key) != key {
-		t.Fatal("unsharded server should use the canonical key unchanged")
+// requireShardedCache fails unless s's cached plans hold a Merge leaf and
+// no SeqScan leaf: results, charges and feedback of a sharded run equal
+// an unsharded one's by design, so only the plan shows that sharding
+// happened.
+func requireShardedCache(t *testing.T, s *Server) {
+	t.Helper()
+	s.cache.mu.Lock()
+	defer s.cache.mu.Unlock()
+	merges := 0
+	for key, el := range s.cache.entries {
+		el.Value.(*cacheEntry).p.Walk(func(n *plan.Node) {
+			switch {
+			case n.Op == plan.Merge && n.IsLeaf():
+				merges++
+			case n.Op == plan.SeqScan:
+				t.Fatalf("cached plan %q holds an unsharded SeqScan of %s", key, n.Alias)
+			}
+		})
 	}
-	if sharded.cacheKey(key) == key {
-		t.Fatal("sharded server must fold the fan-out into the cache key")
-	}
-	// Different fan-outs must not collide either.
-	_, four := newShardFixture(t, 4)
-	if sharded.cacheKey(key) == four.cacheKey(key) {
-		t.Fatal("shard counts 2 and 4 share a cache key")
+	if merges == 0 {
+		t.Fatalf("the %d cached plans hold no Merge leaf", len(s.cache.entries))
 	}
 }
 
@@ -71,6 +80,7 @@ func TestShardedServingMatchesUnsharded(t *testing.T) {
 	if len(sharded.cache.entries) != 1 {
 		t.Fatalf("sharded cache holds %d plans", len(sharded.cache.entries))
 	}
+	requireShardedCache(t, sharded)
 }
 
 func TestShardedPreparedRebindAndInvalidate(t *testing.T) {
@@ -103,6 +113,7 @@ func TestShardedPreparedRebindAndInvalidate(t *testing.T) {
 			t.Fatalf("run %d: sharded cached = %v, unsharded %v, want a hit on run 1", i, got.Cached, want.Cached)
 		}
 	}
+	requireShardedCache(t, sharded)
 }
 
 // TestShardedFeedbackUsesLogicalCards: feedback harvested from a sharded
@@ -117,6 +128,7 @@ func TestShardedFeedbackUsesLogicalCards(t *testing.T) {
 	if _, err := sharded.Query(context.Background(), "a", sql); err != nil {
 		t.Fatal(err)
 	}
+	requireShardedCache(t, sharded)
 	if plain.FeedbackLen() != sharded.FeedbackLen() {
 		t.Fatalf("feedback keys: plain %d, sharded %d — shard internals leaked", plain.FeedbackLen(), sharded.FeedbackLen())
 	}

@@ -51,7 +51,7 @@ func TestSharedPlanConcurrentBindings(t *testing.T) {
 		pool := exec.NewDebugBatchPool()
 		ex.SetPool(pool)
 		o := opt.New(cat, cost.New(cs), hist)
-		o.Shards = shards
+		o.Passes = plan.DefaultPipeline(shards)
 		s := New(cat, o, ex, Config{InvalidateQError: -1})
 		log := &runLog{cards: map[string][][]float64{}}
 		s.SetObserver(log)
@@ -88,6 +88,9 @@ func TestSharedPlanConcurrentBindings(t *testing.T) {
 		}
 		if p, _, _ := s.cache.checkout(stmt.e.Load().key); p != shared {
 			t.Fatalf("shards=%d: the statement was planned again", shards)
+		}
+		if shards >= 2 {
+			requireShardedCache(t, s)
 		}
 
 		ref := exec.New(cat)

@@ -283,7 +283,7 @@ func FuzzStatementStaleness(f *testing.F) {
 				t.Fatalf("%s: %s: executed key %q, fresh parse %q", stage, st.sql, obs.q.Key(), fresh.Key())
 			}
 			if e, ok := s.stmts.entries[st.sql]; ok && e.st.Current(cat) {
-				if e.key != s.cacheKey(fresh.Key()) || !reflect.DeepEqual(e.st.Query(), fresh) {
+				if e.key != fresh.Key() || !reflect.DeepEqual(e.st.Query(), fresh) {
 					t.Fatalf("%s: %s: current entry differs from a fresh parse", stage, st.sql)
 				}
 			}

@@ -12,26 +12,25 @@ import (
 // served only while sqlx.Prepared.Current holds against the catalog; a
 // stale one reads as a miss and is overwritten when the text is admitted
 // again. Server.Query admits a text only after a request for it hits the
-// plan cache, so texts seen once never take a slot. Past cap entries the
-// whole map is dropped: a working set that overflows it churns either
-// way, and a second LRU list would cost every hit. Safe for concurrent
-// use; the cached queries are shared read-only.
+// plan cache, so texts seen once never take a slot. Past cacheSize
+// entries the whole map is dropped: a working set that overflows it
+// churns either way, and a second LRU list would cost every hit. Safe for
+// concurrent use; the cached queries are shared read-only.
 type stmtCache struct {
 	mu           sync.Mutex
-	cap          int
 	entries      map[string]stmtEntry
 	hits, misses int64
 }
 
 // stmtEntry is a parsed ad-hoc statement and its plan-cache key
-// (Server.cacheKey of its ShapeKey).
+// (its ShapeKey).
 type stmtEntry struct {
 	st  *sqlx.Prepared
 	key string
 }
 
-func newStmtCache(capacity int) *stmtCache {
-	return &stmtCache{cap: capacity, entries: make(map[string]stmtEntry)}
+func newStmtCache() *stmtCache {
+	return &stmtCache{entries: make(map[string]stmtEntry)}
 }
 
 // get returns the entry for sql if there is one and it is current
@@ -53,7 +52,7 @@ func (c *stmtCache) get(sql string, cat *data.Catalog) (stmtEntry, bool) {
 func (c *stmtCache) put(sql string, e stmtEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[sql]; !ok && len(c.entries) >= c.cap {
+	if _, ok := c.entries[sql]; !ok && len(c.entries) >= cacheSize {
 		clear(c.entries)
 	}
 	c.entries[sql] = e

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"lqo/internal/datagen"
 	"lqo/internal/exec"
 	"lqo/internal/opt"
+	"lqo/internal/plan"
 	"lqo/internal/query"
 	"lqo/internal/sqlx"
 	"lqo/internal/stats"
@@ -69,14 +71,19 @@ func TestStatementCacheNeverStoresErrors(t *testing.T) {
 	}
 }
 
-// TestStatementCacheDropsAllOnOverflow: admitting a text past CacheSize
-// empties the cache first.
+// TestStatementCacheDropsAllOnOverflow: admitting a text past cacheSize
+// empties the cache first. The texts are cacheSize+1 spellings of three
+// queries, trailing spaces apart, so they share three plans.
 func TestStatementCacheDropsAllOnOverflow(t *testing.T) {
-	s, _ := newFixture(t, Config{CacheSize: 2})
-	sqls := []string{
+	s, _ := newFixture(t, Config{})
+	queries := []string{
 		"SELECT COUNT(*) FROM users WHERE users.reputation > 10;",
 		"SELECT COUNT(*) FROM posts WHERE posts.score > 5;",
 		"SELECT COUNT(*) FROM badges WHERE badges.class = 1;",
+	}
+	sqls := make([]string, cacheSize+1)
+	for i := range sqls {
+		sqls[i] = queries[i%len(queries)] + strings.Repeat(" ", i/len(queries))
 	}
 	for i, sql := range sqls {
 		for rep := 0; rep < 2; rep++ {
@@ -84,11 +91,11 @@ func TestStatementCacheDropsAllOnOverflow(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if want := i%2 + 1; len(s.stmts.entries) != want {
+		if want := i%cacheSize + 1; len(s.stmts.entries) != want {
 			t.Fatalf("after admitting %d texts: %d stored, want %d", i+1, len(s.stmts.entries), want)
 		}
 	}
-	if _, ok := s.stmts.entries[sqls[2]]; !ok {
+	if _, ok := s.stmts.entries[sqls[cacheSize]]; !ok {
 		t.Fatal("the text admitted on overflow is not stored")
 	}
 }
@@ -118,7 +125,7 @@ func TestQueriesAreReadOnly(t *testing.T) {
 		},
 		"shards=2": func() (*Server, func()) {
 			o := opt.New(cat, cost.New(cs), hist)
-			o.Shards = 2
+			o.Passes = plan.DefaultPipeline(2)
 			return New(cat, o, exec.New(cat), Config{}), func() {}
 		},
 		"adapt": func() (*Server, func()) {
@@ -147,7 +154,7 @@ func TestQueriesAreReadOnly(t *testing.T) {
 						t.Fatal(err)
 					}
 					before := q.Clone()
-					if _, err := s.run(ctx, cat, "a", q, s.cacheKey(q.Key()), nil, nil); err != nil {
+					if _, err := s.run(ctx, cat, "a", q, q.Key(), nil, nil); err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(q, before) {
@@ -186,6 +193,9 @@ func TestQueriesAreReadOnly(t *testing.T) {
 			if !reflect.DeepEqual(tmpl, before) {
 				t.Fatal("prepared rebinding mutated the template")
 			}
+			if name == "shards=2" {
+				requireShardedCache(t, s)
+			}
 		})
 	}
 }
@@ -209,7 +219,7 @@ func TestStatementCacheConcurrentRequests(t *testing.T) {
 		want[sql] = res.Count
 	}
 
-	s, cat := newFixture(t, Config{TenantSlots: 64})
+	s, cat := newFixture(t, Config{})
 	pool := exec.NewDebugBatchPool()
 	s.ex = exec.New(cat)
 	s.ex.SetPool(pool)

@@ -238,33 +238,23 @@ type TableStats struct {
 
 // Options configures statistics collection.
 type Options struct {
-	HistogramBuckets int // default 32
-	MCVSize          int // default 10
-	SampleSize       int // default 1000
-	Seed             int64
+	Seed int64 // seeds the row sample
 }
 
-func (o Options) withDefaults() Options {
-	if o.HistogramBuckets == 0 {
-		o.HistogramBuckets = 32
-	}
-	if o.MCVSize == 0 {
-		o.MCVSize = 10
-	}
-	if o.SampleSize == 0 {
-		o.SampleSize = 1000
-	}
-	return o
-}
+// The sizes of what Collect keeps per column and per table.
+const (
+	histogramBuckets = 32   // at most, per column histogram
+	mcvSize          = 10   // most common values per column
+	sampleSize       = 1000 // sampled row ids per table
+)
 
 // Collect gathers statistics for every column of t.
 func Collect(t *data.Table, opts Options) *TableStats {
-	opts = opts.withDefaults()
 	ts := &TableStats{Table: t.Name, Rows: float64(t.NumRows()), Cols: make(map[string]*ColumnStats)}
 	for _, c := range t.Cols {
 		cs := &ColumnStats{
-			Hist:     BuildHistogram(c, opts.HistogramBuckets),
-			MCVs:     BuildMCV(c, opts.MCVSize),
+			Hist:     BuildHistogram(c, histogramBuckets),
+			MCVs:     BuildMCV(c, mcvSize),
 			Distinct: float64(c.DistinctCount()),
 			Rows:     float64(t.NumRows()),
 		}
@@ -273,7 +263,7 @@ func Collect(t *data.Table, opts Options) *TableStats {
 		}
 		ts.Cols[c.Name] = cs
 	}
-	ts.Sample = reservoirSample(t.NumRows(), opts.SampleSize, opts.Seed)
+	ts.Sample = reservoirSample(t.NumRows(), sampleSize, opts.Seed)
 	return ts
 }
 

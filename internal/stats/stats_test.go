@@ -143,28 +143,41 @@ func TestMCV(t *testing.T) {
 }
 
 func TestCollectAndCatalog(t *testing.T) {
+	// 1500 rows over 40 values: more rows than the sample keeps, more
+	// values than the MCV list and the histogram's buckets hold.
+	vals := make([]int64, 1500)
+	for i := range vals {
+		vals[i] = int64(i % 40)
+	}
 	cat := data.NewCatalog()
-	c := intColumn([]int64{1, 2, 2, 3, 3, 3})
-	cat.Add(data.NewTable("t", c))
-	cs := CollectCatalog(cat, Options{HistogramBuckets: 4, MCVSize: 2, SampleSize: 3, Seed: 1})
+	cat.Add(data.NewTable("t", intColumn(vals)))
+	cs := CollectCatalog(cat, Options{Seed: 1})
 	ts := cs.Tables["t"]
 	if ts == nil {
 		t.Fatal("missing table stats")
 	}
-	if ts.Rows != 6 {
+	if ts.Rows != 1500 {
 		t.Fatalf("Rows = %v", ts.Rows)
 	}
 	col := ts.Cols["v"]
-	if col.Distinct != 3 || col.Min != 1 || col.Max != 3 {
+	if col.Distinct != 40 || col.Min != 0 || col.Max != 39 {
 		t.Fatalf("col stats = %+v", col)
 	}
-	if len(ts.Sample) != 3 {
-		t.Fatalf("sample = %v", ts.Sample)
+	if len(col.MCVs.Values) != mcvSize {
+		t.Fatalf("%d MCVs, want %d", len(col.MCVs.Values), mcvSize)
 	}
+	if b := len(col.Hist.Counts); b == 0 || b > histogramBuckets {
+		t.Fatalf("%d histogram buckets, want 1..%d", b, histogramBuckets)
+	}
+	if len(ts.Sample) != sampleSize {
+		t.Fatalf("sample has %d rows, want %d", len(ts.Sample), sampleSize)
+	}
+	seen := map[int32]bool{}
 	for _, r := range ts.Sample {
-		if r < 0 || r >= 6 {
-			t.Fatalf("sample row out of range: %d", r)
+		if r < 0 || r >= 1500 || seen[r] {
+			t.Fatalf("sample row out of range or repeated: %d", r)
 		}
+		seen[r] = true
 	}
 }
 

@@ -18,11 +18,13 @@ import (
 type Options struct {
 	Seed     int64
 	Count    int
-	MinJoins int     // minimum tables per query minus one (0 = single table allowed)
-	MaxJoins int     // maximum join edges per query (default 4)
-	MaxPreds int     // maximum filter predicates per query (default 4)
-	EqProb   float64 // probability a predicate is equality (default 0.35)
+	MinJoins int // minimum tables per query minus one (0 = single table allowed)
+	MaxJoins int // maximum join edges per query (default 4)
+	MaxPreds int // maximum filter predicates per query (default 4)
 }
+
+// eqProb is the probability a generated predicate is an equality.
+const eqProb = 0.35
 
 func (o Options) withDefaults() Options {
 	if o.Count == 0 {
@@ -33,9 +35,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxPreds == 0 {
 		o.MaxPreds = 4
-	}
-	if o.EqProb == 0 {
-		o.EqProb = 0.35
 	}
 	return o
 }
@@ -132,7 +131,7 @@ func genOne(cat *data.Catalog, adj map[string][]query.SchemaEdge, tables []strin
 			continue
 		}
 		usedCols[key] = true
-		q.Preds = append(q.Preds, genPred(c.alias, c.col, rng, opts.EqProb))
+		q.Preds = append(q.Preds, genPred(c.alias, c.col, rng, eqProb))
 	}
 	if len(q.Preds) == 0 {
 		return nil
