@@ -20,6 +20,7 @@ import (
 	"lqo/internal/bench"
 	"lqo/internal/cardest"
 	"lqo/internal/exec"
+	"lqo/internal/feedback"
 	"lqo/internal/opt"
 	"lqo/internal/plan"
 	"lqo/internal/query"
@@ -142,12 +143,13 @@ func BenchmarkOptimizeDP(b *testing.B) {
 	}
 }
 
-// BenchmarkHarvest times the feedback harvest a served request pays: one
-// sub-query key per node of a 4-way plan, from a join graph built for the
-// query (cards: opt.HarvestCards, what a miss runs) or, as a prepared
-// binding derives them, from its template's graph rebound and written
-// into one reused key buffer (prepared). The plan is not executed; the
-// harvest does the same work whatever the run record holds.
+// BenchmarkHarvest times the feedback harvest a served request runs over
+// a 4-way plan's run record (feedback.Store): a miss writes one sub-query
+// key per node through the join graph it planned with (miss); a
+// binding's first hit rebinds its template's graph and records the slots
+// it writes (rebound); a later hit of that binding writes by slot, with
+// no graph and no key (memoized). The plan is not executed; the harvest
+// does the same work whatever the run record holds.
 func BenchmarkHarvest(b *testing.B) {
 	env := sharedEnv(b)
 	q := genQuery(b, env, 4)
@@ -155,27 +157,33 @@ func BenchmarkHarvest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("cards", func(b *testing.B) {
-		cards := make([]float64, len(p.Nodes()))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			harvested = opt.HarvestCards(query.NewJoinGraph(q), p, cards)
-		}
-	})
-	b.Run("prepared", func(b *testing.B) {
-		tmpl := query.NewJoinGraph(q)
-		var buf []byte
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g := tmpl.Rebind(q)
-			p.WalkLogicalMasks(g, func(_ *plan.Node, mask uint64) { buf = g.AppendKey(buf[:0], mask) })
-		}
-	})
+	g, cards := query.NewJoinGraph(q), make([]float64, len(p.Nodes()))
+	st, rec := feedback.NewStore(), &feedback.Record{}
+	st.Lock()
+	st.Harvest(g, p, cards, rec)
+	st.Unlock()
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"miss", func() { st.Harvest(g, p, cards, nil) }},
+		{"rebound", func() { st.Harvest(g.Rebind(q), p, cards, rec) }},
+		{"memoized", func() {
+			if st.Current(rec) {
+				st.Write(rec, cards)
+			}
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st.Lock()
+				c.run()
+				st.Unlock()
+			}
+		})
+	}
 }
-
-var harvested []opt.CardLabel
 
 // genQuery returns a seeded FK-walk query over exactly the given number
 // of tables; fresh aliases per step make any width reachable on the

@@ -2,14 +2,14 @@
 // open: learned optimizer components silently rot under data and workload
 // drift, and the field's answer (Lehmann et al.'s regression focus, the
 // dynamic-data findings of the "Are We Ready?" studies) is not to retrain
-// blindly but to retrain *safely*. The package wires three pieces into a
-// background adaptation loop that keeps a serving deployment's estimator
-// good without ever making it worse:
+// blindly but to retrain *safely*. The package wires three pieces into an
+// adaptation loop, advanced one step per caller's Loop.Tick, that keeps a
+// serving deployment's estimator good without ever making it worse:
 //
 //   - Detector: a windowed monitor over serving-layer execution feedback
-//     (per-sub-plan q-errors, guard breaker trips) with a deterministic
-//     threshold test — observation-counted, no wall clock, so the same
-//     traffic always flags at the same query.
+//     (per-sub-plan q-errors) with a deterministic threshold test —
+//     observation-counted, no wall clock, so the same traffic always
+//     flags at the same query.
 //   - Trainer: retrains candidate estimators off the hot path from
 //     harvested true-card labels and fresh statistics, panic-isolated via
 //     guard.Safe and cancellable between training phases.

@@ -40,9 +40,9 @@ func NewCollector(capacity int) *Collector {
 
 // ObserveRun is add(g.Sub(mask), cards[i]) for p's i-th node in
 // pre-order, cards being the run's record (exec.Result.Cards) over g's
-// query — opt.HarvestCards' feed, kept across queries. The labels not yet
-// held share one g.SubsOf slab, built outside the lock; a held label is
-// only refreshed, so it pins no slab. p and g are only read.
+// query — a feedback.Store's harvest, kept across queries. The labels not
+// yet held share one g.SubsOf slab, built outside the lock; a held label
+// is only refreshed, so it pins no slab. p and g are only read.
 func (c *Collector) ObserveRun(g *query.JoinGraph, p *plan.Node, cards []float64) {
 	masks, fresh, key := make([]uint64, 0, 32), make([]uint64, 0, 32), make([]byte, 0, 256)
 	p.WalkLogicalMasks(g, func(_ *plan.Node, mask uint64) { masks = append(masks, mask) })

@@ -34,6 +34,7 @@ var Analyzer = &analysis.Analyzer{
 		"lqo/internal/pilotscope",
 		"lqo/internal/bench",
 		"lqo/internal/serve",
+		"lqo/internal/feedback",
 		"lqo/internal/adapt",
 	}},
 	Run: run,

@@ -20,10 +20,11 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "errflow",
 	Doc: "no error-valued result may be dropped via _ or an ignored " +
-		"call in exec/serve/opt/adapt; propagate it or suppress with a reason",
+		"call in exec/serve/feedback/opt/adapt; propagate it or suppress with a reason",
 	Scope: analysis.Scope{Include: []string{
 		"lqo/internal/exec",
 		"lqo/internal/serve",
+		"lqo/internal/feedback",
 		"lqo/internal/opt",
 		"lqo/internal/adapt",
 	}},

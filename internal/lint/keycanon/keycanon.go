@@ -34,6 +34,7 @@ var Analyzer = &analysis.Analyzer{
 		"lqo/internal/plan",
 		"lqo/internal/sqlx",
 		"lqo/internal/serve",
+		"lqo/internal/feedback",
 		"lqo/internal/exec",
 	}},
 	Run: run,

@@ -27,11 +27,13 @@ func TestCardsFromPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 		cards := CardsFromPlan(q, p)
-		for i, l := range HarvestCards(query.NewJoinGraph(q), p, res.Cards) {
-			if cards[l.Key] != l.Card || l.Card != res.Cards[i] {
-				t.Fatalf("%s: record harvest %v disagrees with the annotated tree's %v", q.SQL(), l, cards[l.Key])
+		g, i := query.NewJoinGraph(q), 0
+		p.WalkLogicalMasks(g, func(_ *plan.Node, mask uint64) {
+			if k := g.Key(mask); cards[k] != res.Cards[i] {
+				t.Fatalf("%s: node %d: record %v disagrees with the annotated tree's %v", q.SQL(), i, res.Cards[i], cards[k])
 			}
-		}
+			i++
+		})
 		nodes := p.Nodes()
 		if len(cards) != len(nodes) {
 			t.Fatalf("%s: harvested %d cards from %d plan nodes", q.SQL(), len(cards), len(nodes))

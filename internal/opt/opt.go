@@ -201,6 +201,24 @@ func (o *Optimizer) estimate(q *query.Query) float64 {
 	return metrics.SanitizeCard(o.Est.Estimate(q))
 }
 
+// CardsFromPlan harvests execution feedback from a TrueCard-annotated
+// plan (exec's RunAnalyze): one exact cardinality per sub-plan, keyed by
+// the sub-query's canonical key. A successful run annotates every node,
+// so a zero card is a genuinely empty intermediate. It stays for
+// benchmark/trace.go; the server harvests a run's record into a
+// feedback.Store instead.
+func CardsFromPlan(q *query.Query, p *plan.Node) map[string]float64 {
+	g := query.NewJoinGraph(q)
+	truths := p.TrueCards()
+	cards := make(map[string]float64, len(truths))
+	i := 0
+	p.WalkLogicalMasks(g, func(_ *plan.Node, mask uint64) {
+		cards[g.Key(mask)] = truths[i]
+		i++
+	})
+	return cards
+}
+
 // indexEqColumn returns the first equality-predicate column with an index
 // on table, or "".
 func (o *Optimizer) indexEqColumn(table string, preds []query.Pred) string {

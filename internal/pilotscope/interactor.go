@@ -14,8 +14,8 @@ import (
 	"lqo/internal/cost"
 	"lqo/internal/data"
 	"lqo/internal/exec"
+	"lqo/internal/feedback"
 	"lqo/internal/learnedopt"
-	"lqo/internal/metrics"
 	"lqo/internal/opt"
 	"lqo/internal/plan"
 	"lqo/internal/query"
@@ -226,25 +226,6 @@ func Subqueries(q *query.Query) []*query.Query {
 	return out
 }
 
-// injectedEstimator serves pushed cardinalities, falling back to the base
-// estimator scaled by the session's factor (the Lero knob).
-type injectedEstimator struct {
-	scaled learnedopt.ScaledEstimator
-	cards  map[string]float64
-}
-
-// Estimate implements opt.CardEstimator. Every value leaving here — an
-// injected cardinality or a (possibly scaled) base estimate — is clamped
-// to sane bounds: a learned estimator pushing NaN/Inf/negative garbage
-// degrades plan quality, never cost-model arithmetic (mirrors the
-// metrics.QError clamp).
-func (ie *injectedEstimator) Estimate(q *query.Query) float64 {
-	if c, ok := ie.cards[q.Key()]; ok {
-		return metrics.ClampCard(c)
-	}
-	return ie.scaled.Estimate(q)
-}
-
 // optimize plans q under the session's pushed state.
 func (e *Engine) optimize(ctx context.Context, sess *Session, q *query.Query) (*plan.Node, error) {
 	p, _, err := e.optimizeTrace(ctx, sess, q)
@@ -253,25 +234,29 @@ func (e *Engine) optimize(ctx context.Context, sess *Session, q *query.Query) (*
 
 // optimizeTrace is optimize returning the rewrite-pass trace as well — the
 // provenance EXPLAIN renders. Forced plans bypass the optimizer entirely
-// and carry no trace.
+// and carry no trace. Pushed cardinalities fill a feedback store through
+// q's join graph, overlaid on the engine's estimator scaled by the
+// session's factor (the Lero knob), as a server overlays its harvest.
 func (e *Engine) optimizeTrace(ctx context.Context, sess *Session, q *query.Query) (*plan.Node, []plan.PassTrace, error) {
 	if sess != nil && sess.forced != nil {
 		return sess.forced, nil, nil
 	}
-	o := e.Opt
+	o, g := e.Opt, query.NewJoinGraph(q)
 	if sess != nil {
 		scale := sess.cardScale
 		if !(scale > 0) { // unset, negative or NaN: no scaling
 			scale = 1
 		}
 		if sess.cards != nil || scale != 1 {
-			o = o.WithEstimator(&injectedEstimator{scaled: learnedopt.ScaledEstimator{Base: e.Opt.Est, Factor: scale}, cards: sess.cards})
+			st := feedback.NewStore()
+			st.Push(g, sess.cards)
+			o = o.WithEstimator(&feedback.Overlay{Base: &learnedopt.ScaledEstimator{Base: e.Opt.Est, Factor: scale}, Store: st})
 		}
 		if sess.hints != nil {
 			o = o.WithHints(*sess.hints)
 		}
 	}
-	return o.OptimizeTraceCtx(ctx, query.NewJoinGraph(q))
+	return o.OptimizeTraceCtx(ctx, g)
 }
 
 // Explain parses and optimizes (honoring the session) sql without

@@ -7,6 +7,7 @@ import (
 
 	"lqo/internal/data"
 	"lqo/internal/exec"
+	"lqo/internal/feedback"
 	"lqo/internal/metrics"
 	"lqo/internal/plan"
 	"lqo/internal/sqlx"
@@ -62,7 +63,7 @@ type hitMemo struct {
 	bind atomic.Pointer[exec.Binding]
 	// recs are the harvests of the bindings hits ran, at most
 	// maxRecords, the oldest replaced first (next); under the server's
-	// feedback lock (Server.record).
+	// feedback store's lock (Server.record).
 	recs []harvestRecord
 	next int
 }
@@ -74,15 +75,13 @@ type hitMemo struct {
 const maxRecords = 16
 
 // A harvestRecord is where one binding's run of an entry's plan writes
-// its truths: the feedback-store slot of every plan node in pre-order
-// (-1: not admitted), valid while gen is the store's generation. A
-// binding is its prepared statement and the values its placeholders
-// bound; ad hoc (st nil) the entry's key alone fixes every sub-query key.
+// its truths in the feedback store (rec). A binding is its prepared
+// statement and the values its placeholders bound; ad hoc (st nil) the
+// entry's key alone fixes every sub-query key.
 type harvestRecord struct {
-	st    *sqlx.Prepared
-	args  []data.Value
-	slots []int32
-	gen   uint64
+	st   *sqlx.Prepared
+	args []data.Value
+	rec  feedback.Record
 }
 
 // hits returns the entry's memo, making it on the first hit.

@@ -1,21 +1,21 @@
 // Tests for the hit path's harvest records: whatever a hit writes into the
 // feedback store through its binding's recorded slots must be what the
-// unmemoized harvest — absorb(opt.HarvestCards(g, p, cards)) per request —
-// would have written.
+// unmemoized harvest — every node's sub-query key and truth, in plan
+// pre-order, per request — would have written.
 package serve
 
 import (
 	"context"
 	"fmt"
-	"maps"
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 
 	"lqo/internal/cost"
 	"lqo/internal/datagen"
 	"lqo/internal/exec"
+	"lqo/internal/feedback"
+	"lqo/internal/metrics"
 	"lqo/internal/opt"
 	"lqo/internal/plan"
 	"lqo/internal/query"
@@ -24,12 +24,19 @@ import (
 )
 
 // mirrorStore is the reference feedback store: an ExecObserver (so it sees
-// exactly the run record the server harvested) that absorbs
-// opt.HarvestCards under the server's admission rule.
+// exactly the run record the server harvested) that stores every plan
+// node's truth under its sub-query key, in pre-order, under the store's
+// admission rule. at keeps where each harvested key was last seen.
 type mirrorStore struct {
-	mu     sync.Mutex
-	store  map[string]float64
-	hashes map[uint64]struct{}
+	mu    sync.Mutex
+	store map[string]float64
+	at    map[string]subquery
+}
+
+// subquery names a sub-query by its join graph and mask.
+type subquery struct {
+	g    *query.JoinGraph
+	mask uint64
 }
 
 func newMirror() *mirrorStore {
@@ -41,37 +48,49 @@ func newMirror() *mirrorStore {
 func (m *mirrorStore) ObserveRun(g *query.JoinGraph, p *plan.Node, cards []float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, l := range opt.HarvestCards(g, p, cards) {
-		if _, ok := m.store[l.Key]; !ok && len(m.store) >= feedbackCap {
-			continue
+	i := 0
+	p.WalkLogicalMasks(g, func(_ *plan.Node, mask uint64) {
+		k := g.Key(mask)
+		if _, ok := m.store[k]; ok || len(m.store) < feedback.Cap {
+			m.store[k], m.at[k] = cards[i], subquery{g, mask}
 		}
-		m.store[l.Key] = l.Card
-		m.hashes[l.Hash] = struct{}{}
-	}
+		i++
+	})
 }
 
 func (m *mirrorStore) reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.store = map[string]float64{}
-	m.hashes = map[uint64]struct{}{}
+	m.at = map[string]subquery{}
 }
 
-// fillFeedback absorbs filler keys, which no sub-query renders, into s's
-// feedback store until free slots remain, so the keys a test harvests
-// next see a store of capacity free, and returns them. free ≤ 0 adds
-// none.
+// fillerGraph is the join graph of a 13-way cross product over a table no
+// catalog holds: its 8191 sub-query keys can fill a store, and no request
+// renders one of them.
+func fillerGraph() *query.JoinGraph {
+	q := &query.Query{}
+	for i := range 13 {
+		q.Refs = append(q.Refs, query.TableRef{Alias: fmt.Sprint("f", i), Table: "filler"})
+	}
+	return query.NewJoinGraph(q)
+}
+
+// fillFeedback pushes filler keys into s's feedback store until free
+// slots remain, so the keys a test harvests next see a store of capacity
+// free, and returns them. free ≤ 0 adds none.
 func fillFeedback(s *Server, free int) []string {
 	if free <= 0 {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	g := fillerGraph()
+	fill := map[string]float64{}
 	var keys []string
-	for i := 0; len(s.cards) < feedbackCap-free; i++ {
-		keys = append(keys, fmt.Sprintf("filler/%d", i))
-		absorb(s, keys[i], 1)
+	for m := uint64(1); len(keys) < feedback.Cap-free-s.FeedbackLen(); m++ {
+		keys = append(keys, g.Key(m))
+		fill[g.Key(m)] = 1
 	}
+	s.fb.Push(g, fill)
 	return keys
 }
 
@@ -85,32 +104,37 @@ func (m *mirrorStore) fill(s *Server, free int) {
 	}
 }
 
-// feedbackOf snapshots the server's feedback store as key -> card.
-func feedbackOf(s *Server) map[string]float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]float64, len(s.feedback))
-	for k, i := range s.feedback {
-		out[k] = s.cards[i]
-	}
-	return out
-}
-
 // requireMirrored fails unless the server's feedback store holds exactly
-// the mirror's keys and values, and its hash set exactly their hashes.
+// the mirror's keys and values, and the server's overlay answers each
+// harvested key's truth through the graph path too: the store holds the
+// key's hash.
 func requireMirrored(t *testing.T, s *Server, m *mirrorStore, at string) {
 	t.Helper()
-	got := feedbackOf(s)
-	s.mu.Lock()
-	hashes := maps.Clone(s.hashes)
-	s.mu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !reflect.DeepEqual(got, m.store) {
-		t.Fatalf("%s: feedback store diverged from absorb(HarvestCards):\n server %v\n mirror %v", at, got, m.store)
+	if n := s.FeedbackLen(); n != len(m.store) {
+		t.Fatalf("%s: the feedback store holds %d keys, the mirror %d", at, n, len(m.store))
 	}
-	if !maps.Equal(hashes, m.hashes) {
-		t.Fatalf("%s: the server holds %d key hashes, the mirror's keys have %d", at, len(hashes), len(m.hashes))
+	for k, want := range m.store {
+		if got, ok := s.fb.Truth(k); !ok || got != want {
+			t.Fatalf("%s: feedback store diverged from the unmemoized harvest: key %q holds %v (stored %v), mirror %v", at, k, got, ok, want)
+		}
+	}
+	masks := map[*query.JoinGraph][]uint64{}
+	for _, sq := range m.at {
+		masks[sq.g] = append(masks[sq.g], sq.mask)
+	}
+	ov := s.opt.Est.(*feedback.Overlay)
+	for g, ms := range masks {
+		cards := make([]float64, 1<<len(g.Aliases))
+		if err := ov.EstimateGraph(context.Background(), g, cards); err != nil {
+			t.Fatal(err)
+		}
+		for _, mask := range ms {
+			if want := metrics.ClampCard(m.store[g.Key(mask)]); cards[mask] != want {
+				t.Fatalf("%s: the overlay's graph path answers %v for %q, its stored truth %v", at, cards[mask], g.Key(mask), want)
+			}
+		}
 	}
 }
 
@@ -125,12 +149,9 @@ func recordsOf(s *Server, key string) (recs []harvestRecord, cached bool) {
 		return nil, false
 	}
 	if m := el.Value.(*cacheEntry).memo.Load(); m != nil {
-		s.mu.Lock()
-		for _, r := range m.recs {
-			r.slots = slices.Clone(r.slots)
-			recs = append(recs, r)
-		}
-		s.mu.Unlock()
+		s.fb.Lock()
+		recs = append(recs, m.recs...)
+		s.fb.Unlock()
 	}
 	return recs, true
 }
@@ -142,10 +163,12 @@ func hasMemo(s *Server, key string) bool {
 }
 
 // requireOwnKeys fails unless every current record of a statement's
-// binding on key's entry writes exactly that binding's keys: slot i
-// holds the sub-query key of the plan's i-th logical pre-order position
-// for the bound query, and an unadmitted position's key is not in the
-// store. It returns how many records it checked.
+// binding on key's entry writes exactly that binding's keys: it records
+// what a harvest through the bound query's graph records now, slot i
+// being the store slot of the sub-query key of the plan's i-th logical
+// pre-order position, -1 for a key the store does not hold. That harvest
+// writes the truths the store holds, so it changes nothing unless the
+// record is wrong. It returns how many records it checked.
 func requireOwnKeys(t *testing.T, s *Server, key, at string) int {
 	t.Helper()
 	s.cache.mu.Lock()
@@ -156,15 +179,9 @@ func requireOwnKeys(t *testing.T, s *Server, key, at string) int {
 	}
 	ent := el.Value.(*cacheEntry)
 	recs, _ := recordsOf(s, key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keyAt := make(map[int32]string, len(s.feedback))
-	for k, i := range s.feedback {
-		keyAt[i] = k
-	}
 	checked := 0
 	for _, r := range recs {
-		if r.st == nil || r.gen != s.fbGen {
+		if r.st == nil {
 			continue
 		}
 		args := make([]any, len(r.args))
@@ -175,15 +192,24 @@ func requireOwnKeys(t *testing.T, s *Server, key, at string) int {
 		if err != nil {
 			t.Fatal(err)
 		}
-		labels := opt.HarvestCards(query.NewJoinGraph(q), ent.p, make([]float64, len(r.slots)))
-		if len(labels) != len(r.slots) {
-			t.Fatalf("%s: a record of %d slots for a plan of %d positions", at, len(r.slots), len(labels))
+		g := query.NewJoinGraph(q)
+		var truths []float64
+		ent.p.WalkLogicalMasks(g, func(_ *plan.Node, mask uint64) {
+			c, _ := s.fb.Truth(g.Key(mask))
+			truths = append(truths, c)
+		})
+		var now feedback.Record
+		s.fb.Lock()
+		current := s.fb.Current(&r.rec)
+		if current {
+			s.fb.Harvest(g, ent.p, truths, &now)
 		}
-		for i, slot := range r.slots {
-			want := labels[i].Key
-			if _, stored := s.feedback[want]; slot < 0 && stored || slot >= 0 && keyAt[slot] != want {
-				t.Fatalf("%s: binding %v position %d writes slot %d (%q), its key is %q", at, q.SQL(), i, slot, keyAt[slot], want)
-			}
+		s.fb.Unlock()
+		if !current {
+			continue
+		}
+		if !reflect.DeepEqual(now, r.rec) {
+			t.Fatalf("%s: binding %v records %v, a harvest through its graph %v", at, q.SQL(), r.rec, now)
 		}
 		checked++
 	}
@@ -210,7 +236,7 @@ var memoSQL = []string{
 
 // TestHarvestMemoMatchesHarvestCards drives misses, first hits and memoized
 // hits, with an ample and with a nearly full feedback store, and checks the
-// store against the mirror after every request. cap=n with n > 0 leaves n
+// store against the mirror, the unmemoized harvest, after every request. cap=n with n > 0 leaves n
 // free slots (mirrorStore.fill).
 func TestHarvestMemoMatchesHarvestCards(t *testing.T) {
 	for _, cap := range []int{0, 7, 3} {
@@ -242,8 +268,8 @@ func TestHarvestMemoMatchesHarvestCards(t *testing.T) {
 			if !memoized {
 				t.Fatal("no request ever went through a memo")
 			}
-			if cap > 0 && s.FeedbackLen() != feedbackCap {
-				t.Fatalf("FeedbackLen = %d, want the cap %d", s.FeedbackLen(), feedbackCap)
+			if cap > 0 && s.FeedbackLen() != feedback.Cap {
+				t.Fatalf("FeedbackLen = %d, want the cap %d", s.FeedbackLen(), feedback.Cap)
 			}
 			// ResetFeedback empties the store under live memos: the next
 			// hits must write every key again, not only changed ones.
@@ -370,8 +396,8 @@ func TestHarvestMemoShardedPlansUseLogicalWalk(t *testing.T) {
 	}
 	requireShardedCache(t, sharded)
 	// The logical walk is shard-blind: both servers learned the same truths.
-	if pf, sf := feedbackOf(plain), feedbackOf(sharded); !reflect.DeepEqual(pf, sf) {
-		t.Fatalf("sharded feedback differs from unsharded:\n plain   %v\n sharded %v", pf, sf)
+	if !reflect.DeepEqual(mp.store, ms.store) {
+		t.Fatalf("sharded feedback differs from unsharded:\n plain   %v\n sharded %v", mp.store, ms.store)
 	}
 }
 
@@ -430,8 +456,8 @@ func TestHarvestMemoPreparedBindingsBypass(t *testing.T) {
 			if n := requireOwnKeys(t, s, key, "after 3 rounds"); n != len(bindings) {
 				t.Fatalf("%d of %d bindings' records are current", n, len(bindings))
 			}
-			if cap > 0 && s.FeedbackLen() != feedbackCap {
-				t.Fatalf("FeedbackLen = %d, want the cap %d", s.FeedbackLen(), feedbackCap)
+			if cap > 0 && s.FeedbackLen() != feedback.Cap {
+				t.Fatalf("FeedbackLen = %d, want the cap %d", s.FeedbackLen(), feedback.Cap)
 			}
 
 			bare := memoSQL[0]

@@ -14,13 +14,12 @@ import (
 	"context"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"lqo/internal/data"
 	"lqo/internal/exec"
-	"lqo/internal/metrics"
+	"lqo/internal/feedback"
 	"lqo/internal/opt"
 	"lqo/internal/plan"
 	"lqo/internal/query"
@@ -42,10 +41,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// feedbackCap bounds the harvested-cardinality store used to replan
-// invalidated entries, in sub-query keys.
-const feedbackCap = 8192
 
 // Result is what a serving-layer client gets back.
 type Result struct {
@@ -119,16 +114,11 @@ type Server struct {
 	stmts *stmtCache
 	adm   *admission
 
-	mu       sync.Mutex
-	feedback map[string]int32 // sub-query key -> index of its harvested true card in cards
-	cards    []float64
-	// hashes holds the query.JoinGraph.KeyHash of every key in feedback:
-	// the overlay builds a mask's key only when its hash is here.
-	hashes  map[uint64]struct{}
-	keyBuf  []byte       // the key buffer of a graph's harvest and overlay
-	hashBuf []uint64     // the overlay's key hashes, one per mask
-	argBuf  []data.Value // the placeholder values of the binding a harvest looks up
-	fbGen   uint64       // bumped by ResetFeedback: harvest records of an older one are stale
+	// fb holds the harvested truths. Its lock also guards the entries'
+	// harvest records and argBuf, the placeholder values of the binding
+	// a harvest looks up (Server.record).
+	fb     *feedback.Store
+	argBuf []data.Value
 
 	coldPlans atomic.Int64
 	obs       atomic.Pointer[ExecObserver] // nil or pointing at nil: none
@@ -142,66 +132,18 @@ type Server struct {
 func New(cat *data.Catalog, o *opt.Optimizer, ex *exec.Executor, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cat:      cat,
-		ex:       ex,
-		cfg:      cfg,
-		cache:    NewPlanCache(cacheSize),
-		stmts:    newStmtCache(),
-		adm:      newAdmission(),
-		feedback: make(map[string]int32),
-		hashes:   make(map[uint64]struct{}),
-		fbGen:    1,
+		cat:   cat,
+		ex:    ex,
+		cfg:   cfg,
+		cache: NewPlanCache(cacheSize),
+		stmts: newStmtCache(),
+		adm:   newAdmission(),
+		fb:    feedback.NewStore(),
 	}
-	s.opt = o.WithEstimator(&feedbackEstimator{s: s, base: o.Est})
+	// A replan after invalidation uses execution truth where it is known
+	// (PilotScope's PushCards, wired into serving).
+	s.opt = o.WithEstimator(&feedback.Overlay{Base: o.Est, Store: s.fb})
 	return s
-}
-
-// feedbackEstimator overlays harvested true cardinalities on the server's
-// base estimator, so a replan after invalidation uses execution truth
-// where it is known (PilotScope's PushCards, wired into serving).
-type feedbackEstimator struct {
-	s    *Server
-	base opt.CardEstimator
-}
-
-// Estimate implements opt.CardEstimator.
-func (fe *feedbackEstimator) Estimate(q *query.Query) float64 {
-	var c float64
-	fe.s.mu.Lock()
-	i, ok := fe.s.feedback[q.Key()]
-	if ok {
-		c = fe.s.cards[i]
-	}
-	fe.s.mu.Unlock()
-	if ok {
-		return metrics.ClampCard(c)
-	}
-	return metrics.ClampCard(fe.base.Estimate(q))
-}
-
-// EstimateGraph implements opt.GraphEstimator: the base answers the
-// graph (opt.EstimateGraph), then every mask whose key the store holds
-// takes its truth, all under one hold of s.mu. Only a mask whose key hash
-// is in s.hashes has its key written into s.keyBuf and looked up.
-func (fe *feedbackEstimator) EstimateGraph(ctx context.Context, g *query.JoinGraph, cards []float64) error {
-	if err := opt.EstimateGraph(ctx, fe.base, g, cards); err != nil {
-		return err
-	}
-	s := fe.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.hashBuf = slices.Grow(s.hashBuf[:0], len(cards))[:len(cards)]
-	g.KeyHashes(s.hashBuf)
-	for m, c := range cards {
-		if _, ok := s.hashes[s.hashBuf[m]]; ok {
-			s.keyBuf = g.AppendKey(s.keyBuf[:0], uint64(m))
-			if i, ok := s.feedback[string(s.keyBuf)]; ok {
-				c = s.cards[i]
-			}
-		}
-		cards[m] = metrics.ClampCard(c)
-	}
-	return nil
 }
 
 // Query parses, plans (or reuses a cached plan) and executes sql on
@@ -364,50 +306,32 @@ func (s *Server) binding(cat *data.Catalog, ent *cacheEntry, q *query.Query) *ex
 // was checked out of on a hit, else nil. A binding — q, of statement st
 // or ad hoc — fixes the sub-query key of every pre-order position of its
 // entry's plan, so the entry keeps a record of each binding's store
-// slots (Server.record). A hit whose record is current writes by index,
-// building no graph and rendering no key: slots never move and a full
-// store stays full until ResetFeedback, which bumps fbGen, so that is
-// what absorb would do. A miss, and a binding's first hit or its first
-// after ResetFeedback, write each node's key from g through s.keyBuf, a
-// hit recording the slots: only a key new to the store allocates a
-// string or is hashed.
+// slots (Server.record). A hit whose record is current writes by slot,
+// building no graph and rendering no key (feedback.Store.Write). A miss,
+// and a binding's first hit or its first after ResetFeedback, harvest
+// through g, a hit recording the slots. The record lookup and the writes
+// take one hold of the store's lock.
 func (s *Server) harvest(q *query.Query, g *query.JoinGraph, st *sqlx.Prepared, p *plan.Node, cards []float64, ent *cacheEntry) *query.JoinGraph {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var rec *harvestRecord
+	s.fb.Lock()
+	defer s.fb.Unlock()
+	var rec *feedback.Record
 	if ent != nil {
-		if rec = s.record(ent.hits(), st, q); rec.gen == s.fbGen {
-			for i, slot := range rec.slots {
-				if slot >= 0 {
-					s.cards[slot] = cards[i]
-				}
-			}
+		if rec = &s.record(ent.hits(), st, q).rec; s.fb.Current(rec) {
+			s.fb.Write(rec, cards)
 			return g
 		}
-		rec.slots, rec.gen = rec.slots[:0], s.fbGen
 	}
 	if g == nil {
 		g = graphOf(q, st)
 	}
-	i := 0
-	p.WalkLogicalMasks(g, func(_ *plan.Node, mask uint64) {
-		s.keyBuf = g.AppendKey(s.keyBuf[:0], mask)
-		slot, added := absorb(s, s.keyBuf, cards[i])
-		if added {
-			s.hashes[g.KeyHash(mask)] = struct{}{}
-		}
-		if rec != nil {
-			rec.slots = append(rec.slots, slot)
-		}
-		i++
-	})
+	s.fb.Harvest(g, p, cards, rec)
 	return g
 }
 
 // record returns m's record of q, a binding of st (nil: ad hoc), under
-// s.mu, claiming one if there is none: a new one while fewer than
-// maxRecords exist, else the oldest, its storage reused. A claimed
-// record's gen is 0, no store's generation.
+// the feedback store's lock, claiming one if there is none: a new one
+// while fewer than maxRecords exist, else the oldest, its storage reused.
+// A claimed record is stale.
 func (s *Server) record(m *hitMemo, st *sqlx.Prepared, q *query.Query) *harvestRecord {
 	s.argBuf = boundArgs(s.argBuf[:0], st, q)
 	for i := range m.recs {
@@ -423,7 +347,8 @@ func (s *Server) record(m *hitMemo, st *sqlx.Prepared, q *query.Query) *harvestR
 		r = &m.recs[m.next]
 		m.next = (m.next + 1) % maxRecords
 	}
-	r.st, r.args, r.gen = st, append(r.args[:0], s.argBuf...), 0
+	r.st, r.args = st, append(r.args[:0], s.argBuf...)
+	r.rec.Invalidate()
 	return r
 }
 
@@ -449,28 +374,6 @@ func sameValue(x, y data.Value) bool {
 	return x.K == y.K && x.I == y.I && math.Float64bits(x.F) == math.Float64bits(y.F)
 }
 
-// absorb writes one harvested truth into the feedback store under s.mu:
-// an existing key always updates, a new key lands only under feedbackCap
-// (bounded memory, no eviction churn). Callers write in plan pre-order,
-// so which keys a nearly full store admits is the same on every run. It
-// returns key's slot in s.cards, -1 if it was not admitted, and whether
-// key is new, for the caller to add its hash to s.hashes. Only
-// ResetFeedback moves or frees a slot, and a full store stays full until
-// then.
-func absorb[K string | []byte](s *Server, key K, card float64) (slot int32, added bool) {
-	if i, ok := s.feedback[string(key)]; ok {
-		s.cards[i] = card
-		return i, false
-	}
-	if len(s.cards) >= feedbackCap {
-		return -1, false
-	}
-	slot = int32(len(s.cards))
-	s.feedback[string(key)] = slot
-	s.cards = append(s.cards, card)
-	return slot, true
-}
-
 // SetObserver installs (or, with nil, removes) the execution observer.
 // The observer sees every successful execution after feedback harvest.
 func (s *Server) SetObserver(o ExecObserver) { s.obs.Store(&o) }
@@ -485,23 +388,10 @@ func (s *Server) FlushPlans() int { return s.cache.Clear() }
 // from plans the old model chose describes sub-plans the new model may
 // never produce, and after catalog drift the stored truths themselves are
 // stale — keeping them would poison the first replans of the new regime.
-func (s *Server) ResetFeedback() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.feedback)
-	s.feedback = make(map[string]int32)
-	s.hashes = make(map[uint64]struct{})
-	s.cards = s.cards[:0]
-	s.fbGen++
-	return n
-}
+func (s *Server) ResetFeedback() int { return s.fb.Reset() }
 
 // FeedbackLen reports how many sub-query truths the feedback store holds.
-func (s *Server) FeedbackLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.feedback)
-}
+func (s *Server) FeedbackLen() int { return s.fb.Len() }
 
 // Stats returns a snapshot of the server's counters.
 func (s *Server) Stats() Stats {

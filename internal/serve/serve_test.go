@@ -14,6 +14,7 @@ import (
 	"lqo/internal/data"
 	"lqo/internal/datagen"
 	"lqo/internal/exec"
+	"lqo/internal/feedback"
 	"lqo/internal/opt"
 	"lqo/internal/plan"
 	"lqo/internal/query"
@@ -412,26 +413,29 @@ func TestAbsorbAtFeedbackCapIsDeterministic(t *testing.T) {
 	var first map[string]float64
 	for run := 0; run < 8; run++ {
 		s, cat := newFixture(t, Config{})
-		fillers := fillFeedback(s, free)
+		fillFeedback(s, free)
 		if _, err := s.Query(context.Background(), "a", sql); err != nil {
 			t.Fatal(err)
 		}
-		if n := s.FeedbackLen(); n != feedbackCap {
-			t.Fatalf("run %d: store holds %d keys, want the cap %d", run, n, feedbackCap)
+		if n := s.FeedbackLen(); n != feedback.Cap {
+			t.Fatalf("run %d: store holds %d keys, want the cap %d", run, n, feedback.Cap)
 		}
-		store := feedbackOf(s)
-		for _, k := range fillers {
-			delete(store, k)
+		q, err := sqlx.Parse(sql, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := query.NewJoinGraph(q)
+		store := map[string]float64{} // the query's sub-queries that landed
+		for m := uint64(1); m < 1<<len(g.Aliases); m++ {
+			if c, ok := s.fb.Truth(g.Key(m)); ok {
+				store[g.Key(m)] = c
+			}
 		}
 		if len(store) != free {
 			t.Fatalf("run %d: the plan landed %d keys, want the %d free slots (a 4-table plan has 7 nodes)", run, len(store), free)
 		}
 		if first == nil {
 			first = store
-			q, err := sqlx.Parse(sql, cat)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if _, ok := store[q.Key()]; !ok {
 				t.Fatal("the plan root, first in pre-order, did not land in the store")
 			}

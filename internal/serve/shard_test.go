@@ -10,6 +10,8 @@ import (
 	"lqo/internal/exec"
 	"lqo/internal/opt"
 	"lqo/internal/plan"
+	"lqo/internal/query"
+	"lqo/internal/sqlx"
 	"lqo/internal/stats"
 )
 
@@ -132,10 +134,17 @@ func TestShardedFeedbackUsesLogicalCards(t *testing.T) {
 	if plain.FeedbackLen() != sharded.FeedbackLen() {
 		t.Fatalf("feedback keys: plain %d, sharded %d — shard internals leaked", plain.FeedbackLen(), sharded.FeedbackLen())
 	}
-	pf := feedbackOf(plain)
-	for k, v := range feedbackOf(sharded) {
-		if pv, ok := pf[k]; !ok || pv != v {
-			t.Fatalf("sharded feedback[%q] = %v, plain = %v (ok=%v)", k, v, pv, ok)
+	q, err := sqlx.Parse(sql, plain.cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := query.NewJoinGraph(q)
+	for m := uint64(1); m < 1<<len(g.Aliases); m++ {
+		k := g.Key(m)
+		pv, pok := plain.fb.Truth(k)
+		sv, sok := sharded.fb.Truth(k)
+		if pok != sok || pv != sv {
+			t.Fatalf("sharded feedback[%q] = %v (ok=%v), plain = %v (ok=%v)", k, sv, sok, pv, pok)
 		}
 	}
 }
