@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,32 +36,33 @@ func main() {
 		log.Fatal(err)
 	}
 	var train, test = queries(labeled[:60]), queries(labeled[60:])
-	ctx := &learnedopt.Context{Cat: cat, Stats: cs, Ex: ex, Base: base, Workload: train, Seed: 21}
+	ctx := context.Background()
+	lc := &learnedopt.Context{Cat: cat, Stats: cs, Ex: ex, Base: base, Workload: train, Seed: 21}
 
 	// The learned optimizer: Bao with the paper's tree-convolution value
 	// model, which regresses more readily at small training scale.
 	bao := learnedopt.NewBaoTreeConv()
-	if err := bao.Train(ctx); err != nil {
+	if err := bao.Train(ctx, lc); err != nil {
 		log.Fatal(err)
 	}
 	// Eraser wraps the SAME trained model.
 	eraser := learnedopt.NewEraser(bao)
 	eraser.InnerTrained = true
-	if err := eraser.Train(ctx); err != nil {
+	if err := eraser.Train(ctx, lc); err != nil {
 		log.Fatal(err)
 	}
 
 	native := learnedopt.NewNative()
-	if err := native.Train(ctx); err != nil {
+	if err := native.Train(ctx, lc); err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("%-4s %12s %12s %12s %9s\n", "q#", "native", "bao", "eraser+bao", "bao rel")
 	var regBao, regEraser int
 	for i, q := range test {
-		nat := run(ctx, native, q)
-		bo := run(ctx, bao, q)
-		er := run(ctx, eraser, q)
+		nat := run(ctx, ex, native, q)
+		bo := run(ctx, ex, bao, q)
+		er := run(ctx, ex, eraser, q)
 		rel := bo / nat
 		if rel > 1.2 {
 			regBao++
@@ -85,12 +87,12 @@ func queries(ls []workload.Labeled) []*query.Query {
 	return out
 }
 
-func run(ctx *learnedopt.Context, o learnedopt.Optimizer, q *query.Query) float64 {
-	p, err := o.Plan(q)
+func run(ctx context.Context, ex *exec.Executor, o learnedopt.Optimizer, q *query.Query) float64 {
+	p, err := o.Plan(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lat, err := learnedopt.Measure(ctx.Ex, q, p)
+	lat, err := learnedopt.Measure(ctx, ex, q, p)
 	if err != nil {
 		log.Fatal(err)
 	}

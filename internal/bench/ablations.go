@@ -24,29 +24,14 @@ func E8Ablations(ctx context.Context, env *Env) (*Report, error) {
 		Title:  fmt.Sprintf("Ablations, dataset=%s", env.Name),
 		Header: []string{"ablation", "variant", "metric", "value", "failed"},
 	}
-	lctx := &learnedopt.Context{
-		Cat: env.Cat, Stats: env.Stats, Ex: env.Ex, Base: env.Base,
-		Workload: labeledQueries(env.Train), Seed: env.Seed + 8,
-	}
-	native := learnedopt.NewNative()
-	if err := native.Train(lctx); err != nil {
-		return nil, err
-	}
-	natLats, _, err := optimizerLatencies(env, native, nil)
+	lc, natLats, err := nativeBaseline(ctx, env, 8)
 	if err != nil {
 		return nil, err
 	}
 	// gmrl returns o's GMRL and how many of its plans the executor refused
 	// (see optimizerLatencies).
 	gmrl := func(o learnedopt.Optimizer) (string, string, error) {
-		// Ablations run many full train+measure cycles; honor the
-		// caller's deadline between groups (Plan/Measure go through the
-		// ctx-free learnedopt.Optimizer interface, so this boundary is
-		// where cancellation is observed).
-		if err := ctx.Err(); err != nil {
-			return "", "", err
-		}
-		lats, failed, err := optimizerLatencies(env, o, natLats)
+		lats, failed, err := optimizerLatencies(ctx, env, o, natLats)
 		if err != nil {
 			return "", "", err
 		}
@@ -67,7 +52,7 @@ func E8Ablations(ctx context.Context, env *Env) (*Report, error) {
 		{"exhaustive+treeconv", learnedopt.NewBaoTreeConv},
 	} {
 		b := v.mk()
-		if err := b.Train(lctx); err != nil {
+		if err := b.Train(ctx, lc); err != nil {
 			return nil, fmt.Errorf("E8 bao %s: %w", v.label, err)
 		}
 		g, failed, err := gmrl(b)
@@ -79,7 +64,7 @@ func E8Ablations(ctx context.Context, env *Env) (*Report, error) {
 
 	// Lero: pairwise vs pointwise selection.
 	lero := learnedopt.NewLero()
-	if err := lero.Train(lctx); err != nil {
+	if err := lero.Train(ctx, lc); err != nil {
 		return nil, err
 	}
 	g, failed, err := gmrl(lero)
@@ -88,7 +73,7 @@ func E8Ablations(ctx context.Context, env *Env) (*Report, error) {
 	}
 	r.AddRow("lero", "pairwise", "GMRL", g, failed)
 	pw := learnedopt.NewPointwiseLero()
-	if err := pw.Train(lctx); err != nil {
+	if err := pw.Train(ctx, lc); err != nil {
 		return nil, err
 	}
 	g, failed, err = gmrl(pw)
@@ -141,7 +126,7 @@ func E8Ablations(ctx context.Context, env *Env) (*Report, error) {
 	for _, beam := range []int{1, 4, 8} {
 		neo := learnedopt.NewNeo()
 		neo.Beam = beam
-		if err := neo.Train(lctx); err != nil {
+		if err := neo.Train(ctx, lc); err != nil {
 			return nil, err
 		}
 		g, failed, err := gmrl(neo)

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -58,7 +59,7 @@ func TestNewEnvUnknownDataset(t *testing.T) {
 }
 
 // tinyScale keeps the environment-construction integration test fast.
-func tinyScale() Scale { return Scale{Data: 0.03, Train: 12, Test: 6, Episodes: 20} }
+func tinyScale() Scale { return Scale{Data: 0.03, Train: 12, Test: 6} }
 
 func TestNewEnvBuildsConsistentSplits(t *testing.T) {
 	env, err := NewEnv("stats", tinyScale(), 5)
@@ -156,9 +157,9 @@ func TestE4OnTinyEnv(t *testing.T) {
 // lacks: a plan the executor refuses.
 type refusingOptimizer struct{}
 
-func (refusingOptimizer) Name() string                    { return "refusing" }
-func (refusingOptimizer) Train(*learnedopt.Context) error { return nil }
-func (refusingOptimizer) Plan(*query.Query) (*plan.Node, error) {
+func (refusingOptimizer) Name() string                                     { return "refusing" }
+func (refusingOptimizer) Train(context.Context, *learnedopt.Context) error { return nil }
+func (refusingOptimizer) Plan(context.Context, *query.Query) (*plan.Node, error) {
 	return plan.NewScan(plan.SeqScan, "x", "no_such_table", nil), nil
 }
 
@@ -171,18 +172,44 @@ func TestRefusedPlansChargeNative(t *testing.T) {
 		t.Fatal(err)
 	}
 	native := learnedopt.NewNative()
-	if err := native.Train(&learnedopt.Context{Cat: env.Cat, Stats: env.Stats, Ex: env.Ex, Base: env.Base}); err != nil {
+	ctx := context.Background()
+	if err := native.Train(ctx, &learnedopt.Context{Cat: env.Cat, Stats: env.Stats, Ex: env.Ex, Base: env.Base}); err != nil {
 		t.Fatal(err)
 	}
-	natLats, failed, err := optimizerLatencies(env, native, nil)
+	natLats, failed, err := optimizerLatencies(ctx, env, native, nil)
 	if err != nil || failed != 0 {
 		t.Fatalf("native: %d failed, %v", failed, err)
 	}
-	lats, failed, err := optimizerLatencies(env, refusingOptimizer{}, natLats)
+	lats, failed, err := optimizerLatencies(ctx, env, refusingOptimizer{}, natLats)
 	if err != nil || failed != len(env.Test) || !slices.Equal(lats, natLats) {
 		t.Fatalf("refused plans: latencies %v (native %v), %d failed, %v", lats, natLats, failed, err)
 	}
-	if _, _, err := optimizerLatencies(env, refusingOptimizer{}, nil); err == nil {
+	if _, _, err := optimizerLatencies(ctx, env, refusingOptimizer{}, nil); err == nil {
 		t.Fatal("a refused plan without a native fallback did not fail")
+	}
+}
+
+// TestLearnedPlannerExperimentsHonorCancellation: the experiments that
+// train and plan with learned planners run them under the caller's
+// context, so a cancelled one fails each of them with context.Canceled.
+func TestLearnedPlannerExperimentsHonorCancellation(t *testing.T) {
+	env, err := NewEnv("stats", tinyScale(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, e := range []struct {
+		id  string
+		run func(context.Context, *Env) (*Report, error)
+	}{
+		{"E4", E4JoinOrder},
+		{"E5", E5EndToEnd},
+		{"E6", E6Eraser},
+		{"E8", E8Ablations},
+	} {
+		if _, err := e.run(cancelled, env); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a cancelled ctx: %v, want context.Canceled", e.id, err)
+		}
 	}
 }

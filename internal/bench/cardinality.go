@@ -83,7 +83,7 @@ func E2Drift(_ context.Context, env *Env) (*Report, error) {
 	}
 
 	// Drift the data and relabel the test queries.
-	datagen.ApplyDrift(env.Cat, datagen.DriftOptions{Seed: env.Seed + 1000, Fraction: 0.8, Shift: 0})
+	datagen.ApplyDrift(env.Cat, datagen.DriftOptions{Seed: env.Seed + 1000, Fraction: 0.8})
 	freshCache := exec.NewCardCache(exec.New(env.Cat))
 	var drifted []workload.Labeled
 	for _, l := range env.Test {

@@ -73,7 +73,7 @@ func e10Chaos(ctx context.Context, env *Env, opts chaosOptions) (*Report, error)
 		// search, and a chaos-wrapped Plan entry point.
 		chaoticOpt := env.Base.WithEstimator(&guard.ChaosEstimator{Base: env.Base.Est, In: in})
 		learned := learnedopt.NewNative()
-		if err := learned.Train(&learnedopt.Context{Cat: env.Cat, Stats: env.Stats, Ex: env.Ex, Base: chaoticOpt, Seed: env.Seed}); err != nil {
+		if err := learned.Train(ctx, &learnedopt.Context{Cat: env.Cat, Stats: env.Stats, Ex: env.Ex, Base: chaoticOpt, Seed: env.Seed}); err != nil {
 			return nil, err
 		}
 		g := guard.NewPlanner(&guard.ChaosPlanner{Base: learned, In: in}, env.Base, opts.Timeout)

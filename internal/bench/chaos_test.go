@@ -13,7 +13,7 @@ func TestE10ChaosFullAvailability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
 	}
-	env, err := NewEnv("stats", Scale{Data: 0.04, Train: 12, Test: 30, Episodes: 20}, 9)
+	env, err := NewEnv("stats", Scale{Data: 0.04, Train: 12, Test: 30}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestE10ChaosDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
 	}
-	env, err := NewEnv("stats", Scale{Data: 0.04, Train: 12, Test: 30, Episodes: 20}, 9)
+	env, err := NewEnv("stats", Scale{Data: 0.04, Train: 12, Test: 30}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

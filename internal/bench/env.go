@@ -17,18 +17,17 @@ import (
 // Scale configures experiment sizes. Quick (default) keeps everything
 // laptop-instant; Full uses the DESIGN.md workload sizes.
 type Scale struct {
-	Data     float64 // datagen scale factor
-	Train    int     // training queries
-	Test     int     // test queries
-	Episodes int     // RL episodes
+	Data  float64 // datagen scale factor
+	Train int     // training queries
+	Test  int     // test queries
 }
 
 // QuickScale is the CI-friendly configuration.
-func QuickScale() Scale { return Scale{Data: 0.05, Train: 80, Test: 40, Episodes: 150} }
+func QuickScale() Scale { return Scale{Data: 0.05, Train: 80, Test: 40} }
 
 // FullScale is the DESIGN.md experiment configuration (minutes, not
 // seconds, on one core).
-func FullScale() Scale { return Scale{Data: 0.2, Train: 300, Test: 150, Episodes: 500} }
+func FullScale() Scale { return Scale{Data: 0.2, Train: 300, Test: 150} }
 
 // Env bundles a database with its statistics, executor, native optimizer
 // and labeled train/test workloads — the substrate every experiment runs

@@ -95,7 +95,7 @@ func E3CostModel(ctx context.Context, env *Env) (*Report, error) {
 // count. Expected shape: RL methods close most of the random-to-DP gap
 // after training; MCTS tracks DP using only per-query search; greedy sits
 // near DP on easy graphs and drifts on deep ones.
-func E4JoinOrder(_ context.Context, env *Env) (*Report, error) {
+func E4JoinOrder(ctx context.Context, env *Env) (*Report, error) {
 	joinCounts, queriesPer := []int{3, 4, 5, 6, 8, 10}, 8
 	r := &Report{
 		ID:    "E4",
@@ -125,16 +125,16 @@ func E4JoinOrder(_ context.Context, env *Env) (*Report, error) {
 			}
 		}
 	}
-	ctx := &joinorder.Context{Cat: env.Cat, Base: env.Base, Workload: trainAll, Episodes: 0, Seed: env.Seed + 5}
+	lc := &learnedopt.Context{Cat: env.Cat, Base: env.Base, Workload: trainAll, Seed: env.Seed + 5}
 
-	dp := joinorder.NewDP()
-	if err := dp.Train(ctx); err != nil {
+	dp := learnedopt.NewNative()
+	if err := dp.Train(ctx, lc); err != nil {
 		return nil, err
 	}
 	optCost := map[string]float64{}
 	for _, qs := range byCount {
 		for _, q := range qs {
-			p, err := dp.Plan(q)
+			p, err := dp.Plan(ctx, q)
 			if err != nil {
 				return nil, err
 			}
@@ -143,15 +143,18 @@ func E4JoinOrder(_ context.Context, env *Env) (*Report, error) {
 	}
 	for _, inf := range joinorder.Registry() {
 		s := inf.Make()
-		if err := s.Train(ctx); err != nil {
+		if err := s.Train(ctx, lc); err != nil {
 			return nil, fmt.Errorf("E4 %s: %w", inf.Name, err)
 		}
 		row := []string{inf.Name}
 		for _, n := range joinCounts {
 			var ratios []float64
 			for _, q := range byCount[n] {
-				p, err := s.Plan(q)
+				p, err := s.Plan(ctx, q)
 				if err != nil {
+					if ctx.Err() != nil {
+						return nil, err
+					}
 					continue
 				}
 				if oc := optCost[q.Key()]; oc > 0 {
@@ -171,31 +174,23 @@ func E4JoinOrder(_ context.Context, env *Env) (*Report, error) {
 // native optimizer, plus per-query regression counts. Expected shape:
 // steering methods (Bao/Lero) improve totals with a few regressions;
 // regressions motivate E6.
-func E5EndToEnd(_ context.Context, env *Env) (*Report, error) {
+func E5EndToEnd(ctx context.Context, env *Env) (*Report, error) {
 	r := &Report{
 		ID:     "E5",
 		Title:  fmt.Sprintf("End-to-end learned optimizers, dataset=%s (%d test queries)", env.Name, len(env.Test)),
 		Header: []string{"optimizer", "total work", "GMRL", "p99 rel", "regress>20%", "wins>20%", "failed"},
 	}
-	ctx := &learnedopt.Context{
-		Cat: env.Cat, Stats: env.Stats, Ex: env.Ex, Base: env.Base,
-		Workload: labeledQueries(env.Train), Seed: env.Seed + 6,
-	}
-	native := learnedopt.NewNative()
-	if err := native.Train(ctx); err != nil {
-		return nil, err
-	}
-	natLats, _, err := optimizerLatencies(env, native, nil)
+	lc, natLats, err := nativeBaseline(ctx, env, 6)
 	if err != nil {
 		return nil, err
 	}
 	natTotal := sum(natLats)
 	for _, inf := range learnedopt.Registry() {
 		o := inf.Make()
-		if err := o.Train(ctx); err != nil {
+		if err := o.Train(ctx, lc); err != nil {
 			return nil, fmt.Errorf("E5 %s: %w", inf.Name, err)
 		}
-		lats, failed, err := optimizerLatencies(env, o, natLats)
+		lats, failed, err := optimizerLatencies(ctx, env, o, natLats)
 		if err != nil {
 			return nil, fmt.Errorf("E5 %s: %w", inf.Name, err)
 		}
@@ -208,6 +203,22 @@ func E5EndToEnd(_ context.Context, env *Env) (*Report, error) {
 	return r, nil
 }
 
+// nativeBaseline returns the Context learned optimizers train from —
+// env's training workload at seed env.Seed+seed — and the native plan's
+// latency for every test query.
+func nativeBaseline(ctx context.Context, env *Env, seed int64) (*learnedopt.Context, []float64, error) {
+	lc := &learnedopt.Context{
+		Cat: env.Cat, Stats: env.Stats, Ex: env.Ex, Base: env.Base,
+		Workload: labeledQueries(env.Train), Seed: env.Seed + seed,
+	}
+	native := learnedopt.NewNative()
+	if err := native.Train(ctx, lc); err != nil {
+		return nil, nil, err
+	}
+	natLats, _, err := optimizerLatencies(ctx, env, native, nil)
+	return lc, natLats, err
+}
+
 func labeledQueries(ls []workload.Labeled) []*query.Query {
 	out := make([]*query.Query, len(ls))
 	for i, l := range ls {
@@ -216,20 +227,20 @@ func labeledQueries(ls []workload.Labeled) []*query.Query {
 	return out
 }
 
-// optimizerLatencies measures o's plan for every test query. A plan the
-// executor refuses (an intermediate past its cap) is charged natLats' entry
-// for the query, the native plan's latency — the fallback a learned
-// optimizer runs on — and counted in failed; with natLats nil it is an
-// error.
-func optimizerLatencies(env *Env, o learnedopt.Optimizer, natLats []float64) (lats []float64, failed int, err error) {
+// optimizerLatencies measures o's plan for every test query under ctx. A
+// plan the executor refuses (an intermediate past its cap) is charged
+// natLats' entry for the query, the native plan's latency — the fallback
+// a learned optimizer runs on — and counted in failed; with natLats nil,
+// or once ctx is done, it is an error.
+func optimizerLatencies(ctx context.Context, env *Env, o learnedopt.Optimizer, natLats []float64) (lats []float64, failed int, err error) {
 	for i, l := range env.Test {
-		p, err := o.Plan(l.Q)
+		p, err := o.Plan(ctx, l.Q)
 		if err != nil {
 			return nil, 0, err
 		}
-		lat, err := learnedopt.Measure(env.Ex, l.Q, p)
+		lat, err := learnedopt.Measure(ctx, env.Ex, l.Q, p)
 		if err != nil {
-			if natLats == nil {
+			if natLats == nil || ctx.Err() != nil {
 				return nil, 0, err
 			}
 			lat, failed = natLats[i], failed+1
@@ -272,21 +283,13 @@ func sum(v []float64) float64 {
 // and falling back to the native optimizer elsewhere — removes (nearly)
 // all regressions while keeping most of the improvement. The stage-1-only
 // row shows both of Eraser's stages matter.
-func E6Eraser(_ context.Context, env *Env) (*Report, error) {
+func E6Eraser(ctx context.Context, env *Env) (*Report, error) {
 	r := &Report{
 		ID:     "E6",
 		Title:  fmt.Sprintf("Eraser regression elimination, dataset=%s", env.Name),
 		Header: []string{"configuration", "total work", "GMRL", "regress>20%", "worst rel", "failed"},
 	}
-	fullCtx := &learnedopt.Context{
-		Cat: env.Cat, Stats: env.Stats, Ex: env.Ex, Base: env.Base,
-		Workload: labeledQueries(env.Train), Seed: env.Seed + 7,
-	}
-	native := learnedopt.NewNative()
-	if err := native.Train(fullCtx); err != nil {
-		return nil, err
-	}
-	natLats, _, err := optimizerLatencies(env, native, nil)
+	lc, natLats, err := nativeBaseline(ctx, env, 7)
 	if err != nil {
 		return nil, err
 	}
@@ -311,10 +314,10 @@ func E6Eraser(_ context.Context, env *Env) (*Report, error) {
 
 	// The learned optimizer being protected: Bao, trained exactly as in E5.
 	bao := learnedopt.NewBao()
-	if err := bao.Train(fullCtx); err != nil {
+	if err := bao.Train(ctx, lc); err != nil {
 		return nil, err
 	}
-	baoLats, failed, err := optimizerLatencies(env, bao, natLats)
+	baoLats, failed, err := optimizerLatencies(ctx, env, bao, natLats)
 	if err != nil {
 		return nil, err
 	}
@@ -324,10 +327,10 @@ func E6Eraser(_ context.Context, env *Env) (*Report, error) {
 		er := learnedopt.NewEraser(bao)
 		er.InnerTrained = true
 		er.DisableClustering = disableClustering
-		if err := er.Train(fullCtx); err != nil {
+		if err := er.Train(ctx, lc); err != nil {
 			return err
 		}
-		lats, failed, err := optimizerLatencies(env, er, natLats)
+		lats, failed, err := optimizerLatencies(ctx, env, er, natLats)
 		if err != nil {
 			return err
 		}

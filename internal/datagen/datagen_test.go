@@ -130,7 +130,7 @@ func TestIndexesBuilt(t *testing.T) {
 func TestApplyDriftGrowsAndKeepsIntegrity(t *testing.T) {
 	cat := StatsCEB(Config{Seed: 8, Scale: 0.05})
 	before := cat.TotalRows()
-	ApplyDrift(cat, DriftOptions{Seed: 80, Fraction: 0.5, Shift: 3})
+	ApplyDrift(cat, DriftOptions{Seed: 80, Fraction: 0.5})
 	after := cat.TotalRows()
 	if after <= before {
 		t.Fatalf("drift did not append: %d → %d", before, after)

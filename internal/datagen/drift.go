@@ -12,9 +12,6 @@ type DriftOptions struct {
 	Seed int64
 	// Fraction of current rows to append per table (e.g. 0.3 appends 30%).
 	Fraction float64
-	// Shift displaces non-key integer attribute values, changing the
-	// distribution the data-driven models learned.
-	Shift int64
 	// ValueSkew, when > 0, re-draws appended non-key integer attribute
 	// values from the table's existing domain with a power-law hot spot at
 	// the TOP of the domain. The t0 generators concentrate mass at the
@@ -32,10 +29,10 @@ type DriftOptions struct {
 }
 
 // ApplyDrift appends Fraction new rows to every table in cat, drawn by
-// resampling existing rows and shifting non-key attributes, and — the part
-// that hurts stale models most — re-drawing foreign keys *uniformly* over
-// their existing domain, which flips the Zipf join fan-out the models
-// memorized. It models the dynamic-data setting of [61]/[25]/[29]: the
+// resampling existing rows and scaling non-key float attributes, and —
+// the part that hurts stale models most — re-drawing foreign keys
+// *uniformly* over their existing domain, which flips the Zipf join
+// fan-out the models memorized. It models the dynamic-data setting of [61]/[25]/[29]: the
 // joint and join distributions move and stale models go wrong. Primary
 // keys continue their sequence so referential structure stays valid.
 // Indexes are rebuilt.
@@ -142,11 +139,7 @@ func ApplyDrift(cat *data.Catalog, opts DriftOptions) {
 						c.AppendInt(d[1] - int64(width*math.Pow(rng.Float64(), opts.ValueSkew)))
 						continue
 					}
-					v := c.Ints[src] + opts.Shift
-					if opts.Shift != 0 {
-						v += int64(rng.Intn(5))
-					}
-					c.AppendInt(v)
+					c.AppendInt(c.Ints[src])
 				}
 			}
 		}

@@ -36,7 +36,6 @@ func snapshotInts(cat *data.Catalog) map[string]map[string][]int64 {
 
 func TestApplyDriftDeterministic(t *testing.T) {
 	for _, opts := range []DriftOptions{
-		{Seed: 7, Fraction: 0.3, Shift: 50},
 		{Seed: 7, Fraction: 0.3, ValueSkew: 2.5},
 		{Seed: 7, Fraction: 0.3, DomainShift: 0.5},
 		{Seed: 7, Fraction: 0.3, ValueSkew: 2, DomainShift: 0.3},
@@ -106,7 +105,7 @@ func TestApplyDriftZeroFractionNoopWithModes(t *testing.T) {
 	}
 }
 
-// The legacy growth path (Fraction/Shift only) must be byte-identical to
+// The legacy growth path (Fraction only) must be byte-identical to
 // earlier releases at the same seed: enabling the new modes must be the
 // ONLY thing that changes the RNG draw sequence. We check this by asserting
 // that a legacy run is unaffected by code restructuring: two catalogs

@@ -146,7 +146,7 @@ func TestRecycledOperatorsSeeCurrentCatalog(t *testing.T) {
 		}
 	}
 	check("t0")
-	datagen.ApplyDrift(cat, datagen.DriftOptions{Seed: 3, Fraction: 0.6, Shift: 2, DomainShift: 0.2})
+	datagen.ApplyDrift(cat, datagen.DriftOptions{Seed: 3, Fraction: 0.6, DomainShift: 0.2})
 	check("drifted")
 	if aggs < 16 {
 		t.Fatalf("only %d of %d runs computed SUM/AVG/MIN/MAX; the sweep no longer carries an aggregate column", aggs, ran)

@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -143,11 +144,13 @@ type ChaosPlanner struct {
 func (c *ChaosPlanner) Name() string { return "chaos(" + c.Base.Name() + ")" }
 
 // Train implements learnedopt.Optimizer.
-func (c *ChaosPlanner) Train(ctx *learnedopt.Context) error { return c.Base.Train(ctx) }
+func (c *ChaosPlanner) Train(ctx context.Context, lc *learnedopt.Context) error {
+	return c.Base.Train(ctx, lc)
+}
 
 // Plan implements learnedopt.Optimizer, possibly erroring, panicking or
-// hanging instead of planning.
-func (c *ChaosPlanner) Plan(q *query.Query) (*plan.Node, error) {
+// hanging instead of planning. A hang ignores ctx, as a stuck call does.
+func (c *ChaosPlanner) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
 	switch c.In.next(plannerFaults) {
 	case FaultError:
 		return nil, fmt.Errorf("chaos: injected planner error")
@@ -155,8 +158,8 @@ func (c *ChaosPlanner) Plan(q *query.Query) (*plan.Node, error) {
 		panic("chaos: injected planner panic")
 	case FaultHang:
 		time.Sleep(c.In.cfg.Hang)
-		return c.Base.Plan(q)
+		return c.Base.Plan(ctx, q)
 	default:
-		return c.Base.Plan(q)
+		return c.Base.Plan(ctx, q)
 	}
 }

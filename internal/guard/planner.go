@@ -38,10 +38,12 @@ type Planner struct {
 	// consultation entirely until the cooldown elapses.
 	Breaker *Breaker
 	// Timeout bounds one learned Plan call (0 = no budget). The learned
-	// call runs on a watchdog goroutine; on overrun the query proceeds
-	// natively and the goroutine is abandoned to finish on its own — it
-	// holds no locks and its result channel is buffered, so it exits
-	// cleanly whenever the stalled call returns. Wait joins it.
+	// call runs on a watchdog goroutine under the caller's ctx, not one
+	// the budget cancels; on overrun the query proceeds natively and the
+	// goroutine is abandoned to finish on its own — it holds no locks
+	// and its result channel is buffered, so it exits cleanly whenever
+	// the stalled call returns, whether or not it honours ctx. Wait
+	// joins it.
 	Timeout time.Duration
 
 	mu       sync.Mutex
@@ -110,7 +112,7 @@ func (g *Planner) Plan(ctx context.Context, q *query.Query) (*plan.Node, bool, e
 		var p *plan.Node
 		err := Safe(g.Learned.Name(), func() error {
 			var e error
-			p, e = g.Learned.Plan(q)
+			p, e = g.Learned.Plan(ctx, q)
 			return e
 		})
 		ch <- planResult{p, err}

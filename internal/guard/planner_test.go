@@ -47,9 +47,9 @@ type fakeLearned struct {
 	hang   time.Duration
 }
 
-func (f *fakeLearned) Name() string                        { return "fake(" + f.mode + ")" }
-func (f *fakeLearned) Train(ctx *learnedopt.Context) error { return nil }
-func (f *fakeLearned) Plan(q *query.Query) (*plan.Node, error) {
+func (f *fakeLearned) Name() string                                         { return "fake(" + f.mode + ")" }
+func (f *fakeLearned) Train(_ context.Context, _ *learnedopt.Context) error { return nil }
+func (f *fakeLearned) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
 	switch f.mode {
 	case "err":
 		return nil, fmt.Errorf("fake: deliberate error")
@@ -60,7 +60,7 @@ func (f *fakeLearned) Plan(q *query.Query) (*plan.Node, error) {
 	case "hang":
 		time.Sleep(f.hang)
 	}
-	return f.native.OptimizeCtx(context.Background(), q)
+	return f.native.OptimizeCtx(ctx, q)
 }
 
 func TestPlannerLearnedPathServes(t *testing.T) {

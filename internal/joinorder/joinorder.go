@@ -5,84 +5,39 @@
 // methods (SkinnerDB [56]-style Monte-Carlo tree search, Eddy [58]-style
 // selectivity-adaptive ordering), plus the classical DP/greedy/random
 // baselines, all producing physical plans through the same evaluation path
-// (opt.PlanFromOrder) so their plan quality is directly comparable.
+// (opt.PlanFromOrder) so their plan quality is directly comparable. Every
+// searcher is a learnedopt.Optimizer: learned search chooses the join
+// order and delegates operator selection to the Context's native
+// optimizer, which also evaluates orders (cost model + estimator).
 package joinorder
 
 import (
 	"context"
 	"math/rand"
 
-	"lqo/internal/data"
+	"lqo/internal/learnedopt"
 	"lqo/internal/opt"
 	"lqo/internal/plan"
 	"lqo/internal/query"
 )
 
-// Context carries training inputs for join-order searchers.
-type Context struct {
-	Cat *data.Catalog
-	// Base is the optimizer used to evaluate orders (cost model +
-	// cardinality estimator) and by the DP/greedy baselines.
-	Base     *opt.Optimizer
-	Workload []*query.Query
-	Episodes int // RL training episodes (default 300)
-	Seed     int64
-}
+// episodes is how many training episodes the RL searchers run.
+const episodes = 300
 
-func (c *Context) episodes() int {
-	if c.Episodes > 0 {
-		return c.Episodes
+// Registry lists every join-order method the workbench ships; "dp", the
+// exhaustive dynamic-programming baseline, is the native optimizer
+// (optimal under its own cost model).
+func Registry() []learnedopt.Info {
+	return []learnedopt.Info{
+		{Name: "dp", Make: func() learnedopt.Optimizer { return learnedopt.NewNative() }},
+		{Name: "greedy", Make: func() learnedopt.Optimizer { return NewGreedy() }},
+		{Name: "random", Make: func() learnedopt.Optimizer { return NewRandom(0) }},
+		{Name: "dq", Make: func() learnedopt.Optimizer { return NewDQ() }},
+		{Name: "rejoin", Make: func() learnedopt.Optimizer { return NewReJoin() }},
+		{Name: "rtos", Make: func() learnedopt.Optimizer { return NewRTOS() }},
+		{Name: "skinner-mcts", Make: func() learnedopt.Optimizer { return NewMCTS(0) }},
+		{Name: "eddy", Make: func() learnedopt.Optimizer { return NewEddy() }},
 	}
-	return 300
-}
-
-// Searcher produces a physical plan for a query; learned searchers choose
-// the join order, delegating operator selection to the base optimizer.
-type Searcher interface {
-	// Name identifies the method.
-	Name() string
-	// Train fits the searcher (no-op for online and classical methods).
-	Train(ctx *Context) error
-	// Plan returns a physical plan for q.
-	Plan(q *query.Query) (*plan.Node, error)
-}
-
-// Info describes a registered searcher.
-type Info struct {
-	Name string
-	Make func() Searcher
-}
-
-// Registry lists every join-order method the workbench ships.
-func Registry() []Info {
-	return []Info{
-		{"dp", func() Searcher { return NewDP() }},
-		{"greedy", func() Searcher { return NewGreedy() }},
-		{"random", func() Searcher { return NewRandom(0) }},
-		{"dq", func() Searcher { return NewDQ() }},
-		{"rejoin", func() Searcher { return NewReJoin() }},
-		{"rtos", func() Searcher { return NewRTOS() }},
-		{"skinner-mcts", func() Searcher { return NewMCTS(0) }},
-		{"eddy", func() Searcher { return NewEddy() }},
-	}
-}
-
-// DP is the exhaustive dynamic-programming baseline (optimal under the
-// base optimizer's cost model).
-type DP struct{ base *opt.Optimizer }
-
-// NewDP returns the DP baseline.
-func NewDP() *DP { return &DP{} }
-
-// Name implements Searcher.
-func (s *DP) Name() string { return "dp" }
-
-// Train implements Searcher.
-func (s *DP) Train(ctx *Context) error { s.base = ctx.Base; return nil }
-
-// Plan implements Searcher.
-func (s *DP) Plan(q *query.Query) (*plan.Node, error) {
-	return s.base.OptimizeCtx(context.Background(), q)
 }
 
 // Greedy is the classical greedy baseline.
@@ -91,15 +46,15 @@ type Greedy struct{ base *opt.Optimizer }
 // NewGreedy returns the greedy baseline.
 func NewGreedy() *Greedy { return &Greedy{} }
 
-// Name implements Searcher.
+// Name implements learnedopt.Optimizer.
 func (s *Greedy) Name() string { return "greedy" }
 
-// Train implements Searcher.
-func (s *Greedy) Train(ctx *Context) error { s.base = ctx.Base; return nil }
+// Train implements learnedopt.Optimizer.
+func (s *Greedy) Train(_ context.Context, lc *learnedopt.Context) error { s.base = lc.Base; return nil }
 
-// Plan implements Searcher.
-func (s *Greedy) Plan(q *query.Query) (*plan.Node, error) {
-	return s.base.OptimizeGreedyCtx(context.Background(), q)
+// Plan implements learnedopt.Optimizer.
+func (s *Greedy) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
+	return s.base.OptimizeGreedyCtx(ctx, q)
 }
 
 // Random joins in a random connected order — the sanity-check floor.
@@ -112,20 +67,27 @@ type Random struct {
 // NewRandom returns the random-order baseline.
 func NewRandom(seed int64) *Random { return &Random{seed: seed} }
 
-// Name implements Searcher.
+// Name implements learnedopt.Optimizer.
 func (s *Random) Name() string { return "random" }
 
-// Train implements Searcher.
-func (s *Random) Train(ctx *Context) error {
-	s.base = ctx.Base
-	s.rng = rand.New(rand.NewSource(ctx.Seed + s.seed + 23))
+// Train implements learnedopt.Optimizer.
+func (s *Random) Train(_ context.Context, lc *learnedopt.Context) error {
+	s.base = lc.Base
+	s.rng = rand.New(rand.NewSource(lc.Seed + s.seed + 23))
 	return nil
 }
 
-// Plan implements Searcher.
-func (s *Random) Plan(q *query.Query) (*plan.Node, error) {
-	order := randomConnectedOrder(q, s.rng)
-	return s.base.PlanFromOrder(q, order)
+// Plan implements learnedopt.Optimizer.
+func (s *Random) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
+	return planOrder(ctx, s.base, q, randomConnectedOrder(q, s.rng))
+}
+
+// planOrder is base's plan for q joined in order, unless ctx is done.
+func planOrder(ctx context.Context, base *opt.Optimizer, q *query.Query, order []string) (*plan.Node, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return base.PlanFromOrder(q, order)
 }
 
 // randomConnectedOrder returns a uniformly random order that keeps every

@@ -2,6 +2,7 @@ package joinorder
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"lqo/internal/data"
 	"lqo/internal/datagen"
 	"lqo/internal/exec"
+	"lqo/internal/learnedopt"
 	"lqo/internal/metrics"
 	"lqo/internal/opt"
 	"lqo/internal/query"
@@ -21,7 +23,7 @@ import (
 type fixture struct {
 	cat  *data.Catalog
 	ex   *exec.Executor
-	ctx  *Context
+	lc   *learnedopt.Context
 	test []*query.Query
 }
 
@@ -43,7 +45,7 @@ func getFixture(t *testing.T) *fixture {
 	qs := workload.GenWorkload(cat, workload.Options{Seed: 13, Count: 40, MinJoins: 2, MaxJoins: 4, MaxPreds: 3})
 	shared = &fixture{
 		cat: cat, ex: ex,
-		ctx:  &Context{Cat: cat, Base: base, Workload: qs[:25], Episodes: 150, Seed: 13},
+		lc:   &learnedopt.Context{Cat: cat, Base: base, Workload: qs[:25], Seed: 13},
 		test: qs[25:],
 	}
 	return shared
@@ -54,26 +56,35 @@ func TestRegistry(t *testing.T) {
 		t.Fatalf("registry = %d", len(Registry()))
 	}
 	for _, inf := range Registry() {
-		s := inf.Make()
-		if s.Name() != inf.Name {
-			t.Fatalf("%s name mismatch", inf.Name)
+		want := inf.Name
+		if want == "dp" {
+			want = "native" // the dp row is the native optimizer
+		}
+		if s := inf.Make(); s.Name() != want {
+			t.Fatalf("%s name mismatch: %s", inf.Name, s.Name())
 		}
 	}
 }
 
 // TestAllSearchersProduceCorrectPlans: every method's plan must execute
-// and return the same count as the canonical plan.
+// and return the same count as the canonical plan, and a trained method
+// must refuse to plan under a cancelled context.
 func TestAllSearchersProduceCorrectPlans(t *testing.T) {
 	f := getFixture(t)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, inf := range Registry() {
 		inf := inf
 		t.Run(inf.Name, func(t *testing.T) {
 			s := inf.Make()
-			if err := s.Train(f.ctx); err != nil {
+			if err := s.Train(context.Background(), f.lc); err != nil {
 				t.Fatal(err)
 			}
+			if _, err := s.Plan(cancelled, f.test[0]); !errors.Is(err, context.Canceled) {
+				t.Fatalf("plan under a cancelled ctx: %v, want context.Canceled", err)
+			}
 			for _, q := range f.test[:5] {
-				p, err := s.Plan(q)
+				p, err := s.Plan(context.Background(), q)
 				if err != nil {
 					t.Fatalf("%s: %v", q.SQL(), err)
 				}
@@ -95,19 +106,19 @@ func TestAllSearchersProduceCorrectPlans(t *testing.T) {
 }
 
 // costRatio evaluates a searcher's mean plan-cost ratio vs DP-optimal.
-func costRatio(t *testing.T, f *fixture, s Searcher) float64 {
+func costRatio(t *testing.T, f *fixture, s learnedopt.Optimizer) float64 {
 	t.Helper()
-	dp := NewDP()
-	if err := dp.Train(f.ctx); err != nil {
+	dp := learnedopt.NewNative()
+	if err := dp.Train(context.Background(), f.lc); err != nil {
 		t.Fatal(err)
 	}
 	var ratios []float64
 	for _, q := range f.test {
-		opt, err := dp.Plan(q)
+		opt, err := dp.Plan(context.Background(), q)
 		if err != nil {
 			continue
 		}
-		p, err := s.Plan(q)
+		p, err := s.Plan(context.Background(), q)
 		if err != nil {
 			continue
 		}
@@ -125,13 +136,13 @@ func costRatio(t *testing.T, f *fixture, s Searcher) float64 {
 func TestLearnedSearchersBeatRandom(t *testing.T) {
 	f := getFixture(t)
 	random := NewRandom(0)
-	if err := random.Train(f.ctx); err != nil {
+	if err := random.Train(context.Background(), f.lc); err != nil {
 		t.Fatal(err)
 	}
 	randRatio := costRatio(t, f, random)
-	for _, s := range []Searcher{NewDQ(), NewMCTS(0), NewEddy()} {
+	for _, s := range []learnedopt.Optimizer{NewDQ(), NewMCTS(0), NewEddy()} {
 		name := s.Name()
-		if err := s.Train(f.ctx); err != nil {
+		if err := s.Train(context.Background(), f.lc); err != nil {
 			t.Fatal(err)
 		}
 		r := costRatio(t, f, s)
@@ -147,7 +158,7 @@ func TestLearnedSearchersBeatRandom(t *testing.T) {
 func TestMCTSApproachesDP(t *testing.T) {
 	f := getFixture(t)
 	s := NewMCTS(300)
-	if err := s.Train(f.ctx); err != nil {
+	if err := s.Train(context.Background(), f.lc); err != nil {
 		t.Fatal(err)
 	}
 	r := costRatio(t, f, s)
@@ -158,15 +169,15 @@ func TestMCTSApproachesDP(t *testing.T) {
 
 func TestDPIsOptimalAmongSearchers(t *testing.T) {
 	f := getFixture(t)
-	dp := NewDP()
-	if err := dp.Train(f.ctx); err != nil {
+	dp := learnedopt.NewNative()
+	if err := dp.Train(context.Background(), f.lc); err != nil {
 		t.Fatal(err)
 	}
 	if r := costRatio(t, f, dp); math.Abs(r-1) > 1e-9 {
 		t.Fatalf("DP self-ratio = %v", r)
 	}
 	greedy := NewGreedy()
-	if err := greedy.Train(f.ctx); err != nil {
+	if err := greedy.Train(context.Background(), f.lc); err != nil {
 		t.Fatal(err)
 	}
 	if r := costRatio(t, f, greedy); r < 1-1e-9 {

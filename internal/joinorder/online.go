@@ -1,10 +1,12 @@
 package joinorder
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
 
+	"lqo/internal/learnedopt"
 	"lqo/internal/opt"
 	"lqo/internal/plan"
 	"lqo/internal/query"
@@ -38,13 +40,14 @@ func NewMCTS(iterations int) *MCTS {
 	return &MCTS{Iterations: iterations, C: 1.2}
 }
 
-// Name implements Searcher.
+// Name implements learnedopt.Optimizer.
 func (s *MCTS) Name() string { return "skinner-mcts" }
 
-// Train implements Searcher (online method: records the evaluator only).
-func (s *MCTS) Train(ctx *Context) error {
-	s.base = ctx.Base
-	s.rng = rand.New(rand.NewSource(ctx.Seed + 43))
+// Train implements learnedopt.Optimizer (online method: records the
+// evaluator only).
+func (s *MCTS) Train(_ context.Context, lc *learnedopt.Context) error {
+	s.base = lc.Base
+	s.rng = rand.New(rand.NewSource(lc.Seed + 43))
 	return nil
 }
 
@@ -56,8 +59,8 @@ type uctNode struct {
 
 func newUCTNode() *uctNode { return &uctNode{children: map[string]*uctNode{}} }
 
-// Plan implements Searcher.
-func (s *MCTS) Plan(q *query.Query) (*plan.Node, error) {
+// Plan implements learnedopt.Optimizer, checking ctx once per simulation.
+func (s *MCTS) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
 	g := query.NewJoinGraph(q)
 	root := newUCTNode()
 	aliases := q.Aliases()
@@ -65,6 +68,9 @@ func (s *MCTS) Plan(q *query.Query) (*plan.Node, error) {
 	bestCost := math.Inf(1)
 	var bestOrder []string
 	for it := 0; it < s.Iterations; it++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		node := root
 		joined := map[string]bool{}
 		var order []string
@@ -116,7 +122,7 @@ func (s *MCTS) Plan(q *query.Query) (*plan.Node, error) {
 	if bestOrder == nil {
 		bestOrder = aliases
 	}
-	return s.base.PlanFromOrder(q, bestOrder)
+	return planOrder(ctx, s.base, q, bestOrder)
 }
 
 func (s *MCTS) selectUCT(node *uctNode, cands []string) string {
@@ -184,18 +190,18 @@ type Eddy struct {
 // NewEddy returns the adaptive baseline.
 func NewEddy() *Eddy { return &Eddy{} }
 
-// Name implements Searcher.
+// Name implements learnedopt.Optimizer.
 func (s *Eddy) Name() string { return "eddy" }
 
-// Train implements Searcher.
-func (s *Eddy) Train(ctx *Context) error {
-	s.base = ctx.Base
-	s.stats = ctx.Base.Cost.Stats
+// Train implements learnedopt.Optimizer.
+func (s *Eddy) Train(_ context.Context, lc *learnedopt.Context) error {
+	s.base = lc.Base
+	s.stats = lc.Base.Cost.Stats
 	return nil
 }
 
-// Plan implements Searcher.
-func (s *Eddy) Plan(q *query.Query) (*plan.Node, error) {
+// Plan implements learnedopt.Optimizer.
+func (s *Eddy) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
 	g := query.NewJoinGraph(q)
 	type scored struct {
 		alias string
@@ -255,5 +261,5 @@ func (s *Eddy) Plan(q *query.Query) (*plan.Node, error) {
 			}
 		}
 	}
-	return s.base.PlanFromOrder(q, order)
+	return planOrder(ctx, s.base, q, order)
 }

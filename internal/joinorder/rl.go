@@ -1,9 +1,11 @@
 package joinorder
 
 import (
+	"context"
 	"math"
 	"math/rand"
 
+	"lqo/internal/learnedopt"
 	"lqo/internal/metrics"
 	"lqo/internal/ml"
 	"lqo/internal/opt"
@@ -95,6 +97,18 @@ func runEpisode(base *opt.Optimizer, q *query.Query, choose func(g *query.JoinGr
 	return order
 }
 
+// argmax returns the candidate value scores highest: the first on ties,
+// cands[0] when none scores above -Inf.
+func argmax(cands []string, value func(a string) float64) string {
+	best, pick := math.Inf(-1), cands[0]
+	for _, a := range cands {
+		if v := value(a); v > best {
+			best, pick = v, a
+		}
+	}
+	return pick
+}
+
 // DQ is the Deep-Q line [15] at linear scale: Q(s, a) = w·φ(s, a) trained
 // by Monte-Carlo ε-greedy episodes on the workload, with the episode
 // return derived from the base optimizer's plan cost.
@@ -116,7 +130,7 @@ type DQ struct {
 // NewDQ returns an untrained DQ searcher.
 func NewDQ() *DQ { return &DQ{Alpha: 0.05, Epsilon: 0.2} }
 
-// Name implements Searcher.
+// Name implements learnedopt.Optimizer.
 func (s *DQ) Name() string { return "dq" }
 
 func (s *DQ) q(x []float64) float64 {
@@ -127,30 +141,28 @@ func (s *DQ) q(x []float64) float64 {
 	return out
 }
 
-// Train implements Searcher.
-func (s *DQ) Train(ctx *Context) error {
-	s.base = ctx.Base
-	s.f = newStateFeatures(ctx.Cat.TableNames(), ctx.Base.Est)
+// Train implements learnedopt.Optimizer, checking ctx once per episode.
+func (s *DQ) Train(ctx context.Context, lc *learnedopt.Context) error {
+	s.base = lc.Base
+	s.f = newStateFeatures(lc.Cat.TableNames(), lc.Base.Est)
 	s.w = make([]float64, s.f.dim())
-	s.rng = rand.New(rand.NewSource(ctx.Seed + 31))
-	if len(ctx.Workload) == 0 {
+	s.rng = rand.New(rand.NewSource(lc.Seed + 31))
+	if len(lc.Workload) == 0 {
 		return nil
 	}
 	eps := s.Epsilon
-	for ep := 0; ep < ctx.episodes(); ep++ {
-		q := ctx.Workload[s.rng.Intn(len(ctx.Workload))]
+	for ep := 0; ep < episodes; ep++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		q := lc.Workload[s.rng.Intn(len(lc.Workload))]
 		var steps [][]float64
 		order := runEpisode(s.base, q, func(g *query.JoinGraph, joined map[string]bool, cands []string) string {
 			var pick string
 			if s.rng.Float64() < eps {
 				pick = cands[s.rng.Intn(len(cands))]
 			} else {
-				best := math.Inf(-1)
-				for _, a := range cands {
-					if v := s.q(s.f.vector(q, g, joined, a)); v > best {
-						best, pick = v, a
-					}
-				}
+				pick = argmax(cands, func(a string) float64 { return s.q(s.f.vector(q, g, joined, a)) })
 			}
 			steps = append(steps, s.f.vector(q, g, joined, pick))
 			return pick
@@ -167,19 +179,12 @@ func (s *DQ) Train(ctx *Context) error {
 	return nil
 }
 
-// Plan implements Searcher.
-func (s *DQ) Plan(q *query.Query) (*plan.Node, error) {
+// Plan implements learnedopt.Optimizer.
+func (s *DQ) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
 	order := runEpisode(s.base, q, func(g *query.JoinGraph, joined map[string]bool, cands []string) string {
-		best := math.Inf(-1)
-		pick := cands[0]
-		for _, a := range cands {
-			if v := s.q(s.f.vector(q, g, joined, a)); v > best {
-				best, pick = v, a
-			}
-		}
-		return pick
+		return argmax(cands, func(a string) float64 { return s.q(s.f.vector(q, g, joined, a)) })
 	})
-	return s.base.PlanFromOrder(q, order)
+	return planOrder(ctx, s.base, q, order)
 }
 
 // ReJoin is the policy-gradient line [24]: a softmax policy over
@@ -198,7 +203,7 @@ type ReJoin struct {
 // NewReJoin returns an untrained ReJoin searcher.
 func NewReJoin() *ReJoin { return &ReJoin{Alpha: 0.05, Temp: 1} }
 
-// Name implements Searcher.
+// Name implements learnedopt.Optimizer.
 func (s *ReJoin) Name() string { return "rejoin" }
 
 func (s *ReJoin) score(x []float64) float64 {
@@ -220,19 +225,22 @@ func (s *ReJoin) policy(q *query.Query, g *query.JoinGraph, joined map[string]bo
 	return ml.Softmax(logits, nil), feats
 }
 
-// Train implements Searcher.
-func (s *ReJoin) Train(ctx *Context) error {
-	s.base = ctx.Base
-	s.f = newStateFeatures(ctx.Cat.TableNames(), ctx.Base.Est)
+// Train implements learnedopt.Optimizer, checking ctx once per episode.
+func (s *ReJoin) Train(ctx context.Context, lc *learnedopt.Context) error {
+	s.base = lc.Base
+	s.f = newStateFeatures(lc.Cat.TableNames(), lc.Base.Est)
 	s.theta = make([]float64, s.f.dim())
-	s.rng = rand.New(rand.NewSource(ctx.Seed + 37))
-	if len(ctx.Workload) == 0 {
+	s.rng = rand.New(rand.NewSource(lc.Seed + 37))
+	if len(lc.Workload) == 0 {
 		return nil
 	}
 	baseline := 0.0
 	haveBaseline := false
-	for ep := 0; ep < ctx.episodes(); ep++ {
-		q := ctx.Workload[s.rng.Intn(len(ctx.Workload))]
+	for ep := 0; ep < episodes; ep++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		q := lc.Workload[s.rng.Intn(len(lc.Workload))]
 		type step struct {
 			probs []float64
 			feats [][]float64
@@ -276,8 +284,8 @@ func (s *ReJoin) Train(ctx *Context) error {
 	return nil
 }
 
-// Plan implements Searcher.
-func (s *ReJoin) Plan(q *query.Query) (*plan.Node, error) {
+// Plan implements learnedopt.Optimizer.
+func (s *ReJoin) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
 	order := runEpisode(s.base, q, func(g *query.JoinGraph, joined map[string]bool, cands []string) string {
 		probs, _ := s.policy(q, g, joined, cands)
 		best, pick := -1.0, cands[0]
@@ -288,7 +296,7 @@ func (s *ReJoin) Plan(q *query.Query) (*plan.Node, error) {
 		}
 		return pick
 	})
-	return s.base.PlanFromOrder(q, order)
+	return planOrder(ctx, s.base, q, order)
 }
 
 // RTOS is the neural value-function line [73]: identical episode protocol
@@ -308,40 +316,38 @@ type RTOS struct {
 // NewRTOS returns an untrained RTOS searcher.
 func NewRTOS() *RTOS { return &RTOS{Epsilon: 0.2, LR: 1e-3} }
 
-// Name implements Searcher.
+// Name implements learnedopt.Optimizer.
 func (s *RTOS) Name() string { return "rtos" }
 
 func (s *RTOS) q(x []float64) float64 { return s.net.Forward(x)[0] }
 
-// Train implements Searcher.
-func (s *RTOS) Train(ctx *Context) error {
-	s.base = ctx.Base
-	s.f = newStateFeatures(ctx.Cat.TableNames(), ctx.Base.Est)
-	s.rng = rand.New(rand.NewSource(ctx.Seed + 41))
+// Train implements learnedopt.Optimizer, checking ctx once per episode.
+func (s *RTOS) Train(ctx context.Context, lc *learnedopt.Context) error {
+	s.base = lc.Base
+	s.f = newStateFeatures(lc.Cat.TableNames(), lc.Base.Est)
+	s.rng = rand.New(rand.NewSource(lc.Seed + 41))
 	net, err := ml.NewNet([]int{s.f.dim(), 32, 1}, ml.ReLU, s.rng)
 	if err != nil {
 		return err
 	}
 	s.net = net
 	s.adam = ml.NewAdam(s.LR, s.net)
-	if len(ctx.Workload) == 0 {
+	if len(lc.Workload) == 0 {
 		return nil
 	}
 	eps := s.Epsilon
-	for ep := 0; ep < ctx.episodes(); ep++ {
-		q := ctx.Workload[s.rng.Intn(len(ctx.Workload))]
+	for ep := 0; ep < episodes; ep++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		q := lc.Workload[s.rng.Intn(len(lc.Workload))]
 		var steps [][]float64
 		order := runEpisode(s.base, q, func(g *query.JoinGraph, joined map[string]bool, cands []string) string {
 			var pick string
 			if s.rng.Float64() < eps {
 				pick = cands[s.rng.Intn(len(cands))]
 			} else {
-				best := math.Inf(-1)
-				for _, a := range cands {
-					if v := s.q(s.f.vector(q, g, joined, a)); v > best {
-						best, pick = v, a
-					}
-				}
+				pick = argmax(cands, func(a string) float64 { return s.q(s.f.vector(q, g, joined, a)) })
 			}
 			steps = append(steps, s.f.vector(q, g, joined, pick))
 			return pick
@@ -358,17 +364,10 @@ func (s *RTOS) Train(ctx *Context) error {
 	return nil
 }
 
-// Plan implements Searcher.
-func (s *RTOS) Plan(q *query.Query) (*plan.Node, error) {
+// Plan implements learnedopt.Optimizer.
+func (s *RTOS) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
 	order := runEpisode(s.base, q, func(g *query.JoinGraph, joined map[string]bool, cands []string) string {
-		best := math.Inf(-1)
-		pick := cands[0]
-		for _, a := range cands {
-			if v := s.q(s.f.vector(q, g, joined, a)); v > best {
-				best, pick = v, a
-			}
-		}
-		return pick
+		return argmax(cands, func(a string) float64 { return s.q(s.f.vector(q, g, joined, a)) })
 	})
-	return s.base.PlanFromOrder(q, order)
+	return planOrder(ctx, s.base, q, order)
 }

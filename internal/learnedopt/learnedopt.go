@@ -4,6 +4,12 @@
 // the tutorial uses to subsume Bao [37], Lero [79], Neo [38], LEON [4] and
 // friends. It also ships the Section 2.2.2 regression-elimination layer:
 // Eraser [62] and HyperQO's ensemble-variance filter [72].
+//
+// Optimizer is the one learned-planner contract: internal/joinorder's
+// join-order searchers implement it too, and Native is the baseline arm
+// of both registries. Train and Plan take the caller's context, and
+// every optimizer here forwards it into planning and execution, so a
+// query's deadline bounds the learned planner that serves it.
 package learnedopt
 
 import (
@@ -32,10 +38,11 @@ type Context struct {
 type Optimizer interface {
 	// Name identifies the method.
 	Name() string
-	// Train fits the optimizer by executing training-workload plans.
-	Train(ctx *Context) error
-	// Plan returns the selected physical plan for q.
-	Plan(q *query.Query) (*plan.Node, error)
+	// Train fits the optimizer on lc, under ctx (a no-op for online and
+	// classical methods beyond recording lc's native optimizer).
+	Train(ctx context.Context, lc *Context) error
+	// Plan returns the selected physical plan for q, under ctx.
+	Plan(ctx context.Context, q *query.Query) (*plan.Node, error)
 }
 
 // Candidate is one explored plan with its predicted latency.
@@ -50,7 +57,7 @@ type Candidate struct {
 // explored candidate set — the hook regression-elimination plugins
 // (Eraser, HyperQO) attach to.
 type CandidateProvider interface {
-	Candidates(q *query.Query) ([]Candidate, error)
+	Candidates(ctx context.Context, q *query.Query) ([]Candidate, error)
 }
 
 // Info describes a registered optimizer.
@@ -72,7 +79,8 @@ func Registry() []Info {
 	}
 }
 
-// Native wraps the traditional optimizer as the baseline arm.
+// Native wraps the traditional optimizer as the baseline arm: "native"
+// here, joinorder's exhaustive-DP "dp" row.
 type Native struct {
 	base *opt.Optimizer
 }
@@ -84,19 +92,19 @@ func NewNative() *Native { return &Native{} }
 func (n *Native) Name() string { return "native" }
 
 // Train implements Optimizer.
-func (n *Native) Train(ctx *Context) error { n.base = ctx.Base; return nil }
+func (n *Native) Train(_ context.Context, lc *Context) error { n.base = lc.Base; return nil }
 
 // Plan implements Optimizer.
-func (n *Native) Plan(q *query.Query) (*plan.Node, error) {
-	return n.base.OptimizeCtx(context.Background(), q)
+func (n *Native) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
+	return n.base.OptimizeCtx(ctx, q)
 }
 
-// Measure executes p for q and returns the measured latency in work
-// units — the workbench's deterministic latency signal. It annotates p's
-// TrueCard (exec's RunAnalyze): the measured plan becomes a training
+// Measure executes p for q under ctx and returns the measured latency in
+// work units — the workbench's deterministic latency signal. It annotates
+// p's TrueCard (exec's RunAnalyze): the measured plan becomes a training
 // example, and multi-task cost models learn the root's cardinality.
-func Measure(ex *exec.Executor, q *query.Query, p *plan.Node) (float64, error) {
-	res, _, err := ex.RunAnalyze(context.Background(), q, p)
+func Measure(ctx context.Context, ex *exec.Executor, q *query.Query, p *plan.Node) (float64, error) {
+	res, _, err := ex.RunAnalyze(ctx, q, p)
 	if err != nil {
 		return 0, err
 	}

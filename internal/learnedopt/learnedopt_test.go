@@ -2,6 +2,7 @@ package learnedopt
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -20,7 +21,7 @@ import (
 type fixture struct {
 	cat  *data.Catalog
 	ex   *exec.Executor
-	ctx  *Context
+	lc   *Context
 	test []*query.Query
 }
 
@@ -42,7 +43,7 @@ func getFixture(t *testing.T) *fixture {
 	qs := workload.GenWorkload(cat, workload.Options{Seed: 19, Count: 45, MinJoins: 1, MaxJoins: 3, MaxPreds: 3})
 	shared = &fixture{
 		cat: cat, ex: ex,
-		ctx:  &Context{Cat: cat, Stats: cs, Ex: ex, Base: base, Workload: qs[:30], Seed: 19},
+		lc:   &Context{Cat: cat, Stats: cs, Ex: ex, Base: base, Workload: qs[:30], Seed: 19},
 		test: qs[30:],
 	}
 	return shared
@@ -55,18 +56,24 @@ func TestRegistry(t *testing.T) {
 }
 
 // TestAllOptimizersCorrectResults: every end-to-end optimizer's plans must
-// return exactly the native result.
+// return exactly the native result, and a trained optimizer must refuse
+// to plan under a cancelled context.
 func TestAllOptimizersCorrectResults(t *testing.T) {
 	f := getFixture(t)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, inf := range Registry() {
 		inf := inf
 		t.Run(inf.Name, func(t *testing.T) {
 			o := inf.Make()
-			if err := o.Train(f.ctx); err != nil {
+			if err := o.Train(context.Background(), f.lc); err != nil {
 				t.Fatal(err)
 			}
+			if _, err := o.Plan(cancelled, f.test[0]); !errors.Is(err, context.Canceled) {
+				t.Fatalf("plan under a cancelled ctx: %v, want context.Canceled", err)
+			}
 			for _, q := range f.test[:5] {
-				p, err := o.Plan(q)
+				p, err := o.Plan(context.Background(), q)
 				if err != nil {
 					t.Fatalf("plan: %v", err)
 				}
@@ -88,11 +95,11 @@ func TestAllOptimizersCorrectResults(t *testing.T) {
 func workloadLatency(t *testing.T, f *fixture, o Optimizer) (total float64, perQuery []float64) {
 	t.Helper()
 	for _, q := range f.test {
-		p, err := o.Plan(q)
+		p, err := o.Plan(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", o.Name(), err)
 		}
-		lat, err := Measure(f.ex, q, p)
+		lat, err := Measure(context.Background(), f.ex, q, p)
 		if err != nil {
 			t.Fatalf("%s: %v", o.Name(), err)
 		}
@@ -105,11 +112,11 @@ func workloadLatency(t *testing.T, f *fixture, o Optimizer) (total float64, perQ
 func TestBaoNotMuchWorseThanNative(t *testing.T) {
 	f := getFixture(t)
 	native := NewNative()
-	if err := native.Train(f.ctx); err != nil {
+	if err := native.Train(context.Background(), f.lc); err != nil {
 		t.Fatal(err)
 	}
 	bao := NewBao()
-	if err := bao.Train(f.ctx); err != nil {
+	if err := bao.Train(context.Background(), f.lc); err != nil {
 		t.Fatal(err)
 	}
 	nTotal, _ := workloadLatency(t, f, native)
@@ -125,10 +132,10 @@ func TestBaoNotMuchWorseThanNative(t *testing.T) {
 func TestBaoCandidatesSortedAndNonEmpty(t *testing.T) {
 	f := getFixture(t)
 	bao := NewBao()
-	if err := bao.Train(f.ctx); err != nil {
+	if err := bao.Train(context.Background(), f.lc); err != nil {
 		t.Fatal(err)
 	}
-	cands, err := bao.Candidates(f.test[0])
+	cands, err := bao.Candidates(context.Background(), f.test[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +154,10 @@ func TestBaoExploreMode(t *testing.T) {
 	bao := NewBao()
 	bao.Explore = true
 	bao.Rounds = 2
-	if err := bao.Train(f.ctx); err != nil {
+	if err := bao.Train(context.Background(), f.lc); err != nil {
 		t.Fatal(err)
 	}
-	p, err := bao.Plan(f.test[0])
+	p, err := bao.Plan(context.Background(), f.test[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,15 +170,15 @@ func TestLeroScaledEstimatorChangesPlans(t *testing.T) {
 	f := getFixture(t)
 	// Find a multi-join query where scaling changes the chosen plan.
 	changed := false
-	for _, q := range append(f.ctx.Workload, f.test...) {
+	for _, q := range append(f.lc.Workload, f.test...) {
 		if len(q.Refs) < 3 {
 			continue
 		}
-		p1, err := f.ctx.Base.WithEstimator(&ScaledEstimator{Base: f.ctx.Base.Est, Factor: 0.05}).OptimizeCtx(context.Background(), q)
+		p1, err := f.lc.Base.WithEstimator(&ScaledEstimator{Base: f.lc.Base.Est, Factor: 0.05}).OptimizeCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2, err := f.ctx.Base.WithEstimator(&ScaledEstimator{Base: f.ctx.Base.Est, Factor: 20}).OptimizeCtx(context.Background(), q)
+		p2, err := f.lc.Base.WithEstimator(&ScaledEstimator{Base: f.lc.Base.Est, Factor: 20}).OptimizeCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,13 +195,13 @@ func TestLeroScaledEstimatorChangesPlans(t *testing.T) {
 func TestLeroPairwiseAgreesWithLatencyOrder(t *testing.T) {
 	f := getFixture(t)
 	lero := NewLero()
-	if err := lero.Train(f.ctx); err != nil {
+	if err := lero.Train(context.Background(), f.lc); err != nil {
 		t.Fatal(err)
 	}
 	// On training data, comparator should order plan pairs correctly more
 	// often than chance.
 	correct, total := 0, 0
-	for _, q := range f.ctx.Workload[:10] {
+	for _, q := range f.lc.Workload[:10] {
 		cands, err := lero.explore(context.Background(), q)
 		if err != nil || len(cands) < 2 {
 			continue
@@ -205,7 +212,7 @@ func TestLeroPairwiseAgreesWithLatencyOrder(t *testing.T) {
 		}
 		var lats []float64
 		for _, p := range plans {
-			lat, err := Measure(f.ex, q, p)
+			lat, err := Measure(context.Background(), f.ex, q, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,13 +245,13 @@ func TestEraserEliminatesRegressions(t *testing.T) {
 	f := getFixture(t)
 	// A deliberately under-trained Bao: value model trained on 3 queries.
 	bad := NewBao()
-	badCtx := *f.ctx
-	badCtx.Workload = f.ctx.Workload[:3]
-	if err := bad.Train(&badCtx); err != nil {
+	badCtx := *f.lc
+	badCtx.Workload = f.lc.Workload[:3]
+	if err := bad.Train(context.Background(), &badCtx); err != nil {
 		t.Fatal(err)
 	}
 	native := NewNative()
-	if err := native.Train(f.ctx); err != nil {
+	if err := native.Train(context.Background(), f.lc); err != nil {
 		t.Fatal(err)
 	}
 	_, natLats := workloadLatency(t, f, native)
@@ -254,7 +261,7 @@ func TestEraserEliminatesRegressions(t *testing.T) {
 	// not retrain it), but validates on the full workload.
 	eraser := NewEraser(bad)
 	eraser.InnerTrained = true
-	if err := eraser.Train(f.ctx); err != nil {
+	if err := eraser.Train(context.Background(), f.lc); err != nil {
 		t.Fatal(err)
 	}
 	_, erLats := workloadLatency(t, f, eraser)
@@ -277,18 +284,18 @@ func TestEraserEliminatesRegressions(t *testing.T) {
 func TestEraserFallsBackToNativeWhenNothingTrusted(t *testing.T) {
 	f := getFixture(t)
 	bao := NewBao()
-	if err := bao.Train(f.ctx); err != nil {
+	if err := bao.Train(context.Background(), f.lc); err != nil {
 		t.Fatal(err)
 	}
 	er := NewEraser(bao)
-	er.ctx = f.ctx
+	er.lc = f.lc
 	er.seenStructure = map[string]bool{} // trust nothing
 	er.clusterErr = map[string][]float64{}
-	p, err := er.Plan(f.test[0])
+	p, err := er.Plan(context.Background(), f.test[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat, _ := f.ctx.Base.OptimizeCtx(context.Background(), f.test[0])
+	nat, _ := f.lc.Base.OptimizeCtx(context.Background(), f.test[0])
 	if p.Fingerprint() != nat.Fingerprint() {
 		t.Fatal("eraser should fall back to the native plan")
 	}
@@ -298,21 +305,21 @@ func TestHyperQOFiltersHighVariance(t *testing.T) {
 	f := getFixture(t)
 	h := NewHyperQO()
 	h.K = 3
-	if err := h.Train(f.ctx); err != nil {
+	if err := h.Train(context.Background(), f.lc); err != nil {
 		t.Fatal(err)
 	}
 	// With an impossible threshold, everything is filtered → native plan.
 	h.VarThreshold = -1
-	p, err := h.Plan(f.test[0])
+	p, err := h.Plan(context.Background(), f.test[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat, _ := f.ctx.Base.OptimizeCtx(context.Background(), f.test[0])
+	nat, _ := f.lc.Base.OptimizeCtx(context.Background(), f.test[0])
 	if p.Fingerprint() != nat.Fingerprint() {
 		t.Fatal("all-filtered HyperQO should return the native plan")
 	}
 	h.VarThreshold = math.Inf(1)
-	if _, err := h.Plan(f.test[0]); err != nil {
+	if _, err := h.Plan(context.Background(), f.test[0]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -320,10 +327,10 @@ func TestHyperQOFiltersHighVariance(t *testing.T) {
 func TestPointwiseLero(t *testing.T) {
 	f := getFixture(t)
 	l := NewPointwiseLero()
-	if err := l.Train(f.ctx); err != nil {
+	if err := l.Train(context.Background(), f.lc); err != nil {
 		t.Fatal(err)
 	}
-	p, err := l.Plan(f.test[0])
+	p, err := l.Plan(context.Background(), f.test[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,11 +341,27 @@ func TestPointwiseLero(t *testing.T) {
 
 func TestOptimizersRequireWorkload(t *testing.T) {
 	f := getFixture(t)
-	empty := *f.ctx
+	empty := *f.lc
 	empty.Workload = nil
 	for _, o := range []Optimizer{NewBao(), NewLero(), NewNeo(), NewLEON(), NewHyperQO()} {
-		if err := o.Train(&empty); err == nil {
+		if err := o.Train(context.Background(), &empty); err == nil {
 			t.Errorf("%s should require a workload", o.Name())
+		}
+	}
+}
+
+// TestSteeringTrainHonorsCancellation: the steering core trains under the
+// caller's context, so a cancelled one stops every configuration before
+// it executes a candidate.
+func TestSteeringTrainHonorsCancellation(t *testing.T) {
+	f := getFixture(t)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	explore := NewBao()
+	explore.Explore = true
+	for _, s := range []*Steering{NewBao(), explore, NewLero(), NewLEON()} {
+		if err := s.Train(cancelled, f.lc); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: train under a cancelled ctx: %v, want context.Canceled", s.Name(), err)
 		}
 	}
 }
@@ -347,7 +370,7 @@ func TestMeasureMatchesExecutor(t *testing.T) {
 	f := getFixture(t)
 	q := f.test[0]
 	p, _ := exec.CanonicalPlan(q)
-	lat, err := Measure(f.ex, q, p)
+	lat, err := Measure(context.Background(), f.ex, q, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ type Neo struct {
 	Epsilon float64
 
 	name string
-	ctx  *Context
+	lc   *Context
 	rng  *rand.Rand
 }
 
@@ -57,40 +57,43 @@ func (n *Neo) Name() string { return n.name }
 // optimizer's plans (Neo's expert demonstrations), then iterate
 // plan→execute→retrain (Balsa drops the demonstrations; we keep both in
 // the pool).
-func (n *Neo) Train(ctx *Context) error {
-	n.ctx = ctx
-	n.rng = rand.New(rand.NewSource(ctx.Seed + 89))
-	if len(ctx.Workload) == 0 {
+func (n *Neo) Train(ctx context.Context, lc *Context) error {
+	n.lc = lc
+	n.rng = rand.New(rand.NewSource(lc.Seed + 89))
+	if len(lc.Workload) == 0 {
 		return fmt.Errorf("learnedopt: %s needs a training workload", n.name)
 	}
 	var exp []costmodel.TrainPlan
-	for _, q := range ctx.Workload {
-		p, err := ctx.Base.OptimizeCtx(context.Background(), q)
+	for _, q := range lc.Workload {
+		p, err := lc.Base.OptimizeCtx(ctx, q)
 		if err != nil {
 			return err
 		}
-		lat, err := Measure(ctx.Ex, q, p)
+		lat, err := Measure(ctx, lc.Ex, q, p)
 		if err != nil {
 			continue
 		}
 		exp = append(exp, costmodel.TrainPlan{Q: q, Plan: p, Latency: lat})
 	}
-	if err := n.Value.Train(&costmodel.Context{Cat: ctx.Cat, Stats: ctx.Stats, Plans: exp, Seed: ctx.Seed + 71}); err != nil {
+	if err := n.Value.Train(&costmodel.Context{Cat: lc.Cat, Stats: lc.Stats, Plans: exp, Seed: lc.Seed + 71}); err != nil {
 		return err
 	}
 	for it := 0; it < n.Iterations; it++ {
-		for _, q := range ctx.Workload {
-			p, err := n.Plan(q)
+		for _, q := range lc.Workload {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			p, err := n.Plan(ctx, q)
 			if err != nil {
 				continue
 			}
-			lat, err := Measure(ctx.Ex, q, p)
+			lat, err := Measure(ctx, lc.Ex, q, p)
 			if err != nil {
 				continue
 			}
 			exp = append(exp, costmodel.TrainPlan{Q: q, Plan: p, Latency: lat})
 		}
-		if err := n.Value.Train(&costmodel.Context{Cat: ctx.Cat, Stats: ctx.Stats, Plans: exp, Seed: ctx.Seed + 71}); err != nil {
+		if err := n.Value.Train(&costmodel.Context{Cat: lc.Cat, Stats: lc.Stats, Plans: exp, Seed: lc.Seed + 71}); err != nil {
 			return err
 		}
 	}
@@ -104,15 +107,15 @@ type beamState struct {
 }
 
 // Candidates implements CandidateProvider: the final beam, scored.
-func (n *Neo) Candidates(q *query.Query) ([]Candidate, error) {
-	finals, err := n.search(q)
+func (n *Neo) Candidates(ctx context.Context, q *query.Query) ([]Candidate, error) {
+	finals, err := n.search(ctx, q)
 	if err != nil {
 		return nil, err
 	}
 	var out []Candidate
 	seen := map[string]bool{}
 	for _, st := range finals {
-		p, err := n.ctx.Base.PlanFromOrder(q, st.order)
+		p, err := n.lc.Base.PlanFromOrder(q, st.order)
 		if err != nil {
 			continue
 		}
@@ -131,12 +134,16 @@ func (n *Neo) Candidates(q *query.Query) ([]Candidate, error) {
 }
 
 // search runs beam search over left-deep join orders, scoring each prefix
-// by the value model's latency prediction of the partial plan.
-func (n *Neo) search(q *query.Query) ([]beamState, error) {
+// by the value model's latency prediction of the partial plan; it checks
+// ctx once per step.
+func (n *Neo) search(ctx context.Context, q *query.Query) ([]beamState, error) {
 	g := query.NewJoinGraph(q)
 	beam := []beamState{{}}
 	total := len(q.Refs)
 	for step := 0; step < total; step++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		var next []beamState
 		for _, st := range beam {
 			joined := query.SetOf(st.order)
@@ -186,7 +193,7 @@ func anyConnected(g *query.JoinGraph, joined map[string]bool, q *query.Query, or
 // same network that scores complete plans).
 func (n *Neo) scorePrefix(q *query.Query, order []string) float64 {
 	sub := q.Subquery(query.SetOf(order))
-	p, err := n.ctx.Base.PlanFromOrder(sub, order)
+	p, err := n.lc.Base.PlanFromOrder(sub, order)
 	if err != nil {
 		return math.Inf(1)
 	}
@@ -194,8 +201,8 @@ func (n *Neo) scorePrefix(q *query.Query, order []string) float64 {
 }
 
 // Plan implements Optimizer.
-func (n *Neo) Plan(q *query.Query) (*plan.Node, error) {
-	cands, err := n.Candidates(q)
+func (n *Neo) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
+	cands, err := n.Candidates(ctx, q)
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ type HyperQO struct {
 	VarThreshold float64
 
 	models []costmodel.Model
-	ctx    *Context
+	lc     *Context
 }
 
 // NewHyperQO returns a HyperQO-style optimizer.
@@ -37,19 +37,19 @@ func (h *HyperQO) Name() string { return "hyperqo" }
 
 // Train implements Optimizer: collect hint-steered experience once,
 // train each ensemble member with a different seed.
-func (h *HyperQO) Train(ctx *Context) error {
-	h.ctx = ctx
-	if len(ctx.Workload) == 0 {
+func (h *HyperQO) Train(ctx context.Context, lc *Context) error {
+	h.lc = lc
+	if len(lc.Workload) == 0 {
 		return fmt.Errorf("learnedopt: hyperqo needs a training workload")
 	}
 	var exp []costmodel.TrainPlan
-	for _, q := range ctx.Workload {
-		plans, err := ctx.Base.CandidatePlans(context.Background(), q, plan.BaoHintSets())
+	for _, q := range lc.Workload {
+		plans, err := lc.Base.CandidatePlans(ctx, q, plan.BaoHintSets())
 		if err != nil {
 			return err
 		}
 		for _, p := range plans {
-			lat, err := Measure(ctx.Ex, q, p)
+			lat, err := Measure(ctx, lc.Ex, q, p)
 			if err != nil {
 				continue
 			}
@@ -57,7 +57,7 @@ func (h *HyperQO) Train(ctx *Context) error {
 		}
 	}
 	h.models = h.models[:0]
-	rng := rand.New(rand.NewSource(ctx.Seed + 79))
+	rng := rand.New(rand.NewSource(lc.Seed + 79))
 	for k := 0; k < h.K; k++ {
 		// Bagging: each member sees a bootstrap resample, giving the
 		// ensemble genuine predictive variance on unfamiliar plans.
@@ -66,7 +66,7 @@ func (h *HyperQO) Train(ctx *Context) error {
 			boot[i] = exp[rng.Intn(len(exp))]
 		}
 		m := costmodel.NewGBDTCost(false)
-		if err := m.Train(&costmodel.Context{Cat: ctx.Cat, Stats: ctx.Stats, Plans: boot, Seed: ctx.Seed + int64(100*k) + 79}); err != nil {
+		if err := m.Train(&costmodel.Context{Cat: lc.Cat, Stats: lc.Stats, Plans: boot, Seed: lc.Seed + int64(100*k) + 79}); err != nil {
 			return err
 		}
 		h.models = append(h.models, m)
@@ -100,8 +100,8 @@ func (h *HyperQO) predict(q *query.Query, p *plan.Node) (mean, cv float64) {
 
 // Candidates implements CandidateProvider (mean predictions; unstable
 // candidates keep their mean but are dropped by Plan).
-func (h *HyperQO) Candidates(q *query.Query) ([]Candidate, error) {
-	plans, err := h.ctx.Base.CandidatePlans(context.Background(), q, plan.BaoHintSets())
+func (h *HyperQO) Candidates(ctx context.Context, q *query.Query) ([]Candidate, error) {
+	plans, err := h.lc.Base.CandidatePlans(ctx, q, plan.BaoHintSets())
 	if err != nil {
 		return nil, err
 	}
@@ -118,12 +118,12 @@ func (h *HyperQO) Candidates(q *query.Query) ([]Candidate, error) {
 // if that beats the ensemble's prediction for the native plan; otherwise
 // the cost-based plan runs. This is HyperQO's defining hybrid rule:
 // "cost-based or learning-based" is decided per query.
-func (h *HyperQO) Plan(q *query.Query) (*plan.Node, error) {
-	plans, err := h.ctx.Base.CandidatePlans(context.Background(), q, plan.BaoHintSets())
+func (h *HyperQO) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
+	plans, err := h.lc.Base.CandidatePlans(ctx, q, plan.BaoHintSets())
 	if err != nil {
 		return nil, err
 	}
-	native, err := h.ctx.Base.OptimizeCtx(context.Background(), q)
+	native, err := h.lc.Base.OptimizeCtx(ctx, q)
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +163,7 @@ type Eraser struct {
 	// require retraining what it protects).
 	InnerTrained bool
 
-	ctx           *Context
+	lc            *Context
 	seenStructure map[string]bool
 	clusterErr    map[string][]float64 // structure key → validation error ratios
 }
@@ -188,10 +188,10 @@ func (e *Eraser) Name() string { return "eraser+" + e.Inner.Name() }
 // Train implements Optimizer: train the inner optimizer, then validate it
 // on the training workload to learn which plan structures its model can
 // be trusted on.
-func (e *Eraser) Train(ctx *Context) error {
-	e.ctx = ctx
+func (e *Eraser) Train(ctx context.Context, lc *Context) error {
+	e.lc = lc
 	if !e.InnerTrained {
-		if err := e.Inner.Train(ctx); err != nil {
+		if err := e.Inner.Train(ctx, lc); err != nil {
 			return err
 		}
 	}
@@ -201,15 +201,18 @@ func (e *Eraser) Train(ctx *Context) error {
 	}
 	e.seenStructure = map[string]bool{}
 	e.clusterErr = map[string][]float64{}
-	for _, q := range ctx.Workload {
-		cands, err := cp.Candidates(q)
+	for _, q := range lc.Workload {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		cands, err := cp.Candidates(ctx, q)
 		if err != nil {
 			continue
 		}
 		for _, c := range cands {
 			key := c.Plan.StructureKey()
 			e.seenStructure[key] = true
-			lat, err := Measure(ctx.Ex, q, c.Plan)
+			lat, err := Measure(ctx, lc.Ex, q, c.Plan)
 			if err != nil {
 				continue
 			}
@@ -247,10 +250,10 @@ func geoMean(v []float64) float64 {
 }
 
 // Plan implements Optimizer.
-func (e *Eraser) Plan(q *query.Query) (*plan.Node, error) {
-	cands, err := e.Inner.(CandidateProvider).Candidates(q)
+func (e *Eraser) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
+	cands, err := e.Inner.(CandidateProvider).Candidates(ctx, q)
 	if err != nil {
-		return e.ctx.Base.OptimizeCtx(context.Background(), q)
+		return e.lc.Base.OptimizeCtx(ctx, q)
 	}
 	// Stage 1: coarse filter — drop plans with unseen structure.
 	var survivors []Candidate
@@ -259,7 +262,7 @@ func (e *Eraser) Plan(q *query.Query) (*plan.Node, error) {
 			survivors = append(survivors, c)
 		}
 	}
-	native, err := e.ctx.Base.OptimizeCtx(context.Background(), q)
+	native, err := e.lc.Base.OptimizeCtx(ctx, q)
 	if err != nil {
 		return nil, err
 	}

@@ -120,14 +120,12 @@ func NewLEON() *Steering {
 // Name implements Optimizer.
 func (s *Steering) Name() string { return s.name }
 
-// Train implements Optimizer.
-func (s *Steering) Train(ctx *Context) error { return s.Fit(context.Background(), ctx) }
-
-// Fit trains the ranker on executed candidates of lc's workload, under
-// ctx: every candidate of every query, or with Explore Bao's bandit
-// regime — per round one candidate per query, random in round 0 and
-// with probability ε after, else the ranker's pick — refit each round.
-func (s *Steering) Fit(ctx context.Context, lc *Context) error {
+// Train implements Optimizer: it fits the ranker on executed candidates
+// of lc's workload, under ctx — every candidate of every query, or with
+// Explore Bao's bandit regime: per round one candidate per query, random
+// in round 0 and with probability ε after, else the ranker's pick —
+// refit each round.
+func (s *Steering) Train(ctx context.Context, lc *Context) error {
 	if len(lc.Workload) == 0 {
 		return fmt.Errorf("learnedopt: %s needs a training workload", s.name)
 	}
@@ -188,14 +186,17 @@ func (s *Steering) fitRanker(lc *Context, groups [][]costmodel.TrainPlan, seed i
 }
 
 // explore turns each knob into q's plan, keeping the first knob of each
-// distinct plan and skipping a knob whose plan fails; it errors when no
-// knob yields a plan. The leading hint-set candidates are ordered by
-// estimated cost, as opt.CandidatePlans orders Bao's arms.
+// distinct plan and skipping a knob whose plan fails; it errors when ctx
+// is done or no knob yields a plan. The leading hint-set candidates are
+// ordered by estimated cost, as opt.CandidatePlans orders Bao's arms.
 func (s *Steering) explore(ctx context.Context, q *query.Query) ([]Candidate, error) {
 	var out []Candidate
 	var lastErr error
 	seen := map[string]bool{}
 	for _, k := range s.knobs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		p, err := s.plan(ctx, q, k)
 		if err != nil {
 			lastErr = err
@@ -248,16 +249,16 @@ func (s *Steering) Choose(ctx context.Context, q *query.Query) (Candidate, error
 }
 
 // Plan implements Optimizer.
-func (s *Steering) Plan(q *query.Query) (*plan.Node, error) {
-	c, err := s.Choose(context.Background(), q)
+func (s *Steering) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
+	c, err := s.Choose(ctx, q)
 	return c.Plan, err
 }
 
 // Candidates implements CandidateProvider: every candidate with the
 // ranker's prediction (the comparator's ordinal score when pairwise),
 // lowest first.
-func (s *Steering) Candidates(q *query.Query) ([]Candidate, error) {
-	cands, err := s.explore(context.Background(), q)
+func (s *Steering) Candidates(ctx context.Context, q *query.Query) ([]Candidate, error) {
+	cands, err := s.explore(ctx, q)
 	if err != nil {
 		return nil, err
 	}
@@ -285,13 +286,9 @@ func (s *Steering) planKnob(ctx context.Context, q *query.Query, knob any) (*pla
 	return nil, fmt.Errorf("learnedopt: unknown knob %T", knob)
 }
 
-// measure executes p on the Context's executor, as Measure does.
+// measure is Measure on the Context's executor.
 func (s *Steering) measure(ctx context.Context, q *query.Query, _ any, p *plan.Node) (float64, error) {
-	res, _, err := s.ex.RunAnalyze(ctx, q, p)
-	if err != nil {
-		return 0, err
-	}
-	return res.Stats.WorkUnits, nil
+	return Measure(ctx, s.ex, q, p)
 }
 
 // ScaledEstimator is Lero's candidate-generation knob [79]: it multiplies

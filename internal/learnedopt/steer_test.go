@@ -1,6 +1,7 @@
 package learnedopt
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -32,17 +33,17 @@ func TestLearnedSteeringGolden(t *testing.T) {
 		{"leon", func() Optimizer { return NewLEON() }},
 	} {
 		o := c.mk()
-		if err := o.Train(f.ctx); err != nil {
+		if err := o.Train(context.Background(), f.lc); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		var total float64
 		for i, q := range f.test {
-			p, err := o.Plan(q)
+			p, err := o.Plan(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%s query %d: %v", c.name, i, err)
 			}
 			fmt.Fprintf(&b, "%s %d %s\n", c.name, i, p.Fingerprint())
-			lat, err := Measure(f.ex, q, p)
+			lat, err := Measure(context.Background(), f.ex, q, p)
 			if err != nil {
 				t.Fatalf("%s query %d: %v", c.name, i, err)
 			}

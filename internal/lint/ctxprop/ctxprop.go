@@ -1,8 +1,9 @@
-// Package ctxprop enforces the PR-2 cancellation contract: the executor,
-// optimizer, middleware and bench layers are context-aware end to end, so
-// library code in those packages must thread the caller's context rather
-// than minting context.Background()/TODO() (which silently detaches work
-// from deadlines and makes a hanging learned component unkillable).
+// Package ctxprop enforces the cancellation contract: the executor,
+// optimizer, learned-planner, middleware and bench layers are
+// context-aware end to end, so library code in those packages must
+// thread the caller's context rather than minting
+// context.Background()/TODO() (which silently detaches work from
+// deadlines and makes a hanging learned component unkillable).
 // Concretely:
 //
 //  1. no context.Background()/context.TODO() in the listed library
@@ -31,6 +32,9 @@ var Analyzer = &analysis.Analyzer{
 		"lqo/internal/plan",
 		"lqo/internal/exec",
 		"lqo/internal/opt",
+		"lqo/internal/learnedopt",
+		"lqo/internal/joinorder",
+		"lqo/internal/guard",
 		"lqo/internal/pilotscope",
 		"lqo/internal/bench",
 		"lqo/internal/serve",

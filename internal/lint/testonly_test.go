@@ -3,6 +3,7 @@ package lint_test
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"sort"
@@ -265,6 +266,9 @@ func (m *moduleScan) noteWrites(info *types.Info, root ast.Node) {
 			}
 			for i, el := range n.Elts {
 				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if zeroLiteral(info, kv.Value) {
+						continue // Field: 0 spells the default; it sets nothing
+					}
 					if id, ok := kv.Key.(*ast.Ident); ok {
 						if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
 							for j := 0; j < st.NumFields(); j++ {
@@ -291,6 +295,26 @@ func (m *moduleScan) noteWrites(info *types.Info, root ast.Node) {
 		}
 		return true
 	})
+}
+
+// zeroLiteral reports whether e is a literal zero value: 0, "", false
+// or nil. A named constant is not one, even when its value is zero.
+func zeroLiteral(info *types.Info, e ast.Expr) bool {
+	switch x := e.(type) {
+	case *ast.BasicLit:
+		v := info.Types[x].Value
+		if v == nil {
+			return false
+		}
+		if v.Kind() == constant.String {
+			return constant.StringVal(v) == ""
+		}
+		return constant.Sign(v) == 0
+	case *ast.Ident:
+		obj := info.Uses[x]
+		return obj != nil && obj.Parent() == types.Universe && (x.Name == "false" || x.Name == "nil")
+	}
+	return false
 }
 
 // noteField marks written the field that index path reaches from t

@@ -14,8 +14,8 @@ type candidate struct {
 }
 
 // candidates is the steering core's candidate set for q under d's knobs.
-func (d *SteeringDriver) candidates(_ context.Context, q *query.Query) ([]candidate, error) {
-	cs, err := d.steering(d.value).Candidates(q)
+func (d *SteeringDriver) candidates(ctx context.Context, q *query.Query) ([]candidate, error) {
+	cs, err := d.steering(d.value).Candidates(ctx, q)
 	if err != nil {
 		return nil, err
 	}

@@ -161,7 +161,7 @@ func (d *SteeringDriver) Init(ctx *InitContext) error {
 		}
 	}
 	value := costmodel.NewGBDTCost(false)
-	if err := d.steering(value).Fit(ctx.Ctx, &learnedopt.Context{Cat: cat, Stats: cs, Workload: qs, Seed: ctx.Seed}); err != nil {
+	if err := d.steering(value).Train(ctx.Ctx, &learnedopt.Context{Cat: cat, Stats: cs, Workload: qs, Seed: ctx.Seed}); err != nil {
 		return err
 	}
 	d.value = value
