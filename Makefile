@@ -17,7 +17,7 @@
 #                      workloads, end-to-end + per-layer metrics
 #   make benchmark-compare OLD=… NEW=… — judge two benchmark runs (files
 #                      or directories of run_*.json) against the bounds
-#   make exp-smoke — the experiments E4, E5, E7, E8, E10, E14, E15 and E16
+#   make exp-smoke — the experiments E5, E7, E8, E10, E14, E15 and E16
 #                    with their fixed parameters; fails if any of them fails
 
 GO ?= go
@@ -118,14 +118,15 @@ benchmark-compare:
 
 # The runtime experiments at quick scale, seed 42, with the fixed
 # parameters every lqo-bench run uses (about 14 s together on 2 cores).
-# E4 trains and plans with every join-order searcher (its only caller
-# outside tests). E5 and E8 train and plan with every configuration of
-# the steering core (bao exhaustive, explore and tree-conv, lero pairwise
-# and pointwise, leon), E7 with its PilotScope driver. lqo-bench exits 1
+# E5 trains every registered planner, join-order searchers included (their
+# only caller outside tests), executes its plans and plans the deep joins.
+# E5 and E8 train and plan with every configuration of the steering core
+# (bao exhaustive, explore and tree-conv, lero pairwise and pointwise,
+# leon), E7 with its PilotScope driver. lqo-bench exits 1
 # when any of them fails: E7 when a driver-steered answer differs from
 # the native run, E14 when a served answer diverges from its uncached baseline, E16
 # when a sharded run's Count, Value or charged WorkUnits diverge from the
 # serial reference, any of them when a run it builds on (baseline,
 # oracle, training, planning, the adaptation loop) errors.
 exp-smoke:
-	$(GO) run ./cmd/lqo-bench -exp E4,E5,E7,E8,E10,E14,E15,E16
+	$(GO) run ./cmd/lqo-bench -exp E5,E7,E8,E10,E14,E15,E16

@@ -86,7 +86,6 @@ func benchExperiment(b *testing.B, id string, newEnv func(*testing.B) *bench.Env
 func BenchmarkE1CardinalityQError(b *testing.B) { benchExperiment(b, "E1", sharedEnv) }
 func BenchmarkE2Drift(b *testing.B)             { benchExperiment(b, "E2", freshEnv) }
 func BenchmarkE3CostModel(b *testing.B)         { benchExperiment(b, "E3", sharedEnv) }
-func BenchmarkE4JoinOrder(b *testing.B)         { benchExperiment(b, "E4", sharedEnv) }
 func BenchmarkE5EndToEnd(b *testing.B)          { benchExperiment(b, "E5", sharedEnv) }
 func BenchmarkE6Eraser(b *testing.B)            { benchExperiment(b, "E6", sharedEnv) }
 func BenchmarkE7PilotScope(b *testing.B)        { benchExperiment(b, "E7", sharedEnv) }

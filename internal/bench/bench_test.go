@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"lqo/internal/exec"
 	"lqo/internal/learnedopt"
 	"lqo/internal/plan"
 	"lqo/internal/query"
@@ -129,7 +130,10 @@ func TestE1OnTinyEnv(t *testing.T) {
 	}
 }
 
-func TestE4OnTinyEnv(t *testing.T) {
+// TestE5OnTinyEnv: every registered planner gets a row, and the native
+// row, the reference of both measures, reads 1.00 in GMRL and in every
+// deep-join cost cell, with no refused plan.
+func TestE5OnTinyEnv(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
 	}
@@ -137,19 +141,98 @@ func TestE4OnTinyEnv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := E4JoinOrder(context.Background(), env)
+	rep, err := E5EndToEnd(context.Background(), env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// DP row must be all 1.00.
-	for _, row := range rep.Rows {
-		if row[0] == "dp" {
-			for _, cell := range row[1:] {
-				if cell != "1.00" {
-					t.Fatalf("dp not optimal: %v", row)
-				}
+	if len(rep.Rows) != len(planners) {
+		t.Fatalf("E5 rows = %d, want %d", len(rep.Rows), len(planners))
+	}
+	native := rep.Rows[0]
+	if native[1] != "native" || native[3] != "1.00" || native[7] != "0" {
+		t.Fatalf("native row: %v", native)
+	}
+	for _, cell := range native[8:] {
+		if cell != "1.00" {
+			t.Fatalf("native not the cost reference: %v", native)
+		}
+	}
+}
+
+// TestNativeCostMatchesEstCost: re-costing the native DP's own plan under
+// the native model reproduces its EstCost exactly on the deep-join sets,
+// so E5's native cost cells are the DP's own costs.
+func TestNativeCostMatchesEstCost(t *testing.T) {
+	env, err := NewEnv("stats", tinyScale(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets, err := deepJoinSets(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, qs := range sets {
+		for _, q := range qs {
+			p, err := env.Base.OptimizeCtx(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c := nativeCost(env.Base, q, p); c != p.EstCost {
+				t.Errorf("%s: re-cost %v, EstCost %v", q.SQL(), c, p.EstCost)
 			}
 		}
+	}
+}
+
+// TestAllPlannersProduceCorrectPlans: every registered planner appears
+// once, with a class, under its own name; it trains; once trained it
+// refuses to plan under a cancelled context; and its plans return the
+// canonical plan's count.
+func TestAllPlannersProduceCorrectPlans(t *testing.T) {
+	env, err := NewEnv("stats", tinyScale(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := trainingContext(env, 6)
+	ctx := context.Background()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	seen := map[string]bool{}
+	for _, pl := range planners {
+		if seen[pl.Name] || pl.Class == "" {
+			t.Errorf("%s: registered twice or without a class", pl.Name)
+		}
+		seen[pl.Name] = true
+		t.Run(pl.Name, func(t *testing.T) {
+			o := pl.Make()
+			if o.Name() != pl.Name {
+				t.Fatalf("registered as %s, names itself %s", pl.Name, o.Name())
+			}
+			if err := o.Train(ctx, lc); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := o.Plan(cancelled, env.Test[0].Q); !errors.Is(err, context.Canceled) {
+				t.Fatalf("plan under a cancelled ctx: %v, want context.Canceled", err)
+			}
+			for _, l := range env.Test[:5] {
+				p, err := o.Plan(ctx, l.Q)
+				if err != nil {
+					t.Fatalf("%s: %v", l.Q.SQL(), err)
+				}
+				got, err := env.Ex.RunCtx(ctx, l.Q, p)
+				if err != nil {
+					t.Fatalf("%s: %v", l.Q.SQL(), err)
+				}
+				canonical, _ := exec.CanonicalPlan(l.Q)
+				want, err := env.Ex.RunCtx(ctx, l.Q, canonical)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Count != want.Count {
+					t.Fatalf("%s: count %d, canonical %d", l.Q.SQL(), got.Count, want.Count)
+				}
+			}
+		})
 	}
 }
 
@@ -203,7 +286,6 @@ func TestLearnedPlannerExperimentsHonorCancellation(t *testing.T) {
 		id  string
 		run func(context.Context, *Env) (*Report, error)
 	}{
-		{"E4", E4JoinOrder},
 		{"E5", E5EndToEnd},
 		{"E6", E6Eraser},
 		{"E8", E8Ablations},

@@ -101,7 +101,6 @@ var Experiments = []Experiment{
 	{"E1", E1Cardinality},
 	{"E2", E2Drift},
 	{"E3", E3CostModel},
-	{"E4", E4JoinOrder},
 	{"E5", E5EndToEnd},
 	{"E6", E6Eraser},
 	{"E7", E7PilotScope},

@@ -9,6 +9,7 @@ import (
 	"lqo/internal/joinorder"
 	"lqo/internal/learnedopt"
 	"lqo/internal/metrics"
+	"lqo/internal/opt"
 	"lqo/internal/plan"
 	"lqo/internal/query"
 	"lqo/internal/workload"
@@ -90,127 +91,168 @@ func E3CostModel(ctx context.Context, env *Env) (*Report, error) {
 	return r, nil
 }
 
-// E4JoinOrder regenerates the join-order-search comparisons of the
-// DQ/RTOS/SkinnerDB line: plan cost relative to DP-optimal per join
-// count. Expected shape: RL methods close most of the random-to-DP gap
-// after training; MCTS tracks DP using only per-query search; greedy sits
-// near DP on easy graphs and drifts on deep ones.
-func E4JoinOrder(ctx context.Context, env *Env) (*Report, error) {
-	joinCounts, queriesPer := []int{3, 4, 5, 6, 8, 10}, 8
-	r := &Report{
-		ID:    "E4",
-		Title: fmt.Sprintf("Join order search: geo cost ratio vs DP, dataset=%s", env.Name),
-		Header: append([]string{"method"}, func() []string {
-			var h []string
-			for _, n := range joinCounts {
-				h = append(h, fmt.Sprintf("n=%d", n))
-			}
-			return h
-		}()...),
-	}
-	// Deep-join workloads per join count.
+// planner is one registered learned planner: its name, its class in the
+// tutorial's taxonomy and its constructor.
+type planner struct {
+	Name, Class string
+	Make        func() learnedopt.Optimizer
+}
+
+// planners lists every planner the workbench ships, each once: the
+// native DP first — E5's reference row — then the join-order searchers
+// of Section 2.1.3 and the end-to-end optimizers of Section 2.2.
+var planners = []planner{
+	{"native", "baseline", func() learnedopt.Optimizer { return learnedopt.NewNative() }},
+	{"greedy", "baseline", func() learnedopt.Optimizer { return joinorder.NewGreedy() }},
+	{"random", "baseline", func() learnedopt.Optimizer { return joinorder.NewRandom(0) }},
+	{"dq", "offline-RL join order", func() learnedopt.Optimizer { return joinorder.NewDQ() }},
+	{"rejoin", "offline-RL join order", func() learnedopt.Optimizer { return joinorder.NewReJoin() }},
+	{"rtos", "offline-RL join order", func() learnedopt.Optimizer { return joinorder.NewRTOS() }},
+	{"skinner-mcts", "online join order", func() learnedopt.Optimizer { return joinorder.NewMCTS(0) }},
+	{"eddy", "online join order", func() learnedopt.Optimizer { return joinorder.NewEddy() }},
+	{"bao", "hint steering", func() learnedopt.Optimizer { return learnedopt.NewBao() }},
+	{"lero", "pairwise ranking", func() learnedopt.Optimizer { return learnedopt.NewLero() }},
+	{"neo", "value-based search", func() learnedopt.Optimizer { return learnedopt.NewNeo() }},
+	{"loger", "value-based search", func() learnedopt.Optimizer { return learnedopt.NewLOGER() }},
+	{"leon", "pairwise ranking", func() learnedopt.Optimizer { return learnedopt.NewLEON() }},
+	{"hyperqo", "regression elimination", func() learnedopt.Optimizer { return learnedopt.NewHyperQO() }},
+}
+
+// deepJoinCounts are the table counts of E5's deep-join sets.
+var deepJoinCounts = []int{3, 4, 5, 6, 8, 10}
+
+// deepJoinSets draws E5's deep-join sets, 8 queries per entry of
+// deepJoinCounts, with self-joins via fresh aliases.
+func deepJoinSets(env *Env) ([][]*query.Query, error) {
+	const queriesPer = 8
 	rng := rand.New(rand.NewSource(env.Seed + 4))
-	byCount := map[int][]*query.Query{}
-	var trainAll []*query.Query
-	for _, n := range joinCounts {
+	sets := make([][]*query.Query, len(deepJoinCounts))
+	for i, n := range deepJoinCounts {
 		for k := 0; k < queriesPer*2; k++ {
 			q, err := workload.GenDeepJoinQuery(env.Cat, n, rng, 0.5)
 			if err != nil {
 				return nil, err
 			}
 			if k < queriesPer {
-				byCount[n] = append(byCount[n], q)
-			} else {
-				trainAll = append(trainAll, q)
+				sets[i] = append(sets[i], q)
 			}
 		}
 	}
-	lc := &learnedopt.Context{Cat: env.Cat, Base: env.Base, Workload: trainAll, Seed: env.Seed + 5}
+	return sets, nil
+}
 
-	dp := learnedopt.NewNative()
-	if err := dp.Train(ctx, lc); err != nil {
+// E5EndToEnd regenerates the [12]-style end-to-end comparison and the
+// join-order-search comparisons of the DQ/RTOS/SkinnerDB line in one
+// table: every registered planner, trained once on the training
+// workload, executes the test queries — total and tail work relative to
+// the native plan, per-query regressions and wins, refused plans — and
+// plans the deep-join sets, scored by estimated cost relative to the
+// native DP's plan under the native cost model. Deep joins are planned,
+// not executed: the executor refuses some of the DP's own plans there.
+// Expected shape: steering methods (Bao/Lero) improve totals with a few
+// regressions, which motivate E6; RL join-order search closes most of
+// the random-to-DP cost gap; MCTS tracks DP using only per-query search;
+// greedy drifts on deep joins.
+func E5EndToEnd(ctx context.Context, env *Env) (*Report, error) {
+	sets, err := deepJoinSets(env)
+	if err != nil {
 		return nil, err
 	}
-	optCost := map[string]float64{}
-	for _, qs := range byCount {
-		for _, q := range qs {
-			p, err := dp.Plan(ctx, q)
-			if err != nil {
-				return nil, err
-			}
-			optCost[q.Key()] = p.EstCost
-		}
+	r := &Report{
+		ID:     "E5",
+		Title:  fmt.Sprintf("Learned planners, dataset=%s (%d test queries, %d deep joins per n)", env.Name, len(env.Test), len(sets[0])),
+		Header: []string{"class", "planner", "total work", "GMRL", "p99 rel", "regress>20%", "wins>20%", "failed"},
 	}
-	for _, inf := range joinorder.Registry() {
-		s := inf.Make()
-		if err := s.Train(ctx, lc); err != nil {
-			return nil, fmt.Errorf("E4 %s: %w", inf.Name, err)
+	for _, n := range deepJoinCounts {
+		r.Header = append(r.Header, fmt.Sprintf("n=%d", n))
+	}
+	lc := trainingContext(env, 6)
+	var natLats []float64
+	var natCosts [][]float64
+	for _, pl := range planners {
+		o := pl.Make()
+		if err := o.Train(ctx, lc); err != nil {
+			return nil, fmt.Errorf("E5 %s: %w", pl.Name, err)
 		}
-		row := []string{inf.Name}
-		for _, n := range joinCounts {
+		lats, failed, err := optimizerLatencies(ctx, env, o, natLats)
+		if err != nil {
+			return nil, fmt.Errorf("E5 %s: %w", pl.Name, err)
+		}
+		costs, err := deepCosts(ctx, env.Base, o, sets, natCosts == nil)
+		if err != nil {
+			return nil, fmt.Errorf("E5 %s: %w", pl.Name, err)
+		}
+		if natLats == nil { // planners[0], the native DP, is the reference
+			natLats, natCosts = lats, costs
+		}
+		row := append([]string{pl.Class}, rowForOptimizer(pl.Name, lats, natLats, sum(natLats))...)
+		row = append(row, fmt.Sprintf("%d", failed))
+		for i := range costs {
 			var ratios []float64
-			for _, q := range byCount[n] {
-				p, err := s.Plan(ctx, q)
-				if err != nil {
-					if ctx.Err() != nil {
-						return nil, err
-					}
-					continue
-				}
-				if oc := optCost[q.Key()]; oc > 0 {
-					ratios = append(ratios, p.EstCost/oc)
+			for j, c := range costs[i] {
+				if c > 0 && natCosts[i][j] > 0 {
+					ratios = append(ratios, c/natCosts[i][j])
 				}
 			}
 			row = append(row, F(metrics.GeoMean(ratios)))
 		}
 		r.AddRow(row...)
 	}
-	r.Notes = append(r.Notes, "1.00 = DP-optimal under the native cost model; self-joins via fresh aliases")
-	return r, nil
-}
-
-// E5EndToEnd regenerates the [12]-style end-to-end optimizer comparison:
-// total and tail workload latency per end-to-end learned optimizer vs the
-// native optimizer, plus per-query regression counts. Expected shape:
-// steering methods (Bao/Lero) improve totals with a few regressions;
-// regressions motivate E6.
-func E5EndToEnd(ctx context.Context, env *Env) (*Report, error) {
-	r := &Report{
-		ID:     "E5",
-		Title:  fmt.Sprintf("End-to-end learned optimizers, dataset=%s (%d test queries)", env.Name, len(env.Test)),
-		Header: []string{"optimizer", "total work", "GMRL", "p99 rel", "regress>20%", "wins>20%", "failed"},
-	}
-	lc, natLats, err := nativeBaseline(ctx, env, 6)
-	if err != nil {
-		return nil, err
-	}
-	natTotal := sum(natLats)
-	for _, inf := range learnedopt.Registry() {
-		o := inf.Make()
-		if err := o.Train(ctx, lc); err != nil {
-			return nil, fmt.Errorf("E5 %s: %w", inf.Name, err)
-		}
-		lats, failed, err := optimizerLatencies(ctx, env, o, natLats)
-		if err != nil {
-			return nil, fmt.Errorf("E5 %s: %w", inf.Name, err)
-		}
-		r.AddRow(append(rowForOptimizer(inf.Name, lats, natLats, natTotal), fmt.Sprintf("%d", failed))...)
-	}
 	r.Notes = append(r.Notes,
 		"GMRL: geometric mean of per-query latency relative to native (lower is better)",
 		"failed: plans the executor refused, each charged the native plan's latency",
+		"n=k: geometric mean estimated-cost ratio vs the native DP on k-table deep joins, every plan re-costed under the native model",
 	)
 	return r, nil
 }
 
-// nativeBaseline returns the Context learned optimizers train from —
-// env's training workload at seed env.Seed+seed — and the native plan's
-// latency for every test query.
-func nativeBaseline(ctx context.Context, env *Env, seed int64) (*learnedopt.Context, []float64, error) {
-	lc := &learnedopt.Context{
+// deepCosts plans every query of sets with o and returns each plan's
+// nativeCost, 0 where o declines to plan; with ref set — o is the
+// reference — or once ctx is done, declining is an error.
+func deepCosts(ctx context.Context, base *opt.Optimizer, o learnedopt.Optimizer, sets [][]*query.Query, ref bool) ([][]float64, error) {
+	costs := make([][]float64, len(sets))
+	for i, qs := range sets {
+		costs[i] = make([]float64, len(qs))
+		for j, q := range qs {
+			p, err := o.Plan(ctx, q)
+			if err != nil {
+				if ref || ctx.Err() != nil {
+					return nil, err
+				}
+				continue
+			}
+			costs[i][j] = nativeCost(base, q, p)
+		}
+	}
+	return costs, nil
+}
+
+// nativeCost re-costs p for q as base would: every node's cardinality
+// from base's estimator, every operator under base's cost model. A
+// planner's own EstCost may come from other estimates (Lero plans under
+// scaled cardinalities), so only this puts all plans on one scale.
+func nativeCost(base *opt.Optimizer, q *query.Query, p *plan.Node) float64 {
+	g := query.NewJoinGraph(q)
+	c := p.CloneNodes()
+	c.WalkLogicalMasks(g, func(n *plan.Node, mask uint64) {
+		n.EstCard = metrics.SanitizeCard(base.Est.Estimate(g.Sub(mask)))
+	})
+	return base.Cost.PlanCost(c)
+}
+
+// trainingContext is the Context learned planners train from: env's
+// training workload at seed env.Seed+seed.
+func trainingContext(env *Env, seed int64) *learnedopt.Context {
+	return &learnedopt.Context{
 		Cat: env.Cat, Stats: env.Stats, Ex: env.Ex, Base: env.Base,
 		Workload: labeledQueries(env.Train), Seed: env.Seed + seed,
 	}
+}
+
+// nativeBaseline returns trainingContext(env, seed) and the native plan's
+// latency for every test query.
+func nativeBaseline(ctx context.Context, env *Env, seed int64) (*learnedopt.Context, []float64, error) {
+	lc := trainingContext(env, seed)
 	native := learnedopt.NewNative()
 	if err := native.Train(ctx, lc); err != nil {
 		return nil, nil, err

@@ -3,12 +3,14 @@
 // (DQ [15]-style Q-learning with linear approximation, ReJoin [24]-style
 // policy gradients, RTOS [73]-style neural value functions) and online
 // methods (SkinnerDB [56]-style Monte-Carlo tree search, Eddy [58]-style
-// selectivity-adaptive ordering), plus the classical DP/greedy/random
+// selectivity-adaptive ordering), plus the classical greedy and random
 // baselines, all producing physical plans through the same evaluation path
 // (opt.PlanFromOrder) so their plan quality is directly comparable. Every
 // searcher is a learnedopt.Optimizer: learned search chooses the join
 // order and delegates operator selection to the Context's native
-// optimizer, which also evaluates orders (cost model + estimator).
+// optimizer, which also evaluates orders (cost model + estimator). The
+// exhaustive-DP baseline is learnedopt.Native; internal/bench lists every
+// planner once, with its class, and judges them all in one experiment.
 package joinorder
 
 import (
@@ -23,22 +25,6 @@ import (
 
 // episodes is how many training episodes the RL searchers run.
 const episodes = 300
-
-// Registry lists every join-order method the workbench ships; "dp", the
-// exhaustive dynamic-programming baseline, is the native optimizer
-// (optimal under its own cost model).
-func Registry() []learnedopt.Info {
-	return []learnedopt.Info{
-		{Name: "dp", Make: func() learnedopt.Optimizer { return learnedopt.NewNative() }},
-		{Name: "greedy", Make: func() learnedopt.Optimizer { return NewGreedy() }},
-		{Name: "random", Make: func() learnedopt.Optimizer { return NewRandom(0) }},
-		{Name: "dq", Make: func() learnedopt.Optimizer { return NewDQ() }},
-		{Name: "rejoin", Make: func() learnedopt.Optimizer { return NewReJoin() }},
-		{Name: "rtos", Make: func() learnedopt.Optimizer { return NewRTOS() }},
-		{Name: "skinner-mcts", Make: func() learnedopt.Optimizer { return NewMCTS(0) }},
-		{Name: "eddy", Make: func() learnedopt.Optimizer { return NewEddy() }},
-	}
-}
 
 // Greedy is the classical greedy baseline.
 type Greedy struct{ base *opt.Optimizer }

@@ -2,16 +2,13 @@ package joinorder
 
 import (
 	"context"
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"lqo/internal/cardest"
 	"lqo/internal/cost"
-	"lqo/internal/data"
 	"lqo/internal/datagen"
-	"lqo/internal/exec"
 	"lqo/internal/learnedopt"
 	"lqo/internal/metrics"
 	"lqo/internal/opt"
@@ -21,8 +18,6 @@ import (
 )
 
 type fixture struct {
-	cat  *data.Catalog
-	ex   *exec.Executor
 	lc   *learnedopt.Context
 	test []*query.Query
 }
@@ -36,7 +31,6 @@ func getFixture(t *testing.T) *fixture {
 	}
 	cat := datagen.StatsCEB(datagen.Config{Seed: 13, Scale: 0.04})
 	cs := stats.CollectCatalog(cat, stats.Options{Seed: 13})
-	ex := exec.New(cat)
 	hist := cardest.NewHistogramEstimator()
 	if err := hist.Train(&cardest.Context{Cat: cat, Stats: cs, Seed: 13}); err != nil {
 		t.Fatal(err)
@@ -44,65 +38,10 @@ func getFixture(t *testing.T) *fixture {
 	base := opt.New(cat, cost.New(cs), hist)
 	qs := workload.GenWorkload(cat, workload.Options{Seed: 13, Count: 40, MinJoins: 2, MaxJoins: 4, MaxPreds: 3})
 	shared = &fixture{
-		cat: cat, ex: ex,
 		lc:   &learnedopt.Context{Cat: cat, Base: base, Workload: qs[:25], Seed: 13},
 		test: qs[25:],
 	}
 	return shared
-}
-
-func TestRegistry(t *testing.T) {
-	if len(Registry()) < 8 {
-		t.Fatalf("registry = %d", len(Registry()))
-	}
-	for _, inf := range Registry() {
-		want := inf.Name
-		if want == "dp" {
-			want = "native" // the dp row is the native optimizer
-		}
-		if s := inf.Make(); s.Name() != want {
-			t.Fatalf("%s name mismatch: %s", inf.Name, s.Name())
-		}
-	}
-}
-
-// TestAllSearchersProduceCorrectPlans: every method's plan must execute
-// and return the same count as the canonical plan, and a trained method
-// must refuse to plan under a cancelled context.
-func TestAllSearchersProduceCorrectPlans(t *testing.T) {
-	f := getFixture(t)
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, inf := range Registry() {
-		inf := inf
-		t.Run(inf.Name, func(t *testing.T) {
-			s := inf.Make()
-			if err := s.Train(context.Background(), f.lc); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Plan(cancelled, f.test[0]); !errors.Is(err, context.Canceled) {
-				t.Fatalf("plan under a cancelled ctx: %v, want context.Canceled", err)
-			}
-			for _, q := range f.test[:5] {
-				p, err := s.Plan(context.Background(), q)
-				if err != nil {
-					t.Fatalf("%s: %v", q.SQL(), err)
-				}
-				got, err := f.ex.RunCtx(context.Background(), q, p)
-				if err != nil {
-					t.Fatalf("%s plan failed: %v", inf.Name, err)
-				}
-				canonical, _ := exec.CanonicalPlan(q)
-				want, err := f.ex.RunCtx(context.Background(), q, canonical)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Count != want.Count {
-					t.Fatalf("%s wrong result: %d vs %d", inf.Name, got.Count, want.Count)
-				}
-			}
-		})
-	}
 }
 
 // costRatio evaluates a searcher's mean plan-cost ratio vs DP-optimal.

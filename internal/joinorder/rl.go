@@ -63,9 +63,8 @@ func episodeReturn(cost float64) float64 {
 	return -math.Log1p(cost) / 25
 }
 
-// runEpisode builds an order with the given action-selection policy and
-// returns the order and its cost-based return.
-func runEpisode(base *opt.Optimizer, q *query.Query, choose func(g *query.JoinGraph, joined map[string]bool, cands []string) string) []string {
+// runEpisode builds an order with the given action-selection policy.
+func runEpisode(q *query.Query, choose func(g *query.JoinGraph, joined map[string]bool, cands []string) string) []string {
 	g := query.NewJoinGraph(q)
 	joined := map[string]bool{}
 	var order []string
@@ -157,7 +156,7 @@ func (s *DQ) Train(ctx context.Context, lc *learnedopt.Context) error {
 		}
 		q := lc.Workload[s.rng.Intn(len(lc.Workload))]
 		var steps [][]float64
-		order := runEpisode(s.base, q, func(g *query.JoinGraph, joined map[string]bool, cands []string) string {
+		order := runEpisode(q, func(g *query.JoinGraph, joined map[string]bool, cands []string) string {
 			var pick string
 			if s.rng.Float64() < eps {
 				pick = cands[s.rng.Intn(len(cands))]
@@ -181,7 +180,7 @@ func (s *DQ) Train(ctx context.Context, lc *learnedopt.Context) error {
 
 // Plan implements learnedopt.Optimizer.
 func (s *DQ) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
-	order := runEpisode(s.base, q, func(g *query.JoinGraph, joined map[string]bool, cands []string) string {
+	order := runEpisode(q, func(g *query.JoinGraph, joined map[string]bool, cands []string) string {
 		return argmax(cands, func(a string) float64 { return s.q(s.f.vector(q, g, joined, a)) })
 	})
 	return planOrder(ctx, s.base, q, order)
@@ -247,7 +246,7 @@ func (s *ReJoin) Train(ctx context.Context, lc *learnedopt.Context) error {
 			pick  int
 		}
 		var steps []step
-		order := runEpisode(s.base, q, func(g *query.JoinGraph, joined map[string]bool, cands []string) string {
+		order := runEpisode(q, func(g *query.JoinGraph, joined map[string]bool, cands []string) string {
 			probs, feats := s.policy(q, g, joined, cands)
 			r := s.rng.Float64()
 			pick := len(cands) - 1
@@ -286,7 +285,7 @@ func (s *ReJoin) Train(ctx context.Context, lc *learnedopt.Context) error {
 
 // Plan implements learnedopt.Optimizer.
 func (s *ReJoin) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
-	order := runEpisode(s.base, q, func(g *query.JoinGraph, joined map[string]bool, cands []string) string {
+	order := runEpisode(q, func(g *query.JoinGraph, joined map[string]bool, cands []string) string {
 		probs, _ := s.policy(q, g, joined, cands)
 		best, pick := -1.0, cands[0]
 		for i, p := range probs {
@@ -342,7 +341,7 @@ func (s *RTOS) Train(ctx context.Context, lc *learnedopt.Context) error {
 		}
 		q := lc.Workload[s.rng.Intn(len(lc.Workload))]
 		var steps [][]float64
-		order := runEpisode(s.base, q, func(g *query.JoinGraph, joined map[string]bool, cands []string) string {
+		order := runEpisode(q, func(g *query.JoinGraph, joined map[string]bool, cands []string) string {
 			var pick string
 			if s.rng.Float64() < eps {
 				pick = cands[s.rng.Intn(len(cands))]
@@ -366,7 +365,7 @@ func (s *RTOS) Train(ctx context.Context, lc *learnedopt.Context) error {
 
 // Plan implements learnedopt.Optimizer.
 func (s *RTOS) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
-	order := runEpisode(s.base, q, func(g *query.JoinGraph, joined map[string]bool, cands []string) string {
+	order := runEpisode(q, func(g *query.JoinGraph, joined map[string]bool, cands []string) string {
 		return argmax(cands, func(a string) float64 { return s.q(s.f.vector(q, g, joined, a)) })
 	})
 	return planOrder(ctx, s.base, q, order)

@@ -6,10 +6,11 @@
 // Eraser [62] and HyperQO's ensemble-variance filter [72].
 //
 // Optimizer is the one learned-planner contract: internal/joinorder's
-// join-order searchers implement it too, and Native is the baseline arm
-// of both registries. Train and Plan take the caller's context, and
-// every optimizer here forwards it into planning and execution, so a
-// query's deadline bounds the learned planner that serves it.
+// join-order searchers implement it too, and Native is the baseline
+// every learned planner is judged against. Train and Plan take the
+// caller's context, and every optimizer here forwards it into planning
+// and execution, so a query's deadline bounds the learned planner that
+// serves it.
 package learnedopt
 
 import (
@@ -60,27 +61,8 @@ type CandidateProvider interface {
 	Candidates(ctx context.Context, q *query.Query) ([]Candidate, error)
 }
 
-// Info describes a registered optimizer.
-type Info struct {
-	Name string
-	Make func() Optimizer
-}
-
-// Registry lists the end-to-end optimizers the workbench ships.
-func Registry() []Info {
-	return []Info{
-		{"native", func() Optimizer { return NewNative() }},
-		{"bao", func() Optimizer { return NewBao() }},
-		{"lero", func() Optimizer { return NewLero() }},
-		{"neo", func() Optimizer { return NewNeo() }},
-		{"loger", func() Optimizer { return NewLOGER() }},
-		{"leon", func() Optimizer { return NewLEON() }},
-		{"hyperqo", func() Optimizer { return NewHyperQO() }},
-	}
-}
-
-// Native wraps the traditional optimizer as the baseline arm: "native"
-// here, joinorder's exhaustive-DP "dp" row.
+// Native wraps the traditional optimizer as the baseline arm: the
+// exhaustive DP, optimal under its own cost model.
 type Native struct {
 	base *opt.Optimizer
 }

@@ -49,48 +49,6 @@ func getFixture(t *testing.T) *fixture {
 	return shared
 }
 
-func TestRegistry(t *testing.T) {
-	if len(Registry()) < 6 {
-		t.Fatalf("registry = %d", len(Registry()))
-	}
-}
-
-// TestAllOptimizersCorrectResults: every end-to-end optimizer's plans must
-// return exactly the native result, and a trained optimizer must refuse
-// to plan under a cancelled context.
-func TestAllOptimizersCorrectResults(t *testing.T) {
-	f := getFixture(t)
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, inf := range Registry() {
-		inf := inf
-		t.Run(inf.Name, func(t *testing.T) {
-			o := inf.Make()
-			if err := o.Train(context.Background(), f.lc); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := o.Plan(cancelled, f.test[0]); !errors.Is(err, context.Canceled) {
-				t.Fatalf("plan under a cancelled ctx: %v, want context.Canceled", err)
-			}
-			for _, q := range f.test[:5] {
-				p, err := o.Plan(context.Background(), q)
-				if err != nil {
-					t.Fatalf("plan: %v", err)
-				}
-				got, err := f.ex.RunCtx(context.Background(), q, p)
-				if err != nil {
-					t.Fatalf("execute: %v", err)
-				}
-				canonical, _ := exec.CanonicalPlan(q)
-				want, _ := f.ex.RunCtx(context.Background(), q, canonical)
-				if got.Count != want.Count {
-					t.Fatalf("wrong result %d vs %d", got.Count, want.Count)
-				}
-			}
-		})
-	}
-}
-
 // workloadLatency executes the test workload under an optimizer.
 func workloadLatency(t *testing.T, f *fixture, o Optimizer) (total float64, perQuery []float64) {
 	t.Helper()
