@@ -1,8 +1,9 @@
-// Command lqo-bench regenerates the workbench's experiment tables E1–E10
-// and E14–E16 (see DESIGN.md for the experiment index and EXPERIMENTS.md
-// for recorded results). Every experiment runs with the fixed parameters
-// of bench.Experiments, so a table depends only on the four flags below.
-// An unknown experiment id, scale or flag exits 2.
+// Command lqo-bench regenerates the workbench's experiment tables E1–E3,
+// E5–E10 and E14–E16 (see DESIGN.md for the experiment index and
+// EXPERIMENTS.md for recorded results; E5 judges every learned planner).
+// Every experiment runs with the fixed parameters of bench.Experiments,
+// so a table depends only on the four flags below. An unknown experiment
+// id (the retired E4 included), scale or flag exits 2.
 //
 // Usage:
 //

@@ -3,7 +3,10 @@ package bench
 import (
 	"context"
 	"errors"
+	"os"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -292,6 +295,46 @@ func TestLearnedPlannerExperimentsHonorCancellation(t *testing.T) {
 	} {
 		if _, err := e.run(cancelled, env); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s under a cancelled ctx: %v, want context.Canceled", e.id, err)
+		}
+	}
+}
+
+// generatedBlock matches one generated table in EXPERIMENTS.md: the
+// command that prints it, then its output in a fenced block.
+var generatedBlock = regexp.MustCompile("(?s)<!-- BEGIN GENERATED: lqo-bench -exp (E[0-9]+) -seed ([0-9]+) -->\n```\n(.*?)```\n<!-- END GENERATED -->")
+
+// TestExperimentsDocIsGenerated: every generated block in EXPERIMENTS.md
+// is exactly the table its command prints at quick scale, so a stale
+// cell fails here. Only tables without wall-clock columns are generated.
+func TestExperimentsDocIsGenerated(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := generatedBlock.FindAllSubmatch(doc, -1)
+	if len(blocks) == 0 {
+		t.Fatal("EXPERIMENTS.md has no generated block")
+	}
+	for _, b := range blocks {
+		id, want := string(b[1]), string(b[3])
+		seed, err := strconv.ParseInt(string(b[2]), 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(Experiments, func(e Experiment) bool { return e.ID == id })
+		if i < 0 {
+			t.Fatalf("generated block for unknown experiment %s", id)
+		}
+		env, err := NewEnv("stats", QuickScale(), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Experiments[i].Run(context.Background(), env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.String(); got != want {
+			t.Errorf("EXPERIMENTS.md's %s block is stale; paste the table `go run ./cmd/lqo-bench -exp %s -seed %d` prints:\n%s", id, id, seed, got)
 		}
 	}
 }

@@ -128,31 +128,25 @@ func deepJoinSets(env *Env) ([][]*query.Query, error) {
 	rng := rand.New(rand.NewSource(env.Seed + 4))
 	sets := make([][]*query.Query, len(deepJoinCounts))
 	for i, n := range deepJoinCounts {
-		for k := 0; k < queriesPer*2; k++ {
+		for k := 0; k < queriesPer; k++ {
 			q, err := workload.GenDeepJoinQuery(env.Cat, n, rng, 0.5)
 			if err != nil {
 				return nil, err
 			}
-			if k < queriesPer {
-				sets[i] = append(sets[i], q)
-			}
+			sets[i] = append(sets[i], q)
 		}
 	}
 	return sets, nil
 }
 
-// E5EndToEnd regenerates the [12]-style end-to-end comparison and the
-// join-order-search comparisons of the DQ/RTOS/SkinnerDB line in one
-// table: every registered planner, trained once on the training
-// workload, executes the test queries — total and tail work relative to
-// the native plan, per-query regressions and wins, refused plans — and
-// plans the deep-join sets, scored by estimated cost relative to the
-// native DP's plan under the native cost model. Deep joins are planned,
-// not executed: the executor refuses some of the DP's own plans there.
-// Expected shape: steering methods (Bao/Lero) improve totals with a few
-// regressions, which motivate E6; RL join-order search closes most of
-// the random-to-DP cost gap; MCTS tracks DP using only per-query search;
-// greedy drifts on deep joins.
+// E5EndToEnd judges every registered planner, trained once, in one
+// table: its executed work on the test queries relative to the native
+// plan ([12]-style), and the estimated cost of its plans for the deep-join
+// sets relative to the native DP's, all re-costed under the native model
+// (the DQ/RTOS/SkinnerDB line). Deep joins are planned, not executed: the
+// executor refuses some of the DP's own plans there. Expected shape:
+// steering methods improve totals with a few regressions (motivating
+// E6); RL search closes most of the random-to-DP cost gap; MCTS tracks DP.
 func E5EndToEnd(ctx context.Context, env *Env) (*Report, error) {
 	sets, err := deepJoinSets(env)
 	if err != nil {
@@ -185,8 +179,7 @@ func E5EndToEnd(ctx context.Context, env *Env) (*Report, error) {
 		if natLats == nil { // planners[0], the native DP, is the reference
 			natLats, natCosts = lats, costs
 		}
-		row := append([]string{pl.Class}, rowForOptimizer(pl.Name, lats, natLats, sum(natLats))...)
-		row = append(row, fmt.Sprintf("%d", failed))
+		row := rowForOptimizer(pl, lats, natLats, failed)
 		for i := range costs {
 			var ratios []float64
 			for j, c := range costs[i] {
@@ -243,10 +236,11 @@ func nativeCost(base *opt.Optimizer, q *query.Query, p *plan.Node) float64 {
 // trainingContext is the Context learned planners train from: env's
 // training workload at seed env.Seed+seed.
 func trainingContext(env *Env, seed int64) *learnedopt.Context {
-	return &learnedopt.Context{
-		Cat: env.Cat, Stats: env.Stats, Ex: env.Ex, Base: env.Base,
-		Workload: labeledQueries(env.Train), Seed: env.Seed + seed,
+	lc := &learnedopt.Context{Cat: env.Cat, Stats: env.Stats, Ex: env.Ex, Base: env.Base, Seed: env.Seed + seed}
+	for _, l := range env.Train {
+		lc.Workload = append(lc.Workload, l.Q)
 	}
+	return lc
 }
 
 // nativeBaseline returns trainingContext(env, seed) and the native plan's
@@ -259,14 +253,6 @@ func nativeBaseline(ctx context.Context, env *Env, seed int64) (*learnedopt.Cont
 	}
 	natLats, _, err := optimizerLatencies(ctx, env, native, nil)
 	return lc, natLats, err
-}
-
-func labeledQueries(ls []workload.Labeled) []*query.Query {
-	out := make([]*query.Query, len(ls))
-	for i, l := range ls {
-		out[i] = l.Q
-	}
-	return out
 }
 
 // optimizerLatencies measures o's plan for every test query under ctx. A
@@ -292,7 +278,10 @@ func optimizerLatencies(ctx context.Context, env *Env, o learnedopt.Optimizer, n
 	return lats, failed, nil
 }
 
-func rowForOptimizer(name string, lats, natLats []float64, natTotal float64) []string {
+// rowForOptimizer is pl's row of E5's executed columns: total work, GMRL,
+// p99 and regressions and wins past 20 %, all relative to natLats, and
+// how many plans the executor refused.
+func rowForOptimizer(pl planner, lats, natLats []float64, failed int) []string {
 	var rel []float64
 	regress, wins := 0, 0
 	for i := range lats {
@@ -306,8 +295,8 @@ func rowForOptimizer(name string, lats, natLats []float64, natTotal float64) []s
 	}
 	s := metrics.Summarize(rel)
 	return []string{
-		name, F(sum(lats)), F(metrics.GeoMean(rel)), F(s.P99),
-		fmt.Sprintf("%d", regress), fmt.Sprintf("%d", wins),
+		pl.Class, pl.Name, F(sum(lats)), F(metrics.GeoMean(rel)), F(s.P99),
+		fmt.Sprintf("%d", regress), fmt.Sprintf("%d", wins), fmt.Sprintf("%d", failed),
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // GenDeepJoinQuery builds an n-table query by random-walking the schema's
 // FK graph with *fresh aliases* at every step (self-joins allowed), which
 // produces arbitrarily deep join graphs on small schemas — the workload
-// shape of the join-order-search experiments (E4), where plan quality is
-// compared by cost, not execution.
+// shape of E5's deep-join columns, where plan quality is compared by
+// estimated cost, not execution.
 func GenDeepJoinQuery(cat *data.Catalog, nTables int, rng *rand.Rand, predsPer float64) (*query.Query, error) {
 	edges := query.DeriveSchemaEdges(cat)
 	if len(edges) == 0 {
