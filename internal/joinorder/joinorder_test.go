@@ -2,13 +2,16 @@ package joinorder
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"lqo/internal/cardest"
 	"lqo/internal/cost"
+	"lqo/internal/data"
 	"lqo/internal/datagen"
+	"lqo/internal/exec"
 	"lqo/internal/learnedopt"
 	"lqo/internal/metrics"
 	"lqo/internal/opt"
@@ -18,6 +21,8 @@ import (
 )
 
 type fixture struct {
+	cat  *data.Catalog
+	ex   *exec.Executor
 	lc   *learnedopt.Context
 	test []*query.Query
 }
@@ -31,6 +36,7 @@ func getFixture(t *testing.T) *fixture {
 	}
 	cat := datagen.StatsCEB(datagen.Config{Seed: 13, Scale: 0.04})
 	cs := stats.CollectCatalog(cat, stats.Options{Seed: 13})
+	ex := exec.New(cat)
 	hist := cardest.NewHistogramEstimator()
 	if err := hist.Train(&cardest.Context{Cat: cat, Stats: cs, Seed: 13}); err != nil {
 		t.Fatal(err)
@@ -38,10 +44,78 @@ func getFixture(t *testing.T) *fixture {
 	base := opt.New(cat, cost.New(cs), hist)
 	qs := workload.GenWorkload(cat, workload.Options{Seed: 13, Count: 40, MinJoins: 2, MaxJoins: 4, MaxPreds: 3})
 	shared = &fixture{
+		cat: cat, ex: ex,
 		lc:   &learnedopt.Context{Cat: cat, Base: base, Workload: qs[:25], Seed: 13},
 		test: qs[25:],
 	}
 	return shared
+}
+
+// searchers lists this package's join-order methods and the exhaustive-DP
+// baseline they are measured against ("dp", the native optimizer).
+var searchers = []struct {
+	name string
+	make func() learnedopt.Optimizer
+}{
+	{"dp", func() learnedopt.Optimizer { return learnedopt.NewNative() }},
+	{"greedy", func() learnedopt.Optimizer { return NewGreedy() }},
+	{"random", func() learnedopt.Optimizer { return NewRandom(0) }},
+	{"dq", func() learnedopt.Optimizer { return NewDQ() }},
+	{"rejoin", func() learnedopt.Optimizer { return NewReJoin() }},
+	{"rtos", func() learnedopt.Optimizer { return NewRTOS() }},
+	{"skinner-mcts", func() learnedopt.Optimizer { return NewMCTS(0) }},
+	{"eddy", func() learnedopt.Optimizer { return NewEddy() }},
+}
+
+// TestRegistry: every searcher names itself as listed.
+func TestRegistry(t *testing.T) {
+	for _, s := range searchers {
+		want := s.name
+		if want == "dp" {
+			want = "native" // the dp row is the native optimizer
+		}
+		if got := s.make().Name(); got != want {
+			t.Fatalf("%s name mismatch: %s", s.name, got)
+		}
+	}
+}
+
+// TestAllSearchersProduceCorrectPlans: every method's plan must execute
+// and return the same count as the canonical plan, and a trained method
+// must refuse to plan under a cancelled context.
+func TestAllSearchersProduceCorrectPlans(t *testing.T) {
+	f := getFixture(t)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, row := range searchers {
+		t.Run(row.name, func(t *testing.T) {
+			s := row.make()
+			if err := s.Train(context.Background(), f.lc); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Plan(cancelled, f.test[0]); !errors.Is(err, context.Canceled) {
+				t.Fatalf("plan under a cancelled ctx: %v, want context.Canceled", err)
+			}
+			for _, q := range f.test[:5] {
+				p, err := s.Plan(context.Background(), q)
+				if err != nil {
+					t.Fatalf("%s: %v", q.SQL(), err)
+				}
+				got, err := f.ex.RunCtx(context.Background(), q, p)
+				if err != nil {
+					t.Fatalf("%s plan failed: %v", row.name, err)
+				}
+				canonical, _ := exec.CanonicalPlan(q)
+				want, err := f.ex.RunCtx(context.Background(), q, canonical)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Count != want.Count {
+					t.Fatalf("%s wrong result: %d vs %d", row.name, got.Count, want.Count)
+				}
+			}
+		})
+	}
 }
 
 // costRatio evaluates a searcher's mean plan-cost ratio vs DP-optimal.

@@ -49,6 +49,65 @@ func getFixture(t *testing.T) *fixture {
 	return shared
 }
 
+// optimizers lists this package's end-to-end optimizers and the native
+// baseline they are measured against.
+var optimizers = []struct {
+	name string
+	make func() Optimizer
+}{
+	{"native", func() Optimizer { return NewNative() }},
+	{"bao", func() Optimizer { return NewBao() }},
+	{"lero", func() Optimizer { return NewLero() }},
+	{"neo", func() Optimizer { return NewNeo() }},
+	{"loger", func() Optimizer { return NewLOGER() }},
+	{"leon", func() Optimizer { return NewLEON() }},
+	{"hyperqo", func() Optimizer { return NewHyperQO() }},
+}
+
+// TestRegistry: every optimizer names itself as listed.
+func TestRegistry(t *testing.T) {
+	for _, o := range optimizers {
+		if got := o.make().Name(); got != o.name {
+			t.Fatalf("%s name mismatch: %s", o.name, got)
+		}
+	}
+}
+
+// TestAllOptimizersCorrectResults: every end-to-end optimizer's plans must
+// return exactly the native result, and a trained optimizer must refuse
+// to plan under a cancelled context.
+func TestAllOptimizersCorrectResults(t *testing.T) {
+	f := getFixture(t)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, row := range optimizers {
+		t.Run(row.name, func(t *testing.T) {
+			o := row.make()
+			if err := o.Train(context.Background(), f.lc); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := o.Plan(cancelled, f.test[0]); !errors.Is(err, context.Canceled) {
+				t.Fatalf("plan under a cancelled ctx: %v, want context.Canceled", err)
+			}
+			for _, q := range f.test[:5] {
+				p, err := o.Plan(context.Background(), q)
+				if err != nil {
+					t.Fatalf("plan: %v", err)
+				}
+				got, err := f.ex.RunCtx(context.Background(), q, p)
+				if err != nil {
+					t.Fatalf("execute: %v", err)
+				}
+				canonical, _ := exec.CanonicalPlan(q)
+				want, _ := f.ex.RunCtx(context.Background(), q, canonical)
+				if got.Count != want.Count {
+					t.Fatalf("wrong result %d vs %d", got.Count, want.Count)
+				}
+			}
+		})
+	}
+}
+
 // workloadLatency executes the test workload under an optimizer.
 func workloadLatency(t *testing.T, f *fixture, o Optimizer) (total float64, perQuery []float64) {
 	t.Helper()
