@@ -17,6 +17,8 @@
 #                      workloads, end-to-end + per-layer metrics
 #   make benchmark-compare OLD=… NEW=… — judge two benchmark runs (files
 #                      or directories of run_*.json) against the bounds
+#   make bench-record PR=<n> — the benchmark at three fixed seeds, kept as
+#                      BENCH_<n>/run_seed<S>.json plus BENCH_<n>/host.json
 #   make exp-smoke — the experiments E5, E7, E8, E10, E14, E15 and E16
 #                    with their fixed parameters; fails if any of them fails
 
@@ -32,7 +34,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 
 FUZZTIME ?= 10s
 
-.PHONY: build test vet lint staticcheck govulncheck race fuzz verify bench bench-smoke benchmark benchmark-compare exp-smoke
+.PHONY: build test vet lint staticcheck govulncheck race fuzz verify bench bench-smoke benchmark benchmark-compare bench-record exp-smoke
 
 build:
 	$(GO) build ./...
@@ -102,9 +104,11 @@ bench:
 # prepared-wide: a binding the entry keeps no harvest record of) and the
 # cold one (miss: parse, plan, execute, harvest; miss-observed: the same
 # with the adaptation loop observing); ./internal/sqlx/ is
-# BenchmarkParseStatement, the parse a never-seen text pays.
+# BenchmarkParseStatement, the parse a never-seen text pays;
+# ./internal/stats/ is BenchmarkCollectCatalog, the statistics refresh the
+# adaptation loop's retrain runs (drifted StatsCEB at scale 0.02).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/exec/ ./internal/serve/ ./internal/sqlx/ ./internal/bench/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/exec/ ./internal/serve/ ./internal/sqlx/ ./internal/stats/ ./internal/bench/
 	$(GO) test -run '^$$' -bench 'OptimizeDP|Harvest' -benchtime 1x .
 
 # The repo benchmark, as the driver runs it (see benchmark/README.md).
@@ -115,6 +119,29 @@ benchmark:
 benchmark-compare:
 	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make benchmark-compare OLD=<run.json|dir> NEW=<run.json|dir>"; exit 2; }
 	$(GO) run ./benchmark -compare $(OLD) $(NEW)
+
+# The commit's entry in the benchmark trajectory: all five workloads at
+# each of BENCH_SEEDS (about 2m40s a seed on 2 cores), one run file per
+# seed in BENCH_<n>/, which `make benchmark-compare OLD=BENCH_<m>
+# NEW=BENCH_<n>` reads, and the host the runs were made on in
+# BENCH_<n>/host.json: CPU count and GOMAXPROCS as the harness recorded
+# them, the Go version, and the CPU model from /proc/cpuinfo.
+BENCH_SEEDS ?= 42 43 44
+bench-record:
+	@test -n "$(PR)" || { echo "usage: make bench-record PR=<n>"; exit 2; }
+	mkdir -p BENCH_$(PR)
+	for s in $(BENCH_SEEDS); do bash benchmark/run.sh -seed $$s -out BENCH_$(PR)/run_seed$$s.json || exit 1; done
+	@run=BENCH_$(PR)/run_seed$(firstword $(BENCH_SEEDS)).json; \
+	field() { sed -n "s/^ *\"$$1\": *\([0-9]*\),*$$/\1/p" $$run | head -n 1; }; \
+	{ echo '{'; \
+	  echo "  \"seeds\": \"$(BENCH_SEEDS)\","; \
+	  echo "  \"num_cpu\": $$(field nproc),"; \
+	  echo "  \"gomaxprocs\": $$(field gomaxprocs),"; \
+	  echo "  \"go_version\": \"$$($(GO) env GOVERSION)\","; \
+	  echo "  \"cpu_model\": \"$$(sed -n 's/^model name[[:space:]]*: *//p' /proc/cpuinfo | head -n 1)\","; \
+	  echo '  "note": "allocs_per_query and heap_live_mb do not repeat exactly between runs of one seed until ROADMAP item 12 lands: judge them by their bounds, not bit for bit"'; \
+	  echo '}'; } > BENCH_$(PR)/host.json
+	cat BENCH_$(PR)/host.json
 
 # The runtime experiments at quick scale, seed 42, with the fixed
 # parameters every lqo-bench run uses (about 14 s together on 2 cores).

@@ -98,19 +98,15 @@ func TestTableBasics(t *testing.T) {
 	}
 }
 
-func TestColumnMinMaxDistinct(t *testing.T) {
+func TestColumnMinMax(t *testing.T) {
 	tbl := newTestTable(t)
 	a := tbl.Column("a")
 	lo, hi, ok := a.MinMax()
 	if !ok || lo != 0 || hi != 2 {
 		t.Fatalf("MinMax = %v %v %v", lo, hi, ok)
 	}
-	if d := a.DistinctCount(); d != 3 {
-		t.Fatalf("DistinctCount = %d", d)
-	}
-	b := tbl.Column("b")
-	if d := b.DistinctCount(); d != 10 {
-		t.Fatalf("float DistinctCount = %d", d)
+	if lo, hi, ok := tbl.Column("b").MinMax(); !ok || lo != 0 || hi != 4.5 {
+		t.Fatalf("float MinMax = %v %v %v", lo, hi, ok)
 	}
 	empty := &Column{Name: "e", Kind: Int}
 	if _, _, ok := empty.MinMax(); ok {

@@ -18,10 +18,9 @@ type Column struct {
 	Dict *Dict // non-nil iff Kind == String
 
 	// Lazily built, atomically published summaries (see zonemap.go).
-	// Append* invalidates all three.
-	zones    atomic.Pointer[ZoneMap]
-	mm       atomic.Pointer[minMaxCache]
-	distinct atomic.Pointer[int64]
+	// Append* invalidates both.
+	zones atomic.Pointer[ZoneMap]
+	mm    atomic.Pointer[minMaxCache]
 }
 
 // Len returns the number of values stored.
@@ -92,31 +91,6 @@ func (c *Column) MinMax() (lo, hi float64, ok bool) {
 	}
 	c.mm.Store(s)
 	return s.lo, s.hi, s.ok
-}
-
-// DistinctCount returns the exact number of distinct values. The result
-// is cached; Append* invalidates it.
-func (c *Column) DistinctCount() int {
-	if d := c.distinct.Load(); d != nil {
-		return int(*d)
-	}
-	var n int
-	if c.Kind == Float {
-		seen := make(map[float64]struct{}, len(c.Flts))
-		for _, v := range c.Flts {
-			seen[v] = struct{}{}
-		}
-		n = len(seen)
-	} else {
-		seen := make(map[int64]struct{}, len(c.Ints))
-		for _, v := range c.Ints {
-			seen[v] = struct{}{}
-		}
-		n = len(seen)
-	}
-	d := int64(n)
-	c.distinct.Store(&d)
-	return n
 }
 
 // Table is a named collection of equal-length columns.

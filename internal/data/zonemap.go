@@ -4,7 +4,7 @@
 // fixed-size row blocks. Scans consult it before touching the block's
 // data: a block whose value range provably cannot satisfy a predicate is
 // skipped without reading a single row. The summaries — like the cached
-// whole-column MinMax/DistinctCount — are built lazily on first use and
+// whole-column MinMax — are built lazily on first use and
 // invalidated by the Append* mutators, so repeated optimizer/statistics
 // calls and every vectorized scan share one O(n) pass instead of
 // rescanning the data each time.
@@ -116,5 +116,4 @@ func (c *Column) buildZones() *ZoneMap {
 func (c *Column) invalidate() {
 	c.zones.Store(nil)
 	c.mm.Store(nil)
-	c.distinct.Store(nil)
 }

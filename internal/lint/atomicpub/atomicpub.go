@@ -1,6 +1,6 @@
 // Package atomicpub enforces the PR-1/PR-4 publication contract: a
 // struct field that is ever accessed through sync/atomic — either by
-// having an atomic.* type (zone maps, MinMax/DistinctCount caches) or by
+// having an atomic.* type (zone maps, MinMax caches) or by
 // having its address passed to an atomic function (PlansConsidered) —
 // must be accessed atomically everywhere. One plain read or write next
 // to atomic ones is a data race the race detector only catches when the

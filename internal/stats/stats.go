@@ -5,9 +5,10 @@
 package stats
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"lqo/internal/data"
 )
@@ -22,71 +23,49 @@ type Histogram struct {
 	NDVs []float64
 }
 
-// BuildHistogram constructs an equi-depth histogram with at most buckets
-// buckets from the column's values.
-func BuildHistogram(c *data.Column, buckets int) *Histogram {
-	n := c.Len()
-	if n == 0 {
-		return &Histogram{Total: 0}
-	}
-	vals := make([]float64, n)
-	for i := 0; i < n; i++ {
-		vals[i] = c.Float(i)
-	}
-	return BuildHistogramFromValues(vals, buckets)
+// BuildHistogramFromValues constructs an equi-depth histogram with at most
+// buckets buckets over a raw value slice, which it sorts in place. It is
+// shared by the SPN estimator's leaves.
+func BuildHistogramFromValues(vals []float64, buckets int) *Histogram {
+	slices.Sort(vals)
+	return histogramOfSorted(vals, buckets)
 }
 
-// BuildHistogramFromValues is BuildHistogram over a raw value slice (which
-// is sorted in place). It is shared by the SPN estimator's leaves.
-func BuildHistogramFromValues(vals []float64, buckets int) *Histogram {
+// histogramOfSorted is BuildHistogramFromValues over an ascending slice.
+func histogramOfSorted(vals []float64, buckets int) *Histogram {
 	n := len(vals)
 	if n == 0 {
 		return &Histogram{Total: 0}
 	}
-	sort.Float64s(vals)
-	if buckets < 1 {
-		buckets = 1
-	}
-	if buckets > n {
-		buckets = n
-	}
-	h := &Histogram{Total: float64(n)}
-	per := n / buckets
-	rem := n % buckets
-	h.Bounds = append(h.Bounds, vals[0])
-	start := 0
-	for b := 0; b < buckets; b++ {
-		cnt := per
+	buckets = min(max(buckets, 1), n)
+	per, rem := n/buckets, n%buckets
+	// endOf returns where bucket b, starting at start, ends: its share of
+	// the rows (per >= 1, as buckets <= n), extended so equal values never
+	// straddle a boundary.
+	endOf := func(b, start int) int {
+		end := start + per
 		if b < rem {
-			cnt++
+			end++
 		}
-		if cnt == 0 {
-			continue
-		}
-		if start >= n {
-			break
-		}
-		end := start + cnt
-		if end > n {
-			end = n
-		}
-		// Extend the bucket so equal values never straddle a boundary.
+		end = min(end, n)
 		for end < n && vals[end] == vals[end-1] {
 			end++
 		}
-		ndv := 1.0
-		for i := start + 1; i < end; i++ {
-			if vals[i] != vals[i-1] {
-				ndv++
-			}
-		}
+		return end
+	}
+	// Count the buckets first, so each slice is allocated once, at its size.
+	k := 0
+	for start := 0; k < buckets && start < n; k++ {
+		start = endOf(k, start)
+	}
+	h := &Histogram{Total: float64(n), Bounds: append(make([]float64, 0, k+1), vals[0])}
+	h.Counts, h.NDVs = make([]float64, k), make([]float64, k)
+	for b, start := 0, 0; b < k; b++ {
+		end := endOf(b, start)
 		h.Bounds = append(h.Bounds, vals[end-1])
-		h.Counts = append(h.Counts, float64(end-start))
-		h.NDVs = append(h.NDVs, ndv)
+		h.Counts[b] = float64(end - start)
+		h.NDVs[b] = float64(runs(vals[start:end]))
 		start = end
-		if start >= n {
-			break
-		}
 	}
 	return h
 }
@@ -176,35 +155,42 @@ type MCV struct {
 	Freqs  []float64 // fraction of rows
 }
 
-// BuildMCV returns the top-k most frequent values (numeric domain) with
-// deterministic tie-breaking by value.
-func BuildMCV(c *data.Column, k int) *MCV {
-	n := c.Len()
-	counts := make(map[float64]int, n)
-	for i := 0; i < n; i++ {
-		counts[c.Float(i)]++
-	}
-	type vc struct {
+// mcvOfSorted returns the k most frequent values of an ascending slice,
+// count descending, then value ascending. The runs of equal values arrive
+// in ascending order, so a run displaces only runs with smaller counts.
+func mcvOfSorted(vals []float64, k int) *MCV {
+	type run struct {
 		v float64
 		c int
 	}
-	all := make([]vc, 0, len(counts))
-	for v, cnt := range counts {
-		all = append(all, vc{v, cnt})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].c != all[j].c {
-			return all[i].c > all[j].c
+	top := make([]run, 0, k)
+	for i := 0; i < len(vals); {
+		j := i + 1
+		for j < len(vals) && vals[j] == vals[i] {
+			j++
 		}
-		return all[i].v < all[j].v
-	})
-	if k > len(all) {
-		k = len(all)
+		r := run{vals[i], j - i}
+		i = j
+		p := len(top)
+		for p > 0 && top[p-1].c < r.c {
+			p--
+		}
+		if p == k {
+			continue
+		}
+		if len(top) < k {
+			top = append(top, run{})
+		}
+		copy(top[p+1:], top[p:])
+		top[p] = r
 	}
 	m := &MCV{}
-	for i := 0; i < k; i++ {
-		m.Values = append(m.Values, all[i].v)
-		m.Freqs = append(m.Freqs, float64(all[i].c)/float64(n))
+	if len(top) > 0 {
+		m.Values, m.Freqs = make([]float64, 0, len(top)), make([]float64, 0, len(top))
+	}
+	for _, r := range top {
+		m.Values = append(m.Values, r.v)
+		m.Freqs = append(m.Freqs, float64(r.c)/float64(len(vals)))
 	}
 	return m
 }
@@ -248,15 +234,46 @@ const (
 	sampleSize       = 1000 // sampled row ids per table
 )
 
-// Collect gathers statistics for every column of t.
+// Collect gathers statistics for every column of t. Each column is copied
+// and sorted once; its histogram, MCV list and distinct count are linear
+// passes over that sorted copy, whose buffer the columns share.
 func Collect(t *data.Table, opts Options) *TableStats {
 	ts := &TableStats{Table: t.Name, Rows: float64(t.NumRows()), Cols: make(map[string]*ColumnStats)}
+	var vals []float64
+	var ints []int64
 	for _, c := range t.Cols {
+		n := c.Len()
+		vals = slices.Grow(vals[:0], n)[:n]
+		var distinct int
+		if c.Kind == data.Float {
+			copy(vals, c.Flts)
+			slices.Sort(vals)
+			distinct = runs(vals)
+		} else {
+			// Distinct values are counted on the exact int64s: the float
+			// images of integers beyond 2^53 can collide.
+			ints = append(ints[:0], c.Ints...)
+			slices.Sort(ints)
+			distinct = runs(ints)
+			for i, v := range ints {
+				vals[i] = float64(v) // monotone, so vals is ascending too
+			}
+		}
 		cs := &ColumnStats{
-			Hist:     BuildHistogram(c, histogramBuckets),
-			MCVs:     BuildMCV(c, mcvSize),
-			Distinct: float64(c.DistinctCount()),
+			Hist:     histogramOfSorted(vals, histogramBuckets),
+			MCVs:     mcvOfSorted(vals, mcvSize),
+			Distinct: float64(distinct),
 			Rows:     float64(t.NumRows()),
+		}
+		// A zero in the list takes the sign of the column's last zero, in
+		// row order, wherever the sort put -0 and +0.
+		if i := slices.Index(cs.MCVs.Values, 0); i >= 0 && c.Kind == data.Float {
+			for j := n - 1; j >= 0; j-- {
+				if c.Flts[j] == 0 {
+					cs.MCVs.Values[i] = c.Flts[j]
+					break
+				}
+			}
 		}
 		if lo, hi, ok := c.MinMax(); ok {
 			cs.Min, cs.Max = lo, hi
@@ -267,26 +284,34 @@ func Collect(t *data.Table, opts Options) *TableStats {
 	return ts
 }
 
-func reservoirSample(n, k int, seed int64) []int32 {
-	if k >= n {
-		out := make([]int32, n)
-		for i := range out {
-			out[i] = int32(i)
+// runs counts the runs of equal values in an ascending slice: its distinct
+// values, each NaN counted apart.
+func runs[T cmp.Ordered](s []T) int {
+	n := 0
+	for i := range s {
+		if i == 0 || s[i] != s[i-1] {
+			n++
 		}
+	}
+	return n
+}
+
+func reservoirSample(n, k int, seed int64) []int32 {
+	out := make([]int32, min(n, k))
+	for i := range out {
+		out[i] = int32(i)
+	}
+	if k >= n {
 		return out
 	}
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]int32, k)
-	for i := 0; i < k; i++ {
-		out[i] = int32(i)
-	}
 	for i := k; i < n; i++ {
 		j := rng.Intn(i + 1)
 		if j < k {
 			out[j] = int32(i)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -9,6 +9,16 @@ import (
 	"lqo/internal/data"
 )
 
+// histogramOf builds the histogram Collect keeps for a column of vals, at
+// the given bucket count.
+func histogramOf(vals []int64, buckets int) *Histogram {
+	fs := make([]float64, len(vals))
+	for i, v := range vals {
+		fs[i] = float64(v)
+	}
+	return BuildHistogramFromValues(fs, buckets)
+}
+
 func intColumn(vals []int64) *data.Column {
 	c := &data.Column{Name: "v", Kind: data.Int}
 	for _, v := range vals {
@@ -34,7 +44,7 @@ func exactRangeSel(vals []int64, lo, hi float64) float64 {
 
 func TestHistogramFullRange(t *testing.T) {
 	vals := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	h := BuildHistogram(intColumn(vals), 4)
+	h := histogramOf(vals, 4)
 	if sel := h.SelectivityRange(1, 10); math.Abs(sel-1) > 1e-9 {
 		t.Fatalf("full range sel = %v", sel)
 	}
@@ -52,7 +62,7 @@ func TestHistogramAccuracyUniform(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(rng.Intn(1000))
 	}
-	h := BuildHistogram(intColumn(vals), 32)
+	h := histogramOf(vals, 32)
 	for trial := 0; trial < 50; trial++ {
 		lo := float64(rng.Intn(900))
 		hi := lo + float64(rng.Intn(100))
@@ -74,7 +84,7 @@ func TestHistogramSkewedEquality(t *testing.T) {
 			vals[i] = int64(i)
 		}
 	}
-	h := BuildHistogram(intColumn(vals), 16)
+	h := histogramOf(vals, 16)
 	sel := h.SelectivityEq(7)
 	if sel < 0.2 {
 		t.Fatalf("heavy hitter selectivity = %v, want substantial", sel)
@@ -93,7 +103,7 @@ func TestHistogramPropertyBounds(t *testing.T) {
 		for i, v := range raw {
 			vals[i] = int64(v)
 		}
-		h := BuildHistogram(intColumn(vals), 8)
+		h := histogramOf(vals, 8)
 		lo, hi := float64(a), float64(b)
 		if lo > hi {
 			lo, hi = hi, lo
@@ -115,7 +125,7 @@ func TestHistogramTotalMassProperty(t *testing.T) {
 		for i, v := range raw {
 			vals[i] = int64(v)
 		}
-		h := BuildHistogram(intColumn(vals), 8)
+		h := histogramOf(vals, 8)
 		// Sum of bucket counts equals total rows.
 		sum := 0.0
 		for _, c := range h.Counts {
@@ -129,8 +139,7 @@ func TestHistogramTotalMassProperty(t *testing.T) {
 }
 
 func TestMCV(t *testing.T) {
-	vals := []int64{5, 5, 5, 3, 3, 9}
-	m := BuildMCV(intColumn(vals), 2)
+	m := mcvOfSorted([]float64{3, 3, 5, 5, 5, 9}, 2)
 	if len(m.Values) != 2 || m.Values[0] != 5 || m.Values[1] != 3 {
 		t.Fatalf("MCV = %+v", m)
 	}
@@ -201,7 +210,7 @@ func TestHistogramEqualValuesDontStraddle(t *testing.T) {
 	for i := range vals {
 		vals[i] = 42
 	}
-	h := BuildHistogram(intColumn(vals), 8)
+	h := histogramOf(vals, 8)
 	if sel := h.SelectivityEq(42); math.Abs(sel-1) > 1e-9 {
 		t.Fatalf("all-equal eq sel = %v", sel)
 	}
