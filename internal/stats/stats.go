@@ -265,16 +265,6 @@ func Collect(t *data.Table, opts Options) *TableStats {
 			Distinct: float64(distinct),
 			Rows:     float64(t.NumRows()),
 		}
-		// A zero in the list takes the sign of the column's last zero, in
-		// row order, wherever the sort put -0 and +0.
-		if i := slices.Index(cs.MCVs.Values, 0); i >= 0 && c.Kind == data.Float {
-			for j := n - 1; j >= 0; j-- {
-				if c.Flts[j] == 0 {
-					cs.MCVs.Values[i] = c.Flts[j]
-					break
-				}
-			}
-		}
 		if lo, hi, ok := c.MinMax(); ok {
 			cs.Min, cs.Max = lo, hi
 		}
