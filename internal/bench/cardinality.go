@@ -21,9 +21,10 @@ import (
 // matches training.
 func E1Cardinality(_ context.Context, env *Env) (*Report, error) {
 	r := &Report{
-		ID:     "E1",
-		Title:  fmt.Sprintf("Cardinality estimation q-error, dataset=%s (train=%d test=%d)", env.Name, len(env.Train), len(env.Test)),
-		Header: []string{"class", "estimator", "p50", "p90", "p95", "p99", "max", "us/query"},
+		ID:        "E1",
+		Title:     fmt.Sprintf("Cardinality estimation q-error, dataset=%s (train=%d test=%d)", env.Name, len(env.Train), len(env.Test)),
+		Header:    []string{"class", "estimator", "p50", "p90", "p95", "p99", "max", "us/query"},
+		WallClock: []int{7},
 	}
 	ctx := env.CardestContext()
 	for _, inf := range cardest.Registry() {

@@ -13,6 +13,10 @@ type Report struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
+	// WallClock lists the indices of the columns that hold wall-clock
+	// timings: they move with the host, so EXPERIMENTS.md's generated
+	// blocks are checked for their presence, not their values.
+	WallClock []int
 }
 
 // AddRow appends a row of already-formatted cells.
