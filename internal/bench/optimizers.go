@@ -104,11 +104,11 @@ type planner struct {
 var planners = []planner{
 	{"native", "baseline", func() learnedopt.Optimizer { return learnedopt.NewNative() }},
 	{"greedy", "baseline", func() learnedopt.Optimizer { return joinorder.NewGreedy() }},
-	{"random", "baseline", func() learnedopt.Optimizer { return joinorder.NewRandom(0) }},
+	{"random", "baseline", func() learnedopt.Optimizer { return joinorder.NewRandom() }},
 	{"dq", "offline-RL join order", func() learnedopt.Optimizer { return joinorder.NewDQ() }},
 	{"rejoin", "offline-RL join order", func() learnedopt.Optimizer { return joinorder.NewReJoin() }},
 	{"rtos", "offline-RL join order", func() learnedopt.Optimizer { return joinorder.NewRTOS() }},
-	{"skinner-mcts", "online join order", func() learnedopt.Optimizer { return joinorder.NewMCTS(0) }},
+	{"skinner-mcts", "online join order", func() learnedopt.Optimizer { return joinorder.NewMCTS() }},
 	{"eddy", "online join order", func() learnedopt.Optimizer { return joinorder.NewEddy() }},
 	{"bao", "hint steering", func() learnedopt.Optimizer { return learnedopt.NewBao() }},
 	{"lero", "pairwise ranking", func() learnedopt.Optimizer { return learnedopt.NewLero() }},

@@ -15,9 +15,6 @@ import (
 // exact message-passing inference for conjunctive range queries. Joins
 // compose via the System-R formula, as in the original per-table PGMs.
 type BayesNet struct {
-	Bins      int // per-column bins (default 16)
-	TrainRows int // row sample per table (default 4000)
-
 	formula // Estimate and EstimateGraph over tableSel
 	tables  map[string]*bnTable
 }
@@ -30,7 +27,13 @@ type bnTable struct {
 }
 
 // NewBayesNet returns an untrained Chow-Liu estimator.
-func NewBayesNet() *BayesNet { return &BayesNet{Bins: 16, TrainRows: 4000} }
+func NewBayesNet() *BayesNet { return &BayesNet{} }
+
+// BayesNet's binning and row sample.
+const (
+	bnBins      = 16   // per-column bins
+	bnTrainRows = 4000 // row sample per table
+)
 
 // Name implements Estimator.
 func (e *BayesNet) Name() string { return "bayesnet" }
@@ -51,12 +54,12 @@ func (e *BayesNet) Train(ctx *Context) error {
 
 func (e *BayesNet) trainTable(t *data.Table) *bnTable {
 	nc := len(t.Cols)
-	bt := &bnTable{binnedCols: newBinnedCols(t, e.Bins), parent: make([]int, nc)}
+	bt := &bnTable{binnedCols: newBinnedCols(t, bnBins), parent: make([]int, nc)}
 	// Bin a row sample.
 	n := t.NumRows()
 	step := 1
-	if n > e.TrainRows {
-		step = n / e.TrainRows
+	if n > bnTrainRows {
+		step = n / bnTrainRows
 	}
 	var binned [][]int
 	for r := 0; r < n; r += step {
@@ -71,7 +74,7 @@ func (e *BayesNet) trainTable(t *data.Table) *bnTable {
 	// Pairwise mutual information.
 	marg := make([][]float64, nc)
 	for ci := range marg {
-		marg[ci] = make([]float64, e.Bins)
+		marg[ci] = make([]float64, bnBins)
 	}
 	for _, row := range binned {
 		for ci, b := range row {
@@ -79,14 +82,14 @@ func (e *BayesNet) trainTable(t *data.Table) *bnTable {
 		}
 	}
 	mi := func(a, b int) float64 {
-		joint := make([]float64, e.Bins*e.Bins)
+		joint := make([]float64, bnBins*bnBins)
 		for _, row := range binned {
-			joint[row[a]*e.Bins+row[b]]++
+			joint[row[a]*bnBins+row[b]]++
 		}
 		v := 0.0
-		for i := 0; i < e.Bins; i++ {
-			for j := 0; j < e.Bins; j++ {
-				pij := joint[i*e.Bins+j] / m
+		for i := 0; i < bnBins; i++ {
+			for j := 0; j < bnBins; j++ {
+				pij := joint[i*bnBins+j] / m
 				if pij == 0 {
 					continue
 				}
@@ -136,24 +139,24 @@ func (e *BayesNet) trainTable(t *data.Table) *bnTable {
 	for _, ci := range bt.order {
 		p := bt.parent[ci]
 		if p < 0 {
-			tbl := make([]float64, e.Bins)
-			for b := 0; b < e.Bins; b++ {
-				tbl[b] = (marg[ci][b] + 1) / (m + float64(e.Bins))
+			tbl := make([]float64, bnBins)
+			for b := 0; b < bnBins; b++ {
+				tbl[b] = (marg[ci][b] + 1) / (m + float64(bnBins))
 			}
 			bt.cpt[ci] = tbl
 			continue
 		}
-		tbl := make([]float64, e.Bins*e.Bins)
+		tbl := make([]float64, bnBins*bnBins)
 		for _, row := range binned {
-			tbl[row[p]*e.Bins+row[ci]]++
+			tbl[row[p]*bnBins+row[ci]]++
 		}
-		for pb := 0; pb < e.Bins; pb++ {
+		for pb := 0; pb < bnBins; pb++ {
 			sum := 0.0
-			for cb := 0; cb < e.Bins; cb++ {
-				sum += tbl[pb*e.Bins+cb]
+			for cb := 0; cb < bnBins; cb++ {
+				sum += tbl[pb*bnBins+cb]
 			}
-			for cb := 0; cb < e.Bins; cb++ {
-				tbl[pb*e.Bins+cb] = (tbl[pb*e.Bins+cb] + 1) / (sum + float64(e.Bins))
+			for cb := 0; cb < bnBins; cb++ {
+				tbl[pb*bnBins+cb] = (tbl[pb*bnBins+cb] + 1) / (sum + float64(bnBins))
 			}
 		}
 		bt.cpt[ci] = tbl

@@ -72,15 +72,15 @@ type Info struct {
 func Registry() []Info {
 	return []Info{
 		{"histogram", Traditional, func() Estimator { return NewHistogramEstimator() }},
-		{"sampling", Traditional, func() Estimator { return NewSamplingEstimator(0) }},
+		{"sampling", Traditional, func() Estimator { return NewSamplingEstimator() }},
 		{"linear", QueryDriven, func() Estimator { return NewLinearEstimator() }},
 		{"gbdt", QueryDriven, func() Estimator { return NewGBDTEstimator() }},
-		{"quicksel", QueryDriven, func() Estimator { return NewQuickSel(0) }},
+		{"quicksel", QueryDriven, func() Estimator { return NewQuickSel() }},
 		{"mlp", QueryDriven, func() Estimator { return NewMLPEstimator() }},
 		{"mscn", QueryDriven, func() Estimator { return NewMSCN() }},
 		{"robust-mscn", QueryDriven, func() Estimator { return NewRobustMSCN() }},
 		{"fauce", QueryDriven, func() Estimator { return NewFauce() }},
-		{"kde", DataDriven, func() Estimator { return NewKDEEstimator(0) }},
+		{"kde", DataDriven, func() Estimator { return NewKDEEstimator() }},
 		{"naru", DataDriven, func() Estimator { return NewNaru() }},
 		{"bayesnet", DataDriven, func() Estimator { return NewBayesNet() }},
 		{"spn", DataDriven, func() Estimator { return NewSPNEstimator() }},

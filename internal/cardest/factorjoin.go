@@ -22,8 +22,6 @@ import (
 // key column itself mask buckets exactly. Multi-way joins compose edge
 // selectivities, each computed at bucket granularity.
 type FactorJoin struct {
-	Buckets int // buckets per join-key column (default 64)
-
 	cat     *data.Catalog
 	cs      *stats.CatalogStats
 	buckets map[ColKey]*keyBuckets
@@ -36,7 +34,10 @@ type keyBuckets struct {
 }
 
 // NewFactorJoin returns an untrained FactorJoin estimator.
-func NewFactorJoin() *FactorJoin { return &FactorJoin{Buckets: 64} }
+func NewFactorJoin() *FactorJoin { return &FactorJoin{} }
+
+// fjBuckets is the bucket count per join-key column.
+const fjBuckets = 64
 
 // Name implements Estimator.
 func (e *FactorJoin) Name() string { return "factorjoin" }
@@ -61,14 +62,14 @@ func (e *FactorJoin) Train(ctx *Context) error {
 
 func (e *FactorJoin) bucketize(c *data.Column) *keyBuckets {
 	lo, hi, ok := c.MinMax()
-	kb := &keyBuckets{lo: lo, counts: make([]float64, e.Buckets), distinct: make([]float64, e.Buckets)}
+	kb := &keyBuckets{lo: lo, counts: make([]float64, fjBuckets), distinct: make([]float64, fjBuckets)}
 	if !ok || hi <= lo {
 		kb.width = 1
 		kb.counts[0] = float64(c.Len())
 		kb.distinct[0] = 1
 		return kb
 	}
-	kb.width = (hi - lo) / float64(e.Buckets)
+	kb.width = (hi - lo) / float64(fjBuckets)
 	seen := make(map[int64]int) // key → bucket marker for distinct counting
 	n := c.Len()
 	for i := 0; i < n; i++ {
@@ -248,7 +249,7 @@ func (e *FactorJoin) classSelectivity(q *query.Query, members []endpoint) float6
 	if hi <= lo {
 		hi = lo + 1
 	}
-	grid := e.Buckets
+	grid := fjBuckets
 	width := (hi - lo) / float64(grid)
 	counts := make([][]float64, k)
 	dists := make([][]float64, k)

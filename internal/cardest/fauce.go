@@ -15,20 +15,16 @@ import (
 // ensemble mean (log space) is the estimate. No planner here consumes the
 // spread, so it is not computed.
 type Fauce struct {
-	K      int // ensemble size (default 5)
-	Hidden []int
-	Epochs int
-	LR     float64
-
 	f    *Featurizer
 	nets []*ml.Net
 	cat  *data.Catalog
 }
 
 // NewFauce returns an untrained ensemble estimator.
-func NewFauce() *Fauce {
-	return &Fauce{K: 5, Hidden: []int{48, 24}, Epochs: 40, LR: 1e-3}
-}
+func NewFauce() *Fauce { return &Fauce{} }
+
+// fauceK is the ensemble size.
+const fauceK = 5
 
 // Name implements Estimator.
 func (e *Fauce) Name() string { return "fauce" }
@@ -41,10 +37,9 @@ func (e *Fauce) Train(ctx *Context) error {
 	e.cat = ctx.Cat
 	e.f = NewFeaturizer(ctx.Cat, ctx.Stats, ctx.Train)
 	e.nets = e.nets[:0]
-	for k := 0; k < e.K; k++ {
+	for k := 0; k < fauceK; k++ {
 		rng := newRNG(ctx.Seed + 700 + int64(k)*97)
-		sizes := append([]int{e.f.Dim()}, append(e.Hidden, 1)...)
-		net, err := ml.NewNet(sizes, ml.ReLU, rng)
+		net, err := ml.NewNet([]int{e.f.Dim(), 48, 24, 1}, ml.ReLU, rng)
 		if err != nil {
 			return err
 		}
@@ -55,7 +50,7 @@ func (e *Fauce) Train(ctx *Context) error {
 			xs[i] = e.f.Vector(s.Q)
 			ys[i] = logCard(s.Card)
 		}
-		ml.TrainRegression(net, xs, ys, e.Epochs, 16, e.LR, rng)
+		ml.TrainRegression(net, xs, ys, 40, 16, 1e-3, rng)
 		e.nets = append(e.nets, net)
 	}
 	return nil

@@ -150,10 +150,6 @@ func (e *GLUE) Estimate(q *query.Query) float64 {
 // over learned relevance scores), and feeds [query vector ‖ context] to an
 // MLP — retaining the data-encoder/query-analyzer split at laptop scale.
 type ALECE struct {
-	SummaryDim int // per-column summary width (default 10)
-	Epochs     int
-	LR         float64
-
 	f         *Featurizer
 	summaries [][]float64 // per featurizer column index
 	scorer    *ml.Net     // relevance score per column summary (attention)
@@ -161,8 +157,15 @@ type ALECE struct {
 	cat       *data.Catalog
 }
 
+// ALECE's summary width and training schedule.
+const (
+	aleceSummaryDim = 10 // per-column summary width
+	aleceEpochs     = 50
+	aleceLR         = 1e-3
+)
+
 // NewALECE returns an untrained ALECE estimator.
-func NewALECE() *ALECE { return &ALECE{SummaryDim: 10, Epochs: 50, LR: 1e-3} }
+func NewALECE() *ALECE { return &ALECE{} }
 
 // Name implements Estimator.
 func (e *ALECE) Name() string { return "alece" }
@@ -180,17 +183,17 @@ func (e *ALECE) Train(ctx *Context) error {
 		e.summaries[i] = e.summarize(ctx, k)
 	}
 	rng := newRNG(ctx.Seed + 606)
-	scorer, err := ml.NewNet([]int{e.SummaryDim, 8, 1}, ml.Tanh, rng)
+	scorer, err := ml.NewNet([]int{aleceSummaryDim, 8, 1}, ml.Tanh, rng)
 	if err != nil {
 		return err
 	}
 	e.scorer = scorer
-	head, err := ml.NewNet([]int{e.f.Dim() + e.SummaryDim, 48, 1}, ml.ReLU, rng)
+	head, err := ml.NewNet([]int{e.f.Dim() + aleceSummaryDim, 48, 1}, ml.ReLU, rng)
 	if err != nil {
 		return err
 	}
 	e.head = head
-	opt := ml.NewAdam(e.LR, e.scorer, e.head)
+	opt := ml.NewAdam(aleceLR, e.scorer, e.head)
 
 	xs := make([][]float64, len(ctx.Train))
 	cols := make([][]int, len(ctx.Train))
@@ -200,29 +203,14 @@ func (e *ALECE) Train(ctx *Context) error {
 		cols[i] = e.referencedCols(s.Q)
 		ys[i] = logCard(s.Card)
 	}
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	const batch = 16
-	for ep := 0; ep < e.Epochs; ep++ {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for s := 0; s < len(idx); s += batch {
-			end := s + batch
-			if end > len(idx) {
-				end = len(idx)
-			}
-			for _, i := range idx[s:end] {
-				e.trainOne(xs[i], cols[i], ys[i])
-			}
-			opt.Step(end - s)
-		}
-	}
+	ml.Minibatches(rng, len(xs), aleceEpochs, 16, func(i int) {
+		e.trainOne(xs[i], cols[i], ys[i])
+	}, opt.Step)
 	return nil
 }
 
 func (e *ALECE) summarize(ctx *Context, k ColKey) []float64 {
-	out := make([]float64, e.SummaryDim)
+	out := make([]float64, aleceSummaryDim)
 	ts := ctx.Stats.Tables[k.Table]
 	if ts == nil {
 		return out
@@ -263,7 +251,7 @@ func (e *ALECE) referencedCols(q *query.Query) []int {
 // attend computes softmax-weighted context over the referenced columns'
 // summaries; returns context, weights and the scorer caches for backprop.
 func (e *ALECE) attend(cols []int) ([]float64, []float64, []ml.Cache) {
-	ctxVec := make([]float64, e.SummaryDim)
+	ctxVec := make([]float64, aleceSummaryDim)
 	if len(cols) == 0 {
 		return ctxVec, nil, nil
 	}
@@ -276,7 +264,7 @@ func (e *ALECE) attend(cols []int) ([]float64, []float64, []ml.Cache) {
 	}
 	w := ml.Softmax(logits, nil)
 	for i, ci := range cols {
-		for d := 0; d < e.SummaryDim; d++ {
+		for d := 0; d < aleceSummaryDim; d++ {
 			ctxVec[d] += w[i] * e.summaries[ci][d]
 		}
 	}
@@ -298,7 +286,7 @@ func (e *ALECE) trainOne(x []float64, cols []int, y float64) {
 	dw := make([]float64, len(cols))
 	for i, ci := range cols {
 		s := 0.0
-		for d := 0; d < e.SummaryDim; d++ {
+		for d := 0; d < aleceSummaryDim; d++ {
 			s += gradCtx[d] * e.summaries[ci][d]
 		}
 		dw[i] = s

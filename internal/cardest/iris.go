@@ -14,9 +14,6 @@ import (
 // by covering the predicate columns with pairs (joint estimates) plus
 // per-column histograms for the remainder. Joins use the System-R formula.
 type Iris struct {
-	PairBins int // grid resolution per 2-D summary (default 24)
-	MaxPairs int // summaries kept per table (default 4)
-
 	formula // Estimate and EstimateGraph over tableSel
 	tables  map[string]*irisTable
 }
@@ -34,7 +31,13 @@ type irisPair struct {
 }
 
 // NewIris returns an untrained Iris estimator.
-func NewIris() *Iris { return &Iris{PairBins: 24, MaxPairs: 4} }
+func NewIris() *Iris { return &Iris{} }
+
+// Iris's summary budget.
+const (
+	irisPairBins = 24 // grid resolution per 2-D summary
+	irisMaxPairs = 4  // summaries kept per table
+)
 
 // Name implements Estimator.
 func (e *Iris) Name() string { return "iris" }
@@ -75,7 +78,7 @@ func (e *Iris) Train(ctx *Context) error {
 		}
 		sort.Slice(cand, func(i, j int) bool { return cand[i].corr > cand[j].corr })
 		it := &irisTable{}
-		for i := 0; i < len(cand) && i < e.MaxPairs; i++ {
+		for i := 0; i < len(cand) && i < irisMaxPairs; i++ {
 			if cand[i].corr < 0.1 {
 				break
 			}
@@ -87,7 +90,7 @@ func (e *Iris) Train(ctx *Context) error {
 }
 
 func (e *Iris) buildPair(t *data.Table, rows [][]float64, a, b int) irisPair {
-	p := irisPair{colA: t.Cols[a].Name, colB: t.Cols[b].Name, bins: e.PairBins}
+	p := irisPair{colA: t.Cols[a].Name, colB: t.Cols[b].Name, bins: irisPairBins}
 	loA, hiA := math.Inf(1), math.Inf(-1)
 	loB, hiB := math.Inf(1), math.Inf(-1)
 	for _, r := range rows {

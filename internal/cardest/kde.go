@@ -13,9 +13,6 @@ import (
 // joins compose via the System-R formula (the bandwidth-optimized join
 // KDE of [21] is approximated by this composition).
 type KDEEstimator struct {
-	// SampleRows caps kernel centers per table (default 300).
-	SampleRows int
-
 	formula // Estimate and EstimateGraph over tableSel
 	tables  map[string]*kdeTable
 }
@@ -26,13 +23,11 @@ type kdeTable struct {
 	bw     []float64   // bandwidth per column
 }
 
-// NewKDEEstimator returns a KDE estimator; sampleRows <= 0 uses 300.
-func NewKDEEstimator(sampleRows int) *KDEEstimator {
-	if sampleRows <= 0 {
-		sampleRows = 300
-	}
-	return &KDEEstimator{SampleRows: sampleRows}
-}
+// kdeSampleRows caps kernel centers per table.
+const kdeSampleRows = 300
+
+// NewKDEEstimator returns a KDE estimator.
+func NewKDEEstimator() *KDEEstimator { return &KDEEstimator{} }
 
 // Name implements Estimator.
 func (e *KDEEstimator) Name() string { return "kde" }
@@ -45,8 +40,8 @@ func (e *KDEEstimator) Train(ctx *Context) error {
 		t := ctx.Cat.Table(tn)
 		ts := ctx.Stats.Tables[tn]
 		rows := ts.Sample
-		if len(rows) > e.SampleRows {
-			rows = rows[:e.SampleRows]
+		if len(rows) > kdeSampleRows {
+			rows = rows[:kdeSampleRows]
 		}
 		if len(rows) == 0 {
 			continue

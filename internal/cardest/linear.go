@@ -11,16 +11,13 @@ import (
 // LinearEstimator is the earliest query-driven method [36]: ridge
 // regression from the featurized query to log-cardinality.
 type LinearEstimator struct {
-	// Lambda is the ridge penalty (default 1.0).
-	Lambda float64
-
 	f     *Featurizer
 	model *ml.Ridge
 	cat   *data.Catalog
 }
 
 // NewLinearEstimator returns an untrained linear estimator.
-func NewLinearEstimator() *LinearEstimator { return &LinearEstimator{Lambda: 1.0} }
+func NewLinearEstimator() *LinearEstimator { return &LinearEstimator{} }
 
 // Name implements Estimator.
 func (e *LinearEstimator) Name() string { return "linear" }
@@ -38,7 +35,7 @@ func (e *LinearEstimator) Train(ctx *Context) error {
 		xs[i] = e.f.Vector(s.Q)
 		ys[i] = logCard(s.Card)
 	}
-	m, err := ml.FitRidge(xs, ys, e.Lambda)
+	m, err := ml.FitRidge(xs, ys, 1.0)
 	if err != nil {
 		return fmt.Errorf("cardest: linear fit: %w", err)
 	}
@@ -57,18 +54,13 @@ func (e *LinearEstimator) Estimate(q *query.Query) float64 {
 // GBDTEstimator models log-cardinality with gradient-boosted regression
 // trees, the "lightweight model"/XGBoost line of work [9, 10].
 type GBDTEstimator struct {
-	Opts ml.GBDTOptions
-
 	f     *Featurizer
 	model *ml.GBDT
 	cat   *data.Catalog
 }
 
-// NewGBDTEstimator returns an untrained GBDT estimator with default
-// boosting parameters.
-func NewGBDTEstimator() *GBDTEstimator {
-	return &GBDTEstimator{Opts: ml.GBDTOptions{Rounds: 60, LearnRate: 0.15, Tree: ml.TreeOptions{MaxDepth: 5, MinLeafSize: 3}}}
-}
+// NewGBDTEstimator returns an untrained GBDT estimator.
+func NewGBDTEstimator() *GBDTEstimator { return &GBDTEstimator{} }
 
 // Name implements Estimator.
 func (e *GBDTEstimator) Name() string { return "gbdt" }
@@ -86,7 +78,7 @@ func (e *GBDTEstimator) Train(ctx *Context) error {
 		xs[i] = e.f.Vector(s.Q)
 		ys[i] = logCard(s.Card)
 	}
-	e.model = ml.FitGBDT(xs, ys, e.Opts)
+	e.model = ml.FitGBDT(xs, ys, ml.GBDTOptions{Rounds: 60, LearnRate: 0.15, Tree: ml.TreeOptions{MaxDepth: 5, MinLeafSize: 3}})
 	return nil
 }
 

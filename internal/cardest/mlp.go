@@ -12,19 +12,13 @@ import (
 // MLPEstimator is the first DNN cardinality model [32]: a fully connected
 // network from the featurized query to log-cardinality.
 type MLPEstimator struct {
-	Hidden []int // hidden layer widths (default [64, 32])
-	Epochs int   // default 60
-	LR     float64
-
 	f   *Featurizer
 	net *ml.Net
 	cat *data.Catalog
 }
 
 // NewMLPEstimator returns an untrained MLP estimator.
-func NewMLPEstimator() *MLPEstimator {
-	return &MLPEstimator{Hidden: []int{64, 32}, Epochs: 60, LR: 1e-3}
-}
+func NewMLPEstimator() *MLPEstimator { return &MLPEstimator{} }
 
 // Name implements Estimator.
 func (e *MLPEstimator) Name() string { return "mlp" }
@@ -37,8 +31,7 @@ func (e *MLPEstimator) Train(ctx *Context) error {
 	e.cat = ctx.Cat
 	e.f = NewFeaturizer(ctx.Cat, ctx.Stats, ctx.Train)
 	rng := rand.New(rand.NewSource(ctx.Seed + 101))
-	sizes := append([]int{e.f.Dim()}, append(e.Hidden, 1)...)
-	net, err := ml.NewNet(sizes, ml.ReLU, rng)
+	net, err := ml.NewNet([]int{e.f.Dim(), 64, 32, 1}, ml.ReLU, rng)
 	if err != nil {
 		return err
 	}
@@ -49,7 +42,7 @@ func (e *MLPEstimator) Train(ctx *Context) error {
 		xs[i] = e.f.Vector(s.Q)
 		ys[i] = logCard(s.Card)
 	}
-	ml.TrainRegression(e.net, xs, ys, e.Epochs, 16, e.LR, rng)
+	ml.TrainRegression(e.net, xs, ys, 60, 16, 1e-3, rng)
 	return nil
 }
 

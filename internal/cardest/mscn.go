@@ -15,43 +15,40 @@ import (
 // log-cardinality. Gradients flow through the pooling into the set
 // modules, as in the original architecture.
 type MSCN struct {
-	HiddenSet int // set-module output width (default 16)
-	HiddenOut int // output-network hidden width (default 32)
-	Epochs    int
-	LR        float64
-	// MaskProb, when positive, drops predicate/join set elements during
-	// training with this probability — the Robust-MSCN query-masking
-	// technique [45].
-	MaskProb float64
 	// NoJoinModule drops the join set module entirely (ablation E8: how
 	// much of MSCN's accuracy comes from seeing join structure).
 	NoJoinModule bool
 
 	name string
-	f    *Featurizer
-	setT *ml.Net
-	setJ *ml.Net
-	setP *ml.Net
-	out  *ml.Net
-	cat  *data.Catalog
+	// maskProb, when positive, drops predicate/join set elements during
+	// training with this probability — the Robust-MSCN query-masking
+	// technique [45].
+	maskProb float64
+	f        *Featurizer
+	setT     *ml.Net
+	setJ     *ml.Net
+	setP     *ml.Net
+	out      *ml.Net
+	cat      *data.Catalog
 }
 
+// MSCN's shape and training schedule.
+const (
+	mscnHiddenSet = 16 // set-module output width
+	mscnHiddenOut = 32 // output-network hidden width
+	mscnEpochs    = 50
+	mscnLR        = 1e-3
+)
+
 // NewMSCN returns an untrained MSCN with the paper's default shape.
-func NewMSCN() *MSCN {
-	return &MSCN{name: "mscn", HiddenSet: 16, HiddenOut: 32, Epochs: 50, LR: 1e-3}
-}
+func NewMSCN() *MSCN { return &MSCN{name: "mscn"} }
 
 // NewRobustMSCN returns an MSCN trained with query masking [45]: during
 // training a fifth of join/predicate set elements are dropped at random,
 // so the model cannot lean on features that may be absent or novel when
 // the workload shifts. The masking is a regularizer — its benefit needs
 // training volume (see E8's workload-shift rows and EXPERIMENTS.md).
-func NewRobustMSCN() *MSCN {
-	m := NewMSCN()
-	m.name = "robust-mscn"
-	m.MaskProb = 0.2
-	return m
-}
+func NewRobustMSCN() *MSCN { return &MSCN{name: "robust-mscn", maskProb: 0.2} }
 
 // Name implements Estimator.
 func (m *MSCN) Name() string { return m.name }
@@ -64,7 +61,7 @@ func (m *MSCN) Train(ctx *Context) error {
 	m.cat = ctx.Cat
 	m.f = NewFeaturizer(ctx.Cat, ctx.Stats, ctx.Train)
 	rng := rand.New(rand.NewSource(ctx.Seed + 202))
-	h := m.HiddenSet
+	const h = mscnHiddenSet
 	var err error
 	if m.setT, err = ml.NewNet([]int{m.f.TableElemDim(), h, h}, ml.ReLU, rng); err != nil {
 		return err
@@ -75,10 +72,10 @@ func (m *MSCN) Train(ctx *Context) error {
 	if m.setP, err = ml.NewNet([]int{m.f.PredElemDim(), h, h}, ml.ReLU, rng); err != nil {
 		return err
 	}
-	if m.out, err = ml.NewNet([]int{3 * h, m.HiddenOut, 1}, ml.ReLU, rng); err != nil {
+	if m.out, err = ml.NewNet([]int{3 * h, mscnHiddenOut, 1}, ml.ReLU, rng); err != nil {
 		return err
 	}
-	opt := ml.NewAdam(m.LR, m.setT, m.setJ, m.setP, m.out)
+	opt := ml.NewAdam(mscnLR, m.setT, m.setJ, m.setP, m.out)
 
 	type sample struct {
 		tables, joins, preds [][]float64
@@ -92,30 +89,15 @@ func (m *MSCN) Train(ctx *Context) error {
 		}
 		samples[i] = sample{t, j, p, logCard(s.Card)}
 	}
-	idx := make([]int, len(samples))
-	for i := range idx {
-		idx[i] = i
-	}
-	const batch = 16
-	for e := 0; e < m.Epochs; e++ {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for s := 0; s < len(idx); s += batch {
-			end := s + batch
-			if end > len(idx) {
-				end = len(idx)
-			}
-			for _, i := range idx[s:end] {
-				sm := samples[i]
-				joins, preds := sm.joins, sm.preds
-				if m.MaskProb > 0 {
-					joins = maskElements(joins, m.MaskProb, rng)
-					preds = maskElements(preds, m.MaskProb, rng)
-				}
-				m.trainOne(sm.tables, joins, preds, sm.y)
-			}
-			opt.Step(end - s)
+	ml.Minibatches(rng, len(samples), mscnEpochs, 16, func(i int) {
+		sm := samples[i]
+		joins, preds := sm.joins, sm.preds
+		if m.maskProb > 0 {
+			joins = maskElements(joins, m.maskProb, rng)
+			preds = maskElements(preds, m.maskProb, rng)
 		}
-	}
+		m.trainOne(sm.tables, joins, preds, sm.y)
+	}, opt.Step)
 	return nil
 }
 
@@ -166,7 +148,7 @@ func poolBackward(net *ml.Net, caches []ml.Cache, grad []float64) {
 }
 
 func (m *MSCN) trainOne(tables, joins, preds [][]float64, y float64) {
-	h := m.HiddenSet
+	const h = mscnHiddenSet
 	pt, ct := poolForward(m.setT, tables, h)
 	pj, cj := poolForward(m.setJ, joins, h)
 	pp, cp := poolForward(m.setP, preds, h)
@@ -189,7 +171,7 @@ func (m *MSCN) Estimate(q *query.Query) float64 {
 	if m.NoJoinModule {
 		j = nil
 	}
-	h := m.HiddenSet
+	const h = mscnHiddenSet
 	pt, _ := poolForward(m.setT, t, h)
 	pj, _ := poolForward(m.setJ, j, h)
 	pp, _ := poolForward(m.setP, p, h)

@@ -25,17 +25,20 @@ import (
 // not safe for concurrent use; results are deterministic for a fixed call
 // sequence after Train.
 type Naru struct {
-	Bins       int // per-column bins (default 32)
-	Hidden     int // conditional-net hidden width (default 32)
-	Epochs     int // training passes over the row sample (default 3)
-	TrainRows  int // rows sampled per table for training (default 2000)
-	InfSamples int // progressive-sampling paths (default 64)
-
 	cat    *data.Catalog
 	cs     *stats.CatalogStats
 	tables map[string]*naruTable
 	rng    *rand.Rand
 }
+
+// Naru's model shape, training schedule and inference budget.
+const (
+	naruBins       = 32   // per-column bins
+	naruHidden     = 32   // conditional-net hidden width
+	naruEpochs     = 3    // training passes over the row sample
+	naruTrainRows  = 2000 // rows sampled per table for training
+	naruInfSamples = 64   // progressive-sampling paths
+)
 
 type naruTable struct {
 	binnedCols
@@ -43,9 +46,7 @@ type naruTable struct {
 }
 
 // NewNaru returns an untrained auto-regressive estimator.
-func NewNaru() *Naru {
-	return &Naru{Bins: 32, Hidden: 32, Epochs: 3, TrainRows: 2000, InfSamples: 64}
-}
+func NewNaru() *Naru { return &Naru{} }
 
 // Name implements Estimator.
 func (e *Naru) Name() string { return "naru" }
@@ -72,15 +73,15 @@ func (e *Naru) Train(ctx *Context) error {
 }
 
 func (e *Naru) trainTable(t *data.Table) (*naruTable, error) {
-	nt := &naruTable{binnedCols: newBinnedCols(t, e.Bins)}
+	nt := &naruTable{binnedCols: newBinnedCols(t, naruBins)}
 	nc := len(t.Cols)
 	nets := make([]*ml.Net, nc)
 	for i := 0; i < nc; i++ {
-		in := i * e.Bins
+		in := i * naruBins
 		if in == 0 {
 			in = 1 // constant input for the first column's marginal
 		}
-		net, err := ml.NewNet([]int{in, e.Hidden, e.Bins}, ml.ReLU, e.rng)
+		net, err := ml.NewNet([]int{in, naruHidden, naruBins}, ml.ReLU, e.rng)
 		if err != nil {
 			return nil, err
 		}
@@ -90,46 +91,36 @@ func (e *Naru) trainTable(t *data.Table) (*naruTable, error) {
 
 	// Sample training rows.
 	n := t.NumRows()
-	rows := make([]int, 0, e.TrainRows)
-	if n <= e.TrainRows {
+	rows := make([]int, 0, naruTrainRows)
+	if n <= naruTrainRows {
 		for i := 0; i < n; i++ {
 			rows = append(rows, i)
 		}
 	} else {
-		for i := 0; i < e.TrainRows; i++ {
+		for i := 0; i < naruTrainRows; i++ {
 			rows = append(rows, e.rng.Intn(n))
 		}
 	}
 	opt := ml.NewAdam(2e-3, nets...)
-	probs := make([]float64, e.Bins)
-	const batch = 16
-	for ep := 0; ep < e.Epochs; ep++ {
-		e.rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
-		for s := 0; s < len(rows); s += batch {
-			end := s + batch
-			if end > len(rows) {
-				end = len(rows)
-			}
-			for _, r := range rows[s:end] {
-				// Bin the row once.
-				rowBins := make([]int, nc)
-				for ci, c := range t.Cols {
-					rowBins[ci] = binOf(nt.bounds[ci], c.Float(r))
-				}
-				// One CE step per conditional.
-				for ci := 0; ci < nc; ci++ {
-					x := nt.condInput(rowBins[:ci])
-					cche := nets[ci].ForwardCache(x)
-					ml.Softmax(cche.Output(), probs)
-					grad := make([]float64, e.Bins)
-					copy(grad, probs)
-					grad[rowBins[ci]] -= 1
-					nets[ci].Backward(cche, grad)
-				}
-			}
-			opt.Step(end - s)
+	probs := make([]float64, naruBins)
+	ml.Minibatches(e.rng, len(rows), naruEpochs, 16, func(i int) {
+		r := rows[i]
+		// Bin the row once.
+		rowBins := make([]int, nc)
+		for ci, c := range t.Cols {
+			rowBins[ci] = binOf(nt.bounds[ci], c.Float(r))
 		}
-	}
+		// One CE step per conditional.
+		for ci := 0; ci < nc; ci++ {
+			x := nt.condInput(rowBins[:ci])
+			cche := nets[ci].ForwardCache(x)
+			ml.Softmax(cche.Output(), probs)
+			grad := make([]float64, naruBins)
+			copy(grad, probs)
+			grad[rowBins[ci]] -= 1
+			nets[ci].Backward(cche, grad)
+		}
+	}, opt.Step)
 	return nt, nil
 }
 
@@ -196,7 +187,7 @@ func (e *Naru) tableSel(tn string, preds []query.Pred, alias string) float64 {
 
 	probs := make([]float64, nt.bins)
 	total := 0.0
-	for s := 0; s < e.InfSamples; s++ {
+	for s := 0; s < naruInfSamples; s++ {
 		p := 1.0
 		prev := make([]int, 0, len(nt.cols))
 		for ci := range nt.cols {
@@ -235,7 +226,7 @@ func (e *Naru) tableSel(tn string, preds []query.Pred, alias string) float64 {
 		}
 		total += p
 	}
-	return total / float64(e.InfSamples)
+	return total / naruInfSamples
 }
 
 func sampleBin(probs []float64, rng *rand.Rand) int {

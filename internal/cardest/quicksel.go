@@ -18,9 +18,6 @@ import (
 // mixture weights is enforced by clipping + renormalization instead of
 // quadratic programming.
 type QuickSel struct {
-	// Components is the mixture size per table (default 30).
-	Components int
-
 	formula // Estimate and EstimateGraph over tableSel
 	f       *Featurizer
 	models  map[string]*quickselTable
@@ -32,13 +29,11 @@ type quickselTable struct {
 	weights []float64
 }
 
-// NewQuickSel returns a QuickSel estimator; components <= 0 uses 30.
-func NewQuickSel(components int) *QuickSel {
-	if components <= 0 {
-		components = 30
-	}
-	return &QuickSel{Components: components}
-}
+// quickselComponents is the mixture size per table.
+const quickselComponents = 30
+
+// NewQuickSel returns a QuickSel estimator.
+func NewQuickSel() *QuickSel { return &QuickSel{} }
 
 // Name implements Estimator.
 func (e *QuickSel) Name() string { return "quicksel" }
@@ -94,7 +89,7 @@ func (e *QuickSel) Train(ctx *Context) error {
 			continue
 		}
 		mt := &quickselTable{cols: cols}
-		k := e.Components
+		k := quickselComponents
 		if k > len(observations)*2 {
 			k = len(observations) * 2
 		}

@@ -14,29 +14,23 @@ import (
 // departure). Zero sample hits fall back to a fraction-of-a-row estimate,
 // reproducing sampling's well-known failure mode on selective joins.
 type SamplingEstimator struct {
-	// SampleRows is the per-table sample size (default 150).
-	SampleRows int
-
 	miniCat *data.Catalog
 	scale   map[string]float64 // table → N/n
 	ex      *exec.Executor
 	cat     *data.Catalog
 }
 
-// NewSamplingEstimator returns a sampling estimator; sampleRows <= 0 uses
-// the default of 150 rows per table.
-func NewSamplingEstimator(sampleRows int) *SamplingEstimator {
-	if sampleRows <= 0 {
-		sampleRows = 150
-	}
-	return &SamplingEstimator{SampleRows: sampleRows}
-}
+// samplingRows is the per-table sample size.
+const samplingRows = 150
+
+// NewSamplingEstimator returns a sampling estimator.
+func NewSamplingEstimator() *SamplingEstimator { return &SamplingEstimator{} }
 
 // Name implements Estimator.
 func (s *SamplingEstimator) Name() string { return "sampling" }
 
 // Train materializes per-table samples (using the row ids sampled during
-// statistics collection, truncated to SampleRows) into a mini-catalog.
+// statistics collection, truncated to samplingRows) into a mini-catalog.
 func (s *SamplingEstimator) Train(ctx *Context) error {
 	s.cat = ctx.Cat
 	s.miniCat = data.NewCatalog()
@@ -45,8 +39,8 @@ func (s *SamplingEstimator) Train(ctx *Context) error {
 		t := ctx.Cat.Table(tn)
 		ts := ctx.Stats.Tables[tn]
 		rows := ts.Sample
-		if len(rows) > s.SampleRows {
-			rows = rows[:s.SampleRows]
+		if len(rows) > samplingRows {
+			rows = rows[:samplingRows]
 		}
 		mini := data.NewTable(tn)
 		for _, c := range t.Cols {

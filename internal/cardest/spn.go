@@ -17,11 +17,9 @@ import (
 // fanout-network extension of DeepDB is approximated by FactorJoin's
 // bucket method elsewhere in the package).
 type SPNEstimator struct {
-	MinRows   int     // stop splitting below this many rows (default 64)
-	MaxDepth  int     // recursion cap (default 8)
-	CorrThr   float64 // |corr| above which columns are grouped (default 0.3)
-	LeafBins  int     // histogram bins at leaves (default 32)
-	TrainRows int     // row sample per table (default 4000)
+	// CorrThr is the |corr| above which columns are grouped (default
+	// 0.3; ablation E8 sweeps it).
+	CorrThr float64
 
 	formula // Estimate and EstimateGraph over tableSel
 	tables  map[string]*spnNode
@@ -54,8 +52,16 @@ const (
 
 // NewSPNEstimator returns an untrained SPN estimator.
 func NewSPNEstimator() *SPNEstimator {
-	return &SPNEstimator{MinRows: 64, MaxDepth: 8, CorrThr: 0.3, LeafBins: 32, TrainRows: 4000}
+	return &SPNEstimator{CorrThr: 0.3}
 }
+
+// The SPN's structure-learning budget.
+const (
+	spnMinRows   = 64   // stop splitting below this many rows
+	spnMaxDepth  = 8    // recursion cap
+	spnLeafBins  = 32   // histogram bins at leaves
+	spnTrainRows = 4000 // row sample per table
+)
 
 // Name implements Estimator.
 func (e *SPNEstimator) Name() string { return "spn" }
@@ -73,8 +79,8 @@ func (e *SPNEstimator) Train(ctx *Context) error {
 			continue
 		}
 		step := 1
-		if n > e.TrainRows {
-			step = n / e.TrainRows
+		if n > spnTrainRows {
+			step = n / spnTrainRows
 		}
 		var rows [][]float64
 		for r := 0; r < n; r += step {
@@ -100,7 +106,7 @@ func (e *SPNEstimator) build(rows [][]float64, cols []int, depth int, rng *rand.
 	if len(cols) == 1 {
 		return e.leaf(rows, cols[0])
 	}
-	if len(rows) >= e.MinRows && depth < e.MaxDepth {
+	if len(rows) >= spnMinRows && depth < spnMaxDepth {
 		groups := e.correlationGroups(rows, cols)
 		if len(groups) > 1 {
 			n := &spnNode{kind: spnProduct}
@@ -110,7 +116,7 @@ func (e *SPNEstimator) build(rows [][]float64, cols []int, depth int, rng *rand.
 			return n
 		}
 		// All columns correlated: split rows.
-		if len(rows) >= 2*e.MinRows {
+		if len(rows) >= 2*spnMinRows {
 			norm := e.normalizeRows(rows, cols)
 			km := ml.KMeans(norm, 2, 10, rng)
 			var a, b [][]float64
@@ -235,7 +241,7 @@ func (e *SPNEstimator) leaf(rows [][]float64, col int) *spnNode {
 	return &spnNode{
 		kind:     spnLeaf,
 		leafCol:  col,
-		leafHist: stats.BuildHistogramFromValues(vals, e.LeafBins),
+		leafHist: stats.BuildHistogramFromValues(vals, spnLeafBins),
 	}
 }
 

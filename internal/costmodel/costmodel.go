@@ -190,9 +190,5 @@ func (m *Calibrated) Train(ctx *Context) error {
 // Predict implements Model.
 func (m *Calibrated) Predict(q *query.Query, p *plan.Node) float64 {
 	x := math.Log1p(m.cm.PlanCost(p.Clone()))
-	v := math.Expm1(m.a*x + m.b)
-	if v < 0 || math.IsNaN(v) {
-		return 0
-	}
-	return v
+	return latencyOf(m.a*x + m.b)
 }

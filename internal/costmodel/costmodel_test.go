@@ -189,7 +189,7 @@ func TestZeroShotTransfers(t *testing.T) {
 }
 
 // TestTreeConvEmbedding checks the root embedding Predict's head reads:
-// EmbDim wide and free of NaN after training.
+// embDim wide and free of NaN after training.
 func TestTreeConvEmbedding(t *testing.T) {
 	w := buildWorld(t)
 	tc := NewTreeConv()
@@ -197,8 +197,8 @@ func TestTreeConvEmbedding(t *testing.T) {
 	if err := tc.Train(w.ctx); err != nil {
 		t.Fatal(err)
 	}
-	emb, _ := tc.forwardNode(w.test[0].Plan)
-	if len(emb) != tc.EmbDim {
+	emb, _ := tc.enc.forward(w.test[0].Plan)
+	if len(emb) != embDim {
 		t.Fatalf("embedding dim = %d", len(emb))
 	}
 	for _, v := range emb {
@@ -238,7 +238,6 @@ func TestPlanFeaturizerShapes(t *testing.T) {
 func TestMultiTaskBothHeads(t *testing.T) {
 	w := buildWorld(t)
 	m := NewMultiTask()
-	m.Epochs = 30
 	if err := m.Train(w.ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +245,7 @@ func TestMultiTaskBothHeads(t *testing.T) {
 	for _, tp := range w.test {
 		latPred = append(latPred, m.Predict(tp.Q, tp.Plan))
 		latTruth = append(latTruth, tp.Latency)
-		emb, _ := m.forwardNode(tp.Plan)
+		emb, _ := m.enc.forward(tp.Plan)
 		cardPred = append(cardPred, m.cardHead.Forward(emb)[0]) // log1p(card): same ranks
 		cardTruth = append(cardTruth, tp.Plan.TrueCard)
 	}

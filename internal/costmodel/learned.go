@@ -55,7 +55,20 @@ func (m *GBDTCost) Predict(q *query.Query, p *plan.Node) float64 {
 	if m.model == nil {
 		return 0
 	}
-	v := math.Expm1(m.model.Predict(m.f.Vector(p)))
+	return latencyOf(m.model.Predict(m.f.Vector(p)))
+}
+
+// The learned networks' shared training constants.
+const (
+	learnRate  = 1e-3
+	embDim     = 16 // tree embedding width (TreeConv, MultiTask)
+	treeEpochs = 60 // TreeConv's default and MultiTask's epoch count
+)
+
+// latencyOf maps a model's log1p-latency output back to work units,
+// never negative or NaN as Model.Predict promises.
+func latencyOf(logLat float64) float64 {
+	v := math.Expm1(logLat)
 	if v < 0 || math.IsNaN(v) {
 		return 0
 	}
@@ -64,15 +77,12 @@ func (m *GBDTCost) Predict(q *query.Query, p *plan.Node) float64 {
 
 // MLPCost is the fully connected plan-cost network of [39]'s flat variant.
 type MLPCost struct {
-	Epochs int
-	LR     float64
-
 	f   *PlanFeaturizer
 	net *ml.Net
 }
 
 // NewMLPCost returns an untrained MLP cost model.
-func NewMLPCost() *MLPCost { return &MLPCost{Epochs: 80, LR: 1e-3} }
+func NewMLPCost() *MLPCost { return &MLPCost{} }
 
 // Name implements Model.
 func (m *MLPCost) Name() string { return "mlp-cost" }
@@ -96,7 +106,7 @@ func (m *MLPCost) Train(ctx *Context) error {
 		xs[i] = m.f.Vector(tp.Plan)
 		ys[i] = math.Log1p(tp.Latency)
 	}
-	ml.TrainRegression(m.net, xs, ys, m.Epochs, 16, m.LR, rng)
+	ml.TrainRegression(m.net, xs, ys, 80, 16, learnRate, rng)
 	return nil
 }
 
@@ -105,29 +115,80 @@ func (m *MLPCost) Predict(q *query.Query, p *plan.Node) float64 {
 	if m.net == nil {
 		return 0
 	}
-	v := math.Expm1(m.net.Forward(m.f.Vector(p))[0])
-	if v < 0 || math.IsNaN(v) {
-		return 0
+	return latencyOf(m.net.Forward(m.f.Vector(p))[0])
+}
+
+// treeEncoder is the recursive plan-tree encoder TreeConv and MultiTask
+// share: each node's embedding is a combiner network over [node features
+// ‖ left child embedding ‖ right child embedding], zeros standing in for
+// a missing child. Gradients flow back through the recursion.
+type treeEncoder struct {
+	combine *ml.Net
+}
+
+// newTreeEncoder returns an untrained encoder with embDim-wide
+// embeddings.
+func newTreeEncoder(rng *rand.Rand) (treeEncoder, error) {
+	combine, err := ml.NewNet([]int{NodeFeatureDim + 2*embDim, 32, embDim}, ml.ReLU, rng)
+	return treeEncoder{combine}, err
+}
+
+// dim is the embedding width: the combiner's output.
+func (e treeEncoder) dim() int { return e.combine.Layers[len(e.combine.Layers)-1].Out }
+
+// treeCache stores the forward state of one plan node for backprop.
+type treeCache struct {
+	cache       ml.Cache
+	left, right *treeCache
+}
+
+// forward returns n's embedding and the state backward needs.
+func (e treeEncoder) forward(n *plan.Node) ([]float64, *treeCache) {
+	d := e.dim()
+	tc := &treeCache{}
+	leftEmb := make([]float64, d)
+	rightEmb := make([]float64, d)
+	if n.Left != nil {
+		leftEmb, tc.left = e.forward(n.Left)
 	}
-	return v
+	if n.Right != nil {
+		rightEmb, tc.right = e.forward(n.Right)
+	}
+	in := make([]float64, 0, NodeFeatureDim+2*d)
+	in = append(in, NodeFeatures(n)...)
+	in = append(in, leftEmb...)
+	in = append(in, rightEmb...)
+	tc.cache = e.combine.ForwardCache(in)
+	return tc.cache.Output(), tc
+}
+
+// backward accumulates the combiner's gradients for the upstream
+// gradient grad on the embedding forward returned with tc.
+func (e treeEncoder) backward(tc *treeCache, grad []float64) {
+	d := e.dim()
+	gradIn := e.combine.Backward(tc.cache, grad)
+	if tc.left != nil {
+		e.backward(tc.left, gradIn[NodeFeatureDim:NodeFeatureDim+d])
+	}
+	if tc.right != nil {
+		e.backward(tc.right, gradIn[NodeFeatureDim+d:])
+	}
 }
 
 // TreeConv is the recursive tree-structured cost model of the
-// TreeConv/Tree-LSTM line [39, 51, 41]: each node's embedding is computed
-// by a shared combiner network over [node features ‖ left child embedding
-// ‖ right child embedding] (zeros at leaves), and a head network maps the
-// root embedding to log-latency. Gradients flow through the recursion.
+// TreeConv/Tree-LSTM line [39, 51, 41]: the tree encoder embeds the plan
+// and a head network maps the root embedding to log-latency.
 type TreeConv struct {
-	EmbDim int // embedding width (default 16)
+	// Epochs is the training schedule (default 60; Bao's value model
+	// trains 120).
 	Epochs int
-	LR     float64
 
-	combine *ml.Net
-	head    *ml.Net
+	enc  treeEncoder
+	head *ml.Net
 }
 
 // NewTreeConv returns an untrained tree-structured cost model.
-func NewTreeConv() *TreeConv { return &TreeConv{EmbDim: 16, Epochs: 60, LR: 1e-3} }
+func NewTreeConv() *TreeConv { return &TreeConv{Epochs: treeEpochs} }
 
 // Name implements Model.
 func (m *TreeConv) Name() string { return "treeconv" }
@@ -139,78 +200,26 @@ func (m *TreeConv) Train(ctx *Context) error {
 		return fmt.Errorf("costmodel: treeconv needs executed plans")
 	}
 	rng := newRNG(ctx.Seed + 13)
-	in := NodeFeatureDim + 2*m.EmbDim
 	var err error
-	if m.combine, err = ml.NewNet([]int{in, 32, m.EmbDim}, ml.ReLU, rng); err != nil {
+	if m.enc, err = newTreeEncoder(rng); err != nil {
 		return err
 	}
-	if m.head, err = ml.NewNet([]int{m.EmbDim, 16, 1}, ml.ReLU, rng); err != nil {
+	if m.head, err = ml.NewNet([]int{embDim, 16, 1}, ml.ReLU, rng); err != nil {
 		return err
 	}
-	opt := ml.NewAdam(m.LR, m.combine, m.head)
-
-	idx := make([]int, len(plans))
-	for i := range idx {
-		idx[i] = i
-	}
-	const batch = 8
-	for e := 0; e < m.Epochs; e++ {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for s := 0; s < len(idx); s += batch {
-			end := s + batch
-			if end > len(idx) {
-				end = len(idx)
-			}
-			for _, i := range idx[s:end] {
-				tp := plans[i]
-				m.trainOne(tp.Plan, math.Log1p(tp.Latency))
-			}
-			opt.Step(end - s)
-		}
-	}
+	opt := ml.NewAdam(learnRate, m.enc.combine, m.head)
+	ml.Minibatches(rng, len(plans), m.Epochs, 8, func(i int) {
+		m.trainOne(plans[i].Plan, math.Log1p(plans[i].Latency))
+	}, opt.Step)
 	return nil
 }
 
-// treeCache stores the forward state of one plan node for backprop.
-type treeCache struct {
-	cache       ml.Cache
-	left, right *treeCache
-}
-
-func (m *TreeConv) forwardNode(n *plan.Node) ([]float64, *treeCache) {
-	tc := &treeCache{}
-	leftEmb := make([]float64, m.EmbDim)
-	rightEmb := make([]float64, m.EmbDim)
-	if n.Left != nil {
-		leftEmb, tc.left = m.forwardNode(n.Left)
-	}
-	if n.Right != nil {
-		rightEmb, tc.right = m.forwardNode(n.Right)
-	}
-	in := make([]float64, 0, NodeFeatureDim+2*m.EmbDim)
-	in = append(in, NodeFeatures(n)...)
-	in = append(in, leftEmb...)
-	in = append(in, rightEmb...)
-	tc.cache = m.combine.ForwardCache(in)
-	return tc.cache.Output(), tc
-}
-
-func (m *TreeConv) backwardNode(tc *treeCache, grad []float64) {
-	gradIn := m.combine.Backward(tc.cache, grad)
-	if tc.left != nil {
-		m.backwardNode(tc.left, gradIn[NodeFeatureDim:NodeFeatureDim+m.EmbDim])
-	}
-	if tc.right != nil {
-		m.backwardNode(tc.right, gradIn[NodeFeatureDim+m.EmbDim:])
-	}
-}
-
 func (m *TreeConv) trainOne(p *plan.Node, y float64) {
-	emb, tc := m.forwardNode(p)
+	emb, tc := m.enc.forward(p)
 	hc := m.head.ForwardCache(emb)
 	diff := hc.Output()[0] - y
 	gradEmb := m.head.Backward(hc, []float64{2 * diff})
-	m.backwardNode(tc, gradEmb)
+	m.enc.backward(tc, gradEmb)
 }
 
 // Predict implements Model.
@@ -218,10 +227,6 @@ func (m *TreeConv) Predict(q *query.Query, p *plan.Node) float64 {
 	if m.head == nil {
 		return 0
 	}
-	emb, _ := m.forwardNode(p)
-	v := math.Expm1(m.head.Forward(emb)[0])
-	if v < 0 || math.IsNaN(v) {
-		return 0
-	}
-	return v
+	emb, _ := m.enc.forward(p)
+	return latencyOf(m.head.Forward(emb)[0])
 }

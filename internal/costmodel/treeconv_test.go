@@ -15,14 +15,14 @@ import (
 // the TreeConv architecture.
 func TestTreeConvGradientCheck(t *testing.T) {
 	m := NewTreeConv()
-	m.EmbDim = 4
+	const dim = 4
 	rng := newRNG(7)
-	in := NodeFeatureDim + 2*m.EmbDim
-	var err error
-	if m.combine, err = ml.NewNet([]int{in, 6, m.EmbDim}, ml.Tanh, rng); err != nil {
+	combine, err := ml.NewNet([]int{NodeFeatureDim + 2*dim, 6, dim}, ml.Tanh, rng)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if m.head, err = ml.NewNet([]int{m.EmbDim, 4, 1}, ml.Tanh, rng); err != nil {
+	m.enc = treeEncoder{combine}
+	if m.head, err = ml.NewNet([]int{dim, 4, 1}, ml.Tanh, rng); err != nil {
 		t.Fatal(err)
 	}
 
@@ -35,15 +35,13 @@ func TestTreeConvGradientCheck(t *testing.T) {
 	root.EstCard = 50
 
 	loss := func() float64 {
-		emb, _ := m.forwardNode(root)
+		emb, _ := m.enc.forward(root)
 		out := m.head.Forward(emb)[0]
 		d := out - 3.0
 		return d * d
 	}
 
-	// Analytic gradients.
-	m.combine.ZeroGrad()
-	m.head.ZeroGrad()
+	// Analytic gradients (a new net's accumulated gradients are zero).
 	m.trainOne(root, 3.0)
 
 	check := func(name string, w, dw []float64) {
@@ -62,8 +60,8 @@ func TestTreeConvGradientCheck(t *testing.T) {
 			}
 		}
 	}
-	check("combine.W0", m.combine.Layers[0].W, gradW(m.combine, 0))
-	check("combine.W1", m.combine.Layers[1].W, gradW(m.combine, 1))
+	check("combine.W0", m.enc.combine.Layers[0].W, gradW(m.enc.combine, 0))
+	check("combine.W1", m.enc.combine.Layers[1].W, gradW(m.enc.combine, 1))
 	check("head.W0", m.head.Layers[0].W, gradW(m.head, 0))
 }
 

@@ -23,8 +23,13 @@ import (
 	"lqo/internal/query"
 )
 
-// episodes is how many training episodes the RL searchers run.
-const episodes = 300
+// The RL searchers' training schedule: how many episodes they run, and
+// the ε-greedy exploration rate DQ and RTOS start from (decayed per
+// episode).
+const (
+	episodes       = 300
+	exploreEpsilon = 0.2
+)
 
 // Greedy is the classical greedy baseline.
 type Greedy struct{ base *opt.Optimizer }
@@ -47,11 +52,10 @@ func (s *Greedy) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
 type Random struct {
 	base *opt.Optimizer
 	rng  *rand.Rand
-	seed int64
 }
 
 // NewRandom returns the random-order baseline.
-func NewRandom(seed int64) *Random { return &Random{seed: seed} }
+func NewRandom() *Random { return &Random{} }
 
 // Name implements learnedopt.Optimizer.
 func (s *Random) Name() string { return "random" }
@@ -59,7 +63,7 @@ func (s *Random) Name() string { return "random" }
 // Train implements learnedopt.Optimizer.
 func (s *Random) Train(_ context.Context, lc *learnedopt.Context) error {
 	s.base = lc.Base
-	s.rng = rand.New(rand.NewSource(lc.Seed + s.seed + 23))
+	s.rng = rand.New(rand.NewSource(lc.Seed + 23))
 	return nil
 }
 

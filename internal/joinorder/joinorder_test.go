@@ -59,11 +59,11 @@ var searchers = []struct {
 }{
 	{"dp", func() learnedopt.Optimizer { return learnedopt.NewNative() }},
 	{"greedy", func() learnedopt.Optimizer { return NewGreedy() }},
-	{"random", func() learnedopt.Optimizer { return NewRandom(0) }},
+	{"random", func() learnedopt.Optimizer { return NewRandom() }},
 	{"dq", func() learnedopt.Optimizer { return NewDQ() }},
 	{"rejoin", func() learnedopt.Optimizer { return NewReJoin() }},
 	{"rtos", func() learnedopt.Optimizer { return NewRTOS() }},
-	{"skinner-mcts", func() learnedopt.Optimizer { return NewMCTS(0) }},
+	{"skinner-mcts", func() learnedopt.Optimizer { return NewMCTS() }},
 	{"eddy", func() learnedopt.Optimizer { return NewEddy() }},
 }
 
@@ -148,12 +148,12 @@ func costRatio(t *testing.T, f *fixture, s learnedopt.Optimizer) float64 {
 
 func TestLearnedSearchersBeatRandom(t *testing.T) {
 	f := getFixture(t)
-	random := NewRandom(0)
+	random := NewRandom()
 	if err := random.Train(context.Background(), f.lc); err != nil {
 		t.Fatal(err)
 	}
 	randRatio := costRatio(t, f, random)
-	for _, s := range []learnedopt.Optimizer{NewDQ(), NewMCTS(0), NewEddy()} {
+	for _, s := range []learnedopt.Optimizer{NewDQ(), NewMCTS(), NewEddy()} {
 		name := s.Name()
 		if err := s.Train(context.Background(), f.lc); err != nil {
 			t.Fatal(err)
@@ -170,7 +170,7 @@ func TestLearnedSearchersBeatRandom(t *testing.T) {
 
 func TestMCTSApproachesDP(t *testing.T) {
 	f := getFixture(t)
-	s := NewMCTS(300)
+	s := NewMCTS()
 	if err := s.Train(context.Background(), f.lc); err != nil {
 		t.Fatal(err)
 	}

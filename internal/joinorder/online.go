@@ -23,22 +23,18 @@ import (
 // The search dynamics (UCT selection, incremental tree growth, best-order
 // extraction) follow the paper.
 type MCTS struct {
-	// Iterations per query (default 200).
-	Iterations int
-	// C is the UCT exploration constant (default 1.2).
-	C float64
-
 	base *opt.Optimizer
 	rng  *rand.Rand
 }
 
-// NewMCTS returns an online MCTS searcher; iterations <= 0 uses 200.
-func NewMCTS(iterations int) *MCTS {
-	if iterations <= 0 {
-		iterations = 200
-	}
-	return &MCTS{Iterations: iterations, C: 1.2}
-}
+// MCTS's simulation budget per query and its UCT exploration constant.
+const (
+	mctsIterations = 200
+	mctsC          = 1.2
+)
+
+// NewMCTS returns an online MCTS searcher.
+func NewMCTS() *MCTS { return &MCTS{} }
 
 // Name implements learnedopt.Optimizer.
 func (s *MCTS) Name() string { return "skinner-mcts" }
@@ -67,7 +63,7 @@ func (s *MCTS) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
 
 	bestCost := math.Inf(1)
 	var bestOrder []string
-	for it := 0; it < s.Iterations; it++ {
+	for it := 0; it < mctsIterations; it++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -140,7 +136,7 @@ func (s *MCTS) selectUCT(node *uctNode, cands []string) string {
 	pick := cands[0]
 	for _, a := range cands {
 		ch := node.children[a]
-		ucb := ch.total/ch.visits + s.C*math.Sqrt(math.Log(node.visits+1)/ch.visits)
+		ucb := ch.total/ch.visits + mctsC*math.Sqrt(math.Log(node.visits+1)/ch.visits)
 		if ucb > best {
 			best, pick = ucb, a
 		}

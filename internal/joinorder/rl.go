@@ -117,17 +117,17 @@ func argmax(cands []string, value func(a string) float64) string {
 // and the function class is linear; RTOS below provides the neural
 // variant.
 type DQ struct {
-	Alpha   float64 // learning rate (default 0.05)
-	Epsilon float64 // exploration (default 0.2, decayed)
-
 	f    *stateFeatures
 	w    []float64
 	base *opt.Optimizer
 	rng  *rand.Rand
 }
 
+// dqAlpha is DQ's learning rate.
+const dqAlpha = 0.05
+
 // NewDQ returns an untrained DQ searcher.
-func NewDQ() *DQ { return &DQ{Alpha: 0.05, Epsilon: 0.2} }
+func NewDQ() *DQ { return &DQ{} }
 
 // Name implements learnedopt.Optimizer.
 func (s *DQ) Name() string { return "dq" }
@@ -149,7 +149,7 @@ func (s *DQ) Train(ctx context.Context, lc *learnedopt.Context) error {
 	if len(lc.Workload) == 0 {
 		return nil
 	}
-	eps := s.Epsilon
+	eps := exploreEpsilon
 	for ep := 0; ep < episodes; ep++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -170,7 +170,7 @@ func (s *DQ) Train(ctx context.Context, lc *learnedopt.Context) error {
 		for _, x := range steps {
 			err := g - s.q(x)
 			for i, v := range x {
-				s.w[i] += s.Alpha * err * v
+				s.w[i] += dqAlpha * err * v
 			}
 		}
 		eps *= 0.995
@@ -190,17 +190,20 @@ func (s *DQ) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
 // candidate actions with linear scores, trained by REINFORCE on the same
 // episode protocol as DQ.
 type ReJoin struct {
-	Alpha float64 // learning rate (default 0.05)
-	Temp  float64 // softmax temperature (default 1)
-
 	f     *stateFeatures
 	theta []float64
 	base  *opt.Optimizer
 	rng   *rand.Rand
 }
 
+// ReJoin's learning rate and softmax temperature.
+const (
+	rejoinAlpha = 0.05
+	rejoinTemp  = 1
+)
+
 // NewReJoin returns an untrained ReJoin searcher.
-func NewReJoin() *ReJoin { return &ReJoin{Alpha: 0.05, Temp: 1} }
+func NewReJoin() *ReJoin { return &ReJoin{} }
 
 // Name implements learnedopt.Optimizer.
 func (s *ReJoin) Name() string { return "rejoin" }
@@ -219,7 +222,7 @@ func (s *ReJoin) policy(q *query.Query, g *query.JoinGraph, joined map[string]bo
 	logits := make([]float64, len(cands))
 	for i, a := range cands {
 		feats[i] = s.f.vector(q, g, joined, a)
-		logits[i] = s.score(feats[i]) / s.Temp
+		logits[i] = s.score(feats[i]) / rejoinTemp
 	}
 	return ml.Softmax(logits, nil), feats
 }
@@ -275,7 +278,7 @@ func (s *ReJoin) Train(ctx context.Context, lc *learnedopt.Context) error {
 					coeff += 1
 				}
 				for d, v := range f {
-					s.theta[d] += s.Alpha * adv * coeff * v / s.Temp
+					s.theta[d] += rejoinAlpha * adv * coeff * v / rejoinTemp
 				}
 			}
 		}
@@ -302,9 +305,6 @@ func (s *ReJoin) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
 // to DQ but Q(s, a) is a small MLP, standing in for the paper's Tree-LSTM
 // state encoder at workbench scale.
 type RTOS struct {
-	Epsilon float64
-	LR      float64
-
 	f    *stateFeatures
 	net  *ml.Net
 	adam *ml.Adam
@@ -313,7 +313,7 @@ type RTOS struct {
 }
 
 // NewRTOS returns an untrained RTOS searcher.
-func NewRTOS() *RTOS { return &RTOS{Epsilon: 0.2, LR: 1e-3} }
+func NewRTOS() *RTOS { return &RTOS{} }
 
 // Name implements learnedopt.Optimizer.
 func (s *RTOS) Name() string { return "rtos" }
@@ -330,11 +330,11 @@ func (s *RTOS) Train(ctx context.Context, lc *learnedopt.Context) error {
 		return err
 	}
 	s.net = net
-	s.adam = ml.NewAdam(s.LR, s.net)
+	s.adam = ml.NewAdam(1e-3, s.net)
 	if len(lc.Workload) == 0 {
 		return nil
 	}
-	eps := s.Epsilon
+	eps := exploreEpsilon
 	for ep := 0; ep < episodes; ep++ {
 		if err := ctx.Err(); err != nil {
 			return err

@@ -3,11 +3,11 @@ package learnedopt
 import (
 	"context"
 	"errors"
-	"math"
 	"testing"
 
 	"lqo/internal/cardest"
 	"lqo/internal/cost"
+	"lqo/internal/costmodel"
 	"lqo/internal/data"
 	"lqo/internal/datagen"
 	"lqo/internal/exec"
@@ -170,7 +170,6 @@ func TestBaoExploreMode(t *testing.T) {
 	f := getFixture(t)
 	bao := NewBao()
 	bao.Explore = true
-	bao.Rounds = 2
 	if err := bao.Train(context.Background(), f.lc); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +240,7 @@ func TestLeroPairwiseAgreesWithLatencyOrder(t *testing.T) {
 					continue
 				}
 				total++
-				pred := lero.Comparator.Score(plans[i]) < lero.Comparator.Score(plans[j])
+				pred := lero.cmp.Score(plans[i]) < lero.cmp.Score(plans[j])
 				truth := lats[i] < lats[j]
 				if pred == truth {
 					correct++
@@ -321,12 +320,15 @@ func TestEraserFallsBackToNativeWhenNothingTrusted(t *testing.T) {
 func TestHyperQOFiltersHighVariance(t *testing.T) {
 	f := getFixture(t)
 	h := NewHyperQO()
-	h.K = 3
 	if err := h.Train(context.Background(), f.lc); err != nil {
 		t.Fatal(err)
 	}
-	// With an impossible threshold, everything is filtered → native plan.
-	h.VarThreshold = -1
+	if _, err := h.Plan(context.Background(), f.test[0]); err != nil {
+		t.Fatal(err)
+	}
+	// An ensemble whose members disagree on every plan filters every
+	// candidate out → native plan.
+	h.models = []costmodel.Model{fixedLatency(1), fixedLatency(1e6)}
 	p, err := h.Plan(context.Background(), f.test[0])
 	if err != nil {
 		t.Fatal(err)
@@ -335,11 +337,14 @@ func TestHyperQOFiltersHighVariance(t *testing.T) {
 	if p.Fingerprint() != nat.Fingerprint() {
 		t.Fatal("all-filtered HyperQO should return the native plan")
 	}
-	h.VarThreshold = math.Inf(1)
-	if _, err := h.Plan(context.Background(), f.test[0]); err != nil {
-		t.Fatal(err)
-	}
 }
+
+// fixedLatency is a cost model predicting the same latency for every plan.
+type fixedLatency float64
+
+func (m fixedLatency) Name() string                                 { return "fixed" }
+func (m fixedLatency) Train(*costmodel.Context) error               { return nil }
+func (m fixedLatency) Predict(_ *query.Query, _ *plan.Node) float64 { return float64(m) }
 
 func TestPointwiseLero(t *testing.T) {
 	f := getFixture(t)

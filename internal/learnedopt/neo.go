@@ -19,26 +19,27 @@ import (
 // groups with Neo) and a value model over partial-plan features, trained
 // iteratively from its own executions — Neo's experience loop.
 type Neo struct {
-	// Beam is the search width (default 4).
+	// Beam is the search width (default 4; ablation E8 sweeps it).
 	Beam int
-	// Iterations of the plan-execute-retrain loop (default 2).
-	Iterations int
-	// Value is the latency predictor over (partial) plans.
-	Value costmodel.Model
-	// Epsilon, when positive, makes the beam ε-greedy: at each step one
+
+	name string
+	// value is the latency predictor over (partial) plans.
+	value costmodel.Model
+	// epsilon, when positive, makes the beam ε-greedy: at each step one
 	// beam slot is filled by a random (not best-scored) expansion — the
 	// LOGER [3] search strategy, which keeps the beam from collapsing onto
 	// the value model's blind spots.
-	Epsilon float64
-
-	name string
-	lc   *Context
-	rng  *rand.Rand
+	epsilon float64
+	lc      *Context
+	rng     *rand.Rand
 }
+
+// neoIterations is the number of plan-execute-retrain rounds.
+const neoIterations = 2
 
 // NewNeo returns a Neo optimizer with default search parameters.
 func NewNeo() *Neo {
-	return &Neo{name: "neo", Beam: 4, Iterations: 2, Value: costmodel.NewGBDTCost(false)}
+	return &Neo{Beam: 4, name: "neo", value: costmodel.NewGBDTCost(false)}
 }
 
 // NewLOGER returns the ε-beam variant [3]: Neo's architecture with a
@@ -46,7 +47,7 @@ func NewNeo() *Neo {
 func NewLOGER() *Neo {
 	l := NewNeo()
 	l.name = "loger"
-	l.Epsilon = 0.25
+	l.epsilon = 0.25
 	return l
 }
 
@@ -75,10 +76,10 @@ func (n *Neo) Train(ctx context.Context, lc *Context) error {
 		}
 		exp = append(exp, costmodel.TrainPlan{Q: q, Plan: p, Latency: lat})
 	}
-	if err := n.Value.Train(&costmodel.Context{Cat: lc.Cat, Stats: lc.Stats, Plans: exp, Seed: lc.Seed + 71}); err != nil {
+	if err := n.value.Train(&costmodel.Context{Cat: lc.Cat, Stats: lc.Stats, Plans: exp, Seed: lc.Seed + 71}); err != nil {
 		return err
 	}
-	for it := 0; it < n.Iterations; it++ {
+	for it := 0; it < neoIterations; it++ {
 		for _, q := range lc.Workload {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -93,7 +94,7 @@ func (n *Neo) Train(ctx context.Context, lc *Context) error {
 			}
 			exp = append(exp, costmodel.TrainPlan{Q: q, Plan: p, Latency: lat})
 		}
-		if err := n.Value.Train(&costmodel.Context{Cat: lc.Cat, Stats: lc.Stats, Plans: exp, Seed: lc.Seed + 71}); err != nil {
+		if err := n.value.Train(&costmodel.Context{Cat: lc.Cat, Stats: lc.Stats, Plans: exp, Seed: lc.Seed + 71}); err != nil {
 			return err
 		}
 	}
@@ -124,7 +125,7 @@ func (n *Neo) Candidates(ctx context.Context, q *query.Query) ([]Candidate, erro
 			continue
 		}
 		seen[fp] = true
-		out = append(out, Candidate{Plan: p, Predicted: n.Value.Predict(q, p)})
+		out = append(out, Candidate{Plan: p, Predicted: n.value.Predict(q, p)})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("learnedopt: neo beam produced no plan")
@@ -165,7 +166,7 @@ func (n *Neo) search(ctx context.Context, q *query.Query) ([]beamState, error) {
 		sort.Slice(next, func(i, j int) bool { return next[i].score < next[j].score })
 		if len(next) > n.Beam {
 			keep := next[:n.Beam]
-			if n.Epsilon > 0 && n.rng != nil && n.rng.Float64() < n.Epsilon {
+			if n.epsilon > 0 && n.rng != nil && n.rng.Float64() < n.epsilon {
 				// ε-beam: replace the worst kept slot with a random
 				// expansion from outside the beam.
 				keep[len(keep)-1] = next[n.Beam+n.rng.Intn(len(next)-n.Beam)]
@@ -197,7 +198,7 @@ func (n *Neo) scorePrefix(q *query.Query, order []string) float64 {
 	if err != nil {
 		return math.Inf(1)
 	}
-	return n.Value.Predict(sub, p)
+	return n.value.Predict(sub, p)
 }
 
 // Plan implements Optimizer.

@@ -16,17 +16,12 @@ import (
 // logistic loss on executed plan pairs, P(p1 faster than p2) =
 // σ(s(p2) − s(p1)). Lower score = predicted faster.
 type PairwiseComparator struct {
-	Epochs int
-	LR     float64
-
 	f   *costmodel.PlanFeaturizer
 	net *ml.Net
 }
 
 // NewPairwiseComparator returns an untrained comparator.
-func NewPairwiseComparator() *PairwiseComparator {
-	return &PairwiseComparator{Epochs: 60, LR: 1e-3}
-}
+func NewPairwiseComparator() *PairwiseComparator { return &PairwiseComparator{} }
 
 // PlanPair is one training comparison: two plans for the same query with
 // measured latencies.
@@ -47,25 +42,8 @@ func (c *PairwiseComparator) Train(cat *data.Catalog, pairs []PlanPair, seed int
 		return err
 	}
 	c.net = net
-	adam := ml.NewAdam(c.LR, c.net)
-	idx := make([]int, len(pairs))
-	for i := range idx {
-		idx[i] = i
-	}
-	const batch = 16
-	for e := 0; e < c.Epochs; e++ {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for s := 0; s < len(idx); s += batch {
-			end := s + batch
-			if end > len(idx) {
-				end = len(idx)
-			}
-			for _, i := range idx[s:end] {
-				c.trainOne(pairs[i])
-			}
-			adam.Step(end - s)
-		}
-	}
+	adam := ml.NewAdam(1e-3, c.net)
+	ml.Minibatches(rng, len(pairs), 60, 16, func(i int) { c.trainOne(pairs[i]) }, adam.Step)
 	return nil
 }
 

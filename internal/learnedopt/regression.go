@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"lqo/internal/costmodel"
+	"lqo/internal/metrics"
 	"lqo/internal/plan"
 	"lqo/internal/query"
 )
@@ -19,18 +20,19 @@ import (
 // remainder is selected. (The paper uses a multi-head LSTM; the workbench
 // uses an ensemble of tree models with the same variance-filter logic.)
 type HyperQO struct {
-	// K is the ensemble size (default 5).
-	K int
-	// VarThreshold filters candidates whose prediction coefficient of
-	// variation (in log space) exceeds it (default 0.25).
-	VarThreshold float64
-
 	models []costmodel.Model
 	lc     *Context
 }
 
+// HyperQO's ensemble size, and the coefficient of variation (in log
+// space) of a candidate's predictions above which it is filtered.
+const (
+	hyperQOK            = 5
+	hyperQOVarThreshold = 0.25
+)
+
 // NewHyperQO returns a HyperQO-style optimizer.
-func NewHyperQO() *HyperQO { return &HyperQO{K: 5, VarThreshold: 0.25} }
+func NewHyperQO() *HyperQO { return &HyperQO{} }
 
 // Name implements Optimizer.
 func (h *HyperQO) Name() string { return "hyperqo" }
@@ -58,7 +60,7 @@ func (h *HyperQO) Train(ctx context.Context, lc *Context) error {
 	}
 	h.models = h.models[:0]
 	rng := rand.New(rand.NewSource(lc.Seed + 79))
-	for k := 0; k < h.K; k++ {
+	for k := 0; k < hyperQOK; k++ {
 		// Bagging: each member sees a bootstrap resample, giving the
 		// ensemble genuine predictive variance on unfamiliar plans.
 		boot := make([]costmodel.TrainPlan, len(exp))
@@ -132,7 +134,7 @@ func (h *HyperQO) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) 
 	var pick *plan.Node
 	for _, p := range plans {
 		mu, cv := h.predict(q, p)
-		if cv > h.VarThreshold {
+		if cv > hyperQOVarThreshold {
 			continue
 		}
 		if mu < best {
@@ -153,9 +155,6 @@ func (h *HyperQO) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) 
 // quality, selecting from the cluster whose validation error is low. If
 // nothing survives, the native optimizer's plan runs.
 type Eraser struct {
-	// Inner is the learned optimizer being protected. It must implement
-	// CandidateProvider.
-	Inner Optimizer
 	// DisableClustering keeps only stage 1 (the E8 ablation knob).
 	DisableClustering bool
 	// InnerTrained skips training the inner optimizer — set it when
@@ -163,6 +162,9 @@ type Eraser struct {
 	// require retraining what it protects).
 	InnerTrained bool
 
+	// inner is the learned optimizer being protected. It must implement
+	// CandidateProvider.
+	inner         Optimizer
 	lc            *Context
 	seenStructure map[string]bool
 	clusterErr    map[string][]float64 // structure key → validation error ratios
@@ -180,10 +182,10 @@ const (
 )
 
 // NewEraser wraps inner with regression elimination.
-func NewEraser(inner Optimizer) *Eraser { return &Eraser{Inner: inner} }
+func NewEraser(inner Optimizer) *Eraser { return &Eraser{inner: inner} }
 
 // Name implements Optimizer.
-func (e *Eraser) Name() string { return "eraser+" + e.Inner.Name() }
+func (e *Eraser) Name() string { return "eraser+" + e.inner.Name() }
 
 // Train implements Optimizer: train the inner optimizer, then validate it
 // on the training workload to learn which plan structures its model can
@@ -191,11 +193,11 @@ func (e *Eraser) Name() string { return "eraser+" + e.Inner.Name() }
 func (e *Eraser) Train(ctx context.Context, lc *Context) error {
 	e.lc = lc
 	if !e.InnerTrained {
-		if err := e.Inner.Train(ctx, lc); err != nil {
+		if err := e.inner.Train(ctx, lc); err != nil {
 			return err
 		}
 	}
-	cp, ok := e.Inner.(CandidateProvider)
+	cp, ok := e.inner.(CandidateProvider)
 	if !ok {
 		return fmt.Errorf("learnedopt: eraser requires a CandidateProvider inner optimizer")
 	}
@@ -238,20 +240,9 @@ func errRatio(pred, truth float64) float64 {
 	return truth / pred
 }
 
-func geoMean(v []float64) float64 {
-	if len(v) == 0 {
-		return math.Inf(1)
-	}
-	s := 0.0
-	for _, x := range v {
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(v)))
-}
-
 // Plan implements Optimizer.
 func (e *Eraser) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
-	cands, err := e.Inner.(CandidateProvider).Candidates(ctx, q)
+	cands, err := e.inner.(CandidateProvider).Candidates(ctx, q)
 	if err != nil {
 		return e.lc.Base.OptimizeCtx(ctx, q)
 	}
@@ -284,7 +275,11 @@ func (e *Eraser) Plan(ctx context.Context, q *query.Query) (*plan.Node, error) {
 	for _, c := range survivors {
 		score := c.Predicted
 		if !e.DisableClustering {
-			g := geoMean(e.clusterErr[c.Plan.StructureKey()])
+			errs := e.clusterErr[c.Plan.StructureKey()]
+			if len(errs) == 0 {
+				continue // no validation error: the cluster is not trusted
+			}
+			g := metrics.GeoMean(errs)
 			if g > eraserMaxClusterError {
 				continue
 			}

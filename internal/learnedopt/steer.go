@@ -21,24 +21,19 @@ import (
 // distinct plan, and selects among those candidates with one learned
 // ranker trained on executed candidates. A knob is a plan.HintSet arm,
 // a float64 cardinality scale factor (ScaledEstimator) or LEON's greedy
-// enumeration; the ranker is a pointwise latency regressor (Value) or
-// the pairwise comparator (Comparator).
+// enumeration; the ranker is a pointwise latency regressor (value) or
+// the pairwise comparator (cmp).
 type Steering struct {
-	// Value is the pointwise ranker; nil when Comparator ranks.
-	Value costmodel.Model
-	// Comparator is the pairwise ranker (Lero, LEON).
-	Comparator *PairwiseComparator
 	// Explore collects experience ε-greedily: per round, each training
 	// query executes only the chosen candidate, then the ranker is refit
 	// — Bao's online regime. False executes every candidate (exhaustive
 	// experience); the E8 ablation toggles this.
 	Explore bool
-	// Epsilon is the exploration rate when Explore is set (default 0.2).
-	Epsilon float64
-	// Rounds is the number of collect+retrain rounds when Explore is set
-	// (default 3).
-	Rounds int
 
+	// value is the pointwise ranker; nil when cmp ranks.
+	value costmodel.Model
+	// cmp is the pairwise ranker (Lero, LEON).
+	cmp   *PairwiseComparator
 	name  string
 	knobs []any
 	seed  int64 // added to the training seed; Explore adds 2 more
@@ -54,6 +49,13 @@ type PlanFunc func(ctx context.Context, q *query.Query, knob any) (*plan.Node, e
 // RunFunc executes q's candidate p, planned under knob, and returns its
 // latency in work units.
 type RunFunc func(ctx context.Context, q *query.Query, knob any, p *plan.Node) (float64, error)
+
+// Explore's schedule: the exploration rate and the number of
+// collect+retrain rounds.
+const (
+	exploreEpsilon = 0.2
+	exploreRounds  = 3
+)
 
 // greedyKnob plans with the native optimizer's greedy enumeration.
 type greedyKnob struct{}
@@ -74,13 +76,13 @@ func ScaleKnobs() []any { return []any{0.01, 0.1, 1.0, 10.0, 100.0} }
 // measures with run instead of a native optimizer and executor — the
 // loop deployed outside the engine. value is its pointwise ranker.
 func NewSteering(name string, knobs []any, value costmodel.Model, seed int64, plan PlanFunc, run RunFunc) *Steering {
-	return &Steering{Value: value, name: name, knobs: knobs, seed: seed, plan: plan, run: run}
+	return &Steering{value: value, name: name, knobs: knobs, seed: seed, plan: plan, run: run}
 }
 
 // native returns a core steering the Context's native optimizer, ranked
 // by value or cmp.
 func native(name string, knobs []any, seed int64, value costmodel.Model, cmp *PairwiseComparator) *Steering {
-	s := &Steering{Value: value, Comparator: cmp, Epsilon: 0.2, Rounds: 3, name: name, knobs: knobs, seed: seed}
+	s := &Steering{value: value, cmp: cmp, name: name, knobs: knobs, seed: seed}
 	s.plan, s.run = s.planKnob, s.measure
 	return s
 }
@@ -132,7 +134,7 @@ func (s *Steering) Train(ctx context.Context, lc *Context) error {
 	s.base, s.ex = lc.Base, lc.Ex
 	seed, rounds := lc.Seed+s.seed, 1
 	if s.Explore {
-		seed, rounds = seed+2, s.Rounds
+		seed, rounds = seed+2, exploreRounds
 	}
 	rng := rand.New(rand.NewSource(seed))
 	var groups [][]costmodel.TrainPlan
@@ -146,7 +148,7 @@ func (s *Steering) Train(ctx context.Context, lc *Context) error {
 				return err
 			}
 			if s.Explore {
-				if round == 0 || rng.Float64() < s.Epsilon {
+				if round == 0 || rng.Float64() < exploreEpsilon {
 					cands = []Candidate{cands[rng.Intn(len(cands))]}
 				} else {
 					cands = []Candidate{s.pick(q, cands)}
@@ -171,18 +173,18 @@ func (s *Steering) Train(ctx context.Context, lc *Context) error {
 // candidates: the pairwise comparator on each group's pairs, the
 // pointwise model on every run.
 func (s *Steering) fitRanker(lc *Context, groups [][]costmodel.TrainPlan, seed int64) error {
-	if s.Comparator != nil {
+	if s.cmp != nil {
 		var pairs []PlanPair
 		for _, g := range groups {
 			pairs = append(pairs, PairsFromRuns(g)...)
 		}
-		return s.Comparator.Train(lc.Cat, pairs, seed)
+		return s.cmp.Train(lc.Cat, pairs, seed)
 	}
 	var exp []costmodel.TrainPlan
 	for _, g := range groups {
 		exp = append(exp, g...)
 	}
-	return s.Value.Train(&costmodel.Context{Cat: lc.Cat, Stats: lc.Stats, Plans: exp, Seed: seed})
+	return s.value.Train(&costmodel.Context{Cat: lc.Cat, Stats: lc.Stats, Plans: exp, Seed: seed})
 }
 
 // explore turns each knob into q's plan, keeping the first knob of each
@@ -227,12 +229,12 @@ func isHintSet(k any) bool {
 // prediction wins, a NaN prediction never wins, and if every prediction
 // is NaN the first candidate does. Pairwise: SelectBest.
 func (s *Steering) pick(q *query.Query, cands []Candidate) Candidate {
-	if s.Comparator != nil {
-		return cands[s.Comparator.SelectBest(cands)]
+	if s.cmp != nil {
+		return cands[s.cmp.SelectBest(cands)]
 	}
 	best, bestV := cands[0], math.Inf(1)
 	for _, c := range cands {
-		if v := s.Value.Predict(q, c.Plan); v < bestV {
+		if v := s.value.Predict(q, c.Plan); v < bestV {
 			best, bestV = c, v
 		}
 	}
@@ -263,10 +265,10 @@ func (s *Steering) Candidates(ctx context.Context, q *query.Query) ([]Candidate,
 		return nil, err
 	}
 	for i, c := range cands {
-		if s.Comparator != nil {
-			cands[i].Predicted = s.Comparator.Score(c.Plan)
+		if s.cmp != nil {
+			cands[i].Predicted = s.cmp.Score(c.Plan)
 		} else {
-			cands[i].Predicted = s.Value.Predict(q, c.Plan)
+			cands[i].Predicted = s.value.Predict(q, c.Plan)
 		}
 	}
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].Predicted < cands[j].Predicted })

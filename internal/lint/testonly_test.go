@@ -6,6 +6,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -66,15 +67,19 @@ func keyOf(obj types.Object) (apiKey, bool) {
 
 // moduleScan is what one type-checked walk of the module's non-test
 // files finds: the exported API under internal/ and the names that are
-// used, and the option fields in optionScope and the ones that are
-// written.
+// used, and the option fields in optionScope or learnedScope and the
+// ones that are written.
 type moduleScan struct {
 	internal     string // "<module>/internal/"
 	decls        []decl // exported functions, methods and types under internal/
 	used         map[apiKey]bool
 	ifaceMethods map[string]bool // names of every interface method seen
-	fields       []decl          // exported fields of the types optionScope admits
+	fields       []decl          // exported fields of the types optionScope or learnedScope admits
+	learned      map[apiKey]bool // the fields of learnedScope's types
 	written      map[apiKey]bool // fields by {pkg, struct type, field}
+	// writtenOutside holds the fields written by a package other than the
+	// one that declares them.
+	writtenOutside map[apiKey]bool
 }
 
 type decl struct {
@@ -129,10 +134,12 @@ func walkModule() (*moduleScan, error) {
 		return nil, fmt.Errorf("Prefetch: %w", err)
 	}
 	m := &moduleScan{
-		internal:     modPath + "/internal/",
-		used:         map[apiKey]bool{},
-		ifaceMethods: map[string]bool{},
-		written:      map[apiKey]bool{},
+		internal:       modPath + "/internal/",
+		used:           map[apiKey]bool{},
+		ifaceMethods:   map[string]bool{},
+		learned:        map[apiKey]bool{},
+		written:        map[apiKey]bool{},
+		writtenOutside: map[apiKey]bool{},
 	}
 	for _, ip := range paths {
 		pkg, err := l.LoadDir(dirs[ip], ip)
@@ -172,14 +179,14 @@ func (m *moduleScan) scanPackage(pkg *load.Package, internal bool) {
 						return true
 					})
 					if d.Name.Name != "withDefaults" {
-						m.noteWrites(pkg.Info, d.Body)
+						m.noteWrites(pkg, d.Body)
 					}
 				}
 				if d.Name.IsExported() && internal {
 					m.decls = append(m.decls, decl{k, pkg.Fset.Position(d.Name.Pos())})
 				}
 			case *ast.GenDecl:
-				m.noteWrites(pkg.Info, d) // package-level var initializers
+				m.noteWrites(pkg, d) // package-level var initializers
 				for _, s := range d.Specs {
 					ts, ok := s.(*ast.TypeSpec)
 					if !ok || !ts.Name.IsExported() || !internal {
@@ -187,12 +194,20 @@ func (m *moduleScan) scanPackage(pkg *load.Package, internal bool) {
 					}
 					k, _ := keyOf(pkg.Info.Defs[ts.Name])
 					m.decls = append(m.decls, decl{k, pkg.Fset.Position(ts.Name.Pos())})
-					if st, ok := ts.Type.(*ast.StructType); ok && m.optionScope(k) {
-						for _, fld := range st.Fields.List {
-							for _, id := range fld.Names {
-								if id.IsExported() {
-									m.fields = append(m.fields, decl{apiKey{k.pkg, k.name, id.Name}, pkg.Fset.Position(id.Pos())})
-								}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					learned := m.learnedScope(pkg, pkg.Info.Defs[ts.Name])
+					if !learned && !m.optionScope(k) {
+						continue
+					}
+					for _, fld := range st.Fields.List {
+						for _, id := range fld.Names {
+							if id.IsExported() {
+								fk := apiKey{k.pkg, k.name, id.Name}
+								m.fields = append(m.fields, decl{fk, pkg.Fset.Position(id.Pos())})
+								m.learned[fk] = learned
 							}
 						}
 					}
@@ -229,11 +244,55 @@ func (m *moduleScan) optionScope(k apiKey) bool {
 	return false
 }
 
-// noteWrites records every struct field that root writes: a composite
-// literal's key (or position), an assignment's or ++/--'s target, and
-// a field whose address is taken. A target's whole selector chain
-// counts: cfg.Breaker.Cooldown = 2 writes both fields.
-func (m *moduleScan) noteWrites(info *types.Info, root ast.Node) {
+// learnedPackages are the packages of the learned components, below
+// lqo/internal/, and learnedContracts the interfaces ("pkg.Name") whose
+// implementations there learnedScope admits, with learnedTypes the
+// types it admits by name. Each method is studied at the one
+// configuration its constructor builds, so a knob no caller outside the
+// package turns is a constant.
+var (
+	learnedPackages  = []string{"cardest", "costmodel", "learnedopt", "joinorder", "ml"}
+	learnedContracts = []string{"cardest.Estimator", "costmodel.Model", "learnedopt.Optimizer"}
+	learnedTypes     = []string{"ml.Adam", "learnedopt.PairwiseComparator"}
+)
+
+// learnedScope reports whether obj, a type declared in pkg, is a learned
+// component: a type of learnedPackages that is in learnedTypes or whose
+// pointer implements one of learnedContracts that pkg declares or
+// imports. Its exported fields must be written outside pkg.
+func (m *moduleScan) learnedScope(pkg *load.Package, obj types.Object) bool {
+	rel := strings.TrimPrefix(pkg.Path, m.internal)
+	if rel == pkg.Path || !slices.Contains(learnedPackages, rel) {
+		return false
+	}
+	if slices.Contains(learnedTypes, rel+"."+obj.Name()) {
+		return true
+	}
+	ptr := types.NewPointer(obj.Type())
+	for _, c := range learnedContracts {
+		cpkg, name, _ := strings.Cut(c, ".")
+		scopes := []*types.Package{pkg.Types}
+		scopes = append(scopes, pkg.Types.Imports()...)
+		for _, p := range scopes {
+			if p.Path() != m.internal+cpkg {
+				continue
+			}
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok && types.Implements(ptr, it) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// noteWrites records every struct field that root, in pkg, writes: a
+// composite literal's key (or position), an assignment's or ++/--'s
+// target, and a field whose address is taken. A target's whole selector
+// chain counts: cfg.Breaker.Cooldown = 2 writes both fields.
+func (m *moduleScan) noteWrites(pkg *load.Package, root ast.Node) {
+	info := pkg.Info
 	target := func(e ast.Expr) {
 		for {
 			switch x := e.(type) {
@@ -245,7 +304,7 @@ func (m *moduleScan) noteWrites(info *types.Info, root ast.Node) {
 				e = x.X
 			case *ast.SelectorExpr:
 				if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
-					m.noteField(sel.Recv(), sel.Index())
+					m.noteField(pkg.Path, sel.Recv(), sel.Index())
 				}
 				e = x.X
 			default:
@@ -273,13 +332,13 @@ func (m *moduleScan) noteWrites(info *types.Info, root ast.Node) {
 						if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
 							for j := 0; j < st.NumFields(); j++ {
 								if st.Field(j) == v {
-									m.noteField(t, []int{j})
+									m.noteField(pkg.Path, t, []int{j})
 								}
 							}
 						}
 					}
 				} else {
-					m.noteField(t, []int{i})
+					m.noteField(pkg.Path, t, []int{i})
 				}
 			}
 		case *ast.AssignStmt:
@@ -317,9 +376,10 @@ func zeroLiteral(info *types.Info, e ast.Expr) bool {
 	return false
 }
 
-// noteField marks written the field that index path reaches from t
-// (a promoted field is owned by the struct that declares it).
-func (m *moduleScan) noteField(t types.Type, path []int) {
+// noteField marks written, by package writer, the field that index path
+// reaches from t (a promoted field is owned by the struct that declares
+// it).
+func (m *moduleScan) noteField(writer string, t types.Type, path []int) {
 	for i, idx := range path {
 		t = deref(t)
 		st, ok := t.Underlying().(*types.Struct)
@@ -329,7 +389,11 @@ func (m *moduleScan) noteField(t types.Type, path []int) {
 		f := st.Field(idx)
 		if i == len(path)-1 {
 			if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil {
-				m.written[apiKey{n.Obj().Pkg().Path(), n.Origin().Obj().Name(), f.Name()}] = true
+				k := apiKey{n.Obj().Pkg().Path(), n.Origin().Obj().Name(), f.Name()}
+				m.written[k] = true
+				if writer != k.pkg {
+					m.writtenOutside[k] = true
+				}
 			}
 			return
 		}
@@ -395,24 +459,32 @@ var testOnlyOptionAllowed = map[string]string{
 // taken — outside the struct's withDefaults. benchmark/, cmd/ and
 // examples/ count as writers. A field only tests set is a configuration
 // no deployment runs: make it a constant, or allow it with a reason.
+// An exported field of a learned component (learnedScope) must be
+// written by a non-test file outside its own package: its constructor
+// setting it is not enough, since a knob nobody else turns is a constant
+// too (or an unexported field, where two constructors differ).
 func TestNoTestOnlyOption(t *testing.T) {
 	m := scanModule(t)
 	var unset []string
 	unwritten := map[string]bool{}
 	for _, f := range m.fields {
 		name := m.name(f.key)
-		unwritten[name] = !m.written[f.key]
-		if m.written[f.key] {
+		written, where := m.written[f.key], "non-test file"
+		if m.learned[f.key] {
+			written, where = m.writtenOutside[f.key], "non-test file outside its package"
+		}
+		unwritten[name] = !written
+		if written {
 			continue
 		}
 		if _, ok := testOnlyOptionAllowed[name]; ok {
 			continue
 		}
-		unset = append(unset, fmt.Sprintf("%s:%d: %s", f.pos.Filename, f.pos.Line, name))
+		unset = append(unset, fmt.Sprintf("%s:%d: %s is written by no %s", f.pos.Filename, f.pos.Line, name, where))
 	}
 	sort.Strings(unset)
 	for _, s := range unset {
-		t.Errorf("%s is written by no non-test file: make it a constant, or allow it with a reason", s)
+		t.Errorf("%s: make it a constant, or allow it with a reason", s)
 	}
 	checkAllowlist(t, "testOnlyOptionAllowed", testOnlyOptionAllowed, unwritten)
 }

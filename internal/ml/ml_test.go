@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -59,8 +60,8 @@ func TestNetLearnsXOR(t *testing.T) {
 		X = append(X, xs...)
 		Y = append(Y, ys...)
 	}
-	loss := TrainRegression(net, X, Y, 200, 8, 0.01, rng)
-	if loss > 0.05 {
+	TrainRegression(net, X, Y, 200, 8, 0.01, rng)
+	if loss := mse(net, X, Y); loss > 0.05 {
 		t.Fatalf("XOR final loss = %v", loss)
 	}
 	for i, x := range xs {
@@ -71,12 +72,76 @@ func TestNetLearnsXOR(t *testing.T) {
 	}
 }
 
+// mse is net's mean squared error over (xs, ys).
+func mse(net *Net, xs [][]float64, ys []float64) float64 {
+	total := 0.0
+	for i, x := range xs {
+		d := net.Forward(x)[0] - ys[i]
+		total += d * d
+	}
+	return total / float64(len(xs))
+}
+
+// TestMinibatchesMatchesReferenceLoop: Minibatches visits the same
+// indices, leaves the same per-sample rng draws between its shuffles and
+// steps with the same batch sizes as the loop every learned model used
+// to carry its own copy of, kept here verbatim.
+func TestMinibatchesMatchesReferenceLoop(t *testing.T) {
+	const seed, epochs = 11, 3
+	// trace records one run: visit draws i%3 values from rng, as MSCN's
+	// masking draws per set element between shuffles.
+	trace := func(rng *rand.Rand, out *[]float64) (func(int), func(int)) {
+		visit := func(i int) {
+			*out = append(*out, float64(i))
+			for k := 0; k < i%3; k++ {
+				*out = append(*out, rng.Float64())
+			}
+		}
+		step := func(size int) { *out = append(*out, -float64(size)) }
+		return visit, step
+	}
+	for _, n := range []int{0, 1, 15, 16, 17, 37} {
+		for _, batch := range []int{8, 16} {
+			var want, got []float64
+			rng := rand.New(rand.NewSource(seed))
+			visit, step := trace(rng, &want)
+			idx := make([]int, n)
+			for i := range idx {
+				idx[i] = i
+			}
+			for e := 0; e < epochs; e++ {
+				rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+				for s := 0; s < len(idx); s += batch {
+					end := s + batch
+					if end > len(idx) {
+						end = len(idx)
+					}
+					for _, i := range idx[s:end] {
+						visit(i)
+					}
+					step(end - s)
+				}
+			}
+			want = append(want, rng.Float64()) // the rng's state after training
+
+			rng = rand.New(rand.NewSource(seed))
+			visit, step = trace(rng, &got)
+			Minibatches(rng, n, epochs, batch, visit, step)
+			got = append(got, rng.Float64())
+
+			if !slices.Equal(got, want) {
+				t.Errorf("n=%d batch=%d: trace (index, draws…, -batch size)\n got %v\nwant %v", n, batch, got, want)
+			}
+		}
+	}
+}
+
 func TestBackwardGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net := mustNet(t, []int{3, 5, 1}, ReLU, rng)
 	x := []float64{0.3, -0.2, 0.8}
-	// Analytic gradient of the first layer's first weight.
-	net.ZeroGrad()
+	// Analytic gradient of the first layer's first weight (a new net's
+	// accumulated gradients are zero).
 	c := net.ForwardCache(x)
 	net.Backward(c, []float64{1})
 	analytic := net.Layers[0].dW[0]
@@ -104,9 +169,10 @@ func TestAdamReducesLoss(t *testing.T) {
 		xs = append(xs, []float64{v})
 		ys = append(ys, v*v)
 	}
-	first := TrainRegression(net, xs, ys, 1, 16, 1e-3, rng)
-	last := TrainRegression(net, xs, ys, 100, 16, 1e-3, rng)
-	if last >= first {
+	TrainRegression(net, xs, ys, 1, 16, 1e-3, rng)
+	first := mse(net, xs, ys)
+	TrainRegression(net, xs, ys, 100, 16, 1e-3, rng)
+	if last := mse(net, xs, ys); last >= first {
 		t.Fatalf("loss did not decrease: %v → %v", first, last)
 	}
 }

@@ -187,34 +187,30 @@ func (n *Net) Backward(c Cache, gradOut []float64) []float64 {
 	return g
 }
 
-// ZeroGrad clears accumulated gradients.
-func (n *Net) ZeroGrad() {
-	for _, l := range n.Layers {
-		for i := range l.dW {
-			l.dW[i] = 0
-		}
-		for i := range l.dB {
-			l.dB[i] = 0
-		}
-	}
-}
+// Adam's fixed hyperparameters: the gradient clip (max abs gradient per
+// parameter) and the denominator's epsilon.
+const (
+	adamClip = 5
+	adamEps  = 1e-8
+)
 
 // Adam is the Adam optimizer state for one or more nets sharing a step
 // counter.
 type Adam struct {
-	LR      float64
-	Beta1   float64
-	Beta2   float64
-	Eps     float64
-	Clip    float64 // max abs gradient per parameter; 0 disables
-	t       int
-	targets []*Net
+	lr float64
+	// beta1 and beta2 are 0.9 and 0.999, kept as fields rather than
+	// constants: with constants the compiler folds 1-beta1 to exactly 0.1,
+	// where the run-time subtraction gives 0.09999999999999998, and every
+	// trained network's bits would move.
+	beta1, beta2 float64
+	t            int
+	targets      []*Net
 }
 
-// NewAdam returns an Adam optimizer over the given nets with standard
-// hyperparameters.
+// NewAdam returns an Adam optimizer over the given nets with learning
+// rate lr and standard moment decays.
 func NewAdam(lr float64, nets ...*Net) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, Clip: 5, targets: nets}
+	return &Adam{lr: lr, beta1: 0.9, beta2: 0.999, targets: nets}
 }
 
 // Step applies one Adam update using accumulated gradients scaled by
@@ -224,24 +220,22 @@ func (a *Adam) Step(batchSize int) {
 		batchSize = 1
 	}
 	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	bc1 := 1 - math.Pow(a.beta1, float64(a.t))
+	bc2 := 1 - math.Pow(a.beta2, float64(a.t))
 	inv := 1 / float64(batchSize)
 	upd := func(w, dw, m, v []float64) {
 		for i := range w {
 			g := dw[i] * inv
-			if a.Clip > 0 {
-				if g > a.Clip {
-					g = a.Clip
-				} else if g < -a.Clip {
-					g = -a.Clip
-				}
+			if g > adamClip {
+				g = adamClip
+			} else if g < -adamClip {
+				g = -adamClip
 			}
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
+			m[i] = a.beta1*m[i] + (1-a.beta1)*g
+			v[i] = a.beta2*v[i] + (1-a.beta2)*g*g
 			mh := m[i] / bc1
 			vh := v[i] / bc2
-			w[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
+			w[i] -= a.lr * mh / (math.Sqrt(vh) + adamEps)
 			dw[i] = 0
 		}
 	}
@@ -253,37 +247,34 @@ func (a *Adam) Step(batchSize int) {
 	}
 }
 
-// TrainRegression fits net to (xs, ys) scalar targets with MSE loss and
-// mini-batch Adam, returning the final epoch's mean loss.
-func TrainRegression(net *Net, xs [][]float64, ys []float64, epochs, batch int, lr float64, rng *rand.Rand) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	opt := NewAdam(lr, net)
-	idx := make([]int, len(xs))
+// Minibatches is the one shuffled-minibatch training loop: each of
+// epochs shuffles the visit order of n samples with rng, then, batch by
+// batch of at most batch samples, calls visit with each sample's index
+// in order and step with the batch's size (an Adam's Step). visit may
+// draw from rng; its draws fall between the shuffles as they are made.
+func Minibatches(rng *rand.Rand, n, epochs, batch int, visit func(i int), step func(size int)) {
+	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	var lastLoss float64
 	for e := 0; e < epochs; e++ {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		total := 0.0
-		for s := 0; s < len(idx); s += batch {
-			end := s + batch
-			if end > len(idx) {
-				end = len(idx)
-			}
-			net.ZeroGrad()
+		rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		for s := 0; s < n; s += batch {
+			end := min(s+batch, n)
 			for _, i := range idx[s:end] {
-				c := net.ForwardCache(xs[i])
-				pred := c.Output()[0]
-				diff := pred - ys[i]
-				total += diff * diff
-				net.Backward(c, []float64{2 * diff})
+				visit(i)
 			}
-			opt.Step(end - s)
+			step(end - s)
 		}
-		lastLoss = total / float64(len(idx))
 	}
-	return lastLoss
+}
+
+// TrainRegression fits net to (xs, ys) scalar targets with MSE loss and
+// mini-batch Adam.
+func TrainRegression(net *Net, xs [][]float64, ys []float64, epochs, batch int, lr float64, rng *rand.Rand) {
+	opt := NewAdam(lr, net)
+	Minibatches(rng, len(xs), epochs, batch, func(i int) {
+		c := net.ForwardCache(xs[i])
+		net.Backward(c, []float64{2 * (c.Output()[0] - ys[i])})
+	}, opt.Step)
 }
