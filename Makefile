@@ -19,7 +19,7 @@
 #                      or directories of run_*.json) against the bounds
 #   make bench-record PR=<n> — the benchmark at three fixed seeds, kept as
 #                      BENCH_<n>/run_seed<S>.json plus BENCH_<n>/host.json
-#   make exp-smoke — the experiments E5, E7, E8, E10, E14, E15 and E16
+#   make exp-smoke — the experiments E7, E10, E14, E15 and E16
 #                    with their fixed parameters; fails if any of them fails
 
 GO ?= go
@@ -143,16 +143,16 @@ bench-record:
 	cat BENCH_$(PR)/host.json
 
 # The runtime experiments at quick scale, seed 42, with the fixed
-# parameters every lqo-bench run uses (about 14 s together on 2 cores).
-# E5 trains every registered planner, join-order searchers included (their
-# only caller outside tests), executes its plans and plans the deep joins.
-# E5 and E8 train and plan with every configuration of the steering core
-# (bao exhaustive, explore and tree-conv, lero pairwise and pointwise,
-# leon), E7 with its PilotScope driver. lqo-bench exits 1
+# parameters every lqo-bench run uses, whose tables are not generated
+# blocks in EXPERIMENTS.md. E7 trains and plans with the steering core's
+# PilotScope driver. E5 (every registered planner) and E8 (every
+# configuration of the steering core) are not here: tier-1's
+# TestExperimentsDocIsGenerated runs both at seed 42 and quick scale and
+# fails on any error or changed cell. lqo-bench exits 1
 # when any of them fails: E7 when a driver-steered answer differs from
 # the native run, E14 when a served answer diverges from its uncached baseline, E16
 # when a sharded run's Count, Value or charged WorkUnits diverge from the
 # serial reference, any of them when a run it builds on (baseline,
 # oracle, training, planning, the adaptation loop) errors.
 exp-smoke:
-	$(GO) run ./cmd/lqo-bench -exp E5,E7,E8,E10,E14,E15,E16
+	$(GO) run ./cmd/lqo-bench -exp E7,E10,E14,E15,E16
