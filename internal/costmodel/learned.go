@@ -133,9 +133,6 @@ func newTreeEncoder(rng *rand.Rand) (treeEncoder, error) {
 	return treeEncoder{combine}, err
 }
 
-// dim is the embedding width: the combiner's output.
-func (e treeEncoder) dim() int { return e.combine.Layers[len(e.combine.Layers)-1].Out }
-
 // treeCache stores the forward state of one plan node for backprop.
 type treeCache struct {
 	cache       ml.Cache
@@ -144,17 +141,16 @@ type treeCache struct {
 
 // forward returns n's embedding and the state backward needs.
 func (e treeEncoder) forward(n *plan.Node) ([]float64, *treeCache) {
-	d := e.dim()
 	tc := &treeCache{}
-	leftEmb := make([]float64, d)
-	rightEmb := make([]float64, d)
+	leftEmb := make([]float64, embDim)
+	rightEmb := make([]float64, embDim)
 	if n.Left != nil {
 		leftEmb, tc.left = e.forward(n.Left)
 	}
 	if n.Right != nil {
 		rightEmb, tc.right = e.forward(n.Right)
 	}
-	in := make([]float64, 0, NodeFeatureDim+2*d)
+	in := make([]float64, 0, NodeFeatureDim+2*embDim)
 	in = append(in, NodeFeatures(n)...)
 	in = append(in, leftEmb...)
 	in = append(in, rightEmb...)
@@ -165,13 +161,12 @@ func (e treeEncoder) forward(n *plan.Node) ([]float64, *treeCache) {
 // backward accumulates the combiner's gradients for the upstream
 // gradient grad on the embedding forward returned with tc.
 func (e treeEncoder) backward(tc *treeCache, grad []float64) {
-	d := e.dim()
 	gradIn := e.combine.Backward(tc.cache, grad)
 	if tc.left != nil {
-		e.backward(tc.left, gradIn[NodeFeatureDim:NodeFeatureDim+d])
+		e.backward(tc.left, gradIn[NodeFeatureDim:NodeFeatureDim+embDim])
 	}
 	if tc.right != nil {
-		e.backward(tc.right, gradIn[NodeFeatureDim+d:])
+		e.backward(tc.right, gradIn[NodeFeatureDim+embDim:])
 	}
 }
 

@@ -14,15 +14,16 @@ import (
 // the plan tree against numeric differentiation — the correctness core of
 // the TreeConv architecture.
 func TestTreeConvGradientCheck(t *testing.T) {
+	// Tanh instead of the model's ReLU keeps the loss smooth for the
+	// finite differences; the widths are the model's own.
 	m := NewTreeConv()
-	const dim = 4
 	rng := newRNG(7)
-	combine, err := ml.NewNet([]int{NodeFeatureDim + 2*dim, 6, dim}, ml.Tanh, rng)
+	combine, err := ml.NewNet([]int{NodeFeatureDim + 2*embDim, 6, embDim}, ml.Tanh, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.enc = treeEncoder{combine}
-	if m.head, err = ml.NewNet([]int{dim, 4, 1}, ml.Tanh, rng); err != nil {
+	if m.head, err = ml.NewNet([]int{embDim, 4, 1}, ml.Tanh, rng); err != nil {
 		t.Fatal(err)
 	}
 

@@ -326,25 +326,51 @@ func TestHyperQOFiltersHighVariance(t *testing.T) {
 	if _, err := h.Plan(context.Background(), f.test[0]); err != nil {
 		t.Fatal(err)
 	}
-	// An ensemble whose members disagree on every plan filters every
-	// candidate out → native plan.
-	h.models = []costmodel.Model{fixedLatency(1), fixedLatency(1e6)}
-	p, err := h.Plan(context.Background(), f.test[0])
+	// Two members that agree on the native plan (1e3) but disagree on
+	// every other candidate (0 vs 100: log-space mean ≈ 2.3, cv ≈ 1). The
+	// other candidates' mean beats native's ≈ 6.9, so only the variance
+	// filter can bring the native plan back.
+	q := f.test[0]
+	nat, _ := f.lc.Base.OptimizeCtx(context.Background(), q)
+	plans, err := f.lc.Base.CandidatePlans(context.Background(), q, plan.BaoHintSets())
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat, _ := f.lc.Base.OptimizeCtx(context.Background(), f.test[0])
+	other := false
+	for _, p := range plans {
+		other = other || p.Fingerprint() != nat.Fingerprint()
+	}
+	if !other {
+		t.Fatal("fixture query needs a candidate other than the native plan")
+	}
+	h.models = []costmodel.Model{
+		nativeAgreed{native: nat.Fingerprint(), other: 0},
+		nativeAgreed{native: nat.Fingerprint(), other: 100},
+	}
+	p, err := h.Plan(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p.Fingerprint() != nat.Fingerprint() {
-		t.Fatal("all-filtered HyperQO should return the native plan")
+		t.Fatal("HyperQO picked a candidate its ensemble disagrees on")
 	}
 }
 
-// fixedLatency is a cost model predicting the same latency for every plan.
-type fixedLatency float64
+// nativeAgreed is a cost model predicting 1e3 for the plan whose
+// fingerprint is native and other for every other plan.
+type nativeAgreed struct {
+	native string
+	other  float64
+}
 
-func (m fixedLatency) Name() string                                 { return "fixed" }
-func (m fixedLatency) Train(*costmodel.Context) error               { return nil }
-func (m fixedLatency) Predict(_ *query.Query, _ *plan.Node) float64 { return float64(m) }
+func (m nativeAgreed) Name() string                   { return "native-agreed" }
+func (m nativeAgreed) Train(*costmodel.Context) error { return nil }
+func (m nativeAgreed) Predict(_ *query.Query, p *plan.Node) float64 {
+	if p.Fingerprint() == m.native {
+		return 1e3
+	}
+	return m.other
+}
 
 func TestPointwiseLero(t *testing.T) {
 	f := getFixture(t)
